@@ -1,82 +1,66 @@
-//! Beyond-paper ablations and extension experiments.
+//! Beyond-paper ablations.
 //!
-//! The paper's §6 lists what its single-rack testbed could not do; these
-//! experiments cover the design-choice ablations DESIGN.md calls out:
+//! The design-choice ablations DESIGN.md calls out, all on the Cassandra
+//! analog:
 //!
 //! * **read repair on/off** — isolates the mechanism the paper blames for
 //!   Cassandra's read-latency growth at RF > 3;
 //! * **commit-log durability** — periodic (the paper's deployment) vs
 //!   per-write sync, isolating the mechanism behind flat write latency;
-//! * **failover** — Pokluda et al.-style availability: throughput and
-//!   errors before, during, and after a node failure.
+//! * **partitioner** — the order-preserving partitioner the scan workloads
+//!   require vs the hashing (Murmur-style) one Cassandra defaults to.
+//!
+//! (Node failure is covered by Figs 4 and 5, with timelines.)
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use cstore::{CommitlogSync, Consistency};
-use faults::FaultPlan;
-use simkit::NodeId;
+use cstore::{CommitlogSync, Consistency, Partitioner};
 use ycsb::WorkloadSpec;
 
-use crate::driver::{self, DriverConfig};
+use crate::driver::{DriverConfig, RunOutcome};
+use crate::experiment::{Experiment, Grid, Part, RunShape, Store};
 use crate::report::{fmt_ops, fmt_us, Table};
-use crate::resilience::RetryPolicy;
-use crate::setup::{build_cstore_with, build_hstore, Scale, StoreKind};
-use crate::store::SimStore;
-use crate::sweep::Sweep;
+use crate::setup::{build_cstore_with, Scale};
 
-/// Shared knobs for the ablation runs.
+/// One ablation variant: a single knob turned on an otherwise default
+/// Cassandra-analog cluster at CL=ONE.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Variant {
+    /// Read-repair chance at a high RF, read mostly: the mechanism behind
+    /// the Fig. 1 Cassandra read knee.
+    ReadRepair(f64),
+    /// Commit-log sync mode at RF=3, read & update.
+    Commitlog(CommitlogSync),
+    /// Ordered (`true`) vs hashing partitioner at RF=3, read & update.
+    /// Range scans are only meaningful under the ordered partitioner.
+    Partitioner {
+        /// Order-preserving when true, Murmur-style hashing otherwise.
+        ordered: bool,
+    },
+}
+
+/// Replication factor of the read-repair ablation: high, so the repair
+/// fan-out is visible.
+const READ_REPAIR_RF: u32 = 6;
+
+/// Configuration of the ablation runs.
 #[derive(Debug, Clone)]
 pub struct AblationConfig {
-    /// Record/cache scale.
-    pub scale: Scale,
-    /// Client threads.
+    /// Scale, run length and seed.
+    pub run: RunShape,
+    /// Client threads; every run is unthrottled.
     pub threads: usize,
-    /// Warm-up completions per run.
-    pub warmup_ops: u64,
-    /// Measured completions per run.
-    pub measure_ops: u64,
-    /// Seed.
-    pub seed: u64,
 }
 
 impl Default for AblationConfig {
     fn default() -> Self {
         Self {
-            scale: Scale::stress(),
+            run: RunShape {
+                scale: Scale::stress(),
+                warmup_ops: 2_000,
+                measure_ops: 15_000,
+                seed: 42,
+            },
             threads: 64,
-            warmup_ops: 2_000,
-            measure_ops: 15_000,
-            seed: 42,
-        }
-    }
-}
-
-impl AblationConfig {
-    /// A fast variant for tests.
-    pub fn quick() -> Self {
-        Self {
-            scale: Scale::tiny(),
-            threads: 8,
-            warmup_ops: 100,
-            measure_ops: 800,
-            seed: 42,
-        }
-    }
-
-    fn driver(&self, workload: WorkloadSpec) -> DriverConfig {
-        DriverConfig {
-            workload,
-            threads: self.threads,
-            target_ops_per_sec: 0.0,
-            records: self.scale.records,
-            value_len: self.scale.value_len,
-            warmup_ops: self.warmup_ops,
-            measure_ops: self.measure_ops,
-            seed: self.seed,
-            faults: Default::default(),
-            timeline_window_us: 0,
-            retry: RetryPolicy::none(),
-            trace: obs::TraceConfig::off(),
-            audit: audit::AuditConfig::off(),
-            arrival: crate::driver::ArrivalMode::ClosedLoop,
         }
     }
 }
@@ -94,177 +78,176 @@ pub struct AblationRow {
     pub stale_fraction: f64,
     /// Errors in the measured window.
     pub errors: u64,
+    /// Primary-load balance, max/min keys per node (how evenly the
+    /// preloaded keys spread).
+    pub primary_skew: f64,
 }
 
-fn to_row<S: SimStore>(variant: &str, out: &driver::RunOutcome, _store: &S) -> AblationRow {
-    AblationRow {
-        variant: variant.to_owned(),
-        throughput: out.throughput,
-        mean_us: out.mean_latency_us,
-        stale_fraction: out.stale_fraction,
-        errors: out.errors,
+impl Experiment for AblationConfig {
+    type Spec = Variant;
+    type Base = Variant;
+    type Cell = AblationRow;
+
+    fn quick() -> Self {
+        Self {
+            run: RunShape {
+                scale: Scale::tiny(),
+                warmup_ops: 100,
+                measure_ops: 800,
+                seed: 42,
+            },
+            threads: 8,
+        }
+    }
+
+    fn shape(&self) -> &RunShape {
+        &self.run
+    }
+
+    fn specs(&self) -> Vec<Variant> {
+        vec![
+            Variant::ReadRepair(0.0),
+            Variant::ReadRepair(0.1),
+            Variant::ReadRepair(1.0),
+            Variant::Commitlog(CommitlogSync::Periodic),
+            Variant::Commitlog(CommitlogSync::PerWrite),
+            Variant::Partitioner { ordered: true },
+            Variant::Partitioner { ordered: false },
+        ]
+    }
+
+    fn base(&self, spec: &Variant) -> Variant {
+        *spec
+    }
+
+    fn build(&self, variant: &Variant) -> Store {
+        let scale = &self.run.scale;
+        let rf = match variant {
+            Variant::ReadRepair(_) => READ_REPAIR_RF,
+            _ => 3,
+        };
+        let one = Consistency::One;
+        Store::C(build_cstore_with(scale, rf, one, one, |c| match *variant {
+            Variant::ReadRepair(chance) => c.read_repair_chance = chance,
+            Variant::Commitlog(mode) => c.commitlog_sync = mode,
+            Variant::Partitioner { ordered: true } => {}
+            Variant::Partitioner { ordered: false } => c.partitioner = Partitioner::murmur(),
+        }))
+    }
+
+    fn driver(&self, variant: &Variant, seed: u64) -> DriverConfig {
+        let workload = match variant {
+            Variant::ReadRepair(_) => WorkloadSpec::read_mostly(),
+            _ => WorkloadSpec::read_update(),
+        };
+        self.run.driver(workload, seed, self.threads, 0.0)
+    }
+
+    fn cell(&self, variant: &Variant, out: RunOutcome, store: &Store) -> AblationRow {
+        let mut per_node = vec![0u64; self.run.scale.nodes];
+        if let Store::C(c) = store {
+            for i in 0..self.run.scale.records.min(20_000) {
+                per_node[c.ring().primary(&ycsb::encode_key(i))] += 1;
+            }
+        }
+        let min = per_node.iter().copied().min().unwrap_or(0) as f64;
+        let max = per_node.iter().copied().max().unwrap_or(0) as f64;
+        AblationRow {
+            variant: match *variant {
+                Variant::ReadRepair(chance) => format!("read_repair_chance={chance}"),
+                Variant::Commitlog(CommitlogSync::Periodic) => "periodic (default)".into(),
+                Variant::Commitlog(CommitlogSync::PerWrite) => "per-write sync".into(),
+                Variant::Partitioner { ordered: true } => "order-preserving".into(),
+                Variant::Partitioner { ordered: false } => "murmur (hashing)".into(),
+            },
+            throughput: out.throughput,
+            mean_us: out.mean_latency_us,
+            stale_fraction: out.stale_fraction,
+            errors: out.errors,
+            primary_skew: max / min.max(1.0),
+        }
+    }
+
+    fn render(grid: &Grid<Self>) -> String {
+        grid.tables()
+            .iter()
+            .map(|(_, t)| t.render() + "\n")
+            .collect()
+    }
+
+    /// Written without a stdout announcement.
+    fn files(grid: &Grid<Self>) -> Vec<Part> {
+        grid.tables()
+            .iter()
+            .map(|(name, t)| Part::File {
+                name,
+                body: t.to_csv(),
+                announce: None,
+            })
+            .collect()
     }
 }
 
-fn rows_table(title: &str, rows: &[AblationRow]) -> Table {
-    let mut t = Table::new(
-        title,
-        &["variant", "throughput", "mean latency", "stale%", "errors"],
-    );
-    for r in rows {
-        t.row(vec![
-            r.variant.clone(),
-            fmt_ops(r.throughput),
-            fmt_us(r.mean_us),
-            format!("{:.3}%", r.stale_fraction * 100.0),
-            r.errors.to_string(),
-        ]);
+impl Grid<AblationConfig> {
+    /// The three ablation tables with their CSV file names.
+    pub fn tables(&self) -> [(&'static str, Table); 3] {
+        let headers = ["variant", "throughput", "mean latency", "stale%", "errors"];
+        let mut read_repair = Table::new(
+            &format!(
+                "Ablation — read repair chance (cstore, RF={READ_REPAIR_RF}, CL=ONE, read mostly)"
+            ),
+            &headers,
+        );
+        let mut commitlog = Table::new(
+            "Ablation — commit-log durability (cstore, RF=3, read & update)",
+            &headers,
+        );
+        let mut partitioner = Table::new(
+            "Ablation — partitioner (cstore, RF=3, read & update)",
+            &[
+                "partitioner",
+                "throughput",
+                "mean latency",
+                "primary-load skew (max/min)",
+            ],
+        );
+        for (variant, r) in self.rows() {
+            let mut row = vec![r.variant.clone(), fmt_ops(r.throughput), fmt_us(r.mean_us)];
+            let table = match variant {
+                Variant::ReadRepair(_) => &mut read_repair,
+                Variant::Commitlog(_) => &mut commitlog,
+                Variant::Partitioner { .. } => {
+                    row.push(format!("{:.2}", r.primary_skew));
+                    partitioner.row(row);
+                    continue;
+                }
+            };
+            row.push(format!("{:.3}%", r.stale_fraction * 100.0));
+            row.push(r.errors.to_string());
+            table.row(row);
+        }
+        [
+            ("ablation_read_repair.csv", read_repair),
+            ("ablation_commitlog.csv", commitlog),
+            ("ablation_partitioner.csv", partitioner),
+        ]
     }
-    t
-}
-
-/// Ablation A — read repair chance 0 / 0.1 / 1.0 at a high RF, CL=ONE,
-/// read-mostly: the mechanism behind the Fig. 1 Cassandra read knee.
-/// Variants are independent, so each is one sweep cell.
-pub fn ablate_read_repair(cfg: &AblationConfig, rf: u32) -> Table {
-    let chances = [0.0, 0.1, 1.0];
-    let rows = Sweep::from_env()
-        .run(cfg.seed, &chances, |_, &chance| {
-            let mut store =
-                build_cstore_with(&cfg.scale, rf, Consistency::One, Consistency::One, |c| {
-                    c.read_repair_chance = chance
-                });
-            driver::load(&mut store, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-            let out = driver::run(&mut store, &cfg.driver(WorkloadSpec::read_mostly()));
-            to_row(&format!("read_repair_chance={chance}"), &out, &store)
-        })
-        .results;
-    rows_table(
-        &format!("Ablation — read repair chance (cstore, RF={rf}, CL=ONE, read mostly)"),
-        &rows,
-    )
-}
-
-/// Ablation B — commit-log durability: periodic (deployed default) vs
-/// per-write sync on a write-heavy workload.
-pub fn ablate_commitlog(cfg: &AblationConfig) -> Table {
-    let modes = [
-        ("periodic (default)", CommitlogSync::Periodic),
-        ("per-write sync", CommitlogSync::PerWrite),
-    ];
-    let rows = Sweep::from_env()
-        .run(cfg.seed, &modes, |_, &(label, mode)| {
-            let mut store =
-                build_cstore_with(&cfg.scale, 3, Consistency::One, Consistency::One, |c| {
-                    c.commitlog_sync = mode
-                });
-            driver::load(&mut store, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-            let out = driver::run(&mut store, &cfg.driver(WorkloadSpec::read_update()));
-            to_row(label, &out, &store)
-        })
-        .results;
-    rows_table(
-        "Ablation — commit-log durability (cstore, RF=3, read & update)",
-        &rows,
-    )
-}
-
-/// Extension — Pokluda et al.-style failover: phase throughput for both
-/// stores before a node failure, while the node is down, and after
-/// recovery.
-pub fn failover_phases(cfg: &AblationConfig) -> Table {
-    let workload = WorkloadSpec::read_mostly;
-    let victim = NodeId(0);
-    // The fail/recover sequences ride on the fault-injection subsystem: a
-    // plan event at t=0 fires before the first issued op (fault wrapper
-    // events are scheduled ahead of the thread stagger), so "node down"
-    // measures a run that starts with the victim already dead, and
-    // "recovered" replays hints inside the same driver sim that serves
-    // the load.
-    let crash_now = FaultPlan::new().crash_at(victim, 0);
-    let recover_now = FaultPlan::new().recover_at(victim, 0);
-    let faulted = |mut dcfg: DriverConfig, plan: &FaultPlan| {
-        dcfg.faults = plan.clone();
-        dcfg
-    };
-
-    // Each store's before/during/after sequence mutates one cluster, so the
-    // phases stay serial inside a cell; the two stores run as parallel
-    // sweep cells and the ordered collection keeps cstore rows first.
-    let cells = [StoreKind::CStore, StoreKind::HStore];
-    let rows: Vec<AblationRow> = Sweep::from_env()
-        .run(cfg.seed, &cells, |_, &kind| match kind {
-            StoreKind::CStore => {
-                let mut rows = Vec::new();
-                let mut store =
-                    build_cstore_with(&cfg.scale, 3, Consistency::One, Consistency::One, |_| {});
-                driver::load(&mut store, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                let healthy = driver::run(&mut store, &cfg.driver(workload()));
-                rows.push(to_row("cstore healthy", &healthy, &store));
-
-                let degraded =
-                    driver::run(&mut store, &faulted(cfg.driver(workload()), &crash_now));
-                rows.push(to_row("cstore node down", &degraded, &store));
-
-                let recovered =
-                    driver::run(&mut store, &faulted(cfg.driver(workload()), &recover_now));
-                rows.push(to_row("cstore recovered", &recovered, &store));
-                rows
-            }
-            StoreKind::HStore => {
-                let mut rows = Vec::new();
-                let mut store = build_hstore(&cfg.scale, 3);
-                driver::load(&mut store, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                let healthy = driver::run(&mut store, &cfg.driver(workload()));
-                rows.push(to_row("hstore healthy", &healthy, &store));
-
-                let failed_over =
-                    driver::run(&mut store, &faulted(cfg.driver(workload()), &crash_now));
-                rows.push(to_row("hstore after failover", &failed_over, &store));
-
-                let recovered =
-                    driver::run(&mut store, &faulted(cfg.driver(workload()), &recover_now));
-                rows.push(to_row("hstore recovered", &recovered, &store));
-                rows
-            }
-        })
-        .results
-        .into_iter()
-        .flatten()
-        .collect();
-
-    rows_table(
-        "Extension — failover phases (read mostly, RF=3, one node killed)",
-        &rows,
-    )
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
 
     #[test]
-    fn read_repair_ablation_runs() {
-        let t = ablate_read_repair(&AblationConfig::quick(), 3);
-        assert_eq!(t.rows.len(), 3);
-        assert!(t.render().contains("read_repair_chance=0"));
-    }
-
-    #[test]
     fn commitlog_ablation_shows_per_write_cost() {
-        let t = ablate_commitlog(&AblationConfig::quick());
-        assert_eq!(t.rows.len(), 2);
-        // Column 2 is mean latency like "3.20ms"; parse back loosely by
-        // comparing throughput (col 1): periodic must beat per-write sync.
-        let parse = |s: &str| -> f64 {
-            if let Some(k) = s.strip_suffix('k') {
-                k.parse::<f64>().unwrap_or(0.0) * 1_000.0
-            } else {
-                s.parse::<f64>().unwrap_or(0.0)
-            }
+        let res = AblationConfig::quick().run();
+        let tput = |mode| {
+            res.cell(&Variant::Commitlog(mode))
+                .expect("cell")
+                .throughput
         };
-        let periodic = parse(&t.rows[0][1]);
-        let perwrite = parse(&t.rows[1][1]);
+        let (periodic, perwrite) = (tput(CommitlogSync::Periodic), tput(CommitlogSync::PerWrite));
         assert!(
             periodic > perwrite,
             "periodic {periodic} should out-run per-write {perwrite}"
@@ -272,81 +255,16 @@ mod tests {
     }
 
     #[test]
-    fn failover_phases_run_without_errors_at_cl_one() {
-        let t = failover_phases(&AblationConfig::quick());
-        assert_eq!(t.rows.len(), 6);
-        // cstore at CL=ONE must keep serving with a node down.
-        let down_row = &t.rows[1];
-        assert_eq!(down_row[0], "cstore node down");
-        assert_eq!(down_row[4], "0", "CL=ONE should ride through: {down_row:?}");
-    }
-}
-
-/// Ablation — partitioner choice: the order-preserving partitioner the scan
-/// workloads require vs the hashing (Murmur-style) partitioner Cassandra
-/// defaults to. Measures point-op throughput and the per-node primary-load
-/// balance; range scans are only meaningful under the ordered partitioner.
-pub fn ablate_partitioner(cfg: &AblationConfig) -> Table {
-    let mut t = Table::new(
-        "Ablation — partitioner (cstore, RF=3, read & update)",
-        &[
-            "partitioner",
-            "throughput",
-            "mean latency",
-            "primary-load skew (max/min)",
-        ],
-    );
-    let variants = [true, false];
-    let rows = Sweep::from_env()
-        .run(cfg.seed, &variants, |_, &ordered| {
-            let nodes = cfg.scale.nodes;
-            let tokens = cfg.scale.tokens();
-            let mut store =
-                build_cstore_with(&cfg.scale, 3, Consistency::One, Consistency::One, |c| {
-                    c.partitioner = if ordered {
-                        cstore::Partitioner::order_preserving(tokens)
-                    } else {
-                        cstore::Partitioner::murmur()
-                    };
-                });
-            driver::load(&mut store, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-            let out = driver::run(&mut store, &cfg.driver(WorkloadSpec::read_update()));
-            // Primary-load balance: how evenly the preloaded keys spread.
-            let mut counts = vec![0u64; nodes];
-            for i in 0..cfg.scale.records.min(20_000) {
-                counts[store.ring().primary(&ycsb::encode_key(i))] += 1;
-            }
-            let min = *counts.iter().min().unwrap() as f64;
-            let max = *counts.iter().max().unwrap() as f64;
-            vec![
-                if ordered {
-                    "order-preserving".into()
-                } else {
-                    "murmur (hashing)".into()
-                },
-                fmt_ops(out.throughput),
-                fmt_us(out.mean_latency_us),
-                format!("{:.2}", max / min.max(1.0)),
-            ]
-        })
-        .results;
-    for row in rows {
-        t.row(row);
-    }
-    t
-}
-
-#[cfg(test)]
-mod partitioner_tests {
-    use super::*;
-
-    #[test]
     fn both_partitioners_balance_hashed_keys() {
-        let t = ablate_partitioner(&AblationConfig::quick());
-        assert_eq!(t.rows.len(), 2);
-        for row in &t.rows {
-            let skew: f64 = row[3].parse().unwrap();
-            assert!(skew < 1.6, "{} skew {skew} too high", row[0]);
+        let res = AblationConfig::quick().run();
+        for ordered in [true, false] {
+            let r = res.cell(&Variant::Partitioner { ordered }).expect("cell");
+            assert!(
+                r.primary_skew < 1.6,
+                "{} skew {} too high",
+                r.variant,
+                r.primary_skew
+            );
         }
     }
 }

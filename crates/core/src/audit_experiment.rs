@@ -20,19 +20,14 @@
 //! ops, and every cell cross-checks the two views: replaying the history
 //! must reproduce `RunMetrics::staleness()` exactly — the recorded
 //! history provably carries the information the live tracker saw.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use audit::{check_key, check_sessions, key_ops, staleness, PhaseWindow, SessionCounts, Verdict};
-use faults::FaultPlan;
-use simkit::NodeId;
-use ycsb::WorkloadSpec;
 
-use crate::consistency::PAPER_LEVELS;
-use crate::driver::{self, DriverConfig};
-use crate::failure::HSTORE_CL;
+use crate::driver::{DriverConfig, RunOutcome};
+use crate::experiment::{rf_level_grid, Experiment, Grid, Part, Point, RunShape, Store};
+use crate::failure::CrashPlan;
 use crate::report::Table;
-use crate::resilience::RetryPolicy;
-use crate::setup::{build_cstore_with, build_hstore_with, Scale, StoreKind};
-use crate::sweep::{BasePool, Sweep, Telemetry};
 
 /// The version timestamp the driver's preload assigns every record —
 /// the register's initial state for the linearizability checker.
@@ -41,32 +36,10 @@ const PRELOAD_TS: u64 = 1;
 /// Configuration of the Fig. 8 experiment.
 #[derive(Debug, Clone)]
 pub struct AuditExperimentConfig {
-    /// Record/cache scale.
-    pub scale: Scale,
-    /// Replication factors to sweep.
+    /// The crash scenario (the Fig. 4 plan).
+    pub plan: CrashPlan,
+    /// Replication factors to sweep, ascending.
     pub rfs: Vec<u32>,
-    /// Client threads.
-    pub threads: usize,
-    /// Cluster-wide target throughput (constant-rate, like Fig. 4).
-    pub target_ops_per_sec: f64,
-    /// Warm-up completions.
-    pub warmup_ops: u64,
-    /// Measured completions.
-    pub measure_ops: u64,
-    /// Virtual time at which the victim crashes, µs from sim start.
-    pub crash_at_us: u64,
-    /// Virtual time at which the victim comes back, µs from sim start.
-    pub recover_at_us: u64,
-    /// Client RPC timeout applied to both stores.
-    pub rpc_timeout_us: u64,
-    /// HBase-analog failure-detection window before region failover.
-    pub failover_delay_us: u64,
-    /// The node that crashes.
-    pub victim: NodeId,
-    /// The workload under which the failure happens.
-    pub workload: WorkloadSpec,
-    /// Seed.
-    pub seed: u64,
     /// The Δ grid (µs) for the (Δ,p)-staleness columns.
     pub deltas_us: Vec<u64>,
     /// How many of the hottest keys get the linearizability check.
@@ -78,68 +51,12 @@ pub struct AuditExperimentConfig {
 impl Default for AuditExperimentConfig {
     fn default() -> Self {
         Self {
-            scale: Scale::stress(),
+            plan: CrashPlan::default(),
             rfs: vec![1, 3, 5],
-            threads: 48,
-            target_ops_per_sec: 3_000.0,
-            warmup_ops: 2_000,
-            measure_ops: 40_000,
-            crash_at_us: 4_000_000,
-            recover_at_us: 9_000_000,
-            rpc_timeout_us: 250_000,
-            failover_delay_us: 2_000_000,
-            victim: NodeId(0),
-            workload: WorkloadSpec::read_update(),
-            seed: 42,
             deltas_us: vec![0, 1_000, 10_000, 100_000, 1_000_000],
             lin_keys: 8,
             lin_budget: 500_000,
         }
-    }
-}
-
-impl AuditExperimentConfig {
-    /// A fast variant for tests and smoke runs — the Fig. 4 quick plan.
-    pub fn quick() -> Self {
-        Self {
-            scale: Scale::tiny(),
-            rfs: vec![1, 3, 5],
-            threads: 8,
-            target_ops_per_sec: 2_000.0,
-            warmup_ops: 400,
-            measure_ops: 5_600,
-            crash_at_us: 900_000,
-            recover_at_us: 1_800_000,
-            rpc_timeout_us: 120_000,
-            failover_delay_us: 300_000,
-            victim: NodeId(0),
-            workload: WorkloadSpec::read_update(),
-            seed: 42,
-            deltas_us: vec![0, 1_000, 10_000, 100_000, 1_000_000],
-            lin_keys: 4,
-            lin_budget: 200_000,
-        }
-    }
-
-    /// The three fault-phase windows of the plan, in run order.
-    pub fn phases(&self) -> Vec<PhaseWindow> {
-        vec![
-            PhaseWindow {
-                label: "healthy",
-                start_us: 0,
-                end_us: self.crash_at_us,
-            },
-            PhaseWindow {
-                label: "crash",
-                start_us: self.crash_at_us,
-                end_us: self.recover_at_us,
-            },
-            PhaseWindow {
-                label: "recovery",
-                start_us: self.recover_at_us,
-                end_us: u64::MAX,
-            },
-        ]
     }
 }
 
@@ -167,12 +84,6 @@ pub struct PhaseAudit {
 /// One (store, RF, consistency) audit cell.
 #[derive(Debug, Clone)]
 pub struct AuditCell {
-    /// Which store.
-    pub store: StoreKind,
-    /// Replication factor.
-    pub rf: u32,
-    /// Consistency strategy name ([`HSTORE_CL`] for the HBase analog).
-    pub cl: &'static str,
     /// Per-phase audits, in plan order (healthy, crash, recovery).
     pub phases: Vec<PhaseAudit>,
     /// Linearizability verdict over the checked keys: `yes` only when
@@ -194,150 +105,6 @@ impl AuditCell {
     /// The phase audit with the given label, if present.
     pub fn phase(&self, label: &str) -> Option<&PhaseAudit> {
         self.phases.iter().find(|p| p.phase == label)
-    }
-}
-
-/// The full Fig. 8 result.
-#[derive(Debug, Clone)]
-pub struct AuditResult {
-    /// All measured cells.
-    pub cells: Vec<AuditCell>,
-    /// Crash time, µs (for rendering).
-    pub crash_at_us: u64,
-    /// Recovery time, µs (for rendering).
-    pub recover_at_us: u64,
-    /// The Δ grid the curves were evaluated on.
-    pub deltas_us: Vec<u64>,
-    /// Workload name (for rendering).
-    pub workload: String,
-    /// What the sweep cost (wall time, utilization, base loads).
-    pub telemetry: Telemetry,
-}
-
-impl AuditResult {
-    /// The cell for a specific point.
-    pub fn cell(&self, store: StoreKind, rf: u32, cl: &str) -> Option<&AuditCell> {
-        self.cells
-            .iter()
-            .find(|c| c.store == store && c.rf == rf && c.cl == cl)
-    }
-
-    /// Render the summary table: one row per cell with the crash- and
-    /// recovery-phase session-violation rates and the linearizability
-    /// verdict.
-    pub fn render(&self) -> String {
-        let mut t = Table::new(
-            &format!(
-                "Fig. 8 — consistency audit: crash t={:.1}s, recover t={:.1}s ({})",
-                self.crash_at_us as f64 / 1e6,
-                self.recover_at_us as f64 / 1e6,
-                self.workload,
-            ),
-            &[
-                "store",
-                "rf",
-                "cl",
-                "stale%",
-                "ryw viol (h/c/r)",
-                "mr viol (h/c/r)",
-                "margin p99 (r)",
-                "linearizable",
-            ],
-        );
-        for c in &self.cells {
-            let reads: u64 = c.phases.iter().map(|p| p.counts.reads).sum();
-            let stale: u64 = c.phases.iter().map(|p| p.counts.stale).sum();
-            let tri = |f: &dyn Fn(&PhaseAudit) -> u64| {
-                c.phases
-                    .iter()
-                    .map(|p| f(p).to_string())
-                    .collect::<Vec<_>>()
-                    .join("/")
-            };
-            t.row(vec![
-                c.store.short().into(),
-                c.rf.to_string(),
-                c.cl.into(),
-                if reads == 0 {
-                    "-".into()
-                } else {
-                    format!("{:.2}%", stale as f64 / reads as f64 * 100.0)
-                },
-                tri(&|p| p.counts.ryw_violations),
-                tri(&|p| p.counts.mr_violations),
-                c.phases
-                    .last()
-                    .map_or("-".into(), |p| format!("{}µs", p.margin_p99_us)),
-                c.linearizable.label().into(),
-            ]);
-        }
-        t.render()
-    }
-
-    /// CSV table: one row per (cell, phase).
-    pub fn table(&self) -> Table {
-        let mut headers = vec![
-            "store",
-            "rf",
-            "cl",
-            "phase",
-            "reads",
-            "writes",
-            "stale",
-            "missing",
-            "stale_rate",
-            "ryw_checked",
-            "ryw_violations",
-            "ryw_rate",
-            "mr_checked",
-            "mr_violations",
-            "mr_rate",
-            "mw_violations",
-            "wfr_violations",
-            "margin_p50_us",
-            "margin_p95_us",
-            "margin_p99_us",
-            "margin_max_us",
-        ];
-        let deltas: Vec<String> = self
-            .deltas_us
-            .iter()
-            .map(|d| format!("p_le_{d}us"))
-            .collect();
-        headers.extend(deltas.iter().map(String::as_str));
-        headers.push("linearizable");
-        let mut t = Table::new("fig8_audit", &headers);
-        for c in &self.cells {
-            for p in &c.phases {
-                let mut row = vec![
-                    c.store.short().to_owned(),
-                    c.rf.to_string(),
-                    c.cl.into(),
-                    p.phase.into(),
-                    p.counts.reads.to_string(),
-                    p.counts.writes.to_string(),
-                    p.counts.stale.to_string(),
-                    p.counts.missing.to_string(),
-                    format!("{:.5}", p.counts.stale_rate()),
-                    p.counts.ryw_checked.to_string(),
-                    p.counts.ryw_violations.to_string(),
-                    format!("{:.5}", p.counts.ryw_rate()),
-                    p.counts.mr_checked.to_string(),
-                    p.counts.mr_violations.to_string(),
-                    format!("{:.5}", p.counts.mr_rate()),
-                    p.counts.mw_violations.to_string(),
-                    p.counts.wfr_violations.to_string(),
-                    p.margin_p50_us.to_string(),
-                    p.margin_p95_us.to_string(),
-                    p.margin_p99_us.to_string(),
-                    p.margin_max_us.to_string(),
-                ];
-                row.extend(p.curve.iter().map(|&(_, pr)| format!("{pr:.5}")));
-                row.push(c.linearizable.label().into());
-                t.row(row);
-            }
-        }
-        t
     }
 }
 
@@ -389,212 +156,256 @@ fn audit_history(
     (audits, verdict, keys.len())
 }
 
-/// Run the full Fig. 8 experiment through the sweep engine.
-pub fn run_audit(cfg: &AuditExperimentConfig) -> AuditResult {
-    run_audit_with(cfg, &Sweep::from_env())
-}
+impl Experiment for AuditExperimentConfig {
+    /// Exactly the Fig. 4 grid.
+    type Spec = Point;
+    type Base = Point;
+    type Cell = AuditCell;
 
-/// [`run_audit`] on a caller-configured engine.
-pub fn run_audit_with(cfg: &AuditExperimentConfig, sweep: &Sweep) -> AuditResult {
-    // One cell per (store, RF, consistency level), exactly the Fig. 4
-    // grid: the HBase analog's single implicit level plus the paper's
-    // three Cassandra levels.
-    let specs: Vec<(StoreKind, u32, usize)> = cfg
-        .rfs
-        .iter()
-        .flat_map(|&rf| {
-            std::iter::once((StoreKind::HStore, rf, 0))
-                .chain((0..PAPER_LEVELS.len()).map(move |l| (StoreKind::CStore, rf, l)))
-        })
-        .collect();
-    let hpool: BasePool<u32, hstore::Cluster> = BasePool::new(cfg.rfs.iter().copied());
-    let cpool: BasePool<(u32, usize), cstore::Cluster> = BasePool::new(
-        cfg.rfs
-            .iter()
-            .flat_map(|&rf| (0..PAPER_LEVELS.len()).map(move |l| (rf, l))),
-    );
-    let phases = cfg.phases();
+    /// The Fig. 4 quick plan.
+    fn quick() -> Self {
+        Self {
+            plan: CrashPlan::quick(),
+            lin_keys: 4,
+            lin_budget: 200_000,
+            ..Self::default()
+        }
+    }
 
-    let outcome = sweep.run(cfg.seed, &specs, |ctx, &(store, rf, l)| {
-        let dcfg = DriverConfig {
-            workload: cfg.workload.clone(),
-            threads: cfg.threads,
-            target_ops_per_sec: cfg.target_ops_per_sec,
-            records: cfg.scale.records,
-            value_len: cfg.scale.value_len,
-            warmup_ops: cfg.warmup_ops,
-            measure_ops: cfg.measure_ops,
-            seed: ctx.seed,
-            faults: FaultPlan::new().crash_window(cfg.victim, cfg.crash_at_us, cfg.recover_at_us),
-            timeline_window_us: 0,
-            // The paper's fair-weather client, like Fig. 4: what the
-            // client *sees* without resilience machinery in the way.
-            retry: RetryPolicy::none(),
-            trace: obs::TraceConfig::off(),
+    fn shape(&self) -> &RunShape {
+        &self.plan.run
+    }
+
+    fn specs(&self) -> Vec<Point> {
+        rf_level_grid(&self.rfs)
+    }
+
+    fn base(&self, spec: &Point) -> Point {
+        *spec
+    }
+
+    fn build(&self, base: &Point) -> Store {
+        self.plan.build(base)
+    }
+
+    /// The paper's fair-weather client, like Fig. 4 — what the client
+    /// *sees* without resilience machinery in the way — with every
+    /// operation recorded.
+    fn driver(&self, _: &Point, seed: u64) -> DriverConfig {
+        DriverConfig {
             audit: audit::AuditConfig::all(),
-            arrival: crate::driver::ArrivalMode::ClosedLoop,
-        };
-        let (cl, out) = match store {
-            StoreKind::HStore => {
-                let mut snapshot = hpool
-                    .get_or_load(&rf, || {
-                        let mut base = build_hstore_with(&cfg.scale, rf, |c| {
-                            c.rpc_timeout_us = cfg.rpc_timeout_us;
-                            c.failover_delay_us = cfg.failover_delay_us;
-                        });
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                (HSTORE_CL, driver::run(&mut snapshot, &dcfg))
-            }
-            StoreKind::CStore => {
-                let level = PAPER_LEVELS[l];
-                let mut snapshot = cpool
-                    .get_or_load(&(rf, l), || {
-                        let mut base =
-                            build_cstore_with(&cfg.scale, rf, level.read, level.write, |c| {
-                                c.rpc_timeout_us = cfg.rpc_timeout_us;
-                            });
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                (level.name, driver::run(&mut snapshot, &dcfg))
-            }
-        };
-        let history = out.audit.clone().unwrap_or_default();
+            ..self.plan.driver(seed)
+        }
+    }
+
+    fn cell(&self, spec: &Point, out: RunOutcome, _: &Store) -> AuditCell {
+        let history = out.audit.unwrap_or_default();
         // Cross-check invariant: replaying the recorded history must
         // reproduce the live tracker's accounting exactly. A mismatch
         // means the history is missing operations the tracker saw.
         let replay = history.stale_counts();
         let (tracker_stale, tracker_checked) = out.metrics.staleness();
+        let tracker_missing = out.metrics.missing_reads();
         assert_eq!(
             (replay.stale, replay.checked, replay.missing),
-            (tracker_stale, tracker_checked, out.metrics.missing_reads()),
-            "audit history disagrees with the staleness tracker: {}/{rf}/{cl}",
-            store.short()
+            (tracker_stale, tracker_checked, tracker_missing),
+            "audit history disagrees with the staleness tracker: {spec:?}"
         );
-        let (phase_audits, linearizable, lin_keys_checked) = audit_history(
+        let (phases, linearizable, lin_keys_checked) = audit_history(
             &history,
-            &phases,
-            &cfg.deltas_us,
-            cfg.lin_keys,
-            cfg.lin_budget,
+            &self.plan.phases(),
+            &self.deltas_us,
+            self.lin_keys,
+            self.lin_budget,
         );
         AuditCell {
-            store,
-            rf,
-            cl,
-            phases: phase_audits,
+            phases,
             linearizable,
             lin_keys_checked,
             tracker_stale,
             tracker_checked,
-            tracker_missing: out.metrics.missing_reads(),
+            tracker_missing,
             faults_injected: out.faults_injected,
         }
-    });
+    }
 
-    let mut telemetry = outcome.telemetry;
-    telemetry.record_pool(&hpool);
-    telemetry.record_pool(&cpool);
-    let mut cells = outcome.results;
-    cells.sort_by(|a, b| (a.store.short(), a.rf, a.cl).cmp(&(b.store.short(), b.rf, b.cl)));
-    AuditResult {
-        cells,
-        crash_at_us: cfg.crash_at_us,
-        recover_at_us: cfg.recover_at_us,
-        deltas_us: cfg.deltas_us.clone(),
-        workload: cfg.workload.name.clone(),
-        telemetry,
+    /// The summary table: one row per cell with the crash- and
+    /// recovery-phase session-violation rates and the linearizability
+    /// verdict.
+    fn render(grid: &Grid<Self>) -> String {
+        let mut t = Table::new(
+            &grid.exp.plan.title("Fig. 8 — consistency audit"),
+            &[
+                "store",
+                "rf",
+                "cl",
+                "stale%",
+                "ryw viol (h/c/r)",
+                "mr viol (h/c/r)",
+                "margin p99 (r)",
+                "linearizable",
+            ],
+        );
+        for (&(store, rf, level), c) in grid.rows() {
+            let reads: u64 = c.phases.iter().map(|p| p.counts.reads).sum();
+            let stale: u64 = c.phases.iter().map(|p| p.counts.stale).sum();
+            let tri = |f: &dyn Fn(&PhaseAudit) -> u64| {
+                c.phases
+                    .iter()
+                    .map(|p| f(p).to_string())
+                    .collect::<Vec<_>>()
+                    .join("/")
+            };
+            t.row(vec![
+                store.short().into(),
+                rf.to_string(),
+                level.name.into(),
+                if reads == 0 {
+                    "-".into()
+                } else {
+                    format!("{:.2}%", stale as f64 / reads as f64 * 100.0)
+                },
+                tri(&|p| p.counts.ryw_violations),
+                tri(&|p| p.counts.mr_violations),
+                c.phases
+                    .last()
+                    .map_or("-".into(), |p| format!("{}µs", p.margin_p99_us)),
+                c.linearizable.label().into(),
+            ]);
+        }
+        t.render() + "\n"
+    }
+
+    /// One CSV row per (cell, phase).
+    fn files(grid: &Grid<Self>) -> Vec<Part> {
+        let mut headers = vec![
+            "store",
+            "rf",
+            "cl",
+            "phase",
+            "reads",
+            "writes",
+            "stale",
+            "missing",
+            "stale_rate",
+            "ryw_checked",
+            "ryw_violations",
+            "ryw_rate",
+            "mr_checked",
+            "mr_violations",
+            "mr_rate",
+            "mw_violations",
+            "wfr_violations",
+            "margin_p50_us",
+            "margin_p95_us",
+            "margin_p99_us",
+            "margin_max_us",
+        ];
+        let deltas: Vec<String> = grid
+            .exp
+            .deltas_us
+            .iter()
+            .map(|d| format!("p_le_{d}us"))
+            .collect();
+        headers.extend(deltas.iter().map(String::as_str));
+        headers.push("linearizable");
+        let mut t = Table::new("fig8_audit", &headers);
+        for (&(store, rf, level), c) in grid.rows() {
+            for p in &c.phases {
+                let mut row = vec![
+                    store.short().to_owned(),
+                    rf.to_string(),
+                    level.name.into(),
+                    p.phase.into(),
+                    p.counts.reads.to_string(),
+                    p.counts.writes.to_string(),
+                    p.counts.stale.to_string(),
+                    p.counts.missing.to_string(),
+                    format!("{:.5}", p.counts.stale_rate()),
+                    p.counts.ryw_checked.to_string(),
+                    p.counts.ryw_violations.to_string(),
+                    format!("{:.5}", p.counts.ryw_rate()),
+                    p.counts.mr_checked.to_string(),
+                    p.counts.mr_violations.to_string(),
+                    format!("{:.5}", p.counts.mr_rate()),
+                    p.counts.mw_violations.to_string(),
+                    p.counts.wfr_violations.to_string(),
+                    p.margin_p50_us.to_string(),
+                    p.margin_p95_us.to_string(),
+                    p.margin_p99_us.to_string(),
+                    p.margin_max_us.to_string(),
+                ];
+                row.extend(p.curve.iter().map(|&(_, pr)| format!("{pr:.5}")));
+                row.push(c.linearizable.label().into());
+                t.row(row);
+            }
+        }
+        vec![Part::csv("fig8_audit.csv", &t)]
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::experiment::Level;
+    use crate::setup::StoreKind;
 
     #[test]
     fn quick_audit_matches_the_acceptance_shape() {
-        let cfg = AuditExperimentConfig::quick();
-        let res = run_audit(&cfg);
-        // 3 RFs × (1 hstore level + 3 cstore levels).
-        assert_eq!(res.cells.len(), 12);
-        for c in &res.cells {
-            assert_eq!(
-                c.faults_injected,
-                2,
-                "{}/{}/{}",
-                c.store.short(),
-                c.rf,
-                c.cl
-            );
+        let res = AuditExperimentConfig::quick().run();
+        for (spec, c) in res.rows() {
+            assert_eq!(c.faults_injected, 2, "{spec:?}");
             assert_eq!(c.phases.len(), 3);
             // The (Δ,p) curve is monotone non-decreasing in Δ, everywhere.
             for p in &c.phases {
                 for w in p.curve.windows(2) {
-                    assert!(
-                        w[1].1 >= w[0].1,
-                        "curve not monotone: {}/{}/{} {}",
-                        c.store.short(),
-                        c.rf,
-                        c.cl,
-                        p.phase
-                    );
+                    assert!(w[1].1 >= w[0].1, "curve not monotone: {spec:?} {}", p.phase);
                 }
             }
             // Quorum overlap and the HBase analog's single-master reads
             // never violate a session guarantee, in any phase.
-            if c.cl == "QUORUM" || c.cl == HSTORE_CL {
-                assert_eq!(c.tracker_stale, 0, "{}/{}/{}", c.store.short(), c.rf, c.cl);
+            if spec.2 == Level::QUORUM || spec.2 == Level::STRONG {
+                assert_eq!(c.tracker_stale, 0, "{spec:?}");
                 for p in &c.phases {
-                    assert_eq!(
-                        p.counts.total_violations(),
-                        0,
-                        "{}/{}/{} {}",
-                        c.store.short(),
-                        c.rf,
-                        c.cl,
-                        p.phase
-                    );
+                    assert_eq!(p.counts.total_violations(), 0, "{spec:?} {}", p.phase);
                 }
             }
         }
         // The client-visible cost of CL=ONE: session guarantees break
         // around the crash. RF=3 rides through the outage on live
         // replicas, then reads the stale returnee before hints replay.
-        let one = res.cell(StoreKind::CStore, 3, "ONE").expect("cell exists");
-        let crash_ryw: u64 = one
-            .phases
-            .iter()
-            .filter(|p| p.phase != "healthy")
-            .map(|p| p.counts.ryw_violations)
-            .sum();
-        let crash_mr: u64 = one
-            .phases
-            .iter()
-            .filter(|p| p.phase != "healthy")
-            .map(|p| p.counts.mr_violations)
-            .sum();
-        assert!(crash_ryw > 0, "ONE must break read-your-writes: {one:?}");
-        assert!(crash_mr > 0, "ONE must break monotonic reads: {one:?}");
+        let one = res
+            .cell(&(StoreKind::CStore, 3, Level::ONE))
+            .expect("cell exists");
+        let after_crash = |f: fn(&SessionCounts) -> u64| -> u64 {
+            one.phases
+                .iter()
+                .filter(|p| p.phase != "healthy")
+                .map(|p| f(&p.counts))
+                .sum()
+        };
+        assert!(
+            after_crash(|c| c.ryw_violations) > 0,
+            "ONE must break read-your-writes: {one:?}"
+        );
+        assert!(
+            after_crash(|c| c.mr_violations) > 0,
+            "ONE must break monotonic reads: {one:?}"
+        );
         // Strong (HBase analog) runs linearize; some ONE-under-crash run
         // does not.
         for rf in [1, 3, 5] {
-            let h = res.cell(StoreKind::HStore, rf, HSTORE_CL).expect("hstore");
+            let h = res
+                .cell(&(StoreKind::HStore, rf, Level::STRONG))
+                .expect("hstore");
             assert_eq!(h.linearizable, Verdict::Linearizable, "rf={rf}");
             assert!(h.lin_keys_checked > 0);
         }
         assert!(
-            res.cells
-                .iter()
-                .any(|c| c.cl == "ONE" && c.linearizable == Verdict::Violation),
+            res.rows()
+                .any(|(spec, c)| spec.2 == Level::ONE && c.linearizable == Verdict::Violation),
             "some CL=ONE cell must catch a linearizability violation"
         );
-        // Rendering smoke.
-        assert!(res.render().contains("Fig. 8"));
-        let rows = res.table().rows.len();
-        assert_eq!(rows, 12 * 3);
     }
 }

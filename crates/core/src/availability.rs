@@ -17,80 +17,45 @@
 //! HBase analog cannot be saved by retries alone: requests to the victim's
 //! regions have nowhere else to go until failover, so its visible dip is
 //! bounded below by the detection window plus the backoff ladder.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use faults::FaultPlan;
-use simkit::NodeId;
-use ycsb::{ResilienceCounters, TimelineWindow, WorkloadSpec};
+use ycsb::{ResilienceCounters, TimelineWindow};
 
-use crate::consistency::PAPER_LEVELS;
-use crate::driver::{self, DriverConfig};
-use crate::failure::HSTORE_CL;
+use crate::driver::{DriverConfig, RunOutcome};
+use crate::experiment::{rf_level_grid, Experiment, Grid, Level, Part, RunShape, Store};
+use crate::failure::{mean_of, CrashPlan};
 use crate::report::{fmt_ops, Table};
 use crate::resilience::RetryPolicy;
-use crate::setup::{build_cstore_with, build_hstore_with, Scale, StoreKind};
-use crate::sweep::{BasePool, Sweep, Telemetry};
+use crate::setup::StoreKind;
 
 /// The three client policies every (store, CL) pair runs under.
 pub const POLICY_NAMES: [&str; 3] = ["none", "retry", "retry+hedge"];
 
-/// Configuration of the Fig. 5 experiment. The cluster and fault knobs
-/// mirror [`crate::failure::FailureConfig`] at a single replication
-/// factor; the new axis is the retry policy.
+/// Configuration of the Fig. 5 experiment: the Fig. 4 crash at a single
+/// replication factor; the new axis is the retry policy.
 #[derive(Debug, Clone)]
 pub struct AvailabilityConfig {
-    /// Record/cache scale.
-    pub scale: Scale,
+    /// The crash scenario.
+    pub plan: CrashPlan,
     /// Replication factor (one value: the policy axis replaces the RF
     /// sweep).
     pub rf: u32,
-    /// Client threads.
-    pub threads: usize,
-    /// Cluster-wide target throughput, constant-rate.
-    pub target_ops_per_sec: f64,
-    /// Warm-up completions.
-    pub warmup_ops: u64,
-    /// Measured completions.
-    pub measure_ops: u64,
-    /// Virtual time at which the victim crashes, µs from sim start.
-    pub crash_at_us: u64,
-    /// Virtual time at which the victim comes back, µs from sim start.
-    pub recover_at_us: u64,
     /// Timeline bucket width, µs.
     pub window_us: u64,
-    /// Client RPC timeout applied to both stores.
-    pub rpc_timeout_us: u64,
-    /// HBase-analog failure-detection window before region failover.
-    pub failover_delay_us: u64,
-    /// The node that crashes.
-    pub victim: NodeId,
-    /// The workload under which the failure happens.
-    pub workload: WorkloadSpec,
     /// The retrying policy (the `retry` cells); its backoff ladder should
     /// outlast the outage so a patient client rides through.
     pub retry: RetryPolicy,
     /// Hedge delay added for the `retry+hedge` cells, µs — a p99-ish value
     /// so hedges fire on stragglers, not the common case.
     pub hedge_after_us: u64,
-    /// Seed.
-    pub seed: u64,
 }
 
 impl Default for AvailabilityConfig {
     fn default() -> Self {
         Self {
-            scale: Scale::stress(),
+            plan: CrashPlan::default(),
             rf: 3,
-            threads: 48,
-            target_ops_per_sec: 3_000.0,
-            warmup_ops: 2_000,
-            measure_ops: 40_000,
-            crash_at_us: 4_000_000,
-            recover_at_us: 9_000_000,
             window_us: 250_000,
-            rpc_timeout_us: 250_000,
-            failover_delay_us: 2_000_000,
-            victim: NodeId(0),
-            workload: WorkloadSpec::read_update(),
             // Eight attempts from a 50 ms base: the cumulative backoff
             // (50+100+...+800, capped at 16x) outlasts the 2 s failover
             // detection window, under a 5 s per-op budget.
@@ -98,59 +63,24 @@ impl Default for AvailabilityConfig {
             // Just past the healthy read p99 (~2 ms), so hedges fire on
             // the straggler tail rather than on every read.
             hedge_after_us: 2_500,
-            seed: 42,
         }
     }
 }
 
 impl AvailabilityConfig {
-    /// A fast variant for tests and smoke runs.
-    pub fn quick() -> Self {
-        Self {
-            scale: Scale::tiny(),
-            threads: 16,
-            // Higher rate than the Fig. 4 smoke so several operations are
-            // in flight at the crash instant — the transient the resilience
-            // layer exists to absorb.
-            target_ops_per_sec: 5_000.0,
-            warmup_ops: 800,
-            measure_ops: 14_000,
-            crash_at_us: 900_000,
-            recover_at_us: 1_800_000,
-            window_us: 150_000,
-            // Tighter than the Fig. 4 smoke (120 ms): the four survivors
-            // brown out under the redirected load, and a client timeout
-            // inside the fault-phase queueing tail is exactly the
-            // transient a resilient client should absorb.
-            rpc_timeout_us: 60_000,
-            failover_delay_us: 300_000,
-            // 15 ms base: cumulative backoff crosses the 300 ms failover
-            // window after five retries, within a 1.5 s budget.
-            retry: RetryPolicy::retrying(8, 15_000, 1_500_000),
-            hedge_after_us: 5_000,
-            ..Self::default()
+    /// The client policy called `name` (one of [`POLICY_NAMES`]).
+    pub fn policy(&self, name: &str) -> RetryPolicy {
+        match name {
+            "retry" => self.retry,
+            "retry+hedge" => self.retry.with_hedge(self.hedge_after_us),
+            _ => RetryPolicy::none(),
         }
-    }
-
-    /// The three policy cells: fair-weather, retrying, retrying + hedged.
-    pub fn policies(&self) -> [(&'static str, RetryPolicy); 3] {
-        [
-            (POLICY_NAMES[0], RetryPolicy::none()),
-            (POLICY_NAMES[1], self.retry),
-            (POLICY_NAMES[2], self.retry.with_hedge(self.hedge_after_us)),
-        ]
     }
 }
 
 /// One (store, CL, policy) availability timeline with its phase summary.
 #[derive(Debug, Clone)]
 pub struct AvailabilityCell {
-    /// Which store.
-    pub store: StoreKind,
-    /// Consistency strategy name ([`HSTORE_CL`] for the HBase analog).
-    pub cl: &'static str,
-    /// Retry-policy name (one of [`POLICY_NAMES`]).
-    pub policy: &'static str,
     /// Mean throughput over full windows before the crash, ops/s.
     pub pre_tput: f64,
     /// Mean goodput (successful ops/s) inside the crash window.
@@ -175,41 +105,107 @@ pub struct AvailabilityCell {
     pub windows: Vec<TimelineWindow>,
 }
 
-/// The full Fig. 5 result.
-#[derive(Debug, Clone)]
-pub struct AvailabilityResult {
-    /// All measured cells.
-    pub cells: Vec<AvailabilityCell>,
-    /// Crash time, µs (for rendering).
-    pub crash_at_us: u64,
-    /// Recovery time, µs (for rendering).
-    pub recover_at_us: u64,
-    /// Workload name (for rendering).
-    pub workload: String,
-    /// What the sweep cost.
-    pub telemetry: Telemetry,
-}
+impl Experiment for AvailabilityConfig {
+    /// `(store, consistency, policy name)`.
+    type Spec = (StoreKind, Level, &'static str);
+    /// Policies share the loaded base per (store, level).
+    type Base = (StoreKind, Level);
+    type Cell = AvailabilityCell;
 
-impl AvailabilityResult {
-    /// The cell for a specific point.
-    pub fn cell(&self, store: StoreKind, cl: &str, policy: &str) -> Option<&AvailabilityCell> {
-        self.cells
-            .iter()
-            .find(|c| c.store == store && c.cl == cl && c.policy == policy)
+    fn quick() -> Self {
+        let plan = CrashPlan::quick();
+        Self {
+            plan: CrashPlan {
+                run: RunShape {
+                    warmup_ops: 800,
+                    measure_ops: 14_000,
+                    ..plan.run
+                },
+                threads: 16,
+                // Higher rate than the Fig. 4 smoke so several operations
+                // are in flight at the crash instant — the transient the
+                // resilience layer exists to absorb.
+                target_ops_per_sec: 5_000.0,
+                // Tighter than the Fig. 4 smoke (120 ms): the four
+                // survivors brown out under the redirected load, and a
+                // client timeout inside the fault-phase queueing tail is
+                // exactly the transient a resilient client should absorb.
+                rpc_timeout_us: 60_000,
+                ..plan
+            },
+            window_us: 150_000,
+            // 15 ms base: cumulative backoff crosses the 300 ms failover
+            // window after five retries, within a 1.5 s budget.
+            retry: RetryPolicy::retrying(8, 15_000, 1_500_000),
+            hedge_after_us: 5_000,
+            ..Self::default()
+        }
     }
 
-    /// Render the phase-summary table — one row per (store, CL, policy)
-    /// with pre-fault throughput, fault-phase goodput split into first-try
+    fn shape(&self) -> &RunShape {
+        &self.plan.run
+    }
+
+    fn specs(&self) -> Vec<Self::Spec> {
+        let mut specs = Vec::new();
+        for (store, _, level) in rf_level_grid(&[self.rf]) {
+            specs.extend(POLICY_NAMES.iter().map(|&policy| (store, level, policy)));
+        }
+        specs
+    }
+
+    fn base(&self, &(store, level, _): &Self::Spec) -> Self::Base {
+        (store, level)
+    }
+
+    fn build(&self, &(store, level): &Self::Base) -> Store {
+        self.plan.build(&(store, self.rf, level))
+    }
+
+    fn driver(&self, &(_, _, policy): &Self::Spec, seed: u64) -> DriverConfig {
+        DriverConfig {
+            retry: self.policy(policy),
+            timeline_window_us: self.window_us,
+            ..self.plan.driver(seed)
+        }
+    }
+
+    fn cell(&self, _: &Self::Spec, out: RunOutcome, _: &Store) -> AvailabilityCell {
+        let windows = out
+            .metrics
+            .timeline()
+            .map(|t| t.windows())
+            .unwrap_or_default();
+        let ph = self.plan.split(&windows, self.window_us);
+        let tput = |w: &TimelineWindow| w.ops_per_sec;
+        let secs_per_window = self.window_us as f64 / 1_000_000.0;
+        let fault_settled: u64 = ph.fault.iter().map(|w| w.ops + w.errors).sum();
+        let fault_attempts: u64 = ph.fault.iter().map(|w| w.attempts).sum();
+        AvailabilityCell {
+            pre_tput: mean_of(&ph.pre, tput),
+            fault_goodput: mean_of(&ph.fault, tput),
+            fault_first_try: mean_of(&ph.fault, |w| w.first_try_ops() as f64 / secs_per_window),
+            fault_errors: ph.fault.iter().map(|w| w.errors).sum(),
+            fault_attempts_per_op: if fault_settled == 0 {
+                0.0
+            } else {
+                fault_attempts as f64 / fault_settled as f64
+            },
+            fault_p99_us: ph.fault.iter().map(|w| w.p99_us).max().unwrap_or(0),
+            post_tput: mean_of(&ph.post, tput),
+            resilience: *out.metrics.resilience(),
+            unsettled_ops: out.unsettled_ops,
+            windows,
+        }
+    }
+
+    /// The phase-summary table — one row per (store, CL, policy) with
+    /// pre-fault throughput, fault-phase goodput split into first-try
     /// and total, the error count, the attempts-per-op cost, the worst
     /// fault-window p99, and post-recovery throughput.
-    pub fn render(&self) -> String {
+    fn render(grid: &Grid<Self>) -> String {
         let mut t = Table::new(
-            &format!(
-                "Fig. 5 — availability under failure: crash t={:.1}s, recover t={:.1}s ({})",
-                self.crash_at_us as f64 / 1e6,
-                self.recover_at_us as f64 / 1e6,
-                self.workload,
-            ),
+            &grid.exp.plan.title("Fig. 5 — availability under failure"),
             &[
                 "store",
                 "cl",
@@ -223,11 +219,11 @@ impl AvailabilityResult {
                 "post tput",
             ],
         );
-        for c in &self.cells {
+        for (&(store, level, policy), c) in grid.rows() {
             t.row(vec![
-                c.store.short().into(),
-                c.cl.into(),
-                c.policy.into(),
+                store.short().into(),
+                level.name.into(),
+                policy.into(),
                 fmt_ops(c.pre_tput),
                 fmt_ops(c.fault_goodput),
                 fmt_ops(c.fault_first_try),
@@ -237,11 +233,11 @@ impl AvailabilityResult {
                 fmt_ops(c.post_tput),
             ]);
         }
-        t.render()
+        t.render() + "\n"
     }
 
-    /// CSV table: one row per timeline window per cell.
-    pub fn table(&self) -> Table {
+    /// One CSV row per timeline window per cell.
+    fn files(grid: &Grid<Self>) -> Vec<Part> {
         let mut t = Table::new(
             "fig5_availability",
             &[
@@ -259,12 +255,12 @@ impl AvailabilityResult {
                 "p99_us",
             ],
         );
-        for c in &self.cells {
+        for (&(store, level, policy), c) in grid.rows() {
             for w in &c.windows {
                 t.row(vec![
-                    c.store.short().into(),
-                    c.cl.into(),
-                    c.policy.into(),
+                    store.short().into(),
+                    level.name.into(),
+                    policy.into(),
                     w.start_us.to_string(),
                     w.ops.to_string(),
                     w.first_try_ops().to_string(),
@@ -277,184 +273,23 @@ impl AvailabilityResult {
                 ]);
             }
         }
-        t
-    }
-}
-
-/// Fault-phase aggregates computed from one timeline (Fig. 5 needs the
-/// goodput split and attempt cost on top of Fig. 4's throughput phases).
-fn summarize(
-    windows: &[TimelineWindow],
-    crash_at: u64,
-    recover_at: u64,
-    window_us: u64,
-) -> (f64, f64, f64, u64, f64, u64, f64) {
-    let mean = |ws: &[&TimelineWindow], f: &dyn Fn(&TimelineWindow) -> f64| -> f64 {
-        if ws.is_empty() {
-            0.0
-        } else {
-            ws.iter().map(|w| f(w)).sum::<f64>() / ws.len() as f64
-        }
-    };
-    let pre_all: Vec<&TimelineWindow> = windows.iter().filter(|w| w.end_us <= crash_at).collect();
-    // Skip the thread-stagger ramp window when more than one qualifies.
-    let pre = if pre_all.len() > 1 {
-        &pre_all[1..]
-    } else {
-        &pre_all[..]
-    };
-    let fault: Vec<&TimelineWindow> = windows
-        .iter()
-        .filter(|w| w.start_us >= crash_at && w.start_us < recover_at)
-        .collect();
-    let last_start = windows.last().map_or(0, |w| w.start_us);
-    let post: Vec<&TimelineWindow> = windows
-        .iter()
-        .filter(|w| w.start_us >= recover_at + window_us && w.start_us < last_start)
-        .collect();
-    let secs_per_window = window_us as f64 / 1_000_000.0;
-    let fault_errors: u64 = fault.iter().map(|w| w.errors).sum();
-    let fault_settled: u64 = fault.iter().map(|w| w.ops + w.errors).sum();
-    let fault_attempts: u64 = fault.iter().map(|w| w.attempts).sum();
-    (
-        mean(pre, &|w| w.ops_per_sec),
-        mean(&fault, &|w| w.ops_per_sec),
-        mean(&fault, &|w| w.first_try_ops() as f64 / secs_per_window),
-        fault_errors,
-        if fault_settled == 0 {
-            0.0
-        } else {
-            fault_attempts as f64 / fault_settled as f64
-        },
-        fault.iter().map(|w| w.p99_us).max().unwrap_or(0),
-        mean(&post, &|w| w.ops_per_sec),
-    )
-}
-
-/// Run the full Fig. 5 experiment through the sweep engine.
-pub fn run_availability(cfg: &AvailabilityConfig) -> AvailabilityResult {
-    run_availability_with(cfg, &Sweep::from_env())
-}
-
-/// [`run_availability`] on a caller-configured engine.
-pub fn run_availability_with(cfg: &AvailabilityConfig, sweep: &Sweep) -> AvailabilityResult {
-    // One cell per (store, consistency level, policy). The HBase analog
-    // has its single implicit level; the Cassandra analog sweeps the
-    // paper's three. Policies share the loaded base per (store, level).
-    let specs: Vec<(StoreKind, usize, usize)> = (0..POLICY_NAMES.len())
-        .flat_map(|p| {
-            std::iter::once((StoreKind::HStore, 0, p))
-                .chain((0..PAPER_LEVELS.len()).map(move |l| (StoreKind::CStore, l, p)))
-        })
-        .collect();
-    let hpool: BasePool<u32, hstore::Cluster> = BasePool::new(std::iter::once(cfg.rf));
-    let cpool: BasePool<usize, cstore::Cluster> = BasePool::new(0..PAPER_LEVELS.len());
-    let policies = cfg.policies();
-
-    let outcome = sweep.run(cfg.seed, &specs, |ctx, &(store, l, p)| {
-        let (policy, retry) = policies[p];
-        let dcfg = DriverConfig {
-            workload: cfg.workload.clone(),
-            threads: cfg.threads,
-            target_ops_per_sec: cfg.target_ops_per_sec,
-            records: cfg.scale.records,
-            value_len: cfg.scale.value_len,
-            warmup_ops: cfg.warmup_ops,
-            measure_ops: cfg.measure_ops,
-            seed: ctx.seed,
-            faults: FaultPlan::new().crash_window(cfg.victim, cfg.crash_at_us, cfg.recover_at_us),
-            timeline_window_us: cfg.window_us,
-            retry,
-            trace: obs::TraceConfig::off(),
-            audit: audit::AuditConfig::off(),
-            arrival: crate::driver::ArrivalMode::ClosedLoop,
-        };
-        let (cl, out) = match store {
-            StoreKind::HStore => {
-                let mut snapshot = hpool
-                    .get_or_load(&cfg.rf, || {
-                        let mut base = build_hstore_with(&cfg.scale, cfg.rf, |c| {
-                            c.rpc_timeout_us = cfg.rpc_timeout_us;
-                            c.failover_delay_us = cfg.failover_delay_us;
-                        });
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                (HSTORE_CL, driver::run(&mut snapshot, &dcfg))
-            }
-            StoreKind::CStore => {
-                let level = PAPER_LEVELS[l];
-                let mut snapshot = cpool
-                    .get_or_load(&l, || {
-                        let mut base =
-                            build_cstore_with(&cfg.scale, cfg.rf, level.read, level.write, |c| {
-                                c.rpc_timeout_us = cfg.rpc_timeout_us;
-                            });
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                (level.name, driver::run(&mut snapshot, &dcfg))
-            }
-        };
-        let windows = out
-            .metrics
-            .timeline()
-            .map(|t| t.windows())
-            .unwrap_or_default();
-        let (pre, goodput, first_try, errors, att_per_op, p99, post) =
-            summarize(&windows, cfg.crash_at_us, cfg.recover_at_us, cfg.window_us);
-        AvailabilityCell {
-            store,
-            cl,
-            policy,
-            pre_tput: pre,
-            fault_goodput: goodput,
-            fault_first_try: first_try,
-            fault_errors: errors,
-            fault_attempts_per_op: att_per_op,
-            fault_p99_us: p99,
-            post_tput: post,
-            resilience: *out.metrics.resilience(),
-            unsettled_ops: out.unsettled_ops,
-            windows,
-        }
-    });
-
-    let mut telemetry = outcome.telemetry;
-    telemetry.record_pool(&hpool);
-    telemetry.record_pool(&cpool);
-    let mut cells = outcome.results;
-    cells.sort_by(|a, b| (a.store.short(), a.cl, a.policy).cmp(&(b.store.short(), b.cl, b.policy)));
-    AvailabilityResult {
-        cells,
-        crash_at_us: cfg.crash_at_us,
-        recover_at_us: cfg.recover_at_us,
-        workload: cfg.workload.name.clone(),
-        telemetry,
+        vec![Part::csv("fig5_availability.csv", &t)]
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
 
     #[test]
-    fn quick_availability_produces_all_cells_and_leaks_nothing() {
-        let cfg = AvailabilityConfig::quick();
-        let res = run_availability(&cfg);
-        // (1 hstore level + 3 cstore levels) × 3 policies.
-        assert_eq!(res.cells.len(), 12);
-        for c in &res.cells {
+    fn no_cell_leaks_and_policies_stay_in_their_lane() {
+        let res = AvailabilityConfig::quick().run();
+        for (spec, c) in res.rows() {
             assert!(!c.windows.is_empty());
-            assert!(c.pre_tput > 0.0, "{}/{}/{}", c.store, c.cl, c.policy);
-            assert_eq!(
-                c.unsettled_ops, 0,
-                "token leak: {}/{}/{}",
-                c.store, c.cl, c.policy
-            );
-            match c.policy {
+            assert!(c.pre_tput > 0.0, "{spec:?}");
+            assert_eq!(c.unsettled_ops, 0, "token leak: {spec:?}");
+            match spec.2 {
                 "none" => {
                     assert_eq!(c.resilience.retries, 0);
                     assert_eq!(c.resilience.hedges, 0);
@@ -464,22 +299,19 @@ mod tests {
                 _ => {}
             }
         }
-        let rendered = res.render();
-        assert!(rendered.contains("Fig. 5"));
-        assert!(rendered.contains("retry+hedge"));
-        let total_windows: usize = res.cells.iter().map(|c| c.windows.len()).sum();
-        assert_eq!(res.table().rows.len(), total_windows);
     }
 
     #[test]
     fn retries_mask_the_outage_at_cl_one() {
-        let cfg = AvailabilityConfig::quick();
-        let res = run_availability(&cfg);
+        let res = AvailabilityConfig::quick().run();
         // The headline claim: a CL=ONE client that retries sees no outage
         // — the coordinator skips the dead replica and stragglers land on
         // live nodes — while the fair-weather client eats an error spike.
-        let naive = res.cell(StoreKind::CStore, "ONE", "none").expect("cell");
-        let patient = res.cell(StoreKind::CStore, "ONE", "retry").expect("cell");
+        let cell = |policy| {
+            res.cell(&(StoreKind::CStore, Level::ONE, policy))
+                .expect("cell")
+        };
+        let (naive, patient) = (cell("none"), cell("retry"));
         assert!(
             naive.fault_errors > 0,
             "the no-retry client should see the crash: {naive:?}"
@@ -498,10 +330,9 @@ mod tests {
 
     #[test]
     fn hedging_adds_speculative_attempts_without_losing_ops() {
-        let cfg = AvailabilityConfig::quick();
-        let res = run_availability(&cfg);
+        let res = AvailabilityConfig::quick().run();
         let hedged = res
-            .cell(StoreKind::CStore, "QUORUM", "retry+hedge")
+            .cell(&(StoreKind::CStore, Level::QUORUM, "retry+hedge"))
             .expect("cell");
         assert!(
             hedged.resilience.hedges > 0,

@@ -6,100 +6,47 @@
 //! the consistency levels of which are respectively ONE, write ALL and
 //! QUORUM." (HBase has no consistency knob, so only the Cassandra analog
 //! participates — same as the paper.)
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use cstore::Consistency;
 use ycsb::WorkloadSpec;
 
-use crate::driver::{self, DriverConfig};
-use crate::report::{fmt_ops, Table};
-use crate::resilience::RetryPolicy;
-use crate::setup::{build_cstore, Scale};
-use crate::sweep::{BasePool, Sweep, Telemetry};
-
-/// One consistency strategy of the experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Level {
-    /// Display name ("ONE", "QUORUM", "write ALL").
-    pub name: &'static str,
-    /// Read consistency.
-    pub read: Consistency,
-    /// Write consistency.
-    pub write: Consistency,
-}
-
-/// The paper's three strategies (§2): ONE, QUORUM, and "Write ALL" (write
-/// to all replicas, read from one).
-pub const PAPER_LEVELS: [Level; 3] = [
-    Level {
-        name: "ONE",
-        read: Consistency::One,
-        write: Consistency::One,
-    },
-    Level {
-        name: "QUORUM",
-        read: Consistency::Quorum,
-        write: Consistency::Quorum,
-    },
-    Level {
-        name: "write ALL",
-        read: Consistency::One,
-        write: Consistency::All,
-    },
-];
+use crate::driver::{DriverConfig, RunOutcome};
+use crate::experiment::{Experiment, Grid, Level, Part, RunShape, Store, PAPER_LEVELS};
+use crate::report::{bar_chart, fmt_ops, Table};
+use crate::setup::{Scale, StoreKind};
 
 /// Configuration of the Fig. 3 experiment.
 #[derive(Debug, Clone)]
 pub struct ConsistencyConfig {
-    /// Record/cache scale.
-    pub scale: Scale,
+    /// Scale, run length and seed.
+    pub run: RunShape,
     /// Replication factor (the paper: 3).
     pub rf: u32,
     /// Consistency strategies to compare.
     pub levels: Vec<Level>,
     /// The workloads (default: the paper's five).
     pub workloads: Vec<WorkloadSpec>,
-    /// Constant client thread count.
+    /// Client threads, constant across the sweep.
     pub threads: usize,
     /// Target throughputs swept (the x-axis of Fig. 3); `0.0` probes the
     /// unthrottled peak.
     pub targets: Vec<f64>,
-    /// Warm-up completions per run.
-    pub warmup_ops: u64,
-    /// Measured completions per run.
-    pub measure_ops: u64,
-    /// Seed.
-    pub seed: u64,
 }
 
 impl Default for ConsistencyConfig {
     fn default() -> Self {
         Self {
-            scale: Scale::stress(),
+            run: RunShape {
+                scale: Scale::stress(),
+                warmup_ops: 2_000,
+                measure_ops: 30_000,
+                seed: 42,
+            },
             rf: 3,
             levels: PAPER_LEVELS.to_vec(),
             workloads: WorkloadSpec::paper_stress_workloads(),
             threads: 64,
             targets: vec![5_000.0, 10_000.0, 20_000.0, 40_000.0, 0.0],
-            warmup_ops: 2_000,
-            measure_ops: 30_000,
-            seed: 42,
-        }
-    }
-}
-
-impl ConsistencyConfig {
-    /// A fast variant for tests and smoke runs.
-    pub fn quick() -> Self {
-        Self {
-            scale: Scale::tiny(),
-            rf: 3,
-            levels: PAPER_LEVELS.to_vec(),
-            workloads: vec![WorkloadSpec::read_update()],
-            threads: 8,
-            targets: vec![500.0, 0.0],
-            warmup_ops: 100,
-            measure_ops: 800,
-            seed: 42,
         }
     }
 }
@@ -107,12 +54,8 @@ impl ConsistencyConfig {
 /// One point of Fig. 3: runtime throughput at one target under one level.
 #[derive(Debug, Clone)]
 pub struct ConsistencyCell {
-    /// Consistency strategy name.
-    pub level: &'static str,
     /// Workload name.
     pub workload: String,
-    /// Target throughput (0 = unthrottled probe).
-    pub target: f64,
     /// Achieved runtime throughput, ops/s.
     pub runtime: f64,
     /// Mean latency, µs.
@@ -128,102 +71,138 @@ pub struct ConsistencyCell {
     pub repair_writes: u64,
 }
 
-/// The full Fig. 3 result.
-#[derive(Debug, Clone)]
-pub struct ConsistencyResult {
-    /// Every (level, workload, target) point.
-    pub cells: Vec<ConsistencyCell>,
-    /// What the sweep cost (wall time, utilization, base loads).
-    pub telemetry: Telemetry,
+/// Sort key putting the unthrottled probe (target 0) last.
+fn target_order(target: f64) -> f64 {
+    if target == 0.0 {
+        f64::MAX
+    } else {
+        target
+    }
 }
 
-impl ConsistencyResult {
-    /// Runtime-vs-target series for `(level, workload)`, target order;
-    /// the unthrottled probe (target 0) sorts last.
-    pub fn series(&self, level: &str, workload: &str) -> Vec<(f64, f64)> {
-        let mut v: Vec<(f64, f64)> = self
-            .cells
-            .iter()
-            .filter(|c| c.level == level && c.workload == workload)
-            .map(|c| (c.target, c.runtime))
-            .collect();
-        v.sort_by(|a, b| {
-            let ka = if a.0 == 0.0 { f64::MAX } else { a.0 };
-            let kb = if b.0 == 0.0 { f64::MAX } else { b.0 };
-            ka.partial_cmp(&kb).expect("no NaN targets")
-        });
-        v
+impl Experiment for ConsistencyConfig {
+    /// `(level, index into workloads, target)`; target 0 = unthrottled.
+    type Spec = (Level, usize, f64);
+    type Base = Level;
+    type Cell = ConsistencyCell;
+
+    fn quick() -> Self {
+        Self {
+            run: RunShape {
+                scale: Scale::tiny(),
+                warmup_ops: 100,
+                measure_ops: 800,
+                seed: 42,
+            },
+            workloads: vec![WorkloadSpec::read_update()],
+            threads: 8,
+            targets: vec![500.0, 0.0],
+            ..Self::default()
+        }
     }
 
-    /// Peak runtime throughput for `(level, workload)` across all targets.
-    pub fn peak(&self, level: &str, workload: &str) -> f64 {
-        self.cells
-            .iter()
-            .filter(|c| c.level == level && c.workload == workload)
-            .map(|c| c.runtime)
-            .fold(0.0, f64::max)
+    fn shape(&self) -> &RunShape {
+        &self.run
     }
 
-    /// Render one table per workload: target rows × level columns
-    /// (runtime throughput) — the shape of each Fig. 3 sub-plot.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let mut workloads: Vec<String> = self.cells.iter().map(|c| c.workload.clone()).collect();
-        workloads.sort();
-        workloads.dedup();
-        let mut levels: Vec<&'static str> = self.cells.iter().map(|c| c.level).collect();
-        levels.dedup();
-        let mut level_names: Vec<&'static str> = Vec::new();
-        for l in levels {
-            if !level_names.contains(&l) {
-                level_names.push(l);
+    fn specs(&self) -> Vec<Self::Spec> {
+        let mut specs = Vec::new();
+        for &level in &self.levels {
+            for w in 0..self.workloads.len() {
+                specs.extend(self.targets.iter().map(|&target| (level, w, target)));
             }
         }
-        for workload in &workloads {
+        specs
+    }
+
+    fn base(&self, &(level, _, _): &Self::Spec) -> Level {
+        level
+    }
+
+    fn build(&self, &level: &Level) -> Store {
+        Store::paper(&self.run.scale, &(StoreKind::CStore, self.rf, level))
+    }
+
+    fn driver(&self, &(_, w, target): &Self::Spec, seed: u64) -> DriverConfig {
+        self.run
+            .driver(self.workloads[w].clone(), seed, self.threads, target)
+    }
+
+    fn cell(&self, &(_, w, _): &Self::Spec, run: RunOutcome, _: &Store) -> ConsistencyCell {
+        let repair_writes = run
+            .counters
+            .iter()
+            .find(|(k, _)| *k == "repair_writes")
+            .map_or(0, |(_, v)| *v);
+        let (_, checked) = run.metrics.staleness();
+        ConsistencyCell {
+            workload: self.workloads[w].name.clone(),
+            runtime: run.throughput,
+            mean_us: run.mean_latency_us,
+            stale_fraction: run.stale_fraction,
+            missing_fraction: if checked == 0 {
+                0.0
+            } else {
+                run.metrics.missing_reads() as f64 / checked as f64
+            },
+            repair_writes,
+        }
+    }
+
+    /// One table per workload — target rows × level columns (runtime
+    /// throughput), the shape of each Fig. 3 sub-plot — then the peak per
+    /// level.
+    fn render(grid: &Grid<Self>) -> String {
+        let cfg = &grid.exp;
+        let mut by_name: Vec<usize> = (0..cfg.workloads.len()).collect();
+        by_name.sort_by_key(|&w| &cfg.workloads[w].name);
+        let mut targets = cfg.targets.clone();
+        targets.sort_by(|a, b| target_order(*a).total_cmp(&target_order(*b)));
+        targets.dedup();
+        let mut out = String::new();
+        for w in by_name {
             let mut headers: Vec<String> = vec!["target".into()];
-            headers.extend(level_names.iter().map(|l| format!("{l} runtime")));
+            headers.extend(cfg.levels.iter().map(|l| format!("{} runtime", l.name)));
             let mut t = Table::new(
-                &format!("Fig. 3 — consistency stress: {workload} (Cassandra analog, RF=3)"),
+                &format!(
+                    "Fig. 3 — consistency stress: {} (Cassandra analog, RF=3)",
+                    cfg.workloads[w].name
+                ),
                 &headers.iter().map(String::as_str).collect::<Vec<_>>(),
             );
-            let mut targets: Vec<f64> = self
-                .cells
-                .iter()
-                .filter(|c| &c.workload == workload)
-                .map(|c| c.target)
-                .collect();
-            targets.sort_by(|a, b| {
-                let ka = if *a == 0.0 { f64::MAX } else { *a };
-                let kb = if *b == 0.0 { f64::MAX } else { *b };
-                ka.partial_cmp(&kb).expect("no NaN")
-            });
-            targets.dedup();
-            for target in targets {
+            for &target in &targets {
                 let mut row = vec![if target == 0.0 {
                     "unthrottled".to_owned()
                 } else {
                     fmt_ops(target)
                 }];
-                for level in &level_names {
-                    let cell = self
-                        .cells
-                        .iter()
-                        .find(|c| {
-                            c.level == *level && &c.workload == workload && c.target == target
-                        })
-                        .map_or("-".to_owned(), |c| fmt_ops(c.runtime));
-                    row.push(cell);
-                }
+                row.extend(cfg.levels.iter().map(|&level| {
+                    grid.cell(&(level, w, target))
+                        .map_or("-".to_owned(), |c| fmt_ops(c.runtime))
+                }));
                 t.row(row);
             }
             out.push_str(&t.render());
             out.push('\n');
         }
+        out.push('\n');
+        for w in &cfg.workloads {
+            let title = format!(
+                "\"{}\" peak runtime throughput by consistency level",
+                w.name
+            );
+            let peaks: Vec<(String, f64)> = cfg
+                .levels
+                .iter()
+                .map(|l| (l.name.to_owned(), grid.peak(l.name, &w.name)))
+                .collect();
+            out.push_str(&bar_chart(&title, "ops/s", &peaks));
+            out.push('\n');
+        }
         out
     }
 
-    /// CSV table of every cell.
-    pub fn table(&self) -> Table {
+    fn files(grid: &Grid<Self>) -> Vec<Part> {
         let mut t = Table::new(
             "fig3_stress_consistency",
             &[
@@ -237,11 +216,11 @@ impl ConsistencyResult {
                 "repair_writes",
             ],
         );
-        for c in &self.cells {
+        for (&(level, _, target), c) in grid.rows() {
             t.row(vec![
-                c.level.into(),
+                level.name.into(),
                 c.workload.clone(),
-                format!("{:.0}", c.target),
+                format!("{target:.0}"),
                 format!("{:.1}", c.runtime),
                 format!("{:.1}", c.mean_us),
                 format!("{:.5}", c.stale_fraction),
@@ -249,85 +228,17 @@ impl ConsistencyResult {
                 c.repair_writes.to_string(),
             ]);
         }
-        t
+        vec![Part::csv("fig3_consistency.csv", &t)]
     }
 }
 
-/// Run the full Fig. 3 experiment through the sweep engine.
-pub fn run_consistency(cfg: &ConsistencyConfig) -> ConsistencyResult {
-    run_consistency_with(cfg, &Sweep::from_env())
-}
-
-/// [`run_consistency`] on a caller-configured engine.
-pub fn run_consistency_with(cfg: &ConsistencyConfig, sweep: &Sweep) -> ConsistencyResult {
-    // One cell per (level, workload, target), in that nested order — the
-    // cell order of the result (no final sort, matching the original
-    // per-level serial loops). Each level's base state loads once.
-    let specs: Vec<(usize, usize, f64)> = cfg
-        .levels
-        .iter()
-        .enumerate()
-        .flat_map(|(l, _)| {
-            (0..cfg.workloads.len())
-                .flat_map(move |w| cfg.targets.iter().map(move |&target| (l, w, target)))
-        })
-        .collect();
-    let pool: BasePool<usize, cstore::Cluster> = BasePool::new(0..cfg.levels.len());
-
-    let outcome = sweep.run(cfg.seed, &specs, |ctx, &(l, w, target)| {
-        let level = cfg.levels[l];
-        let workload = &cfg.workloads[w];
-        let mut snapshot = pool
-            .get_or_load(&l, || {
-                let mut base = build_cstore(&cfg.scale, cfg.rf, level.read, level.write);
-                driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                base
-            })
-            .snapshot();
-        let dcfg = DriverConfig {
-            workload: workload.clone(),
-            threads: cfg.threads,
-            target_ops_per_sec: target,
-            records: cfg.scale.records,
-            value_len: cfg.scale.value_len,
-            warmup_ops: cfg.warmup_ops,
-            measure_ops: cfg.measure_ops,
-            seed: ctx.seed,
-            faults: Default::default(),
-            timeline_window_us: 0,
-            retry: RetryPolicy::none(),
-            trace: obs::TraceConfig::off(),
-            audit: audit::AuditConfig::off(),
-            arrival: crate::driver::ArrivalMode::ClosedLoop,
-        };
-        let run = driver::run(&mut snapshot, &dcfg);
-        let repair_writes = run
-            .counters
-            .iter()
-            .find(|(k, _)| *k == "repair_writes")
-            .map_or(0, |(_, v)| *v);
-        let (_, checked) = run.metrics.staleness();
-        ConsistencyCell {
-            level: level.name,
-            workload: workload.name.clone(),
-            target,
-            runtime: run.throughput,
-            mean_us: run.mean_latency_us,
-            stale_fraction: run.stale_fraction,
-            missing_fraction: if checked == 0 {
-                0.0
-            } else {
-                run.metrics.missing_reads() as f64 / checked as f64
-            },
-            repair_writes,
-        }
-    });
-
-    let mut telemetry = outcome.telemetry;
-    telemetry.record_pool(&pool);
-    ConsistencyResult {
-        cells: outcome.results,
-        telemetry,
+impl Grid<ConsistencyConfig> {
+    /// Peak runtime throughput for `(level, workload)` across all targets.
+    pub fn peak(&self, level: &str, workload: &str) -> f64 {
+        self.rows()
+            .filter(|(spec, c)| spec.0.name == level && c.workload == workload)
+            .map(|(_, c)| c.runtime)
+            .fold(0.0, f64::max)
     }
 }
 
@@ -336,17 +247,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_consistency_produces_all_cells() {
-        let cfg = ConsistencyConfig::quick();
-        let res = run_consistency(&cfg);
-        // 3 levels × 1 workload × 2 targets.
-        assert_eq!(res.cells.len(), 6);
+    fn quick_consistency_measures_every_cell() {
+        let res = ConsistencyConfig::quick().run();
         for c in &res.cells {
             assert!(c.runtime > 0.0, "{c:?}");
         }
-        assert!(res.render().contains("Fig. 3"));
-        let series = res.series("ONE", "read & update");
-        assert_eq!(series.len(), 2);
         assert!(res.peak("ONE", "read & update") > 0.0);
         // One base state per level, each loaded exactly once.
         assert_eq!(res.telemetry.base_loads, 3);

@@ -12,35 +12,28 @@
 //!
 //! Because the simulation is deterministic and the critical path tiles
 //! `[issued, settled)` by construction, the per-op stage sums equal the
-//! measured client latency *exactly*, in virtual µs — checked for every
-//! traced op and surfaced as [`DecompositionCell::exact`].
+//! measured client latency *exactly*, in virtual µs — asserted for every
+//! traced op of every cell.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use obs::{critical_path, OpTrace, Stage, StageAgg, TraceConfig};
 use storage::OpKind;
 use ycsb::WorkloadSpec;
 
-use crate::consistency::PAPER_LEVELS;
-use crate::driver::{self, DriverConfig};
-use crate::failure::HSTORE_CL;
+use crate::driver::{DriverConfig, RunOutcome};
+use crate::experiment::{rf_level_grid, Experiment, Grid, Level, Part, Point, RunShape, Store};
 use crate::report::{fmt_us, Table};
-use crate::resilience::RetryPolicy;
-use crate::setup::{build_cstore, build_hstore, Scale, StoreKind};
-use crate::sweep::{BasePool, Sweep, Telemetry};
-use faults::FaultPlan;
+use crate::setup::{Scale, StoreKind};
 
 /// Configuration of the Fig. 6 experiment.
 #[derive(Debug, Clone)]
 pub struct DecompositionConfig {
-    /// Record/cache scale.
-    pub scale: Scale,
-    /// Replication factors to sweep.
+    /// Scale, run length and seed.
+    pub run: RunShape,
+    /// Replication factors to sweep, ascending.
     pub rfs: Vec<u32>,
-    /// Client threads.
+    /// Client threads; every run is unthrottled.
     pub threads: usize,
-    /// Warm-up completions (excluded from the aggregation).
-    pub warmup_ops: u64,
-    /// Measured completions.
-    pub measure_ops: u64,
     /// Trace every Nth issued op (1 = every op).
     pub sample_every: u64,
     /// Full span trees kept per cell for the JSONL exporter (the stage
@@ -48,39 +41,22 @@ pub struct DecompositionConfig {
     pub keep_traces: usize,
     /// The workload to decompose.
     pub workload: WorkloadSpec,
-    /// Seed.
-    pub seed: u64,
 }
 
 impl Default for DecompositionConfig {
     fn default() -> Self {
         Self {
-            scale: Scale::stress(),
+            run: RunShape {
+                scale: Scale::stress(),
+                warmup_ops: 2_000,
+                measure_ops: 20_000,
+                seed: 42,
+            },
             rfs: vec![1, 3, 5],
             threads: 32,
-            warmup_ops: 2_000,
-            measure_ops: 20_000,
             sample_every: 1,
             keep_traces: 8,
             workload: WorkloadSpec::read_update(),
-            seed: 42,
-        }
-    }
-}
-
-impl DecompositionConfig {
-    /// A fast variant for tests and smoke runs.
-    pub fn quick() -> Self {
-        Self {
-            scale: Scale::tiny(),
-            rfs: vec![1, 3, 5],
-            threads: 8,
-            warmup_ops: 200,
-            measure_ops: 2_000,
-            sample_every: 1,
-            keep_traces: 4,
-            workload: WorkloadSpec::read_update(),
-            seed: 42,
         }
     }
 }
@@ -89,19 +65,10 @@ impl DecompositionConfig {
 /// every traced op's critical path.
 #[derive(Debug, Clone)]
 pub struct DecompositionCell {
-    /// Which store.
-    pub store: StoreKind,
-    /// Replication factor.
-    pub rf: u32,
-    /// Consistency strategy name ([`HSTORE_CL`] for the HBase analog).
-    pub cl: &'static str,
     /// Per-(op kind, stage) critical-path time.
     pub agg: StageAgg,
     /// Ops whose critical path was extracted and aggregated.
     pub ops_traced: u64,
-    /// Whether every traced op's critical-path stage sum equalled its
-    /// measured client latency exactly (the tracing soundness invariant).
-    pub exact: bool,
     /// The first [`DecompositionConfig::keep_traces`] successful op
     /// traces, kept for the JSONL exporter.
     pub sample: Vec<OpTrace>,
@@ -113,42 +80,95 @@ impl DecompositionCell {
         self.agg.mean_us(kind, stage)
     }
 
-    /// The stage with the largest total time for ops of `kind`.
-    pub fn top_stage(&self, kind: OpKind) -> Option<(Stage, f64)> {
-        Stage::ALL
+    /// The stages ops of `kind` spent time in, largest share first.
+    pub fn stages_by_share(&self, kind: OpKind) -> Vec<(Stage, f64)> {
+        let mut stages: Vec<(Stage, f64)> = Stage::ALL
             .iter()
-            .filter_map(|&s| {
-                let share = self.agg.share(kind, s);
-                (share > 0.0).then_some((s, share))
-            })
-            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .map(|&s| (s, self.agg.share(kind, s)))
+            .filter(|&(_, share)| share > 0.0)
+            .collect();
+        stages.sort_by(|a, b| b.1.total_cmp(&a.1));
+        stages
     }
 }
 
-/// The full Fig. 6 result.
-#[derive(Debug, Clone)]
-pub struct DecompositionResult {
-    /// All measured cells.
-    pub cells: Vec<DecompositionCell>,
-    /// Workload name (for rendering).
-    pub workload: String,
-    /// What the sweep cost (wall time, utilization, base loads).
-    pub telemetry: Telemetry,
-}
+impl Experiment for DecompositionConfig {
+    type Spec = Point;
+    type Base = Point;
+    type Cell = DecompositionCell;
 
-impl DecompositionResult {
-    /// The cell for a specific point.
-    pub fn cell(&self, store: StoreKind, rf: u32, cl: &str) -> Option<&DecompositionCell> {
-        self.cells
-            .iter()
-            .find(|c| c.store == store && c.rf == rf && c.cl == cl)
+    fn quick() -> Self {
+        Self {
+            run: RunShape {
+                scale: Scale::tiny(),
+                warmup_ops: 200,
+                measure_ops: 2_000,
+                seed: 42,
+            },
+            threads: 8,
+            keep_traces: 4,
+            ..Self::default()
+        }
     }
 
-    /// Render the summary table — one row per (store, RF, CL, op kind)
-    /// with the mean latency and the two dominant critical-path stages.
-    pub fn render(&self) -> String {
+    fn shape(&self) -> &RunShape {
+        &self.run
+    }
+
+    fn specs(&self) -> Vec<Point> {
+        rf_level_grid(&self.rfs)
+    }
+
+    fn base(&self, spec: &Point) -> Point {
+        *spec
+    }
+
+    fn build(&self, base: &Point) -> Store {
+        Store::paper(&self.run.scale, base)
+    }
+
+    fn driver(&self, _: &Point, seed: u64) -> DriverConfig {
+        DriverConfig {
+            trace: TraceConfig::every(self.sample_every),
+            ..self
+                .run
+                .driver(self.workload.clone(), seed, self.threads, 0.0)
+        }
+    }
+
+    fn cell(&self, spec: &Point, out: RunOutcome, _: &Store) -> DecompositionCell {
+        let trace = out.trace.unwrap_or_default();
+        let mut cell = DecompositionCell {
+            agg: StageAgg::new(),
+            ops_traced: 0,
+            sample: Vec::new(),
+        };
+        for op in trace.ops.iter().filter(|op| op.ok) {
+            let path = critical_path(op.issued, op.settled, &op.spans);
+            // The tracing soundness invariant.
+            assert_eq!(
+                path.iter().map(|seg| seg.len()).sum::<u64>(),
+                op.latency_us(),
+                "critical-path sum must equal measured latency ({spec:?})"
+            );
+            cell.agg.record_path(op.kind, &path);
+            cell.ops_traced += 1;
+            if cell.sample.len() < self.keep_traces {
+                cell.sample.push(op.clone());
+            }
+        }
+        cell
+    }
+
+    /// The summary table — one row per (store, RF, CL, op kind) with the
+    /// mean latency and the two dominant critical-path stages.
+    fn render(grid: &Grid<Self>) -> String {
+        let traced: u64 = grid.cells.iter().map(|c| c.ops_traced).sum();
         let mut t = Table::new(
-            &format!("Fig. 6 — latency decomposition ({})", self.workload),
+            &format!(
+                "Fig. 6 — latency decomposition ({})",
+                grid.exp.workload.name
+            ),
             &[
                 "store",
                 "rf",
@@ -162,59 +182,56 @@ impl DecompositionResult {
                 "share",
             ],
         );
-        for c in &self.cells {
+        for (&(store, rf, level), c) in grid.rows() {
             for kind in c.agg.kinds() {
                 let ops = c.agg.ops(kind);
                 if ops == 0 {
                     continue;
                 }
-                let mean = c.agg.total_us(kind) as f64 / ops as f64;
-                let mut stages: Vec<(Stage, f64)> = Stage::ALL
-                    .iter()
-                    .filter_map(|&s| {
-                        let share = c.agg.share(kind, s);
-                        (share > 0.0).then_some((s, share))
-                    })
-                    .collect();
-                stages.sort_by(|a, b| b.1.total_cmp(&a.1));
-                let fmt = |i: usize| -> (String, String) {
-                    stages.get(i).map_or(("-".into(), "-".into()), |(s, sh)| {
-                        (s.label().into(), format!("{:.0}%", sh * 100.0))
-                    })
-                };
-                let (top, top_share) = fmt(0);
-                let (second, second_share) = fmt(1);
-                t.row(vec![
-                    c.store.short().into(),
-                    c.rf.to_string(),
-                    c.cl.into(),
+                let stages = c.stages_by_share(kind);
+                let mut row = vec![
+                    store.short().into(),
+                    rf.to_string(),
+                    level.name.into(),
                     kind.label().into(),
                     ops.to_string(),
-                    fmt_us(mean),
-                    top,
-                    top_share,
-                    second,
-                    second_share,
-                ]);
+                    fmt_us(c.agg.total_us(kind) as f64 / ops as f64),
+                ];
+                for i in 0..2 {
+                    match stages.get(i) {
+                        Some((s, share)) => {
+                            row.push(s.label().into());
+                            row.push(format!("{:.0}%", share * 100.0));
+                        }
+                        None => row.extend(["-".to_owned(), "-".to_owned()]),
+                    }
+                }
+                t.row(row);
             }
         }
-        t.render()
+        format!(
+            "critical paths exact: yes ({} cells, {traced} traced ops)\n{}\n",
+            grid.cells.len(),
+            t.render()
+        )
     }
 
-    /// CSV table: one row per (store, RF, CL, op kind, stage).
-    pub fn table(&self) -> Table {
+    /// The per-(store, RF, CL, op kind, stage) CSV, plus a handful of full
+    /// span trees from the most interesting cell — quorum writes at the
+    /// paper's standard RF=3 — for trace tooling.
+    fn files(grid: &Grid<Self>) -> Vec<Part> {
         let mut t = Table::new(
             "fig6_decomposition",
             &[
                 "store", "rf", "cl", "op", "stage", "ops", "total_us", "mean_us", "share",
             ],
         );
-        for c in &self.cells {
+        for (&(store, rf, level), c) in grid.rows() {
             for (kind, stage, cell) in c.agg.iter() {
                 t.row(vec![
-                    c.store.short().into(),
-                    c.rf.to_string(),
-                    c.cl.into(),
+                    store.short().into(),
+                    rf.to_string(),
+                    level.name.into(),
                     kind.label().into(),
                     stage.label().into(),
                     c.agg.ops(kind).to_string(),
@@ -224,154 +241,40 @@ impl DecompositionResult {
                 ]);
             }
         }
-        t
-    }
-
-    /// The kept sample traces of one cell, assembled for JSONL export.
-    pub fn sample_trace(&self, store: StoreKind, rf: u32, cl: &str) -> Option<obs::RunTrace> {
-        self.cell(store, rf, cl).map(|c| obs::RunTrace {
-            ops: c.sample.clone(),
-            background: Vec::new(),
-        })
-    }
-}
-
-/// Run the full Fig. 6 experiment through the sweep engine.
-pub fn run_decomposition(cfg: &DecompositionConfig) -> DecompositionResult {
-    run_decomposition_with(cfg, &Sweep::from_env())
-}
-
-/// [`run_decomposition`] on a caller-configured engine.
-pub fn run_decomposition_with(cfg: &DecompositionConfig, sweep: &Sweep) -> DecompositionResult {
-    // One cell per (store, RF, consistency level), exactly the Fig. 4
-    // grid: the HBase analog's single implicit strong level plus the
-    // Cassandra analog's three paper levels.
-    let specs: Vec<(StoreKind, u32, usize)> = cfg
-        .rfs
-        .iter()
-        .flat_map(|&rf| {
-            std::iter::once((StoreKind::HStore, rf, 0))
-                .chain((0..PAPER_LEVELS.len()).map(move |l| (StoreKind::CStore, rf, l)))
-        })
-        .collect();
-    let hpool: BasePool<u32, hstore::Cluster> = BasePool::new(cfg.rfs.iter().copied());
-    let cpool: BasePool<(u32, usize), cstore::Cluster> = BasePool::new(
-        cfg.rfs
-            .iter()
-            .flat_map(|&rf| (0..PAPER_LEVELS.len()).map(move |l| (rf, l))),
-    );
-
-    let outcome = sweep.run(cfg.seed, &specs, |ctx, &(store, rf, l)| {
-        let dcfg = DriverConfig {
-            workload: cfg.workload.clone(),
-            threads: cfg.threads,
-            target_ops_per_sec: 0.0,
-            records: cfg.scale.records,
-            value_len: cfg.scale.value_len,
-            warmup_ops: cfg.warmup_ops,
-            measure_ops: cfg.measure_ops,
-            seed: ctx.seed,
-            faults: FaultPlan::new(),
-            timeline_window_us: 0,
-            retry: RetryPolicy::none(),
-            trace: TraceConfig::every(cfg.sample_every),
-            audit: audit::AuditConfig::off(),
-            arrival: crate::driver::ArrivalMode::ClosedLoop,
-        };
-        let (cl, out) = match store {
-            StoreKind::HStore => {
-                let mut snapshot = hpool
-                    .get_or_load(&rf, || {
-                        let mut base = build_hstore(&cfg.scale, rf);
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                (HSTORE_CL, driver::run(&mut snapshot, &dcfg))
-            }
-            StoreKind::CStore => {
-                let level = PAPER_LEVELS[l];
-                let mut snapshot = cpool
-                    .get_or_load(&(rf, l), || {
-                        let mut base = build_cstore(&cfg.scale, rf, level.read, level.write);
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                (level.name, driver::run(&mut snapshot, &dcfg))
-            }
-        };
-        let trace = out.trace.unwrap_or_default();
-        let mut agg = StageAgg::new();
-        let mut exact = true;
-        let mut ops_traced = 0u64;
-        let mut sample = Vec::new();
-        for op in &trace.ops {
-            if !op.ok {
-                continue;
-            }
-            let path = critical_path(op.issued, op.settled, &op.spans);
-            let path_sum: u64 = path.iter().map(|seg| seg.len()).sum();
-            exact &= path_sum == op.latency_us();
-            agg.record_path(op.kind, &path);
-            ops_traced += 1;
-            if sample.len() < cfg.keep_traces {
-                sample.push(op.clone());
-            }
+        let mut parts = vec![Part::csv("fig6_decomposition.csv", &t)];
+        if let Some(c) = grid.cell(&(StoreKind::CStore, 3, Level::QUORUM)) {
+            let trace = obs::RunTrace {
+                ops: c.sample.clone(),
+                background: Vec::new(),
+            };
+            parts.push(Part::File {
+                name: "fig6_traces.jsonl",
+                body: trace.to_jsonl(),
+                announce: Some("sample traces"),
+            });
         }
-        DecompositionCell {
-            store,
-            rf,
-            cl,
-            agg,
-            ops_traced,
-            exact,
-            sample,
-        }
-    });
-
-    let mut telemetry = outcome.telemetry;
-    telemetry.record_pool(&hpool);
-    telemetry.record_pool(&cpool);
-    let mut cells = outcome.results;
-    cells.sort_by(|a, b| (a.store.short(), a.rf, a.cl).cmp(&(b.store.short(), b.rf, b.cl)));
-    DecompositionResult {
-        cells,
-        workload: cfg.workload.name.clone(),
-        telemetry,
+        parts
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
 
-    fn res() -> DecompositionResult {
-        run_decomposition(&DecompositionConfig::quick())
+    fn res() -> Grid<DecompositionConfig> {
+        DecompositionConfig::quick().run()
     }
 
     #[test]
-    fn quick_decomposition_produces_all_cells_exactly() {
+    fn every_cell_traces_ops_and_keeps_a_sample() {
+        // `cell()` asserts the exactness invariant for every traced op, so
+        // running the grid at all is the soundness check.
         let res = res();
-        // 3 RFs × (1 hstore level + 3 cstore levels).
-        assert_eq!(res.cells.len(), 12);
-        for c in &res.cells {
-            assert!(c.ops_traced > 0, "{}/{}/{}", c.store, c.rf, c.cl);
-            // The soundness invariant: every traced op's critical-path
-            // stage sum equals its measured latency, exactly.
-            assert!(
-                c.exact,
-                "inexact decomposition: {}/{}/{}",
-                c.store, c.rf, c.cl
-            );
+        for (spec, c) in res.rows() {
+            assert!(c.ops_traced > 0, "{spec:?}");
             assert!(!c.sample.is_empty());
         }
-        let rendered = res.render();
-        assert!(rendered.contains("Fig. 6"));
-        assert!(rendered.contains("strong"));
-        // Every aggregated (kind, stage) pair becomes one CSV row.
-        let entries: usize = res.cells.iter().map(|c| c.agg.iter().count()).sum();
-        assert_eq!(res.table().rows.len(), entries);
     }
 
     #[test]
@@ -379,7 +282,9 @@ mod tests {
         let res = res();
         let mut wal_commit_means = Vec::new();
         for &rf in &[1u32, 3, 5] {
-            let c = res.cell(StoreKind::HStore, rf, HSTORE_CL).expect("cell");
+            let c = res
+                .cell(&(StoreKind::HStore, rf, Level::STRONG))
+                .expect("cell");
             // The write ack is in-memory end to end: the WAL pipeline acks
             // from datanode memory, so no disk stage ever appears on the
             // write critical path, at any replication factor.
@@ -408,14 +313,15 @@ mod tests {
         // pipeline hops), while the Cassandra analog's write-ALL quorum
         // wait — waiting on the slowest of RF replica round trips — grows
         // much faster.
-        let mean = |store, cl: &str, rf| {
-            let c = res.cell(store, rf, cl).expect("cell");
+        let h_mean = |rf| {
+            let c = res
+                .cell(&(StoreKind::HStore, rf, Level::STRONG))
+                .expect("cell");
             c.agg.total_us(OpKind::Update) as f64 / c.agg.ops(OpKind::Update) as f64
         };
-        let h_growth =
-            mean(StoreKind::HStore, HSTORE_CL, 5) / mean(StoreKind::HStore, HSTORE_CL, 1);
+        let h_growth = h_mean(5) / h_mean(1);
         let qw = |rf| {
-            res.cell(StoreKind::CStore, rf, "write ALL")
+            res.cell(&(StoreKind::CStore, rf, Level::WRITE_ALL))
                 .expect("cell")
                 .stage_mean_us(OpKind::Update, Stage::QuorumWait)
         };
@@ -429,35 +335,26 @@ mod tests {
     #[test]
     fn cstore_quorum_wait_grows_with_rf_and_cl() {
         let res = res();
-        let qw = |rf: u32, cl: &str| -> f64 {
-            res.cell(StoreKind::CStore, rf, cl)
+        let qw = |rf: u32, level: Level| -> f64 {
+            res.cell(&(StoreKind::CStore, rf, level))
                 .expect("cell")
                 .stage_mean_us(OpKind::Update, Stage::QuorumWait)
         };
         // More required acks at fixed RF: ONE ≤ QUORUM ≤ ALL (strict at
         // the endpoints).
-        assert!(qw(3, "ONE") < qw(3, "write ALL"));
-        assert!(qw(3, "ONE") <= qw(3, "QUORUM"));
-        assert!(qw(3, "QUORUM") <= qw(3, "write ALL"));
+        assert!(qw(3, Level::ONE) < qw(3, Level::WRITE_ALL));
+        assert!(qw(3, Level::ONE) <= qw(3, Level::QUORUM));
+        assert!(qw(3, Level::QUORUM) <= qw(3, Level::WRITE_ALL));
         // Waiting for all of more replicas takes longer: RF 1 < 3 ≤ 5.
-        assert!(qw(1, "write ALL") < qw(3, "write ALL"));
-        assert!(qw(3, "write ALL") <= qw(5, "write ALL"));
+        assert!(qw(1, Level::WRITE_ALL) < qw(3, Level::WRITE_ALL));
+        assert!(qw(3, Level::WRITE_ALL) <= qw(5, Level::WRITE_ALL));
     }
 
     #[test]
-    fn sample_traces_export_deterministically() {
-        let res = res();
-        let trace = res
-            .sample_trace(StoreKind::CStore, 3, "QUORUM")
-            .expect("cell");
-        let jsonl = trace.to_jsonl();
+    fn sample_traces_export_quorum_wait_spans() {
+        let report = res().report();
+        let jsonl = report.file("fig6_traces.jsonl").expect("traces exported");
         assert!(jsonl.contains("\"spans\""));
         assert!(jsonl.contains("quorum_wait"));
-        let again = run_decomposition(&DecompositionConfig::quick());
-        let jsonl2 = again
-            .sample_trace(StoreKind::CStore, 3, "QUORUM")
-            .expect("cell")
-            .to_jsonl();
-        assert_eq!(jsonl, jsonl2, "same seed must export identical traces");
     }
 }

@@ -1,4 +1,5 @@
-//! Figure 4: the failure-timeline experiment — crash/recover under load.
+//! Figure 4: the failure-timeline experiment — crash/recover under load —
+//! and the [`CrashPlan`] it shares with Figs 5 and 8.
 //!
 //! The paper benchmarks replication and consistency strategies under
 //! steady state; this experiment extends the methodology to the failure
@@ -16,44 +17,33 @@
 //! Cassandra analog degrades per consistency level — CL=ONE mostly rides
 //! through, write-ALL refuses writes on every range replicated on the
 //! victim until it returns.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use audit::PhaseWindow;
 use faults::FaultPlan;
 use simkit::NodeId;
 use ycsb::{TimelineWindow, WorkloadSpec};
 
-use crate::consistency::PAPER_LEVELS;
-use crate::driver::{self, DriverConfig};
+use crate::driver::{DriverConfig, RunOutcome};
+use crate::experiment::{rf_level_grid, Experiment, Grid, Part, Point, RunShape, Store};
 use crate::report::{fmt_ops, Table};
-use crate::resilience::RetryPolicy;
 use crate::setup::{build_cstore_with, build_hstore_with, Scale, StoreKind};
-use crate::sweep::{BasePool, Sweep, Telemetry};
 
-/// The consistency label used for the HBase analog, which has no
-/// consistency knob (HBase is always strongly consistent).
-pub const HSTORE_CL: &str = "strong";
-
-/// Configuration of the Fig. 4 experiment.
+/// One node crashing and recovering under a constant-rate workload: the
+/// scenario of Figs 4, 5 and 8.
 #[derive(Debug, Clone)]
-pub struct FailureConfig {
-    /// Record/cache scale.
-    pub scale: Scale,
-    /// Replication factors to sweep.
-    pub rfs: Vec<u32>,
+pub struct CrashPlan {
+    /// Scale, run length and seed.
+    pub run: RunShape,
     /// Client threads.
     pub threads: usize,
-    /// Cluster-wide target throughput; constant-rate so the timeline dip
-    /// measures the store, not the load generator.
+    /// Constant target rate, ops/s, so a timeline dip measures the store,
+    /// not the load generator.
     pub target_ops_per_sec: f64,
-    /// Warm-up completions.
-    pub warmup_ops: u64,
-    /// Measured completions.
-    pub measure_ops: u64,
     /// Virtual time at which the victim crashes, µs from sim start.
     pub crash_at_us: u64,
     /// Virtual time at which the victim comes back, µs from sim start.
     pub recover_at_us: u64,
-    /// Timeline bucket width, µs.
-    pub window_us: u64,
     /// Client RPC timeout applied to both stores; short enough that an
     /// in-flight request stranded on the victim resolves within a couple
     /// of timeline windows.
@@ -65,49 +55,170 @@ pub struct FailureConfig {
     pub victim: NodeId,
     /// The workload under which the failure happens.
     pub workload: WorkloadSpec,
-    /// Seed.
-    pub seed: u64,
+}
+
+impl Default for CrashPlan {
+    fn default() -> Self {
+        Self {
+            run: RunShape {
+                scale: Scale::stress(),
+                warmup_ops: 2_000,
+                measure_ops: 40_000,
+                seed: 42,
+            },
+            threads: 48,
+            target_ops_per_sec: 3_000.0,
+            crash_at_us: 4_000_000,
+            recover_at_us: 9_000_000,
+            rpc_timeout_us: 250_000,
+            failover_delay_us: 2_000_000,
+            victim: NodeId(0),
+            workload: WorkloadSpec::read_update(),
+        }
+    }
+}
+
+/// A timeline split into the three phases of one crash window.
+pub struct Phases<'a> {
+    /// Full windows ending at or before the crash, skipping the first
+    /// window (thread-stagger ramp) when more than one qualifies.
+    pub pre: Vec<&'a TimelineWindow>,
+    /// Windows starting while the victim is down.
+    pub fault: Vec<&'a TimelineWindow>,
+    /// Windows starting at least one full window after recovery (the
+    /// recovery transient — hint replay, cache refill — belongs to neither
+    /// phase), excluding the final window, which the end of the run
+    /// truncates.
+    pub post: Vec<&'a TimelineWindow>,
+}
+
+/// Mean of `f` over `windows` (0 when empty).
+pub fn mean_of(windows: &[&TimelineWindow], f: impl Fn(&TimelineWindow) -> f64) -> f64 {
+    if windows.is_empty() {
+        0.0
+    } else {
+        windows.iter().map(|w| f(w)).sum::<f64>() / windows.len() as f64
+    }
+}
+
+impl CrashPlan {
+    /// A fast variant for tests and smoke runs.
+    pub fn quick() -> Self {
+        Self {
+            run: RunShape {
+                scale: Scale::tiny(),
+                warmup_ops: 400,
+                measure_ops: 5_600,
+                seed: 42,
+            },
+            threads: 8,
+            target_ops_per_sec: 2_000.0,
+            crash_at_us: 900_000,
+            recover_at_us: 1_800_000,
+            rpc_timeout_us: 120_000,
+            failover_delay_us: 300_000,
+            ..Self::default()
+        }
+    }
+
+    /// The store for one grid point, with the plan's timeouts applied.
+    pub fn build(&self, &(kind, rf, level): &Point) -> Store {
+        let scale = &self.run.scale;
+        match kind {
+            StoreKind::HStore => Store::H(build_hstore_with(scale, rf, |c| {
+                c.rpc_timeout_us = self.rpc_timeout_us;
+                c.failover_delay_us = self.failover_delay_us;
+            })),
+            StoreKind::CStore => {
+                Store::C(build_cstore_with(scale, rf, level.read, level.write, |c| {
+                    c.rpc_timeout_us = self.rpc_timeout_us;
+                }))
+            }
+        }
+    }
+
+    /// The fair-weather client run through the crash window (no timeline:
+    /// Figs 4 and 5 switch theirs on).
+    pub fn driver(&self, seed: u64) -> DriverConfig {
+        DriverConfig {
+            faults: FaultPlan::new().crash_window(
+                self.victim,
+                self.crash_at_us,
+                self.recover_at_us,
+            ),
+            ..self.run.driver(
+                self.workload.clone(),
+                seed,
+                self.threads,
+                self.target_ops_per_sec,
+            )
+        }
+    }
+
+    /// The three fault phases as audit windows, in run order.
+    pub fn phases(&self) -> [PhaseWindow; 3] {
+        let window = |label, start_us, end_us| PhaseWindow {
+            label,
+            start_us,
+            end_us,
+        };
+        [
+            window("healthy", 0, self.crash_at_us),
+            window("crash", self.crash_at_us, self.recover_at_us),
+            window("recovery", self.recover_at_us, u64::MAX),
+        ]
+    }
+
+    /// Split a run's timeline of `window_us`-wide buckets into its
+    /// pre/fault/post phases.
+    pub fn split<'a>(&self, windows: &'a [TimelineWindow], window_us: u64) -> Phases<'a> {
+        let (crash, recover) = (self.crash_at_us, self.recover_at_us);
+        let mut pre: Vec<_> = windows.iter().filter(|w| w.end_us <= crash).collect();
+        if pre.len() > 1 {
+            pre.remove(0);
+        }
+        let last_start = windows.last().map_or(0, |w| w.start_us);
+        Phases {
+            pre,
+            fault: windows
+                .iter()
+                .filter(|w| w.start_us >= crash && w.start_us < recover)
+                .collect(),
+            post: windows
+                .iter()
+                .filter(|w| w.start_us >= recover + window_us && w.start_us < last_start)
+                .collect(),
+        }
+    }
+
+    /// `"<figure>: crash t=…s, recover t=…s (<workload>)"` — the table title.
+    pub fn title(&self, figure: &str) -> String {
+        format!(
+            "{figure}: crash t={:.1}s, recover t={:.1}s ({})",
+            self.crash_at_us as f64 / 1e6,
+            self.recover_at_us as f64 / 1e6,
+            self.workload.name,
+        )
+    }
+}
+
+/// Configuration of the Fig. 4 experiment.
+#[derive(Debug, Clone)]
+pub struct FailureConfig {
+    /// The crash scenario.
+    pub plan: CrashPlan,
+    /// Replication factors to sweep, ascending.
+    pub rfs: Vec<u32>,
+    /// Timeline bucket width, µs.
+    pub window_us: u64,
 }
 
 impl Default for FailureConfig {
     fn default() -> Self {
         Self {
-            scale: Scale::stress(),
+            plan: CrashPlan::default(),
             rfs: vec![1, 3, 5],
-            threads: 48,
-            target_ops_per_sec: 3_000.0,
-            warmup_ops: 2_000,
-            measure_ops: 40_000,
-            crash_at_us: 4_000_000,
-            recover_at_us: 9_000_000,
             window_us: 250_000,
-            rpc_timeout_us: 250_000,
-            failover_delay_us: 2_000_000,
-            victim: NodeId(0),
-            workload: WorkloadSpec::read_update(),
-            seed: 42,
-        }
-    }
-}
-
-impl FailureConfig {
-    /// A fast variant for tests and smoke runs.
-    pub fn quick() -> Self {
-        Self {
-            scale: Scale::tiny(),
-            rfs: vec![1, 3, 5],
-            threads: 8,
-            target_ops_per_sec: 2_000.0,
-            warmup_ops: 400,
-            measure_ops: 5_600,
-            crash_at_us: 900_000,
-            recover_at_us: 1_800_000,
-            window_us: 150_000,
-            rpc_timeout_us: 120_000,
-            failover_delay_us: 300_000,
-            victim: NodeId(0),
-            workload: WorkloadSpec::read_update(),
-            seed: 42,
         }
     }
 }
@@ -115,12 +226,6 @@ impl FailureConfig {
 /// One (store, RF, consistency) failure timeline with its phase summary.
 #[derive(Debug, Clone)]
 pub struct FailureCell {
-    /// Which store.
-    pub store: StoreKind,
-    /// Replication factor.
-    pub rf: u32,
-    /// Consistency strategy name ([`HSTORE_CL`] for the HBase analog).
-    pub cl: &'static str,
     /// Mean throughput over full windows before the crash, ops/s.
     pub pre_tput: f64,
     /// Mean throughput over windows inside the crash window, ops/s.
@@ -137,102 +242,78 @@ pub struct FailureCell {
     pub windows: Vec<TimelineWindow>,
 }
 
-/// The full Fig. 4 result.
-#[derive(Debug, Clone)]
-pub struct FailureResult {
-    /// All measured cells.
-    pub cells: Vec<FailureCell>,
-    /// Crash time, µs (for rendering).
-    pub crash_at_us: u64,
-    /// Recovery time, µs (for rendering).
-    pub recover_at_us: u64,
-    /// Workload name (for rendering).
-    pub workload: String,
-    /// What the sweep cost (wall time, utilization, base loads).
-    pub telemetry: Telemetry,
-}
+impl Experiment for FailureConfig {
+    type Spec = Point;
+    /// Consistency is baked into the cstore config, so every grid point
+    /// has its own base.
+    type Base = Point;
+    type Cell = FailureCell;
 
-/// Phase aggregates extracted from one timeline.
-struct PhaseStats {
-    pre: f64,
-    fault: f64,
-    fault_min: f64,
-    fault_errors: u64,
-    post: f64,
-}
-
-/// Split a timeline into the pre/fault/post phases of one crash window.
-///
-/// * *pre* — full windows ending at or before the crash, skipping the
-///   first window (thread-stagger ramp) when more than one qualifies;
-/// * *fault* — windows starting inside `[crash_at, recover_at)`;
-/// * *post* — windows starting at least one full window after recovery
-///   (the recovery transient — hint replay, cache refill — belongs to
-///   neither phase), excluding the final window, which the end of the
-///   run truncates.
-fn phase_stats(
-    windows: &[TimelineWindow],
-    crash_at: u64,
-    recover_at: u64,
-    window_us: u64,
-) -> PhaseStats {
-    let mean = |ws: &[&TimelineWindow]| -> f64 {
-        if ws.is_empty() {
-            0.0
-        } else {
-            ws.iter().map(|w| w.ops_per_sec).sum::<f64>() / ws.len() as f64
+    fn quick() -> Self {
+        Self {
+            plan: CrashPlan::quick(),
+            window_us: 150_000,
+            ..Self::default()
         }
-    };
-    let pre_all: Vec<&TimelineWindow> = windows.iter().filter(|w| w.end_us <= crash_at).collect();
-    let pre = if pre_all.len() > 1 {
-        &pre_all[1..]
-    } else {
-        &pre_all[..]
-    };
-    let fault: Vec<&TimelineWindow> = windows
-        .iter()
-        .filter(|w| w.start_us >= crash_at && w.start_us < recover_at)
-        .collect();
-    let last_start = windows.last().map_or(0, |w| w.start_us);
-    let post: Vec<&TimelineWindow> = windows
-        .iter()
-        .filter(|w| w.start_us >= recover_at + window_us && w.start_us < last_start)
-        .collect();
-    PhaseStats {
-        pre: mean(pre),
-        fault: mean(&fault),
-        fault_min: if fault.is_empty() {
-            0.0
-        } else {
-            fault
-                .iter()
-                .map(|w| w.ops_per_sec)
-                .fold(f64::INFINITY, f64::min)
-        },
-        fault_errors: fault.iter().map(|w| w.errors).sum(),
-        post: mean(&post),
-    }
-}
-
-impl FailureResult {
-    /// The cell for a specific point.
-    pub fn cell(&self, store: StoreKind, rf: u32, cl: &str) -> Option<&FailureCell> {
-        self.cells
-            .iter()
-            .find(|c| c.store == store && c.rf == rf && c.cl == cl)
     }
 
-    /// Render the phase-summary table — one row per (store, RF, CL) with
+    fn shape(&self) -> &RunShape {
+        &self.plan.run
+    }
+
+    fn specs(&self) -> Vec<Point> {
+        rf_level_grid(&self.rfs)
+    }
+
+    fn base(&self, spec: &Point) -> Point {
+        *spec
+    }
+
+    fn build(&self, base: &Point) -> Store {
+        self.plan.build(base)
+    }
+
+    /// Fig. 4 keeps the paper's fair-weather client; Fig. 5 reruns this
+    /// plan under real retry policies.
+    fn driver(&self, _: &Point, seed: u64) -> DriverConfig {
+        DriverConfig {
+            timeline_window_us: self.window_us,
+            ..self.plan.driver(seed)
+        }
+    }
+
+    fn cell(&self, _: &Point, out: RunOutcome, _: &Store) -> FailureCell {
+        let windows = out
+            .metrics
+            .timeline()
+            .map(|t| t.windows())
+            .unwrap_or_default();
+        let ph = self.plan.split(&windows, self.window_us);
+        let tput = |w: &TimelineWindow| w.ops_per_sec;
+        FailureCell {
+            pre_tput: mean_of(&ph.pre, tput),
+            fault_tput: mean_of(&ph.fault, tput),
+            fault_min_tput: if ph.fault.is_empty() {
+                0.0
+            } else {
+                ph.fault
+                    .iter()
+                    .map(|w| w.ops_per_sec)
+                    .fold(f64::INFINITY, f64::min)
+            },
+            fault_errors: ph.fault.iter().map(|w| w.errors).sum(),
+            post_tput: mean_of(&ph.post, tput),
+            faults_injected: out.faults_injected,
+            windows,
+        }
+    }
+
+    /// The phase-summary table — one row per (store, RF, CL) with
     /// pre/fault/post throughput, the worst fault window, the error
     /// spike, and how fully throughput recovered.
-    pub fn render(&self) -> String {
+    fn render(grid: &Grid<Self>) -> String {
         let mut t = Table::new(
-            &format!(
-                "Fig. 4 — failure timeline: crash t={:.1}s, recover t={:.1}s ({})",
-                self.crash_at_us as f64 / 1e6,
-                self.recover_at_us as f64 / 1e6,
-                self.workload,
-            ),
+            &grid.exp.plan.title("Fig. 4 — failure timeline"),
             &[
                 "store",
                 "rf",
@@ -245,16 +326,16 @@ impl FailureResult {
                 "recovery",
             ],
         );
-        for c in &self.cells {
+        for (&(store, rf, level), c) in grid.rows() {
             let recovery = if c.pre_tput > 0.0 {
                 format!("{:.0}%", c.post_tput / c.pre_tput * 100.0)
             } else {
                 "-".to_owned()
             };
             t.row(vec![
-                c.store.short().into(),
-                c.rf.to_string(),
-                c.cl.into(),
+                store.short().into(),
+                rf.to_string(),
+                level.name.into(),
                 fmt_ops(c.pre_tput),
                 fmt_ops(c.fault_tput),
                 fmt_ops(c.fault_min_tput),
@@ -263,11 +344,11 @@ impl FailureResult {
                 recovery,
             ]);
         }
-        t.render()
+        t.render() + "\n"
     }
 
-    /// CSV table: one row per timeline window per cell.
-    pub fn table(&self) -> Table {
+    /// One CSV row per timeline window per cell.
+    fn files(grid: &Grid<Self>) -> Vec<Part> {
         let mut t = Table::new(
             "fig4_failure",
             &[
@@ -283,12 +364,12 @@ impl FailureResult {
                 "errors",
             ],
         );
-        for c in &self.cells {
+        for (&(store, rf, level), c) in grid.rows() {
             for w in &c.windows {
                 t.row(vec![
-                    c.store.short().into(),
-                    c.rf.to_string(),
-                    c.cl.into(),
+                    store.short().into(),
+                    rf.to_string(),
+                    level.name.into(),
                     w.start_us.to_string(),
                     w.ops.to_string(),
                     format!("{:.1}", w.ops_per_sec),
@@ -299,183 +380,62 @@ impl FailureResult {
                 ]);
             }
         }
-        t
-    }
-}
-
-/// Run the full Fig. 4 experiment through the sweep engine.
-pub fn run_failure(cfg: &FailureConfig) -> FailureResult {
-    run_failure_with(cfg, &Sweep::from_env())
-}
-
-/// [`run_failure`] on a caller-configured engine.
-pub fn run_failure_with(cfg: &FailureConfig, sweep: &Sweep) -> FailureResult {
-    // One cell per (store, RF, consistency level): the HBase analog has a
-    // single implicit level; the Cassandra analog sweeps the paper's
-    // three. Consistency is baked into the cstore config, so each cell
-    // gets its own loaded base (pooled only for telemetry accounting).
-    let specs: Vec<(StoreKind, u32, usize)> = cfg
-        .rfs
-        .iter()
-        .flat_map(|&rf| {
-            std::iter::once((StoreKind::HStore, rf, 0))
-                .chain((0..PAPER_LEVELS.len()).map(move |l| (StoreKind::CStore, rf, l)))
-        })
-        .collect();
-    let hpool: BasePool<u32, hstore::Cluster> = BasePool::new(cfg.rfs.iter().copied());
-    let cpool: BasePool<(u32, usize), cstore::Cluster> = BasePool::new(
-        cfg.rfs
-            .iter()
-            .flat_map(|&rf| (0..PAPER_LEVELS.len()).map(move |l| (rf, l))),
-    );
-
-    let outcome = sweep.run(cfg.seed, &specs, |ctx, &(store, rf, l)| {
-        let dcfg = DriverConfig {
-            workload: cfg.workload.clone(),
-            threads: cfg.threads,
-            target_ops_per_sec: cfg.target_ops_per_sec,
-            records: cfg.scale.records,
-            value_len: cfg.scale.value_len,
-            warmup_ops: cfg.warmup_ops,
-            measure_ops: cfg.measure_ops,
-            seed: ctx.seed,
-            faults: FaultPlan::new().crash_window(cfg.victim, cfg.crash_at_us, cfg.recover_at_us),
-            timeline_window_us: cfg.window_us,
-            // Fig. 4 keeps the paper's fair-weather client; Fig. 5 reruns
-            // this plan under real retry policies.
-            retry: RetryPolicy::none(),
-            trace: obs::TraceConfig::off(),
-            audit: audit::AuditConfig::off(),
-            arrival: crate::driver::ArrivalMode::ClosedLoop,
-        };
-        let (cl, out) = match store {
-            StoreKind::HStore => {
-                let mut snapshot = hpool
-                    .get_or_load(&rf, || {
-                        let mut base = build_hstore_with(&cfg.scale, rf, |c| {
-                            c.rpc_timeout_us = cfg.rpc_timeout_us;
-                            c.failover_delay_us = cfg.failover_delay_us;
-                        });
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                (HSTORE_CL, driver::run(&mut snapshot, &dcfg))
-            }
-            StoreKind::CStore => {
-                let level = PAPER_LEVELS[l];
-                let mut snapshot = cpool
-                    .get_or_load(&(rf, l), || {
-                        let mut base =
-                            build_cstore_with(&cfg.scale, rf, level.read, level.write, |c| {
-                                c.rpc_timeout_us = cfg.rpc_timeout_us;
-                            });
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                (level.name, driver::run(&mut snapshot, &dcfg))
-            }
-        };
-        let windows = out
-            .metrics
-            .timeline()
-            .map(|t| t.windows())
-            .unwrap_or_default();
-        let ph = phase_stats(&windows, cfg.crash_at_us, cfg.recover_at_us, cfg.window_us);
-        FailureCell {
-            store,
-            rf,
-            cl,
-            pre_tput: ph.pre,
-            fault_tput: ph.fault,
-            fault_min_tput: ph.fault_min,
-            fault_errors: ph.fault_errors,
-            post_tput: ph.post,
-            faults_injected: out.faults_injected,
-            windows,
-        }
-    });
-
-    let mut telemetry = outcome.telemetry;
-    telemetry.record_pool(&hpool);
-    telemetry.record_pool(&cpool);
-    let mut cells = outcome.results;
-    cells.sort_by(|a, b| (a.store.short(), a.rf, a.cl).cmp(&(b.store.short(), b.rf, b.cl)));
-    FailureResult {
-        cells,
-        crash_at_us: cfg.crash_at_us,
-        recover_at_us: cfg.recover_at_us,
-        workload: cfg.workload.name.clone(),
-        telemetry,
+        vec![Part::csv("fig4_failure.csv", &t)]
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::experiment::Level;
 
     #[test]
-    fn quick_failure_produces_all_cells() {
-        let cfg = FailureConfig::quick();
-        let res = run_failure(&cfg);
-        // 3 RFs × (1 hstore level + 3 cstore levels).
-        assert_eq!(res.cells.len(), 12);
-        for c in &res.cells {
-            assert_eq!(c.faults_injected, 2, "{}/{}/{}", c.store, c.rf, c.cl);
+    fn every_cell_sees_both_faults_and_a_timeline() {
+        let res = FailureConfig::quick().run();
+        for (spec, c) in res.rows() {
+            assert_eq!(c.faults_injected, 2, "{spec:?}");
             assert!(!c.windows.is_empty());
-            assert!(c.pre_tput > 0.0, "{}/{}/{}", c.store, c.rf, c.cl);
+            assert!(c.pre_tput > 0.0, "{spec:?}");
         }
-        let rendered = res.render();
-        assert!(rendered.contains("Fig. 4"));
-        assert!(rendered.contains("strong"));
-        // The CSV has one row per window per cell.
-        let total_windows: usize = res.cells.iter().map(|c| c.windows.len()).sum();
-        assert_eq!(res.table().rows.len(), total_windows);
     }
 
     #[test]
     fn rf3_dips_and_recovers_for_both_stores() {
-        let cfg = FailureConfig::quick();
-        let res = run_failure(&cfg);
+        let res = FailureConfig::quick().run();
         // The acceptance shape: at RF=3 both stores show a throughput dip
         // and an error spike inside the crash window, then recover to
         // within 10% of the pre-fault throughput.
-        for (store, cl) in [
-            (StoreKind::HStore, HSTORE_CL),
-            (StoreKind::CStore, "write ALL"),
+        for spec in [
+            (StoreKind::HStore, 3, Level::STRONG),
+            (StoreKind::CStore, 3, Level::WRITE_ALL),
         ] {
-            let c = res.cell(store, 3, cl).expect("cell exists");
+            let c = res.cell(&spec).expect("cell exists");
             assert!(c.fault_errors > 0, "no error spike: {c:?}");
             assert!(
                 c.fault_min_tput < 0.9 * c.pre_tput,
-                "no dip: min {} vs pre {} ({}/{})",
+                "no dip: min {} vs pre {} ({spec:?})",
                 c.fault_min_tput,
                 c.pre_tput,
-                c.store,
-                c.cl
             );
             let dev = (c.post_tput - c.pre_tput).abs() / c.pre_tput;
             assert!(
                 dev < 0.10,
-                "poor recovery: post {} vs pre {} ({}/{})",
+                "poor recovery: post {} vs pre {} ({spec:?})",
                 c.post_tput,
                 c.pre_tput,
-                c.store,
-                c.cl
             );
         }
     }
 
     #[test]
     fn cl_one_rides_through_better_than_write_all() {
-        let cfg = FailureConfig::quick();
-        let res = run_failure(&cfg);
+        let res = FailureConfig::quick().run();
         // CL=ONE skips the dead replica (1 ack suffices, hints queue for
         // the victim), so its fault-phase throughput beats write-ALL's,
         // which refuses every write replicated on the victim.
-        let one = res.cell(StoreKind::CStore, 3, "ONE").unwrap();
-        let all = res.cell(StoreKind::CStore, 3, "write ALL").unwrap();
+        let cell = |level| res.cell(&(StoreKind::CStore, 3, level)).expect("cell");
+        let (one, all) = (cell(Level::ONE), cell(Level::WRITE_ALL));
         assert!(
             one.fault_tput > all.fault_tput,
             "ONE {} should out-serve write-ALL {} during the outage",

@@ -14,59 +14,44 @@
 //! levels keep their latency but pay in staleness (Cassandra: stale-read
 //! fraction; HBase: the follower replication window), strong levels pay
 //! one or two WAN round trips per operation.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use cstore::{CStoreConfig, Consistency, Partitioner};
+use cstore::{CStoreConfig, Partitioner};
 use faults::FaultPlan;
 use hstore::HStoreConfig;
 use ycsb::{balanced_tokens, WorkloadSpec};
 
-use crate::consistency::Level;
-use crate::driver::{self, ArrivalMode, DriverConfig};
+use crate::driver::{DriverConfig, RunOutcome};
+use crate::experiment::{Experiment, Grid, Level, Part, RunShape, Store};
 use crate::report::{fmt_ops, Table};
-use crate::resilience::RetryPolicy;
 use crate::setup::{Scale, StoreKind};
-use crate::sweep::{BasePool, Sweep, Telemetry};
 
-/// The level label used for the HBase analog's async-replication rows
-/// (HBase has no consistency knob; geo mode adds asynchrony, not a level).
-pub const HSTORE_LEVEL: &str = "async-ship";
+/// The level label of the HBase analog's async-replication rows (HBase has
+/// no consistency knob; geo mode adds asynchrony, not a level).
+pub const ASYNC_SHIP: Level = Level {
+    name: "async-ship",
+    ..Level::STRONG
+};
 
 /// The five strategies of the geo sweep: the paper's three plus the two
 /// datacenter-aware levels the geo subsystem adds.
 pub const GEO_LEVELS: [Level; 5] = [
-    Level {
-        name: "ONE",
-        read: Consistency::One,
-        write: Consistency::One,
-    },
-    Level {
-        name: "LOCAL_QUORUM",
-        read: Consistency::LocalQuorum,
-        write: Consistency::LocalQuorum,
-    },
-    Level {
-        name: "QUORUM",
-        read: Consistency::Quorum,
-        write: Consistency::Quorum,
-    },
-    Level {
-        name: "EACH_QUORUM",
-        read: Consistency::EachQuorum,
-        write: Consistency::EachQuorum,
-    },
-    Level {
-        name: "write ALL",
-        read: Consistency::One,
-        write: Consistency::All,
-    },
+    Level::ONE,
+    Level::LOCAL_QUORUM,
+    Level::QUORUM,
+    Level::EACH_QUORUM,
+    Level::WRITE_ALL,
 ];
 
 /// Configuration of the Fig. 7 experiment.
 #[derive(Debug, Clone)]
 pub struct GeoExperimentConfig {
-    /// Record/cache scale (`scale.nodes` is ignored: the cluster is
-    /// `nodes_per_region × regions`).
-    pub scale: Scale,
+    /// Scale, run length and seed (`run.scale.nodes` is ignored: the
+    /// cluster is `nodes_per_region × regions`). Cells with the same region
+    /// count share their driver seed, so levels that take identical code
+    /// paths (single-region LOCAL_QUORUM vs QUORUM) produce bit-identical
+    /// rows.
+    pub run: RunShape,
     /// Servers per datacenter.
     pub nodes_per_region: usize,
     /// Replicas per datacenter (Cassandra analog: the NetworkTopology
@@ -88,25 +73,22 @@ pub struct GeoExperimentConfig {
     pub workload: WorkloadSpec,
     /// Client threads.
     pub threads: usize,
-    /// Target throughput (0 = unthrottled peak probe).
+    /// Cluster-wide target throughput, ops/s; `0.0` = unthrottled.
     pub target_ops_per_sec: f64,
-    /// Warm-up completions per run.
-    pub warmup_ops: u64,
-    /// Measured completions per run.
-    pub measure_ops: u64,
     /// Fault plan injected into every cell (empty by default; region-scoped
     /// kinds let a whole datacenter crash or partition mid-run).
     pub faults: FaultPlan,
-    /// Seed. Cells with the same region count share their driver seed, so
-    /// levels that take identical code paths (single-region LOCAL_QUORUM vs
-    /// QUORUM) produce bit-identical rows.
-    pub seed: u64,
 }
 
 impl Default for GeoExperimentConfig {
     fn default() -> Self {
         Self {
-            scale: Scale::stress(),
+            run: RunShape {
+                scale: Scale::stress(),
+                warmup_ops: 2_000,
+                measure_ops: 20_000,
+                seed: 42,
+            },
             nodes_per_region: 5,
             rf_per_dc: 3,
             region_counts: vec![1, 2, 3],
@@ -117,36 +99,14 @@ impl Default for GeoExperimentConfig {
             workload: WorkloadSpec::read_update(),
             threads: 48,
             target_ops_per_sec: 0.0,
-            warmup_ops: 2_000,
-            measure_ops: 20_000,
             faults: FaultPlan::new(),
-            seed: 42,
         }
     }
 }
 
-impl GeoExperimentConfig {
-    /// A fast variant for tests and smoke runs (same grid, tiny scale).
-    pub fn quick() -> Self {
-        Self {
-            scale: Scale::tiny(),
-            threads: 8,
-            warmup_ops: 100,
-            measure_ops: 600,
-            ..Self::default()
-        }
-    }
-}
-
-/// One Fig. 7 cell: one (store, region count, level) run.
+/// One Fig. 7 cell: one (regions, store, level) run.
 #[derive(Debug, Clone)]
 pub struct GeoCell {
-    /// Which store.
-    pub store: StoreKind,
-    /// Datacenters in the cluster.
-    pub regions: u32,
-    /// Consistency strategy name ([`HSTORE_LEVEL`] for the HBase analog).
-    pub level: &'static str,
     /// Total replicas per key across all datacenters.
     pub rf_total: u32,
     /// Runtime throughput, ops/s.
@@ -167,30 +127,145 @@ pub struct GeoCell {
     pub repl_window_us: f64,
 }
 
-/// The full Fig. 7 result.
-#[derive(Debug, Clone)]
-pub struct GeoResult {
-    /// Every (store, regions, level) cell.
-    pub cells: Vec<GeoCell>,
-    /// What the sweep cost.
-    pub telemetry: Telemetry,
-}
-
-impl GeoResult {
-    /// The cell for `(store, regions, level)`, if present.
-    pub fn cell(&self, store: StoreKind, regions: u32, level: &str) -> Option<&GeoCell> {
-        self.cells
-            .iter()
-            .find(|c| c.store == store && c.regions == regions && c.level == level)
+impl GeoExperimentConfig {
+    /// The per-region-pair jitter seed is tied to the experiment seed so two
+    /// runs of the same config see the same asymmetric WAN matrix.
+    fn geo_config(&self, regions: u32) -> geo::GeoConfig {
+        geo::GeoConfig {
+            regions,
+            racks_per_region: 1,
+            inter_region_us: self.inter_region_us,
+            wan_jitter: self.wan_jitter,
+            jitter_seed: self.run.seed,
+        }
     }
 
-    /// Render one table per region count — the Fig. 7 panels.
-    pub fn render(&self) -> String {
+    /// The Cassandra-analog geo cluster: `nodes_per_region` nodes per
+    /// datacenter, `rf_per_dc` replicas per datacenter via NetworkTopology.
+    fn build_cstore(&self, regions: u32, level: Level) -> cstore::Cluster {
+        let npr = self.nodes_per_region;
+        let nodes = npr * regions as usize;
+        let mut c = CStoreConfig::paper_testbed(
+            self.rf_per_dc * regions,
+            Partitioner::order_preserving(balanced_tokens(nodes)),
+        );
+        c.nodes = nodes;
+        let prop = c.profile.nic.prop_us;
+        c.topology = self.geo_config(regions).topology(npr, prop, prop);
+        c.strategy = geo::Strategy::network_topology(regions, self.rf_per_dc);
+        c.lsm = self.run.scale.lsm();
+        c.read_cl = level.read;
+        c.write_cl = level.write;
+        cstore::Cluster::new(c)
+    }
+
+    /// The HBase-analog geo cluster: the primary region serves all
+    /// traffic, `regions - 1` follower regions receive shipped WAL groups.
+    fn build_hstore(&self, regions: u32) -> hstore::Cluster {
+        let npr = self.nodes_per_region;
+        let splits: Vec<_> = balanced_tokens(npr).into_iter().skip(1).collect();
+        let mut h = HStoreConfig::paper_testbed(self.hstore_rf(), splits);
+        h.nodes = npr;
+        h.topology = simkit::Topology::single_rack(npr, h.profile.nic.prop_us);
+        h.lsm = self.run.scale.lsm();
+        h.follower_regions = regions - 1;
+        h.ship_wan_us = self.inter_region_us;
+        h.ship_lag_us = self.ship_lag_us;
+        hstore::Cluster::new(h, 0xB0A7 ^ u64::from(regions))
+    }
+
+    fn hstore_rf(&self) -> u32 {
+        self.rf_per_dc.min(self.nodes_per_region as u32)
+    }
+}
+
+impl Experiment for GeoExperimentConfig {
+    /// `(regions, store, level)`; the HBase analog's level is [`ASYNC_SHIP`].
+    type Spec = (u32, StoreKind, Level);
+    type Base = Self::Spec;
+    type Cell = GeoCell;
+
+    /// Same grid, tiny scale.
+    fn quick() -> Self {
+        Self {
+            run: RunShape {
+                scale: Scale::tiny(),
+                warmup_ops: 100,
+                measure_ops: 600,
+                seed: 42,
+            },
+            threads: 8,
+            ..Self::default()
+        }
+    }
+
+    fn shape(&self) -> &RunShape {
+        &self.run
+    }
+
+    /// Region-count-major: the Cassandra analog's levels, then the HBase
+    /// analog's async-replication cell.
+    fn specs(&self) -> Vec<Self::Spec> {
+        let mut specs = Vec::new();
+        for &r in &self.region_counts {
+            specs.extend(self.levels.iter().map(|&l| (r, StoreKind::CStore, l)));
+            specs.push((r, StoreKind::HStore, ASYNC_SHIP));
+        }
+        specs
+    }
+
+    fn base(&self, spec: &Self::Spec) -> Self::Base {
+        *spec
+    }
+
+    fn build(&self, &(regions, store, level): &Self::Base) -> Store {
+        match store {
+            StoreKind::CStore => Store::C(self.build_cstore(regions, level)),
+            StoreKind::HStore => Store::H(self.build_hstore(regions)),
+        }
+    }
+
+    /// Cells with equal region counts share one driver seed so levels that
+    /// must coincide (single-region LOCAL_QUORUM vs QUORUM) stay
+    /// bit-identical; different region counts get distinct streams.
+    fn driver(&self, &(regions, _, _): &Self::Spec, _: u64) -> DriverConfig {
+        DriverConfig {
+            faults: self.faults.clone(),
+            ..self.run.driver(
+                self.workload.clone(),
+                self.run.seed ^ (u64::from(regions) << 17),
+                self.threads,
+                self.target_ops_per_sec,
+            )
+        }
+    }
+
+    fn cell(&self, &(regions, _, _): &Self::Spec, run: RunOutcome, store: &Store) -> GeoCell {
+        let (rf_per_dc, repl_window_us) = match store {
+            Store::C(_) => (self.rf_per_dc, 0.0),
+            Store::H(h) => (self.hstore_rf(), h.mean_replication_window_us()),
+        };
+        let measured = self.run.measure_ops;
+        GeoCell {
+            rf_total: rf_per_dc * regions,
+            runtime: run.throughput,
+            goodput: if measured == 0 {
+                0.0
+            } else {
+                run.throughput * (1.0 - run.errors as f64 / measured as f64)
+            },
+            mean_us: run.mean_latency_us,
+            p99_us: run.metrics.overall().quantile(0.99),
+            errors: run.errors,
+            stale_fraction: run.stale_fraction,
+            repl_window_us,
+        }
+    }
+
+    /// One table per region count — the Fig. 7 panels.
+    fn render(grid: &Grid<Self>) -> String {
         let mut out = String::new();
-        let mut region_counts: Vec<u32> = self.cells.iter().map(|c| c.regions).collect();
-        region_counts.sort_unstable();
-        region_counts.dedup();
-        for regions in region_counts {
+        for &regions in &grid.exp.region_counts {
             let mut t = Table::new(
                 &format!("Fig. 7 — geo-replication PACELC: {regions} region(s)"),
                 &[
@@ -205,27 +280,28 @@ impl GeoResult {
                     "repl_window_us",
                 ],
             );
-            for c in self.cells.iter().filter(|c| c.regions == regions) {
-                t.row(vec![
-                    c.store.short().to_owned(),
-                    c.level.to_owned(),
-                    c.rf_total.to_string(),
-                    fmt_ops(c.runtime),
-                    fmt_ops(c.goodput),
-                    format!("{:.1}", c.mean_us),
-                    c.p99_us.to_string(),
-                    format!("{:.5}", c.stale_fraction),
-                    format!("{:.1}", c.repl_window_us),
-                ]);
+            for (&(r, store, level), c) in grid.rows() {
+                if r == regions {
+                    t.row(vec![
+                        store.short().to_owned(),
+                        level.name.to_owned(),
+                        c.rf_total.to_string(),
+                        fmt_ops(c.runtime),
+                        fmt_ops(c.goodput),
+                        format!("{:.1}", c.mean_us),
+                        c.p99_us.to_string(),
+                        format!("{:.5}", c.stale_fraction),
+                        format!("{:.1}", c.repl_window_us),
+                    ]);
+                }
             }
             out.push_str(&t.render());
             out.push('\n');
         }
-        out
+        out + "\n"
     }
 
-    /// CSV table of every cell.
-    pub fn table(&self) -> Table {
+    fn files(grid: &Grid<Self>) -> Vec<Part> {
         let mut t = Table::new(
             "fig7_geo",
             &[
@@ -242,11 +318,11 @@ impl GeoResult {
                 "repl_window_us",
             ],
         );
-        for c in &self.cells {
+        for (&(regions, store, level), c) in grid.rows() {
             t.row(vec![
-                c.store.short().to_owned(),
-                c.regions.to_string(),
-                c.level.to_owned(),
+                store.short().to_owned(),
+                regions.to_string(),
+                level.name.to_owned(),
                 c.rf_total.to_string(),
                 format!("{:.1}", c.runtime),
                 format!("{:.1}", c.goodput),
@@ -257,188 +333,28 @@ impl GeoResult {
                 format!("{:.1}", c.repl_window_us),
             ]);
         }
-        t
-    }
-}
-
-/// The per-region-pair jitter seed is tied to the experiment seed so two
-/// runs of the same config see the same asymmetric WAN matrix.
-fn geo_config(cfg: &GeoExperimentConfig, regions: u32) -> geo::GeoConfig {
-    geo::GeoConfig {
-        regions,
-        racks_per_region: 1,
-        inter_region_us: cfg.inter_region_us,
-        wan_jitter: cfg.wan_jitter,
-        jitter_seed: cfg.seed,
-    }
-}
-
-/// Build the Cassandra-analog geo cluster: `nodes_per_region` nodes per
-/// datacenter, `rf_per_dc` replicas per datacenter via NetworkTopology.
-fn build_geo_cstore(cfg: &GeoExperimentConfig, regions: u32, level: Level) -> cstore::Cluster {
-    let npr = cfg.nodes_per_region;
-    let nodes = npr * regions as usize;
-    let rf_total = cfg.rf_per_dc * regions;
-    let mut c = CStoreConfig::paper_testbed(
-        rf_total,
-        Partitioner::order_preserving(balanced_tokens(nodes)),
-    );
-    c.nodes = nodes;
-    let prop = c.profile.nic.prop_us;
-    c.topology = geo_config(cfg, regions).topology(npr, prop, prop);
-    c.strategy = geo::Strategy::network_topology(regions, cfg.rf_per_dc);
-    c.lsm = cfg.scale.lsm();
-    c.read_cl = level.read;
-    c.write_cl = level.write;
-    cstore::Cluster::new(c)
-}
-
-/// Build the HBase-analog geo cluster: the primary region serves all
-/// traffic, `regions - 1` follower regions receive shipped WAL groups.
-fn build_geo_hstore(cfg: &GeoExperimentConfig, regions: u32) -> hstore::Cluster {
-    let npr = cfg.nodes_per_region;
-    let splits: Vec<_> = balanced_tokens(npr).into_iter().skip(1).collect();
-    let mut h = HStoreConfig::paper_testbed(cfg.rf_per_dc.min(npr as u32), splits);
-    h.nodes = npr;
-    h.topology = simkit::Topology::single_rack(npr, h.profile.nic.prop_us);
-    h.lsm = cfg.scale.lsm();
-    h.follower_regions = regions - 1;
-    h.ship_wan_us = cfg.inter_region_us;
-    h.ship_lag_us = cfg.ship_lag_us;
-    hstore::Cluster::new(h, 0xB0A7 ^ u64::from(regions))
-}
-
-fn driver_config(cfg: &GeoExperimentConfig, seed: u64) -> DriverConfig {
-    DriverConfig {
-        workload: cfg.workload.clone(),
-        threads: cfg.threads,
-        target_ops_per_sec: cfg.target_ops_per_sec,
-        records: cfg.scale.records,
-        value_len: cfg.scale.value_len,
-        warmup_ops: cfg.warmup_ops,
-        measure_ops: cfg.measure_ops,
-        seed,
-        faults: cfg.faults.clone(),
-        timeline_window_us: 0,
-        retry: RetryPolicy::none(),
-        trace: obs::TraceConfig::off(),
-        audit: audit::AuditConfig::off(),
-        arrival: ArrivalMode::ClosedLoop,
-    }
-}
-
-fn goodput(run: &driver::RunOutcome, measure_ops: u64) -> f64 {
-    if measure_ops == 0 {
-        return 0.0;
-    }
-    run.throughput * (1.0 - run.errors as f64 / measure_ops as f64)
-}
-
-/// Run the full Fig. 7 experiment through the sweep engine.
-pub fn run_geo(cfg: &GeoExperimentConfig) -> GeoResult {
-    run_geo_with(cfg, &Sweep::from_env())
-}
-
-/// [`run_geo`] on a caller-configured engine.
-pub fn run_geo_with(cfg: &GeoExperimentConfig, sweep: &Sweep) -> GeoResult {
-    // One cell per (regions, level) for the Cassandra analog plus one
-    // async-replication cell per region count for the HBase analog, in
-    // region-count-major order. `None` marks the HBase cell.
-    let specs: Vec<(u32, Option<usize>)> = cfg
-        .region_counts
-        .iter()
-        .flat_map(|&r| {
-            (0..cfg.levels.len())
-                .map(move |l| (r, Some(l)))
-                .chain(std::iter::once((r, None)))
-        })
-        .collect();
-    let cpool: BasePool<(u32, usize), cstore::Cluster> = BasePool::new(
-        cfg.region_counts
-            .iter()
-            .flat_map(|&r| (0..cfg.levels.len()).map(move |l| (r, l))),
-    );
-    let hpool: BasePool<u32, hstore::Cluster> = BasePool::new(cfg.region_counts.iter().copied());
-
-    let outcome = sweep.run(cfg.seed, &specs, |_ctx, &(regions, level_idx)| {
-        // Cells with equal region counts share one driver seed so levels
-        // that must coincide (single-region LOCAL_QUORUM vs QUORUM) stay
-        // bit-identical; different region counts get distinct streams.
-        let cell_seed = cfg.seed ^ (u64::from(regions) << 17);
-        match level_idx {
-            Some(l) => {
-                let level = cfg.levels[l];
-                let mut snapshot = cpool
-                    .get_or_load(&(regions, l), || {
-                        let mut base = build_geo_cstore(cfg, regions, level);
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                let run = driver::run(&mut snapshot, &driver_config(cfg, cell_seed));
-                GeoCell {
-                    store: StoreKind::CStore,
-                    regions,
-                    level: level.name,
-                    rf_total: cfg.rf_per_dc * regions,
-                    runtime: run.throughput,
-                    goodput: goodput(&run, cfg.measure_ops),
-                    mean_us: run.mean_latency_us,
-                    p99_us: run.metrics.overall().quantile(0.99),
-                    errors: run.errors,
-                    stale_fraction: run.stale_fraction,
-                    repl_window_us: 0.0,
-                }
-            }
-            None => {
-                let mut snapshot = hpool
-                    .get_or_load(&regions, || {
-                        let mut base = build_geo_hstore(cfg, regions);
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                let run = driver::run(&mut snapshot, &driver_config(cfg, cell_seed));
-                GeoCell {
-                    store: StoreKind::HStore,
-                    regions,
-                    level: HSTORE_LEVEL,
-                    rf_total: cfg.rf_per_dc.min(cfg.nodes_per_region as u32) * regions,
-                    runtime: run.throughput,
-                    goodput: goodput(&run, cfg.measure_ops),
-                    mean_us: run.mean_latency_us,
-                    p99_us: run.metrics.overall().quantile(0.99),
-                    errors: run.errors,
-                    stale_fraction: run.stale_fraction,
-                    repl_window_us: snapshot.mean_replication_window_us(),
-                }
-            }
-        }
-    });
-
-    let mut telemetry = outcome.telemetry;
-    telemetry.record_pool(&cpool);
-    telemetry.record_pool(&hpool);
-    GeoResult {
-        cells: outcome.results,
-        telemetry,
+        vec![Part::csv("fig7_geo.csv", &t)]
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::driver;
+
+    fn cstore_cell(res: &Grid<GeoExperimentConfig>, regions: u32, level: Level) -> &GeoCell {
+        res.cell(&(regions, StoreKind::CStore, level))
+            .expect("cell")
+    }
 
     #[test]
-    fn quick_geo_produces_the_full_grid() {
-        let cfg = GeoExperimentConfig::quick();
-        let res = run_geo(&cfg);
-        // 3 region counts × (5 levels + 1 hstore row).
-        assert_eq!(res.cells.len(), 18);
+    fn every_cell_runs_on_its_own_base() {
+        let res = GeoExperimentConfig::quick().run();
         for c in &res.cells {
             assert!(c.runtime > 0.0, "{c:?}");
         }
-        assert!(res.render().contains("Fig. 7"));
+        // 3 region counts × (5 levels + 1 hstore row).
         assert_eq!(res.telemetry.base_loads, 18);
     }
 
@@ -446,13 +362,13 @@ mod tests {
     fn single_region_dc_aware_levels_match_quorum_exactly() {
         let mut cfg = GeoExperimentConfig::quick();
         cfg.region_counts = vec![1];
-        let res = run_geo(&cfg);
-        let q = res.cell(StoreKind::CStore, 1, "QUORUM").expect("cell");
-        for level in ["LOCAL_QUORUM", "EACH_QUORUM"] {
-            let c = res.cell(StoreKind::CStore, 1, level).expect("cell");
-            assert_eq!(c.runtime, q.runtime, "{level} runtime diverged");
-            assert_eq!(c.mean_us, q.mean_us, "{level} latency diverged");
-            assert_eq!(c.p99_us, q.p99_us, "{level} p99 diverged");
+        let res = cfg.run();
+        let q = cstore_cell(&res, 1, Level::QUORUM);
+        for level in [Level::LOCAL_QUORUM, Level::EACH_QUORUM] {
+            let c = cstore_cell(&res, 1, level);
+            assert_eq!(c.runtime, q.runtime, "{} runtime diverged", level.name);
+            assert_eq!(c.mean_us, q.mean_us, "{} latency diverged", level.name);
+            assert_eq!(c.p99_us, q.p99_us, "{} p99 diverged", level.name);
             assert_eq!(c.errors, q.errors);
         }
     }
@@ -461,9 +377,10 @@ mod tests {
     fn three_regions_reproduce_the_pacelc_trade() {
         let mut cfg = GeoExperimentConfig::quick();
         cfg.region_counts = vec![3];
-        let res = run_geo(&cfg);
-        let one = res.cell(StoreKind::CStore, 3, "ONE").expect("cell");
-        let each = res.cell(StoreKind::CStore, 3, "EACH_QUORUM").expect("cell");
+        let res = cfg.run();
+        let cfg = &res.exp;
+        let one = cstore_cell(&res, 3, Level::ONE);
+        let each = cstore_cell(&res, 3, Level::EACH_QUORUM);
         // Latency: EACH_QUORUM pays at least one WAN round trip per op.
         assert!(
             each.mean_us > one.mean_us + 2.0 * cfg.inter_region_us as f64 * 0.5,
@@ -475,7 +392,7 @@ mod tests {
         assert!(each.stale_fraction <= one.stale_fraction);
         // The HBase analog keeps local latency but pays a replication
         // window of at least ship lag + WAN delay.
-        let h = res.cell(StoreKind::HStore, 3, HSTORE_LEVEL).expect("cell");
+        let h = res.cell(&(3, StoreKind::HStore, ASYNC_SHIP)).expect("cell");
         assert!(h.mean_us < each.mean_us);
         assert!(h.repl_window_us >= (cfg.ship_lag_us + cfg.inter_region_us) as f64);
     }
@@ -489,7 +406,7 @@ mod tests {
         let cfg = GeoExperimentConfig::quick();
         let run = |strategy: geo::Strategy| {
             let level = GEO_LEVELS[0];
-            let mut c = build_geo_cstore(&cfg, 1, level);
+            let mut c = cfg.build_cstore(1, level);
             assert_eq!(c.config().strategy, geo::Strategy::network_topology(1, 3));
             if strategy == geo::Strategy::Simple {
                 let mut base = CStoreConfig::paper_testbed(
@@ -498,14 +415,21 @@ mod tests {
                 );
                 base.nodes = cfg.nodes_per_region;
                 let prop = base.profile.nic.prop_us;
-                base.topology = geo_config(&cfg, 1).topology(cfg.nodes_per_region, prop, prop);
-                base.lsm = cfg.scale.lsm();
+                base.topology = cfg.geo_config(1).topology(cfg.nodes_per_region, prop, prop);
+                base.lsm = cfg.run.scale.lsm();
                 base.read_cl = level.read;
                 base.write_cl = level.write;
                 c = cstore::Cluster::new(base);
             }
-            driver::load(&mut c, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-            let run = driver::run(&mut c, &driver_config(&cfg, cfg.seed));
+            let scale = &cfg.run.scale;
+            driver::load(&mut c, scale.records, scale.value_len, cfg.run.seed);
+            let dcfg = cfg.run.driver(
+                cfg.workload.clone(),
+                cfg.run.seed,
+                cfg.threads,
+                cfg.target_ops_per_sec,
+            );
+            let run = driver::run(&mut c, &dcfg);
             (
                 run.throughput,
                 run.mean_latency_us,
@@ -528,12 +452,10 @@ mod tests {
         let mut cfg = GeoExperimentConfig::quick();
         cfg.region_counts = vec![2];
         cfg.faults = FaultPlan::new().crash_region_at(1, 50_000);
-        cfg.levels = vec![GEO_LEVELS[1], GEO_LEVELS[3]];
-        let res = run_geo(&cfg);
-        let local = res
-            .cell(StoreKind::CStore, 2, "LOCAL_QUORUM")
-            .expect("cell");
-        let each = res.cell(StoreKind::CStore, 2, "EACH_QUORUM").expect("cell");
+        cfg.levels = vec![Level::LOCAL_QUORUM, Level::EACH_QUORUM];
+        let res = cfg.run();
+        let local = cstore_cell(&res, 2, Level::LOCAL_QUORUM);
+        let each = cstore_cell(&res, 2, Level::EACH_QUORUM);
         assert!(each.errors > 0, "EACH_QUORUM must fail during a DC outage");
         assert!(
             each.errors > local.errors,

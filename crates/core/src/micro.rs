@@ -4,16 +4,15 @@
 //! by limiting the number of concurrence requests, and conduct six rounds of
 //! testing. In each round, the replication factor is increased by one, and
 //! the update/read/insert/scan test is run one after another."
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use storage::OpKind;
 use ycsb::WorkloadSpec;
 
-use crate::driver::{self, DriverConfig};
-use crate::report::{fmt_us, Table};
-use crate::resilience::RetryPolicy;
-use crate::setup::{build_cstore, build_hstore, Scale, StoreKind};
-use crate::sweep::{BasePool, Sweep, Telemetry};
-use cstore::Consistency;
+use crate::driver::{DriverConfig, RunOutcome};
+use crate::experiment::{Experiment, Grid, Level, Part, RunShape, Store};
+use crate::report::{bar_chart, fmt_us, Table};
+use crate::setup::{Scale, StoreKind};
 
 /// The micro-test round order used by the paper.
 pub const MICRO_OPS: [OpKind; 4] = [OpKind::Update, OpKind::Read, OpKind::Insert, OpKind::Scan];
@@ -21,60 +20,35 @@ pub const MICRO_OPS: [OpKind; 4] = [OpKind::Update, OpKind::Read, OpKind::Insert
 /// Configuration of the Fig. 1 experiment.
 #[derive(Debug, Clone)]
 pub struct MicroConfig {
-    /// Record/cache scale.
-    pub scale: Scale,
-    /// Replication factors to sweep.
+    /// Scale, run length and seed.
+    pub run: RunShape,
+    /// Replication factors to sweep, ascending.
     pub rfs: Vec<u32>,
-    /// Client threads (kept modest: the paper limits concurrency).
+    /// Client threads: modest (the paper limits concurrency).
     pub threads: usize,
-    /// Cluster-wide target throughput keeping the testbed unsaturated.
+    /// Target throughput, ops/s: keeps the testbed unsaturated.
     pub target_ops_per_sec: f64,
-    /// Warm-up completions per round.
-    pub warmup_ops: u64,
-    /// Measured completions per round.
-    pub measure_ops: u64,
-    /// Seed.
-    pub seed: u64,
 }
 
 impl Default for MicroConfig {
     fn default() -> Self {
         Self {
-            scale: Scale::micro(),
+            run: RunShape {
+                scale: Scale::micro(),
+                warmup_ops: 1_000,
+                measure_ops: 8_000,
+                seed: 42,
+            },
             rfs: (1..=6).collect(),
             threads: 48,
             target_ops_per_sec: 1_500.0,
-            warmup_ops: 1_000,
-            measure_ops: 8_000,
-            seed: 42,
         }
     }
 }
 
-impl MicroConfig {
-    /// A fast variant for tests and smoke runs.
-    pub fn quick() -> Self {
-        Self {
-            scale: Scale::tiny(),
-            rfs: vec![1, 3],
-            threads: 4,
-            target_ops_per_sec: 400.0,
-            warmup_ops: 100,
-            measure_ops: 500,
-            seed: 42,
-        }
-    }
-}
-
-/// One measured point of Fig. 1.
+/// One measured point of Fig. 1: one (store, RF, operation) round.
 #[derive(Debug, Clone)]
 pub struct MicroCell {
-    /// Which store.
-    pub store: StoreKind,
-    /// Replication factor.
-    pub rf: u32,
-    /// The atomic operation of the round.
-    pub op: OpKind,
     /// Mean latency, µs.
     pub mean_us: f64,
     /// 95th-percentile latency, µs.
@@ -83,40 +57,69 @@ pub struct MicroCell {
     pub throughput: f64,
 }
 
-/// The full Fig. 1 result.
-#[derive(Debug, Clone)]
-pub struct MicroResult {
-    /// All measured cells.
-    pub cells: Vec<MicroCell>,
-    /// What the sweep cost (wall time, utilization, base loads).
-    pub telemetry: Telemetry,
-}
+impl Experiment for MicroConfig {
+    type Spec = (StoreKind, u32, OpKind);
+    type Base = (StoreKind, u32);
+    type Cell = MicroCell;
 
-impl MicroResult {
-    /// The cell for a specific point.
-    pub fn cell(&self, store: StoreKind, rf: u32, op: OpKind) -> Option<&MicroCell> {
-        self.cells
-            .iter()
-            .find(|c| c.store == store && c.rf == rf && c.op == op)
+    fn quick() -> Self {
+        Self {
+            run: RunShape {
+                scale: Scale::tiny(),
+                warmup_ops: 100,
+                measure_ops: 500,
+                seed: 42,
+            },
+            rfs: vec![1, 3],
+            threads: 4,
+            target_ops_per_sec: 400.0,
+        }
     }
 
-    /// Mean-latency series for `(store, op)` ordered by RF.
-    pub fn series(&self, store: StoreKind, op: OpKind) -> Vec<(u32, f64)> {
-        let mut v: Vec<(u32, f64)> = self
-            .cells
-            .iter()
-            .filter(|c| c.store == store && c.op == op)
-            .map(|c| (c.rf, c.mean_us))
-            .collect();
-        v.sort_by_key(|&(rf, _)| rf);
-        v
+    fn shape(&self) -> &RunShape {
+        &self.run
     }
 
-    /// Render one table per store: RF rows × operation columns (mean
-    /// latency), the shape of the paper's Fig. 1.
-    pub fn render(&self) -> String {
+    fn specs(&self) -> Vec<Self::Spec> {
+        let mut specs = Vec::new();
+        for store in [StoreKind::CStore, StoreKind::HStore] {
+            for &rf in &self.rfs {
+                specs.extend(MICRO_OPS.iter().map(|&op| (store, rf, op)));
+            }
+        }
+        specs.sort();
+        specs
+    }
+
+    fn base(&self, &(store, rf, _): &Self::Spec) -> Self::Base {
+        (store, rf)
+    }
+
+    fn build(&self, &(store, rf): &Self::Base) -> Store {
+        Store::paper(&self.run.scale, &(store, rf, Level::ONE))
+    }
+
+    fn driver(&self, &(_, _, op): &Self::Spec, seed: u64) -> DriverConfig {
+        let workload = WorkloadSpec::micro(op);
+        self.run
+            .driver(workload, seed, self.threads, self.target_ops_per_sec)
+    }
+
+    fn cell(&self, &(_, _, op): &Self::Spec, out: RunOutcome, _: &Store) -> MicroCell {
+        let hist = out.metrics.for_op(op).cloned().unwrap_or_default();
+        MicroCell {
+            mean_us: hist.mean(),
+            p95_us: hist.p95(),
+            throughput: out.throughput,
+        }
+    }
+
+    /// One table per store — RF rows × operation columns (mean latency),
+    /// the shape of the paper's Fig. 1 — then one latency curve per round.
+    fn render(grid: &Grid<Self>) -> String {
+        let stores = [StoreKind::HStore, StoreKind::CStore];
         let mut out = String::new();
-        for store in [StoreKind::HStore, StoreKind::CStore] {
+        for store in stores {
             let mut t = Table::new(
                 &format!(
                     "Fig. 1 — micro benchmark for replication: {}",
@@ -124,136 +127,55 @@ impl MicroResult {
                 ),
                 &["rf", "UPDATE mean", "READ mean", "INSERT mean", "SCAN mean"],
             );
-            let mut rfs: Vec<u32> = self
-                .cells
-                .iter()
-                .filter(|c| c.store == store)
-                .map(|c| c.rf)
-                .collect();
-            rfs.sort_unstable();
-            rfs.dedup();
-            for rf in rfs {
-                let cell = |op| {
-                    self.cell(store, rf, op)
+            for &rf in &grid.exp.rfs {
+                let mut row = vec![rf.to_string()];
+                row.extend(MICRO_OPS.iter().map(|&op| {
+                    grid.cell(&(store, rf, op))
                         .map_or("-".to_owned(), |c| fmt_us(c.mean_us))
-                };
-                t.row(vec![
-                    rf.to_string(),
-                    cell(OpKind::Update),
-                    cell(OpKind::Read),
-                    cell(OpKind::Insert),
-                    cell(OpKind::Scan),
-                ]);
+                }));
+                t.row(row);
             }
             out.push_str(&t.render());
             out.push('\n');
         }
+        out.push('\n');
+        for store in stores {
+            for op in MICRO_OPS {
+                let title = format!("{} {} mean latency vs RF", store.short(), op.label());
+                out.push_str(&bar_chart(&title, "us", &grid.series(store, op)));
+                out.push('\n');
+            }
+        }
         out
     }
 
-    /// CSV table of every cell.
-    pub fn table(&self) -> Table {
+    fn files(grid: &Grid<Self>) -> Vec<Part> {
         let mut t = Table::new(
             "fig1_micro_replication",
             &["store", "rf", "op", "mean_us", "p95_us", "throughput"],
         );
-        for c in &self.cells {
+        for (&(store, rf, op), c) in grid.rows() {
             t.row(vec![
-                c.store.short().into(),
-                c.rf.to_string(),
-                c.op.label().into(),
+                store.short().into(),
+                rf.to_string(),
+                op.label().into(),
                 format!("{:.1}", c.mean_us),
                 c.p95_us.to_string(),
                 format!("{:.1}", c.throughput),
             ]);
         }
-        t
+        vec![Part::csv("fig1_micro.csv", &t)]
     }
 }
 
-fn micro_driver_cfg(cfg: &MicroConfig, op: OpKind, seed: u64) -> DriverConfig {
-    DriverConfig {
-        workload: WorkloadSpec::micro(op),
-        threads: cfg.threads,
-        target_ops_per_sec: cfg.target_ops_per_sec,
-        records: cfg.scale.records,
-        value_len: cfg.scale.value_len,
-        warmup_ops: cfg.warmup_ops,
-        measure_ops: cfg.measure_ops,
-        seed,
-        faults: Default::default(),
-        timeline_window_us: 0,
-        retry: RetryPolicy::none(),
-        trace: obs::TraceConfig::off(),
-        audit: audit::AuditConfig::off(),
-        arrival: crate::driver::ArrivalMode::ClosedLoop,
+impl Grid<MicroConfig> {
+    /// Mean-latency series for `(store, op)`: `("rf=N", µs)` in RF order.
+    pub fn series(&self, store: StoreKind, op: OpKind) -> Vec<(String, f64)> {
+        self.rows()
+            .filter(|(&(s, _, o), _)| s == store && o == op)
+            .map(|(&(_, rf, _), c)| (format!("rf={rf}"), c.mean_us))
+            .collect()
     }
-}
-
-/// Run the full Fig. 1 experiment through the sweep engine.
-pub fn run_micro(cfg: &MicroConfig) -> MicroResult {
-    run_micro_with(cfg, &Sweep::from_env())
-}
-
-/// [`run_micro`] on a caller-configured engine (the determinism tests run
-/// the same grid serially and in parallel).
-pub fn run_micro_with(cfg: &MicroConfig, sweep: &Sweep) -> MicroResult {
-    // One cell per (store, RF, operation round); each (store, RF) base
-    // state is bulk-loaded once and snapshot-cloned per round.
-    let specs: Vec<(StoreKind, u32, OpKind)> = cfg
-        .rfs
-        .iter()
-        .flat_map(|&rf| {
-            [StoreKind::HStore, StoreKind::CStore]
-                .into_iter()
-                .flat_map(move |store| MICRO_OPS.iter().map(move |&op| (store, rf, op)))
-        })
-        .collect();
-    let hpool: BasePool<u32, hstore::Cluster> = BasePool::new(cfg.rfs.iter().copied());
-    let cpool: BasePool<u32, cstore::Cluster> = BasePool::new(cfg.rfs.iter().copied());
-
-    let outcome = sweep.run(cfg.seed, &specs, |ctx, &(store, rf, op)| {
-        let dcfg = micro_driver_cfg(cfg, op, ctx.seed);
-        let out = match store {
-            StoreKind::HStore => {
-                let mut snapshot = hpool
-                    .get_or_load(&rf, || {
-                        let mut base = build_hstore(&cfg.scale, rf);
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                driver::run(&mut snapshot, &dcfg)
-            }
-            StoreKind::CStore => {
-                let mut snapshot = cpool
-                    .get_or_load(&rf, || {
-                        let mut base =
-                            build_cstore(&cfg.scale, rf, Consistency::One, Consistency::One);
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                driver::run(&mut snapshot, &dcfg)
-            }
-        };
-        let hist = out.metrics.for_op(op).cloned().unwrap_or_default();
-        MicroCell {
-            store,
-            rf,
-            op,
-            mean_us: hist.mean(),
-            p95_us: hist.p95(),
-            throughput: out.throughput,
-        }
-    });
-
-    let mut telemetry = outcome.telemetry;
-    telemetry.record_pool(&hpool);
-    telemetry.record_pool(&cpool);
-    let mut cells = outcome.results;
-    cells.sort_by_key(|c| (c.store.short(), c.rf, c.op));
-    MicroResult { cells, telemetry }
 }
 
 #[cfg(test)]
@@ -261,21 +183,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_micro_produces_all_cells() {
-        let cfg = MicroConfig::quick();
-        let res = run_micro(&cfg);
-        // 2 stores × 2 RFs × 4 ops.
-        assert_eq!(res.cells.len(), 16);
+    fn quick_micro_measures_every_round() {
+        let res = MicroConfig::quick().run();
         for c in &res.cells {
             assert!(c.mean_us > 0.0, "{c:?} has zero latency");
             assert!(c.throughput > 0.0);
         }
-        let rendered = res.render();
-        assert!(rendered.contains("Fig. 1"));
-        assert!(rendered.contains("hstore"));
         let series = res.series(StoreKind::CStore, OpKind::Read);
         assert_eq!(series.len(), 2);
-        assert_eq!(series[0].0, 1);
+        assert_eq!(series[0].0, "rf=1");
         // Each of the 4 base states (2 stores × 2 RFs) loaded exactly once.
         assert_eq!(res.telemetry.base_loads, 4);
         assert_eq!(res.telemetry.base_states, 4);

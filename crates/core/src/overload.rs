@@ -26,16 +26,15 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use cstore::Consistency;
-use faults::FaultPlan;
 use simkit::{AdmissionConfig, AdmissionPolicy};
 use ycsb::{FlashCrowd, OpenLoop, Tenant, WorkloadSpec};
 
-use crate::driver::{self, ArrivalMode, DriverConfig};
+use crate::driver::{ArrivalMode, DriverConfig, RunOutcome};
+use crate::experiment::{Experiment, Grid, Part, RunShape, Store};
 use crate::report::{fmt_ops, Table};
 use crate::resilience::RetryPolicy;
-use crate::setup::{self, Scale, StoreKind};
+use crate::setup::{build_cstore_with, build_hstore_with, Scale, StoreKind};
 use crate::sla::Sla;
-use crate::sweep::{BasePool, Sweep, Telemetry};
 
 /// Row label for the uncontrolled arm.
 pub const CONTROL_OFF: &str = "none";
@@ -45,8 +44,10 @@ pub const CONTROL_ON: &str = "shed";
 /// Configuration of the Fig. 10 experiment.
 #[derive(Debug, Clone)]
 pub struct OverloadConfig {
-    /// Record/cache scale and cluster size.
-    pub scale: Scale,
+    /// Scale, run length and seed. Cells at the same offered load share
+    /// their driver seed across the control arms, so both arms face the
+    /// identical arrival sequence.
+    pub run: RunShape,
     /// Replication factor.
     pub rf: u32,
     /// Read consistency (Cassandra analog).
@@ -76,19 +77,17 @@ pub struct OverloadConfig {
     pub sla: Sla,
     /// The workload (default per-tenant mix; tenants may override).
     pub workload: WorkloadSpec,
-    /// Warm-up completions per run.
-    pub warmup_ops: u64,
-    /// Measured completions per run.
-    pub measure_ops: u64,
-    /// Seed. Cells at the same offered load share their driver seed across
-    /// the control arms, so both arms face the identical arrival sequence.
-    pub seed: u64,
 }
 
 impl Default for OverloadConfig {
     fn default() -> Self {
         Self {
-            scale: Scale::stress(),
+            run: RunShape {
+                scale: Scale::stress(),
+                warmup_ops: 1_000,
+                measure_ops: 12_000,
+                seed: 42,
+            },
             rf: 3,
             read_cl: Consistency::One,
             write_cl: Consistency::One,
@@ -119,31 +118,7 @@ impl Default for OverloadConfig {
                 error_budget: 0.5,
             },
             workload: WorkloadSpec::read_mostly(),
-            warmup_ops: 1_000,
-            measure_ops: 12_000,
-            seed: 42,
         }
-    }
-}
-
-impl OverloadConfig {
-    /// A fast variant for tests and smoke runs (same grid shape, tiny
-    /// scale, a geometric load ladder wide enough to straddle the tiny
-    /// cluster's knee).
-    pub fn quick() -> Self {
-        let mut cfg = Self {
-            scale: Scale::tiny(),
-            offered_loads: vec![2_000.0, 8_000.0, 32_000.0, 128_000.0],
-            warmup_ops: 100,
-            measure_ops: 5_000,
-            ..Self::default()
-        };
-        // The tiny cluster drains far slower than the stress testbed, so
-        // the bounded queue must be shallower for admitted ops to keep a
-        // low tail. The run stays long enough (5 000 measured completions)
-        // for the uncontrolled arm's backlog to visibly diverge.
-        cfg.admission.max_in_flight = 32;
-        cfg
     }
 }
 
@@ -169,10 +144,6 @@ pub fn default_tenants() -> Vec<Tenant> {
 /// One Fig. 10 cell: one (store, control arm, offered load) run.
 #[derive(Debug, Clone)]
 pub struct OverloadCell {
-    /// Which store.
-    pub store: StoreKind,
-    /// [`CONTROL_OFF`] or [`CONTROL_ON`].
-    pub control: &'static str,
     /// Offered load, arrivals/sec.
     pub offered: f64,
     /// Settled throughput over the measured window, ops/s.
@@ -197,44 +168,158 @@ pub struct OverloadCell {
     pub sla_met: bool,
 }
 
-/// The full Fig. 10 result.
-#[derive(Debug, Clone)]
-pub struct OverloadResult {
-    /// Every (store, control, offered load) cell.
-    pub cells: Vec<OverloadCell>,
-    /// Tenant names, in per-tenant column order.
-    pub tenant_names: Vec<&'static str>,
-    /// What the sweep cost.
-    pub telemetry: Telemetry,
+fn control_label(control: bool) -> &'static str {
+    if control {
+        CONTROL_ON
+    } else {
+        CONTROL_OFF
+    }
 }
 
-impl OverloadResult {
-    /// The cell for `(store, control, offered)`, if present.
-    pub fn cell(&self, store: StoreKind, control: &str, offered: f64) -> Option<&OverloadCell> {
-        self.cells
-            .iter()
-            .find(|c| c.store == store && c.control == control && c.offered == offered)
-    }
-
+impl OverloadConfig {
     fn tenant_headers(&self, suffix: &str) -> Vec<String> {
-        self.tenant_names
+        self.tenants
             .iter()
-            .map(|n| format!("{n}_{suffix}"))
+            .map(|t| format!("{}_{suffix}", t.name))
             .collect()
     }
+}
 
-    /// Render one table per store — the Fig. 10 panels.
-    pub fn render(&self) -> String {
+impl Experiment for OverloadConfig {
+    /// `(store, admission control on, index into offered_loads)`.
+    type Spec = (StoreKind, bool, usize);
+    /// The admission config is cluster state, so each control arm gets its
+    /// own base; every load step snapshots copy-on-write from it.
+    type Base = (StoreKind, bool);
+    type Cell = OverloadCell;
+
+    /// Same grid shape at tiny scale, with a geometric load ladder wide
+    /// enough to straddle the tiny cluster's knee.
+    fn quick() -> Self {
+        let mut cfg = Self {
+            run: RunShape {
+                scale: Scale::tiny(),
+                warmup_ops: 100,
+                measure_ops: 5_000,
+                ..Self::default().run
+            },
+            offered_loads: vec![2_000.0, 8_000.0, 32_000.0, 128_000.0],
+            ..Self::default()
+        };
+        // The tiny cluster drains far slower than the stress testbed, so
+        // the bounded queue must be shallower for admitted ops to keep a
+        // low tail. The run stays long enough (5 000 measured completions)
+        // for the uncontrolled arm's backlog to visibly diverge.
+        cfg.admission.max_in_flight = 32;
+        cfg
+    }
+
+    fn shape(&self) -> &RunShape {
+        &self.run
+    }
+
+    /// Store-major then control-major, so the rendered panels read as
+    /// uncontrolled ladder then controlled ladder.
+    fn specs(&self) -> Vec<Self::Spec> {
+        let mut specs = Vec::new();
+        for store in [StoreKind::CStore, StoreKind::HStore] {
+            for control in [false, true] {
+                specs.extend((0..self.offered_loads.len()).map(|li| (store, control, li)));
+            }
+        }
+        specs
+    }
+
+    fn base(&self, &(store, control, _): &Self::Spec) -> Self::Base {
+        (store, control)
+    }
+
+    fn build(&self, &(store, control): &Self::Base) -> Store {
+        let admission = if control {
+            self.admission
+        } else {
+            AdmissionConfig::off()
+        };
+        let scale = &self.run.scale;
+        match store {
+            StoreKind::CStore => Store::C(build_cstore_with(
+                scale,
+                self.rf,
+                self.read_cl,
+                self.write_cl,
+                |c| c.admission = admission,
+            )),
+            StoreKind::HStore => Store::H(build_hstore_with(scale, self.rf, |h| {
+                h.admission = admission
+            })),
+        }
+    }
+
+    /// Control arms at the same (store, load) share a seed: identical
+    /// arrival sequence, so the shed/no-shed comparison is paired.
+    fn driver(&self, &(store, _, li): &Self::Spec, _: u64) -> DriverConfig {
+        let seed =
+            self.run.seed ^ ((li as u64 + 1) << 17) ^ (u64::from(store == StoreKind::HStore) << 33);
+        DriverConfig {
+            retry: RetryPolicy {
+                deadline_us: self.deadline_us,
+                ..RetryPolicy::none()
+            },
+            arrival: ArrivalMode::OpenLoop(OpenLoop {
+                ops_per_sec: self.offered_loads[li],
+                diurnal_amplitude: self.diurnal_amplitude,
+                diurnal_period_us: self.diurnal_period_us,
+                flash: self.flash,
+                tenants: self.tenants.clone(),
+            }),
+            // Arrivals are open-loop: the closed-loop client count and
+            // pacing are not consulted.
+            ..self.run.driver(self.workload.clone(), seed, 1, 0.0)
+        }
+    }
+
+    fn cell(&self, &(_, _, li): &Self::Spec, run: RunOutcome, _: &Store) -> OverloadCell {
+        let settled = (run.metrics.ops() + run.errors).max(1);
+        let shed: u64 = run.metrics.tenants().iter().map(|t| t.shed).sum();
+        let tenant = |i: usize| run.metrics.tenants().get(i);
+        let tenant_p99_us = (0..self.tenants.len())
+            .map(|i| tenant(i).map_or(0, |t| t.hist.quantile(0.99)))
+            .collect();
+        let tenant_shed_rate = (0..self.tenants.len())
+            .map(|i| {
+                tenant(i).map_or(0.0, |t| {
+                    let total = t.hist.count() + t.errors;
+                    if total == 0 {
+                        0.0
+                    } else {
+                        t.shed as f64 / total as f64
+                    }
+                })
+            })
+            .collect();
+        OverloadCell {
+            offered: self.offered_loads[li],
+            runtime: run.throughput,
+            goodput: run.throughput * (1.0 - run.errors as f64 / settled as f64),
+            shed,
+            shed_rate: shed as f64 / settled as f64,
+            errors: run.errors,
+            mean_us: run.mean_latency_us,
+            p99_us: run.metrics.overall().quantile(0.99),
+            tenant_p99_us,
+            tenant_shed_rate,
+            sla_met: self.sla.met_by(&run),
+        }
+    }
+
+    /// One table per store — the Fig. 10 panels.
+    fn render(grid: &Grid<Self>) -> String {
         let mut out = String::new();
         for store in [StoreKind::CStore, StoreKind::HStore] {
-            let mut headers = vec![
-                "control".to_owned(),
-                "offered".to_owned(),
-                "goodput".to_owned(),
-                "shed_rate".to_owned(),
-                "p99_us".to_owned(),
-            ];
-            headers.extend(self.tenant_headers("p99_us"));
+            let mut headers: Vec<String> = ["control", "offered", "goodput", "shed_rate", "p99_us"]
+                .map(String::from)
+                .to_vec();
+            headers.extend(grid.exp.tenant_headers("p99_us"));
             headers.push("sla_met".to_owned());
             let refs: Vec<&str> = headers.iter().map(String::as_str).collect();
             let mut t = Table::new(
@@ -244,9 +329,12 @@ impl OverloadResult {
                 ),
                 &refs,
             );
-            for c in self.cells.iter().filter(|c| c.store == store) {
+            for (&(s, control, _), c) in grid.rows() {
+                if s != store {
+                    continue;
+                }
                 let mut row = vec![
-                    c.control.to_owned(),
+                    control_label(control).to_owned(),
                     fmt_ops(c.offered),
                     fmt_ops(c.goodput),
                     format!("{:.3}", c.shed_rate),
@@ -259,32 +347,33 @@ impl OverloadResult {
             out.push_str(&t.render());
             out.push('\n');
         }
-        out
+        out + "\n"
     }
 
-    /// CSV table of every cell.
-    pub fn table(&self) -> Table {
-        let mut headers = vec![
-            "store".to_owned(),
-            "control".to_owned(),
-            "offered".to_owned(),
-            "runtime".to_owned(),
-            "goodput".to_owned(),
-            "shed".to_owned(),
-            "shed_rate".to_owned(),
-            "errors".to_owned(),
-            "mean_us".to_owned(),
-            "p99_us".to_owned(),
-        ];
-        headers.extend(self.tenant_headers("p99_us"));
-        headers.extend(self.tenant_headers("shed_rate"));
+    fn files(grid: &Grid<Self>) -> Vec<Part> {
+        let mut headers: Vec<String> = [
+            "store",
+            "control",
+            "offered",
+            "runtime",
+            "goodput",
+            "shed",
+            "shed_rate",
+            "errors",
+            "mean_us",
+            "p99_us",
+        ]
+        .map(String::from)
+        .to_vec();
+        headers.extend(grid.exp.tenant_headers("p99_us"));
+        headers.extend(grid.exp.tenant_headers("shed_rate"));
         headers.push("sla_met".to_owned());
         let refs: Vec<&str> = headers.iter().map(String::as_str).collect();
         let mut t = Table::new("fig10_overload", &refs);
-        for c in &self.cells {
+        for (&(store, control, _), c) in grid.rows() {
             let mut row = vec![
-                c.store.short().to_owned(),
-                c.control.to_owned(),
+                store.short().to_owned(),
+                control_label(control).to_owned(),
                 format!("{:.0}", c.offered),
                 format!("{:.1}", c.runtime),
                 format!("{:.1}", c.goodput),
@@ -299,157 +388,7 @@ impl OverloadResult {
             row.push(u8::from(c.sla_met).to_string());
             t.row(row);
         }
-        t
-    }
-}
-
-fn driver_config(cfg: &OverloadConfig, seed: u64, offered: f64) -> DriverConfig {
-    DriverConfig {
-        workload: cfg.workload.clone(),
-        threads: 1,
-        target_ops_per_sec: 0.0,
-        records: cfg.scale.records,
-        value_len: cfg.scale.value_len,
-        warmup_ops: cfg.warmup_ops,
-        measure_ops: cfg.measure_ops,
-        seed,
-        faults: FaultPlan::new(),
-        timeline_window_us: 0,
-        retry: RetryPolicy {
-            deadline_us: cfg.deadline_us,
-            ..RetryPolicy::none()
-        },
-        trace: obs::TraceConfig::off(),
-        audit: audit::AuditConfig::off(),
-        arrival: ArrivalMode::OpenLoop(OpenLoop {
-            ops_per_sec: offered,
-            diurnal_amplitude: cfg.diurnal_amplitude,
-            diurnal_period_us: cfg.diurnal_period_us,
-            flash: cfg.flash,
-            tenants: cfg.tenants.clone(),
-        }),
-    }
-}
-
-/// Reduce one driver run into a Fig. 10 cell.
-fn cell_from(
-    cfg: &OverloadConfig,
-    store: StoreKind,
-    control: bool,
-    offered: f64,
-    run: &driver::RunOutcome,
-) -> OverloadCell {
-    let settled = (run.metrics.ops() + run.errors).max(1);
-    let shed: u64 = run.metrics.tenants().iter().map(|t| t.shed).sum();
-    let tenant = |i: usize| run.metrics.tenants().get(i);
-    let tenant_p99_us = (0..cfg.tenants.len())
-        .map(|i| tenant(i).map_or(0, |t| t.hist.quantile(0.99)))
-        .collect();
-    let tenant_shed_rate = (0..cfg.tenants.len())
-        .map(|i| {
-            tenant(i).map_or(0.0, |t| {
-                let total = t.hist.count() + t.errors;
-                if total == 0 {
-                    0.0
-                } else {
-                    t.shed as f64 / total as f64
-                }
-            })
-        })
-        .collect();
-    OverloadCell {
-        store,
-        control: if control { CONTROL_ON } else { CONTROL_OFF },
-        offered,
-        runtime: run.throughput,
-        goodput: run.throughput * (1.0 - run.errors as f64 / settled as f64),
-        shed,
-        shed_rate: shed as f64 / settled as f64,
-        errors: run.errors,
-        mean_us: run.mean_latency_us,
-        p99_us: run.metrics.overall().quantile(0.99),
-        tenant_p99_us,
-        tenant_shed_rate,
-        sla_met: cfg.sla.met_by(run),
-    }
-}
-
-/// Run the full Fig. 10 experiment through the sweep engine.
-pub fn run_overload(cfg: &OverloadConfig) -> OverloadResult {
-    run_overload_with(cfg, &Sweep::from_env())
-}
-
-/// [`run_overload`] on a caller-configured engine.
-pub fn run_overload_with(cfg: &OverloadConfig, sweep: &Sweep) -> OverloadResult {
-    // (store, control, load index), store-major then control-major, so the
-    // rendered panels read as uncontrolled ladder then controlled ladder.
-    let mut specs: Vec<(StoreKind, bool, usize)> = Vec::new();
-    for store in [StoreKind::CStore, StoreKind::HStore] {
-        for control in [false, true] {
-            for li in 0..cfg.offered_loads.len() {
-                specs.push((store, control, li));
-            }
-        }
-    }
-    // One loaded base per (store, control arm): the admission config is
-    // cluster state, so each arm gets its own base; every load step then
-    // snapshots copy-on-write from it.
-    let cpool: BasePool<bool, cstore::Cluster> = BasePool::new([false, true]);
-    let hpool: BasePool<bool, hstore::Cluster> = BasePool::new([false, true]);
-
-    let outcome = sweep.run(cfg.seed, &specs, |_ctx, &(store, control, li)| {
-        let offered = cfg.offered_loads[li];
-        // Control arms at the same (store, load) share a seed: identical
-        // arrival sequence, so the shed/no-shed comparison is paired.
-        let cell_seed =
-            cfg.seed ^ ((li as u64 + 1) << 17) ^ (u64::from(store == StoreKind::HStore) << 33);
-        let dcfg = driver_config(cfg, cell_seed, offered);
-        let run = match store {
-            StoreKind::CStore => {
-                let mut snapshot = cpool
-                    .get_or_load(&control, || {
-                        let mut base = setup::build_cstore_with(
-                            &cfg.scale,
-                            cfg.rf,
-                            cfg.read_cl,
-                            cfg.write_cl,
-                            |c| {
-                                if control {
-                                    c.admission = cfg.admission;
-                                }
-                            },
-                        );
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                driver::run(&mut snapshot, &dcfg)
-            }
-            StoreKind::HStore => {
-                let mut snapshot = hpool
-                    .get_or_load(&control, || {
-                        let mut base = setup::build_hstore_with(&cfg.scale, cfg.rf, |h| {
-                            if control {
-                                h.admission = cfg.admission;
-                            }
-                        });
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                driver::run(&mut snapshot, &dcfg)
-            }
-        };
-        cell_from(cfg, store, control, offered, &run)
-    });
-
-    let mut telemetry = outcome.telemetry;
-    telemetry.record_pool(&cpool);
-    telemetry.record_pool(&hpool);
-    OverloadResult {
-        cells: outcome.results,
-        tenant_names: cfg.tenants.iter().map(|t| t.name).collect(),
-        telemetry,
+        vec![Part::csv("fig10_overload.csv", &t)]
     }
 }
 
@@ -458,27 +397,28 @@ pub fn run_overload_with(cfg: &OverloadConfig, sweep: &Sweep) -> OverloadResult 
 mod tests {
     use super::*;
 
+    /// Both control arms of both stores at one load past the tiny knee.
+    fn past_the_knee() -> Grid<OverloadConfig> {
+        let mut cfg = OverloadConfig::quick();
+        cfg.offered_loads = vec![32_000.0];
+        cfg.run()
+    }
+
     #[test]
-    fn quick_overload_produces_the_full_grid() {
-        let cfg = OverloadConfig::quick();
-        let res = run_overload(&cfg);
-        // 2 stores × 2 control arms × 4 loads.
-        assert_eq!(res.cells.len(), 16);
+    fn every_cell_runs_and_arms_share_bases() {
+        let res = OverloadConfig::quick().run();
         for c in &res.cells {
             assert!(c.runtime > 0.0, "{c:?}");
             assert_eq!(c.tenant_p99_us.len(), 2);
         }
-        assert!(res.render().contains("Fig. 10"));
         assert_eq!(res.telemetry.base_loads, 4);
     }
 
     #[test]
     fn uncontrolled_arm_never_sheds() {
-        let mut cfg = OverloadConfig::quick();
-        cfg.offered_loads = vec![32_000.0];
-        let res = run_overload(&cfg);
+        let res = past_the_knee();
         for store in [StoreKind::CStore, StoreKind::HStore] {
-            let c = res.cell(store, CONTROL_OFF, 32_000.0).expect("cell");
+            let c = res.cell(&(store, false, 0)).expect("cell");
             assert_eq!(c.shed, 0, "{store:?} shed without admission control");
             assert_eq!(c.errors, 0, "{store:?} errored without faults");
         }
@@ -486,16 +426,13 @@ mod tests {
 
     #[test]
     fn shedding_bounds_the_tail_past_the_knee() {
-        // At the top of the quick ladder (far past the tiny cluster's
-        // capacity) the uncontrolled arm's p99 is dominated by unbounded
-        // queueing; the admission arm sheds instead and keeps the admitted
-        // tail orders of magnitude lower.
-        let mut cfg = OverloadConfig::quick();
-        cfg.offered_loads = vec![32_000.0];
-        let res = run_overload(&cfg);
+        // Far past the tiny cluster's capacity the uncontrolled arm's p99
+        // is dominated by unbounded queueing; the admission arm sheds
+        // instead and keeps the admitted tail orders of magnitude lower.
+        let res = past_the_knee();
         for store in [StoreKind::CStore, StoreKind::HStore] {
-            let off = res.cell(store, CONTROL_OFF, 32_000.0).expect("cell");
-            let on = res.cell(store, CONTROL_ON, 32_000.0).expect("cell");
+            let off = res.cell(&(store, false, 0)).expect("cell");
+            let on = res.cell(&(store, true, 0)).expect("cell");
             assert!(on.shed > 0, "{store:?} must shed past the knee");
             assert!(
                 on.p99_us * 4 < off.p99_us,
@@ -513,11 +450,9 @@ mod tests {
 
     #[test]
     fn strict_priority_sheds_the_batch_tenant_first() {
-        let mut cfg = OverloadConfig::quick();
-        cfg.offered_loads = vec![32_000.0];
-        let res = run_overload(&cfg);
+        let res = past_the_knee();
         for store in [StoreKind::CStore, StoreKind::HStore] {
-            let on = res.cell(store, CONTROL_ON, 32_000.0).expect("cell");
+            let on = res.cell(&(store, true, 0)).expect("cell");
             // tenants[0] = interactive (priority 0), tenants[1] = batch
             // (priority 2, bound max_in_flight >> 2).
             assert!(

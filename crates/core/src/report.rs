@@ -1,7 +1,6 @@
 //! Report rendering: aligned text tables, CSV emission, ASCII charts.
 
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// A simple aligned text table that can also emit CSV.
 #[derive(Debug, Clone)]
@@ -82,61 +81,25 @@ impl Table {
         }
         out
     }
-
-    /// Write the CSV form to `path` (creating parent directories).
-    pub fn write_csv(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_csv())
-    }
 }
 
-/// A horizontal-bar ASCII chart: one labelled bar per data point, grouped
-/// by series — enough to eyeball the reproduced figure shapes in a
+/// A horizontal-bar ASCII chart, one labelled bar per point scaled to the
+/// maximum value — enough to eyeball the reproduced figure shapes in a
 /// terminal.
-#[derive(Debug, Clone)]
-pub struct AsciiChart {
-    title: String,
-    unit: String,
-    points: Vec<(String, f64)>,
-}
-
-impl AsciiChart {
-    /// An empty chart.
-    pub fn new(title: &str, unit: &str) -> Self {
-        Self {
-            title: title.to_owned(),
-            unit: unit.to_owned(),
-            points: Vec::new(),
-        }
+pub fn bar_chart(title: &str, unit: &str, points: &[(String, f64)]) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "## {title} [{unit}]");
+    let max = points.iter().map(|(_, v)| *v).fold(f64::EPSILON, f64::max);
+    let wlabel = points.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
+    for (label, value) in points {
+        let bar = ((value / max) * 50.0).round().max(0.0) as usize;
+        let _ = writeln!(
+            out,
+            "{label:<wlabel$} | {} {value:.1}",
+            "#".repeat(bar.min(50))
+        );
     }
-
-    /// Append a labelled value.
-    pub fn point(&mut self, label: &str, value: f64) {
-        self.points.push((label.to_owned(), value));
-    }
-
-    /// Render with bars scaled to the maximum value.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "## {} [{}]", self.title, self.unit);
-        let max = self
-            .points
-            .iter()
-            .map(|(_, v)| *v)
-            .fold(f64::EPSILON, f64::max);
-        let wlabel = self.points.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
-        for (label, value) in &self.points {
-            let bar = ((value / max) * 50.0).round().max(0.0) as usize;
-            let _ = writeln!(
-                out,
-                "{label:<wlabel$} | {} {value:.1}",
-                "#".repeat(bar.min(50))
-            );
-        }
-        out
-    }
+    out
 }
 
 /// Format microseconds compactly for table cells.
@@ -192,10 +155,7 @@ mod tests {
 
     #[test]
     fn chart_scales_bars() {
-        let mut c = AsciiChart::new("lat", "us");
-        c.point("rf=1", 10.0);
-        c.point("rf=6", 50.0);
-        let s = c.render();
+        let s = bar_chart("lat", "us", &[("rf=1".into(), 10.0), ("rf=6".into(), 50.0)]);
         let lines: Vec<&str> = s.lines().collect();
         let bars: Vec<usize> = lines[1..].iter().map(|l| l.matches('#').count()).collect();
         assert!(bars[1] > bars[0]);
@@ -209,16 +169,5 @@ mod tests {
         assert_eq!(fmt_us(1_500_000.0), "1.50s");
         assert_eq!(fmt_ops(25_300.0), "25.3k");
         assert_eq!(fmt_ops(412.0), "412");
-    }
-
-    #[test]
-    fn write_csv_creates_dirs() {
-        let mut t = Table::new("x", &["a"]);
-        t.row(vec!["1".into()]);
-        let dir = std::env::temp_dir().join("bench_core_test_csv");
-        let path = dir.join("sub/out.csv");
-        t.write_csv(&path).unwrap();
-        assert!(path.exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -15,13 +15,15 @@ use storage::compaction::SizeTieredPolicy;
 use storage::{Key, LsmConfig};
 use ycsb::balanced_tokens;
 
-/// Which store an experiment targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Which store an experiment targets. Variants are declared in
+/// [`StoreKind::short`] name order, so the derived `Ord` sorts grids the way
+/// the CSVs list them (cstore rows first).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum StoreKind {
-    /// The HBase analog.
-    HStore,
     /// The Cassandra analog.
     CStore,
+    /// The HBase analog.
+    HStore,
 }
 
 impl StoreKind {
@@ -143,13 +145,7 @@ pub fn build_cstore(
     read_cl: Consistency,
     write_cl: Consistency,
 ) -> cstore::Cluster {
-    let mut cfg = CStoreConfig::paper_testbed(rf, Partitioner::order_preserving(scale.tokens()));
-    cfg.nodes = scale.nodes;
-    cfg.topology = simkit::Topology::single_rack(scale.nodes, cfg.profile.nic.prop_us);
-    cfg.lsm = scale.lsm();
-    cfg.read_cl = read_cl;
-    cfg.write_cl = write_cl;
-    cstore::Cluster::new(cfg)
+    build_cstore_with(scale, rf, read_cl, write_cl, |_| {})
 }
 
 /// Build a Cassandra-analog cluster with a configuration hook applied
@@ -174,11 +170,7 @@ pub fn build_cstore_with(
 /// Build an HBase-analog cluster at this scale with the given HDFS
 /// replication factor.
 pub fn build_hstore(scale: &Scale, rf: u32) -> hstore::Cluster {
-    let mut cfg = HStoreConfig::paper_testbed(rf, scale.region_splits());
-    cfg.nodes = scale.nodes;
-    cfg.topology = simkit::Topology::single_rack(scale.nodes, cfg.profile.nic.prop_us);
-    cfg.lsm = scale.lsm();
-    hstore::Cluster::new(cfg, 0xB0A7 ^ u64::from(rf))
+    build_hstore_with(scale, rf, |_| {})
 }
 
 /// Build an HBase-analog cluster with a configuration hook applied before

@@ -143,7 +143,7 @@ pub fn find_sla_capacity<S>(base: &S, cfg: &SlaSearchConfig) -> SlaCapacity
 where
     S: SimStore + FaultTarget<Event = <S as SimStore>::Event> + Clone + Sync,
 {
-    find_sla_capacity_with(base, cfg, &Sweep::from_env())
+    find_sla_capacity_with(base, cfg, &Sweep::new())
 }
 
 /// [`find_sla_capacity`] on a caller-configured engine. The bisection is

@@ -1,70 +1,48 @@
-//! Figure 2: the stress benchmark for replication.
+//! Table 1 and Figure 2: the stress benchmark for replication.
 //!
 //! "In this benchmark, we use a constant number of test threads and a
 //! variety of target throughputs to detect the peak runtime throughput and
 //! the corresponding latency of databases. We conduct six rounds of testing
 //! [RF 1..6], and the read latest / scan short ranges / read mostly /
 //! read-modify-write / read & update test is run one after another."
+//!
+//! The closed-loop driver reaches the peak directly when unthrottled, so
+//! each cell is one unthrottled run rather than a ladder of targets.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use ycsb::WorkloadSpec;
 
-use crate::driver::{self, DriverConfig};
-use crate::report::{fmt_ops, fmt_us, Table};
-use crate::resilience::RetryPolicy;
-use crate::setup::{build_cstore, build_hstore, Scale, StoreKind};
-use crate::store::SimStore;
-use crate::sweep::{BasePool, Sweep, Telemetry};
-use cstore::Consistency;
+use crate::driver::{DriverConfig, RunOutcome};
+use crate::experiment::{Experiment, Grid, Level, Part, Report, RunShape, Store};
+use crate::micro::MICRO_OPS;
+use crate::report::{bar_chart, fmt_ops, fmt_us, Table};
+use crate::setup::{Scale, StoreKind};
 
 /// Configuration of the Fig. 2 experiment.
 #[derive(Debug, Clone)]
 pub struct StressConfig {
-    /// Record/cache scale.
-    pub scale: Scale,
-    /// Replication factors to sweep.
+    /// Scale, run length and seed.
+    pub run: RunShape,
+    /// Replication factors to sweep, ascending.
     pub rfs: Vec<u32>,
     /// The workloads (default: the paper's five, in its order).
     pub workloads: Vec<WorkloadSpec>,
-    /// Constant client thread count.
+    /// Client threads, constant across the sweep; every run is unthrottled.
     pub threads: usize,
-    /// Target throughputs probed per cell; `0.0` = unthrottled (probes the
-    /// closed-loop peak directly).
-    pub targets: Vec<f64>,
-    /// Warm-up completions per run.
-    pub warmup_ops: u64,
-    /// Measured completions per run.
-    pub measure_ops: u64,
-    /// Seed.
-    pub seed: u64,
 }
 
 impl Default for StressConfig {
     fn default() -> Self {
         Self {
-            scale: Scale::stress(),
+            run: RunShape {
+                scale: Scale::stress(),
+                warmup_ops: 2_000,
+                measure_ops: 20_000,
+                seed: 42,
+            },
             rfs: (1..=6).collect(),
             workloads: WorkloadSpec::paper_stress_workloads(),
             threads: 64,
-            targets: vec![0.0],
-            warmup_ops: 2_000,
-            measure_ops: 20_000,
-            seed: 42,
-        }
-    }
-}
-
-impl StressConfig {
-    /// A fast variant for tests and smoke runs.
-    pub fn quick() -> Self {
-        Self {
-            scale: Scale::tiny(),
-            rfs: vec![1, 3],
-            workloads: vec![WorkloadSpec::read_mostly(), WorkloadSpec::read_latest()],
-            threads: 16,
-            targets: vec![0.0],
-            warmup_ops: 200,
-            measure_ops: 1_500,
-            seed: 42,
         }
     }
 }
@@ -72,13 +50,9 @@ impl StressConfig {
 /// The peak point for one (store, RF, workload).
 #[derive(Debug, Clone)]
 pub struct StressCell {
-    /// Which store.
-    pub store: StoreKind,
-    /// Replication factor.
-    pub rf: u32,
     /// Workload name.
     pub workload: String,
-    /// Peak runtime throughput across the probed targets, ops/s.
+    /// Peak runtime throughput, ops/s.
     pub peak_throughput: f64,
     /// Mean latency at the peak, µs.
     pub mean_us: f64,
@@ -90,92 +64,114 @@ pub struct StressCell {
     pub errors: u64,
 }
 
-/// The full Fig. 2 result.
-#[derive(Debug, Clone)]
-pub struct StressResult {
-    /// All peak cells.
-    pub cells: Vec<StressCell>,
-    /// What the sweep cost (wall time, utilization, base loads).
-    pub telemetry: Telemetry,
-}
+impl Experiment for StressConfig {
+    /// `(store, RF, index into workloads)`.
+    type Spec = (StoreKind, u32, usize);
+    type Base = (StoreKind, u32);
+    type Cell = StressCell;
 
-impl StressResult {
-    /// The cell for a point.
-    pub fn cell(&self, store: StoreKind, rf: u32, workload: &str) -> Option<&StressCell> {
-        self.cells
-            .iter()
-            .find(|c| c.store == store && c.rf == rf && c.workload == workload)
+    fn quick() -> Self {
+        Self {
+            run: RunShape {
+                scale: Scale::tiny(),
+                warmup_ops: 200,
+                measure_ops: 1_500,
+                seed: 42,
+            },
+            rfs: vec![1, 3],
+            workloads: vec![WorkloadSpec::read_mostly(), WorkloadSpec::read_latest()],
+            threads: 16,
+        }
     }
 
-    /// Throughput series for `(store, workload)` ordered by RF.
-    pub fn throughput_series(&self, store: StoreKind, workload: &str) -> Vec<(u32, f64)> {
-        let mut v: Vec<(u32, f64)> = self
-            .cells
-            .iter()
-            .filter(|c| c.store == store && c.workload == workload)
-            .map(|c| (c.rf, c.peak_throughput))
-            .collect();
-        v.sort_by_key(|&(rf, _)| rf);
-        v
+    fn shape(&self) -> &RunShape {
+        &self.run
     }
 
-    /// Latency series for `(store, workload)` ordered by RF.
-    pub fn latency_series(&self, store: StoreKind, workload: &str) -> Vec<(u32, f64)> {
-        let mut v: Vec<(u32, f64)> = self
-            .cells
-            .iter()
-            .filter(|c| c.store == store && c.workload == workload)
-            .map(|c| (c.rf, c.mean_us))
-            .collect();
-        v.sort_by_key(|&(rf, _)| rf);
-        v
-    }
-
-    /// Render one table per (store, workload): RF rows with throughput and
-    /// latency — the two panels of each Fig. 2 sub-plot.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let mut keys: Vec<(StoreKind, String)> = self
-            .cells
-            .iter()
-            .map(|c| (c.store, c.workload.clone()))
-            .collect();
-        keys.sort_by(|a, b| (a.0.short(), &a.1).cmp(&(b.0.short(), &b.1)));
-        keys.dedup();
-        for (store, workload) in keys {
-            let mut t = Table::new(
-                &format!("Fig. 2 — stress: {workload} on {}", store.label()),
-                &[
-                    "rf",
-                    "peak throughput",
-                    "mean latency",
-                    "p95 latency",
-                    "stale%",
-                ],
-            );
-            let mut rows: Vec<&StressCell> = self
-                .cells
-                .iter()
-                .filter(|c| c.store == store && c.workload == workload)
-                .collect();
-            rows.sort_by_key(|c| c.rf);
-            for c in rows {
-                t.row(vec![
-                    c.rf.to_string(),
-                    fmt_ops(c.peak_throughput),
-                    fmt_us(c.mean_us),
-                    fmt_us(c.p95_us as f64),
-                    format!("{:.3}%", c.stale_fraction * 100.0),
-                ]);
+    /// Store, then RF, then workload *name* — the CSV row order.
+    fn specs(&self) -> Vec<Self::Spec> {
+        let mut specs = Vec::new();
+        for store in [StoreKind::CStore, StoreKind::HStore] {
+            for &rf in &self.rfs {
+                specs.extend((0..self.workloads.len()).map(|w| (store, rf, w)));
             }
-            out.push_str(&t.render());
-            out.push('\n');
+        }
+        let name = |w: usize| &self.workloads[w].name;
+        specs.sort_by(|a, b| (a.0, a.1, name(a.2)).cmp(&(b.0, b.1, name(b.2))));
+        specs
+    }
+
+    fn base(&self, &(store, rf, _): &Self::Spec) -> Self::Base {
+        (store, rf)
+    }
+
+    fn build(&self, &(store, rf): &Self::Base) -> Store {
+        Store::paper(&self.run.scale, &(store, rf, Level::ONE))
+    }
+
+    fn driver(&self, &(_, _, w): &Self::Spec, seed: u64) -> DriverConfig {
+        self.run
+            .driver(self.workloads[w].clone(), seed, self.threads, 0.0)
+    }
+
+    fn cell(&self, &(_, _, w): &Self::Spec, out: RunOutcome, _: &Store) -> StressCell {
+        StressCell {
+            workload: self.workloads[w].name.clone(),
+            peak_throughput: out.throughput,
+            mean_us: out.mean_latency_us,
+            p95_us: out.metrics.overall().p95(),
+            stale_fraction: out.stale_fraction,
+            errors: out.errors,
+        }
+    }
+
+    /// One table per (store, workload) — RF rows with throughput and
+    /// latency, the two panels of each Fig. 2 sub-plot — then one
+    /// peak-throughput curve per (store, workload).
+    fn render(grid: &Grid<Self>) -> String {
+        let mut names: Vec<&String> = grid.exp.workloads.iter().map(|w| &w.name).collect();
+        names.sort();
+        let mut out = String::new();
+        for store in [StoreKind::CStore, StoreKind::HStore] {
+            for workload in &names {
+                let mut t = Table::new(
+                    &format!("Fig. 2 — stress: {workload} on {}", store.label()),
+                    &[
+                        "rf",
+                        "peak throughput",
+                        "mean latency",
+                        "p95 latency",
+                        "stale%",
+                    ],
+                );
+                for (&(s, rf, _), c) in grid.rows() {
+                    if s == store && c.workload == **workload {
+                        t.row(vec![
+                            rf.to_string(),
+                            fmt_ops(c.peak_throughput),
+                            fmt_us(c.mean_us),
+                            fmt_us(c.p95_us as f64),
+                            format!("{:.3}%", c.stale_fraction * 100.0),
+                        ]);
+                    }
+                }
+                out.push_str(&t.render());
+                out.push('\n');
+            }
+        }
+        out.push('\n');
+        for store in [StoreKind::HStore, StoreKind::CStore] {
+            for w in &grid.exp.workloads {
+                let title = format!("{} \"{}\" peak throughput vs RF", store.short(), w.name);
+                let series = grid.throughput_series(store, &w.name);
+                out.push_str(&bar_chart(&title, "ops/s", &series));
+                out.push('\n');
+            }
         }
         out
     }
 
-    /// CSV table of every cell.
-    pub fn table(&self) -> Table {
+    fn files(grid: &Grid<Self>) -> Vec<Part> {
         let mut t = Table::new(
             "fig2_stress_replication",
             &[
@@ -189,10 +185,10 @@ impl StressResult {
                 "errors",
             ],
         );
-        for c in &self.cells {
+        for (&(store, rf, _), c) in grid.rows() {
             t.row(vec![
-                c.store.short().into(),
-                c.rf.to_string(),
+                store.short().into(),
+                rf.to_string(),
                 c.workload.clone(),
                 format!("{:.1}", c.peak_throughput),
                 format!("{:.1}", c.mean_us),
@@ -201,108 +197,68 @@ impl StressResult {
                 c.errors.to_string(),
             ]);
         }
-        t
+        vec![Part::csv("fig2_stress.csv", &t)]
     }
 }
 
-/// Probe every target against snapshots of one loaded base and keep the
-/// peak.
-fn run_cell<S: SimStore + faults::FaultTarget<Event = <S as SimStore>::Event> + Clone>(
-    base: &S,
-    store: StoreKind,
-    rf: u32,
-    workload: &WorkloadSpec,
-    cfg: &StressConfig,
-    seed: u64,
-) -> StressCell {
-    let mut best: Option<(f64, crate::driver::RunOutcome)> = None;
-    for &target in &cfg.targets {
-        let mut snapshot = base.snapshot();
-        let dcfg = DriverConfig {
-            workload: workload.clone(),
-            threads: cfg.threads,
-            target_ops_per_sec: target,
-            records: cfg.scale.records,
-            value_len: cfg.scale.value_len,
-            warmup_ops: cfg.warmup_ops,
-            measure_ops: cfg.measure_ops,
-            seed,
-            faults: Default::default(),
-            timeline_window_us: 0,
-            retry: RetryPolicy::none(),
-            trace: obs::TraceConfig::off(),
-            audit: audit::AuditConfig::off(),
-            arrival: crate::driver::ArrivalMode::ClosedLoop,
-        };
-        let out = driver::run(&mut snapshot, &dcfg);
-        if best.as_ref().is_none_or(|(t, _)| out.throughput > *t) {
-            best = Some((out.throughput, out));
-        }
-    }
-    let (_, out) = best.expect("at least one target probed");
-    StressCell {
-        store,
-        rf,
-        workload: workload.name.clone(),
-        peak_throughput: out.throughput,
-        mean_us: out.mean_latency_us,
-        p95_us: out.metrics.overall().p95(),
-        stale_fraction: out.stale_fraction,
-        errors: out.errors,
+impl Grid<StressConfig> {
+    /// Peak-throughput series for `(store, workload)`: `("rf=N", ops/s)` in
+    /// RF order.
+    pub fn throughput_series(&self, store: StoreKind, workload: &str) -> Vec<(String, f64)> {
+        self.rows()
+            .filter(|(&(s, _, _), c)| s == store && c.workload == workload)
+            .map(|(&(_, rf, _), c)| (format!("rf={rf}"), c.peak_throughput))
+            .collect()
     }
 }
 
-/// Run the full Fig. 2 experiment through the sweep engine.
-pub fn run_stress(cfg: &StressConfig) -> StressResult {
-    run_stress_with(cfg, &Sweep::from_env())
-}
-
-/// [`run_stress`] on a caller-configured engine.
-pub fn run_stress_with(cfg: &StressConfig, sweep: &Sweep) -> StressResult {
-    // One cell per (store, RF, workload); the target probes within a cell
-    // stay sequential (they share the cell's peak detection).
-    let specs: Vec<(StoreKind, u32, usize)> = cfg
-        .rfs
+/// The paper's Table 1 ("Workloads of the stress benchmarks for replication
+/// and consistency") plus the micro rounds of §3.3, for completeness.
+pub fn table1() -> Report {
+    let mut t = Table::new(
+        "Table 1 — workloads of the stress benchmarks for replication and consistency",
+        &[
+            "workload",
+            "typical usage",
+            "operations",
+            "records distribution",
+        ],
+    );
+    for w in WorkloadSpec::paper_stress_workloads() {
+        let m = w.mix;
+        let mix: Vec<String> = [
+            (m.read, "read"),
+            (m.update, "update"),
+            (m.insert, "insert"),
+            (m.scan, "scan"),
+            (m.rmw, "read-modify-write"),
+        ]
         .iter()
-        .flat_map(|&rf| {
-            [StoreKind::HStore, StoreKind::CStore]
-                .into_iter()
-                .flat_map(move |store| (0..cfg.workloads.len()).map(move |w| (store, rf, w)))
-        })
+        .filter(|(frac, _)| *frac > 0.0)
+        .map(|(frac, label)| format!("{label} {:.0}%", frac * 100.0))
         .collect();
-    let hpool: BasePool<u32, hstore::Cluster> = BasePool::new(cfg.rfs.iter().copied());
-    let cpool: BasePool<u32, cstore::Cluster> = BasePool::new(cfg.rfs.iter().copied());
-
-    let outcome = sweep.run(cfg.seed, &specs, |ctx, &(store, rf, w)| {
-        let workload = &cfg.workloads[w];
-        match store {
-            StoreKind::HStore => {
-                let base = hpool.get_or_load(&rf, || {
-                    let mut base = build_hstore(&cfg.scale, rf);
-                    driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                    base
-                });
-                run_cell(base, store, rf, workload, cfg, ctx.seed)
-            }
-            StoreKind::CStore => {
-                let base = cpool.get_or_load(&rf, || {
-                    let mut base = build_cstore(&cfg.scale, rf, Consistency::One, Consistency::One);
-                    driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                    base
-                });
-                run_cell(base, store, rf, workload, cfg, ctx.seed)
-            }
-        }
-    });
-
-    let mut telemetry = outcome.telemetry;
-    telemetry.record_pool(&hpool);
-    telemetry.record_pool(&cpool);
-    let mut cells = outcome.results;
-    cells.sort_by(|a, b| {
-        (a.store.short(), a.rf, &a.workload).cmp(&(b.store.short(), b.rf, &b.workload))
-    });
-    StressResult { cells, telemetry }
+        t.row(vec![
+            w.name.clone(),
+            w.typical_usage.clone(),
+            mix.join(" / "),
+            format!("{:?}", w.distribution),
+        ]);
+    }
+    let mut rounds = Table::new(
+        "Micro benchmark rounds (1-byte records, uniform requests)",
+        &["round", "operation"],
+    );
+    for (i, op) in MICRO_OPS.iter().enumerate() {
+        rounds.row(vec![(i + 1).to_string(), op.label().into()]);
+    }
+    Report {
+        parts: vec![
+            Part::Text(t.render() + "\n"),
+            Part::csv("table1_workloads.csv", &t),
+            Part::Text(rounds.render() + "\n"),
+        ],
+        telemetry: None,
+    }
 }
 
 #[cfg(test)]
@@ -310,16 +266,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_stress_produces_all_cells() {
-        let cfg = StressConfig::quick();
-        let res = run_stress(&cfg);
-        // 2 stores × 2 RFs × 2 workloads.
-        assert_eq!(res.cells.len(), 8);
+    fn quick_stress_measures_every_cell() {
+        let res = StressConfig::quick().run();
         for c in &res.cells {
             assert!(c.peak_throughput > 0.0, "{c:?}");
             assert!(c.mean_us > 0.0);
         }
-        assert!(res.render().contains("Fig. 2"));
         let series = res.throughput_series(StoreKind::HStore, "read mostly");
         assert_eq!(series.len(), 2);
         // 2 stores × 2 RFs base states, each loaded once.

@@ -2,9 +2,8 @@
 //!
 //! Every figure in the paper is a *grid* of independent cells — (store,
 //! replication factor, operation/workload/consistency-level, target) — and
-//! every cell is one deterministic simulated run. Before this module
-//! existed, each experiment hand-rolled its own scoped-thread fan-out and
-//! re-loaded the store from zero per cell; the engine centralises that:
+//! every cell is one deterministic simulated run. This module is the
+//! scheduling half of that procedure ([`crate::experiment`] is the other):
 //!
 //! * **cell spec → seed**: [`SeedPolicy`] derives the seed each cell runs
 //!   under, either the experiment's fixed seed (the paper's setup: every
@@ -138,7 +137,7 @@ pub struct SweepOutcome<R> {
 /// A pool of lazily-built base states, keyed by whatever distinguishes them
 /// (RF, consistency level, …). Each key's state is built **exactly once**,
 /// even under concurrent access from many sweep workers; cells take
-/// O(metadata) copy-on-write clones via [`BasePool::snapshot`].
+/// O(metadata) copy-on-write snapshots of it.
 pub struct BasePool<K, S> {
     entries: Vec<(K, OnceLock<S>)>,
     loads: AtomicU64,
@@ -176,15 +175,6 @@ impl<K: PartialEq + std::fmt::Debug, S> BasePool<K, S> {
             load()
         })
     }
-
-    /// A copy-on-write clone of the base state for `key` (loading it first
-    /// if no cell has touched it yet).
-    pub fn snapshot(&self, key: &K, load: impl FnOnce() -> S) -> S
-    where
-        S: Clone,
-    {
-        self.get_or_load(key, load).clone()
-    }
 }
 
 impl<K, S> BasePool<K, S> {
@@ -203,6 +193,23 @@ impl<K, S> BasePool<K, S> {
         self.entries.is_empty()
     }
 }
+
+/// `SWEEP_THREADS` held something other than a positive integer (the value
+/// is carried for the message).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BadSweepThreads(pub String);
+
+impl std::fmt::Display for BadSweepThreads {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "SWEEP_THREADS must be a positive integer, got {:?}",
+            self.0
+        )
+    }
+}
+
+impl std::error::Error for BadSweepThreads {}
 
 /// The engine: thread count, execution mode, and seed policy.
 #[derive(Debug, Clone)]
@@ -228,21 +235,22 @@ impl Sweep {
         }
     }
 
-    /// Like [`Sweep::new`], honouring the `SWEEP_THREADS` (worker count)
-    /// and `SWEEP_SERIAL` (any value: force serial) environment variables —
-    /// the figure binaries' escape hatch.
-    pub fn from_env() -> Self {
+    /// Like [`Sweep::new`], honouring the `SWEEP_THREADS` (worker count, a
+    /// positive integer) and `SWEEP_SERIAL` (any value: force serial)
+    /// environment variables — the `fig` binary's scheduling knobs.
+    pub fn from_env() -> Result<Self, BadSweepThreads> {
         let mut s = Self::new();
-        if let Some(n) = std::env::var("SWEEP_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            s = s.with_threads(n);
+        if let Some(raw) = std::env::var_os("SWEEP_THREADS") {
+            let raw = raw.to_string_lossy().into_owned();
+            match raw.parse::<usize>() {
+                Ok(n) if n > 0 => s = s.with_threads(n),
+                _ => return Err(BadSweepThreads(raw)),
+            }
         }
         if std::env::var_os("SWEEP_SERIAL").is_some() {
             s = s.serial();
         }
-        s
+        Ok(s)
     }
 
     /// Set the worker count (at least 1).
@@ -439,8 +447,8 @@ mod tests {
         let pool: BasePool<u32, Vec<u32>> = BasePool::new([1, 3, 6]);
         let cells: Vec<u32> = (0..20).flat_map(|_| [1u32, 3, 6]).collect();
         let out = Sweep::new().with_threads(8).run(0, &cells, |_, &rf| {
-            let snap = pool.snapshot(&rf, || vec![rf; 4]);
-            snap.len() as u32 + rf
+            let base = pool.get_or_load(&rf, || vec![rf; 4]);
+            base.len() as u32 + rf
         });
         assert_eq!(pool.loads(), 3, "each base state must load exactly once");
         assert!(out.results.iter().zip(&cells).all(|(r, rf)| *r == rf + 4));

@@ -245,7 +245,7 @@ impl Cluster {
     // ----- functional helpers -----
 
     /// Load a record directly into its region (bulk-load phases).
-    pub fn load_direct(&mut self, key: Key, value: Key, ts: u64) {
+    pub fn load_direct(&mut self, key: Key, value: Value, ts: u64) {
         let idx = self.regions.region_of(&key);
         let region = self.regions.get_mut(idx);
         region.lsm.put(key, Cell::live(value, ts));
@@ -571,8 +571,7 @@ impl Cluster {
         match kind {
             StoreOp::Read { key } => {
                 self.metrics.reads += 1;
-                let t2 = self.read_region(idx, &key, t1, sim, op, token);
-                let _ = t2;
+                self.read_region(idx, &key, t1, sim, op, token);
             }
             StoreOp::Scan { start, limit } => {
                 self.metrics.scans += 1;

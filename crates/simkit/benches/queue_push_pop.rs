@@ -1,17 +1,16 @@
-//! Heap vs calendar event queue under the hold model: a fixed pending
-//! population, pop-one/push-one with a near-future increment — the access
-//! pattern a discrete-event simulation actually generates. The calendar
-//! queue's O(1) bucket hashing should pull ahead as the population grows;
-//! the heap pays O(log n) compares *and* payload moves per operation.
+//! The event queue under the hold model: a fixed pending population,
+//! pop-one/push-one with a near-future increment — the access pattern a
+//! discrete-event simulation actually generates. The calendar queue's O(1)
+//! bucket hashing keeps the per-event cost flat as the population grows.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use simkit::{EventQueue, QueueKind};
+use simkit::EventQueue;
 
 /// Payload sized like the cluster models' fat event enums.
 type FatEvent = [u64; 12];
 
-/// Deterministic splitmix64 increment stream, identical across backends.
+/// Deterministic splitmix64 increment stream.
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -20,8 +19,8 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn filled(kind: QueueKind, pending: usize) -> EventQueue<FatEvent> {
-    let mut q = EventQueue::with_kind(kind);
+fn filled(pending: usize) -> EventQueue<FatEvent> {
+    let mut q = EventQueue::new();
     let mut s = 1u64;
     for i in 0..pending as u64 {
         q.push(splitmix(&mut s) % 1_000_000, [i; 12]);
@@ -31,17 +30,15 @@ fn filled(kind: QueueKind, pending: usize) -> EventQueue<FatEvent> {
 
 fn bench_churn(c: &mut Criterion) {
     for pending in [1_000usize, 100_000, 1_000_000] {
-        for (name, kind) in [("heap", QueueKind::Heap), ("calendar", QueueKind::Calendar)] {
-            let mut q = filled(kind, pending);
-            let mut s = 2u64;
-            c.bench_function(&format!("queue_churn/{name}/pending_{pending}"), |b| {
-                b.iter(|| {
-                    let (t, ev) = q.pop().expect("population never drains");
-                    q.push(t + 1 + splitmix(&mut s) % 512, ev);
-                    black_box(t)
-                });
+        let mut q = filled(pending);
+        let mut s = 2u64;
+        c.bench_function(&format!("queue_churn/calendar/pending_{pending}"), |b| {
+            b.iter(|| {
+                let (t, ev) = q.pop().expect("population never drains");
+                q.push(t + 1 + splitmix(&mut s) % 512, ev);
+                black_box(t)
             });
-        }
+        });
     }
 }
 

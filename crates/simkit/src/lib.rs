@@ -11,10 +11,8 @@
 //!
 //! * [`SimTime`] — virtual time in microseconds.
 //! * [`EventQueue`] / [`Sim`] — a calendar-queue (time-wheel) event queue
-//!   with a stable `(time, seq)` tie-break — the original binary heap is
-//!   retained as a differential reference and `SIM_QUEUE=heap` escape
-//!   hatch — plus the simulation context (clock + queue + RNG) that
-//!   models schedule into.
+//!   with a stable `(time, seq)` tie-break, plus the simulation context
+//!   (clock + queue + RNG) that models schedule into.
 //! * [`slab`] — generational slab storage ([`Slab`]/[`OpKey`]) for
 //!   in-flight op contexts, replacing `HashMap`-backed per-op state on
 //!   dispatch paths.
@@ -57,7 +55,7 @@ pub mod topology;
 pub use admission::{AdmissionConfig, AdmissionPolicy, OpTag};
 pub use hardware::{Disk, DiskProfile, Nic, NicProfile, NodeHw, NodeProfile};
 pub use hash::{FastBuildHasher, FastHashMap, FastHashSet, FastHasher};
-pub use queue::{EventQueue, QueueKind};
+pub use queue::EventQueue;
 pub use resource::{FifoResource, MultiServer};
 pub use rng::SimRng;
 pub use sim::Sim;

@@ -1,13 +1,10 @@
-//! The event queue: a bucketed calendar queue ordered by `(time, sequence)`,
-//! with the original binary heap kept for differential testing.
+//! The event queue: a bucketed calendar queue ordered by `(time, sequence)`.
 //!
 //! The sequence number makes dispatch order total and deterministic: two
 //! events scheduled for the same instant fire in the order they were
-//! scheduled, independent of container internals. Both implementations pop
-//! the exact same `(time, seq)` sequence — [`CalendarQueue`] is verified
-//! against [`HeapQueue`] by `tests/queue_equivalence.rs` — so swapping one
-//! for the other cannot change any simulation result, only its wall-clock
-//! cost.
+//! scheduled, independent of container internals. The pop order is exactly
+//! that of a binary heap on `(time, seq)`; `tests/queue_equivalence.rs`
+//! keeps such a heap as the differential oracle.
 //!
 //! # Why a calendar queue
 //!
@@ -43,27 +40,6 @@ use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Queue implementation selector, read from the `SIM_QUEUE` environment
-/// variable: `heap` selects the reference [`HeapQueue`] (bisection escape
-/// hatch), anything else (or unset) the [`CalendarQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueKind {
-    /// The bucketed calendar queue (default).
-    Calendar,
-    /// The reference binary heap.
-    Heap,
-}
-
-impl QueueKind {
-    /// The kind selected by the `SIM_QUEUE` environment variable.
-    pub fn from_env() -> Self {
-        match std::env::var("SIM_QUEUE") {
-            Ok(v) if v.eq_ignore_ascii_case("heap") => Self::Heap,
-            _ => Self::Calendar,
-        }
-    }
-}
-
 struct Entry<E> {
     time: SimTime,
     seq: u64,
@@ -91,49 +67,6 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// The original binary-heap event queue, kept as the differential-testing
-/// reference and as the `SIM_QUEUE=heap` bisection escape hatch.
-pub struct HeapQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-}
-
-impl<E> Default for HeapQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapQueue<E> {
-    /// Create an empty queue.
-    pub fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// Insert an event with its total-order key.
-    #[inline]
-    fn push(&mut self, time: SimTime, seq: u64, event: E) {
-        self.heap.push(Entry { time, seq, event });
-    }
-
-    /// Remove and return the earliest entry.
-    #[inline]
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| (e.time, e.event))
-    }
-
-    /// Fire time of the earliest pending event, if any.
-    fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Number of pending events.
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
-
 /// Initial log2 of the bucket width: 256 µs buckets, sized for the cluster
 /// models' typical follow-up delays. The wheel adapts from here.
 const INIT_SHIFT: u32 = 8;
@@ -153,9 +86,10 @@ const NARROW_TARGET: usize = 8;
 /// This many consecutive empty-bucket advances trigger widening.
 const WIDEN_LIMIT: u32 = 256;
 
-/// A bucketed calendar queue (time wheel with a sorted-overflow far-future
-/// lane) popping the exact `(time, seq)` total order of [`HeapQueue`].
-pub struct CalendarQueue<E> {
+/// A time-ordered queue of simulation events: a bucketed calendar queue
+/// (time wheel with a sorted-overflow far-future lane) dispatching in the
+/// total `(time, seq)` order, where `seq` is the insertion count.
+pub struct EventQueue<E> {
     /// The ring of buckets. Bucket index of an in-window event is
     /// `(time >> shift) & BUCKET_MASK`.
     buckets: Vec<Vec<Entry<E>>>,
@@ -177,15 +111,17 @@ pub struct CalendarQueue<E> {
     /// `wheel_start + window`. An event migrates into the wheel when the
     /// window reaches it (at most once per wheel geometry).
     overflow: BinaryHeap<Entry<E>>,
+    /// Sequence number the next pushed event gets.
+    seq: u64,
 }
 
-impl<E> Default for CalendarQueue<E> {
+impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> CalendarQueue<E> {
+impl<E> EventQueue<E> {
     /// Create an empty queue.
     pub fn new() -> Self {
         let mut buckets = Vec::with_capacity(BUCKETS);
@@ -198,6 +134,7 @@ impl<E> CalendarQueue<E> {
             cursor_sorted: false,
             empty_steps: 0,
             overflow: BinaryHeap::new(),
+            seq: 0,
         }
     }
 
@@ -260,9 +197,11 @@ impl<E> CalendarQueue<E> {
         self.migrate_overflow();
     }
 
-    /// Insert an event with its total-order key. `time` may be below
+    /// Schedule `event` to fire at absolute time `time`. `time` may be below
     /// `wheel_start` only before the first pop (the wheel re-anchors then).
-    fn push(&mut self, time: SimTime, seq: u64, event: E) {
+    pub fn push(&mut self, time: SimTime, event: E) {
+        let seq = self.seq;
+        self.seq += 1;
         if time >= self.window_end() || time < self.wheel_start {
             // Far future — or, before the first pop, behind the initial
             // anchor: both take the ordered overflow lane. Pops migrate
@@ -283,8 +222,8 @@ impl<E> CalendarQueue<E> {
         self.wheel_len += 1;
     }
 
-    /// Remove and return the earliest entry.
-    fn pop(&mut self) -> Option<(SimTime, E)> {
+    /// Remove and return the earliest event, with its fire time.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
         loop {
             if self.wheel_len == 0 {
                 // Wheel drained: fast-forward to the overflow minimum.
@@ -375,7 +314,7 @@ impl<E> CalendarQueue<E> {
 
     /// Fire time of the earliest pending event, if any. (O(window scan) in
     /// the worst case; used by drivers for occasional peeks, not per-pop.)
-    fn peek_time(&self) -> Option<SimTime> {
+    pub fn peek_time(&self) -> Option<SimTime> {
         let mut best: Option<(SimTime, u64)> = None;
         if self.wheel_len > 0 {
             let mut idx = self.cursor();
@@ -406,90 +345,8 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Number of pending events.
-    fn len(&self) -> usize {
-        self.wheel_len + self.overflow.len()
-    }
-}
-
-enum Impl<E> {
-    Calendar(CalendarQueue<E>),
-    Heap(HeapQueue<E>),
-}
-
-/// A time-ordered queue of simulation events.
-///
-/// Dispatch order is the total `(time, seq)` order in both backends; the
-/// backend only changes wall-clock cost. [`EventQueue::new`] honours the
-/// `SIM_QUEUE=heap` escape hatch for bisection.
-pub struct EventQueue<E> {
-    inner: Impl<E>,
-    seq: u64,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Create an empty queue with the backend selected by `SIM_QUEUE`
-    /// (calendar unless `SIM_QUEUE=heap`).
-    pub fn new() -> Self {
-        Self::with_kind(QueueKind::from_env())
-    }
-
-    /// Create an empty queue with an explicit backend.
-    pub fn with_kind(kind: QueueKind) -> Self {
-        let inner = match kind {
-            QueueKind::Calendar => Impl::Calendar(CalendarQueue::new()),
-            QueueKind::Heap => Impl::Heap(HeapQueue::new()),
-        };
-        Self { inner, seq: 0 }
-    }
-
-    /// The backend this queue runs on.
-    pub fn kind(&self) -> QueueKind {
-        match self.inner {
-            Impl::Calendar(_) => QueueKind::Calendar,
-            Impl::Heap(_) => QueueKind::Heap,
-        }
-    }
-
-    /// Schedule `event` to fire at absolute time `time`.
-    #[inline]
-    pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        match &mut self.inner {
-            Impl::Calendar(q) => q.push(time, seq, event),
-            Impl::Heap(q) => q.push(time, seq, event),
-        }
-    }
-
-    /// Remove and return the earliest event, with its fire time.
-    #[inline]
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match &mut self.inner {
-            Impl::Calendar(q) => q.pop(),
-            Impl::Heap(q) => q.pop(),
-        }
-    }
-
-    /// Fire time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.inner {
-            Impl::Calendar(q) => q.peek_time(),
-            Impl::Heap(q) => q.peek_time(),
-        }
-    }
-
-    /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.inner {
-            Impl::Calendar(q) => q.len(),
-            Impl::Heap(q) => q.len(),
-        }
+        self.wheel_len + self.overflow.len()
     }
 
     /// True when no events are pending.
@@ -502,68 +359,57 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
 
-    fn both() -> [EventQueue<i32>; 2] {
-        [
-            EventQueue::with_kind(QueueKind::Calendar),
-            EventQueue::with_kind(QueueKind::Heap),
-        ]
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for mut q in both() {
-            q.push(30, 3);
-            q.push(10, 1);
-            q.push(20, 2);
-            assert_eq!(q.pop(), Some((10, 1)));
-            assert_eq!(q.pop(), Some((20, 2)));
-            assert_eq!(q.pop(), Some((30, 3)));
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        q.push(30, 3);
+        q.push(10, 1);
+        q.push(20, 2);
+        assert_eq!(q.pop(), Some((10, 1)));
+        assert_eq!(q.pop(), Some((20, 2)));
+        assert_eq!(q.pop(), Some((30, 3)));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        for mut q in both() {
-            for i in 0..100 {
-                q.push(5, i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop(), Some((5, i)));
-            }
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.push(5, i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop(), Some((5, i)));
         }
     }
 
     #[test]
     fn peek_does_not_remove() {
-        for mut q in both() {
-            q.push(7, 0);
-            assert_eq!(q.peek_time(), Some(7));
-            assert_eq!(q.len(), 1);
-            assert!(!q.is_empty());
-            q.pop();
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-        }
+        let mut q = EventQueue::new();
+        q.push(7, 0);
+        assert_eq!(q.peek_time(), Some(7));
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
+        q.pop();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
     fn interleaved_push_pop_stays_ordered() {
-        for mut q in both() {
-            q.push(10, 10);
-            q.push(5, 5);
-            assert_eq!(q.pop(), Some((5, 5)));
-            q.push(1, 1);
-            q.push(20, 20);
-            assert_eq!(q.pop(), Some((1, 1)));
-            assert_eq!(q.pop(), Some((10, 10)));
-            assert_eq!(q.pop(), Some((20, 20)));
-        }
+        let mut q = EventQueue::new();
+        q.push(10, 10);
+        q.push(5, 5);
+        assert_eq!(q.pop(), Some((5, 5)));
+        q.push(1, 1);
+        q.push(20, 20);
+        assert_eq!(q.pop(), Some((1, 1)));
+        assert_eq!(q.pop(), Some((10, 10)));
+        assert_eq!(q.pop(), Some((20, 20)));
     }
 
     #[test]
     fn far_future_overflow_lane_round_trips() {
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
+        let mut q = EventQueue::new();
         // Beyond the ~1s wheel window: multi-second and far-future times.
         q.push(10_000_000, 1);
         q.push(3_000_000, 2);
@@ -579,7 +425,7 @@ mod tests {
 
     #[test]
     fn push_into_sorted_cursor_bucket_keeps_order() {
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
+        let mut q = EventQueue::new();
         q.push(100, 0);
         q.push(101, 1);
         assert_eq!(q.pop(), Some((100, 0)));
@@ -593,7 +439,7 @@ mod tests {
 
     #[test]
     fn sparse_times_fast_forward() {
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
+        let mut q = EventQueue::new();
         // Each pop must fast-forward across an empty wheel, not walk it.
         for i in 0..50u64 {
             q.push(i * 60_000_000, i as i32);
@@ -605,7 +451,7 @@ mod tests {
 
     #[test]
     fn overflow_migration_interleaves_with_window_events() {
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
+        let mut q = EventQueue::new();
         q.push(2_000_000, 1); // overflow at anchor 0
         q.push(100, 2);
         assert_eq!(q.pop(), Some((100, 2)));
@@ -615,14 +461,5 @@ mod tests {
         assert_eq!(q.pop(), Some((1_999_999, 3)));
         assert_eq!(q.pop(), Some((2_000_000, 1)));
         assert_eq!(q.pop(), Some((2_000_001, 4)));
-    }
-
-    #[test]
-    fn env_escape_hatch_selects_heap() {
-        assert_eq!(QueueKind::from_env(), QueueKind::Calendar);
-        std::env::set_var("SIM_QUEUE", "heap");
-        assert_eq!(QueueKind::from_env(), QueueKind::Heap);
-        std::env::remove_var("SIM_QUEUE");
-        assert_eq!(QueueKind::from_env(), QueueKind::Calendar);
     }
 }

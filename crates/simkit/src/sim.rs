@@ -6,7 +6,7 @@
 //! owning model. Event payload types are caller-defined, and store crates
 //! stay queue-agnostic by being generic over any payload `W: From<StoreEvent>`.
 
-use crate::queue::{EventQueue, QueueKind};
+use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::time::SimTime;
 
@@ -39,12 +39,6 @@ impl<E> Sim<E> {
     #[inline]
     pub fn dispatched(&self) -> u64 {
         self.dispatched
-    }
-
-    /// Which queue backend this simulation runs on (see
-    /// [`QueueKind::from_env`]).
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
     }
 
     /// Pending event count.

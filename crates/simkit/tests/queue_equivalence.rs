@@ -4,8 +4,46 @@
 //! function of dispatch order, this equivalence is what makes the queue
 //! swap invisible to every experiment.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use proptest::prelude::*;
-use simkit::{EventQueue, QueueKind};
+use simkit::EventQueue;
+
+/// The reference: a binary min-heap on `(time, insertion seq)` — the
+/// queue the simulator originally ran on, kept here as the oracle.
+#[derive(Default)]
+struct HeapQueue {
+    heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
+    seq: u64,
+}
+
+/// What a schedule replays against.
+trait Queue {
+    fn push(&mut self, time: u64, event: u64);
+    fn pop(&mut self) -> Option<(u64, u64)>;
+}
+
+impl Queue for HeapQueue {
+    fn push(&mut self, time: u64, event: u64) {
+        self.heap.push(Reverse((time, self.seq, event)));
+        self.seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(u64, u64)> {
+        self.heap.pop().map(|Reverse((t, _, ev))| (t, ev))
+    }
+}
+
+impl Queue for EventQueue<u64> {
+    fn push(&mut self, time: u64, event: u64) {
+        EventQueue::push(self, time, event);
+    }
+
+    fn pop(&mut self) -> Option<(u64, u64)> {
+        EventQueue::pop(self)
+    }
+}
 
 /// One step of an interleaved schedule.
 #[derive(Debug, Clone)]
@@ -33,43 +71,44 @@ fn decode(sel: u8, raw: u64) -> Step {
     }
 }
 
-/// A pop log: the `(time, event)` sequence one backend produced.
+/// A pop log: the `(time, event)` sequence one queue produced.
 type PopLog = Vec<(u64, u64)>;
 
-/// Run one schedule against both backends and return their pop logs.
-fn run_both(steps: &[Step]) -> (PopLog, PopLog) {
-    let mut logs: Vec<PopLog> = Vec::new();
-    for kind in [QueueKind::Calendar, QueueKind::Heap] {
-        let mut q: EventQueue<u64> = EventQueue::with_kind(kind);
-        let mut log = Vec::new();
-        let mut clock = 0u64; // last popped time: the sim's `now`
-        let mut id = 0u64;
-        for step in steps {
-            match step {
-                Step::Push(offset) => {
-                    q.push(clock + offset, id);
-                    id += 1;
-                }
-                Step::Pop => {
-                    if let Some((t, ev)) = q.pop() {
-                        assert!(t >= clock, "time went backwards");
-                        clock = t;
-                        log.push((t, ev));
-                    }
+/// Replay one schedule against `q` and return the pop log.
+fn replay(steps: &[Step], mut q: impl Queue) -> PopLog {
+    let mut log = Vec::new();
+    let mut clock = 0u64; // last popped time: the sim's `now`
+    let mut id = 0u64;
+    for step in steps {
+        match step {
+            Step::Push(offset) => {
+                q.push(clock + offset, id);
+                id += 1;
+            }
+            Step::Pop => {
+                if let Some((t, ev)) = q.pop() {
+                    assert!(t >= clock, "time went backwards");
+                    clock = t;
+                    log.push((t, ev));
                 }
             }
         }
-        // Drain what's left: the full order must agree, not just a prefix.
-        while let Some((t, ev)) = q.pop() {
-            assert!(t >= clock);
-            clock = t;
-            log.push((t, ev));
-        }
-        logs.push(log);
     }
-    let heap = logs.pop().expect("two logs");
-    let calendar = logs.pop().expect("two logs");
-    (calendar, heap)
+    // Drain what's left: the full order must agree, not just a prefix.
+    while let Some((t, ev)) = q.pop() {
+        assert!(t >= clock);
+        clock = t;
+        log.push((t, ev));
+    }
+    log
+}
+
+/// Run one schedule against the calendar queue and the heap oracle.
+fn run_both(steps: &[Step]) -> (PopLog, PopLog) {
+    (
+        replay(steps, EventQueue::new()),
+        replay(steps, HeapQueue::default()),
+    )
 }
 
 proptest! {
@@ -86,7 +125,7 @@ proptest! {
     }
 
     /// All-ties stress: every event at the same instant; insertion order
-    /// is the only order left and both backends must honour it.
+    /// is the only order left and both queues must honour it.
     #[test]
     fn same_instant_ties_preserve_insertion_order(n in 0usize..300) {
         let steps: Vec<Step> = vec![Step::Push(0); n];

@@ -11,11 +11,17 @@
 
 use cloudserve::bench_core::driver;
 use cloudserve::bench_core::setup::{build_cstore, build_hstore, Scale};
-use cloudserve::bench_core::sla::{capacity_table, find_sla_capacity, Sla, SlaSearchConfig};
+use cloudserve::bench_core::sla::{capacity_table, find_sla_capacity_with, Sla, SlaSearchConfig};
+use cloudserve::bench_core::sweep::Sweep;
 use cloudserve::cstore::Consistency;
 use cloudserve::ycsb::WorkloadSpec;
 
 fn main() {
+    // Honours SWEEP_THREADS / SWEEP_SERIAL, like the `fig` binary.
+    let sweep = Sweep::from_env().unwrap_or_else(|e| {
+        eprintln!("sla_certify: {e}");
+        std::process::exit(2)
+    });
     let scale = Scale::tiny();
     let sla = Sla {
         percentile: 0.95,
@@ -34,15 +40,15 @@ fn main() {
 
     let mut h = build_hstore(&scale, 3);
     driver::load(&mut h, scale.records, scale.value_len, 77);
-    let h_cap = find_sla_capacity(&h, &search(scale));
+    let h_cap = find_sla_capacity_with(&h, &search(scale), &sweep);
 
     let mut c1 = build_cstore(&scale, 3, Consistency::One, Consistency::One);
     driver::load(&mut c1, scale.records, scale.value_len, 77);
-    let c1_cap = find_sla_capacity(&c1, &search(scale));
+    let c1_cap = find_sla_capacity_with(&c1, &search(scale), &sweep);
 
     let mut cq = build_cstore(&scale, 3, Consistency::Quorum, Consistency::Quorum);
     driver::load(&mut cq, scale.records, scale.value_len, 77);
-    let cq_cap = find_sla_capacity(&cq, &search(scale));
+    let cq_cap = find_sla_capacity_with(&cq, &search(scale), &sweep);
 
     let table = capacity_table(
         "SLA-certified capacity (read mostly, RF=3)",

@@ -5,15 +5,13 @@
 //!    changes *nothing* about the simulation itself (no events, no RNG
 //!    draws), only what is observed.
 //! 2. **Determinism** — the same seed and sampling config always produce
-//!    the same recorded history, the Fig. 8 CSV is byte-identical across
-//!    reruns and sweep thread counts, and the checkers are pure functions
-//!    of the history.
+//!    the same recorded history, and the checkers are pure functions of
+//!    the history. (`tests/figures_golden.rs` pins the Fig. 8 CSV bytes
+//!    across sweep thread counts.)
 
 use cloudserve::audit::{self, AuditConfig, PhaseWindow};
-use cloudserve::bench_core::audit_experiment::{run_audit_with, AuditExperimentConfig};
 use cloudserve::bench_core::driver::{self, DriverConfig, RunOutcome};
 use cloudserve::bench_core::setup::{build_cstore, build_hstore, Scale};
-use cloudserve::bench_core::Sweep;
 use cloudserve::cstore::Consistency;
 use cloudserve::faults::FaultPlan;
 use cloudserve::simkit::NodeId;
@@ -123,19 +121,4 @@ fn checkers_are_pure_functions_of_the_history() {
             audit::check_key(&ops, Some(1), 100_000)
         );
     }
-}
-
-#[test]
-fn fig8_is_byte_identical_across_reruns_and_thread_counts() {
-    // A reduced grid keeps the test quick while still crossing the sweep.
-    let cfg = AuditExperimentConfig {
-        rfs: vec![3],
-        ..AuditExperimentConfig::quick()
-    };
-    let csv = |sweep: &Sweep| run_audit_with(&cfg, sweep).table().to_csv();
-    let serial_a = csv(&Sweep::new().serial());
-    let serial_b = csv(&Sweep::new().serial());
-    let threaded = csv(&Sweep::new().with_threads(4));
-    assert_eq!(serial_a, serial_b, "rerun must be byte-identical");
-    assert_eq!(serial_a, threaded, "thread count must not change results");
 }

@@ -4,10 +4,10 @@
 
 use bytes::Bytes;
 use cloudserve::bench_core::driver;
-use cloudserve::bench_core::micro::{run_micro_with, MicroConfig};
+use cloudserve::bench_core::micro::MicroConfig;
 use cloudserve::bench_core::setup::{build_cstore, build_hstore, Scale};
 use cloudserve::bench_core::sweep::{derive_seed, CellCtx, SeedPolicy};
-use cloudserve::bench_core::{DriverEvent, SimStore, Sweep};
+use cloudserve::bench_core::{DriverEvent, Experiment, Grid, SimStore, Sweep};
 use cloudserve::cstore::Consistency;
 use cloudserve::simkit::Sim;
 use cloudserve::storage::{OpResult, StoreOp};
@@ -61,24 +61,13 @@ proptest! {
 
 #[test]
 fn micro_grid_is_bitwise_identical_serial_vs_parallel() {
-    let cfg = MicroConfig::quick();
-    let serial = run_micro_with(&cfg, &Sweep::new().serial());
-    let parallel = run_micro_with(&cfg, &Sweep::new().with_threads(4));
+    let serial = MicroConfig::quick().run_with(&Sweep::new().serial());
+    let parallel = MicroConfig::quick().run_with(&Sweep::new().with_threads(4));
     // Full f64 bit patterns, not approximate equality: the engine promises
     // the schedule is invisible to results.
-    let key = |r: &cloudserve::bench_core::micro::MicroResult| -> Vec<_> {
-        r.cells
-            .iter()
-            .map(|c| {
-                (
-                    c.store.short(),
-                    c.rf,
-                    c.op.label(),
-                    c.mean_us.to_bits(),
-                    c.p95_us,
-                    c.throughput.to_bits(),
-                )
-            })
+    let key = |r: &Grid<MicroConfig>| -> Vec<_> {
+        r.rows()
+            .map(|(&spec, c)| (spec, c.mean_us.to_bits(), c.p95_us, c.throughput.to_bits()))
             .collect()
     };
     assert_eq!(key(&serial), key(&parallel));
