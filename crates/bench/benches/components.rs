@@ -145,6 +145,54 @@ fn bench_lsm_read_path(c: &mut Criterion) {
     });
 }
 
+fn bench_lsm_scan_short_range(c: &mut Criterion) {
+    // The shape YCSB-E produces on a loaded node: one compacted run, a
+    // part-filled memtable of fresh inserts interleaved with it, and scan
+    // lengths uniform in 1..=100.
+    let mut tree = LsmTree::new(LsmConfig {
+        cache_bytes: 16 << 20,
+        ..LsmConfig::default()
+    });
+    let value = bytes::Bytes::from(vec![1u8; 100]);
+    for i in 0..40_000u64 {
+        tree.put(key(i * 2), Cell::live(value.clone(), i));
+    }
+    tree.flush();
+    tree.warm_cache();
+    for i in 0..2_000u64 {
+        tree.put(key(i * 40 + 1), Cell::live(value.clone(), 50_000 + i));
+    }
+    c.bench_function("lsm/scan_short_range", |b| {
+        let mut rng = SimRng::new(3);
+        b.iter(|| {
+            let start = rng.next_u64() % 80_000;
+            let limit = 1 + (rng.next_u64() % 100) as usize;
+            black_box(tree.scan(&key(start), limit).rows.len())
+        });
+    });
+}
+
+fn bench_merge_entries_owned(c: &mut Criterion) {
+    // Range-read reconciliation at the coordinator: one replica's page at
+    // CL ONE (handed back as is), three agreeing replicas at ALL / repair.
+    // The merge consumes its sources, so every iteration also pays for
+    // cloning the pages (refcount bumps) it is about to hand over.
+    use storage::merge::merge_entries;
+
+    let value = bytes::Bytes::from(vec![7u8; 100]);
+    let page: Vec<_> = (0..50u64)
+        .map(|i| (key(i), Cell::live(value.clone(), i)))
+        .collect();
+    for replicas in [1usize, 3] {
+        c.bench_function(&format!("merge/entries_owned_{replicas}"), |b| {
+            b.iter(|| {
+                let sources = vec![page.clone(); replicas];
+                black_box(merge_entries(sources, false).len())
+            });
+        });
+    }
+}
+
 fn bench_lsm_get_hot(c: &mut Criterion) {
     // Steady-state point read with the block cache warm: memtable miss →
     // bloom pass → cache hit, the zero-copy get path end to end.
@@ -253,6 +301,8 @@ criterion_group!(
     bench_bloom,
     bench_cache,
     bench_lsm_read_path,
+    bench_lsm_scan_short_range,
+    bench_merge_entries_owned,
     bench_lsm_get_hot,
     bench_lsm_get_cold,
     bench_compact_merge,

@@ -535,12 +535,7 @@ impl Cluster {
                 clamp,
                 count,
             } => self.on_replica_scan(sim, op, token, node, start, limit, clamp, count),
-            Event::ScanReturn {
-                op,
-                node,
-                rows,
-                exhausted,
-            } => self.on_scan_return(sim, op, node, rows, exhausted),
+            Event::ScanReturn { op, rows } => self.on_scan_return(sim, op, rows),
             Event::Deliver { token, result } => {
                 self.completed.push(Completion { token, result });
             }
@@ -1357,18 +1352,19 @@ impl Cluster {
         }
         let costs = self.config.costs;
         let service = self.service(sim, costs.replica_read_us);
-        let (rows, exhausted, t1, t2, t3) = {
+        let (rows, t1, t2, t3) = {
             let n = &mut self.nodes[node.index()];
             let t1 = n.hw.cpu.acquire(sim.now(), service);
             let res = n.lsm.scan(&start, limit);
             let t2 = n.charge_io_plan(t1, &res.io);
             let mut rows = res.rows;
             if let Some(end) = &clamp {
-                rows.retain(|(k, _)| k < end);
+                // Rows are sorted: everything from the first key at or past
+                // the range end belongs to the next range's replicas.
+                rows.truncate(rows.partition_point(|(k, _)| k < end));
             }
-            let exhausted = rows.len() < limit;
             let t3 = n.hw.cpu.acquire(t2, costs.scan_row_us * rows.len() as u64);
-            (rows, exhausted, t1, t2, t3)
+            (rows, t1, t2, t3)
         };
         if !count {
             return; // repair probe: the load was the point
@@ -1385,24 +1381,14 @@ impl Cluster {
         let arr = self.net_to(node, coord, bytes, t3);
         self.tracer
             .record(token, Stage::ReplicaRpc, node.0, t3, arr);
-        sim.schedule_at(
-            arr,
-            W::from(Event::ScanReturn {
-                op,
-                node,
-                rows,
-                exhausted,
-            }),
-        );
+        sim.schedule_at(arr, W::from(Event::ScanReturn { op, rows }));
     }
 
     fn on_scan_return<W: From<Event>>(
         &mut self,
         sim: &mut Sim<W>,
         op: OpKey,
-        _node: NodeId,
         rows: Vec<(Key, Cell)>,
-        _exhausted: bool,
     ) {
         let Some(p) = self.pending.get(op) else {
             return;
@@ -1445,14 +1431,15 @@ impl Cluster {
                 );
                 // Round complete: reconcile this range across its replicas.
                 let sources = std::mem::take(&mut s.partials);
-                let merged = storage::merge::merge_entries(sources, false);
-                for (k, c) in merged {
-                    if s.collected.len() >= s.limit {
-                        break;
-                    }
-                    if !c.is_tombstone() {
-                        s.collected.push((k, c));
-                    }
+                let mut merged = storage::merge::merge_entries(sources, false);
+                merged.retain(|(_, c)| !c.is_tombstone());
+                merged.truncate(s.limit - s.collected.len());
+                if s.collected.is_empty() {
+                    // First range with rows (the only one for most scans):
+                    // the reconciled rows become the result, not a copy.
+                    s.collected = merged;
+                } else {
+                    s.collected.extend(merged);
                 }
                 let more_ranges = s.collected.len() < s.limit
                     && s.rounds + 1 < self.ring.len() as u32
@@ -1786,6 +1773,45 @@ mod tests {
                 assert_eq!(keys, sorted);
             }
             other => panic!("unexpected: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn scan_across_a_mass_deleted_stretch_matches_a_model() {
+        // 60 deleted rows straddle a ring-range boundary. A replica that
+        // returned a short page there made the coordinator take the range
+        // for exhausted and hop over the live rows behind the tombstones.
+        let mut h = Harness::new(ordered_config(2, 4, 200));
+        let mut model = std::collections::BTreeMap::new();
+        for i in 0..200u64 {
+            h.run_one(StoreOp::Insert {
+                key: key(i),
+                value: k("v"),
+            });
+            model.insert(key(i), k("v"));
+        }
+        for i in 30..90u64 {
+            h.run_one(StoreOp::Delete { key: key(i) });
+            model.remove(&key(i));
+        }
+        for (start, limit) in [(20u64, 30usize), (0, 200), (45, 1), (89, 5)] {
+            let r = h.run_one(StoreOp::Scan {
+                start: key(start),
+                limit,
+            });
+            let OpResult::Rows(rows) = r.result else {
+                panic!("unexpected: {:?}", r.result);
+            };
+            let got: Vec<_> = rows
+                .iter()
+                .map(|(key, cell)| (key.clone(), cell.value.clone()))
+                .collect();
+            let want: Vec<_> = model
+                .range(key(start)..)
+                .take(limit)
+                .map(|(key, value)| (key.clone(), Some(value.clone())))
+                .collect();
+            assert_eq!(got, want, "scan from {start} limit {limit}");
         }
     }
 

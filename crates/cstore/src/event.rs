@@ -100,12 +100,8 @@ pub enum Event {
     ScanReturn {
         /// Slab key of the pending op.
         op: OpKey,
-        /// The responding replica.
-        node: NodeId,
         /// Rows found (may include tombstones; coordinator filters).
         rows: Vec<(Key, Cell)>,
-        /// True when the replica ran out of range before the row budget.
-        exhausted: bool,
     },
     /// The final response reached the client: deliver the completion.
     Deliver {

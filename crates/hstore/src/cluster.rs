@@ -906,6 +906,10 @@ impl Cluster {
             return;
         };
         let token = p.token;
+        let PendingState::Scan(s) = &p.state else {
+            unreachable!("scan state set at arrive")
+        };
+        let remaining = s.limit - s.collected.len();
         let server = self.regions.get(idx).server;
         if !self.is_up(server) {
             self.metrics.server_down += 1;
@@ -916,13 +920,6 @@ impl Cluster {
             });
             return;
         }
-        let remaining = {
-            let p = self.pending.get(op).expect("checked above");
-            let PendingState::Scan(s) = &p.state else {
-                unreachable!("scan state set at arrive")
-            };
-            s.limit - s.collected.len()
-        };
         let costs = self.config.costs;
         let t1 = self.servers[server.index()]
             .cpu
@@ -953,30 +950,27 @@ impl Cluster {
             .acquire(t, costs.scan_row_us * rows.len() as u64);
         self.tracer
             .record(token, Stage::ScanRows, server.0, t_io, t);
-        let exhausted = rows.len() < remaining;
-        let (done, next_start) = {
-            let p = self.pending.get_mut(op).expect("checked above");
-            let PendingState::Scan(s) = &mut p.state else {
-                unreachable!("scan state")
-            };
-            s.collected.extend(rows);
-            let more = s.collected.len() < s.limit && exhausted && idx + 1 < self.regions.len();
-            if more {
-                (false, Some(self.regions.get(idx + 1).start.clone()))
-            } else {
-                (true, None)
-            }
+        // This region ran out before the row budget: the scan goes on into
+        // the next one, if there is one.
+        let more = rows.len() < remaining && idx + 1 < self.regions.len();
+        let Some(Pending {
+            state: PendingState::Scan(s),
+            ..
+        }) = self.pending.get_mut(op)
+        else {
+            unreachable!("pending scan checked at entry")
         };
-        if done {
-            let rows = {
-                let p = self.pending.get_mut(op).expect("checked above");
-                let PendingState::Scan(s) = &mut p.state else {
-                    unreachable!("scan state")
-                };
-                std::mem::take(&mut s.collected)
-            };
+        if s.collected.is_empty() {
+            // A first leg's rows become the result, not a copy of it.
+            s.collected = rows;
+        } else {
+            s.collected.extend(rows);
+        }
+        if !more {
+            let rows = std::mem::take(&mut s.collected);
             self.respond(sim, op, token, server, t, OpResult::Rows(rows));
-        } else if let Some(next) = next_start {
+        } else {
+            let next = self.regions.get(idx + 1).start.clone();
             // The client receives this leg's rows, then asks the next
             // region's server (client-mediated scanning, as in HBase).
             let leg_bytes = self.overhead();

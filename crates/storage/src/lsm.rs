@@ -89,12 +89,33 @@ pub struct CompactionReceipt {
     pub write_bytes: u64,
 }
 
-/// One merge source of a range scan: the memtable's B-tree range or an
-/// SSTable run's entry slice, unified so the streaming merge can hold all
+/// A scan's position in one SSTable run: `run[from..]` is the part of the
+/// run at or after the scan's start key, `run[from..next]` what the merge
+/// has pulled from it so far.
+struct RunCursor<'a> {
+    run: &'a [(Key, Cell)],
+    from: usize,
+    next: usize,
+}
+
+impl RunCursor<'_> {
+    /// The entries the merge emitted from this run, given the last key it
+    /// emitted: everything it pulled except, from a run it did not exhaust,
+    /// one pending head beyond `end`.
+    fn walked(&self, end: &Key) -> std::ops::Range<usize> {
+        let pending = self.run[self.from..self.next]
+            .last()
+            .is_some_and(|(key, _)| key > end);
+        self.from..self.next - usize::from(pending)
+    }
+}
+
+/// One merge source of a range scan: the memtable's B-tree range or a
+/// cursor over an SSTable run, unified so the streaming merge can hold all
 /// sources in one unboxed `Vec`.
 enum ScanSource<'a> {
     Mem(std::collections::btree_map::Range<'a, Key, Cell>),
-    Run(std::slice::Iter<'a, (Key, Cell)>),
+    Run(RunCursor<'a>),
 }
 
 impl<'a> Iterator for ScanSource<'a> {
@@ -103,7 +124,11 @@ impl<'a> Iterator for ScanSource<'a> {
     fn next(&mut self) -> Option<Self::Item> {
         match self {
             ScanSource::Mem(it) => it.next(),
-            ScanSource::Run(it) => it.next().map(|(key, cell)| (key, cell)),
+            ScanSource::Run(cur) => {
+                let (key, cell) = cur.run.get(cur.next)?;
+                cur.next += 1;
+                Some((key, cell))
+            }
         }
     }
 }
@@ -233,16 +258,16 @@ impl LsmTree {
 
     /// Range scan: merge memtable and all runs from `start`, return up to
     /// `limit` live rows (tombstoned rows are skipped but still cost I/O).
+    ///
+    /// The work is proportional to the rows walked, not to the size of the
+    /// tree: each run's lower bound is found once through its block index
+    /// ([`SsTable::lower_bound`]), the streaming merge pulls from that
+    /// cursor exactly as far as the `limit`-th live row — however many
+    /// tombstones shadow the range — and only returned rows are cloned
+    /// (refcount bumps). The I/O plan charges, per run in age order, every
+    /// block of the window its cursor walked: the blocks holding that run's
+    /// keys in `[start, last merged key]`.
     pub fn scan(&mut self, start: &[u8], limit: usize) -> ScanResult {
-        // Streaming pass: k-way merge over borrowed entries; nothing is
-        // collected per source and only returned rows are cloned (refcount
-        // bumps). Each source only needs its first `limit` entries ≥ start:
-        // the k-th smallest key of the union is no larger than the k-th
-        // smallest key of any single source, so a per-source prefix of
-        // `limit` covers the first `limit` merged keys. (A small slack
-        // absorbs tombstoned rows, which are consumed but not returned;
-        // workloads that mass-delete may see short scans.)
-        let take = limit.saturating_add(16);
         let Self {
             cache,
             tables,
@@ -250,60 +275,60 @@ impl LsmTree {
             ..
         } = self;
         let mut sources = Vec::with_capacity(1 + tables.len());
-        sources.push(ScanSource::Mem(memtable.range_from(start)).take(take));
+        sources.push(ScanSource::Mem(memtable.range_from(start)));
         for t in tables.iter() {
-            sources.push(ScanSource::Run(t.entries_from(start)).take(take));
+            let from = t.lower_bound(start);
+            sources.push(ScanSource::Run(RunCursor {
+                run: t.entries(),
+                from,
+                next: from,
+            }));
         }
+        let mut merge = MergeRef::new(sources);
         let mut rows = Vec::with_capacity(limit);
         let mut last_key: Option<&Key> = None;
-        for (key, cell) in MergeRef::new(sources) {
-            if rows.len() >= limit {
+        while rows.len() < limit {
+            let Some((key, cell)) = merge.next() else {
                 break;
-            }
+            };
             last_key = Some(key);
             if !cell.is_tombstone() {
                 rows.push((key.clone(), cell.clone()));
             }
         }
-        // I/O pass: every block in [start, last_key] of every run was read.
         let mut io = IoPlan::new();
         if let Some(end) = last_key {
-            for t in tables.iter() {
-                Self::scan_io_for_table(cache, t, start, end, &mut io);
+            // Sources are the memtable, then one cursor per run in age order.
+            for (table, source) in tables.iter().zip(merge.into_sources().iter().skip(1)) {
+                let ScanSource::Run(cur) = source else {
+                    continue;
+                };
+                let walked = cur.walked(end);
+                if !walked.is_empty() {
+                    Self::charge_scan_blocks(
+                        cache,
+                        table,
+                        table.block_of_entry(walked.start),
+                        table.block_of_entry(walked.end - 1),
+                        &mut io,
+                    );
+                }
             }
         }
         ScanResult { rows, io }
     }
 
-    fn scan_io_for_table(
+    /// Charge one run's blocks `first..=last` to a scan: a cache hit each,
+    /// or one positioned read followed by sequential ones, inserted into
+    /// the cache as they are read.
+    fn charge_scan_blocks(
         cache: &mut BlockCache,
         table: &SsTable,
-        start: &[u8],
-        end: &Key,
+        first: usize,
+        last: usize,
         io: &mut IoPlan,
     ) {
-        if table.is_empty() {
-            return;
-        }
-        let lo = table.lower_bound(start);
-        if lo >= table.len() {
-            return;
-        }
-        // Index of the last entry <= end.
-        let hi = table.lower_bound(end.as_ref());
-        let hi_idx = if hi < table.len() && table.entries()[hi].0 == *end {
-            hi
-        } else if hi == 0 {
-            return; // whole range sorts before this table
-        } else {
-            hi - 1
-        };
-        if hi_idx < lo {
-            return;
-        }
-        let first_block = table.block_of_entry(lo);
-        let last_block = table.block_of_entry(hi_idx);
-        for (i, block) in (first_block..=last_block).enumerate() {
+        for block in first..=last {
             let bkey = BlockKey {
                 table: table.id(),
                 block: block as u32,
@@ -312,7 +337,7 @@ impl LsmTree {
             if cache.get(bkey).is_some() {
                 io.push(IoOp::CacheHit { bytes });
             } else {
-                if i == 0 {
+                if block == first {
                     io.push(IoOp::DiskRead { bytes });
                 } else {
                     io.push(IoOp::DiskSeqRead { bytes });
@@ -645,6 +670,26 @@ mod tests {
             .find(|(key, _)| key == &k("user000025"))
             .unwrap();
         assert_eq!(row25.1.ts, 2);
+    }
+
+    #[test]
+    fn scan_reaches_live_rows_behind_a_mass_deleted_stretch() {
+        // 45 tombstones shadow the middle of the range: the scan must walk
+        // through all of them and still return exactly `limit` live rows —
+        // the cluster layers read a short page as "range exhausted".
+        let mut tree = LsmTree::new(small_config());
+        fill(&mut tree, 0..100, 1);
+        tree.flush();
+        for i in 10..55 {
+            tree.put(k(&format!("user{i:06}")), Cell::tombstone(2));
+        }
+        let s = tree.scan(b"user000005", 20);
+        let got: Vec<_> = s.rows.iter().map(|(key, _)| key.clone()).collect();
+        let want: Vec<_> = (5..10)
+            .chain(55..70)
+            .map(|i| k(&format!("user{i:06}")))
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -1,95 +1,140 @@
 //! K-way merge of sorted runs with last-write-wins reconciliation.
 //!
-//! Used by range scans (merge memtable + every SSTable) and by compaction
-//! (merge input tables into one output). Sources must each be sorted by key
-//! and unique per key; across sources, duplicate keys are reconciled with
+//! Used by range scans (merge memtable + every SSTable), by compaction
+//! (merge input tables into one output) and by the range-read coordinator
+//! (reconcile replica result sets). Sources must each be sorted by key and
+//! unique per key; across sources, duplicate keys are reconciled with
 //! [`Cell::newer`].
 //!
-//! The merge is *streaming over borrows*: [`MergeRef`] yields `(&Key, &Cell)`
-//! straight out of the source runs, so neither compaction nor a range scan
-//! ever materialises owned copies of its inputs. Only the winner of each key
-//! is cloned — and with `Bytes`-backed keys/values a clone is a refcount
-//! bump, never a byte copy. Losing duplicate versions are skipped without
-//! touching their payloads at all.
+//! One algorithm, [`Merge`], serves two instantiations. Over *borrows*
+//! ([`MergeRef`]) it yields `(&Key, &Cell)` straight out of the source runs,
+//! so neither compaction nor a range scan ever materialises owned copies of
+//! its inputs: only the winner of each key is cloned — and with
+//! `Bytes`-backed keys/values a clone is a refcount bump, never a byte copy.
+//! Over *owned* entries ([`merge_entries`]) it moves each winner out of its
+//! source and drops the losers, so nothing is cloned at all.
+//!
+//! The merge advances by **replace-top**: the smallest head is overwritten
+//! in place with its own source's next entry and sifted down once, instead
+//! of a pop (sift the last element down from the root) followed by a push
+//! (sift the new one up from the bottom). With one live source that is zero
+//! key comparisons per entry, with two it is one — and a range scan is
+//! almost always a two-source merge (memtable + one compacted run).
 
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use crate::types::{Cell, Key};
 
-struct RefItem<'a> {
-    key: &'a Key,
-    cell: &'a Cell,
+/// A version of a row the merge can reconcile against another version of
+/// the same key — by reference while streaming over runs, by value when the
+/// caller owns the entries.
+pub trait Version: Sized {
+    /// Last-write-wins: the winner of two versions of one key.
+    fn newer(self, other: Self) -> Self;
+}
+
+impl Version for &Cell {
+    fn newer(self, other: Self) -> Self {
+        Cell::newer(self, other)
+    }
+}
+
+impl Version for Cell {
+    fn newer(self, other: Self) -> Self {
+        Cell::reconcile(self, other)
+    }
+}
+
+/// The smallest not-yet-emitted entry of one source.
+struct Head<K, V> {
+    key: K,
+    cell: V,
     source: usize,
 }
 
-impl PartialEq for RefItem<'_> {
+impl<K: Ord, V> PartialEq for Head<K, V> {
     fn eq(&self, other: &Self) -> bool {
         self.key == other.key && self.source == other.source
     }
 }
-impl Eq for RefItem<'_> {}
-impl PartialOrd for RefItem<'_> {
+impl<K: Ord, V> Eq for Head<K, V> {}
+impl<K: Ord, V> PartialOrd for Head<K, V> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for RefItem<'_> {
+impl<K: Ord, V> Ord for Head<K, V> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Min-heap by key (reverse for BinaryHeap); source index only breaks
         // ties for determinism, reconciliation handles the semantics.
         other
             .key
-            .cmp(self.key)
+            .cmp(&self.key)
             .then_with(|| other.source.cmp(&self.source))
     }
 }
 
-/// Merges multiple sorted iterators of borrowed `(&Key, &Cell)` entries,
-/// reconciling duplicate keys by last-write-wins and yielding each key
-/// exactly once, in order, still by reference.
-pub struct MergeRef<'a, I: Iterator<Item = (&'a Key, &'a Cell)>> {
+/// Merges multiple sorted iterators of `(key, cell)` entries, reconciling
+/// duplicate keys by last-write-wins and yielding each key exactly once, in
+/// order. The emitted key is the lowest-numbered source's copy.
+pub struct Merge<K, V, I> {
     sources: Vec<I>,
-    heap: BinaryHeap<RefItem<'a>>,
+    /// At most one head per source: the entry pulled from it but not yet
+    /// emitted.
+    heap: BinaryHeap<Head<K, V>>,
 }
 
-impl<'a, I: Iterator<Item = (&'a Key, &'a Cell)>> MergeRef<'a, I> {
+/// [`Merge`] over borrowed entries: winners come out still by reference.
+pub type MergeRef<'a, I> = Merge<&'a Key, &'a Cell, I>;
+
+impl<K: Ord, V: Version, I: Iterator<Item = (K, V)>> Merge<K, V, I> {
     /// Build a merge over `sources`; each must yield strictly increasing keys.
-    pub fn new(sources: Vec<I>) -> Self {
-        let mut merged = Self {
-            heap: BinaryHeap::with_capacity(sources.len()),
-            sources,
-        };
-        for i in 0..merged.sources.len() {
-            merged.advance(i);
+    pub fn new(mut sources: Vec<I>) -> Self {
+        let mut heap = BinaryHeap::with_capacity(sources.len());
+        for (source, it) in sources.iter_mut().enumerate() {
+            if let Some((key, cell)) = it.next() {
+                heap.push(Head { key, cell, source });
+            }
         }
-        merged
+        Self { sources, heap }
     }
 
-    fn advance(&mut self, source: usize) {
-        if let Some((key, cell)) = self.sources[source].next() {
-            self.heap.push(RefItem { key, cell, source });
-        }
+    /// Give the sources back, each positioned one past the last entry the
+    /// merge pulled from it. A source that is not exhausted has had exactly
+    /// one entry pulled beyond those emitted — its pending head, whose key
+    /// is greater than every emitted key.
+    pub fn into_sources(self) -> Vec<I> {
+        self.sources
+    }
+
+    /// Take the smallest head and refill its heap slot from the same source
+    /// (replace-top: one sift-down when the guard drops); only an exhausted
+    /// source shrinks the heap.
+    fn take_top(&mut self) -> Option<(K, V)> {
+        let mut top = self.heap.peek_mut()?;
+        let source = top.source;
+        let head = match self.sources[source].next() {
+            Some((key, cell)) => std::mem::replace(&mut *top, Head { key, cell, source }),
+            None => PeekMut::pop(top),
+        };
+        Some((head.key, head.cell))
     }
 }
 
-impl<'a, I: Iterator<Item = (&'a Key, &'a Cell)>> Iterator for MergeRef<'a, I> {
-    type Item = (&'a Key, &'a Cell);
+impl<K: Ord, V: Version, I: Iterator<Item = (K, V)>> Iterator for Merge<K, V, I> {
+    type Item = (K, V);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let first = self.heap.pop()?;
-        self.advance(first.source);
-        let key = first.key;
-        let mut cell = first.cell;
-        // Fold in every other source's version of the same key; losers are
-        // dropped by reference without ever being cloned.
-        while let Some(top) = self.heap.peek() {
-            if top.key != key {
+        let (key, mut cell) = self.take_top()?;
+        // Fold in every other source's version of the same key; borrowed
+        // losers are skipped without ever being cloned, owned ones dropped.
+        while self.heap.peek().is_some_and(|top| top.key == key) {
+            let Some((_, dup)) = self.take_top() else {
                 break;
-            }
-            let Some(dup) = self.heap.pop() else { break };
-            self.advance(dup.source);
-            cell = Cell::newer(cell, dup.cell);
+            };
+            cell = cell.newer(dup);
         }
         Some((key, cell))
     }
@@ -117,12 +162,31 @@ pub fn merge_runs(runs: &[&[(Key, Cell)]], drop_tombstones: bool) -> Vec<(Key, C
     out
 }
 
-/// Convenience: merge vectors of entries into one reconciled, sorted vector.
-/// Thin wrapper over [`merge_runs`]; kept for callers that already own their
-/// runs (read repair reconciling replica result sets).
-pub fn merge_entries(sources: Vec<Vec<(Key, Cell)>>, drop_tombstones: bool) -> Vec<(Key, Cell)> {
-    let views: Vec<&[(Key, Cell)]> = sources.iter().map(Vec::as_slice).collect();
-    merge_runs(&views, drop_tombstones)
+/// Merge owned sorted runs (replica result sets at the range-read
+/// coordinator) into one reconciled, sorted vector, consuming them: a single
+/// source is handed back as is — same allocation, no entry touched unless
+/// `drop_tombstones` removes it — and several are merged by moving each
+/// key's winner out of its source. Nothing is cloned.
+pub fn merge_entries(
+    mut sources: Vec<Vec<(Key, Cell)>>,
+    drop_tombstones: bool,
+) -> Vec<(Key, Cell)> {
+    let mut out = if sources.len() == 1 {
+        sources.pop().unwrap_or_default()
+    } else {
+        // Every source is unique per key, so the longest one is a lower
+        // bound on the output — and exact when the replicas agree.
+        let longest = sources.iter().map(Vec::len).max().unwrap_or(0);
+        let mut out = Vec::with_capacity(longest);
+        out.extend(Merge::new(
+            sources.into_iter().map(Vec::into_iter).collect(),
+        ));
+        out
+    };
+    if drop_tombstones {
+        out.retain(|(_, cell)| !cell.is_tombstone());
+    }
+    out
 }
 
 #[cfg(test)]

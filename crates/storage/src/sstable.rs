@@ -110,6 +110,8 @@ impl SsTable {
         let mut chunk_prefixes = Vec::new();
         let mut block_bytes = Vec::new();
         let mut total_bytes = 0u64;
+        // Bytes of the block being filled; 0 between blocks (an entry
+        // always encodes to more than zero bytes).
         let mut cur_bytes = 0u64;
         for (i, (key, cell)) in entries.iter().enumerate() {
             bloom.insert(key);
@@ -121,14 +123,16 @@ impl SsTable {
                 }
                 block_starts.push(i as u32);
                 block_prefixes.push(key_prefix(key));
-                block_bytes.push(0);
             }
             cur_bytes += len;
             total_bytes += len;
-            *block_bytes.last_mut().expect("block exists") += len;
             if cur_bytes >= block_size {
+                block_bytes.push(cur_bytes);
                 cur_bytes = 0;
             }
+        }
+        if cur_bytes > 0 {
+            block_bytes.push(cur_bytes);
         }
         Self {
             id,
@@ -298,17 +302,36 @@ impl SsTable {
         self.get_in_block(block, key)
     }
 
-    /// Index of the first entry with key >= `start`.
+    /// Index of the first entry with key >= `start` (`len()` when every key
+    /// sorts below it): where a range scan's cursor over this run begins.
+    ///
+    /// Like a point read it goes through the two-level block index to the
+    /// one block that can hold the boundary, then searches that block's
+    /// slice of the flat prefix array — full keys only on a prefix tie —
+    /// instead of chasing heap-allocated keys across the whole run.
     pub fn lower_bound(&self, start: &[u8]) -> usize {
-        self.core
-            .entries
-            .partition_point(|(k, _)| k.as_ref() < start)
-    }
-
-    /// Iterate entries from the first key >= `start`. The concrete slice
-    /// iterator type lets scan merge sources hold it unboxed.
-    pub fn entries_from(&self, start: &[u8]) -> std::slice::Iter<'_, (Key, Cell)> {
-        self.core.entries[self.lower_bound(start)..].iter()
+        // Every block before the last one whose first key is <= `start`
+        // lies wholly below `start`; with no such block, nothing does.
+        let Some(block) = self.block_for(start) else {
+            return 0;
+        };
+        let (lo, hi) = self.block_range(block);
+        let prefixes = &self.core.entry_prefixes[lo..hi];
+        let entries = &self.core.entries[lo..hi];
+        let target = key_prefix(start);
+        let mut below = 0usize;
+        let mut end = prefixes.len();
+        while below < end {
+            let mid = below + (end - below) / 2;
+            if cmp_via_prefix(&prefixes[mid], entries[mid].0.as_ref(), &target, start)
+                == std::cmp::Ordering::Less
+            {
+                below = mid + 1;
+            } else {
+                end = mid;
+            }
+        }
+        lo + below
     }
 
     /// All entries in key order.
@@ -392,22 +415,16 @@ mod tests {
     }
 
     #[test]
-    fn entries_from_starts_at_lower_bound() {
-        let t = table(10, 1024);
-        let from: Vec<_> = t
-            .entries_from(b"user000007")
-            .map(|(key, _)| key.clone())
-            .collect();
-        assert_eq!(
-            from,
-            vec![k("user000007"), k("user000008"), k("user000009")]
-        );
+    fn lower_bound_lands_on_first_key_at_or_after_start() {
+        // Several blocks, so the boundary search crosses the block index.
+        let t = table(10, 64);
+        assert!(t.block_count() > 1);
+        assert_eq!(t.lower_bound(b"user000007"), 7);
         // A start between keys lands on the next one.
-        let from: Vec<_> = t
-            .entries_from(b"user0000071")
-            .map(|(key, _)| key.clone())
-            .collect();
-        assert_eq!(from[0], k("user000008"));
+        assert_eq!(t.lower_bound(b"user0000071"), 8);
+        // Before the first key and after the last.
+        assert_eq!(t.lower_bound(b"a"), 0);
+        assert_eq!(t.lower_bound(b"zebra"), 10);
     }
 
     #[test]

@@ -1,11 +1,17 @@
 //! Property-based tests for the storage engine's core invariants.
 
+use std::collections::BTreeMap;
+use std::ops::Bound;
+
 use bytes::Bytes;
 use proptest::prelude::*;
 
+use storage::cache::BlockKey;
 use storage::compaction::SizeTieredPolicy;
 use storage::merge::{merge_entries, merge_runs};
-use storage::{Cell, Key, LsmConfig, LsmTree, Memtable, SsTable, TableId};
+use storage::{
+    BlockCache, Cell, IoOp, IoPlan, Key, LsmConfig, LsmTree, Memtable, SsTable, TableId,
+};
 
 fn key(id: u64) -> Bytes {
     Bytes::from(format!("user{id:08}").into_bytes())
@@ -92,6 +98,135 @@ mod legacy {
     }
 }
 
+/// Reference model of an [`LsmTree`] that is only ever written, flushed and
+/// scanned: a `BTreeMap` memtable, the flushed runs, and a block cache. Its
+/// scan takes rows from one reconciled map and charges I/O with the
+/// accounting `LsmTree::scan` used before it walked cursors — per run, two
+/// whole-run `partition_point` searches over the full keys locate the
+/// entries in `[start, last merged key]`, and every block between them is
+/// charged — preserved here as the differential oracle for the cursor-driven
+/// accounting.
+struct ScanModel {
+    mem: BTreeMap<Key, Cell>,
+    runs: Vec<SsTable>,
+    cache: BlockCache,
+    block_size: u64,
+}
+
+impl ScanModel {
+    fn new(config: &LsmConfig) -> Self {
+        Self {
+            mem: BTreeMap::new(),
+            runs: Vec::new(),
+            cache: BlockCache::new(config.cache_bytes),
+            block_size: config.block_size,
+        }
+    }
+
+    fn put(&mut self, key: Key, cell: Cell) {
+        reconcile_into(&mut self.mem, key, cell);
+    }
+
+    /// Mirrors `LsmTree::flush`: table ids count up from 1.
+    fn flush(&mut self) {
+        if self.mem.is_empty() {
+            return;
+        }
+        let entries = std::mem::take(&mut self.mem).into_iter().collect();
+        let id = TableId(self.runs.len() as u64 + 1);
+        self.runs.push(SsTable::build(id, entries, self.block_size));
+    }
+
+    fn scan(&mut self, start: &[u8], limit: usize) -> (Vec<(Key, Cell)>, IoPlan) {
+        let mut all = self.mem.clone();
+        for run in &self.runs {
+            for (key, cell) in run.entries() {
+                reconcile_into(&mut all, key.clone(), cell.clone());
+            }
+        }
+        let mut rows = Vec::new();
+        let mut last_key = None;
+        for (key, cell) in all.range::<[u8], _>((Bound::Included(start), Bound::Unbounded)) {
+            if rows.len() >= limit {
+                break;
+            }
+            last_key = Some(key.clone());
+            if !cell.is_tombstone() {
+                rows.push((key.clone(), cell.clone()));
+            }
+        }
+        let mut io = IoPlan::new();
+        if let Some(end) = last_key {
+            for run in &self.runs {
+                Self::whole_run_search_io(&mut self.cache, run, start, &end, &mut io);
+            }
+        }
+        (rows, io)
+    }
+
+    fn whole_run_search_io(
+        cache: &mut BlockCache,
+        table: &SsTable,
+        start: &[u8],
+        end: &Key,
+        io: &mut IoPlan,
+    ) {
+        let entries = table.entries();
+        let lo = entries.partition_point(|(k, _)| k.as_ref() < start);
+        // One past the last entry <= end.
+        let hi = entries.partition_point(|(k, _)| k <= end);
+        if hi <= lo {
+            return;
+        }
+        let first_block = table.block_of_entry(lo);
+        let last_block = table.block_of_entry(hi - 1);
+        for (i, block) in (first_block..=last_block).enumerate() {
+            let bkey = BlockKey {
+                table: table.id(),
+                block: block as u32,
+            };
+            let bytes = table.block_len(block);
+            if cache.get(bkey).is_some() {
+                io.push(IoOp::CacheHit { bytes });
+            } else {
+                if i == 0 {
+                    io.push(IoOp::DiskRead { bytes });
+                } else {
+                    io.push(IoOp::DiskSeqRead { bytes });
+                }
+                cache.insert(bkey, bytes);
+            }
+        }
+    }
+}
+
+fn reconcile_into(map: &mut BTreeMap<Key, Cell>, key: Key, cell: Cell) {
+    map.entry(key)
+        .and_modify(|c| *c = Cell::reconcile(c.clone(), cell.clone()))
+        .or_insert(cell);
+}
+
+/// Keys that stress the padded 16-byte prefix compare: shorter than the
+/// prefix (zero bytes included, so padding ties with real bytes), or longer
+/// and sharing all 16 prefix bytes.
+fn arb_prefix_key() -> impl Strategy<Value = Vec<u8>> {
+    let byte = || (0usize..4).prop_map(|i| [0u8, 1, b'a', 0xff][i]);
+    (
+        prop::bool::ANY,
+        prop::collection::vec(byte(), 0..5),
+        prop::collection::vec(byte(), 0..4),
+    )
+        .prop_map(|(long, short, suffix)| {
+            if long {
+                let mut key = b"sixteen-byte-pfx".to_vec();
+                key.extend(suffix);
+                key
+            } else {
+                short
+            }
+        })
+}
+
 /// Sorted/unique runs with duplicate keys across runs and a tombstone mix:
 /// the full input space of a compaction merge.
 fn arb_sorted_runs() -> impl Strategy<Value = Vec<Vec<(Key, Cell)>>> {
@@ -147,7 +282,7 @@ proptest! {
     #[test]
     fn memtable_matches_lww_oracle(entries in arb_entries(50)) {
         let mut mem = Memtable::new();
-        let mut oracle: std::collections::BTreeMap<Key, Cell> = Default::default();
+        let mut oracle: BTreeMap<Key, Cell> = Default::default();
         for (id, value, ts) in entries {
             let cell = Cell::live(Bytes::from(value), ts);
             mem.insert(key(id), cell.clone());
@@ -191,10 +326,10 @@ proptest! {
         sources in prop::collection::vec(arb_entries(40), 0..5)
     ) {
         // Make each source sorted/unique (as the merge contract requires).
-        let mut oracle: std::collections::BTreeMap<Key, Cell> = Default::default();
+        let mut oracle: BTreeMap<Key, Cell> = Default::default();
         let mut merged_sources = Vec::new();
         for src in sources {
-            let mut per: std::collections::BTreeMap<Key, Cell> = Default::default();
+            let mut per: BTreeMap<Key, Cell> = Default::default();
             for (id, value, ts) in src {
                 let cell = Cell::live(Bytes::from(value), ts);
                 per.entry(key(id))
@@ -226,10 +361,83 @@ proptest! {
         let streamed = merge_runs(&views, drop_tombstones);
         let legacy = legacy::merge_collect(runs.clone(), drop_tombstones);
         prop_assert_eq!(&streamed, &legacy);
-        // The owned-entry wrapper keeps the same contract as the old entry
-        // point.
-        let wrapped = merge_entries(runs, drop_tombstones);
-        prop_assert_eq!(wrapped, streamed);
+        // The owning merge moves the same winners out of its sources, and a
+        // lone source comes back as the allocation that went in.
+        let lone = (runs.len() == 1).then(|| runs[0].as_ptr());
+        let owned = merge_entries(runs, drop_tombstones);
+        if let Some(ptr) = lone {
+            prop_assert_eq!(owned.as_ptr(), ptr);
+        }
+        prop_assert_eq!(owned, legacy);
+    }
+
+    /// `SsTable::lower_bound` — block index, then the flat prefix array —
+    /// agrees with a plain partition point over the full keys, for keys
+    /// shorter than the 16-byte prefix, keys tied on it, probes outside the
+    /// table on either side, and the empty table.
+    #[test]
+    fn sstable_lower_bound_matches_partition_point(
+        keys in prop::collection::btree_set(arb_prefix_key(), 0..200),
+        probes in prop::collection::vec(arb_prefix_key(), 1..40),
+        block_size in (0usize..3).prop_map(|i| [1u64, 64, 4096][i]),
+    ) {
+        let entries: Vec<(Key, Cell)> = keys
+            .iter()
+            .map(|k| (Bytes::from(k.clone()), Cell::live(Bytes::new(), 1)))
+            .collect();
+        // `block_size` 1 gives one block per entry: past 64 entries the
+        // search crosses both levels of the block index.
+        let table = SsTable::build(TableId(1), entries, block_size);
+        let present = keys.iter().cloned();
+        let outside = [Vec::new(), vec![0xff; 20]];
+        for probe in probes.into_iter().chain(present).chain(outside) {
+            let want = table.entries().partition_point(|(k, _)| k.as_ref() < probe.as_slice());
+            prop_assert_eq!(table.lower_bound(&probe), want, "probe {:?}", probe);
+        }
+    }
+
+    /// Range scans over multi-run trees with memtable overlap and tombstones
+    /// return the rows of a `BTreeMap` model, and charge exactly the I/O —
+    /// op for op, and the same block-cache hits, misses and evictions — of
+    /// the whole-run-search accounting they replaced.
+    #[test]
+    fn scan_rows_and_io_match_model(
+        writes in prop::collection::vec(
+            // (key id, timestamp, tombstone in 40%, flush after in 4%)
+            (0u64..120, 0u64..1_000, (0u32..100).prop_map(|p| p < 40), (0u32..100).prop_map(|p| p < 4)),
+            1..400,
+        ),
+        scans in prop::collection::vec(
+            // limit: 0, 1, a short page, or more than the tree holds
+            (0u64..130, (0usize..4, 2usize..30).prop_map(|(pick, n)| [0, 1, n, 10_000][pick])),
+            1..12,
+        ),
+    ) {
+        let config = LsmConfig {
+            block_size: 128,
+            memtable_flush_bytes: u64::MAX, // flushes only where the input says
+            cache_bytes: 1024,              // a few blocks: scans evict
+            compaction: SizeTieredPolicy::default(),
+        };
+        let mut tree = LsmTree::new(config);
+        let mut model = ScanModel::new(&config);
+        for (id, ts, dead, flush) in writes {
+            let cell = if dead { Cell::tombstone(ts) } else { Cell::live(key(ts), ts) };
+            tree.put(key(id), cell.clone());
+            model.put(key(id), cell);
+            if flush {
+                tree.flush();
+                model.flush();
+            }
+        }
+        prop_assert_eq!(tree.table_count(), model.runs.len());
+        for (start, limit) in scans {
+            let got = tree.scan(&key(start), limit);
+            let (rows, io) = model.scan(&key(start), limit);
+            prop_assert_eq!(got.rows, rows, "rows from {} limit {}", start, limit);
+            prop_assert_eq!(got.io, io, "io from {} limit {}", start, limit);
+        }
+        prop_assert_eq!(tree.cache_stats(), model.cache.stats());
     }
 
     /// Every key written into an SSTable is found; absent keys are not.
