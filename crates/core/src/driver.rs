@@ -259,6 +259,8 @@ where
     let mut next_token: u64 = 1;
     let mut issued: u64 = 0;
     let mut completed: u64 = 0;
+    // Completions drained after each event; one buffer for the whole run.
+    let mut done: Vec<storage::Completion> = Vec::new();
     // Tracing bookkeeping. All of it is gated on `tracing`, and the tracer
     // itself is pure bookkeeping (no events, no RNG), so a disabled run is
     // bit-identical to one without any of this machinery.
@@ -498,7 +500,8 @@ where
             }
         }
         // Drain completions produced by this dispatch.
-        for c in store.drain_completions() {
+        store.drain_completions_into(&mut done);
+        for c in done.drain(..) {
             let opkey = attempt_of.take(c.token);
             if opkey.is_none() {
                 continue;

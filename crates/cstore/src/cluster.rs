@@ -9,7 +9,7 @@
 //! (for reads) optional all-replica repair fan-out.
 
 use obs::{Stage, Tracer};
-use simkit::{NodeId, OpKey, OpTag, Sim, SimTime, Slab};
+use simkit::{NodeId, OpKey, OpTag, Sim, SimTime, Slab, TimerId};
 use storage::types::entry_encoded_len;
 use storage::{Cell, Completion, Key, OpError, OpResult, StoreOp, Value};
 
@@ -24,6 +24,8 @@ struct Pending {
     /// The driver token: the op's external identity (completions, traces).
     token: u64,
     coordinator: NodeId,
+    /// The op's RPC timeout, cancelled when the op is retired.
+    timer: TimerId,
     state: PendingState,
 }
 
@@ -219,6 +221,12 @@ impl Cluster {
     /// Take all completions produced since the last drain.
     pub fn drain_completions(&mut self) -> Vec<Completion> {
         std::mem::take(&mut self.completed)
+    }
+
+    /// [`Cluster::drain_completions`] into a buffer the caller reuses; both
+    /// vectors keep their allocations.
+    pub fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
+        out.append(&mut self.completed);
     }
 
     /// Direct access to a node (assertions, utilization reports).
@@ -487,16 +495,23 @@ impl Cluster {
         let rx_done = self.nodes[coord.index()].hw.nic.rx(arr, bytes);
         self.tracer
             .record(token, Stage::ClientSend, coord.0, sim.now(), rx_done);
-        let key = self.pending.insert(Pending {
-            token,
-            coordinator: coord,
-            state: PendingState::Init(op),
+        let deadline = rx_done + self.config.rpc_timeout_us;
+        self.pending.insert_with(|key| {
+            sim.schedule_at(rx_done, W::from(Event::Arrive { op: key }));
+            Pending {
+                token,
+                coordinator: coord,
+                timer: sim.timer_at(deadline, W::from(Event::Timeout { op: key })),
+                state: PendingState::Init(op),
+            }
         });
-        sim.schedule_at(rx_done, W::from(Event::Arrive { op: key }));
-        sim.schedule_at(
-            rx_done + self.config.rpc_timeout_us,
-            W::from(Event::Timeout { op: key }),
-        );
+    }
+
+    /// Take a finished op out of the in-flight table and cancel its timeout.
+    fn retire<W>(&mut self, sim: &mut Sim<W>, op: OpKey) -> Option<Pending> {
+        let p = self.pending.remove(op)?;
+        sim.cancel_timer(p.timer);
+        Some(p)
     }
 
     /// Dispatch one internal event.
@@ -627,7 +642,7 @@ impl Cluster {
         };
         if !self.is_up(coord) {
             // Coordinator died since submit.
-            self.pending.remove(op);
+            self.retire(sim, op);
             self.completed.push(Completion {
                 token,
                 result: OpResult::Error(OpError::Unavailable),
@@ -732,7 +747,7 @@ impl Cluster {
         if !available {
             self.replica_scratch = replicas;
             self.metrics.unavailable += 1;
-            self.pending.remove(op);
+            self.retire(sim, op);
             self.respond(sim, token, coord, t1, OpResult::Error(OpError::Unavailable));
             return;
         }
@@ -861,7 +876,7 @@ impl Cluster {
             self.replica_scratch = replicas;
             if (quota_targets.len() as u32) < needed {
                 self.metrics.unavailable += 1;
-                self.pending.remove(op);
+                self.retire(sim, op);
                 self.respond(sim, token, coord, t1, OpResult::Error(OpError::Unavailable));
                 return;
             }
@@ -908,7 +923,7 @@ impl Cluster {
         if live_count < needed {
             self.replica_scratch = replicas;
             self.metrics.unavailable += 1;
-            self.pending.remove(op);
+            self.retire(sim, op);
             self.respond(sim, token, coord, t1, OpResult::Error(OpError::Unavailable));
             return;
         }
@@ -1004,7 +1019,7 @@ impl Cluster {
             .collect();
         if (live.len() as u32) < needed {
             self.metrics.unavailable += 1;
-            self.pending.remove(op);
+            self.retire(sim, op);
             self.respond(sim, token, coord, t1, OpResult::Error(OpError::Unavailable));
             return;
         }
@@ -1164,7 +1179,7 @@ impl Cluster {
             self.respond(sim, token, coord, t1, OpResult::Written { ts });
         }
         if done {
-            self.pending.remove(op);
+            self.retire(sim, op);
         }
     }
 
@@ -1309,7 +1324,7 @@ impl Cluster {
         if finished {
             // The op is done: take the pending entry, recovering the read
             // key (moved in at `start_read`) for the repair mutations.
-            let done = self.pending.remove(op);
+            let done = self.retire(sim, op);
             if !repairs.is_empty() {
                 let key = match done.map(|p| p.state) {
                     Some(PendingState::Read(r)) => r.key,
@@ -1467,7 +1482,7 @@ impl Cluster {
         match next {
             Next::Wait => {}
             Next::Respond(rows) => {
-                self.pending.remove(op);
+                self.retire(sim, op);
                 self.respond(sim, token, coord, t1, OpResult::Rows(rows));
             }
             Next::Continue {
@@ -1481,7 +1496,7 @@ impl Cluster {
     }
 
     fn on_timeout<W: From<Event>>(&mut self, sim: &mut Sim<W>, op: OpKey) {
-        let Some(p) = self.pending.remove(op) else {
+        let Some(p) = self.retire(sim, op) else {
             return;
         };
         let responded = match &p.state {

@@ -10,7 +10,7 @@
 
 use dfs::DfsCluster;
 use obs::{Stage, Tracer};
-use simkit::{NodeHw, NodeId, OpKey, OpTag, Sim, SimRng, SimTime, Slab};
+use simkit::{NodeHw, NodeId, OpKey, OpTag, Sim, SimRng, SimTime, Slab, TimerId};
 use storage::types::entry_encoded_len;
 use storage::{Cell, Completion, Key, OpError, OpResult, StoreOp, Value};
 
@@ -36,6 +36,12 @@ struct WalState {
 struct Pending {
     token: u64,
     responded: bool,
+    /// Index of the region the op was routed to at submit. (A scan moves on
+    /// through `Event::ScanExec`'s own index.) Only the region's `server`
+    /// is read fresh at each step: failover moves regions, never keys.
+    region: usize,
+    /// The op's RPC timeout, cancelled when the op is retired.
+    timer: TimerId,
     state: PendingState,
 }
 
@@ -240,6 +246,12 @@ impl Cluster {
     /// Take all completions produced since the last drain.
     pub fn drain_completions(&mut self) -> Vec<Completion> {
         std::mem::take(&mut self.completed)
+    }
+
+    /// [`Cluster::drain_completions`] into a buffer the caller reuses; both
+    /// vectors keep their allocations.
+    pub fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
+        out.append(&mut self.completed);
     }
 
     // ----- functional helpers -----
@@ -478,16 +490,24 @@ impl Cluster {
         let rx = self.servers[server.index()].nic.rx(arr, bytes);
         self.tracer
             .record(token, Stage::ClientSend, server.0, sim.now(), rx);
-        let key = self.pending.insert(Pending {
-            token,
-            responded: false,
-            state: PendingState::Init(op),
+        let deadline = rx + self.config.rpc_timeout_us;
+        self.pending.insert_with(|key| {
+            sim.schedule_at(rx, W::from(Event::Arrive { op: key }));
+            Pending {
+                token,
+                responded: false,
+                region: idx,
+                timer: sim.timer_at(deadline, W::from(Event::Timeout { op: key })),
+                state: PendingState::Init(op),
+            }
         });
-        sim.schedule_at(rx, W::from(Event::Arrive { op: key }));
-        sim.schedule_at(
-            rx + self.config.rpc_timeout_us,
-            W::from(Event::Timeout { op: key }),
-        );
+    }
+
+    /// Take a finished op out of the in-flight table and cancel its timeout.
+    fn retire<W>(&mut self, sim: &mut Sim<W>, op: OpKey) {
+        if let Some(p) = self.pending.remove(op) {
+            sim.cancel_timer(p.timer);
+        }
     }
 
     /// Dispatch one internal event.
@@ -497,7 +517,7 @@ impl Cluster {
             Event::WalFlushDone { server, group } => self.on_wal_flush_done(sim, server, group),
             Event::ScanExec { op, region, start } => self.on_scan_exec(sim, op, region, start),
             Event::Deliver { token, op, result } => {
-                self.pending.remove(op);
+                self.retire(sim, op);
                 self.completed.push(Completion { token, result });
             }
             Event::Timeout { op } => self.on_timeout(sim, op),
@@ -544,6 +564,7 @@ impl Cluster {
             return;
         };
         let token = p.token;
+        let idx = p.region;
         // Move the submitted op out of its pending slot; write payloads are
         // parked back in `PendingState::Write` below without cloning.
         let kind = match std::mem::replace(&mut p.state, PendingState::Done) {
@@ -553,11 +574,10 @@ impl Cluster {
                 return;
             }
         };
-        let idx = self.regions.region_of(kind.key());
         let server = self.regions.get(idx).server;
         if !self.is_up(server) {
             self.metrics.server_down += 1;
-            self.pending.remove(op);
+            self.retire(sim, op);
             self.completed.push(Completion {
                 token,
                 result: OpResult::Error(OpError::ServerDown),
@@ -792,6 +812,7 @@ impl Cluster {
                 continue; // timed out; the slot is gone
             };
             let token = p.token;
+            let idx = p.region;
             // Move the parked write payload out; no clones on the apply path.
             let (key, cell) = match std::mem::replace(&mut p.state, PendingState::Done) {
                 PendingState::Write {
@@ -807,7 +828,6 @@ impl Cluster {
             let t_apply = self.servers[server.index()].cpu.acquire(now, apply_us);
             self.tracer
                 .record(token, Stage::Apply, server.0, now, t_apply);
-            let idx = self.regions.region_of(&key);
             self.regions.get_mut(idx).lsm.put(key, cell);
             self.maintain_region(sim, idx, t_apply);
             self.respond(
@@ -913,7 +933,7 @@ impl Cluster {
         let server = self.regions.get(idx).server;
         if !self.is_up(server) {
             self.metrics.server_down += 1;
-            self.pending.remove(op);
+            self.retire(sim, op);
             self.completed.push(Completion {
                 token,
                 result: OpResult::Error(OpError::ServerDown),
@@ -1001,7 +1021,7 @@ impl Cluster {
             return; // Deliver is already scheduled; let it land.
         }
         let token = p.token;
-        self.pending.remove(op);
+        self.retire(sim, op);
         let at = sim.now() + self.config.profile.nic.prop_us;
         self.tracer
             .record(token, Stage::RespSend, obs::CLIENT_NODE, sim.now(), at);

@@ -4,6 +4,7 @@ use simkit::FastHashMap;
 
 use dfs::FileId;
 use simkit::NodeId;
+use storage::sstable::{cmp_via_prefix, key_prefix, KeyPrefix};
 use storage::{Key, LsmConfig, LsmTree, TableId};
 
 /// One region: a key range `[start, end)` served by a single region server.
@@ -32,6 +33,11 @@ impl Region {
 #[derive(Debug, Clone)]
 pub struct RegionMap {
     regions: Vec<Region>,
+    /// Padded prefix of every region's start key, parallel to `regions`:
+    /// routing searches this flat array and reads a full start key only on
+    /// a prefix tie, instead of loading a whole `Region` per probe. Start
+    /// keys are fixed when the map is built.
+    start_prefixes: Vec<KeyPrefix>,
 }
 
 impl RegionMap {
@@ -54,6 +60,7 @@ impl RegionMap {
             .map(Some)
             .chain(std::iter::once(None))
             .collect();
+        let start_prefixes = splits.iter().map(|k| key_prefix(k)).collect();
         let regions = splits
             .into_iter()
             .zip(ends)
@@ -66,7 +73,10 @@ impl RegionMap {
                 hfiles: FastHashMap::default(),
             })
             .collect();
-        Self { regions }
+        Self {
+            regions,
+            start_prefixes,
+        }
     }
 
     /// Number of regions.
@@ -79,13 +89,25 @@ impl RegionMap {
         false
     }
 
-    /// Index of the region containing `key`.
+    /// Index of the region containing `key`: the last one whose start key
+    /// is `<= key`.
     pub fn region_of(&self, key: &[u8]) -> usize {
-        match self.regions.binary_search_by(|r| r.start.as_ref().cmp(key)) {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) => i - 1,
+        let target = key_prefix(key);
+        // Region 0 starts at the empty key, which is `<=` every key.
+        let mut lo = 1;
+        let mut hi = self.regions.len();
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let start = self.regions[mid].start.as_ref();
+            if cmp_via_prefix(&self.start_prefixes[mid], start, &target, key)
+                == std::cmp::Ordering::Greater
+            {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
         }
+        lo - 1
     }
 
     /// Access a region.

@@ -11,8 +11,58 @@ fn k(id: u64) -> Bytes {
     Bytes::from(format!("user{id:08}").into_bytes())
 }
 
+/// Keys that stress the 16-byte prefix route: drawn from a four-byte
+/// alphabet that includes the pad byte, empty or shorter than a prefix, and
+/// — when `shared` is set — behind one common 16-byte head, so that whole
+/// split sets tie on their prefixes.
+fn prefix_key((shared, tail): (bool, Vec<u8>)) -> Bytes {
+    let mut key = if shared {
+        b"0123456789abcdef".to_vec()
+    } else {
+        Vec::new()
+    };
+    key.extend(tail.iter().map(|&b| [0x00, b'0', b'a', 0xff][b as usize]));
+    Bytes::from(key)
+}
+
+/// The routing `RegionMap::region_of` replaced: a binary search over the
+/// regions' full start keys.
+fn region_of_by_full_keys(map: &RegionMap, key: &[u8]) -> usize {
+    let starts: Vec<&[u8]> = map.iter().map(|r| r.start.as_ref()).collect();
+    match starts.binary_search_by(|start| start.cmp(&key)) {
+        Ok(i) => i,
+        // Region 0 starts at the empty key, so some start is always <= key.
+        Err(i) => i - 1,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Routing through the flat prefix array picks the region the search
+    /// over full start keys picked: for every split itself, for probes
+    /// below the first and above the last split, for the empty key, keys
+    /// shorter than a prefix, and splits that share their whole prefix.
+    #[test]
+    fn prefix_routing_matches_full_key_search(
+        splits in prop::collection::btree_set(
+            (prop::bool::ANY, prop::collection::vec(0u8..4, 0..20)).prop_map(prefix_key),
+            0..24,
+        ),
+        probes in prop::collection::vec(
+            (prop::bool::ANY, prop::collection::vec(0u8..4, 0..20)).prop_map(prefix_key),
+            1..40,
+        ),
+    ) {
+        let splits: Vec<Bytes> = splits.into_iter().collect();
+        let map = RegionMap::new(splits.clone(), 3, LsmConfig::default());
+        let edges = [Bytes::new(), Bytes::from(vec![0x00]), Bytes::from(vec![0xff; 24])];
+        for key in probes.iter().chain(&splits).chain(&edges) {
+            let idx = map.region_of(key);
+            prop_assert_eq!(idx, region_of_by_full_keys(&map, key), "key {:?}", key);
+            prop_assert!(map.get(idx).contains(key));
+        }
+    }
 
     /// Every key routes to exactly the region whose range contains it, and
     /// the regions partition the key space.

@@ -12,7 +12,8 @@
 //! * [`SimTime`] — virtual time in microseconds.
 //! * [`EventQueue`] / [`Sim`] — a calendar-queue (time-wheel) event queue
 //!   with a stable `(time, seq)` tie-break, plus the simulation context
-//!   (clock + queue + RNG) that models schedule into.
+//!   (clock + queue + RNG) that models schedule into, with cancellable
+//!   timers ([`TimerId`]) for events armed per op that rarely fire.
 //! * [`slab`] — generational slab storage ([`Slab`]/[`OpKey`]) for
 //!   in-flight op contexts, replacing `HashMap`-backed per-op state on
 //!   dispatch paths.
@@ -58,7 +59,7 @@ pub use hash::{FastBuildHasher, FastHashMap, FastHashSet, FastHasher};
 pub use queue::EventQueue;
 pub use resource::{FifoResource, MultiServer};
 pub use rng::SimRng;
-pub use sim::Sim;
+pub use sim::{Sim, TimerId};
 pub use slab::{OpKey, Slab};
 pub use time::{SimTime, MICROS_PER_MILLI, MICROS_PER_SEC};
 pub use topology::{NodeId, Topology};

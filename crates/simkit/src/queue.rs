@@ -74,8 +74,11 @@ const INIT_SHIFT: u32 = 8;
 /// (window ≈ 4.8 h), enough for fault plans and GC-pause cadences.
 const MAX_SHIFT: u32 = 22;
 /// Bucket count (power of two). At the initial width the window is
-/// 4096 × 256 µs ≈ 1.05 s, which covers RPC timeouts; only multi-second
-/// schedules (GC pause intervals, fault plans) take the overflow lane.
+/// 4096 × 256 µs ≈ 1.05 s, and it shrinks as the wheel narrows under a
+/// loaded schedule, so anything scheduled seconds ahead — GC pause
+/// intervals, fault plans, and a 2 s RPC timeout — takes the overflow lane.
+/// That is why the per-op timeouts are [`crate::Sim`] timers, of which only
+/// the earliest is ever queued here, and not plain events.
 const BUCKETS: usize = 4096;
 const BUCKET_MASK: u64 = (BUCKETS as u64) - 1;
 /// A cursor bucket fatter than this at sort time triggers narrowing
@@ -200,8 +203,26 @@ impl<E> EventQueue<E> {
     /// Schedule `event` to fire at absolute time `time`. `time` may be below
     /// `wheel_start` only before the first pop (the wheel re-anchors then).
     pub fn push(&mut self, time: SimTime, event: E) {
+        let seq = self.reserve_seq();
+        self.push_seq(time, seq, event);
+    }
+
+    /// Take the sequence number the next [`EventQueue::push`] would have
+    /// used, for an event that is queued later through
+    /// [`EventQueue::push_seq`] and must still fire where a push made now
+    /// would have put it.
+    #[inline]
+    pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
+        seq
+    }
+
+    /// [`EventQueue::push`] under a sequence number from
+    /// [`EventQueue::reserve_seq`]. Reserved numbers may be queued in any
+    /// order, each once, and `(time, seq)` must sort after the last popped
+    /// event: the pop order stays the total `(time, seq)` order.
+    pub fn push_seq(&mut self, time: SimTime, seq: u64, event: E) {
         if time >= self.window_end() || time < self.wheel_start {
             // Far future — or, before the first pop, behind the initial
             // anchor: both take the ordered overflow lane. Pops migrate
@@ -224,6 +245,11 @@ impl<E> EventQueue<E> {
 
     /// Remove and return the earliest event, with its fire time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_seq().map(|(time, _, event)| (time, event))
+    }
+
+    /// [`EventQueue::pop`] that also returns the event's sequence number.
+    pub fn pop_seq(&mut self) -> Option<(SimTime, u64, E)> {
         loop {
             if self.wheel_len == 0 {
                 // Wheel drained: fast-forward to the overflow minimum.
@@ -286,7 +312,7 @@ impl<E> EventQueue<E> {
             let e = self.buckets[cursor].pop().expect("non-empty bucket");
             self.wheel_len -= 1;
             self.empty_steps = 0;
-            return Some((e.time, e.event));
+            return Some((e.time, e.seq, e.event));
         }
     }
 

@@ -98,29 +98,39 @@ impl<T> Slab<T> {
     /// available; the returned key's generation is always ≥ 1, so it never
     /// collides with [`OpKey::NONE`].
     pub fn insert(&mut self, value: T) -> OpKey {
+        self.insert_with(|_| value)
+    }
+
+    /// [`Slab::insert`] for a value that holds its own key, or that is built
+    /// from things created under it (the events an op schedules for itself):
+    /// `make` is handed the key the value will be stored at.
+    pub fn insert_with(&mut self, make: impl FnOnce(OpKey) -> T) -> OpKey {
         if let Some(slot) = self.free_head {
             let s = &mut self.slots[slot as usize];
-            let generation = match *s {
-                Slot::Free {
-                    generation,
-                    next_free,
-                } => {
-                    self.free_head = next_free;
-                    generation
-                }
-                Slot::Full { .. } => unreachable!("free list points at a full slot"),
+            let Slot::Free {
+                generation,
+                next_free,
+            } = *s
+            else {
+                unreachable!("free list points at a full slot")
             };
-            *s = Slot::Full { generation, value };
+            let key = OpKey::pack(slot, generation);
+            *s = Slot::Full {
+                generation,
+                value: make(key),
+            };
+            self.free_head = next_free;
             self.len += 1;
-            OpKey::pack(slot, generation)
+            key
         } else {
             let slot = u32::try_from(self.slots.len()).expect("slab slot overflow");
+            let key = OpKey::pack(slot, 1);
             self.slots.push(Slot::Full {
                 generation: 1,
-                value,
+                value: make(key),
             });
             self.len += 1;
-            OpKey::pack(slot, 1)
+            key
         }
     }
 

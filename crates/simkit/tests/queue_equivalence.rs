@@ -111,8 +111,109 @@ fn run_both(steps: &[Step]) -> (PopLog, PopLog) {
     )
 }
 
+/// One step of a schedule that also queues events late, under sequence
+/// numbers reserved earlier — what `Sim`'s timer lane does.
+#[derive(Debug, Clone)]
+enum ReservedStep {
+    /// An ordinary push or pop.
+    Plain(Step),
+    /// Reserve the next sequence number for an event at
+    /// `last_popped_time + offset` and hold the event back.
+    Reserve(u64),
+    /// Queue the `n % held`-th held event now, ahead of need.
+    Release(usize),
+}
+
+/// A schedule with held-back events replayed against the calendar queue and
+/// the heap at once. The heap gets every event when its number is reserved;
+/// the calendar queue gets a held one through `push_seq` at a `Release`
+/// step, or at the latest just before the pop that is due to return it — so
+/// held events go in out of reservation order, into buckets the cursor has
+/// already sorted, and behind later numbers at the same instant.
+#[derive(Default)]
+struct ReservedReplay {
+    calendar: EventQueue<u64>,
+    heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
+    /// `(time, seq, event)` reserved and not yet given to the calendar queue.
+    held: Vec<(u64, u64, u64)>,
+    next_seq: u64,
+    clock: u64,
+    calendar_log: PopLog,
+    heap_log: PopLog,
+}
+
+impl ReservedReplay {
+    fn step(&mut self, step: &ReservedStep, id: u64) {
+        match *step {
+            ReservedStep::Plain(Step::Push(offset)) => {
+                self.calendar.push(self.clock + offset, id);
+                self.heap
+                    .push(Reverse((self.clock + offset, self.next_seq, id)));
+                self.next_seq += 1;
+            }
+            ReservedStep::Reserve(offset) => {
+                let seq = self.calendar.reserve_seq();
+                assert_eq!(seq, self.next_seq, "reserving draws on the push counter");
+                self.next_seq += 1;
+                self.held.push((self.clock + offset, seq, id));
+                self.heap.push(Reverse((self.clock + offset, seq, id)));
+            }
+            ReservedStep::Release(n) => {
+                if !self.held.is_empty() {
+                    let (time, seq, event) = self.held.swap_remove(n % self.held.len());
+                    self.calendar.push_seq(time, seq, event);
+                }
+            }
+            ReservedStep::Plain(Step::Pop) => {
+                self.pop();
+            }
+        }
+    }
+
+    /// Pop both queues once; false when the heap is empty.
+    fn pop(&mut self) -> bool {
+        let Some(Reverse(due)) = self.heap.pop() else {
+            assert_eq!(self.calendar.pop(), None);
+            return false;
+        };
+        if let Some(i) = self.held.iter().position(|&h| h == due) {
+            self.held.swap_remove(i);
+            self.calendar.push_seq(due.0, due.1, due.2);
+        }
+        self.heap_log.push((due.0, due.2));
+        self.calendar_log.extend(self.calendar.pop());
+        self.clock = due.0;
+        true
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Events queued late under reserved sequence numbers, in any order,
+    /// pop exactly where an eager push at reservation time would have put
+    /// them.
+    #[test]
+    fn reserved_seqs_pushed_out_of_order_match_heap(
+        raw in prop::collection::vec((0u8..14, 0u64..u64::MAX / 2), 0..400)
+    ) {
+        let steps: Vec<ReservedStep> = raw
+            .iter()
+            .map(|&(s, v)| match s {
+                9 | 10 => ReservedStep::Reserve(v % 2_000),
+                11 => ReservedStep::Reserve(0),
+                12 => ReservedStep::Reserve(2_000_000 + v % 4_000_000_000),
+                13 => ReservedStep::Release(v as usize),
+                _ => ReservedStep::Plain(decode(s, v)),
+            })
+            .collect();
+        let mut replay = ReservedReplay::default();
+        for (id, step) in steps.iter().enumerate() {
+            replay.step(step, id as u64);
+        }
+        while replay.pop() {}
+        prop_assert_eq!(replay.calendar_log, replay.heap_log);
+    }
 
     /// Arbitrary interleavings: identical pop sequences, event for event.
     #[test]

@@ -184,8 +184,10 @@ impl LsmTree {
     /// Zero-copy until the very end: candidates stay borrowed out of the
     /// memtable and runs, last-write-wins folds by reference via
     /// [`Cell::newer`], and only the final winner is cloned (a refcount
-    /// bump). The key is bloom-hashed once for all runs, and every run
-    /// records into one shared inline [`IoPlan`].
+    /// bump). The key is bloom-hashed at most once for all runs — when the
+    /// first run misses it, so never on the common path where every run
+    /// holds the key — and every run records into one shared inline
+    /// [`IoPlan`].
     pub fn get(&mut self, key: &[u8]) -> ReadResult {
         let Self {
             cache,
@@ -199,10 +201,10 @@ impl LsmTree {
             io.push(IoOp::MemtableHit);
             newest = Some(cell);
         }
-        let hashes = bloom::hash_pair(key);
+        let mut hashes = None;
         // Check every run; last-write-wins decides, so order is irrelevant.
         for table in tables.iter() {
-            if let Some(cell) = Self::get_from_table(cache, table, key, hashes, &mut io) {
+            if let Some(cell) = Self::get_from_table(cache, table, key, &mut hashes, &mut io) {
                 newest = Some(match newest {
                     Some(prev) => Cell::newer(prev, cell),
                     None => cell,
@@ -219,7 +221,7 @@ impl LsmTree {
         cache: &mut BlockCache,
         table: &'t SsTable,
         key: &[u8],
-        hashes: (u64, u64),
+        hashes: &mut Option<(u64, u64)>,
         io: &mut IoPlan,
     ) -> Option<&'t Cell> {
         // Search first, bloom only on a miss. A present key always passes
@@ -236,7 +238,9 @@ impl LsmTree {
             return None;
         };
         let hit = table.get_in_block(block, key);
-        if hit.is_none() && !table.may_contain_hashed(hashes) {
+        if hit.is_none()
+            && !table.may_contain_hashed(*hashes.get_or_insert_with(|| bloom::hash_pair(key)))
+        {
             io.push(IoOp::BloomSkip);
             return None;
         }

@@ -23,14 +23,16 @@ impl std::fmt::Display for TableId {
 /// First 16 bytes of a key, zero-padded. Stored in flat arrays so the
 /// binary searches of the point-read path compare contiguous memory
 /// instead of chasing each `Bytes` key onto the heap.
-type KeyPrefix = [u8; 16];
+pub type KeyPrefix = [u8; 16];
 
 /// Blocks per top-level index chunk. 64 keeps the top level of a large
 /// run's index at a few cache lines per thousand blocks while the
 /// second-level window spans a single kilobyte of prefixes.
 const CHUNK: usize = 64;
 
-fn key_prefix(key: &[u8]) -> KeyPrefix {
+/// The padded prefix of `key`.
+#[inline]
+pub fn key_prefix(key: &[u8]) -> KeyPrefix {
     let mut p = [0u8; 16];
     let n = key.len().min(16);
     p[..n].copy_from_slice(&key[..n]);
@@ -43,7 +45,7 @@ fn key_prefix(key: &[u8]) -> KeyPrefix {
 /// any byte the longer key continues with, and equal pads defer); only a
 /// prefix tie needs the full keys.
 #[inline]
-fn cmp_via_prefix(
+pub fn cmp_via_prefix(
     prefix: &KeyPrefix,
     full: &[u8],
     target_prefix: &KeyPrefix,
