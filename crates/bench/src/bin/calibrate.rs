@@ -43,7 +43,7 @@ fn main() {
         driver::load(&mut h, scale.records, scale.value_len, 42);
         let tables: usize = h.regions().iter().map(|r| r.lsm.table_count()).sum();
         let out = driver::run(&mut h, &dcfg);
-        let node0 = h.server(NodeId(0));
+        let node0 = h.hw(NodeId(0));
         let hits: u64 = h.regions().iter().map(|r| r.lsm.cache_stats().hits).sum();
         let misses: u64 = h.regions().iter().map(|r| r.lsm.cache_stats().misses).sum();
         println!(
@@ -62,7 +62,7 @@ fn main() {
             .map(|i| c.node(NodeId(i as u32)).lsm.table_count())
             .sum();
         let out = driver::run(&mut c, &dcfg);
-        let node0 = c.node(NodeId(0));
+        let node0 = c.hw(NodeId(0));
         let (hits, misses) = (0..c.len()).fold((0u64, 0u64), |(h, m), i| {
             let s = c.node(NodeId(i as u32)).lsm.cache_stats();
             (h + s.hits, m + s.misses)
@@ -72,11 +72,11 @@ fn main() {
             out.mean_latency_us,
             out.throughput,
             hits as f64 / (hits + misses).max(1) as f64,
-            node0.hw.disk.utilization(out.sim_duration_us),
-            node0.hw.disk.read_bytes(),
+            node0.disk.utilization(out.sim_duration_us),
+            node0.disk.read_bytes(),
             c.metrics().repair_fanouts,
             c.metrics().repair_writes,
-            c.metrics().gc_pauses,
+            gc_pauses(&c),
         );
     }
 }
@@ -127,9 +127,17 @@ fn consistency_probe() {
             "{name}: tput={:.0} read_mean={read:.0}us update_mean={upd:.0}us hit={:.2} pauses={} mismatches={} repairs={}",
             out.throughput,
             hits as f64 / (hits + misses).max(1) as f64,
-            c.metrics().gc_pauses,
+            gc_pauses(&c),
             c.metrics().digest_mismatches,
             c.metrics().repair_writes,
         );
     }
+}
+
+/// The runtime's GC-pause count, read from the store's counter report.
+fn gc_pauses(c: &cstore::Cluster) -> u64 {
+    c.counters()
+        .into_iter()
+        .find_map(|(label, v)| (label == "gc_pauses").then_some(v))
+        .unwrap_or(0)
 }

@@ -126,12 +126,12 @@ impl CrashPlan {
         let scale = &self.run.scale;
         match kind {
             StoreKind::HStore => Store::H(build_hstore_with(scale, rf, |c| {
-                c.rpc_timeout_us = self.rpc_timeout_us;
+                c.node.rpc_timeout_us = self.rpc_timeout_us;
                 c.failover_delay_us = self.failover_delay_us;
             })),
             StoreKind::CStore => {
                 Store::C(build_cstore_with(scale, rf, level.read, level.write, |c| {
-                    c.rpc_timeout_us = self.rpc_timeout_us;
+                    c.node.rpc_timeout_us = self.rpc_timeout_us;
                 }))
             }
         }

@@ -150,8 +150,8 @@ impl GeoExperimentConfig {
             Partitioner::order_preserving(balanced_tokens(nodes)),
         );
         c.nodes = nodes;
-        let prop = c.profile.nic.prop_us;
-        c.topology = self.geo_config(regions).topology(npr, prop, prop);
+        let prop = c.node.profile.nic.prop_us;
+        c.node.topology = self.geo_config(regions).topology(npr, prop, prop);
         c.strategy = geo::Strategy::network_topology(regions, self.rf_per_dc);
         c.lsm = self.run.scale.lsm();
         c.read_cl = level.read;
@@ -166,7 +166,7 @@ impl GeoExperimentConfig {
         let splits: Vec<_> = balanced_tokens(npr).into_iter().skip(1).collect();
         let mut h = HStoreConfig::paper_testbed(self.hstore_rf(), splits);
         h.nodes = npr;
-        h.topology = simkit::Topology::single_rack(npr, h.profile.nic.prop_us);
+        h.node.topology = simkit::Topology::single_rack(npr, h.node.profile.nic.prop_us);
         h.lsm = self.run.scale.lsm();
         h.follower_regions = regions - 1;
         h.ship_wan_us = self.inter_region_us;
@@ -414,8 +414,8 @@ mod tests {
                     Partitioner::order_preserving(balanced_tokens(cfg.nodes_per_region)),
                 );
                 base.nodes = cfg.nodes_per_region;
-                let prop = base.profile.nic.prop_us;
-                base.topology = cfg.geo_config(1).topology(cfg.nodes_per_region, prop, prop);
+                let prop = base.node.profile.nic.prop_us;
+                base.node.topology = cfg.geo_config(1).topology(cfg.nodes_per_region, prop, prop);
                 base.lsm = cfg.run.scale.lsm();
                 base.read_cl = level.read;
                 base.write_cl = level.write;

@@ -247,10 +247,10 @@ impl Experiment for OverloadConfig {
                 self.rf,
                 self.read_cl,
                 self.write_cl,
-                |c| c.admission = admission,
+                |c| c.node.admission = admission,
             )),
             StoreKind::HStore => Store::H(build_hstore_with(scale, self.rf, |h| {
-                h.admission = admission
+                h.node.admission = admission
             })),
         }
     }

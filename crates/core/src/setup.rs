@@ -159,7 +159,7 @@ pub fn build_cstore_with(
 ) -> cstore::Cluster {
     let mut cfg = CStoreConfig::paper_testbed(rf, Partitioner::order_preserving(scale.tokens()));
     cfg.nodes = scale.nodes;
-    cfg.topology = simkit::Topology::single_rack(scale.nodes, cfg.profile.nic.prop_us);
+    cfg.node.topology = simkit::Topology::single_rack(scale.nodes, cfg.node.profile.nic.prop_us);
     cfg.lsm = scale.lsm();
     cfg.read_cl = read_cl;
     cfg.write_cl = write_cl;
@@ -182,7 +182,7 @@ pub fn build_hstore_with(
 ) -> hstore::Cluster {
     let mut cfg = HStoreConfig::paper_testbed(rf, scale.region_splits());
     cfg.nodes = scale.nodes;
-    cfg.topology = simkit::Topology::single_rack(scale.nodes, cfg.profile.nic.prop_us);
+    cfg.node.topology = simkit::Topology::single_rack(scale.nodes, cfg.node.profile.nic.prop_us);
     cfg.lsm = scale.lsm();
     tweak(&mut cfg);
     hstore::Cluster::new(cfg, 0xB0A7 ^ u64::from(rf))

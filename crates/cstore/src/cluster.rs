@@ -6,10 +6,13 @@
 //! correct virtual instant) → `WriteAck` back at the coordinator → `Deliver`
 //! to the client once the consistency level's quota is met. Reads and scans
 //! are analogous with quota-gated responses, timestamp reconciliation, and
-//! (for reads) optional all-replica repair fan-out.
+//! (for reads) optional all-replica repair fan-out. The front door, the
+//! in-flight table and the node hardware are the [`::node::Runtime`]; an
+//! in-flight op's `node` is its coordinator.
 
-use obs::{Stage, Tracer};
-use simkit::{NodeId, OpKey, OpTag, Sim, SimTime, Slab, TimerId};
+use ::node::Runtime;
+use obs::Stage;
+use simkit::{NodeHw, NodeId, OpKey, OpTag, Sim, SimTime};
 use storage::types::entry_encoded_len;
 use storage::{Cell, Completion, Key, OpError, OpResult, StoreOp, Value};
 
@@ -18,16 +21,6 @@ use crate::event::Event;
 use crate::metrics::Metrics;
 use crate::node::{CNode, Hint};
 use crate::ring::Ring;
-
-#[derive(Debug, Clone)]
-struct Pending {
-    /// The driver token: the op's external identity (completions, traces).
-    token: u64,
-    coordinator: NodeId,
-    /// The op's RPC timeout, cancelled when the op is retired.
-    timer: TimerId,
-    state: PendingState,
-}
 
 #[derive(Debug, Clone)]
 enum PendingState {
@@ -86,7 +79,6 @@ struct WriteState {
     needed: u32,
     expected: u32,
     acks: u32,
-    responded: bool,
     ts: u64,
     /// When the replica fan-out left the coordinator (quorum-wait start).
     fanout_at: SimTime,
@@ -96,11 +88,10 @@ struct WriteState {
 
 #[derive(Debug, Clone)]
 struct ReadState {
-    /// The read key, kept for repair writes after the op is consumed.
+    /// The read key, for the repair writes.
     key: Key,
     needed: u32,
     expected: u32,
-    responded: bool,
     /// True when this read probes all replicas for repair: the response
     /// then waits for every replica (Cassandra 2.0 blocks for all contacted
     /// replicas when read repair is active).
@@ -119,7 +110,6 @@ struct ScanState {
     collected: Vec<(Key, Cell)>,
     current_primary: usize,
     rounds: u32,
-    responded: bool,
     /// When the current round's fan-out left the coordinator.
     round_started: SimTime,
 }
@@ -130,12 +120,9 @@ pub struct Cluster {
     config: CStoreConfig,
     ring: Ring,
     nodes: Vec<CNode>,
-    pending: Slab<Pending>,
-    completed: Vec<Completion>,
+    rt: Runtime<PendingState, Event>,
     metrics: Metrics,
     next_coord: usize,
-    pauses_started: bool,
-    tracer: Tracer,
     /// Reusable buffer for per-op replica placement: the coordinator paths
     /// take it, fill it via [`Ring::replicas_into`], and put it back, so the
     /// read/write hot paths never allocate a replica `Vec` per operation.
@@ -154,8 +141,8 @@ impl Cluster {
                 "replication_factor must equal the NetworkTopologyStrategy quota sum"
             );
         }
-        let snitch = if config.topology.len() == config.nodes {
-            geo::Snitch::from_topology(&config.topology)
+        let snitch = if config.node.topology.len() == config.nodes {
+            geo::Snitch::from_topology(&config.node.topology)
         } else {
             geo::Snitch::single_dc(config.nodes)
         };
@@ -165,19 +152,20 @@ impl Cluster {
             config.strategy.clone(),
             snitch,
         );
-        let nodes = (0..config.nodes)
-            .map(|_| CNode::new(config.profile, config.lsm))
-            .collect();
+        let nodes = (0..config.nodes).map(|_| CNode::new(config.lsm)).collect();
+        let rt = Runtime::new(
+            config.node.clone(),
+            config.nodes,
+            config.costs.msg_overhead_bytes,
+            config.costs.jitter,
+        );
         Self {
             config,
             ring,
             nodes,
-            pending: Slab::new(),
-            completed: Vec::new(),
+            rt,
             metrics: Metrics::new(),
             next_coord: 0,
-            pauses_started: false,
-            tracer: Tracer::new(),
             replica_scratch: Vec::new(),
         }
     }
@@ -197,10 +185,15 @@ impl Cluster {
         &self.metrics
     }
 
+    /// Every behaviour counter as `(label, value)`, in report order.
+    pub fn counters(&self) -> Vec<(&'static str, u64)> {
+        self.metrics.counters(self.rt.gc_pauses(), self.rt.shed())
+    }
+
     /// The span tracer (disabled by default; the driver enables it and
     /// registers which tokens to record).
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.tracer
+    pub fn tracer_mut(&mut self) -> &mut obs::Tracer {
+        &mut self.rt.tracer
     }
 
     /// Node count.
@@ -213,25 +206,29 @@ impl Cluster {
         false
     }
 
-    /// In-flight operation count (for drain/quiesce checks).
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Take all completions produced since the last drain.
     pub fn drain_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completed)
+        self.rt.drain_completions()
     }
 
-    /// [`Cluster::drain_completions`] into a buffer the caller reuses; both
-    /// vectors keep their allocations.
+    /// [`Cluster::drain_completions`] into a buffer the caller reuses.
     pub fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
-        out.append(&mut self.completed);
+        self.rt.drain_completions_into(out);
     }
 
-    /// Direct access to a node (assertions, utilization reports).
+    /// Direct access to a node's storage and hints (assertions, reports).
     pub fn node(&self, node: NodeId) -> &CNode {
         &self.nodes[node.index()]
+    }
+
+    /// A node's hardware (utilization reports).
+    pub fn hw(&self, node: NodeId) -> &NodeHw {
+        self.rt.hw(node)
+    }
+
+    /// Mutable access to a node's hardware (tests).
+    pub fn hw_mut(&mut self, node: NodeId) -> &mut NodeHw {
+        self.rt.hw_mut(node)
     }
 
     /// A copy-on-write snapshot of the cluster. Every immutable SSTable run
@@ -253,19 +250,14 @@ impl Cluster {
                 .all(|(a, b)| a.lsm.shares_tables_with(&b.lsm))
     }
 
-    /// Mutable node access (tests and ablations).
-    pub fn node_mut(&mut self, node: NodeId) -> &mut CNode {
-        &mut self.nodes[node.index()]
-    }
-
     /// Crash a node.
     pub fn fail_node(&mut self, node: NodeId) {
-        self.nodes[node.index()].hw.fail();
+        self.rt.hw_mut(node).fail();
     }
 
     /// Recover a node and trigger hint replay everywhere.
     pub fn recover_node<W: From<Event>>(&mut self, sim: &mut Sim<W>, node: NodeId) {
-        self.nodes[node.index()].hw.recover();
+        self.rt.hw_mut(node).recover();
         for i in 0..self.nodes.len() {
             if !self.nodes[i].hints.is_empty() {
                 sim.schedule_in(
@@ -321,7 +313,7 @@ impl Cluster {
         self.nodes[node.index()].lsm.get(key).cell
     }
 
-    // ----- sizing -----
+    // ----- plumbing -----
 
     fn req_bytes(&self, op: &StoreOp) -> u64 {
         let body = match op {
@@ -332,24 +324,6 @@ impl Cluster {
             StoreOp::Scan { start, .. } => start.len(),
         };
         self.config.costs.msg_overhead_bytes + body as u64
-    }
-
-    fn cell_bytes(&self, cell: &Option<Cell>) -> u64 {
-        self.config.costs.msg_overhead_bytes + cell.as_ref().map_or(0, Cell::encoded_len)
-    }
-
-    fn rows_bytes(&self, rows: &[(Key, Cell)]) -> u64 {
-        self.config.costs.msg_overhead_bytes
-            + rows
-                .iter()
-                .map(|(k, c)| entry_encoded_len(k, c))
-                .sum::<u64>()
-    }
-
-    // ----- plumbing -----
-
-    fn is_up(&self, node: NodeId) -> bool {
-        self.nodes[node.index()].hw.is_up()
     }
 
     /// Datacenter of a node, per the ring's snitch.
@@ -372,64 +346,19 @@ impl Cluster {
         }
     }
 
-    fn pick_coordinator(&mut self) -> Option<NodeId> {
-        for _ in 0..self.nodes.len() {
-            let i = self.next_coord % self.nodes.len();
-            self.next_coord = self.next_coord.wrapping_add(1);
-            if self.nodes[i].hw.is_up() {
-                return Some(NodeId(i as u32));
-            }
-        }
-        None
-    }
-
-    /// Sample a service time with the configured mean: exponential when
-    /// `jitter` is 1 (heavy-tailed JVM-era handling), deterministic at 0,
-    /// linear blend in between.
-    fn service<W>(&self, sim: &mut Sim<W>, mean_us: u64) -> u64 {
-        let j = self.config.costs.jitter;
-        if j <= 0.0 || mean_us == 0 {
-            return mean_us;
-        }
-        let u = sim.rng().unit().max(1e-12);
-        let exp = -u.ln() * mean_us as f64;
-        (mean_us as f64 * (1.0 - j) + exp * j).round() as u64
-    }
-
-    /// Move `bytes` from `from` to `to` starting at `start`; returns full
-    /// delivery time. Loopback is free.
-    fn net_to(&mut self, from: NodeId, to: NodeId, bytes: u64, start: SimTime) -> SimTime {
-        if from == to {
-            return start;
-        }
-        let tx = self.nodes[from.index()].hw.nic.tx(start, bytes);
-        let arr = tx + self.config.topology.prop_us(from, to);
-        self.nodes[to.index()].hw.nic.rx(arr, bytes)
-    }
-
-    /// Delivery time of a server→client response sent at `start`.
-    fn client_delivery(&mut self, from: NodeId, bytes: u64, start: SimTime) -> SimTime {
-        let tx = self.nodes[from.index()].hw.nic.tx(start, bytes);
-        tx + self.config.profile.nic.prop_us
-    }
-
-    fn respond<W: From<Event>>(
+    /// Charge coordinator CPU for `cost_us` from now, traced as `stage`.
+    fn coordinator_cpu<W>(
         &mut self,
-        sim: &mut Sim<W>,
+        sim: &Sim<W>,
         token: u64,
-        from: NodeId,
-        start: SimTime,
-        result: OpResult,
-    ) {
-        let bytes = match &result {
-            OpResult::Value(cell) => self.cell_bytes(cell),
-            OpResult::Rows(rows) => self.rows_bytes(rows),
-            _ => self.config.costs.msg_overhead_bytes,
-        };
-        let at = self.client_delivery(from, bytes, start);
-        self.tracer
-            .record(token, Stage::RespSend, from.0, start, at);
-        sim.schedule_at(at, W::from(Event::Deliver { token, result }));
+        coord: NodeId,
+        cost_us: u64,
+        stage: Stage,
+    ) -> SimTime {
+        let now = sim.now();
+        let t1 = self.rt.hw_mut(coord).cpu.acquire(now, cost_us);
+        self.rt.tracer.record(token, stage, coord.0, now, t1);
+        t1
     }
 
     // ----- public API -----
@@ -440,11 +369,10 @@ impl Cluster {
         self.submit_tagged(sim, token, op, OpTag::default());
     }
 
-    /// [`Cluster::submit`] with client scheduling metadata. When admission
-    /// control is enabled and the coordinator's in-flight bound sheds the
-    /// op, the completion is an immediate [`OpError::Overloaded`] fast-fail:
-    /// no events are scheduled and no RNG is drawn, mirroring the
-    /// availability fast-fail path.
+    /// [`Cluster::submit`] with client scheduling metadata for admission
+    /// control (see [`::node::Runtime::submit`]). The coordinator is the
+    /// next live node round-robin; with none live the op fails fast as
+    /// [`OpError::Unavailable`].
     pub fn submit_tagged<W: From<Event>>(
         &mut self,
         sim: &mut Sim<W>,
@@ -452,66 +380,18 @@ impl Cluster {
         op: StoreOp,
         tag: OpTag,
     ) {
-        if self.config.admission.enabled()
-            && !self
-                .config
-                .admission
-                .admits(self.pending.len(), tag, sim.now())
-        {
-            self.metrics.shed += 1;
-            let now = sim.now();
-            self.tracer
-                .record(token, Stage::AdmissionQueue, 0, now, now);
-            self.completed.push(Completion {
-                token,
-                result: OpResult::Error(OpError::Overloaded),
-            });
-            return;
-        }
-        if !self.pauses_started {
-            self.pauses_started = true;
-            if self.config.pause_interval_us > 0 {
-                for i in 0..self.nodes.len() {
-                    // Stagger first pauses uniformly over one interval.
-                    let delay = sim.rng().below(self.config.pause_interval_us);
-                    sim.schedule_in(
-                        delay,
-                        W::from(Event::GcPause {
-                            node: NodeId(i as u32),
-                        }),
-                    );
+        let bytes = self.req_bytes(&op);
+        let next_coord = &mut self.next_coord;
+        self.rt.submit(sim, token, tag, bytes, |rt| {
+            for _ in 0..rt.nodes() {
+                let coord = NodeId((*next_coord % rt.nodes()) as u32);
+                *next_coord = next_coord.wrapping_add(1);
+                if rt.is_up(coord) {
+                    return Ok((coord, PendingState::Init(op)));
                 }
             }
-        }
-        let Some(coord) = self.pick_coordinator() else {
-            self.completed.push(Completion {
-                token,
-                result: OpResult::Error(OpError::Unavailable),
-            });
-            return;
-        };
-        let bytes = self.req_bytes(&op);
-        let arr = sim.now() + self.config.profile.nic.prop_us;
-        let rx_done = self.nodes[coord.index()].hw.nic.rx(arr, bytes);
-        self.tracer
-            .record(token, Stage::ClientSend, coord.0, sim.now(), rx_done);
-        let deadline = rx_done + self.config.rpc_timeout_us;
-        self.pending.insert_with(|key| {
-            sim.schedule_at(rx_done, W::from(Event::Arrive { op: key }));
-            Pending {
-                token,
-                coordinator: coord,
-                timer: sim.timer_at(deadline, W::from(Event::Timeout { op: key })),
-                state: PendingState::Init(op),
-            }
+            Err(OpError::Unavailable)
         });
-    }
-
-    /// Take a finished op out of the in-flight table and cancel its timeout.
-    fn retire<W>(&mut self, sim: &mut Sim<W>, op: OpKey) -> Option<Pending> {
-        let p = self.pending.remove(op)?;
-        sim.cancel_timer(p.timer);
-        Some(p)
     }
 
     /// Dispatch one internal event.
@@ -551,86 +431,21 @@ impl Cluster {
                 count,
             } => self.on_replica_scan(sim, op, token, node, start, limit, clamp, count),
             Event::ScanReturn { op, rows } => self.on_scan_return(sim, op, rows),
-            Event::Deliver { token, result } => {
-                self.completed.push(Completion { token, result });
-            }
+            Event::Deliver { token, result } => self.rt.complete(token, result),
             Event::Timeout { op } => self.on_timeout(sim, op),
             Event::HintReplay { node } => self.on_hint_replay(sim, node),
-            Event::BgIo { node } => self.on_bg_io(sim, node),
-            Event::GcPause { node } => self.on_gc_pause(sim, node),
-        }
-    }
-
-    /// A stop-the-world pause: every core on the node is blocked for the
-    /// configured duration, then the next pause is scheduled with ±25%
-    /// jitter. This is the straggler source that makes high ack counts
-    /// expensive — the paper's "write overhead becomes heavier when using a
-    /// higher consistency level".
-    fn on_gc_pause<W: From<Event>>(&mut self, sim: &mut Sim<W>, node: NodeId) {
-        let dur = self.config.pause_duration_us;
-        let interval = self.config.pause_interval_us;
-        if dur == 0 || interval == 0 {
-            return;
-        }
-        // Pauses model allocation-pressure GC: they run only while the
-        // cluster has work. Going quiet lets the simulation quiesce; the
-        // next submit restarts the pause schedule.
-        if self.pending.is_empty() {
-            self.pauses_started = false;
-            return;
-        }
-        {
-            let n = &mut self.nodes[node.index()];
-            if n.hw.is_up() {
-                self.metrics.gc_pauses += 1;
-                let now = sim.now();
-                self.tracer
-                    .record_bg(Stage::GcPause, node.0, now, now + dur);
-                for _ in 0..n.hw.cpu.servers() {
-                    n.hw.cpu.acquire(now, dur);
-                }
-            }
-        }
-        let jitter = interval / 2 + sim.rng().below(interval);
-        sim.schedule_in(dur + jitter, W::from(Event::GcPause { node }));
-    }
-
-    /// Start draining a node's background backlog if not already draining.
-    fn kick_bg_io<W: From<Event>>(&mut self, sim: &mut Sim<W>, node: NodeId) {
-        let n = &mut self.nodes[node.index()];
-        if n.bg_backlog > 0 && !n.bg_active {
-            n.bg_active = true;
-            sim.schedule_in(0, W::from(Event::BgIo { node }));
-        }
-    }
-
-    fn on_bg_io<W: From<Event>>(&mut self, sim: &mut Sim<W>, node: NodeId) {
-        let rate = self.config.bg_io_rate;
-        let chunk_bytes = self.config.bg_chunk_bytes;
-        let n = &mut self.nodes[node.index()];
-        if n.bg_backlog == 0 {
-            n.bg_active = false;
-            return;
-        }
-        let chunk = n.bg_backlog.min(chunk_bytes);
-        n.bg_backlog -= chunk;
-        n.hw.disk.seq_write(sim.now(), chunk);
-        if n.bg_backlog > 0 {
-            // Pace chunks so the throttle's long-run rate is `bg_io_rate`.
-            let interval = simkit::time::transfer_time(chunk, rate);
-            sim.schedule_in(interval, W::from(Event::BgIo { node }));
-        } else {
-            n.bg_active = false;
+            Event::BgIo { node } => self.rt.on_bg_io(sim, node),
+            Event::GcPause { node } => self.rt.on_gc_pause(sim, node),
         }
     }
 
     // ----- coordinator: arrival -----
 
     fn on_arrive<W: From<Event>>(&mut self, sim: &mut Sim<W>, op: OpKey) {
-        let Some(p) = self.pending.get_mut(op) else {
+        let Some(p) = self.rt.get_mut(op) else {
             return;
         };
-        let coord = p.coordinator;
+        let coord = p.node;
         let token = p.token;
         // Move the op out of the pending slot instead of cloning it.
         let kind = match std::mem::replace(&mut p.state, PendingState::Dispatching) {
@@ -640,21 +455,20 @@ impl Cluster {
                 return;
             }
         };
-        if !self.is_up(coord) {
+        if !self.rt.is_up(coord) {
             // Coordinator died since submit.
-            self.retire(sim, op);
-            self.completed.push(Completion {
-                token,
-                result: OpResult::Error(OpError::Unavailable),
-            });
+            self.rt.retire(sim, op);
+            self.rt
+                .complete(token, OpResult::Error(OpError::Unavailable));
             return;
         }
-        let t1 = self.nodes[coord.index()]
-            .hw
-            .cpu
-            .acquire(sim.now(), self.config.costs.coord_us);
-        self.tracer
-            .record(token, Stage::ServerCpu, coord.0, sim.now(), t1);
+        let t1 = self.coordinator_cpu(
+            sim,
+            token,
+            coord,
+            self.config.costs.coord_us,
+            Stage::ServerCpu,
+        );
         match kind {
             StoreOp::Insert { key, value } | StoreOp::Update { key, value } => {
                 self.start_write(sim, op, token, coord, key, Cell::live(value, t1), t1);
@@ -669,6 +483,28 @@ impl Cluster {
                 self.start_scan(sim, op, token, coord, start, limit, t1);
             }
         }
+    }
+
+    /// Too few live replicas for the consistency level: answer
+    /// [`OpError::Unavailable`] from the coordinator.
+    fn unavailable<W: From<Event>>(
+        &mut self,
+        sim: &mut Sim<W>,
+        op: OpKey,
+        token: u64,
+        coord: NodeId,
+        t1: SimTime,
+    ) {
+        self.metrics.unavailable += 1;
+        self.rt.retire(sim, op);
+        self.rt.respond(
+            sim,
+            op,
+            token,
+            coord,
+            t1,
+            OpResult::Error(OpError::Unavailable),
+        );
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -726,34 +562,32 @@ impl Cluster {
         };
         // Live/dead replicas are walked in place (ring order) rather than
         // partitioned into per-op vectors.
-        let live_count = replicas.iter().filter(|&&r| self.is_up(r)).count() as u32;
+        let live_count = replicas.iter().filter(|&&r| self.rt.is_up(r)).count() as u32;
         let available = match &rule {
             AckRule::Count => live_count >= needed,
             AckRule::LocalDc { dc, .. } => {
                 replicas
                     .iter()
-                    .filter(|&&r| self.is_up(r) && self.region_of(r) == *dc)
+                    .filter(|&&r| self.rt.is_up(r) && self.region_of(r) == *dc)
                     .count() as u32
                     >= needed
             }
             AckRule::PerDc(quotas) => quotas.iter().all(|q| {
                 replicas
                     .iter()
-                    .filter(|&&r| self.is_up(r) && self.region_of(r) == q.0)
+                    .filter(|&&r| self.rt.is_up(r) && self.region_of(r) == q.0)
                     .count() as u32
                     >= q.1
             }),
         };
         if !available {
             self.replica_scratch = replicas;
-            self.metrics.unavailable += 1;
-            self.retire(sim, op);
-            self.respond(sim, token, coord, t1, OpResult::Error(OpError::Unavailable));
+            self.unavailable(sim, op, token, coord, t1);
             return;
         }
         if self.config.hinted_handoff {
             for &target in &replicas {
-                if self.is_up(target) {
+                if self.rt.is_up(target) {
                     continue;
                 }
                 self.metrics.hints_stored += 1;
@@ -768,12 +602,12 @@ impl Cluster {
         let expected = live_count;
         let ts = cell.ts;
         for &r in &replicas {
-            if !self.is_up(r) {
+            if !self.rt.is_up(r) {
                 continue;
             }
-            let arr = self.net_to(coord, r, bytes, t1);
+            let arr = self.rt.net_to(coord, r, bytes, t1);
             let stage = self.hop_stage(coord, r);
-            self.tracer.record(token, stage, r.0, t1, arr);
+            self.rt.tracer.record(token, stage, r.0, t1, arr);
             sim.schedule_at(
                 arr,
                 W::from(Event::ReplicaWrite {
@@ -787,12 +621,11 @@ impl Cluster {
             );
         }
         self.replica_scratch = replicas;
-        if let Some(p) = self.pending.get_mut(op) {
+        if let Some(p) = self.rt.get_mut(op) {
             p.state = PendingState::Write(WriteState {
                 needed,
                 expected,
                 acks: 0,
-                responded: false,
                 ts,
                 fanout_at: t1,
                 rule,
@@ -825,7 +658,7 @@ impl Cluster {
             let live: Vec<NodeId> = replicas
                 .iter()
                 .copied()
-                .filter(|&r| self.is_up(r))
+                .filter(|&r| self.rt.is_up(r))
                 .collect();
             let (needed, quota_targets): (u32, Vec<NodeId>) = match read_cl {
                 Consistency::LocalQuorum => {
@@ -875,9 +708,7 @@ impl Cluster {
             };
             self.replica_scratch = replicas;
             if (quota_targets.len() as u32) < needed {
-                self.metrics.unavailable += 1;
-                self.retire(sim, op);
-                self.respond(sim, token, coord, t1, OpResult::Error(OpError::Unavailable));
+                self.unavailable(sim, op, token, coord, t1);
                 return;
             }
             let fanout =
@@ -889,9 +720,9 @@ impl Cluster {
             let bytes = self.config.costs.msg_overhead_bytes + key.len() as u64;
             let expected = targets.len() as u32;
             for r in targets {
-                let arr = self.net_to(coord, r, bytes, t1);
+                let arr = self.rt.net_to(coord, r, bytes, t1);
                 let stage = self.hop_stage(coord, r);
-                self.tracer.record(token, stage, r.0, t1, arr);
+                self.rt.tracer.record(token, stage, r.0, t1, arr);
                 sim.schedule_at(
                     arr,
                     W::from(Event::ReplicaRead {
@@ -902,12 +733,11 @@ impl Cluster {
                     }),
                 );
             }
-            if let Some(p) = self.pending.get_mut(op) {
+            if let Some(p) = self.rt.get_mut(op) {
                 p.state = PendingState::Read(ReadState {
                     key,
                     needed,
                     expected,
-                    responded: false,
                     fanout,
                     results: Vec::with_capacity(expected as usize),
                     fanout_at: t1,
@@ -919,12 +749,10 @@ impl Cluster {
         // `needed` live replicas in ring order, so count and walk the
         // replica set in place instead of materialising target vectors.
         let needed = read_cl.required(rf);
-        let live_count = replicas.iter().filter(|&&r| self.is_up(r)).count() as u32;
+        let live_count = replicas.iter().filter(|&&r| self.rt.is_up(r)).count() as u32;
         if live_count < needed {
             self.replica_scratch = replicas;
-            self.metrics.unavailable += 1;
-            self.retire(sim, op);
-            self.respond(sim, token, coord, t1, OpResult::Error(OpError::Unavailable));
+            self.unavailable(sim, op, token, coord, t1);
             return;
         }
         let fanout = live_count > needed && sim.rng().chance(self.config.read_repair_chance);
@@ -938,13 +766,13 @@ impl Cluster {
             if sent == expected {
                 break;
             }
-            if !self.is_up(r) {
+            if !self.rt.is_up(r) {
                 continue;
             }
             sent += 1;
-            let arr = self.net_to(coord, r, bytes, t1);
+            let arr = self.rt.net_to(coord, r, bytes, t1);
             let stage = self.hop_stage(coord, r);
-            self.tracer.record(token, stage, r.0, t1, arr);
+            self.rt.tracer.record(token, stage, r.0, t1, arr);
             sim.schedule_at(
                 arr,
                 W::from(Event::ReplicaRead {
@@ -956,12 +784,11 @@ impl Cluster {
             );
         }
         self.replica_scratch = replicas;
-        if let Some(p) = self.pending.get_mut(op) {
+        if let Some(p) = self.rt.get_mut(op) {
             p.state = PendingState::Read(ReadState {
                 key,
                 needed,
                 expected,
-                responded: false,
                 fanout,
                 results: Vec::with_capacity(expected as usize),
                 fanout_at: t1,
@@ -982,7 +809,7 @@ impl Cluster {
     ) {
         self.metrics.scans += 1;
         let p_idx = self.ring.primary(&start);
-        if let Some(p) = self.pending.get_mut(op) {
+        if let Some(p) = self.rt.get_mut(op) {
             p.state = PendingState::Scan(ScanState {
                 limit,
                 needed_this_round: 0,
@@ -991,7 +818,6 @@ impl Cluster {
                 collected: Vec::new(),
                 current_primary: p_idx,
                 rounds: 0,
-                responded: false,
                 round_started: t1,
             });
         }
@@ -1015,12 +841,10 @@ impl Cluster {
         let n = self.nodes.len();
         let live: Vec<NodeId> = (0..(rf as usize).min(n))
             .map(|i| NodeId(((primary + i) % n) as u32))
-            .filter(|&r| self.is_up(r))
+            .filter(|&r| self.rt.is_up(r))
             .collect();
         if (live.len() as u32) < needed {
-            self.metrics.unavailable += 1;
-            self.retire(sim, op);
-            self.respond(sim, token, coord, t1, OpResult::Error(OpError::Unavailable));
+            self.unavailable(sim, op, token, coord, t1);
             return;
         }
         // Range reads participate in read repair too (Cassandra's range
@@ -1035,8 +859,10 @@ impl Cluster {
         let clamp = self.ring.range_end(primary).cloned();
         let bytes = self.config.costs.msg_overhead_bytes + start.len() as u64;
         for (i, &r) in live[..probed].iter().enumerate() {
-            let arr = self.net_to(coord, r, bytes, t1);
-            self.tracer.record(token, Stage::ReplicaRpc, r.0, t1, arr);
+            let arr = self.rt.net_to(coord, r, bytes, t1);
+            self.rt
+                .tracer
+                .record(token, Stage::ReplicaRpc, r.0, t1, arr);
             sim.schedule_at(
                 arr,
                 W::from(Event::ReplicaScan {
@@ -1052,7 +878,7 @@ impl Cluster {
                 }),
             );
         }
-        if let Some(p) = self.pending.get_mut(op) {
+        if let Some(p) = self.rt.get_mut(op) {
             if let PendingState::Scan(s) = &mut p.state {
                 s.needed_this_round = needed;
                 s.received_this_round = 0;
@@ -1075,25 +901,26 @@ impl Cluster {
         cell: Cell,
         ack: bool,
     ) {
-        if !self.is_up(node) {
+        if !self.rt.is_up(node) {
             return;
         }
-        let costs = self.config.costs;
-        let service = self.service(sim, costs.replica_write_us);
-        let n = &mut self.nodes[node.index()];
-        let cpu_end = n.hw.cpu.acquire(sim.now(), service);
-        self.tracer
-            .record(token, Stage::ReplicaWork, node.0, sim.now(), cpu_end);
+        let service = self.rt.service(sim, self.config.costs.replica_write_us);
+        let now = sim.now();
+        let cpu_end = self.rt.hw_mut(node).cpu.acquire(now, service);
+        self.rt
+            .tracer
+            .record(token, Stage::ReplicaWork, node.0, now, cpu_end);
         let mut t1 = cpu_end;
         let wal_bytes = entry_encoded_len(&key, &cell) + 8;
         match self.config.commitlog_sync {
             CommitlogSync::Periodic => {
                 // Background bandwidth; the ack does not wait.
-                n.hw.disk.seq_write(t1, wal_bytes);
+                self.rt.hw_mut(node).disk.seq_write(t1, wal_bytes);
             }
             CommitlogSync::PerWrite => {
-                t1 = n.hw.disk.random_write(t1, wal_bytes);
-                self.tracer
+                t1 = self.rt.hw_mut(node).disk.random_write(t1, wal_bytes);
+                self.rt
+                    .tracer
                     .record(token, Stage::WalCommit, node.0, cpu_end, t1);
             }
         }
@@ -1118,68 +945,64 @@ impl Cluster {
         cell: Cell,
         ack: bool,
     ) {
-        if !self.is_up(node) {
+        if !self.rt.is_up(node) {
             return;
         }
-        let now = sim.now();
-        {
-            let n = &mut self.nodes[node.index()];
-            n.lsm.put(key, cell);
-            let (f, c) = n.maintain(now);
-            self.metrics.flushes += u64::from(f);
-            self.metrics.compactions += u64::from(c);
-        }
-        self.kick_bg_io(sim, node);
+        let n = &mut self.nodes[node.index()];
+        n.lsm.put(key, cell);
+        let bg_bytes = n.maintain(&mut self.metrics);
+        self.rt.add_backlog(node, bg_bytes);
+        self.rt.kick_bg_io(sim, node);
         if !ack {
             return;
         }
-        let Some(p) = self.pending.get(op) else {
+        let Some(p) = self.rt.get(op) else {
             return; // op already answered/timed out; the write still counts
         };
-        let coord = p.coordinator;
+        let coord = p.node;
         let token = p.token;
-        let bytes = self.config.costs.msg_overhead_bytes;
-        let arr = self.net_to(node, coord, bytes, now);
+        let now = sim.now();
+        let arr = self
+            .rt
+            .net_to(node, coord, self.config.costs.msg_overhead_bytes, now);
         let stage = self.hop_stage(node, coord);
-        self.tracer.record(token, stage, node.0, now, arr);
+        self.rt.tracer.record(token, stage, node.0, now, arr);
         sim.schedule_at(arr, W::from(Event::WriteAck { op, node }));
     }
 
     fn on_write_ack<W: From<Event>>(&mut self, sim: &mut Sim<W>, op: OpKey, node: NodeId) {
-        let Some(p) = self.pending.get(op) else {
+        let Some(p) = self.rt.get(op) else {
             return;
         };
-        let coord = p.coordinator;
+        let coord = p.node;
         let token = p.token;
         let node_region = self.region_of(node);
-        let t1 = self.nodes[coord.index()]
-            .hw
-            .cpu
-            .acquire(sim.now(), self.config.costs.reconcile_us);
-        self.tracer
-            .record(token, Stage::Reconcile, coord.0, sim.now(), t1);
-        let (respond_now, done, ts, fanout_at) = {
-            let Some(p) = self.pending.get_mut(op) else {
-                return;
-            };
-            let PendingState::Write(w) = &mut p.state else {
-                return;
-            };
-            w.acks += 1;
-            let settled = w.rule.ack(node_region, w.needed, w.acks);
-            let respond_now = !w.responded && settled;
-            if respond_now {
-                w.responded = true;
-            }
-            (respond_now, w.acks >= w.expected, w.ts, w.fanout_at)
+        let t1 = self.coordinator_cpu(
+            sim,
+            token,
+            coord,
+            self.config.costs.reconcile_us,
+            Stage::Reconcile,
+        );
+        let Some(p) = self.rt.get_mut(op) else {
+            return;
         };
+        let PendingState::Write(w) = &mut p.state else {
+            return;
+        };
+        w.acks += 1;
+        let settled = w.rule.ack(node_region, w.needed, w.acks);
+        let respond_now = !p.responded && settled;
+        let (done, ts, fanout_at) = (w.acks >= w.expected, w.ts, w.fanout_at);
         if respond_now {
-            self.tracer
+            self.rt
+                .tracer
                 .record(token, Stage::QuorumWait, coord.0, fanout_at, sim.now());
-            self.respond(sim, token, coord, t1, OpResult::Written { ts });
+            self.rt
+                .respond(sim, op, token, coord, t1, OpResult::Written { ts });
         }
         if done {
-            self.retire(sim, op);
+            self.rt.retire(sim, op);
         }
     }
 
@@ -1191,29 +1014,27 @@ impl Cluster {
         node: NodeId,
         key: Key,
     ) {
-        if !self.is_up(node) {
+        if !self.rt.is_up(node) {
             return;
         }
-        let costs = self.config.costs;
-        let service = self.service(sim, costs.replica_read_us);
-        let (cell, t1, t2) = {
-            let n = &mut self.nodes[node.index()];
-            let t1 = n.hw.cpu.acquire(sim.now(), service);
-            let res = n.lsm.get(&key);
-            let t2 = n.charge_io_plan(t1, &res.io);
-            (res.cell, t1, t2)
-        };
-        self.tracer
-            .record(token, Stage::ReplicaWork, node.0, sim.now(), t1);
-        self.tracer.record(token, Stage::DiskIo, node.0, t1, t2);
-        let Some(p) = self.pending.get(op) else {
+        let service = self.rt.service(sim, self.config.costs.replica_read_us);
+        let now = sim.now();
+        let t1 = self.rt.hw_mut(node).cpu.acquire(now, service);
+        let res = self.nodes[node.index()].lsm.get(&key);
+        let t2 = self.rt.charge_io_plan(node, t1, &res.io);
+        let cell = res.cell;
+        self.rt
+            .tracer
+            .record(token, Stage::ReplicaWork, node.0, now, t1);
+        self.rt.tracer.record(token, Stage::DiskIo, node.0, t1, t2);
+        let Some(p) = self.rt.get(op) else {
             return;
         };
-        let coord = p.coordinator;
-        let bytes = self.cell_bytes(&cell);
-        let arr = self.net_to(node, coord, bytes, t2);
+        let coord = p.node;
+        let bytes = self.rt.cell_bytes(&cell);
+        let arr = self.rt.net_to(node, coord, bytes, t2);
         let stage = self.hop_stage(node, coord);
-        self.tracer.record(token, stage, node.0, t2, arr);
+        self.rt.tracer.record(token, stage, node.0, t2, arr);
         sim.schedule_at(arr, W::from(Event::ReadReturn { op, node, cell }));
     }
 
@@ -1224,129 +1045,111 @@ impl Cluster {
         node: NodeId,
         cell: Option<Cell>,
     ) {
-        let Some(p) = self.pending.get(op) else {
+        let Some(p) = self.rt.get(op) else {
             return;
         };
-        let coord = p.coordinator;
+        let coord = p.node;
         let token = p.token;
-        let t1 = self.nodes[coord.index()]
-            .hw
-            .cpu
-            .acquire(sim.now(), self.config.costs.reconcile_us);
-        self.tracer
-            .record(token, Stage::Reconcile, coord.0, sim.now(), t1);
-        let (respond_now, winner_for_client, finished, repairs, fanout_at) = {
-            let Some(p) = self.pending.get_mut(op) else {
-                return;
-            };
-            let PendingState::Read(r) = &mut p.state else {
-                return;
-            };
-            r.results.push((node, cell));
-            let received = r.results.len() as u32;
-            let mut respond_now = false;
-            let mut winner_for_client = None;
-            // A repair fan-out blocks the response until every contacted
-            // replica answers (Cassandra 2.0's ReadCallback raises blockfor
-            // when read repair is active); otherwise the consistency quota
-            // releases the client.
-            let release_at = if r.fanout { r.expected } else { r.needed };
-            if !r.responded && received >= release_at {
-                r.responded = true;
-                respond_now = true;
-                winner_for_client = reconcile(r.results.iter().map(|(_, c)| c.clone()));
-            }
-            let finished = received >= r.expected;
-            let mut repairs = Vec::new();
-            if finished {
-                let winner = reconcile(r.results.iter().map(|(_, c)| c.clone()));
-                if let Some(w) = &winner {
-                    for (n, c) in &r.results {
-                        let stale = c
-                            .as_ref()
-                            .is_none_or(|c| c.ts < w.ts || (c.ts == w.ts && c != w));
-                        if stale {
-                            repairs.push(*n);
-                        }
-                    }
-                }
-                // Mismatch within the answering quota = a digest mismatch.
-                let quota = &r.results[..r.needed.min(received) as usize];
-                if quota
-                    .windows(2)
-                    .any(|w| cell_version(&w[0].1) != cell_version(&w[1].1))
-                {
-                    self.metrics.digest_mismatches += 1;
-                }
-                if !repairs.is_empty() {
-                    // Count exactly once per read that repaired something.
-                    self.metrics.repair_writes += repairs.len() as u64;
-                }
-                (
-                    respond_now,
-                    winner_for_client,
-                    true,
-                    {
-                        let w = winner;
-                        repairs
-                            .into_iter()
-                            .map(|n| (n, w.clone().expect("winner exists if repairs do")))
-                            .collect::<Vec<_>>()
-                    },
-                    r.fanout_at,
-                )
-            } else {
-                (
-                    respond_now,
-                    winner_for_client,
-                    false,
-                    Vec::new(),
-                    r.fanout_at,
-                )
-            }
+        let t1 = self.coordinator_cpu(
+            sim,
+            token,
+            coord,
+            self.config.costs.reconcile_us,
+            Stage::Reconcile,
+        );
+        let Some(p) = self.rt.get_mut(op) else {
+            return;
         };
-        if respond_now {
-            self.tracer
+        let PendingState::Read(r) = &mut p.state else {
+            return;
+        };
+        r.results.push((node, cell));
+        let received = r.results.len() as u32;
+        // A repair fan-out blocks the response until every contacted
+        // replica answers (Cassandra 2.0's ReadCallback raises blockfor
+        // when read repair is active); otherwise the consistency quota
+        // releases the client.
+        let release_at = if r.fanout { r.expected } else { r.needed };
+        let client_winner = (!p.responded && received >= release_at)
+            .then(|| reconcile(r.results.iter().map(|(_, c)| c.clone())));
+        let finished = received >= r.expected;
+        // The read key, the winning cell and the replicas that lack it.
+        let mut repair: Option<(Key, Cell, Vec<NodeId>)> = None;
+        if finished {
+            if let Some(w) = reconcile(r.results.iter().map(|(_, c)| c.clone())) {
+                let stale: Vec<NodeId> = r
+                    .results
+                    .iter()
+                    .filter(|(_, c)| {
+                        c.as_ref()
+                            .is_none_or(|c| c.ts < w.ts || (c.ts == w.ts && *c != w))
+                    })
+                    .map(|(n, _)| *n)
+                    .collect();
+                if !stale.is_empty() {
+                    repair = Some((r.key.clone(), w, stale));
+                }
+            }
+            // Mismatch within the answering quota = a digest mismatch.
+            let quota = &r.results[..r.needed.min(received) as usize];
+            if quota
+                .windows(2)
+                .any(|w| cell_version(&w[0].1) != cell_version(&w[1].1))
+            {
+                self.metrics.digest_mismatches += 1;
+            }
+            if let Some((_, _, stale)) = &repair {
+                // Count exactly once per read that repaired something.
+                self.metrics.repair_writes += stale.len() as u64;
+            }
+        }
+        let fanout_at = r.fanout_at;
+        if let Some(winner) = client_winner {
+            self.rt
+                .tracer
                 .record(token, Stage::QuorumWait, coord.0, fanout_at, sim.now());
-            let client_cell = winner_for_client.filter(|c| !c.is_tombstone());
+            let client_cell = winner.filter(|c| !c.is_tombstone());
             // Blocked repair: if this response closes a fan-out that found
             // stale replicas, the client also waits for the repair
             // mutations to be acknowledged (one extra write round trip).
-            let respond_at = if !repairs.is_empty() {
-                t1 + 2 * self.config.profile.nic.prop_us + self.config.costs.replica_write_us
+            let respond_at = if repair.is_some() {
+                t1 + 2 * self.config.node.profile.nic.prop_us + self.config.costs.replica_write_us
             } else {
                 t1
             };
-            self.tracer
+            self.rt
+                .tracer
                 .record(token, Stage::RepairBlock, coord.0, t1, respond_at);
-            self.respond(sim, token, coord, respond_at, OpResult::Value(client_cell));
+            self.rt.respond(
+                sim,
+                op,
+                token,
+                coord,
+                respond_at,
+                OpResult::Value(client_cell),
+            );
         }
-        if finished {
-            // The op is done: take the pending entry, recovering the read
-            // key (moved in at `start_read`) for the repair mutations.
-            let done = self.retire(sim, op);
-            if !repairs.is_empty() {
-                let key = match done.map(|p| p.state) {
-                    Some(PendingState::Read(r)) => r.key,
-                    _ => unreachable!("read state exists until removal"),
-                };
-                for (target, cell) in repairs {
-                    let bytes =
-                        self.config.costs.msg_overhead_bytes + entry_encoded_len(&key, &cell);
-                    let arr = self.net_to(coord, target, bytes, t1);
-                    sim.schedule_at(
-                        arr,
-                        W::from(Event::ReplicaWrite {
-                            op: OpKey::NONE,
-                            token: 0,
-                            node: target,
-                            key: key.clone(),
-                            cell,
-                            ack: false,
-                        }),
-                    );
-                }
-            }
+        if !finished {
+            return;
+        }
+        self.rt.retire(sim, op);
+        let Some((key, cell, targets)) = repair else {
+            return;
+        };
+        for target in targets {
+            let bytes = self.config.costs.msg_overhead_bytes + entry_encoded_len(&key, &cell);
+            let arr = self.rt.net_to(coord, target, bytes, t1);
+            sim.schedule_at(
+                arr,
+                W::from(Event::ReplicaWrite {
+                    op: OpKey::NONE,
+                    token: 0,
+                    node: target,
+                    key: key.clone(),
+                    cell: cell.clone(),
+                    ack: false,
+                }),
+            );
         }
     }
 
@@ -1362,39 +1165,41 @@ impl Cluster {
         clamp: Option<Key>,
         count: bool,
     ) {
-        if !self.is_up(node) {
+        if !self.rt.is_up(node) {
             return;
         }
         let costs = self.config.costs;
-        let service = self.service(sim, costs.replica_read_us);
-        let (rows, t1, t2, t3) = {
-            let n = &mut self.nodes[node.index()];
-            let t1 = n.hw.cpu.acquire(sim.now(), service);
-            let res = n.lsm.scan(&start, limit);
-            let t2 = n.charge_io_plan(t1, &res.io);
-            let mut rows = res.rows;
-            if let Some(end) = &clamp {
-                // Rows are sorted: everything from the first key at or past
-                // the range end belongs to the next range's replicas.
-                rows.truncate(rows.partition_point(|(k, _)| k < end));
-            }
-            let t3 = n.hw.cpu.acquire(t2, costs.scan_row_us * rows.len() as u64);
-            (rows, t1, t2, t3)
-        };
+        let service = self.rt.service(sim, costs.replica_read_us);
+        let now = sim.now();
+        let t1 = self.rt.hw_mut(node).cpu.acquire(now, service);
+        let res = self.nodes[node.index()].lsm.scan(&start, limit);
+        let t2 = self.rt.charge_io_plan(node, t1, &res.io);
+        let mut rows = res.rows;
+        if let Some(end) = &clamp {
+            // Rows are sorted: everything from the first key at or past
+            // the range end belongs to the next range's replicas.
+            rows.truncate(rows.partition_point(|(k, _)| k < end));
+        }
+        let t3 = self
+            .rt
+            .hw_mut(node)
+            .cpu
+            .acquire(t2, costs.scan_row_us * rows.len() as u64);
         if !count {
             return; // repair probe: the load was the point
         }
-        self.tracer
-            .record(token, Stage::ReplicaWork, node.0, sim.now(), t1);
-        self.tracer.record(token, Stage::DiskIo, node.0, t1, t2);
-        self.tracer.record(token, Stage::ScanRows, node.0, t2, t3);
-        let Some(p) = self.pending.get(op) else {
+        let tracer = &mut self.rt.tracer;
+        tracer.record(token, Stage::ReplicaWork, node.0, now, t1);
+        tracer.record(token, Stage::DiskIo, node.0, t1, t2);
+        tracer.record(token, Stage::ScanRows, node.0, t2, t3);
+        let Some(p) = self.rt.get(op) else {
             return;
         };
-        let coord = p.coordinator;
-        let bytes = self.rows_bytes(&rows);
-        let arr = self.net_to(node, coord, bytes, t3);
-        self.tracer
+        let coord = p.node;
+        let bytes = self.rt.rows_bytes(&rows);
+        let arr = self.rt.net_to(node, coord, bytes, t3);
+        self.rt
+            .tracer
             .record(token, Stage::ReplicaRpc, node.0, t3, arr);
         sim.schedule_at(arr, W::from(Event::ScanReturn { op, rows }));
     }
@@ -1405,140 +1210,110 @@ impl Cluster {
         op: OpKey,
         rows: Vec<(Key, Cell)>,
     ) {
-        let Some(p) = self.pending.get(op) else {
+        let Some(p) = self.rt.get(op) else {
             return;
         };
-        let coord = p.coordinator;
+        let coord = p.node;
         let token = p.token;
-        let t1 = self.nodes[coord.index()]
-            .hw
-            .cpu
-            .acquire(sim.now(), self.config.costs.reconcile_us);
-        self.tracer
-            .record(token, Stage::Reconcile, coord.0, sim.now(), t1);
-        enum Next {
-            Wait,
-            Respond(Vec<(Key, Cell)>),
-            Continue {
-                primary: usize,
-                start: Key,
-                remaining: usize,
-            },
-        }
-        let next = {
-            let Some(p) = self.pending.get_mut(op) else {
-                return;
-            };
-            let PendingState::Scan(s) = &mut p.state else {
-                return;
-            };
-            s.partials.push(rows);
-            s.received_this_round += 1;
-            if s.received_this_round < s.needed_this_round {
-                Next::Wait
-            } else {
-                self.tracer.record(
-                    token,
-                    Stage::QuorumWait,
-                    coord.0,
-                    s.round_started,
-                    sim.now(),
-                );
-                // Round complete: reconcile this range across its replicas.
-                let sources = std::mem::take(&mut s.partials);
-                let mut merged = storage::merge::merge_entries(sources, false);
-                merged.retain(|(_, c)| !c.is_tombstone());
-                merged.truncate(s.limit - s.collected.len());
-                if s.collected.is_empty() {
-                    // First range with rows (the only one for most scans):
-                    // the reconciled rows become the result, not a copy.
-                    s.collected = merged;
-                } else {
-                    s.collected.extend(merged);
-                }
-                let more_ranges = s.collected.len() < s.limit
-                    && s.rounds + 1 < self.ring.len() as u32
-                    && self.ring.range_end(s.current_primary).is_some();
-                if more_ranges {
-                    let nextp = self.ring.successor(s.current_primary);
-                    s.current_primary = nextp;
-                    s.rounds += 1;
-                    let start = self
-                        .ring
-                        .range_start(nextp)
-                        .expect("ordered ring has tokens")
-                        .clone();
-                    Next::Continue {
-                        primary: nextp,
-                        start,
-                        remaining: s.limit - s.collected.len(),
-                    }
-                } else {
-                    s.responded = true;
-                    Next::Respond(std::mem::take(&mut s.collected))
-                }
-            }
+        let t1 = self.coordinator_cpu(
+            sim,
+            token,
+            coord,
+            self.config.costs.reconcile_us,
+            Stage::Reconcile,
+        );
+        let Some(p) = self.rt.get_mut(op) else {
+            return;
         };
-        match next {
-            Next::Wait => {}
-            Next::Respond(rows) => {
-                self.retire(sim, op);
-                self.respond(sim, token, coord, t1, OpResult::Rows(rows));
+        let PendingState::Scan(s) = &mut p.state else {
+            return;
+        };
+        s.partials.push(rows);
+        s.received_this_round += 1;
+        if s.received_this_round < s.needed_this_round {
+            return;
+        }
+        let round_started = s.round_started;
+        // Round complete: reconcile this range across its replicas.
+        let sources = std::mem::take(&mut s.partials);
+        let mut merged = storage::merge::merge_entries(sources, false);
+        merged.retain(|(_, c)| !c.is_tombstone());
+        merged.truncate(s.limit - s.collected.len());
+        if s.collected.is_empty() {
+            // First range with rows (the only one for most scans): the
+            // reconciled rows become the result, not a copy.
+            s.collected = merged;
+        } else {
+            s.collected.extend(merged);
+        }
+        enum Next {
+            Respond(Vec<(Key, Cell)>),
+            Round(usize, Key, usize),
+        }
+        // On to the next range unless the budget is spent or the ring ends
+        // (a range with no start is the end of the ring too).
+        let next_start = if s.collected.len() < s.limit
+            && s.rounds + 1 < self.ring.len() as u32
+            && self.ring.range_end(s.current_primary).is_some()
+        {
+            let primary = self.ring.successor(s.current_primary);
+            self.ring.range_start(primary).map(|k| (primary, k.clone()))
+        } else {
+            None
+        };
+        let next = match next_start {
+            Some((primary, start)) => {
+                s.current_primary = primary;
+                s.rounds += 1;
+                Next::Round(primary, start, s.limit - s.collected.len())
             }
-            Next::Continue {
-                primary,
-                start,
-                remaining,
-            } => {
+            None => Next::Respond(std::mem::take(&mut s.collected)),
+        };
+        self.rt
+            .tracer
+            .record(token, Stage::QuorumWait, coord.0, round_started, sim.now());
+        match next {
+            Next::Respond(rows) => {
+                self.rt.retire(sim, op);
+                self.rt
+                    .respond(sim, op, token, coord, t1, OpResult::Rows(rows));
+            }
+            Next::Round(primary, start, remaining) => {
                 self.send_scan_round(sim, op, token, coord, primary, start, remaining, t1);
             }
         }
     }
 
     fn on_timeout<W: From<Event>>(&mut self, sim: &mut Sim<W>, op: OpKey) {
-        let Some(p) = self.retire(sim, op) else {
+        let Some(p) = self.rt.retire(sim, op) else {
             return;
         };
-        let responded = match &p.state {
-            PendingState::Init(_) | PendingState::Dispatching => false,
-            PendingState::Write(w) => w.responded,
-            PendingState::Read(r) => r.responded,
-            PendingState::Scan(s) => s.responded,
-        };
-        if !responded {
+        if !p.responded {
+            // Distinct from `Unavailable`: the coordinator *accepted* the
+            // request but replicas stopped answering mid-flight
+            // (Cassandra's TimedOutException vs UnavailableException).
             self.metrics.timeouts += 1;
-            let at = sim.now() + self.config.profile.nic.prop_us;
-            self.tracer
-                .record(p.token, Stage::RespSend, p.coordinator.0, sim.now(), at);
-            sim.schedule_at(
-                at,
-                W::from(Event::Deliver {
-                    token: p.token,
-                    // Distinct from `Unavailable`: the coordinator *accepted*
-                    // the request but replicas stopped answering mid-flight
-                    // (Cassandra's TimedOutException vs UnavailableException).
-                    result: OpResult::Error(OpError::Timeout),
-                }),
-            );
+            self.rt.time_out(sim, op, p.token, p.node.0);
         }
     }
 
     fn on_hint_replay<W: From<Event>>(&mut self, sim: &mut Sim<W>, node: NodeId) {
-        if !self.is_up(node) {
+        if !self.rt.is_up(node) {
             return;
         }
         let mut kept = Vec::new();
         let hints = std::mem::take(&mut self.nodes[node.index()].hints);
-        let mut t = self.nodes[node.index()]
-            .hw
+        let mut t = self
+            .rt
+            .hw_mut(node)
             .cpu
             .acquire(sim.now(), self.config.costs.coord_us);
         for hint in hints {
-            if self.is_up(hint.target) {
+            if self.rt.is_up(hint.target) {
                 self.metrics.hints_replayed += 1;
                 let bytes =
                     self.config.costs.msg_overhead_bytes + entry_encoded_len(&hint.key, &hint.cell);
-                let arr = self.net_to(node, hint.target, bytes, t);
+                let arr = self.rt.net_to(node, hint.target, bytes, t);
                 t += 10; // pace hint delivery slightly
                 sim.schedule_at(
                     arr,
@@ -1566,14 +1341,11 @@ impl faults::FaultTarget for Cluster {
     type Event = Event;
 
     fn fault_nodes(&self) -> usize {
-        self.nodes.len()
+        self.rt.nodes()
     }
 
     fn region_nodes(&self, region: u32) -> Vec<NodeId> {
-        if region >= self.config.topology.num_regions() {
-            return Vec::new();
-        }
-        self.config.topology.region_nodes(region).collect()
+        self.rt.region_nodes(region)
     }
 
     fn apply_crash<W: From<Event>>(&mut self, _sim: &mut Sim<W>, node: NodeId) {
@@ -1585,19 +1357,19 @@ impl faults::FaultTarget for Cluster {
     }
 
     fn apply_slow_disk(&mut self, node: NodeId, factor: u32) {
-        self.nodes[node.index()].hw.degrade_disk(factor);
+        self.rt.hw_mut(node).degrade_disk(factor);
     }
 
     fn apply_restore_disk(&mut self, node: NodeId) {
-        self.nodes[node.index()].hw.restore_disk();
+        self.rt.hw_mut(node).restore_disk();
     }
 
     fn apply_net_delay(&mut self, node: NodeId, extra_us: u64) {
-        self.nodes[node.index()].hw.delay_net(extra_us);
+        self.rt.hw_mut(node).delay_net(extra_us);
     }
 
     fn apply_restore_net(&mut self, node: NodeId) {
-        self.nodes[node.index()].hw.restore_net();
+        self.rt.hw_mut(node).restore_net();
     }
 }
 
@@ -1643,7 +1415,7 @@ mod tests {
             .collect();
         let mut c = CStoreConfig::paper_testbed(rf, Partitioner::order_preserving(tokens));
         c.nodes = nodes;
-        c.topology = simkit::Topology::single_rack(nodes, c.profile.nic.prop_us);
+        c.node.topology = simkit::Topology::single_rack(nodes, c.node.profile.nic.prop_us);
         c
     }
 
@@ -1911,7 +1683,7 @@ mod tests {
             key: key(0),
             value: k(val),
         });
-        h.cluster.node_mut(victim).hw.recover();
+        h.cluster.hw_mut(victim).recover();
         victim
     }
 
@@ -2029,8 +1801,8 @@ mod tests {
         for cl in [Consistency::One, Consistency::All] {
             let mut cfg = ordered_config(3, 5, 1000);
             cfg.write_cl = cl;
-            cfg.pause_interval_us = 0; // no random pauses; we inject one
-            cfg.pause_duration_us = 0;
+            cfg.node.pause_interval_us = 0; // no random pauses; we inject one
+            cfg.node.pause_duration_us = 0;
             let mut h = Harness::new(cfg);
             // Warm the path so coordinator rotation is identical.
             h.run_one(StoreOp::Insert {
@@ -2040,9 +1812,9 @@ mod tests {
             let reps = h.cluster.ring().replicas(&key(0), 3);
             // Manually pause the third replica for 50ms.
             let now = h.sim.now();
-            let node = &mut h.cluster.nodes[reps[2].index()];
-            for _ in 0..node.hw.cpu.servers() {
-                node.hw.cpu.acquire(now, 50_000);
+            let hw = h.cluster.hw_mut(reps[2]);
+            for _ in 0..hw.cpu.servers() {
+                hw.cpu.acquire(now, 50_000);
             }
             let issue = h.sim.now();
             let t = h.submit(StoreOp::Insert {
@@ -2164,10 +1936,10 @@ mod tests {
         };
         let mut c = CStoreConfig::paper_testbed(regions * rf_per_dc, Partitioner::murmur());
         c.nodes = regions as usize * nodes_per_region;
-        c.topology = geo_cfg.topology(
+        c.node.topology = geo_cfg.topology(
             nodes_per_region,
-            c.profile.nic.prop_us,
-            c.profile.nic.prop_us,
+            c.node.profile.nic.prop_us,
+            c.node.profile.nic.prop_us,
         );
         c.strategy = geo::Strategy::network_topology(regions, rf_per_dc);
         c.read_repair_chance = 0.0;

@@ -1,6 +1,6 @@
 //! Cluster configuration: consistency levels, service costs, tuning knobs.
 
-use simkit::{AdmissionConfig, NodeProfile, Topology};
+use ::node::NodeConfig;
 use storage::LsmConfig;
 
 use crate::ring::Partitioner;
@@ -144,28 +144,9 @@ pub struct CStoreConfig {
     pub commitlog_sync: CommitlogSync,
     /// Store hints for dead replicas and replay them on recovery.
     pub hinted_handoff: bool,
-    /// Background (flush/compaction) disk-I/O throttle, bytes/second —
-    /// Cassandra's `compaction_throughput_mb_per_sec` (default 16 MB/s).
-    pub bg_io_rate: u64,
-    /// Mean interval between stop-the-world pauses per node (JVM garbage
-    /// collection; the era's dominant straggler source). 0 disables.
-    pub pause_interval_us: u64,
-    /// Duration of each pause. With the default 50 ms every ~1 s a node is
-    /// unresponsive ~5% of the time — a CMS-era heap under write churn.
-    pub pause_duration_us: u64,
-    /// Coordinator give-up interval, microseconds: an operation still
-    /// incomplete this long after submission fails with a timeout error
-    /// (Cassandra's `rpc_timeout_in_ms`; fault experiments shorten it so
-    /// timeout behaviour is visible within one timeline window).
-    pub rpc_timeout_us: u64,
-    /// Coordinator admission control: bounded in-flight queue with load
-    /// shedding. Disabled by default ([`AdmissionConfig::off`]) — off runs
-    /// add zero events and zero RNG draws.
-    pub admission: AdmissionConfig,
-    /// Background-I/O chunk size, bytes. Flush/compaction backlogs drain in
-    /// chunks of this size so foreground reads can interleave between
-    /// chunks on the FIFO disk (64 KiB ≈ one SSTable block write).
-    pub bg_chunk_bytes: u64,
+    /// Node hardware, topology, RPC timeout, admission control, GC pauses
+    /// and the background-I/O throttle.
+    pub node: NodeConfig,
     /// Delay before a recovered node's stored hints start replaying, µs
     /// (Cassandra staggers replay so a rejoining node isn't flattened).
     pub hint_replay_delay_us: u64,
@@ -179,10 +160,6 @@ pub struct CStoreConfig {
     /// the topology's region assignment as the snitch. With
     /// `NetworkTopology`, `replication_factor` must equal the quota sum.
     pub strategy: geo::Strategy,
-    /// Hardware of each node.
-    pub profile: NodeProfile,
-    /// Rack layout / network distances.
-    pub topology: Topology,
     /// CPU service times.
     pub costs: ServiceCosts,
 }
@@ -191,7 +168,6 @@ impl CStoreConfig {
     /// The paper's testbed shape: 15 identical nodes in one rack, RF and
     /// consistency per the experiment, defaults everywhere else.
     pub fn paper_testbed(replication_factor: u32, partitioner: Partitioner) -> Self {
-        let profile = NodeProfile::paper_testbed();
         Self {
             nodes: 15,
             replication_factor,
@@ -200,20 +176,11 @@ impl CStoreConfig {
             read_repair_chance: 0.1,
             commitlog_sync: CommitlogSync::Periodic,
             hinted_handoff: true,
-            bg_io_rate: 16_000_000,
-            // Off by default; the straggler effect is carried by service-
-            // time jitter. Enable for the pause ablation.
-            pause_interval_us: 0,
-            pause_duration_us: 50_000,
-            rpc_timeout_us: 2_000_000,
-            admission: AdmissionConfig::off(),
-            bg_chunk_bytes: 64 * 1024,
+            node: NodeConfig::paper_testbed(15),
             hint_replay_delay_us: 1_000,
             lsm: LsmConfig::default(),
             partitioner,
             strategy: geo::Strategy::Simple,
-            profile,
-            topology: Topology::single_rack(15, profile.nic.prop_us),
             costs: ServiceCosts::default(),
         }
     }
@@ -290,8 +257,11 @@ mod tests {
         assert_eq!(c.nodes, 15);
         assert_eq!(c.replication_factor, 3);
         assert_eq!(c.read_cl, Consistency::One);
-        assert_eq!(c.topology.len(), 15);
+        assert_eq!(c.node.topology.len(), 15);
         assert!((c.read_repair_chance - 0.1).abs() < 1e-12);
-        assert_eq!(c.rpc_timeout_us, 2_000_000, "era default rpc timeout: 2 s");
+        assert_eq!(
+            c.node.rpc_timeout_us, 2_000_000,
+            "era default rpc timeout: 2 s"
+        );
     }
 }

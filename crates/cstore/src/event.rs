@@ -132,3 +132,35 @@ pub enum Event {
         node: NodeId,
     },
 }
+
+impl ::node::NodeEvent for Event {
+    fn arrive(op: OpKey) -> Self {
+        Event::Arrive { op }
+    }
+
+    fn timeout(op: OpKey) -> Self {
+        Event::Timeout { op }
+    }
+
+    fn deliver(token: u64, _op: OpKey, result: OpResult) -> Self {
+        Event::Deliver { token, result }
+    }
+
+    fn bg_io(node: NodeId) -> Self {
+        Event::BgIo { node }
+    }
+
+    fn gc_pause(node: NodeId) -> Self {
+        Event::GcPause { node }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    /// The runtime's event vocabulary must not grow queue entries: this is
+    /// the size before the runtime existed.
+    #[test]
+    fn events_stay_within_the_pre_runtime_size() {
+        assert!(std::mem::size_of::<super::Event>() <= 64);
+    }
+}

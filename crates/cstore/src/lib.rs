@@ -21,10 +21,13 @@
 //!
 //! Everything is functionally real (reads return actually-stored bytes;
 //! repair really rewrites replicas) and temporally simulated (every hop,
-//! CPU slice, and disk access is charged to `simkit` resources).
+//! CPU slice, and disk access is charged to `simkit` resources). Node
+//! hardware, the front door and the in-flight table are the shared
+//! [`::node::Runtime`]; this crate is the protocol.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cluster;
 pub mod config;

@@ -1,6 +1,7 @@
 //! Cluster-level behaviour counters, used by experiments and assertions.
 
-/// Counters accumulated by a [`crate::Cluster`] during a run.
+/// Counters accumulated by a [`crate::Cluster`] during a run. (GC pauses
+/// and admission sheds are counted by the node runtime.)
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Point reads coordinated.
@@ -27,15 +28,47 @@ pub struct Metrics {
     pub flushes: u64,
     /// Compactions across the cluster.
     pub compactions: u64,
-    /// Stop-the-world pauses taken across the cluster.
-    pub gc_pauses: u64,
-    /// Operations shed at the coordinator door by admission control.
-    pub shed: u64,
 }
 
 impl Metrics {
     /// Fresh counters.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Every counter as `(label, value)` in report order, with the
+    /// runtime's `gc_pauses` and `shed` in their places. The destructuring
+    /// makes a field without a label a compile error.
+    pub fn counters(&self, gc_pauses: u64, shed: u64) -> Vec<(&'static str, u64)> {
+        let Metrics {
+            reads,
+            writes,
+            scans,
+            unavailable,
+            timeouts,
+            digest_mismatches,
+            repair_fanouts,
+            repair_writes,
+            hints_stored,
+            hints_replayed,
+            flushes,
+            compactions,
+        } = *self;
+        vec![
+            ("reads", reads),
+            ("writes", writes),
+            ("scans", scans),
+            ("unavailable", unavailable),
+            ("timeouts", timeouts),
+            ("digest_mismatches", digest_mismatches),
+            ("repair_fanouts", repair_fanouts),
+            ("repair_writes", repair_writes),
+            ("hints_stored", hints_stored),
+            ("hints_replayed", hints_replayed),
+            ("flushes", flushes),
+            ("compactions", compactions),
+            ("gc_pauses", gc_pauses),
+            ("shed", shed),
+        ]
     }
 }

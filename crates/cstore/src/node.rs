@@ -1,8 +1,9 @@
-//! One server node: simulated hardware plus its storage engine and hints.
+//! One server node's storage engine and hints (its hardware lives in the
+//! cluster's [`::node::Runtime`]).
 
-use simkit::{NodeHw, SimTime};
-use storage::io::IoOp;
-use storage::{Cell, IoPlan, Key, LsmConfig, LsmTree};
+use storage::{Cell, Key, LsmConfig, LsmTree};
+
+use crate::metrics::Metrics;
 
 /// A mutation owed to a replica that was down when it was written.
 #[derive(Debug, Clone)]
@@ -18,73 +19,41 @@ pub struct Hint {
 /// One Cassandra-analog server.
 #[derive(Debug, Clone)]
 pub struct CNode {
-    /// Simulated CPU / disk / NIC.
-    pub hw: NodeHw,
     /// The node's storage engine (commit log + memtable + SSTables).
     pub lsm: LsmTree,
     /// Hinted-handoff queue held *by* this node for other nodes.
     pub hints: Vec<Hint>,
-    /// Bytes of flush/compaction disk work waiting to trickle out through
-    /// the background-I/O throttle.
-    pub bg_backlog: u64,
-    /// True while a background-I/O drain event is scheduled.
-    pub bg_active: bool,
 }
 
 impl CNode {
     /// Build a node.
-    pub fn new(profile: simkit::NodeProfile, lsm: LsmConfig) -> Self {
+    pub fn new(lsm: LsmConfig) -> Self {
         Self {
-            hw: NodeHw::new(profile),
             lsm: LsmTree::new(lsm),
             hints: Vec::new(),
-            bg_backlog: 0,
-            bg_active: false,
         }
-    }
-
-    /// Charge an I/O plan against this node's disk, serially, starting at
-    /// `start`. Returns when the last foreground read completes. Sequential
-    /// writes inside a read plan never occur; they are charged by flush and
-    /// compaction paths directly.
-    pub fn charge_io_plan(&mut self, start: SimTime, plan: &IoPlan) -> SimTime {
-        let mut t = start;
-        for op in plan.iter() {
-            match *op {
-                IoOp::DiskRead { bytes } => t = self.hw.disk.random_read(t, bytes),
-                IoOp::DiskSeqRead { bytes } => t = self.hw.disk.seq_read(t, bytes),
-                IoOp::DiskSeqWrite { bytes } => {
-                    // Background write: consumes bandwidth, does not gate t.
-                    self.hw.disk.seq_write(t, bytes);
-                }
-                IoOp::MemtableHit | IoOp::CacheHit { .. } | IoOp::BloomSkip => {}
-            }
-        }
-        t
     }
 
     /// Run the post-write maintenance that a replica performs when its
-    /// memtable fills: flush, then compact if ripe. The disk work is *not*
-    /// charged here — it is added to [`CNode::bg_backlog`] and trickled out
-    /// by the cluster's background-I/O throttle (real stores rate-limit
-    /// compaction so it cannot monopolize the spindle). Returns
-    /// `(flushes, compactions)` performed.
-    pub fn maintain(&mut self, _now: SimTime) -> (u32, u32) {
-        let mut flushes = 0;
-        let mut compactions = 0;
+    /// memtable fills: flush, then compact if ripe, counting both into
+    /// `metrics`. The disk work is *not* charged here: the returned bytes
+    /// go to the background-I/O throttle (real stores rate-limit compaction
+    /// so it cannot monopolize the spindle).
+    pub fn maintain(&mut self, metrics: &mut Metrics) -> u64 {
+        let mut bg_bytes = 0;
         if self.lsm.memtable_bytes() >= self.lsm.config().memtable_flush_bytes {
             if let Some(receipt) = self.lsm.flush() {
-                self.bg_backlog += receipt.bytes;
-                flushes += 1;
+                bg_bytes += receipt.bytes;
+                metrics.flushes += 1;
                 if receipt.compaction_due {
                     if let Some(c) = self.lsm.maybe_compact() {
-                        self.bg_backlog += c.read_bytes + c.write_bytes;
-                        compactions += 1;
+                        bg_bytes += c.read_bytes + c.write_bytes;
+                        metrics.compactions += 1;
                     }
                 }
             }
         }
-        (flushes, compactions)
+        bg_bytes
     }
 }
 
@@ -92,38 +61,12 @@ impl CNode {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use simkit::NodeProfile;
-    use storage::io::IoOp;
 
     fn node() -> CNode {
-        CNode::new(
-            NodeProfile::paper_testbed(),
-            LsmConfig {
-                memtable_flush_bytes: 2_048,
-                ..LsmConfig::default()
-            },
-        )
-    }
-
-    #[test]
-    fn io_plan_charging_serializes_reads() {
-        let mut n = node();
-        let mut plan = IoPlan::new();
-        plan.push(IoOp::DiskRead { bytes: 0 });
-        plan.push(IoOp::DiskRead { bytes: 0 });
-        let done = n.charge_io_plan(0, &plan);
-        assert_eq!(done, 16_000, "two 8ms seeks back to back");
-    }
-
-    #[test]
-    fn background_writes_do_not_gate_completion() {
-        let mut n = node();
-        let mut plan = IoPlan::new();
-        plan.push(IoOp::DiskSeqWrite { bytes: 1_000_000 });
-        plan.push(IoOp::CacheHit { bytes: 100 });
-        let done = n.charge_io_plan(5, &plan);
-        assert_eq!(done, 5, "nothing foreground in this plan");
-        assert!(n.hw.disk.utilization(1_000_000) > 0.0);
+        CNode::new(LsmConfig {
+            memtable_flush_bytes: 2_048,
+            ..LsmConfig::default()
+        })
     }
 
     #[test]
@@ -136,11 +79,12 @@ mod tests {
             );
         }
         assert!(n.lsm.memtable_bytes() >= 2_048);
-        let (flushes, _) = n.maintain(0);
-        assert_eq!(flushes, 1);
+        let mut m = Metrics::new();
+        let bg_bytes = n.maintain(&mut m);
+        assert_eq!(m.flushes, 1);
         assert_eq!(n.lsm.memtable_bytes(), 0);
         assert!(
-            n.bg_backlog > 0,
+            bg_bytes > 0,
             "flush bytes must enter the background-I/O backlog"
         );
     }
@@ -152,6 +96,8 @@ mod tests {
             Bytes::from_static(b"a"),
             Cell::live(Bytes::from_static(b"v"), 1),
         );
-        assert_eq!(n.maintain(0), (0, 0));
+        let mut m = Metrics::new();
+        assert_eq!(n.maintain(&mut m), 0);
+        assert_eq!(m, Metrics::new());
     }
 }

@@ -7,12 +7,15 @@
 //! mutation in the group to its memstore and answers the clients. A read
 //! never leaves the region's server (strong consistency, short-circuit
 //! local HFile access). A scan walks regions, one leg per region server.
+//! The front door, the in-flight table and the server hardware are the
+//! [`node::Runtime`].
 
 use dfs::DfsCluster;
-use obs::{Stage, Tracer};
-use simkit::{NodeHw, NodeId, OpKey, OpTag, Sim, SimRng, SimTime, Slab, TimerId};
+use node::{InFlight, Runtime};
+use obs::Stage;
+use simkit::{NodeHw, NodeId, OpKey, OpTag, Sim, SimRng, SimTime};
 use storage::types::entry_encoded_len;
-use storage::{Cell, Completion, Key, OpError, OpResult, StoreOp, Value};
+use storage::{Cell, Completion, IoOp, Key, OpError, OpResult, StoreOp, Value};
 
 use crate::config::HStoreConfig;
 use crate::event::Event;
@@ -32,28 +35,22 @@ struct WalState {
     block_bytes: u64,
 }
 
-#[derive(Debug, Clone)]
-struct Pending {
-    token: u64,
-    responded: bool,
-    /// Index of the region the op was routed to at submit. (A scan moves on
-    /// through `Event::ScanExec`'s own index.) Only the region's `server`
-    /// is read fresh at each step: failover moves regions, never keys.
-    region: usize,
-    /// The op's RPC timeout, cancelled when the op is retired.
-    timer: TimerId,
-    state: PendingState,
-}
-
 /// Per-op state machine. The submitted `StoreOp` lives in `Init` until the
 /// arrival event dispatches it; write payloads then move (not clone) into
-/// `Write` so the WAL flush can move them again into the memstore.
+/// `Write` so the WAL flush can move them again into the memstore. `region`
+/// is the index the op was routed to at submit (a scan moves on through
+/// `Event::ScanExec`'s own index); only the region's `server` is read fresh
+/// at each step: failover moves regions, never keys.
 #[derive(Debug, Clone)]
 enum PendingState {
     /// Submitted, not yet arrived at its region server.
-    Init(StoreOp),
+    Init { region: usize, op: StoreOp },
     /// Queued in the server's WAL; `None` value = delete (tombstone).
-    Write { key: Key, value: Option<Value> },
+    Write {
+        region: usize,
+        key: Key,
+        value: Option<Value>,
+    },
     /// A scan walking regions.
     Scan(ScanState),
     /// Dispatched with no retained payload (reads, applied writes).
@@ -72,17 +69,12 @@ pub struct Cluster {
     config: HStoreConfig,
     regions: RegionMap,
     master: Master,
-    servers: Vec<NodeHw>,
     wals: Vec<WalState>,
     fs: DfsCluster,
-    pending: Slab<Pending>,
-    completed: Vec<Completion>,
+    rt: Runtime<PendingState, Event>,
     metrics: Metrics,
+    /// Drives HDFS replica placement.
     rng: SimRng,
-    bg_backlog: Vec<u64>,
-    bg_active: Vec<bool>,
-    pauses_started: bool,
-    tracer: Tracer,
     /// Per-follower-region applied watermark: the latest primary commit
     /// time whose WAL bytes the follower has applied (async replication).
     follower_watermark: Vec<SimTime>,
@@ -98,9 +90,6 @@ impl Cluster {
         assert!(config.replication_factor >= 1);
         let mut rng = SimRng::new(seed);
         let mut fs = DfsCluster::new(config.nodes, config.replication_factor);
-        let servers: Vec<NodeHw> = (0..config.nodes)
-            .map(|_| NodeHw::new(config.profile))
-            .collect();
         let wals = (0..config.nodes)
             .map(|i| {
                 let file = fs.create_file(&format!("/hstore/wal/{i}"));
@@ -122,51 +111,24 @@ impl Cluster {
         let mut lsm = config.lsm;
         lsm.cache_bytes /= rps as u64;
         let regions = RegionMap::new(config.region_splits.clone(), config.nodes, lsm);
-        let servers_len = config.nodes;
+        let rt = Runtime::new(
+            config.node.clone(),
+            config.nodes,
+            config.costs.msg_overhead_bytes,
+            config.costs.jitter,
+        );
         let followers = config.follower_regions as usize;
         Self {
             config,
             regions,
             master: Master::new(),
-            servers,
             wals,
             fs,
-            pending: Slab::new(),
-            completed: Vec::new(),
+            rt,
             metrics: Metrics::new(),
             rng,
-            bg_backlog: vec![0; servers_len],
-            bg_active: vec![false; servers_len],
-            pauses_started: false,
-            tracer: Tracer::new(),
             follower_watermark: vec![0; followers],
             ship_window_sum: 0,
-        }
-    }
-
-    /// Start draining a server's background backlog if not already draining.
-    fn kick_bg_io<W: From<Event>>(&mut self, sim: &mut Sim<W>, server: NodeId) {
-        let i = server.index();
-        if self.bg_backlog[i] > 0 && !self.bg_active[i] {
-            self.bg_active[i] = true;
-            sim.schedule_in(0, W::from(Event::BgIo { server }));
-        }
-    }
-
-    fn on_bg_io<W: From<Event>>(&mut self, sim: &mut Sim<W>, server: NodeId) {
-        let i = server.index();
-        if self.bg_backlog[i] == 0 {
-            self.bg_active[i] = false;
-            return;
-        }
-        let chunk = self.bg_backlog[i].min(self.config.bg_chunk_bytes);
-        self.bg_backlog[i] -= chunk;
-        self.servers[i].disk.seq_write(sim.now(), chunk);
-        if self.bg_backlog[i] > 0 {
-            let interval = simkit::time::transfer_time(chunk, self.config.bg_io_rate);
-            sim.schedule_in(interval, W::from(Event::BgIo { server }));
-        } else {
-            self.bg_active[i] = false;
         }
     }
 
@@ -209,10 +171,15 @@ impl Cluster {
         &self.metrics
     }
 
+    /// Every behaviour counter as `(label, value)`, in report order.
+    pub fn counters(&self) -> Vec<(&'static str, u64)> {
+        self.metrics.counters(self.rt.gc_pauses(), self.rt.shed())
+    }
+
     /// The span tracer (disabled by default; the driver enables it and
     /// registers which tokens to record).
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.tracer
+    pub fn tracer_mut(&mut self) -> &mut obs::Tracer {
+        &mut self.rt.tracer
     }
 
     /// Mean replication window, microseconds: the average gap between a WAL
@@ -234,24 +201,18 @@ impl Cluster {
     }
 
     /// A server's hardware (utilization reports).
-    pub fn server(&self, node: NodeId) -> &NodeHw {
-        &self.servers[node.index()]
-    }
-
-    /// In-flight operation count.
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
+    pub fn hw(&self, node: NodeId) -> &NodeHw {
+        self.rt.hw(node)
     }
 
     /// Take all completions produced since the last drain.
     pub fn drain_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completed)
+        self.rt.drain_completions()
     }
 
-    /// [`Cluster::drain_completions`] into a buffer the caller reuses; both
-    /// vectors keep their allocations.
+    /// [`Cluster::drain_completions`] into a buffer the caller reuses.
     pub fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
-        out.append(&mut self.completed);
+        self.rt.drain_completions_into(out);
     }
 
     // ----- functional helpers -----
@@ -327,60 +288,14 @@ impl Cluster {
         self.regions.get_mut(idx).lsm.get(key).cell
     }
 
-    // ----- sizing & plumbing -----
+    // ----- plumbing -----
 
-    fn overhead(&self) -> u64 {
-        self.config.costs.msg_overhead_bytes
-    }
-
-    fn is_up(&self, node: NodeId) -> bool {
-        self.servers[node.index()].is_up()
-    }
-
-    /// Sample a service time with the configured mean (see `cstore`'s
-    /// counterpart): exponential at jitter 1, deterministic at 0.
-    fn service<W>(&self, sim: &mut Sim<W>, mean_us: u64) -> u64 {
-        let j = self.config.costs.jitter;
-        if j <= 0.0 || mean_us == 0 {
-            return mean_us;
-        }
-        let u = sim.rng().unit().max(1e-12);
-        let exp = -u.ln() * mean_us as f64;
-        (mean_us as f64 * (1.0 - j) + exp * j).round() as u64
-    }
-
-    fn client_delivery(&mut self, from: NodeId, bytes: u64, start: SimTime) -> SimTime {
-        let tx = self.servers[from.index()].nic.tx(start, bytes);
-        tx + self.config.profile.nic.prop_us
-    }
-
-    fn respond<W: From<Event>>(
-        &mut self,
-        sim: &mut Sim<W>,
-        op: OpKey,
-        token: u64,
-        from: NodeId,
-        start: SimTime,
-        result: OpResult,
-    ) {
-        let bytes = match &result {
-            OpResult::Value(c) => self.overhead() + c.as_ref().map_or(0, Cell::encoded_len),
-            OpResult::Rows(rows) => {
-                self.overhead()
-                    + rows
-                        .iter()
-                        .map(|(k, c)| entry_encoded_len(k, c))
-                        .sum::<u64>()
-            }
-            _ => self.overhead(),
-        };
-        let at = self.client_delivery(from, bytes, start);
-        self.tracer
-            .record(token, Stage::RespSend, from.0, start, at);
-        if let Some(p) = self.pending.get_mut(op) {
-            p.responded = true;
-        }
-        sim.schedule_at(at, W::from(Event::Deliver { token, op, result }));
+    /// The serving server is down: fail fast with [`OpError::ServerDown`].
+    fn server_down<W>(&mut self, sim: &mut Sim<W>, op: OpKey, token: u64) {
+        self.metrics.server_down += 1;
+        self.rt.retire(sim, op);
+        self.rt
+            .complete(token, OpResult::Error(OpError::ServerDown));
     }
 
     /// Push `bytes` through a replication pipeline starting at `start`:
@@ -397,24 +312,24 @@ impl Cluster {
         mut hops_out: Option<&mut Vec<(u32, SimTime, SimTime)>>,
     ) -> SimTime {
         let hop_us = self.config.costs.wal_hop_us;
-        let prop = self.config.profile.nic.prop_us;
+        let prop = self.config.node.profile.nic.prop_us;
         let mut t = start;
         let mut prev: Option<NodeId> = None;
         let mut hops = 0u64;
         for &n in pipeline {
-            if !self.is_up(n) {
+            if !self.rt.is_up(n) {
                 continue; // HDFS drops dead pipeline members
             }
             let hop_start = t;
             if let Some(p) = prev {
-                let tx = self.servers[p.index()].nic.tx(t, bytes);
-                let arr = tx + prop;
-                t = self.servers[n.index()].nic.rx(arr, bytes);
+                let tx = self.rt.hw_mut(p).nic.tx(t, bytes);
+                t = self.rt.hw_mut(n).nic.rx(tx + prop, bytes);
                 hops += 1;
             }
-            t = self.servers[n.index()].cpu.acquire(t, hop_us);
+            let hw = self.rt.hw_mut(n);
+            t = hw.cpu.acquire(t, hop_us);
             // Log bytes reach this replica's disk asynchronously.
-            self.servers[n.index()].disk.seq_write(t, bytes);
+            hw.disk.seq_write(t, bytes);
             if prev.is_some() {
                 if let Some(out) = hops_out.as_deref_mut() {
                     out.push((n.0, hop_start, t));
@@ -433,11 +348,10 @@ impl Cluster {
         self.submit_tagged(sim, token, op, OpTag::default());
     }
 
-    /// [`Cluster::submit`] with client scheduling metadata. When admission
-    /// control is enabled and the regionserver's in-flight bound sheds the
-    /// op, the completion is an immediate [`OpError::Overloaded`] fast-fail:
-    /// no events are scheduled and no RNG is drawn, mirroring the
-    /// `ServerDown` fast-fail path.
+    /// [`Cluster::submit`] with client scheduling metadata for admission
+    /// control (see [`node::Runtime::submit`]). The op is routed to its
+    /// region's server; a server known to be down fails it fast as
+    /// [`OpError::ServerDown`].
     pub fn submit_tagged<W: From<Event>>(
         &mut self,
         sim: &mut Sim<W>,
@@ -445,69 +359,16 @@ impl Cluster {
         op: StoreOp,
         tag: OpTag,
     ) {
-        if self.config.admission.enabled()
-            && !self
-                .config
-                .admission
-                .admits(self.pending.len(), tag, sim.now())
-        {
-            self.metrics.shed += 1;
-            let now = sim.now();
-            self.tracer
-                .record(token, Stage::AdmissionQueue, 0, now, now);
-            self.completed.push(Completion {
-                token,
-                result: OpResult::Error(OpError::Overloaded),
-            });
-            return;
-        }
-        if !self.pauses_started {
-            self.pauses_started = true;
-            if self.config.pause_interval_us > 0 {
-                for i in 0..self.servers.len() {
-                    let delay = self.rng.below(self.config.pause_interval_us);
-                    sim.schedule_in(
-                        delay,
-                        W::from(Event::GcPause {
-                            server: NodeId(i as u32),
-                        }),
-                    );
-                }
+        let bytes = self.config.costs.msg_overhead_bytes + op.key().len() as u64;
+        self.rt.submit(sim, token, tag, bytes, |rt| {
+            let region = self.regions.region_of(op.key());
+            let server = self.regions.get(region).server;
+            if !rt.is_up(server) {
+                self.metrics.server_down += 1;
+                return Err(OpError::ServerDown);
             }
-        }
-        let idx = self.regions.region_of(op.key());
-        let server = self.regions.get(idx).server;
-        if !self.is_up(server) {
-            self.metrics.server_down += 1;
-            self.completed.push(Completion {
-                token,
-                result: OpResult::Error(OpError::ServerDown),
-            });
-            return;
-        }
-        let bytes = self.overhead() + op.key().len() as u64;
-        let arr = sim.now() + self.config.profile.nic.prop_us;
-        let rx = self.servers[server.index()].nic.rx(arr, bytes);
-        self.tracer
-            .record(token, Stage::ClientSend, server.0, sim.now(), rx);
-        let deadline = rx + self.config.rpc_timeout_us;
-        self.pending.insert_with(|key| {
-            sim.schedule_at(rx, W::from(Event::Arrive { op: key }));
-            Pending {
-                token,
-                responded: false,
-                region: idx,
-                timer: sim.timer_at(deadline, W::from(Event::Timeout { op: key })),
-                state: PendingState::Init(op),
-            }
+            Ok((server, PendingState::Init { region, op }))
         });
-    }
-
-    /// Take a finished op out of the in-flight table and cancel its timeout.
-    fn retire<W>(&mut self, sim: &mut Sim<W>, op: OpKey) {
-        if let Some(p) = self.pending.remove(op) {
-            sim.cancel_timer(p.timer);
-        }
     }
 
     /// Dispatch one internal event.
@@ -517,12 +378,12 @@ impl Cluster {
             Event::WalFlushDone { server, group } => self.on_wal_flush_done(sim, server, group),
             Event::ScanExec { op, region, start } => self.on_scan_exec(sim, op, region, start),
             Event::Deliver { token, op, result } => {
-                self.retire(sim, op);
-                self.completed.push(Completion { token, result });
+                self.rt.retire(sim, op);
+                self.rt.complete(token, result);
             }
             Event::Timeout { op } => self.on_timeout(sim, op),
-            Event::BgIo { server } => self.on_bg_io(sim, server),
-            Event::GcPause { server } => self.on_gc_pause(sim, server),
+            Event::BgIo { server } => self.rt.on_bg_io(sim, server),
+            Event::GcPause { server } => self.rt.on_gc_pause(sim, server),
             Event::FailOver { server } => self.on_fail_over(server),
             Event::WalShip {
                 follower,
@@ -531,63 +392,31 @@ impl Cluster {
         }
     }
 
-    /// A stop-the-world pause (JVM GC): every core blocked for the duration;
-    /// runs only while requests are pending so the simulation can quiesce.
-    fn on_gc_pause<W: From<Event>>(&mut self, sim: &mut Sim<W>, server: NodeId) {
-        let dur = self.config.pause_duration_us;
-        let interval = self.config.pause_interval_us;
-        if dur == 0 || interval == 0 {
-            return;
-        }
-        if self.pending.is_empty() {
-            self.pauses_started = false;
-            return;
-        }
-        {
-            let n = &mut self.servers[server.index()];
-            if n.is_up() {
-                self.metrics.gc_pauses += 1;
-                let now = sim.now();
-                self.tracer
-                    .record_bg(Stage::GcPause, server.0, now, now + dur);
-                for _ in 0..n.cpu.servers() {
-                    n.cpu.acquire(now, dur);
-                }
-            }
-        }
-        let jitter = interval / 2 + sim.rng().below(interval);
-        sim.schedule_in(dur + jitter, W::from(Event::GcPause { server }));
-    }
-
     fn on_arrive<W: From<Event>>(&mut self, sim: &mut Sim<W>, op: OpKey) {
-        let Some(p) = self.pending.get_mut(op) else {
+        let Some(p) = self.rt.get_mut(op) else {
             return;
         };
         let token = p.token;
-        let idx = p.region;
         // Move the submitted op out of its pending slot; write payloads are
         // parked back in `PendingState::Write` below without cloning.
-        let kind = match std::mem::replace(&mut p.state, PendingState::Done) {
-            PendingState::Init(kind) => kind,
+        let (idx, kind) = match std::mem::replace(&mut p.state, PendingState::Done) {
+            PendingState::Init { region, op } => (region, op),
             other => {
                 p.state = other;
                 return;
             }
         };
         let server = self.regions.get(idx).server;
-        if !self.is_up(server) {
-            self.metrics.server_down += 1;
-            self.retire(sim, op);
-            self.completed.push(Completion {
-                token,
-                result: OpResult::Error(OpError::ServerDown),
-            });
+        if !self.rt.is_up(server) {
+            self.server_down(sim, op, token);
             return;
         }
-        let service = self.service(sim, self.config.costs.server_us);
-        let t1 = self.servers[server.index()].cpu.acquire(sim.now(), service);
-        self.tracer
-            .record(token, Stage::ServerCpu, server.0, sim.now(), t1);
+        let service = self.rt.service(sim, self.config.costs.server_us);
+        let now = sim.now();
+        let t1 = self.rt.hw_mut(server).cpu.acquire(now, service);
+        self.rt
+            .tracer
+            .record(token, Stage::ServerCpu, server.0, now, t1);
         match kind {
             StoreOp::Read { key } => {
                 self.metrics.reads += 1;
@@ -595,7 +424,7 @@ impl Cluster {
             }
             StoreOp::Scan { start, limit } => {
                 self.metrics.scans += 1;
-                if let Some(p) = self.pending.get_mut(op) {
+                if let Some(p) = self.rt.get_mut(op) {
                     p.state = PendingState::Scan(ScanState {
                         collected: Vec::new(),
                         limit,
@@ -613,8 +442,9 @@ impl Cluster {
             StoreOp::Insert { key, value } | StoreOp::Update { key, value } => {
                 self.metrics.writes += 1;
                 let bytes = entry_encoded_len(&key, &Cell::live(value.clone(), 0)) + 8;
-                if let Some(p) = self.pending.get_mut(op) {
+                if let Some(p) = self.rt.get_mut(op) {
                     p.state = PendingState::Write {
+                        region: idx,
                         key,
                         value: Some(value),
                     };
@@ -624,8 +454,12 @@ impl Cluster {
             StoreOp::Delete { key } => {
                 self.metrics.writes += 1;
                 let bytes = entry_encoded_len(&key, &Cell::tombstone(0)) + 8;
-                if let Some(p) = self.pending.get_mut(op) {
-                    p.state = PendingState::Write { key, value: None };
+                if let Some(p) = self.rt.get_mut(op) {
+                    p.state = PendingState::Write {
+                        region: idx,
+                        key,
+                        value: None,
+                    };
                 }
                 self.enqueue_wal(sim, op, token, server, t1, bytes);
             }
@@ -637,58 +471,42 @@ impl Cluster {
         &mut self,
         idx: usize,
         key: &[u8],
-        t1: SimTime,
+        t0: SimTime,
         sim: &mut Sim<W>,
         op: OpKey,
         token: u64,
-    ) -> SimTime {
+    ) {
         let server = self.regions.get(idx).server;
-        let service = self.service(sim, self.config.costs.read_us);
-        let t0 = t1;
-        let t1 = self.servers[server.index()].cpu.acquire(t1, service);
-        self.tracer
+        let service = self.rt.service(sim, self.config.costs.read_us);
+        let t1 = self.rt.hw_mut(server).cpu.acquire(t0, service);
+        self.rt
+            .tracer
             .record(token, Stage::ServerCpu, server.0, t0, t1);
         let remote = self.region_remote_source(idx);
-        let (cell, plan) = {
-            let region = self.regions.get_mut(idx);
-            let res = region.lsm.get(key);
-            (res.cell, res.io)
-        };
-        let mut t = t1;
-        for io in plan.iter() {
-            match *io {
-                storage::IoOp::DiskRead { bytes } => {
-                    t = match remote {
-                        // Short-circuit read from the local replica.
-                        None => self.servers[server.index()].disk.random_read(t, bytes),
-                        // Post-failover: fetch the block from a remote
-                        // datanode's disk, then move it over the network.
-                        Some(src) => {
-                            let td = self.servers[src.index()].disk.random_read(t, bytes);
-                            let tx = self.servers[src.index()].nic.tx(td, bytes);
-                            let arr = tx + self.config.topology.prop_us(src, server);
-                            self.servers[server.index()].nic.rx(arr, bytes)
-                        }
+        let res = self.regions.get_mut(idx).lsm.get(key);
+        let t = match remote {
+            // Short-circuit read from the local replica.
+            None => self.rt.charge_io_plan(server, t1, &res.io),
+            // Post-failover: fetch each block from a remote datanode's
+            // disk, then move it over the network.
+            Some(src) => {
+                let mut t = t1;
+                for io in res.io.iter() {
+                    let disk = &mut self.rt.hw_mut(src).disk;
+                    let (read, bytes) = match *io {
+                        IoOp::DiskRead { bytes } => (disk.random_read(t, bytes), bytes),
+                        IoOp::DiskSeqRead { bytes } => (disk.seq_read(t, bytes), bytes),
+                        _ => continue,
                     };
+                    t = self.rt.net_to(src, server, bytes, read);
                 }
-                storage::IoOp::DiskSeqRead { bytes } => {
-                    t = match remote {
-                        None => self.servers[server.index()].disk.seq_read(t, bytes),
-                        Some(src) => {
-                            let td = self.servers[src.index()].disk.seq_read(t, bytes);
-                            let tx = self.servers[src.index()].nic.tx(td, bytes);
-                            let arr = tx + self.config.topology.prop_us(src, server);
-                            self.servers[server.index()].nic.rx(arr, bytes)
-                        }
-                    };
-                }
-                _ => {}
+                t
             }
-        }
-        self.tracer.record(token, Stage::DiskIo, server.0, t1, t);
-        let client_cell = cell.filter(|c| !c.is_tombstone());
-        self.respond(sim, op, token, server, t, OpResult::Value(client_cell));
-        t
+        };
+        self.rt.tracer.record(token, Stage::DiskIo, server.0, t1, t);
+        let client_cell = res.cell.filter(|c| !c.is_tombstone());
+        self.rt
+            .respond(sim, op, token, server, t, OpResult::Value(client_cell));
     }
 
     /// Where a region's HFile blocks must be fetched from when the serving
@@ -741,18 +559,17 @@ impl Cluster {
         self.metrics.wal_entries += group.len() as u64;
         // Per-hop spans are collected only when some group member is traced;
         // the collection is bookkeeping, never behaviour.
-        let want_hops = self.tracer.enabled()
-            && group
-                .iter()
-                .any(|&(_, token, _)| self.tracer.watching(token));
+        let tracer = &self.rt.tracer;
+        let want_hops =
+            tracer.enabled() && group.iter().any(|&(_, token, _)| tracer.watching(token));
         let mut hops: Vec<(u32, SimTime, SimTime)> = Vec::new();
         let done = self.pipeline_round_trip(&pipeline, bytes, t, want_hops.then_some(&mut hops));
+        let tracer = &mut self.rt.tracer;
         for &(_, token, enq) in &group {
-            self.tracer.record(token, Stage::WalQueue, server.0, enq, t);
-            self.tracer
-                .record(token, Stage::WalCommit, server.0, t, done);
+            tracer.record(token, Stage::WalQueue, server.0, enq, t);
+            tracer.record(token, Stage::WalCommit, server.0, t, done);
             for &(node, hs, he) in &hops {
-                self.tracer.record(token, Stage::PipelineHop, node, hs, he);
+                tracer.record(token, Stage::PipelineHop, node, hs, he);
             }
         }
         self.wals[server.index()].pipeline = pipeline;
@@ -777,9 +594,9 @@ impl Cluster {
         if self.config.follower_regions > 0 {
             let mut t = done + self.config.ship_lag_us;
             for follower in 0..self.config.follower_regions {
-                t = self.servers[server.index()].nic.tx(t, bytes);
+                t = self.rt.hw_mut(server).nic.tx(t, bytes);
                 let arrive = t + self.config.ship_wan_us;
-                self.tracer.record_bg(Stage::WanHop, server.0, t, arrive);
+                self.rt.tracer.record_bg(Stage::WanHop, server.0, t, arrive);
                 sim.schedule_at(
                     arrive,
                     W::from(Event::WalShip {
@@ -808,29 +625,34 @@ impl Cluster {
         let now = sim.now();
         let apply_us = self.config.costs.apply_us;
         for op in group {
-            let Some(p) = self.pending.get_mut(op) else {
+            let Some(p) = self.rt.get_mut(op) else {
                 continue; // timed out; the slot is gone
             };
             let token = p.token;
-            let idx = p.region;
             // Move the parked write payload out; no clones on the apply path.
-            let (key, cell) = match std::mem::replace(&mut p.state, PendingState::Done) {
+            let (idx, key, cell) = match std::mem::replace(&mut p.state, PendingState::Done) {
                 PendingState::Write {
+                    region,
                     key,
                     value: Some(v),
-                } => (key, Cell::live(v, now)),
-                PendingState::Write { key, value: None } => (key, Cell::tombstone(now)),
+                } => (region, key, Cell::live(v, now)),
+                PendingState::Write {
+                    region,
+                    key,
+                    value: None,
+                } => (region, key, Cell::tombstone(now)),
                 other => {
                     p.state = other;
                     continue;
                 }
             };
-            let t_apply = self.servers[server.index()].cpu.acquire(now, apply_us);
-            self.tracer
+            let t_apply = self.rt.hw_mut(server).cpu.acquire(now, apply_us);
+            self.rt
+                .tracer
                 .record(token, Stage::Apply, server.0, now, t_apply);
             self.regions.get_mut(idx).lsm.put(key, cell);
             self.maintain_region(sim, idx, t_apply);
-            self.respond(
+            self.rt.respond(
                 sim,
                 op,
                 token,
@@ -840,7 +662,7 @@ impl Cluster {
             );
         }
         // More writers queued while this group was in flight?
-        if !self.wals[server.index()].waiting.is_empty() && self.is_up(server) {
+        if !self.wals[server.index()].waiting.is_empty() && self.rt.is_up(server) {
             self.start_wal_group(sim, server, now);
         }
     }
@@ -870,7 +692,7 @@ impl Cluster {
             if let Some(c) = self.regions.get_mut(idx).lsm.maybe_compact() {
                 self.metrics.compactions += 1;
                 // Read inputs locally, write the output through the pipeline.
-                self.bg_backlog[server.index()] += c.read_bytes;
+                self.rt.add_backlog(server, c.read_bytes);
                 let out = self
                     .fs
                     .create_file(&format!("/hstore/hfile/{idx}/{}", c.output.0));
@@ -890,8 +712,8 @@ impl Cluster {
                 }
             }
         }
-        for i in 0..self.servers.len() {
-            self.kick_bg_io(sim, NodeId(i as u32));
+        for i in 0..self.rt.nodes() {
+            self.rt.kick_bg_io(sim, NodeId(i as u32));
         }
     }
 
@@ -899,18 +721,18 @@ impl Cluster {
     /// background-I/O backlog (throttled onto its disk), moving over the
     /// network between consecutive members.
     fn charge_replication(&mut self, pipeline: &[NodeId], bytes: u64, now: SimTime) {
-        let prop = self.config.profile.nic.prop_us;
+        let prop = self.config.node.profile.nic.prop_us;
         let mut t = now;
         let mut prev: Option<NodeId> = None;
         for &n in pipeline {
-            if !self.is_up(n) {
+            if !self.rt.is_up(n) {
                 continue;
             }
             if let Some(p) = prev {
-                let tx = self.servers[p.index()].nic.tx(t, bytes);
-                t = self.servers[n.index()].nic.rx(tx + prop, bytes);
+                let tx = self.rt.hw_mut(p).nic.tx(t, bytes);
+                t = self.rt.hw_mut(n).nic.rx(tx + prop, bytes);
             }
-            self.bg_backlog[n.index()] += bytes;
+            self.rt.add_backlog(n, bytes);
             prev = Some(n);
         }
     }
@@ -922,63 +744,50 @@ impl Cluster {
         idx: usize,
         start: Key,
     ) {
-        let Some(p) = self.pending.get(op) else {
+        let Some(InFlight {
+            token,
+            state: PendingState::Scan(s),
+            ..
+        }) = self.rt.get(op)
+        else {
             return;
         };
-        let token = p.token;
-        let PendingState::Scan(s) = &p.state else {
-            unreachable!("scan state set at arrive")
-        };
+        let token = *token;
         let remaining = s.limit - s.collected.len();
         let server = self.regions.get(idx).server;
-        if !self.is_up(server) {
-            self.metrics.server_down += 1;
-            self.retire(sim, op);
-            self.completed.push(Completion {
-                token,
-                result: OpResult::Error(OpError::ServerDown),
-            });
+        if !self.rt.is_up(server) {
+            self.server_down(sim, op, token);
             return;
         }
         let costs = self.config.costs;
-        let t1 = self.servers[server.index()]
+        let now = sim.now();
+        let t1 = self.rt.hw_mut(server).cpu.acquire(now, costs.read_us);
+        self.rt
+            .tracer
+            .record(token, Stage::ServerCpu, server.0, now, t1);
+        let res = self.regions.get_mut(idx).lsm.scan(&start, remaining);
+        let t_io = self.rt.charge_io_plan(server, t1, &res.io);
+        let rows = res.rows;
+        self.rt
+            .tracer
+            .record(token, Stage::DiskIo, server.0, t1, t_io);
+        let t = self
+            .rt
+            .hw_mut(server)
             .cpu
-            .acquire(sim.now(), costs.read_us);
-        self.tracer
-            .record(token, Stage::ServerCpu, server.0, sim.now(), t1);
-        let (rows, plan) = {
-            let region = self.regions.get_mut(idx);
-            let res = region.lsm.scan(&start, remaining);
-            (res.rows, res.io)
-        };
-        let mut t = t1;
-        for io in plan.iter() {
-            match *io {
-                storage::IoOp::DiskRead { bytes } => {
-                    t = self.servers[server.index()].disk.random_read(t, bytes);
-                }
-                storage::IoOp::DiskSeqRead { bytes } => {
-                    t = self.servers[server.index()].disk.seq_read(t, bytes);
-                }
-                _ => {}
-            }
-        }
-        let t_io = t;
-        self.tracer.record(token, Stage::DiskIo, server.0, t1, t_io);
-        let t = self.servers[server.index()]
-            .cpu
-            .acquire(t, costs.scan_row_us * rows.len() as u64);
-        self.tracer
+            .acquire(t_io, costs.scan_row_us * rows.len() as u64);
+        self.rt
+            .tracer
             .record(token, Stage::ScanRows, server.0, t_io, t);
         // This region ran out before the row budget: the scan goes on into
         // the next one, if there is one.
         let more = rows.len() < remaining && idx + 1 < self.regions.len();
-        let Some(Pending {
+        let Some(InFlight {
             state: PendingState::Scan(s),
             ..
-        }) = self.pending.get_mut(op)
+        }) = self.rt.get_mut(op)
         else {
-            unreachable!("pending scan checked at entry")
+            return;
         };
         if s.collected.is_empty() {
             // A first leg's rows become the result, not a copy of it.
@@ -988,54 +797,47 @@ impl Cluster {
         }
         if !more {
             let rows = std::mem::take(&mut s.collected);
-            self.respond(sim, op, token, server, t, OpResult::Rows(rows));
-        } else {
-            let next = self.regions.get(idx + 1).start.clone();
-            // The client receives this leg's rows, then asks the next
-            // region's server (client-mediated scanning, as in HBase).
-            let leg_bytes = self.overhead();
-            let back = self.client_delivery(server, leg_bytes, t);
-            let next_server = self.regions.get(idx + 1).server;
-            let arr = back + self.config.profile.nic.prop_us;
-            let rx = self.servers[next_server.index()].nic.rx(arr, leg_bytes);
-            self.tracer
-                .record(token, Stage::RespSend, server.0, t, back);
-            self.tracer
-                .record(token, Stage::ClientSend, next_server.0, back, rx);
-            sim.schedule_at(
-                rx,
-                W::from(Event::ScanExec {
-                    op,
-                    region: idx + 1,
-                    start: next,
-                }),
-            );
+            self.rt
+                .respond(sim, op, token, server, t, OpResult::Rows(rows));
+            return;
         }
+        let next = self.regions.get(idx + 1).start.clone();
+        // The client receives this leg's rows, then asks the next region's
+        // server (client-mediated scanning, as in HBase).
+        let leg_bytes = self.config.costs.msg_overhead_bytes;
+        let back = self.rt.client_delivery(server, leg_bytes, t);
+        let next_server = self.regions.get(idx + 1).server;
+        let arr = back + self.config.node.profile.nic.prop_us;
+        let rx = self.rt.hw_mut(next_server).nic.rx(arr, leg_bytes);
+        self.rt
+            .tracer
+            .record(token, Stage::RespSend, server.0, t, back);
+        self.rt
+            .tracer
+            .record(token, Stage::ClientSend, next_server.0, back, rx);
+        sim.schedule_at(
+            rx,
+            W::from(Event::ScanExec {
+                op,
+                region: idx + 1,
+                start: next,
+            }),
+        );
     }
 
     fn on_timeout<W: From<Event>>(&mut self, sim: &mut Sim<W>, op: OpKey) {
-        let Some(p) = self.pending.get(op) else {
+        let Some(p) = self.rt.get(op) else {
             return;
         };
         if p.responded {
             return; // Deliver is already scheduled; let it land.
         }
         let token = p.token;
-        self.retire(sim, op);
-        let at = sim.now() + self.config.profile.nic.prop_us;
-        self.tracer
-            .record(token, Stage::RespSend, obs::CLIENT_NODE, sim.now(), at);
-        sim.schedule_at(
-            at,
-            W::from(Event::Deliver {
-                token,
-                op,
-                // Distinct from `ServerDown`: the server accepted the
-                // request and then went silent (crashed mid-flight), rather
-                // than being known-dead at routing time.
-                result: OpResult::Error(OpError::Timeout),
-            }),
-        );
+        self.rt.retire(sim, op);
+        // Distinct from `ServerDown`: the server accepted the request and
+        // then went silent (crashed mid-flight), rather than being
+        // known-dead at routing time.
+        self.rt.time_out(sim, op, token, obs::CLIENT_NODE);
     }
 
     // ----- failure handling -----
@@ -1054,12 +856,12 @@ impl Cluster {
     /// fail until the master notices (an `Event::FailOver`) or the server
     /// recovers. Used by deferred crash injection.
     pub fn crash_server(&mut self, node: NodeId) {
-        self.servers[node.index()].fail();
+        self.rt.hw_mut(node).fail();
     }
 
     /// The master detects the crash: a no-op when the server is back up.
     fn on_fail_over(&mut self, server: NodeId) {
-        if self.is_up(server) {
+        if self.rt.is_up(server) {
             return;
         }
         self.fail_over_from(server);
@@ -1069,9 +871,9 @@ impl Cluster {
     /// re-replication.
     fn fail_over_from(&mut self, node: NodeId) {
         self.fs.fail_node(node);
-        let live: Vec<NodeId> = (0..self.servers.len() as u32)
+        let live: Vec<NodeId> = (0..self.rt.nodes() as u32)
             .map(NodeId)
-            .filter(|n| self.is_up(*n))
+            .filter(|n| self.rt.is_up(*n))
             .collect();
         if live.is_empty() {
             return;
@@ -1083,20 +885,20 @@ impl Cluster {
             // The new server replays the region's WAL tail and starts cold.
             let replay_bytes = region.lsm.memtable_bytes();
             region.lsm.drop_cache();
-            self.servers[m.to.index()].disk.seq_read(0, replay_bytes);
+            self.rt.hw_mut(m.to).disk.seq_read(0, replay_bytes);
         }
         // HDFS restores the replication factor in the background.
         let tasks = self.fs.rereplicate(&mut self.rng);
         for t in tasks {
-            self.servers[t.src.index()].disk.seq_read(0, t.len);
-            self.servers[t.dst.index()].disk.seq_write(0, t.len);
+            self.rt.hw_mut(t.src).disk.seq_read(0, t.len);
+            self.rt.hw_mut(t.dst).disk.seq_write(0, t.len);
         }
     }
 
     /// Bring a server back (it rejoins empty; regions stay where they are,
     /// as HBase does not auto-rebalance immediately).
     pub fn recover_server(&mut self, node: NodeId) {
-        self.servers[node.index()].recover();
+        self.rt.hw_mut(node).recover();
         self.fs.recover_node(node);
     }
 }
@@ -1109,14 +911,11 @@ impl faults::FaultTarget for Cluster {
     type Event = Event;
 
     fn fault_nodes(&self) -> usize {
-        self.servers.len()
+        self.rt.nodes()
     }
 
     fn region_nodes(&self, region: u32) -> Vec<NodeId> {
-        if region >= self.config.topology.num_regions() {
-            return Vec::new();
-        }
-        self.config.topology.region_nodes(region).collect()
+        self.rt.region_nodes(region)
     }
 
     fn apply_crash<W: From<Event>>(&mut self, sim: &mut Sim<W>, node: NodeId) {
@@ -1136,19 +935,19 @@ impl faults::FaultTarget for Cluster {
     }
 
     fn apply_slow_disk(&mut self, node: NodeId, factor: u32) {
-        self.servers[node.index()].degrade_disk(factor);
+        self.rt.hw_mut(node).degrade_disk(factor);
     }
 
     fn apply_restore_disk(&mut self, node: NodeId) {
-        self.servers[node.index()].restore_disk();
+        self.rt.hw_mut(node).restore_disk();
     }
 
     fn apply_net_delay(&mut self, node: NodeId, extra_us: u64) {
-        self.servers[node.index()].delay_net(extra_us);
+        self.rt.hw_mut(node).delay_net(extra_us);
     }
 
     fn apply_restore_net(&mut self, node: NodeId) {
-        self.servers[node.index()].restore_net();
+        self.rt.hw_mut(node).restore_net();
     }
 }
 
@@ -1181,7 +980,7 @@ mod tests {
             .collect();
         let mut c = HStoreConfig::paper_testbed(rf, splits);
         c.nodes = nodes;
-        c.topology = simkit::Topology::single_rack(nodes, c.profile.nic.prop_us);
+        c.node.topology = simkit::Topology::single_rack(nodes, c.node.profile.nic.prop_us);
         c
     }
 
@@ -1356,7 +1155,7 @@ mod tests {
         assert_eq!(pipeline.len(), 3);
         for n in pipeline {
             assert!(
-                h.cluster.server(n).disk.written_bytes() >= 500,
+                h.cluster.hw(n).disk.written_bytes() >= 500,
                 "pipeline member {n} received no log bytes"
             );
         }
@@ -1454,7 +1253,7 @@ mod tests {
             value: k("v"),
         });
         let server = h.cluster.regions().get(0).server;
-        h.cluster.servers[server.index()].fail();
+        h.cluster.crash_server(server);
         let r = h.run_one(StoreOp::Read { key: key(10) });
         assert_eq!(r.result, OpResult::Error(OpError::ServerDown));
         assert!(OpError::ServerDown.is_retryable());
@@ -1469,7 +1268,7 @@ mod tests {
         // group ever starts — so it must surface as a retryable `Timeout`
         // (server accepted, then went silent), not a `ServerDown` verdict.
         let mut cfg = config(1, 2, 100);
-        cfg.rpc_timeout_us = 50_000;
+        cfg.node.rpc_timeout_us = 50_000;
         let mut h = Harness::new(cfg);
         let server = h.cluster.regions().get(0).server;
         let t1 = h.submit(StoreOp::Insert {

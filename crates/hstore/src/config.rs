@@ -1,6 +1,6 @@
 //! Cluster configuration.
 
-use simkit::{AdmissionConfig, NodeProfile, Topology};
+use node::NodeConfig;
 use storage::{Key, LsmConfig};
 
 /// CPU service times (microseconds) for the HBase-analog request path.
@@ -55,36 +55,13 @@ pub struct HStoreConfig {
     /// Per-region storage tuning. `cache_bytes` is interpreted per *server*
     /// and divided among its regions.
     pub lsm: LsmConfig,
-    /// Hardware of each node.
-    pub profile: NodeProfile,
-    /// Rack layout.
-    pub topology: Topology,
+    /// Node hardware, topology, RPC timeout, admission control, GC pauses
+    /// and the background-I/O throttle.
+    pub node: NodeConfig,
     /// CPU service times.
     pub costs: ServiceCosts,
     /// Roll the WAL block after this many bytes (HDFS block size).
     pub wal_block_bytes: u64,
-    /// Background (flush/compaction) disk-I/O throttle, bytes/second per
-    /// node — real HBase/HDFS deployments rate-limit compaction similarly.
-    pub bg_io_rate: u64,
-    /// Mean interval between stop-the-world pauses per node (JVM garbage
-    /// collection). 0 disables.
-    pub pause_interval_us: u64,
-    /// Duration of each pause.
-    pub pause_duration_us: u64,
-    /// Client give-up interval, microseconds: an operation still incomplete
-    /// this long after submission fails with a `ServerDown` error (fault
-    /// experiments shorten it so timeout behaviour is visible within one
-    /// timeline window).
-    pub rpc_timeout_us: u64,
-    /// Regionserver admission control: bounded in-flight queue with load
-    /// shedding (HBase's RPC call-queue bound). Disabled by default
-    /// ([`AdmissionConfig::off`]) — off runs add zero events and zero RNG
-    /// draws.
-    pub admission: AdmissionConfig,
-    /// Background-I/O chunk size, bytes. Flush/compaction backlogs drain in
-    /// chunks of this size so foreground reads can interleave between
-    /// chunks on the FIFO disk.
-    pub bg_chunk_bytes: u64,
     /// Crash-detection delay, microseconds: how long after a server crash
     /// the master notices (ZooKeeper session expiry) and starts region
     /// failover. During this window requests to the dead server's regions
@@ -111,22 +88,14 @@ impl HStoreConfig {
     /// The paper's testbed shape: 15 region servers, one rack, defaults
     /// everywhere else. `region_splits` carves the key space.
     pub fn paper_testbed(replication_factor: u32, region_splits: Vec<Key>) -> Self {
-        let profile = NodeProfile::paper_testbed();
         Self {
             nodes: 15,
             replication_factor,
             region_splits,
             lsm: LsmConfig::default(),
-            profile,
-            topology: Topology::single_rack(15, profile.nic.prop_us),
+            node: NodeConfig::paper_testbed(15),
             costs: ServiceCosts::default(),
             wal_block_bytes: 4 * 1024 * 1024,
-            bg_io_rate: 16_000_000,
-            pause_interval_us: 0,
-            pause_duration_us: 50_000,
-            rpc_timeout_us: 2_000_000,
-            admission: AdmissionConfig::off(),
-            bg_chunk_bytes: 64 * 1024,
             failover_delay_us: 0,
             follower_regions: 0,
             ship_wan_us: geo::DEFAULT_INTER_REGION_US,
@@ -145,9 +114,9 @@ mod tests {
         let c = HStoreConfig::paper_testbed(3, vec![Bytes::from_static(b"m")]);
         assert_eq!(c.nodes, 15);
         assert_eq!(c.replication_factor, 3);
-        assert_eq!(c.topology.len(), 15);
+        assert_eq!(c.node.topology.len(), 15);
         assert_eq!(c.costs.server_us, 700);
-        assert_eq!(c.rpc_timeout_us, 2_000_000);
+        assert_eq!(c.node.rpc_timeout_us, 2_000_000);
         assert_eq!(c.failover_delay_us, 0, "failover is synchronous by default");
         assert_eq!(c.follower_regions, 0, "async replication is off by default");
         assert_eq!(c.ship_wan_us, 25_000);

@@ -74,3 +74,35 @@ pub enum Event {
         commit_ts: SimTime,
     },
 }
+
+impl node::NodeEvent for Event {
+    fn arrive(op: OpKey) -> Self {
+        Event::Arrive { op }
+    }
+
+    fn timeout(op: OpKey) -> Self {
+        Event::Timeout { op }
+    }
+
+    fn deliver(token: u64, op: OpKey, result: OpResult) -> Self {
+        Event::Deliver { token, op, result }
+    }
+
+    fn bg_io(server: NodeId) -> Self {
+        Event::BgIo { server }
+    }
+
+    fn gc_pause(server: NodeId) -> Self {
+        Event::GcPause { server }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    /// The runtime's event vocabulary must not grow queue entries: this is
+    /// the size before the runtime existed.
+    #[test]
+    fn events_stay_within_the_pre_runtime_size() {
+        assert!(std::mem::size_of::<super::Event>() <= 48);
+    }
+}

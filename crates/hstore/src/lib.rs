@@ -19,10 +19,12 @@
 //!   extension experiments.
 //!
 //! As with `cstore`, everything is functionally real and temporally
-//! simulated on `simkit` resources.
+//! simulated on `simkit` resources, and node hardware, the front door and
+//! the in-flight table are the shared [`node::Runtime`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cluster;
 pub mod config;

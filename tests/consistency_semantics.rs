@@ -172,7 +172,7 @@ fn read_repair_converges_all_replicas_under_full_fanout() {
     h.write(3, "old");
     h.c.fail_node(reps[2]);
     h.write(3, "new");
-    h.c.node_mut(reps[2]).hw.recover();
+    h.c.hw_mut(reps[2]).recover();
     // One read with guaranteed fan-out repairs the lagging replica.
     let _ = h.read(3);
     for &r in &reps {

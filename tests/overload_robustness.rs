@@ -102,7 +102,7 @@ fn unreachable_admission_bound_is_byte_identical_to_off() {
     let mut c_off = build_cstore(&scale, 3, Consistency::Quorum, Consistency::Quorum);
     driver::load(&mut c_off, scale.records, scale.value_len, 3);
     let mut c_on = build_cstore_with(&scale, 3, Consistency::Quorum, Consistency::Quorum, |c| {
-        c.admission = wide_open;
+        c.node.admission = wide_open;
     });
     driver::load(&mut c_on, scale.records, scale.value_len, 3);
     assert_eq!(
@@ -114,7 +114,7 @@ fn unreachable_admission_bound_is_byte_identical_to_off() {
     let mut h_off = build_hstore(&scale, 3);
     driver::load(&mut h_off, scale.records, scale.value_len, 3);
     let mut h_on = build_hstore_with(&scale, 3, |h| {
-        h.admission = wide_open;
+        h.node.admission = wide_open;
     });
     driver::load(&mut h_on, scale.records, scale.value_len, 3);
     assert_eq!(
@@ -131,7 +131,7 @@ fn unreachable_admission_bound_is_byte_identical_to_off() {
 fn shed_accounting_is_consistent_across_layers() {
     let scale = Scale::tiny();
     let mut c = build_cstore_with(&scale, 3, Consistency::One, Consistency::One, |c| {
-        c.admission = AdmissionConfig {
+        c.node.admission = AdmissionConfig {
             max_in_flight: 16,
             policy: AdmissionPolicy::StrictPriority,
             est_service_us: 1_000,
@@ -169,7 +169,7 @@ fn shed_accounting_is_consistent_across_layers() {
 fn deadline_aware_early_drop_sheds_doomed_ops() {
     let scale = Scale::tiny();
     let mut h = build_hstore_with(&scale, 3, |h| {
-        h.admission = AdmissionConfig {
+        h.node.admission = AdmissionConfig {
             max_in_flight: 1_000_000,
             policy: AdmissionPolicy::DeadlineAware,
             est_service_us: 10_000_000,

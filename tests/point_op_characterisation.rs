@@ -6,8 +6,11 @@
 //! The RPC timeout of an op that settles in time is armed and cancelled
 //! without ever being dispatched; everything the model computes — which ops
 //! succeed, when, what every store counter reads — must not notice. So
-//! every output is pinned exactly, except `events_dispatched`, which may
-//! only fall: it counted the dead timeouts too.
+//! every output is pinned exactly, except `events_dispatched`, which could
+//! only fall against that commit: it counted the dead timeouts too. Since
+//! then it is pinned exactly as well, to the value the commit before the
+//! shared node runtime produced, so a refactor that adds or drops a single
+//! event fails here.
 
 use cloudserve::bench_core::driver::{self, DriverConfig, RunOutcome};
 use cloudserve::bench_core::setup::{build_cstore_with, build_hstore_with, Scale};
@@ -70,7 +73,7 @@ fn run_hstore(faulted: bool) -> RunOutcome {
     let scale = Scale::tiny();
     let mut s = build_hstore_with(&scale, 3, |c| {
         if faulted {
-            c.rpc_timeout_us = SHORT_TIMEOUT_US;
+            c.node.rpc_timeout_us = SHORT_TIMEOUT_US;
             // Leave the dead server's regions unserved for a while, so ops
             // queued behind its WAL are abandoned to their timeouts.
             c.failover_delay_us = 20_000;
@@ -84,7 +87,7 @@ fn run_cstore(faulted: bool) -> RunOutcome {
     let scale = Scale::tiny();
     let mut s = build_cstore_with(&scale, 3, Consistency::Quorum, Consistency::Quorum, |c| {
         if faulted {
-            c.rpc_timeout_us = SHORT_TIMEOUT_US;
+            c.node.rpc_timeout_us = SHORT_TIMEOUT_US;
         }
     });
     driver::load(&mut s, scale.records, scale.value_len, 7);
@@ -99,8 +102,8 @@ fn counter(out: &RunOutcome, label: &str) -> u64 {
 }
 
 /// Every model output equals the parent commit's; the dispatch count may
-/// only have lost dead timeouts.
-fn check(out: &RunOutcome, parent: Pin, parent_events: u64) {
+/// only have lost dead timeouts, and equals the pre-runtime count exactly.
+fn check(out: &RunOutcome, parent: Pin, parent_events: u64, events: u64) {
     assert_eq!(pin(out), parent);
     assert_eq!(out.unsettled_ops, 0);
     assert!(
@@ -108,6 +111,7 @@ fn check(out: &RunOutcome, parent: Pin, parent_events: u64) {
         "{} events dispatched, the parent needed {parent_events}",
         out.events_dispatched
     );
+    assert_eq!(out.events_dispatched, events);
 }
 
 #[test]
@@ -138,6 +142,7 @@ fn hstore_plain_run_is_pinned() {
             ],
         },
         14_902,
+        13_903,
     );
 }
 
@@ -170,6 +175,7 @@ fn cstore_plain_run_is_pinned() {
             ],
         },
         39_449,
+        38_329,
     );
 }
 
@@ -205,6 +211,7 @@ fn hstore_run_with_firing_timeouts_is_pinned() {
             ],
         },
         16_552,
+        12_919,
     );
 }
 
@@ -238,5 +245,6 @@ fn cstore_run_with_firing_timeouts_is_pinned() {
             ],
         },
         41_514,
+        38_103,
     );
 }
