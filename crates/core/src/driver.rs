@@ -601,7 +601,7 @@ where
                 }
                 match &c.result {
                     OpResult::Written { ts } => {
-                        tracker.write_acked(ctx.key.clone(), *ts);
+                        tracker.write_acked(&ctx.key, *ts);
                     }
                     OpResult::Value(cell) => {
                         let check =

@@ -114,6 +114,28 @@ struct ScanState {
     round_started: SimTime,
 }
 
+/// Emptied per-op buffers kept for the next op: an op takes one when it
+/// fans out and gives it back when it retires, so in steady state reads and
+/// scans allocate none. Holds at most as many buffers as ops were ever in
+/// flight at once.
+#[derive(Debug, Clone)]
+struct BufferPool<T>(Vec<Vec<T>>);
+
+impl<T> BufferPool<T> {
+    fn new() -> Self {
+        Self(Vec::new())
+    }
+
+    fn take(&mut self, capacity: usize) -> Vec<T> {
+        self.0.pop().unwrap_or_else(|| Vec::with_capacity(capacity))
+    }
+
+    fn give(&mut self, mut buf: Vec<T>) {
+        buf.clear();
+        self.0.push(buf);
+    }
+}
+
 /// A simulated Cassandra-analog cluster.
 #[derive(Debug, Clone)]
 pub struct Cluster {
@@ -127,6 +149,10 @@ pub struct Cluster {
     /// take it, fill it via [`Ring::replicas_into`], and put it back, so the
     /// read/write hot paths never allocate a replica `Vec` per operation.
     replica_scratch: Vec<NodeId>,
+    /// Recycled `ReadState::results` buffers.
+    read_answers: BufferPool<(NodeId, Option<Cell>)>,
+    /// Recycled `ScanState::partials` buffers.
+    scan_partials: BufferPool<Vec<(Key, Cell)>>,
 }
 
 impl Cluster {
@@ -167,6 +193,8 @@ impl Cluster {
             metrics: Metrics::new(),
             next_coord: 0,
             replica_scratch: Vec::new(),
+            read_answers: BufferPool::new(),
+            scan_partials: BufferPool::new(),
         }
     }
 
@@ -601,10 +629,22 @@ impl Cluster {
         let bytes = self.config.costs.msg_overhead_bytes + entry_encoded_len(&key, &cell);
         let expected = live_count;
         let ts = cell.ts;
+        // Every live replica but the last gets a copy; the last one takes
+        // the op's own key and cell.
+        let mut payload = Some((key, cell));
+        let mut unsent = live_count;
         for &r in &replicas {
             if !self.rt.is_up(r) {
                 continue;
             }
+            unsent -= 1;
+            let Some((key, cell)) = (if unsent == 0 {
+                payload.take()
+            } else {
+                payload.clone()
+            }) else {
+                break;
+            };
             let arr = self.rt.net_to(coord, r, bytes, t1);
             let stage = self.hop_stage(coord, r);
             self.rt.tracer.record(token, stage, r.0, t1, arr);
@@ -614,8 +654,8 @@ impl Cluster {
                     op,
                     token,
                     node: r,
-                    key: key.clone(),
-                    cell: cell.clone(),
+                    key,
+                    cell,
                     ack: true,
                 }),
             );
@@ -719,6 +759,7 @@ impl Cluster {
             let targets: Vec<NodeId> = if fanout { live } else { quota_targets };
             let bytes = self.config.costs.msg_overhead_bytes + key.len() as u64;
             let expected = targets.len() as u32;
+            let results = self.read_answers.take(expected as usize);
             for r in targets {
                 let arr = self.rt.net_to(coord, r, bytes, t1);
                 let stage = self.hop_stage(coord, r);
@@ -739,7 +780,7 @@ impl Cluster {
                     needed,
                     expected,
                     fanout,
-                    results: Vec::with_capacity(expected as usize),
+                    results,
                     fanout_at: t1,
                 });
             }
@@ -784,13 +825,14 @@ impl Cluster {
             );
         }
         self.replica_scratch = replicas;
+        let results = self.read_answers.take(expected as usize);
         if let Some(p) = self.rt.get_mut(op) {
             p.state = PendingState::Read(ReadState {
                 key,
                 needed,
                 expected,
                 fanout,
-                results: Vec::with_capacity(expected as usize),
+                results,
                 fanout_at: t1,
             });
         }
@@ -809,12 +851,15 @@ impl Cluster {
     ) {
         self.metrics.scans += 1;
         let p_idx = self.ring.primary(&start);
+        let partials = self
+            .scan_partials
+            .take(self.config.replication_factor as usize);
         if let Some(p) = self.rt.get_mut(op) {
             p.state = PendingState::Scan(ScanState {
                 limit,
                 needed_this_round: 0,
                 received_this_round: 0,
-                partials: Vec::new(),
+                partials,
                 collected: Vec::new(),
                 current_primary: p_idx,
                 rounds: 0,
@@ -1070,25 +1115,27 @@ impl Cluster {
         // when read repair is active); otherwise the consistency quota
         // releases the client.
         let release_at = if r.fanout { r.expected } else { r.needed };
-        let client_winner = (!p.responded && received >= release_at)
-            .then(|| reconcile(r.results.iter().map(|(_, c)| c.clone())));
+        let respond_now = !p.responded && received >= release_at;
         let finished = received >= r.expected;
-        // The read key, the winning cell and the replicas that lack it.
-        let mut repair: Option<(Key, Cell, Vec<NodeId>)> = None;
+        // The answers are folded by reference.
+        let winner_at = if respond_now || finished {
+            newest(&r.results)
+        } else {
+            None
+        };
+        // The replicas that lack the winning cell.
+        let mut stale: Vec<NodeId> = Vec::new();
         if finished {
-            if let Some(w) = reconcile(r.results.iter().map(|(_, c)| c.clone())) {
-                let stale: Vec<NodeId> = r
+            if let Some(w) = winner_at.and_then(|i| r.results[i].1.as_ref()) {
+                stale = r
                     .results
                     .iter()
                     .filter(|(_, c)| {
                         c.as_ref()
-                            .is_none_or(|c| c.ts < w.ts || (c.ts == w.ts && *c != w))
+                            .is_none_or(|c| c.ts < w.ts || (c.ts == w.ts && c != w))
                     })
                     .map(|(n, _)| *n)
                     .collect();
-                if !stale.is_empty() {
-                    repair = Some((r.key.clone(), w, stale));
-                }
             }
             // Mismatch within the answering quota = a digest mismatch.
             let quota = &r.results[..r.needed.min(received) as usize];
@@ -1098,24 +1145,39 @@ impl Cluster {
             {
                 self.metrics.digest_mismatches += 1;
             }
-            if let Some((_, _, stale)) = &repair {
-                // Count exactly once per read that repaired something.
-                self.metrics.repair_writes += stale.len() as u64;
-            }
+            // Count exactly once per read that repaired something.
+            self.metrics.repair_writes += stale.len() as u64;
         }
+        // Once every answer is in, the winner moves out of them; before
+        // that, it is the one answer cloned.
+        let mut winner = winner_at.and_then(|i| {
+            let answer = &mut r.results[i].1;
+            if finished {
+                answer.take()
+            } else {
+                answer.clone()
+            }
+        });
         let fanout_at = r.fanout_at;
-        if let Some(winner) = client_winner {
+        if respond_now {
             self.rt
                 .tracer
                 .record(token, Stage::QuorumWait, coord.0, fanout_at, sim.now());
-            let client_cell = winner.filter(|c| !c.is_tombstone());
+            // The repair below still needs the winner; otherwise it moves
+            // into the response.
+            let client_cell = if stale.is_empty() {
+                winner.take()
+            } else {
+                winner.clone()
+            }
+            .filter(|c| !c.is_tombstone());
             // Blocked repair: if this response closes a fan-out that found
             // stale replicas, the client also waits for the repair
             // mutations to be acknowledged (one extra write round trip).
-            let respond_at = if repair.is_some() {
-                t1 + 2 * self.config.node.profile.nic.prop_us + self.config.costs.replica_write_us
-            } else {
+            let respond_at = if stale.is_empty() {
                 t1
+            } else {
+                t1 + 2 * self.config.node.profile.nic.prop_us + self.config.costs.replica_write_us
             };
             self.rt
                 .tracer
@@ -1132,12 +1194,15 @@ impl Cluster {
         if !finished {
             return;
         }
-        self.rt.retire(sim, op);
-        let Some((key, cell, targets)) = repair else {
+        let Some(PendingState::Read(r)) = self.rt.retire(sim, op).map(|p| p.state) else {
             return;
         };
-        for target in targets {
-            let bytes = self.config.costs.msg_overhead_bytes + entry_encoded_len(&key, &cell);
+        self.read_answers.give(r.results);
+        let Some(cell) = winner.filter(|_| !stale.is_empty()) else {
+            return;
+        };
+        let bytes = self.config.costs.msg_overhead_bytes + entry_encoded_len(&r.key, &cell);
+        for target in stale {
             let arr = self.rt.net_to(coord, target, bytes, t1);
             sim.schedule_at(
                 arr,
@@ -1145,7 +1210,7 @@ impl Cluster {
                     op: OpKey::NONE,
                     token: 0,
                     node: target,
-                    key: key.clone(),
+                    key: r.key.clone(),
                     cell: cell.clone(),
                     ack: false,
                 }),
@@ -1235,8 +1300,7 @@ impl Cluster {
         }
         let round_started = s.round_started;
         // Round complete: reconcile this range across its replicas.
-        let sources = std::mem::take(&mut s.partials);
-        let mut merged = storage::merge::merge_entries(sources, false);
+        let mut merged = storage::merge::merge_entries(s.partials.drain(..), false);
         merged.retain(|(_, c)| !c.is_tombstone());
         merged.truncate(s.limit - s.collected.len());
         if s.collected.is_empty() {
@@ -1274,7 +1338,9 @@ impl Cluster {
             .record(token, Stage::QuorumWait, coord.0, round_started, sim.now());
         match next {
             Next::Respond(rows) => {
-                self.rt.retire(sim, op);
+                if let Some(PendingState::Scan(s)) = self.rt.retire(sim, op).map(|p| p.state) {
+                    self.scan_partials.give(s.partials);
+                }
                 self.rt
                     .respond(sim, op, token, coord, t1, OpResult::Rows(rows));
             }
@@ -1377,9 +1443,21 @@ fn cell_version(c: &Option<Cell>) -> u64 {
     c.as_ref().map_or(0, |c| c.ts)
 }
 
-/// Fold versions with last-write-wins; `None`s contribute nothing.
-fn reconcile(cells: impl Iterator<Item = Option<Cell>>) -> Option<Cell> {
-    cells.flatten().reduce(Cell::reconcile)
+/// Index of the last-write-wins winner among replica answers; `None`s
+/// contribute nothing.
+fn newest(results: &[(NodeId, Option<Cell>)]) -> Option<usize> {
+    results
+        .iter()
+        .enumerate()
+        .filter_map(|(i, (_, c))| Some((i, c.as_ref()?)))
+        .reduce(|a, b| {
+            if std::ptr::eq(Cell::newer(a.1, b.1), a.1) {
+                a
+            } else {
+                b
+            }
+        })
+        .map(|(i, _)| i)
 }
 
 #[cfg(test)]

@@ -19,6 +19,7 @@
 
 use geo::{Snitch, Strategy};
 use simkit::NodeId;
+use storage::sstable::{cmp_via_prefix, key_prefix, KeyPrefix};
 use storage::Key;
 
 /// How keys map to ring positions.
@@ -77,6 +78,10 @@ fn hash_key(key: &[u8]) -> u64 {
 #[derive(Debug, Clone)]
 pub struct Ring {
     partitioner: Partitioner,
+    /// Padded prefix of every order-preserving token, parallel to them: the
+    /// primary lookup compares these and reads a full token only on a
+    /// prefix tie. Empty for a hashing ring.
+    token_prefixes: Vec<KeyPrefix>,
     nodes: usize,
     strategy: Strategy,
     snitch: Snitch,
@@ -113,8 +118,15 @@ impl Ring {
             assert_eq!(tokens.len(), nodes, "need exactly one token per node");
         }
         assert_eq!(snitch.len(), nodes, "snitch must cover every node");
+        let token_prefixes = match &partitioner {
+            Partitioner::OrderPreserving { tokens } => {
+                tokens.iter().map(|t| key_prefix(t)).collect()
+            }
+            Partitioner::Murmur => Vec::new(),
+        };
         Self {
             partitioner,
+            token_prefixes,
             nodes,
             strategy,
             snitch,
@@ -150,11 +162,19 @@ impl Ring {
     pub fn primary(&self, key: &[u8]) -> usize {
         match &self.partitioner {
             Partitioner::OrderPreserving { tokens } => {
-                match tokens.binary_search_by(|t| t.as_ref().cmp(key)) {
-                    Ok(i) => i,
-                    Err(0) => self.nodes - 1, // wraps to the last range
-                    Err(i) => i - 1,
+                let target = key_prefix(key);
+                // How many tokens sort at or below `key`.
+                let (mut lo, mut hi) = (0, tokens.len());
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    let token = tokens[mid].as_ref();
+                    match cmp_via_prefix(self.token_prefixes[mid], token, target, key) {
+                        std::cmp::Ordering::Greater => hi = mid,
+                        _ => lo = mid + 1,
+                    }
                 }
+                // None: the key wraps to the last range.
+                lo.checked_sub(1).unwrap_or(self.nodes - 1)
             }
             Partitioner::Murmur => {
                 let h = hash_key(key);

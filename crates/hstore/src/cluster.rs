@@ -33,6 +33,9 @@ struct WalState {
     waiting: Vec<(OpKey, u64, SimTime)>,
     waiting_bytes: u64,
     block_bytes: u64,
+    /// The last committed group's op list, emptied: the next group's
+    /// `WalFlushDone` reuses it, as the next batch reuses `waiting`.
+    spare_group: Vec<OpKey>,
 }
 
 /// Per-op state machine. The submitted `StoreOp` lives in `Init` until the
@@ -101,6 +104,7 @@ impl Cluster {
                     waiting: Vec::new(),
                     waiting_bytes: 0,
                     block_bytes: 0,
+                    spare_group: Vec::new(),
                 }
             })
             .collect();
@@ -543,7 +547,7 @@ impl Cluster {
     }
 
     fn start_wal_group<W: From<Event>>(&mut self, sim: &mut Sim<W>, server: NodeId, t: SimTime) {
-        let (group, bytes, pipeline) = {
+        let (mut group, bytes, pipeline) = {
             let wal = &mut self.wals[server.index()];
             debug_assert!(!wal.inflight);
             let group = std::mem::take(&mut wal.waiting);
@@ -584,8 +588,12 @@ impl Cluster {
             wal.block_bytes = 0;
             self.metrics.wal_blocks_rolled += 1;
         }
-        let group: Vec<OpKey> = group.into_iter().map(|(op, _, _)| op).collect();
-        sim.schedule_at(done, W::from(Event::WalFlushDone { server, group }));
+        let wal = &mut self.wals[server.index()];
+        let mut ops = std::mem::take(&mut wal.spare_group);
+        ops.extend(group.iter().map(|&(op, _, _)| op));
+        group.clear();
+        wal.waiting = group;
+        sim.schedule_at(done, W::from(Event::WalFlushDone { server, group: ops }));
         // Async cluster replication: the replication source tails the WAL
         // after commit (ship lag) and ships the group's bytes across the
         // WAN to every follower region. The primary's NIC transmit is
@@ -619,12 +627,12 @@ impl Cluster {
         &mut self,
         sim: &mut Sim<W>,
         server: NodeId,
-        group: Vec<OpKey>,
+        mut group: Vec<OpKey>,
     ) {
         self.wals[server.index()].inflight = false;
         let now = sim.now();
         let apply_us = self.config.costs.apply_us;
-        for op in group {
+        for &op in &group {
             let Some(p) = self.rt.get_mut(op) else {
                 continue; // timed out; the slot is gone
             };
@@ -661,6 +669,8 @@ impl Cluster {
                 OpResult::Written { ts: now },
             );
         }
+        group.clear();
+        self.wals[server.index()].spare_group = group;
         // More writers queued while this group was in flight?
         if !self.wals[server.index()].waiting.is_empty() && self.rt.is_up(server) {
             self.start_wal_group(sim, server, now);

@@ -99,7 +99,7 @@ impl RegionMap {
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             let start = self.regions[mid].start.as_ref();
-            if cmp_via_prefix(&self.start_prefixes[mid], start, &target, key)
+            if cmp_via_prefix(self.start_prefixes[mid], start, target, key)
                 == std::cmp::Ordering::Greater
             {
                 hi = mid;

@@ -107,10 +107,12 @@ impl MultiServer {
     /// returns the completion time on the earliest-free server.
     #[inline]
     pub fn acquire(&mut self, now: SimTime, service: u64) -> SimTime {
-        let std::cmp::Reverse(earliest) = self.free.pop().expect("server heap never empty");
-        let start = earliest.max(now);
-        let done = start + service;
-        self.free.push(std::cmp::Reverse(done));
+        // Replace the earliest free time in place: one sift-down, where a
+        // pop and a push sift twice. Free times carry no identity, so the
+        // heap holds the same multiset either way.
+        let mut earliest = self.free.peek_mut().expect("server heap never empty");
+        let done = earliest.0.max(now) + service;
+        *earliest = std::cmp::Reverse(done);
         self.busy_us += service;
         self.ops += 1;
         done
@@ -230,6 +232,35 @@ mod tests {
     #[should_panic(expected = "at least one server")]
     fn multiserver_rejects_zero_servers() {
         let _ = MultiServer::new(0);
+    }
+
+    #[test]
+    fn multiserver_replace_top_matches_pop_then_push() {
+        // The pre-`peek_mut` acquire, as the reference.
+        fn pop_push(
+            free: &mut BinaryHeap<std::cmp::Reverse<SimTime>>,
+            now: SimTime,
+            service: u64,
+        ) -> SimTime {
+            let std::cmp::Reverse(earliest) = free.pop().expect("non-empty");
+            let done = earliest.max(now) + service;
+            free.push(std::cmp::Reverse(done));
+            done
+        }
+        let mut rng = crate::SimRng::new(7);
+        for servers in [1u32, 2, 3, 8] {
+            let mut fast = MultiServer::new(servers);
+            let mut reference: BinaryHeap<_> = (0..servers).map(|_| std::cmp::Reverse(0)).collect();
+            let mut now = 0;
+            for _ in 0..2_000 {
+                now += rng.below(20);
+                let service = rng.below(100);
+                assert_eq!(
+                    fast.acquire(now, service),
+                    pop_push(&mut reference, now, service)
+                );
+            }
+        }
     }
 
     #[test]

@@ -223,14 +223,14 @@ impl BlockCache {
     /// Drop every block belonging to `table` (called when compaction deletes
     /// the table).
     pub fn invalidate_table(&mut self, table: TableId) {
-        let victims: Vec<BlockKey> = self
+        let victims: Vec<u32> = self
             .map
-            .keys()
-            .filter(|k| k.table == table)
-            .copied()
+            .iter()
+            .filter(|(k, _)| k.table == table)
+            .map(|(_, &idx)| idx)
             .collect();
-        for key in victims {
-            let idx = self.map.remove(&key).expect("present");
+        self.map.retain(|k, _| k.table != table);
+        for idx in victims {
             self.detach(idx);
             self.used -= self.slab[idx as usize].bytes;
             self.free.push(idx);

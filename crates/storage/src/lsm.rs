@@ -8,7 +8,7 @@ use crate::bloom;
 use crate::cache::{BlockCache, BlockKey, CacheStats};
 use crate::compaction::SizeTieredPolicy;
 use crate::io::{IoOp, IoPlan};
-use crate::memtable::Memtable;
+use crate::memtable::{self, Memtable};
 use crate::merge::{merge_runs, MergeRef};
 use crate::sstable::{SsTable, TableId};
 use crate::types::{Cell, Key};
@@ -110,11 +110,11 @@ impl RunCursor<'_> {
     }
 }
 
-/// One merge source of a range scan: the memtable's B-tree range or a
-/// cursor over an SSTable run, unified so the streaming merge can hold all
-/// sources in one unboxed `Vec`.
+/// One merge source of a range scan: the memtable's range or a cursor over
+/// an SSTable run, unified so the streaming merge can hold all sources in
+/// one unboxed `Vec`.
 enum ScanSource<'a> {
-    Mem(std::collections::btree_map::Range<'a, Key, Cell>),
+    Mem(memtable::Range<'a>),
     Run(RunCursor<'a>),
 }
 

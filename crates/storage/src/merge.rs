@@ -166,21 +166,27 @@ pub fn merge_runs(runs: &[&[(Key, Cell)]], drop_tombstones: bool) -> Vec<(Key, C
 /// coordinator) into one reconciled, sorted vector, consuming them: a single
 /// source is handed back as is — same allocation, no entry touched unless
 /// `drop_tombstones` removes it — and several are merged by moving each
-/// key's winner out of its source. Nothing is cloned.
-pub fn merge_entries(
-    mut sources: Vec<Vec<(Key, Cell)>>,
-    drop_tombstones: bool,
-) -> Vec<(Key, Cell)> {
+/// key's winner out of its source. Nothing is cloned. Passing a `drain(..)`
+/// lets the caller keep the vector that held the sources.
+pub fn merge_entries<S>(sources: S, drop_tombstones: bool) -> Vec<(Key, Cell)>
+where
+    S: IntoIterator<Item = Vec<(Key, Cell)>>,
+    S::IntoIter: ExactSizeIterator,
+{
+    let mut sources = sources.into_iter();
     let mut out = if sources.len() == 1 {
-        sources.pop().unwrap_or_default()
+        sources.next().unwrap_or_default()
     } else {
+        let sources: Vec<_> = sources.map(Vec::into_iter).collect();
         // Every source is unique per key, so the longest one is a lower
         // bound on the output — and exact when the replicas agree.
-        let longest = sources.iter().map(Vec::len).max().unwrap_or(0);
+        let longest = sources
+            .iter()
+            .map(ExactSizeIterator::len)
+            .max()
+            .unwrap_or(0);
         let mut out = Vec::with_capacity(longest);
-        out.extend(Merge::new(
-            sources.into_iter().map(Vec::into_iter).collect(),
-        ));
+        out.extend(Merge::new(sources));
         out
     };
     if drop_tombstones {

@@ -1,10 +1,12 @@
 //! Immutable sorted runs (HBase HFiles / Cassandra SSTables).
 //!
 //! A run stores its entries in key order, grouped into fixed-size blocks.
-//! Point reads consult the bloom filter, then the block index, then read one
-//! block; scans read consecutive blocks. The block is the unit of disk I/O
-//! and of block-cache residency.
+//! A point read searches the block index and then the one block it names,
+//! and consults the bloom filter only when that search misses (a present key
+//! always passes the filter; see `LsmTree::get`); scans read consecutive
+//! blocks. The block is the unit of disk I/O and of block-cache residency.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use crate::bloom::BloomFilter;
@@ -20,10 +22,12 @@ impl std::fmt::Display for TableId {
     }
 }
 
-/// First 16 bytes of a key, zero-padded. Stored in flat arrays so the
-/// binary searches of the point-read path compare contiguous memory
-/// instead of chasing each `Bytes` key onto the heap.
-pub type KeyPrefix = [u8; 16];
+/// First 16 bytes of a key, zero-padded, read as a big-endian integer, so
+/// one integer compare orders two prefixes exactly as their bytes would.
+/// Stored in flat arrays so the binary searches of the point-read path
+/// compare contiguous memory instead of chasing each `Bytes` key onto the
+/// heap.
+pub type KeyPrefix = u128;
 
 /// Blocks per top-level index chunk. 64 keeps the top level of a large
 /// run's index at a few cache lines per thousand blocks while the
@@ -33,26 +37,29 @@ const CHUNK: usize = 64;
 /// The padded prefix of `key`.
 #[inline]
 pub fn key_prefix(key: &[u8]) -> KeyPrefix {
+    if let Some(head) = key.first_chunk::<16>() {
+        return u128::from_be_bytes(*head);
+    }
     let mut p = [0u8; 16];
     let n = key.len().min(16);
     p[..n].copy_from_slice(&key[..n]);
-    p
+    u128::from_be_bytes(p)
 }
 
 /// Compare two keys through their padded prefixes: when the prefixes
-/// differ, their byte order equals the full lexicographic order (zero
-/// padding preserves "shorter is smaller" because the pad byte sorts below
-/// any byte the longer key continues with, and equal pads defer); only a
-/// prefix tie needs the full keys.
+/// differ, their order equals the full lexicographic order (zero padding
+/// preserves "shorter is smaller" because the pad byte sorts below any byte
+/// the longer key continues with, and equal pads defer); only a prefix tie
+/// needs the full keys.
 #[inline]
 pub fn cmp_via_prefix(
-    prefix: &KeyPrefix,
+    prefix: KeyPrefix,
     full: &[u8],
-    target_prefix: &KeyPrefix,
+    target_prefix: KeyPrefix,
     target: &[u8],
-) -> std::cmp::Ordering {
-    match prefix.cmp(target_prefix) {
-        std::cmp::Ordering::Equal => full.cmp(target),
+) -> Ordering {
+    match prefix.cmp(&target_prefix) {
+        Ordering::Equal => full.cmp(target),
         ord => ord,
     }
 }
@@ -213,53 +220,50 @@ impl SsTable {
     /// Which block could contain `key`, or `None` when the key sorts before
     /// the first block or the table is empty.
     ///
-    /// The search runs over the flat prefix array (one contiguous compare
-    /// per probe, full keys only on prefix ties) — the sparse index of a
-    /// large run no longer costs a pointer chase per probe.
+    /// Both levels search flat prefix arrays — the top level
+    /// `chunk_prefixes`, then one `CHUNK`-block window of `block_prefixes`
+    /// — with one integer compare per probe; a block's full first key
+    /// (`block_starts` into `entries`, a pointer chase) is read only when
+    /// its prefix ties with the key's.
     pub fn block_for(&self, key: &[u8]) -> Option<usize> {
-        let prefixes = &self.core.block_prefixes;
-        if prefixes.is_empty() {
-            return None;
-        }
+        let core = &*self.core;
         let target = key_prefix(key);
-        // `le(i)`: does block i's first key sort <= `key`?
-        let le = |i: usize| {
-            cmp_via_prefix(
-                &prefixes[i],
-                self.core.entries[self.core.block_starts[i] as usize]
-                    .0
-                    .as_ref(),
-                &target,
-                key,
-            ) != std::cmp::Ordering::Greater
+        // Does block `block`, whose first key has prefix `prefix`, start at
+        // or below `key`?
+        let starts_le = |block: usize, prefix: KeyPrefix| match prefix.cmp(&target) {
+            Ordering::Less => true,
+            Ordering::Greater => false,
+            Ordering::Equal => core.entries[core.block_starts[block] as usize].0.as_ref() <= key,
         };
-        // Top level: rightmost chunk whose first block is <= key.
-        let chunks = &self.core.chunk_prefixes;
-        let mut clo = 0usize;
-        let mut chi = chunks.len();
-        while clo < chi {
-            let mid = clo + (chi - clo) / 2;
-            if le(mid * CHUNK) {
-                clo = mid + 1;
-            } else {
-                chi = mid;
-            }
-        }
-        if clo == 0 {
-            return None; // key sorts before the first block
-        }
-        // Second level: rightmost block <= key inside that chunk's window.
-        let mut lo = (clo - 1) * CHUNK;
-        let mut hi = (clo * CHUNK).min(prefixes.len());
+        // Top level: how many chunks start at or below `key`.
+        let chunks = &core.chunk_prefixes;
+        let (mut lo, mut hi) = (0, chunks.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if le(mid) {
+            if starts_le(mid * CHUNK, chunks[mid]) {
                 lo = mid + 1;
             } else {
                 hi = mid;
             }
         }
-        Some(lo - 1)
+        if lo == 0 {
+            return None; // key sorts before the first block
+        }
+        // Second level: the rightmost block at or below `key` inside that
+        // chunk's window. The window's first block is one, so the search
+        // starts past it.
+        let base = (lo - 1) * CHUNK;
+        let window = &core.block_prefixes[base..(lo * CHUNK).min(core.block_prefixes.len())];
+        let (mut lo, mut hi) = (1, window.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if starts_le(base + mid, window[mid]) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        Some(base + lo - 1)
     }
 
     /// Entry range `[start, end)` of a block within the table.
@@ -285,10 +289,10 @@ impl SsTable {
         let mut hi = prefixes.len();
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            match cmp_via_prefix(&prefixes[mid], entries[mid].0.as_ref(), &target, key) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Some(&entries[mid].1),
+            match cmp_via_prefix(prefixes[mid], entries[mid].0.as_ref(), target, key) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Some(&entries[mid].1),
             }
         }
         None
@@ -325,8 +329,8 @@ impl SsTable {
         let mut end = prefixes.len();
         while below < end {
             let mid = below + (end - below) / 2;
-            if cmp_via_prefix(&prefixes[mid], entries[mid].0.as_ref(), &target, start)
-                == std::cmp::Ordering::Less
+            if cmp_via_prefix(prefixes[mid], entries[mid].0.as_ref(), target, start)
+                == Ordering::Less
             {
                 below = mid + 1;
             } else {

@@ -9,6 +9,7 @@ use proptest::prelude::*;
 use storage::cache::BlockKey;
 use storage::compaction::SizeTieredPolicy;
 use storage::merge::{merge_entries, merge_runs};
+use storage::types::entry_encoded_len;
 use storage::{
     BlockCache, Cell, IoOp, IoPlan, Key, LsmConfig, LsmTree, Memtable, SsTable, TableId,
 };
@@ -200,6 +201,11 @@ impl ScanModel {
     }
 }
 
+/// What the memtable's byte count must be for the rows in `model`.
+fn model_bytes(model: &BTreeMap<Key, Cell>) -> u64 {
+    model.iter().map(|(k, c)| entry_encoded_len(k, c)).sum()
+}
+
 fn reconcile_into(map: &mut BTreeMap<Key, Cell>, key: Key, cell: Cell) {
     map.entry(key)
         .and_modify(|c| *c = Cell::reconcile(c.clone(), cell.clone()))
@@ -225,6 +231,20 @@ fn arb_prefix_key() -> impl Strategy<Value = Vec<u8>> {
                 short
             }
         })
+}
+
+/// A cell for the memtable model test: timestamps from a tiny range so
+/// equal-timestamp ties are common, a tombstone in a quarter of them, and
+/// values of three lengths so a tie between live values has a winner and
+/// changes the byte count.
+fn arb_tie_cell() -> impl Strategy<Value = Cell> {
+    (0u64..4, 0usize..4).prop_map(|(ts, len)| {
+        if len == 0 {
+            Cell::tombstone(ts)
+        } else {
+            Cell::live(Bytes::from(vec![b'v'; len]), ts)
+        }
+    })
 }
 
 /// Sorted/unique runs with duplicate keys across runs and a tombstone mix:
@@ -278,27 +298,43 @@ fn arb_entries(max_keys: u64) -> impl Strategy<Value = Vec<(u64, Vec<u8>, u64)>>
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The memtable agrees with a BTreeMap oracle under LWW reconciliation.
+    /// The prefix-ordered memtable against a `BTreeMap<Key, Cell>` model
+    /// under last-write-wins, over keys that share a 16-byte prefix, keys
+    /// shorter than it, and keys that differ only by trailing zero bytes
+    /// (`"a"` and `"a\0"` pad to one prefix): every insert's byte delta,
+    /// `get` and `range_from` at present and arbitrary starts, `len`,
+    /// `bytes`, and `drain_sorted`.
     #[test]
-    fn memtable_matches_lww_oracle(entries in arb_entries(50)) {
+    fn memtable_matches_btreemap_model(
+        writes in prop::collection::vec((arb_prefix_key(), arb_tie_cell()), 1..150),
+        probes in prop::collection::vec(arb_prefix_key(), 1..30),
+    ) {
         let mut mem = Memtable::new();
-        let mut oracle: BTreeMap<Key, Cell> = Default::default();
-        for (id, value, ts) in entries {
-            let cell = Cell::live(Bytes::from(value), ts);
-            mem.insert(key(id), cell.clone());
-            oracle
-                .entry(key(id))
-                .and_modify(|c| *c = Cell::reconcile(c.clone(), cell.clone()))
-                .or_insert(cell);
+        let mut model: BTreeMap<Key, Cell> = BTreeMap::new();
+        for (key, cell) in writes {
+            let key = Bytes::from(key);
+            let before = model_bytes(&model);
+            let delta = mem.insert(key.clone(), cell.clone());
+            reconcile_into(&mut model, key, cell);
+            prop_assert_eq!(delta, model_bytes(&model) as i64 - before as i64);
         }
-        prop_assert_eq!(mem.len(), oracle.len());
-        for (k, expected) in &oracle {
-            prop_assert_eq!(mem.get(k), Some(expected));
+        prop_assert_eq!(mem.len(), model.len());
+        prop_assert_eq!(mem.is_empty(), model.is_empty());
+        prop_assert_eq!(mem.bytes(), model_bytes(&model));
+        let present: Vec<Vec<u8>> = model.keys().map(|k| k.to_vec()).collect();
+        for probe in probes.iter().chain(&present) {
+            prop_assert_eq!(mem.get(probe), model.get(probe.as_slice()), "get {:?}", probe);
+            let got: Vec<_> = mem.range_from(probe).collect();
+            let want: Vec<_> = model
+                .range::<[u8], _>((Bound::Included(probe.as_slice()), Bound::Unbounded))
+                .collect();
+            prop_assert_eq!(got, want, "range_from {:?}", probe);
         }
-        // Drained entries come out sorted and complete.
         let drained = mem.drain_sorted();
-        prop_assert!(drained.windows(2).all(|w| w[0].0 < w[1].0));
-        prop_assert_eq!(drained.len(), oracle.len());
+        prop_assert_eq!(drained, model.into_iter().collect::<Vec<_>>());
+        prop_assert!(mem.is_empty());
+        prop_assert_eq!(mem.bytes(), 0);
+        prop_assert_eq!(mem.range_from(&[]).count(), 0);
     }
 
     /// Cell reconciliation is commutative and associative.
@@ -393,6 +429,43 @@ proptest! {
         for probe in probes.into_iter().chain(present).chain(outside) {
             let want = table.entries().partition_point(|(k, _)| k.as_ref() < probe.as_slice());
             prop_assert_eq!(table.lower_bound(&probe), want, "probe {:?}", probe);
+        }
+    }
+
+    /// `SsTable::block_for` — chunk prefixes, then one window of block
+    /// prefixes, full keys only on a prefix tie — agrees with a linear scan
+    /// for the block holding the last entry at or below the probe, on tables
+    /// of more than `2 × CHUNK` blocks (so the top level has several
+    /// chunks), for present keys, prefix-tied keys, and probes before the
+    /// first block and after the last.
+    #[test]
+    fn sstable_block_for_matches_linear_scan(
+        keys in prop::collection::btree_set(arb_prefix_key(), 1..120),
+        probes in prop::collection::vec(arb_prefix_key(), 1..40),
+        block_size in (0usize..2).prop_map(|i| [1u64, 48][i]),
+    ) {
+        // 400 filler keys guarantee the block count whatever was drawn;
+        // they sort among the drawn ones (between the 'a…' and 's…' keys).
+        let fillers = (0..400).map(|i| format!("m{i:04}").into_bytes());
+        let keys: std::collections::BTreeSet<Vec<u8>> = keys
+            .into_iter()
+            .filter(|k| !k.is_empty()) // the empty probe sorts before them all
+            .chain(fillers)
+            .collect();
+        let entries: Vec<(Key, Cell)> = keys
+            .iter()
+            .map(|k| (Bytes::from(k.clone()), Cell::live(Bytes::new(), 1)))
+            .collect();
+        let table = SsTable::build(TableId(1), entries, block_size);
+        prop_assert!(table.block_count() > 2 * 64, "{} blocks", table.block_count());
+        let outside = [Vec::new(), vec![0xff; 20]];
+        for probe in probes.iter().chain(&keys).chain(&outside) {
+            let want = table
+                .entries()
+                .iter()
+                .rposition(|(k, _)| k.as_ref() <= probe.as_slice())
+                .map(|last| table.block_of_entry(last));
+            prop_assert_eq!(table.block_for(probe), want, "probe {:?}", probe);
         }
     }
 

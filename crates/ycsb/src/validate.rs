@@ -40,9 +40,13 @@ impl StalenessTracker {
 
     /// Record that a write of `key` with version timestamp `ts` has been
     /// acknowledged to the client.
-    pub fn write_acked(&mut self, key: Bytes, ts: u64) {
-        let slot = self.acked.entry(key).or_insert(0);
-        *slot = (*slot).max(ts);
+    pub fn write_acked(&mut self, key: &Bytes, ts: u64) {
+        match self.acked.get_mut(key.as_ref()) {
+            Some(slot) => *slot = (*slot).max(ts),
+            None => {
+                self.acked.insert(key.clone(), ts);
+            }
+        }
     }
 
     /// Snapshot the expectation for a read being issued now: the newest
@@ -111,7 +115,7 @@ mod tests {
     #[test]
     fn fresh_read_is_not_stale() {
         let mut t = StalenessTracker::new();
-        t.write_acked(k("a"), 100);
+        t.write_acked(&k("a"), 100);
         let exp = t.expected(b"a");
         assert!(!t.check(exp, Some(100)));
         assert!(!t.check(exp, Some(150)), "newer than expected is fine");
@@ -121,7 +125,7 @@ mod tests {
     #[test]
     fn old_version_is_stale() {
         let mut t = StalenessTracker::new();
-        t.write_acked(k("a"), 100);
+        t.write_acked(&k("a"), 100);
         assert!(t.check(t.expected(b"a"), Some(50)));
         assert!(
             t.check(t.expected(b"a"), None),
@@ -134,7 +138,7 @@ mod tests {
     #[test]
     fn missing_splits_not_found_out_of_stale() {
         let mut t = StalenessTracker::new();
-        t.write_acked(k("a"), 100);
+        t.write_acked(&k("a"), 100);
         // An old version is stale but not missing.
         assert_eq!(
             t.check_read(t.expected(b"a"), Some(50)),
@@ -167,17 +171,17 @@ mod tests {
     #[test]
     fn concurrent_write_does_not_count() {
         let mut t = StalenessTracker::new();
-        t.write_acked(k("a"), 100);
+        t.write_acked(&k("a"), 100);
         let snapshot = t.expected(b"a"); // read issued here
-        t.write_acked(k("a"), 200); // concurrent write acks later
+        t.write_acked(&k("a"), 200); // concurrent write acks later
         assert!(!t.check(snapshot, Some(100)), "expected only ts>=100");
     }
 
     #[test]
     fn watermark_is_monotone() {
         let mut t = StalenessTracker::new();
-        t.write_acked(k("a"), 100);
-        t.write_acked(k("a"), 50); // late ack of an older write
+        t.write_acked(&k("a"), 100);
+        t.write_acked(&k("a"), 50); // late ack of an older write
         assert_eq!(t.expected(b"a"), 100);
         assert_eq!(t.tracked_keys(), 1);
     }
