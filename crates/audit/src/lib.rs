@@ -26,8 +26,8 @@
 //! records the same clients.
 //!
 //! Recording happens on the driver's op-settle hot path where a panic
-//! would take down a whole sweep worker; unwraps are banned outright (CI
-//! greps for the attribute below staying in place).
+//! would take down a whole sweep worker; unwraps are banned outright,
+//! tests included.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

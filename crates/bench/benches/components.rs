@@ -272,6 +272,7 @@ fn bench_snapshot_vs_reload(c: &mut Criterion) {
     // as every experiment cell did before base states were shared.
     use bench_core::driver;
     use bench_core::setup::{build_cstore, Scale};
+    use bench_core::store::SimStore;
     use cstore::Consistency;
 
     let scale = Scale::tiny();

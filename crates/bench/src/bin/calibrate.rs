@@ -6,6 +6,7 @@
 use bench_core::driver::{self, DriverConfig};
 use bench_core::resilience::RetryPolicy;
 use bench_core::setup::{build_cstore, build_hstore, Scale};
+use bench_core::store::SimStore;
 use cstore::Consistency;
 use simkit::NodeId;
 use storage::OpKind;

@@ -11,7 +11,6 @@
 //!   require vs the hashing (Murmur-style) one Cassandra defaults to.
 //!
 //! (Node failure is covered by Figs 4 and 5, with timelines.)
-#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use cstore::{CommitlogSync, Consistency, Partitioner};
 use ycsb::WorkloadSpec;

@@ -20,7 +20,6 @@
 //! ops, and every cell cross-checks the two views: replaying the history
 //! must reproduce `RunMetrics::staleness()` exactly — the recorded
 //! history provably carries the information the live tracker saw.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use audit::{check_key, check_sessions, key_ops, staleness, PhaseWindow, SessionCounts, Verdict};
 

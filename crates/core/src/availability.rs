@@ -17,7 +17,6 @@
 //! HBase analog cannot be saved by retries alone: requests to the victim's
 //! regions have nowhere else to go until failover, so its visible dip is
 //! bounded below by the detection window plus the backoff ladder.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use ycsb::{ResilienceCounters, TimelineWindow};
 

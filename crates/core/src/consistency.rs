@@ -6,7 +6,6 @@
 //! the consistency levels of which are respectively ONE, write ALL and
 //! QUORUM." (HBase has no consistency knob, so only the Cassandra analog
 //! participates — same as the paper.)
-#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use ycsb::WorkloadSpec;
 

@@ -14,7 +14,6 @@
 //! `[issued, settled)` by construction, the per-op stage sums equal the
 //! measured client latency *exactly*, in virtual µs — asserted for every
 //! traced op of every cell.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use obs::{critical_path, OpTrace, Stage, StageAgg, TraceConfig};
 use storage::OpKind;

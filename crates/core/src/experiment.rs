@@ -20,7 +20,6 @@
 //! Write one module with a config struct that embeds a [`RunShape`],
 //! implement [`Experiment`] for it (grid, store, driver config, row,
 //! rendering), and add one line to [`FIGURES`].
-#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::io::Write;
 use std::path::Path;
@@ -31,6 +30,7 @@ use ycsb::WorkloadSpec;
 use crate::driver::{self, DriverConfig, RunOutcome};
 use crate::report::Table;
 use crate::setup::{build_cstore, build_hstore, Scale, StoreKind};
+use crate::store::SimStore;
 use crate::sweep::{BasePool, Sweep, Telemetry};
 
 /// One consistency strategy: a named (read, write) level pair.

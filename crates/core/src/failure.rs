@@ -17,7 +17,6 @@
 //! Cassandra analog degrades per consistency level — CL=ONE mostly rides
 //! through, write-ALL refuses writes on every range replicated on the
 //! victim until it returns.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use audit::PhaseWindow;
 use faults::FaultPlan;

@@ -14,7 +14,6 @@
 //! levels keep their latency but pay in staleness (Cassandra: stale-read
 //! fraction; HBase: the follower replication window), strong levels pay
 //! one or two WAN round trips per operation.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use cstore::{CStoreConfig, Partitioner};
 use faults::FaultPlan;
@@ -149,7 +148,6 @@ impl GeoExperimentConfig {
             self.rf_per_dc * regions,
             Partitioner::order_preserving(balanced_tokens(nodes)),
         );
-        c.nodes = nodes;
         let prop = c.node.profile.nic.prop_us;
         c.node.topology = self.geo_config(regions).topology(npr, prop, prop);
         c.strategy = geo::Strategy::network_topology(regions, self.rf_per_dc);
@@ -165,7 +163,6 @@ impl GeoExperimentConfig {
         let npr = self.nodes_per_region;
         let splits: Vec<_> = balanced_tokens(npr).into_iter().skip(1).collect();
         let mut h = HStoreConfig::paper_testbed(self.hstore_rf(), splits);
-        h.nodes = npr;
         h.node.topology = simkit::Topology::single_rack(npr, h.node.profile.nic.prop_us);
         h.lsm = self.run.scale.lsm();
         h.follower_regions = regions - 1;
@@ -413,7 +410,6 @@ mod tests {
                     3,
                     Partitioner::order_preserving(balanced_tokens(cfg.nodes_per_region)),
                 );
-                base.nodes = cfg.nodes_per_region;
                 let prop = base.node.profile.nic.prop_us;
                 base.node.topology = cfg.geo_config(1).topology(cfg.nodes_per_region, prop, prop);
                 base.lsm = cfg.run.scale.lsm();

@@ -4,7 +4,6 @@
 //! by limiting the number of concurrence requests, and conduct six rounds of
 //! testing. In each round, the replication factor is increased by one, and
 //! the update/read/insert/scan test is run one after another."
-#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use storage::OpKind;
 use ycsb::WorkloadSpec;

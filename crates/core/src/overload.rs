@@ -22,8 +22,7 @@
 //! consume the error budget but are not latency samples).
 //!
 //! This is the control plane's showcase artifact, so unwraps are banned in
-//! the non-test code (CI greps for the attribute below staying in place).
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+//! the non-test code (crate-wide).
 
 use cstore::Consistency;
 use simkit::{AdmissionConfig, AdmissionPolicy};

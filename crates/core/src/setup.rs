@@ -158,7 +158,6 @@ pub fn build_cstore_with(
     tweak: impl FnOnce(&mut CStoreConfig),
 ) -> cstore::Cluster {
     let mut cfg = CStoreConfig::paper_testbed(rf, Partitioner::order_preserving(scale.tokens()));
-    cfg.nodes = scale.nodes;
     cfg.node.topology = simkit::Topology::single_rack(scale.nodes, cfg.node.profile.nic.prop_us);
     cfg.lsm = scale.lsm();
     cfg.read_cl = read_cl;
@@ -181,7 +180,6 @@ pub fn build_hstore_with(
     tweak: impl FnOnce(&mut HStoreConfig),
 ) -> hstore::Cluster {
     let mut cfg = HStoreConfig::paper_testbed(rf, scale.region_splits());
-    cfg.nodes = scale.nodes;
     cfg.node.topology = simkit::Topology::single_rack(scale.nodes, cfg.node.profile.nic.prop_us);
     cfg.lsm = scale.lsm();
     tweak(&mut cfg);

@@ -8,7 +8,6 @@
 //!
 //! The closed-loop driver reaches the peak directly when unthrottled, so
 //! each cell is one unthrottled run rather than a ladder of targets.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use ycsb::WorkloadSpec;
 

@@ -352,7 +352,7 @@ impl Sweep {
                     .collect();
                 handles
                     .into_iter()
-                    .map(|h| h.join().expect("sweep worker panicked"))
+                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
                     .collect()
             });
 
@@ -374,11 +374,11 @@ impl Sweep {
             }
             let mut results = Vec::with_capacity(n);
             let mut stats = Vec::with_capacity(n);
-            for slot in slots {
-                let (r, stat) = slot.expect("every cell ran exactly once");
+            for (r, stat) in slots.into_iter().flatten() {
                 results.push(r);
                 stats.push(stat);
             }
+            debug_assert_eq!(results.len(), n, "every cell ran exactly once");
             (results, stats, busy_us)
         };
 

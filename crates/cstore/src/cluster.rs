@@ -10,7 +10,7 @@
 //! in-flight table and the node hardware are the [`::node::Runtime`]; an
 //! in-flight op's `node` is its coordinator.
 
-use ::node::Runtime;
+use ::node::{DriverEvent, Runtime, SimStore};
 use obs::Stage;
 use simkit::{NodeHw, NodeId, OpKey, OpTag, Sim, SimTime};
 use storage::types::entry_encoded_len;
@@ -158,7 +158,8 @@ pub struct Cluster {
 impl Cluster {
     /// Build a cluster from a configuration.
     pub fn new(config: CStoreConfig) -> Self {
-        assert!(config.nodes > 0);
+        let n = config.node.topology.len();
+        assert!(n > 0);
         assert!(config.replication_factor >= 1);
         if let geo::Strategy::NetworkTopology { .. } = &config.strategy {
             assert_eq!(
@@ -167,24 +168,14 @@ impl Cluster {
                 "replication_factor must equal the NetworkTopologyStrategy quota sum"
             );
         }
-        let snitch = if config.node.topology.len() == config.nodes {
-            geo::Snitch::from_topology(&config.node.topology)
-        } else {
-            geo::Snitch::single_dc(config.nodes)
-        };
         let ring = Ring::with_strategy(
-            config.nodes,
+            n,
             config.partitioner.clone(),
             config.strategy.clone(),
-            snitch,
+            geo::Snitch::from_topology(&config.node.topology),
         );
-        let nodes = (0..config.nodes).map(|_| CNode::new(config.lsm)).collect();
-        let rt = Runtime::new(
-            config.node.clone(),
-            config.nodes,
-            config.costs.msg_overhead_bytes,
-            config.costs.jitter,
-        );
+        let nodes = (0..n).map(|_| CNode::new(config.lsm)).collect();
+        let rt = Runtime::new(config.node.clone());
         Self {
             config,
             ring,
@@ -213,17 +204,6 @@ impl Cluster {
         &self.metrics
     }
 
-    /// Every behaviour counter as `(label, value)`, in report order.
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        self.metrics.counters(self.rt.gc_pauses(), self.rt.shed())
-    }
-
-    /// The span tracer (disabled by default; the driver enables it and
-    /// registers which tokens to record).
-    pub fn tracer_mut(&mut self) -> &mut obs::Tracer {
-        &mut self.rt.tracer
-    }
-
     /// Node count.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -232,16 +212,6 @@ impl Cluster {
     /// Clusters are never empty.
     pub fn is_empty(&self) -> bool {
         false
-    }
-
-    /// Take all completions produced since the last drain.
-    pub fn drain_completions(&mut self) -> Vec<Completion> {
-        self.rt.drain_completions()
-    }
-
-    /// [`Cluster::drain_completions`] into a buffer the caller reuses.
-    pub fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
-        self.rt.drain_completions_into(out);
     }
 
     /// Direct access to a node's storage and hints (assertions, reports).
@@ -257,82 +227,6 @@ impl Cluster {
     /// Mutable access to a node's hardware (tests).
     pub fn hw_mut(&mut self, node: NodeId) -> &mut NodeHw {
         self.rt.hw_mut(node)
-    }
-
-    /// A copy-on-write snapshot of the cluster. Every immutable SSTable run
-    /// is shared behind an `Arc` (see [`storage::SsTable`]), so snapshotting
-    /// a loaded cluster costs O(metadata) rather than O(data); the snapshot
-    /// then diverges independently as it serves traffic.
-    pub fn snapshot(&self) -> Self {
-        self.clone()
-    }
-
-    /// True when every node's runs are still shared with `other` — both are
-    /// undiverged snapshots of one loaded state.
-    pub fn shares_storage_with(&self, other: &Self) -> bool {
-        self.nodes.len() == other.nodes.len()
-            && self
-                .nodes
-                .iter()
-                .zip(&other.nodes)
-                .all(|(a, b)| a.lsm.shares_tables_with(&b.lsm))
-    }
-
-    /// Crash a node.
-    pub fn fail_node(&mut self, node: NodeId) {
-        self.rt.hw_mut(node).fail();
-    }
-
-    /// Recover a node and trigger hint replay everywhere.
-    pub fn recover_node<W: From<Event>>(&mut self, sim: &mut Sim<W>, node: NodeId) {
-        self.rt.hw_mut(node).recover();
-        for i in 0..self.nodes.len() {
-            if !self.nodes[i].hints.is_empty() {
-                sim.schedule_in(
-                    self.config.hint_replay_delay_us,
-                    W::from(Event::HintReplay {
-                        node: NodeId(i as u32),
-                    }),
-                );
-            }
-        }
-    }
-
-    // ----- functional helpers (no virtual-time accounting) -----
-
-    /// Load a record directly onto all of its replicas; used for bulk load
-    /// phases where per-op event simulation would be pointless.
-    pub fn load_direct(&mut self, key: Key, value: Value, ts: u64) {
-        let reps = self.ring.replicas(&key, self.config.replication_factor);
-        for r in reps {
-            let node = &mut self.nodes[r.index()];
-            node.lsm.put(key.clone(), Cell::live(value.clone(), ts));
-            if node.lsm.memtable_bytes() >= node.lsm.config().memtable_flush_bytes {
-                if let Some(receipt) = node.lsm.flush() {
-                    if receipt.compaction_due {
-                        node.lsm.maybe_compact();
-                    }
-                }
-            }
-        }
-    }
-
-    /// Flush every memtable and run ripe compactions (functional; used at
-    /// the end of load phases).
-    pub fn flush_all(&mut self) {
-        for node in &mut self.nodes {
-            node.lsm.flush();
-            node.lsm.compact_all();
-            node.lsm.sync_wal();
-        }
-    }
-
-    /// Warm every node's block cache to steady state (see
-    /// [`storage::LsmTree::warm_cache`]).
-    pub fn warm_caches(&mut self) {
-        for node in &mut self.nodes {
-            node.lsm.warm_cache();
-        }
     }
 
     /// Read a key directly from one node's storage (test/diagnostic; does
@@ -351,7 +245,7 @@ impl Cluster {
             StoreOp::Read { key } | StoreOp::Delete { key } => key.len(),
             StoreOp::Scan { start, .. } => start.len(),
         };
-        self.config.costs.msg_overhead_bytes + body as u64
+        self.config.node.msg_overhead_bytes + body as u64
     }
 
     /// Datacenter of a node, per the ring's snitch.
@@ -387,84 +281,6 @@ impl Cluster {
         let t1 = self.rt.hw_mut(coord).cpu.acquire(now, cost_us);
         self.rt.tracer.record(token, stage, coord.0, now, t1);
         t1
-    }
-
-    // ----- public API -----
-
-    /// Submit a client operation. The completion (with `token`) is emitted
-    /// through [`Cluster::drain_completions`] once the `Deliver` event fires.
-    pub fn submit<W: From<Event>>(&mut self, sim: &mut Sim<W>, token: u64, op: StoreOp) {
-        self.submit_tagged(sim, token, op, OpTag::default());
-    }
-
-    /// [`Cluster::submit`] with client scheduling metadata for admission
-    /// control (see [`::node::Runtime::submit`]). The coordinator is the
-    /// next live node round-robin; with none live the op fails fast as
-    /// [`OpError::Unavailable`].
-    pub fn submit_tagged<W: From<Event>>(
-        &mut self,
-        sim: &mut Sim<W>,
-        token: u64,
-        op: StoreOp,
-        tag: OpTag,
-    ) {
-        let bytes = self.req_bytes(&op);
-        let next_coord = &mut self.next_coord;
-        self.rt.submit(sim, token, tag, bytes, |rt| {
-            for _ in 0..rt.nodes() {
-                let coord = NodeId((*next_coord % rt.nodes()) as u32);
-                *next_coord = next_coord.wrapping_add(1);
-                if rt.is_up(coord) {
-                    return Ok((coord, PendingState::Init(op)));
-                }
-            }
-            Err(OpError::Unavailable)
-        });
-    }
-
-    /// Dispatch one internal event.
-    pub fn handle<W: From<Event>>(&mut self, sim: &mut Sim<W>, ev: Event) {
-        match ev {
-            Event::Arrive { op } => self.on_arrive(sim, op),
-            Event::ReplicaWrite {
-                op,
-                token,
-                node,
-                key,
-                cell,
-                ack,
-            } => self.on_replica_write(sim, op, token, node, key, cell, ack),
-            Event::WriteApplied {
-                op,
-                node,
-                key,
-                cell,
-                ack,
-            } => self.on_write_applied(sim, op, node, key, cell, ack),
-            Event::WriteAck { op, node } => self.on_write_ack(sim, op, node),
-            Event::ReplicaRead {
-                op,
-                token,
-                node,
-                key,
-            } => self.on_replica_read(sim, op, token, node, key),
-            Event::ReadReturn { op, node, cell } => self.on_read_return(sim, op, node, cell),
-            Event::ReplicaScan {
-                op,
-                token,
-                node,
-                start,
-                limit,
-                clamp,
-                count,
-            } => self.on_replica_scan(sim, op, token, node, start, limit, clamp, count),
-            Event::ScanReturn { op, rows } => self.on_scan_return(sim, op, rows),
-            Event::Deliver { token, result } => self.rt.complete(token, result),
-            Event::Timeout { op } => self.on_timeout(sim, op),
-            Event::HintReplay { node } => self.on_hint_replay(sim, node),
-            Event::BgIo { node } => self.rt.on_bg_io(sim, node),
-            Event::GcPause { node } => self.rt.on_gc_pause(sim, node),
-        }
     }
 
     // ----- coordinator: arrival -----
@@ -626,7 +442,7 @@ impl Cluster {
                 });
             }
         }
-        let bytes = self.config.costs.msg_overhead_bytes + entry_encoded_len(&key, &cell);
+        let bytes = self.config.node.msg_overhead_bytes + entry_encoded_len(&key, &cell);
         let expected = live_count;
         let ts = cell.ts;
         // Every live replica but the last gets a copy; the last one takes
@@ -757,7 +573,7 @@ impl Cluster {
                 self.metrics.repair_fanouts += 1;
             }
             let targets: Vec<NodeId> = if fanout { live } else { quota_targets };
-            let bytes = self.config.costs.msg_overhead_bytes + key.len() as u64;
+            let bytes = self.config.node.msg_overhead_bytes + key.len() as u64;
             let expected = targets.len() as u32;
             let results = self.read_answers.take(expected as usize);
             for r in targets {
@@ -801,7 +617,7 @@ impl Cluster {
             self.metrics.repair_fanouts += 1;
         }
         let expected = if fanout { live_count } else { needed };
-        let bytes = self.config.costs.msg_overhead_bytes + key.len() as u64;
+        let bytes = self.config.node.msg_overhead_bytes + key.len() as u64;
         let mut sent = 0u32;
         for &r in &replicas {
             if sent == expected {
@@ -902,7 +718,7 @@ impl Cluster {
         }
         let probed = if fanout { live.len() } else { needed as usize };
         let clamp = self.ring.range_end(primary).cloned();
-        let bytes = self.config.costs.msg_overhead_bytes + start.len() as u64;
+        let bytes = self.config.node.msg_overhead_bytes + start.len() as u64;
         for (i, &r) in live[..probed].iter().enumerate() {
             let arr = self.rt.net_to(coord, r, bytes, t1);
             self.rt
@@ -1009,7 +825,7 @@ impl Cluster {
         let now = sim.now();
         let arr = self
             .rt
-            .net_to(node, coord, self.config.costs.msg_overhead_bytes, now);
+            .net_to(node, coord, self.config.node.msg_overhead_bytes, now);
         let stage = self.hop_stage(node, coord);
         self.rt.tracer.record(token, stage, node.0, now, arr);
         sim.schedule_at(arr, W::from(Event::WriteAck { op, node }));
@@ -1201,7 +1017,7 @@ impl Cluster {
         let Some(cell) = winner.filter(|_| !stale.is_empty()) else {
             return;
         };
-        let bytes = self.config.costs.msg_overhead_bytes + entry_encoded_len(&r.key, &cell);
+        let bytes = self.config.node.msg_overhead_bytes + entry_encoded_len(&r.key, &cell);
         for target in stale {
             let arr = self.rt.net_to(coord, target, bytes, t1);
             sim.schedule_at(
@@ -1378,7 +1194,7 @@ impl Cluster {
             if self.rt.is_up(hint.target) {
                 self.metrics.hints_replayed += 1;
                 let bytes =
-                    self.config.costs.msg_overhead_bytes + entry_encoded_len(&hint.key, &hint.cell);
+                    self.config.node.msg_overhead_bytes + entry_encoded_len(&hint.key, &hint.cell);
                 let arr = self.rt.net_to(node, hint.target, bytes, t);
                 t += 10; // pace hint delivery slightly
                 sim.schedule_at(
@@ -1400,9 +1216,145 @@ impl Cluster {
     }
 }
 
-/// The uniform fault surface: crash/recover map onto the cluster's own
-/// failure entry points (so hinted-handoff replay still triggers on
-/// recovery), degradation faults act directly on the node's hardware.
+impl SimStore for Cluster {
+    type Event = Event;
+
+    fn name(&self) -> &'static str {
+        "cstore"
+    }
+
+    /// The coordinator is the next live node round-robin; with none live
+    /// the op fails fast as [`OpError::Unavailable`].
+    fn submit_tagged(
+        &mut self,
+        sim: &mut Sim<DriverEvent<Event>>,
+        token: u64,
+        op: StoreOp,
+        tag: OpTag,
+    ) {
+        let bytes = self.req_bytes(&op);
+        let next_coord = &mut self.next_coord;
+        self.rt.submit(sim, token, tag, bytes, |rt| {
+            for _ in 0..rt.nodes() {
+                let coord = NodeId((*next_coord % rt.nodes()) as u32);
+                *next_coord = next_coord.wrapping_add(1);
+                if rt.is_up(coord) {
+                    return Ok((coord, PendingState::Init(op)));
+                }
+            }
+            Err(OpError::Unavailable)
+        });
+    }
+
+    fn handle(&mut self, sim: &mut Sim<DriverEvent<Event>>, ev: Event) {
+        match ev {
+            Event::Arrive { op } => self.on_arrive(sim, op),
+            Event::ReplicaWrite {
+                op,
+                token,
+                node,
+                key,
+                cell,
+                ack,
+            } => self.on_replica_write(sim, op, token, node, key, cell, ack),
+            Event::WriteApplied {
+                op,
+                node,
+                key,
+                cell,
+                ack,
+            } => self.on_write_applied(sim, op, node, key, cell, ack),
+            Event::WriteAck { op, node } => self.on_write_ack(sim, op, node),
+            Event::ReplicaRead {
+                op,
+                token,
+                node,
+                key,
+            } => self.on_replica_read(sim, op, token, node, key),
+            Event::ReadReturn { op, node, cell } => self.on_read_return(sim, op, node, cell),
+            Event::ReplicaScan {
+                op,
+                token,
+                node,
+                start,
+                limit,
+                clamp,
+                count,
+            } => self.on_replica_scan(sim, op, token, node, start, limit, clamp, count),
+            Event::ScanReturn { op, rows } => self.on_scan_return(sim, op, rows),
+            Event::Deliver { token, result } => self.rt.complete(token, result),
+            Event::Timeout { op } => self.on_timeout(sim, op),
+            Event::HintReplay { node } => self.on_hint_replay(sim, node),
+            Event::BgIo { node } => self.rt.on_bg_io(sim, node),
+            Event::GcPause { node } => self.rt.on_gc_pause(sim, node),
+        }
+    }
+
+    fn drain_completions(&mut self) -> Vec<Completion> {
+        self.rt.drain_completions()
+    }
+
+    fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
+        self.rt.drain_completions_into(out);
+    }
+
+    /// Loads onto every replica of the key.
+    fn load_direct(&mut self, key: Key, value: Value, ts: u64) {
+        let reps = self.ring.replicas(&key, self.config.replication_factor);
+        for r in reps {
+            let node = &mut self.nodes[r.index()];
+            node.lsm.put(key.clone(), Cell::live(value.clone(), ts));
+            if node.lsm.memtable_bytes() >= node.lsm.config().memtable_flush_bytes {
+                if let Some(receipt) = node.lsm.flush() {
+                    if receipt.compaction_due {
+                        node.lsm.maybe_compact();
+                    }
+                }
+            }
+        }
+    }
+
+    fn flush_all(&mut self) {
+        for node in &mut self.nodes {
+            node.lsm.flush();
+            node.lsm.compact_all();
+            node.lsm.sync_wal();
+        }
+    }
+
+    fn warm_caches(&mut self) {
+        for node in &mut self.nodes {
+            node.lsm.warm_cache();
+        }
+    }
+
+    fn counters(&self) -> Vec<(&'static str, u64)> {
+        self.metrics.counters(self.rt.gc_pauses(), self.rt.shed())
+    }
+
+    fn tracer_mut(&mut self) -> &mut obs::Tracer {
+        &mut self.rt.tracer
+    }
+
+    /// Every immutable SSTable run is shared behind an `Arc` (see
+    /// [`storage::SsTable`]), so the snapshot costs O(metadata).
+    fn snapshot(&self) -> Self {
+        self.clone()
+    }
+
+    fn shares_storage_with(&self, other: &Self) -> bool {
+        self.nodes.len() == other.nodes.len()
+            && self
+                .nodes
+                .iter()
+                .zip(&other.nodes)
+                .all(|(a, b)| a.lsm.shares_tables_with(&b.lsm))
+    }
+}
+
+/// The uniform fault surface: a crash stops the node, a recovery restarts
+/// it and schedules hint replay on every node holding hints; degradation
+/// faults act directly on the node's hardware.
 impl faults::FaultTarget for Cluster {
     type Event = Event;
 
@@ -1415,11 +1367,21 @@ impl faults::FaultTarget for Cluster {
     }
 
     fn apply_crash<W: From<Event>>(&mut self, _sim: &mut Sim<W>, node: NodeId) {
-        self.fail_node(node);
+        self.rt.hw_mut(node).fail();
     }
 
     fn apply_recover<W: From<Event>>(&mut self, sim: &mut Sim<W>, node: NodeId) {
-        self.recover_node(sim, node);
+        self.rt.hw_mut(node).recover();
+        for (i, n) in self.nodes.iter().enumerate() {
+            if !n.hints.is_empty() {
+                sim.schedule_in(
+                    self.config.hint_replay_delay_us,
+                    W::from(Event::HintReplay {
+                        node: NodeId(i as u32),
+                    }),
+                );
+            }
+        }
     }
 
     fn apply_slow_disk(&mut self, node: NodeId, factor: u32) {
@@ -1466,18 +1428,9 @@ mod tests {
     use crate::config::Consistency;
     use crate::ring::Partitioner;
     use bytes::Bytes;
+    use faults::FaultTarget;
 
-    /// Wrapper event type exercising the `W: From<Event>` plumbing the same
-    /// way the real driver does.
-    #[derive(Debug, Clone)]
-    enum Ev {
-        Store(Event),
-    }
-    impl From<Event> for Ev {
-        fn from(e: Event) -> Self {
-            Ev::Store(e)
-        }
-    }
+    type Ev = DriverEvent<Event>;
 
     fn k(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
@@ -1492,7 +1445,6 @@ mod tests {
             .map(|i| key(i * records / nodes as u64))
             .collect();
         let mut c = CStoreConfig::paper_testbed(rf, Partitioner::order_preserving(tokens));
-        c.nodes = nodes;
         c.node.topology = simkit::Topology::single_rack(nodes, c.node.profile.nic.prop_us);
         c
     }
@@ -1705,7 +1657,7 @@ mod tests {
         cfg.write_cl = Consistency::All;
         let mut h = Harness::new(cfg);
         let reps = h.cluster.ring().replicas(&key(0), 3);
-        h.cluster.fail_node(reps[2]);
+        h.cluster.apply_crash(&mut h.sim, reps[2]);
         let w = h.run_one(StoreOp::Insert {
             key: key(0),
             value: k("x"),
@@ -1718,8 +1670,8 @@ mod tests {
     fn cl_one_survives_replica_failures() {
         let mut h = Harness::new(ordered_config(3, 5, 1000));
         let reps = h.cluster.ring().replicas(&key(0), 3);
-        h.cluster.fail_node(reps[1]);
-        h.cluster.fail_node(reps[2]);
+        h.cluster.apply_crash(&mut h.sim, reps[1]);
+        h.cluster.apply_crash(&mut h.sim, reps[2]);
         let w = h.run_one(StoreOp::Insert {
             key: key(0),
             value: k("x"),
@@ -1734,7 +1686,7 @@ mod tests {
         let mut h = Harness::new(ordered_config(3, 5, 1000));
         let reps = h.cluster.ring().replicas(&key(0), 3);
         let victim = reps[2];
-        h.cluster.fail_node(victim);
+        h.cluster.apply_crash(&mut h.sim, victim);
         h.run_one(StoreOp::Insert {
             key: key(0),
             value: k("fresh"),
@@ -1742,9 +1694,7 @@ mod tests {
         assert!(h.cluster.metrics().hints_stored >= 1);
         assert!(h.cluster.read_local(victim, &key(0)).is_none());
         // Recover: hints replay.
-        let mut sim_ref = std::mem::replace(&mut h.sim, Sim::new(0));
-        h.cluster.recover_node(&mut sim_ref, victim);
-        h.sim = sim_ref;
+        h.cluster.apply_recover(&mut h.sim, victim);
         h.run();
         assert!(h.cluster.metrics().hints_replayed >= 1);
         let cell = h.cluster.read_local(victim, &key(0)).expect("hint applied");
@@ -1756,7 +1706,7 @@ mod tests {
     fn make_stale_replica(h: &mut Harness, stale_idx: usize, val: &str) -> NodeId {
         let reps = h.cluster.ring().replicas(&key(0), 3);
         let victim = reps[stale_idx];
-        h.cluster.fail_node(victim);
+        h.cluster.apply_crash(&mut h.sim, victim);
         h.run_one(StoreOp::Update {
             key: key(0),
             value: k(val),
@@ -1932,7 +1882,7 @@ mod tests {
             h.cluster.handle(&mut h.sim, ev);
             out.extend(h.cluster.drain_completions());
             if was_arrive {
-                h.cluster.fail_node(reps[2]);
+                h.cluster.apply_crash(&mut h.sim, reps[2]);
             }
         }
         let c = out.into_iter().find(|c| c.token == t).expect("timed out");
@@ -2013,7 +1963,6 @@ mod tests {
             jitter_seed: 0,
         };
         let mut c = CStoreConfig::paper_testbed(regions * rf_per_dc, Partitioner::murmur());
-        c.nodes = regions as usize * nodes_per_region;
         c.node.topology = geo_cfg.topology(
             nodes_per_region,
             c.node.profile.nic.prop_us,
@@ -2021,7 +1970,7 @@ mod tests {
         );
         c.strategy = geo::Strategy::network_topology(regions, rf_per_dc);
         c.read_repair_chance = 0.0;
-        c.costs.jitter = 0.0;
+        c.node.jitter = 0.0;
         c
     }
 
@@ -2087,7 +2036,7 @@ mod tests {
         cfg.write_cl = Consistency::EachQuorum;
         let mut h = Harness::new(cfg);
         for n in 3..6 {
-            h.cluster.fail_node(NodeId(n)); // take down all of region 1
+            h.cluster.apply_crash(&mut h.sim, NodeId(n)); // take down all of region 1
         }
         let c = h.run_one(StoreOp::Insert {
             key: key(0),
@@ -2100,7 +2049,7 @@ mod tests {
         cfg3.write_cl = Consistency::LocalQuorum;
         let mut h = Harness::new(cfg3);
         for n in 3..6 {
-            h.cluster.fail_node(NodeId(n));
+            h.cluster.apply_crash(&mut h.sim, NodeId(n));
         }
         let c = h.run_one(StoreOp::Insert {
             key: key(0),

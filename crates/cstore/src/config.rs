@@ -100,13 +100,6 @@ pub struct ServiceCosts {
     pub reconcile_us: u64,
     /// Replica-side cost per row returned by a scan.
     pub scan_row_us: u64,
-    /// Fixed per-message overhead bytes (headers, serialization).
-    pub msg_overhead_bytes: u64,
-    /// Service-time variability: 0 = deterministic service times, 1 =
-    /// exponentially distributed with the configured means (JVM-era RPC
-    /// handling is heavy-tailed; this is what makes waiting for *all*
-    /// replicas expensive relative to waiting for the fastest).
-    pub jitter: f64,
 }
 
 impl Default for ServiceCosts {
@@ -120,8 +113,6 @@ impl Default for ServiceCosts {
             replica_write_us: 300,
             reconcile_us: 20,
             scan_row_us: 5,
-            msg_overhead_bytes: 100,
-            jitter: 1.0,
         }
     }
 }
@@ -129,8 +120,6 @@ impl Default for ServiceCosts {
 /// Full configuration of a simulated Cassandra-analog cluster.
 #[derive(Debug, Clone)]
 pub struct CStoreConfig {
-    /// Number of server nodes (the paper: 15).
-    pub nodes: usize,
     /// Replication factor (the paper sweeps 1..=6).
     pub replication_factor: u32,
     /// Read consistency level.
@@ -144,8 +133,9 @@ pub struct CStoreConfig {
     pub commitlog_sync: CommitlogSync,
     /// Store hints for dead replicas and replay them on recovery.
     pub hinted_handoff: bool,
-    /// Node hardware, topology, RPC timeout, admission control, GC pauses
-    /// and the background-I/O throttle.
+    /// Node hardware, topology (whose length is the node count; the paper:
+    /// 15), RPC timeout, admission control, GC pauses, the background-I/O
+    /// throttle, message overhead and service-time jitter.
     pub node: NodeConfig,
     /// Delay before a recovered node's stored hints start replaying, µs
     /// (Cassandra staggers replay so a rejoining node isn't flattened).
@@ -169,7 +159,6 @@ impl CStoreConfig {
     /// consistency per the experiment, defaults everywhere else.
     pub fn paper_testbed(replication_factor: u32, partitioner: Partitioner) -> Self {
         Self {
-            nodes: 15,
             replication_factor,
             read_cl: Consistency::One,
             write_cl: Consistency::One,
@@ -254,7 +243,6 @@ mod tests {
     #[test]
     fn paper_testbed_shape() {
         let c = CStoreConfig::paper_testbed(3, Partitioner::murmur());
-        assert_eq!(c.nodes, 15);
         assert_eq!(c.replication_factor, 3);
         assert_eq!(c.read_cl, Consistency::One);
         assert_eq!(c.node.topology.len(), 15);

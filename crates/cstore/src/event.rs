@@ -1,8 +1,9 @@
 //! The cluster's internal event vocabulary.
 //!
-//! `cstore` is queue-agnostic: every method is generic over any event
-//! payload `W: From<Event>`, so the experiment driver can embed these events
-//! in its own enum alongside client-side events.
+//! The driver embeds these events in its own enum (`node::DriverEvent`),
+//! the queue type of the cluster's `SimStore` surface. The private handlers
+//! stay generic over `W: From<Event>`, the bound `faults::FaultTarget`'s
+//! hooks use: pinning them to `DriverEvent<Event>` would delete nothing.
 //!
 //! Internal events reference their operation by slab key ([`OpKey`], see
 //! [`simkit::slab`]): a late event whose op already completed carries a

@@ -196,7 +196,9 @@ impl DfsCluster {
             .filter(|&b| self.datanodes[node.index()].has(b))
             .collect();
         for b in held {
-            let meta = self.namenode.block_mut(b).expect("block exists");
+            let Some(meta) = self.namenode.block_mut(b) else {
+                continue; // listed as under-replicated, so it exists
+            };
             if !meta.replicas.contains(&node) {
                 meta.replicas.push(node);
             }
@@ -210,11 +212,7 @@ impl DfsCluster {
     pub fn rereplicate(&mut self, rng: &mut SimRng) -> Vec<ReplicationTask> {
         let mut tasks = Vec::new();
         for block in self.namenode.under_replicated() {
-            loop {
-                let meta = self.namenode.block(block).expect("block exists");
-                if !meta.under_replicated() {
-                    break;
-                }
+            while let Some(meta) = self.namenode.block(block).filter(|m| m.under_replicated()) {
                 let len = meta.len;
                 let Some(src) = meta
                     .replicas
@@ -239,11 +237,10 @@ impl DfsCluster {
                     .get(block)
                     .and_then(|b| b.payload.clone());
                 self.datanodes[dst.index()].store(block, len, payload);
-                self.namenode
-                    .block_mut(block)
-                    .expect("block exists")
-                    .replicas
-                    .push(dst);
+                let Some(meta) = self.namenode.block_mut(block) else {
+                    break;
+                };
+                meta.replicas.push(dst);
                 tasks.push(ReplicationTask {
                     block,
                     src,

@@ -70,7 +70,8 @@ impl NameNode {
         id
     }
 
-    /// Register a new block for `file`, placed on `replicas`.
+    /// Register a new block for `file`, placed on `replicas`. A file id this
+    /// namenode never issued has no block list, so the block joins none.
     pub fn add_block(
         &mut self,
         file: FileId,
@@ -89,7 +90,9 @@ impl NameNode {
                 target_replication,
             },
         );
-        let meta = self.files.get_mut(&file).expect("file exists");
+        let Some(meta) = self.files.get_mut(&file) else {
+            return id;
+        };
         meta.blocks.push(id);
         meta.len += len;
         id

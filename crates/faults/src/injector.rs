@@ -17,8 +17,8 @@ use crate::plan::{FaultEvent, FaultKind, FaultPlan};
 /// Methods that can trigger follow-up work inside the store (crash-detection
 /// timers, hinted-handoff replay) receive the simulation so they can
 /// schedule their own events; the wrapper event type only needs to be
-/// convertible from the store's internal event type, exactly as in the
-/// store's own `submit`/`handle` surface.
+/// convertible from the store's internal event type, as the driver's
+/// `DriverEvent` is.
 pub trait FaultTarget {
     /// The store's internal event type.
     type Event;

@@ -11,7 +11,7 @@
 //! [`node::Runtime`].
 
 use dfs::DfsCluster;
-use node::{InFlight, Runtime};
+use node::{DriverEvent, InFlight, Runtime, SimStore};
 use obs::Stage;
 use simkit::{NodeHw, NodeId, OpKey, OpTag, Sim, SimRng, SimTime};
 use storage::types::entry_encoded_len;
@@ -89,11 +89,12 @@ pub struct Cluster {
 impl Cluster {
     /// Build a cluster. `seed` drives HDFS replica placement.
     pub fn new(config: HStoreConfig, seed: u64) -> Self {
-        assert!(config.nodes > 0);
+        let nodes = config.node.topology.len();
+        assert!(nodes > 0);
         assert!(config.replication_factor >= 1);
         let mut rng = SimRng::new(seed);
-        let mut fs = DfsCluster::new(config.nodes, config.replication_factor);
-        let wals = (0..config.nodes)
+        let mut fs = DfsCluster::new(nodes, config.replication_factor);
+        let wals = (0..nodes)
             .map(|i| {
                 let file = fs.create_file(&format!("/hstore/wal/{i}"));
                 let w = fs.append_block(file, 0, None, NodeId(i as u32), &mut rng);
@@ -111,16 +112,11 @@ impl Cluster {
         // The configured cache is per server; split it across the server's
         // regions since each region owns its own engine.
         let region_count = config.region_splits.len() + 1;
-        let rps = region_count.div_ceil(config.nodes).max(1);
+        let rps = region_count.div_ceil(nodes).max(1);
         let mut lsm = config.lsm;
         lsm.cache_bytes /= rps as u64;
-        let regions = RegionMap::new(config.region_splits.clone(), config.nodes, lsm);
-        let rt = Runtime::new(
-            config.node.clone(),
-            config.nodes,
-            config.costs.msg_overhead_bytes,
-            config.costs.jitter,
-        );
+        let regions = RegionMap::new(config.region_splits.clone(), nodes, lsm);
+        let rt = Runtime::new(config.node.clone());
         let followers = config.follower_regions as usize;
         Self {
             config,
@@ -146,25 +142,6 @@ impl Cluster {
         &self.regions
     }
 
-    /// A copy-on-write snapshot of the cluster. Every immutable SSTable run
-    /// is shared behind an `Arc` (see [`storage::SsTable`]), so snapshotting
-    /// a loaded cluster costs O(metadata) rather than O(data); the snapshot
-    /// then diverges independently as it serves traffic.
-    pub fn snapshot(&self) -> Self {
-        self.clone()
-    }
-
-    /// True when every region's runs are still shared with `other` — both
-    /// are undiverged snapshots of one loaded state.
-    pub fn shares_storage_with(&self, other: &Self) -> bool {
-        self.regions.len() == other.regions.len()
-            && self
-                .regions
-                .iter()
-                .zip(other.regions.iter())
-                .all(|(a, b)| a.lsm.shares_tables_with(&b.lsm))
-    }
-
     /// The underlying filesystem (assertions).
     pub fn fs(&self) -> &DfsCluster {
         &self.fs
@@ -173,17 +150,6 @@ impl Cluster {
     /// Behaviour counters.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// Every behaviour counter as `(label, value)`, in report order.
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        self.metrics.counters(self.rt.gc_pauses(), self.rt.shed())
-    }
-
-    /// The span tracer (disabled by default; the driver enables it and
-    /// registers which tokens to record).
-    pub fn tracer_mut(&mut self) -> &mut obs::Tracer {
-        &mut self.rt.tracer
     }
 
     /// Mean replication window, microseconds: the average gap between a WAL
@@ -209,35 +175,10 @@ impl Cluster {
         self.rt.hw(node)
     }
 
-    /// Take all completions produced since the last drain.
-    pub fn drain_completions(&mut self) -> Vec<Completion> {
-        self.rt.drain_completions()
-    }
-
-    /// [`Cluster::drain_completions`] into a buffer the caller reuses.
-    pub fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
-        self.rt.drain_completions_into(out);
-    }
-
     // ----- functional helpers -----
 
-    /// Load a record directly into its region (bulk-load phases).
-    pub fn load_direct(&mut self, key: Key, value: Value, ts: u64) {
-        let idx = self.regions.region_of(&key);
-        let region = self.regions.get_mut(idx);
-        region.lsm.put(key, Cell::live(value, ts));
-        if region.lsm.memtable_bytes() >= region.lsm.config().memtable_flush_bytes {
-            self.flush_region_functional(idx);
-        }
-    }
-
-    /// Flush every memstore into HFiles (functional; end of load phases).
-    pub fn flush_all(&mut self) {
-        for idx in 0..self.regions.len() {
-            self.flush_region_functional(idx);
-        }
-    }
-
+    /// Flush one region's memstore into an HFile and major-compact it (no
+    /// virtual time: load phases).
     fn flush_region_functional(&mut self, idx: usize) {
         let region = self.regions.get_mut(idx);
         let server = region.server;
@@ -276,14 +217,6 @@ impl Cluster {
         }
         let region = self.regions.get_mut(idx);
         region.lsm.sync_wal();
-    }
-
-    /// Warm every region's block cache to steady state (see
-    /// [`storage::LsmTree::warm_cache`]).
-    pub fn warm_caches(&mut self) {
-        for region in self.regions.iter_mut() {
-            region.lsm.warm_cache();
-        }
     }
 
     /// Read a key directly from its region's storage (tests/diagnostics).
@@ -343,57 +276,6 @@ impl Cluster {
         }
         // Acks ripple back through the chain.
         t + hops * prop
-    }
-
-    // ----- public API -----
-
-    /// Submit a client operation.
-    pub fn submit<W: From<Event>>(&mut self, sim: &mut Sim<W>, token: u64, op: StoreOp) {
-        self.submit_tagged(sim, token, op, OpTag::default());
-    }
-
-    /// [`Cluster::submit`] with client scheduling metadata for admission
-    /// control (see [`node::Runtime::submit`]). The op is routed to its
-    /// region's server; a server known to be down fails it fast as
-    /// [`OpError::ServerDown`].
-    pub fn submit_tagged<W: From<Event>>(
-        &mut self,
-        sim: &mut Sim<W>,
-        token: u64,
-        op: StoreOp,
-        tag: OpTag,
-    ) {
-        let bytes = self.config.costs.msg_overhead_bytes + op.key().len() as u64;
-        self.rt.submit(sim, token, tag, bytes, |rt| {
-            let region = self.regions.region_of(op.key());
-            let server = self.regions.get(region).server;
-            if !rt.is_up(server) {
-                self.metrics.server_down += 1;
-                return Err(OpError::ServerDown);
-            }
-            Ok((server, PendingState::Init { region, op }))
-        });
-    }
-
-    /// Dispatch one internal event.
-    pub fn handle<W: From<Event>>(&mut self, sim: &mut Sim<W>, ev: Event) {
-        match ev {
-            Event::Arrive { op } => self.on_arrive(sim, op),
-            Event::WalFlushDone { server, group } => self.on_wal_flush_done(sim, server, group),
-            Event::ScanExec { op, region, start } => self.on_scan_exec(sim, op, region, start),
-            Event::Deliver { token, op, result } => {
-                self.rt.retire(sim, op);
-                self.rt.complete(token, result);
-            }
-            Event::Timeout { op } => self.on_timeout(sim, op),
-            Event::BgIo { server } => self.rt.on_bg_io(sim, server),
-            Event::GcPause { server } => self.rt.on_gc_pause(sim, server),
-            Event::FailOver { server } => self.on_fail_over(server),
-            Event::WalShip {
-                follower,
-                commit_ts,
-            } => self.on_wal_ship(sim.now(), follower, commit_ts),
-        }
     }
 
     fn on_arrive<W: From<Event>>(&mut self, sim: &mut Sim<W>, op: OpKey) {
@@ -551,7 +433,7 @@ impl Cluster {
             let wal = &mut self.wals[server.index()];
             debug_assert!(!wal.inflight);
             let group = std::mem::take(&mut wal.waiting);
-            let bytes = wal.waiting_bytes + self.config.costs.msg_overhead_bytes;
+            let bytes = wal.waiting_bytes + self.config.node.msg_overhead_bytes;
             wal.waiting_bytes = 0;
             wal.inflight = true;
             wal.block_bytes += bytes;
@@ -814,7 +696,7 @@ impl Cluster {
         let next = self.regions.get(idx + 1).start.clone();
         // The client receives this leg's rows, then asks the next region's
         // server (client-mediated scanning, as in HBase).
-        let leg_bytes = self.config.costs.msg_overhead_bytes;
+        let leg_bytes = self.config.node.msg_overhead_bytes;
         let back = self.rt.client_delivery(server, leg_bytes, t);
         let next_server = self.regions.get(idx + 1).server;
         let arr = back + self.config.node.profile.nic.prop_us;
@@ -904,19 +786,115 @@ impl Cluster {
             self.rt.hw_mut(t.dst).disk.seq_write(0, t.len);
         }
     }
+}
 
-    /// Bring a server back (it rejoins empty; regions stay where they are,
-    /// as HBase does not auto-rebalance immediately).
-    pub fn recover_server(&mut self, node: NodeId) {
-        self.rt.hw_mut(node).recover();
-        self.fs.recover_node(node);
+impl SimStore for Cluster {
+    type Event = Event;
+
+    fn name(&self) -> &'static str {
+        "hstore"
+    }
+
+    /// The op is routed to its region's server; a server known to be down
+    /// fails it fast as [`OpError::ServerDown`].
+    fn submit_tagged(
+        &mut self,
+        sim: &mut Sim<DriverEvent<Event>>,
+        token: u64,
+        op: StoreOp,
+        tag: OpTag,
+    ) {
+        let bytes = self.config.node.msg_overhead_bytes + op.key().len() as u64;
+        self.rt.submit(sim, token, tag, bytes, |rt| {
+            let region = self.regions.region_of(op.key());
+            let server = self.regions.get(region).server;
+            if !rt.is_up(server) {
+                self.metrics.server_down += 1;
+                return Err(OpError::ServerDown);
+            }
+            Ok((server, PendingState::Init { region, op }))
+        });
+    }
+
+    fn handle(&mut self, sim: &mut Sim<DriverEvent<Event>>, ev: Event) {
+        match ev {
+            Event::Arrive { op } => self.on_arrive(sim, op),
+            Event::WalFlushDone { server, group } => self.on_wal_flush_done(sim, server, group),
+            Event::ScanExec { op, region, start } => self.on_scan_exec(sim, op, region, start),
+            Event::Deliver { token, op, result } => {
+                self.rt.retire(sim, op);
+                self.rt.complete(token, result);
+            }
+            Event::Timeout { op } => self.on_timeout(sim, op),
+            Event::BgIo { server } => self.rt.on_bg_io(sim, server),
+            Event::GcPause { server } => self.rt.on_gc_pause(sim, server),
+            Event::FailOver { server } => self.on_fail_over(server),
+            Event::WalShip {
+                follower,
+                commit_ts,
+            } => self.on_wal_ship(sim.now(), follower, commit_ts),
+        }
+    }
+
+    fn drain_completions(&mut self) -> Vec<Completion> {
+        self.rt.drain_completions()
+    }
+
+    fn drain_completions_into(&mut self, out: &mut Vec<Completion>) {
+        self.rt.drain_completions_into(out);
+    }
+
+    fn load_direct(&mut self, key: Key, value: Value, ts: u64) {
+        let idx = self.regions.region_of(&key);
+        let region = self.regions.get_mut(idx);
+        region.lsm.put(key, Cell::live(value, ts));
+        if region.lsm.memtable_bytes() >= region.lsm.config().memtable_flush_bytes {
+            self.flush_region_functional(idx);
+        }
+    }
+
+    fn flush_all(&mut self) {
+        for idx in 0..self.regions.len() {
+            self.flush_region_functional(idx);
+        }
+    }
+
+    fn warm_caches(&mut self) {
+        for region in self.regions.iter_mut() {
+            region.lsm.warm_cache();
+        }
+    }
+
+    fn counters(&self) -> Vec<(&'static str, u64)> {
+        self.metrics.counters(self.rt.gc_pauses(), self.rt.shed())
+    }
+
+    fn tracer_mut(&mut self) -> &mut obs::Tracer {
+        &mut self.rt.tracer
+    }
+
+    /// Every immutable SSTable run is shared behind an `Arc` (see
+    /// [`storage::SsTable`]), so the snapshot costs O(metadata).
+    fn snapshot(&self) -> Self {
+        self.clone()
+    }
+
+    fn shares_storage_with(&self, other: &Self) -> bool {
+        self.regions.len() == other.regions.len()
+            && self
+                .regions
+                .iter()
+                .zip(other.regions.iter())
+                .all(|(a, b)| a.lsm.shares_tables_with(&b.lsm))
     }
 }
 
 /// The uniform fault surface. A crash honours `failover_delay_us`: with a
 /// nonzero delay the server drops dead now and the master's failover runs
 /// as a scheduled `Event::FailOver` — requests to its regions fail until
-/// then, which is the availability gap fig4 measures.
+/// then, which is the availability gap fig4 measures. A recovered server
+/// rejoins empty: regions stay where they are, as HBase does not
+/// auto-rebalance immediately.
 impl faults::FaultTarget for Cluster {
     type Event = Event;
 
@@ -941,7 +919,8 @@ impl faults::FaultTarget for Cluster {
     }
 
     fn apply_recover<W: From<Event>>(&mut self, _sim: &mut Sim<W>, node: NodeId) {
-        self.recover_server(node);
+        self.rt.hw_mut(node).recover();
+        self.fs.recover_node(node);
     }
 
     fn apply_slow_disk(&mut self, node: NodeId, factor: u32) {
@@ -966,15 +945,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
 
-    #[derive(Debug, Clone)]
-    enum Ev {
-        Store(Event),
-    }
-    impl From<Event> for Ev {
-        fn from(e: Event) -> Self {
-            Ev::Store(e)
-        }
-    }
+    type Ev = DriverEvent<Event>;
 
     fn k(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
@@ -989,7 +960,6 @@ mod tests {
             .map(|i| key(i * records / nodes as u64))
             .collect();
         let mut c = HStoreConfig::paper_testbed(rf, splits);
-        c.nodes = nodes;
         c.node.topology = simkit::Topology::single_rack(nodes, c.node.profile.nic.prop_us);
         c
     }

@@ -16,10 +16,6 @@ pub struct ServiceCosts {
     pub read_us: u64,
     /// Per-row scan cost.
     pub scan_row_us: u64,
-    /// Fixed per-message overhead bytes.
-    pub msg_overhead_bytes: u64,
-    /// Service-time variability: 0 = deterministic, 1 = exponential.
-    pub jitter: f64,
 }
 
 impl Default for ServiceCosts {
@@ -34,8 +30,6 @@ impl Default for ServiceCosts {
             apply_us: 200,
             read_us: 400,
             scan_row_us: 5,
-            msg_overhead_bytes: 100,
-            jitter: 1.0,
         }
     }
 }
@@ -43,9 +37,6 @@ impl Default for ServiceCosts {
 /// Full configuration of a simulated HBase-analog cluster.
 #[derive(Debug, Clone)]
 pub struct HStoreConfig {
-    /// Number of region servers (the paper: 15; the master shares the
-    /// client machine and is not on the serving path).
-    pub nodes: usize,
     /// HDFS replication factor (the paper sweeps 1..=6).
     pub replication_factor: u32,
     /// Region start keys (sorted; the first region implicitly starts at the
@@ -55,8 +46,10 @@ pub struct HStoreConfig {
     /// Per-region storage tuning. `cache_bytes` is interpreted per *server*
     /// and divided among its regions.
     pub lsm: LsmConfig,
-    /// Node hardware, topology, RPC timeout, admission control, GC pauses
-    /// and the background-I/O throttle.
+    /// Node hardware, topology (whose length is the region-server count;
+    /// the paper: 15, the master sharing the client machine off the serving
+    /// path), RPC timeout, admission control, GC pauses, the background-I/O
+    /// throttle, message overhead and service-time jitter.
     pub node: NodeConfig,
     /// CPU service times.
     pub costs: ServiceCosts,
@@ -89,7 +82,6 @@ impl HStoreConfig {
     /// everywhere else. `region_splits` carves the key space.
     pub fn paper_testbed(replication_factor: u32, region_splits: Vec<Key>) -> Self {
         Self {
-            nodes: 15,
             replication_factor,
             region_splits,
             lsm: LsmConfig::default(),
@@ -112,7 +104,6 @@ mod tests {
     #[test]
     fn paper_testbed_shape() {
         let c = HStoreConfig::paper_testbed(3, vec![Bytes::from_static(b"m")]);
-        assert_eq!(c.nodes, 15);
         assert_eq!(c.replication_factor, 3);
         assert_eq!(c.node.topology.len(), 15);
         assert_eq!(c.costs.server_us, 700);

@@ -11,15 +11,19 @@
 //! * the in-flight table (a [`Slab`] of [`InFlight`]), response sizing and
 //!   delivery, completions, and the span [`Tracer`].
 //!
-//! A store embeds one `Runtime<S, E>`: `S` is its per-op protocol state and
+//! A store embeds one `Runtime<S, E>`, built from its [`NodeConfig`] alone
+//! (the node count is the topology's): `S` is its per-op protocol state and
 //! `E` its event enum, which spells the runtime's events through
 //! [`NodeEvent`] so a queue entry keeps the store's own layout. What stays
 //! in each store is its protocol, its fast-fail verdict and its timeout
-//! *policy* (see [`Runtime::time_out`]).
+//! *policy* (see [`Runtime::time_out`]). Each store also implements
+//! [`SimStore`], the surface the benchmark driver sees.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+mod store;
 
 use std::marker::PhantomData;
 
@@ -31,12 +35,14 @@ use simkit::{
 use storage::types::entry_encoded_len;
 use storage::{Cell, Completion, IoOp, IoPlan, Key, OpError, OpResult};
 
+pub use store::{DriverEvent, SimStore};
+
 /// The node-level settings both stores share, each with one meaning.
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
     /// Hardware of each node.
     pub profile: NodeProfile,
-    /// Rack layout / network distances.
+    /// Rack layout / network distances; its length is the node count.
     pub topology: Topology,
     /// Give-up interval, microseconds: an op still unanswered this long
     /// after its request reached the serving node fails with
@@ -64,6 +70,13 @@ pub struct NodeConfig {
     /// size so foreground reads can interleave between chunks on the FIFO
     /// disk (64 KiB ≈ one SSTable block write).
     pub bg_chunk_bytes: u64,
+    /// Fixed per-message overhead bytes (headers, serialization).
+    pub msg_overhead_bytes: u64,
+    /// Service-time variability: 0 = deterministic service times, 1 =
+    /// exponentially distributed with the configured means (JVM-era RPC
+    /// handling is heavy-tailed; this is what makes waiting for *all*
+    /// replicas expensive relative to waiting for the fastest).
+    pub jitter: f64,
 }
 
 impl NodeConfig {
@@ -80,6 +93,8 @@ impl NodeConfig {
             pause_duration_us: 50_000,
             bg_io_rate: 16_000_000,
             bg_chunk_bytes: 64 * 1024,
+            msg_overhead_bytes: 100,
+            jitter: 1.0,
         }
     }
 }
@@ -127,8 +142,6 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct Runtime<S, E> {
     config: NodeConfig,
-    msg_overhead_bytes: u64,
-    jitter: f64,
     nodes: Vec<Node>,
     pending: Slab<InFlight<S>>,
     completed: Vec<Completion>,
@@ -142,19 +155,16 @@ pub struct Runtime<S, E> {
 }
 
 impl<S, E: NodeEvent> Runtime<S, E> {
-    /// `nodes` idle machines. `msg_overhead_bytes` sizes every response on
-    /// top of its payload; `jitter` shapes [`Runtime::service`].
-    pub fn new(config: NodeConfig, nodes: usize, msg_overhead_bytes: u64, jitter: f64) -> Self {
+    /// One idle machine per node of `config.topology`.
+    pub fn new(config: NodeConfig) -> Self {
         let node = Node {
             hw: NodeHw::new(config.profile),
             backlog: 0,
             draining: false,
         };
         Self {
+            nodes: vec![node; config.topology.len()],
             config,
-            msg_overhead_bytes,
-            jitter,
-            nodes: vec![node; nodes],
             pending: Slab::new(),
             completed: Vec::new(),
             pauses_started: false,
@@ -301,7 +311,7 @@ impl<S, E: NodeEvent> Runtime<S, E> {
     /// is 1 (heavy-tailed JVM-era handling), deterministic at 0, linear
     /// blend in between.
     pub fn service<W>(&self, sim: &mut Sim<W>, mean_us: u64) -> u64 {
-        let j = self.jitter;
+        let j = self.config.jitter;
         if j <= 0.0 || mean_us == 0 {
             return mean_us;
         }
@@ -329,12 +339,12 @@ impl<S, E: NodeEvent> Runtime<S, E> {
 
     /// Wire size of a message carrying `cell`.
     pub fn cell_bytes(&self, cell: &Option<Cell>) -> u64 {
-        self.msg_overhead_bytes + cell.as_ref().map_or(0, Cell::encoded_len)
+        self.config.msg_overhead_bytes + cell.as_ref().map_or(0, Cell::encoded_len)
     }
 
     /// Wire size of a message carrying `rows`.
     pub fn rows_bytes(&self, rows: &[(Key, Cell)]) -> u64 {
-        self.msg_overhead_bytes
+        self.config.msg_overhead_bytes
             + rows
                 .iter()
                 .map(|(k, c)| entry_encoded_len(k, c))
@@ -356,7 +366,7 @@ impl<S, E: NodeEvent> Runtime<S, E> {
         let bytes = match &result {
             OpResult::Value(cell) => self.cell_bytes(cell),
             OpResult::Rows(rows) => self.rows_bytes(rows),
-            _ => self.msg_overhead_bytes,
+            _ => self.config.msg_overhead_bytes,
         };
         let at = self.client_delivery(from, bytes, start);
         self.tracer
@@ -511,8 +521,9 @@ mod tests {
 
     fn runtime(nodes: usize, tweak: impl FnOnce(&mut NodeConfig)) -> Rt {
         let mut config = NodeConfig::paper_testbed(nodes);
+        config.jitter = 0.0;
         tweak(&mut config);
-        Runtime::new(config, nodes, 100, 0.0)
+        Runtime::new(config)
     }
 
     /// Submit an op served by node 0.
@@ -653,6 +664,27 @@ mod tests {
         assert_eq!(rt.retire(&mut sim, op).map(|p| p.token), Some(2));
         assert_eq!(sim.pending(), before);
         assert!(rt.retire(&mut sim, op).is_none());
+    }
+
+    #[test]
+    fn the_runtime_has_one_addressable_node_per_topology_member() {
+        // Two regions of three nodes, 25 ms apart.
+        let topology = Topology::geo(2, 3, 1, 50, 50, vec![0, 25_000, 25_000, 0]);
+        let config = NodeConfig {
+            topology: topology.clone(),
+            ..NodeConfig::paper_testbed(1)
+        };
+        let rt: Rt = Runtime::new(config);
+        assert_eq!(rt.nodes(), topology.len());
+        let mut seen = 0;
+        for r in 0..topology.num_regions() {
+            for n in rt.region_nodes(r) {
+                assert!(rt.hw(n).is_up(), "{n} in region {r}");
+                seen += 1;
+            }
+        }
+        assert_eq!(seen, rt.nodes());
+        assert!(rt.region_nodes(2).is_empty(), "no third region");
     }
 
     #[test]

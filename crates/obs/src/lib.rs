@@ -18,8 +18,7 @@
 //! offset), so the same seed always traces the same ops.
 //!
 //! Span recording happens on store hot paths where a panic would take down
-//! a whole sweep worker; unwraps are banned outright (CI greps for the
-//! attribute below staying in place).
+//! a whole sweep worker; unwraps are banned outright, tests included.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

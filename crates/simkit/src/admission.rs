@@ -13,9 +13,7 @@
 //! are byte-identical to builds without this layer at all.
 //!
 //! The admit decision sits on every op's hot path at both stores' front
-//! doors, so unwraps are banned (CI greps for the attribute below staying
-//! in place).
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+//! doors, so unwraps are banned (crate-wide, outside tests).
 
 use crate::time::SimTime;
 

@@ -309,7 +309,10 @@ impl<E> EventQueue<E> {
                 }
                 self.cursor_sorted = true;
             }
-            let e = self.buckets[cursor].pop().expect("non-empty bucket");
+            // Checked non-empty above; an empty one is the loop's to advance.
+            let Some(e) = self.buckets[cursor].pop() else {
+                continue;
+            };
             self.wheel_len -= 1;
             self.empty_steps = 0;
             return Some((e.time, e.seq, e.event));
@@ -324,7 +327,9 @@ impl<E> EventQueue<E> {
             if head.time >= end {
                 break;
             }
-            let e = self.overflow.pop().expect("peeked");
+            let Some(e) = self.overflow.pop() else {
+                break;
+            };
             debug_assert!(e.time >= self.wheel_start);
             let idx = self.bucket_of(e.time);
             if self.cursor_sorted && idx == self.cursor() {
@@ -347,13 +352,7 @@ impl<E> EventQueue<E> {
             let mut start = self.wheel_start;
             let end = self.window_end();
             while start < end {
-                let b = &self.buckets[idx];
-                if !b.is_empty() {
-                    let m = b
-                        .iter()
-                        .map(|e| (e.time, e.seq))
-                        .min()
-                        .expect("non-empty bucket");
+                if let Some(m) = self.buckets[idx].iter().map(|e| (e.time, e.seq)).min() {
                     best = Some(m);
                     break;
                 }

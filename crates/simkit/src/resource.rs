@@ -110,7 +110,9 @@ impl MultiServer {
         // Replace the earliest free time in place: one sift-down, where a
         // pop and a push sift twice. Free times carry no identity, so the
         // heap holds the same multiset either way.
-        let mut earliest = self.free.peek_mut().expect("server heap never empty");
+        let Some(mut earliest) = self.free.peek_mut() else {
+            unreachable!("`new` puts `servers` >= 1 free times in the heap; none leaves it")
+        };
         let done = earliest.0.max(now) + service;
         *earliest = std::cmp::Reverse(done);
         self.busy_us += service;

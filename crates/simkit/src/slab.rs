@@ -123,6 +123,9 @@ impl<T> Slab<T> {
             self.len += 1;
             key
         } else {
+            // A real bound, not an invariant: 2^32 live slots would alias
+            // keys, so overflowing is a bug worth stopping on.
+            #[allow(clippy::expect_used)]
             let slot = u32::try_from(self.slots.len()).expect("slab slot overflow");
             let key = OpKey::pack(slot, 1);
             self.slots.push(Slot::Full {

@@ -21,8 +21,7 @@
 //! times, any `rand::Rng`), like the rest of the crate.
 //!
 //! The arrival process feeds every open-loop run's event stream, so unwraps
-//! are banned (CI greps for the attribute below staying in place).
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+//! are banned (crate-wide, outside tests).
 
 use rand::Rng;
 

@@ -358,7 +358,7 @@ pub struct TenantStats {
 #[derive(Debug, Clone, Default)]
 pub struct RunMetrics {
     per_op: BTreeMap<OpKind, Histogram>,
-    all: Option<Histogram>,
+    all: Histogram,
     timeline: Option<Timeline>,
     resilience: ResilienceCounters,
     tenants: Vec<TenantStats>,
@@ -373,18 +373,13 @@ pub struct RunMetrics {
 impl RunMetrics {
     /// Empty metrics.
     pub fn new() -> Self {
-        Self {
-            all: Some(Histogram::new()),
-            ..Self::default()
-        }
+        Self::default()
     }
 
     /// Record one completed operation.
     pub fn record(&mut self, kind: OpKind, latency_us: u64) {
         self.per_op.entry(kind).or_default().record(latency_us);
-        self.all
-            .get_or_insert_with(Histogram::new)
-            .record(latency_us);
+        self.all.record(latency_us);
     }
 
     /// Record one failed operation.
@@ -491,7 +486,7 @@ impl RunMetrics {
 
     /// Total successful operations.
     pub fn ops(&self) -> u64 {
-        self.all.as_ref().map_or(0, Histogram::count)
+        self.all.count()
     }
 
     /// Failed operations.
@@ -522,7 +517,7 @@ impl RunMetrics {
 
     /// The all-operations histogram.
     pub fn overall(&self) -> &Histogram {
-        self.all.as_ref().expect("initialized in new()")
+        &self.all
     }
 
     /// The histogram for one op kind, if any were recorded.
@@ -686,6 +681,14 @@ mod tests {
         assert_eq!(m.ops(), 1000);
         assert_eq!(m.for_op(OpKind::Read).unwrap().count(), 1000);
         assert!(m.for_op(OpKind::Scan).is_none());
+    }
+
+    #[test]
+    fn default_run_metrics_report_an_empty_overall_histogram() {
+        let m = RunMetrics::default();
+        assert_eq!(m.overall().count(), 0);
+        assert_eq!(m.overall().quantile(0.99), 0);
+        assert_eq!(m.ops(), 0);
     }
 
     #[test]

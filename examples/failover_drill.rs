@@ -9,8 +9,9 @@
 
 use cloudserve::bench_core::driver::{self, DriverConfig};
 use cloudserve::bench_core::setup::{build_cstore, build_hstore, Scale};
-use cloudserve::bench_core::DriverEvent;
+use cloudserve::bench_core::{DriverEvent, SimStore};
 use cloudserve::cstore::Consistency;
+use cloudserve::faults::FaultTarget;
 use cloudserve::simkit::{NodeId, Sim};
 use cloudserve::ycsb::WorkloadSpec;
 
@@ -35,7 +36,10 @@ fn main() {
         "healthy:   {:>8.0} ops/s, {:>3} errors",
         healthy.throughput, healthy.errors
     );
-    c.fail_node(NodeId(0));
+    // Faults go through the stores' fault surface; a cstore recovery
+    // schedules hint replay on this simulation.
+    let mut sim: Sim<DriverEvent<cloudserve::cstore::Event>> = Sim::new(31);
+    c.apply_crash(&mut sim, NodeId(0));
     let degraded = driver::run(&mut c, &cfg(&scale));
     println!(
         "node down: {:>8.0} ops/s, {:>3} errors (CL=ONE rides through; hints queue: {})",
@@ -44,11 +48,10 @@ fn main() {
         c.metrics().hints_stored
     );
     // Recover and replay hints.
-    let mut sim: Sim<DriverEvent<cloudserve::cstore::Event>> = Sim::new(31);
-    c.recover_node(&mut sim, NodeId(0));
+    c.apply_recover(&mut sim, NodeId(0));
     while let Some(ev) = sim.next() {
         if let DriverEvent::Store(ev) = ev {
-            cloudserve::cstore::Cluster::handle(&mut c, &mut sim, ev);
+            c.handle(&mut sim, ev);
         }
     }
     let recovered = driver::run(&mut c, &cfg(&scale));
@@ -75,7 +78,8 @@ fn main() {
         failed_over.errors,
         h.metrics().regions_moved
     );
-    h.recover_server(NodeId(0));
+    let mut sim: Sim<DriverEvent<cloudserve::hstore::Event>> = Sim::new(31);
+    h.apply_recover(&mut sim, NodeId(0));
     let recovered = driver::run(&mut h, &cfg(&scale));
     println!(
         "server back:    {:>8.0} ops/s, {:>3} errors",

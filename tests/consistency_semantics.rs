@@ -3,8 +3,9 @@
 
 use bytes::Bytes;
 use cloudserve::bench_core::setup::{build_cstore, build_cstore_with, Scale};
-use cloudserve::bench_core::DriverEvent;
+use cloudserve::bench_core::{DriverEvent, SimStore};
 use cloudserve::cstore::{Cluster, Consistency, Event};
+use cloudserve::faults::FaultTarget;
 use cloudserve::simkit::Sim;
 use cloudserve::storage::{OpError, OpResult, StoreOp};
 use cloudserve::ycsb::encode_key;
@@ -80,7 +81,7 @@ fn quorum_survives_any_single_failure_with_read_your_writes() {
         let mut h = H::new(cluster(Consistency::Quorum, Consistency::Quorum));
         h.write(5, "before");
         let reps = h.c.ring().replicas(&encode_key(5), 3);
-        h.c.fail_node(reps[victim_idx]);
+        h.c.apply_crash(&mut h.sim, reps[victim_idx]);
         assert!(matches!(h.write(5, "after"), OpResult::Written { .. }));
         assert_eq!(
             h.read(5).as_deref(),
@@ -94,7 +95,7 @@ fn quorum_survives_any_single_failure_with_read_your_writes() {
 fn write_all_fails_but_quorum_succeeds_under_one_failure() {
     let mut h = H::new(cluster(Consistency::One, Consistency::All));
     let reps = h.c.ring().replicas(&encode_key(9), 3);
-    h.c.fail_node(reps[1]);
+    h.c.apply_crash(&mut h.sim, reps[1]);
     assert_eq!(
         h.op(StoreOp::Update {
             key: encode_key(9),
@@ -105,7 +106,7 @@ fn write_all_fails_but_quorum_succeeds_under_one_failure() {
     );
     let mut h = H::new(cluster(Consistency::Quorum, Consistency::Quorum));
     let reps = h.c.ring().replicas(&encode_key(9), 3);
-    h.c.fail_node(reps[1]);
+    h.c.apply_crash(&mut h.sim, reps[1]);
     assert!(matches!(h.write(9, "x"), OpResult::Written { .. }));
 }
 
@@ -113,8 +114,8 @@ fn write_all_fails_but_quorum_succeeds_under_one_failure() {
 fn two_failures_break_quorum_but_not_one() {
     let mut h = H::new(cluster(Consistency::Quorum, Consistency::Quorum));
     let reps = h.c.ring().replicas(&encode_key(1), 3);
-    h.c.fail_node(reps[1]);
-    h.c.fail_node(reps[2]);
+    h.c.apply_crash(&mut h.sim, reps[1]);
+    h.c.apply_crash(&mut h.sim, reps[2]);
     assert_eq!(
         h.op(StoreOp::Update {
             key: encode_key(1),
@@ -124,8 +125,8 @@ fn two_failures_break_quorum_but_not_one() {
     );
     let mut h = H::new(cluster(Consistency::One, Consistency::One));
     let reps = h.c.ring().replicas(&encode_key(1), 3);
-    h.c.fail_node(reps[1]);
-    h.c.fail_node(reps[2]);
+    h.c.apply_crash(&mut h.sim, reps[1]);
+    h.c.apply_crash(&mut h.sim, reps[2]);
     assert!(matches!(h.write(1, "x"), OpResult::Written { .. }));
     assert_eq!(h.read(1).as_deref(), Some(&b"x"[..]));
 }
@@ -136,11 +137,11 @@ fn hinted_handoff_converges_all_replicas_after_recovery() {
     let reps = h.c.ring().replicas(&encode_key(7), 3);
     let victim = reps[2];
     h.write(7, "v1");
-    h.c.fail_node(victim);
+    h.c.apply_crash(&mut h.sim, victim);
     h.write(7, "v2");
     assert!(h.c.metrics().hints_stored >= 1);
     // Recover; hints replay through the event loop.
-    h.c.recover_node(&mut h.sim, victim);
+    h.c.apply_recover(&mut h.sim, victim);
     let mut sim = std::mem::replace(&mut h.sim, Sim::new(0));
     while let Some(ev) = sim.next() {
         if let DriverEvent::Store(ev) = ev {
@@ -170,7 +171,7 @@ fn read_repair_converges_all_replicas_under_full_fanout() {
     ));
     let reps = h.c.ring().replicas(&encode_key(3), 3);
     h.write(3, "old");
-    h.c.fail_node(reps[2]);
+    h.c.apply_crash(&mut h.sim, reps[2]);
     h.write(3, "new");
     h.c.hw_mut(reps[2]).recover();
     // One read with guaranteed fan-out repairs the lagging replica.

@@ -2,13 +2,18 @@
 //! resilience layer riding on it: identical (plan, seed) pairs reproduce
 //! bit-identical timelines — with and without retries/hedging — inert
 //! plans and no-op retry policies leave a run untouched, and deadline
-//! give-ups surface exactly one client error without leaking tokens.
+//! give-ups surface exactly one client error without leaking tokens. Over
+//! a grid of randomized fault plans, both stores settle every op exactly
+//! once and replay bit-identically.
 
 use cloudserve::bench_core::driver::{self, DriverConfig, RunOutcome};
 use cloudserve::bench_core::resilience::RetryPolicy;
-use cloudserve::bench_core::setup::{build_cstore, build_hstore, Scale};
+use cloudserve::bench_core::setup::{
+    build_cstore, build_cstore_with, build_hstore, build_hstore_with, Scale,
+};
+use cloudserve::bench_core::SimStore;
 use cloudserve::cstore::Consistency;
-use cloudserve::faults::FaultPlan;
+use cloudserve::faults::{FaultPlan, FaultTarget};
 use cloudserve::simkit::NodeId;
 use cloudserve::ycsb::WorkloadSpec;
 
@@ -218,4 +223,67 @@ fn randomized_plans_are_seed_deterministic() {
     assert!(!a.is_empty());
     let c = FaultPlan::randomized(1235, 5, 2_000_000);
     assert_ne!(a, c, "different seeds should draw different plans");
+}
+
+/// Run `cfg` twice on snapshots of one loaded `base` and check the
+/// invariants every fault plan must keep: every issued op settles exactly
+/// once, the measured window accounts for every op as a success or an
+/// error, and the rerun dispatches the same events to the same counters.
+/// Returns the faults applied and the client errors.
+fn check_randomized_run<S>(base: &S, cfg: &DriverConfig, what: &str) -> [u64; 2]
+where
+    S: SimStore + FaultTarget<Event = <S as SimStore>::Event>,
+{
+    let a = driver::run(&mut base.snapshot(), cfg);
+    let b = driver::run(&mut base.snapshot(), cfg);
+    assert_eq!(a.unsettled_ops, 0, "{what}: unsettled ops");
+    assert_eq!(
+        a.metrics.overall().count() + a.errors,
+        cfg.measure_ops,
+        "{what}: ok + errors != measured ops"
+    );
+    assert_eq!(a.events_dispatched, b.events_dispatched, "{what}: rerun");
+    assert_eq!(a.counters, b.counters, "{what}: rerun");
+    [a.faults_injected, a.errors]
+}
+
+#[test]
+fn randomized_fault_plans_keep_every_op_settled_and_replayable() {
+    let scale = Scale::tiny();
+    let cstore = |cl: Consistency| {
+        let mut s = build_cstore_with(&scale, 3, cl, cl, |c| c.node.rpc_timeout_us = 5_000);
+        driver::load(&mut s, scale.records, scale.value_len, 7);
+        s
+    };
+    let quorum = cstore(Consistency::Quorum);
+    let one = cstore(Consistency::One);
+    let mut hstore = build_hstore_with(&scale, 3, |c| {
+        c.node.rpc_timeout_us = 5_000;
+        c.failover_delay_us = 20_000;
+    });
+    driver::load(&mut hstore, scale.records, scale.value_len, 7);
+    let mut totals = [0; 2];
+    for seed in 0..8 {
+        let plan = FaultPlan::randomized(seed, 5, 1_500_000);
+        for workload in [WorkloadSpec::read_update(), WorkloadSpec::ycsb_e()] {
+            let cfg = DriverConfig {
+                seed,
+                workload: workload.clone(),
+                ..faulted_cfg(&scale, plan.clone(), 0)
+            };
+            let what = format!("seed {seed}, {}", workload.name);
+            for [faults, errors] in [
+                check_randomized_run(&quorum, &cfg, &format!("cstore QUORUM {what}")),
+                check_randomized_run(&one, &cfg, &format!("cstore ONE {what}")),
+                check_randomized_run(&hstore, &cfg, &format!("hstore {what}")),
+            ] {
+                totals[0] += faults;
+                totals[1] += errors;
+            }
+        }
+    }
+    assert!(
+        totals.iter().all(|&n| n > 0),
+        "faults and errors: {totals:?}"
+    );
 }
