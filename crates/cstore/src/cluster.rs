@@ -146,8 +146,9 @@ pub struct Cluster {
     metrics: Metrics,
     next_coord: usize,
     /// Reusable buffer for per-op replica placement: the coordinator paths
-    /// take it, fill it via [`Ring::replicas_into`], and put it back, so the
-    /// read/write hot paths never allocate a replica `Vec` per operation.
+    /// take it, fill it via [`Ring::replicas_into`] (a scan round via
+    /// [`Ring::range_replicas_into`]), and put it back, so the read, write
+    /// and scan hot paths never allocate a replica `Vec` per operation.
     replica_scratch: Vec<NodeId>,
     /// Recycled `ReadState::results` buffers.
     read_answers: BufferPool<(NodeId, Option<Cell>)>,
@@ -699,12 +700,13 @@ impl Cluster {
     ) {
         let rf = self.config.replication_factor;
         let needed = self.config.read_cl.required(rf);
-        let n = self.nodes.len();
-        let live: Vec<NodeId> = (0..(rf as usize).min(n))
-            .map(|i| NodeId(((primary + i) % n) as u32))
-            .filter(|&r| self.rt.is_up(r))
-            .collect();
+        // The range's replicas as the strategy placed its writes, in ring
+        // order from the primary.
+        let mut live = std::mem::take(&mut self.replica_scratch);
+        self.ring.range_replicas_into(primary, rf, &mut live);
+        live.retain(|&r| self.rt.is_up(r));
         if (live.len() as u32) < needed {
+            self.replica_scratch = live;
             self.unavailable(sim, op, token, coord, t1);
             return;
         }
@@ -739,6 +741,7 @@ impl Cluster {
                 }),
             );
         }
+        self.replica_scratch = live;
         if let Some(p) = self.rt.get_mut(op) {
             if let PendingState::Scan(s) = &mut p.state {
                 s.needed_this_round = needed;
@@ -1053,7 +1056,19 @@ impl Cluster {
         let service = self.rt.service(sim, costs.replica_read_us);
         let now = sim.now();
         let t1 = self.rt.hw_mut(node).cpu.acquire(now, service);
-        let res = self.nodes[node.index()].lsm.scan(&start, limit);
+        let lsm = &mut self.nodes[node.index()].lsm;
+        if !count {
+            // A repair probe: the load is the point and the rows are never
+            // read, so the ones in this range are counted, not cloned.
+            let (rows, io) = lsm.scan_count(&start, limit, clamp.as_deref());
+            let t2 = self.rt.charge_io_plan(node, t1, &io);
+            self.rt
+                .hw_mut(node)
+                .cpu
+                .acquire(t2, costs.scan_row_us * rows as u64);
+            return;
+        }
+        let res = lsm.scan(&start, limit);
         let t2 = self.rt.charge_io_plan(node, t1, &res.io);
         let mut rows = res.rows;
         if let Some(end) = &clamp {
@@ -1066,9 +1081,6 @@ impl Cluster {
             .hw_mut(node)
             .cpu
             .acquire(t2, costs.scan_row_us * rows.len() as u64);
-        if !count {
-            return; // repair probe: the load was the point
-        }
         let tracer = &mut self.rt.tracer;
         tracer.record(token, Stage::ReplicaWork, node.0, now, t1);
         tracer.record(token, Stage::DiskIo, node.0, t1, t2);
@@ -1630,6 +1642,35 @@ mod tests {
                 .collect();
             assert_eq!(got, want, "scan from {start} limit {limit}");
         }
+    }
+
+    #[test]
+    fn scan_reads_the_replicas_the_strategy_placed() {
+        // One replica per DC over 2 × 3 nodes puts range 0 on nodes 0 and
+        // 3, not on the next node index. With node 0 down, a scan that
+        // assumed successor placement asked node 1, which holds no copy of
+        // range 0, and skipped to range 1's rows.
+        let mut cfg = geo_cluster_config(2, 3, 1);
+        cfg.partitioner = Partitioner::order_preserving((0..6).map(|i| key(i * 20)).collect());
+        cfg.write_cl = Consistency::All;
+        cfg.read_cl = Consistency::One;
+        let mut h = Harness::new(cfg);
+        for i in 0..120u64 {
+            h.run_one(StoreOp::Insert {
+                key: key(i),
+                value: k("v"),
+            });
+        }
+        h.cluster.apply_crash(&mut h.sim, NodeId(0));
+        let r = h.run_one(StoreOp::Scan {
+            start: key(0),
+            limit: 5,
+        });
+        let OpResult::Rows(rows) = r.result else {
+            panic!("unexpected: {:?}", r.result);
+        };
+        let got: Vec<_> = rows.into_iter().map(|(key, _)| key).collect();
+        assert_eq!(got, (0..5).map(key).collect::<Vec<_>>());
     }
 
     #[test]

@@ -198,9 +198,15 @@ impl Ring {
     /// per-op coordinator paths reuse one scratch buffer instead of
     /// allocating a fresh replica set each operation.
     pub fn replicas_into(&self, key: &[u8], rf: u32, out: &mut Vec<NodeId>) {
-        let p = self.primary(key);
+        self.range_replicas_into(self.primary(key), rf, out);
+    }
+
+    /// The replica set of the whole range whose primary is ring position
+    /// `primary` — the nodes [`Ring::replicas_into`] places every key of
+    /// that range on — into a caller-provided buffer (cleared first).
+    pub fn range_replicas_into(&self, primary: usize, rf: u32, out: &mut Vec<NodeId>) {
         self.strategy
-            .place_into(p, self.nodes, rf, &self.snitch, out);
+            .place_into(primary, self.nodes, rf, &self.snitch, out);
     }
 
     /// Ring successor of a node index.

@@ -9,8 +9,8 @@ use crate::cache::{BlockCache, BlockKey, CacheStats};
 use crate::compaction::SizeTieredPolicy;
 use crate::io::{IoOp, IoPlan};
 use crate::memtable::{self, Memtable};
-use crate::merge::{merge_runs, MergeRef};
-use crate::sstable::{SsTable, TableId};
+use crate::merge::{clone_winners, MergeRef};
+use crate::sstable::{key_prefix, KeyPrefix, SsTable, TableId};
 use crate::types::{Cell, Key};
 use crate::wal::WriteAheadLog;
 
@@ -89,16 +89,35 @@ pub struct CompactionReceipt {
     pub write_bytes: u64,
 }
 
-/// A scan's position in one SSTable run: `run[from..]` is the part of the
-/// run at or after the scan's start key, `run[from..next]` what the merge
-/// has pulled from it so far.
+/// A merge's position in one SSTable run: `run[from..]` is the part of the
+/// run the merge reads (for a scan, at or after its start key),
+/// `run[from..next]` what it has pulled so far. Yields each entry with its
+/// prefix from the run's prefix array.
 struct RunCursor<'a> {
     run: &'a [(Key, Cell)],
+    prefixes: &'a [KeyPrefix],
     from: usize,
     next: usize,
 }
 
-impl RunCursor<'_> {
+/// How many entries ahead of the one it yields a run cursor prefetches.
+/// The merge clones each returned row (two locked refcount increments), and
+/// a locked increment waits for its cache line alone; fetching the lines of
+/// entry `next + 2` while entry `next` is merged keeps those misses
+/// overlapped (DESIGN.md §5i has the measurements).
+const PREFETCH_AHEAD: usize = 2;
+
+impl<'a> RunCursor<'a> {
+    /// A cursor over `table` from entry `from` on.
+    fn new(table: &'a SsTable, from: usize) -> Self {
+        Self {
+            run: table.entries(),
+            prefixes: table.prefixes(),
+            from,
+            next: from,
+        }
+    }
+
     /// The entries the merge emitted from this run, given the last key it
     /// emitted: everything it pulled except, from a run it did not exhaust,
     /// one pending head beyond `end`.
@@ -107,6 +126,23 @@ impl RunCursor<'_> {
             .last()
             .is_some_and(|(key, _)| key > end);
         self.from..self.next - usize::from(pending)
+    }
+}
+
+impl<'a> Iterator for RunCursor<'a> {
+    type Item = (KeyPrefix, &'a (Key, Cell));
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let row = self.run.get(self.next)?;
+        if let Some((key, cell)) = self.run.get(self.next + PREFETCH_AHEAD) {
+            key.prefetch();
+            if let Some(value) = &cell.value {
+                value.prefetch();
+            }
+        }
+        let prefix = self.prefixes[self.next];
+        self.next += 1;
+        Some((prefix, row))
     }
 }
 
@@ -119,18 +155,25 @@ enum ScanSource<'a> {
 }
 
 impl<'a> Iterator for ScanSource<'a> {
-    type Item = (&'a Key, &'a Cell);
+    type Item = (KeyPrefix, &'a (Key, Cell));
 
     fn next(&mut self) -> Option<Self::Item> {
         match self {
-            ScanSource::Mem(it) => it.next(),
-            ScanSource::Run(cur) => {
-                let (key, cell) = cur.run.get(cur.next)?;
-                cur.next += 1;
-                Some((key, cell))
-            }
+            // The memtable keeps no prefix per row (its B-tree is keyed by
+            // prefix per slot), so each row's is computed as it is pulled.
+            ScanSource::Mem(it) => it.next().map(|row| (key_prefix(&row.0), row)),
+            ScanSource::Run(cur) => cur.next(),
         }
     }
+}
+
+/// The compaction merge: a streaming merge straight over the runs' entries
+/// and prefix arrays, so keys are read only on a prefix tie, cloning
+/// (refcount-bumping) only each key's surviving winner.
+fn merge_tables(tables: &[SsTable], drop_tombstones: bool) -> Vec<(Key, Cell)> {
+    let total = tables.iter().map(SsTable::len).sum();
+    let sources = tables.iter().map(|t| RunCursor::new(t, 0)).collect();
+    clone_winners(MergeRef::new(sources), total, drop_tombstones)
 }
 
 /// A single replica's LSM storage engine.
@@ -272,6 +315,40 @@ impl LsmTree {
     /// block of the window its cursor walked: the blocks holding that run's
     /// keys in `[start, last merged key]`.
     pub fn scan(&mut self, start: &[u8], limit: usize) -> ScanResult {
+        let mut rows = Vec::with_capacity(limit);
+        let io = self.walk_range(start, limit, |key, cell| {
+            rows.push((key.clone(), cell.clone()));
+        });
+        ScanResult { rows, io }
+    }
+
+    /// [`LsmTree::scan`] for a caller that pays for a scan but never reads
+    /// its rows (a read-repair probe): the same walk, the same I/O plan and
+    /// the same cache state afterwards, but the rows are counted, not
+    /// cloned. Returns how many of them sort below `end` (all of them
+    /// without one), and the plan.
+    pub fn scan_count(
+        &mut self,
+        start: &[u8],
+        limit: usize,
+        end: Option<&[u8]>,
+    ) -> (usize, IoPlan) {
+        let mut below = 0;
+        let io = self.walk_range(start, limit, |key, _| {
+            below += usize::from(end.is_none_or(|end| key.as_ref() < end));
+        });
+        (below, io)
+    }
+
+    /// The walk behind [`LsmTree::scan`]: hand each of the first `limit`
+    /// live rows from `start` on to `emit`, in key order, and charge the
+    /// blocks walked.
+    fn walk_range(
+        &mut self,
+        start: &[u8],
+        limit: usize,
+        mut emit: impl FnMut(&Key, &Cell),
+    ) -> IoPlan {
         let Self {
             cache,
             tables,
@@ -281,23 +358,19 @@ impl LsmTree {
         let mut sources = Vec::with_capacity(1 + tables.len());
         sources.push(ScanSource::Mem(memtable.range_from(start)));
         for t in tables.iter() {
-            let from = t.lower_bound(start);
-            sources.push(ScanSource::Run(RunCursor {
-                run: t.entries(),
-                from,
-                next: from,
-            }));
+            sources.push(ScanSource::Run(RunCursor::new(t, t.lower_bound(start))));
         }
         let mut merge = MergeRef::new(sources);
-        let mut rows = Vec::with_capacity(limit);
+        let mut live = 0;
         let mut last_key: Option<&Key> = None;
-        while rows.len() < limit {
+        while live < limit {
             let Some((key, cell)) = merge.next() else {
                 break;
             };
             last_key = Some(key);
             if !cell.is_tombstone() {
-                rows.push((key.clone(), cell.clone()));
+                emit(key, cell);
+                live += 1;
             }
         }
         let mut io = IoPlan::new();
@@ -319,7 +392,7 @@ impl LsmTree {
                 }
             }
         }
-        ScanResult { rows, io }
+        io
     }
 
     /// Charge one run's blocks `first..=last` to a scan: a cache hit each,
@@ -396,14 +469,9 @@ impl LsmTree {
                 kept.push(table);
             }
         }
-        // Streaming merge straight over the consumed runs' entry slices;
-        // only surviving winners are cloned (refcount bumps). Tombstones can
-        // only be dropped when no older run might still hold a shadowed
-        // value.
-        let merged = {
-            let runs: Vec<&[(Key, Cell)]> = consumed.iter().map(|t| t.entries()).collect();
-            merge_runs(&runs, major)
-        };
+        // Tombstones can only be dropped when no older run might still hold
+        // a shadowed value.
+        let merged = merge_tables(&consumed, major);
         let id = TableId(self.next_table_id);
         self.next_table_id += 1;
         let output = SsTable::build(id, merged, self.config.block_size);
@@ -431,10 +499,7 @@ impl LsmTree {
         }
         let inputs: Vec<TableId> = self.tables.iter().map(|t| t.id()).collect();
         let read_bytes: u64 = self.tables.iter().map(|t| t.total_bytes()).sum();
-        let merged = {
-            let runs: Vec<&[(Key, Cell)]> = self.tables.iter().map(|t| t.entries()).collect();
-            merge_runs(&runs, true)
-        };
+        let merged = merge_tables(&self.tables, true);
         let id = TableId(self.next_table_id);
         self.next_table_id += 1;
         let output = SsTable::build(id, merged, self.config.block_size);

@@ -170,12 +170,12 @@ pub struct Range<'a> {
 }
 
 impl<'a> Iterator for Range<'a> {
-    type Item = (&'a Key, &'a Cell);
+    type Item = &'a (Key, Cell);
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if let Some((key, cell)) = self.rows.next() {
-                return Some((key, cell));
+            if let Some(row) = self.rows.next() {
+                return Some(row);
             }
             self.rows = self.slots.next()?.1.rows().iter();
         }

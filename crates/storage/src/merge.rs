@@ -20,82 +20,136 @@
 //! (sift the new one up from the bottom). With one live source that is zero
 //! key comparisons per entry, with two it is one — and a range scan is
 //! almost always a two-source merge (memtable + one compacted run).
+//!
+//! ## How heads are ordered
+//!
+//! Every source yields `(KeyPrefix, row)`: the row's [`KeyPrefix`] (its
+//! first 16 key bytes as a big-endian integer) next to the row itself.
+//! Run-backed sources read it from the table's flat prefix array; the
+//! others compute it once per row pulled, never once per compare. Heads are
+//! ordered by that prefix, then — only when two prefixes tie — by full key,
+//! then by source index. Prefix order with a full-key tie-break is exactly
+//! key order (see [`crate::sstable::cmp_via_prefix`]), so the merge emits
+//! what a `(key, source)` order would, while a sift-down compares integers
+//! held in the heap instead of chasing every key onto its own allocation.
+//! The duplicate check compares prefixes first as well.
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
+use crate::sstable::{key_prefix, KeyPrefix};
 use crate::types::{Cell, Key};
 
-/// A version of a row the merge can reconcile against another version of
-/// the same key — by reference while streaming over runs, by value when the
-/// caller owns the entries.
-pub trait Version: Sized {
+/// One entry of a merge source: a borrowed `&(Key, Cell)` while streaming
+/// over runs, an owned `(Key, Cell)` when the caller owns the entries. A
+/// head holds the row whole — one pointer when borrowed — and splits it
+/// only once it is emitted.
+pub trait Row {
+    /// The key as the merge emits it.
+    type Key: AsRef<[u8]>;
+    /// The version the merge reconciles.
+    type Cell;
+    /// The row's key bytes.
+    fn key(&self) -> &[u8];
+    /// Key and version, apart.
+    fn split(self) -> (Self::Key, Self::Cell);
     /// Last-write-wins: the winner of two versions of one key.
-    fn newer(self, other: Self) -> Self;
+    fn newer(a: Self::Cell, b: Self::Cell) -> Self::Cell;
 }
 
-impl Version for &Cell {
-    fn newer(self, other: Self) -> Self {
-        Cell::newer(self, other)
+impl<'a> Row for &'a (Key, Cell) {
+    type Key = &'a Key;
+    type Cell = &'a Cell;
+    fn key(&self) -> &[u8] {
+        &self.0
+    }
+    fn split(self) -> (&'a Key, &'a Cell) {
+        (&self.0, &self.1)
+    }
+    fn newer(a: &'a Cell, b: &'a Cell) -> &'a Cell {
+        Cell::newer(a, b)
     }
 }
 
-impl Version for Cell {
-    fn newer(self, other: Self) -> Self {
-        Cell::reconcile(self, other)
+impl Row for (Key, Cell) {
+    type Key = Key;
+    type Cell = Cell;
+    fn key(&self) -> &[u8] {
+        &self.0
+    }
+    fn split(self) -> (Key, Cell) {
+        self
+    }
+    fn newer(a: Cell, b: Cell) -> Cell {
+        Cell::reconcile(a, b)
     }
 }
 
-/// The smallest not-yet-emitted entry of one source.
-struct Head<K, V> {
-    key: K,
-    cell: V,
-    source: usize,
+/// `row` with its key's prefix: how the sources without a prefix array feed
+/// a merge.
+fn with_prefix<R: Row>(row: R) -> (KeyPrefix, R) {
+    (key_prefix(row.key()), row)
 }
 
-impl<K: Ord, V> PartialEq for Head<K, V> {
+/// The smallest not-yet-emitted entry of one source. Borrowed, it is 32
+/// bytes: the prefix, one pointer, and a `u32` source.
+struct Head<R> {
+    prefix: KeyPrefix,
+    row: R,
+    source: u32,
+}
+
+impl<R: Row> PartialEq for Head<R> {
     fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.source == other.source
+        self.cmp(other) == Ordering::Equal
     }
 }
-impl<K: Ord, V> Eq for Head<K, V> {}
-impl<K: Ord, V> PartialOrd for Head<K, V> {
+impl<R: Row> Eq for Head<R> {}
+impl<R: Row> PartialOrd for Head<R> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<K: Ord, V> Ord for Head<K, V> {
+impl<R: Row> Ord for Head<R> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap by key (reverse for BinaryHeap); source index only breaks
-        // ties for determinism, reconciliation handles the semantics.
+        // Min-heap by key (reverse for BinaryHeap): prefix first, full key
+        // only on a prefix tie. The source index only breaks ties for
+        // determinism; reconciliation handles the semantics.
         other
-            .key
-            .cmp(&self.key)
+            .prefix
+            .cmp(&self.prefix)
+            .then_with(|| other.row.key().cmp(self.row.key()))
             .then_with(|| other.source.cmp(&self.source))
     }
 }
 
-/// Merges multiple sorted iterators of `(key, cell)` entries, reconciling
+/// Merges multiple sorted sources of `(prefix, row)` entries, reconciling
 /// duplicate keys by last-write-wins and yielding each key exactly once, in
-/// order. The emitted key is the lowest-numbered source's copy.
-pub struct Merge<K, V, I> {
+/// order, as `(key, version)`. The emitted key is the lowest-numbered
+/// source's copy.
+pub struct Merge<R, I> {
     sources: Vec<I>,
     /// At most one head per source: the entry pulled from it but not yet
     /// emitted.
-    heap: BinaryHeap<Head<K, V>>,
+    heap: BinaryHeap<Head<R>>,
 }
 
-/// [`Merge`] over borrowed entries: winners come out still by reference.
-pub type MergeRef<'a, I> = Merge<&'a Key, &'a Cell, I>;
+/// [`Merge`] over borrowed rows: winners come out still by reference.
+pub type MergeRef<'a, I> = Merge<&'a (Key, Cell), I>;
 
-impl<K: Ord, V: Version, I: Iterator<Item = (K, V)>> Merge<K, V, I> {
-    /// Build a merge over `sources`; each must yield strictly increasing keys.
+impl<R: Row, I: Iterator<Item = (KeyPrefix, R)>> Merge<R, I> {
+    /// Build a merge over `sources`; each must yield strictly increasing
+    /// keys, each with its own [`key_prefix`].
     pub fn new(mut sources: Vec<I>) -> Self {
         let mut heap = BinaryHeap::with_capacity(sources.len());
-        for (source, it) in sources.iter_mut().enumerate() {
-            if let Some((key, cell)) = it.next() {
-                heap.push(Head { key, cell, source });
+        for (source, it) in (0u32..).zip(sources.iter_mut()) {
+            if let Some((prefix, row)) = it.next() {
+                heap.push(Head {
+                    prefix,
+                    row,
+                    source,
+                });
             }
         }
         Self { sources, heap }
@@ -112,36 +166,44 @@ impl<K: Ord, V: Version, I: Iterator<Item = (K, V)>> Merge<K, V, I> {
     /// Take the smallest head and refill its heap slot from the same source
     /// (replace-top: one sift-down when the guard drops); only an exhausted
     /// source shrinks the heap.
-    fn take_top(&mut self) -> Option<(K, V)> {
+    fn take_top(&mut self) -> Option<(KeyPrefix, R)> {
         let mut top = self.heap.peek_mut()?;
         let source = top.source;
-        let head = match self.sources[source].next() {
-            Some((key, cell)) => std::mem::replace(&mut *top, Head { key, cell, source }),
+        let head = match self.sources[source as usize].next() {
+            Some((prefix, row)) => std::mem::replace(
+                &mut *top,
+                Head {
+                    prefix,
+                    row,
+                    source,
+                },
+            ),
             None => PeekMut::pop(top),
         };
-        Some((head.key, head.cell))
+        Some((head.prefix, head.row))
     }
 }
 
-impl<K: Ord, V: Version, I: Iterator<Item = (K, V)>> Iterator for Merge<K, V, I> {
-    type Item = (K, V);
+impl<R: Row, I: Iterator<Item = (KeyPrefix, R)>> Iterator for Merge<R, I> {
+    type Item = (R::Key, R::Cell);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let (key, mut cell) = self.take_top()?;
+        let (prefix, row) = self.take_top()?;
+        let (key, mut cell) = row.split();
         // Fold in every other source's version of the same key; borrowed
         // losers are skipped without ever being cloned, owned ones dropped.
-        while self.heap.peek().is_some_and(|top| top.key == key) {
+        while self
+            .heap
+            .peek()
+            .is_some_and(|top| top.prefix == prefix && top.row.key() == key.as_ref())
+        {
             let Some((_, dup)) = self.take_top() else {
                 break;
             };
-            cell = cell.newer(dup);
+            cell = R::newer(cell, dup.split().1);
         }
         Some((key, cell))
     }
-}
-
-fn pair_refs(entry: &(Key, Cell)) -> (&Key, &Cell) {
-    (&entry.0, &entry.1)
 }
 
 /// Streaming merge of borrowed sorted runs into one reconciled, sorted
@@ -150,10 +212,23 @@ fn pair_refs(entry: &(Key, Cell)) -> (&Key, &Cell) {
 /// markers from the output (valid only for a full/major merge where no older
 /// data survives).
 pub fn merge_runs(runs: &[&[(Key, Cell)]], drop_tombstones: bool) -> Vec<(Key, Cell)> {
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    let sources: Vec<_> = runs.iter().map(|r| r.iter().map(pair_refs)).collect();
+    let total = runs.iter().map(|r| r.len()).sum();
+    let sources = runs.iter().map(|r| r.iter().map(with_prefix)).collect();
+    clone_winners(MergeRef::new(sources), total, drop_tombstones)
+}
+
+/// The winners of a borrowed merge, cloned (refcount bumps) into a vector
+/// sized for `total` entries, without tombstones if `drop_tombstones`.
+pub(crate) fn clone_winners<'a, I>(
+    merge: MergeRef<'a, I>,
+    total: usize,
+    drop_tombstones: bool,
+) -> Vec<(Key, Cell)>
+where
+    I: Iterator<Item = (KeyPrefix, &'a (Key, Cell))>,
+{
     let mut out = Vec::with_capacity(total);
-    for (key, cell) in MergeRef::new(sources) {
+    for (key, cell) in merge {
         if drop_tombstones && cell.is_tombstone() {
             continue;
         }
@@ -177,7 +252,7 @@ where
     let mut out = if sources.len() == 1 {
         sources.next().unwrap_or_default()
     } else {
-        let sources: Vec<_> = sources.map(Vec::into_iter).collect();
+        let sources: Vec<_> = sources.map(|s| s.into_iter().map(with_prefix)).collect();
         // Every source is unique per key, so the longest one is a lower
         // bound on the output — and exact when the replicas agree.
         let longest = sources
@@ -264,6 +339,13 @@ mod tests {
     }
 
     #[test]
+    fn borrowed_head_is_32_bytes() {
+        // A scan allocates one head per source; a wider head costs bytes
+        // on every scan.
+        assert_eq!(std::mem::size_of::<Head<&(Key, Cell)>>(), 32);
+    }
+
+    #[test]
     fn merge_runs_output_shares_input_storage() {
         // The streaming merge must not deep-copy payloads: the winner in the
         // output is the *same* allocation as the winning input entry.
@@ -284,7 +366,7 @@ mod tests {
             vec![e("a", "a1", 3), e("c", "c1", 1)],
             vec![e("a", "a2", 1), e("b", "b2", 2)],
         ];
-        let sources: Vec<_> = runs.iter().map(|r| r.iter().map(pair_refs)).collect();
+        let sources: Vec<_> = runs.iter().map(|r| r.iter().map(with_prefix)).collect();
         let got: Vec<_> = MergeRef::new(sources)
             .map(|(key, cell)| (key.clone(), cell.clone()))
             .collect();

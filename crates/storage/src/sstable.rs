@@ -345,6 +345,12 @@ impl SsTable {
         &self.core.entries
     }
 
+    /// The [`key_prefix`] of every entry key, parallel to
+    /// [`SsTable::entries`].
+    pub fn prefixes(&self) -> &[KeyPrefix] {
+        &self.core.entry_prefixes
+    }
+
     /// The block containing entry index `idx`.
     pub fn block_of_entry(&self, idx: usize) -> usize {
         debug_assert!(idx < self.core.entries.len());

@@ -248,12 +248,13 @@ fn arb_tie_cell() -> impl Strategy<Value = Cell> {
 }
 
 /// Sorted/unique runs with duplicate keys across runs and a tombstone mix:
-/// the full input space of a compaction merge.
+/// the full input space of a compaction merge, over keys that tie on their
+/// 16-byte prefix.
 fn arb_sorted_runs() -> impl Strategy<Value = Vec<Vec<(Key, Cell)>>> {
     prop::collection::vec(
         prop::collection::vec(
             (
-                0u64..60,
+                arb_prefix_key(),
                 0u64..1_000,
                 prop::bool::ANY,
                 prop::collection::vec(any::<u8>(), 0..12),
@@ -266,16 +267,16 @@ fn arb_sorted_runs() -> impl Strategy<Value = Vec<Vec<(Key, Cell)>>> {
         runs.into_iter()
             .map(|mut run| {
                 // Sorted + unique per key, as the merge contract requires.
-                run.sort_by_key(|(id, ..)| *id);
-                run.dedup_by_key(|(id, ..)| *id);
+                run.sort_by(|a, b| a.0.cmp(&b.0));
+                run.dedup_by(|a, b| a.0 == b.0);
                 run.into_iter()
-                    .map(|(id, ts, dead, value)| {
+                    .map(|(key, ts, dead, value)| {
                         let cell = if dead {
                             Cell::tombstone(ts)
                         } else {
                             Cell::live(Bytes::from(value), ts)
                         };
-                        (key(id), cell)
+                        (Bytes::from(key), cell)
                     })
                     .collect::<Vec<_>>()
             })
@@ -283,11 +284,11 @@ fn arb_sorted_runs() -> impl Strategy<Value = Vec<Vec<(Key, Cell)>>> {
     })
 }
 
-fn arb_entries(max_keys: u64) -> impl Strategy<Value = Vec<(u64, Vec<u8>, u64)>> {
-    // (key id, value, timestamp)
+fn arb_entries() -> impl Strategy<Value = Vec<(Vec<u8>, Vec<u8>, u64)>> {
+    // (key, value, timestamp)
     prop::collection::vec(
         (
-            0..max_keys,
+            arb_prefix_key(),
             prop::collection::vec(any::<u8>(), 0..24),
             0u64..1_000,
         ),
@@ -324,7 +325,7 @@ proptest! {
         let present: Vec<Vec<u8>> = model.keys().map(|k| k.to_vec()).collect();
         for probe in probes.iter().chain(&present) {
             prop_assert_eq!(mem.get(probe), model.get(probe.as_slice()), "get {:?}", probe);
-            let got: Vec<_> = mem.range_from(probe).collect();
+            let got: Vec<_> = mem.range_from(probe).map(|(k, c)| (k, c)).collect();
             let want: Vec<_> = model
                 .range::<[u8], _>((Bound::Included(probe.as_slice()), Bound::Unbounded))
                 .collect();
@@ -356,19 +357,20 @@ proptest! {
         );
     }
 
-    /// A k-way merge equals a BTreeMap oracle built from the same sources.
+    /// A k-way merge equals a BTreeMap oracle built from the same sources,
+    /// over keys that tie on their 16-byte prefix.
     #[test]
     fn merge_matches_oracle(
-        sources in prop::collection::vec(arb_entries(40), 0..5)
+        sources in prop::collection::vec(arb_entries(), 0..5)
     ) {
         // Make each source sorted/unique (as the merge contract requires).
         let mut oracle: BTreeMap<Key, Cell> = Default::default();
         let mut merged_sources = Vec::new();
         for src in sources {
             let mut per: BTreeMap<Key, Cell> = Default::default();
-            for (id, value, ts) in src {
+            for (key, value, ts) in src {
                 let cell = Cell::live(Bytes::from(value), ts);
-                per.entry(key(id))
+                per.entry(Bytes::from(key))
                     .and_modify(|c| *c = Cell::reconcile(c.clone(), cell.clone()))
                     .or_insert(cell);
             }
@@ -472,17 +474,24 @@ proptest! {
     /// Range scans over multi-run trees with memtable overlap and tombstones
     /// return the rows of a `BTreeMap` model, and charge exactly the I/O —
     /// op for op, and the same block-cache hits, misses and evictions — of
-    /// the whole-run-search accounting they replaced.
+    /// the whole-run-search accounting they replaced, over keys (and start
+    /// keys) that tie on their 16-byte prefix. `scan_count` from the same
+    /// state charges the same I/O, leaves the same cache counters, and
+    /// counts the rows below its end key.
     #[test]
     fn scan_rows_and_io_match_model(
         writes in prop::collection::vec(
-            // (key id, timestamp, tombstone in 40%, flush after in 4%)
-            (0u64..120, 0u64..1_000, (0u32..100).prop_map(|p| p < 40), (0u32..100).prop_map(|p| p < 4)),
+            // (key, timestamp, tombstone in 40%, flush after in 4%)
+            (arb_prefix_key(), 0u64..1_000, (0u32..100).prop_map(|p| p < 40), (0u32..100).prop_map(|p| p < 4)),
             1..400,
         ),
         scans in prop::collection::vec(
             // limit: 0, 1, a short page, or more than the tree holds
-            (0u64..130, (0usize..4, 2usize..30).prop_map(|(pick, n)| [0, 1, n, 10_000][pick])),
+            (
+                arb_prefix_key(),
+                (0usize..4, 2usize..30).prop_map(|(pick, n)| [0, 1, n, 10_000][pick]),
+                (prop::bool::ANY, arb_prefix_key()).prop_map(|(some, end)| some.then_some(end)),
+            ),
             1..12,
         ),
     ) {
@@ -494,21 +503,29 @@ proptest! {
         };
         let mut tree = LsmTree::new(config);
         let mut model = ScanModel::new(&config);
-        for (id, ts, dead, flush) in writes {
+        for (k, ts, dead, flush) in writes {
             let cell = if dead { Cell::tombstone(ts) } else { Cell::live(key(ts), ts) };
-            tree.put(key(id), cell.clone());
-            model.put(key(id), cell);
+            tree.put(Bytes::from(k.clone()), cell.clone());
+            model.put(Bytes::from(k), cell);
             if flush {
                 tree.flush();
                 model.flush();
             }
         }
         prop_assert_eq!(tree.table_count(), model.runs.len());
-        for (start, limit) in scans {
-            let got = tree.scan(&key(start), limit);
-            let (rows, io) = model.scan(&key(start), limit);
-            prop_assert_eq!(got.rows, rows, "rows from {} limit {}", start, limit);
-            prop_assert_eq!(got.io, io, "io from {} limit {}", start, limit);
+        for (start, limit, end) in scans {
+            let mut twin = tree.clone();
+            let got = tree.scan(&start, limit);
+            let (rows, io) = model.scan(&start, limit);
+            let below = rows
+                .iter()
+                .filter(|(k, _)| end.as_ref().is_none_or(|end| k.as_ref() < end.as_slice()))
+                .count();
+            prop_assert_eq!(got.rows, rows, "rows from {:?} limit {}", start, limit);
+            prop_assert_eq!(&got.io, &io, "io from {:?} limit {}", start, limit);
+            let counted = twin.scan_count(&start, limit, end.as_deref());
+            prop_assert_eq!(counted, (below, io), "count from {:?} limit {} end {:?}", start, limit, end);
+            prop_assert_eq!(twin.cache_stats(), tree.cache_stats());
         }
         prop_assert_eq!(tree.cache_stats(), model.cache.stats());
     }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Symbolize a `sampler.c` profile and split it by handler and by layer.
 
-usage: symbolize.py BINARY PROFILE [--focus REGEX] [--top N]
+usage: symbolize.py BINARY PROFILE [--focus REGEX] [--callers REGEX] [--top N]
 
 Every sampled address of BINARY goes through one batched, inline-aware
 `addr2line -i` call, so a sample's stack lists inlined functions as frames
@@ -10,7 +10,9 @@ belongs to this repository (std, core, alloc and libc frames count for
 their caller); its *handler* is its innermost event handler
 (`on_*`, `start_*`, `submit*`, `send_*` of a store cluster or the node
 runtime). With --focus, only samples with a frame matching REGEX count,
-and shares are of those samples.
+and shares are of those samples. With --callers, the samples with a frame
+matching REGEX are also split by the nearest repository frame above (outside)
+its innermost match: which code calls, say, `Arc::clone`.
 """
 import argparse
 import collections
@@ -101,6 +103,8 @@ def main():
     ap.add_argument("binary")
     ap.add_argument("profile")
     ap.add_argument("--focus", help="keep samples with a frame matching this regex")
+    ap.add_argument("--callers", help="split samples with a frame matching this regex by "
+                    "the nearest repository frame above it")
     ap.add_argument("--top", type=int, default=25)
     args = ap.parse_args()
 
@@ -130,16 +134,31 @@ def main():
         for f in set(s):
             inclusive[f] += 1
 
-    def table(title, counter, limit=None):
+    def table(title, counter, limit=None, of=total):
         print(f"\n{title}")
         for name, n in counter.most_common(limit):
-            print(f"  {100 * n / total:6.2f}%  {n:7d}  {name}")
+            print(f"  {100 * n / of:6.2f}%  {n:7d}  {name}")
 
     print(f"{total} samples" + (f" matching {args.focus!r}" if args.focus else ""))
     table("by layer (self, std/libc charged to the calling crate)", layer)
     table("by handler (inclusive)", handler)
     table(f"top {args.top} functions (self, innermost inlined frame)", leaf, args.top)
     table(f"top {args.top} functions (inclusive)", inclusive, args.top)
+
+    if args.callers:
+        callee = re.compile(args.callers)
+        callers = collections.Counter()
+        for s in stacks:
+            hit = next((i for i, f in enumerate(s) if callee.search(f)), None)
+            if hit is not None:
+                callers[next((f for f in s[hit + 1:] if crate_of(f) in REPO_CRATES),
+                             "(no repository caller)")] += 1
+        matched = sum(callers.values())
+        if matched:
+            table(f"callers of {args.callers!r}: {matched} samples, {100 * matched / total:.2f}% "
+                  "of all; shares of those", callers, args.top, matched)
+        else:
+            print(f"\nno sample has a frame matching {args.callers!r}")
 
 
 if __name__ == "__main__":
