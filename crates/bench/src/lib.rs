@@ -11,5 +11,5 @@
 //! * `calibrate` — read-path decomposition probe for retuning the hardware
 //!   and cost model; not a paper artifact.
 //!
-//! Criterion microbenches for the hot components live in `benches/`; the
-//! repo's regression benchmark is the standalone `benchmark/` package.
+//! The repo's benchmark, which times every layer from the event queue up,
+//! is the standalone `benchmark/` package.

@@ -134,12 +134,12 @@ impl Experiment for AblationConfig {
         }))
     }
 
-    fn driver(&self, variant: &Variant, seed: u64) -> DriverConfig {
+    fn driver(&self, variant: &Variant) -> DriverConfig {
         let workload = match variant {
             Variant::ReadRepair(_) => WorkloadSpec::read_mostly(),
             _ => WorkloadSpec::read_update(),
         };
-        self.run.driver(workload, seed, self.threads, 0.0)
+        self.run.driver(workload, self.threads, 0.0)
     }
 
     fn cell(&self, variant: &Variant, out: RunOutcome, store: &Store) -> AblationRow {
@@ -167,69 +167,56 @@ impl Experiment for AblationConfig {
         }
     }
 
-    fn render(grid: &Grid<Self>) -> String {
-        grid.tables()
-            .iter()
-            .map(|(_, t)| t.render() + "\n")
-            .collect()
-    }
-
-    /// Written without a stdout announcement.
-    fn files(grid: &Grid<Self>) -> Vec<Part> {
-        grid.tables()
-            .iter()
-            .map(|(name, t)| Part::File {
-                name,
-                body: t.to_csv(),
-                announce: None,
-            })
-            .collect()
-    }
-}
-
-impl Grid<AblationConfig> {
-    /// The three ablation tables with their CSV file names.
-    pub fn tables(&self) -> [(&'static str, Table); 3] {
-        let headers = ["variant", "throughput", "mean latency", "stale%", "errors"];
-        let mut read_repair = Table::new(
-            &format!(
-                "Ablation — read repair chance (cstore, RF={READ_REPAIR_RF}, CL=ONE, read mostly)"
+    /// The three ablation tables, then the same three as CSVs written
+    /// without a stdout announcement.
+    fn report(grid: &Grid<Self>) -> Vec<Part> {
+        let table = |title: String, first: &str, pick: fn(&Variant) -> bool| {
+            Table::of(title, grid.rows().filter(move |(v, _)| pick(v)))
+                .col(first, |(_, r)| r.variant.clone())
+                .col("throughput", |(_, r)| fmt_ops(r.throughput))
+                .col("mean latency", |(_, r)| fmt_us(r.mean_us))
+        };
+        let [read_repair, commitlog] = [
+            table(
+                format!(
+                    "Ablation — read repair chance (cstore, RF={READ_REPAIR_RF}, CL=ONE, read mostly)"
+                ),
+                "variant",
+                |v| matches!(v, Variant::ReadRepair(_)),
             ),
-            &headers,
-        );
-        let mut commitlog = Table::new(
-            "Ablation — commit-log durability (cstore, RF=3, read & update)",
-            &headers,
-        );
-        let mut partitioner = Table::new(
-            "Ablation — partitioner (cstore, RF=3, read & update)",
-            &[
-                "partitioner",
-                "throughput",
-                "mean latency",
-                "primary-load skew (max/min)",
-            ],
-        );
-        for (variant, r) in self.rows() {
-            let mut row = vec![r.variant.clone(), fmt_ops(r.throughput), fmt_us(r.mean_us)];
-            let table = match variant {
-                Variant::ReadRepair(_) => &mut read_repair,
-                Variant::Commitlog(_) => &mut commitlog,
-                Variant::Partitioner { .. } => {
-                    row.push(format!("{:.2}", r.primary_skew));
-                    partitioner.row(row);
-                    continue;
-                }
-            };
-            row.push(format!("{:.3}%", r.stale_fraction * 100.0));
-            row.push(r.errors.to_string());
-            table.row(row);
-        }
-        [
+            table(
+                "Ablation — commit-log durability (cstore, RF=3, read & update)".into(),
+                "variant",
+                |v| matches!(v, Variant::Commitlog(_)),
+            ),
+        ]
+        .map(|t| {
+            t.col("stale%", |(_, r)| format!("{:.3}%", r.stale_fraction * 100.0))
+                .col("errors", |(_, r)| r.errors.to_string())
+                .table()
+        });
+        let partitioner = table(
+            "Ablation — partitioner (cstore, RF=3, read & update)".into(),
+            "partitioner",
+            |v| matches!(v, Variant::Partitioner { .. }),
+        )
+        .col("primary-load skew (max/min)", |(_, r)| {
+            format!("{:.2}", r.primary_skew)
+        })
+        .table();
+        let tables = [
             ("ablation_read_repair.csv", read_repair),
             ("ablation_commitlog.csv", commitlog),
             ("ablation_partitioner.csv", partitioner),
-        ]
+        ];
+        let text = tables.iter().map(|(_, t)| t.render() + "\n").collect();
+        let mut parts = vec![Part::Text(text)];
+        parts.extend(tables.into_iter().map(|(name, t)| Part::File {
+            name,
+            body: t.to_csv(),
+            announce: None,
+        }));
+        parts
     }
 }
 

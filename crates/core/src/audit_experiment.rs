@@ -24,7 +24,9 @@
 use audit::{check_key, check_sessions, key_ops, staleness, PhaseWindow, SessionCounts, Verdict};
 
 use crate::driver::{DriverConfig, RunOutcome};
-use crate::experiment::{rf_level_grid, Experiment, Grid, Part, Point, RunShape, Store};
+use crate::experiment::{
+    point_cols, rf_level_grid, Experiment, Grid, Part, Point, RunShape, Store,
+};
 use crate::failure::CrashPlan;
 use crate::report::Table;
 
@@ -190,10 +192,10 @@ impl Experiment for AuditExperimentConfig {
     /// The paper's fair-weather client, like Fig. 4 — what the client
     /// *sees* without resilience machinery in the way — with every
     /// operation recorded.
-    fn driver(&self, _: &Point, seed: u64) -> DriverConfig {
+    fn driver(&self, _: &Point) -> DriverConfig {
         DriverConfig {
             audit: audit::AuditConfig::all(),
-            ..self.plan.driver(seed)
+            ..self.plan.driver()
         }
     }
 
@@ -230,116 +232,80 @@ impl Experiment for AuditExperimentConfig {
 
     /// The summary table: one row per cell with the crash- and
     /// recovery-phase session-violation rates and the linearizability
-    /// verdict.
-    fn render(grid: &Grid<Self>) -> String {
-        let mut t = Table::new(
-            &grid.exp.plan.title("Fig. 8 — consistency audit"),
-            &[
-                "store",
-                "rf",
-                "cl",
-                "stale%",
-                "ryw viol (h/c/r)",
-                "mr viol (h/c/r)",
-                "margin p99 (r)",
-                "linearizable",
-            ],
-        );
-        for (&(store, rf, level), c) in grid.rows() {
-            let reads: u64 = c.phases.iter().map(|p| p.counts.reads).sum();
-            let stale: u64 = c.phases.iter().map(|p| p.counts.stale).sum();
-            let tri = |f: &dyn Fn(&PhaseAudit) -> u64| {
-                c.phases
-                    .iter()
-                    .map(|p| f(p).to_string())
-                    .collect::<Vec<_>>()
-                    .join("/")
-            };
-            t.row(vec![
-                store.short().into(),
-                rf.to_string(),
-                level.name.into(),
+    /// verdict — then one CSV row per (cell, phase).
+    fn report(grid: &Grid<Self>) -> Vec<Part> {
+        let per_phase = |c: &AuditCell, f: fn(&PhaseAudit) -> u64| {
+            let counts: Vec<String> = c.phases.iter().map(|p| f(p).to_string()).collect();
+            counts.join("/")
+        };
+        let title = grid.exp.plan.title("Fig. 8 — consistency audit");
+        let summary = point_cols(Table::of(title, grid.rows()), |&(p, _)| *p)
+            .col("stale%", |(_, c)| {
+                let reads: u64 = c.phases.iter().map(|p| p.counts.reads).sum();
+                let stale: u64 = c.phases.iter().map(|p| p.counts.stale).sum();
                 if reads == 0 {
                     "-".into()
                 } else {
                     format!("{:.2}%", stale as f64 / reads as f64 * 100.0)
-                },
-                tri(&|p| p.counts.ryw_violations),
-                tri(&|p| p.counts.mr_violations),
+                }
+            })
+            .col("ryw viol (h/c/r)", |(_, c)| {
+                per_phase(c, |p| p.counts.ryw_violations)
+            })
+            .col("mr viol (h/c/r)", |(_, c)| {
+                per_phase(c, |p| p.counts.mr_violations)
+            })
+            .col("margin p99 (r)", |(_, c)| {
                 c.phases
                     .last()
-                    .map_or("-".into(), |p| format!("{}µs", p.margin_p99_us)),
-                c.linearizable.label().into(),
-            ]);
+                    .map_or("-".into(), |p| format!("{}µs", p.margin_p99_us))
+            })
+            .col("linearizable", |(_, c)| c.linearizable.label().into())
+            .table();
+        let phases = grid
+            .rows()
+            .flat_map(|(s, c)| c.phases.iter().map(move |p| (*s, c, p)));
+        let mut csv = point_cols(Table::of("fig8_audit", phases), |r| r.0)
+            .col("phase", |(.., p)| p.phase.into())
+            .col("reads", |(.., p)| p.counts.reads.to_string())
+            .col("writes", |(.., p)| p.counts.writes.to_string())
+            .col("stale", |(.., p)| p.counts.stale.to_string())
+            .col("missing", |(.., p)| p.counts.missing.to_string())
+            .col("stale_rate", |(.., p)| {
+                format!("{:.5}", p.counts.stale_rate())
+            })
+            .col("ryw_checked", |(.., p)| p.counts.ryw_checked.to_string())
+            .col("ryw_violations", |(.., p)| {
+                p.counts.ryw_violations.to_string()
+            })
+            .col("ryw_rate", |(.., p)| format!("{:.5}", p.counts.ryw_rate()))
+            .col("mr_checked", |(.., p)| p.counts.mr_checked.to_string())
+            .col("mr_violations", |(.., p)| {
+                p.counts.mr_violations.to_string()
+            })
+            .col("mr_rate", |(.., p)| format!("{:.5}", p.counts.mr_rate()))
+            .col("mw_violations", |(.., p)| {
+                p.counts.mw_violations.to_string()
+            })
+            .col("wfr_violations", |(.., p)| {
+                p.counts.wfr_violations.to_string()
+            })
+            .col("margin_p50_us", |(.., p)| p.margin_p50_us.to_string())
+            .col("margin_p95_us", |(.., p)| p.margin_p95_us.to_string())
+            .col("margin_p99_us", |(.., p)| p.margin_p99_us.to_string())
+            .col("margin_max_us", |(.., p)| p.margin_max_us.to_string());
+        for (i, d) in grid.exp.deltas_us.iter().enumerate() {
+            csv = csv.col(format!("p_le_{d}us"), move |(.., p)| {
+                format!("{:.5}", p.curve[i].1)
+            });
         }
-        t.render() + "\n"
-    }
-
-    /// One CSV row per (cell, phase).
-    fn files(grid: &Grid<Self>) -> Vec<Part> {
-        let mut headers = vec![
-            "store",
-            "rf",
-            "cl",
-            "phase",
-            "reads",
-            "writes",
-            "stale",
-            "missing",
-            "stale_rate",
-            "ryw_checked",
-            "ryw_violations",
-            "ryw_rate",
-            "mr_checked",
-            "mr_violations",
-            "mr_rate",
-            "mw_violations",
-            "wfr_violations",
-            "margin_p50_us",
-            "margin_p95_us",
-            "margin_p99_us",
-            "margin_max_us",
-        ];
-        let deltas: Vec<String> = grid
-            .exp
-            .deltas_us
-            .iter()
-            .map(|d| format!("p_le_{d}us"))
-            .collect();
-        headers.extend(deltas.iter().map(String::as_str));
-        headers.push("linearizable");
-        let mut t = Table::new("fig8_audit", &headers);
-        for (&(store, rf, level), c) in grid.rows() {
-            for p in &c.phases {
-                let mut row = vec![
-                    store.short().to_owned(),
-                    rf.to_string(),
-                    level.name.into(),
-                    p.phase.into(),
-                    p.counts.reads.to_string(),
-                    p.counts.writes.to_string(),
-                    p.counts.stale.to_string(),
-                    p.counts.missing.to_string(),
-                    format!("{:.5}", p.counts.stale_rate()),
-                    p.counts.ryw_checked.to_string(),
-                    p.counts.ryw_violations.to_string(),
-                    format!("{:.5}", p.counts.ryw_rate()),
-                    p.counts.mr_checked.to_string(),
-                    p.counts.mr_violations.to_string(),
-                    format!("{:.5}", p.counts.mr_rate()),
-                    p.counts.mw_violations.to_string(),
-                    p.counts.wfr_violations.to_string(),
-                    p.margin_p50_us.to_string(),
-                    p.margin_p95_us.to_string(),
-                    p.margin_p99_us.to_string(),
-                    p.margin_max_us.to_string(),
-                ];
-                row.extend(p.curve.iter().map(|&(_, pr)| format!("{pr:.5}")));
-                row.push(c.linearizable.label().into());
-                t.row(row);
-            }
-        }
-        vec![Part::csv("fig8_audit.csv", &t)]
+        let csv = csv
+            .col("linearizable", |(_, c, _)| c.linearizable.label().into())
+            .table();
+        vec![
+            Part::Text(summary.render() + "\n"),
+            Part::csv("fig8_audit.csv", &csv),
+        ]
     }
 }
 

@@ -161,11 +161,11 @@ impl Experiment for AvailabilityConfig {
         self.plan.build(&(store, self.rf, level))
     }
 
-    fn driver(&self, &(_, _, policy): &Self::Spec, seed: u64) -> DriverConfig {
+    fn driver(&self, &(_, _, policy): &Self::Spec) -> DriverConfig {
         DriverConfig {
             retry: self.policy(policy),
             timeline_window_us: self.window_us,
-            ..self.plan.driver(seed)
+            ..self.plan.driver()
         }
     }
 
@@ -201,78 +201,45 @@ impl Experiment for AvailabilityConfig {
     /// The phase-summary table — one row per (store, CL, policy) with
     /// pre-fault throughput, fault-phase goodput split into first-try
     /// and total, the error count, the attempts-per-op cost, the worst
-    /// fault-window p99, and post-recovery throughput.
-    fn render(grid: &Grid<Self>) -> String {
-        let mut t = Table::new(
-            &grid.exp.plan.title("Fig. 5 — availability under failure"),
-            &[
-                "store",
-                "cl",
-                "policy",
-                "pre tput",
-                "fault goodput",
-                "first-try",
-                "fault errors",
-                "att/op",
-                "fault p99",
-                "post tput",
-            ],
-        );
-        for (&(store, level, policy), c) in grid.rows() {
-            t.row(vec![
-                store.short().into(),
-                level.name.into(),
-                policy.into(),
-                fmt_ops(c.pre_tput),
-                fmt_ops(c.fault_goodput),
-                fmt_ops(c.fault_first_try),
-                c.fault_errors.to_string(),
-                format!("{:.2}", c.fault_attempts_per_op),
-                format!("{}us", c.fault_p99_us),
-                fmt_ops(c.post_tput),
-            ]);
-        }
-        t.render() + "\n"
-    }
-
-    /// One CSV row per timeline window per cell.
-    fn files(grid: &Grid<Self>) -> Vec<Part> {
-        let mut t = Table::new(
-            "fig5_availability",
-            &[
-                "store",
-                "cl",
-                "policy",
-                "window_start_us",
-                "ops",
-                "first_try_ops",
-                "retried_ops",
-                "ops_per_sec",
-                "errors",
-                "attempts",
-                "attempts_per_op",
-                "p99_us",
-            ],
-        );
-        for (&(store, level, policy), c) in grid.rows() {
-            for w in &c.windows {
-                t.row(vec![
-                    store.short().into(),
-                    level.name.into(),
-                    policy.into(),
-                    w.start_us.to_string(),
-                    w.ops.to_string(),
-                    w.first_try_ops().to_string(),
-                    w.retried_ops.to_string(),
-                    format!("{:.1}", w.ops_per_sec),
-                    w.errors.to_string(),
-                    w.attempts.to_string(),
-                    format!("{:.2}", w.attempts_per_op()),
-                    w.p99_us.to_string(),
-                ]);
-            }
-        }
-        vec![Part::csv("fig5_availability.csv", &t)]
+    /// fault-window p99, and post-recovery throughput — then one CSV row
+    /// per timeline window per cell.
+    fn report(grid: &Grid<Self>) -> Vec<Part> {
+        let title = grid.exp.plan.title("Fig. 5 — availability under failure");
+        let summary = Table::of(title, grid.rows())
+            .col("store", |(s, _)| s.0.short().into())
+            .col("cl", |(s, _)| s.1.name.into())
+            .col("policy", |(s, _)| s.2.into())
+            .col("pre tput", |(_, c)| fmt_ops(c.pre_tput))
+            .col("fault goodput", |(_, c)| fmt_ops(c.fault_goodput))
+            .col("first-try", |(_, c)| fmt_ops(c.fault_first_try))
+            .col("fault errors", |(_, c)| c.fault_errors.to_string())
+            .col("att/op", |(_, c)| format!("{:.2}", c.fault_attempts_per_op))
+            .col("fault p99", |(_, c)| format!("{}us", c.fault_p99_us))
+            .col("post tput", |(_, c)| fmt_ops(c.post_tput))
+            .table();
+        let windows = grid
+            .rows()
+            .flat_map(|(s, c)| c.windows.iter().map(move |w| (s, w)));
+        let csv = Table::of("fig5_availability", windows)
+            .col("store", |(s, _)| s.0.short().into())
+            .col("cl", |(s, _)| s.1.name.into())
+            .col("policy", |(s, _)| s.2.into())
+            .col("window_start_us", |(_, w)| w.start_us.to_string())
+            .col("ops", |(_, w)| w.ops.to_string())
+            .col("first_try_ops", |(_, w)| w.first_try_ops().to_string())
+            .col("retried_ops", |(_, w)| w.retried_ops.to_string())
+            .col("ops_per_sec", |(_, w)| format!("{:.1}", w.ops_per_sec))
+            .col("errors", |(_, w)| w.errors.to_string())
+            .col("attempts", |(_, w)| w.attempts.to_string())
+            .col("attempts_per_op", |(_, w)| {
+                format!("{:.2}", w.attempts_per_op())
+            })
+            .col("p99_us", |(_, w)| w.p99_us.to_string())
+            .table();
+        vec![
+            Part::Text(summary.render() + "\n"),
+            Part::csv("fig5_availability.csv", &csv),
+        ]
     }
 }
 

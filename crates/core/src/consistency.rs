@@ -122,9 +122,9 @@ impl Experiment for ConsistencyConfig {
         Store::paper(&self.run.scale, &(StoreKind::CStore, self.rf, level))
     }
 
-    fn driver(&self, &(_, w, target): &Self::Spec, seed: u64) -> DriverConfig {
+    fn driver(&self, &(_, w, target): &Self::Spec) -> DriverConfig {
         self.run
-            .driver(self.workloads[w].clone(), seed, self.threads, target)
+            .driver(self.workloads[w].clone(), self.threads, target)
     }
 
     fn cell(&self, &(_, w, _): &Self::Spec, run: RunOutcome, _: &Store) -> ConsistencyCell {
@@ -150,8 +150,8 @@ impl Experiment for ConsistencyConfig {
 
     /// One table per workload — target rows × level columns (runtime
     /// throughput), the shape of each Fig. 3 sub-plot — then the peak per
-    /// level.
-    fn render(grid: &Grid<Self>) -> String {
+    /// level, then the CSV.
+    fn report(grid: &Grid<Self>) -> Vec<Part> {
         let cfg = &grid.exp;
         let mut by_name: Vec<usize> = (0..cfg.workloads.len()).collect();
         by_name.sort_by_key(|&w| &cfg.workloads[w].name);
@@ -160,28 +160,24 @@ impl Experiment for ConsistencyConfig {
         targets.dedup();
         let mut out = String::new();
         for w in by_name {
-            let mut headers: Vec<String> = vec!["target".into()];
-            headers.extend(cfg.levels.iter().map(|l| format!("{} runtime", l.name)));
-            let mut t = Table::new(
-                &format!(
-                    "Fig. 3 — consistency stress: {} (Cassandra analog, RF=3)",
-                    cfg.workloads[w].name
-                ),
-                &headers.iter().map(String::as_str).collect::<Vec<_>>(),
+            let title = format!(
+                "Fig. 3 — consistency stress: {} (Cassandra analog, RF=3)",
+                cfg.workloads[w].name
             );
-            for &target in &targets {
-                let mut row = vec![if target == 0.0 {
+            let mut t = Table::of(title, &targets).col("target", |&&target| {
+                if target == 0.0 {
                     "unthrottled".to_owned()
                 } else {
                     fmt_ops(target)
-                }];
-                row.extend(cfg.levels.iter().map(|&level| {
+                }
+            });
+            for &level in &cfg.levels {
+                t = t.col(format!("{} runtime", level.name), move |&&target| {
                     grid.cell(&(level, w, target))
                         .map_or("-".to_owned(), |c| fmt_ops(c.runtime))
-                }));
-                t.row(row);
+                });
             }
-            out.push_str(&t.render());
+            out.push_str(&t.table().render());
             out.push('\n');
         }
         out.push('\n');
@@ -198,36 +194,21 @@ impl Experiment for ConsistencyConfig {
             out.push_str(&bar_chart(&title, "ops/s", &peaks));
             out.push('\n');
         }
-        out
-    }
-
-    fn files(grid: &Grid<Self>) -> Vec<Part> {
-        let mut t = Table::new(
-            "fig3_stress_consistency",
-            &[
-                "level",
-                "workload",
-                "target",
-                "runtime",
-                "mean_us",
-                "stale_fraction",
-                "missing_fraction",
-                "repair_writes",
-            ],
-        );
-        for (&(level, _, target), c) in grid.rows() {
-            t.row(vec![
-                level.name.into(),
-                c.workload.clone(),
-                format!("{target:.0}"),
-                format!("{:.1}", c.runtime),
-                format!("{:.1}", c.mean_us),
-                format!("{:.5}", c.stale_fraction),
-                format!("{:.5}", c.missing_fraction),
-                c.repair_writes.to_string(),
-            ]);
-        }
-        vec![Part::csv("fig3_consistency.csv", &t)]
+        let csv = Table::of("fig3_stress_consistency", grid.rows())
+            .col("level", |(s, _)| s.0.name.into())
+            .col("workload", |(_, c)| c.workload.clone())
+            .col("target", |(s, _)| format!("{:.0}", s.2))
+            .col("runtime", |(_, c)| format!("{:.1}", c.runtime))
+            .col("mean_us", |(_, c)| format!("{:.1}", c.mean_us))
+            .col("stale_fraction", |(_, c)| {
+                format!("{:.5}", c.stale_fraction)
+            })
+            .col("missing_fraction", |(_, c)| {
+                format!("{:.5}", c.missing_fraction)
+            })
+            .col("repair_writes", |(_, c)| c.repair_writes.to_string())
+            .table();
+        vec![Part::Text(out), Part::csv("fig3_consistency.csv", &csv)]
     }
 }
 

@@ -20,7 +20,9 @@ use storage::OpKind;
 use ycsb::WorkloadSpec;
 
 use crate::driver::{DriverConfig, RunOutcome};
-use crate::experiment::{rf_level_grid, Experiment, Grid, Level, Part, Point, RunShape, Store};
+use crate::experiment::{
+    point_cols, rf_level_grid, Experiment, Grid, Level, Part, Point, RunShape, Store,
+};
 use crate::report::{fmt_us, Table};
 use crate::setup::{Scale, StoreKind};
 
@@ -126,12 +128,10 @@ impl Experiment for DecompositionConfig {
         Store::paper(&self.run.scale, base)
     }
 
-    fn driver(&self, _: &Point, seed: u64) -> DriverConfig {
+    fn driver(&self, _: &Point) -> DriverConfig {
         DriverConfig {
             trace: TraceConfig::every(self.sample_every),
-            ..self
-                .run
-                .driver(self.workload.clone(), seed, self.threads, 0.0)
+            ..self.run.driver(self.workload.clone(), self.threads, 0.0)
         }
     }
 
@@ -160,87 +160,63 @@ impl Experiment for DecompositionConfig {
     }
 
     /// The summary table — one row per (store, RF, CL, op kind) with the
-    /// mean latency and the two dominant critical-path stages.
-    fn render(grid: &Grid<Self>) -> String {
+    /// mean latency and the two dominant critical-path stages — then the
+    /// per-(store, RF, CL, op kind, stage) CSV, plus a handful of full span
+    /// trees from the most interesting cell — quorum writes at the paper's
+    /// standard RF=3 — for trace tooling.
+    fn report(grid: &Grid<Self>) -> Vec<Part> {
         let traced: u64 = grid.cells.iter().map(|c| c.ops_traced).sum();
-        let mut t = Table::new(
-            &format!(
-                "Fig. 6 — latency decomposition ({})",
-                grid.exp.workload.name
-            ),
-            &[
-                "store",
-                "rf",
-                "cl",
-                "op",
-                "ops",
-                "mean",
-                "top stage",
-                "share",
-                "2nd stage",
-                "share",
-            ],
+        let kinds = grid.rows().flat_map(|(p, c)| {
+            c.agg
+                .kinds()
+                .into_iter()
+                .filter(|&kind| c.agg.ops(kind) > 0)
+                .map(move |kind| (*p, c, kind, c.stages_by_share(kind)))
+        });
+        let title = format!(
+            "Fig. 6 — latency decomposition ({})",
+            grid.exp.workload.name
         );
-        for (&(store, rf, level), c) in grid.rows() {
-            for kind in c.agg.kinds() {
-                let ops = c.agg.ops(kind);
-                if ops == 0 {
-                    continue;
-                }
-                let stages = c.stages_by_share(kind);
-                let mut row = vec![
-                    store.short().into(),
-                    rf.to_string(),
-                    level.name.into(),
-                    kind.label().into(),
-                    ops.to_string(),
-                    fmt_us(c.agg.total_us(kind) as f64 / ops as f64),
-                ];
-                for i in 0..2 {
-                    match stages.get(i) {
-                        Some((s, share)) => {
-                            row.push(s.label().into());
-                            row.push(format!("{:.0}%", share * 100.0));
-                        }
-                        None => row.extend(["-".to_owned(), "-".to_owned()]),
-                    }
-                }
-                t.row(row);
-            }
+        let mut summary = point_cols(Table::of(title, kinds), |r| r.0)
+            .col("op", |&(_, _, kind, _)| kind.label().into())
+            .col("ops", |&(_, c, kind, _)| c.agg.ops(kind).to_string())
+            .col("mean", |&(_, c, kind, _)| {
+                fmt_us(c.agg.total_us(kind) as f64 / c.agg.ops(kind) as f64)
+            });
+        for (i, stage) in ["top stage", "2nd stage"].into_iter().enumerate() {
+            summary = summary
+                .col(stage, move |(.., stages)| {
+                    stages.get(i).map_or("-".into(), |(s, _)| s.label().into())
+                })
+                .col("share", move |(.., stages)| {
+                    stages
+                        .get(i)
+                        .map_or("-".into(), |(_, share)| format!("{:.0}%", share * 100.0))
+                });
         }
-        format!(
+        let text = format!(
             "critical paths exact: yes ({} cells, {traced} traced ops)\n{}\n",
             grid.cells.len(),
-            t.render()
-        )
-    }
-
-    /// The per-(store, RF, CL, op kind, stage) CSV, plus a handful of full
-    /// span trees from the most interesting cell — quorum writes at the
-    /// paper's standard RF=3 — for trace tooling.
-    fn files(grid: &Grid<Self>) -> Vec<Part> {
-        let mut t = Table::new(
-            "fig6_decomposition",
-            &[
-                "store", "rf", "cl", "op", "stage", "ops", "total_us", "mean_us", "share",
-            ],
+            summary.table().render()
         );
-        for (&(store, rf, level), c) in grid.rows() {
-            for (kind, stage, cell) in c.agg.iter() {
-                t.row(vec![
-                    store.short().into(),
-                    rf.to_string(),
-                    level.name.into(),
-                    kind.label().into(),
-                    stage.label().into(),
-                    c.agg.ops(kind).to_string(),
-                    cell.total_us.to_string(),
-                    format!("{:.1}", c.agg.mean_us(kind, stage)),
-                    format!("{:.4}", c.agg.share(kind, stage)),
-                ]);
-            }
-        }
-        let mut parts = vec![Part::csv("fig6_decomposition.csv", &t)];
+        let stages = grid.rows().flat_map(|(p, c)| {
+            c.agg
+                .iter()
+                .map(move |(kind, stage, cell)| (*p, c, kind, stage, cell))
+        });
+        let csv = point_cols(Table::of("fig6_decomposition", stages), |r| r.0)
+            .col("op", |&(_, _, kind, ..)| kind.label().into())
+            .col("stage", |&(.., stage, _)| stage.label().into())
+            .col("ops", |&(_, c, kind, ..)| c.agg.ops(kind).to_string())
+            .col("total_us", |(.., cell)| cell.total_us.to_string())
+            .col("mean_us", |&(_, c, kind, stage, _)| {
+                format!("{:.1}", c.agg.mean_us(kind, stage))
+            })
+            .col("share", |&(_, c, kind, stage, _)| {
+                format!("{:.4}", c.agg.share(kind, stage))
+            })
+            .table();
+        let mut parts = vec![Part::Text(text), Part::csv("fig6_decomposition.csv", &csv)];
         if let Some(c) = grid.cell(&(StoreKind::CStore, 3, Level::QUORUM)) {
             let trace = obs::RunTrace {
                 ops: c.sample.clone(),

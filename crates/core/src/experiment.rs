@@ -19,7 +19,8 @@
 //!
 //! Write one module with a config struct that embeds a [`RunShape`],
 //! implement [`Experiment`] for it (grid, store, driver config, row,
-//! rendering), and add one line to [`FIGURES`].
+//! report), and add one line to [`FIGURES`]. A report's tables are column
+//! lists over the grid's rows ([`Table::of`], [`point_cols`]).
 
 use std::io::Write;
 use std::path::Path;
@@ -28,7 +29,7 @@ use cstore::Consistency;
 use ycsb::WorkloadSpec;
 
 use crate::driver::{self, DriverConfig, RunOutcome};
-use crate::report::Table;
+use crate::report::{Columns, Table};
 use crate::setup::{build_cstore, build_hstore, Scale, StoreKind};
 use crate::store::SimStore;
 use crate::sweep::{BasePool, Sweep, Telemetry};
@@ -95,6 +96,14 @@ pub fn rf_level_grid(rfs: &[u32]) -> Vec<Point> {
     grid
 }
 
+/// The `store, rf, cl` columns of a (store, RF, consistency) table, for
+/// rows whose grid point `point` reads.
+pub fn point_cols<R>(t: Columns<R>, point: impl Fn(&R) -> Point + Copy) -> Columns<R> {
+    t.col("store", move |r| point(r).0.short().into())
+        .col("rf", move |r| point(r).1.to_string())
+        .col("cl", move |r| point(r).2.name.into())
+}
+
 /// The run shape every figure shares — the fields all of them read: data
 /// scale, run length, and the root seed. Client count and pacing stay on
 /// the configs that sweep or set them.
@@ -106,30 +115,24 @@ pub struct RunShape {
     pub warmup_ops: u64,
     /// Measured completions per run.
     pub measure_ops: u64,
-    /// Root seed: the bulk load uses it, and so does every cell under the
-    /// default fixed seed policy.
+    /// Root seed: the bulk load and every cell's run use it, so cells
+    /// differ only in the knob being swept.
     pub seed: u64,
 }
 
 impl RunShape {
     /// The driver configuration of one fair-weather closed-loop run of
-    /// `workload` at this shape, with `threads` clients paced to `target`
-    /// ops/s cluster-wide (`0.0` = unthrottled); figures override fields
-    /// with `..`.
-    pub fn driver(
-        &self,
-        workload: WorkloadSpec,
-        seed: u64,
-        threads: usize,
-        target: f64,
-    ) -> DriverConfig {
+    /// `workload` at this shape and seed, with `threads` clients paced to
+    /// `target` ops/s cluster-wide (`0.0` = unthrottled); figures override
+    /// fields with `..`.
+    pub fn driver(&self, workload: WorkloadSpec, threads: usize, target: f64) -> DriverConfig {
         DriverConfig {
             threads,
             target_ops_per_sec: target,
             value_len: self.scale.value_len,
             warmup_ops: self.warmup_ops,
             measure_ops: self.measure_ops,
-            seed,
+            seed: self.seed,
             ..DriverConfig::new(workload, self.scale.records)
         }
     }
@@ -197,15 +200,13 @@ pub trait Experiment: Default + Sync + Sized {
     fn base(&self, spec: &Self::Spec) -> Self::Base;
     /// Build (not load) the store for a base key.
     fn build(&self, base: &Self::Base) -> Store;
-    /// The driver configuration of one cell; `seed` is the sweep-derived
-    /// cell seed.
-    fn driver(&self, spec: &Self::Spec, seed: u64) -> DriverConfig;
+    /// The driver configuration of one cell.
+    fn driver(&self, spec: &Self::Spec) -> DriverConfig;
     /// Reduce one run (and the store it ran on) to the cell's row.
     fn cell(&self, spec: &Self::Spec, out: RunOutcome, store: &Store) -> Self::Cell;
-    /// The stdout text: tables and charts.
-    fn render(grid: &Grid<Self>) -> String;
-    /// The files written under `RESULTS_DIR`.
-    fn files(grid: &Grid<Self>) -> Vec<Part>;
+    /// The figure's output: stdout text (tables and charts), then the
+    /// files written under `RESULTS_DIR`.
+    fn report(grid: &Grid<Self>) -> Vec<Part>;
 
     /// Run the whole grid on a machine-sized sweep.
     fn run(self) -> Grid<Self> {
@@ -225,7 +226,7 @@ pub trait Experiment: Default + Sync + Sized {
         }
         let pool: BasePool<Self::Base, Store> = BasePool::new(bases);
         let (scale, seed) = (&self.shape().scale, self.shape().seed);
-        let outcome = sweep.run(seed, &specs, |ctx, spec| {
+        let outcome = sweep.run(&specs, |spec| {
             let base = self.base(spec);
             let loaded = pool.get_or_load(&base, || {
                 let mut store = self.build(&base);
@@ -233,7 +234,7 @@ pub trait Experiment: Default + Sync + Sized {
                 store
             });
             let mut store = loaded.snapshot();
-            let out = store.run(&self.driver(spec, ctx.seed));
+            let out = store.run(&self.driver(spec));
             self.cell(spec, out, &store)
         });
         let mut telemetry = outcome.telemetry;
@@ -273,10 +274,8 @@ impl<E: Experiment> Grid<E> {
 
     /// The figure's text and files.
     pub fn report(&self) -> Report {
-        let mut parts = vec![Part::Text(E::render(self))];
-        parts.extend(E::files(self));
         Report {
-            parts,
+            parts: E::report(self),
             telemetry: Some(self.telemetry.clone()),
         }
     }
@@ -390,3 +389,54 @@ pub const FIGURES: [(&str, Figure); 11] = [
     ("fig10", figure::<crate::overload::OverloadConfig>),
     ("ablations", figure::<crate::ablation::AblationConfig>),
 ];
+
+#[cfg(test)]
+#[allow(clippy::expect_used, clippy::unwrap_used)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn emit_prints_text_and_announcements_in_part_order_and_writes_files() {
+        let report = Report {
+            parts: vec![
+                Part::Text("## table\n".into()),
+                Part::File {
+                    name: "a.csv",
+                    body: "x,y\n1,2\n".into(),
+                    announce: Some("csv"),
+                },
+                Part::File {
+                    name: "b.jsonl",
+                    body: "{}\n".into(),
+                    announce: None,
+                },
+                Part::Text("tail\n".into()),
+            ],
+            telemetry: None,
+        };
+        let tmp = std::env::temp_dir().join(format!("report_emit_{}", std::process::id()));
+        let dir = tmp.join("results");
+        let mut out = Vec::new();
+        report.emit(&dir, &mut out).expect("emit");
+        let expected = format!(
+            "## table\ncsv written to {}\ntail\n",
+            dir.join("a.csv").display()
+        );
+        assert_eq!(String::from_utf8(out).unwrap(), expected);
+        assert_eq!(
+            std::fs::read_to_string(dir.join("a.csv")).unwrap(),
+            "x,y\n1,2\n"
+        );
+        assert_eq!(
+            std::fs::read_to_string(dir.join("b.jsonl")).unwrap(),
+            "{}\n"
+        );
+
+        // A results directory that cannot exist (under a regular file) is an
+        // error, not a panic.
+        let blocker = tmp.join("file");
+        std::fs::write(&blocker, "").unwrap();
+        assert!(report.emit(&blocker.join("sub"), &mut Vec::new()).is_err());
+        std::fs::remove_dir_all(&tmp).unwrap();
+    }
+}

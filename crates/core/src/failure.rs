@@ -24,7 +24,9 @@ use simkit::NodeId;
 use ycsb::{TimelineWindow, WorkloadSpec};
 
 use crate::driver::{DriverConfig, RunOutcome};
-use crate::experiment::{rf_level_grid, Experiment, Grid, Part, Point, RunShape, Store};
+use crate::experiment::{
+    point_cols, rf_level_grid, Experiment, Grid, Part, Point, RunShape, Store,
+};
 use crate::report::{fmt_ops, Table};
 use crate::setup::{build_cstore_with, build_hstore_with, Scale, StoreKind};
 
@@ -138,19 +140,16 @@ impl CrashPlan {
 
     /// The fair-weather client run through the crash window (no timeline:
     /// Figs 4 and 5 switch theirs on).
-    pub fn driver(&self, seed: u64) -> DriverConfig {
+    pub fn driver(&self) -> DriverConfig {
         DriverConfig {
             faults: FaultPlan::new().crash_window(
                 self.victim,
                 self.crash_at_us,
                 self.recover_at_us,
             ),
-            ..self.run.driver(
-                self.workload.clone(),
-                seed,
-                self.threads,
-                self.target_ops_per_sec,
-            )
+            ..self
+                .run
+                .driver(self.workload.clone(), self.threads, self.target_ops_per_sec)
         }
     }
 
@@ -274,10 +273,10 @@ impl Experiment for FailureConfig {
 
     /// Fig. 4 keeps the paper's fair-weather client; Fig. 5 reruns this
     /// plan under real retry policies.
-    fn driver(&self, _: &Point, seed: u64) -> DriverConfig {
+    fn driver(&self, _: &Point) -> DriverConfig {
         DriverConfig {
             timeline_window_us: self.window_us,
-            ..self.plan.driver(seed)
+            ..self.plan.driver()
         }
     }
 
@@ -309,77 +308,40 @@ impl Experiment for FailureConfig {
 
     /// The phase-summary table — one row per (store, RF, CL) with
     /// pre/fault/post throughput, the worst fault window, the error
-    /// spike, and how fully throughput recovered.
-    fn render(grid: &Grid<Self>) -> String {
-        let mut t = Table::new(
-            &grid.exp.plan.title("Fig. 4 — failure timeline"),
-            &[
-                "store",
-                "rf",
-                "cl",
-                "pre tput",
-                "fault tput",
-                "fault min",
-                "fault errors",
-                "post tput",
-                "recovery",
-            ],
-        );
-        for (&(store, rf, level), c) in grid.rows() {
-            let recovery = if c.pre_tput > 0.0 {
-                format!("{:.0}%", c.post_tput / c.pre_tput * 100.0)
-            } else {
-                "-".to_owned()
-            };
-            t.row(vec![
-                store.short().into(),
-                rf.to_string(),
-                level.name.into(),
-                fmt_ops(c.pre_tput),
-                fmt_ops(c.fault_tput),
-                fmt_ops(c.fault_min_tput),
-                c.fault_errors.to_string(),
-                fmt_ops(c.post_tput),
-                recovery,
-            ]);
-        }
-        t.render() + "\n"
-    }
-
-    /// One CSV row per timeline window per cell.
-    fn files(grid: &Grid<Self>) -> Vec<Part> {
-        let mut t = Table::new(
-            "fig4_failure",
-            &[
-                "store",
-                "rf",
-                "cl",
-                "window_start_us",
-                "ops",
-                "ops_per_sec",
-                "mean_us",
-                "p95_us",
-                "p99_us",
-                "errors",
-            ],
-        );
-        for (&(store, rf, level), c) in grid.rows() {
-            for w in &c.windows {
-                t.row(vec![
-                    store.short().into(),
-                    rf.to_string(),
-                    level.name.into(),
-                    w.start_us.to_string(),
-                    w.ops.to_string(),
-                    format!("{:.1}", w.ops_per_sec),
-                    format!("{:.1}", w.mean_us),
-                    w.p95_us.to_string(),
-                    w.p99_us.to_string(),
-                    w.errors.to_string(),
-                ]);
-            }
-        }
-        vec![Part::csv("fig4_failure.csv", &t)]
+    /// spike, and how fully throughput recovered — then one CSV row per
+    /// timeline window per cell.
+    fn report(grid: &Grid<Self>) -> Vec<Part> {
+        let title = grid.exp.plan.title("Fig. 4 — failure timeline");
+        let summary = point_cols(Table::of(title, grid.rows()), |&(p, _)| *p)
+            .col("pre tput", |(_, c)| fmt_ops(c.pre_tput))
+            .col("fault tput", |(_, c)| fmt_ops(c.fault_tput))
+            .col("fault min", |(_, c)| fmt_ops(c.fault_min_tput))
+            .col("fault errors", |(_, c)| c.fault_errors.to_string())
+            .col("post tput", |(_, c)| fmt_ops(c.post_tput))
+            .col("recovery", |(_, c)| {
+                if c.pre_tput > 0.0 {
+                    format!("{:.0}%", c.post_tput / c.pre_tput * 100.0)
+                } else {
+                    "-".to_owned()
+                }
+            })
+            .table();
+        let windows = grid
+            .rows()
+            .flat_map(|(p, c)| c.windows.iter().map(move |w| (*p, w)));
+        let csv = point_cols(Table::of("fig4_failure", windows), |&(p, _)| p)
+            .col("window_start_us", |(_, w)| w.start_us.to_string())
+            .col("ops", |(_, w)| w.ops.to_string())
+            .col("ops_per_sec", |(_, w)| format!("{:.1}", w.ops_per_sec))
+            .col("mean_us", |(_, w)| format!("{:.1}", w.mean_us))
+            .col("p95_us", |(_, w)| w.p95_us.to_string())
+            .col("p99_us", |(_, w)| w.p99_us.to_string())
+            .col("errors", |(_, w)| w.errors.to_string())
+            .table();
+        vec![
+            Part::Text(summary.render() + "\n"),
+            Part::csv("fig4_failure.csv", &csv),
+        ]
     }
 }
 

@@ -225,15 +225,13 @@ impl Experiment for GeoExperimentConfig {
     /// Cells with equal region counts share one driver seed so levels that
     /// must coincide (single-region LOCAL_QUORUM vs QUORUM) stay
     /// bit-identical; different region counts get distinct streams.
-    fn driver(&self, &(regions, _, _): &Self::Spec, _: u64) -> DriverConfig {
+    fn driver(&self, &(regions, _, _): &Self::Spec) -> DriverConfig {
         DriverConfig {
             faults: self.faults.clone(),
-            ..self.run.driver(
-                self.workload.clone(),
-                self.run.seed ^ (u64::from(regions) << 17),
-                self.threads,
-                self.target_ops_per_sec,
-            )
+            seed: self.run.seed ^ (u64::from(regions) << 17),
+            ..self
+                .run
+                .driver(self.workload.clone(), self.threads, self.target_ops_per_sec)
         }
     }
 
@@ -259,78 +257,47 @@ impl Experiment for GeoExperimentConfig {
         }
     }
 
-    /// One table per region count — the Fig. 7 panels.
-    fn render(grid: &Grid<Self>) -> String {
+    /// One table per region count — the Fig. 7 panels — then the CSV.
+    fn report(grid: &Grid<Self>) -> Vec<Part> {
         let mut out = String::new();
         for &regions in &grid.exp.region_counts {
-            let mut t = Table::new(
-                &format!("Fig. 7 — geo-replication PACELC: {regions} region(s)"),
-                &[
-                    "store",
-                    "level",
-                    "rf_total",
-                    "runtime",
-                    "goodput",
-                    "mean_us",
-                    "p99_us",
-                    "stale_frac",
-                    "repl_window_us",
-                ],
-            );
-            for (&(r, store, level), c) in grid.rows() {
-                if r == regions {
-                    t.row(vec![
-                        store.short().to_owned(),
-                        level.name.to_owned(),
-                        c.rf_total.to_string(),
-                        fmt_ops(c.runtime),
-                        fmt_ops(c.goodput),
-                        format!("{:.1}", c.mean_us),
-                        c.p99_us.to_string(),
-                        format!("{:.5}", c.stale_fraction),
-                        format!("{:.1}", c.repl_window_us),
-                    ]);
-                }
-            }
+            let t = Table::of(
+                format!("Fig. 7 — geo-replication PACELC: {regions} region(s)"),
+                grid.rows().filter(|(s, _)| s.0 == regions),
+            )
+            .col("store", |(s, _)| s.1.short().into())
+            .col("level", |(s, _)| s.2.name.into())
+            .col("rf_total", |(_, c)| c.rf_total.to_string())
+            .col("runtime", |(_, c)| fmt_ops(c.runtime))
+            .col("goodput", |(_, c)| fmt_ops(c.goodput))
+            .col("mean_us", |(_, c)| format!("{:.1}", c.mean_us))
+            .col("p99_us", |(_, c)| c.p99_us.to_string())
+            .col("stale_frac", |(_, c)| format!("{:.5}", c.stale_fraction))
+            .col("repl_window_us", |(_, c)| {
+                format!("{:.1}", c.repl_window_us)
+            })
+            .table();
             out.push_str(&t.render());
             out.push('\n');
         }
-        out + "\n"
-    }
-
-    fn files(grid: &Grid<Self>) -> Vec<Part> {
-        let mut t = Table::new(
-            "fig7_geo",
-            &[
-                "store",
-                "regions",
-                "level",
-                "rf_total",
-                "runtime",
-                "goodput",
-                "mean_us",
-                "p99_us",
-                "errors",
-                "stale_fraction",
-                "repl_window_us",
-            ],
-        );
-        for (&(regions, store, level), c) in grid.rows() {
-            t.row(vec![
-                store.short().to_owned(),
-                regions.to_string(),
-                level.name.to_owned(),
-                c.rf_total.to_string(),
-                format!("{:.1}", c.runtime),
-                format!("{:.1}", c.goodput),
-                format!("{:.1}", c.mean_us),
-                c.p99_us.to_string(),
-                c.errors.to_string(),
-                format!("{:.5}", c.stale_fraction),
-                format!("{:.1}", c.repl_window_us),
-            ]);
-        }
-        vec![Part::csv("fig7_geo.csv", &t)]
+        let csv = Table::of("fig7_geo", grid.rows())
+            .col("store", |(s, _)| s.1.short().into())
+            .col("regions", |(s, _)| s.0.to_string())
+            .col("level", |(s, _)| s.2.name.into())
+            .col("rf_total", |(_, c)| c.rf_total.to_string())
+            .col("runtime", |(_, c)| format!("{:.1}", c.runtime))
+            .col("goodput", |(_, c)| format!("{:.1}", c.goodput))
+            .col("mean_us", |(_, c)| format!("{:.1}", c.mean_us))
+            .col("p99_us", |(_, c)| c.p99_us.to_string())
+            .col("errors", |(_, c)| c.errors.to_string())
+            .col("stale_fraction", |(_, c)| {
+                format!("{:.5}", c.stale_fraction)
+            })
+            .col("repl_window_us", |(_, c)| {
+                format!("{:.1}", c.repl_window_us)
+            })
+            .table();
+        vec![Part::Text(out + "\n"), Part::csv("fig7_geo.csv", &csv)]
     }
 }
 
@@ -419,12 +386,9 @@ mod tests {
             }
             let scale = &cfg.run.scale;
             driver::load(&mut c, scale.records, scale.value_len, cfg.run.seed);
-            let dcfg = cfg.run.driver(
-                cfg.workload.clone(),
-                cfg.run.seed,
-                cfg.threads,
-                cfg.target_ops_per_sec,
-            );
+            let dcfg = cfg
+                .run
+                .driver(cfg.workload.clone(), cfg.threads, cfg.target_ops_per_sec);
             let run = driver::run(&mut c, &dcfg);
             (
                 run.throughput,

@@ -16,14 +16,15 @@
 //! * [`setup`] — calibrated cluster builders: the paper's testbed scaled
 //!   down by a documented factor (record counts and cache sizes shrink
 //!   together so cache-hit regimes are preserved).
-//! * [`sweep`] — the scheduling engine: deterministic per-cell seed
-//!   derivation, a self-scheduling parallel executor, ordered result
-//!   collection with wall-time telemetry, and load-once base-state pools.
+//! * [`sweep`] — the scheduling engine: a self-scheduling parallel
+//!   executor, ordered result collection with wall-time telemetry, and
+//!   load-once base-state pools.
 //! * [`experiment`] — the experiment grid: the [`Experiment`] description
 //!   every figure implements, the one engine that builds, loads, snapshots,
 //!   runs and collects its cells, the [`experiment::Report`] the `fig`
 //!   binary prints and writes, and the [`experiment::FIGURES`] registry.
-//! * [`report`] — text tables, ASCII charts, and CSV emission.
+//! * [`report`] — tables declared as column lists ([`Table::of`]), rendered
+//!   as aligned text or CSV, and ASCII charts.
 //!
 //! The figures, one [`Experiment`] each:
 //!

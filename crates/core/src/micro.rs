@@ -98,10 +98,10 @@ impl Experiment for MicroConfig {
         Store::paper(&self.run.scale, &(store, rf, Level::ONE))
     }
 
-    fn driver(&self, &(_, _, op): &Self::Spec, seed: u64) -> DriverConfig {
+    fn driver(&self, &(_, _, op): &Self::Spec) -> DriverConfig {
         let workload = WorkloadSpec::micro(op);
         self.run
-            .driver(workload, seed, self.threads, self.target_ops_per_sec)
+            .driver(workload, self.threads, self.target_ops_per_sec)
     }
 
     fn cell(&self, &(_, _, op): &Self::Spec, out: RunOutcome, _: &Store) -> MicroCell {
@@ -114,27 +114,24 @@ impl Experiment for MicroConfig {
     }
 
     /// One table per store — RF rows × operation columns (mean latency),
-    /// the shape of the paper's Fig. 1 — then one latency curve per round.
-    fn render(grid: &Grid<Self>) -> String {
+    /// the shape of the paper's Fig. 1 — then one latency curve per round,
+    /// then the CSV.
+    fn report(grid: &Grid<Self>) -> Vec<Part> {
         let stores = [StoreKind::HStore, StoreKind::CStore];
         let mut out = String::new();
         for store in stores {
-            let mut t = Table::new(
-                &format!(
-                    "Fig. 1 — micro benchmark for replication: {}",
-                    store.label()
-                ),
-                &["rf", "UPDATE mean", "READ mean", "INSERT mean", "SCAN mean"],
+            let title = format!(
+                "Fig. 1 — micro benchmark for replication: {}",
+                store.label()
             );
-            for &rf in &grid.exp.rfs {
-                let mut row = vec![rf.to_string()];
-                row.extend(MICRO_OPS.iter().map(|&op| {
+            let mut t = Table::of(title, &grid.exp.rfs).col("rf", |rf| rf.to_string());
+            for op in MICRO_OPS {
+                t = t.col(format!("{} mean", op.label()), move |&&rf| {
                     grid.cell(&(store, rf, op))
                         .map_or("-".to_owned(), |c| fmt_us(c.mean_us))
-                }));
-                t.row(row);
+                });
             }
-            out.push_str(&t.render());
+            out.push_str(&t.table().render());
             out.push('\n');
         }
         out.push('\n');
@@ -145,25 +142,15 @@ impl Experiment for MicroConfig {
                 out.push('\n');
             }
         }
-        out
-    }
-
-    fn files(grid: &Grid<Self>) -> Vec<Part> {
-        let mut t = Table::new(
-            "fig1_micro_replication",
-            &["store", "rf", "op", "mean_us", "p95_us", "throughput"],
-        );
-        for (&(store, rf, op), c) in grid.rows() {
-            t.row(vec![
-                store.short().into(),
-                rf.to_string(),
-                op.label().into(),
-                format!("{:.1}", c.mean_us),
-                c.p95_us.to_string(),
-                format!("{:.1}", c.throughput),
-            ]);
-        }
-        vec![Part::csv("fig1_micro.csv", &t)]
+        let csv = Table::of("fig1_micro_replication", grid.rows())
+            .col("store", |(s, _)| s.0.short().into())
+            .col("rf", |(s, _)| s.1.to_string())
+            .col("op", |(s, _)| s.2.label().into())
+            .col("mean_us", |(_, c)| format!("{:.1}", c.mean_us))
+            .col("p95_us", |(_, c)| c.p95_us.to_string())
+            .col("throughput", |(_, c)| format!("{:.1}", c.throughput))
+            .table();
+        vec![Part::Text(out), Part::csv("fig1_micro.csv", &csv)]
     }
 }
 

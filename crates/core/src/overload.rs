@@ -175,15 +175,6 @@ fn control_label(control: bool) -> &'static str {
     }
 }
 
-impl OverloadConfig {
-    fn tenant_headers(&self, suffix: &str) -> Vec<String> {
-        self.tenants
-            .iter()
-            .map(|t| format!("{}_{suffix}", t.name))
-            .collect()
-    }
-}
-
 impl Experiment for OverloadConfig {
     /// `(store, admission control on, index into offered_loads)`.
     type Spec = (StoreKind, bool, usize);
@@ -256,10 +247,11 @@ impl Experiment for OverloadConfig {
 
     /// Control arms at the same (store, load) share a seed: identical
     /// arrival sequence, so the shed/no-shed comparison is paired.
-    fn driver(&self, &(store, _, li): &Self::Spec, _: u64) -> DriverConfig {
-        let seed =
-            self.run.seed ^ ((li as u64 + 1) << 17) ^ (u64::from(store == StoreKind::HStore) << 33);
+    fn driver(&self, &(store, _, li): &Self::Spec) -> DriverConfig {
         DriverConfig {
+            seed: self.run.seed
+                ^ ((li as u64 + 1) << 17)
+                ^ (u64::from(store == StoreKind::HStore) << 33),
             retry: RetryPolicy {
                 deadline_us: self.deadline_us,
                 ..RetryPolicy::none()
@@ -273,7 +265,7 @@ impl Experiment for OverloadConfig {
             }),
             // Arrivals are open-loop: the closed-loop client count and
             // pacing are not consulted.
-            ..self.run.driver(self.workload.clone(), seed, 1, 0.0)
+            ..self.run.driver(self.workload.clone(), 1, 0.0)
         }
     }
 
@@ -311,83 +303,64 @@ impl Experiment for OverloadConfig {
         }
     }
 
-    /// One table per store — the Fig. 10 panels.
-    fn render(grid: &Grid<Self>) -> String {
+    /// One table per store — the Fig. 10 panels — then the CSV.
+    fn report(grid: &Grid<Self>) -> Vec<Part> {
+        let tenants = &grid.exp.tenants;
         let mut out = String::new();
         for store in [StoreKind::CStore, StoreKind::HStore] {
-            let mut headers: Vec<String> = ["control", "offered", "goodput", "shed_rate", "p99_us"]
-                .map(String::from)
-                .to_vec();
-            headers.extend(grid.exp.tenant_headers("p99_us"));
-            headers.push("sla_met".to_owned());
-            let refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-            let mut t = Table::new(
-                &format!(
+            let mut t = Table::of(
+                format!(
                     "Fig. 10 — graceful degradation under overload: {}",
                     store.short()
                 ),
-                &refs,
-            );
-            for (&(s, control, _), c) in grid.rows() {
-                if s != store {
-                    continue;
-                }
-                let mut row = vec![
-                    control_label(control).to_owned(),
-                    fmt_ops(c.offered),
-                    fmt_ops(c.goodput),
-                    format!("{:.3}", c.shed_rate),
-                    c.p99_us.to_string(),
-                ];
-                row.extend(c.tenant_p99_us.iter().map(u64::to_string));
-                row.push(if c.sla_met { "yes" } else { "NO" }.to_owned());
-                t.row(row);
+                grid.rows().filter(|(s, _)| s.0 == store),
+            )
+            .col("control", |(s, _)| control_label(s.1).into())
+            .col("offered", |(_, c)| fmt_ops(c.offered))
+            .col("goodput", |(_, c)| fmt_ops(c.goodput))
+            .col("shed_rate", |(_, c)| format!("{:.3}", c.shed_rate))
+            .col("p99_us", |(_, c)| c.p99_us.to_string());
+            for (i, tenant) in tenants.iter().enumerate() {
+                t = t.col(format!("{}_p99_us", tenant.name), move |(_, c)| {
+                    c.tenant_p99_us[i].to_string()
+                });
             }
+            let t = t
+                .col("sla_met", |(_, c)| {
+                    if c.sla_met { "yes" } else { "NO" }.into()
+                })
+                .table();
             out.push_str(&t.render());
             out.push('\n');
         }
-        out + "\n"
-    }
-
-    fn files(grid: &Grid<Self>) -> Vec<Part> {
-        let mut headers: Vec<String> = [
-            "store",
-            "control",
-            "offered",
-            "runtime",
-            "goodput",
-            "shed",
-            "shed_rate",
-            "errors",
-            "mean_us",
-            "p99_us",
-        ]
-        .map(String::from)
-        .to_vec();
-        headers.extend(grid.exp.tenant_headers("p99_us"));
-        headers.extend(grid.exp.tenant_headers("shed_rate"));
-        headers.push("sla_met".to_owned());
-        let refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-        let mut t = Table::new("fig10_overload", &refs);
-        for (&(store, control, _), c) in grid.rows() {
-            let mut row = vec![
-                store.short().to_owned(),
-                control_label(control).to_owned(),
-                format!("{:.0}", c.offered),
-                format!("{:.1}", c.runtime),
-                format!("{:.1}", c.goodput),
-                c.shed.to_string(),
-                format!("{:.5}", c.shed_rate),
-                c.errors.to_string(),
-                format!("{:.1}", c.mean_us),
-                c.p99_us.to_string(),
-            ];
-            row.extend(c.tenant_p99_us.iter().map(u64::to_string));
-            row.extend(c.tenant_shed_rate.iter().map(|r| format!("{r:.5}")));
-            row.push(u8::from(c.sla_met).to_string());
-            t.row(row);
+        let mut csv = Table::of("fig10_overload", grid.rows())
+            .col("store", |(s, _)| s.0.short().into())
+            .col("control", |(s, _)| control_label(s.1).into())
+            .col("offered", |(_, c)| format!("{:.0}", c.offered))
+            .col("runtime", |(_, c)| format!("{:.1}", c.runtime))
+            .col("goodput", |(_, c)| format!("{:.1}", c.goodput))
+            .col("shed", |(_, c)| c.shed.to_string())
+            .col("shed_rate", |(_, c)| format!("{:.5}", c.shed_rate))
+            .col("errors", |(_, c)| c.errors.to_string())
+            .col("mean_us", |(_, c)| format!("{:.1}", c.mean_us))
+            .col("p99_us", |(_, c)| c.p99_us.to_string());
+        for (i, tenant) in tenants.iter().enumerate() {
+            csv = csv.col(format!("{}_p99_us", tenant.name), move |(_, c)| {
+                c.tenant_p99_us[i].to_string()
+            });
         }
-        vec![Part::csv("fig10_overload.csv", &t)]
+        for (i, tenant) in tenants.iter().enumerate() {
+            csv = csv.col(format!("{}_shed_rate", tenant.name), move |(_, c)| {
+                format!("{:.5}", c.tenant_shed_rate[i])
+            });
+        }
+        let csv = csv
+            .col("sla_met", |(_, c)| u8::from(c.sla_met).to_string())
+            .table();
+        vec![
+            Part::Text(out + "\n"),
+            Part::csv("fig10_overload.csv", &csv),
+        ]
     }
 }
 

@@ -2,34 +2,51 @@
 
 use std::fmt::Write as _;
 
-/// A simple aligned text table that can also emit CSV.
+/// An aligned text table that can also emit CSV. Built from a column list
+/// with [`Table::of`], so every row has every column.
 #[derive(Debug, Clone)]
 pub struct Table {
-    /// Table title.
-    pub title: String,
-    /// Column headers.
-    pub headers: Vec<String>,
-    /// Rows of cells (each row must match the header count).
-    pub rows: Vec<Vec<String>>,
+    title: String,
+    headers: Vec<String>,
+    /// Rows of cells, one per header.
+    rows: Vec<Vec<String>>,
+}
+
+/// A table under construction: the table so far plus the items its rows
+/// render, so each [`Columns::col`] fills one cell of every row.
+pub struct Columns<R> {
+    items: Vec<R>,
+    table: Table,
+}
+
+impl<R> Columns<R> {
+    /// Add a column: its header, and how to render any row into it.
+    pub fn col(mut self, header: impl Into<String>, cell: impl Fn(&R) -> String) -> Self {
+        self.table.headers.push(header.into());
+        for (item, cells) in self.items.iter().zip(&mut self.table.rows) {
+            cells.push(cell(item));
+        }
+        self
+    }
+
+    /// The finished table.
+    pub fn table(self) -> Table {
+        self.table
+    }
 }
 
 impl Table {
-    /// An empty table.
-    pub fn new(title: &str, headers: &[&str]) -> Self {
-        Self {
-            title: title.to_owned(),
-            headers: headers.iter().map(|s| (*s).to_owned()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Append a row.
-    ///
-    /// # Panics
-    /// If the cell count does not match the header count.
-    pub fn row(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.headers.len(), "row/header mismatch");
-        self.rows.push(cells);
+    /// Start a table titled `title` with one row per item of `rows`; declare
+    /// its columns with [`Columns::col`], then finish with
+    /// [`Columns::table`].
+    pub fn of<R>(title: impl Into<String>, rows: impl IntoIterator<Item = R>) -> Columns<R> {
+        let items: Vec<R> = rows.into_iter().collect();
+        let table = Table {
+            title: title.into(),
+            headers: Vec::new(),
+            rows: items.iter().map(|_| Vec::new()).collect(),
+        };
+        Columns { items, table }
     }
 
     /// Render as an aligned text table.
@@ -128,27 +145,23 @@ mod tests {
 
     #[test]
     fn table_renders_aligned() {
-        let mut t = Table::new("demo", &["a", "long-header"]);
-        t.row(vec!["1".into(), "2".into()]);
-        t.row(vec!["333".into(), "4".into()]);
-        let s = t.render();
+        let s = Table::of("demo", [(1, 2), (333, 4)])
+            .col("a", |r| r.0.to_string())
+            .col("long-header", |r| r.1.to_string())
+            .table()
+            .render();
         assert!(s.contains("## demo"));
         assert!(s.contains("| a   | long-header |"));
         assert!(s.contains("| 333 | 4           |"));
     }
 
     #[test]
-    #[should_panic(expected = "row/header mismatch")]
-    fn table_rejects_ragged_rows() {
-        let mut t = Table::new("x", &["a", "b"]);
-        t.row(vec!["only-one".into()]);
-    }
-
-    #[test]
     fn csv_escapes_commas_and_quotes() {
-        let mut t = Table::new("x", &["a", "b"]);
-        t.row(vec!["v,1".into(), "say \"hi\"".into()]);
-        let csv = t.to_csv();
+        let csv = Table::of("x", ["v,1"])
+            .col("a", |r| (*r).to_owned())
+            .col("b", |_| "say \"hi\"".to_owned())
+            .table()
+            .to_csv();
         assert!(csv.contains("\"v,1\""));
         assert!(csv.contains("\"say \"\"hi\"\"\""));
     }

@@ -157,7 +157,7 @@ where
     let mut probes = Vec::new();
     let probe = |target: f64| -> (u64, bool) {
         sweep
-            .run(cfg.seed, &[target], |ctx, &target| {
+            .run(&[target], |&target| {
                 let mut snapshot = base.snapshot();
                 let dcfg = DriverConfig {
                     workload: cfg.workload.clone(),
@@ -167,7 +167,7 @@ where
                     value_len: cfg.scale.value_len,
                     warmup_ops: cfg.warmup_ops,
                     measure_ops: cfg.measure_ops,
-                    seed: ctx.seed,
+                    seed: cfg.seed,
                     faults: Default::default(),
                     timeline_window_us: 0,
                     retry: RetryPolicy::none(),
@@ -231,24 +231,14 @@ where
 
 /// Render a set of named capacity results as a table.
 pub fn capacity_table(title: &str, rows: &[(&str, &SlaCapacity)]) -> Table {
-    let mut t = Table::new(
-        title,
-        &[
-            "system",
-            "sla",
-            "certified capacity",
-            "quantile at capacity",
-        ],
-    );
-    for (name, cap) in rows {
-        t.row(vec![
-            (*name).to_owned(),
-            cap.sla.to_string(),
-            fmt_ops(cap.capacity),
-            fmt_us(cap.quantile_at_capacity as f64),
-        ]);
-    }
-    t
+    Table::of(title, rows)
+        .col("system", |(name, _)| (*name).to_owned())
+        .col("sla", |(_, cap)| cap.sla.to_string())
+        .col("certified capacity", |(_, cap)| fmt_ops(cap.capacity))
+        .col("quantile at capacity", |(_, cap)| {
+            fmt_us(cap.quantile_at_capacity as f64)
+        })
+        .table()
 }
 
 #[cfg(test)]

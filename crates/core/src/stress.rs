@@ -108,9 +108,9 @@ impl Experiment for StressConfig {
         Store::paper(&self.run.scale, &(store, rf, Level::ONE))
     }
 
-    fn driver(&self, &(_, _, w): &Self::Spec, seed: u64) -> DriverConfig {
+    fn driver(&self, &(_, _, w): &Self::Spec) -> DriverConfig {
         self.run
-            .driver(self.workloads[w].clone(), seed, self.threads, 0.0)
+            .driver(self.workloads[w].clone(), self.threads, 0.0)
     }
 
     fn cell(&self, &(_, _, w): &Self::Spec, out: RunOutcome, _: &Store) -> StressCell {
@@ -126,34 +126,28 @@ impl Experiment for StressConfig {
 
     /// One table per (store, workload) — RF rows with throughput and
     /// latency, the two panels of each Fig. 2 sub-plot — then one
-    /// peak-throughput curve per (store, workload).
-    fn render(grid: &Grid<Self>) -> String {
+    /// peak-throughput curve per (store, workload), then the CSV.
+    fn report(grid: &Grid<Self>) -> Vec<Part> {
         let mut names: Vec<&String> = grid.exp.workloads.iter().map(|w| &w.name).collect();
         names.sort();
         let mut out = String::new();
         for store in [StoreKind::CStore, StoreKind::HStore] {
             for workload in &names {
-                let mut t = Table::new(
-                    &format!("Fig. 2 — stress: {workload} on {}", store.label()),
-                    &[
-                        "rf",
-                        "peak throughput",
-                        "mean latency",
-                        "p95 latency",
-                        "stale%",
-                    ],
-                );
-                for (&(s, rf, _), c) in grid.rows() {
-                    if s == store && c.workload == **workload {
-                        t.row(vec![
-                            rf.to_string(),
-                            fmt_ops(c.peak_throughput),
-                            fmt_us(c.mean_us),
-                            fmt_us(c.p95_us as f64),
-                            format!("{:.3}%", c.stale_fraction * 100.0),
-                        ]);
-                    }
-                }
+                let rows = grid
+                    .rows()
+                    .filter(|(s, c)| s.0 == store && c.workload == **workload);
+                let t = Table::of(
+                    format!("Fig. 2 — stress: {workload} on {}", store.label()),
+                    rows,
+                )
+                .col("rf", |(s, _)| s.1.to_string())
+                .col("peak throughput", |(_, c)| fmt_ops(c.peak_throughput))
+                .col("mean latency", |(_, c)| fmt_us(c.mean_us))
+                .col("p95 latency", |(_, c)| fmt_us(c.p95_us as f64))
+                .col("stale%", |(_, c)| {
+                    format!("{:.3}%", c.stale_fraction * 100.0)
+                })
+                .table();
                 out.push_str(&t.render());
                 out.push('\n');
             }
@@ -167,36 +161,21 @@ impl Experiment for StressConfig {
                 out.push('\n');
             }
         }
-        out
-    }
-
-    fn files(grid: &Grid<Self>) -> Vec<Part> {
-        let mut t = Table::new(
-            "fig2_stress_replication",
-            &[
-                "store",
-                "rf",
-                "workload",
-                "peak_throughput",
-                "mean_us",
-                "p95_us",
-                "stale_fraction",
-                "errors",
-            ],
-        );
-        for (&(store, rf, _), c) in grid.rows() {
-            t.row(vec![
-                store.short().into(),
-                rf.to_string(),
-                c.workload.clone(),
-                format!("{:.1}", c.peak_throughput),
-                format!("{:.1}", c.mean_us),
-                c.p95_us.to_string(),
-                format!("{:.5}", c.stale_fraction),
-                c.errors.to_string(),
-            ]);
-        }
-        vec![Part::csv("fig2_stress.csv", &t)]
+        let csv = Table::of("fig2_stress_replication", grid.rows())
+            .col("store", |(s, _)| s.0.short().into())
+            .col("rf", |(s, _)| s.1.to_string())
+            .col("workload", |(_, c)| c.workload.clone())
+            .col("peak_throughput", |(_, c)| {
+                format!("{:.1}", c.peak_throughput)
+            })
+            .col("mean_us", |(_, c)| format!("{:.1}", c.mean_us))
+            .col("p95_us", |(_, c)| c.p95_us.to_string())
+            .col("stale_fraction", |(_, c)| {
+                format!("{:.5}", c.stale_fraction)
+            })
+            .col("errors", |(_, c)| c.errors.to_string())
+            .table();
+        vec![Part::Text(out), Part::csv("fig2_stress.csv", &csv)]
     }
 }
 
@@ -214,16 +193,13 @@ impl Grid<StressConfig> {
 /// The paper's Table 1 ("Workloads of the stress benchmarks for replication
 /// and consistency") plus the micro rounds of §3.3, for completeness.
 pub fn table1() -> Report {
-    let mut t = Table::new(
+    let t = Table::of(
         "Table 1 — workloads of the stress benchmarks for replication and consistency",
-        &[
-            "workload",
-            "typical usage",
-            "operations",
-            "records distribution",
-        ],
-    );
-    for w in WorkloadSpec::paper_stress_workloads() {
+        WorkloadSpec::paper_stress_workloads(),
+    )
+    .col("workload", |w| w.name.clone())
+    .col("typical usage", |w| w.typical_usage.clone())
+    .col("operations", |w| {
         let m = w.mix;
         let mix: Vec<String> = [
             (m.read, "read"),
@@ -236,20 +212,17 @@ pub fn table1() -> Report {
         .filter(|(frac, _)| *frac > 0.0)
         .map(|(frac, label)| format!("{label} {:.0}%", frac * 100.0))
         .collect();
-        t.row(vec![
-            w.name.clone(),
-            w.typical_usage.clone(),
-            mix.join(" / "),
-            format!("{:?}", w.distribution),
-        ]);
-    }
-    let mut rounds = Table::new(
+        mix.join(" / ")
+    })
+    .col("records distribution", |w| format!("{:?}", w.distribution))
+    .table();
+    let rounds = Table::of(
         "Micro benchmark rounds (1-byte records, uniform requests)",
-        &["round", "operation"],
-    );
-    for (i, op) in MICRO_OPS.iter().enumerate() {
-        rounds.row(vec![(i + 1).to_string(), op.label().into()]);
-    }
+        MICRO_OPS.iter().enumerate(),
+    )
+    .col("round", |(i, _)| (i + 1).to_string())
+    .col("operation", |(_, op)| op.label().into())
+    .table();
     Report {
         parts: vec![
             Part::Text(t.render() + "\n"),

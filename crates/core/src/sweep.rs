@@ -5,10 +5,6 @@
 //! every cell is one deterministic simulated run. This module is the
 //! scheduling half of that procedure ([`crate::experiment`] is the other):
 //!
-//! * **cell spec → seed**: [`SeedPolicy`] derives the seed each cell runs
-//!   under, either the experiment's fixed seed (the paper's setup: every
-//!   cell uses the same seed so cells differ only in their knob) or a
-//!   per-cell splitmix64 stream for variance studies;
 //! * **self-scheduling executor**: worker threads pull the next unclaimed
 //!   cell index from a shared atomic counter, so long cells (high RF,
 //!   scan-heavy) never leave workers idle behind a static partition;
@@ -26,41 +22,6 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
-
-/// How each cell's seed is derived from the experiment's root seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeedPolicy {
-    /// Every cell runs under the root seed itself — the paper's setup:
-    /// cells differ only in the knob being swept, never in their random
-    /// stream.
-    Fixed,
-    /// Cell `i` runs under `derive_seed(root, i)` — independent streams for
-    /// variance and robustness studies.
-    PerCell,
-}
-
-/// Derive the seed for cell `index` from a root seed (splitmix64 over the
-/// root xored with the index): deterministic, order-free, and
-/// well-distributed even for adjacent indices.
-pub fn derive_seed(root: u64, index: usize) -> u64 {
-    let mut z = root ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Context handed to a cell closure: which cell it is, the seed the
-/// [`SeedPolicy`] derived for it, and which worker is running it.
-#[derive(Debug, Clone, Copy)]
-pub struct CellCtx {
-    /// The cell's index in the spec slice (and in the result vector).
-    pub index: usize,
-    /// The derived seed the cell should run under.
-    pub seed: u64,
-    /// The worker thread executing the cell (0 in serial mode).
-    pub worker: usize,
-}
 
 /// Wall-time accounting for one executed cell.
 #[derive(Debug, Clone, Copy)]
@@ -211,12 +172,11 @@ impl std::fmt::Display for BadSweepThreads {
 
 impl std::error::Error for BadSweepThreads {}
 
-/// The engine: thread count, execution mode, and seed policy.
+/// The engine: thread count and execution mode.
 #[derive(Debug, Clone)]
 pub struct Sweep {
     threads: usize,
     serial: bool,
-    seed_policy: SeedPolicy,
 }
 
 impl Default for Sweep {
@@ -226,12 +186,11 @@ impl Default for Sweep {
 }
 
 impl Sweep {
-    /// A parallel sweep sized to the machine, fixed-seed policy.
+    /// A parallel sweep sized to the machine.
     pub fn new() -> Self {
         Self {
             threads: std::thread::available_parallelism().map_or(4, usize::from),
             serial: false,
-            seed_policy: SeedPolicy::Fixed,
         }
     }
 
@@ -266,27 +225,13 @@ impl Sweep {
         self
     }
 
-    /// Set the seed policy.
-    pub fn with_seed_policy(mut self, policy: SeedPolicy) -> Self {
-        self.seed_policy = policy;
-        self
-    }
-
-    fn cell_seed(&self, root: u64, index: usize) -> u64 {
-        match self.seed_policy {
-            SeedPolicy::Fixed => root,
-            SeedPolicy::PerCell => derive_seed(root, index),
-        }
-    }
-
     /// Run one cell closure over every spec in `cells`, returning results
-    /// in spec order plus telemetry. The closure sees the cell's
-    /// [`CellCtx`] (index, derived seed, worker) and its spec.
-    pub fn run<T, R, F>(&self, root_seed: u64, cells: &[T], f: F) -> SweepOutcome<R>
+    /// in spec order plus telemetry.
+    pub fn run<T, R, F>(&self, cells: &[T], f: F) -> SweepOutcome<R>
     where
         T: Sync,
         R: Send,
-        F: Fn(CellCtx, &T) -> R + Sync,
+        F: Fn(&T) -> R + Sync,
     {
         let n = cells.len();
         let workers = if self.serial {
@@ -301,13 +246,8 @@ impl Sweep {
             let mut stats = Vec::with_capacity(n);
             let mut busy = 0u64;
             for (i, cell) in cells.iter().enumerate() {
-                let ctx = CellCtx {
-                    index: i,
-                    seed: self.cell_seed(root_seed, i),
-                    worker: 0,
-                };
                 let t0 = Instant::now();
-                results.push(f(ctx, cell));
+                results.push(f(cell));
                 let wall_us = t0.elapsed().as_micros() as u64;
                 busy += wall_us;
                 stats.push(CellStat {
@@ -325,7 +265,7 @@ impl Sweep {
             let f = &f;
             let per_worker: WorkerOut<R> = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..workers)
-                    .map(|worker| {
+                    .map(|_| {
                         let next = &next;
                         s.spawn(move || {
                             let mut out: Vec<(usize, R, u64)> = Vec::new();
@@ -335,13 +275,8 @@ impl Sweep {
                                 if i >= n {
                                     break;
                                 }
-                                let ctx = CellCtx {
-                                    index: i,
-                                    seed: self.cell_seed(root_seed, i),
-                                    worker,
-                                };
                                 let t0 = Instant::now();
-                                let r = f(ctx, &cells[i]);
+                                let r = f(&cells[i]);
                                 let wall_us = t0.elapsed().as_micros() as u64;
                                 busy += wall_us;
                                 out.push((i, r, wall_us));
@@ -403,14 +338,14 @@ mod tests {
     #[test]
     fn results_come_back_in_cell_order() {
         let cells: Vec<u64> = (0..57).collect();
-        let out = Sweep::new().with_threads(7).run(1, &cells, |ctx, &c| {
+        let out = Sweep::new().with_threads(7).run(&cells, |&c| {
             // Uneven work so workers finish out of order.
             let spin = (c % 5) * 40;
-            let mut acc = ctx.seed;
+            let mut acc = c;
             for _ in 0..spin {
                 acc = acc.wrapping_mul(6364136223846793005).wrapping_add(c);
             }
-            (ctx.index as u64, c * 2, acc)
+            (c, c * 2, acc)
         });
         assert_eq!(out.results.len(), 57);
         for (i, (idx, doubled, _)) in out.results.iter().enumerate() {
@@ -422,31 +357,10 @@ mod tests {
     }
 
     #[test]
-    fn fixed_policy_hands_every_cell_the_root_seed() {
-        let cells = [0u8; 5];
-        let out = Sweep::new().serial().run(99, &cells, |ctx, _| ctx.seed);
-        assert!(out.results.iter().all(|&s| s == 99));
-    }
-
-    #[test]
-    fn per_cell_policy_derives_distinct_streams() {
-        let cells = [0u8; 8];
-        let out = Sweep::new()
-            .serial()
-            .with_seed_policy(SeedPolicy::PerCell)
-            .run(42, &cells, |ctx, _| ctx.seed);
-        let mut seen = out.results.clone();
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen.len(), 8, "derived seeds must be distinct");
-        assert_eq!(out.results[3], derive_seed(42, 3));
-    }
-
-    #[test]
     fn base_pool_loads_each_key_exactly_once() {
         let pool: BasePool<u32, Vec<u32>> = BasePool::new([1, 3, 6]);
         let cells: Vec<u32> = (0..20).flat_map(|_| [1u32, 3, 6]).collect();
-        let out = Sweep::new().with_threads(8).run(0, &cells, |_, &rf| {
+        let out = Sweep::new().with_threads(8).run(&cells, |&rf| {
             let base = pool.get_or_load(&rf, || vec![rf; 4]);
             base.len() as u32 + rf
         });
@@ -469,13 +383,12 @@ mod tests {
     #[test]
     fn parallel_matches_serial_bitwise() {
         // A cheap stand-in for a simulated run: a deterministic function of
-        // (cell spec, derived seed).
+        // the cell spec.
         let cells: Vec<u64> = (0..40).map(|i| i * 31).collect();
         let run = |sweep: Sweep| {
             sweep
-                .with_seed_policy(SeedPolicy::PerCell)
-                .run(7, &cells, |ctx, &c| {
-                    let mut acc = ctx.seed ^ c;
+                .run(&cells, |&c| {
+                    let mut acc = 7 ^ c;
                     for _ in 0..(c % 11) {
                         acc = acc.rotate_left(13).wrapping_mul(0x2545F4914F6CDD1D);
                     }
@@ -491,7 +404,7 @@ mod tests {
 
     #[test]
     fn empty_sweep_is_harmless() {
-        let out = Sweep::new().run(1, &[] as &[u8], |_, _| 0u8);
+        let out = Sweep::new().run(&[] as &[u8], |_| 0u8);
         assert!(out.results.is_empty());
         assert_eq!(out.telemetry.utilization(), 0.0);
     }

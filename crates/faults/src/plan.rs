@@ -261,8 +261,7 @@ impl FaultPlan {
     }
 }
 
-/// One step of the splitmix64 sequence (same finalizer the sweep engine
-/// uses for per-cell seed derivation).
+/// One step of the splitmix64 sequence.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;

@@ -6,7 +6,6 @@ use bytes::Bytes;
 use cloudserve::bench_core::driver;
 use cloudserve::bench_core::micro::MicroConfig;
 use cloudserve::bench_core::setup::{build_cstore, build_hstore, Scale};
-use cloudserve::bench_core::sweep::{derive_seed, CellCtx, SeedPolicy};
 use cloudserve::bench_core::{DriverEvent, Experiment, Grid, SimStore, Sweep};
 use cloudserve::cstore::Consistency;
 use cloudserve::simkit::Sim;
@@ -42,19 +41,13 @@ proptest! {
         threads in 2usize..9,
     ) {
         let cells: Vec<u64> = (0..n as u64).collect();
-        let f = |ctx: CellCtx, &c: &u64| (ctx.index, ctx.seed, ctx.seed.wrapping_mul(c + 1));
-        let serial = Sweep::new()
-            .serial()
-            .with_seed_policy(SeedPolicy::PerCell)
-            .run(root, &cells, f);
-        let parallel = Sweep::new()
-            .with_threads(threads)
-            .with_seed_policy(SeedPolicy::PerCell)
-            .run(root, &cells, f);
+        let f = |&c: &u64| (c, (root ^ c).wrapping_mul(c + 1));
+        let serial = Sweep::new().serial().run(&cells, f);
+        let parallel = Sweep::new().with_threads(threads).run(&cells, f);
         prop_assert_eq!(&serial.results, &parallel.results);
-        for (i, &(index, seed, _)) in parallel.results.iter().enumerate() {
-            prop_assert_eq!(index, i);
-            prop_assert_eq!(seed, derive_seed(root, i));
+        for (i, &(c, v)) in parallel.results.iter().enumerate() {
+            prop_assert_eq!(c, i as u64);
+            prop_assert_eq!(v, (root ^ c).wrapping_mul(c + 1));
         }
     }
 }
