@@ -206,22 +206,49 @@ struct OpCtx {
     trace_id: Option<u64>,
 }
 
-/// Dense map from attempt token to its op's slab key. Tokens are issued
-/// sequentially, so a `Vec` indexed by token replaces a hash lookup on the
-/// completion drain path; [`OpKey::NONE`] marks consumed/unknown entries.
-struct AttemptTable(Vec<OpKey>);
+/// Every attempt submitted to the store. Tokens are issued sequentially, so
+/// a `Vec` indexed by token maps each to its op's slab key without a hash
+/// lookup on the completion drain path ([`OpKey::NONE`] marks
+/// consumed/unknown entries). Retries, hedges and the RMW write phase submit
+/// fresh tokens whose spans must fold back into a traced op's logical trace
+/// id, so those attempts map to it too.
+struct Attempts {
+    next_token: u64,
+    op_of: Vec<OpKey>,
+    trace_of: simkit::FastHashMap<u64, u64>,
+}
 
-impl AttemptTable {
-    fn set(&mut self, token: u64, key: OpKey) {
+impl Attempts {
+    /// Submit `op` as an attempt of the op at `key` under a fresh token,
+    /// which is returned. A traced op's token is watched by the store's
+    /// tracer and mapped to `trace_id`.
+    fn submit<S: SimStore>(
+        &mut self,
+        store: &mut S,
+        sim: &mut Sim<DriverEvent<S::Event>>,
+        key: OpKey,
+        trace_id: Option<u64>,
+        op: StoreOp,
+        tag: OpTag,
+    ) -> u64 {
+        let token = self.next_token;
+        self.next_token += 1;
         let i = token as usize;
-        if self.0.len() <= i {
-            self.0.resize(i + 1, OpKey::NONE);
+        if self.op_of.len() <= i {
+            self.op_of.resize(i + 1, OpKey::NONE);
         }
-        self.0[i] = key;
+        self.op_of[i] = key;
+        if let Some(logical) = trace_id {
+            self.trace_of.insert(token, logical);
+            store.tracer_mut().watch(token);
+        }
+        store.submit_tagged(sim, token, op, tag);
+        token
     }
 
+    /// The op of attempt `token`, consumed.
     fn take(&mut self, token: u64) -> OpKey {
-        match self.0.get_mut(token as usize) {
+        match self.op_of.get_mut(token as usize) {
             Some(slot) => std::mem::replace(slot, OpKey::NONE),
             None => OpKey::NONE,
         }
@@ -236,7 +263,6 @@ pub fn run<S>(store: &mut S, cfg: &DriverConfig) -> RunOutcome
 where
     S: SimStore + FaultTarget<Event = <S as SimStore>::Event>,
 {
-    assert!(cfg.threads > 0, "need at least one client thread");
     let total = cfg.warmup_ops + cfg.measure_ops;
     let mut sim: Sim<DriverEvent<<S as SimStore>::Event>> = Sim::new(cfg.seed);
     let mut dist = cfg.workload.request_distribution(cfg.records);
@@ -251,12 +277,15 @@ where
         .collect();
     let mut tracker = StalenessTracker::new();
     let mut metrics = RunMetrics::new();
-    // Logical op contexts, slab-allocated ...
+    // Logical op contexts, slab-allocated, and every outstanding attempt
+    // mapped back to its op's slab key. An attempt whose key has gone stale
+    // is a cancelled hedge loser.
     let mut ctxs: Slab<OpCtx> = Slab::new();
-    // ... and every outstanding attempt token mapped back to its op's slab
-    // key. An attempt whose key has gone stale is a cancelled hedge loser.
-    let mut attempt_of = AttemptTable(Vec::new());
-    let mut next_token: u64 = 1;
+    let mut attempts = Attempts {
+        next_token: 1,
+        op_of: Vec::new(),
+        trace_of: simkit::FastHashMap::default(),
+    };
     let mut issued: u64 = 0;
     let mut completed: u64 = 0;
     // Completions drained after each event; one buffer for the whole run.
@@ -273,10 +302,6 @@ where
     // bit-identical to one without any of this machinery.
     let auditing = cfg.audit.enabled();
     let mut recorder = audit::Recorder::new(cfg.audit, cfg.seed);
-    // Attempt token -> logical op id, for every attempt of a traced op.
-    // Retries, hedges, and the RMW write phase submit fresh tokens whose
-    // spans must fold back into the logical op's trace.
-    let mut trace_of: simkit::FastHashMap<u64, u64> = simkit::FastHashMap::default();
     // Settle metadata of traced ops: (logical id, kind, issued, settled, ok).
     let mut traced_settled: Vec<(u64, OpKind, SimTime, SimTime, bool)> = Vec::new();
     let mut window_start: SimTime = 0;
@@ -295,6 +320,7 @@ where
     match &cfg.arrival {
         // Stagger thread start within the first millisecond.
         ArrivalMode::ClosedLoop => {
+            assert!(cfg.threads > 0, "need at least one client thread");
             for t in 0..cfg.threads {
                 sim.schedule_at((t as u64) * 13 % 1_000, DriverEvent::Issue { thread: t });
             }
@@ -338,83 +364,58 @@ where
                         (tenant, ol.tenants[tenant].priority, kind, hot)
                     }
                 };
-                let token = next_token;
-                next_token += 1;
-                let (op, key, expected_ts, rmw) = match kind {
+                // An insert takes the next fresh key; every other kind draws
+                // one from the request distribution (or the flash crowd's
+                // hot key) before any value or scan length.
+                let key = if kind == OpKind::Insert {
+                    let (_, key) = keyspace.next_insert();
+                    dist.set_items(keyspace.count());
+                    key
+                } else {
+                    interner.key(flash_key.unwrap_or_else(|| dist.next(sim.rng())))
+                };
+                let (op, expected_ts) = match kind {
                     OpKind::Read | OpKind::ReadModifyWrite => {
-                        let key = interner.key(match flash_key {
-                            Some(hot) => hot,
-                            None => dist.next(sim.rng()),
-                        });
                         let expected = tracker.expected(&key);
-                        (
-                            StoreOp::Read { key: key.clone() },
-                            key,
-                            expected,
-                            kind == OpKind::ReadModifyWrite,
-                        )
+                        (StoreOp::Read { key: key.clone() }, expected)
                     }
                     OpKind::Update => {
-                        let key = interner.key(match flash_key {
-                            Some(hot) => hot,
-                            None => dist.next(sim.rng()),
-                        });
+                        let value = pool.next(sim.rng());
                         (
                             StoreOp::Update {
                                 key: key.clone(),
-                                value: pool.next(sim.rng()),
+                                value,
                             },
-                            key,
                             0,
-                            false,
                         )
                     }
                     OpKind::Insert => {
-                        let (_, key) = keyspace.next_insert();
-                        dist.set_items(keyspace.count());
+                        let value = pool.next(sim.rng());
                         (
                             StoreOp::Insert {
                                 key: key.clone(),
-                                value: pool.next(sim.rng()),
+                                value,
                             },
-                            key,
                             0,
-                            false,
                         )
                     }
                     OpKind::Scan => {
-                        let start = interner.key(match flash_key {
-                            Some(hot) => hot,
-                            None => dist.next(sim.rng()),
-                        });
                         let limit = cfg.workload.scan_len(sim.rng());
                         (
                             StoreOp::Scan {
-                                start: start.clone(),
+                                start: key.clone(),
                                 limit,
                             },
-                            start,
                             0,
-                            false,
                         )
                     }
-                    OpKind::Delete => {
-                        let key = interner.key(match flash_key {
-                            Some(hot) => hot,
-                            None => dist.next(sim.rng()),
-                        });
-                        (StoreOp::Delete { key: key.clone() }, key, 0, false)
-                    }
+                    OpKind::Delete => (StoreOp::Delete { key: key.clone() }, 0),
                 };
                 // Deterministic sampling by 0-based issue index: the same
-                // seed and sampling config always trace the same ops.
-                let trace_id = if tracing && cfg.trace.samples(issued - 1, cfg.seed) {
-                    trace_of.insert(token, token);
-                    store.tracer_mut().watch(token);
-                    Some(token)
-                } else {
-                    None
-                };
+                // seed and sampling config always trace the same ops, each
+                // under its first attempt's token.
+                let trace_id = (tracing && cfg.trace.samples(issued - 1, cfg.seed))
+                    .then_some(attempts.next_token);
                 let deadline = cfg.retry.deadline_at(now);
                 let tag = OpTag { priority, deadline };
                 let opkey = ctxs.insert(OpCtx {
@@ -426,7 +427,7 @@ where
                     op: op.clone(),
                     key,
                     expected_ts,
-                    rmw_read_phase: rmw,
+                    rmw_read_phase: kind == OpKind::ReadModifyWrite,
                     recovered: false,
                     attempts_total: 1,
                     retries: 0,
@@ -435,9 +436,7 @@ where
                     hedge_token: None,
                     trace_id,
                 });
-                attempt_of.set(token, opkey);
-                metrics.resilience_mut().attempts += 1;
-                store.submit_tagged(&mut sim, token, op, tag);
+                attempts.submit(store, &mut sim, opkey, trace_id, op, tag);
                 // Hedging covers point reads only (including the RMW read
                 // phase); the event is harmless if the op settles first.
                 if cfg.retry.hedges() && matches!(kind, OpKind::Read | OpKind::ReadModifyWrite) {
@@ -448,19 +447,10 @@ where
                 // Scheduled only while its op is pending with nothing in
                 // flight, so the ctx is present; guard anyway.
                 if let Some(ctx) = ctxs.get_mut(op) {
-                    let token = next_token;
-                    next_token += 1;
                     ctx.attempts_total += 1;
                     ctx.in_flight += 1;
-                    attempt_of.set(token, op);
-                    metrics.resilience_mut().attempts += 1;
-                    if let Some(logical) = ctx.trace_id {
-                        trace_of.insert(token, logical);
-                        store.tracer_mut().watch(token);
-                    }
                     let resubmit = ctx.op.clone();
-                    let tag = ctx.tag;
-                    store.submit_tagged(&mut sim, token, resubmit, tag);
+                    attempts.submit(store, &mut sim, op, ctx.trace_id, resubmit, ctx.tag);
                 }
             }
             DriverEvent::Hedge { op } => {
@@ -473,22 +463,14 @@ where
                         && matches!(ctx.op, StoreOp::Read { .. })
                         && sim.now() < ctx.deadline
                     {
-                        let token = next_token;
-                        next_token += 1;
                         ctx.hedged = true;
-                        ctx.hedge_token = Some(token);
                         ctx.attempts_total += 1;
                         ctx.in_flight += 1;
-                        attempt_of.set(token, op);
                         metrics.resilience_mut().hedges += 1;
-                        metrics.resilience_mut().attempts += 1;
-                        if let Some(logical) = ctx.trace_id {
-                            trace_of.insert(token, logical);
-                            store.tracer_mut().watch(token);
-                        }
                         let resubmit = ctx.op.clone();
-                        let tag = ctx.tag;
-                        store.submit_tagged(&mut sim, token, resubmit, tag);
+                        let token =
+                            attempts.submit(store, &mut sim, op, ctx.trace_id, resubmit, ctx.tag);
+                        ctx.hedge_token = Some(token);
                     }
                 }
             }
@@ -502,7 +484,7 @@ where
         // Drain completions produced by this dispatch.
         store.drain_completions_into(&mut done);
         for c in done.drain(..) {
-            let opkey = attempt_of.take(c.token);
+            let opkey = attempts.take(c.token);
             if opkey.is_none() {
                 continue;
             }
@@ -572,8 +554,6 @@ where
                     let Some(mut ctx) = ctxs.remove(opkey) else {
                         continue; // unreachable: get_mut above proved it live
                     };
-                    let token = next_token;
-                    next_token += 1;
                     let op = StoreOp::Update {
                         key: ctx.key.clone(),
                         value: pool.next(sim.rng()),
@@ -585,18 +565,9 @@ where
                     ctx.hedge_token = None;
                     ctx.attempts_total += 1;
                     ctx.in_flight = 1;
-                    let trace_id = ctx.trace_id;
-                    let tag = ctx.tag;
+                    let (trace_id, tag) = (ctx.trace_id, ctx.tag);
                     let newkey = ctxs.insert(ctx);
-                    attempt_of.set(token, newkey);
-                    metrics.resilience_mut().attempts += 1;
-                    // The write phase submits a fresh token; keep mapping
-                    // its spans back to the original trace id.
-                    if let Some(logical) = trace_id {
-                        trace_of.insert(token, logical);
-                        store.tracer_mut().watch(token);
-                    }
-                    store.submit_tagged(&mut sim, token, op, tag);
+                    attempts.submit(store, &mut sim, newkey, trace_id, op, tag);
                     continue;
                 }
                 match &c.result {
@@ -686,7 +657,7 @@ where
                 background.push(s);
                 continue;
             }
-            let Some(&logical) = trace_of.get(&s.op) else {
+            let Some(&logical) = attempts.trace_of.get(&s.op) else {
                 continue;
             };
             s.op = logical;
@@ -713,6 +684,8 @@ where
     } else {
         None
     };
+    // Every token issued is one attempt submitted.
+    metrics.resilience_mut().attempts = attempts.next_token - 1;
     metrics.set_window(window_start, window_end);
     let (stale, checked) = metrics.staleness();
     RunOutcome {
@@ -810,6 +783,22 @@ mod tests {
         assert!(out.metrics.for_op(OpKind::Scan).is_some());
         assert!(out.metrics.for_op(OpKind::Insert).is_some());
         assert_eq!(out.errors, 0);
+    }
+
+    #[test]
+    fn open_loop_runs_without_client_threads() {
+        // `threads` is a closed-loop knob: an open-loop run must not need it.
+        let scale = Scale::tiny();
+        let mut store = build_hstore(&scale, 2);
+        load(&mut store, scale.records, scale.value_len, 1);
+        let cfg = DriverConfig {
+            threads: 0,
+            arrival: ArrivalMode::OpenLoop(OpenLoop::poisson(2_000.0)),
+            ..quick_cfg(WorkloadSpec::read_mostly(), &scale)
+        };
+        let out = run(&mut store, &cfg);
+        assert_eq!(out.metrics.ops() + out.errors, 1_000);
+        assert_eq!(out.unsettled_ops, 0);
     }
 
     #[test]

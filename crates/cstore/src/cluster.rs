@@ -33,42 +33,48 @@ enum PendingState {
     Scan(ScanState),
 }
 
-/// Which acknowledgements satisfy a write's consistency level.
+/// The replica quota a consistency level sets for one op: which answers
+/// settle it. [`Cluster::quota`] sizes it from the *configured* replica
+/// set, live or not, as in Cassandra's blockFor computation.
 #[derive(Debug, Clone)]
-enum AckRule {
-    /// Datacenter-blind: any `WriteState::needed` acks settle the op
-    /// (ONE/TWO/THREE/QUORUM/ALL, and every level on a single-DC cluster).
-    Count,
-    /// LOCAL_QUORUM: only acks from the coordinator's datacenter count
-    /// toward `WriteState::needed`.
-    LocalDc {
-        /// The coordinator's datacenter.
-        dc: u32,
-        /// Acks received from that datacenter so far.
-        acks: u32,
-    },
-    /// EACH_QUORUM: a quorum in every datacenter holding replicas;
-    /// `(region, needed, acks)` per datacenter.
+enum Quota {
+    /// Any `n` replicas: ONE/TWO/THREE/QUORUM/ALL, every level on a
+    /// single-DC cluster, and LOCAL_QUORUM when the coordinator's DC holds
+    /// no replica.
+    Any(u32),
+    /// `needed` replicas of the coordinator's datacenter `dc`
+    /// (LOCAL_QUORUM, so no WAN hop sits on the settle path); `acks` counts
+    /// that datacenter's acks so far.
+    Local { dc: u32, needed: u32, acks: u32 },
+    /// A majority in every datacenter holding replicas (EACH_QUORUM, so the
+    /// settle path waits on the slowest one): `(region, needed, acks)` per
+    /// datacenter, in ring order of its first replica.
     PerDc(Vec<(u32, u32, u32)>),
 }
 
-impl AckRule {
-    /// Record an ack from a node in `region`; true once the rule is
-    /// satisfied (`needed` is the threshold for the scalar rules).
-    fn ack(&mut self, region: u32, needed: u32, total_acks: u32) -> bool {
+impl Quota {
+    /// Replica answers the quota needs in all.
+    fn needed(&self) -> u32 {
         match self {
-            AckRule::Count => total_acks >= needed,
-            AckRule::LocalDc { dc, acks } => {
-                if region == *dc {
-                    *acks += 1;
-                }
-                *acks >= needed
+            Quota::Any(n) | Quota::Local { needed: n, .. } => *n,
+            Quota::PerDc(dcs) => dcs.iter().map(|q| q.1).sum(),
+        }
+    }
+
+    /// Record the op's `total`th ack, from a node in `region`; true once
+    /// the quota is met.
+    fn ack(&mut self, region: u32, total: u32) -> bool {
+        match self {
+            Quota::Any(n) => total >= *n,
+            Quota::Local { dc, needed, acks } => {
+                *acks += u32::from(region == *dc);
+                *acks >= *needed
             }
-            AckRule::PerDc(quotas) => {
-                if let Some(q) = quotas.iter_mut().find(|q| q.0 == region) {
+            Quota::PerDc(dcs) => {
+                if let Some(q) = dcs.iter_mut().find(|q| q.0 == region) {
                     q.2 += 1;
                 }
-                quotas.iter().all(|q| q.2 >= q.1)
+                dcs.iter().all(|q| q.2 >= q.1)
             }
         }
     }
@@ -76,14 +82,12 @@ impl AckRule {
 
 #[derive(Debug, Clone)]
 struct WriteState {
-    needed: u32,
     expected: u32,
     acks: u32,
     ts: u64,
     /// When the replica fan-out left the coordinator (quorum-wait start).
     fanout_at: SimTime,
-    /// Datacenter-aware ack accounting (LOCAL_QUORUM / EACH_QUORUM).
-    rule: AckRule,
+    quota: Quota,
 }
 
 #[derive(Debug, Clone)]
@@ -136,6 +140,16 @@ impl<T> BufferPool<T> {
     }
 }
 
+/// One coordinator fan-out's replica lists, reused from op to op so the
+/// read, write and scan paths allocate none: `replicas` is the placed set
+/// ([`Ring::replicas_into`], a scan round's [`Ring::range_replicas_into`]),
+/// `targets` the live replicas its quota asks for.
+#[derive(Debug, Clone, Default)]
+struct FanOut {
+    replicas: Vec<NodeId>,
+    targets: Vec<NodeId>,
+}
+
 /// A simulated Cassandra-analog cluster.
 #[derive(Debug, Clone)]
 pub struct Cluster {
@@ -145,11 +159,7 @@ pub struct Cluster {
     rt: Runtime<PendingState, Event>,
     metrics: Metrics,
     next_coord: usize,
-    /// Reusable buffer for per-op replica placement: the coordinator paths
-    /// take it, fill it via [`Ring::replicas_into`] (a scan round via
-    /// [`Ring::range_replicas_into`]), and put it back, so the read, write
-    /// and scan hot paths never allocate a replica `Vec` per operation.
-    replica_scratch: Vec<NodeId>,
+    scratch: FanOut,
     /// Recycled `ReadState::results` buffers.
     read_answers: BufferPool<(NodeId, Option<Cell>)>,
     /// Recycled `ScanState::partials` buffers.
@@ -184,7 +194,7 @@ impl Cluster {
             rt,
             metrics: Metrics::new(),
             next_coord: 0,
-            replica_scratch: Vec::new(),
+            scratch: FanOut::default(),
             read_answers: BufferPool::new(),
             scan_partials: BufferPool::new(),
         }
@@ -352,6 +362,116 @@ impl Cluster {
         );
     }
 
+    /// The quota `cl` sets for an op coordinated at `coord` over `replicas`.
+    /// The datacenter-aware levels are a plain majority on a single-DC
+    /// cluster.
+    fn quota(&self, cl: Consistency, coord: NodeId, replicas: &[NodeId]) -> Quota {
+        let any = Quota::Any(cl.required(self.config.replication_factor));
+        if !cl.dc_aware() || !self.multi_dc() {
+            return any;
+        }
+        let in_dc = |dc: u32| {
+            replicas
+                .iter()
+                .filter(|&&r| self.region_of(r) == dc)
+                .count() as u32
+        };
+        if cl == Consistency::LocalQuorum {
+            let dc = self.region_of(coord);
+            return match in_dc(dc) {
+                // No replica in the coordinator's DC: degrade to a plain
+                // majority rather than never settling.
+                0 => any,
+                n => Quota::Local {
+                    dc,
+                    needed: n / 2 + 1,
+                    acks: 0,
+                },
+            };
+        }
+        let mut dcs: Vec<(u32, u32, u32)> = Vec::new();
+        for &r in replicas {
+            let dc = self.region_of(r);
+            if !dcs.iter().any(|q| q.0 == dc) {
+                dcs.push((dc, in_dc(dc) / 2 + 1, 0));
+            }
+        }
+        Quota::PerDc(dcs)
+    }
+
+    /// The live replicas `quota` asks for, into `out` in send order: ring
+    /// order, grouped by datacenter for EACH_QUORUM. False when too few are
+    /// live to meet it.
+    fn pick_targets(&self, quota: &Quota, replicas: &[NodeId], out: &mut Vec<NodeId>) -> bool {
+        let live_in = |dc: Option<u32>, n: u32| {
+            replicas
+                .iter()
+                .copied()
+                .filter(move |&r| self.rt.is_up(r) && dc.is_none_or(|dc| self.region_of(r) == dc))
+                .take(n as usize)
+        };
+        out.clear();
+        match quota {
+            Quota::Any(n) => out.extend(live_in(None, *n)),
+            Quota::Local { dc, needed, .. } => out.extend(live_in(Some(*dc), *needed)),
+            Quota::PerDc(dcs) => {
+                for &(dc, needed, _) in dcs {
+                    out.extend(live_in(Some(dc), needed));
+                }
+            }
+        }
+        out.len() as u32 >= quota.needed()
+    }
+
+    /// Send `request(i, r)` to the `i`th replica `r` of `to`, in order, from
+    /// coordinator `coord` at `t1`, each hop traced with its
+    /// [`Cluster::hop_stage`].
+    #[allow(clippy::too_many_arguments)]
+    fn fan_out<W: From<Event>>(
+        &mut self,
+        sim: &mut Sim<W>,
+        token: u64,
+        coord: NodeId,
+        to: &[NodeId],
+        bytes: u64,
+        t1: SimTime,
+        mut request: impl FnMut(usize, NodeId) -> Event,
+    ) {
+        for (i, &r) in to.iter().enumerate() {
+            let arr = self.rt.net_to(coord, r, bytes, t1);
+            let stage = self.hop_stage(coord, r);
+            self.rt.tracer.record(token, stage, r.0, t1, arr);
+            sim.schedule_at(arr, W::from(request(i, r)));
+        }
+    }
+
+    /// Send a mutation nobody waits for, a read repair or a replayed hint,
+    /// from `from` to `to` at `at`.
+    fn send_unacked<W: From<Event>>(
+        &mut self,
+        sim: &mut Sim<W>,
+        from: NodeId,
+        to: NodeId,
+        key: Key,
+        cell: Cell,
+        at: SimTime,
+    ) {
+        let bytes = self.config.node.msg_overhead_bytes + entry_encoded_len(&key, &cell);
+        let arr = self.rt.net_to(from, to, bytes, at);
+        let (op, token, ack) = (OpKey::NONE, 0, false);
+        sim.schedule_at(
+            arr,
+            W::from(Event::ReplicaWrite {
+                op,
+                token,
+                node: to,
+                key,
+                cell,
+                ack,
+            }),
+        );
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn start_write<W: From<Event>>(
         &mut self,
@@ -364,74 +484,17 @@ impl Cluster {
         t1: SimTime,
     ) {
         self.metrics.writes += 1;
-        let rf = self.config.replication_factor;
-        let write_cl = self.config.write_cl;
-        let mut replicas = std::mem::take(&mut self.replica_scratch);
-        self.ring.replicas_into(&key, rf, &mut replicas);
-        // Quota denominators come from the *configured* replica set (live
-        // or not), as in Cassandra's blockFor computation.
-        let (needed, rule) = if write_cl.dc_aware() && self.multi_dc() {
-            match write_cl {
-                Consistency::LocalQuorum => {
-                    let dc = self.region_of(coord);
-                    let local_total = replicas
-                        .iter()
-                        .filter(|&&r| self.region_of(r) == dc)
-                        .count() as u32;
-                    if local_total == 0 {
-                        // No replicas in the coordinator's DC: degrade to a
-                        // plain majority rather than never settling.
-                        (write_cl.required(rf), AckRule::Count)
-                    } else {
-                        (local_total / 2 + 1, AckRule::LocalDc { dc, acks: 0 })
-                    }
-                }
-                _ => {
-                    // EACH_QUORUM: a majority of each DC's replica count.
-                    let mut quotas: Vec<(u32, u32, u32)> = Vec::new();
-                    for &r in &replicas {
-                        let region = self.region_of(r);
-                        match quotas.iter_mut().find(|q| q.0 == region) {
-                            Some(q) => q.1 += 1,
-                            None => quotas.push((region, 1, 0)),
-                        }
-                    }
-                    for q in &mut quotas {
-                        q.1 = q.1 / 2 + 1;
-                    }
-                    (quotas.iter().map(|q| q.1).sum(), AckRule::PerDc(quotas))
-                }
-            }
-        } else {
-            (write_cl.required(rf), AckRule::Count)
-        };
-        // Live/dead replicas are walked in place (ring order) rather than
-        // partitioned into per-op vectors.
-        let live_count = replicas.iter().filter(|&&r| self.rt.is_up(r)).count() as u32;
-        let available = match &rule {
-            AckRule::Count => live_count >= needed,
-            AckRule::LocalDc { dc, .. } => {
-                replicas
-                    .iter()
-                    .filter(|&&r| self.rt.is_up(r) && self.region_of(r) == *dc)
-                    .count() as u32
-                    >= needed
-            }
-            AckRule::PerDc(quotas) => quotas.iter().all(|q| {
-                replicas
-                    .iter()
-                    .filter(|&&r| self.rt.is_up(r) && self.region_of(r) == q.0)
-                    .count() as u32
-                    >= q.1
-            }),
-        };
-        if !available {
-            self.replica_scratch = replicas;
+        let mut f = std::mem::take(&mut self.scratch);
+        self.ring
+            .replicas_into(&key, self.config.replication_factor, &mut f.replicas);
+        let quota = self.quota(self.config.write_cl, coord, &f.replicas);
+        if !self.pick_targets(&quota, &f.replicas, &mut f.targets) {
+            self.scratch = f;
             self.unavailable(sim, op, token, coord, t1);
             return;
         }
         if self.config.hinted_handoff {
-            for &target in &replicas {
+            for &target in &f.replicas {
                 if self.rt.is_up(target) {
                     continue;
                 }
@@ -443,49 +506,28 @@ impl Cluster {
                 });
             }
         }
+        // Every live replica gets the write; the quota only gates the ack.
+        f.replicas.retain(|&r| self.rt.is_up(r));
         let bytes = self.config.node.msg_overhead_bytes + entry_encoded_len(&key, &cell);
-        let expected = live_count;
-        let ts = cell.ts;
-        // Every live replica but the last gets a copy; the last one takes
-        // the op's own key and cell.
-        let mut payload = Some((key, cell));
-        let mut unsent = live_count;
-        for &r in &replicas {
-            if !self.rt.is_up(r) {
-                continue;
+        let (expected, ts) = (f.replicas.len() as u32, cell.ts);
+        self.fan_out(sim, token, coord, &f.replicas, bytes, t1, |_, node| {
+            Event::ReplicaWrite {
+                op,
+                token,
+                node,
+                key: key.clone(),
+                cell: cell.clone(),
+                ack: true,
             }
-            unsent -= 1;
-            let Some((key, cell)) = (if unsent == 0 {
-                payload.take()
-            } else {
-                payload.clone()
-            }) else {
-                break;
-            };
-            let arr = self.rt.net_to(coord, r, bytes, t1);
-            let stage = self.hop_stage(coord, r);
-            self.rt.tracer.record(token, stage, r.0, t1, arr);
-            sim.schedule_at(
-                arr,
-                W::from(Event::ReplicaWrite {
-                    op,
-                    token,
-                    node: r,
-                    key,
-                    cell,
-                    ack: true,
-                }),
-            );
-        }
-        self.replica_scratch = replicas;
+        });
+        self.scratch = f;
         if let Some(p) = self.rt.get_mut(op) {
             p.state = PendingState::Write(WriteState {
-                needed,
                 expected,
                 acks: 0,
                 ts,
                 fanout_at: t1,
-                rule,
+                quota,
             });
         }
     }
@@ -500,148 +542,37 @@ impl Cluster {
         t1: SimTime,
     ) {
         self.metrics.reads += 1;
-        let rf = self.config.replication_factor;
-        let read_cl = self.config.read_cl;
-        let mut replicas = std::mem::take(&mut self.replica_scratch);
+        let mut f = std::mem::take(&mut self.scratch);
         // Ring order starting at the main replica — the paper's "fixed
         // order" replica selection.
-        self.ring.replicas_into(&key, rf, &mut replicas);
-        if read_cl.dc_aware() && self.multi_dc() {
-            // Datacenter-aware levels: the quota replicas are chosen per DC
-            // (LOCAL_QUORUM: coordinator's DC only, so no WAN hop sits on
-            // the settle path; EACH_QUORUM: a quorum from every DC, so the
-            // settle path waits on the slowest DC), still in ring order
-            // within a DC.
-            let live: Vec<NodeId> = replicas
-                .iter()
-                .copied()
-                .filter(|&r| self.rt.is_up(r))
-                .collect();
-            let (needed, quota_targets): (u32, Vec<NodeId>) = match read_cl {
-                Consistency::LocalQuorum => {
-                    let dc = self.region_of(coord);
-                    let local_total = replicas
-                        .iter()
-                        .filter(|&&r| self.region_of(r) == dc)
-                        .count() as u32;
-                    if local_total == 0 {
-                        let n = read_cl.required(rf);
-                        (n, live.iter().copied().take(n as usize).collect())
-                    } else {
-                        let n = local_total / 2 + 1;
-                        (
-                            n,
-                            live.iter()
-                                .copied()
-                                .filter(|&r| self.region_of(r) == dc)
-                                .take(n as usize)
-                                .collect(),
-                        )
-                    }
-                }
-                _ => {
-                    let mut quotas: Vec<(u32, u32)> = Vec::new();
-                    for &r in &replicas {
-                        let region = self.region_of(r);
-                        match quotas.iter_mut().find(|q| q.0 == region) {
-                            Some(q) => q.1 += 1,
-                            None => quotas.push((region, 1)),
-                        }
-                    }
-                    let mut needed = 0;
-                    let mut targets = Vec::new();
-                    for (region, total) in quotas {
-                        let q = total / 2 + 1;
-                        needed += q;
-                        targets.extend(
-                            live.iter()
-                                .copied()
-                                .filter(|&r| self.region_of(r) == region)
-                                .take(q as usize),
-                        );
-                    }
-                    (needed, targets)
-                }
-            };
-            self.replica_scratch = replicas;
-            if (quota_targets.len() as u32) < needed {
-                self.unavailable(sim, op, token, coord, t1);
-                return;
-            }
-            let fanout =
-                live.len() as u32 > needed && sim.rng().chance(self.config.read_repair_chance);
-            if fanout {
-                self.metrics.repair_fanouts += 1;
-            }
-            let targets: Vec<NodeId> = if fanout { live } else { quota_targets };
-            let bytes = self.config.node.msg_overhead_bytes + key.len() as u64;
-            let expected = targets.len() as u32;
-            let results = self.read_answers.take(expected as usize);
-            for r in targets {
-                let arr = self.rt.net_to(coord, r, bytes, t1);
-                let stage = self.hop_stage(coord, r);
-                self.rt.tracer.record(token, stage, r.0, t1, arr);
-                sim.schedule_at(
-                    arr,
-                    W::from(Event::ReplicaRead {
-                        op,
-                        token,
-                        node: r,
-                        key: key.clone(),
-                    }),
-                );
-            }
-            if let Some(p) = self.rt.get_mut(op) {
-                p.state = PendingState::Read(ReadState {
-                    key,
-                    needed,
-                    expected,
-                    fanout,
-                    results,
-                    fanout_at: t1,
-                });
-            }
-            return;
-        }
-        // Single-DC fast path: the quota targets are simply the first
-        // `needed` live replicas in ring order, so count and walk the
-        // replica set in place instead of materialising target vectors.
-        let needed = read_cl.required(rf);
-        let live_count = replicas.iter().filter(|&&r| self.rt.is_up(r)).count() as u32;
-        if live_count < needed {
-            self.replica_scratch = replicas;
+        self.ring
+            .replicas_into(&key, self.config.replication_factor, &mut f.replicas);
+        let quota = self.quota(self.config.read_cl, coord, &f.replicas);
+        if !self.pick_targets(&quota, &f.replicas, &mut f.targets) {
+            self.scratch = f;
             self.unavailable(sim, op, token, coord, t1);
             return;
         }
-        let fanout = live_count > needed && sim.rng().chance(self.config.read_repair_chance);
+        let needed = quota.needed();
+        f.replicas.retain(|&r| self.rt.is_up(r));
+        let fanout =
+            f.replicas.len() as u32 > needed && sim.rng().chance(self.config.read_repair_chance);
         if fanout {
             self.metrics.repair_fanouts += 1;
         }
-        let expected = if fanout { live_count } else { needed };
+        // A repair fan-out probes every live replica, in ring order.
+        let to = if fanout { &f.replicas } else { &f.targets };
         let bytes = self.config.node.msg_overhead_bytes + key.len() as u64;
-        let mut sent = 0u32;
-        for &r in &replicas {
-            if sent == expected {
-                break;
+        self.fan_out(sim, token, coord, to, bytes, t1, |_, node| {
+            Event::ReplicaRead {
+                op,
+                token,
+                node,
+                key: key.clone(),
             }
-            if !self.rt.is_up(r) {
-                continue;
-            }
-            sent += 1;
-            let arr = self.rt.net_to(coord, r, bytes, t1);
-            let stage = self.hop_stage(coord, r);
-            self.rt.tracer.record(token, stage, r.0, t1, arr);
-            sim.schedule_at(
-                arr,
-                W::from(Event::ReplicaRead {
-                    op,
-                    token,
-                    node: r,
-                    key: key.clone(),
-                }),
-            );
-        }
-        self.replica_scratch = replicas;
+        });
+        let expected = to.len() as u32;
+        self.scratch = f;
         let results = self.read_answers.take(expected as usize);
         if let Some(p) = self.rt.get_mut(op) {
             p.state = PendingState::Read(ReadState {
@@ -698,50 +629,49 @@ impl Cluster {
         limit: usize,
         t1: SimTime,
     ) {
-        let rf = self.config.replication_factor;
-        let needed = self.config.read_cl.required(rf);
+        let mut f = std::mem::take(&mut self.scratch);
         // The range's replicas as the strategy placed its writes, in ring
         // order from the primary.
-        let mut live = std::mem::take(&mut self.replica_scratch);
-        self.ring.range_replicas_into(primary, rf, &mut live);
-        live.retain(|&r| self.rt.is_up(r));
-        if (live.len() as u32) < needed {
-            self.replica_scratch = live;
+        self.ring
+            .range_replicas_into(primary, self.config.replication_factor, &mut f.replicas);
+        let quota = self.quota(self.config.read_cl, coord, &f.replicas);
+        if !self.pick_targets(&quota, &f.replicas, &mut f.targets) {
+            self.scratch = f;
             self.unavailable(sim, op, token, coord, t1);
             return;
         }
+        let needed = quota.needed();
+        f.replicas.retain(|&r| self.rt.is_up(r));
         // Range reads participate in read repair too (Cassandra's range
-        // slice resolver): with the configured chance the round queries
-        // every live replica of the range and reconciles across all of
-        // them — this is what couples scan cost to the replication factor.
-        let fanout = live.len() as u32 > needed && sim.rng().chance(self.config.read_repair_chance);
+        // slice resolver): with the configured chance the round also probes
+        // every other live replica of the range and reconciles across all
+        // of them — this is what couples scan cost to the replication factor.
+        let fanout =
+            f.replicas.len() as u32 > needed && sim.rng().chance(self.config.read_repair_chance);
         if fanout {
             self.metrics.repair_fanouts += 1;
+            for &r in &f.replicas {
+                if !f.targets.contains(&r) {
+                    f.targets.push(r);
+                }
+            }
         }
-        let probed = if fanout { live.len() } else { needed as usize };
         let clamp = self.ring.range_end(primary).cloned();
         let bytes = self.config.node.msg_overhead_bytes + start.len() as u64;
-        for (i, &r) in live[..probed].iter().enumerate() {
-            let arr = self.rt.net_to(coord, r, bytes, t1);
-            self.rt
-                .tracer
-                .record(token, Stage::ReplicaRpc, r.0, t1, arr);
-            sim.schedule_at(
-                arr,
-                W::from(Event::ReplicaScan {
-                    op,
-                    token,
-                    node: r,
-                    start: start.clone(),
-                    limit,
-                    clamp: clamp.clone(),
-                    // Repair probes beyond the consistency quota add load
-                    // (that is their cost) but never gate the response.
-                    count: i < needed as usize,
-                }),
-            );
-        }
-        self.replica_scratch = live;
+        self.fan_out(sim, token, coord, &f.targets, bytes, t1, |i, node| {
+            Event::ReplicaScan {
+                op,
+                token,
+                node,
+                start: start.clone(),
+                limit,
+                clamp: clamp.clone(),
+                // Repair probes beyond the quota add load (that is their
+                // cost) but never gate the response.
+                count: i < needed as usize,
+            }
+        });
+        self.scratch = f;
         if let Some(p) = self.rt.get_mut(op) {
             if let PendingState::Scan(s) = &mut p.state {
                 s.needed_this_round = needed;
@@ -855,7 +785,7 @@ impl Cluster {
             return;
         };
         w.acks += 1;
-        let settled = w.rule.ack(node_region, w.needed, w.acks);
+        let settled = w.quota.ack(node_region, w.acks);
         let respond_now = !p.responded && settled;
         let (done, ts, fanout_at) = (w.acks >= w.expected, w.ts, w.fanout_at);
         if respond_now {
@@ -1020,20 +950,8 @@ impl Cluster {
         let Some(cell) = winner.filter(|_| !stale.is_empty()) else {
             return;
         };
-        let bytes = self.config.node.msg_overhead_bytes + entry_encoded_len(&r.key, &cell);
         for target in stale {
-            let arr = self.rt.net_to(coord, target, bytes, t1);
-            sim.schedule_at(
-                arr,
-                W::from(Event::ReplicaWrite {
-                    op: OpKey::NONE,
-                    token: 0,
-                    node: target,
-                    key: r.key.clone(),
-                    cell: cell.clone(),
-                    ack: false,
-                }),
-            );
+            self.send_unacked(sim, coord, target, r.key.clone(), cell.clone(), t1);
         }
     }
 
@@ -1091,9 +1009,8 @@ impl Cluster {
         let coord = p.node;
         let bytes = self.rt.rows_bytes(&rows);
         let arr = self.rt.net_to(node, coord, bytes, t3);
-        self.rt
-            .tracer
-            .record(token, Stage::ReplicaRpc, node.0, t3, arr);
+        let stage = self.hop_stage(node, coord);
+        self.rt.tracer.record(token, stage, node.0, t3, arr);
         sim.schedule_at(arr, W::from(Event::ScanReturn { op, rows }));
     }
 
@@ -1205,21 +1122,8 @@ impl Cluster {
         for hint in hints {
             if self.rt.is_up(hint.target) {
                 self.metrics.hints_replayed += 1;
-                let bytes =
-                    self.config.node.msg_overhead_bytes + entry_encoded_len(&hint.key, &hint.cell);
-                let arr = self.rt.net_to(node, hint.target, bytes, t);
+                self.send_unacked(sim, node, hint.target, hint.key, hint.cell, t);
                 t += 10; // pace hint delivery slightly
-                sim.schedule_at(
-                    arr,
-                    W::from(Event::ReplicaWrite {
-                        op: OpKey::NONE,
-                        token: 0,
-                        node: hint.target,
-                        key: hint.key,
-                        cell: hint.cell,
-                        ack: false,
-                    }),
-                );
             } else {
                 kept.push(hint);
             }
@@ -1441,6 +1345,7 @@ mod tests {
     use crate::ring::Partitioner;
     use bytes::Bytes;
     use faults::FaultTarget;
+    use proptest::prelude::*;
 
     type Ev = DriverEvent<Event>;
 
@@ -2159,5 +2064,283 @@ mod tests {
             run(Consistency::EachQuorum, Consistency::EachQuorum),
             quorum
         );
+    }
+
+    #[test]
+    fn local_quorum_scan_counts_only_local_replicas() {
+        // Sized as a plain QUORUM of all 6 replicas, a LOCAL_QUORUM scan
+        // round waited for 4 answers, at least one across the WAN.
+        let mut cfg = geo_cluster_config(2, 3, 3);
+        cfg.partitioner = Partitioner::order_preserving((0..6).map(|i| key(i * 20)).collect());
+        cfg.read_cl = Consistency::LocalQuorum;
+        let mut h = Harness::new(cfg);
+        for i in 0..120u64 {
+            h.cluster.load_direct(key(i), k("v"), 1);
+        }
+        let issue = h.sim.now();
+        let t = h.submit(StoreOp::Scan {
+            start: key(0),
+            limit: 5,
+        });
+        let (mut counted, mut done_at) = (Vec::new(), None);
+        while let Some(Ev::Store(ev)) = h.sim.next() {
+            if let Event::ReplicaScan {
+                node, count: true, ..
+            } = &ev
+            {
+                counted.push(*node);
+            }
+            h.cluster.handle(&mut h.sim, ev);
+            for c in h.cluster.drain_completions() {
+                if c.token == t {
+                    let OpResult::Rows(rows) = c.result else {
+                        panic!("unexpected: {:?}", c.result);
+                    };
+                    let got: Vec<_> = rows.into_iter().map(|(key, _)| key).collect();
+                    assert_eq!(got, (0..5).map(key).collect::<Vec<_>>());
+                    done_at = Some(h.sim.now());
+                }
+            }
+        }
+        // The first coordinator is node 0, in region 0.
+        assert_eq!(counted.len(), 2, "a majority of the local 3: {counted:?}");
+        assert!(
+            counted.iter().all(|&n| h.cluster.region_of(n) == 0),
+            "counted a remote replica: {counted:?}"
+        );
+        let lat = done_at.expect("scan settled") - issue;
+        assert!(lat < WAN_US, "LOCAL_QUORUM scan paid a WAN hop: {lat}us");
+    }
+
+    // ----- the quota plan against the code it replaced -----
+
+    /// How the coordinator sized a write's ack rule before one [`Quota`]
+    /// served reads, writes and scans (a copy of that code, as an oracle).
+    enum RefRule {
+        Count,
+        LocalDc { dc: u32, acks: u32 },
+        PerDc(Vec<(u32, u32, u32)>),
+    }
+
+    impl RefRule {
+        fn ack(&mut self, region: u32, needed: u32, total_acks: u32) -> bool {
+            match self {
+                RefRule::Count => total_acks >= needed,
+                RefRule::LocalDc { dc, acks } => {
+                    if region == *dc {
+                        *acks += 1;
+                    }
+                    *acks >= needed
+                }
+                RefRule::PerDc(quotas) => {
+                    if let Some(q) = quotas.iter_mut().find(|q| q.0 == region) {
+                        q.2 += 1;
+                    }
+                    quotas.iter().all(|q| q.2 >= q.1)
+                }
+            }
+        }
+    }
+
+    /// The replaced code's verdicts over replicas `(node, region, up)` in
+    /// ring order: `(needed, write rule, write available, read targets,
+    /// read available)`.
+    fn reference_plan(
+        cl: Consistency,
+        rf: u32,
+        coord_dc: u32,
+        multi_dc: bool,
+        reps: &[(NodeId, u32, bool)],
+    ) -> (u32, RefRule, bool, Vec<NodeId>, bool) {
+        let live: Vec<NodeId> = reps.iter().filter(|r| r.2).map(|r| r.0).collect();
+        let live_in = |dc: u32| reps.iter().filter(move |r| r.2 && r.1 == dc).map(|r| r.0);
+        let mut totals: Vec<(u32, u32)> = Vec::new();
+        for r in reps {
+            match totals.iter_mut().find(|q| q.0 == r.1) {
+                Some(q) => q.1 += 1,
+                None => totals.push((r.1, 1)),
+            }
+        }
+        let local_total = reps.iter().filter(|r| r.1 == coord_dc).count() as u32;
+        if !(cl.dc_aware() && multi_dc) || (cl == Consistency::LocalQuorum && local_total == 0) {
+            let n = cl.required(rf);
+            let targets: Vec<NodeId> = live.iter().copied().take(n as usize).collect();
+            let available = live.len() as u32 >= n;
+            return (n, RefRule::Count, available, targets, available);
+        }
+        if cl == Consistency::LocalQuorum {
+            let n = local_total / 2 + 1;
+            let targets: Vec<NodeId> = live_in(coord_dc).take(n as usize).collect();
+            let write_available = live_in(coord_dc).count() as u32 >= n;
+            let rule = RefRule::LocalDc {
+                dc: coord_dc,
+                acks: 0,
+            };
+            let read_available = targets.len() as u32 >= n;
+            return (n, rule, write_available, targets, read_available);
+        }
+        let quotas: Vec<(u32, u32, u32)> = totals.iter().map(|&(r, t)| (r, t / 2 + 1, 0)).collect();
+        let needed = quotas.iter().map(|q| q.1).sum();
+        let targets: Vec<NodeId> = quotas
+            .iter()
+            .flat_map(|q| live_in(q.0).take(q.1 as usize))
+            .collect();
+        let write_available = quotas.iter().all(|q| live_in(q.0).count() as u32 >= q.1);
+        let read_available = targets.len() as u32 >= needed;
+        let rule = RefRule::PerDc(quotas);
+        (needed, rule, write_available, targets, read_available)
+    }
+
+    const LEVELS: [Consistency; 7] = [
+        Consistency::One,
+        Consistency::Two,
+        Consistency::Three,
+        Consistency::Quorum,
+        Consistency::LocalQuorum,
+        Consistency::EachQuorum,
+        Consistency::All,
+    ];
+
+    /// `regions × nodes_per_region` nodes, `per_dc[r]` replicas in region
+    /// `r`, level `cl` for reads and writes, no read repair, and a wire
+    /// without propagation delay: every replica request then arrives one
+    /// fixed transfer time after it is sent, so requests pop in send order,
+    /// except that one to the coordinator itself arrives at once.
+    fn quota_config(
+        regions: u32,
+        nodes_per_region: usize,
+        per_dc: Vec<u32>,
+        cl: Consistency,
+    ) -> CStoreConfig {
+        let rf = per_dc.iter().sum();
+        let mut c = CStoreConfig::paper_testbed(rf, Partitioner::murmur());
+        c.node.topology = simkit::Topology::geo(
+            regions,
+            nodes_per_region,
+            1,
+            0,
+            0,
+            vec![0; (regions * regions) as usize],
+        );
+        c.strategy = geo::Strategy::NetworkTopology { per_dc };
+        c.read_repair_chance = 0.0;
+        c.node.jitter = 0.0;
+        c.read_cl = cl;
+        c.write_cl = cl;
+        c
+    }
+
+    /// The replica requests `op` sends from coordinator `coord` with `down`
+    /// crashed, in arrival order, each with its `count` flag (reads and
+    /// writes always count); `None` when the op is refused as unavailable.
+    fn replica_requests(
+        cfg: &CStoreConfig,
+        down: &[NodeId],
+        coord: NodeId,
+        op: StoreOp,
+    ) -> Option<Vec<(NodeId, bool)>> {
+        let mut h = Harness::new(cfg.clone());
+        for &n in down {
+            h.cluster.apply_crash(&mut h.sim, n);
+        }
+        h.cluster.next_coord = coord.index();
+        h.submit(op);
+        let Some(Ev::Store(arrive)) = h.sim.next() else {
+            panic!("no arrival");
+        };
+        h.cluster.handle(&mut h.sim, arrive);
+        let mut sent = Vec::new();
+        while let Some(Ev::Store(ev)) = h.sim.next() {
+            match ev {
+                Event::ReplicaRead { node, .. } | Event::ReplicaWrite { node, .. } => {
+                    sent.push((node, true));
+                }
+                Event::ReplicaScan { node, count, .. } => sent.push((node, count)),
+                _ => {}
+            }
+        }
+        (h.cluster.metrics().unavailable == 0).then_some(sent)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn one_quota_plan_matches_the_replaced_code(
+            (regions, nodes_per_region) in (1u32..4, 1usize..4),
+            per_dc in prop::collection::vec(0u32..4, 3..4),
+            cl in (0usize..7).prop_map(|i| LEVELS[i]),
+            (coord, (a, b)) in (0usize..9, (any::<u16>(), any::<u16>())),
+            (id, ack_seed) in (0u64..1_000, any::<u64>()),
+        ) {
+            let nodes = regions as usize * nodes_per_region;
+            let per_dc: Vec<u32> = per_dc[..regions as usize]
+                .iter()
+                .map(|&n| n.min(nodes_per_region as u32))
+                .collect();
+            prop_assume!(per_dc.iter().sum::<u32>() > 0);
+            let coord = NodeId((coord % nodes) as u32);
+            // Every other node is down with probability 1/4.
+            let down: Vec<NodeId> = (0..nodes as u32)
+                .map(NodeId)
+                .filter(|&n| n != coord && (a & b) >> n.0 & 1 == 1)
+                .collect();
+            let cfg = quota_config(regions, nodes_per_region, per_dc, cl);
+            let cluster = Cluster::new(cfg.clone());
+            let replicas = cluster.ring().replicas(&key(id), cfg.replication_factor);
+            let reps: Vec<(NodeId, u32, bool)> = replicas
+                .iter()
+                .map(|&r| (r, cluster.region_of(r), !down.contains(&r)))
+                .collect();
+            let (needed, mut rule, write_available, read_targets, read_available) = reference_plan(
+                cl,
+                cfg.replication_factor,
+                cluster.region_of(coord),
+                regions > 1,
+                &reps,
+            );
+            let strategy = &cfg.strategy;
+            let case = format!("{cl} {strategy:?} coord {coord} replicas {reps:?}");
+
+            let mut quota = cluster.quota(cl, coord, &replicas);
+            assert_eq!(quota.needed(), needed, "{case}");
+            // Acks from the live replicas in a seeded order settle at the
+            // same one.
+            let mut acks: Vec<&(NodeId, u32, bool)> = reps.iter().filter(|r| r.2).collect();
+            acks.sort_by_key(|r| {
+                (ack_seed ^ r.0.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            });
+            let settle = |ack: &mut dyn FnMut(u32, u32) -> bool| {
+                (1..=acks.len() as u32).find(|&total| ack(acks[total as usize - 1].1, total))
+            };
+            assert_eq!(
+                settle(&mut |region, total| quota.ack(region, total)),
+                settle(&mut |region, total| rule.ack(region, needed, total)),
+                "write settle point: {case}"
+            );
+
+            // Requests to the coordinator itself arrive first.
+            let arrival_order = |sent: &[NodeId]| {
+                let mut order: Vec<(NodeId, bool)> = sent.iter().map(|&n| (n, true)).collect();
+                order.sort_by_key(|&(n, _)| n != coord);
+                order
+            };
+            let live: Vec<NodeId> = reps.iter().filter(|r| r.2).map(|r| r.0).collect();
+            let write = StoreOp::Insert { key: key(id), value: k("v") };
+            let written = replica_requests(&cfg, &down, coord, write);
+            assert_eq!(written.is_some(), write_available, "write availability: {case}");
+            if let Some(sent) = written {
+                assert_eq!(sent, arrival_order(&live), "writes reach every live replica: {case}");
+            }
+            let read = replica_requests(&cfg, &down, coord, StoreOp::Read { key: key(id) });
+            assert_eq!(read.is_some(), read_available, "read availability: {case}");
+            let scan = StoreOp::Scan { start: key(id), limit: 1 };
+            let scanned = replica_requests(&cfg, &down, coord, scan);
+            assert_eq!(scanned.is_some(), read_available, "scan availability: {case}");
+            if let (Some(read), Some(scanned)) = (read, scanned) {
+                assert_eq!(read, arrival_order(&read_targets), "read targets: {case}");
+                assert_eq!(scanned, read, "scan round targets: {case}");
+            }
+        }
     }
 }

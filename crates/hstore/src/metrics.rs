@@ -68,30 +68,4 @@ impl Metrics {
             ("shed", shed),
         ]
     }
-
-    /// Mean mutations per WAL group commit — >1 means group commit is
-    /// actually batching.
-    pub fn wal_batching(&self) -> f64 {
-        if self.wal_groups == 0 {
-            0.0
-        } else {
-            self.wal_entries as f64 / self.wal_groups as f64
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn batching_ratio() {
-        let m = Metrics {
-            wal_groups: 10,
-            wal_entries: 35,
-            ..Metrics::new()
-        };
-        assert!((m.wal_batching() - 3.5).abs() < 1e-12);
-        assert_eq!(Metrics::new().wal_batching(), 0.0);
-    }
 }
