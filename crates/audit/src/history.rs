@@ -155,11 +155,6 @@ impl Recorder {
         }
     }
 
-    /// True when the config enables recording.
-    pub fn enabled(&self) -> bool {
-        self.cfg.enabled()
-    }
-
     /// Record one settled operation. Writes (including indeterminate
     /// failed writes) are always kept; reads and scans only for sampled
     /// clients. No-op when disabled.
@@ -175,16 +170,6 @@ impl Recorder {
         if keep {
             self.records.push(rec);
         }
-    }
-
-    /// Number of records so far.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
     }
 
     /// Finish the run: the recorded history, in settle order (which is
@@ -217,11 +202,6 @@ pub struct History {
 }
 
 impl History {
-    /// A history from raw records (tests, replay).
-    pub fn from_records(records: Vec<OpRecord>) -> Self {
-        Self { records }
-    }
-
     /// The records, in settle order.
     pub fn records(&self) -> &[OpRecord] {
         &self.records
@@ -284,6 +264,14 @@ impl History {
 }
 
 #[cfg(test)]
+impl History {
+    /// A history from hand-written records, for the checkers' unit tests.
+    pub(crate) fn from_records(records: Vec<OpRecord>) -> Self {
+        Self { records }
+    }
+}
+
+#[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
@@ -311,9 +299,8 @@ mod tests {
     #[test]
     fn disabled_recorder_records_nothing() {
         let mut r = Recorder::new(AuditConfig::off(), 42);
-        assert!(!r.enabled());
         r.push(read(0, "a", 0, Some(1)));
-        assert!(r.is_empty());
+        assert!(r.records.is_empty());
         assert!(r.finish().is_empty());
     }
 

@@ -4,7 +4,7 @@
 //! `fig1`…`fig8`, `fig10`, `ablations`). The figure's tables go to stdout,
 //! its CSV/JSONL files under `RESULTS_DIR` (default `results/`), timing and
 //! sweep telemetry to stderr. `--quick` runs the smoke-scale configuration;
-//! `SWEEP_THREADS=n` / `SWEEP_SERIAL=1` set the schedule (never the bytes).
+//! `SWEEP_THREADS=n` sets the worker count (never the bytes).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -17,6 +17,8 @@ use bench_core::sweep::{BadSweepThreads, Sweep};
 enum UsageError {
     MissingName,
     UnknownFigure(String),
+    /// A flag other than `--quick`, or a second figure name.
+    UnexpectedArg(String),
     Threads(BadSweepThreads),
 }
 
@@ -25,6 +27,7 @@ impl std::fmt::Display for UsageError {
         match self {
             UsageError::MissingName => write!(f, "no figure named")?,
             UsageError::UnknownFigure(name) => write!(f, "unknown figure {name:?}")?,
+            UsageError::UnexpectedArg(arg) => write!(f, "unexpected argument {arg:?}")?,
             UsageError::Threads(e) => return write!(f, "{e}"),
         }
         let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
@@ -43,8 +46,10 @@ fn parse(args: &[String]) -> Result<(&'static str, Figure, bool, Sweep), UsageEr
     for arg in args {
         match arg.as_str() {
             "--quick" => quick = true,
-            _ if name.is_none() => name = Some(arg),
-            _ => return Err(UsageError::UnknownFigure(arg.clone())),
+            a if a.starts_with('-') || name.is_some() => {
+                return Err(UsageError::UnexpectedArg(arg.clone()))
+            }
+            _ => name = Some(arg),
         }
     }
     let name = name.ok_or(UsageError::MissingName)?;
@@ -78,5 +83,60 @@ fn main() -> ExitCode {
             eprintln!("{name}: cannot write under {}: {e}", dir.display());
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_args(args: &[&str]) -> Result<(&'static str, bool), UsageError> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse(&args).map(|(name, _, quick, _)| (name, quick))
+    }
+
+    fn unexpected(args: &[&str]) -> Option<String> {
+        match parse_args(args) {
+            Err(UsageError::UnexpectedArg(arg)) => Some(arg),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn the_flag_may_come_before_or_after_the_name() {
+        assert!(matches!(
+            parse_args(&["--quick", "fig1"]),
+            Ok(("fig1", true))
+        ));
+        assert!(matches!(
+            parse_args(&["fig1", "--quick"]),
+            Ok(("fig1", true))
+        ));
+        assert!(matches!(parse_args(&["fig1"]), Ok(("fig1", false))));
+    }
+
+    #[test]
+    fn a_misspelt_flag_is_blamed_in_either_order() {
+        assert_eq!(unexpected(&["--quik", "fig1"]).as_deref(), Some("--quik"));
+        assert_eq!(unexpected(&["fig1", "--quik"]).as_deref(), Some("--quik"));
+        let message = parse_args(&["--quik", "fig1"]).err().map(|e| e.to_string());
+        assert!(message.is_some_and(|m| m.starts_with("unexpected argument \"--quik\"")));
+    }
+
+    #[test]
+    fn a_second_name_is_unexpected() {
+        assert_eq!(unexpected(&["fig1", "fig2"]).as_deref(), Some("fig2"));
+    }
+
+    #[test]
+    fn a_missing_or_unknown_name_is_reported() {
+        assert!(matches!(parse_args(&[]), Err(UsageError::MissingName)));
+        assert!(matches!(
+            parse_args(&["--quick"]),
+            Err(UsageError::MissingName)
+        ));
+        assert!(
+            matches!(parse_args(&["fig9"]), Err(UsageError::UnknownFigure(name)) if name == "fig9")
+        );
     }
 }

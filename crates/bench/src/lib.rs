@@ -1,6 +1,6 @@
 //! # bench — harness regenerating every evaluation artifact
 //!
-//! Binaries (run with `--release`):
+//! One binary (run with `--release`):
 //!
 //! * `fig <name> [--quick]` — regenerates one artifact: prints its tables
 //!   and writes its CSVs under `results/` (`RESULTS_DIR` overrides).
@@ -8,8 +8,6 @@
 //!   registry, and what each figure measures, is
 //!   [`bench_core::experiment::FIGURES`]. `--quick` selects the smoke-scale
 //!   configuration.
-//! * `calibrate` — read-path decomposition probe for retuning the hardware
-//!   and cost model; not a paper artifact.
 //!
 //! The repo's benchmark, which times every layer from the event queue up,
 //! is the standalone `benchmark/` package.

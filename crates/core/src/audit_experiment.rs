@@ -102,13 +102,6 @@ pub struct AuditCell {
     pub faults_injected: u64,
 }
 
-impl AuditCell {
-    /// The phase audit with the given label, if present.
-    pub fn phase(&self, label: &str) -> Option<&PhaseAudit> {
-        self.phases.iter().find(|p| p.phase == label)
-    }
-}
-
 /// Audit one run's recorded history into per-phase summaries plus the
 /// linearizability verdict. Pure over the history.
 fn audit_history(

@@ -76,11 +76,6 @@ pub struct DecompositionCell {
 }
 
 impl DecompositionCell {
-    /// Mean critical-path time in `stage` for ops of `kind`, µs.
-    pub fn stage_mean_us(&self, kind: OpKind, stage: Stage) -> f64 {
-        self.agg.mean_us(kind, stage)
-    }
-
     /// The stages ops of `kind` spent time in, largest share first.
     pub fn stages_by_share(&self, kind: OpKind) -> Vec<(Stage, f64)> {
         let mut stages: Vec<(Stage, f64)> = Stage::ALL
@@ -272,7 +267,7 @@ mod tests {
             let wal = c.agg.share(OpKind::Update, Stage::WalQueue)
                 + c.agg.share(OpKind::Update, Stage::WalCommit);
             assert!(wal > 0.0, "rf={rf}: no WAL time on the write path");
-            wal_commit_means.push(c.stage_mean_us(OpKind::Update, Stage::WalCommit));
+            wal_commit_means.push(c.agg.mean_us(OpKind::Update, Stage::WalCommit));
         }
         // What does grow with RF is exactly the pipeline commit (one more
         // serial in-memory hop per extra replica) — nothing else.
@@ -298,7 +293,8 @@ mod tests {
         let qw = |rf| {
             res.cell(&(StoreKind::CStore, rf, Level::WRITE_ALL))
                 .expect("cell")
-                .stage_mean_us(OpKind::Update, Stage::QuorumWait)
+                .agg
+                .mean_us(OpKind::Update, Stage::QuorumWait)
         };
         let c_growth = qw(5) / qw(1);
         assert!(
@@ -313,7 +309,8 @@ mod tests {
         let qw = |rf: u32, level: Level| -> f64 {
             res.cell(&(StoreKind::CStore, rf, level))
                 .expect("cell")
-                .stage_mean_us(OpKind::Update, Stage::QuorumWait)
+                .agg
+                .mean_us(OpKind::Update, Stage::QuorumWait)
         };
         // More required acks at fixed RF: ONE ≤ QUORUM ≤ ALL (strict at
         // the endpoints).
@@ -328,7 +325,14 @@ mod tests {
     #[test]
     fn sample_traces_export_quorum_wait_spans() {
         let report = res().report();
-        let jsonl = report.file("fig6_traces.jsonl").expect("traces exported");
+        let jsonl = report
+            .parts
+            .iter()
+            .find_map(|p| match p {
+                Part::File { name, body, .. } if *name == "fig6_traces.jsonl" => Some(body),
+                _ => None,
+            })
+            .expect("traces exported");
         assert!(jsonl.contains("\"spans\""));
         assert!(jsonl.contains("quorum_wait"));
     }

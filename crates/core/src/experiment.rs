@@ -331,14 +331,6 @@ impl Report {
             .collect()
     }
 
-    /// The contents of the file called `name`, if the figure wrote one.
-    pub fn file(&self, name: &str) -> Option<&str> {
-        self.parts.iter().find_map(|p| match p {
-            Part::File { name: n, body, .. } if *n == name => Some(body.as_str()),
-            _ => None,
-        })
-    }
-
     /// Print the text to `out` and write the files under `dir` (created
     /// if missing), announcing each as it is written.
     pub fn emit(&self, dir: &Path, out: &mut impl Write) -> std::io::Result<()> {

@@ -51,12 +51,11 @@
 //!   session-guarantee checkers, the (Δ,p)-staleness curves, and a bounded
 //!   linearizability check, per fault phase.
 //! * [`overload`] (`fig10`) — an open-loop offered-load sweep across the
-//!   capacity knee, with and without server-side admission control.
+//!   capacity knee, with and without server-side admission control; each
+//!   load step is judged against an [`overload::Sla`], the paper's §6
+//!   future work (SLA-based stress specification).
 //! * [`ablation`] (`ablations`) — read repair on/off, commit-log
 //!   durability modes, partitioner choice.
-//!
-//! And [`sla`] — the paper's §6 future work: SLA-based stress specification
-//! (bisection search for the highest throughput meeting a latency SLA).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -76,7 +75,6 @@ pub mod overload;
 pub mod report;
 pub mod resilience;
 pub mod setup;
-pub mod sla;
 pub mod store;
 pub mod stress;
 pub mod sweep;

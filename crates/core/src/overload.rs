@@ -33,12 +33,43 @@ use crate::experiment::{Experiment, Grid, Part, RunShape, Store};
 use crate::report::{fmt_ops, Table};
 use crate::resilience::RetryPolicy;
 use crate::setup::{build_cstore_with, build_hstore_with, Scale, StoreKind};
-use crate::sla::Sla;
 
 /// Row label for the uncontrolled arm.
 pub const CONTROL_OFF: &str = "none";
 /// Row label for the admission-control arm.
 pub const CONTROL_ON: &str = "shed";
+
+/// A service-level agreement — the paper's §6 "SLA-based stress
+/// specification", judged per offered-load step: quantile `percentile` of
+/// request latencies must be at or below `latency_us`, with at most
+/// `error_budget` of requests failing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Sla {
+    /// The guaranteed quantile, e.g. `0.95`.
+    pub percentile: f64,
+    /// The latency bound at that quantile, microseconds.
+    pub latency_us: u64,
+    /// Tolerated fraction of failed requests in `[0, 1]`. `0` fails the SLA
+    /// on any error; a budget lets a deliberately shed request, or a single
+    /// fault-window error, through. Shed/errored ops consume budget but
+    /// contribute no latency samples.
+    pub error_budget: f64,
+}
+
+impl Sla {
+    /// Does a run outcome satisfy the agreement? Errors (including shed
+    /// ops) are compared against the budget as a fraction of all settled
+    /// requests; the latency quantile is taken over successes only.
+    pub fn met_by(&self, outcome: &RunOutcome) -> bool {
+        let total = outcome.metrics.ops() + outcome.errors;
+        let within_budget = if outcome.errors == 0 {
+            true
+        } else {
+            total > 0 && outcome.errors as f64 <= self.error_budget * total as f64
+        };
+        within_budget && outcome.metrics.overall().quantile(self.percentile) <= self.latency_us
+    }
+}
 
 /// Configuration of the Fig. 10 experiment.
 #[derive(Debug, Clone)]
@@ -368,6 +399,49 @@ impl Experiment for OverloadConfig {
 #[allow(clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::driver;
+    use crate::setup::build_cstore;
+
+    #[test]
+    fn error_budget_tolerates_bounded_failures() {
+        // Synthesize outcomes via a real quick run, then perturb the error
+        // count: the budget, not a hard zero, decides.
+        let scale = Scale::tiny();
+        let mut base = build_cstore(&scale, 2, Consistency::One, Consistency::One);
+        driver::load(&mut base, scale.records, scale.value_len, 1);
+        let cfg = DriverConfig {
+            threads: 8,
+            warmup_ops: 100,
+            measure_ops: 500,
+            value_len: scale.value_len,
+            ..DriverConfig::new(WorkloadSpec::read_mostly(), scale.records)
+        };
+        let mut out = driver::run(&mut base, &cfg);
+        let loose = Sla {
+            percentile: 0.95,
+            latency_us: u64::MAX,
+            error_budget: 0.0,
+        };
+        assert!(loose.met_by(&out), "clean run meets a zero-budget SLA");
+        out.errors = 3; // a fault window's worth of failures
+        assert!(!loose.met_by(&out), "zero budget still fails on any error");
+        assert!(
+            Sla {
+                error_budget: 0.01,
+                ..loose
+            }
+            .met_by(&out),
+            "3 errors in ~500 ops fit a 1% budget"
+        );
+        assert!(
+            !Sla {
+                error_budget: 0.001,
+                ..loose
+            }
+            .met_by(&out),
+            "3 errors in ~500 ops exceed a 0.1% budget"
+        );
+    }
 
     /// Both control arms of both stores at one load past the tiny knee.
     fn past_the_knee() -> Grid<OverloadConfig> {

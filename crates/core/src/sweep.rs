@@ -9,7 +9,7 @@
 //!   cell index from a shared atomic counter, so long cells (high RF,
 //!   scan-heavy) never leave workers idle behind a static partition;
 //! * **ordered collection**: results are returned in cell order no matter
-//!   which worker ran them, so parallel output is bit-identical to serial;
+//!   which worker ran them, so output is bit-identical at any worker count;
 //! * **telemetry**: per-cell wall time and worker id, per-worker busy time,
 //!   pool utilization, and base-state load accounting.
 //!
@@ -172,11 +172,12 @@ impl std::fmt::Display for BadSweepThreads {
 
 impl std::error::Error for BadSweepThreads {}
 
-/// The engine: thread count and execution mode.
+/// The engine: how many scoped worker threads run the cells. One worker is
+/// the reference schedule that every other worker count must match
+/// bit-for-bit.
 #[derive(Debug, Clone)]
 pub struct Sweep {
     threads: usize,
-    serial: bool,
 }
 
 impl Default for Sweep {
@@ -190,13 +191,12 @@ impl Sweep {
     pub fn new() -> Self {
         Self {
             threads: std::thread::available_parallelism().map_or(4, usize::from),
-            serial: false,
         }
     }
 
-    /// Like [`Sweep::new`], honouring the `SWEEP_THREADS` (worker count, a
-    /// positive integer) and `SWEEP_SERIAL` (any value: force serial)
-    /// environment variables — the `fig` binary's scheduling knobs.
+    /// Like [`Sweep::new`], honouring the `SWEEP_THREADS` environment
+    /// variable (worker count, a positive integer) — the `fig` binary's
+    /// scheduling knob.
     pub fn from_env() -> Result<Self, BadSweepThreads> {
         let mut s = Self::new();
         if let Some(raw) = std::env::var_os("SWEEP_THREADS") {
@@ -206,22 +206,12 @@ impl Sweep {
                 _ => return Err(BadSweepThreads(raw)),
             }
         }
-        if std::env::var_os("SWEEP_SERIAL").is_some() {
-            s = s.serial();
-        }
         Ok(s)
     }
 
     /// Set the worker count (at least 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Run cells one at a time, in order, on the calling thread — the
-    /// reference execution that parallel runs must match bit-for-bit.
-    pub fn serial(mut self) -> Self {
-        self.serial = true;
         self
     }
 
@@ -234,88 +224,65 @@ impl Sweep {
         F: Fn(&T) -> R + Sync,
     {
         let n = cells.len();
-        let workers = if self.serial {
-            1
-        } else {
-            self.threads.min(n.max(1))
-        };
+        let workers = self.threads.min(n.max(1));
         let started = Instant::now();
 
-        let (results, stats, busy_us) = if workers <= 1 {
-            let mut results = Vec::with_capacity(n);
-            let mut stats = Vec::with_capacity(n);
-            let mut busy = 0u64;
-            for (i, cell) in cells.iter().enumerate() {
-                let t0 = Instant::now();
-                results.push(f(cell));
-                let wall_us = t0.elapsed().as_micros() as u64;
-                busy += wall_us;
-                stats.push(CellStat {
-                    index: i,
-                    worker: 0,
-                    wall_us,
-                });
-            }
-            (results, stats, vec![busy])
-        } else {
-            // One entry per worker: its total busy time plus every
-            // `(cell index, result, cell wall time)` it produced.
-            type WorkerOut<R> = Vec<(u64, Vec<(usize, R, u64)>)>;
-            let next = AtomicUsize::new(0);
-            let f = &f;
-            let per_worker: WorkerOut<R> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let next = &next;
-                        s.spawn(move || {
-                            let mut out: Vec<(usize, R, u64)> = Vec::new();
-                            let mut busy = 0u64;
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= n {
-                                    break;
-                                }
-                                let t0 = Instant::now();
-                                let r = f(&cells[i]);
-                                let wall_us = t0.elapsed().as_micros() as u64;
-                                busy += wall_us;
-                                out.push((i, r, wall_us));
+        // One entry per worker: its total busy time plus every
+        // `(cell index, result, cell wall time)` it produced.
+        type WorkerOut<R> = Vec<(u64, Vec<(usize, R, u64)>)>;
+        let next = AtomicUsize::new(0);
+        let f = &f;
+        let per_worker: WorkerOut<R> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    let next = &next;
+                    s.spawn(move || {
+                        let mut out: Vec<(usize, R, u64)> = Vec::new();
+                        let mut busy = 0u64;
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                break;
                             }
-                            (busy, out)
-                        })
+                            let t0 = Instant::now();
+                            let r = f(&cells[i]);
+                            let wall_us = t0.elapsed().as_micros() as u64;
+                            busy += wall_us;
+                            out.push((i, r, wall_us));
+                        }
+                        (busy, out)
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                    .collect()
-            });
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        });
 
-            // Ordered collection: place every result at its cell index.
-            let mut slots: Vec<Option<(R, CellStat)>> = (0..n).map(|_| None).collect();
-            let mut busy_us = Vec::with_capacity(workers);
-            for (worker, (busy, items)) in per_worker.into_iter().enumerate() {
-                busy_us.push(busy);
-                for (index, r, wall_us) in items {
-                    slots[index] = Some((
-                        r,
-                        CellStat {
-                            index,
-                            worker,
-                            wall_us,
-                        },
-                    ));
-                }
+        // Ordered collection: place every result at its cell index.
+        let mut slots: Vec<Option<(R, CellStat)>> = (0..n).map(|_| None).collect();
+        let mut busy_us = Vec::with_capacity(workers);
+        for (worker, (busy, items)) in per_worker.into_iter().enumerate() {
+            busy_us.push(busy);
+            for (index, r, wall_us) in items {
+                slots[index] = Some((
+                    r,
+                    CellStat {
+                        index,
+                        worker,
+                        wall_us,
+                    },
+                ));
             }
-            let mut results = Vec::with_capacity(n);
-            let mut stats = Vec::with_capacity(n);
-            for (r, stat) in slots.into_iter().flatten() {
-                results.push(r);
-                stats.push(stat);
-            }
-            debug_assert_eq!(results.len(), n, "every cell ran exactly once");
-            (results, stats, busy_us)
-        };
+        }
+        let mut results = Vec::with_capacity(n);
+        let mut stats = Vec::with_capacity(n);
+        for (r, stat) in slots.into_iter().flatten() {
+            results.push(r);
+            stats.push(stat);
+        }
+        debug_assert_eq!(results.len(), n, "every cell ran exactly once");
 
         SweepOutcome {
             results,
@@ -386,20 +353,19 @@ mod tests {
         // the cell spec.
         let cells: Vec<u64> = (0..40).map(|i| i * 31).collect();
         let run = |sweep: Sweep| {
-            sweep
-                .run(&cells, |&c| {
-                    let mut acc = 7 ^ c;
-                    for _ in 0..(c % 11) {
-                        acc = acc.rotate_left(13).wrapping_mul(0x2545F4914F6CDD1D);
-                    }
-                    acc
-                })
-                .results
+            let out = sweep.run(&cells, |&c| {
+                let mut acc = 7 ^ c;
+                for _ in 0..(c % 11) {
+                    acc = acc.rotate_left(13).wrapping_mul(0x2545F4914F6CDD1D);
+                }
+                acc
+            });
+            (out.results, out.telemetry)
         };
-        assert_eq!(
-            run(Sweep::new().with_threads(6)),
-            run(Sweep::new().serial())
-        );
+        let (reference, one) = run(Sweep::new().with_threads(1));
+        assert_eq!(run(Sweep::new().with_threads(6)).0, reference);
+        assert_eq!(one.workers, 1);
+        assert!(one.cells.iter().all(|c| c.worker == 0));
     }
 
     #[test]

@@ -230,11 +230,6 @@ impl Cluster {
         &self.nodes[node.index()]
     }
 
-    /// A node's hardware (utilization reports).
-    pub fn hw(&self, node: NodeId) -> &NodeHw {
-        self.rt.hw(node)
-    }
-
     /// Mutable access to a node's hardware (tests).
     pub fn hw_mut(&mut self, node: NodeId) -> &mut NodeHw {
         self.rt.hw_mut(node)

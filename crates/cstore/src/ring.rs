@@ -54,11 +54,6 @@ impl Partitioner {
         );
         Partitioner::OrderPreserving { tokens }
     }
-
-    /// True when range scans follow key order.
-    pub fn is_ordered(&self) -> bool {
-        matches!(self, Partitioner::OrderPreserving { .. })
-    }
 }
 
 #[inline]
@@ -133,11 +128,6 @@ impl Ring {
         }
     }
 
-    /// The replication strategy placement consults.
-    pub fn strategy(&self) -> &Strategy {
-        &self.strategy
-    }
-
     /// The datacenter snitch.
     pub fn snitch(&self) -> &Snitch {
         &self.snitch
@@ -151,11 +141,6 @@ impl Ring {
     /// Rings are never empty.
     pub fn is_empty(&self) -> bool {
         false
-    }
-
-    /// The partitioner.
-    pub fn partitioner(&self) -> &Partitioner {
-        &self.partitioner
     }
 
     /// Ring position (node index) of the primary replica of `key`.

@@ -53,21 +53,6 @@ impl DfsCluster {
         }
     }
 
-    /// Configured replication factor.
-    pub fn replication(&self) -> u32 {
-        self.replication
-    }
-
-    /// Number of datanodes (up or down).
-    pub fn len(&self) -> usize {
-        self.datanodes.len()
-    }
-
-    /// True when there are no datanodes (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.datanodes.is_empty()
-    }
-
     /// The namenode (read access for assertions and bookkeeping).
     pub fn namenode(&self) -> &NameNode {
         &self.namenode
@@ -151,15 +136,6 @@ impl DfsCluster {
         locs.iter()
             .copied()
             .find(|n| self.datanodes[n.index()].is_up())
-    }
-
-    /// Read a block's payload from a specific replica.
-    pub fn read_payload(&self, block: BlockId, node: NodeId) -> Option<Bytes> {
-        let dn = &self.datanodes[node.index()];
-        if !dn.is_up() {
-            return None;
-        }
-        dn.get(block).and_then(|b| b.payload.clone())
     }
 
     /// Delete a file and free all replica space. Returns total bytes freed
@@ -266,6 +242,10 @@ mod tests {
         SimRng::new(7)
     }
 
+    fn payload(fs: &DfsCluster, block: BlockId, node: NodeId) -> Option<Bytes> {
+        fs.datanode(node).get(block).and_then(|b| b.payload.clone())
+    }
+
     #[test]
     fn pipeline_is_writer_local_first_and_distinct() {
         let mut fs = DfsCluster::new(10, 3);
@@ -292,7 +272,7 @@ mod tests {
         );
         for &n in &w.pipeline {
             assert!(fs.datanode(n).has(w.block));
-            assert_eq!(fs.read_payload(w.block, n).as_deref(), Some(&b"data"[..]));
+            assert_eq!(payload(&fs, w.block, n).as_deref(), Some(&b"data"[..]));
         }
         assert_eq!(fs.locations(w.block), w.pipeline.as_slice());
     }
@@ -350,7 +330,7 @@ mod tests {
         assert!(!meta.under_replicated());
         // The copy carried the payload.
         assert_eq!(
-            fs.read_payload(w.block, tasks[0].dst).as_deref(),
+            payload(&fs, w.block, tasks[0].dst).as_deref(),
             Some(&b"abc"[..])
         );
     }

@@ -77,11 +77,6 @@ impl DataNode {
         self.used_bytes
     }
 
-    /// Replica count.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// True while the daemon is serving.
     pub fn is_up(&self) -> bool {
         self.up
@@ -96,12 +91,6 @@ impl DataNode {
     /// Restart the daemon.
     pub fn recover(&mut self) {
         self.up = true;
-    }
-
-    /// Wipe all replicas (a disk-loss failure, as opposed to a crash).
-    pub fn wipe(&mut self) {
-        self.blocks.clear();
-        self.used_bytes = 0;
     }
 }
 
@@ -128,7 +117,7 @@ mod tests {
         d.store(BlockId(1), 100, None);
         d.store(BlockId(1), 40, None);
         assert_eq!(d.used_bytes(), 40);
-        assert_eq!(d.block_count(), 1);
+        assert_eq!(d.blocks.len(), 1);
     }
 
     #[test]
@@ -141,7 +130,7 @@ mod tests {
     }
 
     #[test]
-    fn crash_keeps_data_wipe_loses_it() {
+    fn crash_keeps_data() {
         let mut d = DataNode::new(NodeId(0));
         d.store(BlockId(1), 10, None);
         d.fail();
@@ -149,8 +138,5 @@ mod tests {
         assert!(d.has(BlockId(1)), "crash does not lose the disk");
         d.recover();
         assert!(d.is_up());
-        d.wipe();
-        assert!(!d.has(BlockId(1)));
-        assert_eq!(d.used_bytes(), 0);
     }
 }

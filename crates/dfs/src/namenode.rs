@@ -151,16 +151,6 @@ impl NameNode {
         v.sort();
         v
     }
-
-    /// Number of files.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
-    }
-
-    /// Number of blocks.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
 }
 
 #[cfg(test)]
@@ -181,7 +171,7 @@ mod tests {
         assert_eq!(meta.len, 150);
         assert_eq!(meta.blocks.len(), 2);
         assert_eq!(meta.name, "/wal/0");
-        assert_eq!(nn.block_count(), 2);
+        assert_eq!(nn.blocks.len(), 2);
     }
 
     #[test]
@@ -191,8 +181,8 @@ mod tests {
         nn.add_block(f, 10, vec![n(0)], 1);
         let orphans = nn.delete_file(f).unwrap();
         assert_eq!(orphans.len(), 1);
-        assert_eq!(nn.file_count(), 0);
-        assert_eq!(nn.block_count(), 0);
+        assert!(nn.file(f).is_none());
+        assert_eq!(nn.blocks.len(), 0);
         assert!(nn.delete_file(f).is_none());
     }
 

@@ -75,16 +75,6 @@ impl FaultInjector {
         }
     }
 
-    /// The plan being injected.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// True when the plan schedules no faults (the injector is inert).
-    pub fn is_empty(&self) -> bool {
-        self.plan.is_empty()
-    }
-
     /// Enqueue one wrapper event per plan entry at its absolute fire time.
     /// `wrap` maps the entry's plan index to the caller's event type; an
     /// empty plan schedules nothing.
@@ -289,9 +279,21 @@ mod tests {
 
     #[test]
     fn region_faults_expand_to_every_member_node() {
-        let plan = FaultPlan::new()
-            .crash_region_window(1, 1_000, 3_000)
-            .partition_region_window(0, 500, 1_500, 2_000);
+        let mut plan = FaultPlan::new();
+        for (at, kind) in [
+            (1_000, FaultKind::CrashRegion { region: 1 }),
+            (3_000, FaultKind::RecoverRegion { region: 1 }),
+            (
+                1_500,
+                FaultKind::PartitionRegion {
+                    region: 0,
+                    extra_us: 500,
+                },
+            ),
+            (2_000, FaultKind::HealRegion { region: 0 }),
+        ] {
+            plan.push(FaultEvent { at, kind });
+        }
         let mut injector = FaultInjector::new(plan);
         let mut probe = GeoProbe(Probe {
             nodes: 4,
@@ -347,7 +349,6 @@ mod tests {
         let injector = FaultInjector::new(FaultPlan::new());
         let mut sim: Sim<usize> = Sim::new(1);
         injector.schedule(&mut sim, |i| i);
-        assert!(injector.is_empty());
         assert_eq!(sim.pending(), 0);
     }
 }

@@ -199,32 +199,6 @@ impl FaultPlan {
         self.with(at, FaultKind::CrashRegion { region })
     }
 
-    /// Recover every node of datacenter `region` at virtual time `at`.
-    pub fn recover_region_at(self, region: u32, at: SimTime) -> Self {
-        self.with(at, FaultKind::RecoverRegion { region })
-    }
-
-    /// Crash datacenter `region` at `down_at` and recover it at `up_at`.
-    pub fn crash_region_window(self, region: u32, down_at: SimTime, up_at: SimTime) -> Self {
-        assert!(down_at < up_at, "crash window must have positive duration");
-        self.crash_region_at(region, down_at)
-            .recover_region_at(region, up_at)
-    }
-
-    /// Partition datacenter `region` (every member pays `extra_us` egress
-    /// delay) during `[from, to)`.
-    pub fn partition_region_window(
-        self,
-        region: u32,
-        extra_us: u64,
-        from: SimTime,
-        to: SimTime,
-    ) -> Self {
-        assert!(from < to, "partition window must have positive duration");
-        self.with(from, FaultKind::PartitionRegion { region, extra_us })
-            .with(to, FaultKind::HealRegion { region })
-    }
-
     /// A randomized plan of 1–3 fault windows over `[0, horizon_us)`,
     /// derived entirely from `seed` via splitmix64: the same `(seed, nodes,
     /// horizon_us)` triple always yields the same plan.
@@ -356,14 +330,7 @@ mod tests {
         let k = FaultKind::CrashRegion { region: 2 };
         assert_eq!(k.node(), None);
         assert_eq!(k.region(), Some(2));
-        let plan = FaultPlan::new()
-            .crash_region_window(1, 1_000, 5_000)
-            .partition_region_window(2, 25_000, 2_000, 3_000);
-        assert_eq!(plan.len(), 4);
-        assert_eq!(plan.events()[0].kind, FaultKind::CrashRegion { region: 1 });
-        assert_eq!(
-            plan.events()[3].kind,
-            FaultKind::RecoverRegion { region: 1 }
-        );
+        assert_eq!(FaultKind::RecoverRegion { region: 1 }.region(), Some(1));
+        assert_eq!(FaultKind::HealRegion { region: 0 }.node(), None);
     }
 }

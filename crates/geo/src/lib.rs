@@ -3,7 +3,7 @@
 //! The paper's §6 lists a geo-distributed testbed as future work; this crate
 //! supplies the pieces the simulation needs to model one:
 //!
-//! * [`GeoConfig`] — a serde-free builder (like `CStoreConfig`) holding the
+//! * [`GeoConfig`] — a serde-free config (like `CStoreConfig`) holding the
 //!   region count, per-region rack layout and the WAN delay model. The
 //!   25 ms one-way inter-region default is the constant the old hand-run
 //!   `extension_geo.csv` experiment hard-coded; it is promoted here so every
@@ -33,7 +33,7 @@ pub const DEFAULT_INTER_REGION_US: u64 = 25_000;
 /// Geo-topology parameters: regions × racks layout plus the WAN delay model.
 ///
 /// Plain public fields with a [`Default`], in the style of `CStoreConfig`;
-/// tweak fields directly or chain the `with_*` builders.
+/// tweak fields directly or with struct-update syntax.
 #[derive(Debug, Clone)]
 pub struct GeoConfig {
     /// Number of regions (datacenters).
@@ -66,26 +66,6 @@ impl Default for GeoConfig {
 }
 
 impl GeoConfig {
-    /// Config with `regions` datacenters and defaults for everything else.
-    pub fn with_regions(regions: u32) -> Self {
-        Self {
-            regions,
-            ..Self::default()
-        }
-    }
-
-    /// Set the base inter-region one-way delay.
-    pub fn inter_region_us(mut self, us: u64) -> Self {
-        self.inter_region_us = us;
-        self
-    }
-
-    /// Set the WAN jitter fraction.
-    pub fn wan_jitter(mut self, frac: f64) -> Self {
-        self.wan_jitter = frac;
-        self
-    }
-
     /// The flattened `regions × regions` one-way WAN delay matrix
     /// (row-major, diagonal zero). Deterministic in the config.
     pub fn wan_matrix(&self) -> Vec<SimTime> {
@@ -179,11 +159,6 @@ impl Snitch {
     /// True when the snitch covers no nodes.
     pub fn is_empty(&self) -> bool {
         self.region_of.is_empty()
-    }
-
-    /// True when both nodes sit in the same datacenter.
-    pub fn same_region(&self, a: NodeId, b: NodeId) -> bool {
-        self.region(a) == self.region(b)
     }
 }
 
@@ -283,6 +258,13 @@ fn splitmix64(mut x: u64) -> u64 {
 mod tests {
     use super::*;
 
+    fn with_regions(regions: u32) -> GeoConfig {
+        GeoConfig {
+            regions,
+            ..GeoConfig::default()
+        }
+    }
+
     #[test]
     fn default_promotes_the_old_constant() {
         let cfg = GeoConfig::default();
@@ -296,7 +278,10 @@ mod tests {
 
     #[test]
     fn jittered_matrix_is_asymmetric_and_deterministic() {
-        let cfg = GeoConfig::with_regions(3).wan_jitter(0.2);
+        let cfg = GeoConfig {
+            wan_jitter: 0.2,
+            ..with_regions(3)
+        };
         let (a, b) = (cfg.wan_matrix(), cfg.wan_matrix());
         assert_eq!(a, b, "same config must build the same matrix");
         let r = 3usize;
@@ -315,7 +300,7 @@ mod tests {
 
     #[test]
     fn topology_from_config() {
-        let cfg = GeoConfig::with_regions(2);
+        let cfg = with_regions(2);
         let t = cfg.topology(3, 50, 500);
         assert_eq!(t.len(), 6);
         assert_eq!(t.num_regions(), 2);
@@ -325,13 +310,11 @@ mod tests {
 
     #[test]
     fn snitch_reads_topology() {
-        let t = GeoConfig::with_regions(2).topology(3, 50, 500);
+        let t = with_regions(2).topology(3, 50, 500);
         let s = Snitch::from_topology(&t);
         assert_eq!(s.num_regions(), 2);
         assert_eq!(s.region(NodeId(2)), 0);
         assert_eq!(s.region(NodeId(3)), 1);
-        assert!(s.same_region(NodeId(0), NodeId(2)));
-        assert!(!s.same_region(NodeId(0), NodeId(3)));
         assert_eq!(s.len(), 6);
     }
 
@@ -362,7 +345,7 @@ mod tests {
     #[test]
     fn nts_fills_per_dc_quotas() {
         // 2 regions x 3 nodes, contiguous blocks (0..3 in DC0, 3..6 in DC1).
-        let t = GeoConfig::with_regions(2).topology(3, 50, 500);
+        let t = with_regions(2).topology(3, 50, 500);
         let snitch = Snitch::from_topology(&t);
         let nts = Strategy::network_topology(2, 2);
         let got = nts.place(1, 6, 0, &snitch);
@@ -375,7 +358,7 @@ mod tests {
 
     #[test]
     fn nts_quota_exceeding_dc_size_takes_what_exists() {
-        let t = GeoConfig::with_regions(2).topology(2, 50, 500);
+        let t = with_regions(2).topology(2, 50, 500);
         let snitch = Snitch::from_topology(&t);
         let nts = Strategy::network_topology(2, 3); // only 2 nodes per DC
         let got = nts.place(0, 4, 0, &snitch);

@@ -13,7 +13,7 @@
 use dfs::DfsCluster;
 use node::{DriverEvent, InFlight, Runtime, SimStore};
 use obs::Stage;
-use simkit::{NodeHw, NodeId, OpKey, OpTag, Sim, SimRng, SimTime};
+use simkit::{NodeId, OpKey, OpTag, Sim, SimRng, SimTime};
 use storage::lsm::CompactionReceipt;
 use storage::types::entry_encoded_len;
 use storage::{Cell, Completion, IoOp, Key, OpError, OpResult, StoreOp, TableId, Value};
@@ -143,16 +143,6 @@ impl Cluster {
         &self.regions
     }
 
-    /// The underlying filesystem (assertions).
-    pub fn fs(&self) -> &DfsCluster {
-        &self.fs
-    }
-
-    /// Behaviour counters.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
     /// Mean replication window, microseconds: the average gap between a WAL
     /// group's commit on the primary and its application at a follower
     /// region's sink. Zero when async cluster replication is off (or no
@@ -163,17 +153,6 @@ impl Cluster {
         } else {
             self.ship_window_sum as f64 / self.metrics.wal_ships as f64
         }
-    }
-
-    /// A follower region's applied watermark: the latest primary commit
-    /// time it has caught up to.
-    pub fn follower_watermark(&self, follower: u32) -> SimTime {
-        self.follower_watermark[follower as usize]
-    }
-
-    /// A server's hardware (utilization reports).
-    pub fn hw(&self, node: NodeId) -> &NodeHw {
-        self.rt.hw(node)
     }
 
     // ----- HFiles -----
@@ -215,12 +194,6 @@ impl Cluster {
             self.install_compaction(idx, &c);
         }
         self.regions.get_mut(idx).lsm.sync_wal();
-    }
-
-    /// Read a key directly from its region's storage (tests/diagnostics).
-    pub fn read_local(&mut self, key: &[u8]) -> Option<Cell> {
-        let idx = self.regions.region_of(key);
-        self.regions.get_mut(idx).lsm.get(key).cell
     }
 
     // ----- plumbing -----
@@ -1074,7 +1047,7 @@ mod tests {
         assert!(out
             .iter()
             .all(|c| matches!(c.result, OpResult::Written { .. })));
-        let m = h.cluster.metrics();
+        let m = h.cluster.metrics;
         assert!(
             m.wal_groups < 20,
             "expected batching, got {} groups",
@@ -1099,7 +1072,7 @@ mod tests {
         assert_eq!(pipeline.len(), 3);
         for n in pipeline {
             assert!(
-                h.cluster.hw(n).disk.written_bytes() >= 500,
+                h.cluster.rt.hw(n).disk.written_bytes() >= 500,
                 "pipeline member {n} received no log bytes"
             );
         }
@@ -1145,15 +1118,15 @@ mod tests {
                 value: Bytes::from(vec![3u8; 100]),
             });
         }
-        assert!(h.cluster.metrics().flushes > 0);
+        assert!(h.cluster.metrics.flushes > 0);
         // Each flushed HFile exists in dfs with RF replicas.
         let total_hfiles: usize = h.cluster.regions().iter().map(|r| r.hfiles.len()).sum();
         assert!(total_hfiles > 0);
         for region in h.cluster.regions().iter() {
             for file in region.hfiles.values() {
-                let meta = h.cluster.fs().namenode().file(*file).expect("file exists");
+                let meta = h.cluster.fs.namenode().file(*file).expect("file exists");
                 for b in &meta.blocks {
-                    assert_eq!(h.cluster.fs().locations(*b).len(), 3);
+                    assert_eq!(h.cluster.fs.locations(*b).len(), 3);
                 }
             }
         }
@@ -1201,7 +1174,7 @@ mod tests {
         let r = h.run_one(StoreOp::Read { key: key(10) });
         assert_eq!(r.result, OpResult::Error(OpError::ServerDown));
         assert!(OpError::ServerDown.is_retryable());
-        assert!(h.cluster.metrics().server_down >= 1);
+        assert!(h.cluster.metrics.server_down >= 1);
     }
 
     #[test]
@@ -1256,7 +1229,7 @@ mod tests {
         h.cluster.flush_all();
         let victim = h.cluster.regions().get(0).server;
         h.cluster.fail_server(victim);
-        assert!(h.cluster.metrics().regions_moved > 0);
+        assert!(h.cluster.metrics.regions_moved > 0);
         assert!(h.cluster.regions().on_server(victim).is_empty());
         // A key from the moved region is still readable (remote blocks).
         let r = h.run_one(StoreOp::Read { key: key(5) });
@@ -1275,7 +1248,7 @@ mod tests {
         let victim = h.cluster.regions().get(0).server;
         h.cluster.fail_server(victim);
         assert!(
-            h.cluster.fs().namenode().under_replicated().is_empty(),
+            h.cluster.fs.namenode().under_replicated().is_empty(),
             "re-replication should have healed all blocks"
         );
     }
@@ -1291,7 +1264,7 @@ mod tests {
                 });
             }
             let out = h.run();
-            (out.len(), h.sim.now(), h.cluster.metrics().wal_groups)
+            (out.len(), h.sim.now(), h.cluster.metrics.wal_groups)
         };
         assert_eq!(run(), run());
     }
@@ -1310,7 +1283,7 @@ mod tests {
             });
         }
         h.run();
-        let m = h.cluster.metrics();
+        let m = h.cluster.metrics;
         assert_eq!(
             m.wal_ships,
             m.wal_groups * 2,
@@ -1321,8 +1294,8 @@ mod tests {
         assert!(window >= 35_000.0, "window {window} below lag+WAN floor");
         // Watermarks advanced to the last commit the followers have applied.
         for f in 0..2 {
-            assert!(h.cluster.follower_watermark(f) > 0);
-            assert!(h.cluster.follower_watermark(f) < h.sim.now());
+            assert!(h.cluster.follower_watermark[f as usize] > 0);
+            assert!(h.cluster.follower_watermark[f as usize] < h.sim.now());
         }
     }
 

@@ -139,11 +139,6 @@ impl RegionMap {
             .map(|(i, _)| i)
             .collect()
     }
-
-    /// Regions per server (for cache sizing).
-    pub fn regions_per_server(&self, servers: usize) -> usize {
-        self.regions.len().div_ceil(servers.max(1))
-    }
 }
 
 #[cfg(test)]
@@ -190,7 +185,6 @@ mod tests {
         assert_eq!(m.get(2).server, NodeId(0));
         assert_eq!(m.get(3).server, NodeId(1));
         assert_eq!(m.on_server(NodeId(0)), vec![0, 2]);
-        assert_eq!(m.regions_per_server(2), 2);
     }
 
     #[test]

@@ -96,19 +96,6 @@ impl StageAgg {
     pub fn iter(&self) -> impl Iterator<Item = (OpKind, Stage, StageCell)> + '_ {
         self.cells.iter().map(|(&(k, s), &c)| (k, s, c))
     }
-
-    /// Merge another aggregation into this one.
-    pub fn merge(&mut self, other: &StageAgg) {
-        for (&kind, &n) in &other.ops {
-            *self.ops.entry(kind).or_insert(0) += n;
-        }
-        for (&key, &c) in &other.cells {
-            let cell = self.cells.entry(key).or_default();
-            cell.total_us += c.total_us;
-            cell.segments += c.segments;
-            cell.max_us = cell.max_us.max(c.max_us);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -141,6 +128,7 @@ mod tests {
             ],
         );
         assert_eq!(agg.ops(OpKind::Update), 2);
+        assert_eq!(agg.kinds(), vec![OpKind::Update]);
         assert_eq!(agg.total_us(OpKind::Update), 90 + 100);
         let share_sum: f64 = Stage::ALL
             .iter()
@@ -151,19 +139,6 @@ mod tests {
         let cell = agg.cell(OpKind::Update, Stage::WalCommit).unwrap();
         assert_eq!(cell.segments, 2);
         assert_eq!(cell.max_us, 95);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = StageAgg::new();
-        a.record_path(OpKind::Read, &[seg(Stage::QuorumWait, 0, 40)]);
-        let mut b = StageAgg::new();
-        b.record_path(OpKind::Read, &[seg(Stage::QuorumWait, 0, 60)]);
-        a.merge(&b);
-        assert_eq!(a.ops(OpKind::Read), 2);
-        assert_eq!(a.total_us(OpKind::Read), 100);
-        assert_eq!(a.cell(OpKind::Read, Stage::QuorumWait).unwrap().max_us, 60);
-        assert_eq!(a.kinds(), vec![OpKind::Read]);
     }
 
     #[test]

@@ -9,8 +9,6 @@
 use crate::span::StageSpan;
 use simkit::SimTime;
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 use storage::OpKind;
 
 /// The assembled trace of one sampled logical operation.
@@ -116,16 +114,6 @@ impl RunTrace {
             );
         }
         out
-    }
-
-    /// Write the JSONL rendering to `path`.
-    pub fn write_jsonl(&self, path: &Path) -> io::Result<()> {
-        std::fs::write(path, self.to_jsonl())
-    }
-
-    /// Write the CSV rendering to `path`.
-    pub fn write_csv(&self, path: &Path) -> io::Result<()> {
-        std::fs::write(path, self.to_csv())
     }
 
     /// Total spans across ops and background.

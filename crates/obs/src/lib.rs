@@ -4,8 +4,8 @@
 //! *stages* — client/coordinator hops, CPU service, WAL group commit,
 //! replica RPC fan-out, quorum waits, read-repair blocks. This crate
 //! records those stages as virtual-time intervals ([`StageSpan`]) keyed by
-//! the driver's attempt token, then reconstructs per-op [`SpanTree`]s,
-//! extracts the [critical path](critical_path) (whose segment lengths sum
+//! the driver's attempt token, then extracts each op's
+//! [critical path](critical_path) (whose segment lengths sum
 //! *exactly* to the op's measured latency), aggregates time-in-stage per
 //! [`OpKind`](storage::OpKind) ([`StageAgg`]), and exports sampled traces
 //! as JSONL/CSV ([`RunTrace`]).
@@ -33,6 +33,6 @@ mod tracer;
 pub use agg::{StageAgg, StageCell};
 pub use critical::{critical_path, Segment};
 pub use export::{OpTrace, RunTrace};
-pub use span::{SpanNode, SpanTree, StageSpan, BG_OP, CLIENT_NODE};
+pub use span::{StageSpan, BG_OP, CLIENT_NODE};
 pub use stage::Stage;
 pub use tracer::{TraceConfig, Tracer};

@@ -1,4 +1,4 @@
-//! Raw spans and the per-op containment tree.
+//! Raw spans: one virtual-time interval per recorded stage.
 
 use crate::stage::Stage;
 use simkit::SimTime;
@@ -49,143 +49,5 @@ impl StageSpan {
             self.stage,
             self.node,
         )
-    }
-}
-
-/// One node of a [`SpanTree`]: a span plus the spans nested inside it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanNode {
-    /// The interval itself.
-    pub span: StageSpan,
-    /// Spans wholly contained in `span`, in start order.
-    pub children: Vec<SpanNode>,
-}
-
-/// Per-op span tree built by interval containment: span B is a child of A
-/// when `A.start <= B.start && B.end <= A.end` and A is the tightest such
-/// enclosure. Concurrent (overlapping but not nested) spans become
-/// siblings under the nearest common container.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SpanTree {
-    /// Top-level spans (contained by nothing), in start order.
-    pub roots: Vec<SpanNode>,
-}
-
-impl SpanTree {
-    /// Build the containment tree from an arbitrary span set. Ordering is
-    /// deterministic: spans are sorted by [`StageSpan::sort_key`] first.
-    pub fn build(mut spans: Vec<StageSpan>) -> Self {
-        spans.retain(|s| !s.is_empty());
-        spans.sort_by_key(StageSpan::sort_key);
-        let mut roots: Vec<SpanNode> = Vec::new();
-        // Stack of not-yet-closed ancestors, outermost first.
-        let mut stack: Vec<SpanNode> = Vec::new();
-        for span in spans {
-            while let Some(top) = stack.last() {
-                let contains = top.span.start <= span.start && span.end <= top.span.end;
-                if contains {
-                    break;
-                }
-                let done = match stack.pop() {
-                    Some(n) => n,
-                    None => break,
-                };
-                Self::attach(&mut stack, &mut roots, done);
-            }
-            stack.push(SpanNode {
-                span,
-                children: Vec::new(),
-            });
-        }
-        while let Some(done) = stack.pop() {
-            Self::attach(&mut stack, &mut roots, done);
-        }
-        SpanTree { roots }
-    }
-
-    fn attach(stack: &mut [SpanNode], roots: &mut Vec<SpanNode>, node: SpanNode) {
-        match stack.last_mut() {
-            Some(top) => top.children.push(node),
-            None => roots.push(node),
-        }
-    }
-
-    /// Total number of spans in the tree.
-    pub fn span_count(&self) -> usize {
-        fn count(nodes: &[SpanNode]) -> usize {
-            nodes.iter().map(|n| 1 + count(&n.children)).sum()
-        }
-        count(&self.roots)
-    }
-
-    /// Maximum nesting depth (0 for an empty tree).
-    pub fn depth(&self) -> usize {
-        fn depth(nodes: &[SpanNode]) -> usize {
-            nodes
-                .iter()
-                .map(|n| 1 + depth(&n.children))
-                .max()
-                .unwrap_or(0)
-        }
-        depth(&self.roots)
-    }
-}
-
-#[cfg(test)]
-#[allow(clippy::unwrap_used)]
-mod tests {
-    use super::*;
-
-    fn span(stage: Stage, start: u64, end: u64) -> StageSpan {
-        StageSpan {
-            op: 1,
-            stage,
-            node: 0,
-            start,
-            end,
-        }
-    }
-
-    #[test]
-    fn nesting_follows_containment() {
-        // QuorumWait [10,50] contains two replica hops; Reconcile [50,60]
-        // is a sibling root.
-        let tree = SpanTree::build(vec![
-            span(Stage::Reconcile, 50, 60),
-            span(Stage::QuorumWait, 10, 50),
-            span(Stage::ReplicaRpc, 10, 20),
-            span(Stage::ReplicaRpc, 30, 45),
-        ]);
-        assert_eq!(tree.roots.len(), 2);
-        assert_eq!(tree.roots[0].span.stage, Stage::QuorumWait);
-        assert_eq!(tree.roots[0].children.len(), 2);
-        assert_eq!(tree.roots[1].span.stage, Stage::Reconcile);
-        assert_eq!(tree.span_count(), 4);
-        assert_eq!(tree.depth(), 2);
-    }
-
-    #[test]
-    fn overlapping_spans_become_siblings() {
-        let tree = SpanTree::build(vec![
-            span(Stage::ServerCpu, 0, 30),
-            span(Stage::DiskIo, 20, 50), // overlaps, not nested
-        ]);
-        assert_eq!(tree.roots.len(), 2);
-        assert_eq!(tree.depth(), 1);
-    }
-
-    #[test]
-    fn zero_length_spans_are_dropped_and_build_is_deterministic() {
-        let spans = vec![
-            span(Stage::ServerCpu, 5, 5),
-            span(Stage::ClientSend, 0, 10),
-            span(Stage::ServerCpu, 2, 8),
-        ];
-        let a = SpanTree::build(spans.clone());
-        let mut rev = spans;
-        rev.reverse();
-        let b = SpanTree::build(rev);
-        assert_eq!(a, b);
-        assert_eq!(a.span_count(), 2);
     }
 }

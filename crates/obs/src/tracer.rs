@@ -87,11 +87,6 @@ impl Tracer {
         });
     }
 
-    /// Number of spans recorded so far.
-    pub fn span_count(&self) -> usize {
-        self.spans.len()
-    }
-
     /// Drain all recorded spans (recording order — deterministic, since the
     /// event loop is).
     pub fn take_spans(&mut self) -> Vec<StageSpan> {
@@ -166,7 +161,7 @@ mod tests {
         t.watch(7);
         t.record(7, Stage::ServerCpu, 0, 10, 20);
         t.record_bg(Stage::GcPause, 1, 0, 100);
-        assert_eq!(t.span_count(), 0);
+        assert!(t.spans.is_empty());
         assert!(!t.watching(7));
     }
 
@@ -186,7 +181,7 @@ mod tests {
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].op, 7);
         assert_eq!(spans[1].op, BG_OP);
-        assert_eq!(t.span_count(), 0);
+        assert!(t.spans.is_empty());
     }
 
     #[test]
@@ -195,7 +190,7 @@ mod tests {
         t.enable();
         t.watch(BG_OP);
         t.record(BG_OP, Stage::ServerCpu, 0, 0, 5);
-        assert_eq!(t.span_count(), 0);
+        assert!(t.spans.is_empty());
     }
 
     #[test]

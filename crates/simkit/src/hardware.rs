@@ -28,16 +28,6 @@ impl DiskProfile {
             write_bw: 110_000_000,
         }
     }
-
-    /// A datacenter SSD, for ablations: negligible positioning cost, high
-    /// bandwidth.
-    pub const fn datacenter_ssd() -> Self {
-        Self {
-            seek_us: 80,
-            read_bw: 2_000_000_000,
-            write_bw: 1_200_000_000,
-        }
-    }
 }
 
 /// A single spindle with FIFO head scheduling.
@@ -60,11 +50,6 @@ impl Disk {
             written_bytes: 0,
             degrade: 1,
         }
-    }
-
-    /// The disk's profile.
-    pub fn profile(&self) -> DiskProfile {
-        self.profile
     }
 
     #[inline]
@@ -100,27 +85,11 @@ impl Disk {
         self.service(now, d)
     }
 
-    /// An explicit fsync-style barrier: one positioning cost.
-    pub fn sync(&mut self, now: SimTime) -> SimTime {
-        let d = self.profile.seek_us;
-        self.service(now, d)
-    }
-
     /// Multiply every subsequent service time by `factor` (fault injection:
     /// a transiently slow disk). `1` restores nominal speed; `0` is clamped
     /// to `1`.
     pub fn set_degrade(&mut self, factor: u32) {
         self.degrade = factor.max(1);
-    }
-
-    /// The current service-time multiplier (`1` when healthy).
-    pub fn degrade(&self) -> u32 {
-        self.degrade
-    }
-
-    /// How long a request arriving now would wait before service begins.
-    pub fn backlog(&self, now: SimTime) -> u64 {
-        self.queue.backlog(now)
     }
 
     /// Busy fraction over `elapsed`.
@@ -136,13 +105,6 @@ impl Disk {
     /// Total bytes written since the last stats reset.
     pub fn written_bytes(&self) -> u64 {
         self.written_bytes
-    }
-
-    /// Reset accounting counters (not the queue backlog).
-    pub fn reset_stats(&mut self) {
-        self.queue.reset_stats();
-        self.read_bytes = 0;
-        self.written_bytes = 0;
     }
 }
 
@@ -161,14 +123,6 @@ impl NicProfile {
         Self {
             bw: 125_000_000,
             prop_us: 50,
-        }
-    }
-
-    /// 10 GbE, for ablations.
-    pub const fn ten_gige() -> Self {
-        Self {
-            bw: 1_250_000_000,
-            prop_us: 30,
         }
     }
 }
@@ -208,11 +162,6 @@ impl Nic {
         }
     }
 
-    /// The NIC's profile.
-    pub fn profile(&self) -> NicProfile {
-        self.profile
-    }
-
     /// Serialize `bytes` onto the wire starting at `now`; returns the instant
     /// the last byte leaves this host (including any injected egress delay).
     pub fn tx(&mut self, now: SimTime, bytes: u64) -> SimTime {
@@ -228,11 +177,6 @@ impl Nic {
     /// does not count toward bandwidth utilization.
     pub fn set_extra_delay(&mut self, extra_us: u64) {
         self.extra_tx_us = extra_us;
-    }
-
-    /// The current injected egress delay (`0` when healthy).
-    pub fn extra_delay(&self) -> u64 {
-        self.extra_tx_us
     }
 
     /// Account for receiving `bytes` whose first bit arrives at `at`; returns
@@ -265,14 +209,6 @@ impl Nic {
     /// Messages transmitted since the last stats reset.
     pub fn tx_msgs(&self) -> u64 {
         self.tx_msgs
-    }
-
-    /// Reset accounting counters.
-    pub fn reset_stats(&mut self) {
-        self.tx_busy_us = 0;
-        self.rx_busy_us = 0;
-        self.tx_msgs = 0;
-        self.rx_msgs = 0;
     }
 }
 
@@ -374,13 +310,6 @@ impl NodeHw {
     pub fn restore_net(&mut self) {
         self.nic.set_extra_delay(0);
     }
-
-    /// Reset all resource accounting counters.
-    pub fn reset_stats(&mut self) {
-        self.cpu.reset_stats();
-        self.disk.reset_stats();
-        self.nic.reset_stats();
-    }
 }
 
 #[cfg(test)]
@@ -411,14 +340,6 @@ mod tests {
         let b = d.random_read(0, 0);
         assert_eq!(a, 8_000);
         assert_eq!(b, 16_000);
-        assert_eq!(d.backlog(0), 16_000);
-    }
-
-    #[test]
-    fn ssd_profile_is_dramatically_faster() {
-        let mut hdd = Disk::new(DiskProfile::sata_7200rpm());
-        let mut ssd = Disk::new(DiskProfile::datacenter_ssd());
-        assert!(ssd.random_read(0, 4096) * 10 < hdd.random_read(0, 4096));
     }
 
     #[test]
@@ -469,23 +390,16 @@ mod tests {
     }
 
     #[test]
-    fn sync_costs_one_positioning() {
-        let mut d = Disk::new(DiskProfile::sata_7200rpm());
-        assert_eq!(d.sync(0), 8_000);
-    }
-
-    #[test]
     fn degraded_disk_multiplies_service_times() {
         let mut d = Disk::new(DiskProfile::sata_7200rpm());
         d.set_degrade(4);
         assert_eq!(d.random_read(0, 64 * 1024), 4 * (8_000 + 547));
         d.set_degrade(1);
         // Healthy again: next request only queues behind the slow one.
-        let healthy = Disk::new(DiskProfile::sata_7200rpm()).sync(0) + 4 * (8_000 + 547);
-        assert_eq!(d.sync(0), healthy);
+        assert_eq!(d.random_read(0, 0), 8_000 + 4 * (8_000 + 547));
         // Factor 0 is clamped to 1, never a free disk.
         d.set_degrade(0);
-        assert_eq!(d.degrade(), 1);
+        assert_eq!(d.degrade, 1);
     }
 
     #[test]
@@ -505,12 +419,12 @@ mod tests {
         let mut node = NodeHw::new(NodeProfile::paper_testbed());
         node.degrade_disk(8);
         node.delay_net(250);
-        assert_eq!(node.disk.degrade(), 8);
-        assert_eq!(node.nic.extra_delay(), 250);
+        assert_eq!(node.disk.degrade, 8);
+        assert_eq!(node.nic.tx(0, 1024), 259);
         node.restore_disk();
         node.restore_net();
-        assert_eq!(node.disk.degrade(), 1);
-        assert_eq!(node.nic.extra_delay(), 0);
+        assert_eq!(node.disk.degrade, 1);
+        assert_eq!(node.nic.tx(0, 1024), 9);
     }
 
     #[test]
@@ -518,7 +432,5 @@ mod tests {
         let mut d = Disk::new(DiskProfile::sata_7200rpm());
         d.random_read(0, 0); // 8000us busy
         assert!((d.utilization(16_000) - 0.5).abs() < 1e-9);
-        d.reset_stats();
-        assert_eq!(d.utilization(16_000), 0.0);
     }
 }

@@ -62,5 +62,5 @@ pub use resource::{FifoResource, MultiServer};
 pub use rng::SimRng;
 pub use sim::{Sim, TimerId};
 pub use slab::{OpKey, Slab};
-pub use time::{SimTime, MICROS_PER_MILLI, MICROS_PER_SEC};
+pub use time::{SimTime, MICROS_PER_SEC};
 pub use topology::{NodeId, Topology};

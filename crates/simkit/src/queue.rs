@@ -343,32 +343,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Fire time of the earliest pending event, if any. (O(window scan) in
-    /// the worst case; used by drivers for occasional peeks, not per-pop.)
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let mut best: Option<(SimTime, u64)> = None;
-        if self.wheel_len > 0 {
-            let mut idx = self.cursor();
-            let mut start = self.wheel_start;
-            let end = self.window_end();
-            while start < end {
-                if let Some(m) = self.buckets[idx].iter().map(|e| (e.time, e.seq)).min() {
-                    best = Some(m);
-                    break;
-                }
-                idx = (idx + 1) & (BUCKET_MASK as usize);
-                start += self.width();
-            }
-        }
-        if let Some(h) = self.overflow.peek() {
-            let key = (h.time, h.seq);
-            if best.is_none_or(|b| key < b) {
-                best = Some(key);
-            }
-        }
-        best.map(|(t, _)| t)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.wheel_len + self.overflow.len()
@@ -408,15 +382,13 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_remove() {
+    fn len_counts_pending_events() {
         let mut q = EventQueue::new();
         q.push(7, 0);
-        assert_eq!(q.peek_time(), Some(7));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
         q.pop();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

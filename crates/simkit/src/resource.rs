@@ -37,13 +37,6 @@ impl FifoResource {
         done
     }
 
-    /// Outstanding backlog at `now`: how long a zero-cost request arriving
-    /// now would wait.
-    #[inline]
-    pub fn backlog(&self, now: SimTime) -> u64 {
-        self.next_free.saturating_sub(now)
-    }
-
     /// Total service time accumulated.
     pub fn busy_us(&self) -> u64 {
         self.busy_us
@@ -62,12 +55,6 @@ impl FifoResource {
         } else {
             self.busy_us as f64 / elapsed as f64
         }
-    }
-
-    /// Reset counters (not the backlog); used between warm-up and measurement.
-    pub fn reset_stats(&mut self) {
-        self.busy_us = 0;
-        self.ops = 0;
     }
 }
 
@@ -120,16 +107,6 @@ impl MultiServer {
         done
     }
 
-    /// Wait a zero-cost request arriving at `now` would experience.
-    pub fn backlog(&self, now: SimTime) -> u64 {
-        self.free
-            .iter()
-            .map(|r| r.0)
-            .min()
-            .unwrap_or(0)
-            .saturating_sub(now)
-    }
-
     /// Total service time accumulated across all servers.
     pub fn busy_us(&self) -> u64 {
         self.busy_us
@@ -147,12 +124,6 @@ impl MultiServer {
         } else {
             self.busy_us as f64 / (elapsed as f64 * self.servers as f64)
         }
-    }
-
-    /// Reset counters (not server free times).
-    pub fn reset_stats(&mut self) {
-        self.busy_us = 0;
-        self.ops = 0;
     }
 }
 
@@ -172,7 +143,7 @@ mod tests {
         assert_eq!(r.acquire(0, 10), 10);
         assert_eq!(r.acquire(0, 10), 20);
         assert_eq!(r.acquire(5, 10), 30);
-        assert_eq!(r.backlog(5), 25);
+        assert_eq!(r.next_free, 30);
     }
 
     #[test]
@@ -184,16 +155,6 @@ mod tests {
         assert_eq!(r.ops(), 2);
         // 20us busy over 110us elapsed.
         assert!((r.utilization(110) - 20.0 / 110.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fifo_reset_stats_keeps_backlog() {
-        let mut r = FifoResource::new();
-        r.acquire(0, 50);
-        r.reset_stats();
-        assert_eq!(r.busy_us(), 0);
-        assert_eq!(r.ops(), 0);
-        assert_eq!(r.backlog(0), 50);
     }
 
     #[test]
@@ -222,12 +183,12 @@ mod tests {
     }
 
     #[test]
-    fn multiserver_backlog_zero_when_any_server_free() {
+    fn multiserver_zero_cost_work_waits_only_when_every_server_is_busy() {
         let mut c = MultiServer::new(2);
         c.acquire(0, 100);
-        assert_eq!(c.backlog(0), 0);
+        assert_eq!(c.acquire(0, 0), 0);
         c.acquire(0, 100);
-        assert_eq!(c.backlog(0), 100);
+        assert_eq!(c.acquire(0, 0), 100);
     }
 
     #[test]

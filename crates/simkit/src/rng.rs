@@ -41,13 +41,6 @@ impl SimRng {
         Self { s }
     }
 
-    /// Derive an independent child generator; used to give each simulated
-    /// component its own stream without correlated draws.
-    pub fn fork(&mut self, stream: u64) -> Self {
-        let base = self.next_u64() ^ stream.wrapping_mul(0xA076_1D64_78BD_642F);
-        Self::new(base)
-    }
-
     /// Next value in `[0, bound)`. Uses Lemire's multiply-shift reduction;
     /// the tiny modulo bias is irrelevant for simulation purposes.
     #[inline]
@@ -178,15 +171,6 @@ mod tests {
         let hits = (0..n).filter(|_| r.chance(0.1)).count();
         let rate = hits as f64 / n as f64;
         assert!((rate - 0.1).abs() < 0.01, "rate={rate}");
-    }
-
-    #[test]
-    fn forked_streams_are_independent() {
-        let mut root = SimRng::new(5);
-        let mut a = root.fork(0);
-        let mut b = root.fork(1);
-        let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert!(same <= 1);
     }
 
     #[test]

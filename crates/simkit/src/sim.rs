@@ -177,12 +177,6 @@ impl<E> Sim<E> {
         }
         Some(ev)
     }
-
-    /// Fire time of the earliest pending event. (Parked timers all sort
-    /// after the armed one, which is in the queue.)
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
 }
 
 #[cfg(test)]
@@ -243,7 +237,6 @@ mod tests {
         sim.schedule_in(1, 0);
         sim.schedule_in(2, 0);
         assert_eq!(sim.pending(), 2);
-        assert_eq!(sim.peek_time(), Some(1));
     }
 
     /// Drain the simulation into a `(time, payload)` log.
@@ -267,7 +260,6 @@ mod tests {
         sim.timer_at(5_000_000, 4);
         sim.timer_at(50, 5);
         assert_eq!(sim.pending(), 6);
-        assert_eq!(sim.peek_time(), Some(20));
         assert_eq!(
             drain(&mut sim),
             vec![(20, 3), (50, 0), (50, 1), (50, 2), (50, 5), (5_000_000, 4)]

@@ -85,15 +85,6 @@ impl<T> Slab<T> {
         }
     }
 
-    /// An empty slab with room for `cap` contexts before growing.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            slots: Vec::with_capacity(cap),
-            free_head: None,
-            len: 0,
-        }
-    }
-
     /// Store `value`, returning its key. Reuses a freed slot when one is
     /// available; the returned key's generation is always ≥ 1, so it never
     /// collides with [`OpKey::NONE`].
@@ -204,14 +195,6 @@ impl<T> Slab<T> {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Iterate over live `(key, value)` pairs in slot order.
-    pub fn iter(&self) -> impl Iterator<Item = (OpKey, &T)> {
-        self.slots.iter().enumerate().filter_map(|(i, s)| match s {
-            Slot::Full { generation, value } => Some((OpKey::pack(i as u32, *generation), value)),
-            Slot::Free { .. } => None,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -280,16 +263,5 @@ mod tests {
         let k = s.insert(vec![1, 2]);
         s.get_mut(k).unwrap().push(3);
         assert_eq!(s.get(k), Some(&vec![1, 2, 3]));
-    }
-
-    #[test]
-    fn iter_visits_live_entries_in_slot_order() {
-        let mut s = Slab::new();
-        let a = s.insert("a");
-        let b = s.insert("b");
-        let c = s.insert("c");
-        s.remove(b);
-        let seen: Vec<_> = s.iter().collect();
-        assert_eq!(seen, vec![(a, &"a"), (c, &"c")]);
     }
 }

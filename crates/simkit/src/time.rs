@@ -3,35 +3,8 @@
 /// A point in virtual time, in microseconds since simulation start.
 pub type SimTime = u64;
 
-/// Microseconds per millisecond.
-pub const MICROS_PER_MILLI: u64 = 1_000;
-
 /// Microseconds per second.
 pub const MICROS_PER_SEC: u64 = 1_000_000;
-
-/// Convert milliseconds to microseconds.
-#[inline]
-pub const fn millis(ms: u64) -> u64 {
-    ms * MICROS_PER_MILLI
-}
-
-/// Convert seconds to microseconds.
-#[inline]
-pub const fn secs(s: u64) -> u64 {
-    s * MICROS_PER_SEC
-}
-
-/// Render a duration in microseconds as a human-readable string
-/// (`"412us"`, `"3.20ms"`, `"1.50s"`).
-pub fn fmt_duration(us: u64) -> String {
-    if us < MICROS_PER_MILLI {
-        format!("{us}us")
-    } else if us < MICROS_PER_SEC {
-        format!("{:.2}ms", us as f64 / MICROS_PER_MILLI as f64)
-    } else {
-        format!("{:.2}s", us as f64 / MICROS_PER_SEC as f64)
-    }
-}
 
 /// Time taken to move `bytes` through a channel of `bytes_per_sec` bandwidth,
 /// rounded up to at least one microsecond for any non-empty transfer.
@@ -50,12 +23,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn unit_conversions() {
-        assert_eq!(millis(3), 3_000);
-        assert_eq!(secs(2), 2_000_000);
-    }
-
-    #[test]
     fn transfer_time_basics() {
         // 1 MiB at 1 MiB/s is one second.
         assert_eq!(transfer_time(1 << 20, 1 << 20), MICROS_PER_SEC);
@@ -69,13 +36,6 @@ mod tests {
     fn transfer_time_gige_frame() {
         // A 1500-byte frame on 1 GbE (125 MB/s) is 12us.
         assert_eq!(transfer_time(1_500, 125_000_000), 12);
-    }
-
-    #[test]
-    fn duration_formatting() {
-        assert_eq!(fmt_duration(412), "412us");
-        assert_eq!(fmt_duration(3_200), "3.20ms");
-        assert_eq!(fmt_duration(1_500_000), "1.50s");
     }
 
     #[test]

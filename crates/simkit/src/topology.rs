@@ -141,22 +141,6 @@ impl Topology {
         self.regions
     }
 
-    /// True when the two nodes sit in different regions, i.e. traffic
-    /// between them crosses a WAN link.
-    pub fn is_wan(&self, from: NodeId, to: NodeId) -> bool {
-        self.region(from) != self.region(to)
-    }
-
-    /// One-way WAN delay from region `from` to region `to`. Zero within a
-    /// region.
-    pub fn wan_us(&self, from: u32, to: u32) -> SimTime {
-        if from == to {
-            0
-        } else {
-            self.wan_us[(from * self.regions + to) as usize]
-        }
-    }
-
     /// One-way propagation delay between two nodes. Loopback is free.
     pub fn prop_us(&self, from: NodeId, to: NodeId) -> SimTime {
         if from == to {
@@ -239,7 +223,7 @@ mod tests {
         let t = Topology::racks(6, 2, 50, 500);
         assert_eq!(t.num_regions(), 1);
         assert_eq!(t.region(NodeId(5)), 0);
-        assert!(!t.is_wan(NodeId(0), NodeId(1)));
+        assert_eq!(t.region(NodeId(0)), t.region(NodeId(1)));
         assert_eq!(t.region_nodes(0).count(), 6);
     }
 
@@ -260,9 +244,7 @@ mod tests {
         // Cross-region is asymmetric.
         assert_eq!(t.prop_us(NodeId(0), NodeId(4)), 25_000);
         assert_eq!(t.prop_us(NodeId(4), NodeId(0)), 30_000);
-        assert!(t.is_wan(NodeId(0), NodeId(4)));
-        assert_eq!(t.wan_us(1, 0), 30_000);
-        assert_eq!(t.wan_us(1, 1), 0);
+        assert_eq!(t.prop_us(NodeId(5), NodeId(3)), 30_000);
     }
 
     #[test]

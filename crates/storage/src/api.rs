@@ -43,17 +43,6 @@ pub enum StoreOp {
 }
 
 impl StoreOp {
-    /// The operation's kind.
-    pub fn kind(&self) -> OpKind {
-        match self {
-            StoreOp::Insert { .. } => OpKind::Insert,
-            StoreOp::Update { .. } => OpKind::Update,
-            StoreOp::Read { .. } => OpKind::Read,
-            StoreOp::Scan { .. } => OpKind::Scan,
-            StoreOp::Delete { .. } => OpKind::Delete,
-        }
-    }
-
     /// The key the operation targets (scan: its start key).
     pub fn key(&self) -> &Key {
         match self {
@@ -152,17 +141,6 @@ impl OpError {
             OpError::Deadline => false,
         }
     }
-
-    /// Short label used in reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            OpError::Unavailable => "unavailable",
-            OpError::ServerDown => "server-down",
-            OpError::Timeout => "timeout",
-            OpError::Deadline => "deadline",
-            OpError::Overloaded => "overloaded",
-        }
-    }
 }
 
 /// The outcome a store reports for one operation.
@@ -183,13 +161,6 @@ pub enum OpResult {
     Error(OpError),
 }
 
-impl OpResult {
-    /// True unless the outcome is an error.
-    pub fn is_ok(&self) -> bool {
-        !matches!(self, OpResult::Error(_))
-    }
-}
-
 /// A finished operation, delivered back to the driver.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Completion {
@@ -206,27 +177,6 @@ mod tests {
 
     fn k(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
-    }
-
-    #[test]
-    fn kind_mapping() {
-        assert_eq!(StoreOp::Read { key: k("a") }.kind(), OpKind::Read);
-        assert_eq!(
-            StoreOp::Insert {
-                key: k("a"),
-                value: k("v")
-            }
-            .kind(),
-            OpKind::Insert
-        );
-        assert_eq!(
-            StoreOp::Scan {
-                start: k("a"),
-                limit: 10
-            }
-            .kind(),
-            OpKind::Scan
-        );
     }
 
     #[test]
@@ -252,13 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn result_ok_flag() {
-        assert!(OpResult::Written { ts: 1 }.is_ok());
-        assert!(OpResult::Value(None).is_ok());
-        assert!(!OpResult::Error(OpError::Unavailable).is_ok());
-    }
-
-    #[test]
     fn labels_are_stable() {
         assert_eq!(OpKind::ReadModifyWrite.label(), "RMW");
         assert_eq!(OpKind::Read.to_string(), "READ");
@@ -272,8 +215,5 @@ mod tests {
         assert!(OpError::Timeout.is_retryable());
         assert!(OpError::Overloaded.is_retryable());
         assert!(!OpError::Deadline.is_retryable());
-        assert_eq!(OpError::Timeout.label(), "timeout");
-        assert_eq!(OpError::Deadline.label(), "deadline");
-        assert_eq!(OpError::Overloaded.label(), "overloaded");
     }
 }

@@ -85,16 +85,6 @@ impl BloomFilter {
         self.positions(hashes)
             .all(|pos| self.bits[(pos / 64) as usize] & (1 << (pos % 64)) != 0)
     }
-
-    /// Size of the filter in bytes.
-    pub fn byte_len(&self) -> u64 {
-        self.bits.len() as u64 * 8
-    }
-
-    /// Number of hash probes per operation.
-    pub fn hashes(&self) -> u32 {
-        self.k
-    }
 }
 
 #[cfg(test)]
@@ -150,8 +140,8 @@ mod tests {
     fn sizing_scales_with_capacity() {
         let small = BloomFilter::with_capacity(100, 10);
         let large = BloomFilter::with_capacity(100_000, 10);
-        assert!(large.byte_len() > small.byte_len());
-        assert!(small.hashes() >= 1);
+        assert!(large.bits.len() > small.bits.len());
+        assert!(small.k >= 1);
     }
 
     #[test]

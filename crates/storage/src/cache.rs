@@ -82,26 +82,6 @@ impl BlockCache {
         }
     }
 
-    /// Configured capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Bytes currently resident.
-    pub fn used(&self) -> u64 {
-        self.used
-    }
-
-    /// Number of resident blocks.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// Counters so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -280,18 +260,18 @@ mod tests {
         let mut c = BlockCache::new(250);
         c.insert(bk(1, 0), 100);
         c.insert(bk(1, 1), 100);
-        assert_eq!(c.used(), 200);
+        assert_eq!(c.used, 200);
         // 100 more would exceed 250: one eviction needed.
         c.insert(bk(1, 2), 100);
-        assert_eq!(c.used(), 200);
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.used, 200);
+        assert_eq!(c.map.len(), 2);
     }
 
     #[test]
     fn oversized_blocks_are_rejected() {
         let mut c = BlockCache::new(50);
         c.insert(bk(1, 0), 100);
-        assert!(c.is_empty());
+        assert!(c.map.is_empty());
     }
 
     #[test]
@@ -300,10 +280,10 @@ mod tests {
         c.insert(bk(1, 0), 100);
         c.insert(bk(1, 1), 100);
         c.insert(bk(1, 0), 150); // refresh, now MRU and bigger
-        assert_eq!(c.used(), 250);
+        assert_eq!(c.used, 250);
         c.insert(bk(1, 2), 50);
         // Adding 50 exceeds 300 by 0? used=250+50=300 == capacity, fits.
-        assert_eq!(c.used(), 300);
+        assert_eq!(c.used, 300);
         c.insert(bk(1, 3), 10);
         // block 1 was LRU.
         assert!(!c.contains(bk(1, 1)));
@@ -320,7 +300,7 @@ mod tests {
         assert!(!c.contains(bk(1, 0)));
         assert!(!c.contains(bk(1, 1)));
         assert!(c.contains(bk(2, 0)));
-        assert_eq!(c.used(), 100);
+        assert_eq!(c.used, 100);
     }
 
     #[test]
@@ -353,7 +333,7 @@ mod tests {
             if i % 3 == 0 {
                 c.get(bk((i % 5) as u64, i % 97));
             }
-            assert!(c.used() <= c.capacity());
+            assert!(c.used <= c.capacity);
         }
         // Map and list agree on membership count.
         let mut count = 0;
@@ -362,6 +342,6 @@ mod tests {
             count += 1;
             idx = c.slab[idx as usize].next;
         }
-        assert_eq!(count, c.len());
+        assert_eq!(count, c.map.len());
     }
 }

@@ -539,19 +539,9 @@ impl LsmTree {
         self.tables.len()
     }
 
-    /// Total bytes across all live SSTables.
-    pub fn table_bytes(&self) -> u64 {
-        self.tables.iter().map(|t| t.total_bytes()).sum()
-    }
-
     /// Bytes currently buffered in the memtable.
     pub fn memtable_bytes(&self) -> u64 {
         self.memtable.bytes()
-    }
-
-    /// Rows currently buffered in the memtable.
-    pub fn memtable_len(&self) -> usize {
-        self.memtable.len()
     }
 
     /// Unsynced WAL bytes.
@@ -562,11 +552,6 @@ impl LsmTree {
     /// Block-cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// Reset cache counters (warm-up boundary).
-    pub fn reset_cache_stats(&mut self) {
-        self.cache.reset_stats();
     }
 
     /// Empty the block cache (a restart or a region move: cold cache).
@@ -591,11 +576,6 @@ impl LsmTree {
             }
         }
         self.cache.reset_stats();
-    }
-
-    /// Ids and sizes of all live SSTables (oldest first).
-    pub fn tables(&self) -> &[(TableId, u64)] {
-        &self.sizes
     }
 
     /// True when every run of `self` shares its allocation with the
@@ -656,7 +636,7 @@ mod tests {
         let mut tree = LsmTree::new(small_config());
         fill(&mut tree, 0..100, 1);
         tree.flush().expect("flushes");
-        assert_eq!(tree.memtable_len(), 0);
+        assert_eq!(tree.memtable_bytes(), 0);
         let first = tree.get(b"user000050");
         assert!(first.cell.is_some());
         assert_eq!(first.io.random_reads(), 1);
@@ -813,7 +793,7 @@ mod tests {
         tree.flush();
         tree.maybe_compact().expect("compacts everything");
         assert_eq!(tree.table_count(), 1);
-        assert_eq!(tree.table_bytes(), 0, "all rows were deleted");
+        assert_eq!(tree.tables[0].total_bytes(), 0, "all rows were deleted");
     }
 
     #[test]

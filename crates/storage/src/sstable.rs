@@ -195,16 +195,6 @@ impl SsTable {
         self.core.block_bytes[block]
     }
 
-    /// Smallest key, if non-empty.
-    pub fn min_key(&self) -> Option<&Key> {
-        self.core.entries.first().map(|(k, _)| k)
-    }
-
-    /// Largest key, if non-empty.
-    pub fn max_key(&self) -> Option<&Key> {
-        self.core.entries.last().map(|(k, _)| k)
-    }
-
     /// Bloom-filter check: false means the key is definitely absent.
     pub fn may_contain(&self, key: &[u8]) -> bool {
         self.core.bloom.may_contain(key)
@@ -420,13 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn min_max_keys() {
-        let t = table(10, 1024);
-        assert_eq!(t.min_key(), Some(&k("user000000")));
-        assert_eq!(t.max_key(), Some(&k("user000009")));
-    }
-
-    #[test]
     fn lower_bound_lands_on_first_key_at_or_after_start() {
         // Several blocks, so the boundary search crosses the block index.
         let t = table(10, 64);
@@ -461,7 +444,6 @@ mod tests {
         assert_eq!(t.block_count(), 0);
         assert_eq!(t.get(b"x"), None);
         assert_eq!(t.block_for(b"x"), None);
-        assert_eq!(t.min_key(), None);
     }
 
     #[test]

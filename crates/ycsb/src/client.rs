@@ -40,11 +40,6 @@ impl Throttle {
         }
     }
 
-    /// The configured inter-arrival spacing (0 when unthrottled).
-    pub fn interval_us(&self) -> u64 {
-        self.interval_us
-    }
-
     /// Given that the previous operation completed at `completed_at`, return
     /// when this thread should issue its next operation, and advance the
     /// schedule.
@@ -72,14 +67,14 @@ mod tests {
         let mut t = Throttle::per_thread(0.0);
         assert_eq!(t.next_issue(123), 123);
         assert_eq!(t.next_issue(456), 456);
-        assert_eq!(t.interval_us(), 0);
+        assert_eq!(t.interval_us, 0);
     }
 
     #[test]
     fn throttled_spaces_issues() {
         // 1000 ops/s => 1000us interval.
         let mut t = Throttle::per_thread(1000.0);
-        assert_eq!(t.interval_us(), 1000);
+        assert_eq!(t.interval_us, 1000);
         let first = t.next_issue(0);
         assert_eq!(first, 0);
         // Fast completion at t=10: next slot is 1000.
@@ -102,9 +97,9 @@ mod tests {
     fn target_split_across_threads() {
         let t = Throttle::for_target(10_000.0, 10);
         // 1000 ops/s/thread.
-        assert_eq!(t.interval_us(), 1000);
+        assert_eq!(t.interval_us, 1000);
         let unlimited = Throttle::for_target(0.0, 10);
-        assert_eq!(unlimited.interval_us(), 0);
+        assert_eq!(unlimited.interval_us, 0);
     }
 
     #[test]

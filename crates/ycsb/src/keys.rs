@@ -52,13 +52,6 @@ pub fn encode_key(id: u64) -> Bytes {
     encode_point(fnv_scramble(id))
 }
 
-/// Decode a key back to its raw key-space position (not the record id —
-/// the hash is one-way, as in YCSB).
-pub fn decode_point(key: &[u8]) -> Option<u64> {
-    let digits = key.strip_prefix(b"user")?;
-    std::str::from_utf8(digits).ok()?.parse().ok()
-}
-
 /// Evenly spaced key-space boundary tokens for `n` partitions: token `j`
 /// starts partition `j`'s range. Token 0 is the empty-prefix minimum so the
 /// first partition owns everything below token 1.
@@ -83,12 +76,6 @@ impl KeySpace {
     /// Number of records that exist.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Key of an existing record.
-    pub fn key(&self, id: u64) -> Bytes {
-        debug_assert!(id < self.count);
-        encode_key(id)
     }
 
     /// Allocate the next record id (a transactional insert) and return its
@@ -156,7 +143,6 @@ impl KeyInterner {
 #[derive(Debug, Clone)]
 pub struct ValuePool {
     buffers: Vec<Bytes>,
-    len: usize,
 }
 
 impl ValuePool {
@@ -172,12 +158,7 @@ impl ValuePool {
                 Bytes::from(buf)
             })
             .collect();
-        Self { buffers, len }
-    }
-
-    /// The value length this pool produces.
-    pub fn value_len(&self) -> usize {
-        self.len
+        Self { buffers }
     }
 
     /// Draw a value (refcounted clone of a pooled buffer).
@@ -202,11 +183,10 @@ mod tests {
     }
 
     #[test]
-    fn point_roundtrip() {
+    fn points_encode_as_zero_padded_decimal() {
         for raw in [0u64, 1, 42, u64::MAX] {
-            assert_eq!(decode_point(&encode_point(raw)), Some(raw));
+            assert_eq!(encode_point(raw), format!("user{raw:020}").as_bytes());
         }
-        assert_eq!(decode_point(b"bogus"), None);
     }
 
     #[test]
@@ -260,7 +240,6 @@ mod tests {
         let mut rng = SimRng::new(3);
         let v1 = pool.next(&mut rng);
         assert_eq!(v1.len(), 1000);
-        assert_eq!(pool.value_len(), 1000);
         let distinct: std::collections::HashSet<_> =
             (0..100).map(|_| pool.next(&mut rng).to_vec()).collect();
         assert!(distinct.len() > 1);

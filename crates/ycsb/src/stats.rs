@@ -131,11 +131,6 @@ impl Histogram {
         self.max
     }
 
-    /// Median shorthand.
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
     /// 95th percentile shorthand.
     pub fn p95(&self) -> u64 {
         self.quantile(0.95)
@@ -240,22 +235,6 @@ impl Timeline {
         }
     }
 
-    /// The window width, microseconds.
-    pub fn window_us(&self) -> u64 {
-        self.window_us
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
-    }
-
-    /// Record one successful completion at virtual time `at` that took one
-    /// first-try attempt (shorthand for [`Timeline::record_success`]).
-    pub fn record(&mut self, at: u64, latency_us: u64) {
-        self.record_success(at, latency_us, false, 1);
-    }
-
     /// Record one successful completion at virtual time `at`: `retried`
     /// marks an operation that needed a retry or winning hedge, `attempts`
     /// counts the store attempts it consumed.
@@ -266,12 +245,6 @@ impl Timeline {
             w.retried_ok += 1;
         }
         w.attempts += u64::from(attempts);
-    }
-
-    /// Record one failed completion at virtual time `at` that consumed one
-    /// attempt (shorthand for [`Timeline::record_failure`]).
-    pub fn record_error(&mut self, at: u64) {
-        self.record_failure(at, 1);
     }
 
     /// Record one client-visible failure at virtual time `at` that consumed
@@ -385,11 +358,6 @@ impl RunMetrics {
     /// Record one failed operation.
     pub fn record_error(&mut self) {
         self.errors += 1;
-    }
-
-    /// Record one read-consistency check outcome.
-    pub fn record_staleness_check(&mut self, stale: bool) {
-        self.record_read_check(stale, false);
     }
 
     /// Record one read-consistency check outcome with the full verdict:
@@ -524,11 +492,6 @@ impl RunMetrics {
     pub fn for_op(&self, kind: OpKind) -> Option<&Histogram> {
         self.per_op.get(&kind)
     }
-
-    /// Iterate recorded op kinds with their histograms.
-    pub fn per_op(&self) -> impl Iterator<Item = (OpKind, &Histogram)> {
-        self.per_op.iter().map(|(k, h)| (*k, h))
-    }
 }
 
 #[cfg(test)]
@@ -554,7 +517,7 @@ mod tests {
         for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
             assert_eq!(h.quantile(q), 0);
         }
-        assert_eq!(h.p50(), 0);
+        assert_eq!(h.quantile(0.50), 0);
         assert_eq!(h.p99(), 0);
     }
 
@@ -588,7 +551,7 @@ mod tests {
         for v in 1..=100u64 {
             h.record(v);
         }
-        assert_eq!(h.p50(), 50);
+        assert_eq!(h.quantile(0.50), 50);
         assert_eq!(h.p95(), 95);
         assert_eq!(h.p99(), 99);
         assert_eq!(h.quantile(0.01), 1);
@@ -600,7 +563,7 @@ mod tests {
         for _ in 0..10 {
             h.record(100);
         }
-        assert_eq!(h.p50(), 10);
+        assert_eq!(h.quantile(0.50), 10);
         assert_eq!(h.quantile(0.90), 10);
         assert_eq!(h.p95(), 100);
         assert_eq!(h.p99(), 100);
@@ -632,11 +595,11 @@ mod tests {
         for i in 0..10_000u64 {
             h.record(i);
         }
-        assert!(h.p50() <= h.p95());
+        assert!(h.quantile(0.50) <= h.p95());
         assert!(h.p95() <= h.p99());
         assert!(h.p99() <= h.max());
         // Median of 0..10000 is ~5000, within bucket tolerance.
-        let p50 = h.p50() as f64;
+        let p50 = h.quantile(0.50) as f64;
         assert!((p50 - 5000.0).abs() / 5000.0 < 0.05, "p50={p50}");
     }
 
@@ -695,8 +658,8 @@ mod tests {
     fn run_metrics_track_errors_and_staleness() {
         let mut m = RunMetrics::new();
         m.record_error();
-        m.record_staleness_check(true);
-        m.record_staleness_check(false);
+        m.record_read_check(true, false);
+        m.record_read_check(false, false);
         assert_eq!(m.errors(), 1);
         assert_eq!(m.staleness(), (1, 2));
         assert_eq!(m.missing_reads(), 0);
@@ -723,8 +686,8 @@ mod tests {
     #[test]
     fn timeline_empty_window_gap_materializes_as_zeros() {
         let mut t = Timeline::new(1_000);
-        t.record(500, 10); // window 0
-        t.record(2_500, 30); // window 2; window 1 is a gap
+        t.record_success(500, 10, false, 1); // window 0
+        t.record_success(2_500, 30, false, 1); // window 2; window 1 is a gap
         let w = t.windows();
         assert_eq!(w.len(), 3);
         assert_eq!(w[1].start_us, 1_000);
@@ -739,7 +702,7 @@ mod tests {
     #[test]
     fn timeline_single_op_window_percentiles_equal_the_op() {
         let mut t = Timeline::new(1_000);
-        t.record(100, 42);
+        t.record_success(100, 42, false, 1);
         let w = t.windows();
         assert_eq!(w.len(), 1);
         assert_eq!(w[0].ops, 1);
@@ -753,8 +716,8 @@ mod tests {
     #[test]
     fn timeline_boundary_completion_lands_in_later_window() {
         let mut t = Timeline::new(1_000);
-        t.record(999, 1);
-        t.record(1_000, 2); // exactly on the boundary
+        t.record_success(999, 1, false, 1);
+        t.record_success(1_000, 2, false, 1); // exactly on the boundary
         let w = t.windows();
         assert_eq!(w.len(), 2);
         assert_eq!(w[0].ops, 1);
@@ -765,9 +728,9 @@ mod tests {
     #[test]
     fn timeline_errors_bucket_separately_from_ops() {
         let mut t = Timeline::new(100);
-        t.record_error(50);
-        t.record_error(250);
-        t.record(250, 5);
+        t.record_failure(50, 1);
+        t.record_failure(250, 1);
+        t.record_success(250, 5, false, 1);
         let w = t.windows();
         assert_eq!(w.len(), 3);
         assert_eq!((w[0].ops, w[0].errors), (0, 1));
@@ -816,10 +779,10 @@ mod tests {
     }
 
     #[test]
-    fn plain_record_is_a_first_try_single_attempt() {
+    fn first_try_completions_count_one_attempt_each() {
         let mut t = Timeline::new(1_000);
-        t.record(100, 10);
-        t.record_error(200);
+        t.record_success(100, 10, false, 1);
+        t.record_failure(200, 1);
         let w = t.windows();
         assert_eq!(w[0].retried_ops, 0);
         assert_eq!(w[0].attempts, 2);

@@ -57,14 +57,9 @@ impl StalenessTracker {
 
     /// Judge a completed read: `expected` is the snapshot taken at issue
     /// time, `observed` the version timestamp the read returned (`None` for
-    /// not-found). Returns `true` when the read was stale.
-    pub fn check(&mut self, expected: u64, observed: Option<u64>) -> bool {
-        self.check_read(expected, observed).stale
-    }
-
-    /// [`StalenessTracker::check`] with the full verdict: splits "found no
-    /// value after an acked write" (`missing`) out of the plain stale
-    /// count, so lost writes are distinguishable from stale reads.
+    /// not-found). The verdict splits "found no value after an acked write"
+    /// (`missing`) out of the plain stale count, so lost writes are
+    /// distinguishable from stale reads.
     pub fn check_read(&mut self, expected: u64, observed: Option<u64>) -> ReadCheck {
         self.checked += 1;
         let stale = observed.unwrap_or(0) < expected;
@@ -97,11 +92,6 @@ impl StalenessTracker {
             self.stale as f64 / self.checked as f64
         }
     }
-
-    /// Number of keys with acknowledged writes.
-    pub fn tracked_keys(&self) -> usize {
-        self.acked.len()
-    }
 }
 
 #[cfg(test)]
@@ -117,8 +107,11 @@ mod tests {
         let mut t = StalenessTracker::new();
         t.write_acked(&k("a"), 100);
         let exp = t.expected(b"a");
-        assert!(!t.check(exp, Some(100)));
-        assert!(!t.check(exp, Some(150)), "newer than expected is fine");
+        assert!(!t.check_read(exp, Some(100)).stale);
+        assert!(
+            !t.check_read(exp, Some(150)).stale,
+            "newer than expected is fine"
+        );
         assert_eq!(t.counts(), (0, 2));
     }
 
@@ -126,9 +119,9 @@ mod tests {
     fn old_version_is_stale() {
         let mut t = StalenessTracker::new();
         t.write_acked(&k("a"), 100);
-        assert!(t.check(t.expected(b"a"), Some(50)));
+        assert!(t.check_read(t.expected(b"a"), Some(50)).stale);
         assert!(
-            t.check(t.expected(b"a"), None),
+            t.check_read(t.expected(b"a"), None).stale,
             "not-found after an ack is stale"
         );
         assert_eq!(t.counts(), (2, 2));
@@ -165,7 +158,7 @@ mod tests {
     fn unwritten_keys_never_stale() {
         let mut t = StalenessTracker::new();
         assert_eq!(t.expected(b"ghost"), 0);
-        assert!(!t.check(0, None));
+        assert!(!t.check_read(0, None).stale);
     }
 
     #[test]
@@ -174,7 +167,10 @@ mod tests {
         t.write_acked(&k("a"), 100);
         let snapshot = t.expected(b"a"); // read issued here
         t.write_acked(&k("a"), 200); // concurrent write acks later
-        assert!(!t.check(snapshot, Some(100)), "expected only ts>=100");
+        assert!(
+            !t.check_read(snapshot, Some(100)).stale,
+            "expected only ts>=100"
+        );
     }
 
     #[test]
@@ -183,6 +179,6 @@ mod tests {
         t.write_acked(&k("a"), 100);
         t.write_acked(&k("a"), 50); // late ack of an older write
         assert_eq!(t.expected(b"a"), 100);
-        assert_eq!(t.tracked_keys(), 1);
+        assert_eq!(t.acked.len(), 1);
     }
 }

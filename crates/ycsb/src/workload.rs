@@ -66,12 +66,6 @@ impl OpMix {
         }
         OpKind::Read
     }
-
-    /// Fraction of operations that write (updates + inserts + the write half
-    /// of each RMW).
-    pub fn write_fraction(&self) -> f64 {
-        self.update + self.insert + self.rmw
-    }
 }
 
 /// A complete workload description.
@@ -226,7 +220,7 @@ impl WorkloadSpec {
         ]
     }
 
-    // ----- YCSB core workloads, for completeness -----
+    // ----- YCSB core workloads A and E, which `benchmark/` runs -----
 
     /// YCSB A: update heavy, 50/50 read/update, zipfian.
     pub fn ycsb_a() -> Self {
@@ -236,61 +230,11 @@ impl WorkloadSpec {
         w
     }
 
-    /// YCSB B: read mostly, 95/5 read/update, zipfian.
-    pub fn ycsb_b() -> Self {
-        let mut w = Self::read_mostly();
-        w.name = "ycsb-b".into();
-        w.typical_usage = "Photo tagging".into();
-        w
-    }
-
-    /// YCSB C: read only, zipfian.
-    pub fn ycsb_c() -> Self {
-        Self::new(
-            "ycsb-c",
-            "User profile cache",
-            OpMix {
-                read: 1.0,
-                update: 0.0,
-                insert: 0.0,
-                scan: 0.0,
-                rmw: 0.0,
-            },
-            DistributionKind::Zipfian,
-            100,
-        )
-    }
-
-    /// YCSB D: read latest, 95/5 read/insert.
-    pub fn ycsb_d() -> Self {
-        Self::new(
-            "ycsb-d",
-            "User status updates",
-            OpMix {
-                read: 0.95,
-                update: 0.0,
-                insert: 0.05,
-                scan: 0.0,
-                rmw: 0.0,
-            },
-            DistributionKind::Latest,
-            100,
-        )
-    }
-
     /// YCSB E: short ranges, 95/5 scan/insert.
     pub fn ycsb_e() -> Self {
         let mut w = Self::scan_short_ranges();
         w.name = "ycsb-e".into();
         w.typical_usage = "Threaded conversations".into();
-        w
-    }
-
-    /// YCSB F: read-modify-write, 50/50 read/RMW.
-    pub fn ycsb_f() -> Self {
-        let mut w = Self::read_modify_write();
-        w.name = "ycsb-f".into();
-        w.typical_usage = "User database".into();
         w
     }
 
@@ -389,9 +333,11 @@ mod tests {
     fn write_fraction_ranks_workloads_like_the_paper() {
         // Paper: "the bigger write proportion, the more obvious performance
         // difference". read&update (50%) > read latest (20%) > read mostly (5%).
-        let ru = WorkloadSpec::read_update().mix.write_fraction();
-        let rl = WorkloadSpec::read_latest().mix.write_fraction();
-        let rm = WorkloadSpec::read_mostly().mix.write_fraction();
+        // Writes: updates + inserts + the write half of each RMW.
+        let write_fraction = |w: WorkloadSpec| w.mix.update + w.mix.insert + w.mix.rmw;
+        let ru = write_fraction(WorkloadSpec::read_update());
+        let rl = write_fraction(WorkloadSpec::read_latest());
+        let rm = write_fraction(WorkloadSpec::read_mostly());
         assert!(ru > rl && rl > rm);
     }
 
@@ -426,26 +372,20 @@ mod tests {
     #[test]
     fn distribution_resolution() {
         let w = WorkloadSpec::read_latest();
-        let d = w.request_distribution(500);
-        assert_eq!(d.items(), 500);
-        matches!(d, RequestDistribution::Latest(_));
+        assert!(matches!(
+            w.request_distribution(500),
+            RequestDistribution::Latest(z) if z.items() == 500
+        ));
         let w = WorkloadSpec::read_mostly();
-        matches!(
+        assert!(matches!(
             w.request_distribution(500),
             RequestDistribution::ScrambledZipfian(_)
-        );
+        ));
     }
 
     #[test]
     fn ycsb_core_workloads_are_valid() {
-        for w in [
-            WorkloadSpec::ycsb_a(),
-            WorkloadSpec::ycsb_b(),
-            WorkloadSpec::ycsb_c(),
-            WorkloadSpec::ycsb_d(),
-            WorkloadSpec::ycsb_e(),
-            WorkloadSpec::ycsb_f(),
-        ] {
+        for w in [WorkloadSpec::ycsb_a(), WorkloadSpec::ycsb_e()] {
             assert!(w.mix.is_valid(), "{} invalid", w.name);
         }
     }

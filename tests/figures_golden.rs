@@ -1,6 +1,6 @@
 //! Golden test over the figure registry: every artifact's `--quick` output
-//! is independent of the sweep schedule and byte-identical to its
-//! checked-in golden.
+//! is independent of the sweep schedule (one worker against four) and
+//! byte-identical to its checked-in golden.
 //!
 //! Goldens: `tests/golden/<name>.txt` is the figure's stdout text (without
 //! the `… written to <path>` lines, which depend on `RESULTS_DIR`). A file
@@ -24,7 +24,7 @@ fn quick_figures_are_schedule_independent_and_match_their_goldens() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let golden = root.join("tests/golden");
     for (name, figure) in FIGURES {
-        let serial = figure(true, &Sweep::new().serial());
+        let serial = figure(true, &Sweep::new().with_threads(1));
         let threaded = figure(true, &Sweep::new().with_threads(4));
         assert_eq!(serial.parts, threaded.parts, "{name}: schedule leaked");
         assert_eq!(

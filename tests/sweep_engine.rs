@@ -42,7 +42,7 @@ proptest! {
     ) {
         let cells: Vec<u64> = (0..n as u64).collect();
         let f = |&c: &u64| (c, (root ^ c).wrapping_mul(c + 1));
-        let serial = Sweep::new().serial().run(&cells, f);
+        let serial = Sweep::new().with_threads(1).run(&cells, f);
         let parallel = Sweep::new().with_threads(threads).run(&cells, f);
         prop_assert_eq!(&serial.results, &parallel.results);
         for (i, &(c, v)) in parallel.results.iter().enumerate() {
@@ -54,7 +54,7 @@ proptest! {
 
 #[test]
 fn micro_grid_is_bitwise_identical_serial_vs_parallel() {
-    let serial = MicroConfig::quick().run_with(&Sweep::new().serial());
+    let serial = MicroConfig::quick().run_with(&Sweep::new().with_threads(1));
     let parallel = MicroConfig::quick().run_with(&Sweep::new().with_threads(4));
     // Full f64 bit patterns, not approximate equality: the engine promises
     // the schedule is invisible to results.

@@ -1,8 +1,10 @@
 #!/bin/sh
 # Size of the code, per crate under crates/: non-test lines (the lines of
 # each src/ file before its first `#[cfg(test)]`) and public items (the
-# `pub fn|struct|enum|trait|type|const|mod|use` lines among them). The last
-# line totals the store layer: cstore + hstore + node + core/src/store.rs.
+# `pub fn|struct|enum|trait|type|const|mod|use` lines among them). Then a
+# `total` line over all crates, an `examples` line (every line of
+# examples/*.rs), and the store layer: cstore + hstore + node +
+# core/src/store.rs.
 #
 # Usage: tools/loc.sh   (from any directory)
 set -eu
@@ -27,6 +29,12 @@ for dir in crates/*/; do
     set -- $(count $(find "$dir/src" -name '*.rs' | sort))
     printf '%-10s %9s %10s\n' "$name" "$1" "$2"
 done
+# shellcheck disable=SC2046
+set -- $(count $(find crates/*/src -name '*.rs' | sort))
+printf '%-10s %9s %10s\n' total "$1" "$2"
+# shellcheck disable=SC2046
+set -- $(cat $(find examples -name '*.rs' | sort) | wc -l)
+printf '%-10s %9s\n' examples "$1"
 # shellcheck disable=SC2046
 set -- $(count $(find crates/cstore/src crates/hstore/src crates/node/src -name '*.rs' | sort) \
     crates/core/src/store.rs)
