@@ -167,4 +167,15 @@ mod tests {
         assert_eq!(Cell::tombstone(1).encoded_len(), 9);
         assert_eq!(entry_encoded_len(&k("key"), &small), 3 + 10 + 8);
     }
+
+    /// Every stored row, memtable slot and queued op holds these, so their
+    /// size is the per-row memory overhead: one-word keys and values, and a
+    /// tombstone that costs nothing extra.
+    #[test]
+    fn rows_and_ops_hold_one_word_per_buffer() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Cell>(), 16);
+        assert_eq!(size_of::<(Key, Cell)>(), 24);
+        assert_eq!(size_of::<crate::api::StoreOp>(), 24);
+    }
 }

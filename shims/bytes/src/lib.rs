@@ -4,78 +4,176 @@
 //! workspace vendors the *exact API subset it uses* as a local crate with
 //! the same name. Semantics match `bytes::Bytes` where the surfaces
 //! overlap: an immutable, cheaply cloneable byte buffer backed by a shared
-//! allocation (`Arc<[u8]>`), ordered and hashed like `[u8]` so it can key
-//! ordered maps via `Borrow<[u8]>`.
+//! allocation, ordered and hashed like `[u8]` so it can key ordered maps via
+//! `Borrow<[u8]>`.
+//!
+//! A `Bytes` is one pointer wide. It points at a single allocation laid out
+//! as `[count | len | bytes]`: the same size and alignment an `Arc<[u8]>`
+//! of that length requests, but the length lives behind the pointer instead
+//! of beside it, so every key, value, row and message that holds one is 8
+//! bytes smaller. The reference count follows `std::sync::Arc`'s protocol.
+//! This is the workspace's only `unsafe` code.
 //!
 //! One method has no counterpart in the real crate: [`Bytes::prefetch`], a
-//! cache hint for the buffer's reference count. Only this crate knows where
-//! that count lives, so the hint lives here too.
+//! cache hint for the buffer's header. Only this crate knows where that
+//! header lives, so the hint lives here too.
 
 #![warn(missing_docs)]
+#![allow(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
+use std::alloc::{self, Layout};
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::Arc;
+use std::ptr::NonNull;
+use std::sync::atomic::{self, AtomicUsize, Ordering};
+
+/// The front of every buffer's allocation; the data bytes follow it.
+#[repr(C)]
+struct Header {
+    /// Live handles to this allocation.
+    count: AtomicUsize,
+    /// Data bytes after the header. Never changes.
+    len: usize,
+}
+
+/// The allocation for `len` data bytes: a header, then the bytes, padded to
+/// the header's alignment. `Arc<[u8]>` computes its `ArcInner` layout the
+/// same way, so both request the same size per buffer.
+fn layout(len: usize) -> Layout {
+    match Layout::array::<u8>(len).and_then(|data| Layout::new::<Header>().extend(data)) {
+        Ok((layout, offset)) => {
+            debug_assert_eq!(offset, std::mem::size_of::<Header>());
+            layout.pad_to_align()
+        }
+        Err(_) => panic!("a {len}-byte buffer does not fit the address space"),
+    }
+}
+
+/// Handles beyond this many would let the count overflow; `Arc` aborts at
+/// the same bound.
+const MAX_COUNT: usize = isize::MAX as usize;
 
 /// An immutable, reference-counted byte buffer. `Clone` is O(1) — the
 /// allocation is shared, never copied.
-#[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    /// Always points at a live allocation made by `copy_from_slice` with
+    /// `layout(len)`, whose header and data are initialised; this handle
+    /// holds one of its counts.
+    ptr: NonNull<Header>,
 }
+
+// SAFETY: `Bytes` shares immutable bytes and an atomic count, as `Arc<[u8]>`
+// does, which is `Send` and `Sync`. `len` and the data are written only
+// before the first handle exists; the count changes only atomically, and
+// `drop` frees only after an `Acquire` fence that orders every other
+// handle's uses (each ended by a `Release` decrement) before the free.
+unsafe impl Send for Bytes {}
+// SAFETY: as for `Send`: `&Bytes` allows only reads and atomic count updates.
+unsafe impl Sync for Bytes {}
 
 impl Bytes {
     /// An empty buffer.
     pub fn new() -> Self {
-        Self {
-            data: Arc::from(&[][..]),
-        }
+        Self::copy_from_slice(&[])
     }
 
     /// A buffer over static data (copied once into the shared allocation;
     /// the real crate borrows, which only changes constant factors here).
     pub fn from_static(data: &'static [u8]) -> Self {
-        Self {
-            data: Arc::from(data),
-        }
+        Self::copy_from_slice(data)
     }
 
     /// Copy a slice into a fresh buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Self {
-            data: Arc::from(data),
+        let layout = layout(data.len());
+        // SAFETY: `layout` is never zero-sized: it holds at least a header.
+        let raw = unsafe { alloc::alloc(layout) };
+        let Some(ptr) = NonNull::new(raw.cast::<Header>()) else {
+            alloc::handle_alloc_error(layout)
+        };
+        // SAFETY: `ptr` is a fresh allocation of `layout`, aligned for
+        // `Header`, with room for the header and then `data.len()` bytes
+        // at `Self::data`'s offset; a fresh allocation overlaps no slice.
+        unsafe {
+            ptr.as_ptr().write(Header {
+                count: AtomicUsize::new(1),
+                len: data.len(),
+            });
+            std::ptr::copy_nonoverlapping(data.as_ptr(), Self::data(ptr), data.len());
         }
+        Self { ptr }
+    }
+
+    /// Where the data bytes of the allocation at `ptr` start.
+    fn data(ptr: NonNull<Header>) -> *mut u8 {
+        ptr.as_ptr().wrapping_add(1).cast::<u8>()
+    }
+
+    fn header(&self) -> &Header {
+        // SAFETY: this handle keeps the allocation alive and its header was
+        // initialised before the handle existed (see the `ptr` field).
+        unsafe { self.ptr.as_ref() }
     }
 
     /// The bytes as a slice.
     pub fn as_slice(&self) -> &[u8] {
-        &self.data
+        // SAFETY: the allocation outlives `&self`, and `len` initialised
+        // bytes follow its header; nothing writes them after construction.
+        unsafe { std::slice::from_raw_parts(Self::data(self.ptr), self.header().len) }
     }
 
     /// Hint the CPU to start loading the cache line that holds this
-    /// buffer's reference count, so a `clone` or `drop` soon after does not
+    /// buffer's header — its reference count, its length and its first
+    /// data bytes — so a `clone`, `drop` or comparison soon after does not
     /// stall on it. A clone's locked increment waits for its line on its
     /// own, one miss at a time; a prefetch issued early overlaps those
     /// misses. A hint only: it never faults and changes nothing observable.
     /// A no-op on targets other than x86-64.
     #[inline]
-    #[allow(unsafe_code)]
     pub fn prefetch(&self) {
         #[cfg(target_arch = "x86_64")]
         {
             use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            // An `Arc` keeps its strong and weak counts in front of the data.
-            let counts = Arc::as_ptr(&self.data)
-                .cast::<u8>()
-                .wrapping_sub(2 * std::mem::size_of::<usize>());
             // SAFETY: a prefetch reads nothing the program can observe and
-            // never faults, whatever the address (it need not even be
-            // mapped), so no pointer requirement applies; SSE, which
-            // provides the instruction, is part of the x86-64 baseline.
-            unsafe { _mm_prefetch::<_MM_HINT_T0>(counts.cast::<i8>()) }
+            // never faults, whatever the address; SSE, which provides the
+            // instruction, is part of the x86-64 baseline.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(self.ptr.as_ptr().cast::<i8>()) }
         }
+    }
+}
+
+impl Clone for Bytes {
+    fn clone(&self) -> Self {
+        // `Relaxed`, as in `Arc::clone`: a new handle is made only from a
+        // live one, which already keeps the allocation alive, and the
+        // increment publishes nothing.
+        let old = self.header().count.fetch_add(1, Ordering::Relaxed);
+        // A count this high means leaked handles; wrapping it would free
+        // the buffer under live ones.
+        if old > MAX_COUNT {
+            std::process::abort();
+        }
+        Self { ptr: self.ptr }
+    }
+}
+
+impl Drop for Bytes {
+    fn drop(&mut self) {
+        // `Release` orders this handle's uses of the buffer before the
+        // decrement, so whichever handle frees it sees them all.
+        if self.header().count.fetch_sub(1, Ordering::Release) != 1 {
+            return;
+        }
+        // Pairs with every other handle's `Release` decrement.
+        atomic::fence(Ordering::Acquire);
+        let layout = layout(self.header().len);
+        // SAFETY: the count reached zero, so this was the last handle and
+        // nothing else can reach the allocation, which `copy_from_slice`
+        // made with this same layout (`len` never changes).
+        unsafe { alloc::dealloc(self.ptr.as_ptr().cast::<u8>(), layout) }
     }
 }
 
@@ -89,33 +187,31 @@ impl Deref for Bytes {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        &self.data
+        self.as_slice()
     }
 }
 
 impl AsRef<[u8]> for Bytes {
     fn as_ref(&self) -> &[u8] {
-        &self.data
+        self.as_slice()
     }
 }
 
 impl Borrow<[u8]> for Bytes {
     fn borrow(&self) -> &[u8] {
-        &self.data
+        self.as_slice()
     }
 }
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        Self { data: v.into() }
+        Self::copy_from_slice(&v)
     }
 }
 
 impl From<String> for Bytes {
     fn from(s: String) -> Self {
-        Self {
-            data: s.into_bytes().into(),
-        }
+        Self::copy_from_slice(s.as_bytes())
     }
 }
 
@@ -187,21 +283,12 @@ impl fmt::Debug for Bytes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
 
     #[test]
     fn clone_shares_the_allocation() {
         let a = Bytes::from(vec![1, 2, 3]);
         let b = a.clone();
         assert!(std::ptr::eq(a.as_slice(), b.as_slice()));
-    }
-
-    #[test]
-    fn btreemap_lookup_by_slice() {
-        let mut m: BTreeMap<Bytes, u32> = BTreeMap::new();
-        m.insert(Bytes::from(vec![b'k', b'1']), 7);
-        assert_eq!(m.get(&b"k1"[..]), Some(&7));
-        assert_eq!(m.get(&b"k2"[..]), None);
     }
 
     #[test]
