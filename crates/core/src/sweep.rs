@@ -51,13 +51,20 @@ pub struct Telemetry {
     pub base_loads: u64,
     /// Distinct base states declared across the experiment's pools.
     pub base_states: u64,
+    /// Worker microseconds spent building and loading base states.
+    pub base_load_us: u64,
+    /// Worker microseconds spent blocked on a base state another worker
+    /// was loading.
+    pub base_wait_us: u64,
 }
 
 impl Telemetry {
     /// Fraction of worker wall time spent running cells (1.0 = perfectly
-    /// packed).
+    /// packed); time a cell spent waiting for another worker's base load
+    /// does not count.
     pub fn utilization(&self) -> f64 {
         let busy: u64 = self.busy_us.iter().sum();
+        let busy = busy.saturating_sub(self.base_wait_us);
         let denom = self.wall_us.saturating_mul(self.workers as u64);
         if denom == 0 {
             0.0
@@ -70,18 +77,22 @@ impl Telemetry {
     pub fn record_pool<K, S>(&mut self, pool: &BasePool<K, S>) {
         self.base_loads += pool.loads();
         self.base_states += pool.len() as u64;
+        self.base_load_us += pool.load_us.load(Ordering::Relaxed);
+        self.base_wait_us += pool.wait_us.load(Ordering::Relaxed);
     }
 
     /// One-line human summary for the figure binaries' stderr.
     pub fn summary(&self) -> String {
         format!(
-            "sweep: {} cells on {} workers in {:.2}s, utilization {:.0}%, {} base loads for {} base states",
+            "sweep: {} cells on {} workers in {:.2}s, utilization {:.0}%, {} base loads for {} base states ({:.2}s loading, {:.2}s waiting)",
             self.cells.len(),
             self.workers,
             self.wall_us as f64 / 1e6,
             self.utilization() * 100.0,
             self.base_loads,
             self.base_states,
+            self.base_load_us as f64 / 1e6,
+            self.base_wait_us as f64 / 1e6,
         )
     }
 }
@@ -102,6 +113,10 @@ pub struct SweepOutcome<R> {
 pub struct BasePool<K, S> {
     entries: Vec<(K, OnceLock<S>)>,
     loads: AtomicU64,
+    /// Microseconds spent in `load` closures.
+    load_us: AtomicU64,
+    /// Microseconds callers spent blocked on another caller's `load`.
+    wait_us: AtomicU64,
 }
 
 impl<K: PartialEq + std::fmt::Debug, S> BasePool<K, S> {
@@ -118,10 +133,15 @@ impl<K: PartialEq + std::fmt::Debug, S> BasePool<K, S> {
         Self {
             entries,
             loads: AtomicU64::new(0),
+            load_us: AtomicU64::new(0),
+            wait_us: AtomicU64::new(0),
         }
     }
 
     /// The base state for `key`, building it with `load` on first access.
+    /// A call that finds the state built costs nothing; otherwise its time
+    /// counts as loading if this call ran `load`, and as waiting if it
+    /// blocked on another caller that did.
     ///
     /// # Panics
     /// If `key` was not declared in [`BasePool::new`].
@@ -131,10 +151,19 @@ impl<K: PartialEq + std::fmt::Debug, S> BasePool<K, S> {
             .iter()
             .find(|(k, _)| k == key)
             .unwrap_or_else(|| panic!("base-state key {key:?} not declared"));
-        slot.get_or_init(|| {
+        if let Some(state) = slot.get() {
+            return state;
+        }
+        let started = Instant::now();
+        let mut loaded = false;
+        let state = slot.get_or_init(|| {
+            loaded = true;
             self.loads.fetch_add(1, Ordering::Relaxed);
             load()
-        })
+        });
+        let spent = if loaded { &self.load_us } else { &self.wait_us };
+        spent.fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
+        state
     }
 }
 
@@ -293,6 +322,8 @@ impl Sweep {
                 busy_us,
                 base_loads: 0,
                 base_states: 0,
+                base_load_us: 0,
+                base_wait_us: 0,
             },
         }
     }
@@ -338,6 +369,29 @@ mod tests {
         assert_eq!(telemetry.base_loads, 3);
         assert_eq!(telemetry.base_states, 3);
         assert!(telemetry.summary().contains("3 base loads"));
+    }
+
+    #[test]
+    fn waiting_for_another_workers_load_is_not_busy() {
+        // Both workers ask for one base at once; one loads it for 50 ms
+        // while the other blocks.
+        let pool: BasePool<u32, u32> = BasePool::new([1]);
+        let meet = std::sync::Barrier::new(2);
+        let out = Sweep::new().with_threads(2).run(&[0u8, 1], |_| {
+            meet.wait();
+            *pool.get_or_load(&1, || {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                7
+            })
+        });
+        assert_eq!(out.results, vec![7, 7]);
+        let mut telemetry = out.telemetry;
+        telemetry.record_pool(&pool);
+        assert_eq!(telemetry.base_loads, 1);
+        assert!(telemetry.base_load_us >= 50_000, "{telemetry:?}");
+        assert!(telemetry.base_wait_us >= 10_000, "{telemetry:?}");
+        assert!(telemetry.utilization() < 1.0, "{telemetry:?}");
+        assert!(telemetry.summary().contains("s waiting"));
     }
 
     #[test]

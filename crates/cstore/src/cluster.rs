@@ -1209,25 +1209,21 @@ impl SimStore for Cluster {
         self.rt.drain_completions_into(out);
     }
 
-    /// Loads onto every replica of the key.
+    /// Queues the row on every replica of the key.
     fn load_direct(&mut self, key: Key, value: Value, ts: u64) {
         let reps = self.ring.replicas(&key, self.config.replication_factor);
         for r in reps {
-            let node = &mut self.nodes[r.index()];
-            node.lsm.put(key.clone(), Cell::live(value.clone(), ts));
-            if node.lsm.memtable_bytes() >= node.lsm.config().memtable_flush_bytes {
-                if let Some(receipt) = node.lsm.flush() {
-                    if receipt.compaction_due {
-                        node.lsm.maybe_compact();
-                    }
-                }
-            }
+            let row = (key.clone(), Cell::live(value.clone(), ts));
+            self.nodes[r.index()].loaded.push(row);
         }
     }
 
+    /// Writes each node's queued rows as one run, sstableloader-style, and
+    /// compacts it with whatever the node held before.
     fn flush_all(&mut self) {
         for node in &mut self.nodes {
             node.lsm.flush();
+            node.lsm.load_run(std::mem::take(&mut node.loaded));
             node.lsm.compact_all();
             node.lsm.sync_wal();
         }
@@ -1848,6 +1844,28 @@ mod tests {
                 assert!(h.cluster.read_local(r, &key(i)).is_some());
             }
         }
+        // Each node holds exactly its replicas' keys, as one run, with
+        // nothing left in the memtable or unsynced in the commit log.
+        let mut placed = vec![Vec::new(); h.cluster.len()];
+        for i in 0..100u64 {
+            for r in h.cluster.ring().replicas(&key(i), 3) {
+                placed[r.index()].push(key(i));
+            }
+        }
+        for (node, mut want) in h.cluster.nodes.iter_mut().zip(placed) {
+            want.sort();
+            assert_eq!(node.lsm.table_count(), 1);
+            assert_eq!(node.lsm.memtable_bytes(), 0);
+            assert_eq!(node.lsm.wal_unsynced_bytes(), 0);
+            let got: Vec<Key> = node
+                .lsm
+                .scan(b"", 1_000)
+                .rows
+                .into_iter()
+                .map(|(k, _)| k)
+                .collect();
+            assert_eq!(got, want);
+        }
         // Reads served through the full path too.
         let r = h.run_one(StoreOp::Read { key: key(42) });
         assert!(matches!(r.result, OpResult::Value(Some(_))));
@@ -2072,6 +2090,7 @@ mod tests {
         for i in 0..120u64 {
             h.cluster.load_direct(key(i), k("v"), 1);
         }
+        h.cluster.flush_all();
         let issue = h.sim.now();
         let t = h.submit(StoreOp::Scan {
             start: key(0),

@@ -79,10 +79,12 @@ pub trait SimStore {
         out.extend(self.drain_completions());
     }
 
-    /// Bulk-load one record functionally (no virtual time).
+    /// Bulk-load one record functionally (no virtual time). Loaded records
+    /// become readable at [`SimStore::flush_all`].
     fn load_direct(&mut self, key: Key, value: Value, ts: u64);
 
-    /// Flush memtables/memstores to sorted runs functionally.
+    /// Write loaded records and memtables/memstores to sorted runs
+    /// functionally.
     fn flush_all(&mut self);
 
     /// Warm block caches to steady state (post-load, pre-measurement).

@@ -433,12 +433,7 @@ impl LsmTree {
         }
         let watermark = self.wal.last_seq();
         let entries = self.memtable.drain_sorted();
-        let id = TableId(self.next_table_id);
-        self.next_table_id += 1;
-        let table = SsTable::build(id, entries, self.config.block_size);
-        let bytes = table.total_bytes();
-        self.tables.push(table);
-        self.sizes.push((id, bytes));
+        let (id, bytes) = self.push_run(entries);
         self.wal.truncate_through(watermark);
         let compaction_due = self.config.compaction.pick(&self.sizes).is_some();
         Some(FlushReceipt {
@@ -446,6 +441,61 @@ impl LsmTree {
             bytes,
             compaction_due,
         })
+    }
+
+    /// Bulk-load `rows`, given in any order, as one new run, the way
+    /// Cassandra's `sstableloader` streams sorted SSTables in: no WAL append
+    /// and no memtable. A key given more than once keeps its newest version
+    /// by [`Cell::newer`], as the memtable would, so the run is the one that
+    /// `put` of every row and a `flush` into an empty memtable build. No
+    /// rows, no run.
+    ///
+    /// What is sorted is a `(prefix, index)` array, never the rows: an
+    /// integer compare per probe and the full keys only on a prefix tie.
+    /// Each key's winner then moves out of `rows` into an exactly sized run.
+    pub fn load_run(&mut self, rows: Vec<(Key, Cell)>) {
+        if rows.is_empty() {
+            return;
+        }
+        let mut order: Vec<(KeyPrefix, usize)> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, (key, _))| (key_prefix(key), i))
+            .collect();
+        order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| rows[a.1].0.cmp(&rows[b.1].0)));
+        // One entry per key, pointing at its newest version.
+        order.dedup_by(|later, kept| {
+            let (old, new) = (&rows[kept.1], &rows[later.1]);
+            let same = later.0 == kept.0 && old.0 == new.0;
+            if same && !std::ptr::eq(Cell::newer(&old.1, &new.1), &old.1) {
+                kept.1 = later.1;
+            }
+            same
+        });
+        let mut slots: Vec<Option<(Key, Cell)>> = rows.into_iter().map(Some).collect();
+        let mut entries = Vec::with_capacity(order.len());
+        entries.extend(order.iter().filter_map(|&(_, i)| slots[i].take()));
+        // Freed before the build allocates the run's prefixes and bloom
+        // filter, which keeps them out of a bulk load's peak.
+        drop((order, slots));
+        self.push_run(entries);
+    }
+
+    /// Build `entries` into a run under the next table id and add it as the
+    /// newest run; returns its id and size.
+    fn push_run(&mut self, entries: Vec<(Key, Cell)>) -> (TableId, u64) {
+        let table = self.build_run(entries);
+        let (id, bytes) = (table.id(), table.total_bytes());
+        self.tables.push(table);
+        self.sizes.push((id, bytes));
+        (id, bytes)
+    }
+
+    /// A run of `entries` under the next table id.
+    fn build_run(&mut self, entries: Vec<(Key, Cell)>) -> SsTable {
+        let id = TableId(self.next_table_id);
+        self.next_table_id += 1;
+        SsTable::build(id, entries, self.config.block_size)
     }
 
     fn rebuild_sizes(&mut self) {
@@ -471,11 +521,8 @@ impl LsmTree {
         }
         // Tombstones can only be dropped when no older run might still hold
         // a shadowed value.
-        let merged = merge_tables(&consumed, major);
-        let id = TableId(self.next_table_id);
-        self.next_table_id += 1;
-        let output = SsTable::build(id, merged, self.config.block_size);
-        let write_bytes = output.total_bytes();
+        let output = self.build_run(merge_tables(&consumed, major));
+        let (id, write_bytes) = (output.id(), output.total_bytes());
         for t in &consumed {
             self.cache.invalidate_table(t.id());
         }
@@ -499,11 +546,8 @@ impl LsmTree {
         }
         let inputs: Vec<TableId> = self.tables.iter().map(|t| t.id()).collect();
         let read_bytes: u64 = self.tables.iter().map(|t| t.total_bytes()).sum();
-        let merged = merge_tables(&self.tables, true);
-        let id = TableId(self.next_table_id);
-        self.next_table_id += 1;
-        let output = SsTable::build(id, merged, self.config.block_size);
-        let write_bytes = output.total_bytes();
+        let output = self.build_run(merge_tables(&self.tables, true));
+        let (id, write_bytes) = (output.id(), output.total_bytes());
         for t in &self.tables {
             self.cache.invalidate_table(t.id());
         }
@@ -537,6 +581,11 @@ impl LsmTree {
     /// Number of live SSTables.
     pub fn table_count(&self) -> usize {
         self.tables.len()
+    }
+
+    /// The live SSTables, oldest first.
+    pub fn runs(&self) -> &[SsTable] {
+        &self.tables
     }
 
     /// Bytes currently buffered in the memtable.
@@ -794,6 +843,16 @@ mod tests {
         tree.maybe_compact().expect("compacts everything");
         assert_eq!(tree.table_count(), 1);
         assert_eq!(tree.tables[0].total_bytes(), 0, "all rows were deleted");
+    }
+
+    #[test]
+    fn load_run_of_no_rows_adds_no_run() {
+        // An empty run would still be probed by every read: one more bloom
+        // skip in each I/O plan.
+        let mut tree = LsmTree::new(small_config());
+        tree.load_run(Vec::new());
+        assert_eq!(tree.table_count(), 0);
+        assert_eq!(tree.get(b"a").io.bloom_skips(), 0);
     }
 
     #[test]

@@ -530,6 +530,85 @@ proptest! {
         prop_assert_eq!(tree.cache_stats(), model.cache.stats());
     }
 
+    /// `LsmTree::load_run` against the path it replaced: a twin with a tiny
+    /// flush threshold `put`s the same rows, flushing as it fills, then
+    /// flushes and runs a major compaction (a compaction in between may
+    /// purge a tombstone that a later row with no newer timestamp would
+    /// then resurrect), while the tree
+    /// under test flushes, loads the rows as one run and runs a major
+    /// compaction. Rows come in any order, with duplicate keys at equal and
+    /// different timestamps and some tombstones, over keys that tie on
+    /// their 16-byte prefix, on top of runs and memtable rows both trees
+    /// already hold. Every key reads the same (a tombstone counting as
+    /// absent) and a full scan returns the same rows; loading only live
+    /// rows into an empty tree builds the twin's run exactly.
+    #[test]
+    fn load_run_matches_put_flush_compact(
+        // (key, cell, flush after): what both trees hold beforehand
+        held in prop::collection::vec((arb_prefix_key(), arb_tie_cell(), (0u32..100).prop_map(|p| p < 10)), 0..60),
+        rows in prop::collection::vec((arb_prefix_key(), arb_tie_cell()), 0..200),
+        fresh in prop::bool::ANY,
+        all_live in prop::bool::ANY,
+    ) {
+        let config = LsmConfig {
+            block_size: 64,
+            memtable_flush_bytes: u64::MAX, // flushes only where `held` says
+            cache_bytes: 1024,
+            compaction: SizeTieredPolicy::default(),
+        };
+        let mut tree = LsmTree::new(config);
+        let mut twin = LsmTree::new(LsmConfig { memtable_flush_bytes: 256, ..config });
+        let held = if fresh { Vec::new() } else { held };
+        let mut keys = std::collections::BTreeSet::new();
+        for (k, cell, flush) in held {
+            keys.insert(Bytes::from(k.clone()));
+            tree.put(Bytes::from(k.clone()), cell.clone());
+            twin.put(Bytes::from(k), cell);
+            if flush {
+                tree.flush();
+                twin.flush();
+            }
+        }
+        let rows: Vec<(Key, Cell)> = rows
+            .into_iter()
+            .map(|(k, cell)| {
+                let cell = match cell.value {
+                    None if all_live => Cell::live(key(cell.ts), cell.ts),
+                    _ => cell,
+                };
+                (Bytes::from(k), cell)
+            })
+            .collect();
+        keys.extend(rows.iter().map(|(k, _)| k.clone()));
+        for (k, cell) in rows.iter().cloned() {
+            if twin.put(k, cell).flush_due {
+                twin.flush();
+            }
+        }
+        twin.flush();
+        twin.compact_all();
+        tree.flush();
+        tree.load_run(rows);
+        tree.compact_all();
+
+        let live = |t: &mut LsmTree, k: &Key| t.get(k).cell.filter(|c| !c.is_tombstone());
+        for k in &keys {
+            prop_assert_eq!(live(&mut tree, k), live(&mut twin, k), "get {:?}", k);
+        }
+        prop_assert_eq!(tree.scan(&[], 10_000).rows, twin.scan(&[], 10_000).rows);
+        if fresh && all_live {
+            prop_assert_eq!(tree.runs().len(), twin.runs().len());
+            for (a, b) in tree.runs().iter().zip(twin.runs()) {
+                prop_assert_eq!(a.entries(), b.entries());
+                prop_assert_eq!(a.prefixes(), b.prefixes());
+                prop_assert_eq!(a.block_count(), b.block_count());
+                for block in 0..a.block_count() {
+                    prop_assert_eq!(a.block_len(block), b.block_len(block), "block {}", block);
+                }
+            }
+        }
+    }
+
     /// Every key written into an SSTable is found; absent keys are not.
     #[test]
     fn sstable_point_lookups(ids in prop::collection::btree_set(0u64..10_000, 1..300)) {
