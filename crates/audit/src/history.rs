@@ -4,74 +4,30 @@
 use simkit::SimTime;
 use storage::{Key, OpKind};
 
-/// Driver-side recording configuration: which clients' operations enter
-/// the history.
+/// Driver-side recording configuration: off, or every settled operation.
 ///
-/// `0` disables recording entirely — the driver adds no bookkeeping and
-/// the run is bit-identical to one without the audit layer. When enabled,
-/// *writes are always recorded* (every checker needs the global write
-/// record as context: staleness margins resolve a read's expected
-/// timestamp to the ack time of the write that produced it, and the
-/// linearizability search needs every write on a key); reads and scans are
-/// recorded for one in every `sample_clients_every` clients, with a
-/// seed-derived phase so the same seed always samples the same clients.
-/// Session guarantees are per-client contracts, so client-sampling keeps
-/// every recorded session complete.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Off, the driver adds no bookkeeping and the run is bit-identical to one
+/// without the audit layer.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AuditConfig {
-    /// Record reads for one in every `sample_clients_every` clients.
-    /// `0` disables recording entirely (the default).
-    pub sample_clients_every: u64,
+    record: bool,
 }
 
 impl AuditConfig {
     /// Recording disabled (the default).
     pub fn off() -> Self {
-        Self {
-            sample_clients_every: 0,
-        }
+        Self { record: false }
     }
 
     /// Record every client's operations.
     pub fn all() -> Self {
-        Self::every(1)
+        Self { record: true }
     }
 
-    /// Record reads for one in every `n` clients (`0` = off).
-    pub fn every(n: u64) -> Self {
-        Self {
-            sample_clients_every: n,
-        }
-    }
-
-    /// True when any recording is configured.
+    /// True when recording is on.
     pub fn enabled(&self) -> bool {
-        self.sample_clients_every > 0
+        self.record
     }
-
-    /// Should operations issued by `client` be recorded under `seed`?
-    /// Deterministic in `(self, client, seed)`.
-    pub fn samples_client(&self, client: u64, seed: u64) -> bool {
-        match self.sample_clients_every {
-            0 => false,
-            n => client % n == splitmix64(seed) % n,
-        }
-    }
-}
-
-impl Default for AuditConfig {
-    fn default() -> Self {
-        Self::off()
-    }
-}
-
-/// splitmix64 finalizer (the same mixer `obs` sampling and the sweep
-/// engine use): decorrelates the sampling phase from the raw seed value.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// How one recorded operation resolved.
@@ -141,33 +97,21 @@ impl OpRecord {
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     cfg: AuditConfig,
-    seed: u64,
     records: Vec<OpRecord>,
 }
 
 impl Recorder {
     /// A recorder for one run. No-ops until the config enables it.
-    pub fn new(cfg: AuditConfig, seed: u64) -> Self {
+    pub fn new(cfg: AuditConfig) -> Self {
         Self {
             cfg,
-            seed,
             records: Vec::new(),
         }
     }
 
-    /// Record one settled operation. Writes (including indeterminate
-    /// failed writes) are always kept; reads and scans only for sampled
-    /// clients. No-op when disabled.
+    /// Record one settled operation. No-op when disabled.
     pub fn push(&mut self, rec: OpRecord) {
-        if !self.cfg.enabled() {
-            return;
-        }
-        let keep = match rec.fate {
-            Fate::Write { .. } => true,
-            Fate::Failed if rec.is_write_kind() => true,
-            _ => self.cfg.samples_client(u64::from(rec.client), self.seed),
-        };
-        if keep {
+        if self.cfg.enabled() {
             self.records.push(rec);
         }
     }
@@ -182,7 +126,7 @@ impl Recorder {
 }
 
 /// Staleness accounting replayed from a history — definitionally identical
-/// to [`ycsb`]'s tracker counters, so the two views can be cross-checked.
+/// to `ycsb`'s tracker counters, so the two views can be cross-checked.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StaleCounts {
     /// Successful point reads judged (measured window only).
@@ -219,9 +163,9 @@ impl History {
 
     /// Replay the driver's staleness accounting from the history: one
     /// check per successful measured point read, `stale` when the
-    /// observed version predates the issue-time expectation. With every
-    /// client sampled this reproduces `RunMetrics::staleness()` exactly —
-    /// the cross-check invariant the end-to-end tests assert.
+    /// observed version predates the issue-time expectation. This
+    /// reproduces `RunMetrics::staleness()` exactly — the cross-check
+    /// invariant the end-to-end tests assert.
     pub fn stale_counts(&self) -> StaleCounts {
         let mut c = StaleCounts::default();
         for r in &self.records {
@@ -298,46 +242,10 @@ mod tests {
 
     #[test]
     fn disabled_recorder_records_nothing() {
-        let mut r = Recorder::new(AuditConfig::off(), 42);
+        let mut r = Recorder::new(AuditConfig::off());
         r.push(read(0, "a", 0, Some(1)));
         assert!(r.records.is_empty());
         assert!(r.finish().is_empty());
-    }
-
-    #[test]
-    fn client_sampling_is_deterministic_and_keeps_writes() {
-        let cfg = AuditConfig::every(8);
-        let sampled: Vec<u64> = (0..32).filter(|&c| cfg.samples_client(c, 42)).collect();
-        assert_eq!(sampled.len(), 4);
-        let again: Vec<u64> = (0..32).filter(|&c| cfg.samples_client(c, 42)).collect();
-        assert_eq!(sampled, again);
-        let unsampled = (0..8).find(|&c| !cfg.samples_client(c, 42)).unwrap() as u32;
-        let mut r = Recorder::new(cfg, 42);
-        r.push(read(unsampled, "a", 0, Some(1))); // dropped: unsampled client
-        r.push(OpRecord {
-            client: unsampled,
-            kind: OpKind::Update,
-            key: k("a"),
-            issued: 0,
-            settled: 1,
-            measured: true,
-            fate: Fate::Write { ts: 9 },
-        }); // kept: writes are global context
-        r.push(OpRecord {
-            client: unsampled,
-            kind: OpKind::Update,
-            key: k("a"),
-            issued: 2,
-            settled: 3,
-            measured: true,
-            fate: Fate::Failed,
-        }); // kept: indeterminate failed write
-        let h = r.finish();
-        assert_eq!(h.len(), 2);
-        assert!(h
-            .records()
-            .iter()
-            .all(|rec| !matches!(rec.fate, Fate::Read { .. })));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Client-centric consistency auditing over recorded operation histories.
 //!
 //! The driver asserts *server-side* consistency (quorum overlap, per-key
-//! watermarks via [`ycsb::StalenessTracker`]); this crate answers the
+//! watermarks via `ycsb::StalenessTracker`); this crate answers the
 //! client's-eye question — "how stale is ONE, really?" — by recording every
 //! settled operation as an invocation/response interval
 //! ([`OpRecord`]: client, key, kind, issued, settled, value timestamp,
@@ -13,7 +13,7 @@
 //! * [`staleness`] — PBS-style (Δ,p)-staleness: the empirical probability
 //!   that a read issued Δ after a write's acknowledgement returns it (or
 //!   newer), plus per-read staleness-margin quantiles;
-//! * [`linearize`] — a Wing&Gong-style per-key linearizability check:
+//! * [`check_key`] — a Wing&Gong-style per-key linearizability check:
 //!   bounded search, budget-capped, reporting yes / violation /
 //!   inconclusive.
 //!
@@ -21,9 +21,7 @@
 //! [`Recorder`] is pure bookkeeping. It never draws randomness, never
 //! schedules events, and never touches simulated resources, so a run with
 //! auditing disabled is bit-identical to one without the recording hooks,
-//! and every checker is a pure function of the recorded history. Client
-//! sampling ([`AuditConfig`]) is seed-derived, so the same seed always
-//! records the same clients.
+//! and every checker is a pure function of the recorded history.
 //!
 //! Recording happens on the driver's op-settle hot path where a panic
 //! would take down a whole sweep worker; unwraps are banned outright,

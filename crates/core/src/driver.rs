@@ -37,9 +37,8 @@ pub enum ArrivalMode {
     /// optionally throttled. The default.
     #[default]
     ClosedLoop,
-    /// Open-loop arrivals drawn from a Poisson process (with optional
-    /// diurnal modulation, flash crowds, and tenant mixes). `threads` and
-    /// `target_ops_per_sec` are ignored; the offered load is the process's
+    /// Open-loop arrivals drawn from a Poisson process split over a
+    /// weighted tenant mix. `threads` and `target_ops_per_sec` are ignored; the offered load is the process's
     /// rate, and results are identical at any worker thread count.
     OpenLoop(OpenLoop),
 }
@@ -301,7 +300,7 @@ where
     // pure bookkeeping (no events, no RNG), so a disabled run is
     // bit-identical to one without any of this machinery.
     let auditing = cfg.audit.enabled();
-    let mut recorder = audit::Recorder::new(cfg.audit, cfg.seed);
+    let mut recorder = audit::Recorder::new(cfg.audit);
     // Settle metadata of traced ops: (logical id, kind, issued, settled, ok).
     let mut traced_settled: Vec<(u64, OpKind, SimTime, SimTime, bool)> = Vec::new();
     let mut window_start: SimTime = 0;
@@ -343,36 +342,32 @@ where
                 }
                 issued += 1;
                 let now = sim.now();
-                // Closed loop: `thread` is the issuing client thread and the
-                // kind comes from the workload mix. Open loop: this wake-up
-                // is one Poisson arrival — draw the issuing tenant, its mix,
-                // any flash-crowd hot-key redirect, and chain the next
-                // arrival at its drawn instant.
-                let (client, priority, kind, flash_key) = match &cfg.arrival {
-                    ArrivalMode::ClosedLoop => {
-                        (thread, 0u8, cfg.workload.mix.choose(sim.rng()), None)
-                    }
+                // Closed loop: `thread` is the issuing client thread. Open
+                // loop: this wake-up is one Poisson arrival — draw the
+                // issuing tenant and chain the next arrival at its drawn
+                // instant. An empty tenant list is one tenant at priority 0.
+                let (client, priority, kind) = match &cfg.arrival {
+                    ArrivalMode::ClosedLoop => (thread, 0u8, cfg.workload.mix.choose(sim.rng())),
                     ArrivalMode::OpenLoop(ol) => {
                         let tenant = ol.pick_tenant(sim.rng());
-                        let mix = ol.tenants[tenant].mix.as_ref().unwrap_or(&cfg.workload.mix);
-                        let kind = mix.choose(sim.rng());
-                        let hot = ol.flash_redirect(now, sim.rng());
-                        let gap = ol.next_interarrival_us(now, sim.rng());
+                        let kind = cfg.workload.mix.choose(sim.rng());
+                        let gap = ol.next_interarrival_us(sim.rng());
                         if issued < total {
                             sim.schedule_in(gap, DriverEvent::Issue { thread: 0 });
                         }
-                        (tenant, ol.tenants[tenant].priority, kind, hot)
+                        let priority = ol.tenants.get(tenant).map_or(0, |t| t.priority);
+                        (tenant, priority, kind)
                     }
                 };
                 // An insert takes the next fresh key; every other kind draws
-                // one from the request distribution (or the flash crowd's
-                // hot key) before any value or scan length.
+                // one from the request distribution before any value or
+                // scan length.
                 let key = if kind == OpKind::Insert {
                     let (_, key) = keyspace.next_insert();
                     dist.set_items(keyspace.count());
                     key
                 } else {
-                    interner.key(flash_key.unwrap_or_else(|| dist.next(sim.rng())))
+                    interner.key(dist.next(sim.rng()))
                 };
                 let (op, expected_ts) = match kind {
                     OpKind::Read | OpKind::ReadModifyWrite => {
@@ -417,7 +412,7 @@ where
                 let trace_id = (tracing && cfg.trace.samples(issued - 1, cfg.seed))
                     .then_some(attempts.next_token);
                 let deadline = cfg.retry.deadline_at(now);
-                let tag = OpTag { priority, deadline };
+                let tag = OpTag { priority };
                 let opkey = ctxs.insert(OpCtx {
                     thread: client,
                     tag,
@@ -505,7 +500,7 @@ where
                 }
                 match cfg
                     .retry
-                    .on_error(*e, ctx.retries, now, ctx.deadline, sim.rng())
+                    .on_error(ctx.retries, now, ctx.deadline, sim.rng())
                 {
                     RetryDecision::RetryAt(at) => {
                         ctx.retries += 1;

@@ -16,7 +16,6 @@
 //! one or two WAN round trips per operation.
 
 use cstore::{CStoreConfig, Partitioner};
-use faults::FaultPlan;
 use hstore::HStoreConfig;
 use ycsb::{balanced_tokens, WorkloadSpec};
 
@@ -72,11 +71,6 @@ pub struct GeoExperimentConfig {
     pub workload: WorkloadSpec,
     /// Client threads.
     pub threads: usize,
-    /// Cluster-wide target throughput, ops/s; `0.0` = unthrottled.
-    pub target_ops_per_sec: f64,
-    /// Fault plan injected into every cell (empty by default; region-scoped
-    /// kinds let a whole datacenter crash or partition mid-run).
-    pub faults: FaultPlan,
 }
 
 impl Default for GeoExperimentConfig {
@@ -97,8 +91,6 @@ impl Default for GeoExperimentConfig {
             levels: GEO_LEVELS.to_vec(),
             workload: WorkloadSpec::read_update(),
             threads: 48,
-            target_ops_per_sec: 0.0,
-            faults: FaultPlan::new(),
         }
     }
 }
@@ -132,7 +124,6 @@ impl GeoExperimentConfig {
     fn geo_config(&self, regions: u32) -> geo::GeoConfig {
         geo::GeoConfig {
             regions,
-            racks_per_region: 1,
             inter_region_us: self.inter_region_us,
             wan_jitter: self.wan_jitter,
             jitter_seed: self.run.seed,
@@ -148,8 +139,9 @@ impl GeoExperimentConfig {
             self.rf_per_dc * regions,
             Partitioner::order_preserving(balanced_tokens(nodes)),
         );
-        let prop = c.node.profile.nic.prop_us;
-        c.node.topology = self.geo_config(regions).topology(npr, prop, prop);
+        c.node.topology = self
+            .geo_config(regions)
+            .topology(npr, c.node.profile.nic.prop_us);
         c.strategy = geo::Strategy::network_topology(regions, self.rf_per_dc);
         c.lsm = self.run.scale.lsm();
         c.read_cl = level.read;
@@ -227,11 +219,8 @@ impl Experiment for GeoExperimentConfig {
     /// bit-identical; different region counts get distinct streams.
     fn driver(&self, &(regions, _, _): &Self::Spec) -> DriverConfig {
         DriverConfig {
-            faults: self.faults.clone(),
             seed: self.run.seed ^ (u64::from(regions) << 17),
-            ..self
-                .run
-                .driver(self.workload.clone(), self.threads, self.target_ops_per_sec)
+            ..self.run.driver(self.workload.clone(), self.threads, 0.0)
         }
     }
 
@@ -377,8 +366,9 @@ mod tests {
                     3,
                     Partitioner::order_preserving(balanced_tokens(cfg.nodes_per_region)),
                 );
-                let prop = base.node.profile.nic.prop_us;
-                base.node.topology = cfg.geo_config(1).topology(cfg.nodes_per_region, prop, prop);
+                base.node.topology = cfg
+                    .geo_config(1)
+                    .topology(cfg.nodes_per_region, base.node.profile.nic.prop_us);
                 base.lsm = cfg.run.scale.lsm();
                 base.read_cl = level.read;
                 base.write_cl = level.write;
@@ -386,9 +376,7 @@ mod tests {
             }
             let scale = &cfg.run.scale;
             driver::load(&mut c, scale.records, scale.value_len, cfg.run.seed);
-            let dcfg = cfg
-                .run
-                .driver(cfg.workload.clone(), cfg.threads, cfg.target_ops_per_sec);
+            let dcfg = cfg.run.driver(cfg.workload.clone(), cfg.threads, 0.0);
             let run = driver::run(&mut c, &dcfg);
             (
                 run.throughput,
@@ -409,19 +397,22 @@ mod tests {
         // scoped fault plan. EACH_QUORUM needs every DC's quorum, so it
         // errors on (nearly) every write while region 1 is down;
         // LOCAL_QUORUM only fails ops coordinated by the dead DC.
-        let mut cfg = GeoExperimentConfig::quick();
-        cfg.region_counts = vec![2];
-        cfg.faults = FaultPlan::new().crash_region_at(1, 50_000);
-        cfg.levels = vec![Level::LOCAL_QUORUM, Level::EACH_QUORUM];
-        let res = cfg.run();
-        let local = cstore_cell(&res, 2, Level::LOCAL_QUORUM);
-        let each = cstore_cell(&res, 2, Level::EACH_QUORUM);
-        assert!(each.errors > 0, "EACH_QUORUM must fail during a DC outage");
+        let cfg = GeoExperimentConfig::quick();
+        let errors = |level: Level| {
+            let mut c = cfg.build_cstore(2, level);
+            let scale = &cfg.run.scale;
+            driver::load(&mut c, scale.records, scale.value_len, cfg.run.seed);
+            let dcfg = DriverConfig {
+                faults: faults::FaultPlan::new().crash_region_at(1, 50_000),
+                ..cfg.driver(&(2, StoreKind::CStore, level))
+            };
+            driver::run(&mut c, &dcfg).errors
+        };
+        let (local, each) = (errors(Level::LOCAL_QUORUM), errors(Level::EACH_QUORUM));
+        assert!(each > 0, "EACH_QUORUM must fail during a DC outage");
         assert!(
-            each.errors > local.errors,
-            "EACH_QUORUM ({}) should fail more than LOCAL_QUORUM ({})",
-            each.errors,
-            local.errors
+            each > local,
+            "EACH_QUORUM ({each}) should fail more than LOCAL_QUORUM ({local})"
         );
     }
 }

@@ -13,9 +13,10 @@
 //!   free; past it, queueing delay grows with the length of the run and
 //!   p99 diverges (the classic congestion-collapse signature).
 //! * **Admission + shed** — a bounded entry queue fast-fails the excess
-//!   ([`storage::OpError::Overloaded`]) under a strict-priority policy, so
-//!   admitted operations see bounded queueing and the high-priority tenant
-//!   keeps its latency SLA while the batch tenant is shed first.
+//!   ([`storage::OpError::Overloaded`]), tenant by tenant in strict
+//!   priority order, so admitted operations see bounded queueing and the
+//!   high-priority tenant keeps its latency SLA while the batch tenant is
+//!   shed first.
 //!
 //! Per load step the output reports goodput, shed rate, overall and
 //! per-tenant p99, and whether the run met its [`Sla`] (shed operations
@@ -25,13 +26,12 @@
 //! the non-test code (crate-wide).
 
 use cstore::Consistency;
-use simkit::{AdmissionConfig, AdmissionPolicy};
-use ycsb::{FlashCrowd, OpenLoop, Tenant, WorkloadSpec};
+use simkit::AdmissionConfig;
+use ycsb::{OpenLoop, Tenant, WorkloadSpec};
 
 use crate::driver::{ArrivalMode, DriverConfig, RunOutcome};
 use crate::experiment::{Experiment, Grid, Part, RunShape, Store};
 use crate::report::{fmt_ops, Table};
-use crate::resilience::RetryPolicy;
 use crate::setup::{build_cstore_with, build_hstore_with, Scale, StoreKind};
 
 /// Row label for the uncontrolled arm.
@@ -93,19 +93,10 @@ pub struct OverloadConfig {
     /// The admission controller used by the [`CONTROL_ON`] arm (the
     /// [`CONTROL_OFF`] arm always runs [`AdmissionConfig::off`]).
     pub admission: AdmissionConfig,
-    /// Per-op deadline budget stamped into each op's tag, µs (`0` = none).
-    /// Enables deadline-aware early drop when the policy uses it.
-    pub deadline_us: u64,
-    /// Diurnal modulation amplitude of the arrival rate (`0` = flat).
-    pub diurnal_amplitude: f64,
-    /// Diurnal period, µs of virtual time.
-    pub diurnal_period_us: u64,
-    /// Optional flash-crowd window layered on every load step.
-    pub flash: Option<FlashCrowd>,
     /// The SLA each cell is judged against (shed ops consume the error
     /// budget; latency is judged over admitted successes only).
     pub sla: Sla,
-    /// The workload (default per-tenant mix; tenants may override).
+    /// The workload: its op mix and request distribution for every tenant.
     pub workload: WorkloadSpec,
 }
 
@@ -133,15 +124,7 @@ impl Default for OverloadConfig {
                 1_024_000.0,
             ],
             tenants: default_tenants(),
-            admission: AdmissionConfig {
-                max_in_flight: 384,
-                policy: AdmissionPolicy::StrictPriority,
-                est_service_us: 1_000,
-            },
-            deadline_us: 100_000,
-            diurnal_amplitude: 0.0,
-            diurnal_period_us: 0,
-            flash: None,
+            admission: AdmissionConfig { max_in_flight: 384 },
             sla: Sla {
                 percentile: 0.99,
                 latency_us: 50_000,
@@ -160,13 +143,11 @@ pub fn default_tenants() -> Vec<Tenant> {
             name: "interactive",
             weight: 0.7,
             priority: 0,
-            mix: None,
         },
         Tenant {
             name: "batch",
             weight: 0.3,
             priority: 2,
-            mix: None,
         },
     ]
 }
@@ -283,15 +264,8 @@ impl Experiment for OverloadConfig {
             seed: self.run.seed
                 ^ ((li as u64 + 1) << 17)
                 ^ (u64::from(store == StoreKind::HStore) << 33),
-            retry: RetryPolicy {
-                deadline_us: self.deadline_us,
-                ..RetryPolicy::none()
-            },
             arrival: ArrivalMode::OpenLoop(OpenLoop {
                 ops_per_sec: self.offered_loads[li],
-                diurnal_amplitude: self.diurnal_amplitude,
-                diurnal_period_us: self.diurnal_period_us,
-                flash: self.flash,
                 tenants: self.tenants.clone(),
             }),
             // Arrivals are open-loop: the closed-loop client count and

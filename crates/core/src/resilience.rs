@@ -16,7 +16,6 @@
 //! silently hung client, so unwraps are banned (crate-wide, outside tests).
 
 use simkit::{SimRng, SimTime};
-use storage::OpError;
 
 /// Retry/backoff/deadline/hedging policy applied by the driver to every
 /// logical client operation.
@@ -25,13 +24,11 @@ pub struct RetryPolicy {
     /// Maximum attempts per operation phase, counting the first (`1` =
     /// never retry).
     pub max_attempts: u32,
-    /// Backoff before the first retry, µs; doubles per retry.
+    /// Backoff before the first retry, µs; doubles per retry up to 16×.
     pub base_backoff_us: u64,
-    /// Ceiling on a single backoff, µs.
-    pub max_backoff_us: u64,
     /// Per-operation deadline budget measured from first issue, µs; `0` =
     /// unbounded. Once a retry would land past the budget the operation
-    /// fails with [`OpError::Deadline`] instead of retrying.
+    /// gives up and settles with the last error the store reported.
     pub deadline_us: u64,
     /// Issue a speculative second attempt for point reads still incomplete
     /// this long after issue, µs; `0` disables hedging.
@@ -50,8 +47,6 @@ pub enum RetryDecision {
 /// Why the policy stopped retrying.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GiveUpReason {
-    /// The error is terminal; retrying cannot help.
-    Terminal,
     /// The attempt budget ([`RetryPolicy::max_attempts`]) is spent.
     AttemptsExhausted,
     /// The next retry would land past the operation's deadline.
@@ -66,7 +61,6 @@ impl RetryPolicy {
         Self {
             max_attempts: 1,
             base_backoff_us: 0,
-            max_backoff_us: 0,
             deadline_us: 0,
             hedge_after_us: 0,
         }
@@ -80,7 +74,6 @@ impl RetryPolicy {
         Self {
             max_attempts,
             base_backoff_us,
-            max_backoff_us: base_backoff_us.saturating_mul(16),
             deadline_us,
             hedge_after_us: 0,
         }
@@ -108,12 +101,12 @@ impl RetryPolicy {
     }
 
     /// The backoff before retry number `retries_done + 1`: exponential from
-    /// the base, capped.
+    /// the base, capped at 16× the base.
     pub fn backoff_us(&self, retries_done: u32) -> u64 {
         let doubled = self
             .base_backoff_us
             .saturating_mul(1u64 << retries_done.min(32));
-        doubled.min(self.max_backoff_us)
+        doubled.min(self.base_backoff_us.saturating_mul(16))
     }
 
     /// Decide what to do about a failed attempt: `retries_done` retries
@@ -124,15 +117,11 @@ impl RetryPolicy {
     /// leave the RNG stream untouched.
     pub fn on_error(
         &self,
-        error: OpError,
         retries_done: u32,
         now: SimTime,
         deadline: SimTime,
         rng: &mut SimRng,
     ) -> RetryDecision {
-        if !error.is_retryable() {
-            return RetryDecision::GiveUp(GiveUpReason::Terminal);
-        }
         if retries_done + 1 >= self.max_attempts {
             return RetryDecision::GiveUp(GiveUpReason::AttemptsExhausted);
         }
@@ -164,18 +153,10 @@ mod tests {
         let p = RetryPolicy::none();
         let mut rng = SimRng::new(7);
         let mut probe = SimRng::new(7);
-        let d = p.on_error(OpError::Timeout, 0, 100, SimTime::MAX, &mut rng);
+        let d = p.on_error(0, 100, SimTime::MAX, &mut rng);
         assert_eq!(d, RetryDecision::GiveUp(GiveUpReason::AttemptsExhausted));
         // The stream is untouched: the next draw matches a fresh clone's.
         assert_eq!(rng.below(1 << 30), probe.below(1 << 30));
-    }
-
-    #[test]
-    fn terminal_errors_never_retry() {
-        let p = RetryPolicy::retrying(5, 1_000, 0);
-        let mut rng = SimRng::new(1);
-        let d = p.on_error(OpError::Deadline, 0, 0, SimTime::MAX, &mut rng);
-        assert_eq!(d, RetryDecision::GiveUp(GiveUpReason::Terminal));
     }
 
     #[test]
@@ -192,7 +173,7 @@ mod tests {
     fn retry_lands_between_backoff_and_backoff_plus_jitter() {
         let p = RetryPolicy::retrying(3, 1_000, 0);
         let mut rng = SimRng::new(3);
-        match p.on_error(OpError::Unavailable, 0, 5_000, SimTime::MAX, &mut rng) {
+        match p.on_error(0, 5_000, SimTime::MAX, &mut rng) {
             RetryDecision::RetryAt(at) => {
                 assert!((6_000..=6_500).contains(&at), "at={at}");
             }
@@ -205,11 +186,11 @@ mod tests {
         let p = RetryPolicy::retrying(3, 10, 0);
         let mut rng = SimRng::new(1);
         assert!(matches!(
-            p.on_error(OpError::Timeout, 1, 0, SimTime::MAX, &mut rng),
+            p.on_error(1, 0, SimTime::MAX, &mut rng),
             RetryDecision::RetryAt(_)
         ));
         assert_eq!(
-            p.on_error(OpError::Timeout, 2, 0, SimTime::MAX, &mut rng),
+            p.on_error(2, 0, SimTime::MAX, &mut rng),
             RetryDecision::GiveUp(GiveUpReason::AttemptsExhausted)
         );
     }
@@ -220,12 +201,12 @@ mod tests {
         let mut rng = SimRng::new(1);
         // now=900, deadline=1000: even a zero-jitter retry at 1900 is late.
         assert_eq!(
-            p.on_error(OpError::Timeout, 0, 900, 1_000, &mut rng),
+            p.on_error(0, 900, 1_000, &mut rng),
             RetryDecision::GiveUp(GiveUpReason::DeadlineExceeded)
         );
         // Already past the deadline: same verdict, no jitter drawn.
         assert_eq!(
-            p.on_error(OpError::Timeout, 0, 1_500, 1_000, &mut rng),
+            p.on_error(0, 1_500, 1_000, &mut rng),
             RetryDecision::GiveUp(GiveUpReason::DeadlineExceeded)
         );
     }
@@ -249,7 +230,7 @@ mod tests {
         let run = || {
             let mut rng = SimRng::new(99);
             (0..4)
-                .map(|r| p.on_error(OpError::Timeout, r, 10_000, SimTime::MAX, &mut rng))
+                .map(|r| p.on_error(r, 10_000, SimTime::MAX, &mut rng))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());

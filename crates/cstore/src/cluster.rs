@@ -1827,7 +1827,6 @@ mod tests {
         // verdict: the coordinator accepted the request, so a retrying
         // client should treat it as transient.
         assert_eq!(c.result, OpResult::Error(OpError::Timeout));
-        assert!(OpError::Timeout.is_retryable());
         assert_eq!(h.cluster.metrics().timeouts, 1);
         assert_eq!(h.cluster.metrics().unavailable, 0);
     }
@@ -1916,17 +1915,12 @@ mod tests {
     fn geo_cluster_config(regions: u32, nodes_per_region: usize, rf_per_dc: u32) -> CStoreConfig {
         let geo_cfg = geo::GeoConfig {
             regions,
-            racks_per_region: 1,
             inter_region_us: WAN_US,
             wan_jitter: 0.0,
             jitter_seed: 0,
         };
         let mut c = CStoreConfig::paper_testbed(regions * rf_per_dc, Partitioner::murmur());
-        c.node.topology = geo_cfg.topology(
-            nodes_per_region,
-            c.node.profile.nic.prop_us,
-            c.node.profile.nic.prop_us,
-        );
+        c.node.topology = geo_cfg.topology(nodes_per_region, c.node.profile.nic.prop_us);
         c.strategy = geo::Strategy::network_topology(regions, rf_per_dc);
         c.read_repair_chance = 0.0;
         c.node.jitter = 0.0;
@@ -2205,10 +2199,8 @@ mod tests {
         (needed, rule, write_available, targets, read_available)
     }
 
-    const LEVELS: [Consistency; 7] = [
+    const LEVELS: [Consistency; 5] = [
         Consistency::One,
-        Consistency::Two,
-        Consistency::Three,
         Consistency::Quorum,
         Consistency::LocalQuorum,
         Consistency::EachQuorum,
@@ -2231,8 +2223,6 @@ mod tests {
         c.node.topology = simkit::Topology::geo(
             regions,
             nodes_per_region,
-            1,
-            0,
             0,
             vec![0; (regions * regions) as usize],
         );
@@ -2283,7 +2273,7 @@ mod tests {
         fn one_quota_plan_matches_the_replaced_code(
             (regions, nodes_per_region) in (1u32..4, 1usize..4),
             per_dc in prop::collection::vec(0u32..4, 3..4),
-            cl in (0usize..7).prop_map(|i| LEVELS[i]),
+            cl in (0..LEVELS.len()).prop_map(|i| LEVELS[i]),
             (coord, (a, b)) in (0usize..9, (any::<u16>(), any::<u16>())),
             (id, ack_seed) in (0u64..1_000, any::<u64>()),
         ) {

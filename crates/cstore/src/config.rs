@@ -6,17 +6,12 @@ use storage::LsmConfig;
 use crate::ring::Partitioner;
 
 /// A tunable consistency level (the paper benchmarks ONE, QUORUM, and
-/// write-ALL; TWO and THREE exist in Cassandra and are included for
-/// completeness; LOCAL_QUORUM and EACH_QUORUM are the datacenter-aware
-/// levels the geo-replication subsystem adds).
+/// write-ALL; LOCAL_QUORUM and EACH_QUORUM are the datacenter-aware levels
+/// the geo-replication subsystem adds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Consistency {
     /// One replica must respond.
     One,
-    /// Two replicas must respond.
-    Two,
-    /// Three replicas must respond.
-    Three,
     /// A majority of replicas must respond.
     Quorum,
     /// A majority of the replicas in the coordinator's datacenter must
@@ -43,8 +38,6 @@ impl Consistency {
     pub fn required(self, rf: u32) -> u32 {
         let n = match self {
             Consistency::One => 1,
-            Consistency::Two => 2,
-            Consistency::Three => 3,
             Consistency::Quorum | Consistency::LocalQuorum | Consistency::EachQuorum => rf / 2 + 1,
             Consistency::All => rf,
         };
@@ -60,8 +53,6 @@ impl Consistency {
     pub fn label(self) -> &'static str {
         match self {
             Consistency::One => "ONE",
-            Consistency::Two => "TWO",
-            Consistency::Three => "THREE",
             Consistency::Quorum => "QUORUM",
             Consistency::LocalQuorum => "LOCAL_QUORUM",
             Consistency::EachQuorum => "EACH_QUORUM",
@@ -192,8 +183,7 @@ mod tests {
     #[test]
     fn levels_clamp_to_rf() {
         assert_eq!(Consistency::All.required(3), 3);
-        assert_eq!(Consistency::Three.required(2), 2);
-        assert_eq!(Consistency::Two.required(1), 1);
+        assert_eq!(Consistency::Quorum.required(1), 1);
         assert_eq!(Consistency::One.required(6), 1);
     }
 

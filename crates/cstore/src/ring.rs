@@ -332,7 +332,7 @@ mod tests {
     fn network_topology_strategy_fills_per_dc_quotas() {
         // 6 nodes, 2 regions of 3 (contiguous blocks as Topology::geo lays
         // them out); one replica per DC.
-        let t = simkit::Topology::geo(2, 3, 1, 50, 50, vec![0, 1000, 1000, 0]);
+        let t = simkit::Topology::geo(2, 3, 50, vec![0, 1000, 1000, 0]);
         let r = Ring::with_strategy(
             6,
             Partitioner::murmur(),

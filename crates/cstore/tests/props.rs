@@ -75,8 +75,6 @@ proptest! {
     fn consistency_arithmetic(rf in 1u32..12) {
         for cl in [
             Consistency::One,
-            Consistency::Two,
-            Consistency::Three,
             Consistency::Quorum,
             Consistency::All,
         ] {

@@ -1,6 +1,5 @@
 //! The assembled filesystem: placement, pipelines, reads, re-replication.
 
-use bytes::Bytes;
 use simkit::{NodeId, SimRng};
 
 use crate::datanode::DataNode;
@@ -64,8 +63,8 @@ impl DfsCluster {
     }
 
     /// Create an empty file.
-    pub fn create_file(&mut self, name: &str) -> FileId {
-        self.namenode.create_file(name)
+    pub fn create_file(&mut self) -> FileId {
+        self.namenode.create_file()
     }
 
     /// Choose a pipeline: writer-local replica first (if that datanode is
@@ -100,7 +99,6 @@ impl DfsCluster {
         &mut self,
         file: FileId,
         len: u64,
-        payload: Option<Bytes>,
         writer: NodeId,
         rng: &mut SimRng,
     ) -> BlockWrite {
@@ -113,7 +111,7 @@ impl DfsCluster {
             .namenode
             .add_block(file, len, pipeline.clone(), self.replication);
         for &node in &pipeline {
-            self.datanodes[node.index()].store(block, len, payload.clone());
+            self.datanodes[node.index()].store(block, len);
         }
         BlockWrite { block, pipeline }
     }
@@ -209,10 +207,7 @@ impl DfsCluster {
                     break; // nowhere to put another replica
                 }
                 let dst = candidates.swap_remove(rng.below(candidates.len() as u64) as usize);
-                let payload = self.datanodes[src.index()]
-                    .get(block)
-                    .and_then(|b| b.payload.clone());
-                self.datanodes[dst.index()].store(block, len, payload);
+                self.datanodes[dst.index()].store(block, len);
                 let Some(meta) = self.namenode.block_mut(block) else {
                     break;
                 };
@@ -242,15 +237,11 @@ mod tests {
         SimRng::new(7)
     }
 
-    fn payload(fs: &DfsCluster, block: BlockId, node: NodeId) -> Option<Bytes> {
-        fs.datanode(node).get(block).and_then(|b| b.payload.clone())
-    }
-
     #[test]
     fn pipeline_is_writer_local_first_and_distinct() {
         let mut fs = DfsCluster::new(10, 3);
-        let f = fs.create_file("/t");
-        let w = fs.append_block(f, 100, None, NodeId(4), &mut rng());
+        let f = fs.create_file();
+        let w = fs.append_block(f, 100, NodeId(4), &mut rng());
         assert_eq!(w.pipeline.len(), 3);
         assert_eq!(w.pipeline[0], NodeId(4));
         let mut uniq = w.pipeline.clone();
@@ -262,17 +253,11 @@ mod tests {
     #[test]
     fn replicas_actually_stored() {
         let mut fs = DfsCluster::new(5, 3);
-        let f = fs.create_file("/t");
-        let w = fs.append_block(
-            f,
-            64,
-            Some(Bytes::from_static(b"data")),
-            NodeId(0),
-            &mut rng(),
-        );
+        let f = fs.create_file();
+        let w = fs.append_block(f, 64, NodeId(0), &mut rng());
         for &n in &w.pipeline {
             assert!(fs.datanode(n).has(w.block));
-            assert_eq!(payload(&fs, w.block, n).as_deref(), Some(&b"data"[..]));
+            assert_eq!(fs.datanode(n).used_bytes(), 64);
         }
         assert_eq!(fs.locations(w.block), w.pipeline.as_slice());
     }
@@ -280,8 +265,8 @@ mod tests {
     #[test]
     fn replication_clamped_by_cluster_size() {
         let mut fs = DfsCluster::new(2, 3);
-        let f = fs.create_file("/t");
-        let w = fs.append_block(f, 10, None, NodeId(0), &mut rng());
+        let f = fs.create_file();
+        let w = fs.append_block(f, 10, NodeId(0), &mut rng());
         assert_eq!(w.pipeline.len(), 2, "only two nodes exist");
         assert!(fs.namenode().block(w.block).unwrap().under_replicated());
     }
@@ -289,8 +274,8 @@ mod tests {
     #[test]
     fn short_circuit_read_prefers_local() {
         let mut fs = DfsCluster::new(6, 3);
-        let f = fs.create_file("/t");
-        let w = fs.append_block(f, 10, None, NodeId(2), &mut rng());
+        let f = fs.create_file();
+        let w = fs.append_block(f, 10, NodeId(2), &mut rng());
         assert_eq!(fs.pick_read_replica(w.block, NodeId(2)), Some(NodeId(2)));
         // A non-holder reads from the first live replica.
         let non_holder = (0..6u32)
@@ -304,9 +289,9 @@ mod tests {
     #[test]
     fn delete_frees_all_replica_space() {
         let mut fs = DfsCluster::new(5, 3);
-        let f = fs.create_file("/t");
-        fs.append_block(f, 100, None, NodeId(0), &mut rng());
-        fs.append_block(f, 50, None, NodeId(0), &mut rng());
+        let f = fs.create_file();
+        fs.append_block(f, 100, NodeId(0), &mut rng());
+        fs.append_block(f, 50, NodeId(0), &mut rng());
         let total_before: u64 = fs.node_used_bytes().iter().sum();
         assert_eq!(total_before, 150 * 3);
         assert_eq!(fs.delete_file(f), 150 * 3);
@@ -317,8 +302,8 @@ mod tests {
     fn failure_then_rereplication_restores_factor() {
         let mut r = rng();
         let mut fs = DfsCluster::new(8, 3);
-        let f = fs.create_file("/t");
-        let w = fs.append_block(f, 100, Some(Bytes::from_static(b"abc")), NodeId(0), &mut r);
+        let f = fs.create_file();
+        let w = fs.append_block(f, 100, NodeId(0), &mut r);
         let victim = w.pipeline[1];
         let damaged = fs.fail_node(victim);
         assert_eq!(damaged, vec![w.block]);
@@ -328,19 +313,17 @@ mod tests {
         assert_ne!(tasks[0].dst, victim);
         let meta = fs.namenode().block(w.block).unwrap();
         assert!(!meta.under_replicated());
-        // The copy carried the payload.
-        assert_eq!(
-            payload(&fs, w.block, tasks[0].dst).as_deref(),
-            Some(&b"abc"[..])
-        );
+        // The copy landed on the destination.
+        assert!(fs.datanode(tasks[0].dst).has(w.block));
+        assert_eq!(fs.datanode(tasks[0].dst).used_bytes(), 100);
     }
 
     #[test]
     fn recovery_re_registers_surviving_replicas() {
         let mut r = rng();
         let mut fs = DfsCluster::new(3, 3);
-        let f = fs.create_file("/t");
-        let w = fs.append_block(f, 10, None, NodeId(0), &mut r);
+        let f = fs.create_file();
+        let w = fs.append_block(f, 10, NodeId(0), &mut r);
         fs.fail_node(NodeId(1));
         assert_eq!(fs.locations(w.block).len(), 2);
         // No spare node exists, so re-replication cannot help.
@@ -354,8 +337,8 @@ mod tests {
     fn reads_skip_dead_replicas() {
         let mut r = rng();
         let mut fs = DfsCluster::new(5, 2);
-        let f = fs.create_file("/t");
-        let w = fs.append_block(f, 10, None, NodeId(0), &mut r);
+        let f = fs.create_file();
+        let w = fs.append_block(f, 10, NodeId(0), &mut r);
         fs.fail_node(w.pipeline[0]);
         let picked = fs.pick_read_replica(w.block, w.pipeline[0]);
         assert_eq!(picked, Some(w.pipeline[1]));
@@ -365,10 +348,10 @@ mod tests {
     fn placement_spreads_load_roughly_evenly() {
         let mut r = rng();
         let mut fs = DfsCluster::new(10, 3);
-        let f = fs.create_file("/t");
+        let f = fs.create_file();
         // Writers round-robin, many blocks.
         for i in 0..3000u32 {
-            fs.append_block(f, 1, None, NodeId(i % 10), &mut r);
+            fs.append_block(f, 1, NodeId(i % 10), &mut r);
         }
         let usage = fs.node_used_bytes();
         let (min, max) = (

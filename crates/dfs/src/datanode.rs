@@ -2,27 +2,18 @@
 
 use simkit::FastHashMap;
 
-use bytes::Bytes;
 use simkit::NodeId;
 
 use crate::ids::BlockId;
 
-/// One stored replica. Payload is optional: `hstore` keeps HFile contents in
-/// its own structures and stores length-only replicas here, while tests (and
-/// any direct user of `dfs`) can round-trip real bytes.
-#[derive(Debug, Clone)]
-pub struct StoredBlock {
-    /// Logical length in bytes.
-    pub len: u64,
-    /// Optional real contents.
-    pub payload: Option<Bytes>,
-}
-
-/// A datanode daemon: the set of block replicas on one machine.
+/// A datanode daemon: the set of block replicas on one machine. A replica
+/// is its logical length only: `hstore` keeps HFile contents in its own
+/// structures.
 #[derive(Debug, Clone)]
 pub struct DataNode {
     node: NodeId,
-    blocks: FastHashMap<BlockId, StoredBlock>,
+    /// Each stored replica's logical length in bytes.
+    blocks: FastHashMap<BlockId, u64>,
     used_bytes: u64,
     up: bool,
 }
@@ -44,9 +35,9 @@ impl DataNode {
     }
 
     /// Store a replica. Overwrites any prior replica of the same block.
-    pub fn store(&mut self, block: BlockId, len: u64, payload: Option<Bytes>) {
-        if let Some(old) = self.blocks.insert(block, StoredBlock { len, payload }) {
-            self.used_bytes -= old.len;
+    pub fn store(&mut self, block: BlockId, len: u64) {
+        if let Some(old) = self.blocks.insert(block, len) {
+            self.used_bytes -= old;
         }
         self.used_bytes += len;
     }
@@ -56,20 +47,11 @@ impl DataNode {
         self.blocks.contains_key(&block)
     }
 
-    /// Access a stored replica.
-    pub fn get(&self, block: BlockId) -> Option<&StoredBlock> {
-        self.blocks.get(&block)
-    }
-
     /// Drop a replica; returns the bytes freed.
     pub fn remove(&mut self, block: BlockId) -> u64 {
-        match self.blocks.remove(&block) {
-            Some(b) => {
-                self.used_bytes -= b.len;
-                b.len
-            }
-            None => 0,
-        }
+        let len = self.blocks.remove(&block).unwrap_or(0);
+        self.used_bytes -= len;
+        len
     }
 
     /// Bytes stored on this node.
@@ -99,14 +81,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn store_and_retrieve_with_payload() {
+    fn store_and_account() {
         let mut d = DataNode::new(NodeId(3));
-        d.store(BlockId(1), 5, Some(Bytes::from_static(b"hello")));
+        d.store(BlockId(1), 5);
         assert!(d.has(BlockId(1)));
-        assert_eq!(
-            d.get(BlockId(1)).unwrap().payload.as_deref(),
-            Some(&b"hello"[..])
-        );
         assert_eq!(d.used_bytes(), 5);
         assert_eq!(d.node(), NodeId(3));
     }
@@ -114,8 +92,8 @@ mod tests {
     #[test]
     fn overwrite_adjusts_usage() {
         let mut d = DataNode::new(NodeId(0));
-        d.store(BlockId(1), 100, None);
-        d.store(BlockId(1), 40, None);
+        d.store(BlockId(1), 100);
+        d.store(BlockId(1), 40);
         assert_eq!(d.used_bytes(), 40);
         assert_eq!(d.blocks.len(), 1);
     }
@@ -123,7 +101,7 @@ mod tests {
     #[test]
     fn remove_frees_bytes() {
         let mut d = DataNode::new(NodeId(0));
-        d.store(BlockId(1), 100, None);
+        d.store(BlockId(1), 100);
         assert_eq!(d.remove(BlockId(1)), 100);
         assert_eq!(d.remove(BlockId(1)), 0);
         assert_eq!(d.used_bytes(), 0);
@@ -132,7 +110,7 @@ mod tests {
     #[test]
     fn crash_keeps_data() {
         let mut d = DataNode::new(NodeId(0));
-        d.store(BlockId(1), 10, None);
+        d.store(BlockId(1), 10);
         d.fail();
         assert!(!d.is_up());
         assert!(d.has(BlockId(1)), "crash does not lose the disk");

@@ -6,8 +6,8 @@
 //! save replicas"), so this substrate is where `hstore`'s RF knob lives.
 //!
 //! The crate is functional: a [`namenode::NameNode`] tracks files → blocks →
-//! replica locations, [`datanode::DataNode`]s hold (optionally payload-
-//! carrying) block replicas, and [`cluster::DfsCluster`] implements write
+//! replica locations, [`datanode::DataNode`]s hold length-only block
+//! replicas, and [`cluster::DfsCluster`] implements write
 //! pipelines, local-first read replica selection (HBase's short-circuit
 //! read), deletion, failure marking, and re-replication planning. Timing is
 //! deliberately absent — `hstore` charges pipeline hops and disk transfers
@@ -25,4 +25,4 @@ pub mod namenode;
 pub use cluster::{BlockWrite, DfsCluster, ReplicationTask};
 pub use datanode::DataNode;
 pub use ids::{BlockId, FileId};
-pub use namenode::{BlockMeta, FileMeta, NameNode};
+pub use namenode::{BlockMeta, NameNode};

@@ -26,23 +26,11 @@ impl BlockMeta {
     }
 }
 
-/// Metadata for one file.
-#[derive(Debug, Clone)]
-pub struct FileMeta {
-    /// The file's identity.
-    pub id: FileId,
-    /// Human-readable name (e.g. `"/hstore/wal/n3"`).
-    pub name: String,
-    /// Ordered blocks.
-    pub blocks: Vec<BlockId>,
-    /// Total logical length.
-    pub len: u64,
-}
-
 /// The metadata server.
 #[derive(Debug, Clone, Default)]
 pub struct NameNode {
-    files: FastHashMap<FileId, FileMeta>,
+    /// Each file's ordered blocks.
+    files: FastHashMap<FileId, Vec<BlockId>>,
     blocks: FastHashMap<BlockId, BlockMeta>,
     next_file: u64,
     next_block: u64,
@@ -55,18 +43,10 @@ impl NameNode {
     }
 
     /// Create an empty file.
-    pub fn create_file(&mut self, name: &str) -> FileId {
+    pub fn create_file(&mut self) -> FileId {
         let id = FileId(self.next_file);
         self.next_file += 1;
-        self.files.insert(
-            id,
-            FileMeta {
-                id,
-                name: name.to_owned(),
-                blocks: Vec::new(),
-                len: 0,
-            },
-        );
+        self.files.insert(id, Vec::new());
         id
     }
 
@@ -90,17 +70,15 @@ impl NameNode {
                 target_replication,
             },
         );
-        let Some(meta) = self.files.get_mut(&file) else {
-            return id;
-        };
-        meta.blocks.push(id);
-        meta.len += len;
+        if let Some(blocks) = self.files.get_mut(&file) {
+            blocks.push(id);
+        }
         id
     }
 
-    /// Look up a file.
-    pub fn file(&self, id: FileId) -> Option<&FileMeta> {
-        self.files.get(&id)
+    /// A file's ordered blocks.
+    pub fn file(&self, id: FileId) -> Option<&[BlockId]> {
+        self.files.get(&id).map(Vec::as_slice)
     }
 
     /// Look up a block.
@@ -116,9 +94,9 @@ impl NameNode {
     /// Delete a file, returning its (now orphaned) block metadata so the
     /// caller can free datanode space.
     pub fn delete_file(&mut self, id: FileId) -> Option<Vec<BlockMeta>> {
-        let meta = self.files.remove(&id)?;
+        let blocks = self.files.remove(&id)?;
         Some(
-            meta.blocks
+            blocks
                 .iter()
                 .filter_map(|b| self.blocks.remove(b))
                 .collect(),
@@ -164,20 +142,18 @@ mod tests {
     #[test]
     fn create_and_grow_file() {
         let mut nn = NameNode::new();
-        let f = nn.create_file("/wal/0");
-        nn.add_block(f, 100, vec![n(0), n(1), n(2)], 3);
-        nn.add_block(f, 50, vec![n(1), n(2), n(3)], 3);
-        let meta = nn.file(f).unwrap();
-        assert_eq!(meta.len, 150);
-        assert_eq!(meta.blocks.len(), 2);
-        assert_eq!(meta.name, "/wal/0");
+        let f = nn.create_file();
+        let b1 = nn.add_block(f, 100, vec![n(0), n(1), n(2)], 3);
+        let b2 = nn.add_block(f, 50, vec![n(1), n(2), n(3)], 3);
+        assert_eq!(nn.file(f).unwrap(), &[b1, b2]);
+        assert_eq!(nn.block(b2).unwrap().len, 50);
         assert_eq!(nn.blocks.len(), 2);
     }
 
     #[test]
     fn delete_returns_orphans() {
         let mut nn = NameNode::new();
-        let f = nn.create_file("/x");
+        let f = nn.create_file();
         nn.add_block(f, 10, vec![n(0)], 1);
         let orphans = nn.delete_file(f).unwrap();
         assert_eq!(orphans.len(), 1);
@@ -189,7 +165,7 @@ mod tests {
     #[test]
     fn drop_node_flags_under_replication() {
         let mut nn = NameNode::new();
-        let f = nn.create_file("/x");
+        let f = nn.create_file();
         let b1 = nn.add_block(f, 10, vec![n(0), n(1), n(2)], 3);
         let b2 = nn.add_block(f, 10, vec![n(3), n(4), n(5)], 3);
         let damaged = nn.drop_node(n(1));
@@ -202,7 +178,7 @@ mod tests {
     #[test]
     fn block_mut_allows_repair() {
         let mut nn = NameNode::new();
-        let f = nn.create_file("/x");
+        let f = nn.create_file();
         let b = nn.add_block(f, 10, vec![n(0), n(1)], 3);
         assert!(nn.block(b).unwrap().under_replicated());
         nn.block_mut(b).unwrap().replicas.push(n(2));

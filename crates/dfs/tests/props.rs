@@ -19,10 +19,10 @@ proptest! {
     ) {
         let mut rng = SimRng::new(seed);
         let mut fs = DfsCluster::new(nodes, rf);
-        let f = fs.create_file("/prop");
+        let f = fs.create_file();
         for (writer, len) in writes {
             let writer = NodeId(writer % nodes as u32);
-            let w = fs.append_block(f, len, None, writer, &mut rng);
+            let w = fs.append_block(f, len, writer, &mut rng);
             let mut uniq = w.pipeline.clone();
             uniq.sort();
             uniq.dedup();
@@ -47,10 +47,10 @@ proptest! {
     ) {
         let mut rng = SimRng::new(seed);
         let mut fs = DfsCluster::new(nodes, rf);
-        let f = fs.create_file("/bytes");
+        let f = fs.create_file();
         let mut expect = 0u64;
         for (i, &len) in lens.iter().enumerate() {
-            let w = fs.append_block(f, len, None, NodeId((i % nodes) as u32), &mut rng);
+            let w = fs.append_block(f, len, NodeId((i % nodes) as u32), &mut rng);
             expect += len * w.pipeline.len() as u64;
         }
         prop_assert_eq!(fs.node_used_bytes().iter().sum::<u64>(), expect);
@@ -71,9 +71,9 @@ proptest! {
         let rf = 3u32.min(nodes as u32 - 1).max(1);
         let mut rng = SimRng::new(seed);
         let mut fs = DfsCluster::new(nodes, rf);
-        let f = fs.create_file("/heal");
+        let f = fs.create_file();
         for i in 0..blocks {
-            fs.append_block(f, 100, None, NodeId((i % nodes) as u32), &mut rng);
+            fs.append_block(f, 100, NodeId((i % nodes) as u32), &mut rng);
         }
         let victim = NodeId(victim % nodes as u32);
         fs.fail_node(victim);
@@ -83,8 +83,8 @@ proptest! {
             "blocks left under-replicated with {} live nodes", nodes - 1
         );
         // No block lists a node twice.
-        let meta = fs.namenode().file(f).unwrap().clone();
-        for b in &meta.blocks {
+        let blocks = fs.namenode().file(f).unwrap().to_vec();
+        for b in &blocks {
             let locs = fs.locations(*b).to_vec();
             let mut uniq = locs.clone();
             uniq.sort();

@@ -4,7 +4,7 @@
 //! supplies the pieces the simulation needs to model one:
 //!
 //! * [`GeoConfig`] — a serde-free config (like `CStoreConfig`) holding the
-//!   region count, per-region rack layout and the WAN delay model. The
+//!   region count and the WAN delay model. The
 //!   25 ms one-way inter-region default is the constant the old hand-run
 //!   `extension_geo.csv` experiment hard-coded; it is promoted here so every
 //!   consumer shares one knob.
@@ -30,7 +30,7 @@ use simkit::{NodeId, SimTime, Topology};
 /// (25 ms), kept as the default for [`GeoConfig`].
 pub const DEFAULT_INTER_REGION_US: u64 = 25_000;
 
-/// Geo-topology parameters: regions × racks layout plus the WAN delay model.
+/// Geo-topology parameters: the region count plus the WAN delay model.
 ///
 /// Plain public fields with a [`Default`], in the style of `CStoreConfig`;
 /// tweak fields directly or with struct-update syntax.
@@ -38,8 +38,6 @@ pub const DEFAULT_INTER_REGION_US: u64 = 25_000;
 pub struct GeoConfig {
     /// Number of regions (datacenters).
     pub regions: u32,
-    /// Racks per region; nodes within a region spread round-robin.
-    pub racks_per_region: u32,
     /// Base one-way inter-region delay in µs (applied to every region pair
     /// before jitter).
     pub inter_region_us: u64,
@@ -57,7 +55,6 @@ impl Default for GeoConfig {
     fn default() -> Self {
         Self {
             regions: 3,
-            racks_per_region: 1,
             inter_region_us: DEFAULT_INTER_REGION_US,
             wan_jitter: 0.0,
             jitter_seed: 0x6E0,
@@ -94,24 +91,12 @@ impl GeoConfig {
         m
     }
 
-    /// Build the full [`Topology`]: `regions × racks_per_region` with
-    /// `nodes_per_region` nodes each, local latencies as given, WAN from
-    /// [`GeoConfig::wan_matrix`]. A single-region config degenerates to the
-    /// classic layout and never consults the WAN matrix.
-    pub fn topology(
-        &self,
-        nodes_per_region: usize,
-        intra_rack_us: u64,
-        inter_rack_us: u64,
-    ) -> Topology {
-        Topology::geo(
-            self.regions,
-            nodes_per_region,
-            self.racks_per_region,
-            intra_rack_us,
-            inter_rack_us,
-            self.wan_matrix(),
-        )
+    /// Build the full [`Topology`]: `regions` regions of
+    /// `nodes_per_region` nodes each, `prop_us` apart within a region, WAN
+    /// from [`GeoConfig::wan_matrix`]. A single-region config degenerates
+    /// to the classic layout and never consults the WAN matrix.
+    pub fn topology(&self, nodes_per_region: usize, prop_us: u64) -> Topology {
+        Topology::geo(self.regions, nodes_per_region, prop_us, self.wan_matrix())
     }
 }
 
@@ -301,7 +286,7 @@ mod tests {
     #[test]
     fn topology_from_config() {
         let cfg = with_regions(2);
-        let t = cfg.topology(3, 50, 500);
+        let t = cfg.topology(3, 50);
         assert_eq!(t.len(), 6);
         assert_eq!(t.num_regions(), 2);
         assert_eq!(t.prop_us(NodeId(0), NodeId(3)), 25_000);
@@ -310,7 +295,7 @@ mod tests {
 
     #[test]
     fn snitch_reads_topology() {
-        let t = with_regions(2).topology(3, 50, 500);
+        let t = with_regions(2).topology(3, 50);
         let s = Snitch::from_topology(&t);
         assert_eq!(s.num_regions(), 2);
         assert_eq!(s.region(NodeId(2)), 0);
@@ -345,7 +330,7 @@ mod tests {
     #[test]
     fn nts_fills_per_dc_quotas() {
         // 2 regions x 3 nodes, contiguous blocks (0..3 in DC0, 3..6 in DC1).
-        let t = with_regions(2).topology(3, 50, 500);
+        let t = with_regions(2).topology(3, 50);
         let snitch = Snitch::from_topology(&t);
         let nts = Strategy::network_topology(2, 2);
         let got = nts.place(1, 6, 0, &snitch);
@@ -358,7 +343,7 @@ mod tests {
 
     #[test]
     fn nts_quota_exceeding_dc_size_takes_what_exists() {
-        let t = with_regions(2).topology(2, 50, 500);
+        let t = with_regions(2).topology(2, 50);
         let snitch = Snitch::from_topology(&t);
         let nts = Strategy::network_topology(2, 3); // only 2 nodes per DC
         let got = nts.place(0, 4, 0, &snitch);

@@ -257,9 +257,7 @@ impl<S, E: NodeEvent> Runtime<S, E> {
         route: impl FnOnce(&Self) -> Result<(NodeId, S), OpError>,
     ) {
         let now = sim.now();
-        if self.config.admission.enabled()
-            && !self.config.admission.admits(self.pending.len(), tag, now)
-        {
+        if !self.config.admission.admits(self.pending.len(), tag) {
             self.shed += 1;
             self.tracer
                 .record(token, Stage::AdmissionQueue, 0, now, now);
@@ -487,7 +485,6 @@ impl<S, E: NodeEvent> Runtime<S, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::AdmissionPolicy;
 
     /// A toy protocol's events: just the runtime's own.
     #[derive(Debug, Clone, PartialEq)]
@@ -596,18 +593,11 @@ mod tests {
         // before the pause schedule (which would draw the RNG) starts.
         let mut rt = runtime(2, |c| {
             c.pause_interval_us = 10_000;
-            c.admission = AdmissionConfig {
-                max_in_flight: 1,
-                policy: AdmissionPolicy::StrictPriority,
-                est_service_us: 0,
-            };
+            c.admission = AdmissionConfig { max_in_flight: 1 };
         });
         let mut sim: Sim<Ev> = Sim::new(3);
         let rng = sim.rng().clone();
-        let tag = OpTag {
-            priority: 1,
-            ..OpTag::default()
-        };
+        let tag = OpTag { priority: 1 };
         submit(&mut rt, &mut sim, 9, tag);
         assert_eq!(sim.pending(), 0, "no event scheduled");
         assert_eq!(*sim.rng(), rng, "no RNG drawn");
@@ -669,7 +659,7 @@ mod tests {
     #[test]
     fn the_runtime_has_one_addressable_node_per_topology_member() {
         // Two regions of three nodes, 25 ms apart.
-        let topology = Topology::geo(2, 3, 1, 50, 50, vec![0, 25_000, 25_000, 0]);
+        let topology = Topology::geo(2, 3, 50, vec![0, 25_000, 25_000, 0]);
         let config = NodeConfig {
             topology: topology.clone(),
             ..NodeConfig::paper_testbed(1)

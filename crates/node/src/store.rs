@@ -55,8 +55,8 @@ pub trait SimStore {
         self.submit_tagged(sim, token, op, OpTag::default());
     }
 
-    /// [`SimStore::submit`] with client scheduling metadata (tenant priority
-    /// and absolute deadline) for the store's admission controller. With
+    /// [`SimStore::submit`] with client scheduling metadata (tenant
+    /// priority) for the store's admission controller. With
     /// admission control disabled (the default) the tag is ignored and this
     /// is exactly `submit`.
     fn submit_tagged(

@@ -1,4 +1,4 @@
-//! Trace assembly and deterministic JSONL/CSV export.
+//! Trace assembly and deterministic JSONL export.
 //!
 //! Serialization is hand-rolled (the build is offline; no serde): every
 //! emitted value is an integer, a bool, or a known-safe label, so the
@@ -80,42 +80,6 @@ impl RunTrace {
         out
     }
 
-    /// Render as CSV: one row per span, preceded by a header. Background
-    /// spans carry an empty `kind` and op id 0.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("op,kind,ok,issued,settled,stage,node,start,end,len_us\n");
-        for op in &self.ops {
-            for s in &op.spans {
-                let _ = writeln!(
-                    out,
-                    "{},{},{},{},{},{},{},{},{},{}",
-                    op.op,
-                    op.kind.label(),
-                    op.ok,
-                    op.issued,
-                    op.settled,
-                    s.stage,
-                    s.node,
-                    s.start,
-                    s.end,
-                    s.len()
-                );
-            }
-        }
-        for s in &self.background {
-            let _ = writeln!(
-                out,
-                "0,,,,,{},{},{},{},{}",
-                s.stage,
-                s.node,
-                s.start,
-                s.end,
-                s.len()
-            );
-        }
-        out
-    }
-
     /// Total spans across ops and background.
     pub fn span_count(&self) -> usize {
         self.ops.iter().map(|o| o.spans.len()).sum::<usize>() + self.background.len()
@@ -187,22 +151,5 @@ mod tests {
         assert!(lines[1].contains("gc_pause"));
         // Deterministic: same value renders identically.
         assert_eq!(jsonl, sample().to_jsonl());
-    }
-
-    #[test]
-    fn csv_has_one_row_per_span() {
-        let t = sample();
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 1 + t.span_count());
-        assert_eq!(
-            lines[0],
-            "op,kind,ok,issued,settled,stage,node,start,end,len_us"
-        );
-        assert_eq!(
-            lines[1],
-            "12,READ,true,100,160,client_send,4294967295,100,110,10"
-        );
-        assert_eq!(lines[3], "0,,,,,gc_pause,1,0,40,40");
     }
 }

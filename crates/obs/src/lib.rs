@@ -8,7 +8,7 @@
 //! [critical path](critical_path) (whose segment lengths sum
 //! *exactly* to the op's measured latency), aggregates time-in-stage per
 //! [`OpKind`](storage::OpKind) ([`StageAgg`]), and exports sampled traces
-//! as JSONL/CSV ([`RunTrace`]).
+//! as JSONL ([`RunTrace`]).
 //!
 //! Determinism is the design constraint: the [`Tracer`] is pure
 //! bookkeeping. It never draws randomness, never schedules events, and

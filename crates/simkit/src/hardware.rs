@@ -221,8 +221,6 @@ pub struct NodeProfile {
     pub disk: DiskProfile,
     /// NIC profile.
     pub nic: NicProfile,
-    /// RAM available to the database process, bytes.
-    pub ram_bytes: u64,
 }
 
 impl NodeProfile {
@@ -233,7 +231,6 @@ impl NodeProfile {
             cores: 12,
             disk: DiskProfile::sata_7200rpm(),
             nic: NicProfile::gige(),
-            ram_bytes: 32 * 1024 * 1024 * 1024,
         }
     }
 }
@@ -385,7 +382,6 @@ mod tests {
     fn paper_testbed_matches_paper_hardware() {
         let p = NodeProfile::paper_testbed();
         assert_eq!(p.cores, 12);
-        assert_eq!(p.ram_bytes, 32 * 1024 * 1024 * 1024);
         assert_eq!(p.nic.bw, 125_000_000);
     }
 

@@ -54,7 +54,7 @@ pub mod slab;
 pub mod time;
 pub mod topology;
 
-pub use admission::{AdmissionConfig, AdmissionPolicy, OpTag};
+pub use admission::{AdmissionConfig, OpTag};
 pub use hardware::{Disk, DiskProfile, Nic, NicProfile, NodeHw, NodeProfile};
 pub use hash::{FastBuildHasher, FastHashMap, FastHashSet, FastHasher};
 pub use queue::EventQueue;

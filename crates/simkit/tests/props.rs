@@ -92,10 +92,13 @@ proptest! {
         }
     }
 
-    /// Topology distances are symmetric and loopback-free.
+    /// Topology distances are symmetric (under a uniform WAN) and
+    /// loopback-free.
     #[test]
-    fn topology_symmetric(n in 1usize..40, racks in 1u32..5) {
-        let t = Topology::racks(n, racks, 50, 500);
+    fn topology_symmetric(regions in 1u32..5, per_region in 1usize..10) {
+        let r = regions as usize;
+        let wan = (0..r * r).map(|i| if i % (r + 1) == 0 { 0 } else { 25_000 }).collect();
+        let t = Topology::geo(regions, per_region, 50, wan);
         for a in t.nodes() {
             for b in t.nodes() {
                 prop_assert_eq!(t.prop_us(a, b), t.prop_us(b, a));

@@ -104,12 +104,11 @@ impl std::fmt::Display for OpKind {
 
 /// Why an operation failed.
 ///
-/// The taxonomy is what a retrying client needs: the first three variants
-/// are *transient* server-side conditions (a later attempt may land on a
-/// recovered node, a failed-over region, or a restored quorum), while
-/// [`OpError::Deadline`] is the *terminal* client-side verdict a resilience
-/// layer reports once an operation's time budget is exhausted — retrying it
-/// would be retrying the deadline itself.
+/// Every variant is a *transient* server-side condition: a later attempt
+/// may land on a recovered node, a failed-over region, a restored quorum or
+/// a less loaded interval, so a retrying client may re-attempt any of them.
+/// A client that gives up on its deadline settles the op with the last
+/// error the store reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpError {
     /// Not enough live replicas to satisfy the consistency level.
@@ -119,28 +118,10 @@ pub enum OpError {
     /// The request stayed incomplete past the store's RPC timeout (the
     /// replica or server it was routed to stopped answering mid-flight).
     Timeout,
-    /// The client-side per-operation deadline budget was exhausted across
-    /// all attempts. Emitted by the driver's resilience layer, never by a
-    /// store.
-    Deadline,
     /// The store's admission controller shed the request before queuing it:
     /// the server is saturated and chose a fast-fail over an unbounded
-    /// queue. Retryable — backing off and re-attempting may land in a less
-    /// loaded interval.
+    /// queue.
     Overloaded,
-}
-
-impl OpError {
-    /// True when a client may reasonably re-attempt the operation: the
-    /// failure is a transient server-side condition rather than a verdict.
-    pub fn is_retryable(self) -> bool {
-        match self {
-            OpError::Unavailable | OpError::ServerDown | OpError::Timeout | OpError::Overloaded => {
-                true
-            }
-            OpError::Deadline => false,
-        }
-    }
 }
 
 /// The outcome a store reports for one operation.
@@ -206,14 +187,5 @@ mod tests {
         assert_eq!(OpKind::ReadModifyWrite.label(), "RMW");
         assert_eq!(OpKind::Read.to_string(), "READ");
         assert_eq!(OpKind::ALL.len(), 6);
-    }
-
-    #[test]
-    fn transient_errors_are_retryable_and_deadline_is_terminal() {
-        assert!(OpError::Unavailable.is_retryable());
-        assert!(OpError::ServerDown.is_retryable());
-        assert!(OpError::Timeout.is_retryable());
-        assert!(OpError::Overloaded.is_retryable());
-        assert!(!OpError::Deadline.is_retryable());
     }
 }

@@ -111,31 +111,12 @@ pub enum RequestDistribution {
         /// Item count.
         items: u64,
     },
-    /// Zipfian where low indices are popular.
-    Zipfian(Zipfian),
     /// Zipfian popularity scattered over the key space (YCSB's default for
     /// workloads A/B/C/E/F: the popular items are spread out).
     ScrambledZipfian(Zipfian),
     /// Skewed toward the most recently inserted items (YCSB workload D and
     /// the paper's *read latest*).
     Latest(Zipfian),
-    /// A hot set of `hot_fraction` of the items receives
-    /// `hot_op_fraction` of the requests.
-    Hotspot {
-        /// Item count.
-        items: u64,
-        /// Fraction of items that are hot.
-        hot_fraction: f64,
-        /// Fraction of operations that target the hot set.
-        hot_op_fraction: f64,
-    },
-    /// Exponentially distributed popularity.
-    Exponential {
-        /// Item count.
-        items: u64,
-        /// Rate parameter; larger = more skew toward low indices.
-        gamma: f64,
-    },
 }
 
 impl RequestDistribution {
@@ -143,30 +124,10 @@ impl RequestDistribution {
     pub fn next<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         match self {
             Self::Uniform { items } => rng.gen_range(0..*items),
-            Self::Zipfian(z) => z.next(rng),
             Self::ScrambledZipfian(z) => fnv_hash(z.next(rng)) % z.items(),
             Self::Latest(z) => {
                 let n = z.items();
                 n - 1 - z.next(rng)
-            }
-            Self::Hotspot {
-                items,
-                hot_fraction,
-                hot_op_fraction,
-            } => {
-                let hot_items = ((*items as f64) * hot_fraction).ceil().max(1.0) as u64;
-                if rng.gen::<f64>() < *hot_op_fraction {
-                    rng.gen_range(0..hot_items.min(*items))
-                } else if hot_items >= *items {
-                    rng.gen_range(0..*items)
-                } else {
-                    rng.gen_range(hot_items..*items)
-                }
-            }
-            Self::Exponential { items, gamma } => {
-                let u: f64 = rng.gen();
-                let v = (-u.ln() / gamma) as u64;
-                v.min(items - 1)
             }
         }
     }
@@ -174,10 +135,8 @@ impl RequestDistribution {
     /// Grow the item count (inserts during a run).
     pub fn set_items(&mut self, n: u64) {
         match self {
-            Self::Uniform { items }
-            | Self::Hotspot { items, .. }
-            | Self::Exponential { items, .. } => *items = (*items).max(n),
-            Self::Zipfian(z) | Self::ScrambledZipfian(z) | Self::Latest(z) => z.set_items(n),
+            Self::Uniform { items } => *items = (*items).max(n),
+            Self::ScrambledZipfian(z) | Self::Latest(z) => z.set_items(n),
         }
     }
 }
@@ -197,18 +156,8 @@ mod tests {
         let n = 1000;
         for dist in [
             RequestDistribution::Uniform { items: n },
-            RequestDistribution::Zipfian(Zipfian::new(n)),
             RequestDistribution::ScrambledZipfian(Zipfian::new(n)),
             RequestDistribution::Latest(Zipfian::new(n)),
-            RequestDistribution::Hotspot {
-                items: n,
-                hot_fraction: 0.2,
-                hot_op_fraction: 0.8,
-            },
-            RequestDistribution::Exponential {
-                items: n,
-                gamma: 0.01,
-            },
         ] {
             for v in draws(&dist, 20_000) {
                 assert!(v < n, "{dist:?} produced out-of-range {v}");
@@ -218,8 +167,9 @@ mod tests {
 
     #[test]
     fn zipfian_is_skewed_toward_zero() {
-        let dist = RequestDistribution::Zipfian(Zipfian::new(10_000));
-        let values = draws(&dist, 100_000);
+        let z = Zipfian::new(10_000);
+        let mut rng = SimRng::new(42);
+        let values: Vec<u64> = (0..100_000).map(|_| z.next(&mut rng)).collect();
         let zero = values.iter().filter(|&&v| v == 0).count() as f64 / 100_000.0;
         // Item 0 should take several percent of draws under theta=0.99.
         assert!(zero > 0.03, "item-0 share too small: {zero}");
@@ -268,18 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn hotspot_honors_op_fraction() {
-        let dist = RequestDistribution::Hotspot {
-            items: 1000,
-            hot_fraction: 0.1,
-            hot_op_fraction: 0.9,
-        };
-        let values = draws(&dist, 50_000);
-        let hot = values.iter().filter(|&&v| v < 100).count() as f64 / 50_000.0;
-        assert!((hot - 0.9).abs() < 0.02, "hot share {hot}");
-    }
-
-    #[test]
     fn growing_items_extends_range() {
         let mut dist = RequestDistribution::Latest(Zipfian::new(100));
         dist.set_items(200);
@@ -308,19 +246,9 @@ mod tests {
     }
 
     #[test]
-    fn single_item_distribution_works() {
-        let dist = RequestDistribution::Zipfian(Zipfian::new(1));
-        assert!(draws(&dist, 100).iter().all(|&v| v == 0));
-    }
-
-    #[test]
-    fn exponential_is_skewed() {
-        let dist = RequestDistribution::Exponential {
-            items: 1000,
-            gamma: 0.05,
-        };
-        let values = draws(&dist, 50_000);
-        let low = values.iter().filter(|&&v| v < 50).count() as f64 / 50_000.0;
-        assert!(low > 0.8, "exponential low share {low}");
+    fn single_item_zipfian_works() {
+        let z = Zipfian::new(1);
+        let mut rng = SimRng::new(42);
+        assert!((0..100).all(|_| z.next(&mut rng) == 0));
     }
 }

@@ -90,8 +90,8 @@ impl KeySpace {
 /// A per-run interner for generated keys: a direct-mapped cache from
 /// record id to its encoded key.
 ///
-/// The request distributions the experiments run (zipfian, latest,
-/// hotspot) touch a small set of hot ids over and over; interning turns
+/// The skewed request distributions the experiments run (zipfian,
+/// latest) touch a small set of hot ids over and over; interning turns
 /// every repeat encoding into a slot probe plus a `Bytes` refcount bump.
 /// The cache is bounded (direct-mapped, power-of-two slots), so a
 /// uniform distribution degrades to plain encoding plus one array write —

@@ -3,9 +3,9 @@
 //! A faithful reimplementation of the parts of the Yahoo! Cloud Serving
 //! Benchmark the paper relies on:
 //!
-//! * [`generator`] — request-key distributions: uniform, zipfian (Gray et
-//!   al.'s algorithm with YCSB's constants), scrambled zipfian, latest,
-//!   hotspot, and exponential.
+//! * [`generator`] — request-key distributions: uniform, scrambled zipfian
+//!   and latest, over a zipfian sampler (Gray et al.'s algorithm with
+//!   YCSB's constants).
 //! * [`keys`] — zero-padded ordered key encoding and a memory-thrifty value
 //!   pool.
 //! * [`workload`] — operation-mix specifications: the paper's five Table 1
@@ -15,9 +15,9 @@
 //! * [`client`] — closed-loop client-thread pacing with optional target
 //!   throughput throttling (YCSB's `-target`), the mechanism behind the
 //!   paper's runtime-vs-target throughput curves.
-//! * [`arrival`] — open-loop arrival processes (Poisson interarrivals,
-//!   diurnal rate curves, flash crowds, multi-tenant mixes) whose
-//!   percentiles are coordinated-omission-free.
+//! * [`arrival`] — open-loop arrival processes (Poisson interarrivals
+//!   split over a weighted multi-tenant mix) whose percentiles are
+//!   coordinated-omission-free.
 //! * [`validate`] — stale-read detection, used to *measure* consistency
 //!   rather than assume it.
 //!
@@ -36,7 +36,7 @@ pub mod stats;
 pub mod validate;
 pub mod workload;
 
-pub use arrival::{FlashCrowd, OpenLoop, Tenant};
+pub use arrival::{OpenLoop, Tenant};
 pub use client::Throttle;
 pub use generator::RequestDistribution;
 pub use keys::{balanced_tokens, encode_key, encode_point, KeyInterner, KeySpace, ValuePool};

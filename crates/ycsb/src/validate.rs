@@ -1,7 +1,7 @@
 //! Stale-read detection: measuring consistency instead of assuming it.
 //!
 //! The tracker implements a time-based staleness check in the spirit of
-//! Bermbach et al. (the paper's related work [14]): a read is *stale* when
+//! Bermbach et al. (the paper's related work \[14\]): a read is *stale* when
 //! it returns a version older than the newest write that was already
 //! acknowledged **before the read was issued**. Concurrent writes (in
 //! flight at read-issue time) do not count against the store.

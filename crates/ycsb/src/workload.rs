@@ -20,8 +20,6 @@ pub enum DistributionKind {
     Zipfian,
     /// Skewed toward the newest records.
     Latest,
-    /// Hotspot: 80% of ops on 20% of records.
-    Hotspot,
 }
 
 /// An operation mix: fractions must sum to 1.
@@ -109,11 +107,6 @@ impl WorkloadSpec {
                 RequestDistribution::ScrambledZipfian(Zipfian::new(records))
             }
             DistributionKind::Latest => RequestDistribution::Latest(Zipfian::new(records)),
-            DistributionKind::Hotspot => RequestDistribution::Hotspot {
-                items: records,
-                hot_fraction: 0.2,
-                hot_op_fraction: 0.8,
-            },
         }
     }
 

@@ -9,28 +9,18 @@ use ycsb::{OpenLoop, Tenant};
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Same seed → same interarrival sequence, for any rate and diurnal
-    /// modulation. This is what makes open-loop runs replayable.
+    /// Same seed → same interarrival sequence, for any rate. This is what
+    /// makes open-loop runs replayable.
     #[test]
     fn poisson_draws_are_seed_reproducible(
         seed in any::<u64>(),
         rate in 1.0f64..1_000_000.0,
-        amp in 0.0f64..0.9,
     ) {
-        let ol = OpenLoop {
-            diurnal_amplitude: amp,
-            diurnal_period_us: 1_000_000,
-            ..OpenLoop::poisson(rate)
-        };
+        let ol = OpenLoop::poisson(rate);
         let draw = |seed: u64| {
             let mut rng = SimRng::new(seed);
-            let mut t = 0u64;
             (0..256)
-                .map(|_| {
-                    let gap = ol.next_interarrival_us(t, &mut rng);
-                    t += gap;
-                    gap
-                })
+                .map(|_| ol.next_interarrival_us(&mut rng))
                 .collect::<Vec<_>>()
         };
         prop_assert_eq!(draw(seed), draw(seed));
@@ -48,7 +38,7 @@ proptest! {
         let n = 4_096u64;
         let mut total = 0u64;
         for _ in 0..n {
-            let gap = ol.next_interarrival_us(0, &mut rng);
+            let gap = ol.next_interarrival_us(&mut rng);
             prop_assert!(gap >= 1);
             total += gap;
         }
@@ -71,8 +61,8 @@ proptest! {
     ) {
         let ol = OpenLoop {
             tenants: vec![
-                Tenant { name: "a", weight: w0, priority: 0, mix: None },
-                Tenant { name: "b", weight: w1, priority: 2, mix: None },
+                Tenant { name: "a", weight: w0, priority: 0 },
+                Tenant { name: "b", weight: w1, priority: 2 },
             ],
             ..OpenLoop::poisson(1_000.0)
         };

@@ -14,7 +14,6 @@ proptest! {
         let mut rng = SimRng::new(seed);
         for dist in [
             RequestDistribution::Uniform { items },
-            RequestDistribution::Zipfian(Zipfian::new(items)),
             RequestDistribution::ScrambledZipfian(Zipfian::new(items)),
             RequestDistribution::Latest(Zipfian::new(items)),
         ] {

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Size of the code, per crate under crates/: non-test lines (the lines of
-# each src/ file before its first `#[cfg(test)]`) and public items (the
-# `pub fn|struct|enum|trait|type|const|mod|use` lines among them). Then a
+# each src/ file before its first `#[cfg(test)]`), public items (the
+# `pub fn|struct|enum|trait|type|const|mod|use` lines among them) and public
+# fields (the `pub <name>:` lines among them: the settable values). Then a
 # `total` line over all crates, an `examples` line (every line of
 # examples/*.rs), and the store layer: cstore + hstore + node +
 # core/src/store.rs.
@@ -10,7 +11,8 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-# Prints "<non-test lines> <public items>" summed over the files given.
+# Prints "<non-test lines> <public items> <public fields>" summed over the
+# files given.
 count() {
     awk '
         FNR == 1 { in_tests = 0 }
@@ -18,20 +20,21 @@ count() {
         in_tests { next }
         { lines++ }
         /^[[:space:]]*pub (fn|struct|enum|trait|type|const|mod|use)[[:space:]]/ { items++ }
-        END { print lines + 0, items + 0 }
+        /^[[:space:]]*pub [A-Za-z_][A-Za-z0-9_]*:/ { fields++ }
+        END { print lines + 0, items + 0, fields + 0 }
     ' "$@"
 }
 
-printf '%-10s %9s %10s\n' crate non-test pub-items
+printf '%-10s %9s %10s %10s\n' crate non-test pub-items pub-fields
 for dir in crates/*/; do
     name=$(basename "$dir")
     # shellcheck disable=SC2046 # paths hold no spaces
     set -- $(count $(find "$dir/src" -name '*.rs' | sort))
-    printf '%-10s %9s %10s\n' "$name" "$1" "$2"
+    printf '%-10s %9s %10s %10s\n' "$name" "$1" "$2" "$3"
 done
 # shellcheck disable=SC2046
 set -- $(count $(find crates/*/src -name '*.rs' | sort))
-printf '%-10s %9s %10s\n' total "$1" "$2"
+printf '%-10s %9s %10s %10s\n' total "$1" "$2" "$3"
 # shellcheck disable=SC2046
 set -- $(cat $(find examples -name '*.rs' | sort) | wc -l)
 printf '%-10s %9s\n' examples "$1"
