@@ -100,7 +100,7 @@ impl Default for GeoExperimentConfig {
 pub struct GeoCell {
     /// Total replicas per key across all datacenters.
     pub rf_total: u32,
-    /// Runtime throughput, ops/s.
+    /// Settled throughput (successes plus errors), ops/s.
     pub runtime: f64,
     /// Successful (error-free) throughput, ops/s.
     pub goodput: f64,
@@ -229,15 +229,10 @@ impl Experiment for GeoExperimentConfig {
             Store::C(_) => (self.rf_per_dc, 0.0),
             Store::H(h) => (self.hstore_rf(), h.mean_replication_window_us()),
         };
-        let measured = self.run.measure_ops;
         GeoCell {
             rf_total: rf_per_dc * regions,
-            runtime: run.throughput,
-            goodput: if measured == 0 {
-                0.0
-            } else {
-                run.throughput * (1.0 - run.errors as f64 / measured as f64)
-            },
+            runtime: run.metrics.rate(run.metrics.ops() + run.errors),
+            goodput: run.throughput,
             mean_us: run.mean_latency_us,
             p99_us: run.metrics.overall().quantile(0.99),
             errors: run.errors,

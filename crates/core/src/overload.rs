@@ -157,7 +157,8 @@ pub fn default_tenants() -> Vec<Tenant> {
 pub struct OverloadCell {
     /// Offered load, arrivals/sec.
     pub offered: f64,
-    /// Settled throughput over the measured window, ops/s.
+    /// Settled throughput (successes plus errors) over the measured
+    /// window, ops/s.
     pub runtime: f64,
     /// Successful (admitted, error-free) throughput, ops/s.
     pub goodput: f64,
@@ -295,8 +296,8 @@ impl Experiment for OverloadConfig {
             .collect();
         OverloadCell {
             offered: self.offered_loads[li],
-            runtime: run.throughput,
-            goodput: run.throughput * (1.0 - run.errors as f64 / settled as f64),
+            runtime: run.metrics.rate(run.metrics.ops() + run.errors),
+            goodput: run.throughput,
             shed,
             shed_rate: shed as f64 / settled as f64,
             errors: run.errors,
@@ -465,6 +466,45 @@ mod tests {
             // uncontrolled arm blows the latency bound.
             assert!(on.sla_met, "{store:?}: admission arm should meet SLA");
             assert!(!off.sla_met, "{store:?}: uncontrolled arm should not");
+        }
+    }
+
+    #[test]
+    fn goodput_is_the_success_rate_and_runtime_adds_the_error_rate() {
+        // The shed arm of the quick grid, run directly so the test sees the
+        // `RunOutcome` beside its cell. `RunOutcome::throughput` counts
+        // successes only, so it is the goodput; the errors settle over the
+        // same window at `errors / window`.
+        let cfg = OverloadConfig::quick();
+        let scale = &cfg.run.scale;
+        for store in [StoreKind::CStore, StoreKind::HStore] {
+            let mut errors_seen = 0;
+            for li in 0..cfg.offered_loads.len() {
+                let spec = (store, true, li);
+                let mut built = cfg.build(&(store, true));
+                let run = match &mut built {
+                    Store::C(c) => {
+                        driver::load(c, scale.records, scale.value_len, cfg.run.seed);
+                        driver::run(c, &cfg.driver(&spec))
+                    }
+                    Store::H(h) => {
+                        driver::load(h, scale.records, scale.value_len, cfg.run.seed);
+                        driver::run(h, &cfg.driver(&spec))
+                    }
+                };
+                let window_s = run.metrics.ops() as f64 / run.throughput;
+                let error_rate = run.errors as f64 / window_s;
+                errors_seen += run.errors;
+                let c = cfg.cell(&spec, run.clone(), &built);
+                assert_eq!(c.goodput, run.throughput, "{store:?} load {li}");
+                assert!(
+                    (c.runtime - c.goodput - error_rate).abs() <= 1e-9 * c.runtime,
+                    "{store:?} load {li}: runtime {} - goodput {} != error rate {error_rate}",
+                    c.runtime,
+                    c.goodput
+                );
+            }
+            assert!(errors_seen > 0, "{store:?}: the shed arm must shed");
         }
     }
 

@@ -473,13 +473,19 @@ impl RunMetrics {
         self.missing_reads
     }
 
-    /// Runtime throughput over the measured window, ops/second.
+    /// Runtime throughput over the measured window, successful ops/second.
     pub fn throughput(&self) -> f64 {
+        self.rate(self.ops())
+    }
+
+    /// `count` events spread over the measured window, per second (`0` for
+    /// an empty window).
+    pub fn rate(&self, count: u64) -> f64 {
         let window = self.finished_at.saturating_sub(self.started_at);
         if window == 0 {
             0.0
         } else {
-            self.ops() as f64 * 1_000_000.0 / window as f64
+            count as f64 * 1_000_000.0 / window as f64
         }
     }
 
