@@ -38,8 +38,9 @@ pub enum ArrivalMode {
     #[default]
     ClosedLoop,
     /// Open-loop arrivals drawn from a Poisson process split over a
-    /// weighted tenant mix. `threads` and `target_ops_per_sec` are ignored; the offered load is the process's
-    /// rate, and results are identical at any worker thread count.
+    /// weighted tenant mix. `threads` and `target_ops_per_sec` are
+    /// ignored; the offered load is the process's rate, and results are
+    /// identical at any worker thread count.
     OpenLoop(OpenLoop),
 }
 

@@ -29,17 +29,6 @@ pub struct StageSpan {
 }
 
 impl StageSpan {
-    /// Interval length in µs.
-    pub fn len(&self) -> u64 {
-        self.end.saturating_sub(self.start)
-    }
-
-    /// True for degenerate zero-length spans (the tracer never records
-    /// these, but synthetic spans may be constructed elsewhere).
-    pub fn is_empty(&self) -> bool {
-        self.end <= self.start
-    }
-
     /// Deterministic sort key: start ascending, then wider-first, then
     /// stage, then node. Parents sort before the children they contain.
     pub fn sort_key(&self) -> (SimTime, std::cmp::Reverse<SimTime>, Stage, u32) {

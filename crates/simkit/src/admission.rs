@@ -46,17 +46,12 @@ impl AdmissionConfig {
         Self { max_in_flight: 0 }
     }
 
-    /// True when the controller is active.
-    pub fn enabled(&self) -> bool {
-        self.max_in_flight > 0
-    }
-
     /// The admission decision for one op: `true` = admit, `false` = shed.
     ///
     /// Pure: no RNG, no side effects. `in_flight` is the store's current
     /// pending-op count *before* this op.
     pub fn admits(&self, in_flight: usize, tag: OpTag) -> bool {
-        if !self.enabled() {
+        if self.max_in_flight == 0 {
             return true;
         }
         in_flight < self.max_in_flight >> u32::from(tag.priority).min(usize::BITS - 1)
@@ -70,7 +65,6 @@ mod tests {
     #[test]
     fn off_admits_everything() {
         let cfg = AdmissionConfig::off();
-        assert!(!cfg.enabled());
         assert!(cfg.admits(usize::MAX - 1, OpTag { priority: 7 }));
     }
 

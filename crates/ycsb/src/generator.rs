@@ -24,13 +24,8 @@ pub struct Zipfian {
 impl Zipfian {
     /// Create a generator over `items` elements with the YCSB constant.
     pub fn new(items: u64) -> Self {
-        Self::with_theta(items, ZIPFIAN_CONSTANT)
-    }
-
-    /// Create with an explicit skew `theta` in (0, 1).
-    pub fn with_theta(items: u64, theta: f64) -> Self {
         assert!(items > 0, "zipfian needs at least one item");
-        assert!((0.0..1.0).contains(&theta), "theta must be in (0,1)");
+        let theta = ZIPFIAN_CONSTANT;
         let zetan = Self::zeta_range(0, items, theta, 0.0);
         let zeta2 = Self::zeta_range(0, 2.min(items), theta, 0.0);
         let mut z = Self {
