@@ -14,7 +14,7 @@ use ::node::{DriverEvent, Runtime, SimStore};
 use obs::Stage;
 use simkit::{NodeHw, NodeId, OpKey, OpTag, Sim, SimTime};
 use storage::types::entry_encoded_len;
-use storage::{Cell, Completion, Key, OpError, OpResult, StoreOp, Value};
+use storage::{Cell, Completion, Key, OpError, OpResult, Segment, StoreOp, Value};
 
 use crate::config::{CStoreConfig, CommitlogSync, Consistency};
 use crate::event::Event;
@@ -38,9 +38,9 @@ enum PendingState {
 /// set, live or not, as in Cassandra's blockFor computation.
 #[derive(Debug, Clone)]
 enum Quota {
-    /// Any `n` replicas: ONE/TWO/THREE/QUORUM/ALL, every level on a
-    /// single-DC cluster, and LOCAL_QUORUM when the coordinator's DC holds
-    /// no replica.
+    /// Any `n` replicas: ONE/QUORUM/ALL, every level on a single-DC
+    /// cluster, and LOCAL_QUORUM when the coordinator's DC holds no
+    /// replica.
     Any(u32),
     /// `needed` replicas of the coordinator's datacenter `dc`
     /// (LOCAL_QUORUM, so no WAN hop sits on the settle path); `acks` counts
@@ -164,6 +164,9 @@ pub struct Cluster {
     read_answers: BufferPool<(NodeId, Option<Cell>)>,
     /// Recycled `ScanState::partials` buffers.
     scan_partials: BufferPool<Vec<(Key, Cell)>>,
+    /// Rows bulk-loaded since the last `flush_all`, once each, by ring
+    /// segment ([`Ring::segment`]) in arrival order.
+    loaded: Vec<Vec<(Key, Cell)>>,
 }
 
 impl Cluster {
@@ -197,6 +200,7 @@ impl Cluster {
             scratch: FanOut::default(),
             read_answers: BufferPool::new(),
             scan_partials: BufferPool::new(),
+            loaded: Vec::new(),
         }
     }
 
@@ -1209,21 +1213,38 @@ impl SimStore for Cluster {
         self.rt.drain_completions_into(out);
     }
 
-    /// Queues the row on every replica of the key.
+    /// Queues the row once, under its ring segment.
     fn load_direct(&mut self, key: Key, value: Value, ts: u64) {
-        let reps = self.ring.replicas(&key, self.config.replication_factor);
-        for r in reps {
-            let row = (key.clone(), Cell::live(value.clone(), ts));
-            self.nodes[r.index()].loaded.push(row);
+        let segment = self.ring.segment(&key);
+        if self.loaded.len() <= segment {
+            self.loaded.resize_with(segment + 1, Vec::new);
         }
+        self.loaded[segment].push((key, Cell::live(value, ts)));
     }
 
-    /// Writes each node's queued rows as one run, sstableloader-style, and
-    /// compacts it with whatever the node held before.
+    /// Sorts each ring segment's queued rows once into a [`Segment`] that
+    /// every replica of the segment holds, then loads each node's segments
+    /// as one run, sstableloader-style, and compacts it with whatever the
+    /// node held before. The base so stores each loaded row once, not once
+    /// per replica.
     fn flush_all(&mut self) {
-        for node in &mut self.nodes {
+        let mut held = vec![Vec::new(); self.nodes.len()];
+        let mut replicas = Vec::new();
+        for (segment, rows) in std::mem::take(&mut self.loaded).into_iter().enumerate() {
+            if rows.is_empty() {
+                continue;
+            }
+            let shared = Segment::from_rows(rows);
+            let primary = self.ring.segment_primary(segment);
+            self.ring
+                .range_replicas_into(primary, self.config.replication_factor, &mut replicas);
+            for r in &replicas {
+                held[r.index()].push(shared.clone());
+            }
+        }
+        for (node, segments) in self.nodes.iter_mut().zip(held) {
             node.lsm.flush();
-            node.lsm.load_run(std::mem::take(&mut node.loaded));
+            node.lsm.load_segments(segments);
             node.lsm.compact_all();
             node.lsm.sync_wal();
         }
@@ -1868,6 +1889,57 @@ mod tests {
         // Reads served through the full path too.
         let r = h.run_one(StoreOp::Read { key: key(42) });
         assert!(matches!(r.result, OpResult::Value(Some(_))));
+    }
+
+    /// The distinct segments a base's runs hold, each with how many nodes
+    /// hold it.
+    fn held_segments(cluster: &Cluster) -> Vec<(Segment, usize)> {
+        let mut distinct: Vec<(Segment, usize)> = Vec::new();
+        for node in &cluster.nodes {
+            for s in node.lsm.runs().iter().flat_map(|run| run.segments()) {
+                match distinct.iter_mut().find(|(d, _)| d.shares_storage_with(s)) {
+                    Some((_, holders)) => *holders += 1,
+                    None => distinct.push((s.clone(), 1)),
+                }
+            }
+        }
+        distinct
+    }
+
+    #[test]
+    fn an_ordered_base_holds_each_loaded_row_once() {
+        let mut h = Harness::new(ordered_config(3, 5, 100));
+        for i in 0..100u64 {
+            h.cluster.load_direct(key(i), k("seed"), 1);
+        }
+        h.cluster.flush_all();
+        // One segment per token range, held by each of its three replicas.
+        let held = held_segments(&h.cluster);
+        assert_eq!(held.len(), 5);
+        assert!(held.iter().all(|&(_, holders)| holders == 3));
+        assert_eq!(held.iter().map(|(s, _)| s.len()).sum::<usize>(), 100);
+    }
+
+    #[test]
+    fn a_hashed_base_merges_each_nodes_ranges_into_its_own_segment() {
+        // A hashing ring's ranges interleave in key order, so they cannot
+        // sit side by side in one run: every node gets one private segment.
+        let mut c = ordered_config(3, 5, 100);
+        c.partitioner = Partitioner::murmur();
+        let mut h = Harness::new(c);
+        for i in 0..100u64 {
+            h.cluster.load_direct(key(i), k("seed"), 1);
+        }
+        h.cluster.flush_all();
+        let held = held_segments(&h.cluster);
+        assert_eq!(held.len(), 5);
+        assert!(held.iter().all(|&(_, holders)| holders == 1));
+        assert_eq!(held.iter().map(|(s, _)| s.len()).sum::<usize>(), 300);
+        for i in 0..100u64 {
+            for r in h.cluster.ring().replicas(&key(i), 3) {
+                assert!(h.cluster.read_local(r, &key(i)).is_some());
+            }
+        }
     }
 
     #[test]

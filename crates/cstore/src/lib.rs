@@ -5,8 +5,9 @@
 //!
 //! * a token **ring** with SimpleStrategy successor replication and either
 //!   an order-preserving or a hashing partitioner ([`ring`]);
-//! * a **coordinator** path with tunable consistency levels (ONE / TWO /
-//!   THREE / QUORUM / ALL, read and write set independently) — writes go to
+//! * a **coordinator** path with tunable consistency levels (ONE / QUORUM /
+//!   LOCAL_QUORUM / EACH_QUORUM / ALL, read and write set independently) —
+//!   writes go to
 //!   *every* live replica and acknowledge after the level's quota, reads
 //!   fan to the level's quota starting at the **main replica** (ring-order
 //!   first, exactly the paper's description) and reconcile by timestamp;
@@ -15,7 +16,8 @@
 //!   paper blames for Cassandra's read-latency growth at RF > 3;
 //! * per-node **commit log + memtable + SSTables** (via the shared
 //!   [`storage`] engine), flushes and size-tiered compactions that contend
-//!   for the node's simulated disk;
+//!   for the node's simulated disk; a bulk load sorts each token range's
+//!   rows once, and all its replicas hold that one [`storage::Segment`];
 //! * **hinted handoff** and unavailable-error semantics for failure
 //!   experiments.
 //!

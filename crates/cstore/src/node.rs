@@ -23,9 +23,6 @@ pub struct CNode {
     pub lsm: LsmTree,
     /// Hinted-handoff queue held *by* this node for other nodes.
     pub hints: Vec<Hint>,
-    /// Rows bulk-loaded onto this replica since the last `flush_all`, in
-    /// arrival order; `flush_all` writes them as one run.
-    pub loaded: Vec<(Key, Cell)>,
 }
 
 impl CNode {
@@ -34,7 +31,6 @@ impl CNode {
         Self {
             lsm: LsmTree::new(lsm),
             hints: Vec::new(),
-            loaded: Vec::new(),
         }
     }
 

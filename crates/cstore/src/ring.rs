@@ -145,10 +145,19 @@ impl Ring {
 
     /// Ring position (node index) of the primary replica of `key`.
     pub fn primary(&self, key: &[u8]) -> usize {
+        self.segment_primary(self.segment(key))
+    }
+
+    /// The load segment of `key`, in `0..=len()`. On an ordered ring it is
+    /// how many tokens sort at or below the key: segment 0 holds the keys
+    /// before the first token (which wrap to the last range), segment `i`
+    /// node `i - 1`'s range from its token on. On a hashing ring it is one
+    /// past the key's primary. All keys of a segment have one replica set,
+    /// and on an ordered ring they form one key interval.
+    pub(crate) fn segment(&self, key: &[u8]) -> usize {
         match &self.partitioner {
             Partitioner::OrderPreserving { tokens } => {
                 let target = key_prefix(key);
-                // How many tokens sort at or below `key`.
                 let (mut lo, mut hi) = (0, tokens.len());
                 while lo < hi {
                     let mid = lo + (hi - lo) / 2;
@@ -158,15 +167,19 @@ impl Ring {
                         _ => lo = mid + 1,
                     }
                 }
-                // None: the key wraps to the last range.
-                lo.checked_sub(1).unwrap_or(self.nodes - 1)
+                lo
             }
             Partitioner::Murmur => {
                 let h = hash_key(key);
                 // Equal slices of the hash space.
-                ((h as u128 * self.nodes as u128) >> 64) as usize
+                ((h as u128 * self.nodes as u128) >> 64) as usize + 1
             }
         }
+    }
+
+    /// Ring position of the primary replica of segment `segment`'s keys.
+    pub(crate) fn segment_primary(&self, segment: usize) -> usize {
+        segment.checked_sub(1).unwrap_or(self.nodes - 1)
     }
 
     /// The replica set of `key` at replication factor `rf`, as placed by
@@ -246,6 +259,20 @@ mod tests {
         assert_eq!(r.primary(b"z"), 3);
         // Before the first token wraps to the last node.
         assert_eq!(r.primary(b"0"), 3);
+    }
+
+    #[test]
+    fn segments_split_the_wrapped_range_and_share_its_primary() {
+        let r = ordered_ring();
+        for (key, segment) in [(&b"0"[..], 0), (b"a", 1), (b"f", 1), (b"g", 2), (b"z", 4)] {
+            assert_eq!(r.segment(key), segment, "{key:?}");
+        }
+        // Before the first token and from the last one: two segments, one
+        // range.
+        assert_eq!(r.segment_primary(0), 3);
+        assert_eq!(r.segment_primary(4), 3);
+        let m = Ring::new(4, Partitioner::murmur());
+        assert!((1..=4).contains(&m.segment(b"hello")));
     }
 
     #[test]

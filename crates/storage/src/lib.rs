@@ -47,6 +47,6 @@ pub use cache::BlockCache;
 pub use io::{IoOp, IoPlan};
 pub use lsm::{LsmConfig, LsmTree};
 pub use memtable::Memtable;
-pub use sstable::{SsTable, TableId};
+pub use sstable::{Segment, SsTable, TableId};
 pub use types::{Cell, Key, Timestamp, Value};
 pub use wal::WriteAheadLog;

@@ -10,7 +10,7 @@ use crate::compaction::SizeTieredPolicy;
 use crate::io::{IoOp, IoPlan};
 use crate::memtable::{self, Memtable};
 use crate::merge::{clone_winners, MergeRef};
-use crate::sstable::{key_prefix, KeyPrefix, SsTable, TableId};
+use crate::sstable::{key_prefix, KeyPrefix, Segment, SsTable, TableId};
 use crate::types::{Cell, Key};
 use crate::wal::WriteAheadLog;
 
@@ -89,13 +89,16 @@ pub struct CompactionReceipt {
     pub write_bytes: u64,
 }
 
-/// A merge's position in one SSTable run: `run[from..]` is the part of the
-/// run the merge reads (for a scan, at or after its start key),
-/// `run[from..next]` what it has pulled so far. Yields each entry with its
-/// prefix from the run's prefix array.
+/// A merge's position in one SSTable run: entries `from..` are the part of
+/// the run the merge reads (for a scan, at or after its start key), entries
+/// `from..next` what it has pulled so far. Yields each entry with its
+/// prefix from its segment's prefix array, stepping from one segment to the
+/// next.
 struct RunCursor<'a> {
-    run: &'a [(Key, Cell)],
-    prefixes: &'a [KeyPrefix],
+    segments: &'a [Segment],
+    /// The segment being read, and the index in it of the next entry.
+    segment: usize,
+    at: usize,
     from: usize,
     next: usize,
 }
@@ -110,9 +113,11 @@ const PREFETCH_AHEAD: usize = 2;
 impl<'a> RunCursor<'a> {
     /// A cursor over `table` from entry `from` on.
     fn new(table: &'a SsTable, from: usize) -> Self {
+        let (segment, at) = table.locate(from);
         Self {
-            run: table.entries(),
-            prefixes: table.prefixes(),
+            segments: table.segments(),
+            segment,
+            at,
             from,
             next: from,
         }
@@ -120,11 +125,12 @@ impl<'a> RunCursor<'a> {
 
     /// The entries the merge emitted from this run, given the last key it
     /// emitted: everything it pulled except, from a run it did not exhaust,
-    /// one pending head beyond `end`.
+    /// one pending head beyond `end`. The last entry pulled is the one
+    /// before `at`: segments are never empty, so the cursor steps into one
+    /// only to pull from it.
     fn walked(&self, end: &Key) -> std::ops::Range<usize> {
-        let pending = self.run[self.from..self.next]
-            .last()
-            .is_some_and(|(key, _)| key > end);
+        let pending =
+            self.next > self.from && self.segments[self.segment].entries()[self.at - 1].0 > *end;
         self.from..self.next - usize::from(pending)
     }
 }
@@ -133,14 +139,20 @@ impl<'a> Iterator for RunCursor<'a> {
     type Item = (KeyPrefix, &'a (Key, Cell));
 
     fn next(&mut self) -> Option<Self::Item> {
-        let row = self.run.get(self.next)?;
-        if let Some((key, cell)) = self.run.get(self.next + PREFETCH_AHEAD) {
+        let mut rows = self.segments.get(self.segment)?;
+        if self.at == rows.len() {
+            rows = self.segments.get(self.segment + 1)?;
+            (self.segment, self.at) = (self.segment + 1, 0);
+        }
+        if let Some((key, cell)) = rows.entries().get(self.at + PREFETCH_AHEAD) {
             key.prefetch();
             if let Some(value) = &cell.value {
                 value.prefetch();
             }
         }
-        let prefix = self.prefixes[self.next];
+        let row = &rows.entries()[self.at];
+        let prefix = rows.prefixes()[self.at];
+        self.at += 1;
         self.next += 1;
         Some((prefix, row))
     }
@@ -433,7 +445,8 @@ impl LsmTree {
         }
         let watermark = self.wal.last_seq();
         let entries = self.memtable.drain_sorted();
-        let (id, bytes) = self.push_run(entries);
+        let table = self.build_run(entries);
+        let (id, bytes) = self.push_run(table);
         self.wal.truncate_through(watermark);
         let compaction_due = self.config.compaction.pick(&self.sizes).is_some();
         Some(FlushReceipt {
@@ -443,48 +456,37 @@ impl LsmTree {
         })
     }
 
-    /// Bulk-load `rows`, given in any order, as one new run, the way
-    /// Cassandra's `sstableloader` streams sorted SSTables in: no WAL append
-    /// and no memtable. A key given more than once keeps its newest version
-    /// by [`Cell::newer`], as the memtable would, so the run is the one that
-    /// `put` of every row and a `flush` into an empty memtable build. No
-    /// rows, no run.
-    ///
-    /// What is sorted is a `(prefix, index)` array, never the rows: an
-    /// integer compare per probe and the full keys only on a prefix tie.
-    /// Each key's winner then moves out of `rows` into an exactly sized run.
-    pub fn load_run(&mut self, rows: Vec<(Key, Cell)>) {
-        if rows.is_empty() {
+    /// Bulk-load `segments` as one new run, the way Cassandra's
+    /// `sstableloader` streams sorted SSTables in: no WAL append and no
+    /// memtable. The run holds the segments themselves, so a segment loaded
+    /// into several trees is stored once. Segments whose key ranges
+    /// interleave (a hashing partitioner's token ranges) are first merged
+    /// into one segment of this tree's own, as [`Segment::from_rows`] of
+    /// all their rows. Either way the run is the one that `put` of every
+    /// row and a `flush` into an empty memtable build. No rows, no run.
+    pub fn load_segments(&mut self, mut segments: Vec<Segment>) {
+        segments.retain(|s| !s.is_empty());
+        if segments.is_empty() {
             return;
         }
-        let mut order: Vec<(KeyPrefix, usize)> = rows
-            .iter()
-            .enumerate()
-            .map(|(i, (key, _))| (key_prefix(key), i))
-            .collect();
-        order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| rows[a.1].0.cmp(&rows[b.1].0)));
-        // One entry per key, pointing at its newest version.
-        order.dedup_by(|later, kept| {
-            let (old, new) = (&rows[kept.1], &rows[later.1]);
-            let same = later.0 == kept.0 && old.0 == new.0;
-            if same && !std::ptr::eq(Cell::newer(&old.1, &new.1), &old.1) {
-                kept.1 = later.1;
-            }
-            same
-        });
-        let mut slots: Vec<Option<(Key, Cell)>> = rows.into_iter().map(Some).collect();
-        let mut entries = Vec::with_capacity(order.len());
-        entries.extend(order.iter().filter_map(|&(_, i)| slots[i].take()));
-        // Freed before the build allocates the run's prefixes and bloom
-        // filter, which keeps them out of a bulk load's peak.
-        drop((order, slots));
-        self.push_run(entries);
+        segments.sort_unstable_by(|a, b| a.key_range().cmp(&b.key_range()));
+        if segments
+            .windows(2)
+            .any(|w| w[0].key_range().map(|r| r.1) >= w[1].key_range().map(|r| r.0))
+        {
+            let rows = segments
+                .iter()
+                .flat_map(Segment::entries)
+                .cloned()
+                .collect();
+            segments = vec![Segment::from_rows(rows)];
+        }
+        let id = self.next_id();
+        self.push_run(SsTable::from_segments(id, segments, self.config.block_size));
     }
 
-    /// Build `entries` into a run under the next table id and add it as the
-    /// newest run; returns its id and size.
-    fn push_run(&mut self, entries: Vec<(Key, Cell)>) -> (TableId, u64) {
-        let table = self.build_run(entries);
+    /// Add `table` as the newest run; returns its id and size.
+    fn push_run(&mut self, table: SsTable) -> (TableId, u64) {
         let (id, bytes) = (table.id(), table.total_bytes());
         self.tables.push(table);
         self.sizes.push((id, bytes));
@@ -493,9 +495,14 @@ impl LsmTree {
 
     /// A run of `entries` under the next table id.
     fn build_run(&mut self, entries: Vec<(Key, Cell)>) -> SsTable {
-        let id = TableId(self.next_table_id);
-        self.next_table_id += 1;
+        let id = self.next_id();
         SsTable::build(id, entries, self.config.block_size)
+    }
+
+    /// The id of the next run built.
+    fn next_id(&mut self) -> TableId {
+        self.next_table_id += 1;
+        TableId(self.next_table_id - 1)
     }
 
     fn rebuild_sizes(&mut self) {
@@ -846,11 +853,11 @@ mod tests {
     }
 
     #[test]
-    fn load_run_of_no_rows_adds_no_run() {
+    fn loading_no_rows_adds_no_run() {
         // An empty run would still be probed by every read: one more bloom
         // skip in each I/O plan.
         let mut tree = LsmTree::new(small_config());
-        tree.load_run(Vec::new());
+        tree.load_segments(vec![Segment::sorted(Vec::new())]);
         assert_eq!(tree.table_count(), 0);
         assert_eq!(tree.get(b"a").io.bloom_skips(), 0);
     }

@@ -11,11 +11,21 @@ use storage::compaction::SizeTieredPolicy;
 use storage::merge::{merge_entries, merge_runs};
 use storage::types::entry_encoded_len;
 use storage::{
-    BlockCache, Cell, IoOp, IoPlan, Key, LsmConfig, LsmTree, Memtable, SsTable, TableId,
+    BlockCache, Cell, IoOp, IoPlan, Key, LsmConfig, LsmTree, Memtable, Segment, SsTable, TableId,
 };
 
 fn key(id: u64) -> Bytes {
     Bytes::from(format!("user{id:08}").into_bytes())
+}
+
+/// A run's rows, its segments concatenated.
+fn table_rows(table: &SsTable) -> Vec<(Key, Cell)> {
+    table
+        .segments()
+        .iter()
+        .flat_map(Segment::entries)
+        .cloned()
+        .collect()
 }
 
 /// The pre-streaming merge implementation, preserved verbatim as the
@@ -141,8 +151,8 @@ impl ScanModel {
     fn scan(&mut self, start: &[u8], limit: usize) -> (Vec<(Key, Cell)>, IoPlan) {
         let mut all = self.mem.clone();
         for run in &self.runs {
-            for (key, cell) in run.entries() {
-                reconcile_into(&mut all, key.clone(), cell.clone());
+            for (key, cell) in table_rows(run) {
+                reconcile_into(&mut all, key, cell);
             }
         }
         let mut rows = Vec::new();
@@ -172,7 +182,7 @@ impl ScanModel {
         end: &Key,
         io: &mut IoPlan,
     ) {
-        let entries = table.entries();
+        let entries = table_rows(table);
         let lo = entries.partition_point(|(k, _)| k.as_ref() < start);
         // One past the last entry <= end.
         let hi = entries.partition_point(|(k, _)| k <= end);
@@ -429,7 +439,7 @@ proptest! {
         let present = keys.iter().cloned();
         let outside = [Vec::new(), vec![0xff; 20]];
         for probe in probes.into_iter().chain(present).chain(outside) {
-            let want = table.entries().partition_point(|(k, _)| k.as_ref() < probe.as_slice());
+            let want = table_rows(&table).partition_point(|(k, _)| k.as_ref() < probe.as_slice());
             prop_assert_eq!(table.lower_bound(&probe), want, "probe {:?}", probe);
         }
     }
@@ -462,8 +472,7 @@ proptest! {
         prop_assert!(table.block_count() > 2 * 64, "{} blocks", table.block_count());
         let outside = [Vec::new(), vec![0xff; 20]];
         for probe in probes.iter().chain(&keys).chain(&outside) {
-            let want = table
-                .entries()
+            let want = table_rows(&table)
                 .iter()
                 .rposition(|(k, _)| k.as_ref() <= probe.as_slice())
                 .map(|last| table.block_of_entry(last));
@@ -530,20 +539,20 @@ proptest! {
         prop_assert_eq!(tree.cache_stats(), model.cache.stats());
     }
 
-    /// `LsmTree::load_run` against the path it replaced: a twin with a tiny
-    /// flush threshold `put`s the same rows, flushing as it fills, then
-    /// flushes and runs a major compaction (a compaction in between may
-    /// purge a tombstone that a later row with no newer timestamp would
-    /// then resurrect), while the tree
-    /// under test flushes, loads the rows as one run and runs a major
-    /// compaction. Rows come in any order, with duplicate keys at equal and
+    /// `LsmTree::load_segments` of one segment against the path it
+    /// replaced: a twin with a tiny flush threshold `put`s the same rows,
+    /// flushing as it fills, then flushes and runs a major compaction (a
+    /// compaction in between may purge a tombstone that a later row with no
+    /// newer timestamp would then resurrect), while the tree under test
+    /// flushes, loads the rows as one run and runs a major compaction. Rows
+    /// come in any order, with duplicate keys at equal and
     /// different timestamps and some tombstones, over keys that tie on
     /// their 16-byte prefix, on top of runs and memtable rows both trees
     /// already hold. Every key reads the same (a tombstone counting as
     /// absent) and a full scan returns the same rows; loading only live
     /// rows into an empty tree builds the twin's run exactly.
     #[test]
-    fn load_run_matches_put_flush_compact(
+    fn bulk_load_matches_put_flush_compact(
         // (key, cell, flush after): what both trees hold beforehand
         held in prop::collection::vec((arb_prefix_key(), arb_tie_cell(), (0u32..100).prop_map(|p| p < 10)), 0..60),
         rows in prop::collection::vec((arb_prefix_key(), arb_tie_cell()), 0..200),
@@ -588,7 +597,7 @@ proptest! {
         twin.flush();
         twin.compact_all();
         tree.flush();
-        tree.load_run(rows);
+        tree.load_segments(vec![Segment::from_rows(rows)]);
         tree.compact_all();
 
         let live = |t: &mut LsmTree, k: &Key| t.get(k).cell.filter(|c| !c.is_tombstone());
@@ -599,14 +608,71 @@ proptest! {
         if fresh && all_live {
             prop_assert_eq!(tree.runs().len(), twin.runs().len());
             for (a, b) in tree.runs().iter().zip(twin.runs()) {
-                prop_assert_eq!(a.entries(), b.entries());
-                prop_assert_eq!(a.prefixes(), b.prefixes());
+                prop_assert_eq!(table_rows(a), table_rows(b));
                 prop_assert_eq!(a.block_count(), b.block_count());
                 for block in 0..a.block_count() {
                     prop_assert_eq!(a.block_len(block), b.block_len(block), "block {}", block);
                 }
             }
         }
+    }
+
+    /// `LsmTree::load_segments` of the rows cut into segments — at key
+    /// boundaries, so the run holds the segments themselves, or dealt out
+    /// round-robin, so their key ranges interleave and are merged first —
+    /// builds the run that loading them as one segment builds: the same
+    /// rows, blocks and bloom filter, so every get and scan returns the
+    /// same rows and charges the same I/O, over keys that tie on their
+    /// 16-byte prefix.
+    #[test]
+    fn load_segments_matches_one_segment(
+        keys in prop::collection::btree_set(arb_prefix_key(), 1..300),
+        cuts in prop::collection::vec(0usize..300, 0..6),
+        interleave in prop::bool::ANY,
+        probes in prop::collection::vec(arb_prefix_key(), 1..20),
+    ) {
+        let config = LsmConfig {
+            block_size: 64,
+            memtable_flush_bytes: u64::MAX,
+            cache_bytes: 512, // a few blocks: gets and scans evict
+            compaction: SizeTieredPolicy::default(),
+        };
+        let rows: Vec<(Key, Cell)> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, k)| (Bytes::from(k.clone()), Cell::live(key(i as u64), 1)))
+            .collect();
+        let pieces: Vec<Vec<(Key, Cell)>> = if interleave {
+            let n = cuts.len() + 1;
+            (0..n).map(|j| rows.iter().skip(j).step_by(n).cloned().collect()).collect()
+        } else {
+            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (rows.len() + 1)).collect();
+            bounds.extend([0, rows.len()]);
+            bounds.sort_unstable();
+            bounds.windows(2).map(|w| rows[w[0]..w[1]].to_vec()).collect()
+        };
+        // Reversed: `load_segments` puts them in key order itself.
+        let segments: Vec<Segment> = pieces.into_iter().rev().map(Segment::from_rows).collect();
+        let mut tree = LsmTree::new(config);
+        tree.load_segments(segments.clone());
+        let mut twin = LsmTree::new(config);
+        twin.load_segments(vec![Segment::from_rows(rows)]);
+        let (a, b) = (&tree.runs()[0], &twin.runs()[0]);
+        prop_assert_eq!(table_rows(a), table_rows(b));
+        prop_assert_eq!(a.block_count(), b.block_count());
+        for block in 0..a.block_count() {
+            prop_assert_eq!(a.block_len(block), b.block_len(block), "block {}", block);
+        }
+        if !interleave {
+            for s in segments.iter().filter(|s| !s.is_empty()) {
+                prop_assert!(a.segments().iter().any(|held| held.shares_storage_with(s)));
+            }
+        }
+        for probe in probes.iter().chain(&keys) {
+            prop_assert_eq!(tree.get(probe), twin.get(probe), "get {:?}", probe);
+            prop_assert_eq!(tree.scan(probe, 7), twin.scan(probe, 7), "scan {:?}", probe);
+        }
+        prop_assert_eq!(tree.cache_stats(), twin.cache_stats());
     }
 
     /// Every key written into an SSTable is found; absent keys are not.
