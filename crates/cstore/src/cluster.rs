@@ -1244,7 +1244,10 @@ impl SimStore for Cluster {
         }
         for (node, segments) in self.nodes.iter_mut().zip(held) {
             node.lsm.flush();
-            node.lsm.load_segments(segments);
+            if !segments.is_empty() {
+                let id = node.lsm.reserve_table_id();
+                node.lsm.load_segments(id, segments);
+            }
             node.lsm.compact_all();
             node.lsm.sync_wal();
         }

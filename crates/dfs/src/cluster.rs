@@ -95,25 +95,25 @@ impl DfsCluster {
 
     /// Append one block of `len` bytes to `file`, written from `writer`.
     /// Stores a replica on every pipeline node and registers the block.
+    /// `None` when no datanode is up: nothing is stored or registered.
     pub fn append_block(
         &mut self,
         file: FileId,
         len: u64,
         writer: NodeId,
         rng: &mut SimRng,
-    ) -> BlockWrite {
+    ) -> Option<BlockWrite> {
         let pipeline = self.place(writer, rng);
-        assert!(
-            !pipeline.is_empty(),
-            "no live datanodes available for placement"
-        );
+        if pipeline.is_empty() {
+            return None;
+        }
         let block = self
             .namenode
             .add_block(file, len, pipeline.clone(), self.replication);
         for &node in &pipeline {
             self.datanodes[node.index()].store(block, len);
         }
-        BlockWrite { block, pipeline }
+        Some(BlockWrite { block, pipeline })
     }
 
     /// Replica locations of a block (namenode view).
@@ -241,7 +241,9 @@ mod tests {
     fn pipeline_is_writer_local_first_and_distinct() {
         let mut fs = DfsCluster::new(10, 3);
         let f = fs.create_file();
-        let w = fs.append_block(f, 100, NodeId(4), &mut rng());
+        let w = fs
+            .append_block(f, 100, NodeId(4), &mut rng())
+            .expect("a live datanode");
         assert_eq!(w.pipeline.len(), 3);
         assert_eq!(w.pipeline[0], NodeId(4));
         let mut uniq = w.pipeline.clone();
@@ -254,7 +256,9 @@ mod tests {
     fn replicas_actually_stored() {
         let mut fs = DfsCluster::new(5, 3);
         let f = fs.create_file();
-        let w = fs.append_block(f, 64, NodeId(0), &mut rng());
+        let w = fs
+            .append_block(f, 64, NodeId(0), &mut rng())
+            .expect("a live datanode");
         for &n in &w.pipeline {
             assert!(fs.datanode(n).has(w.block));
             assert_eq!(fs.datanode(n).used_bytes(), 64);
@@ -266,7 +270,9 @@ mod tests {
     fn replication_clamped_by_cluster_size() {
         let mut fs = DfsCluster::new(2, 3);
         let f = fs.create_file();
-        let w = fs.append_block(f, 10, NodeId(0), &mut rng());
+        let w = fs
+            .append_block(f, 10, NodeId(0), &mut rng())
+            .expect("a live datanode");
         assert_eq!(w.pipeline.len(), 2, "only two nodes exist");
         assert!(fs.namenode().block(w.block).unwrap().under_replicated());
     }
@@ -275,7 +281,9 @@ mod tests {
     fn short_circuit_read_prefers_local() {
         let mut fs = DfsCluster::new(6, 3);
         let f = fs.create_file();
-        let w = fs.append_block(f, 10, NodeId(2), &mut rng());
+        let w = fs
+            .append_block(f, 10, NodeId(2), &mut rng())
+            .expect("a live datanode");
         assert_eq!(fs.pick_read_replica(w.block, NodeId(2)), Some(NodeId(2)));
         // A non-holder reads from the first live replica.
         let non_holder = (0..6u32)
@@ -290,8 +298,10 @@ mod tests {
     fn delete_frees_all_replica_space() {
         let mut fs = DfsCluster::new(5, 3);
         let f = fs.create_file();
-        fs.append_block(f, 100, NodeId(0), &mut rng());
-        fs.append_block(f, 50, NodeId(0), &mut rng());
+        fs.append_block(f, 100, NodeId(0), &mut rng())
+            .expect("a live datanode");
+        fs.append_block(f, 50, NodeId(0), &mut rng())
+            .expect("a live datanode");
         let total_before: u64 = fs.node_used_bytes().iter().sum();
         assert_eq!(total_before, 150 * 3);
         assert_eq!(fs.delete_file(f), 150 * 3);
@@ -303,7 +313,9 @@ mod tests {
         let mut r = rng();
         let mut fs = DfsCluster::new(8, 3);
         let f = fs.create_file();
-        let w = fs.append_block(f, 100, NodeId(0), &mut r);
+        let w = fs
+            .append_block(f, 100, NodeId(0), &mut r)
+            .expect("a live datanode");
         let victim = w.pipeline[1];
         let damaged = fs.fail_node(victim);
         assert_eq!(damaged, vec![w.block]);
@@ -323,7 +335,9 @@ mod tests {
         let mut r = rng();
         let mut fs = DfsCluster::new(3, 3);
         let f = fs.create_file();
-        let w = fs.append_block(f, 10, NodeId(0), &mut r);
+        let w = fs
+            .append_block(f, 10, NodeId(0), &mut r)
+            .expect("a live datanode");
         fs.fail_node(NodeId(1));
         assert_eq!(fs.locations(w.block).len(), 2);
         // No spare node exists, so re-replication cannot help.
@@ -334,11 +348,27 @@ mod tests {
     }
 
     #[test]
+    fn a_block_with_no_live_datanode_is_not_placed() {
+        let mut r = rng();
+        let mut fs = DfsCluster::new(2, 2);
+        fs.fail_node(NodeId(0));
+        fs.fail_node(NodeId(1));
+        let f = fs.create_file();
+        let before = r.clone();
+        assert_eq!(fs.append_block(f, 10, NodeId(0), &mut r), None);
+        assert_eq!(fs.namenode().file(f), Some(&[][..]));
+        assert_eq!(fs.node_used_bytes(), vec![0, 0]);
+        assert_eq!(r, before, "no placement, no draw");
+    }
+
+    #[test]
     fn reads_skip_dead_replicas() {
         let mut r = rng();
         let mut fs = DfsCluster::new(5, 2);
         let f = fs.create_file();
-        let w = fs.append_block(f, 10, NodeId(0), &mut r);
+        let w = fs
+            .append_block(f, 10, NodeId(0), &mut r)
+            .expect("a live datanode");
         fs.fail_node(w.pipeline[0]);
         let picked = fs.pick_read_replica(w.block, w.pipeline[0]);
         assert_eq!(picked, Some(w.pipeline[1]));
@@ -351,7 +381,8 @@ mod tests {
         let f = fs.create_file();
         // Writers round-robin, many blocks.
         for i in 0..3000u32 {
-            fs.append_block(f, 1, NodeId(i % 10), &mut r);
+            fs.append_block(f, 1, NodeId(i % 10), &mut r)
+                .expect("a live datanode");
         }
         let usage = fs.node_used_bytes();
         let (min, max) = (

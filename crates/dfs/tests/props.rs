@@ -22,7 +22,7 @@ proptest! {
         let f = fs.create_file();
         for (writer, len) in writes {
             let writer = NodeId(writer % nodes as u32);
-            let w = fs.append_block(f, len, writer, &mut rng);
+            let w = fs.append_block(f, len, writer, &mut rng).expect("a live datanode");
             let mut uniq = w.pipeline.clone();
             uniq.sort();
             uniq.dedup();
@@ -50,7 +50,7 @@ proptest! {
         let f = fs.create_file();
         let mut expect = 0u64;
         for (i, &len) in lens.iter().enumerate() {
-            let w = fs.append_block(f, len, NodeId((i % nodes) as u32), &mut rng);
+            let w = fs.append_block(f, len, NodeId((i % nodes) as u32), &mut rng).expect("a live datanode");
             expect += len * w.pipeline.len() as u64;
         }
         prop_assert_eq!(fs.node_used_bytes().iter().sum::<u64>(), expect);
@@ -73,7 +73,7 @@ proptest! {
         let mut fs = DfsCluster::new(nodes, rf);
         let f = fs.create_file();
         for i in 0..blocks {
-            fs.append_block(f, 100, NodeId((i % nodes) as u32), &mut rng);
+            fs.append_block(f, 100, NodeId((i % nodes) as u32), &mut rng).expect("a live datanode");
         }
         let victim = NodeId(victim % nodes as u32);
         fs.fail_node(victim);

@@ -16,7 +16,7 @@ use obs::Stage;
 use simkit::{NodeId, OpKey, OpTag, Sim, SimRng, SimTime};
 use storage::lsm::CompactionReceipt;
 use storage::types::entry_encoded_len;
-use storage::{Cell, Completion, IoOp, Key, OpError, OpResult, StoreOp, TableId, Value};
+use storage::{Cell, Completion, IoOp, Key, OpError, OpResult, Segment, StoreOp, TableId, Value};
 
 use crate::config::HStoreConfig;
 use crate::event::Event;
@@ -67,6 +67,18 @@ struct ScanState {
     limit: usize,
 }
 
+/// A region's rows queued by `load_direct` since the last `flush_all`, and
+/// how far the replay of their HFile history has got.
+#[derive(Debug, Clone, Default)]
+struct RegionLoad {
+    rows: Vec<(Key, Cell)>,
+    /// What the memstore would hold: the encoded bytes of the rows queued
+    /// since the last replayed flush.
+    memstore_bytes: u64,
+    /// The newest replayed HFile: its table id and bytes.
+    hfile: Option<(TableId, u64)>,
+}
+
 /// A simulated HBase-analog cluster.
 #[derive(Debug, Clone)]
 pub struct Cluster {
@@ -85,6 +97,9 @@ pub struct Cluster {
     /// Accumulated `apply - commit` gap across all WAL ships, for the mean
     /// replication window.
     ship_window_sum: u64,
+    /// Per-region bulk-load queues, one per region once a load begins.
+    /// `flush_all` takes the whole `Vec`, so snapshots clone nothing.
+    loading: Vec<RegionLoad>,
 }
 
 impl Cluster {
@@ -101,7 +116,7 @@ impl Cluster {
                 let w = fs.append_block(file, 0, NodeId(i as u32), &mut rng);
                 WalState {
                     file,
-                    pipeline: w.pipeline,
+                    pipeline: w.map_or_else(Vec::new, |w| w.pipeline),
                     inflight: false,
                     waiting: Vec::new(),
                     waiting_bytes: 0,
@@ -130,6 +145,7 @@ impl Cluster {
             rng,
             follower_watermark: vec![0; followers],
             ship_window_sum: 0,
+            loading: Vec::new(),
         }
     }
 
@@ -159,12 +175,14 @@ impl Cluster {
 
     /// Write region `idx`'s table `table` as one HFile of `bytes` through
     /// the `dfs` pipeline from the region's server; returns the pipeline.
+    /// With no datanode up the HFile gets no replica, as if every replica
+    /// had died, and the pipeline is empty.
     fn write_hfile(&mut self, idx: usize, table: TableId, bytes: u64) -> Vec<NodeId> {
         let file = self.fs.create_file();
         let server = self.regions.get(idx).server;
         let w = self.fs.append_block(file, bytes, server, &mut self.rng);
         self.regions.get_mut(idx).hfiles.insert(table, file);
-        w.pipeline
+        w.map_or_else(Vec::new, |w| w.pipeline)
     }
 
     /// Install region `idx`'s compaction `c`: write its output HFile, then
@@ -190,6 +208,34 @@ impl Cluster {
             self.install_compaction(idx, &c);
         }
         self.regions.get_mut(idx).lsm.sync_wal();
+    }
+
+    /// Replay, for region `idx`'s bulk load, the `dfs` side of one
+    /// [`Cluster::flush_region_functional`] a row-by-row load would have
+    /// run: the flush of `bytes` as an HFile then, when the load already
+    /// left the HFile `prev`, the major compaction of the two. Table ids
+    /// are reserved as the flush and the compaction would have taken them.
+    /// Returns the HFile the region is left with.
+    fn replay_load_flush(
+        &mut self,
+        idx: usize,
+        prev: Option<(TableId, u64)>,
+        bytes: u64,
+    ) -> (TableId, u64) {
+        let flushed = self.regions.get_mut(idx).lsm.reserve_table_id();
+        self.write_hfile(idx, flushed, bytes);
+        let Some((prev, prev_bytes)) = prev else {
+            return (flushed, bytes);
+        };
+        let merged = prev_bytes + bytes;
+        let c = CompactionReceipt {
+            inputs: vec![prev, flushed],
+            output: self.regions.get_mut(idx).lsm.reserve_table_id(),
+            read_bytes: merged,
+            write_bytes: merged,
+        };
+        self.install_compaction(idx, &c);
+        (c.output, merged)
     }
 
     // ----- plumbing -----
@@ -423,7 +469,7 @@ impl Cluster {
             let len = self.wals[server.index()].block_bytes;
             let w = self.fs.append_block(file, len, server, &mut self.rng);
             let wal = &mut self.wals[server.index()];
-            wal.pipeline = w.pipeline;
+            wal.pipeline = w.map_or_else(Vec::new, |w| w.pipeline);
             wal.block_bytes = 0;
             self.metrics.wal_blocks_rolled += 1;
         }
@@ -773,17 +819,48 @@ impl SimStore for Cluster {
         self.rt.drain_completions_into(out);
     }
 
+    /// Queues the row under its region and, whenever the region's queued
+    /// bytes reach the memstore flush threshold, replays the `dfs` side of
+    /// the flush and major compaction a row-by-row load would have run
+    /// there: HFile placements draw on the cluster RNG, which every later
+    /// placement reads. The replay is exact when the region held nothing
+    /// as the load began and the load's keys are distinct, as in
+    /// `driver::load`; otherwise every key still reads its newest version,
+    /// but the HFile history may differ.
     fn load_direct(&mut self, key: Key, value: Value, ts: u64) {
         let idx = self.regions.region_of(&key);
-        let region = self.regions.get_mut(idx);
-        region.lsm.put(key, Cell::live(value, ts));
-        if region.lsm.memtable_bytes() >= region.lsm.config().memtable_flush_bytes {
-            self.flush_region_functional(idx);
+        if self.loading.is_empty() {
+            self.loading
+                .resize_with(self.regions.len(), RegionLoad::default);
+        }
+        let threshold = self.regions.get(idx).lsm.config().memtable_flush_bytes;
+        let cell = Cell::live(value, ts);
+        let load = &mut self.loading[idx];
+        load.memstore_bytes += entry_encoded_len(&key, &cell);
+        load.rows.push((key, cell));
+        if load.memstore_bytes >= threshold {
+            let (prev, bytes) = (load.hfile, std::mem::take(&mut load.memstore_bytes));
+            let hfile = self.replay_load_flush(idx, prev, bytes);
+            self.loading[idx].hfile = Some(hfile);
         }
     }
 
+    /// Per region: replays the last flush and compaction of the load, sorts
+    /// the loaded rows once into one run under the id of the HFile the
+    /// replay ended with, then flushes and compacts whatever else the
+    /// region holds (run-time writes, an earlier load's run).
     fn flush_all(&mut self) {
+        let mut loads = std::mem::take(&mut self.loading).into_iter();
         for idx in 0..self.regions.len() {
+            let load = loads.next().unwrap_or_default();
+            let mut hfile = load.hfile;
+            if load.memstore_bytes > 0 {
+                hfile = Some(self.replay_load_flush(idx, hfile, load.memstore_bytes));
+            }
+            if let Some((id, _)) = hfile {
+                let run = vec![Segment::from_rows(load.rows)];
+                self.regions.get_mut(idx).lsm.load_segments(id, run);
+            }
             self.flush_region_functional(idx);
         }
     }
@@ -1342,5 +1419,223 @@ mod tests {
         assert_eq!(n0, n1);
         assert!(d1 > d0, "ship events were dispatched");
         assert!(t1 > 0);
+    }
+
+    #[test]
+    fn a_flush_after_every_datanode_died_writes_an_hfile_with_no_replica() {
+        // Two servers, one region each, and a memstore that one write
+        // fills. Both servers crash while each has a WAL group in flight;
+        // the groups still commit, and each apply flushes an HFile that no
+        // live datanode can hold.
+        let mut cfg = HStoreConfig::paper_testbed(2, vec![key(50)]);
+        cfg.node.topology = simkit::Topology::single_rack(2, cfg.node.profile.nic.prop_us);
+        cfg.lsm.memtable_flush_bytes = 64;
+        let mut h = Harness::new(cfg);
+        let tokens: Vec<u64> = [1, 2, 60, 61]
+            .map(|i| {
+                h.submit(StoreOp::Insert {
+                    key: key(i),
+                    value: Bytes::from(vec![5u8; 100]),
+                })
+            })
+            .to_vec();
+        let mut out = Vec::new();
+        let mut arrivals = 0;
+        while let Some(Ev::Store(ev)) = h.sim.next() {
+            let was_arrive = matches!(ev, Event::Arrive { .. });
+            h.cluster.handle(&mut h.sim, ev);
+            out.extend(h.cluster.drain_completions());
+            if was_arrive {
+                arrivals += 1;
+                if arrivals == 4 {
+                    for n in 0..2 {
+                        faults::FaultTarget::apply_crash(&mut h.cluster, &mut h.sim, NodeId(n));
+                    }
+                }
+            }
+        }
+        let mut settled: Vec<u64> = out.iter().map(|c| c.token).collect();
+        settled.sort_unstable();
+        assert_eq!(settled, tokens, "every write settles once");
+        assert_eq!(h.cluster.metrics.flushes, 2);
+        for region in h.cluster.regions().iter() {
+            assert_eq!(region.hfiles.len(), 1);
+            for file in region.hfiles.values() {
+                assert_eq!(h.cluster.fs.namenode().file(*file), Some(&[][..]));
+            }
+        }
+    }
+
+    /// The rows of `ids`, in an order that interleaves the regions as
+    /// hashed keys do, with 40-byte values (73-byte entries) at `ts`.
+    fn rows(ids: impl Iterator<Item = u64>, ts: u64) -> Vec<(Key, Value, u64)> {
+        let mut ids: Vec<u64> = ids.collect();
+        ids.sort_by_key(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        ids.into_iter()
+            .map(|i| (key(i), Bytes::from(vec![b'v'; 40]), ts))
+            .collect()
+    }
+
+    /// The row-by-row load that `load_direct` and `flush_all` replay: each
+    /// row through the WAL and the memstore, a flush and major compaction
+    /// whenever the memstore fills, then one more for every region.
+    fn load_per_row(c: &mut Cluster, rows: &[(Key, Value, u64)]) {
+        for (key, value, ts) in rows {
+            let idx = c.regions.region_of(key);
+            let lsm = &mut c.regions.get_mut(idx).lsm;
+            lsm.put(key.clone(), Cell::live(value.clone(), *ts));
+            if lsm.memtable_bytes() >= lsm.config().memtable_flush_bytes {
+                c.flush_region_functional(idx);
+            }
+        }
+        for idx in 0..c.regions.len() {
+            c.flush_region_functional(idx);
+        }
+    }
+
+    fn bulk_load(c: &mut Cluster, rows: &[(Key, Value, u64)]) {
+        for (key, value, ts) in rows {
+            c.load_direct(key.clone(), value.clone(), *ts);
+        }
+        c.flush_all();
+    }
+
+    /// A run: its id, rows, block count and bytes.
+    type Run = (TableId, Vec<(Key, Cell)>, usize, u64);
+
+    /// A file's blocks, each with its replicas and length.
+    type Blocks = Vec<(dfs::BlockId, Vec<NodeId>, u64)>;
+
+    /// What a load leaves that later simulation reads, but for the block
+    /// cache, which a load leaves empty.
+    #[derive(Debug, PartialEq)]
+    struct Loaded {
+        /// Per region.
+        runs: Vec<Vec<Run>>,
+        hfiles: Vec<Vec<(TableId, dfs::FileId)>>,
+        next_table: Vec<TableId>,
+        /// Every WAL and HFile.
+        files: Vec<(dfs::FileId, Blocks)>,
+        used: Vec<u64>,
+        rng: SimRng,
+    }
+
+    fn loaded(c: &Cluster) -> Loaded {
+        let runs = c
+            .regions
+            .iter()
+            .map(|r| {
+                r.lsm
+                    .runs()
+                    .iter()
+                    .map(|t| {
+                        let rows = t.segments().iter().flat_map(Segment::entries);
+                        (
+                            t.id(),
+                            rows.cloned().collect(),
+                            t.block_count(),
+                            t.total_bytes(),
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        let hfiles: Vec<Vec<_>> = c
+            .regions
+            .iter()
+            .map(|r| {
+                let mut files: Vec<_> = r.hfiles.iter().map(|(&t, &f)| (t, f)).collect();
+                files.sort_unstable();
+                files
+            })
+            .collect();
+        let nn = c.fs.namenode();
+        let wal_files = c.wals.iter().map(|w| w.file);
+        let files = wal_files
+            .chain(hfiles.iter().flatten().map(|&(_, f)| f))
+            .map(|f| {
+                let blocks = nn.file(f).expect("live file").iter().map(|&b| {
+                    let meta = nn.block(b).expect("registered block");
+                    (b, meta.replicas.clone(), meta.len)
+                });
+                (f, blocks.collect())
+            })
+            .collect();
+        Loaded {
+            runs,
+            hfiles,
+            next_table: c
+                .regions
+                .iter()
+                .map(|r| r.lsm.clone().reserve_table_id())
+                .collect(),
+            files,
+            used: c.fs.node_used_bytes(),
+            rng: c.rng.clone(),
+        }
+    }
+
+    /// Load `loads` in turn into one cluster through `load_direct` and
+    /// `flush_all`, and into a twin row by row. With `exact`, the two must
+    /// leave the same [`Loaded`] state and then, after a crash with
+    /// synchronous failover, serve the same reads and writes at the same
+    /// times; otherwise they must hold the same rows.
+    fn check_replay(cfg: HStoreConfig, loads: &[Vec<(Key, Value, u64)>], exact: bool) {
+        let mut bulk = Harness::new(cfg.clone());
+        let mut per_row = Harness::new(cfg);
+        for rows in loads {
+            bulk_load(&mut bulk.cluster, rows);
+            load_per_row(&mut per_row.cluster, rows);
+        }
+        let (a, b) = (loaded(&bulk.cluster), loaded(&per_row.cluster));
+        if !exact {
+            let rows = |l: &Loaded| -> Vec<Vec<(Key, Cell)>> {
+                let runs = l.runs.iter();
+                runs.map(|r| r.iter().flat_map(|run| run.1.clone()).collect())
+                    .collect()
+            };
+            assert_eq!(rows(&a), rows(&b));
+            return;
+        }
+        assert_eq!(a, b);
+        let serve = |h: &mut Harness| {
+            let victim = h.cluster.regions().get(0).server;
+            faults::FaultTarget::apply_crash(&mut h.cluster, &mut h.sim, victim);
+            for i in 0..300u64 {
+                h.submit(StoreOp::Read {
+                    key: key(i * 7 % 1000),
+                });
+                h.submit(StoreOp::Update {
+                    key: key(i * 3 % 1000),
+                    value: Bytes::from(vec![b'w'; 40]),
+                });
+            }
+            (h.run(), h.sim.now(), loaded(&h.cluster))
+        };
+        assert_eq!(serve(&mut bulk), serve(&mut per_row));
+    }
+
+    fn replay_config(records: u64, flush_bytes: u64) -> HStoreConfig {
+        let mut cfg = config(3, 5, records);
+        cfg.lsm.memtable_flush_bytes = flush_bytes;
+        cfg
+    }
+
+    #[test]
+    fn bulk_load_replays_the_flush_per_threshold_history() {
+        // 200 rows of 73 B per region and a 2 KB memstore: six flushes and
+        // five compactions per region mid-load, one more of each at the end.
+        check_replay(replay_config(1000, 2_048), &[rows(0..1000, 1)], true);
+        // 150 rows per region, 30 per flush: every region's last row lands
+        // exactly on the threshold, so its last HFile id is taken mid-load.
+        check_replay(replay_config(750, 30 * 73), &[rows(0..750, 1)], true);
+        // Region 2 (keys 400..600) gets no rows.
+        let sparse = rows((0..1000).filter(|i| !(400..600).contains(i)), 1);
+        check_replay(replay_config(1000, 2_048), &[sparse], true);
+        check_replay(replay_config(1000, 2_048), &[rows(500..501, 1)], true);
+        // A second load into a loaded store, overwriting half the first:
+        // every key reads its newest version.
+        let again = [rows(0..500, 1), rows(250..1000, 2)];
+        check_replay(replay_config(1000, 2_048), &again, false);
     }
 }

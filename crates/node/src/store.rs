@@ -80,7 +80,9 @@ pub trait SimStore {
     }
 
     /// Bulk-load one record functionally (no virtual time). Loaded records
-    /// become readable at [`SimStore::flush_all`].
+    /// are queued and become readable at [`SimStore::flush_all`], which
+    /// sorts them once; a store may meanwhile replay side effects that a
+    /// record-by-record load would have had (hstore's HFile placements).
     fn load_direct(&mut self, key: Key, value: Value, ts: u64);
 
     /// Write loaded records and memtables/memstores to sorted runs

@@ -456,15 +456,19 @@ impl LsmTree {
         })
     }
 
-    /// Bulk-load `segments` as one new run, the way Cassandra's
-    /// `sstableloader` streams sorted SSTables in: no WAL append and no
-    /// memtable. The run holds the segments themselves, so a segment loaded
-    /// into several trees is stored once. Segments whose key ranges
+    /// Bulk-load `segments` as one new run with id `id`, the way
+    /// Cassandra's `sstableloader` streams sorted SSTables in: no WAL append
+    /// and no memtable. The run holds the segments themselves, so a segment
+    /// loaded into several trees is stored once. Segments whose key ranges
     /// interleave (a hashing partitioner's token ranges) are first merged
     /// into one segment of this tree's own, as [`Segment::from_rows`] of
     /// all their rows. Either way the run is the one that `put` of every
     /// row and a `flush` into an empty memtable build. No rows, no run.
-    pub fn load_segments(&mut self, mut segments: Vec<Segment>) {
+    ///
+    /// `id` comes from [`LsmTree::reserve_table_id`], possibly long before:
+    /// a caller that replays the flushes a row-by-row load would have made
+    /// reserves the ids as those flushes would have taken them.
+    pub fn load_segments(&mut self, id: TableId, mut segments: Vec<Segment>) {
         segments.retain(|s| !s.is_empty());
         if segments.is_empty() {
             return;
@@ -481,7 +485,6 @@ impl LsmTree {
                 .collect();
             segments = vec![Segment::from_rows(rows)];
         }
-        let id = self.next_id();
         self.push_run(SsTable::from_segments(id, segments, self.config.block_size));
     }
 
@@ -495,12 +498,14 @@ impl LsmTree {
 
     /// A run of `entries` under the next table id.
     fn build_run(&mut self, entries: Vec<(Key, Cell)>) -> SsTable {
-        let id = self.next_id();
+        let id = self.reserve_table_id();
         SsTable::build(id, entries, self.config.block_size)
     }
 
-    /// The id of the next run built.
-    fn next_id(&mut self) -> TableId {
+    /// Take the next table id: the one the next flush, compaction or load
+    /// would have taken. Ids are never reused, so an id taken and left
+    /// unused is skipped.
+    pub fn reserve_table_id(&mut self) -> TableId {
         self.next_table_id += 1;
         TableId(self.next_table_id - 1)
     }
@@ -857,7 +862,8 @@ mod tests {
         // An empty run would still be probed by every read: one more bloom
         // skip in each I/O plan.
         let mut tree = LsmTree::new(small_config());
-        tree.load_segments(vec![Segment::sorted(Vec::new())]);
+        let id = tree.reserve_table_id();
+        tree.load_segments(id, vec![Segment::sorted(Vec::new())]);
         assert_eq!(tree.table_count(), 0);
         assert_eq!(tree.get(b"a").io.bloom_skips(), 0);
     }

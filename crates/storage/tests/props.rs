@@ -597,7 +597,8 @@ proptest! {
         twin.flush();
         twin.compact_all();
         tree.flush();
-        tree.load_segments(vec![Segment::from_rows(rows)]);
+        let id = tree.reserve_table_id();
+        tree.load_segments(id, vec![Segment::from_rows(rows)]);
         tree.compact_all();
 
         let live = |t: &mut LsmTree, k: &Key| t.get(k).cell.filter(|c| !c.is_tombstone());
@@ -654,9 +655,11 @@ proptest! {
         // Reversed: `load_segments` puts them in key order itself.
         let segments: Vec<Segment> = pieces.into_iter().rev().map(Segment::from_rows).collect();
         let mut tree = LsmTree::new(config);
-        tree.load_segments(segments.clone());
+        let id = tree.reserve_table_id();
+        tree.load_segments(id, segments.clone());
         let mut twin = LsmTree::new(config);
-        twin.load_segments(vec![Segment::from_rows(rows)]);
+        let id = twin.reserve_table_id();
+        twin.load_segments(id, vec![Segment::from_rows(rows)]);
         let (a, b) = (&tree.runs()[0], &twin.runs()[0]);
         prop_assert_eq!(table_rows(a), table_rows(b));
         prop_assert_eq!(a.block_count(), b.block_count());

@@ -19,6 +19,9 @@ pub struct Zipfian {
     zetan: f64,
     zeta2: f64,
     eta: f64,
+    /// `1 + 0.5^theta`: a draw whose `u * zetan` falls in `[1, this)` is
+    /// item 1. Fixed with theta, so computed once.
+    item_one_bound: f64,
 }
 
 impl Zipfian {
@@ -35,6 +38,7 @@ impl Zipfian {
             zetan,
             zeta2,
             eta: 0.0,
+            item_one_bound: 1.0 + 0.5f64.powf(theta),
         };
         z.recompute_eta();
         z
@@ -79,7 +83,7 @@ impl Zipfian {
         if uz < 1.0 {
             return 0;
         }
-        if self.items >= 2 && uz < 1.0 + 0.5f64.powf(self.theta) {
+        if self.items >= 2 && uz < self.item_one_bound {
             return 1;
         }
         let v = (self.items as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
