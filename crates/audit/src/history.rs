@@ -80,7 +80,7 @@ pub struct OpRecord {
 
 impl OpRecord {
     /// True for kinds whose success acknowledges a state change.
-    pub fn is_write_kind(&self) -> bool {
+    pub(crate) fn is_write_kind(&self) -> bool {
         matches!(
             self.kind,
             OpKind::Update | OpKind::Insert | OpKind::Delete | OpKind::ReadModifyWrite

@@ -28,7 +28,7 @@ pub struct PhaseWindow {
 
 impl PhaseWindow {
     /// True when `at` falls inside the window.
-    pub fn contains(&self, at: SimTime) -> bool {
+    pub(crate) fn contains(&self, at: SimTime) -> bool {
         at >= self.start_us && at < self.end_us
     }
 }

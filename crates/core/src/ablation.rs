@@ -23,7 +23,7 @@ use crate::setup::{build_cstore_with, Scale};
 /// One ablation variant: a single knob turned on an otherwise default
 /// Cassandra-analog cluster at CL=ONE.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Variant {
+pub(crate) enum Variant {
     /// Read-repair chance at a high RF, read mostly: the mechanism behind
     /// the Fig. 1 Cassandra read knee.
     ReadRepair(f64),
@@ -43,7 +43,7 @@ const READ_REPAIR_RF: u32 = 6;
 
 /// Configuration of the ablation runs.
 #[derive(Debug, Clone)]
-pub struct AblationConfig {
+pub(crate) struct AblationConfig {
     /// Scale, run length and seed.
     pub run: RunShape,
     /// Client threads; every run is unthrottled.
@@ -66,7 +66,7 @@ impl Default for AblationConfig {
 
 /// One labelled measurement row.
 #[derive(Debug, Clone)]
-pub struct AblationRow {
+pub(crate) struct AblationRow {
     /// Variant label.
     pub variant: String,
     /// Runtime throughput, ops/s.

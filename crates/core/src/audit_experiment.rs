@@ -36,7 +36,7 @@ const PRELOAD_TS: u64 = 1;
 
 /// Configuration of the Fig. 8 experiment.
 #[derive(Debug, Clone)]
-pub struct AuditExperimentConfig {
+pub(crate) struct AuditExperimentConfig {
     /// The crash scenario (the Fig. 4 plan).
     pub plan: CrashPlan,
     /// Replication factors to sweep, ascending.
@@ -64,7 +64,7 @@ impl Default for AuditExperimentConfig {
 /// One fault phase of one cell: session-guarantee counts plus the
 /// (Δ,p)-staleness summary of the phase's reads.
 #[derive(Debug, Clone)]
-pub struct PhaseAudit {
+pub(crate) struct PhaseAudit {
     /// Phase label ("healthy", "crash", "recovery").
     pub phase: &'static str,
     /// Session-guarantee accounting for the phase.
@@ -84,21 +84,20 @@ pub struct PhaseAudit {
 
 /// One (store, RF, consistency) audit cell.
 #[derive(Debug, Clone)]
-pub struct AuditCell {
+pub(crate) struct AuditCell {
     /// Per-phase audits, in plan order (healthy, crash, recovery).
     pub phases: Vec<PhaseAudit>,
     /// Linearizability verdict over the checked keys: `yes` only when
     /// every key linearizes; `violation` as soon as one key cannot.
     pub linearizable: Verdict,
     /// Hot keys the linearizability checker examined.
+    #[cfg(test)]
     pub lin_keys_checked: usize,
-    /// The live tracker's `(stale, checked)` over the measured window.
+    /// The live tracker's stale-read count over the measured window.
+    #[cfg(test)]
     pub tracker_stale: u64,
-    /// Reads the live tracker checked in the measured window.
-    pub tracker_checked: u64,
-    /// The live tracker's missing-read count (lost writes).
-    pub tracker_missing: u64,
     /// Fault events the injector applied (crash + recover = 2).
+    #[cfg(test)]
     pub faults_injected: u64,
 }
 
@@ -205,7 +204,7 @@ impl Experiment for AuditExperimentConfig {
             (tracker_stale, tracker_checked, tracker_missing),
             "audit history disagrees with the staleness tracker: {spec:?}"
         );
-        let (phases, linearizable, lin_keys_checked) = audit_history(
+        let (phases, linearizable, _lin_keys_checked) = audit_history(
             &history,
             &self.plan.phases(),
             &self.deltas_us,
@@ -215,10 +214,11 @@ impl Experiment for AuditExperimentConfig {
         AuditCell {
             phases,
             linearizable,
-            lin_keys_checked,
+            #[cfg(test)]
+            lin_keys_checked: _lin_keys_checked,
+            #[cfg(test)]
             tracker_stale,
-            tracker_checked,
-            tracker_missing,
+            #[cfg(test)]
             faults_injected: out.faults_injected,
         }
     }

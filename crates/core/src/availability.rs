@@ -18,7 +18,7 @@
 //! regions have nowhere else to go until failover, so its visible dip is
 //! bounded below by the detection window plus the backoff ladder.
 
-use ycsb::{ResilienceCounters, TimelineWindow};
+use ycsb::TimelineWindow;
 
 use crate::driver::{DriverConfig, RunOutcome};
 use crate::experiment::{rf_level_grid, Experiment, Grid, Level, Part, RunShape, Store};
@@ -28,12 +28,12 @@ use crate::resilience::RetryPolicy;
 use crate::setup::StoreKind;
 
 /// The three client policies every (store, CL) pair runs under.
-pub const POLICY_NAMES: [&str; 3] = ["none", "retry", "retry+hedge"];
+pub(crate) const POLICY_NAMES: [&str; 3] = ["none", "retry", "retry+hedge"];
 
 /// Configuration of the Fig. 5 experiment: the Fig. 4 crash at a single
 /// replication factor; the new axis is the retry policy.
 #[derive(Debug, Clone)]
-pub struct AvailabilityConfig {
+pub(crate) struct AvailabilityConfig {
     /// The crash scenario.
     pub plan: CrashPlan,
     /// Replication factor (one value: the policy axis replaces the RF
@@ -68,7 +68,7 @@ impl Default for AvailabilityConfig {
 
 impl AvailabilityConfig {
     /// The client policy called `name` (one of [`POLICY_NAMES`]).
-    pub fn policy(&self, name: &str) -> RetryPolicy {
+    pub(crate) fn policy(&self, name: &str) -> RetryPolicy {
         match name {
             "retry" => self.retry,
             "retry+hedge" => self.retry.with_hedge(self.hedge_after_us),
@@ -79,7 +79,7 @@ impl AvailabilityConfig {
 
 /// One (store, CL, policy) availability timeline with its phase summary.
 #[derive(Debug, Clone)]
-pub struct AvailabilityCell {
+pub(crate) struct AvailabilityCell {
     /// Mean throughput over full windows before the crash, ops/s.
     pub pre_tput: f64,
     /// Mean goodput (successful ops/s) inside the crash window.
@@ -97,8 +97,10 @@ pub struct AvailabilityCell {
     /// Mean throughput after recovery settles, ops/s.
     pub post_tput: f64,
     /// Whole-run resilience accounting.
-    pub resilience: ResilienceCounters,
+    #[cfg(test)]
+    pub resilience: ycsb::ResilienceCounters,
     /// Operations still unsettled at run end (must be 0: no token leaks).
+    #[cfg(test)]
     pub unsettled_ops: u64,
     /// The full per-window timeline.
     pub windows: Vec<TimelineWindow>,
@@ -192,7 +194,9 @@ impl Experiment for AvailabilityConfig {
             },
             fault_p99_us: ph.fault.iter().map(|w| w.p99_us).max().unwrap_or(0),
             post_tput: mean_of(&ph.post, tput),
+            #[cfg(test)]
             resilience: *out.metrics.resilience(),
+            #[cfg(test)]
             unsettled_ops: out.unsettled_ops,
             windows,
         }

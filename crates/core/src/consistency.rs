@@ -16,7 +16,7 @@ use crate::setup::{Scale, StoreKind};
 
 /// Configuration of the Fig. 3 experiment.
 #[derive(Debug, Clone)]
-pub struct ConsistencyConfig {
+pub(crate) struct ConsistencyConfig {
     /// Scale, run length and seed.
     pub run: RunShape,
     /// Replication factor (the paper: 3).
@@ -52,7 +52,7 @@ impl Default for ConsistencyConfig {
 
 /// One point of Fig. 3: runtime throughput at one target under one level.
 #[derive(Debug, Clone)]
-pub struct ConsistencyCell {
+pub(crate) struct ConsistencyCell {
     /// Workload name.
     pub workload: String,
     /// Achieved runtime throughput, ops/s.
@@ -214,7 +214,7 @@ impl Experiment for ConsistencyConfig {
 
 impl Grid<ConsistencyConfig> {
     /// Peak runtime throughput for `(level, workload)` across all targets.
-    pub fn peak(&self, level: &str, workload: &str) -> f64 {
+    pub(crate) fn peak(&self, level: &str, workload: &str) -> f64 {
         self.rows()
             .filter(|(spec, c)| spec.0.name == level && c.workload == workload)
             .map(|(_, c)| c.runtime)

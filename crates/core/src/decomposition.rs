@@ -28,7 +28,7 @@ use crate::setup::{Scale, StoreKind};
 
 /// Configuration of the Fig. 6 experiment.
 #[derive(Debug, Clone)]
-pub struct DecompositionConfig {
+pub(crate) struct DecompositionConfig {
     /// Scale, run length and seed.
     pub run: RunShape,
     /// Replication factors to sweep, ascending.
@@ -65,7 +65,7 @@ impl Default for DecompositionConfig {
 /// One (store, RF, consistency) cell: per-stage time attribution over
 /// every traced op's critical path.
 #[derive(Debug, Clone)]
-pub struct DecompositionCell {
+pub(crate) struct DecompositionCell {
     /// Per-(op kind, stage) critical-path time.
     pub agg: StageAgg,
     /// Ops whose critical path was extracted and aggregated.
@@ -77,7 +77,7 @@ pub struct DecompositionCell {
 
 impl DecompositionCell {
     /// The stages ops of `kind` spent time in, largest share first.
-    pub fn stages_by_share(&self, kind: OpKind) -> Vec<(Stage, f64)> {
+    pub(crate) fn stages_by_share(&self, kind: OpKind) -> Vec<(Stage, f64)> {
         let mut stages: Vec<(Stage, f64)> = Stage::ALL
             .iter()
             .map(|&s| (s, self.agg.share(kind, s)))

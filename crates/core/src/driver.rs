@@ -46,7 +46,7 @@ pub enum ArrivalMode {
 
 impl ArrivalMode {
     /// True for [`ArrivalMode::OpenLoop`].
-    pub fn is_open(&self) -> bool {
+    pub(crate) fn is_open(&self) -> bool {
         matches!(self, ArrivalMode::OpenLoop(_))
     }
 }

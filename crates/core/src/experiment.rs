@@ -11,7 +11,7 @@
 //!   bulk-loaded exactly once, every cell runs on a copy-on-write snapshot;
 //! * scheduling on a [`Sweep`] and result ordering (cells come back in
 //!   [`Experiment::specs`] order, whatever the thread count);
-//! * [`Grid::cell`] lookup, pool telemetry, and the [`Report`] — stdout
+//! * `Grid::cell` lookup, pool telemetry, and the [`Report`] — stdout
 //!   text plus the files written under `RESULTS_DIR`;
 //! * the [`FIGURES`] registry the `fig` binary and the golden test walk.
 //!
@@ -20,7 +20,7 @@
 //! Write one module with a config struct that embeds a [`RunShape`],
 //! implement [`Experiment`] for it (grid, store, driver config, row,
 //! report), and add one line to [`FIGURES`]. A report's tables are column
-//! lists over the grid's rows ([`Table::of`], [`point_cols`]).
+//! lists over the grid's rows (`Table::of`, `point_cols`).
 
 use std::io::Write;
 use std::path::Path;
@@ -55,34 +55,34 @@ impl Level {
     }
 
     /// Read one replica, write one replica.
-    pub const ONE: Self = Self::both("ONE", Consistency::One);
+    pub(crate) const ONE: Self = Self::both("ONE", Consistency::One);
     /// Majority reads and writes.
-    pub const QUORUM: Self = Self::both("QUORUM", Consistency::Quorum);
+    pub(crate) const QUORUM: Self = Self::both("QUORUM", Consistency::Quorum);
     /// Write to all replicas, read from one.
-    pub const WRITE_ALL: Self = Self {
+    pub(crate) const WRITE_ALL: Self = Self {
         name: "write ALL",
         read: Consistency::One,
         write: Consistency::All,
     };
     /// A quorum of the coordinator's datacenter only.
-    pub const LOCAL_QUORUM: Self = Self::both("LOCAL_QUORUM", Consistency::LocalQuorum);
+    pub(crate) const LOCAL_QUORUM: Self = Self::both("LOCAL_QUORUM", Consistency::LocalQuorum);
     /// A quorum in every datacenter.
-    pub const EACH_QUORUM: Self = Self::both("EACH_QUORUM", Consistency::EachQuorum);
+    pub(crate) const EACH_QUORUM: Self = Self::both("EACH_QUORUM", Consistency::EachQuorum);
     /// The label of the HBase analog, which has no consistency knob (it is
     /// always strongly consistent); the levels are ignored when building it.
-    pub const STRONG: Self = Self::both("strong", Consistency::One);
+    pub(crate) const STRONG: Self = Self::both("strong", Consistency::One);
 }
 
 /// The paper's three strategies (§2): ONE, QUORUM, and "Write ALL".
-pub const PAPER_LEVELS: [Level; 3] = [Level::ONE, Level::QUORUM, Level::WRITE_ALL];
+pub(crate) const PAPER_LEVELS: [Level; 3] = [Level::ONE, Level::QUORUM, Level::WRITE_ALL];
 
 /// A grid point of the (store, RF, consistency) figures.
-pub type Point = (StoreKind, u32, Level);
+pub(crate) type Point = (StoreKind, u32, Level);
 
 /// The (store, RF, consistency) grid of Figs 4, 6 and 8: the Cassandra
 /// analog under the paper's three levels and the HBase analog's single
 /// implicit one, store-major then RF then level — the CSV row order.
-pub fn rf_level_grid(rfs: &[u32]) -> Vec<Point> {
+pub(crate) fn rf_level_grid(rfs: &[u32]) -> Vec<Point> {
     let stores = [
         (StoreKind::CStore, &PAPER_LEVELS[..]),
         (StoreKind::HStore, &[Level::STRONG][..]),
@@ -98,7 +98,7 @@ pub fn rf_level_grid(rfs: &[u32]) -> Vec<Point> {
 
 /// The `store, rf, cl` columns of a (store, RF, consistency) table, for
 /// rows whose grid point `point` reads.
-pub fn point_cols<R>(t: Columns<R>, point: impl Fn(&R) -> Point + Copy) -> Columns<R> {
+pub(crate) fn point_cols<R>(t: Columns<R>, point: impl Fn(&R) -> Point + Copy) -> Columns<R> {
     t.col("store", move |r| point(r).0.short().into())
         .col("rf", move |r| point(r).1.to_string())
         .col("cl", move |r| point(r).2.name.into())
@@ -125,7 +125,12 @@ impl RunShape {
     /// `workload` at this shape and seed, with `threads` clients paced to
     /// `target` ops/s cluster-wide (`0.0` = unthrottled); figures override
     /// fields with `..`.
-    pub fn driver(&self, workload: WorkloadSpec, threads: usize, target: f64) -> DriverConfig {
+    pub(crate) fn driver(
+        &self,
+        workload: WorkloadSpec,
+        threads: usize,
+        target: f64,
+    ) -> DriverConfig {
         DriverConfig {
             threads,
             target_ops_per_sec: target,
@@ -150,7 +155,7 @@ pub enum Store {
 
 impl Store {
     /// The paper's testbed at `scale` for one grid point.
-    pub fn paper(scale: &Scale, &(kind, rf, level): &Point) -> Self {
+    pub(crate) fn paper(scale: &Scale, &(kind, rf, level): &Point) -> Self {
         match kind {
             StoreKind::HStore => Store::H(build_hstore(scale, rf)),
             StoreKind::CStore => Store::C(build_cstore(scale, rf, level.read, level.write)),
@@ -183,7 +188,7 @@ impl Store {
 /// and reduced. The config struct itself implements this; `Default` is the
 /// full-scale configuration.
 pub trait Experiment: Default + Sync + Sized {
-    /// One cell of the grid — the coordinates [`Grid::cell`] looks up by.
+    /// One cell of the grid — the coordinates `Grid::cell` looks up by.
     type Spec: PartialEq + Sync;
     /// What distinguishes one loaded base store from another.
     type Base: PartialEq + std::fmt::Debug + Send + Sync;
@@ -263,7 +268,7 @@ pub struct Grid<E: Experiment> {
 
 impl<E: Experiment> Grid<E> {
     /// The row at grid point `at`.
-    pub fn cell(&self, at: &E::Spec) -> Option<&E::Cell> {
+    pub(crate) fn cell(&self, at: &E::Spec) -> Option<&E::Cell> {
         self.rows().find(|(spec, _)| *spec == at).map(|(_, c)| c)
     }
 
@@ -273,7 +278,7 @@ impl<E: Experiment> Grid<E> {
     }
 
     /// The figure's text and files.
-    pub fn report(&self) -> Report {
+    pub(crate) fn report(&self) -> Report {
         Report {
             parts: E::report(self),
             telemetry: Some(self.telemetry.clone()),
@@ -299,7 +304,7 @@ pub enum Part {
 
 impl Part {
     /// A CSV file announced on stdout as `csv written to <path>`.
-    pub fn csv(name: &'static str, table: &Table) -> Self {
+    pub(crate) fn csv(name: &'static str, table: &Table) -> Self {
         Part::File {
             name,
             body: table.to_csv(),

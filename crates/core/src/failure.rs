@@ -33,7 +33,7 @@ use crate::setup::{build_cstore_with, build_hstore_with, Scale, StoreKind};
 /// One node crashing and recovering under a constant-rate workload: the
 /// scenario of Figs 4, 5 and 8.
 #[derive(Debug, Clone)]
-pub struct CrashPlan {
+pub(crate) struct CrashPlan {
     /// Scale, run length and seed.
     pub run: RunShape,
     /// Client threads.
@@ -80,7 +80,7 @@ impl Default for CrashPlan {
 }
 
 /// A timeline split into the three phases of one crash window.
-pub struct Phases<'a> {
+pub(crate) struct Phases<'a> {
     /// Full windows ending at or before the crash, skipping the first
     /// window (thread-stagger ramp) when more than one qualifies.
     pub pre: Vec<&'a TimelineWindow>,
@@ -94,7 +94,7 @@ pub struct Phases<'a> {
 }
 
 /// Mean of `f` over `windows` (0 when empty).
-pub fn mean_of(windows: &[&TimelineWindow], f: impl Fn(&TimelineWindow) -> f64) -> f64 {
+pub(crate) fn mean_of(windows: &[&TimelineWindow], f: impl Fn(&TimelineWindow) -> f64) -> f64 {
     if windows.is_empty() {
         0.0
     } else {
@@ -104,7 +104,7 @@ pub fn mean_of(windows: &[&TimelineWindow], f: impl Fn(&TimelineWindow) -> f64) 
 
 impl CrashPlan {
     /// A fast variant for tests and smoke runs.
-    pub fn quick() -> Self {
+    pub(crate) fn quick() -> Self {
         Self {
             run: RunShape {
                 scale: Scale::tiny(),
@@ -123,7 +123,7 @@ impl CrashPlan {
     }
 
     /// The store for one grid point, with the plan's timeouts applied.
-    pub fn build(&self, &(kind, rf, level): &Point) -> Store {
+    pub(crate) fn build(&self, &(kind, rf, level): &Point) -> Store {
         let scale = &self.run.scale;
         match kind {
             StoreKind::HStore => Store::H(build_hstore_with(scale, rf, |c| {
@@ -140,7 +140,7 @@ impl CrashPlan {
 
     /// The fair-weather client run through the crash window (no timeline:
     /// Figs 4 and 5 switch theirs on).
-    pub fn driver(&self) -> DriverConfig {
+    pub(crate) fn driver(&self) -> DriverConfig {
         DriverConfig {
             faults: FaultPlan::new().crash_window(
                 self.victim,
@@ -154,7 +154,7 @@ impl CrashPlan {
     }
 
     /// The three fault phases as audit windows, in run order.
-    pub fn phases(&self) -> [PhaseWindow; 3] {
+    pub(crate) fn phases(&self) -> [PhaseWindow; 3] {
         let window = |label, start_us, end_us| PhaseWindow {
             label,
             start_us,
@@ -169,7 +169,7 @@ impl CrashPlan {
 
     /// Split a run's timeline of `window_us`-wide buckets into its
     /// pre/fault/post phases.
-    pub fn split<'a>(&self, windows: &'a [TimelineWindow], window_us: u64) -> Phases<'a> {
+    pub(crate) fn split<'a>(&self, windows: &'a [TimelineWindow], window_us: u64) -> Phases<'a> {
         let (crash, recover) = (self.crash_at_us, self.recover_at_us);
         let mut pre: Vec<_> = windows.iter().filter(|w| w.end_us <= crash).collect();
         if pre.len() > 1 {
@@ -190,7 +190,7 @@ impl CrashPlan {
     }
 
     /// `"<figure>: crash t=…s, recover t=…s (<workload>)"` — the table title.
-    pub fn title(&self, figure: &str) -> String {
+    pub(crate) fn title(&self, figure: &str) -> String {
         format!(
             "{figure}: crash t={:.1}s, recover t={:.1}s ({})",
             self.crash_at_us as f64 / 1e6,
@@ -202,7 +202,7 @@ impl CrashPlan {
 
 /// Configuration of the Fig. 4 experiment.
 #[derive(Debug, Clone)]
-pub struct FailureConfig {
+pub(crate) struct FailureConfig {
     /// The crash scenario.
     pub plan: CrashPlan,
     /// Replication factors to sweep, ascending.
@@ -223,7 +223,7 @@ impl Default for FailureConfig {
 
 /// One (store, RF, consistency) failure timeline with its phase summary.
 #[derive(Debug, Clone)]
-pub struct FailureCell {
+pub(crate) struct FailureCell {
     /// Mean throughput over full windows before the crash, ops/s.
     pub pre_tput: f64,
     /// Mean throughput over windows inside the crash window, ops/s.
@@ -235,6 +235,7 @@ pub struct FailureCell {
     /// Mean throughput after recovery settles, ops/s.
     pub post_tput: f64,
     /// Fault events the injector applied (crash + recover = 2).
+    #[cfg(test)]
     pub faults_injected: u64,
     /// The full per-window timeline.
     pub windows: Vec<TimelineWindow>,
@@ -301,6 +302,7 @@ impl Experiment for FailureConfig {
             },
             fault_errors: ph.fault.iter().map(|w| w.errors).sum(),
             post_tput: mean_of(&ph.post, tput),
+            #[cfg(test)]
             faults_injected: out.faults_injected,
             windows,
         }

@@ -4,7 +4,7 @@
 //! replication/consistency trade looks like when replicas sit behind WAN
 //! links. This experiment sweeps region count × consistency level over the
 //! geo subsystem: the Cassandra analog places `rf_per_dc` replicas in every
-//! datacenter with [`geo::Strategy::NetworkTopology`] and runs the
+//! datacenter with [`cstore::Strategy::NetworkTopology`] and runs the
 //! datacenter-aware levels (`LOCAL_QUORUM` settles inside the coordinator's
 //! DC, `EACH_QUORUM` waits on the slowest DC's quorum), while the HBase
 //! analog runs its async cluster-replication mode (the primary region
@@ -26,14 +26,14 @@ use crate::setup::{Scale, StoreKind};
 
 /// The level label of the HBase analog's async-replication rows (HBase has
 /// no consistency knob; geo mode adds asynchrony, not a level).
-pub const ASYNC_SHIP: Level = Level {
+pub(crate) const ASYNC_SHIP: Level = Level {
     name: "async-ship",
     ..Level::STRONG
 };
 
 /// The five strategies of the geo sweep: the paper's three plus the two
 /// datacenter-aware levels the geo subsystem adds.
-pub const GEO_LEVELS: [Level; 5] = [
+pub(crate) const GEO_LEVELS: [Level; 5] = [
     Level::ONE,
     Level::LOCAL_QUORUM,
     Level::QUORUM,
@@ -43,7 +43,7 @@ pub const GEO_LEVELS: [Level; 5] = [
 
 /// Configuration of the Fig. 7 experiment.
 #[derive(Debug, Clone)]
-pub struct GeoExperimentConfig {
+pub(crate) struct GeoExperimentConfig {
     /// Scale, run length and seed (`run.scale.nodes` is ignored: the
     /// cluster is `nodes_per_region × regions`). Cells with the same region
     /// count share their driver seed, so levels that take identical code
@@ -85,7 +85,7 @@ impl Default for GeoExperimentConfig {
             nodes_per_region: 5,
             rf_per_dc: 3,
             region_counts: vec![1, 2, 3],
-            inter_region_us: geo::DEFAULT_INTER_REGION_US,
+            inter_region_us: simkit::DEFAULT_INTER_REGION_US,
             wan_jitter: 0.2,
             ship_lag_us: 10_000,
             levels: GEO_LEVELS.to_vec(),
@@ -97,7 +97,7 @@ impl Default for GeoExperimentConfig {
 
 /// One Fig. 7 cell: one (regions, store, level) run.
 #[derive(Debug, Clone)]
-pub struct GeoCell {
+pub(crate) struct GeoCell {
     /// Total replicas per key across all datacenters.
     pub rf_total: u32,
     /// Settled throughput (successes plus errors), ops/s.
@@ -121,8 +121,8 @@ pub struct GeoCell {
 impl GeoExperimentConfig {
     /// The per-region-pair jitter seed is tied to the experiment seed so two
     /// runs of the same config see the same asymmetric WAN matrix.
-    fn geo_config(&self, regions: u32) -> geo::GeoConfig {
-        geo::GeoConfig {
+    fn geo_config(&self, regions: u32) -> simkit::GeoConfig {
+        simkit::GeoConfig {
             regions,
             inter_region_us: self.inter_region_us,
             wan_jitter: self.wan_jitter,
@@ -142,7 +142,7 @@ impl GeoExperimentConfig {
         c.node.topology = self
             .geo_config(regions)
             .topology(npr, c.node.profile.nic.prop_us);
-        c.strategy = geo::Strategy::network_topology(regions, self.rf_per_dc);
+        c.strategy = cstore::Strategy::network_topology(regions, self.rf_per_dc);
         c.lsm = self.run.scale.lsm();
         c.read_cl = level.read;
         c.write_cl = level.write;
@@ -352,11 +352,14 @@ mod tests {
         // event identical to the same run over classic SimpleStrategy
         // placement (same topology distances, same tokens, same RF).
         let cfg = GeoExperimentConfig::quick();
-        let run = |strategy: geo::Strategy| {
+        let run = |strategy: cstore::Strategy| {
             let level = GEO_LEVELS[0];
             let mut c = cfg.build_cstore(1, level);
-            assert_eq!(c.config().strategy, geo::Strategy::network_topology(1, 3));
-            if strategy == geo::Strategy::Simple {
+            assert_eq!(
+                c.config().strategy,
+                cstore::Strategy::network_topology(1, 3)
+            );
+            if strategy == cstore::Strategy::Simple {
                 let mut base = CStoreConfig::paper_testbed(
                     3,
                     Partitioner::order_preserving(balanced_tokens(cfg.nodes_per_region)),
@@ -381,8 +384,8 @@ mod tests {
             )
         };
         assert_eq!(
-            run(geo::Strategy::Simple),
-            run(geo::Strategy::network_topology(1, 3))
+            run(cstore::Strategy::Simple),
+            run(cstore::Strategy::network_topology(1, 3))
         );
     }
 

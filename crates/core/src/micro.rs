@@ -14,7 +14,8 @@ use crate::report::{bar_chart, fmt_us, Table};
 use crate::setup::{Scale, StoreKind};
 
 /// The micro-test round order used by the paper.
-pub const MICRO_OPS: [OpKind; 4] = [OpKind::Update, OpKind::Read, OpKind::Insert, OpKind::Scan];
+pub(crate) const MICRO_OPS: [OpKind; 4] =
+    [OpKind::Update, OpKind::Read, OpKind::Insert, OpKind::Scan];
 
 /// Configuration of the Fig. 1 experiment.
 #[derive(Debug, Clone)]
@@ -156,7 +157,7 @@ impl Experiment for MicroConfig {
 
 impl Grid<MicroConfig> {
     /// Mean-latency series for `(store, op)`: `("rf=N", µs)` in RF order.
-    pub fn series(&self, store: StoreKind, op: OpKind) -> Vec<(String, f64)> {
+    pub(crate) fn series(&self, store: StoreKind, op: OpKind) -> Vec<(String, f64)> {
         self.rows()
             .filter(|(&(s, _, o), _)| s == store && o == op)
             .map(|(&(_, rf, _), c)| (format!("rf={rf}"), c.mean_us))

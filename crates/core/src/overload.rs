@@ -35,16 +35,16 @@ use crate::report::{fmt_ops, Table};
 use crate::setup::{build_cstore_with, build_hstore_with, Scale, StoreKind};
 
 /// Row label for the uncontrolled arm.
-pub const CONTROL_OFF: &str = "none";
+pub(crate) const CONTROL_OFF: &str = "none";
 /// Row label for the admission-control arm.
-pub const CONTROL_ON: &str = "shed";
+pub(crate) const CONTROL_ON: &str = "shed";
 
 /// A service-level agreement — the paper's §6 "SLA-based stress
 /// specification", judged per offered-load step: quantile `percentile` of
 /// request latencies must be at or below `latency_us`, with at most
 /// `error_budget` of requests failing.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Sla {
+pub(crate) struct Sla {
     /// The guaranteed quantile, e.g. `0.95`.
     pub percentile: f64,
     /// The latency bound at that quantile, microseconds.
@@ -60,7 +60,7 @@ impl Sla {
     /// Does a run outcome satisfy the agreement? Errors (including shed
     /// ops) are compared against the budget as a fraction of all settled
     /// requests; the latency quantile is taken over successes only.
-    pub fn met_by(&self, outcome: &RunOutcome) -> bool {
+    pub(crate) fn met_by(&self, outcome: &RunOutcome) -> bool {
         let total = outcome.metrics.ops() + outcome.errors;
         let within_budget = if outcome.errors == 0 {
             true
@@ -73,7 +73,7 @@ impl Sla {
 
 /// Configuration of the Fig. 10 experiment.
 #[derive(Debug, Clone)]
-pub struct OverloadConfig {
+pub(crate) struct OverloadConfig {
     /// Scale, run length and seed. Cells at the same offered load share
     /// their driver seed across the control arms, so both arms face the
     /// identical arrival sequence.
@@ -137,7 +137,7 @@ impl Default for OverloadConfig {
 
 /// The default two-tenant mix: an interactive tenant that must keep its
 /// SLA and a batch tenant that is shed first under strict priority.
-pub fn default_tenants() -> Vec<Tenant> {
+pub(crate) fn default_tenants() -> Vec<Tenant> {
     vec![
         Tenant {
             name: "interactive",
@@ -154,7 +154,7 @@ pub fn default_tenants() -> Vec<Tenant> {
 
 /// One Fig. 10 cell: one (store, control arm, offered load) run.
 #[derive(Debug, Clone)]
-pub struct OverloadCell {
+pub(crate) struct OverloadCell {
     /// Offered load, arrivals/sec.
     pub offered: f64,
     /// Settled throughput (successes plus errors) over the measured

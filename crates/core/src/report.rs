@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 /// An aligned text table that can also emit CSV. Built from a column list
 /// with [`Table::of`], so every row has every column.
 #[derive(Debug, Clone)]
-pub struct Table {
+pub(crate) struct Table {
     title: String,
     headers: Vec<String>,
     /// Rows of cells, one per header.
@@ -14,14 +14,14 @@ pub struct Table {
 
 /// A table under construction: the table so far plus the items its rows
 /// render, so each [`Columns::col`] fills one cell of every row.
-pub struct Columns<R> {
+pub(crate) struct Columns<R> {
     items: Vec<R>,
     table: Table,
 }
 
 impl<R> Columns<R> {
     /// Add a column: its header, and how to render any row into it.
-    pub fn col(mut self, header: impl Into<String>, cell: impl Fn(&R) -> String) -> Self {
+    pub(crate) fn col(mut self, header: impl Into<String>, cell: impl Fn(&R) -> String) -> Self {
         self.table.headers.push(header.into());
         for (item, cells) in self.items.iter().zip(&mut self.table.rows) {
             cells.push(cell(item));
@@ -30,7 +30,7 @@ impl<R> Columns<R> {
     }
 
     /// The finished table.
-    pub fn table(self) -> Table {
+    pub(crate) fn table(self) -> Table {
         self.table
     }
 }
@@ -39,7 +39,7 @@ impl Table {
     /// Start a table titled `title` with one row per item of `rows`; declare
     /// its columns with [`Columns::col`], then finish with
     /// [`Columns::table`].
-    pub fn of<R>(title: impl Into<String>, rows: impl IntoIterator<Item = R>) -> Columns<R> {
+    pub(crate) fn of<R>(title: impl Into<String>, rows: impl IntoIterator<Item = R>) -> Columns<R> {
         let items: Vec<R> = rows.into_iter().collect();
         let table = Table {
             title: title.into(),
@@ -50,7 +50,7 @@ impl Table {
     }
 
     /// Render as an aligned text table.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
@@ -79,7 +79,7 @@ impl Table {
     }
 
     /// Render as CSV (headers + rows).
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let esc = |s: &String| {
             if s.contains(',') || s.contains('"') {
                 format!("\"{}\"", s.replace('"', "\"\""))
@@ -103,7 +103,7 @@ impl Table {
 /// A horizontal-bar ASCII chart, one labelled bar per point scaled to the
 /// maximum value — enough to eyeball the reproduced figure shapes in a
 /// terminal.
-pub fn bar_chart(title: &str, unit: &str, points: &[(String, f64)]) -> String {
+pub(crate) fn bar_chart(title: &str, unit: &str, points: &[(String, f64)]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "## {title} [{unit}]");
     let max = points.iter().map(|(_, v)| *v).fold(f64::EPSILON, f64::max);
@@ -120,7 +120,7 @@ pub fn bar_chart(title: &str, unit: &str, points: &[(String, f64)]) -> String {
 }
 
 /// Format microseconds compactly for table cells.
-pub fn fmt_us(us: f64) -> String {
+pub(crate) fn fmt_us(us: f64) -> String {
     if us < 1_000.0 {
         format!("{us:.0}us")
     } else if us < 1_000_000.0 {
@@ -131,7 +131,7 @@ pub fn fmt_us(us: f64) -> String {
 }
 
 /// Format an ops/second figure compactly.
-pub fn fmt_ops(ops: f64) -> String {
+pub(crate) fn fmt_ops(ops: f64) -> String {
     if ops >= 1_000.0 {
         format!("{:.1}k", ops / 1_000.0)
     } else {

@@ -37,7 +37,7 @@ pub struct RetryPolicy {
 
 /// What the policy decides after a failed attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetryDecision {
+pub(crate) enum RetryDecision {
     /// Re-submit the attempt at this absolute virtual time.
     RetryAt(SimTime),
     /// Surface the failure to the client.
@@ -46,7 +46,7 @@ pub enum RetryDecision {
 
 /// Why the policy stopped retrying.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GiveUpReason {
+pub(crate) enum GiveUpReason {
     /// The attempt budget ([`RetryPolicy::max_attempts`]) is spent.
     AttemptsExhausted,
     /// The next retry would land past the operation's deadline.
@@ -86,13 +86,13 @@ impl RetryPolicy {
     }
 
     /// True when the policy hedges reads.
-    pub fn hedges(&self) -> bool {
+    pub(crate) fn hedges(&self) -> bool {
         self.hedge_after_us > 0
     }
 
     /// The absolute deadline of an operation first issued at `issued`
     /// (`SimTime::MAX` when unbounded).
-    pub fn deadline_at(&self, issued: SimTime) -> SimTime {
+    pub(crate) fn deadline_at(&self, issued: SimTime) -> SimTime {
         if self.deadline_us == 0 {
             SimTime::MAX
         } else {
@@ -102,7 +102,7 @@ impl RetryPolicy {
 
     /// The backoff before retry number `retries_done + 1`: exponential from
     /// the base, capped at 16× the base.
-    pub fn backoff_us(&self, retries_done: u32) -> u64 {
+    pub(crate) fn backoff_us(&self, retries_done: u32) -> u64 {
         let doubled = self
             .base_backoff_us
             .saturating_mul(1u64 << retries_done.min(32));
@@ -115,7 +115,7 @@ impl RetryPolicy {
     /// backoff) draws from `rng` *only* on the retry path, so give-ups —
     /// including every decision a [`RetryPolicy::none`] policy makes —
     /// leave the RNG stream untouched.
-    pub fn on_error(
+    pub(crate) fn on_error(
         &self,
         retries_done: u32,
         now: SimTime,

@@ -16,7 +16,7 @@ use storage::{Key, LsmConfig};
 use ycsb::balanced_tokens;
 
 /// Which store an experiment targets. Variants are declared in
-/// [`StoreKind::short`] name order, so the derived `Ord` sorts grids the way
+/// `StoreKind::short` name order, so the derived `Ord` sorts grids the way
 /// the CSVs list them (cstore rows first).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum StoreKind {
@@ -28,7 +28,7 @@ pub enum StoreKind {
 
 impl StoreKind {
     /// Display label ("HBase"-side vs "Cassandra"-side analog).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             StoreKind::HStore => "hstore (HBase analog)",
             StoreKind::CStore => "cstore (Cassandra analog)",
@@ -36,7 +36,7 @@ impl StoreKind {
     }
 
     /// Short name for file paths and table cells.
-    pub fn short(self) -> &'static str {
+    pub(crate) fn short(self) -> &'static str {
         match self {
             StoreKind::HStore => "hstore",
             StoreKind::CStore => "cstore",
@@ -126,13 +126,13 @@ impl Scale {
 
     /// Evenly spaced ordered-partitioner tokens over the (hashed) key
     /// space (one per node).
-    pub fn tokens(&self) -> Vec<Key> {
+    pub(crate) fn tokens(&self) -> Vec<Key> {
         balanced_tokens(self.nodes)
     }
 
     /// Region split keys (one region per node, aligned with the tokens so
     /// the two stores shard identically).
-    pub fn region_splits(&self) -> Vec<Key> {
+    pub(crate) fn region_splits(&self) -> Vec<Key> {
         self.tokens().into_iter().skip(1).collect()
     }
 }

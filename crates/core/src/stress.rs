@@ -19,7 +19,7 @@ use crate::setup::{Scale, StoreKind};
 
 /// Configuration of the Fig. 2 experiment.
 #[derive(Debug, Clone)]
-pub struct StressConfig {
+pub(crate) struct StressConfig {
     /// Scale, run length and seed.
     pub run: RunShape,
     /// Replication factors to sweep, ascending.
@@ -48,7 +48,7 @@ impl Default for StressConfig {
 
 /// The peak point for one (store, RF, workload).
 #[derive(Debug, Clone)]
-pub struct StressCell {
+pub(crate) struct StressCell {
     /// Workload name.
     pub workload: String,
     /// Peak runtime throughput, ops/s.
@@ -182,7 +182,7 @@ impl Experiment for StressConfig {
 impl Grid<StressConfig> {
     /// Peak-throughput series for `(store, workload)`: `("rf=N", ops/s)` in
     /// RF order.
-    pub fn throughput_series(&self, store: StoreKind, workload: &str) -> Vec<(String, f64)> {
+    pub(crate) fn throughput_series(&self, store: StoreKind, workload: &str) -> Vec<(String, f64)> {
         self.rows()
             .filter(|(&(s, _, _), c)| s == store && c.workload == workload)
             .map(|(&(_, rf, _), c)| (format!("rf={rf}"), c.peak_throughput))
@@ -192,7 +192,7 @@ impl Grid<StressConfig> {
 
 /// The paper's Table 1 ("Workloads of the stress benchmarks for replication
 /// and consistency") plus the micro rounds of §3.3, for completeness.
-pub fn table1() -> Report {
+pub(crate) fn table1() -> Report {
     let t = Table::of(
         "Table 1 — workloads of the stress benchmarks for replication and consistency",
         WorkloadSpec::paper_stress_workloads(),

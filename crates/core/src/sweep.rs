@@ -13,7 +13,7 @@
 //! * **telemetry**: per-cell wall time and worker id, per-worker busy time,
 //!   pool utilization, and base-state load accounting.
 //!
-//! Cells obtain their store from a [`BasePool`]: each distinct base state
+//! Cells obtain their store from a `BasePool`: each distinct base state
 //! (store kind × RF × consistency level) is built and bulk-loaded exactly
 //! once, then stamped out per cell as an O(metadata) copy-on-write
 //! [`snapshot`](crate::store::SimStore::snapshot) — the load phase that used
@@ -36,7 +36,7 @@ pub struct CellStat {
 
 /// What one sweep cost: per-cell and per-worker wall time plus base-state
 /// load accounting (filled in by the experiment via
-/// [`Telemetry::record_pool`]).
+/// `Telemetry::record_pool`).
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     /// Per-cell stats, in cell order.
@@ -62,7 +62,7 @@ impl Telemetry {
     /// Fraction of worker wall time spent running cells (1.0 = perfectly
     /// packed); time a cell spent waiting for another worker's base load
     /// does not count.
-    pub fn utilization(&self) -> f64 {
+    pub(crate) fn utilization(&self) -> f64 {
         let busy: u64 = self.busy_us.iter().sum();
         let busy = busy.saturating_sub(self.base_wait_us);
         let denom = self.wall_us.saturating_mul(self.workers as u64);
@@ -74,7 +74,7 @@ impl Telemetry {
     }
 
     /// Fold a pool's load accounting into the telemetry.
-    pub fn record_pool<K, S>(&mut self, pool: &BasePool<K, S>) {
+    pub(crate) fn record_pool<K, S>(&mut self, pool: &BasePool<K, S>) {
         self.base_loads += pool.loads();
         self.base_states += pool.len() as u64;
         self.base_load_us += pool.load_us.load(Ordering::Relaxed);
@@ -110,7 +110,7 @@ pub struct SweepOutcome<R> {
 /// (RF, consistency level, …). Each key's state is built **exactly once**,
 /// even under concurrent access from many sweep workers; cells take
 /// O(metadata) copy-on-write snapshots of it.
-pub struct BasePool<K, S> {
+pub(crate) struct BasePool<K, S> {
     entries: Vec<(K, OnceLock<S>)>,
     loads: AtomicU64,
     /// Microseconds spent in `load` closures.
@@ -121,7 +121,7 @@ pub struct BasePool<K, S> {
 
 impl<K: PartialEq + std::fmt::Debug, S> BasePool<K, S> {
     /// Declare the keys the pool will serve. Keys must be distinct.
-    pub fn new(keys: impl IntoIterator<Item = K>) -> Self {
+    pub(crate) fn new(keys: impl IntoIterator<Item = K>) -> Self {
         let entries: Vec<(K, OnceLock<S>)> =
             keys.into_iter().map(|k| (k, OnceLock::new())).collect();
         for (i, (k, _)) in entries.iter().enumerate() {
@@ -145,7 +145,7 @@ impl<K: PartialEq + std::fmt::Debug, S> BasePool<K, S> {
     ///
     /// # Panics
     /// If `key` was not declared in [`BasePool::new`].
-    pub fn get_or_load(&self, key: &K, load: impl FnOnce() -> S) -> &S {
+    pub(crate) fn get_or_load(&self, key: &K, load: impl FnOnce() -> S) -> &S {
         let (_, slot) = self
             .entries
             .iter()
@@ -169,18 +169,13 @@ impl<K: PartialEq + std::fmt::Debug, S> BasePool<K, S> {
 
 impl<K, S> BasePool<K, S> {
     /// How many base states have actually been built and loaded.
-    pub fn loads(&self) -> u64 {
+    pub(crate) fn loads(&self) -> u64 {
         self.loads.load(Ordering::Relaxed)
     }
 
     /// How many distinct base states the pool declares.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True when no keys are declared.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 

@@ -142,7 +142,7 @@ impl<T> BufferPool<T> {
 
 /// One coordinator fan-out's replica lists, reused from op to op so the
 /// read, write and scan paths allocate none: `replicas` is the placed set
-/// ([`Ring::replicas_into`], a scan round's [`Ring::range_replicas_into`]),
+/// ([`Cluster::place`] for the key's or the scan round's range),
 /// `targets` the live replicas its quota asks for.
 #[derive(Debug, Clone, Default)]
 struct FanOut {
@@ -175,19 +175,12 @@ impl Cluster {
         let n = config.node.topology.len();
         assert!(n > 0);
         assert!(config.replication_factor >= 1);
-        if let geo::Strategy::NetworkTopology { .. } = &config.strategy {
-            assert_eq!(
-                config.strategy.total_rf(config.replication_factor),
-                config.replication_factor,
-                "replication_factor must equal the NetworkTopologyStrategy quota sum"
-            );
-        }
-        let ring = Ring::with_strategy(
-            n,
-            config.partitioner.clone(),
-            config.strategy.clone(),
-            geo::Snitch::from_topology(&config.node.topology),
+        assert_eq!(
+            config.strategy.total_rf(config.replication_factor),
+            config.replication_factor,
+            "replication_factor must equal the NetworkTopologyStrategy quota sum"
         );
+        let ring = Ring::new(n, config.partitioner.clone(), config.strategy.clone());
         let nodes = (0..n).map(|_| CNode::new(config.lsm)).collect();
         let rt = Runtime::new(config.node.clone());
         Self {
@@ -212,6 +205,23 @@ impl Cluster {
     /// The ring.
     pub fn ring(&self) -> &Ring {
         &self.ring
+    }
+
+    /// The replica set of `key`: the nodes the ring's strategy places it
+    /// on over the cluster's topology, in ring order from the primary.
+    pub fn replicas(&self, key: &[u8]) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        self.place(self.ring.primary(key), &mut out);
+        out
+    }
+
+    /// The replica set of the range whose primary is ring position
+    /// `primary`, as the ring's strategy places it over the cluster's
+    /// topology, into `out` (cleared first).
+    fn place(&self, primary: usize, out: &mut Vec<NodeId>) {
+        let rf = self.config.replication_factor;
+        self.ring
+            .range_replicas_into(primary, rf, &self.config.node.topology, out);
     }
 
     /// Behaviour counters.
@@ -258,14 +268,14 @@ impl Cluster {
         self.config.node.msg_overhead_bytes + body as u64
     }
 
-    /// Datacenter of a node, per the ring's snitch.
+    /// Datacenter of a node.
     fn region_of(&self, node: NodeId) -> u32 {
-        self.ring.snitch().region(node)
+        self.config.node.topology.region(node)
     }
 
     /// True when the cluster spans more than one datacenter.
     fn multi_dc(&self) -> bool {
-        self.ring.snitch().num_regions() > 1
+        self.config.node.topology.num_regions() > 1
     }
 
     /// The stage label for a coordinator↔replica hop: [`Stage::WanHop`]
@@ -484,8 +494,7 @@ impl Cluster {
     ) {
         self.metrics.writes += 1;
         let mut f = std::mem::take(&mut self.scratch);
-        self.ring
-            .replicas_into(&key, self.config.replication_factor, &mut f.replicas);
+        self.place(self.ring.primary(&key), &mut f.replicas);
         let quota = self.quota(self.config.write_cl, coord, &f.replicas);
         if !self.pick_targets(&quota, &f.replicas, &mut f.targets) {
             self.scratch = f;
@@ -544,8 +553,7 @@ impl Cluster {
         let mut f = std::mem::take(&mut self.scratch);
         // Ring order starting at the main replica — the paper's "fixed
         // order" replica selection.
-        self.ring
-            .replicas_into(&key, self.config.replication_factor, &mut f.replicas);
+        self.place(self.ring.primary(&key), &mut f.replicas);
         let quota = self.quota(self.config.read_cl, coord, &f.replicas);
         if !self.pick_targets(&quota, &f.replicas, &mut f.targets) {
             self.scratch = f;
@@ -631,8 +639,7 @@ impl Cluster {
         let mut f = std::mem::take(&mut self.scratch);
         // The range's replicas as the strategy placed its writes, in ring
         // order from the primary.
-        self.ring
-            .range_replicas_into(primary, self.config.replication_factor, &mut f.replicas);
+        self.place(primary, &mut f.replicas);
         let quota = self.quota(self.config.read_cl, coord, &f.replicas);
         if !self.pick_targets(&quota, &f.replicas, &mut f.targets) {
             self.scratch = f;
@@ -1236,8 +1243,7 @@ impl SimStore for Cluster {
             }
             let shared = Segment::from_rows(rows);
             let primary = self.ring.segment_primary(segment);
-            self.ring
-                .range_replicas_into(primary, self.config.replication_factor, &mut replicas);
+            self.place(primary, &mut replicas);
             for r in &replicas {
                 held[r.index()].push(shared.clone());
             }
@@ -1466,7 +1472,7 @@ mod tests {
             key: key(100),
             value: k("x"),
         });
-        let replicas = h.cluster.ring().replicas(&key(100), 3);
+        let replicas = h.cluster.replicas(&key(100));
         for r in replicas {
             let cell = h.cluster.read_local(r, &key(100)).expect("replica has it");
             assert_eq!(cell.value.as_deref(), Some(&b"x"[..]));
@@ -1617,7 +1623,7 @@ mod tests {
         let mut cfg = ordered_config(3, 5, 1000);
         cfg.write_cl = Consistency::All;
         let mut h = Harness::new(cfg);
-        let reps = h.cluster.ring().replicas(&key(0), 3);
+        let reps = h.cluster.replicas(&key(0));
         h.cluster.apply_crash(&mut h.sim, reps[2]);
         let w = h.run_one(StoreOp::Insert {
             key: key(0),
@@ -1630,7 +1636,7 @@ mod tests {
     #[test]
     fn cl_one_survives_replica_failures() {
         let mut h = Harness::new(ordered_config(3, 5, 1000));
-        let reps = h.cluster.ring().replicas(&key(0), 3);
+        let reps = h.cluster.replicas(&key(0));
         h.cluster.apply_crash(&mut h.sim, reps[1]);
         h.cluster.apply_crash(&mut h.sim, reps[2]);
         let w = h.run_one(StoreOp::Insert {
@@ -1645,7 +1651,7 @@ mod tests {
     #[test]
     fn hinted_handoff_catches_up_failed_replica() {
         let mut h = Harness::new(ordered_config(3, 5, 1000));
-        let reps = h.cluster.ring().replicas(&key(0), 3);
+        let reps = h.cluster.replicas(&key(0));
         let victim = reps[2];
         h.cluster.apply_crash(&mut h.sim, victim);
         h.run_one(StoreOp::Insert {
@@ -1665,7 +1671,7 @@ mod tests {
     /// Make one replica of `key(0)` stale for real: fail it, overwrite at
     /// CL=ONE with hinted handoff off, recover it. Returns the stale node.
     fn make_stale_replica(h: &mut Harness, stale_idx: usize, val: &str) -> NodeId {
-        let reps = h.cluster.ring().replicas(&key(0), 3);
+        let reps = h.cluster.replicas(&key(0));
         let victim = reps[stale_idx];
         h.cluster.apply_crash(&mut h.sim, victim);
         h.run_one(StoreOp::Update {
@@ -1798,7 +1804,7 @@ mod tests {
                 key: key(1),
                 value: k("x"),
             });
-            let reps = h.cluster.ring().replicas(&key(0), 3);
+            let reps = h.cluster.replicas(&key(0));
             // Manually pause the third replica for 50ms.
             let now = h.sim.now();
             let hw = h.cluster.hw_mut(reps[2]);
@@ -1832,7 +1838,7 @@ mod tests {
             key: key(0),
             value: k("x"),
         });
-        let reps = h.cluster.ring().replicas(&key(0), 3);
+        let reps = h.cluster.replicas(&key(0));
         // Submit the read; kill a replica after the coordinator has fanned
         // out (i.e. right after the Arrive event), so its request is
         // silently dropped mid-flight.
@@ -1863,7 +1869,7 @@ mod tests {
         }
         h.cluster.flush_all();
         for i in (0..100u64).step_by(13) {
-            for r in h.cluster.ring().replicas(&key(i), 3) {
+            for r in h.cluster.replicas(&key(i)) {
                 assert!(h.cluster.read_local(r, &key(i)).is_some());
             }
         }
@@ -1871,7 +1877,7 @@ mod tests {
         // nothing left in the memtable or unsynced in the commit log.
         let mut placed = vec![Vec::new(); h.cluster.len()];
         for i in 0..100u64 {
-            for r in h.cluster.ring().replicas(&key(i), 3) {
+            for r in h.cluster.replicas(&key(i)) {
                 placed[r.index()].push(key(i));
             }
         }
@@ -1939,7 +1945,7 @@ mod tests {
         assert!(held.iter().all(|&(_, holders)| holders == 1));
         assert_eq!(held.iter().map(|(s, _)| s.len()).sum::<usize>(), 300);
         for i in 0..100u64 {
-            for r in h.cluster.ring().replicas(&key(i), 3) {
+            for r in h.cluster.replicas(&key(i)) {
                 assert!(h.cluster.read_local(r, &key(i)).is_some());
             }
         }
@@ -1988,7 +1994,7 @@ mod tests {
     /// `rf_per_dc` replicas in each DC, a uniform `WAN_US` one-way
     /// inter-region delay, deterministic service times, no read repair.
     fn geo_cluster_config(regions: u32, nodes_per_region: usize, rf_per_dc: u32) -> CStoreConfig {
-        let geo_cfg = geo::GeoConfig {
+        let geo_cfg = simkit::GeoConfig {
             regions,
             inter_region_us: WAN_US,
             wan_jitter: 0.0,
@@ -1996,7 +2002,7 @@ mod tests {
         };
         let mut c = CStoreConfig::paper_testbed(regions * rf_per_dc, Partitioner::murmur());
         c.node.topology = geo_cfg.topology(nodes_per_region, c.node.profile.nic.prop_us);
-        c.strategy = geo::Strategy::network_topology(regions, rf_per_dc);
+        c.strategy = crate::Strategy::network_topology(regions, rf_per_dc);
         c.read_repair_chance = 0.0;
         c.node.jitter = 0.0;
         c
@@ -2301,7 +2307,7 @@ mod tests {
             0,
             vec![0; (regions * regions) as usize],
         );
-        c.strategy = geo::Strategy::NetworkTopology { per_dc };
+        c.strategy = crate::Strategy::NetworkTopology { per_dc };
         c.read_repair_chance = 0.0;
         c.node.jitter = 0.0;
         c.read_cl = cl;
@@ -2366,7 +2372,7 @@ mod tests {
                 .collect();
             let cfg = quota_config(regions, nodes_per_region, per_dc, cl);
             let cluster = Cluster::new(cfg.clone());
-            let replicas = cluster.ring().replicas(&key(id), cfg.replication_factor);
+            let replicas = cluster.replicas(&key(id));
             let reps: Vec<(NodeId, u32, bool)> = replicas
                 .iter()
                 .map(|&r| (r, cluster.region_of(r), !down.contains(&r)))

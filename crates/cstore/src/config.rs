@@ -3,7 +3,7 @@
 use ::node::NodeConfig;
 use storage::LsmConfig;
 
-use crate::ring::Partitioner;
+use crate::ring::{Partitioner, Strategy};
 
 /// A tunable consistency level (the paper benchmarks ONE, QUORUM, and
 /// write-ALL; LOCAL_QUORUM and EACH_QUORUM are the datacenter-aware levels
@@ -34,7 +34,7 @@ impl Consistency {
     /// For the datacenter-aware levels this is the datacenter-blind
     /// fallback (a plain majority of `rf`) — correct for single-DC
     /// clusters; multi-DC coordinators compute per-DC quotas from the
-    /// snitch instead.
+    /// topology's regions instead.
     pub fn required(self, rf: u32) -> u32 {
         let n = match self {
             Consistency::One => 1,
@@ -45,12 +45,12 @@ impl Consistency {
     }
 
     /// True for the levels whose quota is computed per datacenter.
-    pub fn dc_aware(self) -> bool {
+    pub(crate) fn dc_aware(self) -> bool {
         matches!(self, Consistency::LocalQuorum | Consistency::EachQuorum)
     }
 
     /// Short label for reports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Consistency::One => "ONE",
             Consistency::Quorum => "QUORUM",
@@ -135,12 +135,12 @@ pub struct CStoreConfig {
     pub lsm: LsmConfig,
     /// Key partitioning scheme.
     pub partitioner: Partitioner,
-    /// Replica placement strategy. [`geo::Strategy::Simple`] (the default)
+    /// Replica placement strategy. [`Strategy::Simple`] (the default)
     /// is datacenter-blind ring-successor placement;
-    /// [`geo::Strategy::NetworkTopology`] fills per-datacenter quotas using
-    /// the topology's region assignment as the snitch. With
-    /// `NetworkTopology`, `replication_factor` must equal the quota sum.
-    pub strategy: geo::Strategy,
+    /// [`Strategy::NetworkTopology`] fills per-datacenter quotas using
+    /// the topology's region assignment. With `NetworkTopology`,
+    /// `replication_factor` must equal the quota sum.
+    pub strategy: Strategy,
     /// CPU service times.
     pub costs: ServiceCosts,
 }
@@ -160,7 +160,7 @@ impl CStoreConfig {
             hint_replay_delay_us: 1_000,
             lsm: LsmConfig::default(),
             partitioner,
-            strategy: geo::Strategy::Simple,
+            strategy: Strategy::Simple,
             costs: ServiceCosts::default(),
         }
     }

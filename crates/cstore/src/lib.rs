@@ -4,7 +4,7 @@
 //! machinery the paper benchmarks in Cassandra:
 //!
 //! * a token **ring** with SimpleStrategy successor replication and either
-//!   an order-preserving or a hashing partitioner ([`ring`]);
+//!   an order-preserving or a hashing partitioner (`ring`);
 //! * a **coordinator** path with tunable consistency levels (ONE / QUORUM /
 //!   LOCAL_QUORUM / EACH_QUORUM / ALL, read and write set independently) —
 //!   writes go to
@@ -31,15 +31,14 @@
 #![warn(rust_2018_idioms)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod cluster;
-pub mod config;
-pub mod event;
-pub mod metrics;
-pub mod node;
-pub mod ring;
+mod cluster;
+mod config;
+mod event;
+mod metrics;
+mod node;
+mod ring;
 
 pub use cluster::Cluster;
 pub use config::{CStoreConfig, CommitlogSync, Consistency, ServiceCosts};
 pub use event::Event;
-pub use metrics::Metrics;
-pub use ring::{Partitioner, Ring};
+pub use ring::{Partitioner, Ring, Strategy};

@@ -32,14 +32,14 @@ pub struct Metrics {
 
 impl Metrics {
     /// Fresh counters.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Every counter as `(label, value)` in report order, with the
     /// runtime's `gc_pauses` and `shed` in their places. The destructuring
     /// makes a field without a label a compile error.
-    pub fn counters(&self, gc_pauses: u64, shed: u64) -> Vec<(&'static str, u64)> {
+    pub(crate) fn counters(&self, gc_pauses: u64, shed: u64) -> Vec<(&'static str, u64)> {
         let Metrics {
             reads,
             writes,

@@ -27,7 +27,7 @@ pub struct CNode {
 
 impl CNode {
     /// Build a node.
-    pub fn new(lsm: LsmConfig) -> Self {
+    pub(crate) fn new(lsm: LsmConfig) -> Self {
         Self {
             lsm: LsmTree::new(lsm),
             hints: Vec::new(),
@@ -39,7 +39,7 @@ impl CNode {
     /// `metrics`. The disk work is *not* charged here: the returned bytes
     /// go to the background-I/O throttle (real stores rate-limit compaction
     /// so it cannot monopolize the spindle).
-    pub fn maintain(&mut self, metrics: &mut Metrics) -> u64 {
+    pub(crate) fn maintain(&mut self, metrics: &mut Metrics) -> u64 {
         let mut bg_bytes = 0;
         if self.lsm.memtable_bytes() >= self.lsm.config().memtable_flush_bytes {
             if let Some(receipt) = self.lsm.flush() {

@@ -10,15 +10,15 @@
 //!   space (load balance without token tuning; scans degrade to
 //!   token-order semantics, as with Cassandra's RandomPartitioner).
 //!
-//! Replica placement is delegated to a [`geo::Strategy`]: the default
-//! [`geo::Strategy::Simple`] takes the primary plus the next `rf - 1`
-//! distinct ring successors, while `NetworkTopologyStrategy` walks the same
-//! successor order but fills per-datacenter quotas via the [`geo::Snitch`].
-//! The primary is the paper's "main replica ... always performed, no matter
-//! which consistency level is used".
+//! Replica placement is delegated to a [`Strategy`]: the default
+//! [`Strategy::Simple`] takes the primary plus the next `rf - 1` distinct
+//! ring successors, while [`Strategy::NetworkTopology`] walks the same
+//! successor order but fills per-datacenter quotas, reading each node's
+//! datacenter off the cluster's [`Topology`]. The primary is the paper's
+//! "main replica ... always performed, no matter which consistency level is
+//! used".
 
-use geo::{Snitch, Strategy};
-use simkit::NodeId;
+use simkit::{NodeId, Topology};
 use storage::sstable::{cmp_via_prefix, key_prefix, KeyPrefix};
 use storage::Key;
 
@@ -56,6 +56,76 @@ impl Partitioner {
     }
 }
 
+/// Replica placement strategy the ring consults.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Strategy {
+    /// Cassandra's `SimpleStrategy`: the `rf` distinct ring successors of
+    /// the primary, datacenter-blind.
+    Simple,
+    /// Cassandra's `NetworkTopologyStrategy`: walk ring successors and fill
+    /// a per-datacenter replica quota (`per_dc[region]` replicas in each
+    /// region). The `rf` argument to placement is ignored; the quota vector
+    /// is authoritative.
+    NetworkTopology {
+        /// Replicas to place in each datacenter, indexed by region.
+        per_dc: Vec<u32>,
+    },
+}
+
+impl Strategy {
+    /// `NetworkTopologyStrategy` with the same replica count in every of
+    /// `regions` datacenters.
+    pub fn network_topology(regions: u32, rf_per_dc: u32) -> Self {
+        Strategy::NetworkTopology {
+            per_dc: vec![rf_per_dc; regions as usize],
+        }
+    }
+
+    /// Total replicas this strategy places for a given requested `rf`:
+    /// `rf` itself for [`Strategy::Simple`], the quota sum for
+    /// [`Strategy::NetworkTopology`].
+    pub(crate) fn total_rf(&self, rf: u32) -> u32 {
+        match self {
+            Strategy::Simple => rf,
+            Strategy::NetworkTopology { per_dc } => per_dc.iter().sum(),
+        }
+    }
+
+    /// The replica set of the range whose primary is ring position
+    /// `primary`, on a ring of every node of `topology`, into `out`
+    /// (cleared first). Walks ring successors: `Simple` takes the first
+    /// `rf`, `NetworkTopology` takes nodes whose datacenter quota is still
+    /// unfilled.
+    fn place_into(&self, primary: usize, rf: u32, topology: &Topology, out: &mut Vec<NodeId>) {
+        let nodes = topology.len();
+        out.clear();
+        match self {
+            Strategy::Simple => {
+                out.extend(
+                    (0..rf.min(nodes as u32) as usize)
+                        .map(|i| NodeId(((primary + i) % nodes) as u32)),
+                );
+            }
+            Strategy::NetworkTopology { per_dc } => {
+                let mut remaining: Vec<u32> = per_dc.clone();
+                let total: u32 = remaining.iter().sum();
+                out.reserve(total as usize);
+                for i in 0..nodes {
+                    let node = NodeId(((primary + i) % nodes) as u32);
+                    let dc = topology.region(node) as usize;
+                    if dc < remaining.len() && remaining[dc] > 0 {
+                        remaining[dc] -= 1;
+                        out.push(node);
+                        if out.len() == total as usize {
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[inline]
 fn hash_key(key: &[u8]) -> u64 {
     // FNV-1a + avalanche; stand-in for Murmur3 with the same role.
@@ -79,40 +149,20 @@ pub struct Ring {
     token_prefixes: Vec<KeyPrefix>,
     nodes: usize,
     strategy: Strategy,
-    snitch: Snitch,
 }
 
 impl Ring {
-    /// A ring over `nodes` nodes with `SimpleStrategy` placement.
+    /// A ring over `nodes` nodes, placing replicas by `strategy`. Placement
+    /// takes the cluster's [`Topology`], which must hold exactly `nodes`
+    /// nodes.
     ///
     /// # Panics
     /// If an order-preserving partitioner has a token count ≠ `nodes`.
-    pub fn new(nodes: usize, partitioner: Partitioner) -> Self {
-        Self::with_strategy(
-            nodes,
-            partitioner,
-            Strategy::Simple,
-            Snitch::single_dc(nodes),
-        )
-    }
-
-    /// A ring whose placement consults an explicit replication strategy and
-    /// snitch (datacenter lookup).
-    ///
-    /// # Panics
-    /// If an order-preserving partitioner has a token count ≠ `nodes`, or
-    /// the snitch covers a different node count.
-    pub fn with_strategy(
-        nodes: usize,
-        partitioner: Partitioner,
-        strategy: Strategy,
-        snitch: Snitch,
-    ) -> Self {
+    pub fn new(nodes: usize, partitioner: Partitioner, strategy: Strategy) -> Self {
         assert!(nodes > 0);
         if let Partitioner::OrderPreserving { tokens } = &partitioner {
             assert_eq!(tokens.len(), nodes, "need exactly one token per node");
         }
-        assert_eq!(snitch.len(), nodes, "snitch must cover every node");
         let token_prefixes = match &partitioner {
             Partitioner::OrderPreserving { tokens } => {
                 tokens.iter().map(|t| key_prefix(t)).collect()
@@ -124,13 +174,7 @@ impl Ring {
             token_prefixes,
             nodes,
             strategy,
-            snitch,
         }
-    }
-
-    /// The datacenter snitch.
-    pub fn snitch(&self) -> &Snitch {
-        &self.snitch
     }
 
     /// Number of nodes on the ring.
@@ -182,40 +226,35 @@ impl Ring {
         segment.checked_sub(1).unwrap_or(self.nodes - 1)
     }
 
-    /// The replica set of `key` at replication factor `rf`, as placed by
-    /// the ring's strategy: `SimpleStrategy` takes the primary plus ring
-    /// successors clamped to the node count; `NetworkTopologyStrategy`
-    /// walks the same order filling per-datacenter quotas (its quota vector
-    /// is authoritative and `rf` is ignored).
-    pub fn replicas(&self, key: &[u8], rf: u32) -> Vec<NodeId> {
-        let p = self.primary(key);
-        self.strategy.place(p, self.nodes, rf, &self.snitch)
-    }
-
-    /// [`Ring::replicas`] into a caller-provided buffer (cleared first); the
-    /// per-op coordinator paths reuse one scratch buffer instead of
-    /// allocating a fresh replica set each operation.
-    pub fn replicas_into(&self, key: &[u8], rf: u32, out: &mut Vec<NodeId>) {
-        self.range_replicas_into(self.primary(key), rf, out);
-    }
-
     /// The replica set of the whole range whose primary is ring position
-    /// `primary` — the nodes [`Ring::replicas_into`] places every key of
-    /// that range on — into a caller-provided buffer (cleared first).
-    pub fn range_replicas_into(&self, primary: usize, rf: u32, out: &mut Vec<NodeId>) {
-        self.strategy
-            .place_into(primary, self.nodes, rf, &self.snitch, out);
+    /// `primary` (every key with that [`Ring::primary`]) at replication
+    /// factor `rf` over the cluster's `topology`, as placed by the ring's
+    /// strategy, into a caller-provided buffer (cleared first):
+    /// `SimpleStrategy` takes the primary plus ring successors clamped to
+    /// the node count; `NetworkTopologyStrategy` walks the same order
+    /// filling per-datacenter quotas (its quota vector is authoritative and
+    /// `rf` is ignored). The per-op coordinator paths reuse one scratch
+    /// buffer instead of allocating a fresh replica set each operation.
+    pub fn range_replicas_into(
+        &self,
+        primary: usize,
+        rf: u32,
+        topology: &Topology,
+        out: &mut Vec<NodeId>,
+    ) {
+        debug_assert_eq!(topology.len(), self.nodes, "one ring position per node");
+        self.strategy.place_into(primary, rf, topology, out);
     }
 
     /// Ring successor of a node index.
-    pub fn successor(&self, idx: usize) -> usize {
+    pub(crate) fn successor(&self, idx: usize) -> usize {
         (idx + 1) % self.nodes
     }
 
     /// For an ordered ring: the exclusive end key of the primary range that
     /// starts at node `idx` (i.e. the next node's token). `None` for the
     /// last range (unbounded) or a hashing ring.
-    pub fn range_end(&self, idx: usize) -> Option<&Key> {
+    pub(crate) fn range_end(&self, idx: usize) -> Option<&Key> {
         match &self.partitioner {
             Partitioner::OrderPreserving { tokens } => tokens.get(idx + 1),
             Partitioner::Murmur => None,
@@ -223,7 +262,7 @@ impl Ring {
     }
 
     /// For an ordered ring: the token (start key) of node `idx`'s range.
-    pub fn range_start(&self, idx: usize) -> Option<&Key> {
+    pub(crate) fn range_start(&self, idx: usize) -> Option<&Key> {
         match &self.partitioner {
             Partitioner::OrderPreserving { tokens } => tokens.get(idx),
             Partitioner::Murmur => None,
@@ -245,7 +284,26 @@ mod tests {
         Ring::new(
             4,
             Partitioner::order_preserving(vec![k("a"), k("g"), k("n"), k("t")]),
+            Strategy::Simple,
         )
+    }
+
+    /// The replica set of `key` on a single rack of the ring's nodes.
+    fn replicas(r: &Ring, key: &[u8], rf: u32) -> Vec<NodeId> {
+        placed(r, key, rf, &Topology::single_rack(r.len(), 50))
+    }
+
+    fn placed(r: &Ring, key: &[u8], rf: u32, topology: &Topology) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        r.range_replicas_into(r.primary(key), rf, topology, &mut out);
+        out
+    }
+
+    /// The replica set of the range whose primary is `primary`.
+    fn place(strategy: &Strategy, primary: usize, rf: u32, topology: &Topology) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        strategy.place_into(primary, rf, topology, &mut out);
+        out
     }
 
     #[test]
@@ -271,22 +329,22 @@ mod tests {
         // range.
         assert_eq!(r.segment_primary(0), 3);
         assert_eq!(r.segment_primary(4), 3);
-        let m = Ring::new(4, Partitioner::murmur());
+        let m = Ring::new(4, Partitioner::murmur(), Strategy::Simple);
         assert!((1..=4).contains(&m.segment(b"hello")));
     }
 
     #[test]
     fn replicas_are_distinct_successors() {
         let r = ordered_ring();
-        assert_eq!(r.replicas(b"g", 3), vec![NodeId(1), NodeId(2), NodeId(3)]);
+        assert_eq!(replicas(&r, b"g", 3), vec![NodeId(1), NodeId(2), NodeId(3)]);
         // Wrap around the ring.
-        assert_eq!(r.replicas(b"z", 3), vec![NodeId(3), NodeId(0), NodeId(1)]);
+        assert_eq!(replicas(&r, b"z", 3), vec![NodeId(3), NodeId(0), NodeId(1)]);
     }
 
     #[test]
     fn rf_clamps_to_node_count() {
         let r = ordered_ring();
-        let reps = r.replicas(b"a", 10);
+        let reps = replicas(&r, b"a", 10);
         assert_eq!(reps.len(), 4);
         let mut sorted = reps.clone();
         sorted.sort();
@@ -297,12 +355,12 @@ mod tests {
     #[test]
     fn replica_set_is_stable() {
         let r = ordered_ring();
-        assert_eq!(r.replicas(b"hello", 3), r.replicas(b"hello", 3));
+        assert_eq!(replicas(&r, b"hello", 3), replicas(&r, b"hello", 3));
     }
 
     #[test]
     fn murmur_balances_load() {
-        let r = Ring::new(10, Partitioner::murmur());
+        let r = Ring::new(10, Partitioner::murmur(), Strategy::Simple);
         let mut counts = vec![0u32; 10];
         for i in 0..100_000 {
             counts[r.primary(format!("user{i:012}").as_bytes())] += 1;
@@ -318,7 +376,7 @@ mod tests {
         let tokens: Vec<Key> = (0..4)
             .map(|i| Bytes::from(format!("user{:012}", i * 25_000).into_bytes()))
             .collect();
-        let r = Ring::new(4, Partitioner::order_preserving(tokens));
+        let r = Ring::new(4, Partitioner::order_preserving(tokens), Strategy::Simple);
         let mut counts = vec![0u32; 4];
         for i in 0..100_000 {
             counts[r.primary(format!("user{i:012}").as_bytes())] += 1;
@@ -332,7 +390,7 @@ mod tests {
         assert_eq!(r.range_start(1), Some(&k("g")));
         assert_eq!(r.range_end(1), Some(&k("n")));
         assert_eq!(r.range_end(3), None, "last range is unbounded");
-        let m = Ring::new(4, Partitioner::murmur());
+        let m = Ring::new(4, Partitioner::murmur(), Strategy::Simple);
         assert_eq!(m.range_end(0), None);
     }
 
@@ -352,25 +410,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "one token per node")]
     fn token_count_must_match() {
-        let _ = Ring::new(3, Partitioner::order_preserving(vec![k("a")]));
+        let _ = Ring::new(
+            3,
+            Partitioner::order_preserving(vec![k("a")]),
+            Strategy::Simple,
+        );
     }
 
     #[test]
     fn network_topology_strategy_fills_per_dc_quotas() {
         // 6 nodes, 2 regions of 3 (contiguous blocks as Topology::geo lays
         // them out); one replica per DC.
-        let t = simkit::Topology::geo(2, 3, 50, vec![0, 1000, 1000, 0]);
-        let r = Ring::with_strategy(
-            6,
-            Partitioner::murmur(),
-            Strategy::network_topology(2, 1),
-            Snitch::from_topology(&t),
-        );
-        let reps = r.replicas(b"somekey", 0);
+        let t = Topology::geo(2, 3, 50, vec![0, 1000, 1000, 0]);
+        let r = Ring::new(6, Partitioner::murmur(), Strategy::network_topology(2, 1));
+        let reps = placed(&r, b"somekey", 0, &t);
         assert_eq!(reps.len(), 2);
         assert_ne!(
-            r.snitch().region(reps[0]),
-            r.snitch().region(reps[1]),
+            t.region(reps[0]),
+            t.region(reps[1]),
             "one replica in each DC: {reps:?}"
         );
     }
@@ -378,14 +435,45 @@ mod tests {
     #[test]
     fn single_dc_nts_matches_simple_placement() {
         let simple = ordered_ring();
-        let nts = Ring::with_strategy(
+        let nts = Ring::new(
             4,
             Partitioner::order_preserving(vec![k("a"), k("g"), k("n"), k("t")]),
             Strategy::network_topology(1, 3),
-            Snitch::single_dc(4),
         );
         for key in [&b"a"[..], b"g", b"m", b"z", b"0", b"hello"] {
-            assert_eq!(simple.replicas(key, 3), nts.replicas(key, 3));
+            assert_eq!(replicas(&simple, key, 3), replicas(&nts, key, 3));
         }
+    }
+
+    #[test]
+    fn simple_strategy_walks_successors() {
+        let t = Topology::single_rack(5, 50);
+        let got = place(&Strategy::Simple, 3, 3, &t);
+        assert_eq!(got, vec![NodeId(3), NodeId(4), NodeId(0)]);
+        // rf clamps to node count.
+        let pair = Topology::single_rack(2, 50);
+        assert_eq!(place(&Strategy::Simple, 0, 9, &pair).len(), 2);
+    }
+
+    #[test]
+    fn nts_fills_per_dc_quotas_in_successor_order() {
+        // 2 regions x 3 nodes, contiguous blocks (0..3 in DC0, 3..6 in DC1).
+        let t = Topology::geo(2, 3, 50, vec![0, 25_000, 25_000, 0]);
+        let nts = Strategy::network_topology(2, 2);
+        let got = place(&nts, 1, 0, &t);
+        // Walk from n1: n1 (DC0), n2 (DC0), n3 (DC1), n4 (DC1); quota filled.
+        assert_eq!(got, vec![NodeId(1), NodeId(2), NodeId(3), NodeId(4)]);
+        assert_eq!(nts.total_rf(0), 4);
+    }
+
+    #[test]
+    fn nts_quota_exceeding_dc_size_takes_what_exists() {
+        let t = Topology::geo(2, 2, 50, vec![0, 25_000, 25_000, 0]);
+        let nts = Strategy::network_topology(2, 3); // only 2 nodes per DC
+        assert_eq!(
+            place(&nts, 0, 0, &t).len(),
+            4,
+            "cannot place more replicas than nodes"
+        );
     }
 }

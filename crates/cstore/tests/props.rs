@@ -3,10 +3,26 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use cstore::{Consistency, Partitioner, Ring};
+use cstore::{Consistency, Partitioner, Ring, Strategy};
+use simkit::{NodeId, Topology};
 
 fn key(id: u64) -> Bytes {
     Bytes::from(format!("user{id:08}").into_bytes())
+}
+
+/// The replica set of `key` on a single rack of the ring's nodes.
+fn replicas(ring: &Ring, key: &[u8], rf: u32) -> Vec<NodeId> {
+    let mut out = Vec::new();
+    let rack = Topology::single_rack(ring.len(), 50);
+    ring.range_replicas_into(ring.primary(key), rf, &rack, &mut out);
+    out
+}
+
+/// The replica set of the range whose primary is ring position `primary`.
+fn range_replicas(ring: &Ring, primary: usize, rf: u32, topology: &Topology) -> Vec<NodeId> {
+    let mut out = Vec::new();
+    ring.range_replicas_into(primary, rf, topology, &mut out);
+    out
 }
 
 proptest! {
@@ -20,27 +36,27 @@ proptest! {
         rf in 1u32..8,
         id in 0u64..100_000,
     ) {
-        let ring = Ring::new(nodes, Partitioner::murmur());
+        let ring = Ring::new(nodes, Partitioner::murmur(), Strategy::Simple);
         let k = key(id);
-        let reps = ring.replicas(&k, rf);
+        let reps = replicas(&ring, &k, rf);
         prop_assert_eq!(reps.len(), (rf as usize).min(nodes));
         let mut uniq = reps.clone();
         uniq.sort();
         uniq.dedup();
         prop_assert_eq!(uniq.len(), reps.len(), "duplicate replicas");
         prop_assert_eq!(reps[0].index(), ring.primary(&k));
-        prop_assert_eq!(ring.replicas(&k, rf), reps, "unstable placement");
+        prop_assert_eq!(replicas(&ring, &k, rf), reps, "unstable placement");
     }
 
     /// Growing the replication factor only appends replicas (monotone
     /// placement — the property that lets RF be raised without moving data).
     #[test]
     fn placement_is_monotone_in_rf(nodes in 2usize..20, id in 0u64..100_000) {
-        let ring = Ring::new(nodes, Partitioner::murmur());
+        let ring = Ring::new(nodes, Partitioner::murmur(), Strategy::Simple);
         let k = key(id);
-        let mut prev = ring.replicas(&k, 1);
+        let mut prev = replicas(&ring, &k, 1);
         for rf in 2..=nodes as u32 {
-            let cur = ring.replicas(&k, rf);
+            let cur = replicas(&ring, &k, rf);
             prop_assert_eq!(&cur[..prev.len()], &prev[..], "prefix changed at rf={}", rf);
             prev = cur;
         }
@@ -55,7 +71,11 @@ proptest! {
     ) {
         let tokens: Vec<Bytes> = token_ids.iter().map(|&t| key(t)).collect();
         let n = tokens.len();
-        let ring = Ring::new(n, Partitioner::order_preserving(tokens.clone()));
+        let ring = Ring::new(
+            n,
+            Partitioner::order_preserving(tokens.clone()),
+            Strategy::Simple,
+        );
         let k = key(id);
         let p = ring.primary(&k);
         if k < tokens[0] {
@@ -67,6 +87,69 @@ proptest! {
             }
         }
         let _ = token_ids.pop_first();
+    }
+
+    /// `NetworkTopologyStrategy` over regions of `Topology::geo`: for every
+    /// primary, the replicas are distinct, in ring-successor order from the
+    /// primary, and in each region they are that region's first
+    /// min(quota, region size) nodes in that order. With one region and
+    /// quota `rf` it places exactly what `SimpleStrategy` does.
+    #[test]
+    fn network_topology_placement_fills_quotas_in_successor_order(
+        regions in 1u32..4,
+        per_region in 1usize..6,
+        quotas in prop::collection::vec(0u32..7, 3..4),
+        rf in 1u32..7,
+    ) {
+        let wan = vec![25_000; (regions * regions) as usize];
+        let topology = Topology::geo(regions, per_region, 50, wan);
+        let nodes = topology.len();
+        let per_dc = quotas[..regions as usize].to_vec();
+        let nts = Ring::new(
+            nodes,
+            Partitioner::murmur(),
+            Strategy::NetworkTopology { per_dc: per_dc.clone() },
+        );
+        for primary in 0..nodes {
+            let got = range_replicas(&nts, primary, 0, &topology);
+            let walk: Vec<NodeId> = (0..nodes)
+                .map(|i| NodeId(((primary + i) % nodes) as u32))
+                .collect();
+            let offsets: Vec<usize> = got
+                .iter()
+                .map(|n| (n.index() + nodes - primary) % nodes)
+                .collect();
+            prop_assert!(
+                offsets.windows(2).all(|w| w[0] < w[1]),
+                "not distinct successors of {}: {:?}", primary, got
+            );
+            for (region, &quota) in per_dc.iter().enumerate() {
+                let in_region = |n: &&NodeId| topology.region(**n) == region as u32;
+                let placed: Vec<NodeId> = got.iter().filter(in_region).copied().collect();
+                let first: Vec<NodeId> = walk
+                    .iter()
+                    .filter(in_region)
+                    .take(quota as usize)
+                    .copied()
+                    .collect();
+                prop_assert_eq!(placed.len(), (quota as usize).min(per_region));
+                prop_assert_eq!(placed, first, "region {} from primary {}", region, primary);
+            }
+        }
+
+        let rack = Topology::geo(1, per_region, 50, vec![0]);
+        let simple = Ring::new(per_region, Partitioner::murmur(), Strategy::Simple);
+        let nts = Ring::new(
+            per_region,
+            Partitioner::murmur(),
+            Strategy::network_topology(1, rf),
+        );
+        for primary in 0..per_region {
+            prop_assert_eq!(
+                range_replicas(&nts, primary, rf, &rack),
+                range_replicas(&simple, primary, rf, &rack)
+            );
+        }
     }
 
     /// Quorum arithmetic: required responses never exceed RF, QUORUM

@@ -86,7 +86,7 @@ impl FaultInjector {
 
     /// Apply plan entry `index` to `target` now. Returns the applied event,
     /// or `None` when the index is unknown or names a node the target does
-    /// not have (counted in [`FaultInjector::skipped`]).
+    /// not have (counted in `FaultInjector::skipped`).
     pub fn fire<T, W>(
         &mut self,
         sim: &mut Sim<W>,
@@ -147,7 +147,8 @@ impl FaultInjector {
     }
 
     /// Fault events skipped because their node was out of range.
-    pub fn skipped(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn skipped(&self) -> u64 {
         self.skipped
     }
 }

@@ -25,8 +25,8 @@
 #![warn(rust_2018_idioms)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod injector;
-pub mod plan;
+mod injector;
+mod plan;
 
 pub use injector::{FaultInjector, FaultTarget};
 pub use plan::{FaultEvent, FaultKind, FaultPlan};

@@ -8,7 +8,7 @@
 //! from their own splitmix64 stream seeded by the cell seed, keeping them
 //! reproducible and independent of the workload's random stream.
 
-use simkit::{NodeId, SimTime};
+use simkit::{splitmix64, NodeId, SimTime};
 
 /// What a single fault does to the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,7 +81,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// The node this fault applies to; `None` for region-scoped kinds.
-    pub fn node(&self) -> Option<NodeId> {
+    pub(crate) fn node(&self) -> Option<NodeId> {
         match *self {
             FaultKind::Crash { node }
             | FaultKind::Recover { node }
@@ -97,7 +97,7 @@ impl FaultKind {
     }
 
     /// The datacenter this fault applies to; `None` for node-scoped kinds.
-    pub fn region(&self) -> Option<u32> {
+    pub(crate) fn region(&self) -> Option<u32> {
         match *self {
             FaultKind::CrashRegion { region }
             | FaultKind::RecoverRegion { region }
@@ -144,17 +144,17 @@ impl FaultPlan {
     }
 
     /// The events in fire order.
-    pub fn events(&self) -> &[FaultEvent] {
+    pub(crate) fn events(&self) -> &[FaultEvent] {
         &self.events
     }
 
     /// The event at `index` in fire order, if any.
-    pub fn get(&self, index: usize) -> Option<&FaultEvent> {
+    pub(crate) fn get(&self, index: usize) -> Option<&FaultEvent> {
         self.events.get(index)
     }
 
     /// Insert one event, keeping the plan sorted by time (stable for ties).
-    pub fn push(&mut self, event: FaultEvent) {
+    pub(crate) fn push(&mut self, event: FaultEvent) {
         let pos = self.events.partition_point(|e| e.at <= event.at);
         self.events.insert(pos, event);
     }
@@ -170,7 +170,7 @@ impl FaultPlan {
     }
 
     /// Recover `node` at virtual time `at`.
-    pub fn recover_at(self, node: NodeId, at: SimTime) -> Self {
+    pub(crate) fn recover_at(self, node: NodeId, at: SimTime) -> Self {
         self.with(at, FaultKind::Recover { node })
     }
 
@@ -181,7 +181,13 @@ impl FaultPlan {
     }
 
     /// Multiply `node`'s disk service times by `factor` during `[from, to)`.
-    pub fn slow_disk_window(self, node: NodeId, factor: u32, from: SimTime, to: SimTime) -> Self {
+    pub(crate) fn slow_disk_window(
+        self,
+        node: NodeId,
+        factor: u32,
+        from: SimTime,
+        to: SimTime,
+    ) -> Self {
         assert!(from < to, "slow-disk window must have positive duration");
         self.with(from, FaultKind::SlowDisk { node, factor })
             .with(to, FaultKind::RestoreDisk { node })
@@ -212,36 +218,32 @@ impl FaultPlan {
             return Self::new();
         }
         let mut state = seed;
+        let mut next = || {
+            let z = splitmix64(state);
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z
+        };
         let mut plan = Self::new();
-        let count = 1 + splitmix64(&mut state) % 3;
+        let count = 1 + next() % 3;
         for _ in 0..count {
-            let node = NodeId((splitmix64(&mut state) % u64::from(nodes)) as u32);
-            let from = horizon_us / 8 + splitmix64(&mut state) % (horizon_us / 2);
-            let len = 1 + horizon_us / 16 + splitmix64(&mut state) % (horizon_us / 4);
+            let node = NodeId((next() % u64::from(nodes)) as u32);
+            let from = horizon_us / 8 + next() % (horizon_us / 2);
+            let len = 1 + horizon_us / 16 + next() % (horizon_us / 4);
             let to = (from + len).min(horizon_us);
-            plan = match splitmix64(&mut state) % 3 {
+            plan = match next() % 3 {
                 0 => plan.crash_window(node, from, to),
                 1 => {
-                    let factor = 2 + (splitmix64(&mut state) % 7) as u32;
+                    let factor = 2 + (next() % 7) as u32;
                     plan.slow_disk_window(node, factor, from, to)
                 }
                 _ => {
-                    let extra_us = 200 + splitmix64(&mut state) % 2_000;
+                    let extra_us = 200 + next() % 2_000;
                     plan.net_delay_window(node, extra_us, from, to)
                 }
             };
         }
         plan
     }
-}
-
-/// One step of the splitmix64 sequence.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -10,7 +10,6 @@
 //! The front door, the in-flight table and the server hardware are the
 //! [`node::Runtime`].
 
-use dfs::DfsCluster;
 use node::{DriverEvent, InFlight, Runtime, SimStore};
 use obs::Stage;
 use simkit::{NodeId, OpKey, OpTag, Sim, SimRng, SimTime};
@@ -19,6 +18,7 @@ use storage::types::entry_encoded_len;
 use storage::{Cell, Completion, IoOp, Key, OpError, OpResult, Segment, StoreOp, TableId, Value};
 
 use crate::config::HStoreConfig;
+use crate::dfs::{DfsCluster, FileId};
 use crate::event::Event;
 use crate::master::Master;
 use crate::metrics::Metrics;
@@ -26,7 +26,7 @@ use crate::region::RegionMap;
 
 #[derive(Debug, Clone)]
 struct WalState {
-    file: dfs::FileId,
+    file: FileId,
     pipeline: Vec<NodeId>,
     inflight: bool,
     /// Queued writers: `(slab key, driver token, enqueue time)` — the time
@@ -714,7 +714,7 @@ impl Cluster {
     /// restarting with a cold cache; its HDFS blocks re-replicate in the
     /// background. Equivalent to [`Cluster::crash_server`] followed by the
     /// master's failover.
-    pub fn fail_server(&mut self, node: NodeId) {
+    pub(crate) fn fail_server(&mut self, node: NodeId) {
         self.crash_server(node);
         self.fail_over_from(node);
     }
@@ -722,7 +722,7 @@ impl Cluster {
     /// Crash a region server *without* failover: requests to its regions
     /// fail until the master notices (an `Event::FailOver`) or the server
     /// recovers. Used by deferred crash injection.
-    pub fn crash_server(&mut self, node: NodeId) {
+    pub(crate) fn crash_server(&mut self, node: NodeId) {
         self.rt.hw_mut(node).fail();
     }
 
@@ -949,6 +949,7 @@ impl faults::FaultTarget for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dfs::BlockId;
     use bytes::Bytes;
 
     type Ev = DriverEvent<Event>;
@@ -1504,7 +1505,7 @@ mod tests {
     type Run = (TableId, Vec<(Key, Cell)>, usize, u64);
 
     /// A file's blocks, each with its replicas and length.
-    type Blocks = Vec<(dfs::BlockId, Vec<NodeId>, u64)>;
+    type Blocks = Vec<(BlockId, Vec<NodeId>, u64)>;
 
     /// What a load leaves that later simulation reads, but for the block
     /// cache, which a load leaves empty.
@@ -1512,10 +1513,10 @@ mod tests {
     struct Loaded {
         /// Per region.
         runs: Vec<Vec<Run>>,
-        hfiles: Vec<Vec<(TableId, dfs::FileId)>>,
+        hfiles: Vec<Vec<(TableId, FileId)>>,
         next_table: Vec<TableId>,
         /// Every WAL and HFile.
-        files: Vec<(dfs::FileId, Blocks)>,
+        files: Vec<(FileId, Blocks)>,
         used: Vec<u64>,
         rng: SimRng,
     }

@@ -90,7 +90,7 @@ impl HStoreConfig {
             wal_block_bytes: 4 * 1024 * 1024,
             failover_delay_us: 0,
             follower_regions: 0,
-            ship_wan_us: geo::DEFAULT_INTER_REGION_US,
+            ship_wan_us: simkit::DEFAULT_INTER_REGION_US,
             ship_lag_us: 10_000,
         }
     }

@@ -2,14 +2,14 @@
 
 use simkit::{NodeId, SimRng};
 
-use crate::datanode::DataNode;
-use crate::ids::{BlockId, FileId};
-use crate::namenode::NameNode;
+use super::datanode::DataNode;
+use super::ids::{BlockId, FileId};
+use super::namenode::NameNode;
 
 /// Result of appending one block: identity plus the write pipeline the
 /// caller must charge for (in order: first hop is the writer-local replica).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockWrite {
+pub(crate) struct BlockWrite {
     /// The new block.
     pub block: BlockId,
     /// Replica nodes in pipeline order.
@@ -18,7 +18,7 @@ pub struct BlockWrite {
 
 /// One block copy the re-replication scanner wants performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplicationTask {
+pub(crate) struct ReplicationTask {
     /// Block to copy.
     pub block: BlockId,
     /// A surviving replica to read from.
@@ -31,7 +31,7 @@ pub struct ReplicationTask {
 
 /// A whole filesystem: one namenode plus a datanode per cluster machine.
 #[derive(Debug, Clone)]
-pub struct DfsCluster {
+pub(crate) struct DfsCluster {
     namenode: NameNode,
     datanodes: Vec<DataNode>,
     replication: u32,
@@ -40,7 +40,7 @@ pub struct DfsCluster {
 impl DfsCluster {
     /// A filesystem over `nodes` machines with default replication factor
     /// `replication`.
-    pub fn new(nodes: usize, replication: u32) -> Self {
+    pub(crate) fn new(nodes: usize, replication: u32) -> Self {
         assert!(nodes > 0, "need at least one datanode");
         assert!(replication >= 1, "replication factor must be at least 1");
         Self {
@@ -53,17 +53,18 @@ impl DfsCluster {
     }
 
     /// The namenode (read access for assertions and bookkeeping).
-    pub fn namenode(&self) -> &NameNode {
+    pub(crate) fn namenode(&self) -> &NameNode {
         &self.namenode
     }
 
     /// A datanode by machine.
-    pub fn datanode(&self, node: NodeId) -> &DataNode {
+    #[cfg(test)]
+    pub(crate) fn datanode(&self, node: NodeId) -> &DataNode {
         &self.datanodes[node.index()]
     }
 
     /// Create an empty file.
-    pub fn create_file(&mut self) -> FileId {
+    pub(crate) fn create_file(&mut self) -> FileId {
         self.namenode.create_file()
     }
 
@@ -96,7 +97,7 @@ impl DfsCluster {
     /// Append one block of `len` bytes to `file`, written from `writer`.
     /// Stores a replica on every pipeline node and registers the block.
     /// `None` when no datanode is up: nothing is stored or registered.
-    pub fn append_block(
+    pub(crate) fn append_block(
         &mut self,
         file: FileId,
         len: u64,
@@ -117,7 +118,7 @@ impl DfsCluster {
     }
 
     /// Replica locations of a block (namenode view).
-    pub fn locations(&self, block: BlockId) -> &[NodeId] {
+    pub(crate) fn locations(&self, block: BlockId) -> &[NodeId] {
         self.namenode
             .block(block)
             .map(|b| b.replicas.as_slice())
@@ -126,7 +127,7 @@ impl DfsCluster {
 
     /// Pick the replica a reader on `reader` should use: itself when local
     /// (short-circuit read), otherwise the first live replica.
-    pub fn pick_read_replica(&self, block: BlockId, reader: NodeId) -> Option<NodeId> {
+    pub(crate) fn pick_read_replica(&self, block: BlockId, reader: NodeId) -> Option<NodeId> {
         let locs = self.locations(block);
         if locs.contains(&reader) && self.datanodes[reader.index()].is_up() {
             return Some(reader);
@@ -138,7 +139,7 @@ impl DfsCluster {
 
     /// Delete a file and free all replica space. Returns total bytes freed
     /// across the cluster.
-    pub fn delete_file(&mut self, file: FileId) -> u64 {
+    pub(crate) fn delete_file(&mut self, file: FileId) -> u64 {
         let Some(orphans) = self.namenode.delete_file(file) else {
             return 0;
         };
@@ -153,14 +154,14 @@ impl DfsCluster {
 
     /// Mark a datanode dead and update namenode metadata. Returns the blocks
     /// that became under-replicated.
-    pub fn fail_node(&mut self, node: NodeId) -> Vec<BlockId> {
+    pub(crate) fn fail_node(&mut self, node: NodeId) -> Vec<BlockId> {
         self.datanodes[node.index()].fail();
         self.namenode.drop_node(node)
     }
 
     /// Bring a datanode back up. Its surviving replicas are re-registered
     /// with the namenode (HDFS block reports on restart).
-    pub fn recover_node(&mut self, node: NodeId) {
+    pub(crate) fn recover_node(&mut self, node: NodeId) {
         // Collect first: the datanode borrow must end before namenode writes.
         self.datanodes[node.index()].recover();
         let held: Vec<BlockId> = self
@@ -183,7 +184,7 @@ impl DfsCluster {
     /// choose a live source replica and a live node not yet holding the
     /// block. Returns the copies performed so the caller can charge network
     /// and disk time.
-    pub fn rereplicate(&mut self, rng: &mut SimRng) -> Vec<ReplicationTask> {
+    pub(crate) fn rereplicate(&mut self, rng: &mut SimRng) -> Vec<ReplicationTask> {
         let mut tasks = Vec::new();
         for block in self.namenode.under_replicated() {
             while let Some(meta) = self.namenode.block(block).filter(|m| m.under_replicated()) {
@@ -224,7 +225,8 @@ impl DfsCluster {
     }
 
     /// Bytes stored per node, for balance assertions.
-    pub fn node_used_bytes(&self) -> Vec<u64> {
+    #[cfg(test)]
+    pub(crate) fn node_used_bytes(&self) -> Vec<u64> {
         self.datanodes.iter().map(DataNode::used_bytes).collect()
     }
 }

@@ -4,13 +4,13 @@ use simkit::FastHashMap;
 
 use simkit::NodeId;
 
-use crate::ids::BlockId;
+use super::ids::BlockId;
 
 /// A datanode daemon: the set of block replicas on one machine. A replica
 /// is its logical length only: `hstore` keeps HFile contents in its own
 /// structures.
 #[derive(Debug, Clone)]
-pub struct DataNode {
+pub(crate) struct DataNode {
     node: NodeId,
     /// Each stored replica's logical length in bytes.
     blocks: FastHashMap<BlockId, u64>,
@@ -20,7 +20,7 @@ pub struct DataNode {
 
 impl DataNode {
     /// An empty datanode on machine `node`.
-    pub fn new(node: NodeId) -> Self {
+    pub(crate) fn new(node: NodeId) -> Self {
         Self {
             node,
             blocks: FastHashMap::default(),
@@ -30,12 +30,12 @@ impl DataNode {
     }
 
     /// Which machine this daemon runs on.
-    pub fn node(&self) -> NodeId {
+    pub(crate) fn node(&self) -> NodeId {
         self.node
     }
 
     /// Store a replica. Overwrites any prior replica of the same block.
-    pub fn store(&mut self, block: BlockId, len: u64) {
+    pub(crate) fn store(&mut self, block: BlockId, len: u64) {
         if let Some(old) = self.blocks.insert(block, len) {
             self.used_bytes -= old;
         }
@@ -43,35 +43,36 @@ impl DataNode {
     }
 
     /// True when this node holds a replica of `block`.
-    pub fn has(&self, block: BlockId) -> bool {
+    pub(crate) fn has(&self, block: BlockId) -> bool {
         self.blocks.contains_key(&block)
     }
 
     /// Drop a replica; returns the bytes freed.
-    pub fn remove(&mut self, block: BlockId) -> u64 {
+    pub(crate) fn remove(&mut self, block: BlockId) -> u64 {
         let len = self.blocks.remove(&block).unwrap_or(0);
         self.used_bytes -= len;
         len
     }
 
     /// Bytes stored on this node.
-    pub fn used_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn used_bytes(&self) -> u64 {
         self.used_bytes
     }
 
     /// True while the daemon is serving.
-    pub fn is_up(&self) -> bool {
+    pub(crate) fn is_up(&self) -> bool {
         self.up
     }
 
     /// Crash the daemon. Stored replicas survive (disk persists) but are
     /// unreadable until recovery.
-    pub fn fail(&mut self) {
+    pub(crate) fn fail(&mut self) {
         self.up = false;
     }
 
     /// Restart the daemon.
-    pub fn recover(&mut self) {
+    pub(crate) fn recover(&mut self) {
         self.up = true;
     }
 }

@@ -4,11 +4,11 @@ use simkit::FastHashMap;
 
 use simkit::NodeId;
 
-use crate::ids::{BlockId, FileId};
+use super::ids::{BlockId, FileId};
 
 /// Metadata for one block.
 #[derive(Debug, Clone)]
-pub struct BlockMeta {
+pub(crate) struct BlockMeta {
     /// The block's identity.
     pub id: BlockId,
     /// Logical length in bytes.
@@ -21,14 +21,14 @@ pub struct BlockMeta {
 
 impl BlockMeta {
     /// True when fewer live replicas exist than requested.
-    pub fn under_replicated(&self) -> bool {
+    pub(crate) fn under_replicated(&self) -> bool {
         (self.replicas.len() as u32) < self.target_replication
     }
 }
 
 /// The metadata server.
 #[derive(Debug, Clone, Default)]
-pub struct NameNode {
+pub(crate) struct NameNode {
     /// Each file's ordered blocks.
     files: FastHashMap<FileId, Vec<BlockId>>,
     blocks: FastHashMap<BlockId, BlockMeta>,
@@ -38,12 +38,12 @@ pub struct NameNode {
 
 impl NameNode {
     /// An empty namespace.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Create an empty file.
-    pub fn create_file(&mut self) -> FileId {
+    pub(crate) fn create_file(&mut self) -> FileId {
         let id = FileId(self.next_file);
         self.next_file += 1;
         self.files.insert(id, Vec::new());
@@ -52,7 +52,7 @@ impl NameNode {
 
     /// Register a new block for `file`, placed on `replicas`. A file id this
     /// namenode never issued has no block list, so the block joins none.
-    pub fn add_block(
+    pub(crate) fn add_block(
         &mut self,
         file: FileId,
         len: u64,
@@ -77,23 +77,23 @@ impl NameNode {
     }
 
     /// A file's ordered blocks.
-    pub fn file(&self, id: FileId) -> Option<&[BlockId]> {
+    pub(crate) fn file(&self, id: FileId) -> Option<&[BlockId]> {
         self.files.get(&id).map(Vec::as_slice)
     }
 
     /// Look up a block.
-    pub fn block(&self, id: BlockId) -> Option<&BlockMeta> {
+    pub(crate) fn block(&self, id: BlockId) -> Option<&BlockMeta> {
         self.blocks.get(&id)
     }
 
     /// Mutable block access (re-replication bookkeeping).
-    pub fn block_mut(&mut self, id: BlockId) -> Option<&mut BlockMeta> {
+    pub(crate) fn block_mut(&mut self, id: BlockId) -> Option<&mut BlockMeta> {
         self.blocks.get_mut(&id)
     }
 
     /// Delete a file, returning its (now orphaned) block metadata so the
     /// caller can free datanode space.
-    pub fn delete_file(&mut self, id: FileId) -> Option<Vec<BlockMeta>> {
+    pub(crate) fn delete_file(&mut self, id: FileId) -> Option<Vec<BlockMeta>> {
         let blocks = self.files.remove(&id)?;
         Some(
             blocks
@@ -105,7 +105,7 @@ impl NameNode {
 
     /// Remove a dead node from every block's replica list; returns blocks
     /// that became under-replicated.
-    pub fn drop_node(&mut self, node: NodeId) -> Vec<BlockId> {
+    pub(crate) fn drop_node(&mut self, node: NodeId) -> Vec<BlockId> {
         let mut damaged = Vec::new();
         for meta in self.blocks.values_mut() {
             let before = meta.replicas.len();
@@ -119,7 +119,7 @@ impl NameNode {
     }
 
     /// All blocks currently under-replicated.
-    pub fn under_replicated(&self) -> Vec<BlockId> {
+    pub(crate) fn under_replicated(&self) -> Vec<BlockId> {
         let mut v: Vec<_> = self
             .blocks
             .values()

@@ -6,7 +6,8 @@
 //! * **regions**: contiguous key ranges, each served by exactly one region
 //!   server — the reason HBase reads are strongly consistent and blind to
 //!   the replication factor;
-//! * a **write-ahead log per region server stored in [`dfs`]**: appends are
+//! * a **write-ahead log per region server stored in `dfs`**, the module
+//!   holding the HDFS analog (namenode, datanodes, pipelines): appends are
 //!   replicated through an in-memory pipeline (acknowledged before any disk
 //!   sync, with group commit batching concurrent writers) — the mechanism
 //!   the paper credits for HBase's flat write latency as RF grows;
@@ -26,16 +27,15 @@
 #![warn(rust_2018_idioms)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod cluster;
-pub mod config;
-pub mod event;
-pub mod master;
-pub mod metrics;
-pub mod region;
+mod cluster;
+mod config;
+mod dfs;
+mod event;
+mod master;
+mod metrics;
+mod region;
 
 pub use cluster::Cluster;
 pub use config::{HStoreConfig, ServiceCosts};
-pub use event::Event;
 pub use master::Master;
-pub use metrics::Metrics;
 pub use region::{Region, RegionMap};

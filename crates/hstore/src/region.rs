@@ -2,7 +2,7 @@
 
 use simkit::FastHashMap;
 
-use dfs::FileId;
+use crate::dfs::FileId;
 use simkit::NodeId;
 use storage::sstable::{cmp_via_prefix, key_prefix, KeyPrefix};
 use storage::{Key, LsmConfig, LsmTree, TableId};
@@ -116,7 +116,7 @@ impl RegionMap {
     }
 
     /// Mutable region access.
-    pub fn get_mut(&mut self, idx: usize) -> &mut Region {
+    pub(crate) fn get_mut(&mut self, idx: usize) -> &mut Region {
         &mut self.regions[idx]
     }
 
@@ -126,7 +126,7 @@ impl RegionMap {
     }
 
     /// All regions, mutably.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Region> {
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut Region> {
         self.regions.iter_mut()
     }
 

@@ -61,7 +61,7 @@ impl StageAgg {
     }
 
     /// The cell for `(kind, stage)`, if any segment landed there.
-    pub fn cell(&self, kind: OpKind, stage: Stage) -> Option<StageCell> {
+    pub(crate) fn cell(&self, kind: OpKind, stage: Stage) -> Option<StageCell> {
         self.cells.get(&(kind, stage)).copied()
     }
 

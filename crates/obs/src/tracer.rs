@@ -3,7 +3,7 @@
 
 use crate::span::{StageSpan, BG_OP};
 use crate::stage::Stage;
-use simkit::SimTime;
+use simkit::{splitmix64, SimTime};
 use std::collections::HashSet;
 
 /// Per-run span sink. Owned by each cluster; the driver enables it,
@@ -126,7 +126,9 @@ impl TraceConfig {
     }
 
     /// Should the logical op with 0-based issue index `index` be traced
-    /// under `seed`? Deterministic in `(self, index, seed)`.
+    /// under `seed`? Deterministic in `(self, index, seed)`; the sampling
+    /// phase is the seed mixed by [`splitmix64`], so neighbouring seeds
+    /// trace different ops.
     pub fn samples(&self, index: u64, seed: u64) -> bool {
         match self.sample_every {
             0 => false,
@@ -139,15 +141,6 @@ impl Default for TraceConfig {
     fn default() -> Self {
         Self::off()
     }
-}
-
-/// splitmix64 finalizer (same mixer the sweep engine uses for cell seeds):
-/// decorrelates the sampling phase from the raw seed value.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

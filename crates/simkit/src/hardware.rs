@@ -21,7 +21,7 @@ pub struct DiskProfile {
 impl DiskProfile {
     /// A 7200 RPM SATA drive of the paper's era: ~8 ms positioning,
     /// ~120 MB/s sequential.
-    pub const fn sata_7200rpm() -> Self {
+    pub(crate) const fn sata_7200rpm() -> Self {
         Self {
             seek_us: 8_000,
             read_bw: 120_000_000,
@@ -42,7 +42,7 @@ pub struct Disk {
 
 impl Disk {
     /// Create an idle disk with the given profile.
-    pub fn new(profile: DiskProfile) -> Self {
+    pub(crate) fn new(profile: DiskProfile) -> Self {
         Self {
             profile,
             queue: FifoResource::new(),
@@ -88,7 +88,7 @@ impl Disk {
     /// Multiply every subsequent service time by `factor` (fault injection:
     /// a transiently slow disk). `1` restores nominal speed; `0` is clamped
     /// to `1`.
-    pub fn set_degrade(&mut self, factor: u32) {
+    pub(crate) fn set_degrade(&mut self, factor: u32) {
         self.degrade = factor.max(1);
     }
 
@@ -98,7 +98,8 @@ impl Disk {
     }
 
     /// Total bytes read since the last stats reset.
-    pub fn read_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn read_bytes(&self) -> u64 {
         self.read_bytes
     }
 
@@ -119,7 +120,7 @@ pub struct NicProfile {
 
 impl NicProfile {
     /// Gigabit Ethernet within one rack: 125 MB/s, 50 µs one-way.
-    pub const fn gige() -> Self {
+    pub(crate) const fn gige() -> Self {
         Self {
             bw: 125_000_000,
             prop_us: 50,
@@ -151,7 +152,7 @@ pub struct Nic {
 
 impl Nic {
     /// Create an idle NIC.
-    pub fn new(profile: NicProfile) -> Self {
+    pub(crate) fn new(profile: NicProfile) -> Self {
         Self {
             profile,
             tx_busy_us: 0,
@@ -175,7 +176,7 @@ impl Nic {
     /// injection: a transiently congested or flaky uplink). `0` restores
     /// nominal latency. The delay models queueing ahead of the NIC, so it
     /// does not count toward bandwidth utilization.
-    pub fn set_extra_delay(&mut self, extra_us: u64) {
+    pub(crate) fn set_extra_delay(&mut self, extra_us: u64) {
         self.extra_tx_us = extra_us;
     }
 
@@ -207,7 +208,8 @@ impl Nic {
     }
 
     /// Messages transmitted since the last stats reset.
-    pub fn tx_msgs(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn tx_msgs(&self) -> u64 {
         self.tx_msgs
     }
 }
@@ -251,7 +253,6 @@ pub struct NodeHw {
     pub disk: Disk,
     /// The machine's NIC.
     pub nic: Nic,
-    profile: NodeProfile,
     up: bool,
 }
 
@@ -262,14 +263,8 @@ impl NodeHw {
             cpu: MultiServer::new(profile.cores),
             disk: Disk::new(profile.disk),
             nic: Nic::new(profile.nic),
-            profile,
             up: true,
         }
-    }
-
-    /// The node's hardware profile.
-    pub fn profile(&self) -> NodeProfile {
-        self.profile
     }
 
     /// True while the node is serving requests.

@@ -14,25 +14,27 @@
 //!   with a stable `(time, seq)` tie-break, plus the simulation context
 //!   (clock + queue + RNG) that models schedule into, with cancellable
 //!   timers ([`TimerId`]) for events armed per op that rarely fire.
-//! * [`slab`] — generational slab storage ([`Slab`]/[`OpKey`]) for
+//! * `slab` — generational slab storage ([`Slab`]/[`OpKey`]) for
 //!   in-flight op contexts, replacing `HashMap`-backed per-op state on
 //!   dispatch paths.
-//! * [`resource`] — analytic FIFO queueing resources: single-server
+//! * `resource` — analytic FIFO queueing resources: single-server
 //!   ([`FifoResource`]), multi-server ([`MultiServer`], used for CPU cores).
 //!   Because events are dispatched in time order, calling
 //!   `acquire(now, service)` at the simulated arrival instant yields exact
 //!   FIFO queueing behaviour without per-request events.
-//! * [`hardware`] — disk (seek + transfer), NIC (serialization +
+//! * `hardware` — disk (seek + transfer), NIC (serialization +
 //!   propagation) and whole-node models with profiles for the paper's
 //!   testbed.
-//! * [`topology`] — cluster/rack layout and inter-node latency.
-//! * [`rng`] — a seedable, platform-stable xoshiro256** RNG implementing
-//!   `rand::RngCore`, so every experiment is reproducible bit-for-bit.
-//! * [`hash`] — a seeded deterministic FxHash-style hasher
+//! * `topology` — cluster/rack layout, regions and their WAN delays, and
+//!   inter-node latency.
+//! * `rng` — a seedable, platform-stable xoshiro256** RNG implementing
+//!   `rand::RngCore`, so every experiment is reproducible bit-for-bit, and
+//!   the one [`splitmix64`] mixer every seeded derivation uses.
+//! * `hash` — a seeded deterministic FxHash-style hasher
 //!   ([`FastHashMap`]) replacing SipHash on hot lookup maps (block cache,
 //!   staleness watermarks, file indexes) where iteration order is
 //!   unobservable and adversarial keys cannot occur.
-//! * [`admission`] — the pure admission-control decision kernel
+//! * `admission` — the pure admission-control decision kernel
 //!   ([`AdmissionConfig`]/[`OpTag`]) both store analogs consult at their
 //!   front door for bounded queues and load shedding.
 //!
@@ -43,24 +45,24 @@
 #![warn(rust_2018_idioms)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod admission;
-pub mod hardware;
-pub mod hash;
-pub mod queue;
-pub mod resource;
-pub mod rng;
-pub mod sim;
-pub mod slab;
+mod admission;
+mod hardware;
+mod hash;
+mod queue;
+mod resource;
+mod rng;
+mod sim;
+mod slab;
 pub mod time;
-pub mod topology;
+mod topology;
 
 pub use admission::{AdmissionConfig, OpTag};
 pub use hardware::{Disk, DiskProfile, Nic, NicProfile, NodeHw, NodeProfile};
 pub use hash::{FastBuildHasher, FastHashMap, FastHashSet, FastHasher};
 pub use queue::EventQueue;
 pub use resource::{FifoResource, MultiServer};
-pub use rng::SimRng;
+pub use rng::{splitmix64, SimRng};
 pub use sim::{Sim, TimerId};
 pub use slab::{OpKey, Slab};
 pub use time::{SimTime, MICROS_PER_SEC};
-pub use topology::{NodeId, Topology};
+pub use topology::{GeoConfig, NodeId, Topology, DEFAULT_INTER_REGION_US};

@@ -249,7 +249,7 @@ impl<E> EventQueue<E> {
     }
 
     /// [`EventQueue::pop`] that also returns the event's sequence number.
-    pub fn pop_seq(&mut self) -> Option<(SimTime, u64, E)> {
+    pub(crate) fn pop_seq(&mut self) -> Option<(SimTime, u64, E)> {
         loop {
             if self.wheel_len == 0 {
                 // Wheel drained: fast-forward to the overflow minimum.
@@ -344,12 +344,13 @@ impl<E> EventQueue<E> {
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.wheel_len + self.overflow.len()
     }
 
     /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }

@@ -43,13 +43,14 @@ impl FifoResource {
     }
 
     /// Number of requests served.
-    pub fn ops(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn ops(&self) -> u64 {
         self.ops
     }
 
     /// Fraction of `elapsed` microseconds this resource was busy. Values
     /// above 1.0 indicate an over-committed (saturated) resource.
-    pub fn utilization(&self, elapsed: u64) -> f64 {
+    pub(crate) fn utilization(&self, elapsed: u64) -> f64 {
         if elapsed == 0 {
             0.0
         } else {
@@ -107,18 +108,9 @@ impl MultiServer {
         done
     }
 
-    /// Total service time accumulated across all servers.
-    pub fn busy_us(&self) -> u64 {
-        self.busy_us
-    }
-
-    /// Number of requests served.
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
     /// Mean per-server utilization over `elapsed` microseconds.
-    pub fn utilization(&self, elapsed: u64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn utilization(&self, elapsed: u64) -> f64 {
         if elapsed == 0 {
             0.0
         } else {

@@ -6,7 +6,12 @@
 //! within a region are one `prop_us` hop apart, and regions are separated
 //! by an asymmetric per-region-pair WAN matrix of one-way delays.
 
+use crate::rng::splitmix64;
 use crate::time::SimTime;
+
+/// Default one-way inter-region delay (25 ms): the WAN hop of the geo
+/// experiment and of hstore's cross-region log shipping.
+pub const DEFAULT_INTER_REGION_US: u64 = 25_000;
 
 /// Identity of a server node within a cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -120,10 +125,63 @@ impl Topology {
             .filter(move |&(_, &r)| r == region)
             .map(|(i, _)| NodeId(i as u32))
     }
+}
 
-    /// Snapshot of the per-node region assignment, for ring placement.
-    pub fn region_map(&self) -> Vec<u32> {
-        self.region_of.clone()
+/// A multi-region layout: the region count plus the WAN delay model that
+/// [`GeoConfig::topology`] turns into a [`Topology::geo`].
+#[derive(Debug, Clone)]
+pub struct GeoConfig {
+    /// Number of regions (datacenters).
+    pub regions: u32,
+    /// Base one-way inter-region delay in µs (applied to every region pair
+    /// before jitter).
+    pub inter_region_us: u64,
+    /// Per-direction WAN jitter as a fraction of `inter_region_us`:
+    /// each ordered region pair's delay is drawn uniformly from
+    /// `base * [1 - jitter, 1 + jitter]`, making the matrix asymmetric.
+    /// Zero keeps the matrix uniform.
+    pub wan_jitter: f64,
+    /// Seed for the jitter draw; the matrix is a pure function of
+    /// `(seed, regions, inter_region_us, wan_jitter)`.
+    pub jitter_seed: u64,
+}
+
+impl GeoConfig {
+    /// The flattened `regions × regions` one-way WAN delay matrix
+    /// (row-major, diagonal zero). Deterministic in the config: jitter is
+    /// drawn once per ordered pair from a seeded [`splitmix64`].
+    fn wan_matrix(&self) -> Vec<SimTime> {
+        let r = self.regions as usize;
+        let mut m = vec![0u64; r * r];
+        for i in 0..r {
+            for j in 0..r {
+                if i == j {
+                    continue;
+                }
+                let base = self.inter_region_us as f64;
+                let us = if self.wan_jitter > 0.0 {
+                    // Uniform in base * [1 - jitter, 1 + jitter], one draw
+                    // per ordered pair so from->to and to->from differ.
+                    let h = splitmix64(
+                        self.jitter_seed ^ ((i as u64) << 32 | j as u64).wrapping_mul(0x9E37),
+                    );
+                    let unit = (h >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
+                    base * (1.0 - self.wan_jitter + 2.0 * self.wan_jitter * unit)
+                } else {
+                    base
+                };
+                m[i * r + j] = us.round() as u64;
+            }
+        }
+        m
+    }
+
+    /// The full [`Topology`]: `regions` regions of `nodes_per_region`
+    /// nodes each, `prop_us` apart within a region, WAN from the config's
+    /// delay matrix. A single-region config degenerates to the classic
+    /// layout and never consults the WAN matrix.
+    pub fn topology(&self, nodes_per_region: usize, prop_us: u64) -> Topology {
+        Topology::geo(self.regions, nodes_per_region, prop_us, self.wan_matrix())
     }
 }
 
@@ -187,5 +245,56 @@ mod tests {
         assert_eq!(t.prop_us(NodeId(0), NodeId(4)), 25_000);
         assert_eq!(t.prop_us(NodeId(4), NodeId(0)), 30_000);
         assert_eq!(t.prop_us(NodeId(5), NodeId(3)), 30_000);
+    }
+
+    fn with_regions(regions: u32) -> GeoConfig {
+        GeoConfig {
+            regions,
+            inter_region_us: DEFAULT_INTER_REGION_US,
+            wan_jitter: 0.0,
+            jitter_seed: 0x6E0,
+        }
+    }
+
+    #[test]
+    fn an_unjittered_matrix_is_uniform() {
+        let m = with_regions(3).wan_matrix();
+        assert_eq!(m.len(), 9);
+        assert_eq!(m[0], 0);
+        assert_eq!(m[1], 25_000);
+        assert_eq!(m[5], 25_000);
+    }
+
+    #[test]
+    fn jittered_matrix_is_asymmetric_and_deterministic() {
+        let cfg = GeoConfig {
+            wan_jitter: 0.2,
+            ..with_regions(3)
+        };
+        let (a, b) = (cfg.wan_matrix(), cfg.wan_matrix());
+        assert_eq!(a, b, "same config must build the same matrix");
+        let r = 3usize;
+        assert_ne!(a[1], a[r], "0->1 and 1->0 should differ under jitter");
+        for i in 0..r {
+            for j in 0..r {
+                let us = a[i * r + j];
+                if i == j {
+                    assert_eq!(us, 0);
+                } else {
+                    assert!((20_000..=30_000).contains(&us), "delay {us} out of band");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn topology_from_config() {
+        let t = with_regions(2).topology(3, 50);
+        assert_eq!(t.len(), 6);
+        assert_eq!(t.num_regions(), 2);
+        assert_eq!(t.region(NodeId(2)), 0);
+        assert_eq!(t.region(NodeId(3)), 1);
+        assert_eq!(t.prop_us(NodeId(0), NodeId(3)), 25_000);
+        assert_eq!(t.prop_us(NodeId(0), NodeId(1)), 50);
     }
 }

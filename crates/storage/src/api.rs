@@ -74,7 +74,8 @@ pub enum OpKind {
 
 impl OpKind {
     /// All kinds, in display order.
-    pub const ALL: [OpKind; 6] = [
+    #[cfg(test)]
+    pub(crate) const ALL: [OpKind; 6] = [
         OpKind::Insert,
         OpKind::Update,
         OpKind::Read,

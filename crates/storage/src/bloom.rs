@@ -7,7 +7,7 @@
 
 /// A fixed-size bloom filter.
 #[derive(Debug, Clone)]
-pub struct BloomFilter {
+pub(crate) struct BloomFilter {
     bits: Vec<u64>,
     nbits: u64,
     k: u32,
@@ -20,7 +20,7 @@ pub struct BloomFilter {
 /// every filter's bit pattern and false-positive set) are byte-identical to
 /// hashing per filter.
 #[inline]
-pub fn hash_pair(key: &[u8]) -> (u64, u64) {
+pub(crate) fn hash_pair(key: &[u8]) -> (u64, u64) {
     let h1 = hash64(key, 0x51ed);
     let h2 = hash64(key, 0xc0de) | 1; // odd => full-period stepping
     (h1, h2)
@@ -43,7 +43,7 @@ fn hash64(data: &[u8], seed: u64) -> u64 {
 impl BloomFilter {
     /// Build a filter sized for `expected_items` at roughly
     /// `bits_per_key` bits each (10 bits/key ≈ 1% false positives).
-    pub fn with_capacity(expected_items: usize, bits_per_key: u32) -> Self {
+    pub(crate) fn with_capacity(expected_items: usize, bits_per_key: u32) -> Self {
         let nbits = ((expected_items.max(1) as u64) * bits_per_key as u64).max(64);
         // Optimal k = ln2 * bits/key, clamped to a sane range.
         let k = ((bits_per_key as f64 * 0.69) as u32).clamp(1, 12);
@@ -61,7 +61,7 @@ impl BloomFilter {
     }
 
     /// Record a key.
-    pub fn insert(&mut self, key: &[u8]) {
+    pub(crate) fn insert(&mut self, key: &[u8]) {
         // Open-coded positions: borrowing `self` for the position iterator
         // while mutating `bits` would not check, and the old collect-to-Vec
         // workaround cost an allocation per inserted key (hot during every
@@ -74,14 +74,14 @@ impl BloomFilter {
     }
 
     /// True if the key *might* be present; false means definitely absent.
-    pub fn may_contain(&self, key: &[u8]) -> bool {
+    pub(crate) fn may_contain(&self, key: &[u8]) -> bool {
         self.may_contain_hashed(hash_pair(key))
     }
 
     /// [`BloomFilter::may_contain`] with the key's [`hash_pair`] precomputed
     /// by the caller — the form the LSM read path uses so one key hashed
     /// once can probe every run's filter.
-    pub fn may_contain_hashed(&self, hashes: (u64, u64)) -> bool {
+    pub(crate) fn may_contain_hashed(&self, hashes: (u64, u64)) -> bool {
         self.positions(hashes)
             .all(|pos| self.bits[(pos / 64) as usize] & (1 << (pos % 64)) != 0)
     }

@@ -88,7 +88,7 @@ impl BlockCache {
     }
 
     /// Reset the counters (not the contents); used at the warm-up boundary.
-    pub fn reset_stats(&mut self) {
+    pub(crate) fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
     }
 
@@ -139,7 +139,8 @@ impl BlockCache {
     }
 
     /// Peek residency without touching LRU order or stats.
-    pub fn contains(&self, key: BlockKey) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, key: BlockKey) -> bool {
         self.map.contains_key(&key)
     }
 
@@ -191,7 +192,7 @@ impl BlockCache {
     }
 
     /// Drop everything (a process restart: caches come back cold).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.map.clear();
         self.slab.clear();
         self.free.clear();
@@ -202,7 +203,7 @@ impl BlockCache {
 
     /// Drop every block belonging to `table` (called when compaction deletes
     /// the table).
-    pub fn invalidate_table(&mut self, table: TableId) {
+    pub(crate) fn invalidate_table(&mut self, table: TableId) {
         let victims: Vec<u32> = self
             .map
             .iter()

@@ -35,7 +35,7 @@ impl Default for SizeTieredPolicy {
 impl SizeTieredPolicy {
     /// Choose tables to merge, or `None` if no bucket is ripe. Input is
     /// `(table, bytes)` for every live table; output lists the chosen ids.
-    pub fn pick(&self, tables: &[(TableId, u64)]) -> Option<Vec<TableId>> {
+    pub(crate) fn pick(&self, tables: &[(TableId, u64)]) -> Option<Vec<TableId>> {
         if tables.len() < self.min_threshold {
             return None;
         }

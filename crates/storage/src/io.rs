@@ -81,20 +81,17 @@ impl IoPlan {
     }
 
     /// Append all ops from another plan.
-    pub fn extend(&mut self, other: IoPlan) {
+    #[cfg(test)]
+    pub(crate) fn extend(&mut self, other: IoPlan) {
         for op in other.iter() {
             self.push(*op);
         }
     }
 
     /// Number of recorded ops.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// The recorded ops in execution order.
@@ -105,14 +102,16 @@ impl IoPlan {
     }
 
     /// Number of random disk reads (each pays a positioning cost).
-    pub fn random_reads(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn random_reads(&self) -> u32 {
         self.iter()
             .filter(|o| matches!(o, IoOp::DiskRead { .. }))
             .count() as u32
     }
 
     /// Total bytes that must come off the disk (random + sequential reads).
-    pub fn disk_read_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn disk_read_bytes(&self) -> u64 {
         self.iter()
             .map(|o| match o {
                 IoOp::DiskRead { bytes } | IoOp::DiskSeqRead { bytes } => *bytes,
@@ -122,7 +121,8 @@ impl IoPlan {
     }
 
     /// Total bytes written to disk.
-    pub fn disk_write_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn disk_write_bytes(&self) -> u64 {
         self.iter()
             .map(|o| match o {
                 IoOp::DiskSeqWrite { bytes } => *bytes,
@@ -132,7 +132,8 @@ impl IoPlan {
     }
 
     /// Bytes served from the block cache.
-    pub fn cache_hit_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn cache_hit_bytes(&self) -> u64 {
         self.iter()
             .map(|o| match o {
                 IoOp::CacheHit { bytes } => *bytes,
@@ -142,12 +143,14 @@ impl IoPlan {
     }
 
     /// Count of bloom-filter skips.
-    pub fn bloom_skips(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn bloom_skips(&self) -> u32 {
         self.iter().filter(|o| matches!(o, IoOp::BloomSkip)).count() as u32
     }
 
     /// True when the operation never left memory.
-    pub fn is_memory_only(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_memory_only(&self) -> bool {
         self.disk_read_bytes() == 0 && self.disk_write_bytes() == 0
     }
 }

@@ -7,9 +7,9 @@
 //! once, functionally for real:
 //!
 //! * [`types`] — keys, values, timestamped cells, tombstones.
-//! * [`memtable`] — the in-memory sorted write buffer.
-//! * [`wal`] — the write-ahead/commit log with replay.
-//! * [`bloom`] — a bloom filter to skip sorted runs on reads.
+//! * `memtable` — the in-memory sorted write buffer.
+//! * `wal` — the write-ahead/commit log with replay.
+//! * `bloom` — a bloom filter to skip sorted runs on reads.
 //! * [`sstable`] — immutable sorted runs with block structure and an index.
 //! * [`cache`] — an O(1) LRU block cache with hit/miss accounting.
 //! * [`merge`] — k-way merge with last-write-wins reconciliation.
@@ -30,17 +30,17 @@
 #![warn(rust_2018_idioms)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod api;
-pub mod bloom;
+mod api;
+mod bloom;
 pub mod cache;
 pub mod compaction;
-pub mod io;
+mod io;
 pub mod lsm;
-pub mod memtable;
+mod memtable;
 pub mod merge;
 pub mod sstable;
 pub mod types;
-pub mod wal;
+mod wal;
 
 pub use api::{Completion, OpError, OpKind, OpResult, StoreOp};
 pub use cache::BlockCache;
@@ -49,4 +49,3 @@ pub use lsm::{LsmConfig, LsmTree};
 pub use memtable::Memtable;
 pub use sstable::{Segment, SsTable, TableId};
 pub use types::{Cell, Key, Timestamp, Value};
-pub use wal::WriteAheadLog;

@@ -114,7 +114,7 @@ impl Memtable {
     }
 
     /// Iterate entries with key >= `start`, in key order. The concrete
-    /// [`Range`] type lets the LSM scan path store this iterator alongside
+    /// `Range` type lets the LSM scan path store this iterator alongside
     /// SSTable iterators in one merge source without boxing.
     pub fn range_from<'a>(&'a self, start: &[u8]) -> Range<'a> {
         let mut slots = self.slots.range(key_prefix(start)..);

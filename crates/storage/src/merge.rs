@@ -6,8 +6,8 @@
 //! unique per key; across sources, duplicate keys are reconciled with
 //! [`Cell::newer`].
 //!
-//! One algorithm, [`Merge`], serves two instantiations. Over *borrows*
-//! ([`MergeRef`]) it yields `(&Key, &Cell)` straight out of the source runs,
+//! One algorithm, `Merge`, serves two instantiations. Over *borrows*
+//! (`MergeRef`) it yields `(&Key, &Cell)` straight out of the source runs,
 //! so neither compaction nor a range scan ever materialises owned copies of
 //! its inputs: only the winner of each key is cloned — and with
 //! `Bytes`-backed keys/values a clone is a refcount bump, never a byte copy.
@@ -45,7 +45,7 @@ use crate::types::{Cell, Key};
 /// over runs, an owned `(Key, Cell)` when the caller owns the entries. A
 /// head holds the row whole — one pointer when borrowed — and splits it
 /// only once it is emitted.
-pub trait Row {
+pub(crate) trait Row {
     /// The key as the merge emits it.
     type Key: AsRef<[u8]>;
     /// The version the merge reconciles.
@@ -128,7 +128,7 @@ impl<R: Row> Ord for Head<R> {
 /// duplicate keys by last-write-wins and yielding each key exactly once, in
 /// order, as `(key, version)`. The emitted key is the lowest-numbered
 /// source's copy.
-pub struct Merge<R, I> {
+pub(crate) struct Merge<R, I> {
     sources: Vec<I>,
     /// At most one head per source: the entry pulled from it but not yet
     /// emitted.
@@ -136,12 +136,12 @@ pub struct Merge<R, I> {
 }
 
 /// [`Merge`] over borrowed rows: winners come out still by reference.
-pub type MergeRef<'a, I> = Merge<&'a (Key, Cell), I>;
+pub(crate) type MergeRef<'a, I> = Merge<&'a (Key, Cell), I>;
 
 impl<R: Row, I: Iterator<Item = (KeyPrefix, R)>> Merge<R, I> {
     /// Build a merge over `sources`; each must yield strictly increasing
     /// keys, each with its own [`key_prefix`].
-    pub fn new(mut sources: Vec<I>) -> Self {
+    pub(crate) fn new(mut sources: Vec<I>) -> Self {
         let mut heap = BinaryHeap::with_capacity(sources.len());
         for (source, it) in (0u32..).zip(sources.iter_mut()) {
             if let Some((prefix, row)) = it.next() {
@@ -159,7 +159,7 @@ impl<R: Row, I: Iterator<Item = (KeyPrefix, R)>> Merge<R, I> {
     /// merge pulled from it. A source that is not exhausted has had exactly
     /// one entry pulled beyond those emitted — its pending head, whose key
     /// is greater than every emitted key.
-    pub fn into_sources(self) -> Vec<I> {
+    pub(crate) fn into_sources(self) -> Vec<I> {
         self.sources
     }
 

@@ -284,7 +284,7 @@ impl SsTable {
     /// True when `self` and `other` share one underlying allocation (they
     /// are clones of the same built run). Snapshot tests use this to prove
     /// store clones are copy-on-write rather than deep copies.
-    pub fn shares_storage_with(&self, other: &SsTable) -> bool {
+    pub(crate) fn shares_storage_with(&self, other: &SsTable) -> bool {
         Arc::ptr_eq(&self.core, &other.core)
     }
 
@@ -294,12 +294,13 @@ impl SsTable {
     }
 
     /// Number of entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.core.len
     }
 
     /// True when the table holds no entries.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.core.len == 0
     }
 
@@ -377,14 +378,14 @@ impl SsTable {
     }
 
     /// Bloom-filter check: false means the key is definitely absent.
-    pub fn may_contain(&self, key: &[u8]) -> bool {
+    pub(crate) fn may_contain(&self, key: &[u8]) -> bool {
         self.core.bloom.may_contain(key)
     }
 
     /// [`SsTable::may_contain`] with the key's [`crate::bloom::hash_pair`]
     /// precomputed once by the caller — a point read probing many runs hashes
     /// the key a single time instead of twice per run.
-    pub fn may_contain_hashed(&self, hashes: (u64, u64)) -> bool {
+    pub(crate) fn may_contain_hashed(&self, hashes: (u64, u64)) -> bool {
         self.core.bloom.may_contain_hashed(hashes)
     }
 
@@ -451,7 +452,7 @@ impl SsTable {
     /// Point lookup confined to one block (the caller already paid for
     /// reading that block). Searches the block's slice of the flat prefix
     /// arrays; the heap-allocated key is touched only on a prefix tie.
-    pub fn get_in_block(&self, block: usize, key: &[u8]) -> Option<&Cell> {
+    pub(crate) fn get_in_block(&self, block: usize, key: &[u8]) -> Option<&Cell> {
         let (start, end) = self.block_range(block);
         self.search(start, end, key).1.map(|(_, cell)| cell)
     }

@@ -13,7 +13,7 @@ use crate::types::{entry_encoded_len, Cell, Key};
 
 /// One logged mutation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalEntry {
+pub(crate) struct WalEntry {
     /// Sequence number, monotonically increasing from 1.
     pub seq: u64,
     /// The mutated key.
@@ -29,7 +29,7 @@ pub struct WalEntry {
 /// instead of the `retain` scan that walked every surviving entry on each
 /// flush.
 #[derive(Debug, Clone, Default)]
-pub struct WriteAheadLog {
+pub(crate) struct WriteAheadLog {
     entries: VecDeque<WalEntry>,
     next_seq: u64,
     bytes: u64,
@@ -39,7 +39,7 @@ pub struct WriteAheadLog {
 
 impl WriteAheadLog {
     /// An empty log.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             entries: VecDeque::new(),
             next_seq: 1,
@@ -54,7 +54,7 @@ impl WriteAheadLog {
     /// and cell by reference: the log's copy is a refcount bump on the
     /// `Bytes` payloads, and the caller keeps its originals for the memtable
     /// insert without a second clone at the call site.
-    pub fn append(&mut self, key: &Key, cell: &Cell) -> (u64, u64) {
+    pub(crate) fn append(&mut self, key: &Key, cell: &Cell) -> (u64, u64) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let len = entry_encoded_len(key, cell) + 8;
@@ -70,39 +70,36 @@ impl WriteAheadLog {
 
     /// Mark all appended bytes as durably synced; returns how many bytes the
     /// sync had to push (what a periodic-fsync thread would write).
-    pub fn sync(&mut self) -> u64 {
+    pub(crate) fn sync(&mut self) -> u64 {
         std::mem::take(&mut self.unsynced_bytes)
     }
 
     /// Bytes appended but not yet synced.
-    pub fn unsynced_bytes(&self) -> u64 {
+    pub(crate) fn unsynced_bytes(&self) -> u64 {
         self.unsynced_bytes
     }
 
     /// Total bytes ever appended.
-    pub fn bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn bytes(&self) -> u64 {
         self.bytes
     }
 
     /// Number of live (non-truncated) entries.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// True when no live entries remain.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Highest sequence number assigned so far (0 if none).
-    pub fn last_seq(&self) -> u64 {
+    pub(crate) fn last_seq(&self) -> u64 {
         self.next_seq - 1
     }
 
     /// Drop entries with `seq <= through` — called after the covering
     /// memtable flush makes them redundant. Sequence numbers are assigned in
     /// append order, so the covered entries are exactly a front prefix.
-    pub fn truncate_through(&mut self, through: u64) {
+    pub(crate) fn truncate_through(&mut self, through: u64) {
         while self.entries.front().is_some_and(|e| e.seq <= through) {
             self.entries.pop_front();
         }
@@ -110,7 +107,7 @@ impl WriteAheadLog {
     }
 
     /// Replay all live entries in sequence order (crash recovery).
-    pub fn replay(&self) -> impl Iterator<Item = &WalEntry> {
+    pub(crate) fn replay(&self) -> impl Iterator<Item = &WalEntry> {
         self.entries.iter()
     }
 }

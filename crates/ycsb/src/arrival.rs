@@ -43,7 +43,7 @@ pub struct Tenant {
 
 impl Tenant {
     /// A single default tenant: full weight, top priority.
-    pub fn solo() -> Self {
+    pub(crate) fn solo() -> Self {
         Self {
             name: "all",
             weight: 1.0,

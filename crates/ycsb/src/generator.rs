@@ -8,7 +8,7 @@
 use rand::Rng;
 
 /// YCSB's zipfian skew constant.
-pub const ZIPFIAN_CONSTANT: f64 = 0.99;
+pub(crate) const ZIPFIAN_CONSTANT: f64 = 0.99;
 
 /// A zipfian generator over `items` elements: item 0 is the most popular.
 #[derive(Debug, Clone)]
@@ -58,7 +58,7 @@ impl Zipfian {
     }
 
     /// Current item count.
-    pub fn items(&self) -> u64 {
+    pub(crate) fn items(&self) -> u64 {
         self.items
     }
 

@@ -16,11 +16,11 @@ use bytes::Bytes;
 use rand::Rng;
 
 /// Width of the zero-padded numeric portion of a key (fits any `u64`).
-pub const KEY_DIGITS: usize = 20;
+pub(crate) const KEY_DIGITS: usize = 20;
 
 /// FNV-1a with avalanche, YCSB's key-scrambling role.
 #[inline]
-pub fn fnv_scramble(id: u64) -> u64 {
+pub(crate) fn fnv_scramble(id: u64) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in id.to_le_bytes() {
         h ^= b as u64;
@@ -133,7 +133,8 @@ impl KeyInterner {
     }
 
     /// `(hits, misses)` since construction.
-    pub fn stats(&self) -> (u64, u64) {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 }

@@ -227,7 +227,7 @@ pub struct Timeline {
 
 impl Timeline {
     /// An empty timeline with the given window width (must be nonzero).
-    pub fn new(window_us: u64) -> Self {
+    pub(crate) fn new(window_us: u64) -> Self {
         assert!(window_us > 0, "timeline window width must be nonzero");
         Self {
             window_us,
@@ -238,7 +238,13 @@ impl Timeline {
     /// Record one successful completion at virtual time `at`: `retried`
     /// marks an operation that needed a retry or winning hedge, `attempts`
     /// counts the store attempts it consumed.
-    pub fn record_success(&mut self, at: u64, latency_us: u64, retried: bool, attempts: u32) {
+    pub(crate) fn record_success(
+        &mut self,
+        at: u64,
+        latency_us: u64,
+        retried: bool,
+        attempts: u32,
+    ) {
         let w = self.windows.entry(at / self.window_us).or_default();
         w.hist.get_or_insert_with(Histogram::new).record(latency_us);
         if retried {
@@ -249,7 +255,7 @@ impl Timeline {
 
     /// Record one client-visible failure at virtual time `at` that consumed
     /// `attempts` store attempts.
-    pub fn record_failure(&mut self, at: u64, attempts: u32) {
+    pub(crate) fn record_failure(&mut self, at: u64, attempts: u32) {
         let w = self.windows.entry(at / self.window_us).or_default();
         w.errors += 1;
         w.attempts += u64::from(attempts);

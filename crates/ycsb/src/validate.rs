@@ -74,18 +74,21 @@ impl StalenessTracker {
     }
 
     /// `(stale, checked)` counts so far.
-    pub fn counts(&self) -> (u64, u64) {
+    #[cfg(test)]
+    pub(crate) fn counts(&self) -> (u64, u64) {
         (self.stale, self.checked)
     }
 
     /// Reads that found no value after an acknowledged write (a subset of
     /// the stale count).
-    pub fn missing(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn missing(&self) -> u64 {
         self.missing
     }
 
     /// Stale fraction (0 when nothing checked).
-    pub fn stale_fraction(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn stale_fraction(&self) -> f64 {
         if self.checked == 0 {
             0.0
         } else {

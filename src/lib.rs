@@ -7,11 +7,13 @@
 //! This crate re-exports the whole workspace under one roof so the examples
 //! and integration tests have a single dependency:
 //!
-//! * [`simkit`] — the discrete-event simulation kernel (the "testbed").
+//! * [`simkit`] — the discrete-event simulation kernel (the "testbed"),
+//!   including the cluster topology and its multi-region WAN model.
 //! * [`storage`] — shared LSM storage-engine components.
-//! * [`dfs`] — the replicated block filesystem (HDFS analog).
-//! * [`hstore`] — the HBase analog.
-//! * [`cstore`] — the Cassandra analog.
+//! * [`hstore`] — the HBase analog, with its replicated block filesystem
+//!   (the HDFS analog) as a private module.
+//! * [`cstore`] — the Cassandra analog, with its ring and replica placement
+//!   strategies.
 //! * [`faults`] — the deterministic fault-injection subsystem (declarative
 //!   crash/recover/degradation plans the driver replays in virtual time).
 //! * [`obs`] — deterministic per-op span tracing: stage taxonomy,
@@ -24,6 +26,13 @@
 //! * [`bench_core`] — the paper's benchmark methodology (micro/stress/
 //!   consistency experiments, sweeps, report rendering).
 //!
+//! The package's one binary, `fig <name> [--quick]`, regenerates one
+//! evaluation artifact: it prints the figure's tables and writes its CSVs
+//! under `results/` (`RESULTS_DIR` overrides). `<name>` is a key of
+//! [`bench_core::experiment::FIGURES`]. The repo's benchmark, which times
+//! every layer from the event queue up, is the standalone `benchmark/`
+//! package.
+//!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-vs-measured record.
 
@@ -32,7 +41,6 @@
 pub use audit;
 pub use bench_core;
 pub use cstore;
-pub use dfs;
 pub use faults;
 pub use hstore;
 pub use obs;

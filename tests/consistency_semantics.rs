@@ -80,7 +80,7 @@ fn quorum_survives_any_single_failure_with_read_your_writes() {
     for victim_idx in 0..3 {
         let mut h = H::new(cluster(Consistency::Quorum, Consistency::Quorum));
         h.write(5, "before");
-        let reps = h.c.ring().replicas(&encode_key(5), 3);
+        let reps = h.c.replicas(&encode_key(5));
         h.c.apply_crash(&mut h.sim, reps[victim_idx]);
         assert!(matches!(h.write(5, "after"), OpResult::Written { .. }));
         assert_eq!(
@@ -94,7 +94,7 @@ fn quorum_survives_any_single_failure_with_read_your_writes() {
 #[test]
 fn write_all_fails_but_quorum_succeeds_under_one_failure() {
     let mut h = H::new(cluster(Consistency::One, Consistency::All));
-    let reps = h.c.ring().replicas(&encode_key(9), 3);
+    let reps = h.c.replicas(&encode_key(9));
     h.c.apply_crash(&mut h.sim, reps[1]);
     assert_eq!(
         h.op(StoreOp::Update {
@@ -105,7 +105,7 @@ fn write_all_fails_but_quorum_succeeds_under_one_failure() {
         "ALL requires every replica"
     );
     let mut h = H::new(cluster(Consistency::Quorum, Consistency::Quorum));
-    let reps = h.c.ring().replicas(&encode_key(9), 3);
+    let reps = h.c.replicas(&encode_key(9));
     h.c.apply_crash(&mut h.sim, reps[1]);
     assert!(matches!(h.write(9, "x"), OpResult::Written { .. }));
 }
@@ -113,7 +113,7 @@ fn write_all_fails_but_quorum_succeeds_under_one_failure() {
 #[test]
 fn two_failures_break_quorum_but_not_one() {
     let mut h = H::new(cluster(Consistency::Quorum, Consistency::Quorum));
-    let reps = h.c.ring().replicas(&encode_key(1), 3);
+    let reps = h.c.replicas(&encode_key(1));
     h.c.apply_crash(&mut h.sim, reps[1]);
     h.c.apply_crash(&mut h.sim, reps[2]);
     assert_eq!(
@@ -124,7 +124,7 @@ fn two_failures_break_quorum_but_not_one() {
         OpResult::Error(OpError::Unavailable)
     );
     let mut h = H::new(cluster(Consistency::One, Consistency::One));
-    let reps = h.c.ring().replicas(&encode_key(1), 3);
+    let reps = h.c.replicas(&encode_key(1));
     h.c.apply_crash(&mut h.sim, reps[1]);
     h.c.apply_crash(&mut h.sim, reps[2]);
     assert!(matches!(h.write(1, "x"), OpResult::Written { .. }));
@@ -134,7 +134,7 @@ fn two_failures_break_quorum_but_not_one() {
 #[test]
 fn hinted_handoff_converges_all_replicas_after_recovery() {
     let mut h = H::new(cluster(Consistency::One, Consistency::One));
-    let reps = h.c.ring().replicas(&encode_key(7), 3);
+    let reps = h.c.replicas(&encode_key(7));
     let victim = reps[2];
     h.write(7, "v1");
     h.c.apply_crash(&mut h.sim, victim);
@@ -169,7 +169,7 @@ fn read_repair_converges_all_replicas_under_full_fanout() {
             c.hinted_handoff = false;
         },
     ));
-    let reps = h.c.ring().replicas(&encode_key(3), 3);
+    let reps = h.c.replicas(&encode_key(3));
     h.write(3, "old");
     h.c.apply_crash(&mut h.sim, reps[2]);
     h.write(3, "new");
@@ -198,7 +198,7 @@ fn deletes_propagate_as_tombstones_across_replicas() {
     ));
     assert_eq!(h.read(11), None);
     // Every replica holds the tombstone, not the value.
-    for r in h.c.ring().replicas(&encode_key(11), 3) {
+    for r in h.c.replicas(&encode_key(11)) {
         let cell = h.c.read_local(r, &encode_key(11)).expect("tombstone");
         assert!(cell.is_tombstone());
     }
@@ -213,7 +213,7 @@ fn timestamps_resolve_write_races_identically_everywhere() {
     h.write(20, "first");
     h.write(20, "second");
     assert_eq!(h.read(20).as_deref(), Some(&b"second"[..]));
-    let reps = h.c.ring().replicas(&encode_key(20), 3);
+    let reps = h.c.replicas(&encode_key(20));
     let versions: Vec<_> = reps
         .iter()
         .map(|&r| h.c.read_local(r, &encode_key(20)).expect("present"))

@@ -22,7 +22,7 @@ import struct
 import subprocess
 
 REPO_CRATES = {
-    "audit", "bench_core", "cstore", "dfs", "faults", "geo", "hstore",
+    "audit", "bench_core", "cstore", "faults", "fig", "hstore",
     "layered_benchmark", "node", "obs", "simkit", "storage", "ycsb",
 }
 HANDLER = re.compile(r"^(cstore|hstore|node)::.*::((?:on|start|send)_\w+|submit\w*)$")
