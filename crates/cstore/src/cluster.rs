@@ -14,7 +14,7 @@ use ::node::{DriverEvent, Runtime, SimStore};
 use obs::Stage;
 use simkit::{NodeHw, NodeId, OpKey, OpTag, Sim, SimTime};
 use storage::types::entry_encoded_len;
-use storage::{Cell, Completion, Key, OpError, OpResult, Segment, StoreOp, Value};
+use storage::{Cell, Completion, Key, OpError, OpResult, RunBuilder, Segment, StoreOp, Value};
 
 use crate::config::{CStoreConfig, CommitlogSync, Consistency};
 use crate::event::Event;
@@ -150,6 +150,18 @@ struct FanOut {
     targets: Vec<NodeId>,
 }
 
+/// The rows bulk-loaded into one ring segment ([`Ring::segment`]) since
+/// the last `flush_all`, in arrival order.
+#[derive(Debug, Clone, Default)]
+struct SegmentLoad {
+    rows: Vec<(Key, Cell)>,
+    /// Their encoded bytes, which bound the block index of every run that
+    /// holds them.
+    bytes: u64,
+    /// Their least and greatest keys (empty keys while there are no rows).
+    range: (Key, Key),
+}
+
 /// A simulated Cassandra-analog cluster.
 #[derive(Debug, Clone)]
 pub struct Cluster {
@@ -165,8 +177,8 @@ pub struct Cluster {
     /// Recycled `ScanState::partials` buffers.
     scan_partials: BufferPool<Vec<(Key, Cell)>>,
     /// Rows bulk-loaded since the last `flush_all`, once each, by ring
-    /// segment ([`Ring::segment`]) in arrival order.
-    loaded: Vec<Vec<(Key, Cell)>>,
+    /// segment.
+    loaded: Vec<SegmentLoad>,
 }
 
 impl Cluster {
@@ -1220,39 +1232,97 @@ impl SimStore for Cluster {
         self.rt.drain_completions_into(out);
     }
 
-    /// Queues the row once, under its ring segment.
+    /// Queues the row once, under its ring segment, while its key is in
+    /// cache: the segment's bytes and key range grow with it.
     fn load_direct(&mut self, key: Key, value: Value, ts: u64) {
         let segment = self.ring.segment(&key);
         if self.loaded.len() <= segment {
-            self.loaded.resize_with(segment + 1, Vec::new);
+            self.loaded.resize_with(segment + 1, SegmentLoad::default);
         }
-        self.loaded[segment].push((key, Cell::live(value, ts)));
+        let cell = Cell::live(value, ts);
+        let load = &mut self.loaded[segment];
+        load.bytes += entry_encoded_len(&key, &cell);
+        if load.rows.is_empty() {
+            load.range = (key.clone(), key.clone());
+        } else if key < load.range.0 {
+            load.range.0 = key.clone();
+        } else if key > load.range.1 {
+            load.range.1 = key.clone();
+        }
+        load.rows.push((key, cell));
     }
 
-    /// Sorts each ring segment's queued rows once into a [`Segment`] that
-    /// every replica of the segment holds, then loads each node's segments
-    /// as one run, sstableloader-style, and compacts it with whatever the
-    /// node held before. The base so stores each loaded row once, not once
-    /// per replica.
+    /// Builds each node's loaded run, reading and hashing each loaded key
+    /// once whatever the replication factor, then loads it sstableloader-
+    /// style and compacts it with whatever the node held before.
+    ///
+    /// A node whose ring segments sit side by side in key order (an
+    /// ordered ring's ranges) holds each as a [`Segment`] that every such
+    /// replica of it shares, so the base stores each loaded row once, not
+    /// once per replica: each segment is sorted once, in key order of the
+    /// segments, and its rows feed the run of every such holder as it is.
+    /// A node whose segments interleave (a hashing ring's) gets one merged
+    /// segment of its own, built through the same call with one holder.
     fn flush_all(&mut self) {
+        let mut loads = std::mem::take(&mut self.loaded);
+        // The ring segments that hold rows, in key order of their ranges,
+        // and each node's in that order.
+        let mut order: Vec<usize> = (0..loads.len())
+            .filter(|&s| !loads[s].rows.is_empty())
+            .collect();
+        order.sort_unstable_by(|&a, &b| loads[a].range.cmp(&loads[b].range));
         let mut held = vec![Vec::new(); self.nodes.len()];
         let mut replicas = Vec::new();
-        for (segment, rows) in std::mem::take(&mut self.loaded).into_iter().enumerate() {
-            if rows.is_empty() {
-                continue;
-            }
-            let shared = Segment::from_rows(rows);
-            let primary = self.ring.segment_primary(segment);
-            self.place(primary, &mut replicas);
+        for &s in &order {
+            self.place(self.ring.segment_primary(s), &mut replicas);
             for r in &replicas {
-                held[r.index()].push(shared.clone());
+                held[r.index()].push(s);
             }
         }
-        for (node, segments) in self.nodes.iter_mut().zip(held) {
+        let interleaved: Vec<bool> = held
+            .iter()
+            .map(|segments| {
+                segments
+                    .windows(2)
+                    .any(|w| loads[w[0]].range.1 >= loads[w[1]].range.0)
+            })
+            .collect();
+        let mut runs: Vec<RunBuilder> = self
+            .nodes
+            .iter()
+            .zip(&held)
+            .map(|(node, segments)| {
+                let rows = segments.iter().map(|&s| loads[s].rows.len()).sum();
+                let bytes = segments.iter().map(|&s| loads[s].bytes).sum();
+                node.lsm.load_builder(rows, bytes)
+            })
+            .collect();
+        for (node, run) in runs.iter_mut().enumerate() {
+            if interleaved[node] {
+                let rows = held[node]
+                    .iter()
+                    .flat_map(|&s| loads[s].rows.iter().cloned())
+                    .collect();
+                Segment::from_rows(rows, &mut [run]);
+            }
+        }
+        for s in order {
+            self.place(self.ring.segment_primary(s), &mut replicas);
+            let mut holders: Vec<&mut RunBuilder> = runs
+                .iter_mut()
+                .enumerate()
+                .filter(|&(node, _)| !interleaved[node] && replicas.contains(&NodeId(node as u32)))
+                .map(|(_, run)| run)
+                .collect();
+            if !holders.is_empty() {
+                Segment::from_rows(std::mem::take(&mut loads[s].rows), &mut holders);
+            }
+        }
+        for ((node, run), segments) in self.nodes.iter_mut().zip(runs).zip(&held) {
             node.lsm.flush();
             if !segments.is_empty() {
                 let id = node.lsm.reserve_table_id();
-                node.lsm.load_segments(id, segments);
+                node.lsm.load(id, run);
             }
             node.lsm.compact_all();
             node.lsm.sync_wal();
@@ -1947,6 +2017,161 @@ mod tests {
         for i in 0..100u64 {
             for r in h.cluster.replicas(&key(i)) {
                 assert!(h.cluster.read_local(r, &key(i)).is_some());
+            }
+        }
+    }
+
+    /// The bulk load this one replaced, kept as the oracle: each ring
+    /// segment's rows sorted into one segment, then each node's segments
+    /// put in key order and merged into one of the node's own when their
+    /// key ranges interleave, then one run per node built from its
+    /// segments' sorted rows.
+    fn per_node_flush_all(c: &mut Cluster) {
+        let mut held = vec![Vec::new(); c.nodes.len()];
+        let mut replicas = Vec::new();
+        for (segment, load) in std::mem::take(&mut c.loaded).into_iter().enumerate() {
+            if load.rows.is_empty() {
+                continue;
+            }
+            let shared = Segment::from_rows(load.rows, &mut []);
+            c.place(c.ring.segment_primary(segment), &mut replicas);
+            for r in &replicas {
+                held[r.index()].push(shared.clone());
+            }
+        }
+        let range = |s: &Segment| {
+            let rows = s.entries();
+            (rows[0].0.clone(), rows[rows.len() - 1].0.clone())
+        };
+        for (node, mut segments) in c.nodes.iter_mut().zip(held) {
+            node.lsm.flush();
+            if !segments.is_empty() {
+                segments.sort_by_key(range);
+                if segments
+                    .windows(2)
+                    .any(|w| range(&w[0]).1 >= range(&w[1]).0)
+                {
+                    let rows = segments.iter().flat_map(Segment::entries).cloned();
+                    segments = vec![Segment::from_rows(rows.collect(), &mut [])];
+                }
+                let rows = segments.iter().map(Segment::len).sum();
+                let mut run = RunBuilder::new(rows, node.lsm.config().block_size);
+                for segment in segments {
+                    run.hold(segment);
+                }
+                let id = node.lsm.reserve_table_id();
+                node.lsm.load(id, run);
+            }
+            node.lsm.compact_all();
+            node.lsm.sync_wal();
+        }
+    }
+
+    /// Every node's tree (its runs' ids, rows, block arrays, bloom bits
+    /// and sizes, its memtable, log and cache) is the same in `a` and
+    /// `b`, and so is which runs share which segments.
+    fn same_nodes(a: &Cluster, b: &Cluster) {
+        for (node, (x, y)) in a.nodes.iter().zip(&b.nodes).enumerate() {
+            prop_assert_eq!(
+                format!("{:?}", x.lsm),
+                format!("{:?}", y.lsm),
+                "node {}",
+                node
+            );
+        }
+        let segments = |c: &Cluster| -> Vec<Segment> {
+            let runs = c.nodes.iter().flat_map(|n| n.lsm.runs());
+            runs.flat_map(|r| r.segments()).cloned().collect()
+        };
+        let (sa, sb) = (segments(a), segments(b));
+        for i in 0..sa.len() {
+            for j in i + 1..sa.len() {
+                prop_assert_eq!(
+                    sa[i].shares_storage_with(&sa[j]),
+                    sb[i].shares_storage_with(&sb[j]),
+                    "segments {} and {}",
+                    i,
+                    j
+                );
+            }
+        }
+    }
+
+    /// Up to 400 loaded rows over 300 ids, so keys repeat, at timestamps
+    /// 1–3 and three values, so a repeat is older, newer or an equal-time
+    /// tie; a key's long form ties with its short form on the 16-byte
+    /// prefix.
+    fn arb_loaded_rows() -> impl Strategy<Value = Vec<(Key, Value, u64)>> {
+        let row = (0u64..300, any::<bool>(), 0usize..3, 1u64..4).prop_map(|(id, long, v, ts)| {
+            let key = if long {
+                Bytes::from(format!("user{id:012}+tail").into_bytes())
+            } else {
+                key(id)
+            };
+            (key, k(["a", "b", "c"][v]), ts)
+        });
+        prop::collection::vec(row, 0..400)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The one-pass load builds every node's runs as the per-node path
+        /// did, bit for bit: into an empty store, then again after
+        /// run-time writes, over 1–3 regions of 1–5 nodes, both rings, and
+        /// SimpleStrategy at RF 1–6 or random NetworkTopologyStrategy
+        /// quotas.
+        #[test]
+        fn the_one_pass_load_builds_the_per_node_runs(
+            (regions, per_region) in (1u32..4, 1usize..6),
+            (nts, rf, quotas) in (any::<bool>(), 1u32..7, prop::collection::vec(0u32..4, 3..4)),
+            ordered in any::<bool>(),
+            first in arb_loaded_rows(),
+            writes in prop::collection::vec((0u64..300, 0usize..15, any::<bool>()), 0..60),
+            second in arb_loaded_rows(),
+        ) {
+            let nodes = regions as usize * per_region;
+            let geo = simkit::GeoConfig {
+                regions,
+                inter_region_us: WAN_US,
+                wan_jitter: 0.0,
+                jitter_seed: 0,
+            };
+            let partitioner = if ordered {
+                Partitioner::order_preserving((0..nodes as u64).map(|i| key(i * 300 / nodes as u64)).collect())
+            } else {
+                Partitioner::murmur()
+            };
+            let mut c = CStoreConfig::paper_testbed(rf, partitioner);
+            c.node.topology = geo.topology(per_region, c.node.profile.nic.prop_us);
+            if nts {
+                let mut per_dc = quotas[..regions as usize].to_vec();
+                if per_dc.iter().all(|&q| q == 0) {
+                    per_dc[0] = 1;
+                }
+                c.replication_factor = per_dc.iter().sum();
+                c.strategy = crate::Strategy::NetworkTopology { per_dc };
+            }
+            let mut cluster = Cluster::new(c);
+            let mut twin = cluster.clone();
+            for rows in [first, second] {
+                for (key, value, ts) in rows {
+                    cluster.load_direct(key.clone(), value.clone(), ts);
+                    twin.load_direct(key, value, ts);
+                }
+                cluster.flush_all();
+                per_node_flush_all(&mut twin);
+                same_nodes(&cluster, &twin);
+                // Run-time writes, some flushed into runs of their own.
+                for &(id, node, flush) in &writes {
+                    for c in [&mut cluster, &mut twin] {
+                        let lsm = &mut c.nodes[node % nodes].lsm;
+                        lsm.put(key(id), Cell::live(k("w"), 9));
+                        if flush {
+                            lsm.flush();
+                        }
+                    }
+                }
             }
         }
     }

@@ -18,7 +18,7 @@
 //! "main replica ... always performed, no matter which consistency level is
 //! used".
 
-use simkit::{NodeId, Topology};
+use simkit::{fnv1a, fnv_avalanche, NodeId, Topology};
 use storage::sstable::{cmp_via_prefix, key_prefix, KeyPrefix};
 use storage::Key;
 
@@ -126,19 +126,6 @@ impl Strategy {
     }
 }
 
-#[inline]
-fn hash_key(key: &[u8]) -> u64 {
-    // FNV-1a + avalanche; stand-in for Murmur3 with the same role.
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in key {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    h ^ (h >> 33)
-}
-
 /// The assembled ring.
 #[derive(Debug, Clone)]
 pub struct Ring {
@@ -214,7 +201,9 @@ impl Ring {
                 lo
             }
             Partitioner::Murmur => {
-                let h = hash_key(key);
+                // FNV-1a + avalanche; stand-in for Murmur3 with the same
+                // role.
+                let h = fnv_avalanche(fnv1a(key, 0));
                 // Equal slices of the hash space.
                 ((h as u128 * self.nodes as u128) >> 64) as usize + 1
             }
@@ -304,6 +293,26 @@ mod tests {
         let mut out = Vec::new();
         strategy.place_into(primary, rf, topology, &mut out);
         out
+    }
+
+    #[test]
+    fn murmur_primaries_are_pinned() {
+        // Where a hashing ring places every key: a change here moves rows
+        // between nodes.
+        let primaries = |nodes| {
+            let r = Ring::new(nodes, Partitioner::murmur(), Strategy::Simple);
+            (0..20)
+                .map(|i| r.primary(format!("user{i}").as_bytes()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            primaries(5),
+            [2, 3, 2, 1, 1, 0, 3, 4, 4, 2, 4, 3, 0, 2, 2, 3, 4, 2, 4, 2]
+        );
+        assert_eq!(
+            primaries(7),
+            [3, 4, 2, 1, 1, 0, 5, 6, 5, 3, 5, 5, 0, 3, 2, 5, 5, 3, 6, 4]
+        );
     }
 
     #[test]

@@ -72,6 +72,9 @@ struct ScanState {
 #[derive(Debug, Clone, Default)]
 struct RegionLoad {
     rows: Vec<(Key, Cell)>,
+    /// The encoded bytes of all queued rows, which bound the block index
+    /// of the region's loaded run.
+    bytes: u64,
     /// What the memstore would hold: the encoded bytes of the rows queued
     /// since the last replayed flush.
     memstore_bytes: u64,
@@ -836,7 +839,9 @@ impl SimStore for Cluster {
         let threshold = self.regions.get(idx).lsm.config().memtable_flush_bytes;
         let cell = Cell::live(value, ts);
         let load = &mut self.loading[idx];
-        load.memstore_bytes += entry_encoded_len(&key, &cell);
+        let len = entry_encoded_len(&key, &cell);
+        load.bytes += len;
+        load.memstore_bytes += len;
         load.rows.push((key, cell));
         if load.memstore_bytes >= threshold {
             let (prev, bytes) = (load.hfile, std::mem::take(&mut load.memstore_bytes));
@@ -847,8 +852,9 @@ impl SimStore for Cluster {
 
     /// Per region: replays the last flush and compaction of the load, sorts
     /// the loaded rows once into one run under the id of the HFile the
-    /// replay ended with, then flushes and compacts whatever else the
-    /// region holds (run-time writes, an earlier load's run).
+    /// replay ended with, reading and hashing each key once, then flushes
+    /// and compacts whatever else the region holds (run-time writes, an
+    /// earlier load's run).
     fn flush_all(&mut self) {
         let mut loads = std::mem::take(&mut self.loading).into_iter();
         for idx in 0..self.regions.len() {
@@ -858,8 +864,10 @@ impl SimStore for Cluster {
                 hfile = Some(self.replay_load_flush(idx, hfile, load.memstore_bytes));
             }
             if let Some((id, _)) = hfile {
-                let run = vec![Segment::from_rows(load.rows)];
-                self.regions.get_mut(idx).lsm.load_segments(id, run);
+                let lsm = &mut self.regions.get_mut(idx).lsm;
+                let mut run = lsm.load_builder(load.rows.len(), load.bytes);
+                Segment::from_rows(load.rows, &mut [&mut run]);
+                lsm.load(id, run);
             }
             self.flush_region_functional(idx);
         }
@@ -951,6 +959,7 @@ mod tests {
     use super::*;
     use crate::dfs::BlockId;
     use bytes::Bytes;
+    use proptest::prelude::*;
 
     type Ev = DriverEvent<Event>;
 
@@ -1614,6 +1623,81 @@ mod tests {
             (h.run(), h.sim.now(), loaded(&h.cluster))
         };
         assert_eq!(serve(&mut bulk), serve(&mut per_row));
+    }
+
+    /// The load this one replaced, kept as the oracle: each region's
+    /// rows sorted into one segment, then its run built from the
+    /// segment's sorted rows.
+    fn per_region_flush_all(c: &mut Cluster) {
+        let mut loads = std::mem::take(&mut c.loading).into_iter();
+        for idx in 0..c.regions.len() {
+            let load = loads.next().unwrap_or_default();
+            let mut hfile = load.hfile;
+            if load.memstore_bytes > 0 {
+                hfile = Some(c.replay_load_flush(idx, hfile, load.memstore_bytes));
+            }
+            if let Some((id, _)) = hfile {
+                let lsm = &mut c.regions.get_mut(idx).lsm;
+                let segment = Segment::from_rows(load.rows, &mut []);
+                let mut run = storage::RunBuilder::new(segment.len(), lsm.config().block_size);
+                run.hold(segment);
+                lsm.load(id, run);
+            }
+            c.flush_region_functional(idx);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The one-pass load builds every region's run as the per-region
+        /// path did, bit for bit (ids, rows, block arrays, bloom bits,
+        /// sizes, and the HFile history in the file system), into an empty
+        /// store and again after run-time writes. Keys repeat, older,
+        /// newer or at an equal timestamp, and tie on their 16-byte prefix.
+        #[test]
+        fn the_one_pass_load_builds_the_per_region_runs(
+            nodes in 1usize..6,
+            flush_bytes in 200u64..4_000,
+            loads in prop::collection::vec(
+                prop::collection::vec((0u64..300, any::<bool>(), 0usize..3, 1u64..4), 0..400),
+                2..3,
+            ),
+            writes in prop::collection::vec((0u64..300, any::<bool>()), 0..60),
+        ) {
+            let mut cfg = config(3, nodes, 300);
+            cfg.lsm.memtable_flush_bytes = flush_bytes;
+            let mut cluster = Cluster::new(cfg, 7);
+            let mut twin = cluster.clone();
+            for rows in loads {
+                for (id, long, v, ts) in rows {
+                    let key = if long {
+                        Bytes::from(format!("user{id:012}+tail").into_bytes())
+                    } else {
+                        key(id)
+                    };
+                    for c in [&mut cluster, &mut twin] {
+                        c.load_direct(key.clone(), k(["a", "b", "c"][v]), ts);
+                    }
+                }
+                cluster.flush_all();
+                per_region_flush_all(&mut twin);
+                for (region, (x, y)) in cluster.regions.iter().zip(twin.regions.iter()).enumerate() {
+                    prop_assert_eq!(format!("{:?}", x.lsm), format!("{:?}", y.lsm), "region {}", region);
+                }
+                prop_assert_eq!(loaded(&cluster), loaded(&twin));
+                // Run-time writes, some flushed into HFiles of their own.
+                for &(id, flush) in &writes {
+                    for c in [&mut cluster, &mut twin] {
+                        let idx = c.regions.region_of(&key(id));
+                        c.regions.get_mut(idx).lsm.put(key(id), Cell::live(k("w"), 9));
+                        if flush {
+                            c.flush_region_functional(idx);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     fn replay_config(records: u64, flush_bytes: u64) -> HStoreConfig {

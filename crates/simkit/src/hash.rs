@@ -14,6 +14,10 @@
 //! Callers must still not let map iteration order leak into simulation
 //! results (the byte-identity CI checks enforce that); the fixed seed just
 //! removes the run-to-run wobble on paths where order is unobservable.
+//!
+//! The module also holds the one FNV-1a ([`fnv1a`], with its finalizer
+//! [`fnv_avalanche`]) behind bloom filters, the hashing ring and YCSB's key
+//! scrambling.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -25,6 +29,35 @@ const K: u64 = 0x517c_c1b7_2722_0a95;
 /// Fixed seed folded into every hash stream. Arbitrary non-zero constant;
 /// changing it reshuffles map iteration order everywhere at once.
 const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// FNV-1a's 64-bit offset basis.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a's 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// FNV-1a over `data` from a seeded offset basis: seed 0 keeps FNV's own
+/// basis, any other seed is spread into it by the golden-ratio multiplier,
+/// so streams of different seeds come apart once finished with
+/// [`fnv_avalanche`].
+#[inline]
+pub fn fnv1a(data: &[u8], seed: u64) -> u64 {
+    let mut h = FNV_BASIS ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    for &b in data {
+        h ^= b as u64;
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// The finalizer of an [`fnv1a`] hash: two xor-shifts around one multiply
+/// (the first half of MurmurHash3's `fmix64`), so every input bit reaches
+/// the high bits that a range split or a modulus reads.
+#[inline]
+pub fn fnv_avalanche(h: u64) -> u64 {
+    let h = (h ^ (h >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^ (h >> 33)
+}
 
 /// An FxHash-style streaming hasher: one rotate-xor-multiply per word.
 #[derive(Debug, Clone)]
@@ -112,6 +145,17 @@ mod tests {
         let mut h = FastHasher::default();
         h.write(bytes);
         h.finish()
+    }
+
+    #[test]
+    fn fnv_outputs_are_pinned() {
+        assert_eq!(fnv1a(b"", 0), FNV_BASIS);
+        assert_eq!(fnv1a(&42u64.to_le_bytes(), 0), 0xff3a_dd6b_3789_daef);
+        assert_eq!(
+            fnv_avalanche(fnv1a(&42u64.to_le_bytes(), 0)),
+            0xd0bb_11c1_574a_2cf2
+        );
+        assert_eq!(fnv_avalanche(fnv1a(b"a", 0x51ed)), 0xa5e6_0110_e5d1_31a3);
     }
 
     #[test]

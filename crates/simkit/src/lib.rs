@@ -33,7 +33,9 @@
 //! * `hash` — a seeded deterministic FxHash-style hasher
 //!   ([`FastHashMap`]) replacing SipHash on hot lookup maps (block cache,
 //!   staleness watermarks, file indexes) where iteration order is
-//!   unobservable and adversarial keys cannot occur.
+//!   unobservable and adversarial keys cannot occur, and the one FNV-1a
+//!   ([`fnv1a`], [`fnv_avalanche`]) behind bloom filters, the hashing ring
+//!   and key scrambling.
 //! * `admission` — the pure admission-control decision kernel
 //!   ([`AdmissionConfig`]/[`OpTag`]) both store analogs consult at their
 //!   front door for bounded queues and load shedding.
@@ -58,7 +60,7 @@ mod topology;
 
 pub use admission::{AdmissionConfig, OpTag};
 pub use hardware::{Disk, DiskProfile, Nic, NicProfile, NodeHw, NodeProfile};
-pub use hash::{FastBuildHasher, FastHashMap, FastHashSet, FastHasher};
+pub use hash::{fnv1a, fnv_avalanche, FastBuildHasher, FastHashMap, FastHashSet, FastHasher};
 pub use queue::EventQueue;
 pub use resource::{FifoResource, MultiServer};
 pub use rng::{splitmix64, SimRng};

@@ -3,7 +3,9 @@
 //! A read only touches a sorted run if the run's bloom filter says the key
 //! might be there, which is the main reason LSM point reads don't degrade
 //! linearly with run count. Uses the standard double-hashing scheme
-//! (Kirsch–Mitzenmacher) over two FNV-style 64-bit hashes.
+//! (Kirsch–Mitzenmacher) over two seeded FNV-1a streams.
+
+use simkit::{fnv1a, fnv_avalanche};
 
 /// A fixed-size bloom filter.
 #[derive(Debug, Clone)]
@@ -21,23 +23,9 @@ pub(crate) struct BloomFilter {
 /// hashing per filter.
 #[inline]
 pub(crate) fn hash_pair(key: &[u8]) -> (u64, u64) {
-    let h1 = hash64(key, 0x51ed);
-    let h2 = hash64(key, 0xc0de) | 1; // odd => full-period stepping
+    let h1 = fnv_avalanche(fnv1a(key, 0x51ed));
+    let h2 = fnv_avalanche(fnv1a(key, 0xc0de)) | 1; // odd => full-period stepping
     (h1, h2)
-}
-
-#[inline]
-fn hash64(data: &[u8], seed: u64) -> u64 {
-    // FNV-1a with a seeded basis, finalized with a splitmix-style mixer to
-    // decorrelate the two streams.
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    h ^ (h >> 33)
 }
 
 impl BloomFilter {
@@ -61,16 +49,28 @@ impl BloomFilter {
     }
 
     /// Record a key.
+    #[cfg(test)]
     pub(crate) fn insert(&mut self, key: &[u8]) {
+        self.insert_hashed(hash_pair(key));
+    }
+
+    /// Record the key whose [`hash_pair`] is `(h1, h2)`.
+    #[inline]
+    pub(crate) fn insert_hashed(&mut self, (h1, h2): (u64, u64)) {
         // Open-coded positions: borrowing `self` for the position iterator
         // while mutating `bits` would not check, and the old collect-to-Vec
         // workaround cost an allocation per inserted key (hot during every
         // flush and compaction).
-        let (h1, h2) = hash_pair(key);
         for i in 0..self.k as u64 {
             let pos = h1.wrapping_add(i.wrapping_mul(h2)) % self.nbits;
             self.bits[(pos / 64) as usize] |= 1 << (pos % 64);
         }
+    }
+
+    /// The filter's bit words.
+    #[cfg(test)]
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.bits
     }
 
     /// True if the key *might* be present; false means definitely absent.
@@ -90,6 +90,24 @@ impl BloomFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hash_pairs_are_pinned() {
+        // The bits every filter sets: a change here moves every run's
+        // filter and so every false positive a read pays a block for.
+        assert_eq!(
+            hash_pair(b""),
+            (0x4c31_933d_d918_97f0, 0x23d0_0f1f_8a48_2781)
+        );
+        assert_eq!(
+            hash_pair(b"a"),
+            (0xa5e6_0110_e5d1_31a3, 0xc6d9_65bb_2150_6cc1)
+        );
+        assert_eq!(
+            hash_pair(b"user00000000000000000042"),
+            (0xf1bc_ebeb_da15_1f55, 0x31c5_fe83_5c44_ab19)
+        );
+    }
 
     #[test]
     fn no_false_negatives() {

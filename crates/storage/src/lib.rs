@@ -47,5 +47,5 @@ pub use cache::BlockCache;
 pub use io::{IoOp, IoPlan};
 pub use lsm::{LsmConfig, LsmTree};
 pub use memtable::Memtable;
-pub use sstable::{Segment, SsTable, TableId};
+pub use sstable::{RunBuilder, Segment, SsTable, TableId};
 pub use types::{Cell, Key, Timestamp, Value};

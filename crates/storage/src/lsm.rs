@@ -10,7 +10,7 @@ use crate::compaction::SizeTieredPolicy;
 use crate::io::{IoOp, IoPlan};
 use crate::memtable::{self, Memtable};
 use crate::merge::{clone_winners, MergeRef};
-use crate::sstable::{key_prefix, KeyPrefix, Segment, SsTable, TableId};
+use crate::sstable::{key_prefix, KeyPrefix, RunBuilder, Segment, SsTable, TableId};
 use crate::types::{Cell, Key};
 use crate::wal::WriteAheadLog;
 
@@ -456,36 +456,31 @@ impl LsmTree {
         })
     }
 
-    /// Bulk-load `segments` as one new run with id `id`, the way
+    /// A builder for a bulk-loaded run of `rows` queued rows that encode to
+    /// `bytes` bytes in all: its filter sized for `rows`, and its block
+    /// index reserved exactly for `bytes`. A load's builders grow side by
+    /// side, and vectors grown by doubling would leave their spare capacity
+    /// in the base.
+    pub fn load_builder(&self, rows: usize, bytes: u64) -> RunBuilder {
+        let mut run = RunBuilder::new(rows, self.config.block_size);
+        run.reserve(bytes);
+        run
+    }
+
+    /// Bulk-load the run `run` built as one new run with id `id`, the way
     /// Cassandra's `sstableloader` streams sorted SSTables in: no WAL append
-    /// and no memtable. The run holds the segments themselves, so a segment
-    /// loaded into several trees is stored once. Segments whose key ranges
-    /// interleave (a hashing partitioner's token ranges) are first merged
-    /// into one segment of this tree's own, as [`Segment::from_rows`] of
-    /// all their rows. Either way the run is the one that `put` of every
-    /// row and a `flush` into an empty memtable build. No rows, no run.
+    /// and no memtable. The run holds the segments it was fed, so a segment
+    /// loaded into several trees is stored once. It is the run that `put` of
+    /// every row and a `flush` into an empty memtable build. No rows, no
+    /// run.
     ///
     /// `id` comes from [`LsmTree::reserve_table_id`], possibly long before:
     /// a caller that replays the flushes a row-by-row load would have made
     /// reserves the ids as those flushes would have taken them.
-    pub fn load_segments(&mut self, id: TableId, mut segments: Vec<Segment>) {
-        segments.retain(|s| !s.is_empty());
-        if segments.is_empty() {
-            return;
+    pub fn load(&mut self, id: TableId, run: RunBuilder) {
+        if !run.is_empty() {
+            self.push_run(run.finish(id));
         }
-        segments.sort_unstable_by(|a, b| a.key_range().cmp(&b.key_range()));
-        if segments
-            .windows(2)
-            .any(|w| w[0].key_range().map(|r| r.1) >= w[1].key_range().map(|r| r.0))
-        {
-            let rows = segments
-                .iter()
-                .flat_map(Segment::entries)
-                .cloned()
-                .collect();
-            segments = vec![Segment::from_rows(rows)];
-        }
-        self.push_run(SsTable::from_segments(id, segments, self.config.block_size));
     }
 
     /// Add `table` as the newest run; returns its id and size.
@@ -863,7 +858,9 @@ mod tests {
         // skip in each I/O plan.
         let mut tree = LsmTree::new(small_config());
         let id = tree.reserve_table_id();
-        tree.load_segments(id, vec![Segment::sorted(Vec::new())]);
+        let mut run = tree.load_builder(0, 0);
+        Segment::from_rows(Vec::new(), &mut [&mut run]);
+        tree.load(id, run);
         assert_eq!(tree.table_count(), 0);
         assert_eq!(tree.get(b"a").io.bloom_skips(), 0);
     }

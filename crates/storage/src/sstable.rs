@@ -13,7 +13,7 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use crate::bloom::BloomFilter;
+use crate::bloom::{self, BloomFilter};
 use crate::types::{entry_encoded_len, Cell, Key};
 
 /// Identity of an SSTable within one node's store.
@@ -77,6 +77,33 @@ struct SegmentRows {
     prefixes: Vec<KeyPrefix>,
 }
 
+/// One queued row in the sort of [`Segment::from_rows`]: its key's prefix,
+/// its encoded length and its index in the queue. The prefix is kept as two
+/// halves: without a `u128` to align, a record packs into 24 bytes, not 32.
+#[derive(Debug, Clone, Copy)]
+struct SortRecord {
+    high: u64,
+    low: u64,
+    len: u32,
+    index: u32,
+}
+
+impl SortRecord {
+    fn new(prefix: KeyPrefix, len: u64, index: usize) -> Self {
+        Self {
+            high: (prefix >> 64) as u64,
+            low: prefix as u64,
+            len: len as u32,
+            index: index as u32,
+        }
+    }
+
+    #[inline]
+    fn prefix(&self) -> KeyPrefix {
+        (self.high as KeyPrefix) << 64 | self.low as KeyPrefix
+    }
+}
+
 /// A strictly sorted, immutable stretch of rows: the row storage of a run.
 ///
 /// Cloning is O(1): the rows live behind an [`Arc`], so several runs can
@@ -100,36 +127,70 @@ impl Segment {
         Self(Arc::new(SegmentRows { entries, prefixes }))
     }
 
-    /// A segment of `rows`, given in any order. A key given more than once
-    /// keeps its newest version by [`Cell::newer`], as a memtable would.
+    /// A segment of `rows`, given in any order, and its rows' records fed to
+    /// every run in `holders`, which each go on to hold the segment. A key
+    /// given more than once keeps its newest version by [`Cell::newer`], as a
+    /// memtable would.
     ///
-    /// What is sorted is a `(prefix, index)` array, never the rows: an
-    /// integer compare per probe and the full keys only on a prefix tie.
-    /// Each key's winner then moves out of `rows` into an exactly sized
-    /// segment.
-    pub fn from_rows(rows: Vec<(Key, Cell)>) -> Self {
-        let mut order: Vec<(KeyPrefix, usize)> = rows
-            .iter()
-            .enumerate()
-            .map(|(i, (key, _))| (key_prefix(key), i))
-            .collect();
-        order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| rows[a.1].0.cmp(&rows[b.1].0)));
-        // One entry per key, pointing at its newest version.
+    /// The one pass that reads the keys walks `rows` in arrival order: a bulk
+    /// load's keys were allocated in that order, so the pass runs through
+    /// the heap instead of hopping around it. It takes each key's prefix and
+    /// encoded length for the sort, and hashes the key once into the filter
+    /// of every holder. What is sorted is a `(prefix, length, index)` array,
+    /// never the rows: an integer compare per probe and the full keys only
+    /// on a prefix tie. The holders' block indexes then come from that array
+    /// in key order, and each key's winner moves out of `rows` into an
+    /// exactly sized segment, without touching a key again.
+    ///
+    /// A holder must receive its segments in key order, each sorting wholly
+    /// above the one before.
+    pub fn from_rows(rows: Vec<(Key, Cell)>, holders: &mut [&mut RunBuilder]) -> Self {
+        let mut order = Vec::with_capacity(rows.len());
+        for (i, (key, cell)) in rows.iter().enumerate() {
+            let hashes = bloom::hash_pair(key);
+            for run in holders.iter_mut() {
+                run.bloom.insert_hashed(hashes);
+            }
+            order.push(SortRecord::new(
+                key_prefix(key),
+                entry_encoded_len(key, cell),
+                i,
+            ));
+        }
+        let row = |r: &SortRecord| &rows[r.index as usize];
+        order.sort_unstable_by(|a, b| {
+            let by_key = || row(a).0.cmp(&row(b).0);
+            a.prefix().cmp(&b.prefix()).then_with(by_key)
+        });
+        // One record per key, holding its newest version.
         order.dedup_by(|later, kept| {
-            let (old, new) = (&rows[kept.1], &rows[later.1]);
-            let same = later.0 == kept.0 && old.0 == new.0;
+            let (old, new) = (row(kept), row(later));
+            let same = later.prefix() == kept.prefix() && old.0 == new.0;
             if same && !std::ptr::eq(Cell::newer(&old.1, &new.1), &old.1) {
-                kept.1 = later.1;
+                *kept = *later;
             }
             same
         });
+        for r in &order {
+            for run in holders.iter_mut() {
+                run.row(r.prefix(), r.len as u64);
+            }
+        }
         let mut slots: Vec<Option<(Key, Cell)>> = rows.into_iter().map(Some).collect();
         let mut entries = Vec::with_capacity(order.len());
-        entries.extend(order.iter().filter_map(|&(_, i)| slots[i].take()));
+        entries.extend(order.iter().filter_map(|r| slots[r.index as usize].take()));
         // Freed before the prefixes are allocated, which keeps them out of
         // a bulk load's peak.
-        drop((order, slots));
-        Self::sorted(entries)
+        drop(slots);
+        let prefixes = order.iter().map(SortRecord::prefix).collect();
+        drop(order);
+        let segment = Self(Arc::new(SegmentRows { entries, prefixes }));
+        if !segment.is_empty() {
+            for run in holders.iter_mut() {
+                run.segments.push(segment.clone());
+            }
+        }
+        segment
     }
 
     /// The rows in key order.
@@ -195,6 +256,145 @@ struct SsTableCore {
     total_bytes: u64,
 }
 
+/// Builds one run's block index and bloom filter from one record per row:
+/// the key's bloom hash pair for the filter, and its prefix and encoded
+/// length for the block index. Every run is built through one, whether a
+/// flush, a compaction or a bulk load makes it.
+///
+/// The filter takes hash pairs in any order, the index takes records in key
+/// order. [`RunBuilder::hold`] reads both from a sorted segment in one pass;
+/// a bulk load instead hashes each key where [`Segment::from_rows`] reads it,
+/// in arrival order, and feeds every run that holds the segment at once.
+#[derive(Debug)]
+pub struct RunBuilder {
+    /// The segments the run holds, in key order.
+    segments: Vec<Segment>,
+    /// The row count the filter is sized for. A bulk load sizes it from
+    /// the queued rows, before a sort drops duplicate keys.
+    sized_for: usize,
+    /// Rows in the block index so far.
+    len: usize,
+    block_size: u64,
+    block_starts: Vec<u32>,
+    block_prefixes: Vec<KeyPrefix>,
+    chunk_prefixes: Vec<KeyPrefix>,
+    block_bytes: Vec<u64>,
+    bloom: BloomFilter,
+    total_bytes: u64,
+    /// Bytes of the block being filled; 0 between blocks (an entry always
+    /// encodes to more than zero bytes).
+    cur_bytes: u64,
+}
+
+impl RunBuilder {
+    /// A builder for a run of `rows` rows in blocks of `block_size` bytes,
+    /// with its filter sized for `rows`.
+    pub fn new(rows: usize, block_size: u64) -> Self {
+        Self {
+            // One segment is what a flush or a compaction holds.
+            segments: Vec::with_capacity(1),
+            sized_for: rows,
+            len: 0,
+            block_size,
+            block_starts: Vec::new(),
+            block_prefixes: Vec::new(),
+            chunk_prefixes: Vec::new(),
+            block_bytes: Vec::new(),
+            bloom: BloomFilter::with_capacity(rows, 10),
+            total_bytes: 0,
+            cur_bytes: 0,
+        }
+    }
+
+    /// Reserve the block index of a run whose rows encode to at most
+    /// `bytes` bytes in all, exactly: every block but the last closes at
+    /// `block_size` bytes or more, so there are at most `bytes /
+    /// block_size + 1` blocks.
+    pub(crate) fn reserve(&mut self, bytes: u64) {
+        let blocks = (bytes / self.block_size) as usize + 1;
+        self.block_starts.reserve_exact(blocks);
+        self.block_prefixes.reserve_exact(blocks);
+        self.block_bytes.reserve_exact(blocks);
+        self.chunk_prefixes.reserve_exact(blocks / CHUNK + 1);
+    }
+
+    /// True when no row has reached the block index.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Add the next row in key order to the block index: its key's prefix
+    /// and its encoded length.
+    #[inline]
+    fn row(&mut self, prefix: KeyPrefix, len: u64) {
+        if self.cur_bytes == 0 {
+            if self.block_starts.len() % CHUNK == 0 {
+                self.chunk_prefixes.push(prefix);
+            }
+            self.block_starts.push(self.len as u32);
+            self.block_prefixes.push(prefix);
+        }
+        self.cur_bytes += len;
+        self.total_bytes += len;
+        if self.cur_bytes >= self.block_size {
+            self.block_bytes.push(self.cur_bytes);
+            self.cur_bytes = 0;
+        }
+        self.len += 1;
+    }
+
+    /// Hold `segment` as the run's next stretch of rows, reading every row
+    /// of it for the filter and the index. An empty segment is dropped.
+    ///
+    /// # Panics
+    /// In debug builds, panics unless `segment` sorts wholly above the
+    /// segments held before it.
+    pub fn hold(&mut self, segment: Segment) {
+        if segment.is_empty() {
+            return;
+        }
+        for ((key, cell), &prefix) in segment.entries().iter().zip(segment.prefixes()) {
+            self.bloom.insert_hashed(bloom::hash_pair(key));
+            self.row(prefix, entry_encoded_len(key, cell));
+        }
+        self.segments.push(segment);
+    }
+
+    /// The run, under id `id`. A filter sized for more rows than the run
+    /// holds (a bulk load whose sort dropped duplicate keys) is refilled at
+    /// the run's exact size, so every run's filter is the one its rows size.
+    pub(crate) fn finish(mut self, id: TableId) -> SsTable {
+        debug_assert!(
+            self.segments
+                .windows(2)
+                .all(|w| w[0].key_range().map(|r| r.1) < w[1].key_range().map(|r| r.0)),
+            "segments must be sorted and disjoint"
+        );
+        if self.sized_for != self.len {
+            self.bloom = BloomFilter::with_capacity(self.len, 10);
+            for (key, _) in self.segments.iter().flat_map(Segment::entries) {
+                self.bloom.insert_hashed(bloom::hash_pair(key));
+            }
+        }
+        if self.cur_bytes > 0 {
+            self.block_bytes.push(self.cur_bytes);
+        }
+        SsTable {
+            id,
+            core: Arc::new(SsTableCore {
+                segments: self.segments,
+                len: self.len,
+                block_starts: self.block_starts,
+                block_prefixes: self.block_prefixes,
+                chunk_prefixes: self.chunk_prefixes,
+                block_bytes: self.block_bytes,
+                bloom: self.bloom,
+                total_bytes: self.total_bytes,
+            }),
+        }
+    }
+}
+
 /// An immutable sorted run with block structure, index, and bloom filter.
 ///
 /// Cloning is O(1): the run's data lives behind an [`Arc`], so clones of a
@@ -214,71 +414,9 @@ impl SsTable {
     /// # Panics
     /// In debug builds, panics if entries are not strictly sorted.
     pub fn build(id: TableId, entries: Vec<(Key, Cell)>, block_size: u64) -> Self {
-        Self::from_segments(id, vec![Segment::sorted(entries)], block_size)
-    }
-
-    /// Build a table whose rows are `segments` in order, holding the
-    /// segments themselves rather than copies. The blocks, index and bloom
-    /// filter are the ones [`SsTable::build`] gives the concatenated rows.
-    ///
-    /// # Panics
-    /// In debug builds, panics unless each segment sorts wholly above the
-    /// one before.
-    pub(crate) fn from_segments(id: TableId, mut segments: Vec<Segment>, block_size: u64) -> Self {
-        segments.retain(|s| !s.is_empty());
-        debug_assert!(
-            segments
-                .windows(2)
-                .all(|w| w[0].key_range().map(|r| r.1) < w[1].key_range().map(|r| r.0)),
-            "segments must be sorted and disjoint"
-        );
-        let len = segments.iter().map(Segment::len).sum();
-        let mut bloom = BloomFilter::with_capacity(len, 10);
-        let mut block_starts = Vec::new();
-        let mut block_prefixes = Vec::new();
-        let mut chunk_prefixes = Vec::new();
-        let mut block_bytes = Vec::new();
-        let mut total_bytes = 0u64;
-        // Bytes of the block being filled; 0 between blocks (an entry
-        // always encodes to more than zero bytes).
-        let mut cur_bytes = 0u64;
-        let mut i = 0u32;
-        for segment in &segments {
-            for ((key, cell), &prefix) in segment.entries().iter().zip(segment.prefixes()) {
-                bloom.insert(key);
-                let len = entry_encoded_len(key, cell);
-                if cur_bytes == 0 {
-                    if block_starts.len() % CHUNK == 0 {
-                        chunk_prefixes.push(prefix);
-                    }
-                    block_starts.push(i);
-                    block_prefixes.push(prefix);
-                }
-                cur_bytes += len;
-                total_bytes += len;
-                if cur_bytes >= block_size {
-                    block_bytes.push(cur_bytes);
-                    cur_bytes = 0;
-                }
-                i += 1;
-            }
-        }
-        if cur_bytes > 0 {
-            block_bytes.push(cur_bytes);
-        }
-        Self {
-            id,
-            core: Arc::new(SsTableCore {
-                segments,
-                len,
-                block_starts,
-                block_prefixes,
-                chunk_prefixes,
-                block_bytes,
-                bloom,
-                total_bytes,
-            }),
-        }
+        let mut run = RunBuilder::new(entries.len(), block_size);
+        run.hold(Segment::sorted(entries));
+        run.finish(id)
     }
 
     /// True when `self` and `other` share one underlying allocation (they
@@ -590,9 +728,14 @@ mod tests {
         // blocks straddle both segment boundaries.
         let whole = SsTable::build(TableId(1), rows(0..10), 64);
         let parts = [0..1, 1..5, 5..10].map(|ids| Segment::sorted(rows(ids)));
-        let mut segments = parts.to_vec();
-        segments.insert(1, Segment::sorted(Vec::new()));
-        let split = SsTable::from_segments(TableId(1), segments, 64);
+        let mut split = RunBuilder::new(10, 64);
+        for segment in [parts[0].clone(), Segment::sorted(Vec::new())]
+            .into_iter()
+            .chain(parts[1..].iter().cloned())
+        {
+            split.hold(segment);
+        }
+        let split = split.finish(TableId(1));
         assert_eq!(split.segments().len(), 3, "empty segments are dropped");
         assert!(split.segments()[1].shares_storage_with(&parts[1]));
         assert_eq!(split.len(), whole.len());
@@ -614,13 +757,78 @@ mod tests {
         }
     }
 
+    /// Everything a build lays over a run's rows.
+    type Layout = (
+        TableId,
+        usize,
+        Vec<u32>,
+        Vec<KeyPrefix>,
+        Vec<KeyPrefix>,
+        Vec<u64>,
+        Vec<u64>,
+        u64,
+    );
+
+    fn layout(t: &SsTable) -> Layout {
+        let c = &*t.core;
+        (
+            t.id,
+            c.len,
+            c.block_starts.clone(),
+            c.block_prefixes.clone(),
+            c.chunk_prefixes.clone(),
+            c.block_bytes.clone(),
+            c.bloom.words().to_vec(),
+            c.total_bytes,
+        )
+    }
+
+    #[test]
+    fn a_loaded_run_is_the_run_its_sorted_rows_build() {
+        // Rows out of key order, and every fifth key again: older, newer
+        // or an equal-time tie with a larger value.
+        let mut rows = Vec::new();
+        for i in (0..300u64).rev() {
+            rows.push((k(&format!("user{:06}", i * 7 % 300)), Cell::live(k("v"), 2)));
+            if i % 5 == 0 {
+                let value = k(["a", "w", "z"][i as usize % 3]);
+                rows.push((k(&format!("user{:06}", i)), Cell::live(value, 1 + i % 3)));
+            }
+        }
+        let unique = Segment::from_rows(rows.clone(), &mut []);
+        assert_eq!(unique.len(), 300);
+        let want = SsTable::build(TableId(3), unique.entries().to_vec(), 128);
+        let bytes: u64 = rows
+            .iter()
+            .map(|(key, cell)| entry_encoded_len(key, cell))
+            .sum();
+        let mut runs = [0, 1].map(|_| {
+            let mut run = RunBuilder::new(rows.len(), 128);
+            run.reserve(bytes);
+            run
+        });
+        let [a, b] = &mut runs;
+        let segment = Segment::from_rows(rows, &mut [a, b]);
+        assert_eq!(segment.entries(), unique.entries());
+        for run in runs {
+            let got = run.finish(TableId(3));
+            assert_eq!(layout(&got), layout(&want));
+            assert!(got.segments()[0].shares_storage_with(&segment));
+            // The reservation held every block: the index never grew.
+            assert_eq!(got.core.block_starts.capacity(), (bytes / 128) as usize + 1);
+        }
+    }
+
     #[test]
     fn segment_from_rows_sorts_and_keeps_the_newest_version() {
-        let s = Segment::from_rows(vec![
-            (k("b"), Cell::live(k("old"), 1)),
-            (k("a"), Cell::live(k("x"), 1)),
-            (k("b"), Cell::live(k("new"), 2)),
-        ]);
+        let s = Segment::from_rows(
+            vec![
+                (k("b"), Cell::live(k("old"), 1)),
+                (k("a"), Cell::live(k("x"), 1)),
+                (k("b"), Cell::live(k("new"), 2)),
+            ],
+            &mut [],
+        );
         let keys: Vec<_> = s
             .entries()
             .iter()

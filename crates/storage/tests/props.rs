@@ -539,8 +539,7 @@ proptest! {
         prop_assert_eq!(tree.cache_stats(), model.cache.stats());
     }
 
-    /// `LsmTree::load_segments` of one segment against the path it
-    /// replaced: a twin with a tiny flush threshold `put`s the same rows,
+    /// `LsmTree::load` of one segment's run against the path it replaced: a twin with a tiny flush threshold `put`s the same rows,
     /// flushing as it fills, then flushes and runs a major compaction (a
     /// compaction in between may purge a tombstone that a later row with no
     /// newer timestamp would then resurrect), while the tree under test
@@ -598,7 +597,9 @@ proptest! {
         twin.compact_all();
         tree.flush();
         let id = tree.reserve_table_id();
-        tree.load_segments(id, vec![Segment::from_rows(rows)]);
+        let mut run = tree.load_builder(rows.len(), rows.iter().map(|(k, c)| entry_encoded_len(k, c)).sum());
+        Segment::from_rows(rows, &mut [&mut run]);
+        tree.load(id, run);
         tree.compact_all();
 
         let live = |t: &mut LsmTree, k: &Key| t.get(k).cell.filter(|c| !c.is_tombstone());
@@ -618,18 +619,16 @@ proptest! {
         }
     }
 
-    /// `LsmTree::load_segments` of the rows cut into segments — at key
-    /// boundaries, so the run holds the segments themselves, or dealt out
-    /// round-robin, so their key ranges interleave and are merged first —
-    /// builds the run that loading them as one segment builds: the same
-    /// rows, blocks and bloom filter, so every get and scan returns the
+    /// A loaded run fed the rows cut at key boundaries into segments, one
+    /// [`Segment::from_rows`] call each in key order with a second run as
+    /// a co-holder, is the run that loading them as one segment builds: the
+    /// same rows, blocks and bloom filter, so every get and scan returns the
     /// same rows and charges the same I/O, over keys that tie on their
-    /// 16-byte prefix.
+    /// 16-byte prefix. Both holders hold each segment itself.
     #[test]
-    fn load_segments_matches_one_segment(
+    fn a_run_fed_segment_by_segment_matches_one_segment(
         keys in prop::collection::btree_set(arb_prefix_key(), 1..300),
         cuts in prop::collection::vec(0usize..300, 0..6),
-        interleave in prop::bool::ANY,
         probes in prop::collection::vec(arb_prefix_key(), 1..20),
     ) {
         let config = LsmConfig {
@@ -643,33 +642,35 @@ proptest! {
             .enumerate()
             .map(|(i, k)| (Bytes::from(k.clone()), Cell::live(key(i as u64), 1)))
             .collect();
-        let pieces: Vec<Vec<(Key, Cell)>> = if interleave {
-            let n = cuts.len() + 1;
-            (0..n).map(|j| rows.iter().skip(j).step_by(n).cloned().collect()).collect()
-        } else {
-            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (rows.len() + 1)).collect();
-            bounds.extend([0, rows.len()]);
-            bounds.sort_unstable();
-            bounds.windows(2).map(|w| rows[w[0]..w[1]].to_vec()).collect()
-        };
-        // Reversed: `load_segments` puts them in key order itself.
-        let segments: Vec<Segment> = pieces.into_iter().rev().map(Segment::from_rows).collect();
+        let bytes = rows.iter().map(|(k, c)| entry_encoded_len(k, c)).sum();
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (rows.len() + 1)).collect();
+        bounds.extend([0, rows.len()]);
+        bounds.sort_unstable();
         let mut tree = LsmTree::new(config);
+        let mut other = LsmTree::new(config);
+        let (mut run, mut co_run) = (tree.load_builder(rows.len(), bytes), other.load_builder(rows.len(), bytes));
+        let segments: Vec<Segment> = bounds
+            .windows(2)
+            .map(|w| Segment::from_rows(rows[w[0]..w[1]].to_vec(), &mut [&mut run, &mut co_run]))
+            .collect();
         let id = tree.reserve_table_id();
-        tree.load_segments(id, segments.clone());
+        tree.load(id, run);
+        let id = other.reserve_table_id();
+        other.load(id, co_run);
         let mut twin = LsmTree::new(config);
+        let mut one = twin.load_builder(rows.len(), bytes);
+        Segment::from_rows(rows, &mut [&mut one]);
         let id = twin.reserve_table_id();
-        twin.load_segments(id, vec![Segment::from_rows(rows)]);
+        twin.load(id, one);
         let (a, b) = (&tree.runs()[0], &twin.runs()[0]);
         prop_assert_eq!(table_rows(a), table_rows(b));
         prop_assert_eq!(a.block_count(), b.block_count());
         for block in 0..a.block_count() {
             prop_assert_eq!(a.block_len(block), b.block_len(block), "block {}", block);
         }
-        if !interleave {
-            for s in segments.iter().filter(|s| !s.is_empty()) {
-                prop_assert!(a.segments().iter().any(|held| held.shares_storage_with(s)));
-            }
+        for s in segments.iter().filter(|s| !s.is_empty()) {
+            prop_assert!(a.segments().iter().any(|held| held.shares_storage_with(s)));
+            prop_assert!(other.runs()[0].segments().iter().any(|held| held.shares_storage_with(s)));
         }
         for probe in probes.iter().chain(&keys) {
             prop_assert_eq!(tree.get(probe), twin.get(probe), "get {:?}", probe);

@@ -6,6 +6,7 @@
 //! incremental zeta extension so the item count can grow during a run.
 
 use rand::Rng;
+use simkit::fnv1a;
 
 /// YCSB's zipfian skew constant.
 pub(crate) const ZIPFIAN_CONSTANT: f64 = 0.99;
@@ -91,17 +92,6 @@ impl Zipfian {
     }
 }
 
-#[inline]
-fn fnv_hash(v: u64) -> u64 {
-    // FNV-1a over the 8 little-endian bytes, YCSB's scrambling hash.
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// The request distributions available to workloads.
 #[derive(Debug, Clone)]
 pub enum RequestDistribution {
@@ -123,7 +113,9 @@ impl RequestDistribution {
     pub fn next<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         match self {
             Self::Uniform { items } => rng.gen_range(0..*items),
-            Self::ScrambledZipfian(z) => fnv_hash(z.next(rng)) % z.items(),
+            // FNV-1a over the 8 little-endian bytes, YCSB's scrambling
+            // hash.
+            Self::ScrambledZipfian(z) => fnv1a(&z.next(rng).to_le_bytes(), 0) % z.items(),
             Self::Latest(z) => {
                 let n = z.items();
                 n - 1 - z.next(rng)

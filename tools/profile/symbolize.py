@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Symbolize a `sampler.c` profile and split it by handler and by layer.
 
-usage: symbolize.py BINARY PROFILE [--focus REGEX] [--callers REGEX] [--top N]
+usage: symbolize.py BINARY PROFILE [--focus REGEX] [--exclude REGEX]
+                    [--callers REGEX] [--top N]
 
 Every sampled address of BINARY goes through one batched, inline-aware
 `addr2line -i` call, so a sample's stack lists inlined functions as frames
@@ -10,7 +11,8 @@ belongs to this repository (std, core, alloc and libc frames count for
 their caller); its *handler* is its innermost event handler
 (`on_*`, `start_*`, `submit*`, `send_*` of a store cluster or the node
 runtime). With --focus, only samples with a frame matching REGEX count,
-and shares are of those samples. With --callers, the samples with a frame
+and shares are of those samples; with --exclude, samples with a frame
+matching REGEX are dropped (after --focus). With --callers, the samples with a frame
 matching REGEX are also split by the nearest repository frame above (outside)
 its innermost match: which code calls, say, `Arc::clone`.
 """
@@ -103,6 +105,7 @@ def main():
     ap.add_argument("binary")
     ap.add_argument("profile")
     ap.add_argument("--focus", help="keep samples with a frame matching this regex")
+    ap.add_argument("--exclude", help="drop samples with a frame matching this regex")
     ap.add_argument("--callers", help="split samples with a frame matching this regex by "
                     "the nearest repository frame above it")
     ap.add_argument("--top", type=int, default=25)
@@ -121,6 +124,9 @@ def main():
     if args.focus:
         focus = re.compile(args.focus)
         stacks = [s for s in stacks if any(focus.search(f) for f in s)]
+    if args.exclude:
+        exclude = re.compile(args.exclude)
+        stacks = [s for s in stacks if not any(exclude.search(f) for f in s)]
     total = len(stacks)
     if not total:
         raise SystemExit("no samples")
@@ -139,7 +145,8 @@ def main():
         for name, n in counter.most_common(limit):
             print(f"  {100 * n / of:6.2f}%  {n:7d}  {name}")
 
-    print(f"{total} samples" + (f" matching {args.focus!r}" if args.focus else ""))
+    print(f"{total} samples" + (f" matching {args.focus!r}" if args.focus else "")
+          + (f" without {args.exclude!r}" if args.exclude else ""))
     table("by layer (self, std/libc charged to the calling crate)", layer)
     table("by handler (inclusive)", handler)
     table(f"top {args.top} functions (self, innermost inlined frame)", leaf, args.top)
