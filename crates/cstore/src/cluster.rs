@@ -14,7 +14,9 @@ use ::node::{DriverEvent, Runtime, SimStore};
 use obs::Stage;
 use simkit::{NodeHw, NodeId, OpKey, OpTag, Sim, SimTime};
 use storage::types::entry_encoded_len;
-use storage::{Cell, Completion, Key, OpError, OpResult, RunBuilder, Segment, StoreOp, Value};
+use storage::{
+    Cell, Completion, Key, OpError, OpResult, Rows, RunBuilder, Segment, StoreOp, Value,
+};
 
 use crate::config::{CStoreConfig, CommitlogSync, Consistency};
 use crate::event::Event;
@@ -110,8 +112,8 @@ struct ScanState {
     limit: usize,
     needed_this_round: u32,
     received_this_round: u32,
-    partials: Vec<Vec<(Key, Cell)>>,
-    collected: Vec<(Key, Cell)>,
+    partials: Vec<Rows>,
+    collected: Rows,
     current_primary: usize,
     rounds: u32,
     /// When the current round's fan-out left the coordinator.
@@ -175,7 +177,7 @@ pub struct Cluster {
     /// Recycled `ReadState::results` buffers.
     read_answers: BufferPool<(NodeId, Option<Cell>)>,
     /// Recycled `ScanState::partials` buffers.
-    scan_partials: BufferPool<Vec<(Key, Cell)>>,
+    scan_partials: BufferPool<Rows>,
     /// Rows bulk-loaded since the last `flush_all`, once each, by ring
     /// segment.
     loaded: Vec<SegmentLoad>,
@@ -627,7 +629,7 @@ impl Cluster {
                 needed_this_round: 0,
                 received_this_round: 0,
                 partials,
-                collected: Vec::new(),
+                collected: Rows::default(),
                 current_primary: p_idx,
                 rounds: 0,
                 round_started: t1,
@@ -1004,13 +1006,15 @@ impl Cluster {
                 .acquire(t2, costs.scan_row_us * rows as u64);
             return;
         }
-        let res = lsm.scan(&start, limit);
+        // The page carries the tombstones walked as well, so that a delete
+        // this replica holds wins over an older row another one returns.
+        let res = lsm.scan_page(&start, limit);
         let t2 = self.rt.charge_io_plan(node, t1, &res.io);
         let mut rows = res.rows;
         if let Some(end) = &clamp {
-            // Rows are sorted: everything from the first key at or past
-            // the range end belongs to the next range's replicas.
-            rows.truncate(rows.partition_point(|(k, _)| k < end));
+            // Everything from the first key at or past the range end
+            // belongs to the next range's replicas.
+            rows.clamp(end);
         }
         let t3 = self
             .rt
@@ -1032,12 +1036,7 @@ impl Cluster {
         sim.schedule_at(arr, W::from(Event::ScanReturn { op, rows }));
     }
 
-    fn on_scan_return<W: From<Event>>(
-        &mut self,
-        sim: &mut Sim<W>,
-        op: OpKey,
-        rows: Vec<(Key, Cell)>,
-    ) {
+    fn on_scan_return<W: From<Event>>(&mut self, sim: &mut Sim<W>, op: OpKey, rows: Rows) {
         let Some(p) = self.rt.get(op) else {
             return;
         };
@@ -1063,27 +1062,28 @@ impl Cluster {
         }
         let round_started = s.round_started;
         // Round complete: reconcile this range across its replicas.
-        let mut merged = storage::merge::merge_entries(s.partials.drain(..), false);
-        merged.retain(|(_, c)| !c.is_tombstone());
-        merged.truncate(s.limit - s.collected.len());
-        if s.collected.is_empty() {
-            // First range with rows (the only one for most scans): the
-            // reconciled rows become the result, not a copy.
-            s.collected = merged;
-        } else {
-            s.collected.extend(merged);
-        }
+        let remaining = s.limit - s.collected.len();
+        let (mut merged, resume) = Rows::reconcile(&mut s.partials, remaining);
+        merged.truncate(remaining);
+        s.collected.append(merged);
         enum Next {
-            Respond(Vec<(Key, Cell)>),
+            Respond(Rows),
             Round(usize, Key, usize),
         }
-        // On to the next range unless the budget is spent or the ring ends
-        // (a range with no start is the end of the ring too).
-        let next_start = if s.collected.len() < s.limit
-            && s.rounds + 1 < self.ring.len() as u32
+        let next_start = if s.collected.len() == s.limit {
+            None
+        } else if let Some(start) = resume {
+            // Short-read protection: a full page stopped before the rest of
+            // the range, and tombstones ate into the rows it returned, so
+            // the range is read again past what every replica covered.
+            Some((s.current_primary, start))
+        } else if s.rounds + 1 < self.ring.len() as u32
             && self.ring.range_end(s.current_primary).is_some()
         {
+            // On to the next range unless the ring ends (a range with no
+            // start is the end of the ring too).
             let primary = self.ring.successor(s.current_primary);
+            s.rounds += 1;
             self.ring.range_start(primary).map(|k| (primary, k.clone()))
         } else {
             None
@@ -1091,7 +1091,6 @@ impl Cluster {
         let next = match next_start {
             Some((primary, start)) => {
                 s.current_primary = primary;
-                s.rounds += 1;
                 Next::Round(primary, start, s.limit - s.collected.len())
             }
             None => Next::Respond(std::mem::take(&mut s.collected)),
@@ -1665,8 +1664,77 @@ mod tests {
         let OpResult::Rows(rows) = r.result else {
             panic!("unexpected: {:?}", r.result);
         };
-        let got: Vec<_> = rows.into_iter().map(|(key, _)| key).collect();
+        let got: Vec<_> = rows.iter().map(|(key, _)| key.clone()).collect();
         assert_eq!(got, (0..5).map(key).collect::<Vec<_>>());
+    }
+
+    /// RF 3 on 5 nodes at QUORUM/QUORUM with neither read repair nor
+    /// hints, so a replica down during a delete stays stale: keys 0..10
+    /// inserted, then each of `deletes` — `(key, replica index)` — deleted
+    /// while that replica of range 0 is down, and the replica recovered.
+    fn harness_with_missed_deletes(deletes: &[(u64, usize)]) -> Harness {
+        let mut cfg = ordered_config(3, 5, 1000);
+        cfg.read_cl = Consistency::Quorum;
+        cfg.write_cl = Consistency::Quorum;
+        cfg.read_repair_chance = 0.0;
+        cfg.hinted_handoff = false;
+        let mut h = Harness::new(cfg);
+        for i in 0..10u64 {
+            h.run_one(StoreOp::Insert {
+                key: key(i),
+                value: k("v"),
+            });
+        }
+        let reps = h.cluster.replicas(&key(0));
+        for &(id, victim) in deletes {
+            h.cluster.apply_crash(&mut h.sim, reps[victim]);
+            let w = h.run_one(StoreOp::Delete { key: key(id) });
+            assert!(matches!(w.result, OpResult::Written { .. }));
+            h.cluster.apply_recover(&mut h.sim, reps[victim]);
+        }
+        h
+    }
+
+    fn scan_keys(h: &mut Harness, limit: usize) -> Vec<Key> {
+        let r = h.run_one(StoreOp::Scan {
+            start: key(0),
+            limit,
+        });
+        let OpResult::Rows(rows) = r.result else {
+            panic!("unexpected: {:?}", r.result);
+        };
+        rows.iter().map(|(key, _)| key.clone()).collect()
+    }
+
+    #[test]
+    fn quorum_scans_omit_a_row_a_quorum_delete_removed() {
+        // The replica that missed the delete still holds key 3 live; the
+        // other one in the quorum returns its tombstone, which wins.
+        for victim in [0, 1] {
+            let mut h = harness_with_missed_deletes(&[(3, victim)]);
+            let got = scan_keys(&mut h, 10);
+            let r = h.run_one(StoreOp::Read { key: key(3) });
+            assert_eq!(r.result, OpResult::Value(None), "victim {victim}");
+            let want: Vec<_> = [0, 1, 2, 4, 5, 6, 7, 8, 9].map(key).into();
+            assert_eq!(got, want, "victim {victim}");
+        }
+    }
+
+    #[test]
+    fn quorum_scans_read_past_a_full_page_for_deletes_it_cut_off() {
+        // Two replicas each missed one delete. At limit 6 the first one's
+        // page stops at key 5, before its tombstone of key 6, while the
+        // second's reaches key 6 live: only rows up to key 5 are settled,
+        // and the range is read again past it — twice, as key 6 turns out
+        // deleted — until six live rows are found.
+        let mut h = harness_with_missed_deletes(&[(2, 0), (6, 1)]);
+        let got = scan_keys(&mut h, 6);
+        for id in [2, 6] {
+            let r = h.run_one(StoreOp::Read { key: key(id) });
+            assert_eq!(r.result, OpResult::Value(None), "key {id}");
+        }
+        let want: Vec<_> = [0, 1, 3, 4, 5, 7].map(key).into();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -1960,8 +2028,8 @@ mod tests {
                 .lsm
                 .scan(b"", 1_000)
                 .rows
-                .into_iter()
-                .map(|(k, _)| k)
+                .iter()
+                .map(|(k, _)| k.clone())
                 .collect();
             assert_eq!(got, want);
         }
@@ -2410,7 +2478,7 @@ mod tests {
                     let OpResult::Rows(rows) = c.result else {
                         panic!("unexpected: {:?}", c.result);
                     };
-                    let got: Vec<_> = rows.into_iter().map(|(key, _)| key).collect();
+                    let got: Vec<_> = rows.iter().map(|(key, _)| key.clone()).collect();
                     assert_eq!(got, (0..5).map(key).collect::<Vec<_>>());
                     done_at = Some(h.sim.now());
                 }

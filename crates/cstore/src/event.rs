@@ -13,7 +13,7 @@
 //! on behalf of an op even after the op itself timed out.
 
 use simkit::{NodeId, OpKey};
-use storage::{Cell, Key, OpResult};
+use storage::{Cell, Key, OpResult, Rows};
 
 /// An internal simulation event of the Cassandra-analog cluster.
 #[derive(Debug, Clone)]
@@ -101,8 +101,9 @@ pub enum Event {
     ScanReturn {
         /// Slab key of the pending op.
         op: OpKey,
-        /// Rows found (may include tombstones; coordinator filters).
-        rows: Vec<(Key, Cell)>,
+        /// The replica's page: its rows in the range, tombstones included
+        /// (the coordinator's reconcile drops them).
+        rows: Rows,
     },
     /// The final response reached the client: deliver the completion.
     Deliver {

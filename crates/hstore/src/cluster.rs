@@ -15,7 +15,9 @@ use obs::Stage;
 use simkit::{NodeId, OpKey, OpTag, Sim, SimRng, SimTime};
 use storage::lsm::CompactionReceipt;
 use storage::types::entry_encoded_len;
-use storage::{Cell, Completion, IoOp, Key, OpError, OpResult, Segment, StoreOp, TableId, Value};
+use storage::{
+    Cell, Completion, IoOp, Key, OpError, OpResult, Rows, Segment, StoreOp, TableId, Value,
+};
 
 use crate::config::HStoreConfig;
 use crate::dfs::{DfsCluster, FileId};
@@ -63,7 +65,7 @@ enum PendingState {
 
 #[derive(Debug, Clone)]
 struct ScanState {
-    collected: Vec<(Key, Cell)>,
+    collected: Rows,
     limit: usize,
 }
 
@@ -329,7 +331,7 @@ impl Cluster {
                 self.metrics.scans += 1;
                 if let Some(p) = self.rt.get_mut(op) {
                     p.state = PendingState::Scan(ScanState {
-                        collected: Vec::new(),
+                        collected: Rows::default(),
                         limit,
                     });
                 }
@@ -659,12 +661,7 @@ impl Cluster {
         else {
             return;
         };
-        if s.collected.is_empty() {
-            // A first leg's rows become the result, not a copy of it.
-            s.collected = rows;
-        } else {
-            s.collected.extend(rows);
-        }
+        s.collected.append(rows);
         if !more {
             let rows = std::mem::take(&mut s.collected);
             self.rt
@@ -1083,9 +1080,9 @@ mod tests {
         match r.result {
             OpResult::Rows(rows) => {
                 assert_eq!(rows.len(), 40);
-                assert_eq!(rows[0].0, key(20));
-                assert_eq!(rows[39].0, key(59));
                 let keys: Vec<_> = rows.iter().map(|(k, _)| k.clone()).collect();
+                assert_eq!(keys[0], key(20));
+                assert_eq!(keys[39], key(59));
                 let mut sorted = keys.clone();
                 sorted.sort();
                 assert_eq!(keys, sorted);

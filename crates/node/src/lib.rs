@@ -32,8 +32,7 @@ use simkit::{
     AdmissionConfig, NodeHw, NodeId, NodeProfile, OpKey, OpTag, Sim, SimTime, Slab, TimerId,
     Topology,
 };
-use storage::types::entry_encoded_len;
-use storage::{Cell, Completion, IoOp, IoPlan, Key, OpError, OpResult};
+use storage::{Cell, Completion, IoOp, IoPlan, OpError, OpResult, Rows};
 
 pub use store::{DriverEvent, SimStore};
 
@@ -341,12 +340,8 @@ impl<S, E: NodeEvent> Runtime<S, E> {
     }
 
     /// Wire size of a message carrying `rows`.
-    pub fn rows_bytes(&self, rows: &[(Key, Cell)]) -> u64 {
-        self.config.msg_overhead_bytes
-            + rows
-                .iter()
-                .map(|(k, c)| entry_encoded_len(k, c))
-                .sum::<u64>()
+    pub fn rows_bytes(&self, rows: &Rows) -> u64 {
+        self.config.msg_overhead_bytes + rows.encoded_len()
     }
 
     /// Send `result` from `from` to the client at `start`: the response is

@@ -4,6 +4,7 @@
 //! complete operations asynchronously (in virtual time) by emitting
 //! [`Completion`]s keyed by the driver's token.
 
+use crate::rows::Rows;
 use crate::types::{Cell, Key, Value};
 
 /// A client operation submitted to a store.
@@ -138,7 +139,7 @@ pub enum OpResult {
     /// A point read completed; `None` means not found (or tombstoned).
     Value(Option<Cell>),
     /// A scan completed with these rows.
-    Rows(Vec<(Key, Cell)>),
+    Rows(Rows),
     /// The operation failed.
     Error(OpError),
 }

@@ -13,6 +13,7 @@
 //! * [`sstable`] — immutable sorted runs with block structure and an index.
 //! * [`cache`] — an O(1) LRU block cache with hit/miss accounting.
 //! * [`merge`] — k-way merge with last-write-wins reconciliation.
+//! * [`Rows`] — scan results as handles into the segments holding them.
 //! * [`compaction`] — size-tiered compaction policy.
 //! * [`lsm`] — the assembled LSM tree.
 //!
@@ -38,6 +39,7 @@ mod io;
 pub mod lsm;
 mod memtable;
 pub mod merge;
+mod rows;
 pub mod sstable;
 pub mod types;
 mod wal;
@@ -47,5 +49,6 @@ pub use cache::BlockCache;
 pub use io::{IoOp, IoPlan};
 pub use lsm::{LsmConfig, LsmTree};
 pub use memtable::Memtable;
+pub use rows::Rows;
 pub use sstable::{RunBuilder, Segment, SsTable, TableId};
 pub use types::{Cell, Key, Timestamp, Value};

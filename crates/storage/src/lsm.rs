@@ -9,8 +9,9 @@ use crate::cache::{BlockCache, BlockKey, CacheStats};
 use crate::compaction::SizeTieredPolicy;
 use crate::io::{IoOp, IoPlan};
 use crate::memtable::{self, Memtable};
-use crate::merge::{clone_winners, MergeRef};
-use crate::sstable::{key_prefix, KeyPrefix, RunBuilder, Segment, SsTable, TableId};
+use crate::merge::{clone_winners, Head, Merge, Pulled};
+use crate::rows::{Loc, Rows};
+use crate::sstable::{key_prefix, RunBuilder, Segment, SsTable, TableId};
 use crate::types::{Cell, Key};
 use crate::wal::WriteAheadLog;
 
@@ -59,8 +60,9 @@ pub struct ReadResult {
 /// Outcome of a range scan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScanResult {
-    /// Up to `limit` live rows starting at the scan key.
-    pub rows: Vec<(Key, Cell)>,
+    /// The rows from the scan key on: up to `limit` live rows, and for
+    /// [`LsmTree::scan_page`] the tombstones walked among them.
+    pub rows: Rows,
     /// The I/O performed.
     pub io: IoPlan,
 }
@@ -92,23 +94,17 @@ pub struct CompactionReceipt {
 /// A merge's position in one SSTable run: entries `from..` are the part of
 /// the run the merge reads (for a scan, at or after its start key), entries
 /// `from..next` what it has pulled so far. Yields each entry with its
-/// prefix from its segment's prefix array, stepping from one segment to the
-/// next.
+/// prefix from its segment's prefix array and its index in the run,
+/// stepping from one segment to the next.
 struct RunCursor<'a> {
     segments: &'a [Segment],
-    /// The segment being read, and the index in it of the next entry.
+    /// The segment holding the last entry pulled (the first entry's
+    /// segment before any), and the index in it of the next entry.
     segment: usize,
     at: usize,
     from: usize,
     next: usize,
 }
-
-/// How many entries ahead of the one it yields a run cursor prefetches.
-/// The merge clones each returned row (two locked refcount increments), and
-/// a locked increment waits for its cache line alone; fetching the lines of
-/// entry `next + 2` while entry `next` is merged keeps those misses
-/// overlapped (DESIGN.md §5i has the measurements).
-const PREFETCH_AHEAD: usize = 2;
 
 impl<'a> RunCursor<'a> {
     /// A cursor over `table` from entry `from` on.
@@ -133,28 +129,36 @@ impl<'a> RunCursor<'a> {
             self.next > self.from && self.segments[self.segment].entries()[self.at - 1].0 > *end;
         self.from..self.next - usize::from(pending)
     }
+
+    /// Where entry `index` of the run lives; it must have been pulled. The
+    /// merge holds at most one entry pulled beyond those it emitted, so
+    /// this steps back at most one segment.
+    fn locate(&self, index: u32) -> Loc<'a> {
+        let (mut segment, mut base) = (self.segment, self.next - self.at);
+        let index = index as usize;
+        while index < base {
+            segment -= 1;
+            base -= self.segments[segment].len();
+        }
+        Loc::Shared(&self.segments[segment], (index - base) as u32)
+    }
 }
 
 impl<'a> Iterator for RunCursor<'a> {
-    type Item = (KeyPrefix, &'a (Key, Cell));
+    type Item = Pulled<'a>;
 
-    fn next(&mut self) -> Option<Self::Item> {
+    fn next(&mut self) -> Option<Pulled<'a>> {
         let mut rows = self.segments.get(self.segment)?;
         if self.at == rows.len() {
             rows = self.segments.get(self.segment + 1)?;
             (self.segment, self.at) = (self.segment + 1, 0);
         }
-        if let Some((key, cell)) = rows.entries().get(self.at + PREFETCH_AHEAD) {
-            key.prefetch();
-            if let Some(value) = &cell.value {
-                value.prefetch();
-            }
-        }
         let row = &rows.entries()[self.at];
         let prefix = rows.prefixes()[self.at];
+        let index = self.next as u32;
         self.at += 1;
         self.next += 1;
-        Some((prefix, row))
+        Some((prefix, row, index))
     }
 }
 
@@ -166,14 +170,26 @@ enum ScanSource<'a> {
     Run(RunCursor<'a>),
 }
 
-impl<'a> Iterator for ScanSource<'a> {
-    type Item = (KeyPrefix, &'a (Key, Cell));
+impl<'a> ScanSource<'a> {
+    /// Where the row the merge emitted as `won` lives: a memtable row is
+    /// owned by no segment.
+    fn locate(&self, won: &Head<'a>) -> Loc<'a> {
+        match self {
+            ScanSource::Mem(_) => Loc::Owned(won.row),
+            ScanSource::Run(cur) => cur.locate(won.index),
+        }
+    }
+}
 
-    fn next(&mut self) -> Option<Self::Item> {
+impl<'a> Iterator for ScanSource<'a> {
+    type Item = Pulled<'a>;
+
+    fn next(&mut self) -> Option<Pulled<'a>> {
         match self {
             // The memtable keeps no prefix per row (its B-tree is keyed by
             // prefix per slot), so each row's is computed as it is pulled.
-            ScanSource::Mem(it) => it.next().map(|row| (key_prefix(&row.0), row)),
+            // A memtable row is never located by index.
+            ScanSource::Mem(it) => it.next().map(|row| (key_prefix(&row.0), row, 0)),
             ScanSource::Run(cur) => cur.next(),
         }
     }
@@ -185,7 +201,7 @@ impl<'a> Iterator for ScanSource<'a> {
 fn merge_tables(tables: &[SsTable], drop_tombstones: bool) -> Vec<(Key, Cell)> {
     let total = tables.iter().map(SsTable::len).sum();
     let sources = tables.iter().map(|t| RunCursor::new(t, 0)).collect();
-    clone_winners(MergeRef::new(sources), total, drop_tombstones)
+    clone_winners(Merge::new(sources), total, drop_tombstones)
 }
 
 /// A single replica's LSM storage engine.
@@ -320,25 +336,39 @@ impl LsmTree {
     ///
     /// The work is proportional to the rows walked, not to the size of the
     /// tree: each run's lower bound is found once through its block index
-    /// ([`SsTable::lower_bound`]), the streaming merge pulls from that
+    /// ([`SsTable::lower_bound`]), and the streaming merge pulls from that
     /// cursor exactly as far as the `limit`-th live row — however many
-    /// tombstones shadow the range — and only returned rows are cloned
+    /// tombstones shadow the range. No row of a run is copied: the result
+    /// holds ranges of the runs' immutable segments ([`Rows`]), one handle
+    /// per stretch of consecutive entries, and clones only memtable rows
     /// (refcount bumps). The I/O plan charges, per run in age order, every
     /// block of the window its cursor walked: the blocks holding that run's
     /// keys in `[start, last merged key]`.
     pub fn scan(&mut self, start: &[u8], limit: usize) -> ScanResult {
-        let mut rows = Vec::with_capacity(limit);
-        let io = self.walk_range(start, limit, |key, cell| {
-            rows.push((key.clone(), cell.clone()));
+        let mut rows = Rows::with_capacity(limit);
+        let io = self.walk_range(start, limit, |row, loc| {
+            if !row.1.is_tombstone() {
+                rows.push(loc);
+            }
         });
         ScanResult { rows, io }
     }
 
-    /// [`LsmTree::scan`] for a caller that pays for a scan but never reads
-    /// its rows (a read-repair probe): the same walk, the same I/O plan and
-    /// the same cache state afterwards, but the rows are counted, not
-    /// cloned. Returns how many of them sort below `end` (all of them
-    /// without one), and the plan.
+    /// [`LsmTree::scan`] for a page another node reconciles (a cstore
+    /// replica's): the same walk, I/O plan and live rows, and the
+    /// tombstones walked among them too, so a delete this replica holds
+    /// shadows an older version another one returns.
+    pub fn scan_page(&mut self, start: &[u8], limit: usize) -> ScanResult {
+        let mut rows = Rows::with_capacity(limit);
+        let io = self.walk_range(start, limit, |_, loc| rows.push(loc));
+        ScanResult { rows, io }
+    }
+
+    /// [`LsmTree::scan_page`] for a caller that pays for a scan but never
+    /// reads its rows (a read-repair probe): the same walk, the same I/O
+    /// plan and the same cache state afterwards, but the rows are counted,
+    /// not held. Returns how many of them, tombstones included, sort below
+    /// `end` (all of them without one), and the plan.
     pub fn scan_count(
         &mut self,
         start: &[u8],
@@ -346,20 +376,20 @@ impl LsmTree {
         end: Option<&[u8]>,
     ) -> (usize, IoPlan) {
         let mut below = 0;
-        let io = self.walk_range(start, limit, |key, _| {
+        let io = self.walk_range(start, limit, |(key, _), _| {
             below += usize::from(end.is_none_or(|end| key.as_ref() < end));
         });
         (below, io)
     }
 
-    /// The walk behind [`LsmTree::scan`]: hand each of the first `limit`
-    /// live rows from `start` on to `emit`, in key order, and charge the
-    /// blocks walked.
+    /// The walk behind [`LsmTree::scan`]: hand every row from `start` on,
+    /// tombstones included, up to the `limit`-th live one to `emit`, in key
+    /// order with where it lives, and charge the blocks walked.
     fn walk_range(
         &mut self,
         start: &[u8],
         limit: usize,
-        mut emit: impl FnMut(&Key, &Cell),
+        mut emit: impl FnMut(&(Key, Cell), Loc<'_>),
     ) -> IoPlan {
         let Self {
             cache,
@@ -372,23 +402,21 @@ impl LsmTree {
         for t in tables.iter() {
             sources.push(ScanSource::Run(RunCursor::new(t, t.lower_bound(start))));
         }
-        let mut merge = MergeRef::new(sources);
+        let mut merge = Merge::new(sources);
         let mut live = 0;
         let mut last_key: Option<&Key> = None;
         while live < limit {
-            let Some((key, cell)) = merge.next() else {
+            let Some(won) = merge.next() else {
                 break;
             };
-            last_key = Some(key);
-            if !cell.is_tombstone() {
-                emit(key, cell);
-                live += 1;
-            }
+            last_key = Some(&won.row.0);
+            live += usize::from(!won.row.1.is_tombstone());
+            emit(won.row, merge.sources()[won.source as usize].locate(&won));
         }
         let mut io = IoPlan::new();
         if let Some(end) = last_key {
             // Sources are the memtable, then one cursor per run in age order.
-            for (table, source) in tables.iter().zip(merge.into_sources().iter().skip(1)) {
+            for (table, source) in tables.iter().zip(merge.sources().iter().skip(1)) {
                 let ScanSource::Run(cur) = source else {
                     continue;
                 };
@@ -764,8 +792,9 @@ mod tests {
         fill(&mut tree, 25..75, 2); // overlap: 25..50 updated
         let s = tree.scan(b"user000020", 10);
         assert_eq!(s.rows.len(), 10);
+        let rows: Vec<_> = s.rows.iter().collect();
         assert!(
-            s.rows.windows(2).all(|w| w[0].0 < w[1].0),
+            rows.windows(2).all(|w| w[0].0 < w[1].0),
             "scan rows out of order"
         );
         // Row 25 must be the ts=2 version.

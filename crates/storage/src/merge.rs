@@ -2,17 +2,18 @@
 //!
 //! Used by range scans (merge memtable + every SSTable), by compaction
 //! (merge input tables into one output) and by the range-read coordinator
-//! (reconcile replica result sets). Sources must each be sorted by key and
-//! unique per key; across sources, duplicate keys are reconciled with
-//! [`Cell::newer`].
+//! (reconcile replica pages, [`crate::Rows::reconcile`]). Sources must each
+//! be sorted by key and unique per key; across sources, duplicate keys are
+//! reconciled with [`Cell::newer`].
 //!
-//! One algorithm, `Merge`, serves two instantiations. Over *borrows*
-//! (`MergeRef`) it yields `(&Key, &Cell)` straight out of the source runs,
-//! so neither compaction nor a range scan ever materialises owned copies of
-//! its inputs: only the winner of each key is cloned — and with
-//! `Bytes`-backed keys/values a clone is a refcount bump, never a byte copy.
-//! Over *owned* entries ([`merge_entries`]) it moves each winner out of its
-//! source and drops the losers, so nothing is cloned at all.
+//! The merge runs over *borrowed* rows: it yields `&(Key, Cell)` straight
+//! out of its sources, so neither a scan, a compaction nor a reconcile ever
+//! materialises owned copies of its inputs. Each winner comes out with the
+//! source it won in and its index there, so a scan can hand out a range of
+//! the immutable segment that holds it ([`crate::Rows`]) instead of a copy
+//! of the row; only compaction, which builds a new run, clones its winners
+//! — and with `Bytes`-backed keys/values a clone is a refcount bump, never
+//! a byte copy.
 //!
 //! The merge advances by **replace-top**: the smallest head is overwritten
 //! in place with its own source's next entry and sifted down once, instead
@@ -23,16 +24,16 @@
 //!
 //! ## How heads are ordered
 //!
-//! Every source yields `(KeyPrefix, row)`: the row's [`KeyPrefix`] (its
-//! first 16 key bytes as a big-endian integer) next to the row itself.
-//! Run-backed sources read it from the table's flat prefix array; the
-//! others compute it once per row pulled, never once per compare. Heads are
-//! ordered by that prefix, then — only when two prefixes tie — by full key,
-//! then by source index. Prefix order with a full-key tie-break is exactly
-//! key order (see [`crate::sstable::cmp_via_prefix`]), so the merge emits
-//! what a `(key, source)` order would, while a sift-down compares integers
-//! held in the heap instead of chasing every key onto its own allocation.
-//! The duplicate check compares prefixes first as well.
+//! Every source yields a `Pulled` entry: the row, the row's [`KeyPrefix`]
+//! (its first 16 key bytes as a big-endian integer) and the row's index in
+//! the source. Run-backed sources read the prefix from the segment's flat
+//! prefix array; the others compute it once per row pulled, never once per
+//! compare. Heads are ordered by that prefix, then — only when two prefixes
+//! tie — by full key, then by source index. Prefix order with a full-key
+//! tie-break is exactly key order (see [`crate::sstable::cmp_via_prefix`]),
+//! so the merge emits what a `(key, source)` order would, while a sift-down
+//! compares integers held in the heap instead of chasing every key onto its
+//! own allocation. The duplicate check compares prefixes first as well.
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
@@ -41,77 +42,33 @@ use std::collections::BinaryHeap;
 use crate::sstable::{key_prefix, KeyPrefix};
 use crate::types::{Cell, Key};
 
-/// One entry of a merge source: a borrowed `&(Key, Cell)` while streaming
-/// over runs, an owned `(Key, Cell)` when the caller owns the entries. A
-/// head holds the row whole — one pointer when borrowed — and splits it
-/// only once it is emitted.
-pub(crate) trait Row {
-    /// The key as the merge emits it.
-    type Key: AsRef<[u8]>;
-    /// The version the merge reconciles.
-    type Cell;
-    /// The row's key bytes.
-    fn key(&self) -> &[u8];
-    /// Key and version, apart.
-    fn split(self) -> (Self::Key, Self::Cell);
-    /// Last-write-wins: the winner of two versions of one key.
-    fn newer(a: Self::Cell, b: Self::Cell) -> Self::Cell;
+/// One row a merge source yields: its key's prefix, the row, and its index
+/// in the source.
+pub(crate) type Pulled<'a> = (KeyPrefix, &'a (Key, Cell), u32);
+
+/// A row pulled from one source: 32 bytes, the prefix, one pointer, the
+/// `u32` source and the row's `u32` index in it. The heap holds each
+/// source's smallest not-yet-emitted row as one; the merge emits each key's
+/// winning version as one.
+pub(crate) struct Head<'a> {
+    pub(crate) prefix: KeyPrefix,
+    pub(crate) row: &'a (Key, Cell),
+    pub(crate) source: u32,
+    pub(crate) index: u32,
 }
 
-impl<'a> Row for &'a (Key, Cell) {
-    type Key = &'a Key;
-    type Cell = &'a Cell;
-    fn key(&self) -> &[u8] {
-        &self.0
-    }
-    fn split(self) -> (&'a Key, &'a Cell) {
-        (&self.0, &self.1)
-    }
-    fn newer(a: &'a Cell, b: &'a Cell) -> &'a Cell {
-        Cell::newer(a, b)
-    }
-}
-
-impl Row for (Key, Cell) {
-    type Key = Key;
-    type Cell = Cell;
-    fn key(&self) -> &[u8] {
-        &self.0
-    }
-    fn split(self) -> (Key, Cell) {
-        self
-    }
-    fn newer(a: Cell, b: Cell) -> Cell {
-        Cell::reconcile(a, b)
-    }
-}
-
-/// `row` with its key's prefix: how the sources without a prefix array feed
-/// a merge.
-fn with_prefix<R: Row>(row: R) -> (KeyPrefix, R) {
-    (key_prefix(row.key()), row)
-}
-
-/// The smallest not-yet-emitted entry of one source. Borrowed, it is 32
-/// bytes: the prefix, one pointer, and a `u32` source.
-struct Head<R> {
-    prefix: KeyPrefix,
-    row: R,
-    source: u32,
-}
-
-impl<R: Row> PartialEq for Head<R> {
+impl PartialEq for Head<'_> {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
-impl<R: Row> Eq for Head<R> {}
-impl<R: Row> PartialOrd for Head<R> {
+impl Eq for Head<'_> {}
+impl PartialOrd for Head<'_> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<R: Row> Ord for Head<R> {
+impl Ord for Head<'_> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Min-heap by key (reverse for BinaryHeap): prefix first, full key
         // only on a prefix tie. The source index only breaks ties for
@@ -119,91 +76,96 @@ impl<R: Row> Ord for Head<R> {
         other
             .prefix
             .cmp(&self.prefix)
-            .then_with(|| other.row.key().cmp(self.row.key()))
+            .then_with(|| other.row.0.cmp(&self.row.0))
             .then_with(|| other.source.cmp(&self.source))
     }
 }
 
-/// Merges multiple sorted sources of `(prefix, row)` entries, reconciling
-/// duplicate keys by last-write-wins and yielding each key exactly once, in
-/// order, as `(key, version)`. The emitted key is the lowest-numbered
-/// source's copy.
-pub(crate) struct Merge<R, I> {
+/// Merges multiple sorted sources of [`Pulled`] rows, reconciling duplicate
+/// keys by last-write-wins and yielding each key exactly once, in order,
+/// as the [`Head`] whose [`Cell::newer`] won.
+pub(crate) struct Merge<'a, I> {
     sources: Vec<I>,
     /// At most one head per source: the entry pulled from it but not yet
     /// emitted.
-    heap: BinaryHeap<Head<R>>,
+    heap: BinaryHeap<Head<'a>>,
 }
 
-/// [`Merge`] over borrowed rows: winners come out still by reference.
-pub(crate) type MergeRef<'a, I> = Merge<&'a (Key, Cell), I>;
-
-impl<R: Row, I: Iterator<Item = (KeyPrefix, R)>> Merge<R, I> {
+impl<'a, I: Iterator<Item = Pulled<'a>>> Merge<'a, I> {
     /// Build a merge over `sources`; each must yield strictly increasing
     /// keys, each with its own [`key_prefix`].
     pub(crate) fn new(mut sources: Vec<I>) -> Self {
         let mut heap = BinaryHeap::with_capacity(sources.len());
         for (source, it) in (0u32..).zip(sources.iter_mut()) {
-            if let Some((prefix, row)) = it.next() {
+            if let Some((prefix, row, index)) = it.next() {
                 heap.push(Head {
                     prefix,
                     row,
                     source,
+                    index,
                 });
             }
         }
         Self { sources, heap }
     }
 
-    /// Give the sources back, each positioned one past the last entry the
-    /// merge pulled from it. A source that is not exhausted has had exactly
-    /// one entry pulled beyond those emitted — its pending head, whose key
-    /// is greater than every emitted key.
-    pub(crate) fn into_sources(self) -> Vec<I> {
-        self.sources
+    /// The sources, each positioned one past the last entry the merge
+    /// pulled from it. A source that is not exhausted has had exactly one
+    /// entry pulled beyond those emitted — its pending head, whose key is
+    /// greater than every emitted key.
+    pub(crate) fn sources(&self) -> &[I] {
+        &self.sources
     }
 
     /// Take the smallest head and refill its heap slot from the same source
     /// (replace-top: one sift-down when the guard drops); only an exhausted
     /// source shrinks the heap.
-    fn take_top(&mut self) -> Option<(KeyPrefix, R)> {
+    fn take_top(&mut self) -> Option<Head<'a>> {
         let mut top = self.heap.peek_mut()?;
         let source = top.source;
-        let head = match self.sources[source as usize].next() {
-            Some((prefix, row)) => std::mem::replace(
+        Some(match self.sources[source as usize].next() {
+            Some((prefix, row, index)) => std::mem::replace(
                 &mut *top,
                 Head {
                     prefix,
                     row,
                     source,
+                    index,
                 },
             ),
             None => PeekMut::pop(top),
-        };
-        Some((head.prefix, head.row))
+        })
     }
 }
 
-impl<R: Row, I: Iterator<Item = (KeyPrefix, R)>> Iterator for Merge<R, I> {
-    type Item = (R::Key, R::Cell);
+impl<'a, I: Iterator<Item = Pulled<'a>>> Iterator for Merge<'a, I> {
+    type Item = Head<'a>;
 
-    fn next(&mut self) -> Option<Self::Item> {
-        let (prefix, row) = self.take_top()?;
-        let (key, mut cell) = row.split();
-        // Fold in every other source's version of the same key; borrowed
-        // losers are skipped without ever being cloned, owned ones dropped.
+    fn next(&mut self) -> Option<Head<'a>> {
+        let mut won = self.take_top()?;
+        // Fold in every other source's version of the same key; losers are
+        // skipped without ever being cloned.
         while self
             .heap
             .peek()
-            .is_some_and(|top| top.prefix == prefix && top.row.key() == key.as_ref())
+            .is_some_and(|top| top.prefix == won.prefix && top.row.0 == won.row.0)
         {
-            let Some((_, dup)) = self.take_top() else {
+            let Some(dup) = self.take_top() else {
                 break;
             };
-            cell = R::newer(cell, dup.split().1);
+            if !std::ptr::eq(Cell::newer(&won.row.1, &dup.row.1), &won.row.1) {
+                won = dup;
+            }
         }
-        Some((key, cell))
+        Some(won)
     }
+}
+
+/// `rows` as a merge source: each row with its computed prefix and index.
+pub(crate) fn pull_from(rows: &[(Key, Cell)]) -> impl Iterator<Item = Pulled<'_>> {
+    (0u32..)
+        .zip(rows)
+        .map(|(index, row)| (key_prefix(&row.0), row, index))
 }
 
 /// Streaming merge of borrowed sorted runs into one reconciled, sorted
@@ -213,59 +175,26 @@ impl<R: Row, I: Iterator<Item = (KeyPrefix, R)>> Iterator for Merge<R, I> {
 /// data survives).
 pub fn merge_runs(runs: &[&[(Key, Cell)]], drop_tombstones: bool) -> Vec<(Key, Cell)> {
     let total = runs.iter().map(|r| r.len()).sum();
-    let sources = runs.iter().map(|r| r.iter().map(with_prefix)).collect();
-    clone_winners(MergeRef::new(sources), total, drop_tombstones)
+    let sources = runs.iter().map(|r| pull_from(r)).collect();
+    clone_winners(Merge::new(sources), total, drop_tombstones)
 }
 
-/// The winners of a borrowed merge, cloned (refcount bumps) into a vector
-/// sized for `total` entries, without tombstones if `drop_tombstones`.
+/// The winners of a merge, cloned (refcount bumps) into a vector sized for
+/// `total` entries, without tombstones if `drop_tombstones`.
 pub(crate) fn clone_winners<'a, I>(
-    merge: MergeRef<'a, I>,
+    merge: Merge<'a, I>,
     total: usize,
     drop_tombstones: bool,
 ) -> Vec<(Key, Cell)>
 where
-    I: Iterator<Item = (KeyPrefix, &'a (Key, Cell))>,
+    I: Iterator<Item = Pulled<'a>>,
 {
     let mut out = Vec::with_capacity(total);
-    for (key, cell) in merge {
-        if drop_tombstones && cell.is_tombstone() {
+    for won in merge {
+        if drop_tombstones && won.row.1.is_tombstone() {
             continue;
         }
-        out.push((key.clone(), cell.clone()));
-    }
-    out
-}
-
-/// Merge owned sorted runs (replica result sets at the range-read
-/// coordinator) into one reconciled, sorted vector, consuming them: a single
-/// source is handed back as is — same allocation, no entry touched unless
-/// `drop_tombstones` removes it — and several are merged by moving each
-/// key's winner out of its source. Nothing is cloned. Passing a `drain(..)`
-/// lets the caller keep the vector that held the sources.
-pub fn merge_entries<S>(sources: S, drop_tombstones: bool) -> Vec<(Key, Cell)>
-where
-    S: IntoIterator<Item = Vec<(Key, Cell)>>,
-    S::IntoIter: ExactSizeIterator,
-{
-    let mut sources = sources.into_iter();
-    let mut out = if sources.len() == 1 {
-        sources.next().unwrap_or_default()
-    } else {
-        let sources: Vec<_> = sources.map(|s| s.into_iter().map(with_prefix)).collect();
-        // Every source is unique per key, so the longest one is a lower
-        // bound on the output — and exact when the replicas agree.
-        let longest = sources
-            .iter()
-            .map(ExactSizeIterator::len)
-            .max()
-            .unwrap_or(0);
-        let mut out = Vec::with_capacity(longest);
-        out.extend(Merge::new(sources));
-        out
-    };
-    if drop_tombstones {
-        out.retain(|(_, cell)| !cell.is_tombstone());
+        out.push(won.row.clone());
     }
     out
 }
@@ -283,10 +212,15 @@ mod tests {
         (k(key), Cell::live(k(val), ts))
     }
 
+    fn merge(sources: &[Vec<(Key, Cell)>], drop_tombstones: bool) -> Vec<(Key, Cell)> {
+        let views: Vec<&[(Key, Cell)]> = sources.iter().map(Vec::as_slice).collect();
+        merge_runs(&views, drop_tombstones)
+    }
+
     #[test]
     fn merges_disjoint_sources_in_order() {
-        let out = merge_entries(
-            vec![vec![e("a", "1", 1), e("c", "3", 1)], vec![e("b", "2", 1)]],
+        let out = merge(
+            &[vec![e("a", "1", 1), e("c", "3", 1)], vec![e("b", "2", 1)]],
             false,
         );
         let keys: Vec<_> = out.iter().map(|(key, _)| key.clone()).collect();
@@ -295,8 +229,8 @@ mod tests {
 
     #[test]
     fn duplicate_keys_reconcile_to_newest() {
-        let out = merge_entries(
-            vec![
+        let out = merge(
+            &[
                 vec![e("a", "old", 1)],
                 vec![e("a", "new", 2)],
                 vec![e("a", "mid", 1)],
@@ -309,8 +243,8 @@ mod tests {
 
     #[test]
     fn tombstones_survive_minor_merge() {
-        let out = merge_entries(
-            vec![vec![e("a", "v", 1)], vec![(k("a"), Cell::tombstone(2))]],
+        let out = merge(
+            &[vec![e("a", "v", 1)], vec![(k("a"), Cell::tombstone(2))]],
             false,
         );
         assert_eq!(out.len(), 1);
@@ -319,8 +253,8 @@ mod tests {
 
     #[test]
     fn tombstones_dropped_in_major_merge() {
-        let out = merge_entries(
-            vec![
+        let out = merge(
+            &[
                 vec![e("a", "v", 1), e("b", "w", 1)],
                 vec![(k("a"), Cell::tombstone(2))],
             ],
@@ -332,9 +266,8 @@ mod tests {
 
     #[test]
     fn empty_sources_are_fine() {
-        let out = merge_entries(vec![vec![], vec![e("a", "1", 1)], vec![]], false);
+        let out = merge(&[vec![], vec![e("a", "1", 1)], vec![]], false);
         assert_eq!(out.len(), 1);
-        assert_eq!(merge_entries(Vec::new(), false).len(), 0);
         assert_eq!(merge_runs(&[], false).len(), 0);
     }
 
@@ -342,35 +275,41 @@ mod tests {
     fn borrowed_head_is_32_bytes() {
         // A scan allocates one head per source; a wider head costs bytes
         // on every scan.
-        assert_eq!(std::mem::size_of::<Head<&(Key, Cell)>>(), 32);
+        assert_eq!(std::mem::size_of::<Head<'_>>(), 32);
     }
 
     #[test]
     fn merge_runs_output_shares_input_storage() {
         // The streaming merge must not deep-copy payloads: the winner in the
-        // output is the *same* allocation as the winning input entry.
+        // output is the *same* allocation as the winning input row, key
+        // included.
         let runs = [vec![e("a", "old", 1)], vec![e("a", "new", 2)]];
-        let views: Vec<&[(Key, Cell)]> = runs.iter().map(Vec::as_slice).collect();
-        let out = merge_runs(&views, false);
+        let out = merge(&runs, false);
         assert_eq!(out.len(), 1);
         let winner = runs[1][0].1.value.as_ref().map(|v| v.as_ref().as_ptr());
         let got = out[0].1.value.as_ref().map(|v| v.as_ref().as_ptr());
         assert_eq!(winner, got, "winner value should be refcount-shared");
-        // The emitted key is the first-popped source's copy (same bytes).
-        assert_eq!(out[0].0.as_ref().as_ptr(), runs[0][0].0.as_ref().as_ptr());
+        assert_eq!(out[0].0.as_ref().as_ptr(), runs[1][0].0.as_ref().as_ptr());
     }
 
     #[test]
-    fn merge_ref_yields_borrowed_winners_in_order() {
+    fn winners_name_their_source_and_index() {
         let runs = [
             vec![e("a", "a1", 3), e("c", "c1", 1)],
             vec![e("a", "a2", 1), e("b", "b2", 2)],
         ];
-        let sources: Vec<_> = runs.iter().map(|r| r.iter().map(with_prefix)).collect();
-        let got: Vec<_> = MergeRef::new(sources)
-            .map(|(key, cell)| (key.clone(), cell.clone()))
+        let sources: Vec<_> = runs.iter().map(|r| pull_from(r)).collect();
+        let got: Vec<_> = Merge::new(sources)
+            .map(|w| (w.row.clone(), w.source, w.index))
             .collect();
-        assert_eq!(got, vec![e("a", "a1", 3), e("b", "b2", 2), e("c", "c1", 1)]);
+        assert_eq!(
+            got,
+            vec![
+                (e("a", "a1", 3), 0, 0),
+                (e("b", "b2", 2), 1, 1),
+                (e("c", "c1", 1), 0, 1)
+            ]
+        );
     }
 
     #[test]
@@ -390,8 +329,7 @@ mod tests {
                     .or_insert_with(|| cell.clone());
             }
         }
-        let merged = merge_entries(sources, false);
         let oracle_vec: Vec<_> = oracle.into_iter().collect();
-        assert_eq!(merged, oracle_vec);
+        assert_eq!(merge(&sources, false), oracle_vec);
     }
 }

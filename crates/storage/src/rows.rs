@@ -1,0 +1,397 @@
+//! Scan results as handles into the segments that hold their rows.
+//!
+//! A run's rows live in immutable [`Segment`]s behind an `Arc`, so a scan
+//! need not copy the rows it returns: [`Rows`] holds *pieces*, each either
+//! a `(segment, from, to)` range of one segment or one owned row (a
+//! memtable row, which no segment holds). A row from the same segment right
+//! after the previous one extends the last piece, so a scan over one run
+//! costs one `Arc` clone in all, not two refcount increments per row, and
+//! dropping the result one decrement per piece. Segments never change, so
+//! a result is a snapshot: later writes, flushes and compactions cannot
+//! alter it.
+
+use crate::merge::{Merge, Pulled};
+use crate::sstable::{cmp_via_prefix, key_prefix, KeyPrefix, Segment};
+use crate::types::{entry_encoded_len, Cell, Key};
+
+/// Where one row a merge emitted lives.
+#[derive(Clone, Copy)]
+pub(crate) enum Loc<'a> {
+    /// Entry `at` of a segment.
+    Shared(&'a Segment, u32),
+    /// A row no segment holds: a result keeps a copy of it.
+    Owned(&'a (Key, Cell)),
+}
+
+/// One stretch of a [`Rows`]: never empty.
+#[derive(Clone)]
+enum Piece {
+    /// Entries `from..to` of a segment.
+    Shared {
+        segment: Segment,
+        from: u32,
+        to: u32,
+    },
+    /// One row of its own.
+    Owned((Key, Cell)),
+}
+
+impl Piece {
+    fn rows(&self) -> &[(Key, Cell)] {
+        match self {
+            Piece::Shared { segment, from, to } => &segment.entries()[*from as usize..*to as usize],
+            Piece::Owned(row) => std::slice::from_ref(row),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Piece::Shared { from, to, .. } => (to - from) as usize,
+            Piece::Owned(_) => 1,
+        }
+    }
+
+    /// The key prefix of row `i`: from the segment's prefix array, or
+    /// computed for an owned row.
+    fn prefix(&self, i: usize) -> KeyPrefix {
+        match self {
+            Piece::Shared { segment, from, .. } => segment.prefixes()[*from as usize + i],
+            Piece::Owned(row) => key_prefix(&row.0),
+        }
+    }
+
+    /// True when row `i` sorts below `end`, whose prefix is `target`: a
+    /// full key is read only on a prefix tie.
+    fn below(&self, i: usize, target: KeyPrefix, end: &[u8]) -> bool {
+        cmp_via_prefix(self.prefix(i), &self.rows()[i].0, target, end).is_lt()
+    }
+
+    fn loc(&self, i: u32) -> Loc<'_> {
+        match self {
+            Piece::Shared { segment, from, .. } => Loc::Shared(segment, from + i),
+            Piece::Owned(row) => Loc::Owned(row),
+        }
+    }
+
+    /// Keep the first `n` rows (`0 < n <= len`).
+    fn shorten(&mut self, n: usize) {
+        if let Piece::Shared { from, to, .. } = self {
+            *to = *from + n as u32;
+        }
+    }
+}
+
+/// The rows of a scan, in key order: ranges of shared immutable segments
+/// and owned memtable rows. Equality and `Debug` are those of the rows.
+///
+/// A result handed to a client holds only live rows; a cstore replica's
+/// page also carries the tombstones it walked, for the coordinator's
+/// reconcile ([`Rows::reconcile`]). A tombstone is always a piece of its
+/// own, so a page's tombstones are counted per piece, not per row, and a
+/// `Rows` is one vector wide: no wider than the row vector it replaced in
+/// every message, completion and buffer that holds one.
+#[derive(Clone, Default)]
+pub struct Rows {
+    pieces: Vec<Piece>,
+}
+
+impl Rows {
+    /// No rows, with room for `pieces` pieces.
+    pub(crate) fn with_capacity(pieces: usize) -> Self {
+        Self {
+            pieces: Vec::with_capacity(pieces),
+        }
+    }
+
+    /// Add the row at `loc`, which sorts above every row held: one more
+    /// entry of the last piece when it is a live segment entry right after
+    /// that piece, else a new piece.
+    pub(crate) fn push(&mut self, loc: Loc<'_>) {
+        match (loc, self.pieces.last_mut()) {
+            (Loc::Shared(held, at), _) if held.entries()[at as usize].1.is_tombstone() => self
+                .pieces
+                .push(Piece::Owned(held.entries()[at as usize].clone())),
+            (Loc::Shared(held, at), Some(Piece::Shared { segment, to, .. }))
+                if *to == at && segment.shares_storage_with(held) =>
+            {
+                *to += 1
+            }
+            (Loc::Shared(segment, at), _) => self.pieces.push(Piece::Shared {
+                segment: segment.clone(),
+                from: at,
+                to: at + 1,
+            }),
+            (Loc::Owned(row), _) => self.pieces.push(Piece::Owned(row.clone())),
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.pieces.iter().map(Piece::len).sum()
+    }
+
+    /// True when there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.pieces.is_empty()
+    }
+
+    /// Number of tombstones: the owned pieces that are one.
+    fn tombstones(&self) -> usize {
+        self.pieces
+            .iter()
+            .filter(|piece| matches!(piece, Piece::Owned((_, cell)) if cell.is_tombstone()))
+            .count()
+    }
+
+    /// The rows in key order.
+    pub fn iter(&self) -> impl Iterator<Item = &(Key, Cell)> + '_ {
+        self.pieces.iter().flat_map(Piece::rows)
+    }
+
+    /// The encoded size of all rows ([`entry_encoded_len`] summed): what
+    /// they add to a message on the wire. One tight loop per piece, so the
+    /// key-length loads, which are independent, overlap.
+    pub fn encoded_len(&self) -> u64 {
+        self.pieces
+            .iter()
+            .map(|piece| {
+                piece
+                    .rows()
+                    .iter()
+                    .map(|(key, cell)| entry_encoded_len(key, cell))
+                    .sum::<u64>()
+            })
+            .sum()
+    }
+
+    /// Keep the first `n` rows.
+    pub fn truncate(&mut self, n: usize) {
+        let mut left = n;
+        let mut keep = 0;
+        while left > 0 {
+            let Some(piece) = self.pieces.get_mut(keep) else {
+                return;
+            };
+            let len = piece.len();
+            if left < len {
+                piece.shorten(left);
+                left = 0;
+            } else {
+                left -= len;
+            }
+            keep += 1;
+        }
+        self.pieces.truncate(keep);
+    }
+
+    /// Keep the rows that sort below `end`. Rows are compared through key
+    /// prefixes, from the segments' prefix arrays where they have them: a
+    /// full key is read only on a prefix tie, and when every row is below
+    /// `end` only the last one is compared.
+    pub fn clamp(&mut self, end: &[u8]) {
+        let target = key_prefix(end);
+        while let Some(piece) = self.pieces.last_mut() {
+            let n = piece.len();
+            if piece.below(n - 1, target, end) {
+                return;
+            }
+            // The piece's rows below `end` are a prefix of it.
+            let (mut lo, mut hi) = (0, n - 1);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if piece.below(mid, target, end) {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            if lo > 0 {
+                piece.shorten(lo);
+                return;
+            }
+            self.pieces.pop();
+        }
+    }
+
+    /// Add `other`'s rows, which sort above every row held, after them.
+    pub fn append(&mut self, other: Rows) {
+        if self.pieces.is_empty() {
+            // The first rows (of most scans, the only ones) become the
+            // result as they are, not a copy.
+            *self = other;
+        } else {
+            self.pieces.extend(other.pieces);
+        }
+    }
+
+    /// Reconcile the pages several replicas returned for one range, each
+    /// read with the same `limit`, the way Cassandra's range resolver with
+    /// short-read protection does. Pages carry tombstones, so a delete one
+    /// replica missed is still seen on another.
+    ///
+    /// A page that came back full — with `limit` live rows — may stop short
+    /// of rows that follow in its replica, so the result keeps only the
+    /// rows at or below the smallest last key among the full pages; below
+    /// it, every replica's page is complete. Each key's newest version by
+    /// [`Cell::newer`] wins, and tombstone winners are dropped. `pages` is
+    /// left empty, with its capacity, for the next round.
+    ///
+    /// Returns the live winners and, when they are fewer than `limit` and
+    /// some page was full, the key to read the rest of the range from: just
+    /// past that smallest last key. Without tombstones the full page with
+    /// that key alone holds `limit` rows, so no read continues.
+    pub fn reconcile(pages: &mut Vec<Rows>, limit: usize) -> (Rows, Option<Key>) {
+        if let [page] = pages.as_mut_slice() {
+            if page.tombstones() == 0 {
+                let page = std::mem::take(page);
+                pages.clear();
+                return (page, None);
+            }
+        }
+        let cut = pages
+            .iter()
+            .filter(|page| page.len() - page.tombstones() == limit)
+            .filter_map(|page| page.pieces.last())
+            .map(|piece| {
+                (
+                    piece.prefix(piece.len() - 1),
+                    &piece.rows()[piece.len() - 1].0,
+                )
+            })
+            .min_by(|a, b| cmp_via_prefix(a.0, a.1, b.0, b.1));
+        let longest = pages.iter().map(Rows::len).max().unwrap_or(0);
+        let mut out = Rows::with_capacity(longest);
+        let mut merge = Merge::new(pages.iter().map(PageCursor::new).collect());
+        while let Some(won) = merge.next() {
+            if cut.is_some_and(|(prefix, key)| {
+                cmp_via_prefix(won.prefix, &won.row.0, prefix, key).is_gt()
+            }) {
+                break;
+            }
+            if !won.row.1.is_tombstone() {
+                out.push(merge.sources()[won.source as usize].locate(won.index));
+            }
+        }
+        let resume = cut
+            .filter(|_| out.len() < limit)
+            .map(|(_, key)| Key::from([key.as_ref(), &[0]].concat()));
+        drop(merge);
+        pages.clear();
+        (out, resume)
+    }
+}
+
+impl PartialEq for Rows {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for Rows {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// A merge source over one page of a [`Rows`]: yields each row with its
+/// prefix and its index in the page, and finds any row pulled so far again
+/// as a [`Loc`].
+struct PageCursor<'a> {
+    pieces: &'a [Piece],
+    /// The piece holding the last row pulled (the first piece before any),
+    /// and the index in it of the next row.
+    piece: usize,
+    at: usize,
+    /// The page index of the piece's first row.
+    base: u32,
+}
+
+impl<'a> PageCursor<'a> {
+    fn new(rows: &'a Rows) -> Self {
+        Self {
+            pieces: &rows.pieces,
+            piece: 0,
+            at: 0,
+            base: 0,
+        }
+    }
+
+    /// Where row `index` of the page lives; it must have been pulled.
+    fn locate(&self, index: u32) -> Loc<'a> {
+        let (mut piece, mut base) = (self.piece, self.base);
+        while index < base {
+            piece -= 1;
+            base -= self.pieces[piece].len() as u32;
+        }
+        self.pieces[piece].loc(index - base)
+    }
+}
+
+impl<'a> Iterator for PageCursor<'a> {
+    type Item = Pulled<'a>;
+
+    fn next(&mut self) -> Option<Pulled<'a>> {
+        let mut piece = self.pieces.get(self.piece)?;
+        if self.at == piece.len() {
+            piece = self.pieces.get(self.piece + 1)?;
+            self.base += self.pieces[self.piece].len() as u32;
+            (self.piece, self.at) = (self.piece + 1, 0);
+        }
+        let at = self.at;
+        self.at += 1;
+        Some((piece.prefix(at), &piece.rows()[at], self.base + at as u32))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bytes::Bytes;
+
+    #[test]
+    fn a_piece_is_the_size_of_a_row_and_rows_fit_an_event() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Piece>(), size_of::<(Key, Cell)>());
+        assert_eq!(size_of::<Piece>(), 24);
+        assert_eq!(size_of::<Rows>(), size_of::<Vec<(Key, Cell)>>());
+    }
+
+    fn row(k: &str, ts: u64, live: bool) -> (Key, Cell) {
+        let cell = if live {
+            Cell::live(Bytes::copy_from_slice(b"v"), ts)
+        } else {
+            Cell::tombstone(ts)
+        };
+        (Bytes::copy_from_slice(k.as_bytes()), cell)
+    }
+
+    #[test]
+    fn contiguous_entries_of_one_segment_share_a_piece() {
+        let segment = Segment::sorted(vec![
+            row("a", 1, true),
+            row("b", 1, true),
+            row("c", 1, false),
+            row("d", 1, true),
+        ]);
+        let other = Segment::sorted(vec![row("e", 1, true)]);
+        let mem = row("da", 2, true);
+        let mut rows = Rows::with_capacity(4);
+        rows.push(Loc::Shared(&segment, 0));
+        rows.push(Loc::Shared(&segment, 1));
+        // Entry 2 skipped: the next entry starts a new piece.
+        rows.push(Loc::Shared(&segment, 3));
+        rows.push(Loc::Owned(&mem));
+        rows.push(Loc::Shared(&other, 0));
+        assert_eq!(rows.pieces.len(), 4);
+        let keys: Vec<_> = rows.iter().map(|(k, _)| k.as_ref().to_vec()).collect();
+        assert_eq!(keys, [&b"a"[..], b"b", b"d", b"da", b"e"]);
+        assert_eq!(rows.len(), 5);
+        // A tombstone is a piece of its own, and the entry after it another.
+        let mut page = Rows::with_capacity(4);
+        for at in 0..4 {
+            page.push(Loc::Shared(&segment, at));
+        }
+        assert_eq!(page.pieces.len(), 3);
+        assert_eq!((page.len(), page.tombstones()), (4, 1));
+    }
+}

@@ -8,14 +8,28 @@ use proptest::prelude::*;
 
 use storage::cache::BlockKey;
 use storage::compaction::SizeTieredPolicy;
-use storage::merge::{merge_entries, merge_runs};
+use storage::merge::merge_runs;
 use storage::types::entry_encoded_len;
 use storage::{
-    BlockCache, Cell, IoOp, IoPlan, Key, LsmConfig, LsmTree, Memtable, Segment, SsTable, TableId,
+    BlockCache, Cell, IoOp, IoPlan, Key, LsmConfig, LsmTree, Memtable, Rows, Segment, SsTable,
+    TableId,
 };
 
 fn key(id: u64) -> Bytes {
     Bytes::from(format!("user{id:08}").into_bytes())
+}
+
+/// The rows a scan result holds, flattened.
+fn flat(rows: &Rows) -> Vec<(Key, Cell)> {
+    rows.iter().cloned().collect()
+}
+
+/// The live rows among `rows`.
+fn live_of(rows: &[(Key, Cell)]) -> Vec<(Key, Cell)> {
+    rows.iter()
+        .filter(|(_, c)| !c.is_tombstone())
+        .cloned()
+        .collect()
 }
 
 /// A run's rows, its segments concatenated.
@@ -148,6 +162,8 @@ impl ScanModel {
         self.runs.push(SsTable::build(id, entries, self.block_size));
     }
 
+    /// Every row walked up to the `limit`-th live one, tombstones too, and
+    /// the I/O.
     fn scan(&mut self, start: &[u8], limit: usize) -> (Vec<(Key, Cell)>, IoPlan) {
         let mut all = self.mem.clone();
         for run in &self.runs {
@@ -155,24 +171,14 @@ impl ScanModel {
                 reconcile_into(&mut all, key, cell);
             }
         }
-        let mut rows = Vec::new();
-        let mut last_key = None;
-        for (key, cell) in all.range::<[u8], _>((Bound::Included(start), Bound::Unbounded)) {
-            if rows.len() >= limit {
-                break;
-            }
-            last_key = Some(key.clone());
-            if !cell.is_tombstone() {
-                rows.push((key.clone(), cell.clone()));
-            }
-        }
+        let walked = model_scan(&all, start, limit);
         let mut io = IoPlan::new();
-        if let Some(end) = last_key {
+        if let Some((end, _)) = walked.last() {
             for run in &self.runs {
-                Self::whole_run_search_io(&mut self.cache, run, start, &end, &mut io);
+                Self::whole_run_search_io(&mut self.cache, run, start, end, &mut io);
             }
         }
-        (rows, io)
+        (walked, io)
     }
 
     fn whole_run_search_io(
@@ -392,8 +398,8 @@ proptest! {
             }
             merged_sources.push(per.into_iter().collect::<Vec<_>>());
         }
-        let merged = merge_entries(merged_sources, false);
-        prop_assert_eq!(merged, oracle.into_iter().collect::<Vec<_>>());
+        let views: Vec<&[(Key, Cell)]> = merged_sources.iter().map(Vec::as_slice).collect();
+        prop_assert_eq!(merge_runs(&views, false), oracle.into_iter().collect::<Vec<_>>());
     }
 
     /// Differential: the streaming borrow-based merge produces exactly what
@@ -409,14 +415,6 @@ proptest! {
         let streamed = merge_runs(&views, drop_tombstones);
         let legacy = legacy::merge_collect(runs.clone(), drop_tombstones);
         prop_assert_eq!(&streamed, &legacy);
-        // The owning merge moves the same winners out of its sources, and a
-        // lone source comes back as the allocation that went in.
-        let lone = (runs.len() == 1).then(|| runs[0].as_ptr());
-        let owned = merge_entries(runs, drop_tombstones);
-        if let Some(ptr) = lone {
-            prop_assert_eq!(owned.as_ptr(), ptr);
-        }
-        prop_assert_eq!(owned, legacy);
     }
 
     /// `SsTable::lower_bound` — block index, then the flat prefix array —
@@ -484,9 +482,10 @@ proptest! {
     /// return the rows of a `BTreeMap` model, and charge exactly the I/O —
     /// op for op, and the same block-cache hits, misses and evictions — of
     /// the whole-run-search accounting they replaced, over keys (and start
-    /// keys) that tie on their 16-byte prefix. `scan_count` from the same
-    /// state charges the same I/O, leaves the same cache counters, and
-    /// counts the rows below its end key.
+    /// keys) that tie on their 16-byte prefix. `scan_page` from the same
+    /// state returns every row walked, tombstones included, and charges the
+    /// same I/O; `scan_count` charges the same I/O, leaves the same cache
+    /// counters, and counts the walked rows below its end key.
     #[test]
     fn scan_rows_and_io_match_model(
         writes in prop::collection::vec(
@@ -524,17 +523,23 @@ proptest! {
         prop_assert_eq!(tree.table_count(), model.runs.len());
         for (start, limit, end) in scans {
             let mut twin = tree.clone();
+            let mut paged = tree.clone();
             let got = tree.scan(&start, limit);
-            let (rows, io) = model.scan(&start, limit);
-            let below = rows
+            let (walked, io) = model.scan(&start, limit);
+            let rows = live_of(&walked);
+            let below = walked
                 .iter()
                 .filter(|(k, _)| end.as_ref().is_none_or(|end| k.as_ref() < end.as_slice()))
                 .count();
-            prop_assert_eq!(got.rows, rows, "rows from {:?} limit {}", start, limit);
+            prop_assert_eq!(flat(&got.rows), rows, "rows from {:?} limit {}", start, limit);
             prop_assert_eq!(&got.io, &io, "io from {:?} limit {}", start, limit);
+            let page = paged.scan_page(&start, limit);
+            prop_assert_eq!(flat(&page.rows), walked, "page from {:?} limit {}", start, limit);
+            prop_assert_eq!(&page.io, &io);
             let counted = twin.scan_count(&start, limit, end.as_deref());
             prop_assert_eq!(counted, (below, io), "count from {:?} limit {} end {:?}", start, limit, end);
             prop_assert_eq!(twin.cache_stats(), tree.cache_stats());
+            prop_assert_eq!(paged.cache_stats(), tree.cache_stats());
         }
         prop_assert_eq!(tree.cache_stats(), model.cache.stats());
     }
@@ -764,12 +769,164 @@ proptest! {
             tree.put(key(i), Cell::live(key(i), 1));
         }
         tree.flush();
-        let rows = tree.scan(&key(start), limit).rows;
+        let rows = flat(&tree.scan(&key(start), limit).rows);
         prop_assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "unsorted");
         prop_assert!(rows.len() <= limit);
         let expected: Vec<u64> = ids.iter().copied().filter(|&i| i >= start).take(limit).collect();
         let got: Vec<Key> = rows.iter().map(|(k, _)| k.clone()).collect();
         let want: Vec<Key> = expected.iter().map(|&i| key(i)).collect();
         prop_assert_eq!(got, want);
+    }
+}
+
+/// What a page of `model` from `start` at `limit` holds: every row walked
+/// up to the `limit`-th live one, tombstones included. A scan returns the
+/// live ones among them.
+fn model_scan(model: &BTreeMap<Key, Cell>, start: &[u8], limit: usize) -> Vec<(Key, Cell)> {
+    let mut live = 0;
+    let mut walked = Vec::new();
+    for (key, cell) in model.range::<[u8], _>((Bound::Included(start), Bound::Unbounded)) {
+        if live >= limit {
+            break;
+        }
+        walked.push((key.clone(), cell.clone()));
+        live += usize::from(!cell.is_tombstone());
+    }
+    walked
+}
+
+/// [`Rows::reconcile`] on the vectors the pages flatten to: merge, keep
+/// the winners at or below the smallest last key of a page with `limit`
+/// live rows, drop tombstones; resume past that key when the result is
+/// short.
+fn reconcile_model(pages: &[Vec<(Key, Cell)>], limit: usize) -> (Vec<(Key, Cell)>, Option<Key>) {
+    let cut = pages
+        .iter()
+        .filter(|p| !p.is_empty() && p.iter().filter(|(_, c)| !c.is_tombstone()).count() == limit)
+        .map(|p| p[p.len() - 1].0.clone())
+        .min();
+    let out: Vec<_> = legacy::merge_collect(pages.to_vec(), false)
+        .into_iter()
+        .filter(|(k, _)| cut.as_ref().is_none_or(|cut| k <= cut))
+        .filter(|(_, c)| !c.is_tombstone())
+        .collect();
+    let resume = cut
+        .filter(|_| out.len() < limit)
+        .map(|k| Bytes::from([k.as_ref(), &[0]].concat()));
+    (out, resume)
+}
+
+/// A tree for the `Rows` tests: rows spread over the memtable and several
+/// runs (blocks of a few rows, a flush wherever the input says).
+fn rows_tree() -> LsmTree {
+    LsmTree::new(LsmConfig {
+        block_size: 64,
+        memtable_flush_bytes: u64::MAX,
+        cache_bytes: 1024,
+        compaction: SizeTieredPolicy::default(),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A scan result is a snapshot that matches a `Vec` model. Over trees
+    /// of memtable rows and several runs, with duplicate keys, tombstones
+    /// and keys that tie on their 16-byte prefix, every `scan` and
+    /// `scan_page` result equals the `BTreeMap` model as it was at scan
+    /// time, and still does after more writes and deletes, a flush and a
+    /// major compaction have replaced every run it was read from. Its
+    /// `truncate`, `clamp`, `append` and `encoded_len` each equal the same
+    /// operation on the vector it flattens to, and so does the reconcile
+    /// of pages from replicas that each missed some writes.
+    #[test]
+    fn rows_are_snapshots_that_match_a_vec_model(
+        // (key, cell, flush after in 10%, missed by replica 1 / 2)
+        writes in prop::collection::vec(
+            (arb_prefix_key(), arb_tie_cell(), (0u32..100).prop_map(|p| p < 10), 0u32..4),
+            1..150,
+        ),
+        later in prop::collection::vec((arb_prefix_key(), arb_tie_cell()), 0..60),
+        scans in prop::collection::vec(
+            (arb_prefix_key(), (0usize..4, 1usize..12).prop_map(|(pick, n)| [0, 1, n, 1_000][pick]), arb_prefix_key(), 0usize..20),
+            1..10,
+        ),
+    ) {
+        let mut trees = [rows_tree(), rows_tree(), rows_tree()];
+        let mut models: [BTreeMap<Key, Cell>; 3] = Default::default();
+        for (k, cell, flush, missed) in writes {
+            for (r, (tree, model)) in trees.iter_mut().zip(&mut models).enumerate() {
+                if r > 0 && missed as usize == r {
+                    continue;
+                }
+                tree.put(Bytes::from(k.clone()), cell.clone());
+                reconcile_into(model, Bytes::from(k.clone()), cell.clone());
+                if flush {
+                    tree.flush();
+                }
+            }
+        }
+        let mut held = Vec::new();
+        for (start, limit, end, n) in scans {
+            let got = trees[0].scan(&start, limit);
+            let page = trees[0].scan_page(&start, limit);
+            let walked = model_scan(&models[0], &start, limit);
+            let live = live_of(&walked);
+            prop_assert_eq!(flat(&got.rows), live.clone());
+            prop_assert_eq!(flat(&page.rows), walked.clone());
+            prop_assert_eq!(got.rows.len(), live.len());
+            prop_assert_eq!(got.rows.is_empty(), live.is_empty());
+            let bytes: u64 = walked.iter().map(|(k, c)| entry_encoded_len(k, c)).sum();
+            prop_assert_eq!(page.rows.encoded_len(), bytes);
+
+            let mut cut = page.rows.clone();
+            cut.truncate(n);
+            prop_assert_eq!(flat(&cut), walked[..n.min(walked.len())].to_vec(), "truncate {}", n);
+            let below: Vec<_> = walked.iter().filter(|(k, _)| k.as_ref() < end.as_slice()).cloned().collect();
+            let mut clamped = page.rows.clone();
+            clamped.clamp(&end);
+            prop_assert_eq!(flat(&clamped), below.clone(), "clamp {:?}", end);
+            // The rows from `end` on, appended to those below it.
+            let mut joined = got.rows.clone();
+            joined.clamp(&end);
+            let from_end = trees[0].scan(&end, limit);
+            let mut want: Vec<_> = live.iter().filter(|(k, _)| k.as_ref() < end.as_slice()).cloned().collect();
+            want.extend(live_of(&model_scan(&models[0], &end, limit)));
+            joined.append(from_end.rows);
+            prop_assert_eq!(flat(&joined), want, "append at {:?}", end);
+
+            // Every replica's page, clamped to `end` as a range end would.
+            let mut pages = Vec::new();
+            let mut flats = Vec::new();
+            for (tree, model) in trees.iter_mut().zip(&models) {
+                let mut rows = tree.scan_page(&start, limit).rows;
+                let mut walked = model_scan(model, &start, limit);
+                if n % 2 == 0 {
+                    rows.clamp(&end);
+                    walked.retain(|(k, _)| k.as_ref() < end.as_slice());
+                }
+                prop_assert_eq!(flat(&rows), walked.clone());
+                pages.push(rows);
+                flats.push(walked);
+            }
+            let replicas = 1 + n % 3;
+            pages.truncate(replicas);
+            let (merged, resume) = Rows::reconcile(&mut pages, limit);
+            prop_assert!(pages.is_empty());
+            let (want, want_resume) = reconcile_model(&flats[..replicas], limit);
+            prop_assert_eq!(flat(&merged), want, "reconcile of {} from {:?}", replicas, start);
+            prop_assert_eq!(resume, want_resume);
+            held.push((got.rows, live, page.rows, walked));
+        }
+        for (k, cell) in later {
+            trees[0].put(Bytes::from(k.clone()), cell.clone());
+            trees[0].put(Bytes::from(k), Cell::tombstone(cell.ts + 1));
+        }
+        trees[0].flush();
+        trees[0].compact_all();
+        for (rows, live, page, walked) in &held {
+            prop_assert_eq!(&flat(rows), live);
+            prop_assert_eq!(&flat(page), walked);
+        }
     }
 }

@@ -13,10 +13,6 @@
 //! of beside it, so every key, value, row and message that holds one is 8
 //! bytes smaller. The reference count follows `std::sync::Arc`'s protocol.
 //! This is the workspace's only `unsafe` code.
-//!
-//! One method has no counterpart in the real crate: [`Bytes::prefetch`], a
-//! cache hint for the buffer's header. Only this crate knows where that
-//! header lives, so the hint lives here too.
 
 #![warn(missing_docs)]
 #![allow(unsafe_code)]
@@ -123,25 +119,6 @@ impl Bytes {
         // SAFETY: the allocation outlives `&self`, and `len` initialised
         // bytes follow its header; nothing writes them after construction.
         unsafe { std::slice::from_raw_parts(Self::data(self.ptr), self.header().len) }
-    }
-
-    /// Hint the CPU to start loading the cache line that holds this
-    /// buffer's header — its reference count, its length and its first
-    /// data bytes — so a `clone`, `drop` or comparison soon after does not
-    /// stall on it. A clone's locked increment waits for its line on its
-    /// own, one miss at a time; a prefetch issued early overlaps those
-    /// misses. A hint only: it never faults and changes nothing observable.
-    /// A no-op on targets other than x86-64.
-    #[inline]
-    pub fn prefetch(&self) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            // SAFETY: a prefetch reads nothing the program can observe and
-            // never faults, whatever the address; SSE, which provides the
-            // instruction, is part of the x86-64 baseline.
-            unsafe { _mm_prefetch::<_MM_HINT_T0>(self.ptr.as_ptr().cast::<i8>()) }
-        }
     }
 }
 
@@ -297,16 +274,6 @@ mod tests {
         let b = Bytes::from_static(b"abd");
         assert!(a < b);
         assert_eq!(a, Bytes::copy_from_slice(b"abc"));
-    }
-
-    #[test]
-    fn prefetch_is_only_a_hint() {
-        for b in [Bytes::new(), Bytes::from(vec![1, 2, 3])] {
-            let c = b.clone();
-            b.prefetch();
-            assert_eq!(b, c);
-            assert!(std::ptr::eq(b.as_slice(), c.as_slice()));
-        }
     }
 
     #[test]

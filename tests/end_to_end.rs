@@ -87,9 +87,7 @@ fn both_stores_return_identical_scan_rows() {
             }
             if let Some(comp) = store.drain_completions().pop() {
                 match comp.result {
-                    OpResult::Rows(rows) => {
-                        return rows.into_iter().map(|(k, _)| k.to_vec()).collect()
-                    }
+                    OpResult::Rows(rows) => return rows.iter().map(|(k, _)| k.to_vec()).collect(),
                     other => panic!("scan failed: {other:?}"),
                 }
             }

@@ -2,7 +2,7 @@
 """Symbolize a `sampler.c` profile and split it by handler and by layer.
 
 usage: symbolize.py BINARY PROFILE [--focus REGEX] [--exclude REGEX]
-                    [--callers REGEX] [--top N]
+                    [--callers REGEX] [--baseline OTHER.out] [--top N]
 
 Every sampled address of BINARY goes through one batched, inline-aware
 `addr2line -i` call, so a sample's stack lists inlined functions as frames
@@ -14,7 +14,11 @@ runtime). With --focus, only samples with a frame matching REGEX count,
 and shares are of those samples; with --exclude, samples with a frame
 matching REGEX are dropped (after --focus). With --callers, the samples with a frame
 matching REGEX are also split by the nearest repository frame above (outside)
-its innermost match: which code calls, say, `Arc::clone`.
+its innermost match: which code calls, say, `Arc::clone`. With --baseline,
+each function's self share in OTHER.out (another build's profile, through the
+same --focus and --exclude) is printed next to its share in PROFILE, with the
+difference, largest first: OTHER.out's binary is the executable its .maps file
+names with BINARY's file name.
 """
 import argparse
 import collections
@@ -100,6 +104,37 @@ def crate_of(name):
     return m.group(1) if m else None
 
 
+def stacks_of(binary, profile, focus, exclude):
+    """PROFILE's samples as symbolized stacks, innermost frame first, kept
+    by --focus and --exclude."""
+    raw, place = load(profile, binary)
+    placed = {a: place(a) for s in raw for a in s}
+    chains = symbolize(binary, sorted({v for _, v in placed.values() if v is not None}))
+    stacks = []
+    for s in raw:
+        frames = []
+        for a in s:
+            module, vaddr = placed[a]
+            frames += chains.get(vaddr, ["??"]) if vaddr is not None else [f"[{module}]"]
+        stacks.append(frames)
+    if focus:
+        focus = re.compile(focus)
+        stacks = [s for s in stacks if any(focus.search(f) for f in s)]
+    if exclude:
+        exclude = re.compile(exclude)
+        stacks = [s for s in stacks if not any(exclude.search(f) for f in s)]
+    return stacks
+
+
+def binary_of(profile, name):
+    """The executable PROFILE's .maps file names with the file name NAME."""
+    for line in open(profile + ".maps"):
+        f = line.split()
+        if len(f) >= 6 and "x" in f[1] and os.path.basename(f[5]) == name:
+            return f[5]
+    raise SystemExit(f"{profile}.maps maps no executable named {name}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("binary")
@@ -108,25 +143,12 @@ def main():
     ap.add_argument("--exclude", help="drop samples with a frame matching this regex")
     ap.add_argument("--callers", help="split samples with a frame matching this regex by "
                     "the nearest repository frame above it")
+    ap.add_argument("--baseline", metavar="OTHER.out", help="compare each function's self "
+                    "share with this profile of another build")
     ap.add_argument("--top", type=int, default=25)
     args = ap.parse_args()
 
-    raw, place = load(args.profile, args.binary)
-    placed = {a: place(a) for s in raw for a in s}
-    chains = symbolize(args.binary, sorted({v for _, v in placed.values() if v is not None}))
-    stacks = []
-    for s in raw:
-        frames = []
-        for a in s:
-            module, vaddr = placed[a]
-            frames += chains.get(vaddr, ["??"]) if vaddr is not None else [f"[{module}]"]
-        stacks.append(frames)
-    if args.focus:
-        focus = re.compile(args.focus)
-        stacks = [s for s in stacks if any(focus.search(f) for f in s)]
-    if args.exclude:
-        exclude = re.compile(args.exclude)
-        stacks = [s for s in stacks if not any(exclude.search(f) for f in s)]
+    stacks = stacks_of(args.binary, args.profile, args.focus, args.exclude)
     total = len(stacks)
     if not total:
         raise SystemExit("no samples")
@@ -166,6 +188,20 @@ def main():
                   "of all; shares of those", callers, args.top, matched)
         else:
             print(f"\nno sample has a frame matching {args.callers!r}")
+
+    if args.baseline:
+        other = binary_of(args.baseline, os.path.basename(args.binary))
+        base = stacks_of(other, args.baseline, args.focus, args.exclude)
+        if not base:
+            raise SystemExit(f"no samples in {args.baseline}")
+        base_leaf = collections.Counter(s[0] for s in base)
+        share = {f: (100 * leaf[f] / total, 100 * base_leaf[f] / len(base))
+                 for f in leaf.keys() | base_leaf.keys()}
+        print(f"\nself share here vs in {args.baseline} ({len(base)} samples), "
+              f"top {args.top} by the size of the difference")
+        print(f"  {'here':>7}  {'base':>7}  {'diff':>7}")
+        for f, (now, was) in sorted(share.items(), key=lambda kv: -abs(kv[1][0] - kv[1][1]))[:args.top]:
+            print(f"  {now:6.2f}%  {was:6.2f}%  {now - was:+6.2f}  {f}")
 
 
 if __name__ == "__main__":
