@@ -10,10 +10,10 @@
 //! The kernel is intentionally small:
 //!
 //! * [`SimTime`] — virtual time in microseconds.
-//! * [`EventQueue`] / [`Sim`] — a calendar-queue (time-wheel) event queue
-//!   with a stable `(time, seq)` tie-break, plus the simulation context
-//!   (clock + queue + RNG) that models schedule into, with cancellable
-//!   timers ([`TimerId`]) for events armed per op that rarely fire.
+//! * [`EventQueue`] / [`Sim`] — a binary-heap event queue with a stable
+//!   `(time, seq)` tie-break, plus the simulation context (clock + queue +
+//!   RNG) that models schedule into, with cancellable timers ([`TimerId`])
+//!   for events armed per op that rarely fire.
 //! * `slab` — generational slab storage ([`Slab`]/[`OpKey`]) for
 //!   in-flight op contexts, replacing `HashMap`-backed per-op state on
 //!   dispatch paths.

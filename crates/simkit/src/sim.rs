@@ -17,7 +17,11 @@
 //! place. So every other event keeps the sequence number it would have had,
 //! a timer that does fire fires exactly where an eager `schedule_at` would
 //! have put it, and [`Sim::cancel_timer`] makes the rest disappear without
-//! ever being queued or dispatched.
+//! ever being queued or dispatched. That is the point of the lane: an RPC
+//! timeout is armed on every op and almost never fires, so as plain events
+//! the timeouts of the last `rpc_timeout` of virtual time would all sit in
+//! the event heap, and each would be popped and counted in
+//! [`Sim::dispatched`] only to be ignored.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

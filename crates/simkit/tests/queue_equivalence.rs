@@ -1,8 +1,8 @@
-//! Differential property tests: the calendar queue must pop the exact
-//! `(time, seq)` total order of the reference binary heap under arbitrary
-//! push/pop interleavings. Since every simulation result is a pure
-//! function of dispatch order, this equivalence is what makes the queue
-//! swap invisible to every experiment.
+//! Differential property tests: `EventQueue` must pop the exact
+//! `(time, seq)` total order of a plain reference heap under arbitrary
+//! push/pop interleavings, and under late `push_seq`s of reserved numbers.
+//! Every simulation result is a pure function of dispatch order, so this
+//! equivalence is what every experiment's determinism rests on.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -10,8 +10,8 @@ use std::collections::BinaryHeap;
 use proptest::prelude::*;
 use simkit::EventQueue;
 
-/// The reference: a binary min-heap on `(time, insertion seq)` — the
-/// queue the simulator originally ran on, kept here as the oracle.
+/// The reference: a binary min-heap on `(time, insertion seq, event)`
+/// tuples, with no payload wrapper and no reserved numbers.
 #[derive(Default)]
 struct HeapQueue {
     heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
@@ -56,16 +56,16 @@ enum Step {
 }
 
 /// Decode a raw `(selector, value)` pair into a schedule step, weighting
-/// the regimes the wheel must handle: near-future pushes (its fast path),
+/// the regimes a simulation produces: near-future pushes (most follow-ups),
 /// same-instant ties (insertion order is the only order left), far-future
-/// pushes (the overflow lane), and pops.
+/// pushes (timeouts, fault plans), and pops.
 fn decode(sel: u8, raw: u64) -> Step {
     match sel {
-        // Mostly near-future pushes: the regime the wheel optimizes.
+        // Mostly near-future pushes: a follow-up microseconds ahead.
         0..=3 => Step::Push(raw % 2_000),
         // Same-instant pushes: tie-break order must match exactly.
         4 => Step::Push(0),
-        // Far-future pushes: exercise the overflow lane and migration.
+        // Far-future pushes: seconds to an hour ahead.
         5 => Step::Push(2_000_000 + raw % 4_000_000_000),
         _ => Step::Pop,
     }
@@ -103,7 +103,7 @@ fn replay(steps: &[Step], mut q: impl Queue) -> PopLog {
     log
 }
 
-/// Run one schedule against the calendar queue and the heap oracle.
+/// Run one schedule against `EventQueue` and the heap oracle.
 fn run_both(steps: &[Step]) -> (PopLog, PopLog) {
     (
         replay(steps, EventQueue::new()),
@@ -124,21 +124,21 @@ enum ReservedStep {
     Release(usize),
 }
 
-/// A schedule with held-back events replayed against the calendar queue and
-/// the heap at once. The heap gets every event when its number is reserved;
-/// the calendar queue gets a held one through `push_seq` at a `Release`
-/// step, or at the latest just before the pop that is due to return it — so
-/// held events go in out of reservation order, into buckets the cursor has
-/// already sorted, and behind later numbers at the same instant.
+/// A schedule with held-back events replayed against `EventQueue` and the
+/// heap at once. The heap gets every event when its number is reserved;
+/// `EventQueue` gets a held one through `push_seq` at a `Release` step, or
+/// at the latest just before the pop that is due to return it — so held
+/// events go in out of reservation order, after later numbers were popped,
+/// and behind later numbers at the same instant.
 #[derive(Default)]
 struct ReservedReplay {
-    calendar: EventQueue<u64>,
+    queue: EventQueue<u64>,
     heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
-    /// `(time, seq, event)` reserved and not yet given to the calendar queue.
+    /// `(time, seq, event)` reserved and not yet given to `queue`.
     held: Vec<(u64, u64, u64)>,
     next_seq: u64,
     clock: u64,
-    calendar_log: PopLog,
+    queue_log: PopLog,
     heap_log: PopLog,
 }
 
@@ -146,13 +146,13 @@ impl ReservedReplay {
     fn step(&mut self, step: &ReservedStep, id: u64) {
         match *step {
             ReservedStep::Plain(Step::Push(offset)) => {
-                self.calendar.push(self.clock + offset, id);
+                self.queue.push(self.clock + offset, id);
                 self.heap
                     .push(Reverse((self.clock + offset, self.next_seq, id)));
                 self.next_seq += 1;
             }
             ReservedStep::Reserve(offset) => {
-                let seq = self.calendar.reserve_seq();
+                let seq = self.queue.reserve_seq();
                 assert_eq!(seq, self.next_seq, "reserving draws on the push counter");
                 self.next_seq += 1;
                 self.held.push((self.clock + offset, seq, id));
@@ -161,7 +161,7 @@ impl ReservedReplay {
             ReservedStep::Release(n) => {
                 if !self.held.is_empty() {
                     let (time, seq, event) = self.held.swap_remove(n % self.held.len());
-                    self.calendar.push_seq(time, seq, event);
+                    self.queue.push_seq(time, seq, event);
                 }
             }
             ReservedStep::Plain(Step::Pop) => {
@@ -173,15 +173,15 @@ impl ReservedReplay {
     /// Pop both queues once; false when the heap is empty.
     fn pop(&mut self) -> bool {
         let Some(Reverse(due)) = self.heap.pop() else {
-            assert_eq!(self.calendar.pop(), None);
+            assert_eq!(self.queue.pop(), None);
             return false;
         };
         if let Some(i) = self.held.iter().position(|&h| h == due) {
             self.held.swap_remove(i);
-            self.calendar.push_seq(due.0, due.1, due.2);
+            self.queue.push_seq(due.0, due.1, due.2);
         }
         self.heap_log.push((due.0, due.2));
-        self.calendar_log.extend(self.calendar.pop());
+        self.queue_log.extend(self.queue.pop());
         self.clock = due.0;
         true
     }
@@ -212,17 +212,17 @@ proptest! {
             replay.step(step, id as u64);
         }
         while replay.pop() {}
-        prop_assert_eq!(replay.calendar_log, replay.heap_log);
+        prop_assert_eq!(replay.queue_log, replay.heap_log);
     }
 
     /// Arbitrary interleavings: identical pop sequences, event for event.
     #[test]
-    fn calendar_matches_heap(
+    fn queue_matches_heap(
         raw in prop::collection::vec((0u8..9, 0u64..u64::MAX / 2), 0..400)
     ) {
         let steps: Vec<Step> = raw.iter().map(|&(s, v)| decode(s, v)).collect();
-        let (calendar, heap) = run_both(&steps);
-        prop_assert_eq!(calendar, heap);
+        let (queue, heap) = run_both(&steps);
+        prop_assert_eq!(queue, heap);
     }
 
     /// All-ties stress: every event at the same instant; insertion order
@@ -230,25 +230,25 @@ proptest! {
     #[test]
     fn same_instant_ties_preserve_insertion_order(n in 0usize..300) {
         let steps: Vec<Step> = vec![Step::Push(0); n];
-        let (calendar, heap) = run_both(&steps);
-        prop_assert_eq!(calendar.clone(), heap);
-        for (i, &(t, ev)) in calendar.iter().enumerate() {
+        let (queue, heap) = run_both(&steps);
+        prop_assert_eq!(queue.clone(), heap);
+        for (i, &(t, ev)) in queue.iter().enumerate() {
             prop_assert_eq!(t, 0);
             prop_assert_eq!(ev, i as u64);
         }
     }
 
-    /// Far-future-only schedules live entirely in the overflow lane and
-    /// still match the heap through migration and wheel fast-forwards.
+    /// Far-future-only schedules, each push a second to days past the last
+    /// pop, still match the heap.
     #[test]
-    fn overflow_lane_matches_heap(
+    fn far_future_schedules_match_heap(
         offsets in prop::collection::vec(1_000_000u64..1 << 40, 1..100)
     ) {
         let steps: Vec<Step> = offsets
             .iter()
             .flat_map(|&o| [Step::Push(o), Step::Pop])
             .collect();
-        let (calendar, heap) = run_both(&steps);
-        prop_assert_eq!(calendar, heap);
+        let (queue, heap) = run_both(&steps);
+        prop_assert_eq!(queue, heap);
     }
 }

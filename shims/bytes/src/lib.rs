@@ -12,7 +12,8 @@
 //! of that length requests, but the length lives behind the pointer instead
 //! of beside it, so every key, value, row and message that holds one is 8
 //! bytes smaller. The reference count follows `std::sync::Arc`'s protocol.
-//! This is the workspace's only `unsafe` code.
+//! This crate holds the workspace's only `unsafe` code: `Bytes`, and the
+//! [`counting`] allocator that tests install to count allocations.
 
 #![warn(missing_docs)]
 #![allow(unsafe_code)]
@@ -25,6 +26,8 @@ use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::ptr::NonNull;
 use std::sync::atomic::{self, AtomicUsize, Ordering};
+
+pub mod counting;
 
 /// The front of every buffer's allocation; the data bytes follow it.
 #[repr(C)]
