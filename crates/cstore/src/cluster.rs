@@ -15,7 +15,7 @@ use obs::Stage;
 use simkit::{NodeHw, NodeId, OpKey, OpTag, Sim, SimTime};
 use storage::types::entry_encoded_len;
 use storage::{
-    Cell, Completion, Key, OpError, OpResult, Rows, RunBuilder, Segment, StoreOp, Value,
+    Cell, Completion, Key, LoadQueue, OpError, OpResult, Rows, RunBuilder, Segment, StoreOp, Value,
 };
 
 use crate::config::{CStoreConfig, CommitlogSync, Consistency};
@@ -156,10 +156,7 @@ struct FanOut {
 /// the last `flush_all`, in arrival order.
 #[derive(Debug, Clone, Default)]
 struct SegmentLoad {
-    rows: Vec<(Key, Cell)>,
-    /// Their encoded bytes, which bound the block index of every run that
-    /// holds them.
-    bytes: u64,
+    rows: LoadQueue,
     /// Their least and greatest keys (empty keys while there are no rows).
     range: (Key, Key),
 }
@@ -1238,17 +1235,15 @@ impl SimStore for Cluster {
         if self.loaded.len() <= segment {
             self.loaded.resize_with(segment + 1, SegmentLoad::default);
         }
-        let cell = Cell::live(value, ts);
         let load = &mut self.loaded[segment];
-        load.bytes += entry_encoded_len(&key, &cell);
-        if load.rows.is_empty() {
-            load.range = (key.clone(), key.clone());
+        load.rows.push(&key, Cell::live(value, ts));
+        if load.rows.len() == 1 {
+            load.range = (key.clone(), key);
         } else if key < load.range.0 {
-            load.range.0 = key.clone();
+            load.range.0 = key;
         } else if key > load.range.1 {
-            load.range.1 = key.clone();
+            load.range.1 = key;
         }
-        load.rows.push((key, cell));
     }
 
     /// Builds each node's loaded run, reading and hashing each loaded key
@@ -1292,17 +1287,19 @@ impl SimStore for Cluster {
             .zip(&held)
             .map(|(node, segments)| {
                 let rows = segments.iter().map(|&s| loads[s].rows.len()).sum();
-                let bytes = segments.iter().map(|&s| loads[s].bytes).sum();
+                let bytes = segments.iter().map(|&s| loads[s].rows.bytes()).sum();
                 node.lsm.load_builder(rows, bytes)
             })
             .collect();
         for (node, run) in runs.iter_mut().enumerate() {
             if interleaved[node] {
-                let rows = held[node]
-                    .iter()
-                    .flat_map(|&s| loads[s].rows.iter().cloned())
-                    .collect();
-                Segment::from_rows(rows, &mut [run]);
+                let mut rows = LoadQueue::default();
+                for &s in &held[node] {
+                    for (key, cell) in loads[s].rows.iter() {
+                        rows.push(key, cell.clone());
+                    }
+                }
+                Segment::from_queue(rows, &mut [run]);
             }
         }
         for s in order {
@@ -1314,7 +1311,7 @@ impl SimStore for Cluster {
                 .map(|(_, run)| run)
                 .collect();
             if !holders.is_empty() {
-                Segment::from_rows(std::mem::take(&mut loads[s].rows), &mut holders);
+                Segment::from_queue(std::mem::take(&mut loads[s].rows), &mut holders);
             }
         }
         for ((node, run), segments) in self.nodes.iter_mut().zip(runs).zip(&held) {
@@ -1589,7 +1586,7 @@ mod tests {
         match r.result {
             OpResult::Rows(rows) => {
                 assert_eq!(rows.len(), 40, "spans range boundaries");
-                let keys: Vec<_> = rows.iter().map(|(k, _)| k.clone()).collect();
+                let keys: Vec<_> = rows.iter().map(|(k, _)| Key::copy_from_slice(k)).collect();
                 assert_eq!(keys[0], key(20));
                 assert_eq!(keys[39], key(59));
                 let mut sorted = keys.clone();
@@ -1628,7 +1625,7 @@ mod tests {
             };
             let got: Vec<_> = rows
                 .iter()
-                .map(|(key, cell)| (key.clone(), cell.value.clone()))
+                .map(|(key, cell)| (Key::copy_from_slice(key), cell.value.clone()))
                 .collect();
             let want: Vec<_> = model
                 .range(key(start)..)
@@ -1664,7 +1661,10 @@ mod tests {
         let OpResult::Rows(rows) = r.result else {
             panic!("unexpected: {:?}", r.result);
         };
-        let got: Vec<_> = rows.iter().map(|(key, _)| key.clone()).collect();
+        let got: Vec<_> = rows
+            .iter()
+            .map(|(key, _)| Key::copy_from_slice(key))
+            .collect();
         assert_eq!(got, (0..5).map(key).collect::<Vec<_>>());
     }
 
@@ -1703,7 +1703,9 @@ mod tests {
         let OpResult::Rows(rows) = r.result else {
             panic!("unexpected: {:?}", r.result);
         };
-        rows.iter().map(|(key, _)| key.clone()).collect()
+        rows.iter()
+            .map(|(key, _)| Key::copy_from_slice(key))
+            .collect()
     }
 
     #[test]
@@ -2029,7 +2031,7 @@ mod tests {
                 .scan(b"", 1_000)
                 .rows
                 .iter()
-                .map(|(k, _)| k.clone())
+                .map(|(k, _)| Key::copy_from_slice(k))
                 .collect();
             assert_eq!(got, want);
         }
@@ -2101,16 +2103,13 @@ mod tests {
             if load.rows.is_empty() {
                 continue;
             }
-            let shared = Segment::from_rows(load.rows, &mut []);
+            let shared = Segment::from_queue(load.rows, &mut []);
             c.place(c.ring.segment_primary(segment), &mut replicas);
             for r in &replicas {
                 held[r.index()].push(shared.clone());
             }
         }
-        let range = |s: &Segment| {
-            let rows = s.entries();
-            (rows[0].0.clone(), rows[rows.len() - 1].0.clone())
-        };
+        let range = |s: &Segment| (s.key(0).to_vec(), s.key(s.len() - 1).to_vec());
         for (node, mut segments) in c.nodes.iter_mut().zip(held) {
             node.lsm.flush();
             if !segments.is_empty() {
@@ -2119,10 +2118,13 @@ mod tests {
                     .windows(2)
                     .any(|w| range(&w[0]).1 >= range(&w[1]).0)
                 {
-                    let rows = segments.iter().flat_map(Segment::entries).cloned();
-                    segments = vec![Segment::from_rows(rows.collect(), &mut [])];
+                    let mut rows = LoadQueue::default();
+                    for (key, cell) in segments.iter().flat_map(|s| s.iter()) {
+                        rows.push(key, cell.clone());
+                    }
+                    segments = vec![Segment::from_queue(rows, &mut [])];
                 }
-                let rows = segments.iter().map(Segment::len).sum();
+                let rows = segments.iter().map(|s| s.len()).sum();
                 let mut run = RunBuilder::new(rows, node.lsm.config().block_size);
                 for segment in segments {
                     run.hold(segment);
@@ -2478,7 +2480,10 @@ mod tests {
                     let OpResult::Rows(rows) = c.result else {
                         panic!("unexpected: {:?}", c.result);
                     };
-                    let got: Vec<_> = rows.iter().map(|(key, _)| key.clone()).collect();
+                    let got: Vec<_> = rows
+                        .iter()
+                        .map(|(key, _)| Key::copy_from_slice(key))
+                        .collect();
                     assert_eq!(got, (0..5).map(key).collect::<Vec<_>>());
                     done_at = Some(h.sim.now());
                 }

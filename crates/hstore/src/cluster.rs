@@ -16,7 +16,8 @@ use simkit::{NodeId, OpKey, OpTag, Sim, SimRng, SimTime};
 use storage::lsm::CompactionReceipt;
 use storage::types::entry_encoded_len;
 use storage::{
-    Cell, Completion, IoOp, Key, OpError, OpResult, Rows, Segment, StoreOp, TableId, Value,
+    Cell, Completion, IoOp, Key, LoadQueue, OpError, OpResult, Rows, Segment, StoreOp, TableId,
+    Value,
 };
 
 use crate::config::HStoreConfig;
@@ -73,10 +74,7 @@ struct ScanState {
 /// how far the replay of their HFile history has got.
 #[derive(Debug, Clone, Default)]
 struct RegionLoad {
-    rows: Vec<(Key, Cell)>,
-    /// The encoded bytes of all queued rows, which bound the block index
-    /// of the region's loaded run.
-    bytes: u64,
+    rows: LoadQueue,
     /// What the memstore would hold: the encoded bytes of the rows queued
     /// since the last replayed flush.
     memstore_bytes: u64,
@@ -834,12 +832,8 @@ impl SimStore for Cluster {
                 .resize_with(self.regions.len(), RegionLoad::default);
         }
         let threshold = self.regions.get(idx).lsm.config().memtable_flush_bytes;
-        let cell = Cell::live(value, ts);
         let load = &mut self.loading[idx];
-        let len = entry_encoded_len(&key, &cell);
-        load.bytes += len;
-        load.memstore_bytes += len;
-        load.rows.push((key, cell));
+        load.memstore_bytes += load.rows.push(&key, Cell::live(value, ts));
         if load.memstore_bytes >= threshold {
             let (prev, bytes) = (load.hfile, std::mem::take(&mut load.memstore_bytes));
             let hfile = self.replay_load_flush(idx, prev, bytes);
@@ -862,8 +856,8 @@ impl SimStore for Cluster {
             }
             if let Some((id, _)) = hfile {
                 let lsm = &mut self.regions.get_mut(idx).lsm;
-                let mut run = lsm.load_builder(load.rows.len(), load.bytes);
-                Segment::from_rows(load.rows, &mut [&mut run]);
+                let mut run = lsm.load_builder(load.rows.len(), load.rows.bytes());
+                Segment::from_queue(load.rows, &mut [&mut run]);
                 lsm.load(id, run);
             }
             self.flush_region_functional(idx);
@@ -1080,7 +1074,7 @@ mod tests {
         match r.result {
             OpResult::Rows(rows) => {
                 assert_eq!(rows.len(), 40);
-                let keys: Vec<_> = rows.iter().map(|(k, _)| k.clone()).collect();
+                let keys: Vec<_> = rows.iter().map(|(k, _)| Key::copy_from_slice(k)).collect();
                 assert_eq!(keys[0], key(20));
                 assert_eq!(keys[39], key(59));
                 let mut sorted = keys.clone();
@@ -1536,10 +1530,11 @@ mod tests {
                     .runs()
                     .iter()
                     .map(|t| {
-                        let rows = t.segments().iter().flat_map(Segment::entries);
+                        let rows = t.segments().iter().flat_map(|s| s.iter());
                         (
                             t.id(),
-                            rows.cloned().collect(),
+                            rows.map(|(k, c)| (Key::copy_from_slice(k), c.clone()))
+                                .collect(),
                             t.block_count(),
                             t.total_bytes(),
                         )
@@ -1635,7 +1630,7 @@ mod tests {
             }
             if let Some((id, _)) = hfile {
                 let lsm = &mut c.regions.get_mut(idx).lsm;
-                let segment = Segment::from_rows(load.rows, &mut []);
+                let segment = Segment::from_queue(load.rows, &mut []);
                 let mut run = storage::RunBuilder::new(segment.len(), lsm.config().block_size);
                 run.hold(segment);
                 lsm.load(id, run);

@@ -10,6 +10,7 @@
 //! * `memtable` — the in-memory sorted write buffer.
 //! * `wal` — the write-ahead/commit log with replay.
 //! * `bloom` — a bloom filter to skip sorted runs on reads.
+//! * [`Segment`] — the rows of runs: one key arena, offsets and cells.
 //! * [`sstable`] — immutable sorted runs with block structure and an index.
 //! * [`cache`] — an O(1) LRU block cache with hit/miss accounting.
 //! * [`merge`] — k-way merge with last-write-wins reconciliation.
@@ -40,6 +41,7 @@ pub mod lsm;
 mod memtable;
 pub mod merge;
 mod rows;
+mod segment;
 pub mod sstable;
 pub mod types;
 mod wal;
@@ -50,5 +52,6 @@ pub use io::{IoOp, IoPlan};
 pub use lsm::{LsmConfig, LsmTree};
 pub use memtable::Memtable;
 pub use rows::Rows;
-pub use sstable::{RunBuilder, Segment, SsTable, TableId};
+pub use segment::{LoadQueue, RowArena, Segment};
+pub use sstable::{RunBuilder, SsTable, TableId};
 pub use types::{Cell, Key, Timestamp, Value};

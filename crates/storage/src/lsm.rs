@@ -9,9 +9,10 @@ use crate::cache::{BlockCache, BlockKey, CacheStats};
 use crate::compaction::SizeTieredPolicy;
 use crate::io::{IoOp, IoPlan};
 use crate::memtable::{self, Memtable};
-use crate::merge::{clone_winners, Head, Merge, Pulled};
+use crate::merge::{Merge, Pulled};
 use crate::rows::{Loc, Rows};
-use crate::sstable::{key_prefix, RunBuilder, Segment, SsTable, TableId};
+use crate::segment::{RowArena, Segment};
+use crate::sstable::{RunBuilder, SsTable, TableId};
 use crate::types::{Cell, Key};
 use crate::wal::WriteAheadLog;
 
@@ -93,9 +94,8 @@ pub struct CompactionReceipt {
 
 /// A merge's position in one SSTable run: entries `from..` are the part of
 /// the run the merge reads (for a scan, at or after its start key), entries
-/// `from..next` what it has pulled so far. Yields each entry with its
-/// prefix from its segment's prefix array and its index in the run,
-/// stepping from one segment to the next.
+/// `from..next` what it has pulled so far. Yields each entry with its index
+/// in the run, stepping from one segment to the next.
 struct RunCursor<'a> {
     segments: &'a [Segment],
     /// The segment holding the last entry pulled (the first entry's
@@ -124,9 +124,8 @@ impl<'a> RunCursor<'a> {
     /// one pending head beyond `end`. The last entry pulled is the one
     /// before `at`: segments are never empty, so the cursor steps into one
     /// only to pull from it.
-    fn walked(&self, end: &Key) -> std::ops::Range<usize> {
-        let pending =
-            self.next > self.from && self.segments[self.segment].entries()[self.at - 1].0 > *end;
+    fn walked(&self, end: &[u8]) -> std::ops::Range<usize> {
+        let pending = self.next > self.from && self.segments[self.segment].key(self.at - 1) > end;
         self.from..self.next - usize::from(pending)
     }
 
@@ -153,12 +152,10 @@ impl<'a> Iterator for RunCursor<'a> {
             rows = self.segments.get(self.segment + 1)?;
             (self.segment, self.at) = (self.segment + 1, 0);
         }
-        let row = &rows.entries()[self.at];
-        let prefix = rows.prefixes()[self.at];
-        let index = self.next as u32;
+        let pulled = (rows.key(self.at), rows.cell(self.at), self.next as u32);
         self.at += 1;
         self.next += 1;
-        Some((prefix, row, index))
+        Some(pulled)
     }
 }
 
@@ -170,38 +167,31 @@ enum ScanSource<'a> {
     Run(RunCursor<'a>),
 }
 
-impl<'a> ScanSource<'a> {
-    /// Where the row the merge emitted as `won` lives: a memtable row is
-    /// owned by no segment.
-    fn locate(&self, won: &Head<'a>) -> Loc<'a> {
-        match self {
-            ScanSource::Mem(_) => Loc::Owned(won.row),
-            ScanSource::Run(cur) => cur.locate(won.index),
-        }
-    }
-}
-
 impl<'a> Iterator for ScanSource<'a> {
     type Item = Pulled<'a>;
 
     fn next(&mut self) -> Option<Pulled<'a>> {
         match self {
-            // The memtable keeps no prefix per row (its B-tree is keyed by
-            // prefix per slot), so each row's is computed as it is pulled.
-            // A memtable row is never located by index.
-            ScanSource::Mem(it) => it.next().map(|row| (key_prefix(&row.0), row, 0)),
+            // A memtable row is never located by index, but by its key.
+            ScanSource::Mem(it) => it.next().map(|(key, cell)| (key.as_ref(), cell, 0)),
             ScanSource::Run(cur) => cur.next(),
         }
     }
 }
 
-/// The compaction merge: a streaming merge straight over the runs' entries
-/// and prefix arrays, so keys are read only on a prefix tie, cloning
-/// (refcount-bumping) only each key's surviving winner.
-fn merge_tables(tables: &[SsTable], drop_tombstones: bool) -> Vec<(Key, Cell)> {
-    let total = tables.iter().map(SsTable::len).sum();
-    let sources = tables.iter().map(|t| RunCursor::new(t, 0)).collect();
-    clone_winners(Merge::new(sources), total, drop_tombstones)
+/// The compaction merge: the runs' winners copied into one new segment,
+/// its arena sized exactly by a first pass that counts them.
+fn merge_tables(tables: &[SsTable], drop_tombstones: bool) -> Segment {
+    let winners = || {
+        let sources = tables.iter().map(|t| RunCursor::new(t, 0)).collect();
+        Merge::new(sources).filter(move |won| !(drop_tombstones && won.cell.is_tombstone()))
+    };
+    let (rows, key_bytes) = winners().fold((0, 0), |(n, b), won| (n + 1, b + won.key.len()));
+    let mut out = RowArena::with_capacity(rows, key_bytes);
+    for won in winners() {
+        out.push(won.key, won.cell.clone());
+    }
+    Segment::sorted(out)
 }
 
 /// A single replica's LSM storage engine.
@@ -298,7 +288,7 @@ impl LsmTree {
         // Search first, bloom only on a miss. A present key always passes
         // the bloom filter, so probing it up front spends k scattered bit
         // reads to learn nothing on the common read-mostly path; the index
-        // and block searches run over the table's flat prefix arrays. The
+        // search runs over the table's flat prefix arrays. The
         // observable effects — io plan, cache state, returned cell — are
         // identical to bloom-first order: the simulated block read happens
         // exactly when the bloom filter would have admitted the key.
@@ -346,8 +336,8 @@ impl LsmTree {
     /// keys in `[start, last merged key]`.
     pub fn scan(&mut self, start: &[u8], limit: usize) -> ScanResult {
         let mut rows = Rows::with_capacity(limit);
-        let io = self.walk_range(start, limit, |row, loc| {
-            if !row.1.is_tombstone() {
+        let io = self.walk_range(start, limit, |_, cell, loc| {
+            if !cell.is_tombstone() {
                 rows.push(loc);
             }
         });
@@ -360,7 +350,7 @@ impl LsmTree {
     /// shadows an older version another one returns.
     pub fn scan_page(&mut self, start: &[u8], limit: usize) -> ScanResult {
         let mut rows = Rows::with_capacity(limit);
-        let io = self.walk_range(start, limit, |_, loc| rows.push(loc));
+        let io = self.walk_range(start, limit, |_, _, loc| rows.push(loc));
         ScanResult { rows, io }
     }
 
@@ -376,8 +366,8 @@ impl LsmTree {
         end: Option<&[u8]>,
     ) -> (usize, IoPlan) {
         let mut below = 0;
-        let io = self.walk_range(start, limit, |(key, _), _| {
-            below += usize::from(end.is_none_or(|end| key.as_ref() < end));
+        let io = self.walk_range(start, limit, |key, _, _| {
+            below += usize::from(end.is_none_or(|end| key < end));
         });
         (below, io)
     }
@@ -389,7 +379,7 @@ impl LsmTree {
         &mut self,
         start: &[u8],
         limit: usize,
-        mut emit: impl FnMut(&(Key, Cell), Loc<'_>),
+        mut emit: impl FnMut(&[u8], &Cell, Loc<'_>),
     ) -> IoPlan {
         let Self {
             cache,
@@ -404,14 +394,18 @@ impl LsmTree {
         }
         let mut merge = Merge::new(sources);
         let mut live = 0;
-        let mut last_key: Option<&Key> = None;
+        let mut last_key: Option<&[u8]> = None;
         while live < limit {
             let Some(won) = merge.next() else {
                 break;
             };
-            last_key = Some(&won.row.0);
-            live += usize::from(!won.row.1.is_tombstone());
-            emit(won.row, merge.sources()[won.source as usize].locate(&won));
+            last_key = Some(won.key);
+            live += usize::from(!won.cell.is_tombstone());
+            let loc = match &merge.sources()[won.source as usize] {
+                ScanSource::Mem(_) => Loc::Buffered(memtable, won.key),
+                ScanSource::Run(cur) => cur.locate(won.index),
+            };
+            emit(won.key, won.cell, loc);
         }
         let mut io = IoPlan::new();
         if let Some(end) = last_key {
@@ -465,15 +459,17 @@ impl LsmTree {
     }
 
     /// Flush the memtable into a new SSTable. Returns `None` when there is
-    /// nothing to flush. The memtable's entries move into the new run —
-    /// frozen in place, never copied.
+    /// nothing to flush. The memtable drains straight into the new run's
+    /// segment, and its block index is reserved for the memtable's bytes,
+    /// so a flush allocates the same few buffers whatever its size.
     pub fn flush(&mut self) -> Option<FlushReceipt> {
         if self.memtable.is_empty() {
             return None;
         }
         let watermark = self.wal.last_seq();
-        let entries = self.memtable.drain_sorted();
-        let table = self.build_run(entries);
+        let bytes = self.memtable.bytes();
+        let segment = self.memtable.drain();
+        let table = self.build_run(segment, bytes);
         let (id, bytes) = self.push_run(table);
         self.wal.truncate_through(watermark);
         let compaction_due = self.config.compaction.pick(&self.sizes).is_some();
@@ -519,10 +515,12 @@ impl LsmTree {
         (id, bytes)
     }
 
-    /// A run of `entries` under the next table id.
-    fn build_run(&mut self, entries: Vec<(Key, Cell)>) -> SsTable {
-        let id = self.reserve_table_id();
-        SsTable::build(id, entries, self.config.block_size)
+    /// A run holding `segment`, whose rows encode to at most `bytes`
+    /// bytes, under the next table id.
+    fn build_run(&mut self, segment: Segment, bytes: u64) -> SsTable {
+        let mut run = self.load_builder(segment.len(), bytes);
+        run.hold(segment);
+        run.finish(self.reserve_table_id())
     }
 
     /// Take the next table id: the one the next flush, compaction or load
@@ -556,7 +554,7 @@ impl LsmTree {
         }
         // Tombstones can only be dropped when no older run might still hold
         // a shadowed value.
-        let output = self.build_run(merge_tables(&consumed, major));
+        let output = self.build_run(merge_tables(&consumed, major), read_bytes);
         let (id, write_bytes) = (output.id(), output.total_bytes());
         for t in &consumed {
             self.cache.invalidate_table(t.id());
@@ -581,7 +579,7 @@ impl LsmTree {
         }
         let inputs: Vec<TableId> = self.tables.iter().map(|t| t.id()).collect();
         let read_bytes: u64 = self.tables.iter().map(|t| t.total_bytes()).sum();
-        let output = self.build_run(merge_tables(&self.tables, true));
+        let output = self.build_run(merge_tables(&self.tables, true), read_bytes);
         let (id, write_bytes) = (output.id(), output.total_bytes());
         for t in &self.tables {
             self.cache.invalidate_table(t.id());
@@ -602,11 +600,14 @@ impl LsmTree {
         self.wal.sync()
     }
 
-    /// Simulate a crash-restart: the memtable is lost and rebuilt from the
-    /// WAL; SSTables and cache contents survive (the cache is cold in a real
-    /// restart, but residency is a performance matter handled by callers).
+    /// Simulate a crash-restart: the memtable is lost, and so is every WAL
+    /// entry past the last [`LsmTree::sync_wal`]; the memtable is rebuilt
+    /// from the synced entries left. SSTables and cache contents survive
+    /// (the cache is cold in a real restart, but residency is a performance
+    /// matter handled by callers).
     pub fn recover(&mut self) {
         self.memtable = Memtable::new();
+        self.wal.lose_unsynced();
         let Self { wal, memtable, .. } = self;
         for e in wal.replay() {
             memtable.insert(e.key.clone(), e.cell.clone());
@@ -801,7 +802,7 @@ mod tests {
         let row25 = s
             .rows
             .iter()
-            .find(|(key, _)| key == &k("user000025"))
+            .find(|(key, _)| *key == b"user000025")
             .unwrap();
         assert_eq!(row25.1.ts, 2);
     }
@@ -818,10 +819,10 @@ mod tests {
             tree.put(k(&format!("user{i:06}")), Cell::tombstone(2));
         }
         let s = tree.scan(b"user000005", 20);
-        let got: Vec<_> = s.rows.iter().map(|(key, _)| key.clone()).collect();
+        let got: Vec<_> = s.rows.iter().map(|(key, _)| key.to_vec()).collect();
         let want: Vec<_> = (5..10)
             .chain(55..70)
-            .map(|i| k(&format!("user{i:06}")))
+            .map(|i| format!("user{i:06}").into_bytes())
             .collect();
         assert_eq!(got, want);
     }
@@ -888,7 +889,7 @@ mod tests {
         let mut tree = LsmTree::new(small_config());
         let id = tree.reserve_table_id();
         let mut run = tree.load_builder(0, 0);
-        Segment::from_rows(Vec::new(), &mut [&mut run]);
+        Segment::from_queue(Default::default(), &mut [&mut run]);
         tree.load(id, run);
         assert_eq!(tree.table_count(), 0);
         assert_eq!(tree.get(b"a").io.bloom_skips(), 0);
@@ -906,17 +907,17 @@ mod tests {
     }
 
     #[test]
-    fn wal_recovery_restores_unflushed_writes() {
+    fn wal_recovery_restores_synced_writes_only() {
         let mut tree = LsmTree::new(small_config());
         fill(&mut tree, 0..30, 1);
         tree.flush();
-        fill(&mut tree, 30..40, 2); // unflushed
+        fill(&mut tree, 30..40, 2); // unflushed, synced
+        tree.sync_wal();
+        fill(&mut tree, 40..45, 3); // unflushed, unsynced
         tree.recover();
-        for i in 0..40 {
-            assert!(
-                tree.get(format!("user{i:06}").as_bytes()).cell.is_some(),
-                "key {i} lost in recovery"
-            );
+        for i in 0..45 {
+            let found = tree.get(format!("user{i:06}").as_bytes()).cell.is_some();
+            assert_eq!(found, i < 40, "key {i} after recovery");
         }
     }
 

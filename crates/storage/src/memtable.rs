@@ -7,6 +7,7 @@
 
 use std::collections::btree_map::{self, BTreeMap, Entry};
 
+use crate::segment::{RowArena, Segment};
 use crate::sstable::{key_prefix, KeyPrefix};
 use crate::types::{entry_encoded_len, Cell, Key};
 
@@ -63,6 +64,8 @@ pub struct Memtable {
     slots: BTreeMap<KeyPrefix, Slot>,
     /// Rows across all slots.
     len: usize,
+    /// Key bytes across all slots: what a flush's arena holds.
+    key_bytes: usize,
     bytes: u64,
 }
 
@@ -78,6 +81,7 @@ impl Memtable {
         let delta = match self.slots.entry(key_prefix(&key)) {
             Entry::Vacant(v) => {
                 let len = entry_encoded_len(&key, &cell) as i64;
+                self.key_bytes += key.len();
                 v.insert(Slot::One((key, cell)));
                 self.len += 1;
                 len
@@ -95,6 +99,7 @@ impl Memtable {
                     }
                     None => {
                         let len = entry_encoded_len(&key, &cell) as i64;
+                        self.key_bytes += key.len();
                         slot.add(key, cell);
                         self.len += 1;
                         len
@@ -108,9 +113,14 @@ impl Memtable {
 
     /// Look up the newest cell for `key`, if buffered here.
     pub fn get(&self, key: &[u8]) -> Option<&Cell> {
+        self.row(key).map(|(_, cell)| cell)
+    }
+
+    /// The row of `key`, if buffered here.
+    pub(crate) fn row(&self, key: &[u8]) -> Option<&(Key, Cell)> {
         let rows = self.slots.get(&key_prefix(key))?.rows();
         let at = rows.binary_search_by(|(k, _)| k.as_ref().cmp(key)).ok()?;
-        Some(&rows[at].1)
+        Some(&rows[at])
     }
 
     /// Iterate entries with key >= `start`, in key order. The concrete
@@ -145,19 +155,18 @@ impl Memtable {
         self.bytes
     }
 
-    /// Freeze and drain the table, returning its entries in key order.
-    /// The memtable is empty afterwards.
-    pub fn drain_sorted(&mut self) -> Vec<(Key, Cell)> {
-        let mut rows = Vec::with_capacity(self.len);
+    /// Freeze and drain the table into a segment of its rows, each key
+    /// copied into an exactly sized arena. The memtable is empty afterwards.
+    pub fn drain(&mut self) -> Segment {
+        let mut rows = RowArena::with_capacity(self.len, self.key_bytes);
         for slot in std::mem::take(&mut self.slots).into_values() {
             match slot {
-                Slot::One(row) => rows.push(row),
-                Slot::Many(many) => rows.extend(many),
+                Slot::One((key, cell)) => rows.push(&key, cell),
+                Slot::Many(many) => many.into_iter().for_each(|(k, c)| rows.push(&k, c)),
             }
         }
-        self.len = 0;
-        self.bytes = 0;
-        rows
+        *self = Self::default();
+        Segment::sorted(rows)
     }
 }
 
@@ -258,9 +267,12 @@ mod tests {
         let mut m = Memtable::new();
         m.insert(k("b"), live("2", 1));
         m.insert(k("a"), live("1", 1));
-        let drained = m.drain_sorted();
+        m.insert(k("a"), live("3", 2));
+        let drained = m.drain();
         assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].0, k("a"));
+        assert_eq!(drained.key(0), b"a");
+        assert_eq!(drained.cell(0), &live("3", 2));
+        assert_eq!(drained.key_bytes(0, 2), 2);
         assert!(m.is_empty());
         assert_eq!(m.bytes(), 0);
     }

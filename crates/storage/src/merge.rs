@@ -6,14 +6,13 @@
 //! be sorted by key and unique per key; across sources, duplicate keys are
 //! reconciled with [`Cell::newer`].
 //!
-//! The merge runs over *borrowed* rows: it yields `&(Key, Cell)` straight
-//! out of its sources, so neither a scan, a compaction nor a reconcile ever
-//! materialises owned copies of its inputs. Each winner comes out with the
-//! source it won in and its index there, so a scan can hand out a range of
-//! the immutable segment that holds it ([`crate::Rows`]) instead of a copy
-//! of the row; only compaction, which builds a new run, clones its winners
-//! — and with `Bytes`-backed keys/values a clone is a refcount bump, never
-//! a byte copy.
+//! The merge runs over *borrowed* rows: it yields each key as a `&[u8]`
+//! and its cell as a `&Cell` straight out of its sources, so neither a
+//! scan, a compaction nor a reconcile ever materialises owned copies of its
+//! inputs. Each winner comes out with the source it won in and its index
+//! there, so a scan can hand out a range of the immutable segment that
+//! holds it ([`crate::Rows`]) instead of a copy of the row, and a
+//! compaction copies each winner's key into its output's arena.
 //!
 //! The merge advances by **replace-top**: the smallest head is overwritten
 //! in place with its own source's next entry and sifted down once, instead
@@ -22,37 +21,30 @@
 //! key comparisons per entry, with two it is one — and a range scan is
 //! almost always a two-source merge (memtable + one compacted run).
 //!
-//! ## How heads are ordered
-//!
-//! Every source yields a `Pulled` entry: the row, the row's [`KeyPrefix`]
-//! (its first 16 key bytes as a big-endian integer) and the row's index in
-//! the source. Run-backed sources read the prefix from the segment's flat
-//! prefix array; the others compute it once per row pulled, never once per
-//! compare. Heads are ordered by that prefix, then — only when two prefixes
-//! tie — by full key, then by source index. Prefix order with a full-key
-//! tie-break is exactly key order (see [`crate::sstable::cmp_via_prefix`]),
-//! so the merge emits what a `(key, source)` order would, while a sift-down
-//! compares integers held in the heap instead of chasing every key onto its
-//! own allocation. The duplicate check compares prefixes first as well.
+//! Heads are ordered by key, then by source index. A key compare is one
+//! integer compare of the keys' first 16 bytes (a
+//! [`crate::sstable::KeyPrefix`]) unless those tie, and a run's keys lie
+//! back to back in its segment's arena ([`crate::Segment`]), so it reads
+//! contiguous memory.
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
-use crate::sstable::{key_prefix, KeyPrefix};
+use crate::sstable::{cmp_via_prefix, key_prefix};
 use crate::types::{Cell, Key};
 
-/// One row a merge source yields: its key's prefix, the row, and its index
-/// in the source.
-pub(crate) type Pulled<'a> = (KeyPrefix, &'a (Key, Cell), u32);
+/// One row a merge source yields: its key, its cell and its index in the
+/// source.
+pub(crate) type Pulled<'a> = (&'a [u8], &'a Cell, u32);
 
-/// A row pulled from one source: 32 bytes, the prefix, one pointer, the
-/// `u32` source and the row's `u32` index in it. The heap holds each
+/// A row pulled from one source: 32 bytes, the key slice, the cell pointer,
+/// the `u32` source and the row's `u32` index in it. The heap holds each
 /// source's smallest not-yet-emitted row as one; the merge emits each key's
 /// winning version as one.
 pub(crate) struct Head<'a> {
-    pub(crate) prefix: KeyPrefix,
-    pub(crate) row: &'a (Key, Cell),
+    pub(crate) key: &'a [u8],
+    pub(crate) cell: &'a Cell,
     pub(crate) source: u32,
     pub(crate) index: u32,
 }
@@ -70,13 +62,11 @@ impl PartialOrd for Head<'_> {
 }
 impl Ord for Head<'_> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap by key (reverse for BinaryHeap): prefix first, full key
-        // only on a prefix tie. The source index only breaks ties for
-        // determinism; reconciliation handles the semantics.
-        other
-            .prefix
-            .cmp(&self.prefix)
-            .then_with(|| other.row.0.cmp(&self.row.0))
+        // Min-heap by key (reverse for BinaryHeap), one integer compare of
+        // the padded prefixes unless they tie. The source index only breaks
+        // ties for determinism; reconciliation handles the semantics.
+        let (a, b) = (other.key, self.key);
+        cmp_via_prefix(key_prefix(a), a, key_prefix(b), b)
             .then_with(|| other.source.cmp(&self.source))
     }
 }
@@ -93,14 +83,14 @@ pub(crate) struct Merge<'a, I> {
 
 impl<'a, I: Iterator<Item = Pulled<'a>>> Merge<'a, I> {
     /// Build a merge over `sources`; each must yield strictly increasing
-    /// keys, each with its own [`key_prefix`].
+    /// keys.
     pub(crate) fn new(mut sources: Vec<I>) -> Self {
         let mut heap = BinaryHeap::with_capacity(sources.len());
         for (source, it) in (0u32..).zip(sources.iter_mut()) {
-            if let Some((prefix, row, index)) = it.next() {
+            if let Some((key, cell, index)) = it.next() {
                 heap.push(Head {
-                    prefix,
-                    row,
+                    key,
+                    cell,
                     source,
                     index,
                 });
@@ -124,11 +114,11 @@ impl<'a, I: Iterator<Item = Pulled<'a>>> Merge<'a, I> {
         let mut top = self.heap.peek_mut()?;
         let source = top.source;
         Some(match self.sources[source as usize].next() {
-            Some((prefix, row, index)) => std::mem::replace(
+            Some((key, cell, index)) => std::mem::replace(
                 &mut *top,
                 Head {
-                    prefix,
-                    row,
+                    key,
+                    cell,
                     source,
                     index,
                 },
@@ -145,15 +135,16 @@ impl<'a, I: Iterator<Item = Pulled<'a>>> Iterator for Merge<'a, I> {
         let mut won = self.take_top()?;
         // Fold in every other source's version of the same key; losers are
         // skipped without ever being cloned.
+        let (key, prefix) = (won.key, key_prefix(won.key));
         while self
             .heap
             .peek()
-            .is_some_and(|top| top.prefix == won.prefix && top.row.0 == won.row.0)
+            .is_some_and(|top| key_prefix(top.key) == prefix && top.key == key)
         {
             let Some(dup) = self.take_top() else {
                 break;
             };
-            if !std::ptr::eq(Cell::newer(&won.row.1, &dup.row.1), &won.row.1) {
+            if !std::ptr::eq(Cell::newer(won.cell, dup.cell), won.cell) {
                 won = dup;
             }
         }
@@ -161,11 +152,11 @@ impl<'a, I: Iterator<Item = Pulled<'a>>> Iterator for Merge<'a, I> {
     }
 }
 
-/// `rows` as a merge source: each row with its computed prefix and index.
+/// `rows` as a merge source: each row with its index.
 pub(crate) fn pull_from(rows: &[(Key, Cell)]) -> impl Iterator<Item = Pulled<'_>> {
     (0u32..)
         .zip(rows)
-        .map(|(index, row)| (key_prefix(&row.0), row, index))
+        .map(|(index, (key, cell))| (key.as_ref(), cell, index))
 }
 
 /// Streaming merge of borrowed sorted runs into one reconciled, sorted
@@ -176,25 +167,11 @@ pub(crate) fn pull_from(rows: &[(Key, Cell)]) -> impl Iterator<Item = Pulled<'_>
 pub fn merge_runs(runs: &[&[(Key, Cell)]], drop_tombstones: bool) -> Vec<(Key, Cell)> {
     let total = runs.iter().map(|r| r.len()).sum();
     let sources = runs.iter().map(|r| pull_from(r)).collect();
-    clone_winners(Merge::new(sources), total, drop_tombstones)
-}
-
-/// The winners of a merge, cloned (refcount bumps) into a vector sized for
-/// `total` entries, without tombstones if `drop_tombstones`.
-pub(crate) fn clone_winners<'a, I>(
-    merge: Merge<'a, I>,
-    total: usize,
-    drop_tombstones: bool,
-) -> Vec<(Key, Cell)>
-where
-    I: Iterator<Item = Pulled<'a>>,
-{
     let mut out = Vec::with_capacity(total);
-    for won in merge {
-        if drop_tombstones && won.row.1.is_tombstone() {
-            continue;
+    for won in Merge::new(sources) {
+        if !(drop_tombstones && won.cell.is_tombstone()) {
+            out.push(runs[won.source as usize][won.index as usize].clone());
         }
-        out.push(won.row.clone());
     }
     out
 }
@@ -300,7 +277,13 @@ mod tests {
         ];
         let sources: Vec<_> = runs.iter().map(|r| pull_from(r)).collect();
         let got: Vec<_> = Merge::new(sources)
-            .map(|w| (w.row.clone(), w.source, w.index))
+            .map(|w| {
+                (
+                    (Key::copy_from_slice(w.key), w.cell.clone()),
+                    w.source,
+                    w.index,
+                )
+            })
             .collect();
         assert_eq!(
             got,

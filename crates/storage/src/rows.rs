@@ -3,15 +3,16 @@
 //! A run's rows live in immutable [`Segment`]s behind an `Arc`, so a scan
 //! need not copy the rows it returns: [`Rows`] holds *pieces*, each either
 //! a `(segment, from, to)` range of one segment or one owned row (a
-//! memtable row, which no segment holds). A row from the same segment right
-//! after the previous one extends the last piece, so a scan over one run
-//! costs one `Arc` clone in all, not two refcount increments per row, and
-//! dropping the result one decrement per piece. Segments never change, so
-//! a result is a snapshot: later writes, flushes and compactions cannot
+//! memtable row, which no segment holds). A live row from the same segment
+//! right after the previous one extends the last piece, so a scan over one
+//! run costs one `Arc` clone in all, not two refcount increments per row,
+//! and dropping the result one decrement per piece. Segments never change,
+//! so a result is a snapshot: later writes, flushes and compactions cannot
 //! alter it.
 
+use crate::memtable::Memtable;
 use crate::merge::{Merge, Pulled};
-use crate::sstable::{cmp_via_prefix, key_prefix, KeyPrefix, Segment};
+use crate::segment::Segment;
 use crate::types::{entry_encoded_len, Cell, Key};
 
 /// Where one row a merge emitted lives.
@@ -21,6 +22,8 @@ pub(crate) enum Loc<'a> {
     Shared(&'a Segment, u32),
     /// A row no segment holds: a result keeps a copy of it.
     Owned(&'a (Key, Cell)),
+    /// The memtable's row of a key, found only when a result keeps it.
+    Buffered(&'a Memtable, &'a [u8]),
 }
 
 /// One stretch of a [`Rows`]: never empty.
@@ -37,13 +40,6 @@ enum Piece {
 }
 
 impl Piece {
-    fn rows(&self) -> &[(Key, Cell)] {
-        match self {
-            Piece::Shared { segment, from, to } => &segment.entries()[*from as usize..*to as usize],
-            Piece::Owned(row) => std::slice::from_ref(row),
-        }
-    }
-
     fn len(&self) -> usize {
         match self {
             Piece::Shared { from, to, .. } => (to - from) as usize,
@@ -51,19 +47,31 @@ impl Piece {
         }
     }
 
-    /// The key prefix of row `i`: from the segment's prefix array, or
-    /// computed for an owned row.
-    fn prefix(&self, i: usize) -> KeyPrefix {
+    fn key(&self, i: usize) -> &[u8] {
         match self {
-            Piece::Shared { segment, from, .. } => segment.prefixes()[*from as usize + i],
-            Piece::Owned(row) => key_prefix(&row.0),
+            Piece::Shared { segment, from, .. } => segment.key(*from as usize + i),
+            Piece::Owned((key, _)) => key,
         }
     }
 
-    /// True when row `i` sorts below `end`, whose prefix is `target`: a
-    /// full key is read only on a prefix tie.
-    fn below(&self, i: usize, target: KeyPrefix, end: &[u8]) -> bool {
-        cmp_via_prefix(self.prefix(i), &self.rows()[i].0, target, end).is_lt()
+    fn cell(&self, i: usize) -> &Cell {
+        match self {
+            Piece::Shared { segment, from, .. } => segment.cell(*from as usize + i),
+            Piece::Owned((_, cell)) => cell,
+        }
+    }
+
+    /// The encoded size of the piece's rows: for a range of a segment, its
+    /// key bytes in one subtraction plus each cell's size.
+    fn encoded_len(&self) -> u64 {
+        match self {
+            Piece::Shared { segment, from, to } => {
+                let (from, to) = (*from as usize, *to as usize);
+                let cells: u64 = (from..to).map(|i| segment.cell(i).encoded_len() + 8).sum();
+                segment.key_bytes(from, to) + cells
+            }
+            Piece::Owned((key, cell)) => entry_encoded_len(key, cell),
+        }
     }
 
     fn loc(&self, i: u32) -> Loc<'_> {
@@ -87,9 +95,10 @@ impl Piece {
 /// A result handed to a client holds only live rows; a cstore replica's
 /// page also carries the tombstones it walked, for the coordinator's
 /// reconcile ([`Rows::reconcile`]). A tombstone is always a piece of its
-/// own, so a page's tombstones are counted per piece, not per row, and a
-/// `Rows` is one vector wide: no wider than the row vector it replaced in
-/// every message, completion and buffer that holds one.
+/// own — a one-row range of its segment, or an owned memtable row — so a
+/// page's tombstones are counted per piece, not per row, and a `Rows` is
+/// one vector wide: no wider than the row vector it replaced in every
+/// message, completion and buffer that holds one.
 #[derive(Clone, Default)]
 pub struct Rows {
     pieces: Vec<Piece>,
@@ -104,15 +113,16 @@ impl Rows {
     }
 
     /// Add the row at `loc`, which sorts above every row held: one more
-    /// entry of the last piece when it is a live segment entry right after
-    /// that piece, else a new piece.
+    /// entry of the last piece when both it and the last piece's rows are
+    /// live and it is the segment entry right after that piece, else a new
+    /// piece.
     pub(crate) fn push(&mut self, loc: Loc<'_>) {
         match (loc, self.pieces.last_mut()) {
-            (Loc::Shared(held, at), _) if held.entries()[at as usize].1.is_tombstone() => self
-                .pieces
-                .push(Piece::Owned(held.entries()[at as usize].clone())),
             (Loc::Shared(held, at), Some(Piece::Shared { segment, to, .. }))
-                if *to == at && segment.shares_storage_with(held) =>
+                if *to == at
+                    && segment.shares_storage_with(held)
+                    && !held.cell(at as usize - 1).is_tombstone()
+                    && !held.cell(at as usize).is_tombstone() =>
             {
                 *to += 1
             }
@@ -122,6 +132,10 @@ impl Rows {
                 to: at + 1,
             }),
             (Loc::Owned(row), _) => self.pieces.push(Piece::Owned(row.clone())),
+            (Loc::Buffered(memtable, key), _) => match memtable.row(key) {
+                Some(row) => self.pieces.push(Piece::Owned(row.clone())),
+                None => unreachable!("a scan emits only rows its memtable holds"),
+            },
         }
     }
 
@@ -135,33 +149,25 @@ impl Rows {
         self.pieces.is_empty()
     }
 
-    /// Number of tombstones: the owned pieces that are one.
+    /// Number of tombstones: the one-row pieces that are one.
     fn tombstones(&self) -> usize {
         self.pieces
             .iter()
-            .filter(|piece| matches!(piece, Piece::Owned((_, cell)) if cell.is_tombstone()))
+            .filter(|piece| piece.len() == 1 && piece.cell(0).is_tombstone())
             .count()
     }
 
     /// The rows in key order.
-    pub fn iter(&self) -> impl Iterator<Item = &(Key, Cell)> + '_ {
-        self.pieces.iter().flat_map(Piece::rows)
+    pub fn iter(&self) -> impl Iterator<Item = (&[u8], &Cell)> + '_ {
+        (self.pieces.iter()).flat_map(|p| (0..p.len()).map(move |i| (p.key(i), p.cell(i))))
     }
 
     /// The encoded size of all rows ([`entry_encoded_len`] summed): what
-    /// they add to a message on the wire. One tight loop per piece, so the
-    /// key-length loads, which are independent, overlap.
+    /// they add to a message on the wire. A piece's keys lie back to back
+    /// in its segment's arena, so their bytes cost one subtraction; only the
+    /// cells are read row by row.
     pub fn encoded_len(&self) -> u64 {
-        self.pieces
-            .iter()
-            .map(|piece| {
-                piece
-                    .rows()
-                    .iter()
-                    .map(|(key, cell)| entry_encoded_len(key, cell))
-                    .sum::<u64>()
-            })
-            .sum()
+        self.pieces.iter().map(Piece::encoded_len).sum()
     }
 
     /// Keep the first `n` rows.
@@ -184,22 +190,19 @@ impl Rows {
         self.pieces.truncate(keep);
     }
 
-    /// Keep the rows that sort below `end`. Rows are compared through key
-    /// prefixes, from the segments' prefix arrays where they have them: a
-    /// full key is read only on a prefix tie, and when every row is below
-    /// `end` only the last one is compared.
+    /// Keep the rows that sort below `end`. When every row is below `end`
+    /// only the last one is compared.
     pub fn clamp(&mut self, end: &[u8]) {
-        let target = key_prefix(end);
         while let Some(piece) = self.pieces.last_mut() {
             let n = piece.len();
-            if piece.below(n - 1, target, end) {
+            if piece.key(n - 1) < end {
                 return;
             }
             // The piece's rows below `end` are a prefix of it.
             let (mut lo, mut hi) = (0, n - 1);
             while lo < hi {
                 let mid = lo + (hi - lo) / 2;
-                if piece.below(mid, target, end) {
+                if piece.key(mid) < end {
                     lo = mid + 1;
                 } else {
                     hi = mid;
@@ -252,29 +255,22 @@ impl Rows {
             .iter()
             .filter(|page| page.len() - page.tombstones() == limit)
             .filter_map(|page| page.pieces.last())
-            .map(|piece| {
-                (
-                    piece.prefix(piece.len() - 1),
-                    &piece.rows()[piece.len() - 1].0,
-                )
-            })
-            .min_by(|a, b| cmp_via_prefix(a.0, a.1, b.0, b.1));
+            .map(|piece| piece.key(piece.len() - 1))
+            .min();
         let longest = pages.iter().map(Rows::len).max().unwrap_or(0);
         let mut out = Rows::with_capacity(longest);
         let mut merge = Merge::new(pages.iter().map(PageCursor::new).collect());
         while let Some(won) = merge.next() {
-            if cut.is_some_and(|(prefix, key)| {
-                cmp_via_prefix(won.prefix, &won.row.0, prefix, key).is_gt()
-            }) {
+            if cut.is_some_and(|cut| won.key > cut) {
                 break;
             }
-            if !won.row.1.is_tombstone() {
+            if !won.cell.is_tombstone() {
                 out.push(merge.sources()[won.source as usize].locate(won.index));
             }
         }
         let resume = cut
             .filter(|_| out.len() < limit)
-            .map(|(_, key)| Key::from([key.as_ref(), &[0]].concat()));
+            .map(|key| Key::from([key, &[0]].concat()));
         drop(merge);
         pages.clear();
         (out, resume)
@@ -294,8 +290,7 @@ impl std::fmt::Debug for Rows {
 }
 
 /// A merge source over one page of a [`Rows`]: yields each row with its
-/// prefix and its index in the page, and finds any row pulled so far again
-/// as a [`Loc`].
+/// index in the page, and finds any row pulled so far again as a [`Loc`].
 struct PageCursor<'a> {
     pieces: &'a [Piece],
     /// The piece holding the last row pulled (the first piece before any),
@@ -339,13 +334,14 @@ impl<'a> Iterator for PageCursor<'a> {
         }
         let at = self.at;
         self.at += 1;
-        Some((piece.prefix(at), &piece.rows()[at], self.base + at as u32))
+        Some((piece.key(at), piece.cell(at), self.base + at as u32))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::tests::from_sorted;
     use bytes::Bytes;
 
     #[test]
@@ -367,13 +363,13 @@ mod tests {
 
     #[test]
     fn contiguous_entries_of_one_segment_share_a_piece() {
-        let segment = Segment::sorted(vec![
+        let segment = from_sorted(vec![
             row("a", 1, true),
             row("b", 1, true),
             row("c", 1, false),
             row("d", 1, true),
         ]);
-        let other = Segment::sorted(vec![row("e", 1, true)]);
+        let other = from_sorted(vec![row("e", 1, true)]);
         let mem = row("da", 2, true);
         let mut rows = Rows::with_capacity(4);
         rows.push(Loc::Shared(&segment, 0));
@@ -383,15 +379,21 @@ mod tests {
         rows.push(Loc::Owned(&mem));
         rows.push(Loc::Shared(&other, 0));
         assert_eq!(rows.pieces.len(), 4);
-        let keys: Vec<_> = rows.iter().map(|(k, _)| k.as_ref().to_vec()).collect();
+        let keys: Vec<_> = rows.iter().map(|(k, _)| k.to_vec()).collect();
         assert_eq!(keys, [&b"a"[..], b"b", b"d", b"da", b"e"]);
         assert_eq!(rows.len(), 5);
-        // A tombstone is a piece of its own, and the entry after it another.
+        // A tombstone is a piece of its own, a range of its segment, and
+        // the entry after it another.
         let mut page = Rows::with_capacity(4);
         for at in 0..4 {
             page.push(Loc::Shared(&segment, at));
         }
         assert_eq!(page.pieces.len(), 3);
+        assert!(matches!(
+            page.pieces[1],
+            Piece::Shared { from: 2, to: 3, .. }
+        ));
         assert_eq!((page.len(), page.tombstones()), (4, 1));
+        assert_eq!(page.encoded_len(), 4 * (1 + 8) + 3 * 10 + 9);
     }
 }

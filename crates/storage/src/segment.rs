@@ -1,0 +1,314 @@
+//! Row storage: the one layout of every run's rows, built by flushes,
+//! compactions and bulk loads alike. A row costs its key bytes plus 20
+//! bytes (44 for a 24-byte key) and no allocation of its own.
+
+use std::ops::Deref;
+use std::sync::Arc;
+
+use crate::bloom;
+use crate::sstable::{key_prefix, KeyPrefix, RunBuilder};
+use crate::types::{entry_encoded_len, Cell};
+
+/// Rows as three arrays: every key's bytes back to back in one arena, a
+/// `u32` offset per row where its key ends there, and a cell per row. What
+/// a [`Segment`] and a [`LoadQueue`] dereference to.
+#[derive(Debug, Clone, Default)]
+pub struct RowArena {
+    /// Every row's key bytes, back to back in row order.
+    keys: Vec<u8>,
+    /// Where each row's key ends in `keys`; it starts where the key of the
+    /// row before it ends.
+    ends: Vec<u32>,
+    cells: Vec<Cell>,
+}
+
+impl RowArena {
+    /// Room for exactly `rows` rows whose keys total `key_bytes` bytes.
+    pub(crate) fn with_capacity(rows: usize, key_bytes: usize) -> Self {
+        Self {
+            keys: Vec::with_capacity(key_bytes),
+            ends: Vec::with_capacity(rows),
+            cells: Vec::with_capacity(rows),
+        }
+    }
+
+    /// Append the key of the next row, whose cell follows in `cells`.
+    /// Panics past `u32::MAX` key bytes, which the offsets cannot address.
+    fn push_key(&mut self, key: &[u8]) {
+        self.keys.extend_from_slice(key);
+        let Ok(end) = u32::try_from(self.keys.len()) else {
+            panic!("a segment's keys exceed {} bytes", u32::MAX);
+        };
+        self.ends.push(end);
+    }
+
+    /// Append a row.
+    pub(crate) fn push(&mut self, key: &[u8], cell: Cell) {
+        self.push_key(key);
+        self.cells.push(cell);
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Where the key of row `i` starts: where row `i - 1`'s ends.
+    #[inline]
+    fn start(&self, i: usize) -> usize {
+        self.ends
+            .get(i.wrapping_sub(1))
+            .map_or(0, |&end| end as usize)
+    }
+
+    /// The key of row `i`.
+    #[inline]
+    pub fn key(&self, i: usize) -> &[u8] {
+        &self.keys[self.start(i)..self.ends[i] as usize]
+    }
+
+    /// The cell of row `i`.
+    #[inline]
+    pub fn cell(&self, i: usize) -> &Cell {
+        &self.cells[i]
+    }
+
+    /// The rows in order.
+    pub fn iter(&self) -> impl Iterator<Item = (&[u8], &Cell)> + '_ {
+        (0..self.len()).map(|i| (self.key(i), &self.cells[i]))
+    }
+
+    /// The bytes of the keys of rows `from..to` together: one subtraction,
+    /// since they lie back to back in the arena.
+    pub(crate) fn key_bytes(&self, from: usize, to: usize) -> u64 {
+        if from == to {
+            return 0;
+        }
+        (self.ends[to - 1] as usize - self.start(from)) as u64
+    }
+}
+
+/// One queued row in the sort of [`Segment::from_queue`]: its key's prefix,
+/// its encoded length and its index in the queue. The prefix is kept as two
+/// halves: without a `u128` to align, a record packs into 24 bytes, not 32.
+#[derive(Debug, Clone, Copy)]
+struct SortRecord {
+    high: u64,
+    low: u64,
+    len: u32,
+    index: u32,
+}
+
+impl SortRecord {
+    fn new(prefix: KeyPrefix, len: u64, index: usize) -> Self {
+        Self {
+            high: (prefix >> 64) as u64,
+            low: prefix as u64,
+            len: len as u32,
+            index: index as u32,
+        }
+    }
+
+    #[inline]
+    fn prefix(&self) -> KeyPrefix {
+        (self.high as KeyPrefix) << 64 | self.low as KeyPrefix
+    }
+}
+
+/// A strictly sorted, immutable stretch of rows: the row storage of a run.
+/// It dereferences to its [`RowArena`].
+///
+/// Cloning is O(1): the rows live behind an [`Arc`], so several runs can
+/// hold one segment. A cstore base sorts each token range's loaded rows
+/// into one segment once, and the run of every replica of that range holds
+/// it, so the base stores each row once instead of once per replica.
+#[derive(Debug, Clone)]
+pub struct Segment(Arc<RowArena>);
+
+impl Segment {
+    /// A segment of `rows`, which are strictly sorted by key.
+    ///
+    /// # Panics
+    /// In debug builds, panics if the rows are not strictly sorted.
+    pub(crate) fn sorted(rows: RowArena) -> Self {
+        debug_assert!(
+            (1..rows.len()).all(|i| rows.key(i - 1) < rows.key(i)),
+            "rows must be strictly sorted by key"
+        );
+        Self(Arc::new(rows))
+    }
+
+    /// A segment of the rows of `queue`, and their records fed to every run
+    /// in `holders`, which each go on to hold the segment. A key queued
+    /// more than once keeps its newest version by [`Cell::newer`], as a
+    /// memtable would.
+    ///
+    /// One pass in arrival order hashes each key into every holder's filter
+    /// and takes its prefix and encoded length. What is sorted is that
+    /// `(prefix, length, index)` array, never the rows; the holders' block
+    /// indexes come from it in key order, and the winners' keys, then their
+    /// cells, move into an exactly sized segment.
+    ///
+    /// A holder must receive its segments in key order, each sorting wholly
+    /// above the one before.
+    pub fn from_queue(queue: LoadQueue, holders: &mut [&mut RunBuilder]) -> Self {
+        let queued = queue.rows;
+        let mut order = Vec::with_capacity(queued.len());
+        for (i, (key, cell)) in queued.iter().enumerate() {
+            let hashes = bloom::hash_pair(key);
+            for run in holders.iter_mut() {
+                run.bloom.insert_hashed(hashes);
+            }
+            let len = entry_encoded_len(key, cell);
+            order.push(SortRecord::new(key_prefix(key), len, i));
+        }
+        let key = |r: &SortRecord| queued.key(r.index as usize);
+        order.sort_unstable_by(|a, b| a.prefix().cmp(&b.prefix()).then_with(|| key(a).cmp(key(b))));
+        // One record per key, holding its newest version.
+        let mut dropped = 0;
+        order.dedup_by(|later, kept| {
+            let same = later.prefix() == kept.prefix() && key(later) == key(kept);
+            if same {
+                dropped += key(later).len();
+                let (old, new) = (
+                    &queued.cells[kept.index as usize],
+                    &queued.cells[later.index as usize],
+                );
+                if !std::ptr::eq(Cell::newer(old, new), old) {
+                    *kept = *later;
+                }
+            }
+            same
+        });
+        let mut rows = RowArena::with_capacity(order.len(), queued.keys.len() - dropped);
+        for r in &order {
+            for run in holders.iter_mut() {
+                run.row(r.prefix(), r.len as u64);
+            }
+            rows.push_key(key(r));
+        }
+        drop((queued.keys, queued.ends));
+        let mut cells = queued.cells;
+        let moved =
+            |r: &SortRecord| std::mem::replace(&mut cells[r.index as usize], Cell::tombstone(0));
+        rows.cells.extend(order.iter().map(moved));
+        let segment = Self::sorted(rows);
+        if !segment.is_empty() {
+            for run in holders.iter_mut() {
+                run.segments.push(segment.clone());
+            }
+        }
+        segment
+    }
+
+    /// True when `self` and `other` are one segment: clones of one build.
+    pub fn shares_storage_with(&self, other: &Segment) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Deref for Segment {
+    type Target = RowArena;
+
+    fn deref(&self) -> &RowArena {
+        &self.0
+    }
+}
+
+/// A bulk load's rows, queued in arrival order in the segment layout: each
+/// key is copied into one arena, so a queued row holds no allocation of its
+/// own. It dereferences to its [`RowArena`]; [`Segment::from_queue`] sorts
+/// it into a segment.
+#[derive(Debug, Clone, Default)]
+pub struct LoadQueue {
+    rows: RowArena,
+    /// The encoded bytes of all queued rows.
+    bytes: u64,
+}
+
+impl LoadQueue {
+    /// Queue a row; returns its encoded length.
+    pub fn push(&mut self, key: &[u8], cell: Cell) -> u64 {
+        let len = entry_encoded_len(key, &cell);
+        self.rows.push(key, cell);
+        self.bytes += len;
+        len
+    }
+
+    /// The encoded bytes of all queued rows, which bound the block index of
+    /// every run that holds them.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+}
+
+impl Deref for LoadQueue {
+    type Target = RowArena;
+
+    fn deref(&self) -> &RowArena {
+        &self.rows
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use bytes::Bytes;
+
+    /// A segment of `rows`, given strictly sorted by key.
+    pub(crate) fn from_sorted<K: AsRef<[u8]>>(
+        rows: impl IntoIterator<Item = (K, Cell)>,
+    ) -> Segment {
+        let mut arena = RowArena::default();
+        for (key, cell) in rows {
+            arena.push(key.as_ref(), cell);
+        }
+        Segment::sorted(arena)
+    }
+
+    fn k(s: &str) -> Bytes {
+        Bytes::copy_from_slice(s.as_bytes())
+    }
+
+    #[test]
+    fn from_queue_sorts_and_keeps_the_newest_version() {
+        let mut queue = LoadQueue::default();
+        queue.push(b"b", Cell::live(k("old"), 1));
+        queue.push(b"a", Cell::live(k("x"), 1));
+        queue.push(b"b", Cell::live(k("new"), 2));
+        assert_eq!(queue.bytes(), 3 * (1 + 9 + 8) + 3 + 1 + 3);
+        let s = Segment::from_queue(queue, &mut []);
+        let rows: Vec<_> = s.iter().map(|(key, c)| (key.to_vec(), c.clone())).collect();
+        assert_eq!(
+            rows,
+            [
+                (b"a".to_vec(), Cell::live(k("x"), 1)),
+                (b"b".to_vec(), Cell::live(k("new"), 2))
+            ]
+        );
+        // The arena holds the winners' key bytes exactly.
+        assert_eq!(s.0.keys.capacity(), 2);
+        assert_eq!(s.key_bytes(0, 2), 2);
+    }
+
+    #[test]
+    fn keys_are_slices_of_one_arena() {
+        let s = from_sorted(
+            [("", 1), ("ab", 2), ("abc", 3)].map(|(key, ts)| (key, Cell::tombstone(ts))),
+        );
+        assert_eq!(
+            (s.key(0), s.key(1), s.key(2)),
+            (&b""[..], &b"ab"[..], &b"abc"[..])
+        );
+        assert_eq!(
+            (s.key_bytes(0, 3), s.key_bytes(1, 2), s.key_bytes(2, 2)),
+            (5, 2, 0)
+        );
+        assert!(from_sorted(Vec::<(&[u8], Cell)>::new()).is_empty());
+    }
+}

@@ -14,6 +14,7 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 
 use crate::bloom::{self, BloomFilter};
+use crate::segment::{LoadQueue, Segment};
 use crate::types::{entry_encoded_len, Cell, Key};
 
 /// Identity of an SSTable within one node's store.
@@ -28,9 +29,8 @@ impl std::fmt::Display for TableId {
 
 /// First 16 bytes of a key, zero-padded, read as a big-endian integer, so
 /// one integer compare orders two prefixes exactly as their bytes would.
-/// Stored in flat arrays so the binary searches of the point-read path
-/// compare contiguous memory instead of chasing each `Bytes` key onto the
-/// heap.
+/// The block index keeps one per block in flat arrays, so its binary
+/// searches compare integers in contiguous memory.
 pub type KeyPrefix = u128;
 
 /// Blocks per top-level index chunk. 64 keeps the top level of a large
@@ -65,162 +65,6 @@ pub fn cmp_via_prefix(
     match prefix.cmp(&target_prefix) {
         Ordering::Equal => full.cmp(target),
         ord => ord,
-    }
-}
-
-/// The rows of a segment: entries and the padded prefix of each key.
-#[derive(Debug)]
-struct SegmentRows {
-    entries: Vec<(Key, Cell)>,
-    /// Padded prefix of every entry key, parallel to `entries` — the
-    /// in-block search runs over this flat array.
-    prefixes: Vec<KeyPrefix>,
-}
-
-/// One queued row in the sort of [`Segment::from_rows`]: its key's prefix,
-/// its encoded length and its index in the queue. The prefix is kept as two
-/// halves: without a `u128` to align, a record packs into 24 bytes, not 32.
-#[derive(Debug, Clone, Copy)]
-struct SortRecord {
-    high: u64,
-    low: u64,
-    len: u32,
-    index: u32,
-}
-
-impl SortRecord {
-    fn new(prefix: KeyPrefix, len: u64, index: usize) -> Self {
-        Self {
-            high: (prefix >> 64) as u64,
-            low: prefix as u64,
-            len: len as u32,
-            index: index as u32,
-        }
-    }
-
-    #[inline]
-    fn prefix(&self) -> KeyPrefix {
-        (self.high as KeyPrefix) << 64 | self.low as KeyPrefix
-    }
-}
-
-/// A strictly sorted, immutable stretch of rows: the row storage of a run.
-///
-/// Cloning is O(1): the rows live behind an [`Arc`], so several runs can
-/// hold one segment. A cstore base sorts each token range's loaded rows
-/// into one segment once, and the run of every replica of that range holds
-/// it, so the base stores each row once instead of once per replica.
-#[derive(Debug, Clone)]
-pub struct Segment(Arc<SegmentRows>);
-
-impl Segment {
-    /// A segment of `entries`, which are already strictly sorted by key.
-    ///
-    /// # Panics
-    /// In debug builds, panics if entries are not strictly sorted.
-    pub(crate) fn sorted(entries: Vec<(Key, Cell)>) -> Self {
-        debug_assert!(
-            entries.windows(2).all(|w| w[0].0 < w[1].0),
-            "entries must be strictly sorted by key"
-        );
-        let prefixes = entries.iter().map(|(key, _)| key_prefix(key)).collect();
-        Self(Arc::new(SegmentRows { entries, prefixes }))
-    }
-
-    /// A segment of `rows`, given in any order, and its rows' records fed to
-    /// every run in `holders`, which each go on to hold the segment. A key
-    /// given more than once keeps its newest version by [`Cell::newer`], as a
-    /// memtable would.
-    ///
-    /// The one pass that reads the keys walks `rows` in arrival order: a bulk
-    /// load's keys were allocated in that order, so the pass runs through
-    /// the heap instead of hopping around it. It takes each key's prefix and
-    /// encoded length for the sort, and hashes the key once into the filter
-    /// of every holder. What is sorted is a `(prefix, length, index)` array,
-    /// never the rows: an integer compare per probe and the full keys only
-    /// on a prefix tie. The holders' block indexes then come from that array
-    /// in key order, and each key's winner moves out of `rows` into an
-    /// exactly sized segment, without touching a key again.
-    ///
-    /// A holder must receive its segments in key order, each sorting wholly
-    /// above the one before.
-    pub fn from_rows(rows: Vec<(Key, Cell)>, holders: &mut [&mut RunBuilder]) -> Self {
-        let mut order = Vec::with_capacity(rows.len());
-        for (i, (key, cell)) in rows.iter().enumerate() {
-            let hashes = bloom::hash_pair(key);
-            for run in holders.iter_mut() {
-                run.bloom.insert_hashed(hashes);
-            }
-            order.push(SortRecord::new(
-                key_prefix(key),
-                entry_encoded_len(key, cell),
-                i,
-            ));
-        }
-        let row = |r: &SortRecord| &rows[r.index as usize];
-        order.sort_unstable_by(|a, b| {
-            let by_key = || row(a).0.cmp(&row(b).0);
-            a.prefix().cmp(&b.prefix()).then_with(by_key)
-        });
-        // One record per key, holding its newest version.
-        order.dedup_by(|later, kept| {
-            let (old, new) = (row(kept), row(later));
-            let same = later.prefix() == kept.prefix() && old.0 == new.0;
-            if same && !std::ptr::eq(Cell::newer(&old.1, &new.1), &old.1) {
-                *kept = *later;
-            }
-            same
-        });
-        for r in &order {
-            for run in holders.iter_mut() {
-                run.row(r.prefix(), r.len as u64);
-            }
-        }
-        let mut slots: Vec<Option<(Key, Cell)>> = rows.into_iter().map(Some).collect();
-        let mut entries = Vec::with_capacity(order.len());
-        entries.extend(order.iter().filter_map(|r| slots[r.index as usize].take()));
-        // Freed before the prefixes are allocated, which keeps them out of
-        // a bulk load's peak.
-        drop(slots);
-        let prefixes = order.iter().map(SortRecord::prefix).collect();
-        drop(order);
-        let segment = Self(Arc::new(SegmentRows { entries, prefixes }));
-        if !segment.is_empty() {
-            for run in holders.iter_mut() {
-                run.segments.push(segment.clone());
-            }
-        }
-        segment
-    }
-
-    /// The rows in key order.
-    pub fn entries(&self) -> &[(Key, Cell)] {
-        &self.0.entries
-    }
-
-    /// The [`key_prefix`] of every key, parallel to [`Segment::entries`].
-    pub(crate) fn prefixes(&self) -> &[KeyPrefix] {
-        &self.0.prefixes
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.0.entries.len()
-    }
-
-    /// True when the segment holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.0.entries.is_empty()
-    }
-
-    /// True when `self` and `other` are one segment: clones of one build.
-    pub fn shares_storage_with(&self, other: &Segment) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-
-    /// The first and last keys; `None` for an empty segment.
-    pub(crate) fn key_range(&self) -> Option<(&Key, &Key)> {
-        Some((&self.entries().first()?.0, &self.entries().last()?.0))
     }
 }
 
@@ -263,12 +107,12 @@ struct SsTableCore {
 ///
 /// The filter takes hash pairs in any order, the index takes records in key
 /// order. [`RunBuilder::hold`] reads both from a sorted segment in one pass;
-/// a bulk load instead hashes each key where [`Segment::from_rows`] reads it,
-/// in arrival order, and feeds every run that holds the segment at once.
+/// a bulk load instead hashes each key where [`Segment::from_queue`] reads
+/// it, in arrival order, and feeds every run that holds the segment at once.
 #[derive(Debug)]
 pub struct RunBuilder {
     /// The segments the run holds, in key order.
-    segments: Vec<Segment>,
+    pub(crate) segments: Vec<Segment>,
     /// The row count the filter is sized for. A bulk load sizes it from
     /// the queued rows, before a sort drops duplicate keys.
     sized_for: usize,
@@ -279,7 +123,7 @@ pub struct RunBuilder {
     block_prefixes: Vec<KeyPrefix>,
     chunk_prefixes: Vec<KeyPrefix>,
     block_bytes: Vec<u64>,
-    bloom: BloomFilter,
+    pub(crate) bloom: BloomFilter,
     total_bytes: u64,
     /// Bytes of the block being filled; 0 between blocks (an entry always
     /// encodes to more than zero bytes).
@@ -326,7 +170,7 @@ impl RunBuilder {
     /// Add the next row in key order to the block index: its key's prefix
     /// and its encoded length.
     #[inline]
-    fn row(&mut self, prefix: KeyPrefix, len: u64) {
+    pub(crate) fn row(&mut self, prefix: KeyPrefix, len: u64) {
         if self.cur_bytes == 0 {
             if self.block_starts.len() % CHUNK == 0 {
                 self.chunk_prefixes.push(prefix);
@@ -353,9 +197,9 @@ impl RunBuilder {
         if segment.is_empty() {
             return;
         }
-        for ((key, cell), &prefix) in segment.entries().iter().zip(segment.prefixes()) {
+        for (key, cell) in segment.iter() {
             self.bloom.insert_hashed(bloom::hash_pair(key));
-            self.row(prefix, entry_encoded_len(key, cell));
+            self.row(key_prefix(key), entry_encoded_len(key, cell));
         }
         self.segments.push(segment);
     }
@@ -365,14 +209,12 @@ impl RunBuilder {
     /// the run's exact size, so every run's filter is the one its rows size.
     pub(crate) fn finish(mut self, id: TableId) -> SsTable {
         debug_assert!(
-            self.segments
-                .windows(2)
-                .all(|w| w[0].key_range().map(|r| r.1) < w[1].key_range().map(|r| r.0)),
+            (self.segments.windows(2)).all(|w| w[0].key(w[0].len() - 1) < w[1].key(0)),
             "segments must be sorted and disjoint"
         );
         if self.sized_for != self.len {
             self.bloom = BloomFilter::with_capacity(self.len, 10);
-            for (key, _) in self.segments.iter().flat_map(Segment::entries) {
+            for (key, _) in self.segments.iter().flat_map(|s| s.iter()) {
                 self.bloom.insert_hashed(bloom::hash_pair(key));
             }
         }
@@ -408,14 +250,15 @@ pub struct SsTable {
 }
 
 impl SsTable {
-    /// Build a table from entries that are already sorted by key, unique per
-    /// key. `block_size` is the target encoded block size in bytes.
-    ///
-    /// # Panics
-    /// In debug builds, panics if entries are not strictly sorted.
+    /// Build a table of `entries`, in any order (a key given twice keeps
+    /// its newest version), in blocks of about `block_size` encoded bytes.
     pub fn build(id: TableId, entries: Vec<(Key, Cell)>, block_size: u64) -> Self {
-        let mut run = RunBuilder::new(entries.len(), block_size);
-        run.hold(Segment::sorted(entries));
+        let mut rows = LoadQueue::default();
+        for (key, cell) in entries {
+            rows.push(&key, cell);
+        }
+        let mut run = RunBuilder::new(rows.len(), block_size);
+        run.hold(Segment::from_queue(rows, &mut []));
         run.finish(id)
     }
 
@@ -432,6 +275,7 @@ impl SsTable {
     }
 
     /// Number of entries.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.core.len
     }
@@ -461,38 +305,37 @@ impl SsTable {
         (0, at)
     }
 
-    /// Entry `i` of the run.
-    fn entry(&self, i: usize) -> &(Key, Cell) {
+    /// The key of entry `i` of the run.
+    fn key(&self, i: usize) -> &[u8] {
         let (segment, at) = self.locate(i);
-        &self.core.segments[segment].entries()[at]
+        self.core.segments[segment].key(at)
     }
 
     /// Binary search of entries `lo..hi` (`lo < hi`) for `key`: the index of
-    /// the first one at or above it, and that entry when it holds `key`.
-    /// Each segment the range touches is searched over its flat prefix
-    /// array, the heap-allocated keys touched only on a prefix tie.
-    fn search(&self, lo: usize, hi: usize, key: &[u8]) -> (usize, Option<&(Key, Cell)>) {
+    /// the first one at or above it, and that entry's cell when it holds
+    /// `key`. Each segment the range touches is searched over its key
+    /// arena, contiguous memory, a probe comparing padded prefixes first.
+    fn search(&self, lo: usize, hi: usize, key: &[u8]) -> (usize, Option<&Cell>) {
         let target = key_prefix(key);
         let (mut segment, mut from) = self.locate(lo);
         let mut base = lo - from;
         loop {
             let rows = &self.core.segments[segment];
             let to = (hi - base).min(rows.len());
-            let prefixes = &rows.prefixes()[from..to];
-            let entries = &rows.entries()[from..to];
-            let (mut below, mut end) = (0, prefixes.len());
+            let (mut below, mut end) = (from, to);
             while below < end {
                 let mid = below + (end - below) / 2;
-                match cmp_via_prefix(prefixes[mid], entries[mid].0.as_ref(), target, key) {
+                let probe = rows.key(mid);
+                match cmp_via_prefix(key_prefix(probe), probe, target, key) {
                     Ordering::Less => below = mid + 1,
                     Ordering::Greater => end = mid,
-                    Ordering::Equal => return (base + from + mid, Some(&entries[mid])),
+                    Ordering::Equal => return (base + mid, Some(rows.cell(mid))),
                 }
             }
             // Stop unless `key` sorts above all of this segment's part and
             // the range goes on into the next segment.
-            if below < prefixes.len() || base + to == hi {
-                return (base + from + below, None);
+            if below < to || base + to == hi {
+                return (base + below, None);
             }
             base += rows.len();
             segment += 1;
@@ -533,8 +376,8 @@ impl SsTable {
     /// Both levels search flat prefix arrays — the top level
     /// `chunk_prefixes`, then one `CHUNK`-block window of `block_prefixes`
     /// — with one integer compare per probe; a block's full first key
-    /// (entry `block_starts[block]`, a pointer chase) is read only when its
-    /// prefix ties with the key's.
+    /// (entry `block_starts[block]`, in its segment's arena) is read only
+    /// when its prefix ties with the key's.
     pub fn block_for(&self, key: &[u8]) -> Option<usize> {
         let core = &*self.core;
         let target = key_prefix(key);
@@ -543,7 +386,7 @@ impl SsTable {
         let starts_le = |block: usize, prefix: KeyPrefix| match prefix.cmp(&target) {
             Ordering::Less => true,
             Ordering::Greater => false,
-            Ordering::Equal => self.entry(core.block_starts[block] as usize).0.as_ref() <= key,
+            Ordering::Equal => self.key(core.block_starts[block] as usize) <= key,
         };
         // Top level: how many chunks start at or below `key`.
         let chunks = &core.chunk_prefixes;
@@ -588,11 +431,10 @@ impl SsTable {
     }
 
     /// Point lookup confined to one block (the caller already paid for
-    /// reading that block). Searches the block's slice of the flat prefix
-    /// arrays; the heap-allocated key is touched only on a prefix tie.
+    /// reading that block): a binary search of the block's keys.
     pub(crate) fn get_in_block(&self, block: usize, key: &[u8]) -> Option<&Cell> {
         let (start, end) = self.block_range(block);
-        self.search(start, end, key).1.map(|(_, cell)| cell)
+        self.search(start, end, key).1
     }
 
     /// Full point lookup (bloom + index + block search); for tests and
@@ -610,8 +452,7 @@ impl SsTable {
     ///
     /// Like a point read it goes through the two-level block index to the
     /// one block that can hold the boundary, then searches that block's
-    /// slice of the flat prefix arrays — full keys only on a prefix tie —
-    /// instead of chasing heap-allocated keys across the whole run.
+    /// keys only.
     pub fn lower_bound(&self, start: &[u8]) -> usize {
         // Every block before the last one whose first key is <= `start`
         // lies wholly below `start`; with no such block, nothing does.
@@ -635,6 +476,7 @@ impl SsTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::tests::from_sorted;
     use bytes::Bytes;
 
     fn k(s: &str) -> Bytes {
@@ -727,9 +569,9 @@ mod tests {
         // 28-byte entries in 64-byte blocks: three entries a block, so
         // blocks straddle both segment boundaries.
         let whole = SsTable::build(TableId(1), rows(0..10), 64);
-        let parts = [0..1, 1..5, 5..10].map(|ids| Segment::sorted(rows(ids)));
+        let parts = [0..1, 1..5, 5..10].map(|ids| from_sorted(rows(ids)));
         let mut split = RunBuilder::new(10, 64);
-        for segment in [parts[0].clone(), Segment::sorted(Vec::new())]
+        for segment in [parts[0].clone(), from_sorted(rows(0..0))]
             .into_iter()
             .chain(parts[1..].iter().cloned())
         {
@@ -795,21 +637,30 @@ mod tests {
                 rows.push((k(&format!("user{:06}", i)), Cell::live(value, 1 + i % 3)));
             }
         }
-        let unique = Segment::from_rows(rows.clone(), &mut []);
+        let queue = || {
+            let mut queue = LoadQueue::default();
+            for (key, cell) in &rows {
+                queue.push(key, cell.clone());
+            }
+            queue
+        };
+        let unique = Segment::from_queue(queue(), &mut []);
         assert_eq!(unique.len(), 300);
-        let want = SsTable::build(TableId(3), unique.entries().to_vec(), 128);
-        let bytes: u64 = rows
-            .iter()
-            .map(|(key, cell)| entry_encoded_len(key, cell))
-            .sum();
+        let owned = |s: &Segment| -> Vec<(Key, Cell)> {
+            s.iter()
+                .map(|(key, cell)| (Key::copy_from_slice(key), cell.clone()))
+                .collect()
+        };
+        let want = SsTable::build(TableId(3), owned(&unique), 128);
+        let bytes = queue().bytes();
         let mut runs = [0, 1].map(|_| {
             let mut run = RunBuilder::new(rows.len(), 128);
             run.reserve(bytes);
             run
         });
         let [a, b] = &mut runs;
-        let segment = Segment::from_rows(rows, &mut [a, b]);
-        assert_eq!(segment.entries(), unique.entries());
+        let segment = Segment::from_queue(queue(), &mut [a, b]);
+        assert_eq!(owned(&segment), owned(&unique));
         for run in runs {
             let got = run.finish(TableId(3));
             assert_eq!(layout(&got), layout(&want));
@@ -817,25 +668,6 @@ mod tests {
             // The reservation held every block: the index never grew.
             assert_eq!(got.core.block_starts.capacity(), (bytes / 128) as usize + 1);
         }
-    }
-
-    #[test]
-    fn segment_from_rows_sorts_and_keeps_the_newest_version() {
-        let s = Segment::from_rows(
-            vec![
-                (k("b"), Cell::live(k("old"), 1)),
-                (k("a"), Cell::live(k("x"), 1)),
-                (k("b"), Cell::live(k("new"), 2)),
-            ],
-            &mut [],
-        );
-        let keys: Vec<_> = s
-            .entries()
-            .iter()
-            .map(|(key, c)| (key.clone(), c.ts))
-            .collect();
-        assert_eq!(keys, vec![(k("a"), 1), (k("b"), 2)]);
-        assert_eq!(s.prefixes(), &[key_prefix(b"a"), key_prefix(b"b")]);
     }
 
     #[test]

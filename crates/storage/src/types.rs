@@ -90,7 +90,7 @@ impl Cell {
 
 /// Approximate encoded size of one key/cell entry (key + cell + length
 /// prefixes), used for memtable thresholds and block layout.
-pub fn entry_encoded_len(key: &Key, cell: &Cell) -> u64 {
+pub fn entry_encoded_len(key: &[u8], cell: &Cell) -> u64 {
     key.len() as u64 + cell.encoded_len() + 8
 }
 

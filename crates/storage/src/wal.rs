@@ -5,7 +5,9 @@
 //! the paper acknowledge writes after the log *append* (group/periodic sync),
 //! not after the sync itself — the mechanism behind the paper's flat write
 //! latencies — so the log tracks synced vs unsynced bytes separately and the
-//! simulation layer charges disk bandwidth for syncs in the background.
+//! simulation layer charges disk bandwidth for syncs in the background. A
+//! sync also records the last sequence number it made durable: a crash
+//! loses every entry past it.
 
 use std::collections::VecDeque;
 
@@ -35,6 +37,8 @@ pub(crate) struct WriteAheadLog {
     bytes: u64,
     unsynced_bytes: u64,
     truncated_through: u64,
+    /// The last sequence number a sync made durable (0 before any).
+    synced_through: u64,
 }
 
 impl WriteAheadLog {
@@ -46,6 +50,7 @@ impl WriteAheadLog {
             bytes: 0,
             unsynced_bytes: 0,
             truncated_through: 0,
+            synced_through: 0,
         }
     }
 
@@ -68,10 +73,21 @@ impl WriteAheadLog {
         (seq, len)
     }
 
-    /// Mark all appended bytes as durably synced; returns how many bytes the
-    /// sync had to push (what a periodic-fsync thread would write).
+    /// Mark all appended bytes as durably synced, through the last
+    /// sequence number appended; returns how many bytes the sync had to
+    /// push (what a periodic-fsync thread would write).
     pub(crate) fn sync(&mut self) -> u64 {
+        self.synced_through = self.last_seq();
         std::mem::take(&mut self.unsynced_bytes)
+    }
+
+    /// A crash: every entry past the last synced one is lost.
+    pub(crate) fn lose_unsynced(&mut self) {
+        let synced = self
+            .entries
+            .partition_point(|e| e.seq <= self.synced_through);
+        self.entries.truncate(synced);
+        self.unsynced_bytes = 0;
     }
 
     /// Bytes appended but not yet synced.
@@ -144,6 +160,20 @@ mod tests {
         assert_eq!(w.sync(), 0);
         // Total bytes unaffected by sync.
         assert_eq!(w.bytes(), pending);
+    }
+
+    #[test]
+    fn a_crash_loses_exactly_the_unsynced_tail() {
+        let mut w = WriteAheadLog::new();
+        w.append(&k("a"), &Cell::live(k("1"), 1));
+        w.append(&k("b"), &Cell::live(k("2"), 2));
+        w.sync();
+        w.append(&k("c"), &Cell::live(k("3"), 3));
+        w.lose_unsynced();
+        let seqs: Vec<_> = w.replay().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![1, 2]);
+        assert_eq!(w.unsynced_bytes(), 0);
+        assert_eq!(w.append(&k("d"), &Cell::tombstone(4)).0, 4);
     }
 
     #[test]

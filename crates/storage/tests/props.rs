@@ -11,17 +11,32 @@ use storage::compaction::SizeTieredPolicy;
 use storage::merge::merge_runs;
 use storage::types::entry_encoded_len;
 use storage::{
-    BlockCache, Cell, IoOp, IoPlan, Key, LsmConfig, LsmTree, Memtable, Rows, Segment, SsTable,
-    TableId,
+    BlockCache, Cell, IoOp, IoPlan, Key, LoadQueue, LsmConfig, LsmTree, Memtable, Rows, Segment,
+    SsTable, TableId,
 };
 
 fn key(id: u64) -> Bytes {
     Bytes::from(format!("user{id:08}").into_bytes())
 }
 
+/// `(key, cell)` borrowed rows as owned ones.
+fn owned<'r>(rows: impl Iterator<Item = (&'r [u8], &'r Cell)>) -> Vec<(Key, Cell)> {
+    rows.map(|(k, c)| (Bytes::copy_from_slice(k), c.clone()))
+        .collect()
+}
+
 /// The rows a scan result holds, flattened.
 fn flat(rows: &Rows) -> Vec<(Key, Cell)> {
-    rows.iter().cloned().collect()
+    owned(rows.iter())
+}
+
+/// A load queue of `rows`, in their order.
+fn queue_of(rows: &[(Key, Cell)]) -> LoadQueue {
+    let mut queue = LoadQueue::default();
+    for (k, cell) in rows {
+        queue.push(k, cell.clone());
+    }
+    queue
 }
 
 /// The live rows among `rows`.
@@ -34,12 +49,7 @@ fn live_of(rows: &[(Key, Cell)]) -> Vec<(Key, Cell)> {
 
 /// A run's rows, its segments concatenated.
 fn table_rows(table: &SsTable) -> Vec<(Key, Cell)> {
-    table
-        .segments()
-        .iter()
-        .flat_map(Segment::entries)
-        .cloned()
-        .collect()
+    owned(table.segments().iter().flat_map(|s| s.iter()))
 }
 
 /// The pre-streaming merge implementation, preserved verbatim as the
@@ -320,7 +330,7 @@ proptest! {
     /// shorter than it, and keys that differ only by trailing zero bytes
     /// (`"a"` and `"a\0"` pad to one prefix): every insert's byte delta,
     /// `get` and `range_from` at present and arbitrary starts, `len`,
-    /// `bytes`, and `drain_sorted`.
+    /// `bytes`, and `drain`.
     #[test]
     fn memtable_matches_btreemap_model(
         writes in prop::collection::vec((arb_prefix_key(), arb_tie_cell()), 1..150),
@@ -347,8 +357,8 @@ proptest! {
                 .collect();
             prop_assert_eq!(got, want, "range_from {:?}", probe);
         }
-        let drained = mem.drain_sorted();
-        prop_assert_eq!(drained, model.into_iter().collect::<Vec<_>>());
+        let drained = mem.drain();
+        prop_assert_eq!(owned(drained.iter()), model.into_iter().collect::<Vec<_>>());
         prop_assert!(mem.is_empty());
         prop_assert_eq!(mem.bytes(), 0);
         prop_assert_eq!(mem.range_from(&[]).count(), 0);
@@ -417,7 +427,7 @@ proptest! {
         prop_assert_eq!(&streamed, &legacy);
     }
 
-    /// `SsTable::lower_bound` — block index, then the flat prefix array —
+    /// `SsTable::lower_bound` — block index, then the block's keys —
     /// agrees with a plain partition point over the full keys, for keys
     /// shorter than the 16-byte prefix, keys tied on it, probes outside the
     /// table on either side, and the empty table.
@@ -602,8 +612,9 @@ proptest! {
         twin.compact_all();
         tree.flush();
         let id = tree.reserve_table_id();
-        let mut run = tree.load_builder(rows.len(), rows.iter().map(|(k, c)| entry_encoded_len(k, c)).sum());
-        Segment::from_rows(rows, &mut [&mut run]);
+        let queue = queue_of(&rows);
+        let mut run = tree.load_builder(queue.len(), queue.bytes());
+        Segment::from_queue(queue, &mut [&mut run]);
         tree.load(id, run);
         tree.compact_all();
 
@@ -625,7 +636,7 @@ proptest! {
     }
 
     /// A loaded run fed the rows cut at key boundaries into segments, one
-    /// [`Segment::from_rows`] call each in key order with a second run as
+    /// [`Segment::from_queue`] call each in key order with a second run as
     /// a co-holder, is the run that loading them as one segment builds: the
     /// same rows, blocks and bloom filter, so every get and scan returns the
     /// same rows and charges the same I/O, over keys that tie on their
@@ -656,7 +667,7 @@ proptest! {
         let (mut run, mut co_run) = (tree.load_builder(rows.len(), bytes), other.load_builder(rows.len(), bytes));
         let segments: Vec<Segment> = bounds
             .windows(2)
-            .map(|w| Segment::from_rows(rows[w[0]..w[1]].to_vec(), &mut [&mut run, &mut co_run]))
+            .map(|w| Segment::from_queue(queue_of(&rows[w[0]..w[1]]), &mut [&mut run, &mut co_run]))
             .collect();
         let id = tree.reserve_table_id();
         tree.load(id, run);
@@ -664,7 +675,7 @@ proptest! {
         other.load(id, co_run);
         let mut twin = LsmTree::new(config);
         let mut one = twin.load_builder(rows.len(), bytes);
-        Segment::from_rows(rows, &mut [&mut one]);
+        Segment::from_queue(queue_of(&rows), &mut [&mut one]);
         let id = twin.reserve_table_id();
         twin.load(id, one);
         let (a, b) = (&tree.runs()[0], &twin.runs()[0]);
@@ -735,7 +746,8 @@ proptest! {
         }
     }
 
-    /// WAL replay after a crash restores exactly the unflushed state.
+    /// WAL replay after a crash restores exactly the unflushed state, once
+    /// every write is synced.
     #[test]
     fn wal_replay_restores_memtable(
         ops in prop::collection::vec((0u64..20, 0u64..100), 1..60),
@@ -752,9 +764,69 @@ proptest! {
             }
         }
         let before: Vec<_> = (0..20u64).map(|id| tree.get(&key(id)).cell).collect();
+        tree.sync_wal();
         tree.recover();
         let after: Vec<_> = (0..20u64).map(|id| tree.get(&key(id)).cell).collect();
         prop_assert_eq!(before, after);
+    }
+
+    /// A crash keeps what was made durable and nothing else. Against a
+    /// model of the writes, each tagged durable once a WAL sync covers it
+    /// or a flush writes it to a run: after any interleaving of writes,
+    /// deletes, syncs, flushes and crashes, every key reads the newest
+    /// durable write to it. So a synced write survives, an unsynced one
+    /// is lost unless a flush saved it, and no lost write comes back
+    /// after a later crash.
+    #[test]
+    fn a_crash_keeps_exactly_the_synced_and_flushed_writes(
+        // (key, ts, op): op 0..6 a put, 6 a delete, 7 a sync, 8 a flush,
+        // 9 a crash
+        ops in prop::collection::vec((0u64..12, 1u64..50, 0u32..10), 1..120),
+    ) {
+        let mut tree = LsmTree::new(LsmConfig {
+            block_size: 128,
+            memtable_flush_bytes: u64::MAX,
+            cache_bytes: 1024,
+            compaction: SizeTieredPolicy::default(),
+        });
+        // Every write that is still readable: (key, cell, durable).
+        let mut writes: Vec<(u64, Cell, bool)> = Vec::new();
+        let durable_view = |writes: &[(u64, Cell, bool)]| {
+            let mut view: BTreeMap<u64, Cell> = BTreeMap::new();
+            for (id, cell, _) in writes.iter().filter(|w| w.2) {
+                let newest = match view.remove(id) {
+                    Some(held) => Cell::reconcile(held, cell.clone()),
+                    None => cell.clone(),
+                };
+                view.insert(*id, newest);
+            }
+            view
+        };
+        for (id, ts, op) in ops {
+            match op {
+                0..=6 => {
+                    let cell = if op == 6 { Cell::tombstone(ts) } else { Cell::live(key(ts), ts) };
+                    tree.put(key(id), cell.clone());
+                    writes.push((id, cell, false));
+                }
+                7 => {
+                    tree.sync_wal();
+                    writes.iter_mut().for_each(|w| w.2 = true);
+                }
+                8 => {
+                    tree.flush();
+                    writes.iter_mut().for_each(|w| w.2 = true);
+                }
+                _ => {
+                    tree.recover();
+                    writes.retain(|w| w.2);
+                    let view = durable_view(&writes);
+                    for id in 0..12 {
+                        prop_assert_eq!(tree.get(&key(id)).cell.as_ref(), view.get(&id), "key {}", id);
+                    }
+                }
+            }
+        }
     }
 
     /// Scans return sorted, deduplicated, live rows consistent with gets.

@@ -20,6 +20,10 @@ pub struct Tally {
     pub allocs: usize,
     /// Frees.
     pub deallocs: usize,
+    /// Bytes the allocations asked for.
+    pub alloc_bytes: usize,
+    /// Bytes the frees gave back.
+    pub dealloc_bytes: usize,
     /// The layout of the last allocation.
     pub alloc_layout: Option<Layout>,
     /// The layout of the last free.
@@ -30,6 +34,8 @@ const IDLE: Tally = Tally {
     on: false,
     allocs: 0,
     deallocs: 0,
+    alloc_bytes: 0,
+    dealloc_bytes: 0,
     alloc_layout: None,
     dealloc_layout: None,
 };
@@ -70,6 +76,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         record(|t| {
             t.allocs += 1;
+            t.alloc_bytes += layout.size();
             t.alloc_layout = Some(layout);
         });
         // SAFETY: the caller's `layout` obligations pass through unchanged.
@@ -79,6 +86,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         record(|t| {
             t.deallocs += 1;
+            t.dealloc_bytes += layout.size();
             t.dealloc_layout = Some(layout);
         });
         // SAFETY: the caller guarantees `ptr` came from `System` with `layout`.

@@ -61,6 +61,14 @@ fn parse(args: &[String]) -> Result<(&'static str, Figure, bool, Sweep), UsageEr
     Ok((name, figure, quick, sweep))
 }
 
+/// The peak resident set size in MB that a `/proc/<pid>/status` text
+/// gives on its `VmHWM` line; `None` without one.
+fn peak_rss_mb(status: &str) -> Option<f64> {
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb / 1024.0)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (name, figure, quick, sweep) = match parse(&args) {
@@ -72,7 +80,12 @@ fn main() -> ExitCode {
     };
     let started = std::time::Instant::now();
     let report = figure(quick, &sweep);
-    eprintln!("{name}: done in {:.1}s", started.elapsed().as_secs_f64());
+    let secs = started.elapsed().as_secs_f64();
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    match peak_rss_mb(&status) {
+        Some(mb) => eprintln!("{name}: done in {secs:.1}s, peak RSS {mb:.0} MB"),
+        None => eprintln!("{name}: done in {secs:.1}s"),
+    }
     if let Some(telemetry) = &report.telemetry {
         eprintln!("{name}: {}", telemetry.summary());
     }
@@ -89,6 +102,14 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn peak_rss_is_read_from_the_high_water_mark_line() {
+        let status = "Name:\tfig\nVmPeak:\t  900000 kB\nVmHWM:\t  443392 kB\nVmRSS:\t 1024 kB\n";
+        assert_eq!(peak_rss_mb(status), Some(433.0));
+        assert_eq!(peak_rss_mb("Name:\tfig\n"), None);
+        assert_eq!(peak_rss_mb(""), None);
+    }
 
     fn parse_args(args: &[&str]) -> Result<(&'static str, bool), UsageError> {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
