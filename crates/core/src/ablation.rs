@@ -84,7 +84,6 @@ pub(crate) struct AblationRow {
 
 impl Experiment for AblationConfig {
     type Spec = Variant;
-    type Base = Variant;
     type Cell = AblationRow;
 
     fn quick() -> Self {
@@ -113,10 +112,6 @@ impl Experiment for AblationConfig {
             Variant::Partitioner { ordered: true },
             Variant::Partitioner { ordered: false },
         ]
-    }
-
-    fn base(&self, spec: &Variant) -> Variant {
-        *spec
     }
 
     fn build(&self, variant: &Variant) -> Store {

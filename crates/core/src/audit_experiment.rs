@@ -152,7 +152,6 @@ fn audit_history(
 impl Experiment for AuditExperimentConfig {
     /// Exactly the Fig. 4 grid.
     type Spec = Point;
-    type Base = Point;
     type Cell = AuditCell;
 
     /// The Fig. 4 quick plan.
@@ -173,12 +172,8 @@ impl Experiment for AuditExperimentConfig {
         rf_level_grid(&self.rfs)
     }
 
-    fn base(&self, spec: &Point) -> Point {
-        *spec
-    }
-
-    fn build(&self, base: &Point) -> Store {
-        self.plan.build(base)
+    fn build(&self, spec: &Point) -> Store {
+        self.plan.build(spec)
     }
 
     /// The paper's fair-weather client, like Fig. 4 — what the client

@@ -109,8 +109,6 @@ pub(crate) struct AvailabilityCell {
 impl Experiment for AvailabilityConfig {
     /// `(store, consistency, policy name)`.
     type Spec = (StoreKind, Level, &'static str);
-    /// Policies share the loaded base per (store, level).
-    type Base = (StoreKind, Level);
     type Cell = AvailabilityCell;
 
     fn quick() -> Self {
@@ -155,11 +153,7 @@ impl Experiment for AvailabilityConfig {
         specs
     }
 
-    fn base(&self, &(store, level, _): &Self::Spec) -> Self::Base {
-        (store, level)
-    }
-
-    fn build(&self, &(store, level): &Self::Base) -> Store {
+    fn build(&self, &(store, level, _): &Self::Spec) -> Store {
         self.plan.build(&(store, self.rf, level))
     }
 

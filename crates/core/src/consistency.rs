@@ -82,7 +82,6 @@ fn target_order(target: f64) -> f64 {
 impl Experiment for ConsistencyConfig {
     /// `(level, index into workloads, target)`; target 0 = unthrottled.
     type Spec = (Level, usize, f64);
-    type Base = Level;
     type Cell = ConsistencyCell;
 
     fn quick() -> Self {
@@ -114,11 +113,7 @@ impl Experiment for ConsistencyConfig {
         specs
     }
 
-    fn base(&self, &(level, _, _): &Self::Spec) -> Level {
-        level
-    }
-
-    fn build(&self, &level: &Level) -> Store {
+    fn build(&self, &(level, _, _): &Self::Spec) -> Store {
         Store::paper(&self.run.scale, &(StoreKind::CStore, self.rf, level))
     }
 
@@ -233,7 +228,7 @@ mod tests {
             assert!(c.runtime > 0.0, "{c:?}");
         }
         assert!(res.peak("ONE", "read & update") > 0.0);
-        // One base state per level, each loaded exactly once.
-        assert_eq!(res.telemetry.base_loads, 3);
+        // The three levels share one load: a level is read only by ops.
+        assert_eq!(res.telemetry.base_loads, 1);
     }
 }

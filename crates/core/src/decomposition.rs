@@ -90,7 +90,6 @@ impl DecompositionCell {
 
 impl Experiment for DecompositionConfig {
     type Spec = Point;
-    type Base = Point;
     type Cell = DecompositionCell;
 
     fn quick() -> Self {
@@ -115,12 +114,8 @@ impl Experiment for DecompositionConfig {
         rf_level_grid(&self.rfs)
     }
 
-    fn base(&self, spec: &Point) -> Point {
-        *spec
-    }
-
-    fn build(&self, base: &Point) -> Store {
-        Store::paper(&self.run.scale, base)
+    fn build(&self, spec: &Point) -> Store {
+        Store::paper(&self.run.scale, spec)
     }
 
     fn driver(&self, _: &Point) -> DriverConfig {

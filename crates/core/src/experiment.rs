@@ -7,8 +7,10 @@
 //! typed row, then render tables and CSVs. An [`Experiment`] *describes*
 //! one such grid; the engine here owns everything the descriptions share:
 //!
-//! * the base-state pool — each distinct [`Experiment::Base`] is built and
-//!   bulk-loaded exactly once, every cell runs on a copy-on-write snapshot;
+//! * the base-state pool — cells whose stores would load the same data
+//!   (each cluster's `loads_like` says which settings its load reads) share
+//!   one bulk load, and every cell runs on its own fresh build holding a
+//!   copy-on-write snapshot of that data;
 //! * scheduling on a [`Sweep`] and result ordering (cells come back in
 //!   [`Experiment::specs`] order, whatever the thread count);
 //! * `Grid::cell` lookup, pool telemetry, and the [`Report`] — stdout
@@ -18,9 +20,10 @@
 //! # Adding a figure
 //!
 //! Write one module with a config struct that embeds a [`RunShape`],
-//! implement [`Experiment`] for it (grid, store, driver config, row,
-//! report), and add one line to [`FIGURES`]. A report's tables are column
-//! lists over the grid's rows (`Table::of`, `point_cols`).
+//! implement [`Experiment`] for it (grid, each cell's store, driver
+//! config, row, report), and add one line to [`FIGURES`]. A report's
+//! tables are column lists over the grid's rows (`Table::of`,
+//! `point_cols`).
 
 use std::io::Write;
 use std::path::Path;
@@ -31,12 +34,11 @@ use ycsb::WorkloadSpec;
 use crate::driver::{self, DriverConfig, RunOutcome};
 use crate::report::{Columns, Table};
 use crate::setup::{build_cstore, build_hstore, Scale, StoreKind};
-use crate::store::SimStore;
 use crate::sweep::{BasePool, Sweep, Telemetry};
 
 /// One consistency strategy: a named (read, write) level pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Level {
+pub(crate) struct Level {
     /// Display name ("ONE", "QUORUM", "write ALL", …).
     pub name: &'static str,
     /// Read consistency.
@@ -143,9 +145,9 @@ impl RunShape {
     }
 }
 
-/// A cluster of either analog: what the engine builds, loads, snapshots
-/// and runs.
+/// A cluster of either analog: what the engine builds, loads and runs.
 #[allow(clippy::large_enum_variant)]
+#[derive(Clone)]
 pub enum Store {
     /// The HBase analog.
     H(hstore::Cluster),
@@ -169,10 +171,22 @@ impl Store {
         }
     }
 
-    fn snapshot(&self) -> Self {
-        match self {
-            Store::H(s) => Store::H(s.snapshot()),
-            Store::C(s) => Store::C(s.snapshot()),
+    /// True when a bulk load leaves both stores holding the same data.
+    fn loads_like(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Store::H(s), Store::H(o)) => s.loads_like(o),
+            (Store::C(s), Store::C(o)) => s.loads_like(o),
+            _ => false,
+        }
+    }
+
+    /// This unloaded store holding a copy-on-write snapshot of `loaded`'s
+    /// data; `loaded` must load like it.
+    fn with_data_of(self, loaded: &Self) -> Self {
+        match (self, loaded) {
+            (Store::H(s), Store::H(l)) => Store::H(s.with_data_of(l)),
+            (Store::C(s), Store::C(l)) => Store::C(s.with_data_of(l)),
+            _ => panic!("a cell's store and its loaded data differ in kind"),
         }
     }
 
@@ -190,8 +204,6 @@ impl Store {
 pub trait Experiment: Default + Sync + Sized {
     /// One cell of the grid — the coordinates `Grid::cell` looks up by.
     type Spec: PartialEq + Sync;
-    /// What distinguishes one loaded base store from another.
-    type Base: PartialEq + std::fmt::Debug + Send + Sync;
     /// The typed row one cell reduces to.
     type Cell: Send;
 
@@ -201,10 +213,8 @@ pub trait Experiment: Default + Sync + Sized {
     fn shape(&self) -> &RunShape;
     /// Every cell, in output order.
     fn specs(&self) -> Vec<Self::Spec>;
-    /// Which base store a cell snapshots.
-    fn base(&self, spec: &Self::Spec) -> Self::Base;
-    /// Build (not load) the store for a base key.
-    fn build(&self, base: &Self::Base) -> Store;
+    /// Build (not load) the store of one cell.
+    fn build(&self, spec: &Self::Spec) -> Store;
     /// The driver configuration of one cell.
     fn driver(&self, spec: &Self::Spec) -> DriverConfig;
     /// Reduce one run (and the store it ran on) to the cell's row.
@@ -222,23 +232,32 @@ pub trait Experiment: Default + Sync + Sized {
     /// depend on the sweep's thread count.
     fn run_with(self, sweep: &Sweep) -> Grid<Self> {
         let specs = self.specs();
-        let mut bases: Vec<Self::Base> = Vec::new();
-        for spec in &specs {
-            let base = self.base(spec);
-            if !bases.contains(&base) {
-                bases.push(base);
-            }
-        }
-        let pool: BasePool<Self::Base, Store> = BasePool::new(bases);
+        // Group the cells by the data their stores load: one unloaded
+        // store per group, and each cell's group index.
+        let mut groups: Vec<Store> = Vec::new();
+        let cells: Vec<(&Self::Spec, usize)> = specs
+            .iter()
+            .map(|spec| {
+                let store = self.build(spec);
+                let group = match groups.iter().position(|g| g.loads_like(&store)) {
+                    Some(group) => group,
+                    None => {
+                        groups.push(store);
+                        groups.len() - 1
+                    }
+                };
+                (spec, group)
+            })
+            .collect();
+        let pool: BasePool<Store> = BasePool::new(groups.len());
         let (scale, seed) = (&self.shape().scale, self.shape().seed);
-        let outcome = sweep.run(&specs, |spec| {
-            let base = self.base(spec);
-            let loaded = pool.get_or_load(&base, || {
-                let mut store = self.build(&base);
+        let outcome = sweep.run(&cells, |&(spec, group)| {
+            let loaded = pool.get_or_load(group, || {
+                let mut store = groups[group].clone();
                 store.load(scale, seed);
                 store
             });
-            let mut store = loaded.snapshot();
+            let mut store = self.build(spec).with_data_of(loaded);
             let out = store.run(&self.driver(spec));
             self.cell(spec, out, &store)
         });
@@ -391,6 +410,69 @@ pub const FIGURES: [(&str, Figure); 11] = [
 #[allow(clippy::expect_used, clippy::unwrap_used)]
 mod tests {
     use super::*;
+
+    /// One cstore cell per paper level at RF 3 — Fig. 3's grid in little —
+    /// reducing each cell to the levels its own store runs under.
+    struct LevelProbe(RunShape);
+
+    impl Default for LevelProbe {
+        fn default() -> Self {
+            Self(RunShape {
+                scale: Scale::tiny(),
+                warmup_ops: 50,
+                measure_ops: 200,
+                seed: 7,
+            })
+        }
+    }
+
+    impl Experiment for LevelProbe {
+        type Spec = Level;
+        type Cell = (Consistency, Consistency);
+
+        fn quick() -> Self {
+            Self::default()
+        }
+
+        fn shape(&self) -> &RunShape {
+            &self.0
+        }
+
+        fn specs(&self) -> Vec<Level> {
+            PAPER_LEVELS.to_vec()
+        }
+
+        fn build(&self, &level: &Level) -> Store {
+            Store::paper(&self.0.scale, &(StoreKind::CStore, 3, level))
+        }
+
+        fn driver(&self, _: &Level) -> DriverConfig {
+            self.0.driver(WorkloadSpec::read_update(), 4, 0.0)
+        }
+
+        fn cell(&self, _: &Level, _: RunOutcome, store: &Store) -> Self::Cell {
+            match store {
+                Store::C(c) => (c.config().read_cl, c.config().write_cl),
+                Store::H(_) => panic!("the probe builds cstore cells only"),
+            }
+        }
+
+        fn report(_: &Grid<Self>) -> Vec<Part> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn cells_share_one_load_and_each_runs_its_own_levels() {
+        for threads in [1, 3] {
+            let grid = LevelProbe::default().run_with(&Sweep::new().with_threads(threads));
+            for (level, &levels) in grid.rows() {
+                assert_eq!(levels, (level.read, level.write), "{}", level.name);
+            }
+            assert_eq!(grid.telemetry.base_loads, 1);
+            assert_eq!(grid.telemetry.base_states, 1);
+        }
+    }
 
     #[test]
     fn emit_prints_text_and_announcements_in_part_order_and_writes_files() {

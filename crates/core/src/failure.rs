@@ -243,9 +243,6 @@ pub(crate) struct FailureCell {
 
 impl Experiment for FailureConfig {
     type Spec = Point;
-    /// Consistency is baked into the cstore config, so every grid point
-    /// has its own base.
-    type Base = Point;
     type Cell = FailureCell;
 
     fn quick() -> Self {
@@ -264,12 +261,8 @@ impl Experiment for FailureConfig {
         rf_level_grid(&self.rfs)
     }
 
-    fn base(&self, spec: &Point) -> Point {
-        *spec
-    }
-
-    fn build(&self, base: &Point) -> Store {
-        self.plan.build(base)
+    fn build(&self, spec: &Point) -> Store {
+        self.plan.build(spec)
     }
 
     /// Fig. 4 keeps the paper's fair-weather client; Fig. 5 reruns this

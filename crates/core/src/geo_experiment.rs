@@ -171,7 +171,6 @@ impl GeoExperimentConfig {
 impl Experiment for GeoExperimentConfig {
     /// `(regions, store, level)`; the HBase analog's level is [`ASYNC_SHIP`].
     type Spec = (u32, StoreKind, Level);
-    type Base = Self::Spec;
     type Cell = GeoCell;
 
     /// Same grid, tiny scale.
@@ -203,11 +202,7 @@ impl Experiment for GeoExperimentConfig {
         specs
     }
 
-    fn base(&self, spec: &Self::Spec) -> Self::Base {
-        *spec
-    }
-
-    fn build(&self, &(regions, store, level): &Self::Base) -> Store {
+    fn build(&self, &(regions, store, level): &Self::Spec) -> Store {
         match store {
             StoreKind::CStore => Store::C(self.build_cstore(regions, level)),
             StoreKind::HStore => Store::H(self.build_hstore(regions)),
@@ -297,13 +292,13 @@ mod tests {
     }
 
     #[test]
-    fn every_cell_runs_on_its_own_base() {
+    fn each_region_count_loads_once_per_store() {
         let res = GeoExperimentConfig::quick().run();
         for c in &res.cells {
             assert!(c.runtime > 0.0, "{c:?}");
         }
-        // 3 region counts × (5 levels + 1 hstore row).
-        assert_eq!(res.telemetry.base_loads, 18);
+        // 3 region counts × (one load for the 5 levels + 1 hstore row).
+        assert_eq!(res.telemetry.base_loads, 6);
     }
 
     #[test]

@@ -16,13 +16,14 @@
 //! * [`setup`] — calibrated cluster builders: the paper's testbed scaled
 //!   down by a documented factor (record counts and cache sizes shrink
 //!   together so cache-hit regimes are preserved).
-//! * [`sweep`] — the scheduling engine: a self-scheduling parallel
-//!   executor, ordered result collection with wall-time telemetry, and
-//!   load-once base-state pools.
-//! * [`experiment`] — the experiment grid: the [`Experiment`] description
-//!   every figure implements, the one engine that builds, loads, snapshots,
-//!   runs and collects its cells, the [`experiment::Report`] the `fig`
-//!   binary prints and writes, and the [`experiment::FIGURES`] registry.
+//! * `sweep` — the scheduling engine ([`Sweep`]): a self-scheduling
+//!   parallel executor, ordered result collection with wall-time
+//!   telemetry, and load-once base-state pools, one state per group of
+//!   cells whose stores load alike.
+//! * `experiment` — the experiment grid: the [`Experiment`] description
+//!   every figure implements, the one engine that builds its cells, loads
+//!   each group's data once, runs and collects them, the [`Report`] the
+//!   `fig` binary prints and writes, and the [`FIGURES`] registry.
 //! * `report` — tables declared as column lists (`Table::of`), rendered
 //!   as aligned text or CSV, and ASCII charts.
 //!
@@ -67,7 +68,7 @@ mod availability;
 mod consistency;
 mod decomposition;
 pub mod driver;
-pub mod experiment;
+mod experiment;
 mod failure;
 mod geo_experiment;
 pub mod micro;
@@ -77,8 +78,8 @@ pub mod resilience;
 pub mod setup;
 pub mod store;
 mod stress;
-pub mod sweep;
+mod sweep;
 
-pub use experiment::{Experiment, Grid, Level, Report, RunShape};
+pub use experiment::{Experiment, Figure, Grid, Part, Report, RunShape, Store, FIGURES};
 pub use store::{DriverEvent, SimStore};
-pub use sweep::{Sweep, Telemetry};
+pub use sweep::{BadSweepThreads, Sweep, SweepOutcome, Telemetry};

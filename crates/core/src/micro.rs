@@ -59,7 +59,6 @@ pub struct MicroCell {
 
 impl Experiment for MicroConfig {
     type Spec = (StoreKind, u32, OpKind);
-    type Base = (StoreKind, u32);
     type Cell = MicroCell;
 
     fn quick() -> Self {
@@ -91,11 +90,7 @@ impl Experiment for MicroConfig {
         specs
     }
 
-    fn base(&self, &(store, rf, _): &Self::Spec) -> Self::Base {
-        (store, rf)
-    }
-
-    fn build(&self, &(store, rf): &Self::Base) -> Store {
+    fn build(&self, &(store, rf, _): &Self::Spec) -> Store {
         Store::paper(&self.run.scale, &(store, rf, Level::ONE))
     }
 

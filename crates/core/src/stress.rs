@@ -66,7 +66,6 @@ pub(crate) struct StressCell {
 impl Experiment for StressConfig {
     /// `(store, RF, index into workloads)`.
     type Spec = (StoreKind, u32, usize);
-    type Base = (StoreKind, u32);
     type Cell = StressCell;
 
     fn quick() -> Self {
@@ -100,11 +99,7 @@ impl Experiment for StressConfig {
         specs
     }
 
-    fn base(&self, &(store, rf, _): &Self::Spec) -> Self::Base {
-        (store, rf)
-    }
-
-    fn build(&self, &(store, rf): &Self::Base) -> Store {
+    fn build(&self, &(store, rf, _): &Self::Spec) -> Store {
         Store::paper(&self.run.scale, &(store, rf, Level::ONE))
     }
 

@@ -3,44 +3,32 @@
 //! Every figure in the paper is a *grid* of independent cells — (store,
 //! replication factor, operation/workload/consistency-level, target) — and
 //! every cell is one deterministic simulated run. This module is the
-//! scheduling half of that procedure ([`crate::experiment`] is the other):
+//! scheduling half of that procedure (`experiment` is the other):
 //!
 //! * **self-scheduling executor**: worker threads pull the next unclaimed
 //!   cell index from a shared atomic counter, so long cells (high RF,
 //!   scan-heavy) never leave workers idle behind a static partition;
 //! * **ordered collection**: results are returned in cell order no matter
 //!   which worker ran them, so output is bit-identical at any worker count;
-//! * **telemetry**: per-cell wall time and worker id, per-worker busy time,
-//!   pool utilization, and base-state load accounting.
+//! * **telemetry**: per-worker busy time, pool utilization, and base-state
+//!   load accounting.
 //!
-//! Cells obtain their store from a `BasePool`: each distinct base state
-//! (store kind × RF × consistency level) is built and bulk-loaded exactly
-//! once, then stamped out per cell as an O(metadata) copy-on-write
-//! [`snapshot`](crate::store::SimStore::snapshot) — the load phase that used
-//! to dominate grid wall time is paid once per base, not once per cell.
+//! Cells obtain their data from a `BasePool`: each group of cells whose
+//! stores would load the same data is bulk-loaded exactly once, and every
+//! cell of the group holds an O(metadata) copy-on-write snapshot of it —
+//! the load phase that used to dominate grid wall time is paid once per
+//! group, not once per cell.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Wall-time accounting for one executed cell.
-#[derive(Debug, Clone, Copy)]
-pub struct CellStat {
-    /// The cell's index.
-    pub index: usize,
-    /// The worker that ran it.
-    pub worker: usize,
-    /// Wall-clock microseconds the cell took.
-    pub wall_us: u64,
-}
-
-/// What one sweep cost: per-cell and per-worker wall time plus base-state
-/// load accounting (filled in by the experiment via
-/// `Telemetry::record_pool`).
+/// What one sweep cost: per-worker wall time plus base-state load
+/// accounting (filled in by the experiment via `Telemetry::record_pool`).
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
-    /// Per-cell stats, in cell order.
-    pub cells: Vec<CellStat>,
+    /// Cells run.
+    pub cell_count: usize,
     /// Worker threads used.
     pub workers: usize,
     /// Wall-clock microseconds for the whole sweep.
@@ -49,7 +37,8 @@ pub struct Telemetry {
     pub busy_us: Vec<u64>,
     /// Base states built and bulk-loaded.
     pub base_loads: u64,
-    /// Distinct base states declared across the experiment's pools.
+    /// Distinct base states (groups of cells that load alike) across the
+    /// experiment's pools.
     pub base_states: u64,
     /// Worker microseconds spent building and loading base states.
     pub base_load_us: u64,
@@ -74,7 +63,7 @@ impl Telemetry {
     }
 
     /// Fold a pool's load accounting into the telemetry.
-    pub(crate) fn record_pool<K, S>(&mut self, pool: &BasePool<K, S>) {
+    pub(crate) fn record_pool<S>(&mut self, pool: &BasePool<S>) {
         self.base_loads += pool.loads();
         self.base_states += pool.len() as u64;
         self.base_load_us += pool.load_us.load(Ordering::Relaxed);
@@ -85,7 +74,7 @@ impl Telemetry {
     pub fn summary(&self) -> String {
         format!(
             "sweep: {} cells on {} workers in {:.2}s, utilization {:.0}%, {} base loads for {} base states ({:.2}s loading, {:.2}s waiting)",
-            self.cells.len(),
+            self.cell_count,
             self.workers,
             self.wall_us as f64 / 1e6,
             self.utilization() * 100.0,
@@ -106,12 +95,12 @@ pub struct SweepOutcome<R> {
     pub telemetry: Telemetry,
 }
 
-/// A pool of lazily-built base states, keyed by whatever distinguishes them
-/// (RF, consistency level, …). Each key's state is built **exactly once**,
-/// even under concurrent access from many sweep workers; cells take
-/// O(metadata) copy-on-write snapshots of it.
-pub(crate) struct BasePool<K, S> {
-    entries: Vec<(K, OnceLock<S>)>,
+/// A pool of lazily-built base states, one per group of cells. Each
+/// group's state is built **exactly once**, even under concurrent access
+/// from many sweep workers; cells take O(metadata) copy-on-write snapshots
+/// of it.
+pub(crate) struct BasePool<S> {
+    slots: Vec<OnceLock<S>>,
     loads: AtomicU64,
     /// Microseconds spent in `load` closures.
     load_us: AtomicU64,
@@ -119,38 +108,26 @@ pub(crate) struct BasePool<K, S> {
     wait_us: AtomicU64,
 }
 
-impl<K: PartialEq + std::fmt::Debug, S> BasePool<K, S> {
-    /// Declare the keys the pool will serve. Keys must be distinct.
-    pub(crate) fn new(keys: impl IntoIterator<Item = K>) -> Self {
-        let entries: Vec<(K, OnceLock<S>)> =
-            keys.into_iter().map(|k| (k, OnceLock::new())).collect();
-        for (i, (k, _)) in entries.iter().enumerate() {
-            assert!(
-                !entries[..i].iter().any(|(other, _)| other == k),
-                "duplicate base-state key {k:?}"
-            );
-        }
+impl<S> BasePool<S> {
+    /// A pool serving `groups` base states.
+    pub(crate) fn new(groups: usize) -> Self {
         Self {
-            entries,
+            slots: (0..groups).map(|_| OnceLock::new()).collect(),
             loads: AtomicU64::new(0),
             load_us: AtomicU64::new(0),
             wait_us: AtomicU64::new(0),
         }
     }
 
-    /// The base state for `key`, building it with `load` on first access.
+    /// The base state of `group`, building it with `load` on first access.
     /// A call that finds the state built costs nothing; otherwise its time
     /// counts as loading if this call ran `load`, and as waiting if it
     /// blocked on another caller that did.
     ///
     /// # Panics
-    /// If `key` was not declared in [`BasePool::new`].
-    pub(crate) fn get_or_load(&self, key: &K, load: impl FnOnce() -> S) -> &S {
-        let (_, slot) = self
-            .entries
-            .iter()
-            .find(|(k, _)| k == key)
-            .unwrap_or_else(|| panic!("base-state key {key:?} not declared"));
+    /// If the pool serves no more than `group` states.
+    pub(crate) fn get_or_load(&self, group: usize, load: impl FnOnce() -> S) -> &S {
+        let slot = &self.slots[group];
         if let Some(state) = slot.get() {
             return state;
         }
@@ -165,17 +142,15 @@ impl<K: PartialEq + std::fmt::Debug, S> BasePool<K, S> {
         spent.fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
         state
     }
-}
 
-impl<K, S> BasePool<K, S> {
     /// How many base states have actually been built and loaded.
     pub(crate) fn loads(&self) -> u64 {
         self.loads.load(Ordering::Relaxed)
     }
 
-    /// How many distinct base states the pool declares.
+    /// How many base states the pool serves.
     pub(crate) fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 }
 
@@ -252,8 +227,8 @@ impl Sweep {
         let started = Instant::now();
 
         // One entry per worker: its total busy time plus every
-        // `(cell index, result, cell wall time)` it produced.
-        type WorkerOut<R> = Vec<(u64, Vec<(usize, R, u64)>)>;
+        // `(cell index, result)` it produced.
+        type WorkerOut<R> = Vec<(u64, Vec<(usize, R)>)>;
         let next = AtomicUsize::new(0);
         let f = &f;
         let per_worker: WorkerOut<R> = std::thread::scope(|s| {
@@ -261,7 +236,7 @@ impl Sweep {
                 .map(|_| {
                     let next = &next;
                     s.spawn(move || {
-                        let mut out: Vec<(usize, R, u64)> = Vec::new();
+                        let mut out: Vec<(usize, R)> = Vec::new();
                         let mut busy = 0u64;
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -269,10 +244,8 @@ impl Sweep {
                                 break;
                             }
                             let t0 = Instant::now();
-                            let r = f(&cells[i]);
-                            let wall_us = t0.elapsed().as_micros() as u64;
-                            busy += wall_us;
-                            out.push((i, r, wall_us));
+                            out.push((i, f(&cells[i])));
+                            busy += t0.elapsed().as_micros() as u64;
                         }
                         (busy, out)
                     })
@@ -285,33 +258,21 @@ impl Sweep {
         });
 
         // Ordered collection: place every result at its cell index.
-        let mut slots: Vec<Option<(R, CellStat)>> = (0..n).map(|_| None).collect();
+        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
         let mut busy_us = Vec::with_capacity(workers);
-        for (worker, (busy, items)) in per_worker.into_iter().enumerate() {
+        for (busy, items) in per_worker {
             busy_us.push(busy);
-            for (index, r, wall_us) in items {
-                slots[index] = Some((
-                    r,
-                    CellStat {
-                        index,
-                        worker,
-                        wall_us,
-                    },
-                ));
+            for (index, r) in items {
+                slots[index] = Some(r);
             }
         }
-        let mut results = Vec::with_capacity(n);
-        let mut stats = Vec::with_capacity(n);
-        for (r, stat) in slots.into_iter().flatten() {
-            results.push(r);
-            stats.push(stat);
-        }
+        let results: Vec<R> = slots.into_iter().flatten().collect();
         debug_assert_eq!(results.len(), n, "every cell ran exactly once");
 
         SweepOutcome {
             results,
             telemetry: Telemetry {
-                cells: stats,
+                cell_count: n,
                 workers,
                 wall_us: started.elapsed().as_micros() as u64,
                 busy_us,
@@ -345,20 +306,20 @@ mod tests {
             assert_eq!(*idx, i as u64);
             assert_eq!(*doubled, cells[i] * 2);
         }
-        assert_eq!(out.telemetry.cells.len(), 57);
+        assert_eq!(out.telemetry.cell_count, 57);
         assert!(out.telemetry.workers <= 7);
     }
 
     #[test]
-    fn base_pool_loads_each_key_exactly_once() {
-        let pool: BasePool<u32, Vec<u32>> = BasePool::new([1, 3, 6]);
-        let cells: Vec<u32> = (0..20).flat_map(|_| [1u32, 3, 6]).collect();
-        let out = Sweep::new().with_threads(8).run(&cells, |&rf| {
-            let base = pool.get_or_load(&rf, || vec![rf; 4]);
-            base.len() as u32 + rf
+    fn base_pool_loads_each_group_exactly_once() {
+        let pool: BasePool<Vec<u32>> = BasePool::new(3);
+        let cells: Vec<usize> = (0..20).flat_map(|_| [0, 1, 2]).collect();
+        let out = Sweep::new().with_threads(8).run(&cells, |&group| {
+            let base = pool.get_or_load(group, || vec![group as u32; 4]);
+            base.len() + group
         });
         assert_eq!(pool.loads(), 3, "each base state must load exactly once");
-        assert!(out.results.iter().zip(&cells).all(|(r, rf)| *r == rf + 4));
+        assert!(out.results.iter().zip(&cells).all(|(r, g)| *r == g + 4));
         let mut telemetry = out.telemetry;
         telemetry.record_pool(&pool);
         assert_eq!(telemetry.base_loads, 3);
@@ -370,11 +331,11 @@ mod tests {
     fn waiting_for_another_workers_load_is_not_busy() {
         // Both workers ask for one base at once; one loads it for 50 ms
         // while the other blocks.
-        let pool: BasePool<u32, u32> = BasePool::new([1]);
+        let pool: BasePool<u32> = BasePool::new(1);
         let meet = std::sync::Barrier::new(2);
         let out = Sweep::new().with_threads(2).run(&[0u8, 1], |_| {
             meet.wait();
-            *pool.get_or_load(&1, || {
+            *pool.get_or_load(0, || {
                 std::thread::sleep(std::time::Duration::from_millis(50));
                 7
             })
@@ -387,13 +348,6 @@ mod tests {
         assert!(telemetry.base_wait_us >= 10_000, "{telemetry:?}");
         assert!(telemetry.utilization() < 1.0, "{telemetry:?}");
         assert!(telemetry.summary().contains("s waiting"));
-    }
-
-    #[test]
-    #[should_panic(expected = "not declared")]
-    fn base_pool_rejects_undeclared_keys() {
-        let pool: BasePool<u32, u32> = BasePool::new([1, 2]);
-        pool.get_or_load(&9, || 0);
     }
 
     #[test]
@@ -414,7 +368,6 @@ mod tests {
         let (reference, one) = run(Sweep::new().with_threads(1));
         assert_eq!(run(Sweep::new().with_threads(6)).0, reference);
         assert_eq!(one.workers, 1);
-        assert!(one.cells.iter().all(|c| c.worker == 0));
     }
 
     #[test]

@@ -1355,6 +1355,33 @@ impl SimStore for Cluster {
     }
 }
 
+impl Cluster {
+    /// True when a bulk load leaves `self` and `other` holding the same
+    /// data. The load reads the replication factor, the partitioner, the
+    /// placement strategy, the topology and the storage tuning; consistency
+    /// levels, read repair, the commit-log mode, hinted handoff, admission
+    /// and timeouts are read only by running ops.
+    pub fn loads_like(&self, other: &Self) -> bool {
+        let (a, b) = (&self.config, &other.config);
+        a.replication_factor == b.replication_factor
+            && a.partitioner == b.partitioner
+            && a.strategy == b.strategy
+            && a.node.topology == b.node.topology
+            && a.lsm == b.lsm
+    }
+
+    /// This unloaded cluster holding a copy-on-write snapshot of the data
+    /// `loaded` was bulk-loaded with: its nodes' storage.
+    ///
+    /// # Panics
+    /// If `loaded` does not [load like](Cluster::loads_like) `self`.
+    pub fn with_data_of(mut self, loaded: &Self) -> Self {
+        assert!(self.loads_like(loaded), "the clusters load different data");
+        self.nodes = loaded.nodes.clone();
+        self
+    }
+}
+
 /// The uniform fault surface: a crash stops the node, a recovery restarts
 /// it and schedules hint replay on every node holding hints; degradation
 /// faults act directly on the node's hardware.
@@ -1999,6 +2026,27 @@ mod tests {
         assert_eq!(c.result, OpResult::Error(OpError::Timeout));
         assert_eq!(h.cluster.metrics().timeouts, 1);
         assert_eq!(h.cluster.metrics().unavailable, 0);
+    }
+
+    #[test]
+    fn every_setting_the_load_reads_keeps_clusters_from_loading_alike() {
+        let base = ordered_config(3, 5, 100);
+        let loaded = Cluster::new(base.clone());
+        assert!(Cluster::new(base.clone()).loads_like(&loaded));
+        let tweaks: [fn(&mut CStoreConfig); 5] = [
+            |c| c.replication_factor = 2,
+            |c| c.partitioner = Partitioner::murmur(),
+            |c| c.strategy = crate::ring::Strategy::network_topology(1, 3),
+            |c| c.lsm.block_size *= 2,
+            |c| c.node.topology = simkit::Topology::single_rack(5, 1),
+        ];
+        for tweak in tweaks {
+            let mut config = base.clone();
+            tweak(&mut config);
+            let other = Cluster::new(config);
+            assert!(!other.loads_like(&loaded), "{:?}", other.config);
+            assert!(!loaded.loads_like(&other), "{:?}", other.config);
+        }
     }
 
     #[test]

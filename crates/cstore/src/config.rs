@@ -109,7 +109,7 @@ impl Default for ServiceCosts {
 }
 
 /// Full configuration of a simulated Cassandra-analog cluster.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CStoreConfig {
     /// Replication factor (the paper sweeps 1..=6).
     pub replication_factor: u32,

@@ -23,7 +23,7 @@ use storage::sstable::{cmp_via_prefix, key_prefix, KeyPrefix};
 use storage::Key;
 
 /// How keys map to ring positions.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Partitioner {
     /// Node `i` owns keys in `[tokens[i], tokens[i+1])`; keys before
     /// `tokens[0]` wrap to the last node. Tokens must be sorted and as many

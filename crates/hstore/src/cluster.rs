@@ -94,6 +94,8 @@ pub struct Cluster {
     metrics: Metrics,
     /// Drives HDFS replica placement.
     rng: SimRng,
+    /// The seed `rng` started from.
+    seed: u64,
     /// Per-follower-region applied watermark: the latest primary commit
     /// time whose WAL bytes the follower has applied (async replication).
     follower_watermark: Vec<SimTime>,
@@ -146,6 +148,7 @@ impl Cluster {
             rt,
             metrics: Metrics::new(),
             rng,
+            seed,
             follower_watermark: vec![0; followers],
             ship_window_sum: 0,
             loading: Vec::new(),
@@ -894,6 +897,28 @@ impl SimStore for Cluster {
     }
 }
 
+impl Cluster {
+    /// True when a bulk load leaves `self` and `other` holding the same
+    /// data. The load reads nearly all of the build (region splits, storage
+    /// tuning, the dfs replication factor and the placement RNG that every
+    /// HFile placement draws on), so only identical configurations built
+    /// with the same placement seed load alike.
+    pub fn loads_like(&self, other: &Self) -> bool {
+        self.config == other.config && self.seed == other.seed
+    }
+
+    /// This unloaded cluster holding a copy-on-write snapshot of the data
+    /// `loaded` was bulk-loaded with. The two builds are identical, so that
+    /// is a snapshot of `loaded` itself.
+    ///
+    /// # Panics
+    /// If `loaded` does not [load like](Cluster::loads_like) `self`.
+    pub fn with_data_of(self, loaded: &Self) -> Self {
+        assert!(self.loads_like(loaded), "the clusters load different data");
+        loaded.snapshot()
+    }
+}
+
 /// The uniform fault surface. A crash honours `failover_delay_us`: with a
 /// nonzero delay the server drops dead now and the master's failover runs
 /// as a scheduled `Event::FailOver` — requests to its regions fail until
@@ -1008,6 +1033,18 @@ mod tests {
             let out = self.run();
             out.into_iter().find(|c| c.token == t).expect("completed")
         }
+    }
+
+    #[test]
+    fn builds_with_different_placement_seeds_never_load_alike() {
+        let loaded = Cluster::new(config(3, 5, 100), 1);
+        assert!(Cluster::new(config(3, 5, 100), 1).loads_like(&loaded));
+        for seed in [0, 2, 1 << 40, u64::MAX] {
+            assert!(!Cluster::new(config(3, 5, 100), seed).loads_like(&loaded));
+        }
+        let mut other = config(3, 5, 100);
+        other.node.rpc_timeout_us /= 2;
+        assert!(!Cluster::new(other, 1).loads_like(&loaded));
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl Default for ServiceCosts {
 }
 
 /// Full configuration of a simulated HBase-analog cluster.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HStoreConfig {
     /// HDFS replication factor (the paper sweeps 1..=6).
     pub replication_factor: u32,

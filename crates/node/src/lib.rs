@@ -37,7 +37,7 @@ use storage::{Cell, Completion, IoOp, IoPlan, OpError, OpResult, Rows};
 pub use store::{DriverEvent, SimStore};
 
 /// The node-level settings both stores share, each with one meaning.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeConfig {
     /// Hardware of each node.
     pub profile: NodeProfile,
@@ -394,8 +394,7 @@ impl<S, E: NodeEvent> Runtime<S, E> {
     }
 
     /// Charge an I/O plan against `node`'s disk, serially, from `start`.
-    /// Returns when the last foreground read completes; sequential writes
-    /// consume bandwidth without gating it.
+    /// Returns when the last read completes.
     pub fn charge_io_plan(&mut self, node: NodeId, start: SimTime, plan: &IoPlan) -> SimTime {
         let disk = &mut self.nodes[node.index()].hw.disk;
         let mut t = start;
@@ -403,9 +402,6 @@ impl<S, E: NodeEvent> Runtime<S, E> {
             match *op {
                 IoOp::DiskRead { bytes } => t = disk.random_read(t, bytes),
                 IoOp::DiskSeqRead { bytes } => t = disk.seq_read(t, bytes),
-                IoOp::DiskSeqWrite { bytes } => {
-                    disk.seq_write(t, bytes);
-                }
                 IoOp::MemtableHit | IoOp::CacheHit { .. } | IoOp::BloomSkip => {}
             }
         }
@@ -680,17 +676,6 @@ mod tests {
         plan.push(IoOp::DiskRead { bytes: 0 });
         let done = rt.charge_io_plan(NodeId(0), 0, &plan);
         assert_eq!(done, 16_000, "two 8ms seeks back to back");
-    }
-
-    #[test]
-    fn background_writes_do_not_gate_completion() {
-        let mut rt = runtime(1, |_| {});
-        let mut plan = IoPlan::new();
-        plan.push(IoOp::DiskSeqWrite { bytes: 1_000_000 });
-        plan.push(IoOp::CacheHit { bytes: 100 });
-        let done = rt.charge_io_plan(NodeId(0), 5, &plan);
-        assert_eq!(done, 5, "nothing foreground in this plan");
-        assert!(rt.hw(NodeId(0)).disk.utilization(1_000_000) > 0.0);
     }
 
     #[test]

@@ -36,7 +36,7 @@ impl std::fmt::Display for NodeId {
 /// Loopback is free, same-region pairs pay `prop_us`, and cross-region
 /// pairs pay the (possibly asymmetric) per-region-pair one-way WAN delay.
 /// Single-region topologies never consult the WAN matrix.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     region_of: Vec<u32>,
     regions: u32,

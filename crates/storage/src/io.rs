@@ -28,11 +28,6 @@ pub enum IoOp {
         /// Bytes transferred.
         bytes: u64,
     },
-    /// A sequential disk write (flush, compaction output, log segment).
-    DiskSeqWrite {
-        /// Bytes transferred.
-        bytes: u64,
-    },
     /// A bloom-filter check that skipped a table (CPU only; recorded so
     /// tests can assert bloom effectiveness).
     BloomSkip,
@@ -120,17 +115,6 @@ impl IoPlan {
             .sum()
     }
 
-    /// Total bytes written to disk.
-    #[cfg(test)]
-    pub(crate) fn disk_write_bytes(&self) -> u64 {
-        self.iter()
-            .map(|o| match o {
-                IoOp::DiskSeqWrite { bytes } => *bytes,
-                _ => 0,
-            })
-            .sum()
-    }
-
     /// Bytes served from the block cache.
     #[cfg(test)]
     pub(crate) fn cache_hit_bytes(&self) -> u64 {
@@ -151,7 +135,7 @@ impl IoPlan {
     /// True when the operation never left memory.
     #[cfg(test)]
     pub(crate) fn is_memory_only(&self) -> bool {
-        self.disk_read_bytes() == 0 && self.disk_write_bytes() == 0
+        self.disk_read_bytes() == 0
     }
 }
 
@@ -166,11 +150,9 @@ mod tests {
         p.push(IoOp::CacheHit { bytes: 100 });
         p.push(IoOp::DiskRead { bytes: 4096 });
         p.push(IoOp::DiskSeqRead { bytes: 8192 });
-        p.push(IoOp::DiskSeqWrite { bytes: 1000 });
         p.push(IoOp::BloomSkip);
         assert_eq!(p.random_reads(), 1);
         assert_eq!(p.disk_read_bytes(), 4096 + 8192);
-        assert_eq!(p.disk_write_bytes(), 1000);
         assert_eq!(p.cache_hit_bytes(), 100);
         assert_eq!(p.bloom_skips(), 1);
         assert!(!p.is_memory_only());

@@ -1,6 +1,6 @@
 //! `fig <name> [--quick]` — regenerate one evaluation artifact.
 //!
-//! `<name>` is a key of [`bench_core::experiment::FIGURES`] (`table1`,
+//! `<name>` is a key of [`bench_core::FIGURES`] (`table1`,
 //! `fig1`…`fig8`, `fig10`, `ablations`). The figure's tables go to stdout,
 //! its CSV/JSONL files under `RESULTS_DIR` (default `results/`), timing and
 //! sweep telemetry to stderr. `--quick` runs the smoke-scale configuration;
@@ -9,8 +9,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use bench_core::experiment::{Figure, FIGURES};
-use bench_core::sweep::{BadSweepThreads, Sweep};
+use bench_core::{BadSweepThreads, Figure, Sweep, FIGURES};
 
 /// Why the command line or environment was rejected (exit code 2).
 #[derive(Debug)]

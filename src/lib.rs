@@ -29,7 +29,7 @@
 //! The package's one binary, `fig <name> [--quick]`, regenerates one
 //! evaluation artifact: it prints the figure's tables and writes its CSVs
 //! under `results/` (`RESULTS_DIR` overrides). `<name>` is a key of
-//! [`bench_core::experiment::FIGURES`]. The repo's benchmark, which times
+//! [`bench_core::FIGURES`]. The repo's benchmark, which times
 //! every layer from the event queue up, is the standalone `benchmark/`
 //! package.
 //!

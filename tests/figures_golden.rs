@@ -12,8 +12,7 @@
 
 use std::path::Path;
 
-use cloudserve::bench_core::experiment::{Part, FIGURES};
-use cloudserve::bench_core::Sweep;
+use cloudserve::bench_core::{Part, Sweep, FIGURES};
 
 fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))

@@ -1,14 +1,17 @@
-//! Sweep-engine integration tests: scheduling never changes results, and
-//! the copy-on-write snapshots the engine stamps out per cell are truly
-//! independent of their base state and of each other.
+//! Sweep-engine integration tests: scheduling never changes results, the
+//! copy-on-write snapshots the engine stamps out per cell are truly
+//! independent of their base state and of each other, and a cell whose
+//! store differs from its group's only in settings the load does not read
+//! runs exactly as if it had loaded its own data.
 
 use bytes::Bytes;
-use cloudserve::bench_core::driver;
+use cloudserve::bench_core::driver::{self, DriverConfig};
 use cloudserve::bench_core::micro::MicroConfig;
-use cloudserve::bench_core::setup::{build_cstore, build_hstore, Scale};
+use cloudserve::bench_core::setup::{build_cstore, build_cstore_with, build_hstore, Scale};
 use cloudserve::bench_core::{DriverEvent, Experiment, Grid, SimStore, Sweep};
-use cloudserve::cstore::Consistency;
-use cloudserve::simkit::Sim;
+use cloudserve::cstore::{CStoreConfig, CommitlogSync, Consistency};
+use cloudserve::faults::FaultPlan;
+use cloudserve::simkit::{AdmissionConfig, NodeId, Sim};
 use cloudserve::storage::{OpResult, StoreOp};
 use cloudserve::ycsb::encode_key;
 use proptest::prelude::*;
@@ -165,4 +168,70 @@ fn driving_a_snapshot_leaves_the_base_reusable() {
     let first = run(&base);
     let second = run(&base);
     assert_eq!(first, second, "base state was mutated by a snapshot run");
+}
+
+/// A configuration hook applied to a cstore build.
+type Tweak = fn(&mut CStoreConfig);
+
+/// One cstore build: its read and write levels and a configuration hook.
+type Setting = (Consistency, Consistency, Tweak);
+
+#[test]
+fn settings_the_load_does_not_read_leave_runs_unchanged() {
+    use Consistency::{All, One, Quorum};
+    let scale = Scale::tiny();
+    // Every level pair, then each other setting only running ops read.
+    let mut settings: Vec<Setting> = Vec::new();
+    for read in [One, Quorum, All] {
+        for write in [One, Quorum, All] {
+            settings.push((read, write, |_| {}));
+        }
+    }
+    let others: [(Consistency, Tweak); 6] = [
+        (One, |c| c.read_repair_chance = 0.0),
+        (One, |c| c.read_repair_chance = 1.0),
+        (One, |c| c.commitlog_sync = CommitlogSync::PerWrite),
+        (One, |c| c.hinted_handoff = false),
+        (One, |c| {
+            c.node.admission = AdmissionConfig { max_in_flight: 6 }
+        }),
+        (Quorum, |c| c.node.rpc_timeout_us = 4_000),
+    ];
+    settings.extend(others.map(|(level, tweak)| (level, level, tweak)));
+    let build = |&(read, write, tweak): &Setting| build_cstore_with(&scale, 3, read, write, tweak);
+    let loaded: Vec<_> = settings
+        .iter()
+        .map(|setting| {
+            let mut store = build(setting);
+            driver::load(&mut store, scale.records, scale.value_len, 7);
+            store
+        })
+        .collect();
+    // Node 1 is down for 40 ms, so hinted handoff has hints to store.
+    let dcfg = DriverConfig {
+        threads: 8,
+        warmup_ops: 100,
+        measure_ops: 500,
+        value_len: scale.value_len,
+        faults: FaultPlan::new().crash_window(NodeId(1), 20_000, 60_000),
+        ..DriverConfig::new(cloudserve::ycsb::WorkloadSpec::read_update(), scale.records)
+    };
+    let run = |mut store: cloudserve::cstore::Cluster| {
+        let out = driver::run(&mut store, &dcfg);
+        (
+            out.events_dispatched,
+            out.throughput.to_bits(),
+            out.errors,
+            out.counters,
+            out.stale_fraction.to_bits(),
+        )
+    };
+    for (i, setting) in settings.iter().enumerate() {
+        // Setting i holding the data loaded under the next setting.
+        let other = &loaded[(i + 1) % loaded.len()];
+        let shared = build(setting);
+        assert!(shared.loads_like(other), "setting {i}");
+        let shared = run(shared.with_data_of(other));
+        assert_eq!(shared, run(loaded[i].snapshot()), "setting {i}");
+    }
 }
