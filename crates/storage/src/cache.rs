@@ -1,12 +1,10 @@
 //! The block cache.
 //!
 //! Tracks which SSTable blocks are resident in a node's RAM, with byte-exact
-//! capacity accounting and O(1) LRU eviction (hash map + intrusive doubly
-//! linked list over a slab). Whether a read is a cache hit or a disk seek is
-//! *the* determinant of latency on the paper's HDD testbed, so this is a real
-//! cache, not a hit-rate dial.
-
-use simkit::FastHashMap;
+//! capacity accounting and O(1) LRU eviction: a `u32` slot per block of each
+//! run indexes a slab of 24-byte nodes in an intrusive list (DESIGN.md §5i).
+//! Whether a read is a cache hit or a disk seek is *the* determinant of
+//! latency on the paper's HDD testbed, so this is a real cache, not a dial.
 
 use crate::sstable::TableId;
 
@@ -21,12 +19,21 @@ pub struct BlockKey {
 
 const NIL: u32 = u32::MAX;
 
+/// A resident block; once evicted, `next` links the free list.
 #[derive(Debug, Clone)]
 struct Node {
-    key: BlockKey,
-    bytes: u64,
+    table: TableId,
+    block: u32,
+    bytes: u32,
     prev: u32,
     next: u32,
+}
+
+/// A run's index: each block's node, or `NIL` when it is not resident.
+#[derive(Debug, Clone)]
+struct Run {
+    table: TableId,
+    slots: Vec<u32>,
 }
 
 /// Hit/miss counters for reporting.
@@ -55,11 +62,9 @@ impl CacheStats {
 /// A byte-bounded LRU cache of SSTable blocks.
 #[derive(Debug, Clone)]
 pub struct BlockCache {
-    // Seeded fast-hash map: block keys are two small integers looked up on
-    // every cached read, where SipHash was pure overhead.
-    map: FastHashMap<BlockKey, u32>,
-    slab: Vec<Node>,
-    free: Vec<u32>,
+    runs: Vec<Run>,
+    nodes: Vec<Node>,
+    free: u32, // first node of the free list
     head: u32, // most recently used
     tail: u32, // least recently used
     capacity: u64,
@@ -71,9 +76,9 @@ impl BlockCache {
     /// Create a cache bounded at `capacity` bytes.
     pub fn new(capacity: u64) -> Self {
         Self {
-            map: FastHashMap::default(),
-            slab: Vec::new(),
-            free: Vec::new(),
+            runs: Vec::new(),
+            nodes: Vec::new(),
+            free: NIL,
             head: NIL,
             tail: NIL,
             capacity,
@@ -87,33 +92,47 @@ impl BlockCache {
         self.stats
     }
 
-    /// Reset the counters (not the contents); used at the warm-up boundary.
-    pub(crate) fn reset_stats(&mut self) {
+    /// The warm-up boundary, where a base store is left to clone: reset the
+    /// counters (not the contents) and drop the slab's spare room.
+    pub(crate) fn end_warm_up(&mut self) {
         self.stats = CacheStats::default();
+        self.nodes.shrink_to_fit();
+    }
+
+    /// Index the run `table` of `blocks` blocks, none of them resident.
+    pub(crate) fn add_run(&mut self, table: TableId, blocks: usize) {
+        let slots = vec![NIL; blocks];
+        self.runs.push(Run { table, slots });
+    }
+
+    /// `key`'s run's position (`runs.len()` for a run not indexed yet) and
+    /// its node (`NIL` when not resident).
+    fn find(&self, key: BlockKey) -> (usize, u32) {
+        let found = self.runs.iter().position(|r| r.table == key.table);
+        let run = found.unwrap_or(self.runs.len());
+        let slots = self.runs.get(run).map_or(&[][..], |r| &r.slots);
+        (run, slots.get(key.block as usize).copied().unwrap_or(NIL))
     }
 
     fn detach(&mut self, idx: u32) {
-        let (prev, next) = {
-            let n = &self.slab[idx as usize];
-            (n.prev, n.next)
-        };
+        let Node { prev, next, .. } = self.nodes[idx as usize];
         if prev != NIL {
-            self.slab[prev as usize].next = next;
+            self.nodes[prev as usize].next = next;
         } else {
             self.head = next;
         }
         if next != NIL {
-            self.slab[next as usize].prev = prev;
+            self.nodes[next as usize].prev = prev;
         } else {
             self.tail = prev;
         }
     }
 
     fn push_front(&mut self, idx: u32) {
-        self.slab[idx as usize].prev = NIL;
-        self.slab[idx as usize].next = self.head;
+        self.nodes[idx as usize].prev = NIL;
+        self.nodes[idx as usize].next = self.head;
         if self.head != NIL {
-            self.slab[self.head as usize].prev = idx;
+            self.nodes[self.head as usize].prev = idx;
         }
         self.head = idx;
         if self.tail == NIL {
@@ -124,97 +143,116 @@ impl BlockCache {
     /// Look up a block, marking it most-recently-used on a hit. Returns the
     /// block's cached size, or `None` on a miss.
     pub fn get(&mut self, key: BlockKey) -> Option<u64> {
-        match self.map.get(&key).copied() {
-            Some(idx) => {
-                self.stats.hits += 1;
-                self.detach(idx);
-                self.push_front(idx);
-                Some(self.slab[idx as usize].bytes)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        let idx = self.find(key).1;
+        self.touch(idx)
+            .then(|| u64::from(self.nodes[idx as usize].bytes))
     }
 
-    /// Peek residency without touching LRU order or stats.
-    #[cfg(test)]
-    pub(crate) fn contains(&self, key: BlockKey) -> bool {
-        self.map.contains_key(&key)
+    /// [`BlockCache::get`] of block `block` of `table`, then, on a miss,
+    /// [`BlockCache::insert`] of `bytes`, finding the block once. True on a hit.
+    pub(crate) fn fetch(&mut self, table: TableId, block: u32, bytes: u64) -> bool {
+        let key = BlockKey { table, block };
+        let (run, idx) = self.find(key);
+        let hit = self.touch(idx);
+        if !hit {
+            self.put(run, idx, key, bytes);
+        }
+        hit
+    }
+
+    /// Count a lookup that found node `idx` (`NIL`: a miss); a hit is now MRU.
+    fn touch(&mut self, idx: u32) -> bool {
+        if idx == NIL {
+            self.stats.misses += 1;
+            return false;
+        }
+        self.stats.hits += 1;
+        self.detach(idx);
+        self.push_front(idx);
+        true
     }
 
     /// Insert (or refresh) a block of `bytes`, evicting LRU blocks as needed.
-    /// Blocks larger than the whole cache are ignored.
+    /// Blocks larger than the whole cache (or than 4 GiB) are ignored.
     pub fn insert(&mut self, key: BlockKey, bytes: u64) {
-        if bytes > self.capacity {
+        let (run, idx) = self.find(key);
+        self.put(run, idx, key, bytes);
+    }
+
+    /// [`BlockCache::insert`] of `key`, found at `(run, idx)`.
+    fn put(&mut self, run: usize, idx: u32, key: BlockKey, bytes: u64) {
+        let Some(size) = u32::try_from(bytes).ok().filter(|_| bytes <= self.capacity) else {
             return;
-        }
-        if let Some(&idx) = self.map.get(&key) {
+        };
+        let idx = if idx != NIL {
             // Refresh: update size and recency.
-            let old = self.slab[idx as usize].bytes;
-            self.used = self.used - old + bytes;
-            self.slab[idx as usize].bytes = bytes;
+            self.used -= u64::from(self.nodes[idx as usize].bytes);
+            self.nodes[idx as usize].bytes = size;
             self.detach(idx);
-            self.push_front(idx);
+            idx
         } else {
             while self.used + bytes > self.capacity {
-                self.evict_lru();
+                self.evict_lru(); // empties slots, moves no run
             }
+            if run == self.runs.len() {
+                self.add_run(key.table, 0);
+            }
+            let slots = &mut self.runs[run].slots;
+            slots.resize(slots.len().max(key.block as usize + 1), NIL);
             let node = Node {
-                key,
-                bytes,
+                table: key.table,
+                block: key.block,
+                bytes: size,
                 prev: NIL,
                 next: NIL,
             };
-            let idx = if let Some(free) = self.free.pop() {
-                self.slab[free as usize] = node;
-                free
+            let idx = if self.free == NIL {
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
             } else {
-                self.slab.push(node);
-                (self.slab.len() - 1) as u32
+                let idx = self.free;
+                self.free = std::mem::replace(&mut self.nodes[idx as usize], node).next;
+                idx
             };
-            self.map.insert(key, idx);
-            self.used += bytes;
-            self.push_front(idx);
-        }
+            self.runs[run].slots[key.block as usize] = idx;
+            idx
+        };
+        self.used += bytes;
+        self.push_front(idx);
+    }
+
+    /// Unlink node `idx` and put it on the free list.
+    fn release(&mut self, idx: u32) {
+        self.detach(idx);
+        self.used -= u64::from(self.nodes[idx as usize].bytes);
+        self.nodes[idx as usize].next = self.free;
+        self.free = idx;
     }
 
     fn evict_lru(&mut self) {
         let idx = self.tail;
         debug_assert!(idx != NIL, "evicting from an empty cache");
-        self.detach(idx);
-        let node = &self.slab[idx as usize];
-        self.used -= node.bytes;
-        self.map.remove(&node.key);
-        self.free.push(idx);
+        let Node { table, block, .. } = self.nodes[idx as usize];
+        let run = self.find(BlockKey { table, block }).0;
+        self.runs[run].slots[block as usize] = NIL;
+        self.release(idx);
         self.stats.evictions += 1;
     }
 
-    /// Drop everything (a process restart: caches come back cold).
-    pub(crate) fn clear(&mut self) {
-        self.map.clear();
-        self.slab.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-        self.used = 0;
+    /// Drop every block (a restart: caches come back cold), keeping slots.
+    pub fn clear(&mut self) {
+        self.runs.iter_mut().for_each(|run| run.slots.fill(NIL));
+        self.nodes.clear();
+        (self.free, self.head, self.tail, self.used) = (NIL, NIL, NIL, 0);
     }
 
-    /// Drop every block belonging to `table` (called when compaction deletes
-    /// the table).
-    pub(crate) fn invalidate_table(&mut self, table: TableId) {
-        let victims: Vec<u32> = self
-            .map
-            .iter()
-            .filter(|(k, _)| k.table == table)
-            .map(|(_, &idx)| idx)
-            .collect();
-        self.map.retain(|k, _| k.table != table);
-        for idx in victims {
-            self.detach(idx);
-            self.used -= self.slab[idx as usize].bytes;
-            self.free.push(idx);
+    /// Drop the run `table`, its blocks and slots (compaction deleted it).
+    pub fn invalidate_table(&mut self, table: TableId) {
+        if let Some(run) = self.runs.iter().position(|r| r.table == table) {
+            let slots = self.runs.swap_remove(run).slots;
+            for idx in slots.into_iter().filter(|&i| i != NIL) {
+                self.release(idx);
+            }
         }
     }
 }
@@ -222,6 +260,19 @@ impl BlockCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BlockCache {
+        /// Peek residency without touching LRU order or stats.
+        fn contains(&self, key: BlockKey) -> bool {
+            self.find(key).1 != NIL
+        }
+    }
+
+    /// Blocks the runs' slots index.
+    fn indexed(c: &BlockCache) -> usize {
+        let slots = c.runs.iter().flat_map(|r| &r.slots);
+        slots.filter(|&&idx| idx != NIL).count()
+    }
 
     fn bk(t: u64, b: u32) -> BlockKey {
         BlockKey {
@@ -265,14 +316,14 @@ mod tests {
         // 100 more would exceed 250: one eviction needed.
         c.insert(bk(1, 2), 100);
         assert_eq!(c.used, 200);
-        assert_eq!(c.map.len(), 2);
+        assert_eq!(indexed(&c), 2);
     }
 
     #[test]
     fn oversized_blocks_are_rejected() {
         let mut c = BlockCache::new(50);
         c.insert(bk(1, 0), 100);
-        assert!(c.map.is_empty());
+        assert_eq!(indexed(&c), 0);
     }
 
     #[test]
@@ -311,7 +362,7 @@ mod tests {
             c.insert(bk(1, i), 100);
         }
         // One slot live at a time; slab should stay tiny.
-        assert!(c.slab.len() <= 2, "slab grew to {}", c.slab.len());
+        assert!(c.nodes.len() <= 2, "slab grew to {}", c.nodes.len());
     }
 
     #[test]
@@ -322,7 +373,7 @@ mod tests {
         c.get(bk(1, 0));
         c.get(bk(9, 9));
         assert!((c.stats().hit_rate() - 2.0 / 3.0).abs() < 1e-12);
-        c.reset_stats();
+        c.end_warm_up();
         assert_eq!(c.stats().hit_rate(), 0.0);
     }
 
@@ -336,13 +387,13 @@ mod tests {
             }
             assert!(c.used <= c.capacity);
         }
-        // Map and list agree on membership count.
+        // Index and list agree on membership count.
         let mut count = 0;
         let mut idx = c.head;
         while idx != NIL {
             count += 1;
-            idx = c.slab[idx as usize].next;
+            idx = c.nodes[idx as usize].next;
         }
-        assert_eq!(count, c.map.len());
+        assert_eq!(count, indexed(&c));
     }
 }

@@ -5,7 +5,7 @@
 //! in `hstore`, a node's keyspace shard set in `cstore`).
 
 use crate::bloom;
-use crate::cache::{BlockCache, BlockKey, CacheStats};
+use crate::cache::{BlockCache, CacheStats};
 use crate::compaction::SizeTieredPolicy;
 use crate::io::{IoOp, IoPlan};
 use crate::memtable::{self, Memtable};
@@ -307,16 +307,11 @@ impl LsmTree {
         }
         // Present key, or an absent one the filter false-positives on:
         // either way the block is (simulated-)read and charged.
-        let bkey = BlockKey {
-            table: table.id(),
-            block: block as u32,
-        };
         let bytes = table.block_len(block);
-        if cache.get(bkey).is_some() {
+        if cache.fetch(table.id(), block as u32, bytes) {
             io.push(IoOp::CacheHit { bytes });
         } else {
             io.push(IoOp::DiskRead { bytes });
-            cache.insert(bkey, bytes);
         }
         hit
     }
@@ -440,20 +435,13 @@ impl LsmTree {
         io: &mut IoPlan,
     ) {
         for block in first..=last {
-            let bkey = BlockKey {
-                table: table.id(),
-                block: block as u32,
-            };
             let bytes = table.block_len(block);
-            if cache.get(bkey).is_some() {
+            if cache.fetch(table.id(), block as u32, bytes) {
                 io.push(IoOp::CacheHit { bytes });
+            } else if block == first {
+                io.push(IoOp::DiskRead { bytes });
             } else {
-                if block == first {
-                    io.push(IoOp::DiskRead { bytes });
-                } else {
-                    io.push(IoOp::DiskSeqRead { bytes });
-                }
-                cache.insert(bkey, bytes);
+                io.push(IoOp::DiskSeqRead { bytes });
             }
         }
     }
@@ -507,9 +495,11 @@ impl LsmTree {
         }
     }
 
-    /// Add `table` as the newest run; returns its id and size.
+    /// Add `table` as the newest run, indexed in the block cache; returns
+    /// its id and size.
     fn push_run(&mut self, table: SsTable) -> (TableId, u64) {
         let (id, bytes) = (table.id(), table.total_bytes());
+        self.cache.add_run(id, table.block_count());
         self.tables.push(table);
         self.sizes.push((id, bytes));
         (id, bytes)
@@ -555,13 +545,12 @@ impl LsmTree {
         // Tombstones can only be dropped when no older run might still hold
         // a shadowed value.
         let output = self.build_run(merge_tables(&consumed, major), read_bytes);
-        let (id, write_bytes) = (output.id(), output.total_bytes());
         for t in &consumed {
             self.cache.invalidate_table(t.id());
         }
-        kept.push(output);
         self.tables = kept;
         self.rebuild_sizes();
+        let (id, write_bytes) = self.push_run(output);
         Some(CompactionReceipt {
             inputs,
             output: id,
@@ -580,13 +569,12 @@ impl LsmTree {
         let inputs: Vec<TableId> = self.tables.iter().map(|t| t.id()).collect();
         let read_bytes: u64 = self.tables.iter().map(|t| t.total_bytes()).sum();
         let output = self.build_run(merge_tables(&self.tables, true), read_bytes);
-        let (id, write_bytes) = (output.id(), output.total_bytes());
         for t in &self.tables {
             self.cache.invalidate_table(t.id());
         }
         self.tables.clear();
-        self.tables.push(output);
-        self.rebuild_sizes();
+        self.sizes.clear();
+        let (id, write_bytes) = self.push_run(output);
         Some(CompactionReceipt {
             inputs,
             output: id,
@@ -651,16 +639,10 @@ impl LsmTree {
     pub fn warm_cache(&mut self) {
         for t in &self.tables {
             for block in 0..t.block_count() {
-                self.cache.insert(
-                    crate::cache::BlockKey {
-                        table: t.id(),
-                        block: block as u32,
-                    },
-                    t.block_len(block),
-                );
+                self.cache.fetch(t.id(), block as u32, t.block_len(block));
             }
         }
-        self.cache.reset_stats();
+        self.cache.end_warm_up();
     }
 
     /// True when every run of `self` shares its allocation with the

@@ -6,7 +6,7 @@ use std::ops::Bound;
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use storage::cache::BlockKey;
+use storage::cache::{BlockKey, CacheStats};
 use storage::compaction::SizeTieredPolicy;
 use storage::merge::merge_runs;
 use storage::types::entry_encoded_len;
@@ -999,6 +999,123 @@ proptest! {
         for (rows, live, page, walked) in &held {
             prop_assert_eq!(&flat(rows), live);
             prop_assert_eq!(&flat(page), walked);
+        }
+    }
+}
+
+/// The block cache's reference: every resident block with its size, least
+/// recently used first, and the counters.
+struct LruModel {
+    blocks: Vec<(BlockKey, u64)>,
+    capacity: u64,
+    stats: CacheStats,
+}
+
+impl LruModel {
+    fn used(&self) -> u64 {
+        self.blocks.iter().map(|&(_, bytes)| bytes).sum()
+    }
+
+    fn get(&mut self, key: BlockKey) -> Option<u64> {
+        let Some(i) = self.blocks.iter().position(|&(k, _)| k == key) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.stats.hits += 1;
+        let block = self.blocks.remove(i);
+        self.blocks.push(block);
+        Some(block.1)
+    }
+
+    /// A refresh takes the new size and recency and evicts nothing, so a
+    /// grown block may leave more than the capacity resident.
+    fn insert(&mut self, key: BlockKey, bytes: u64) {
+        if bytes > self.capacity {
+            return;
+        }
+        if let Some(i) = self.blocks.iter().position(|&(k, _)| k == key) {
+            self.blocks.remove(i);
+        } else {
+            while self.used() + bytes > self.capacity {
+                self.blocks.remove(0);
+                self.stats.evictions += 1;
+            }
+        }
+        self.blocks.push((key, bytes));
+    }
+}
+
+/// Every block the cache test touches, and some it never does: blocks
+/// past the last one inserted and a run never used.
+fn cache_probes() -> impl Iterator<Item = BlockKey> {
+    (1..=5).flat_map(|t| {
+        (0..14).map(move |block| BlockKey {
+            table: TableId(t),
+            block,
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The block cache against a reference LRU over 1–4 runs the cache
+    /// learns of only by their inserts: random inserts (refreshes and
+    /// blocks larger than the cache among them), gets, invalidations of a
+    /// run and clears. After every step the get answer, the counters, the
+    /// resident blocks with their sizes and the bytes the cache counts as
+    /// used agree; both are read from clones, so reading moves nothing.
+    #[test]
+    fn block_cache_matches_a_reference_lru(
+        runs in 1u64..5,
+        // (operation, run, block, bytes)
+        ops in prop::collection::vec((0u32..100, 0u64..4, 0u32..12, 1u64..80), 1..300),
+    ) {
+        const CAPACITY: u64 = 200;
+        let mut cache = BlockCache::new(CAPACITY);
+        let mut model = LruModel { blocks: Vec::new(), capacity: CAPACITY, stats: CacheStats::default() };
+        for (step, (op, run, block, bytes)) in ops.into_iter().enumerate() {
+            let table = TableId(1 + run % runs);
+            let key = BlockKey { table, block };
+            match op {
+                0..=44 => {
+                    cache.insert(key, bytes);
+                    model.insert(key, bytes);
+                }
+                45..=54 => {
+                    cache.insert(key, CAPACITY + bytes);
+                    model.insert(key, CAPACITY + bytes);
+                }
+                55..=89 => prop_assert_eq!(cache.get(key), model.get(key), "step {} get {:?}", step, key),
+                90..=95 => {
+                    cache.invalidate_table(table);
+                    model.blocks.retain(|(k, _)| k.table != table);
+                }
+                _ => {
+                    cache.clear();
+                    model.blocks.clear();
+                }
+            }
+            prop_assert_eq!(cache.stats(), model.stats, "step {}", step);
+            let mut probe = cache.clone();
+            let mut resident: Vec<(BlockKey, u64)> = cache_probes()
+                .filter_map(|key| probe.get(key).map(|bytes| (key, bytes)))
+                .collect();
+            let mut want = model.blocks.clone();
+            want.sort_by_key(|&(k, _)| (k.table.0, k.block));
+            resident.sort_by_key(|&(k, _)| (k.table.0, k.block));
+            prop_assert_eq!(&resident, &want, "step {}", step);
+            // The byte count, read through eviction: a new block of exactly
+            // the room left evicts nothing, one byte more evicts.
+            if let Some(room) = CAPACITY.checked_sub(model.used()) {
+                let fresh = BlockKey { table: TableId(99), block: 0 };
+                for extra in [0, 1] {
+                    let mut probe = cache.clone();
+                    probe.insert(fresh, room + extra);
+                    let evicted = probe.stats().evictions > cache.stats().evictions;
+                    prop_assert_eq!(evicted, extra == 1 && room < CAPACITY, "step {} room {}", step, room);
+                }
+            }
         }
     }
 }
