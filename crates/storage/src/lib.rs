@@ -7,8 +7,8 @@
 //! once, functionally for real:
 //!
 //! * [`types`] — keys, values, timestamped cells, tombstones.
-//! * `memtable` — the in-memory sorted write buffer.
-//! * `wal` — the write-ahead/commit log with replay.
+//! * `memtable` — the in-memory sorted write buffer, which also keeps its
+//!   rows as of the last commit-log sync for a crash to roll back to.
 //! * `bloom` — a bloom filter to skip sorted runs on reads.
 //! * [`Segment`] — the rows of runs: one key arena, offsets and cells.
 //! * [`sstable`] — immutable sorted runs with block structure and an index.
@@ -44,7 +44,6 @@ mod rows;
 mod segment;
 pub mod sstable;
 pub mod types;
-mod wal;
 
 pub use api::{Completion, OpError, OpKind, OpResult, StoreOp};
 pub use cache::BlockCache;

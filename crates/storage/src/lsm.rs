@@ -1,5 +1,5 @@
-//! The assembled LSM tree: WAL + memtable + SSTables + block cache +
-//! compaction, with I/O-plan accounting on every operation.
+//! The assembled LSM tree: commit log + memtable + SSTables + block cache
+//! + compaction, with I/O-plan accounting on every operation.
 //!
 //! One `LsmTree` is the storage engine of one replica on one node (a region
 //! in `hstore`, a node's keyspace shard set in `cstore`).
@@ -13,8 +13,7 @@ use crate::merge::{Merge, Pulled};
 use crate::rows::{Loc, Rows};
 use crate::segment::{RowArena, Segment};
 use crate::sstable::{RunBuilder, SsTable, TableId};
-use crate::types::{Cell, Key};
-use crate::wal::WriteAheadLog;
+use crate::types::{entry_encoded_len, Cell, Key};
 
 /// Tuning knobs for one LSM tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -198,7 +197,8 @@ fn merge_tables(tables: &[SsTable], drop_tombstones: bool) -> Segment {
 #[derive(Debug, Clone)]
 pub struct LsmTree {
     config: LsmConfig,
-    wal: WriteAheadLog,
+    /// Commit-log bytes appended since the last sync.
+    wal_unsynced_bytes: u64,
     memtable: Memtable,
     /// Oldest first; reads reconcile across all runs.
     tables: Vec<SsTable>,
@@ -214,7 +214,7 @@ impl LsmTree {
     pub fn new(config: LsmConfig) -> Self {
         Self {
             config,
-            wal: WriteAheadLog::new(),
+            wal_unsynced_bytes: 0,
             memtable: Memtable::new(),
             tables: Vec::new(),
             sizes: Vec::new(),
@@ -228,11 +228,14 @@ impl LsmTree {
         &self.config
     }
 
-    /// Apply a write: WAL append then memtable insert. The WAL copy of the
-    /// payload is a refcount bump; the caller's key/cell move straight into
-    /// the memtable.
+    /// Apply a write: a commit-log append, then a memtable insert. The
+    /// append is only its size (the entry's encoded length plus an 8-byte
+    /// sequence number), returned for bandwidth accounting: a crash needs
+    /// no record ([`LsmTree::recover`]), so a put allocates nothing beyond
+    /// the memtable's insert.
     pub fn put(&mut self, key: Key, cell: Cell) -> WriteReceipt {
-        let (_seq, wal_bytes) = self.wal.append(&key, &cell);
+        let wal_bytes = entry_encoded_len(&key, &cell) + 8;
+        self.wal_unsynced_bytes += wal_bytes;
         self.memtable.insert(key, cell);
         WriteReceipt {
             wal_bytes,
@@ -454,12 +457,10 @@ impl LsmTree {
         if self.memtable.is_empty() {
             return None;
         }
-        let watermark = self.wal.last_seq();
         let bytes = self.memtable.bytes();
         let segment = self.memtable.drain();
         let table = self.build_run(segment, bytes);
         let (id, bytes) = self.push_run(table);
-        self.wal.truncate_through(watermark);
         let compaction_due = self.config.compaction.pick(&self.sizes).is_some();
         Some(FlushReceipt {
             table: id,
@@ -583,23 +584,23 @@ impl LsmTree {
         })
     }
 
-    /// Mark WAL bytes synced; returns bytes a background fsync would write.
+    /// Sync the commit log: every write so far is durable. Returns the
+    /// bytes appended since the last sync, what a background fsync would
+    /// write. O(1), and allocates nothing.
     pub fn sync_wal(&mut self) -> u64 {
-        self.wal.sync()
+        self.memtable.sync();
+        std::mem::take(&mut self.wal_unsynced_bytes)
     }
 
-    /// Simulate a crash-restart: the memtable is lost, and so is every WAL
-    /// entry past the last [`LsmTree::sync_wal`]; the memtable is rebuilt
-    /// from the synced entries left. SSTables and cache contents survive
-    /// (the cache is cold in a real restart, but residency is a performance
-    /// matter handled by callers).
+    /// Simulate a crash-restart: every write since the later of the last
+    /// [`LsmTree::sync_wal`] and [`LsmTree::flush`] is lost. One walk over
+    /// the memtable rolls it back to the rows and `memtable_bytes()` a
+    /// replay of the synced, unflushed log would rebuild. SSTables and
+    /// cache contents survive (the cache is cold in a real restart, but
+    /// residency is a performance matter handled by callers).
     pub fn recover(&mut self) {
-        self.memtable = Memtable::new();
-        self.wal.lose_unsynced();
-        let Self { wal, memtable, .. } = self;
-        for e in wal.replay() {
-            memtable.insert(e.key.clone(), e.cell.clone());
-        }
+        self.memtable.roll_back();
+        self.wal_unsynced_bytes = 0;
     }
 
     /// Number of live SSTables.
@@ -617,9 +618,9 @@ impl LsmTree {
         self.memtable.bytes()
     }
 
-    /// Unsynced WAL bytes.
+    /// Commit-log bytes appended since the last sync.
     pub fn wal_unsynced_bytes(&self) -> u64 {
-        self.wal.unsynced_bytes()
+        self.wal_unsynced_bytes
     }
 
     /// Block-cache counters.
@@ -901,6 +902,20 @@ mod tests {
             let found = tree.get(format!("user{i:06}").as_bytes()).cell.is_some();
             assert_eq!(found, i < 40, "key {i} after recovery");
         }
+    }
+
+    #[test]
+    fn a_flush_then_a_crash_keeps_the_flushed_rows() {
+        let mut tree = LsmTree::new(small_config());
+        fill(&mut tree, 0..10, 1); // never synced, but flushed
+        tree.flush();
+        fill(&mut tree, 10..15, 2); // unsynced
+        tree.recover();
+        for i in 0..15 {
+            let found = tree.get(format!("user{i:06}").as_bytes()).cell.is_some();
+            assert_eq!(found, i < 10, "key {i} after recovery");
+        }
+        assert_eq!(tree.memtable_bytes(), 0);
     }
 
     #[test]

@@ -776,24 +776,28 @@ proptest! {
     /// deletes, syncs, flushes and crashes, every key reads the newest
     /// durable write to it. So a synced write survives, an unsynced one
     /// is lost unless a flush saved it, and no lost write comes back
-    /// after a later crash.
+    /// after a later crash. What later flushes and scans read matches too:
+    /// `memtable_bytes()` and a full scan equal a fresh tree's that `put`s
+    /// the surviving writes in order and flushes where this one did.
     #[test]
     fn a_crash_keeps_exactly_the_synced_and_flushed_writes(
         // (key, ts, op): op 0..6 a put, 6 a delete, 7 a sync, 8 a flush,
         // 9 a crash
         ops in prop::collection::vec((0u64..12, 1u64..50, 0u32..10), 1..120),
     ) {
-        let mut tree = LsmTree::new(LsmConfig {
+        let config = LsmConfig {
             block_size: 128,
             memtable_flush_bytes: u64::MAX,
             cache_bytes: 1024,
             compaction: SizeTieredPolicy::default(),
-        });
-        // Every write that is still readable: (key, cell, durable).
-        let mut writes: Vec<(u64, Cell, bool)> = Vec::new();
-        let durable_view = |writes: &[(u64, Cell, bool)]| {
+        };
+        let mut tree = LsmTree::new(config);
+        // Every write that is still readable: (key, cell, durable, a flush
+        // came right after it).
+        let mut writes: Vec<(u64, Cell, bool, bool)> = Vec::new();
+        let durable_view = |writes: &[(u64, Cell, bool, bool)]| {
             let mut view: BTreeMap<u64, Cell> = BTreeMap::new();
-            for (id, cell, _) in writes.iter().filter(|w| w.2) {
+            for (id, cell, _, _) in writes.iter().filter(|w| w.2) {
                 let newest = match view.remove(id) {
                     Some(held) => Cell::reconcile(held, cell.clone()),
                     None => cell.clone(),
@@ -807,7 +811,7 @@ proptest! {
                 0..=6 => {
                     let cell = if op == 6 { Cell::tombstone(ts) } else { Cell::live(key(ts), ts) };
                     tree.put(key(id), cell.clone());
-                    writes.push((id, cell, false));
+                    writes.push((id, cell, false, false));
                 }
                 7 => {
                     tree.sync_wal();
@@ -816,6 +820,9 @@ proptest! {
                 8 => {
                     tree.flush();
                     writes.iter_mut().for_each(|w| w.2 = true);
+                    if let Some(last) = writes.last_mut() {
+                        last.3 = true;
+                    }
                 }
                 _ => {
                     tree.recover();
@@ -824,6 +831,15 @@ proptest! {
                     for id in 0..12 {
                         prop_assert_eq!(tree.get(&key(id)).cell.as_ref(), view.get(&id), "key {}", id);
                     }
+                    let mut fresh = LsmTree::new(config);
+                    for (id, cell, _, flushed) in &writes {
+                        fresh.put(key(*id), cell.clone());
+                        if *flushed {
+                            fresh.flush();
+                        }
+                    }
+                    prop_assert_eq!(tree.memtable_bytes(), fresh.memtable_bytes());
+                    prop_assert_eq!(flat(&tree.scan(&[], 16).rows), flat(&fresh.scan(&[], 16).rows));
                 }
             }
         }
