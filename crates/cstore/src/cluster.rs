@@ -22,102 +22,16 @@ use crate::config::{CStoreConfig, CommitlogSync, Consistency};
 use crate::event::Event;
 use crate::metrics::Metrics;
 use crate::node::{CNode, Hint};
+use crate::protocol::{FanOut, Page, Quota, ReadState, ScanState, WriteState};
 use crate::ring::Ring;
 
 #[derive(Debug, Clone)]
 enum PendingState {
-    /// Created at submit, holding the op; consumed at `Arrive`.
+    /// Created at submit, holding the op; replaced at `Arrive`.
     Init(StoreOp),
-    /// Transient placeholder while `Arrive` moves the op out for dispatch.
-    Dispatching,
     Write(WriteState),
     Read(ReadState),
     Scan(ScanState),
-}
-
-/// The replica quota a consistency level sets for one op: which answers
-/// settle it. [`Cluster::quota`] sizes it from the *configured* replica
-/// set, live or not, as in Cassandra's blockFor computation.
-#[derive(Debug, Clone)]
-enum Quota {
-    /// Any `n` replicas: ONE/QUORUM/ALL, every level on a single-DC
-    /// cluster, and LOCAL_QUORUM when the coordinator's DC holds no
-    /// replica.
-    Any(u32),
-    /// `needed` replicas of the coordinator's datacenter `dc`
-    /// (LOCAL_QUORUM, so no WAN hop sits on the settle path); `acks` counts
-    /// that datacenter's acks so far.
-    Local { dc: u32, needed: u32, acks: u32 },
-    /// A majority in every datacenter holding replicas (EACH_QUORUM, so the
-    /// settle path waits on the slowest one): `(region, needed, acks)` per
-    /// datacenter, in ring order of its first replica.
-    PerDc(Vec<(u32, u32, u32)>),
-}
-
-impl Quota {
-    /// Replica answers the quota needs in all.
-    fn needed(&self) -> u32 {
-        match self {
-            Quota::Any(n) | Quota::Local { needed: n, .. } => *n,
-            Quota::PerDc(dcs) => dcs.iter().map(|q| q.1).sum(),
-        }
-    }
-
-    /// Record the op's `total`th ack, from a node in `region`; true once
-    /// the quota is met.
-    fn ack(&mut self, region: u32, total: u32) -> bool {
-        match self {
-            Quota::Any(n) => total >= *n,
-            Quota::Local { dc, needed, acks } => {
-                *acks += u32::from(region == *dc);
-                *acks >= *needed
-            }
-            Quota::PerDc(dcs) => {
-                if let Some(q) = dcs.iter_mut().find(|q| q.0 == region) {
-                    q.2 += 1;
-                }
-                dcs.iter().all(|q| q.2 >= q.1)
-            }
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct WriteState {
-    expected: u32,
-    acks: u32,
-    ts: u64,
-    /// When the replica fan-out left the coordinator (quorum-wait start).
-    fanout_at: SimTime,
-    quota: Quota,
-}
-
-#[derive(Debug, Clone)]
-struct ReadState {
-    /// The read key, for the repair writes.
-    key: Key,
-    needed: u32,
-    expected: u32,
-    /// True when this read probes all replicas for repair: the response
-    /// then waits for every replica (Cassandra 2.0 blocks for all contacted
-    /// replicas when read repair is active).
-    fanout: bool,
-    results: Vec<(NodeId, Option<Cell>)>,
-    /// When the replica fan-out left the coordinator (quorum-wait start).
-    fanout_at: SimTime,
-}
-
-#[derive(Debug, Clone)]
-struct ScanState {
-    limit: usize,
-    needed_this_round: u32,
-    received_this_round: u32,
-    partials: Vec<Rows>,
-    collected: Rows,
-    current_primary: usize,
-    rounds: u32,
-    /// When the current round's fan-out left the coordinator.
-    round_started: SimTime,
 }
 
 /// Emptied per-op buffers kept for the next op: an op takes one when it
@@ -140,16 +54,6 @@ impl<T> BufferPool<T> {
         buf.clear();
         self.0.push(buf);
     }
-}
-
-/// One coordinator fan-out's replica lists, reused from op to op so the
-/// read, write and scan paths allocate none: `replicas` is the placed set
-/// ([`Cluster::place`] for the key's or the scan round's range),
-/// `targets` the live replicas its quota asks for.
-#[derive(Debug, Clone, Default)]
-struct FanOut {
-    replicas: Vec<NodeId>,
-    targets: Vec<NodeId>,
 }
 
 /// The rows bulk-loaded into one ring segment ([`Ring::segment`]) since
@@ -299,37 +203,30 @@ impl Cluster {
         }
     }
 
-    /// Charge coordinator CPU for `cost_us` from now, traced as `stage`.
-    fn coordinator_cpu<W>(
-        &mut self,
-        sim: &Sim<W>,
-        token: u64,
-        coord: NodeId,
-        cost_us: u64,
-        stage: Stage,
-    ) -> SimTime {
-        let now = sim.now();
-        let t1 = self.rt.hw_mut(coord).cpu.acquire(now, cost_us);
-        self.rt.tracer.record(token, stage, coord.0, now, t1);
-        t1
+    /// Charge the reconcile CPU for an answer reaching `op`'s coordinator:
+    /// the coordinator, the token and the CPU's end; `None` once `op` retired.
+    fn answer_arrives<W>(&mut self, sim: &Sim<W>, op: OpKey) -> Option<(NodeId, u64, SimTime)> {
+        let p = self.rt.get(op)?;
+        let (coord, token, now) = (p.node, p.token, sim.now());
+        let cost = self.config.costs.reconcile_us;
+        let t1 = self.rt.hw_mut(coord).cpu.acquire(now, cost);
+        self.rt
+            .tracer
+            .record(token, Stage::Reconcile, coord.0, now, t1);
+        Some((coord, token, t1))
     }
 
     // ----- coordinator: arrival -----
 
     fn on_arrive<W: From<Event>>(&mut self, sim: &mut Sim<W>, op: OpKey) {
-        let Some(p) = self.rt.get_mut(op) else {
+        let Some(p) = self.rt.get(op) else {
             return;
         };
-        let coord = p.node;
-        let token = p.token;
-        // Move the op out of the pending slot instead of cloning it.
-        let kind = match std::mem::replace(&mut p.state, PendingState::Dispatching) {
-            PendingState::Init(kind) => kind,
-            other => {
-                p.state = other;
-                return;
-            }
+        let PendingState::Init(kind) = &p.state else {
+            return;
         };
+        // Key and value are refcounted: cloning the op is cheap.
+        let (coord, token, kind) = (p.node, p.token, kind.clone());
         if !self.rt.is_up(coord) {
             // Coordinator died since submit.
             self.rt.retire(sim, op);
@@ -337,13 +234,11 @@ impl Cluster {
                 .complete(token, OpResult::Error(OpError::Unavailable));
             return;
         }
-        let t1 = self.coordinator_cpu(
-            sim,
-            token,
-            coord,
-            self.config.costs.coord_us,
-            Stage::ServerCpu,
-        );
+        let (now, cost) = (sim.now(), self.config.costs.coord_us);
+        let t1 = self.rt.hw_mut(coord).cpu.acquire(now, cost);
+        self.rt
+            .tracer
+            .record(token, Stage::ServerCpu, coord.0, now, t1);
         match kind {
             StoreOp::Insert { key, value } | StoreOp::Update { key, value } => {
                 self.start_write(sim, op, token, coord, key, Cell::live(value, t1), t1);
@@ -351,96 +246,49 @@ impl Cluster {
             StoreOp::Delete { key } => {
                 self.start_write(sim, op, token, coord, key, Cell::tombstone(t1), t1);
             }
-            StoreOp::Read { key } => {
-                self.start_read(sim, op, token, coord, key, t1);
-            }
+            StoreOp::Read { key } => self.start_read(sim, op, token, coord, key, t1),
             StoreOp::Scan { start, limit } => {
-                self.start_scan(sim, op, token, coord, start, limit, t1);
+                self.metrics.scans += 1;
+                let primary = self.ring.primary(&start);
+                let partials = self
+                    .scan_partials
+                    .take(self.config.replication_factor as usize);
+                if let Some(p) = self.rt.get_mut(op) {
+                    p.state = PendingState::Scan(ScanState::new(limit, primary, partials));
+                }
+                self.send_scan_round(sim, op, token, coord, primary, start, limit, t1);
             }
         }
     }
 
-    /// Too few live replicas for the consistency level: answer
-    /// [`OpError::Unavailable`] from the coordinator.
-    fn unavailable<W: From<Event>>(
+    /// Every fan-out's start: place the range whose primary is ring
+    /// position `primary`, size `cl`'s quota and pick its live targets; with
+    /// too few live, answer [`OpError::Unavailable`] instead.
+    #[allow(clippy::too_many_arguments)]
+    fn plan<W: From<Event>>(
         &mut self,
         sim: &mut Sim<W>,
         op: OpKey,
         token: u64,
         coord: NodeId,
+        primary: usize,
+        cl: Consistency,
         t1: SimTime,
-    ) {
+    ) -> Option<(FanOut, Quota)> {
+        let mut f = std::mem::take(&mut self.scratch);
+        self.place(primary, &mut f.replicas);
+        let home = self.multi_dc().then(|| self.region_of(coord));
+        let (rf, region) = (self.config.replication_factor, |r| self.region_of(r));
+        let quota = Quota::new(cl, rf, home, &f.replicas, region);
+        if f.pick(&quota, region, |r| self.rt.is_up(r)) {
+            return Some((f, quota));
+        }
+        self.scratch = f;
         self.metrics.unavailable += 1;
         self.rt.retire(sim, op);
-        self.rt.respond(
-            sim,
-            op,
-            token,
-            coord,
-            t1,
-            OpResult::Error(OpError::Unavailable),
-        );
-    }
-
-    /// The quota `cl` sets for an op coordinated at `coord` over `replicas`.
-    /// The datacenter-aware levels are a plain majority on a single-DC
-    /// cluster.
-    fn quota(&self, cl: Consistency, coord: NodeId, replicas: &[NodeId]) -> Quota {
-        let any = Quota::Any(cl.required(self.config.replication_factor));
-        if !cl.dc_aware() || !self.multi_dc() {
-            return any;
-        }
-        let in_dc = |dc: u32| {
-            replicas
-                .iter()
-                .filter(|&&r| self.region_of(r) == dc)
-                .count() as u32
-        };
-        if cl == Consistency::LocalQuorum {
-            let dc = self.region_of(coord);
-            return match in_dc(dc) {
-                // No replica in the coordinator's DC: degrade to a plain
-                // majority rather than never settling.
-                0 => any,
-                n => Quota::Local {
-                    dc,
-                    needed: n / 2 + 1,
-                    acks: 0,
-                },
-            };
-        }
-        let mut dcs: Vec<(u32, u32, u32)> = Vec::new();
-        for &r in replicas {
-            let dc = self.region_of(r);
-            if !dcs.iter().any(|q| q.0 == dc) {
-                dcs.push((dc, in_dc(dc) / 2 + 1, 0));
-            }
-        }
-        Quota::PerDc(dcs)
-    }
-
-    /// The live replicas `quota` asks for, into `out` in send order: ring
-    /// order, grouped by datacenter for EACH_QUORUM. False when too few are
-    /// live to meet it.
-    fn pick_targets(&self, quota: &Quota, replicas: &[NodeId], out: &mut Vec<NodeId>) -> bool {
-        let live_in = |dc: Option<u32>, n: u32| {
-            replicas
-                .iter()
-                .copied()
-                .filter(move |&r| self.rt.is_up(r) && dc.is_none_or(|dc| self.region_of(r) == dc))
-                .take(n as usize)
-        };
-        out.clear();
-        match quota {
-            Quota::Any(n) => out.extend(live_in(None, *n)),
-            Quota::Local { dc, needed, .. } => out.extend(live_in(Some(*dc), *needed)),
-            Quota::PerDc(dcs) => {
-                for &(dc, needed, _) in dcs {
-                    out.extend(live_in(Some(dc), needed));
-                }
-            }
-        }
-        out.len() as u32 >= quota.needed()
+        let unavailable = OpResult::Error(OpError::Unavailable);
+        self.rt.respond(sim, op, token, coord, t1, unavailable);
+        None
     }
 
     /// Send `request(i, r)` to the `i`th replica `r` of `to`, in order, from
@@ -504,19 +352,12 @@ impl Cluster {
         t1: SimTime,
     ) {
         self.metrics.writes += 1;
-        let mut f = std::mem::take(&mut self.scratch);
-        self.place(self.ring.primary(&key), &mut f.replicas);
-        let quota = self.quota(self.config.write_cl, coord, &f.replicas);
-        if !self.pick_targets(&quota, &f.replicas, &mut f.targets) {
-            self.scratch = f;
-            self.unavailable(sim, op, token, coord, t1);
+        let (primary, cl) = (self.ring.primary(&key), self.config.write_cl);
+        let Some((mut f, quota)) = self.plan(sim, op, token, coord, primary, cl, t1) else {
             return;
-        }
+        };
         if self.config.hinted_handoff {
-            for &target in &f.replicas {
-                if self.rt.is_up(target) {
-                    continue;
-                }
+            for &target in f.replicas.iter().filter(|&&r| !self.rt.is_up(r)) {
                 self.metrics.hints_stored += 1;
                 self.nodes[coord.index()].hints.push(Hint {
                     target,
@@ -528,7 +369,8 @@ impl Cluster {
         // Every live replica gets the write; the quota only gates the ack.
         f.replicas.retain(|&r| self.rt.is_up(r));
         let bytes = self.config.node.msg_overhead_bytes + entry_encoded_len(&key, &cell);
-        let (expected, ts) = (f.replicas.len() as u32, cell.ts);
+        debug_assert_eq!(cell.ts, t1, "a write's timestamp is when it fans out");
+        let write = WriteState::new(quota, f.replicas.len() as u32, t1);
         self.fan_out(sim, token, coord, &f.replicas, bytes, t1, |_, node| {
             Event::ReplicaWrite {
                 op,
@@ -541,13 +383,7 @@ impl Cluster {
         });
         self.scratch = f;
         if let Some(p) = self.rt.get_mut(op) {
-            p.state = PendingState::Write(WriteState {
-                expected,
-                acks: 0,
-                ts,
-                fanout_at: t1,
-                quota,
-            });
+            p.state = PendingState::Write(write);
         }
     }
 
@@ -561,25 +397,14 @@ impl Cluster {
         t1: SimTime,
     ) {
         self.metrics.reads += 1;
-        let mut f = std::mem::take(&mut self.scratch);
-        // Ring order starting at the main replica — the paper's "fixed
-        // order" replica selection.
-        self.place(self.ring.primary(&key), &mut f.replicas);
-        let quota = self.quota(self.config.read_cl, coord, &f.replicas);
-        if !self.pick_targets(&quota, &f.replicas, &mut f.targets) {
-            self.scratch = f;
-            self.unavailable(sim, op, token, coord, t1);
+        let (primary, cl) = (self.ring.primary(&key), self.config.read_cl);
+        let Some((mut f, quota)) = self.plan(sim, op, token, coord, primary, cl, t1) else {
             return;
-        }
-        let needed = quota.needed();
-        f.replicas.retain(|&r| self.rt.is_up(r));
-        let fanout =
-            f.replicas.len() as u32 > needed && sim.rng().chance(self.config.read_repair_chance);
-        if fanout {
-            self.metrics.repair_fanouts += 1;
-        }
-        // A repair fan-out probes every live replica, in ring order.
-        let to = if fanout { &f.replicas } else { &f.targets };
+        };
+        let (needed, chance) = (quota.needed(), self.config.read_repair_chance);
+        let up = |r| self.rt.is_up(r);
+        let (fanout, to) = f.repair(needed, false, up, || sim.rng().chance(chance));
+        self.metrics.repair_fanouts += u64::from(fanout);
         let bytes = self.config.node.msg_overhead_bytes + key.len() as u64;
         self.fan_out(sim, token, coord, to, bytes, t1, |_, node| {
             Event::ReplicaRead {
@@ -592,47 +417,10 @@ impl Cluster {
         let expected = to.len() as u32;
         self.scratch = f;
         let results = self.read_answers.take(expected as usize);
+        let read = ReadState::new(key, needed, expected, fanout, results, t1);
         if let Some(p) = self.rt.get_mut(op) {
-            p.state = PendingState::Read(ReadState {
-                key,
-                needed,
-                expected,
-                fanout,
-                results,
-                fanout_at: t1,
-            });
+            p.state = PendingState::Read(read);
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn start_scan<W: From<Event>>(
-        &mut self,
-        sim: &mut Sim<W>,
-        op: OpKey,
-        token: u64,
-        coord: NodeId,
-        start: Key,
-        limit: usize,
-        t1: SimTime,
-    ) {
-        self.metrics.scans += 1;
-        let p_idx = self.ring.primary(&start);
-        let partials = self
-            .scan_partials
-            .take(self.config.replication_factor as usize);
-        if let Some(p) = self.rt.get_mut(op) {
-            p.state = PendingState::Scan(ScanState {
-                limit,
-                needed_this_round: 0,
-                received_this_round: 0,
-                partials,
-                collected: Rows::default(),
-                current_primary: p_idx,
-                rounds: 0,
-                round_started: t1,
-            });
-        }
-        self.send_scan_round(sim, op, token, coord, p_idx, start, limit, t1);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -647,35 +435,17 @@ impl Cluster {
         limit: usize,
         t1: SimTime,
     ) {
-        let mut f = std::mem::take(&mut self.scratch);
-        // The range's replicas as the strategy placed its writes, in ring
-        // order from the primary.
-        self.place(primary, &mut f.replicas);
-        let quota = self.quota(self.config.read_cl, coord, &f.replicas);
-        if !self.pick_targets(&quota, &f.replicas, &mut f.targets) {
-            self.scratch = f;
-            self.unavailable(sim, op, token, coord, t1);
+        let cl = self.config.read_cl;
+        let Some((mut f, quota)) = self.plan(sim, op, token, coord, primary, cl, t1) else {
             return;
-        }
-        let needed = quota.needed();
-        f.replicas.retain(|&r| self.rt.is_up(r));
-        // Range reads participate in read repair too (Cassandra's range
-        // slice resolver): with the configured chance the round also probes
-        // every other live replica of the range and reconciles across all
-        // of them — this is what couples scan cost to the replication factor.
-        let fanout =
-            f.replicas.len() as u32 > needed && sim.rng().chance(self.config.read_repair_chance);
-        if fanout {
-            self.metrics.repair_fanouts += 1;
-            for &r in &f.replicas {
-                if !f.targets.contains(&r) {
-                    f.targets.push(r);
-                }
-            }
-        }
+        };
+        let (needed, chance) = (quota.needed(), self.config.read_repair_chance);
+        let up = |r| self.rt.is_up(r);
+        let (fanout, to) = f.repair(needed, true, up, || sim.rng().chance(chance));
+        self.metrics.repair_fanouts += u64::from(fanout);
         let clamp = self.ring.range_end(primary).cloned();
         let bytes = self.config.node.msg_overhead_bytes + start.len() as u64;
-        self.fan_out(sim, token, coord, &f.targets, bytes, t1, |i, node| {
+        self.fan_out(sim, token, coord, to, bytes, t1, |i, node| {
             Event::ReplicaScan {
                 op,
                 token,
@@ -689,13 +459,8 @@ impl Cluster {
             }
         });
         self.scratch = f;
-        if let Some(p) = self.rt.get_mut(op) {
-            if let PendingState::Scan(s) = &mut p.state {
-                s.needed_this_round = needed;
-                s.received_this_round = 0;
-                s.partials.clear();
-                s.round_started = t1;
-            }
+        if let Some(PendingState::Scan(s)) = self.rt.get_mut(op).map(|p| &mut p.state) {
+            s.round(needed, t1);
         }
     }
 
@@ -782,33 +547,19 @@ impl Cluster {
     }
 
     fn on_write_ack<W: From<Event>>(&mut self, sim: &mut Sim<W>, op: OpKey, node: NodeId) {
-        let Some(p) = self.rt.get(op) else {
-            return;
-        };
-        let coord = p.node;
-        let token = p.token;
         let node_region = self.region_of(node);
-        let t1 = self.coordinator_cpu(
-            sim,
-            token,
-            coord,
-            self.config.costs.reconcile_us,
-            Stage::Reconcile,
-        );
-        let Some(p) = self.rt.get_mut(op) else {
+        let Some((coord, token, t1)) = self.answer_arrives(sim, op) else {
             return;
         };
-        let PendingState::Write(w) = &mut p.state else {
+        let Some(PendingState::Write(w)) = self.rt.get_mut(op).map(|p| &mut p.state) else {
             return;
         };
-        w.acks += 1;
-        let settled = w.quota.ack(node_region, w.acks);
-        let respond_now = !p.responded && settled;
-        let (done, ts, fanout_at) = (w.acks >= w.expected, w.ts, w.fanout_at);
-        if respond_now {
+        let (respond, done) = w.ack(node_region);
+        let ts = w.fanout_at;
+        if respond {
             self.rt
                 .tracer
-                .record(token, Stage::QuorumWait, coord.0, fanout_at, sim.now());
+                .record(token, Stage::QuorumWait, coord.0, ts, sim.now());
             self.rt
                 .respond(sim, op, token, coord, t1, OpResult::Written { ts });
         }
@@ -856,91 +607,25 @@ impl Cluster {
         node: NodeId,
         cell: Option<Cell>,
     ) {
-        let Some(p) = self.rt.get(op) else {
+        let Some((coord, token, t1)) = self.answer_arrives(sim, op) else {
             return;
         };
-        let coord = p.node;
-        let token = p.token;
-        let t1 = self.coordinator_cpu(
-            sim,
-            token,
-            coord,
-            self.config.costs.reconcile_us,
-            Stage::Reconcile,
-        );
-        let Some(p) = self.rt.get_mut(op) else {
+        let Some(PendingState::Read(r)) = self.rt.get_mut(op).map(|p| &mut p.state) else {
             return;
         };
-        let PendingState::Read(r) = &mut p.state else {
-            return;
-        };
-        r.results.push((node, cell));
-        let received = r.results.len() as u32;
-        // A repair fan-out blocks the response until every contacted
-        // replica answers (Cassandra 2.0's ReadCallback raises blockfor
-        // when read repair is active); otherwise the consistency quota
-        // releases the client.
-        let release_at = if r.fanout { r.expected } else { r.needed };
-        let respond_now = !p.responded && received >= release_at;
-        let finished = received >= r.expected;
-        // The answers are folded by reference.
-        let winner_at = if respond_now || finished {
-            newest(&r.results)
-        } else {
-            None
-        };
-        // The replicas that lack the winning cell.
-        let mut stale: Vec<NodeId> = Vec::new();
-        if finished {
-            if let Some(w) = winner_at.and_then(|i| r.results[i].1.as_ref()) {
-                stale = r
-                    .results
-                    .iter()
-                    .filter(|(_, c)| {
-                        c.as_ref()
-                            .is_none_or(|c| c.ts < w.ts || (c.ts == w.ts && c != w))
-                    })
-                    .map(|(n, _)| *n)
-                    .collect();
-            }
-            // Mismatch within the answering quota = a digest mismatch.
-            let quota = &r.results[..r.needed.min(received) as usize];
-            if quota
-                .windows(2)
-                .any(|w| cell_version(&w[0].1) != cell_version(&w[1].1))
-            {
-                self.metrics.digest_mismatches += 1;
-            }
-            // Count exactly once per read that repaired something.
-            self.metrics.repair_writes += stale.len() as u64;
-        }
-        // Once every answer is in, the winner moves out of them; before
-        // that, it is the one answer cloned.
-        let mut winner = winner_at.and_then(|i| {
-            let answer = &mut r.results[i].1;
-            if finished {
-                answer.take()
-            } else {
-                answer.clone()
-            }
-        });
+        let step = r.answer(node, cell);
         let fanout_at = r.fanout_at;
-        if respond_now {
+        self.metrics.digest_mismatches += u64::from(step.digest_mismatch);
+        // Count exactly once per read that repaired something.
+        self.metrics.repair_writes += step.stale.len() as u64;
+        if let Some(cell) = step.respond {
             self.rt
                 .tracer
                 .record(token, Stage::QuorumWait, coord.0, fanout_at, sim.now());
-            // The repair below still needs the winner; otherwise it moves
-            // into the response.
-            let client_cell = if stale.is_empty() {
-                winner.take()
-            } else {
-                winner.clone()
-            }
-            .filter(|c| !c.is_tombstone());
             // Blocked repair: if this response closes a fan-out that found
             // stale replicas, the client also waits for the repair
             // mutations to be acknowledged (one extra write round trip).
-            let respond_at = if stale.is_empty() {
+            let respond_at = if step.stale.is_empty() {
                 t1
             } else {
                 t1 + 2 * self.config.node.profile.nic.prop_us + self.config.costs.replica_write_us
@@ -948,26 +633,20 @@ impl Cluster {
             self.rt
                 .tracer
                 .record(token, Stage::RepairBlock, coord.0, t1, respond_at);
-            self.rt.respond(
-                sim,
-                op,
-                token,
-                coord,
-                respond_at,
-                OpResult::Value(client_cell),
-            );
+            let result = OpResult::Value(cell);
+            self.rt.respond(sim, op, token, coord, respond_at, result);
         }
-        if !finished {
+        if !step.finished {
             return;
         }
         let Some(PendingState::Read(r)) = self.rt.retire(sim, op).map(|p| p.state) else {
             return;
         };
         self.read_answers.give(r.results);
-        let Some(cell) = winner.filter(|_| !stale.is_empty()) else {
+        let Some(cell) = step.repair else {
             return;
         };
-        for target in stale {
+        for target in step.stale {
             self.send_unacked(sim, coord, target, r.key.clone(), cell.clone(), t1);
         }
     }
@@ -1034,76 +713,29 @@ impl Cluster {
     }
 
     fn on_scan_return<W: From<Event>>(&mut self, sim: &mut Sim<W>, op: OpKey, rows: Rows) {
-        let Some(p) = self.rt.get(op) else {
+        let Some((coord, token, t1)) = self.answer_arrives(sim, op) else {
             return;
         };
-        let coord = p.node;
-        let token = p.token;
-        let t1 = self.coordinator_cpu(
-            sim,
-            token,
-            coord,
-            self.config.costs.reconcile_us,
-            Stage::Reconcile,
-        );
-        let Some(p) = self.rt.get_mut(op) else {
+        let Some(PendingState::Scan(s)) = self.rt.get_mut(op).map(|p| &mut p.state) else {
             return;
         };
-        let PendingState::Scan(s) = &mut p.state else {
-            return;
-        };
-        s.partials.push(rows);
-        s.received_this_round += 1;
-        if s.received_this_round < s.needed_this_round {
+        let (next, round_started) = (s.page(rows, &self.ring), s.round_started);
+        if let Page::Wait = next {
             return;
         }
-        let round_started = s.round_started;
-        // Round complete: reconcile this range across its replicas.
-        let remaining = s.limit - s.collected.len();
-        let (mut merged, resume) = Rows::reconcile(&mut s.partials, remaining);
-        merged.truncate(remaining);
-        s.collected.append(merged);
-        enum Next {
-            Respond(Rows),
-            Round(usize, Key, usize),
-        }
-        let next_start = if s.collected.len() == s.limit {
-            None
-        } else if let Some(start) = resume {
-            // Short-read protection: a full page stopped before the rest of
-            // the range, and tombstones ate into the rows it returned, so
-            // the range is read again past what every replica covered.
-            Some((s.current_primary, start))
-        } else if s.rounds + 1 < self.ring.len() as u32
-            && self.ring.range_end(s.current_primary).is_some()
-        {
-            // On to the next range unless the ring ends (a range with no
-            // start is the end of the ring too).
-            let primary = self.ring.successor(s.current_primary);
-            s.rounds += 1;
-            self.ring.range_start(primary).map(|k| (primary, k.clone()))
-        } else {
-            None
-        };
-        let next = match next_start {
-            Some((primary, start)) => {
-                s.current_primary = primary;
-                Next::Round(primary, start, s.limit - s.collected.len())
-            }
-            None => Next::Respond(std::mem::take(&mut s.collected)),
-        };
         self.rt
             .tracer
             .record(token, Stage::QuorumWait, coord.0, round_started, sim.now());
         match next {
-            Next::Respond(rows) => {
+            Page::Wait => {}
+            Page::Done(rows) => {
                 if let Some(PendingState::Scan(s)) = self.rt.retire(sim, op).map(|p| p.state) {
                     self.scan_partials.give(s.partials);
                 }
                 self.rt
                     .respond(sim, op, token, coord, t1, OpResult::Rows(rows));
             }
-            Next::Round(primary, start, remaining) => {
+            Page::Round(primary, start, remaining) => {
                 self.send_scan_round(sim, op, token, coord, primary, start, remaining, t1);
             }
         }
@@ -1429,27 +1061,6 @@ impl faults::FaultTarget for Cluster {
     fn apply_restore_net(&mut self, node: NodeId) {
         self.rt.hw_mut(node).restore_net();
     }
-}
-
-fn cell_version(c: &Option<Cell>) -> u64 {
-    c.as_ref().map_or(0, |c| c.ts)
-}
-
-/// Index of the last-write-wins winner among replica answers; `None`s
-/// contribute nothing.
-fn newest(results: &[(NodeId, Option<Cell>)]) -> Option<usize> {
-    results
-        .iter()
-        .enumerate()
-        .filter_map(|(i, (_, c))| Some((i, c.as_ref()?)))
-        .reduce(|a, b| {
-            if std::ptr::eq(Cell::newer(a.1, b.1), a.1) {
-                a
-            } else {
-                b
-            }
-        })
-        .map(|(i, _)| i)
 }
 
 #[cfg(test)]
@@ -2597,7 +2208,8 @@ mod tests {
             }
         }
         let local_total = reps.iter().filter(|r| r.1 == coord_dc).count() as u32;
-        if !(cl.dc_aware() && multi_dc) || (cl == Consistency::LocalQuorum && local_total == 0) {
+        let dc_aware = matches!(cl, Consistency::LocalQuorum | Consistency::EachQuorum);
+        if !(dc_aware && multi_dc) || (cl == Consistency::LocalQuorum && local_total == 0) {
             let n = cl.required(rf);
             let targets: Vec<NodeId> = live.iter().copied().take(n as usize).collect();
             let available = live.len() as u32 >= n;
@@ -2733,7 +2345,9 @@ mod tests {
             let strategy = &cfg.strategy;
             let case = format!("{cl} {strategy:?} coord {coord} replicas {reps:?}");
 
-            let mut quota = cluster.quota(cl, coord, &replicas);
+            let home = cluster.multi_dc().then(|| cluster.region_of(coord));
+            let region = |r| cluster.region_of(r);
+            let mut quota = Quota::new(cl, cfg.replication_factor, home, &replicas, region);
             assert_eq!(quota.needed(), needed, "{case}");
             // Acks from the live replicas in a seeded order settle at the
             // same one.

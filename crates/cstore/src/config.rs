@@ -44,11 +44,6 @@ impl Consistency {
         n.clamp(1, rf.max(1))
     }
 
-    /// True for the levels whose quota is computed per datacenter.
-    pub(crate) fn dc_aware(self) -> bool {
-        matches!(self, Consistency::LocalQuorum | Consistency::EachQuorum)
-    }
-
     /// Short label for reports.
     pub(crate) fn label(self) -> &'static str {
         match self {
@@ -225,9 +220,6 @@ mod tests {
                 Consistency::Quorum.required(rf)
             );
         }
-        assert!(Consistency::LocalQuorum.dc_aware());
-        assert!(Consistency::EachQuorum.dc_aware());
-        assert!(!Consistency::Quorum.dc_aware());
     }
 
     #[test]

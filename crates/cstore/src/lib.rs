@@ -36,6 +36,7 @@ mod config;
 mod event;
 mod metrics;
 mod node;
+mod protocol;
 mod ring;
 
 pub use cluster::Cluster;

@@ -23,6 +23,7 @@ use storage::{
 use crate::config::HStoreConfig;
 use crate::dfs::{DfsCluster, FileId};
 use crate::event::Event;
+use crate::group_commit::GroupCommit;
 use crate::master::Master;
 use crate::metrics::Metrics;
 use crate::region::RegionMap;
@@ -31,15 +32,7 @@ use crate::region::RegionMap;
 struct WalState {
     file: FileId,
     pipeline: Vec<NodeId>,
-    inflight: bool,
-    /// Queued writers: `(slab key, driver token, enqueue time)` — the time
-    /// marks where the op's WAL-queue stage starts.
-    waiting: Vec<(OpKey, u64, SimTime)>,
-    waiting_bytes: u64,
-    block_bytes: u64,
-    /// The last committed group's op list, emptied: the next group's
-    /// `WalFlushDone` reuses it, as the next batch reuses `waiting`.
-    spare_group: Vec<OpKey>,
+    commit: GroupCommit,
 }
 
 /// Per-op state machine. The submitted `StoreOp` lives in `Init` until the
@@ -122,11 +115,7 @@ impl Cluster {
                 WalState {
                     file,
                     pipeline: w.map_or_else(Vec::new, |w| w.pipeline),
-                    inflight: false,
-                    waiting: Vec::new(),
-                    waiting_bytes: 0,
-                    block_bytes: 0,
-                    spare_group: Vec::new(),
+                    commit: GroupCommit::default(),
                 }
             })
             .collect();
@@ -359,7 +348,10 @@ impl Cluster {
                 value: cell.value,
             };
         }
-        self.enqueue_wal(sim, op, token, server, t1, bytes);
+        let commit = &mut self.wals[server.index()].commit;
+        if commit.enqueue((op, token, t1), bytes) {
+            self.start_wal_group(sim, server, t1);
+        }
     }
 
     /// Full read path: region engine + local (or post-failover remote) disk.
@@ -420,90 +412,58 @@ impl Cluster {
         None
     }
 
-    fn enqueue_wal<W: From<Event>>(
-        &mut self,
-        sim: &mut Sim<W>,
-        op: OpKey,
-        token: u64,
-        server: NodeId,
-        t1: SimTime,
-        bytes: u64,
-    ) {
-        let wal = &mut self.wals[server.index()];
-        wal.waiting.push((op, token, t1));
-        wal.waiting_bytes += bytes;
-        if !wal.inflight {
-            self.start_wal_group(sim, server, t1);
-        }
-    }
-
     fn start_wal_group<W: From<Event>>(&mut self, sim: &mut Sim<W>, server: NodeId, t: SimTime) {
-        let (mut group, bytes, pipeline) = {
-            let wal = &mut self.wals[server.index()];
-            debug_assert!(!wal.inflight);
-            let group = std::mem::take(&mut wal.waiting);
-            let bytes = wal.waiting_bytes + self.config.node.msg_overhead_bytes;
-            wal.waiting_bytes = 0;
-            wal.inflight = true;
-            wal.block_bytes += bytes;
-            // Borrow the pipeline by moving it out; restored below before
-            // any WAL roll can replace it.
-            (group, bytes, std::mem::take(&mut wal.pipeline))
-        };
+        let wal = &mut self.wals[server.index()];
+        let overhead = self.config.node.msg_overhead_bytes;
+        let (writers, bytes, roll) = wal.commit.start(overhead, self.config.wal_block_bytes);
+        // Borrow the pipeline by moving it out; restored below before any
+        // WAL roll can replace it.
+        let pipeline = std::mem::take(&mut wal.pipeline);
         self.metrics.wal_groups += 1;
-        self.metrics.wal_entries += group.len() as u64;
+        self.metrics.wal_entries += writers.len() as u64;
         // Per-hop spans are collected only when some group member is traced;
         // the collection is bookkeeping, never behaviour.
         let tracer = &self.rt.tracer;
         let want_hops =
-            tracer.enabled() && group.iter().any(|&(_, token, _)| tracer.watching(token));
+            tracer.enabled() && writers.iter().any(|&(_, token, _)| tracer.watching(token));
         let mut hops: Vec<(u32, SimTime, SimTime)> = Vec::new();
         let done = self.pipeline_round_trip(&pipeline, bytes, t, want_hops.then_some(&mut hops));
         let tracer = &mut self.rt.tracer;
-        for &(_, token, enq) in &group {
+        for &(_, token, enq) in &writers {
             tracer.record(token, Stage::WalQueue, server.0, enq, t);
             tracer.record(token, Stage::WalCommit, server.0, t, done);
             for &(node, hs, he) in &hops {
                 tracer.record(token, Stage::PipelineHop, node, hs, he);
             }
         }
-        self.wals[server.index()].pipeline = pipeline;
+        let wal = &mut self.wals[server.index()];
+        wal.pipeline = pipeline;
         // Roll the WAL block when it fills (a fresh HDFS block and possibly
         // a fresh pipeline).
-        if self.wals[server.index()].block_bytes >= self.config.wal_block_bytes {
-            let file = self.wals[server.index()].file;
-            let len = self.wals[server.index()].block_bytes;
-            let w = self.fs.append_block(file, len, server, &mut self.rng);
-            let wal = &mut self.wals[server.index()];
+        if let Some(len) = roll {
+            let w = self.fs.append_block(wal.file, len, server, &mut self.rng);
             wal.pipeline = w.map_or_else(Vec::new, |w| w.pipeline);
-            wal.block_bytes = 0;
             self.metrics.wal_blocks_rolled += 1;
         }
-        let wal = &mut self.wals[server.index()];
-        let mut ops = std::mem::take(&mut wal.spare_group);
-        ops.extend(group.iter().map(|&(op, _, _)| op));
-        group.clear();
-        wal.waiting = group;
+        let ops = wal.commit.sent(writers);
         sim.schedule_at(done, W::from(Event::WalFlushDone { server, group: ops }));
         // Async cluster replication: the replication source tails the WAL
         // after commit (ship lag) and ships the group's bytes across the
         // WAN to every follower region. The primary's NIC transmit is
         // charged, so shipping competes with foreground traffic; the
         // follower side is a sink (no backpressure to the write path).
-        if self.config.follower_regions > 0 {
-            let mut t = done + self.config.ship_lag_us;
-            for follower in 0..self.config.follower_regions {
-                t = self.rt.hw_mut(server).nic.tx(t, bytes);
-                let arrive = t + self.config.ship_wan_us;
-                self.rt.tracer.record_bg(Stage::WanHop, server.0, t, arrive);
-                sim.schedule_at(
-                    arrive,
-                    W::from(Event::WalShip {
-                        follower,
-                        commit_ts: done,
-                    }),
-                );
-            }
+        let mut t = done + self.config.ship_lag_us;
+        for follower in 0..self.config.follower_regions {
+            t = self.rt.hw_mut(server).nic.tx(t, bytes);
+            let arrive = t + self.config.ship_wan_us;
+            self.rt.tracer.record_bg(Stage::WanHop, server.0, t, arrive);
+            sim.schedule_at(
+                arrive,
+                W::from(Event::WalShip {
+                    follower,
+                    commit_ts: done,
+                }),
+            );
         }
     }
 
@@ -518,9 +478,8 @@ impl Cluster {
         &mut self,
         sim: &mut Sim<W>,
         server: NodeId,
-        mut group: Vec<OpKey>,
+        group: Vec<OpKey>,
     ) {
-        self.wals[server.index()].inflight = false;
         let now = sim.now();
         let apply_us = self.config.costs.apply_us;
         for &op in &group {
@@ -544,19 +503,11 @@ impl Cluster {
                 .record(token, Stage::Apply, server.0, now, t_apply);
             self.regions.get_mut(idx).lsm.put(key, cell);
             self.maintain_region(sim, idx, t_apply);
-            self.rt.respond(
-                sim,
-                op,
-                token,
-                server,
-                t_apply,
-                OpResult::Written { ts: now },
-            );
+            let written = OpResult::Written { ts: now };
+            self.rt.respond(sim, op, token, server, t_apply, written);
         }
-        group.clear();
-        self.wals[server.index()].spare_group = group;
         // More writers queued while this group was in flight?
-        if !self.wals[server.index()].waiting.is_empty() && self.rt.is_up(server) {
+        if self.wals[server.index()].commit.finish(group) && self.rt.is_up(server) {
             self.start_wal_group(sim, server, now);
         }
     }

@@ -31,6 +31,7 @@ mod cluster;
 mod config;
 mod dfs;
 mod event;
+mod group_commit;
 mod master;
 mod metrics;
 mod region;

@@ -333,7 +333,7 @@ impl LsmTree {
     /// block of the window its cursor walked: the blocks holding that run's
     /// keys in `[start, last merged key]`.
     pub fn scan(&mut self, start: &[u8], limit: usize) -> ScanResult {
-        let mut rows = Rows::with_capacity(limit);
+        let mut rows = Rows::with_capacity(self.rows_held().min(limit));
         let io = self.walk_range(start, limit, |_, cell, loc| {
             if !cell.is_tombstone() {
                 rows.push(loc);
@@ -347,7 +347,7 @@ impl LsmTree {
     /// tombstones walked among them too, so a delete this replica holds
     /// shadows an older version another one returns.
     pub fn scan_page(&mut self, start: &[u8], limit: usize) -> ScanResult {
-        let mut rows = Rows::with_capacity(limit);
+        let mut rows = Rows::with_capacity(self.rows_held().min(limit));
         let io = self.walk_range(start, limit, |_, _, loc| rows.push(loc));
         ScanResult { rows, io }
     }
@@ -368,6 +368,12 @@ impl LsmTree {
             below += usize::from(end.is_none_or(|end| key < end));
         });
         (below, io)
+    }
+
+    /// Rows held, each version counted: no scan returns more, so none
+    /// reserves room for more, whatever its `limit`.
+    fn rows_held(&self) -> usize {
+        self.memtable.len() + self.tables.iter().map(SsTable::len).sum::<usize>()
     }
 
     /// The walk behind [`LsmTree::scan`]: hand every row from `start` on,
@@ -788,6 +794,14 @@ mod tests {
             .find(|(key, _)| *key == b"user000025")
             .unwrap();
         assert_eq!(row25.1.ts, 2);
+    }
+
+    #[test]
+    fn a_scan_limit_past_the_data_reserves_only_the_rows_held() {
+        let mut tree = LsmTree::new(small_config());
+        tree.put(k("user000001"), Cell::live(k("v"), 1));
+        assert_eq!(tree.scan(b"", usize::MAX).rows.len(), 1);
+        assert_eq!(tree.scan_page(b"", usize::MAX).rows.len(), 1);
     }
 
     #[test]

@@ -275,7 +275,6 @@ impl SsTable {
     }
 
     /// Number of entries.
-    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.core.len
     }

@@ -39,6 +39,23 @@ fn every_paper_workload_runs_on_both_stores() {
 }
 
 #[test]
+fn scans_longer_than_the_data_return_what_there_is() {
+    let scale = Scale::tiny();
+    let workload = WorkloadSpec {
+        max_scan_len: usize::MAX,
+        ..WorkloadSpec::ycsb_e()
+    };
+    let mut h = build_hstore(&scale, 3);
+    driver::load(&mut h, scale.records, scale.value_len, 1);
+    let out = driver::run(&mut h, &quick(workload.clone(), &scale));
+    assert_eq!((out.metrics.ops(), out.errors), (1_500, 0), "hstore");
+    let mut c = build_cstore(&scale, 3, Consistency::One, Consistency::One);
+    driver::load(&mut c, scale.records, scale.value_len, 1);
+    let out = driver::run(&mut c, &quick(workload, &scale));
+    assert_eq!((out.metrics.ops(), out.errors), (1_500, 0), "cstore");
+}
+
+#[test]
 fn quorum_and_write_all_never_serve_stale_reads() {
     let scale = Scale::tiny();
     for (read, write) in [
