@@ -21,16 +21,14 @@ use storage::{
 };
 
 use crate::config::HStoreConfig;
-use crate::dfs::{DfsCluster, FileId};
+use crate::dfs::Dfs;
 use crate::event::Event;
 use crate::group_commit::GroupCommit;
-use crate::master::Master;
 use crate::metrics::Metrics;
 use crate::region::RegionMap;
 
 #[derive(Debug, Clone)]
 struct WalState {
-    file: FileId,
     pipeline: Vec<NodeId>,
     commit: GroupCommit,
 }
@@ -80,9 +78,8 @@ struct RegionLoad {
 pub struct Cluster {
     config: HStoreConfig,
     regions: RegionMap,
-    master: Master,
     wals: Vec<WalState>,
-    fs: DfsCluster,
+    fs: Dfs,
     rt: Runtime<PendingState, Event>,
     metrics: Metrics,
     /// Drives HDFS replica placement.
@@ -107,16 +104,11 @@ impl Cluster {
         assert!(nodes > 0);
         assert!(config.replication_factor >= 1);
         let mut rng = SimRng::new(seed);
-        let mut fs = DfsCluster::new(nodes, config.replication_factor);
+        let mut fs = Dfs::new(nodes, config.replication_factor);
         let wals = (0..nodes)
-            .map(|i| {
-                let file = fs.create_file();
-                let w = fs.append_block(file, 0, NodeId(i as u32), &mut rng);
-                WalState {
-                    file,
-                    pipeline: w.map_or_else(Vec::new, |w| w.pipeline),
-                    commit: GroupCommit::default(),
-                }
+            .map(|i| WalState {
+                pipeline: fs.append_block(0, NodeId(i as u32), &mut rng).1,
+                commit: GroupCommit::default(),
             })
             .collect();
         // The configured cache is per server; split it across the server's
@@ -131,7 +123,6 @@ impl Cluster {
         Self {
             config,
             regions,
-            master: Master::new(),
             wals,
             fs,
             rt,
@@ -168,16 +159,15 @@ impl Cluster {
 
     // ----- HFiles -----
 
-    /// Write region `idx`'s table `table` as one HFile of `bytes` through
-    /// the `dfs` pipeline from the region's server; returns the pipeline.
-    /// With no datanode up the HFile gets no replica, as if every replica
-    /// had died, and the pipeline is empty.
+    /// Write region `idx`'s table `table` as one HFile block of `bytes`
+    /// through the `dfs` pipeline from the region's server; returns the
+    /// pipeline. With no datanode up the HFile gets no replica, as if every
+    /// replica had died, and the pipeline is empty.
     fn write_hfile(&mut self, idx: usize, table: TableId, bytes: u64) -> Vec<NodeId> {
-        let file = self.fs.create_file();
         let server = self.regions.get(idx).server;
-        let w = self.fs.append_block(file, bytes, server, &mut self.rng);
-        self.regions.get_mut(idx).hfiles.insert(table, file);
-        w.map_or_else(Vec::new, |w| w.pipeline)
+        let (block, pipeline) = self.fs.append_block(bytes, server, &mut self.rng);
+        self.regions.get_mut(idx).hfiles.insert(table, block);
+        pipeline
     }
 
     /// Install region `idx`'s compaction `c`: write its output HFile, then
@@ -185,8 +175,8 @@ impl Cluster {
     fn install_compaction(&mut self, idx: usize, c: &CompactionReceipt) -> Vec<NodeId> {
         let pipeline = self.write_hfile(idx, c.output, c.write_bytes);
         for table in &c.inputs {
-            if let Some(file) = self.regions.get_mut(idx).hfiles.remove(table) {
-                self.fs.delete_file(file);
+            if let Some(block) = self.regions.get_mut(idx).hfiles.remove(table) {
+                self.fs.delete_block(block);
             }
         }
         pipeline
@@ -402,11 +392,10 @@ impl Cluster {
     fn region_remote_source(&self, idx: usize) -> Option<NodeId> {
         let region = self.regions.get(idx);
         let server = region.server;
-        for file in region.hfiles.values() {
-            for block in self.fs.namenode().file(*file)? {
-                if self.fs.pick_read_replica(*block, server) != Some(server) {
-                    return self.fs.pick_read_replica(*block, server);
-                }
+        for &block in region.hfiles.values() {
+            let replica = self.fs.pick_read_replica(block, server);
+            if replica != Some(server) {
+                return replica;
             }
         }
         None
@@ -441,8 +430,7 @@ impl Cluster {
         // Roll the WAL block when it fills (a fresh HDFS block and possibly
         // a fresh pipeline).
         if let Some(len) = roll {
-            let w = self.fs.append_block(wal.file, len, server, &mut self.rng);
-            wal.pipeline = w.map_or_else(Vec::new, |w| w.pipeline);
+            wal.pipeline = self.fs.append_block(len, server, &mut self.rng).1;
             self.metrics.wal_blocks_rolled += 1;
         }
         let ops = wal.commit.sent(writers);
@@ -697,20 +685,19 @@ impl Cluster {
         if live.is_empty() {
             return;
         }
-        let moves = self.master.fail_over(&mut self.regions, node, &live);
+        let moves = self.regions.fail_over(node, &live);
         self.metrics.regions_moved += moves.len() as u64;
-        for m in &moves {
-            let region = self.regions.get_mut(m.region);
+        for (idx, to) in moves {
+            let region = self.regions.get_mut(idx);
             // The new server replays the region's WAL tail and starts cold.
             let replay_bytes = region.lsm.memtable_bytes();
             region.lsm.drop_cache();
-            self.rt.hw_mut(m.to).disk.seq_read(0, replay_bytes);
+            self.rt.hw_mut(to).disk.seq_read(0, replay_bytes);
         }
         // HDFS restores the replication factor in the background.
-        let tasks = self.fs.rereplicate(&mut self.rng);
-        for t in tasks {
-            self.rt.hw_mut(t.src).disk.seq_read(0, t.len);
-            self.rt.hw_mut(t.dst).disk.seq_write(0, t.len);
+        for (src, dst, len) in self.fs.rereplicate(&mut self.rng) {
+            self.rt.hw_mut(src).disk.seq_read(0, len);
+            self.rt.hw_mut(dst).disk.seq_write(0, len);
         }
     }
 }
@@ -924,7 +911,7 @@ impl faults::FaultTarget for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dfs::BlockId;
+    use crate::dfs::{BlockId, Dfs};
     use bytes::Bytes;
     use proptest::prelude::*;
 
@@ -1184,10 +1171,8 @@ mod tests {
         let total_hfiles: usize = h.cluster.regions().iter().map(|r| r.hfiles.len()).sum();
         assert!(total_hfiles > 0);
         for region in h.cluster.regions().iter() {
-            for file in region.hfiles.values() {
-                for b in h.cluster.fs.namenode().file(*file).expect("file exists") {
-                    assert_eq!(h.cluster.fs.locations(*b).len(), 3);
-                }
+            for &b in region.hfiles.values() {
+                assert_eq!(h.cluster.fs.replicas(b).len(), 3);
             }
         }
     }
@@ -1307,7 +1292,7 @@ mod tests {
         let victim = h.cluster.regions().get(0).server;
         h.cluster.fail_server(victim);
         assert!(
-            h.cluster.fs.namenode().under_replicated().is_empty(),
+            h.cluster.fs.under_replicated().is_empty(),
             "re-replication should have healed all blocks"
         );
     }
@@ -1449,8 +1434,8 @@ mod tests {
         assert_eq!(h.cluster.metrics.flushes, 2);
         for region in h.cluster.regions().iter() {
             assert_eq!(region.hfiles.len(), 1);
-            for file in region.hfiles.values() {
-                assert_eq!(h.cluster.fs.namenode().file(*file), Some(&[][..]));
+            for &b in region.hfiles.values() {
+                assert!(h.cluster.fs.replicas(b).is_empty());
             }
         }
     }
@@ -1492,20 +1477,16 @@ mod tests {
     /// A run: its id, rows, block count and bytes.
     type Run = (TableId, Vec<(Key, Cell)>, usize, u64);
 
-    /// A file's blocks, each with its replicas and length.
-    type Blocks = Vec<(BlockId, Vec<NodeId>, u64)>;
-
     /// What a load leaves that later simulation reads, but for the block
     /// cache, which a load leaves empty.
     #[derive(Debug, PartialEq)]
     struct Loaded {
         /// Per region.
         runs: Vec<Vec<Run>>,
-        hfiles: Vec<Vec<(TableId, FileId)>>,
+        hfiles: Vec<Vec<(TableId, BlockId)>>,
         next_table: Vec<TableId>,
-        /// Every WAL and HFile.
-        files: Vec<(FileId, Blocks)>,
-        used: Vec<u64>,
+        /// Every WAL and HFile block.
+        fs: Dfs,
         rng: SimRng,
     }
 
@@ -1539,18 +1520,6 @@ mod tests {
                 files
             })
             .collect();
-        let nn = c.fs.namenode();
-        let wal_files = c.wals.iter().map(|w| w.file);
-        let files = wal_files
-            .chain(hfiles.iter().flatten().map(|&(_, f)| f))
-            .map(|f| {
-                let blocks = nn.file(f).expect("live file").iter().map(|&b| {
-                    let meta = nn.block(b).expect("registered block");
-                    (b, meta.replicas.clone(), meta.len)
-                });
-                (f, blocks.collect())
-            })
-            .collect();
         Loaded {
             runs,
             hfiles,
@@ -1559,8 +1528,7 @@ mod tests {
                 .iter()
                 .map(|r| r.lsm.clone().reserve_table_id())
                 .collect(),
-            files,
-            used: c.fs.node_used_bytes(),
+            fs: c.fs.clone(),
             rng: c.rng.clone(),
         }
     }

@@ -7,17 +7,18 @@
 //!   server — the reason HBase reads are strongly consistent and blind to
 //!   the replication factor;
 //! * a **write-ahead log per region server stored in `dfs`**, the module
-//!   holding the HDFS analog (namenode, datanodes, pipelines): appends are
-//!   replicated through an in-memory pipeline (acknowledged before any disk
-//!   sync, with group commit batching concurrent writers) — the mechanism
-//!   the paper credits for HBase's flat write latency as RF grows;
+//!   holding the HDFS analog (one block table: pipeline placement,
+//!   local-first reads, re-replication): appends are replicated through an
+//!   in-memory pipeline (acknowledged before any disk sync, with group
+//!   commit batching concurrent writers) — the mechanism the paper credits
+//!   for HBase's flat write latency as RF grows;
 //! * **memstores** that flush into HFiles written through the `dfs`
 //!   pipeline, so flush/compaction disk traffic *does* scale with RF;
 //! * **short-circuit local reads**: flushes place the first HFile replica on
 //!   the writing server, so reads are always local disk + block cache;
-//! * a **master** that assigns regions and, on server failure, reassigns
-//!   them (with WAL-replay and cold-cache costs) for the availability
-//!   extension experiments.
+//! * **failover**: on server failure [`RegionMap::fail_over`] moves the
+//!   dead server's regions to the least-loaded survivors (with WAL-replay
+//!   and cold-cache costs) for the availability extension experiments.
 //!
 //! As with `cstore`, everything is functionally real and temporally
 //! simulated on `simkit` resources, and node hardware, the front door and
@@ -32,11 +33,9 @@ mod config;
 mod dfs;
 mod event;
 mod group_commit;
-mod master;
 mod metrics;
 mod region;
 
 pub use cluster::Cluster;
 pub use config::{HStoreConfig, ServiceCosts};
-pub use master::Master;
 pub use region::{Region, RegionMap};

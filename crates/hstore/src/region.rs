@@ -2,7 +2,7 @@
 
 use simkit::FastHashMap;
 
-use crate::dfs::FileId;
+use crate::dfs::BlockId;
 use simkit::NodeId;
 use storage::sstable::{cmp_via_prefix, key_prefix, KeyPrefix};
 use storage::{Key, LsmConfig, LsmTree, TableId};
@@ -18,8 +18,8 @@ pub struct Region {
     pub server: NodeId,
     /// The region's storage engine (memstore + HFiles + cache slice).
     pub lsm: LsmTree,
-    /// HFile SSTables mapped to their backing `dfs` files.
-    pub hfiles: FastHashMap<TableId, FileId>,
+    /// HFile SSTables mapped to their backing `dfs` blocks, one each.
+    pub(crate) hfiles: FastHashMap<TableId, BlockId>,
 }
 
 impl Region {
@@ -139,6 +139,24 @@ impl RegionMap {
             .map(|(i, _)| i)
             .collect()
     }
+
+    /// Move every region off `dead`, each to the `live` server then holding
+    /// the fewest regions (the lowest id on a tie). Returns each move as
+    /// `(region, new server)`.
+    pub fn fail_over(&mut self, dead: NodeId, live: &[NodeId]) -> Vec<(usize, NodeId)> {
+        assert!(!live.is_empty(), "no live servers to fail over to");
+        let mut load: Vec<(usize, NodeId)> =
+            live.iter().map(|&s| (self.on_server(s).len(), s)).collect();
+        let mut moves = Vec::new();
+        for idx in self.on_server(dead) {
+            load.sort_unstable();
+            load[0].0 += 1;
+            let target = load[0].1;
+            self.regions[idx].server = target;
+            moves.push((idx, target));
+        }
+        moves
+    }
 }
 
 #[cfg(test)]
@@ -196,6 +214,49 @@ mod tests {
         assert!(!r.contains(b"n"));
         assert!(!r.contains(b"f"));
         assert!(m.get(3).contains(b"~~~"), "last region is unbounded");
+    }
+
+    #[test]
+    fn failover_moves_all_regions_off_dead_server() {
+        let mut regions = RegionMap::new(
+            vec![k("d"), k("h"), k("m"), k("r"), k("w")],
+            3,
+            LsmConfig::default(),
+        );
+        let dead = NodeId(0);
+        let live = [NodeId(1), NodeId(2)];
+        let owned_before = regions.on_server(dead);
+        assert!(!owned_before.is_empty());
+        let moves = regions.fail_over(dead, &live);
+        assert!(regions.on_server(dead).is_empty());
+        let moved: Vec<usize> = moves.iter().map(|&(idx, _)| idx).collect();
+        assert_eq!(moved, owned_before);
+        for (idx, to) in moves {
+            assert!(live.contains(&to));
+            assert_eq!(regions.get(idx).server, to);
+        }
+    }
+
+    #[test]
+    fn failover_balances_targets() {
+        // Nine regions over three servers; kill one, its three regions
+        // should split as evenly as possible over the two survivors.
+        let splits: Vec<Bytes> = (1..9)
+            .map(|i| Bytes::from(format!("{i}").into_bytes()))
+            .collect();
+        let mut regions = RegionMap::new(splits, 3, LsmConfig::default());
+        regions.fail_over(NodeId(0), &[NodeId(1), NodeId(2)]);
+        let a = regions.on_server(NodeId(1)).len();
+        let b = regions.on_server(NodeId(2)).len();
+        assert_eq!(a + b, 9);
+        assert!(a.abs_diff(b) <= 1, "unbalanced: {a} vs {b}");
+    }
+
+    #[test]
+    #[should_panic(expected = "no live servers")]
+    fn failover_needs_survivors() {
+        let mut regions = RegionMap::new(vec![k("m")], 1, LsmConfig::default());
+        regions.fail_over(NodeId(0), &[]);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use simkit::NodeId;
 use storage::LsmConfig;
 
-use hstore::{Master, RegionMap};
+use hstore::RegionMap;
 
 fn k(id: u64) -> Bytes {
     Bytes::from(format!("user{id:08}").into_bytes())
@@ -117,14 +117,17 @@ proptest! {
             .filter(|&n| n != dead)
             .collect();
         let total = map.len();
-        let mut master = Master::new();
-        let moves = master.fail_over(&mut map, dead, &live);
+        let owned = map.on_server(dead).len();
+        let moves = map.fail_over(dead, &live);
         prop_assert!(map.on_server(dead).is_empty());
         let live_counts: Vec<usize> = live.iter().map(|&s| map.on_server(s).len()).collect();
         prop_assert_eq!(live_counts.iter().sum::<usize>(), total, "regions lost");
-        prop_assert_eq!(master.reassignments(), moves.len() as u64);
-        for m in &moves {
-            prop_assert!(live.contains(&m.to));
+        let (min, max) = (live_counts.iter().min().unwrap(), live_counts.iter().max().unwrap());
+        prop_assert!(max - min <= 1, "unbalanced: {live_counts:?}");
+        prop_assert_eq!(moves.len(), owned);
+        for &(idx, to) in &moves {
+            prop_assert!(live.contains(&to));
+            prop_assert_eq!(map.get(idx).server, to);
         }
     }
 }
