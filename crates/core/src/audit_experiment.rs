@@ -25,7 +25,7 @@ use audit::{check_key, check_sessions, key_ops, staleness, PhaseWindow, SessionC
 
 use crate::driver::{DriverConfig, RunOutcome};
 use crate::experiment::{
-    point_cols, rf_level_grid, Experiment, Grid, Part, Point, RunShape, Store,
+    point_cols, rf_level_grid, Experiment, Grid, Part, Point, RunShape, Store, RFS,
 };
 use crate::failure::CrashPlan;
 use crate::report::Table;
@@ -34,15 +34,14 @@ use crate::report::Table;
 /// the register's initial state for the linearizability checker.
 const PRELOAD_TS: u64 = 1;
 
-/// Configuration of the Fig. 8 experiment.
+/// The Δ grid (µs) for the (Δ,p)-staleness columns.
+const DELTAS_US: [u64; 5] = [0, 1_000, 10_000, 100_000, 1_000_000];
+
+/// Configuration of the Fig. 8 experiment, over the [`RFS`] grid.
 #[derive(Debug, Clone)]
 pub(crate) struct AuditExperimentConfig {
     /// The crash scenario (the Fig. 4 plan).
     pub plan: CrashPlan,
-    /// Replication factors to sweep, ascending.
-    pub rfs: Vec<u32>,
-    /// The Δ grid (µs) for the (Δ,p)-staleness columns.
-    pub deltas_us: Vec<u64>,
     /// How many of the hottest keys get the linearizability check.
     pub lin_keys: usize,
     /// Search-node budget per checked key.
@@ -53,8 +52,6 @@ impl Default for AuditExperimentConfig {
     fn default() -> Self {
         Self {
             plan: CrashPlan::default(),
-            rfs: vec![1, 3, 5],
-            deltas_us: vec![0, 1_000, 10_000, 100_000, 1_000_000],
             lin_keys: 8,
             lin_budget: 500_000,
         }
@@ -77,7 +74,7 @@ pub(crate) struct PhaseAudit {
     pub margin_p99_us: u64,
     /// Worst staleness margin, µs.
     pub margin_max_us: u64,
-    /// The (Δ, p) curve on the configured grid: fraction of the phase's
+    /// The (Δ, p) curve on the [`DELTAS_US`] grid: fraction of the phase's
     /// reads with staleness margin ≤ Δ. Monotone non-decreasing in Δ.
     pub curve: Vec<(u64, f64)>,
 }
@@ -106,7 +103,6 @@ pub(crate) struct AuditCell {
 fn audit_history(
     history: &audit::History,
     phases: &[PhaseWindow],
-    deltas_us: &[u64],
     lin_keys: usize,
     lin_budget: u64,
 ) -> (Vec<PhaseAudit>, Verdict, usize) {
@@ -123,7 +119,7 @@ fn audit_history(
             margin_p95_us: staleness::quantile(m, 0.95),
             margin_p99_us: staleness::quantile(m, 0.99),
             margin_max_us: m.iter().copied().max().unwrap_or(0),
-            curve: staleness::curve(m, deltas_us),
+            curve: staleness::curve(m, &DELTAS_US),
         })
         .collect();
     let keys: Vec<_> = history
@@ -160,7 +156,6 @@ impl Experiment for AuditExperimentConfig {
             plan: CrashPlan::quick(),
             lin_keys: 4,
             lin_budget: 200_000,
-            ..Self::default()
         }
     }
 
@@ -169,7 +164,7 @@ impl Experiment for AuditExperimentConfig {
     }
 
     fn specs(&self) -> Vec<Point> {
-        rf_level_grid(&self.rfs)
+        rf_level_grid(&RFS)
     }
 
     fn build(&self, spec: &Point) -> Store {
@@ -202,7 +197,6 @@ impl Experiment for AuditExperimentConfig {
         let (phases, linearizable, _lin_keys_checked) = audit_history(
             &history,
             &self.plan.phases(),
-            &self.deltas_us,
             self.lin_keys,
             self.lin_budget,
         );
@@ -282,7 +276,7 @@ impl Experiment for AuditExperimentConfig {
             .col("margin_p95_us", |(.., p)| p.margin_p95_us.to_string())
             .col("margin_p99_us", |(.., p)| p.margin_p99_us.to_string())
             .col("margin_max_us", |(.., p)| p.margin_max_us.to_string());
-        for (i, d) in grid.exp.deltas_us.iter().enumerate() {
+        for (i, d) in DELTAS_US.iter().enumerate() {
             csv = csv.col(format!("p_le_{d}us"), move |(.., p)| {
                 format!("{:.5}", p.curve[i].1)
             });

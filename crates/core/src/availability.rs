@@ -30,15 +30,16 @@ use crate::setup::StoreKind;
 /// The three client policies every (store, CL) pair runs under.
 pub(crate) const POLICY_NAMES: [&str; 3] = ["none", "retry", "retry+hedge"];
 
-/// Configuration of the Fig. 5 experiment: the Fig. 4 crash at a single
-/// replication factor; the new axis is the retry policy.
+/// The replication factor of every Fig. 5 cell: one value, because the
+/// policy axis replaces the RF sweep.
+const RF: u32 = 3;
+
+/// Configuration of the Fig. 5 experiment: the Fig. 4 crash at the single
+/// replication factor [`RF`]; the new axis is the retry policy.
 #[derive(Debug, Clone)]
 pub(crate) struct AvailabilityConfig {
     /// The crash scenario.
     pub plan: CrashPlan,
-    /// Replication factor (one value: the policy axis replaces the RF
-    /// sweep).
-    pub rf: u32,
     /// Timeline bucket width, µs.
     pub window_us: u64,
     /// The retrying policy (the `retry` cells); its backoff ladder should
@@ -53,7 +54,6 @@ impl Default for AvailabilityConfig {
     fn default() -> Self {
         Self {
             plan: CrashPlan::default(),
-            rf: 3,
             window_us: 250_000,
             // Eight attempts from a 50 ms base: the cumulative backoff
             // (50+100+...+800, capped at 16x) outlasts the 2 s failover
@@ -137,7 +137,6 @@ impl Experiment for AvailabilityConfig {
             // window after five retries, within a 1.5 s budget.
             retry: RetryPolicy::retrying(8, 15_000, 1_500_000),
             hedge_after_us: 5_000,
-            ..Self::default()
         }
     }
 
@@ -147,14 +146,14 @@ impl Experiment for AvailabilityConfig {
 
     fn specs(&self) -> Vec<Self::Spec> {
         let mut specs = Vec::new();
-        for (store, _, level) in rf_level_grid(&[self.rf]) {
+        for (store, _, level) in rf_level_grid(&[RF]) {
             specs.extend(POLICY_NAMES.iter().map(|&policy| (store, level, policy)));
         }
         specs
     }
 
     fn build(&self, &(store, level, _): &Self::Spec) -> Store {
-        self.plan.build(&(store, self.rf, level))
+        self.plan.build(&(store, RF, level))
     }
 
     fn driver(&self, &(_, _, policy): &Self::Spec) -> DriverConfig {

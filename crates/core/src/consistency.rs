@@ -14,15 +14,15 @@ use crate::experiment::{Experiment, Grid, Level, Part, RunShape, Store, PAPER_LE
 use crate::report::{bar_chart, fmt_ops, Table};
 use crate::setup::{Scale, StoreKind};
 
-/// Configuration of the Fig. 3 experiment.
+/// The replication factor of every Fig. 3 cell (the paper's).
+const RF: u32 = 3;
+
+/// Configuration of the Fig. 3 experiment; the strategies compared are
+/// [`PAPER_LEVELS`].
 #[derive(Debug, Clone)]
 pub(crate) struct ConsistencyConfig {
     /// Scale, run length and seed.
     pub run: RunShape,
-    /// Replication factor (the paper: 3).
-    pub rf: u32,
-    /// Consistency strategies to compare.
-    pub levels: Vec<Level>,
     /// The workloads (default: the paper's five).
     pub workloads: Vec<WorkloadSpec>,
     /// Client threads, constant across the sweep.
@@ -41,8 +41,6 @@ impl Default for ConsistencyConfig {
                 measure_ops: 30_000,
                 seed: 42,
             },
-            rf: 3,
-            levels: PAPER_LEVELS.to_vec(),
             workloads: WorkloadSpec::paper_stress_workloads(),
             threads: 64,
             targets: vec![5_000.0, 10_000.0, 20_000.0, 40_000.0, 0.0],
@@ -95,7 +93,6 @@ impl Experiment for ConsistencyConfig {
             workloads: vec![WorkloadSpec::read_update()],
             threads: 8,
             targets: vec![500.0, 0.0],
-            ..Self::default()
         }
     }
 
@@ -105,7 +102,7 @@ impl Experiment for ConsistencyConfig {
 
     fn specs(&self) -> Vec<Self::Spec> {
         let mut specs = Vec::new();
-        for &level in &self.levels {
+        for level in PAPER_LEVELS {
             for w in 0..self.workloads.len() {
                 specs.extend(self.targets.iter().map(|&target| (level, w, target)));
             }
@@ -114,7 +111,7 @@ impl Experiment for ConsistencyConfig {
     }
 
     fn build(&self, &(level, _, _): &Self::Spec) -> Store {
-        Store::paper(&self.run.scale, &(StoreKind::CStore, self.rf, level))
+        Store::paper(&self.run.scale, &(StoreKind::CStore, RF, level))
     }
 
     fn driver(&self, &(_, w, target): &Self::Spec) -> DriverConfig {
@@ -156,7 +153,7 @@ impl Experiment for ConsistencyConfig {
         let mut out = String::new();
         for w in by_name {
             let title = format!(
-                "Fig. 3 — consistency stress: {} (Cassandra analog, RF=3)",
+                "Fig. 3 — consistency stress: {} (Cassandra analog, RF={RF})",
                 cfg.workloads[w].name
             );
             let mut t = Table::of(title, &targets).col("target", |&&target| {
@@ -166,7 +163,7 @@ impl Experiment for ConsistencyConfig {
                     fmt_ops(target)
                 }
             });
-            for &level in &cfg.levels {
+            for level in PAPER_LEVELS {
                 t = t.col(format!("{} runtime", level.name), move |&&target| {
                     grid.cell(&(level, w, target))
                         .map_or("-".to_owned(), |c| fmt_ops(c.runtime))
@@ -181,8 +178,7 @@ impl Experiment for ConsistencyConfig {
                 "\"{}\" peak runtime throughput by consistency level",
                 w.name
             );
-            let peaks: Vec<(String, f64)> = cfg
-                .levels
+            let peaks: Vec<(String, f64)> = PAPER_LEVELS
                 .iter()
                 .map(|l| (l.name.to_owned(), grid.peak(l.name, &w.name)))
                 .collect();

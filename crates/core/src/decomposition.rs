@@ -21,27 +21,25 @@ use ycsb::WorkloadSpec;
 
 use crate::driver::{DriverConfig, RunOutcome};
 use crate::experiment::{
-    point_cols, rf_level_grid, Experiment, Grid, Level, Part, Point, RunShape, Store,
+    point_cols, rf_level_grid, Experiment, Grid, Level, Part, Point, RunShape, Store, RFS,
 };
 use crate::report::{fmt_us, Table};
 use crate::setup::{Scale, StoreKind};
 
-/// Configuration of the Fig. 6 experiment.
+/// Trace every Nth issued op (1 = every op).
+const SAMPLE_EVERY: u64 = 1;
+
+/// Configuration of the Fig. 6 experiment: the read & update mix
+/// ([`WorkloadSpec::read_update`]) decomposed over the [`RFS`] grid.
 #[derive(Debug, Clone)]
 pub(crate) struct DecompositionConfig {
     /// Scale, run length and seed.
     pub run: RunShape,
-    /// Replication factors to sweep, ascending.
-    pub rfs: Vec<u32>,
     /// Client threads; every run is unthrottled.
     pub threads: usize,
-    /// Trace every Nth issued op (1 = every op).
-    pub sample_every: u64,
     /// Full span trees kept per cell for the JSONL exporter (the stage
     /// aggregation always covers every traced op).
     pub keep_traces: usize,
-    /// The workload to decompose.
-    pub workload: WorkloadSpec,
 }
 
 impl Default for DecompositionConfig {
@@ -53,11 +51,8 @@ impl Default for DecompositionConfig {
                 measure_ops: 20_000,
                 seed: 42,
             },
-            rfs: vec![1, 3, 5],
             threads: 32,
-            sample_every: 1,
             keep_traces: 8,
-            workload: WorkloadSpec::read_update(),
         }
     }
 }
@@ -102,7 +97,6 @@ impl Experiment for DecompositionConfig {
             },
             threads: 8,
             keep_traces: 4,
-            ..Self::default()
         }
     }
 
@@ -111,7 +105,7 @@ impl Experiment for DecompositionConfig {
     }
 
     fn specs(&self) -> Vec<Point> {
-        rf_level_grid(&self.rfs)
+        rf_level_grid(&RFS)
     }
 
     fn build(&self, spec: &Point) -> Store {
@@ -120,8 +114,10 @@ impl Experiment for DecompositionConfig {
 
     fn driver(&self, _: &Point) -> DriverConfig {
         DriverConfig {
-            trace: TraceConfig::every(self.sample_every),
-            ..self.run.driver(self.workload.clone(), self.threads, 0.0)
+            trace: TraceConfig::every(SAMPLE_EVERY),
+            ..self
+                .run
+                .driver(WorkloadSpec::read_update(), self.threads, 0.0)
         }
     }
 
@@ -165,7 +161,7 @@ impl Experiment for DecompositionConfig {
         });
         let title = format!(
             "Fig. 6 — latency decomposition ({})",
-            grid.exp.workload.name
+            WorkloadSpec::read_update().name
         );
         let mut summary = point_cols(Table::of(title, kinds), |r| r.0)
             .col("op", |&(_, _, kind, _)| kind.label().into())

@@ -21,7 +21,9 @@
 //!
 //! Write one module with a config struct that embeds a [`RunShape`],
 //! implement [`Experiment`] for it (grid, each cell's store, driver
-//! config, row, report), and add one line to [`FIGURES`]. A report's
+//! config, row, report), and add one line to [`FIGURES`]. The struct has a
+//! field only for what `quick()` and `Default` set differently; every
+//! other setting is a constant beside its one reader. A report's
 //! tables are column lists over the grid's rows (`Table::of`,
 //! `point_cols`).
 
@@ -80,6 +82,9 @@ pub(crate) const PAPER_LEVELS: [Level; 3] = [Level::ONE, Level::QUORUM, Level::W
 
 /// A grid point of the (store, RF, consistency) figures.
 pub(crate) type Point = (StoreKind, u32, Level);
+
+/// The replication factors Figs 4, 6 and 8 sweep, ascending.
+pub(crate) const RFS: [u32; 3] = [1, 3, 5];
 
 /// The (store, RF, consistency) grid of Figs 4, 6 and 8: the Cassandra
 /// analog under the paper's three levels and the HBase analog's single

@@ -25,13 +25,17 @@ use ycsb::{TimelineWindow, WorkloadSpec};
 
 use crate::driver::{DriverConfig, RunOutcome};
 use crate::experiment::{
-    point_cols, rf_level_grid, Experiment, Grid, Part, Point, RunShape, Store,
+    point_cols, rf_level_grid, Experiment, Grid, Part, Point, RunShape, Store, RFS,
 };
 use crate::report::{fmt_ops, Table};
 use crate::setup::{build_cstore_with, build_hstore_with, Scale, StoreKind};
 
-/// One node crashing and recovering under a constant-rate workload: the
-/// scenario of Figs 4, 5 and 8.
+/// The node that crashes.
+const VICTIM: NodeId = NodeId(0);
+
+/// One node crashing and recovering under a constant-rate workload (the
+/// read & update mix, [`WorkloadSpec::read_update`]): the scenario of Figs
+/// 4, 5 and 8.
 #[derive(Debug, Clone)]
 pub(crate) struct CrashPlan {
     /// Scale, run length and seed.
@@ -52,10 +56,6 @@ pub(crate) struct CrashPlan {
     /// HBase-analog failure-detection window (ZooKeeper session expiry +
     /// master reaction) between the crash and the region failover.
     pub failover_delay_us: u64,
-    /// The node that crashes.
-    pub victim: NodeId,
-    /// The workload under which the failure happens.
-    pub workload: WorkloadSpec,
 }
 
 impl Default for CrashPlan {
@@ -73,8 +73,6 @@ impl Default for CrashPlan {
             recover_at_us: 9_000_000,
             rpc_timeout_us: 250_000,
             failover_delay_us: 2_000_000,
-            victim: NodeId(0),
-            workload: WorkloadSpec::read_update(),
         }
     }
 }
@@ -118,7 +116,6 @@ impl CrashPlan {
             recover_at_us: 1_800_000,
             rpc_timeout_us: 120_000,
             failover_delay_us: 300_000,
-            ..Self::default()
         }
     }
 
@@ -142,14 +139,12 @@ impl CrashPlan {
     /// Figs 4 and 5 switch theirs on).
     pub(crate) fn driver(&self) -> DriverConfig {
         DriverConfig {
-            faults: FaultPlan::new().crash_window(
-                self.victim,
-                self.crash_at_us,
-                self.recover_at_us,
-            ),
-            ..self
-                .run
-                .driver(self.workload.clone(), self.threads, self.target_ops_per_sec)
+            faults: FaultPlan::new().crash_window(VICTIM, self.crash_at_us, self.recover_at_us),
+            ..self.run.driver(
+                WorkloadSpec::read_update(),
+                self.threads,
+                self.target_ops_per_sec,
+            )
         }
     }
 
@@ -195,18 +190,16 @@ impl CrashPlan {
             "{figure}: crash t={:.1}s, recover t={:.1}s ({})",
             self.crash_at_us as f64 / 1e6,
             self.recover_at_us as f64 / 1e6,
-            self.workload.name,
+            WorkloadSpec::read_update().name,
         )
     }
 }
 
-/// Configuration of the Fig. 4 experiment.
+/// Configuration of the Fig. 4 experiment, over the [`RFS`] grid.
 #[derive(Debug, Clone)]
 pub(crate) struct FailureConfig {
     /// The crash scenario.
     pub plan: CrashPlan,
-    /// Replication factors to sweep, ascending.
-    pub rfs: Vec<u32>,
     /// Timeline bucket width, µs.
     pub window_us: u64,
 }
@@ -215,7 +208,6 @@ impl Default for FailureConfig {
     fn default() -> Self {
         Self {
             plan: CrashPlan::default(),
-            rfs: vec![1, 3, 5],
             window_us: 250_000,
         }
     }
@@ -249,7 +241,6 @@ impl Experiment for FailureConfig {
         Self {
             plan: CrashPlan::quick(),
             window_us: 150_000,
-            ..Self::default()
         }
     }
 
@@ -258,7 +249,7 @@ impl Experiment for FailureConfig {
     }
 
     fn specs(&self) -> Vec<Point> {
-        rf_level_grid(&self.rfs)
+        rf_level_grid(&RFS)
     }
 
     fn build(&self, spec: &Point) -> Store {

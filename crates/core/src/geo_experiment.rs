@@ -3,7 +3,7 @@
 //! The paper's testbed is one datacenter; its §6 future work asks what the
 //! replication/consistency trade looks like when replicas sit behind WAN
 //! links. This experiment sweeps region count × consistency level over the
-//! geo subsystem: the Cassandra analog places `rf_per_dc` replicas in every
+//! geo subsystem: the Cassandra analog places `RF_PER_DC` replicas in every
 //! datacenter with [`cstore::Strategy::NetworkTopology`] and runs the
 //! datacenter-aware levels (`LOCAL_QUORUM` settles inside the coordinator's
 //! DC, `EACH_QUORUM` waits on the slowest DC's quorum), while the HBase
@@ -41,34 +41,31 @@ pub(crate) const GEO_LEVELS: [Level; 5] = [
     Level::WRITE_ALL,
 ];
 
-/// Configuration of the Fig. 7 experiment.
+/// Servers per datacenter.
+const NODES_PER_REGION: usize = 5;
+/// Replicas per datacenter, at most [`NODES_PER_REGION`] (Cassandra analog:
+/// the NetworkTopology quota; HBase analog: the in-region HDFS replication
+/// factor).
+const RF_PER_DC: u32 = 3;
+/// Region counts swept (the x-axis; 1 = the paper's single-DC testbed).
+const REGION_COUNTS: [u32; 3] = [1, 2, 3];
+/// Relative WAN jitter applied per region pair at matrix build time
+/// (asymmetric links; still deterministic).
+const WAN_JITTER: f64 = 0.2;
+
+/// Configuration of the Fig. 7 experiment: the read & update mix
+/// ([`WorkloadSpec::read_update`]) over [`REGION_COUNTS`] ×
+/// [`GEO_LEVELS`], with `simkit`'s default one-way inter-region delay
+/// ([`simkit::DEFAULT_INTER_REGION_US`]) and `hstore`'s default shipping
+/// lag.
 #[derive(Debug, Clone)]
 pub(crate) struct GeoExperimentConfig {
     /// Scale, run length and seed (`run.scale.nodes` is ignored: the
-    /// cluster is `nodes_per_region × regions`). Cells with the same region
-    /// count share their driver seed, so levels that take identical code
-    /// paths (single-region LOCAL_QUORUM vs QUORUM) produce bit-identical
-    /// rows.
+    /// cluster is [`NODES_PER_REGION`] × regions). Cells with the same
+    /// region count share their driver seed, so levels that take identical
+    /// code paths (single-region LOCAL_QUORUM vs QUORUM) produce
+    /// bit-identical rows.
     pub run: RunShape,
-    /// Servers per datacenter.
-    pub nodes_per_region: usize,
-    /// Replicas per datacenter (Cassandra analog: the NetworkTopology
-    /// quota; HBase analog: the in-region HDFS replication factor).
-    pub rf_per_dc: u32,
-    /// Region counts swept (the x-axis; 1 = the paper's single-DC testbed).
-    pub region_counts: Vec<u32>,
-    /// One-way inter-region delay, microseconds.
-    pub inter_region_us: u64,
-    /// Relative WAN jitter applied per region pair at matrix build time
-    /// (asymmetric links; still deterministic).
-    pub wan_jitter: f64,
-    /// Extra HBase-analog shipping lag before a committed group leaves the
-    /// primary.
-    pub ship_lag_us: u64,
-    /// Consistency strategies swept (Cassandra analog only).
-    pub levels: Vec<Level>,
-    /// The workload.
-    pub workload: WorkloadSpec,
     /// Client threads.
     pub threads: usize,
 }
@@ -82,14 +79,6 @@ impl Default for GeoExperimentConfig {
                 measure_ops: 20_000,
                 seed: 42,
             },
-            nodes_per_region: 5,
-            rf_per_dc: 3,
-            region_counts: vec![1, 2, 3],
-            inter_region_us: simkit::DEFAULT_INTER_REGION_US,
-            wan_jitter: 0.2,
-            ship_lag_us: 10_000,
-            levels: GEO_LEVELS.to_vec(),
-            workload: WorkloadSpec::read_update(),
             threads: 48,
         }
     }
@@ -124,25 +113,24 @@ impl GeoExperimentConfig {
     fn geo_config(&self, regions: u32) -> simkit::GeoConfig {
         simkit::GeoConfig {
             regions,
-            inter_region_us: self.inter_region_us,
-            wan_jitter: self.wan_jitter,
+            inter_region_us: simkit::DEFAULT_INTER_REGION_US,
+            wan_jitter: WAN_JITTER,
             jitter_seed: self.run.seed,
         }
     }
 
-    /// The Cassandra-analog geo cluster: `nodes_per_region` nodes per
-    /// datacenter, `rf_per_dc` replicas per datacenter via NetworkTopology.
+    /// The Cassandra-analog geo cluster: [`NODES_PER_REGION`] nodes and
+    /// [`RF_PER_DC`] replicas per datacenter via NetworkTopology.
     fn build_cstore(&self, regions: u32, level: Level) -> cstore::Cluster {
-        let npr = self.nodes_per_region;
-        let nodes = npr * regions as usize;
+        let nodes = NODES_PER_REGION * regions as usize;
         let mut c = CStoreConfig::paper_testbed(
-            self.rf_per_dc * regions,
+            RF_PER_DC * regions,
             Partitioner::order_preserving(balanced_tokens(nodes)),
         );
         c.node.topology = self
             .geo_config(regions)
-            .topology(npr, c.node.profile.nic.prop_us);
-        c.strategy = cstore::Strategy::network_topology(regions, self.rf_per_dc);
+            .topology(NODES_PER_REGION, c.node.profile.nic.prop_us);
+        c.strategy = cstore::Strategy::network_topology(regions, RF_PER_DC);
         c.lsm = self.run.scale.lsm();
         c.read_cl = level.read;
         c.write_cl = level.write;
@@ -152,19 +140,16 @@ impl GeoExperimentConfig {
     /// The HBase-analog geo cluster: the primary region serves all
     /// traffic, `regions - 1` follower regions receive shipped WAL groups.
     fn build_hstore(&self, regions: u32) -> hstore::Cluster {
-        let npr = self.nodes_per_region;
-        let splits: Vec<_> = balanced_tokens(npr).into_iter().skip(1).collect();
-        let mut h = HStoreConfig::paper_testbed(self.hstore_rf(), splits);
-        h.node.topology = simkit::Topology::single_rack(npr, h.node.profile.nic.prop_us);
+        let splits: Vec<_> = balanced_tokens(NODES_PER_REGION)
+            .into_iter()
+            .skip(1)
+            .collect();
+        let mut h = HStoreConfig::paper_testbed(RF_PER_DC, splits);
+        h.node.topology =
+            simkit::Topology::single_rack(NODES_PER_REGION, h.node.profile.nic.prop_us);
         h.lsm = self.run.scale.lsm();
         h.follower_regions = regions - 1;
-        h.ship_wan_us = self.inter_region_us;
-        h.ship_lag_us = self.ship_lag_us;
         hstore::Cluster::new(h, 0xB0A7 ^ u64::from(regions))
-    }
-
-    fn hstore_rf(&self) -> u32 {
-        self.rf_per_dc.min(self.nodes_per_region as u32)
     }
 }
 
@@ -183,7 +168,6 @@ impl Experiment for GeoExperimentConfig {
                 seed: 42,
             },
             threads: 8,
-            ..Self::default()
         }
     }
 
@@ -195,8 +179,8 @@ impl Experiment for GeoExperimentConfig {
     /// analog's async-replication cell.
     fn specs(&self) -> Vec<Self::Spec> {
         let mut specs = Vec::new();
-        for &r in &self.region_counts {
-            specs.extend(self.levels.iter().map(|&l| (r, StoreKind::CStore, l)));
+        for r in REGION_COUNTS {
+            specs.extend(GEO_LEVELS.map(|l| (r, StoreKind::CStore, l)));
             specs.push((r, StoreKind::HStore, ASYNC_SHIP));
         }
         specs
@@ -215,17 +199,19 @@ impl Experiment for GeoExperimentConfig {
     fn driver(&self, &(regions, _, _): &Self::Spec) -> DriverConfig {
         DriverConfig {
             seed: self.run.seed ^ (u64::from(regions) << 17),
-            ..self.run.driver(self.workload.clone(), self.threads, 0.0)
+            ..self
+                .run
+                .driver(WorkloadSpec::read_update(), self.threads, 0.0)
         }
     }
 
     fn cell(&self, &(regions, _, _): &Self::Spec, run: RunOutcome, store: &Store) -> GeoCell {
-        let (rf_per_dc, repl_window_us) = match store {
-            Store::C(_) => (self.rf_per_dc, 0.0),
-            Store::H(h) => (self.hstore_rf(), h.mean_replication_window_us()),
+        let repl_window_us = match store {
+            Store::C(_) => 0.0,
+            Store::H(h) => h.mean_replication_window_us(),
         };
         GeoCell {
-            rf_total: rf_per_dc * regions,
+            rf_total: RF_PER_DC * regions,
             runtime: run.metrics.rate(run.metrics.ops() + run.errors),
             goodput: run.throughput,
             mean_us: run.mean_latency_us,
@@ -239,7 +225,7 @@ impl Experiment for GeoExperimentConfig {
     /// One table per region count — the Fig. 7 panels — then the CSV.
     fn report(grid: &Grid<Self>) -> Vec<Part> {
         let mut out = String::new();
-        for &regions in &grid.exp.region_counts {
+        for regions in REGION_COUNTS {
             let t = Table::of(
                 format!("Fig. 7 — geo-replication PACELC: {regions} region(s)"),
                 grid.rows().filter(|(s, _)| s.0 == regions),
@@ -283,6 +269,8 @@ impl Experiment for GeoExperimentConfig {
 #[cfg(test)]
 #[allow(clippy::expect_used)]
 mod tests {
+    use std::sync::OnceLock;
+
     use super::*;
     use crate::driver;
 
@@ -291,9 +279,15 @@ mod tests {
             .expect("cell")
     }
 
+    /// The quick grid, run once and shared by the tests that read its cells.
+    fn quick_grid() -> &'static Grid<GeoExperimentConfig> {
+        static GRID: OnceLock<Grid<GeoExperimentConfig>> = OnceLock::new();
+        GRID.get_or_init(|| GeoExperimentConfig::quick().run())
+    }
+
     #[test]
     fn each_region_count_loads_once_per_store() {
-        let res = GeoExperimentConfig::quick().run();
+        let res = quick_grid();
         for c in &res.cells {
             assert!(c.runtime > 0.0, "{c:?}");
         }
@@ -303,12 +297,10 @@ mod tests {
 
     #[test]
     fn single_region_dc_aware_levels_match_quorum_exactly() {
-        let mut cfg = GeoExperimentConfig::quick();
-        cfg.region_counts = vec![1];
-        let res = cfg.run();
-        let q = cstore_cell(&res, 1, Level::QUORUM);
+        let res = quick_grid();
+        let q = cstore_cell(res, 1, Level::QUORUM);
         for level in [Level::LOCAL_QUORUM, Level::EACH_QUORUM] {
-            let c = cstore_cell(&res, 1, level);
+            let c = cstore_cell(res, 1, level);
             assert_eq!(c.runtime, q.runtime, "{} runtime diverged", level.name);
             assert_eq!(c.mean_us, q.mean_us, "{} latency diverged", level.name);
             assert_eq!(c.p99_us, q.p99_us, "{} p99 diverged", level.name);
@@ -318,15 +310,13 @@ mod tests {
 
     #[test]
     fn three_regions_reproduce_the_pacelc_trade() {
-        let mut cfg = GeoExperimentConfig::quick();
-        cfg.region_counts = vec![3];
-        let res = cfg.run();
-        let cfg = &res.exp;
-        let one = cstore_cell(&res, 3, Level::ONE);
-        let each = cstore_cell(&res, 3, Level::EACH_QUORUM);
+        let res = quick_grid();
+        let wan_us = simkit::DEFAULT_INTER_REGION_US;
+        let one = cstore_cell(res, 3, Level::ONE);
+        let each = cstore_cell(res, 3, Level::EACH_QUORUM);
         // Latency: EACH_QUORUM pays at least one WAN round trip per op.
         assert!(
-            each.mean_us > one.mean_us + 2.0 * cfg.inter_region_us as f64 * 0.5,
+            each.mean_us > one.mean_us + 2.0 * wan_us as f64 * 0.5,
             "EACH_QUORUM {:.0}µs should dwarf ONE {:.0}µs",
             each.mean_us,
             one.mean_us
@@ -337,7 +327,8 @@ mod tests {
         // window of at least ship lag + WAN delay.
         let h = res.cell(&(3, StoreKind::HStore, ASYNC_SHIP)).expect("cell");
         assert!(h.mean_us < each.mean_us);
-        assert!(h.repl_window_us >= (cfg.ship_lag_us + cfg.inter_region_us) as f64);
+        let ship_lag_us = res.exp.build_hstore(3).config().ship_lag_us;
+        assert!(h.repl_window_us >= (ship_lag_us + wan_us) as f64);
     }
 
     #[test]
@@ -357,11 +348,11 @@ mod tests {
             if strategy == cstore::Strategy::Simple {
                 let mut base = CStoreConfig::paper_testbed(
                     3,
-                    Partitioner::order_preserving(balanced_tokens(cfg.nodes_per_region)),
+                    Partitioner::order_preserving(balanced_tokens(NODES_PER_REGION)),
                 );
                 base.node.topology = cfg
                     .geo_config(1)
-                    .topology(cfg.nodes_per_region, base.node.profile.nic.prop_us);
+                    .topology(NODES_PER_REGION, base.node.profile.nic.prop_us);
                 base.lsm = cfg.run.scale.lsm();
                 base.read_cl = level.read;
                 base.write_cl = level.write;
@@ -369,7 +360,9 @@ mod tests {
             }
             let scale = &cfg.run.scale;
             driver::load(&mut c, scale.records, scale.value_len, cfg.run.seed);
-            let dcfg = cfg.run.driver(cfg.workload.clone(), cfg.threads, 0.0);
+            let dcfg = cfg
+                .run
+                .driver(WorkloadSpec::read_update(), cfg.threads, 0.0);
             let run = driver::run(&mut c, &dcfg);
             (
                 run.throughput,

@@ -71,33 +71,50 @@ impl Sla {
     }
 }
 
-/// Configuration of the Fig. 10 experiment.
+/// The replication factor of every Fig. 10 cell.
+const RF: u32 = 3;
+/// The consistency level of the Cassandra analog's reads and writes.
+const CL: Consistency = Consistency::One;
+
+/// The two-tenant mix: an interactive tenant that must keep its SLA and a
+/// batch tenant that is shed first under strict priority. Weights split the
+/// arrival stream; priorities feed the strict-priority shedder (0 = shed
+/// last).
+const TENANTS: [Tenant; 2] = [
+    Tenant {
+        name: "interactive",
+        weight: 0.7,
+        priority: 0,
+    },
+    Tenant {
+        name: "batch",
+        weight: 0.3,
+        priority: 2,
+    },
+];
+
+/// The SLA each cell is judged against (shed ops consume the error budget;
+/// latency is judged over admitted successes only).
+const SLA: Sla = Sla {
+    percentile: 0.99,
+    latency_us: 50_000,
+    error_budget: 0.5,
+};
+
+/// Configuration of the Fig. 10 experiment: every tenant runs the
+/// read-mostly mix ([`WorkloadSpec::read_mostly`]).
 #[derive(Debug, Clone)]
 pub(crate) struct OverloadConfig {
     /// Scale, run length and seed. Cells at the same offered load share
     /// their driver seed across the control arms, so both arms face the
     /// identical arrival sequence.
     pub run: RunShape,
-    /// Replication factor.
-    pub rf: u32,
-    /// Read consistency (Cassandra analog).
-    pub read_cl: Consistency,
-    /// Write consistency (Cassandra analog).
-    pub write_cl: Consistency,
     /// Offered loads swept (the x-axis), arrivals/sec of virtual time.
     /// Should straddle the cluster's closed-loop capacity.
     pub offered_loads: Vec<f64>,
-    /// Tenant mix: weights split the arrival stream, priorities feed the
-    /// strict-priority shedder (0 = shed last).
-    pub tenants: Vec<Tenant>,
     /// The admission controller used by the [`CONTROL_ON`] arm (the
     /// [`CONTROL_OFF`] arm always runs [`AdmissionConfig::off`]).
     pub admission: AdmissionConfig,
-    /// The SLA each cell is judged against (shed ops consume the error
-    /// budget; latency is judged over admitted successes only).
-    pub sla: Sla,
-    /// The workload: its op mix and request distribution for every tenant.
-    pub workload: WorkloadSpec,
 }
 
 impl Default for OverloadConfig {
@@ -109,9 +126,6 @@ impl Default for OverloadConfig {
                 measure_ops: 12_000,
                 seed: 42,
             },
-            rf: 3,
-            read_cl: Consistency::One,
-            write_cl: Consistency::One,
             // Straddles both stores' open-loop capacity knees at the
             // stress scale (hstore ≈ 50 kops/s; cstore, which batches
             // better under deep concurrency, ≈ 200 kops/s).
@@ -123,33 +137,9 @@ impl Default for OverloadConfig {
                 512_000.0,
                 1_024_000.0,
             ],
-            tenants: default_tenants(),
             admission: AdmissionConfig { max_in_flight: 384 },
-            sla: Sla {
-                percentile: 0.99,
-                latency_us: 50_000,
-                error_budget: 0.5,
-            },
-            workload: WorkloadSpec::read_mostly(),
         }
     }
-}
-
-/// The default two-tenant mix: an interactive tenant that must keep its
-/// SLA and a batch tenant that is shed first under strict priority.
-pub(crate) fn default_tenants() -> Vec<Tenant> {
-    vec![
-        Tenant {
-            name: "interactive",
-            weight: 0.7,
-            priority: 0,
-        },
-        Tenant {
-            name: "batch",
-            weight: 0.3,
-            priority: 2,
-        },
-    ]
 }
 
 /// One Fig. 10 cell: one (store, control arm, offered load) run.
@@ -172,11 +162,11 @@ pub(crate) struct OverloadCell {
     pub mean_us: f64,
     /// 99th-percentile latency of admitted successes, µs.
     pub p99_us: u64,
-    /// Per-tenant p99, µs, in [`OverloadConfig::tenants`] order.
+    /// Per-tenant p99, µs, in [`TENANTS`] order.
     pub tenant_p99_us: Vec<u64>,
     /// Per-tenant shed fraction, same order.
     pub tenant_shed_rate: Vec<f64>,
-    /// Whether the run met the configured SLA.
+    /// Whether the run met the [`SLA`].
     pub sla_met: bool,
 }
 
@@ -238,14 +228,10 @@ impl Experiment for OverloadConfig {
         };
         let scale = &self.run.scale;
         match store {
-            StoreKind::CStore => Store::C(build_cstore_with(
-                scale,
-                self.rf,
-                self.read_cl,
-                self.write_cl,
-                |c| c.node.admission = admission,
-            )),
-            StoreKind::HStore => Store::H(build_hstore_with(scale, self.rf, |h| {
+            StoreKind::CStore => Store::C(build_cstore_with(scale, RF, CL, CL, |c| {
+                c.node.admission = admission
+            })),
+            StoreKind::HStore => Store::H(build_hstore_with(scale, RF, |h| {
                 h.node.admission = admission
             })),
         }
@@ -260,11 +246,11 @@ impl Experiment for OverloadConfig {
                 ^ (u64::from(store == StoreKind::HStore) << 33),
             arrival: ArrivalMode::OpenLoop(OpenLoop {
                 ops_per_sec: self.offered_loads[li],
-                tenants: self.tenants.clone(),
+                tenants: TENANTS.to_vec(),
             }),
             // Arrivals are open-loop: the closed-loop client count and
             // pacing are not consulted.
-            ..self.run.driver(self.workload.clone(), 1, 0.0)
+            ..self.run.driver(WorkloadSpec::read_mostly(), 1, 0.0)
         }
     }
 
@@ -272,10 +258,10 @@ impl Experiment for OverloadConfig {
         let settled = (run.metrics.ops() + run.errors).max(1);
         let shed: u64 = run.metrics.tenants().iter().map(|t| t.shed).sum();
         let tenant = |i: usize| run.metrics.tenants().get(i);
-        let tenant_p99_us = (0..self.tenants.len())
+        let tenant_p99_us = (0..TENANTS.len())
             .map(|i| tenant(i).map_or(0, |t| t.hist.quantile(0.99)))
             .collect();
-        let tenant_shed_rate = (0..self.tenants.len())
+        let tenant_shed_rate = (0..TENANTS.len())
             .map(|i| {
                 tenant(i).map_or(0.0, |t| {
                     let total = t.hist.count() + t.errors;
@@ -298,13 +284,12 @@ impl Experiment for OverloadConfig {
             p99_us: run.metrics.overall().quantile(0.99),
             tenant_p99_us,
             tenant_shed_rate,
-            sla_met: self.sla.met_by(&run),
+            sla_met: SLA.met_by(&run),
         }
     }
 
     /// One table per store — the Fig. 10 panels — then the CSV.
     fn report(grid: &Grid<Self>) -> Vec<Part> {
-        let tenants = &grid.exp.tenants;
         let mut out = String::new();
         for store in [StoreKind::CStore, StoreKind::HStore] {
             let mut t = Table::of(
@@ -319,7 +304,7 @@ impl Experiment for OverloadConfig {
             .col("goodput", |(_, c)| fmt_ops(c.goodput))
             .col("shed_rate", |(_, c)| format!("{:.3}", c.shed_rate))
             .col("p99_us", |(_, c)| c.p99_us.to_string());
-            for (i, tenant) in tenants.iter().enumerate() {
+            for (i, tenant) in TENANTS.iter().enumerate() {
                 t = t.col(format!("{}_p99_us", tenant.name), move |(_, c)| {
                     c.tenant_p99_us[i].to_string()
                 });
@@ -343,12 +328,12 @@ impl Experiment for OverloadConfig {
             .col("errors", |(_, c)| c.errors.to_string())
             .col("mean_us", |(_, c)| format!("{:.1}", c.mean_us))
             .col("p99_us", |(_, c)| c.p99_us.to_string());
-        for (i, tenant) in tenants.iter().enumerate() {
+        for (i, tenant) in TENANTS.iter().enumerate() {
             csv = csv.col(format!("{}_p99_us", tenant.name), move |(_, c)| {
                 c.tenant_p99_us[i].to_string()
             });
         }
-        for (i, tenant) in tenants.iter().enumerate() {
+        for (i, tenant) in TENANTS.iter().enumerate() {
             csv = csv.col(format!("{}_shed_rate", tenant.name), move |(_, c)| {
                 format!("{:.5}", c.tenant_shed_rate[i])
             });

@@ -10,7 +10,7 @@
 //! in-flight table and the node hardware are the [`::node::Runtime`]; an
 //! in-flight op's `node` is its coordinator.
 
-use ::node::{DriverEvent, Runtime, SimStore};
+use ::node::{DriverEvent, Runtime, SimStore, MSG_OVERHEAD_BYTES};
 use obs::Stage;
 use simkit::{NodeHw, NodeId, OpKey, OpTag, Sim, SimTime};
 use storage::types::entry_encoded_len;
@@ -24,6 +24,25 @@ use crate::metrics::Metrics;
 use crate::node::{CNode, Hint};
 use crate::protocol::{FanOut, Page, Quota, ReadState, ScanState, WriteState};
 use crate::ring::Ring;
+
+// CPU service times of the request-path stages, µs, calibrated to 2014-era
+// request-path costs (JVM RPC stacks): a full coordinator+replica path lands
+// near a millisecond before any disk access, matching the era's measured
+// floor latencies.
+/// Coordinator request parse/route cost.
+const COORD_US: u64 = 200;
+/// Replica-side point-read handling.
+const REPLICA_READ_US: u64 = 300;
+/// Replica-side mutation handling (log append + memtable insert).
+const REPLICA_WRITE_US: u64 = 300;
+/// Coordinator work per replica response (digest compare, reconcile).
+const RECONCILE_US: u64 = 20;
+/// Replica-side cost per row returned by a scan.
+const SCAN_ROW_US: u64 = 5;
+
+/// Delay before a recovered node's stored hints start replaying, µs
+/// (Cassandra staggers replay so a rejoining node isn't flattened).
+const HINT_REPLAY_DELAY_US: u64 = 1_000;
 
 #[derive(Debug, Clone)]
 enum PendingState {
@@ -180,7 +199,7 @@ impl Cluster {
             StoreOp::Read { key } | StoreOp::Delete { key } => key.len(),
             StoreOp::Scan { start, .. } => start.len(),
         };
-        self.config.node.msg_overhead_bytes + body as u64
+        MSG_OVERHEAD_BYTES + body as u64
     }
 
     /// Datacenter of a node.
@@ -208,8 +227,7 @@ impl Cluster {
     fn answer_arrives<W>(&mut self, sim: &Sim<W>, op: OpKey) -> Option<(NodeId, u64, SimTime)> {
         let p = self.rt.get(op)?;
         let (coord, token, now) = (p.node, p.token, sim.now());
-        let cost = self.config.costs.reconcile_us;
-        let t1 = self.rt.hw_mut(coord).cpu.acquire(now, cost);
+        let t1 = self.rt.hw_mut(coord).cpu.acquire(now, RECONCILE_US);
         self.rt
             .tracer
             .record(token, Stage::Reconcile, coord.0, now, t1);
@@ -234,8 +252,8 @@ impl Cluster {
                 .complete(token, OpResult::Error(OpError::Unavailable));
             return;
         }
-        let (now, cost) = (sim.now(), self.config.costs.coord_us);
-        let t1 = self.rt.hw_mut(coord).cpu.acquire(now, cost);
+        let now = sim.now();
+        let t1 = self.rt.hw_mut(coord).cpu.acquire(now, COORD_US);
         self.rt
             .tracer
             .record(token, Stage::ServerCpu, coord.0, now, t1);
@@ -324,7 +342,7 @@ impl Cluster {
         cell: Cell,
         at: SimTime,
     ) {
-        let bytes = self.config.node.msg_overhead_bytes + entry_encoded_len(&key, &cell);
+        let bytes = MSG_OVERHEAD_BYTES + entry_encoded_len(&key, &cell);
         let arr = self.rt.net_to(from, to, bytes, at);
         let (op, token, ack) = (OpKey::NONE, 0, false);
         sim.schedule_at(
@@ -368,7 +386,7 @@ impl Cluster {
         }
         // Every live replica gets the write; the quota only gates the ack.
         f.replicas.retain(|&r| self.rt.is_up(r));
-        let bytes = self.config.node.msg_overhead_bytes + entry_encoded_len(&key, &cell);
+        let bytes = MSG_OVERHEAD_BYTES + entry_encoded_len(&key, &cell);
         debug_assert_eq!(cell.ts, t1, "a write's timestamp is when it fans out");
         let write = WriteState::new(quota, f.replicas.len() as u32, t1);
         self.fan_out(sim, token, coord, &f.replicas, bytes, t1, |_, node| {
@@ -405,7 +423,7 @@ impl Cluster {
         let up = |r| self.rt.is_up(r);
         let (fanout, to) = f.repair(needed, false, up, || sim.rng().chance(chance));
         self.metrics.repair_fanouts += u64::from(fanout);
-        let bytes = self.config.node.msg_overhead_bytes + key.len() as u64;
+        let bytes = MSG_OVERHEAD_BYTES + key.len() as u64;
         self.fan_out(sim, token, coord, to, bytes, t1, |_, node| {
             Event::ReplicaRead {
                 op,
@@ -444,7 +462,7 @@ impl Cluster {
         let (fanout, to) = f.repair(needed, true, up, || sim.rng().chance(chance));
         self.metrics.repair_fanouts += u64::from(fanout);
         let clamp = self.ring.range_end(primary).cloned();
-        let bytes = self.config.node.msg_overhead_bytes + start.len() as u64;
+        let bytes = MSG_OVERHEAD_BYTES + start.len() as u64;
         self.fan_out(sim, token, coord, to, bytes, t1, |i, node| {
             Event::ReplicaScan {
                 op,
@@ -480,7 +498,7 @@ impl Cluster {
         if !self.rt.is_up(node) {
             return;
         }
-        let service = self.rt.service(sim, self.config.costs.replica_write_us);
+        let service = self.rt.service(sim, REPLICA_WRITE_US);
         let now = sim.now();
         let cpu_end = self.rt.hw_mut(node).cpu.acquire(now, service);
         self.rt
@@ -538,9 +556,7 @@ impl Cluster {
         let coord = p.node;
         let token = p.token;
         let now = sim.now();
-        let arr = self
-            .rt
-            .net_to(node, coord, self.config.node.msg_overhead_bytes, now);
+        let arr = self.rt.net_to(node, coord, MSG_OVERHEAD_BYTES, now);
         let stage = self.hop_stage(node, coord);
         self.rt.tracer.record(token, stage, node.0, now, arr);
         sim.schedule_at(arr, W::from(Event::WriteAck { op, node }));
@@ -579,7 +595,7 @@ impl Cluster {
         if !self.rt.is_up(node) {
             return;
         }
-        let service = self.rt.service(sim, self.config.costs.replica_read_us);
+        let service = self.rt.service(sim, REPLICA_READ_US);
         let now = sim.now();
         let t1 = self.rt.hw_mut(node).cpu.acquire(now, service);
         let res = self.nodes[node.index()].lsm.get(&key);
@@ -628,7 +644,7 @@ impl Cluster {
             let respond_at = if step.stale.is_empty() {
                 t1
             } else {
-                t1 + 2 * self.config.node.profile.nic.prop_us + self.config.costs.replica_write_us
+                t1 + 2 * self.config.node.profile.nic.prop_us + REPLICA_WRITE_US
             };
             self.rt
                 .tracer
@@ -666,8 +682,7 @@ impl Cluster {
         if !self.rt.is_up(node) {
             return;
         }
-        let costs = self.config.costs;
-        let service = self.rt.service(sim, costs.replica_read_us);
+        let service = self.rt.service(sim, REPLICA_READ_US);
         let now = sim.now();
         let t1 = self.rt.hw_mut(node).cpu.acquire(now, service);
         let lsm = &mut self.nodes[node.index()].lsm;
@@ -679,7 +694,7 @@ impl Cluster {
             self.rt
                 .hw_mut(node)
                 .cpu
-                .acquire(t2, costs.scan_row_us * rows as u64);
+                .acquire(t2, SCAN_ROW_US * rows as u64);
             return;
         }
         // The page carries the tombstones walked as well, so that a delete
@@ -696,7 +711,7 @@ impl Cluster {
             .rt
             .hw_mut(node)
             .cpu
-            .acquire(t2, costs.scan_row_us * rows.len() as u64);
+            .acquire(t2, SCAN_ROW_US * rows.len() as u64);
         let tracer = &mut self.rt.tracer;
         tracer.record(token, Stage::ReplicaWork, node.0, now, t1);
         tracer.record(token, Stage::DiskIo, node.0, t1, t2);
@@ -760,11 +775,7 @@ impl Cluster {
         }
         let mut kept = Vec::new();
         let hints = std::mem::take(&mut self.nodes[node.index()].hints);
-        let mut t = self
-            .rt
-            .hw_mut(node)
-            .cpu
-            .acquire(sim.now(), self.config.costs.coord_us);
+        let mut t = self.rt.hw_mut(node).cpu.acquire(sim.now(), COORD_US);
         for hint in hints {
             if self.rt.is_up(hint.target) {
                 self.metrics.hints_replayed += 1;
@@ -1037,7 +1048,7 @@ impl faults::FaultTarget for Cluster {
         for (i, n) in self.nodes.iter().enumerate() {
             if !n.hints.is_empty() {
                 sim.schedule_in(
-                    self.config.hint_replay_delay_us,
+                    HINT_REPLAY_DELAY_US,
                     W::from(Event::HintReplay {
                         node: NodeId(i as u32),
                     }),

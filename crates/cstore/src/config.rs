@@ -1,4 +1,4 @@
-//! Cluster configuration: consistency levels, service costs, tuning knobs.
+//! Cluster configuration: consistency levels and tuning knobs.
 
 use ::node::NodeConfig;
 use storage::LsmConfig;
@@ -73,36 +73,6 @@ pub enum CommitlogSync {
     PerWrite,
 }
 
-/// CPU service times (microseconds) for the request-path stages.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServiceCosts {
-    /// Coordinator request parse/route cost.
-    pub coord_us: u64,
-    /// Replica-side point-read handling.
-    pub replica_read_us: u64,
-    /// Replica-side mutation handling (log append + memtable insert).
-    pub replica_write_us: u64,
-    /// Coordinator work per replica response (digest compare, reconcile).
-    pub reconcile_us: u64,
-    /// Replica-side cost per row returned by a scan.
-    pub scan_row_us: u64,
-}
-
-impl Default for ServiceCosts {
-    fn default() -> Self {
-        // Calibrated to 2014-era request-path costs (JVM RPC stacks):
-        // a full coordinator+replica path lands near a millisecond before
-        // any disk access, matching the era's measured floor latencies.
-        Self {
-            coord_us: 200,
-            replica_read_us: 300,
-            replica_write_us: 300,
-            reconcile_us: 20,
-            scan_row_us: 5,
-        }
-    }
-}
-
 /// Full configuration of a simulated Cassandra-analog cluster.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CStoreConfig {
@@ -120,12 +90,9 @@ pub struct CStoreConfig {
     /// Store hints for dead replicas and replay them on recovery.
     pub hinted_handoff: bool,
     /// Node hardware, topology (whose length is the node count; the paper:
-    /// 15), RPC timeout, admission control, GC pauses, the background-I/O
-    /// throttle, message overhead and service-time jitter.
+    /// 15), RPC timeout, admission control, GC pauses and service-time
+    /// jitter.
     pub node: NodeConfig,
-    /// Delay before a recovered node's stored hints start replaying, µs
-    /// (Cassandra staggers replay so a rejoining node isn't flattened).
-    pub hint_replay_delay_us: u64,
     /// Per-node storage-engine tuning.
     pub lsm: LsmConfig,
     /// Key partitioning scheme.
@@ -136,8 +103,6 @@ pub struct CStoreConfig {
     /// the topology's region assignment. With `NetworkTopology`,
     /// `replication_factor` must equal the quota sum.
     pub strategy: Strategy,
-    /// CPU service times.
-    pub costs: ServiceCosts,
 }
 
 impl CStoreConfig {
@@ -152,11 +117,9 @@ impl CStoreConfig {
             commitlog_sync: CommitlogSync::Periodic,
             hinted_handoff: true,
             node: NodeConfig::paper_testbed(15),
-            hint_replay_delay_us: 1_000,
             lsm: LsmConfig::default(),
             partitioner,
             strategy: Strategy::Simple,
-            costs: ServiceCosts::default(),
         }
     }
 }

@@ -40,6 +40,6 @@ mod protocol;
 mod ring;
 
 pub use cluster::Cluster;
-pub use config::{CStoreConfig, CommitlogSync, Consistency, ServiceCosts};
+pub use config::{CStoreConfig, CommitlogSync, Consistency};
 pub use event::Event;
 pub use ring::{Partitioner, Ring, Strategy};

@@ -65,11 +65,10 @@ pub enum Event {
         server: NodeId,
     },
     /// A shipped WAL group arrives at a follower region's replication sink
-    /// (async cluster replication). The follower applies it and advances
-    /// its watermark; the gap `now - commit_ts` is the replication window.
+    /// (async cluster replication); the gap `now - commit_ts` is the
+    /// replication window. Followers serve no reads, so nothing else is
+    /// kept of it.
     WalShip {
-        /// Follower-region ordinal, `0..follower_regions`.
-        follower: u32,
         /// When the group committed on the primary.
         commit_ts: SimTime,
     },

@@ -37,5 +37,5 @@ mod metrics;
 mod region;
 
 pub use cluster::Cluster;
-pub use config::{HStoreConfig, ServiceCosts};
+pub use config::HStoreConfig;
 pub use region::{Region, RegionMap};

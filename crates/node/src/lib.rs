@@ -36,6 +36,16 @@ use storage::{Cell, Completion, IoOp, IoPlan, OpError, OpResult, Rows};
 
 pub use store::{DriverEvent, SimStore};
 
+/// Fixed overhead bytes of every message either store sends (headers,
+/// serialization).
+pub const MSG_OVERHEAD_BYTES: u64 = 100;
+/// Background (flush/compaction) disk-I/O throttle, bytes/second per node:
+/// Cassandra's `compaction_throughput_mb_per_sec` (16 MB/s).
+const BG_IO_RATE: u64 = 16_000_000;
+/// Background-I/O chunk, bytes: foreground reads interleave between chunks
+/// on the FIFO disk (64 KiB ≈ one SSTable block write).
+const BG_CHUNK_BYTES: u64 = 64 * 1024;
+
 /// The node-level settings both stores share, each with one meaning.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeConfig {
@@ -61,16 +71,6 @@ pub struct NodeConfig {
     /// Duration of each pause. With 50 ms every ~1 s a node is unresponsive
     /// ~5% of the time — a CMS-era heap under write churn.
     pub pause_duration_us: u64,
-    /// Background (flush/compaction) disk-I/O throttle, bytes/second per
-    /// node — Cassandra's `compaction_throughput_mb_per_sec` (16 MB/s);
-    /// HBase/HDFS deployments rate-limit compaction similarly.
-    pub bg_io_rate: u64,
-    /// Background-I/O chunk size, bytes. Backlogs drain in chunks of this
-    /// size so foreground reads can interleave between chunks on the FIFO
-    /// disk (64 KiB ≈ one SSTable block write).
-    pub bg_chunk_bytes: u64,
-    /// Fixed per-message overhead bytes (headers, serialization).
-    pub msg_overhead_bytes: u64,
     /// Service-time variability: 0 = deterministic service times, 1 =
     /// exponentially distributed with the configured means (JVM-era RPC
     /// handling is heavy-tailed; this is what makes waiting for *all*
@@ -90,9 +90,6 @@ impl NodeConfig {
             admission: AdmissionConfig::off(),
             pause_interval_us: 0,
             pause_duration_us: 50_000,
-            bg_io_rate: 16_000_000,
-            bg_chunk_bytes: 64 * 1024,
-            msg_overhead_bytes: 100,
             jitter: 1.0,
         }
     }
@@ -336,12 +333,12 @@ impl<S, E: NodeEvent> Runtime<S, E> {
 
     /// Wire size of a message carrying `cell`.
     pub fn cell_bytes(&self, cell: &Option<Cell>) -> u64 {
-        self.config.msg_overhead_bytes + cell.as_ref().map_or(0, Cell::encoded_len)
+        MSG_OVERHEAD_BYTES + cell.as_ref().map_or(0, Cell::encoded_len)
     }
 
     /// Wire size of a message carrying `rows`.
     pub fn rows_bytes(&self, rows: &Rows) -> u64 {
-        self.config.msg_overhead_bytes + rows.encoded_len()
+        MSG_OVERHEAD_BYTES + rows.encoded_len()
     }
 
     /// Send `result` from `from` to the client at `start`: the response is
@@ -359,7 +356,7 @@ impl<S, E: NodeEvent> Runtime<S, E> {
         let bytes = match &result {
             OpResult::Value(cell) => self.cell_bytes(cell),
             OpResult::Rows(rows) => self.rows_bytes(rows),
-            _ => self.config.msg_overhead_bytes,
+            _ => MSG_OVERHEAD_BYTES,
         };
         let at = self.client_delivery(from, bytes, start);
         self.tracer
@@ -424,19 +421,19 @@ impl<S, E: NodeEvent> Runtime<S, E> {
         }
     }
 
-    /// Write one `bg_chunk_bytes` chunk of `node`'s backlog, and schedule
-    /// the next so the long-run rate is `bg_io_rate`.
+    /// Write one `BG_CHUNK_BYTES` chunk of `node`'s backlog, and schedule
+    /// the next so the long-run rate is `BG_IO_RATE`.
     pub fn on_bg_io<W: From<E>>(&mut self, sim: &mut Sim<W>, node: NodeId) {
         let n = &mut self.nodes[node.index()];
         if n.backlog == 0 {
             n.draining = false;
             return;
         }
-        let chunk = n.backlog.min(self.config.bg_chunk_bytes);
+        let chunk = n.backlog.min(BG_CHUNK_BYTES);
         n.backlog -= chunk;
         n.hw.disk.seq_write(sim.now(), chunk);
         if n.backlog > 0 {
-            let interval = simkit::time::transfer_time(chunk, self.config.bg_io_rate);
+            let interval = simkit::time::transfer_time(chunk, BG_IO_RATE);
             sim.schedule_in(interval, W::from(E::bg_io(node)));
         } else {
             n.draining = false;

@@ -537,33 +537,7 @@ impl LsmTree {
     /// Run one compaction if the policy finds a ripe bucket.
     pub fn maybe_compact(&mut self) -> Option<CompactionReceipt> {
         let inputs = self.config.compaction.pick(&self.sizes)?;
-        let major = inputs.len() == self.tables.len();
-        let mut consumed = Vec::new();
-        let mut read_bytes = 0;
-        let mut kept = Vec::new();
-        for table in self.tables.drain(..) {
-            if inputs.contains(&table.id()) {
-                read_bytes += table.total_bytes();
-                consumed.push(table);
-            } else {
-                kept.push(table);
-            }
-        }
-        // Tombstones can only be dropped when no older run might still hold
-        // a shadowed value.
-        let output = self.build_run(merge_tables(&consumed, major), read_bytes);
-        for t in &consumed {
-            self.cache.invalidate_table(t.id());
-        }
-        self.tables = kept;
-        self.rebuild_sizes();
-        let (id, write_bytes) = self.push_run(output);
-        Some(CompactionReceipt {
-            inputs,
-            output: id,
-            read_bytes,
-            write_bytes,
-        })
+        Some(self.compact(inputs))
     }
 
     /// Force a major compaction: merge every run into one, purging
@@ -573,21 +547,36 @@ impl LsmTree {
         if self.tables.len() <= 1 {
             return None;
         }
-        let inputs: Vec<TableId> = self.tables.iter().map(|t| t.id()).collect();
-        let read_bytes: u64 = self.tables.iter().map(|t| t.total_bytes()).sum();
-        let output = self.build_run(merge_tables(&self.tables, true), read_bytes);
-        for t in &self.tables {
+        let inputs = self.tables.iter().map(SsTable::id).collect();
+        Some(self.compact(inputs))
+    }
+
+    /// Merge the runs `inputs` names into one new run, the newest. The
+    /// receipt lists the inputs again, in run order, in `inputs`' buffer.
+    fn compact(&mut self, mut inputs: Vec<TableId>) -> CompactionReceipt {
+        // Tombstones can only be dropped when no older run might still hold
+        // a shadowed value.
+        let major = inputs.len() == self.tables.len();
+        let (consumed, kept): (Vec<_>, Vec<_>) = self
+            .tables
+            .drain(..)
+            .partition(|table| inputs.contains(&table.id()));
+        let read_bytes = consumed.iter().map(SsTable::total_bytes).sum();
+        let output = self.build_run(merge_tables(&consumed, major), read_bytes);
+        inputs.clear();
+        for t in &consumed {
             self.cache.invalidate_table(t.id());
+            inputs.push(t.id());
         }
-        self.tables.clear();
-        self.sizes.clear();
+        self.tables = kept;
+        self.rebuild_sizes();
         let (id, write_bytes) = self.push_run(output);
-        Some(CompactionReceipt {
+        CompactionReceipt {
             inputs,
             output: id,
             read_bytes,
             write_bytes,
-        })
+        }
     }
 
     /// Sync the commit log: every write so far is durable. Returns the
@@ -877,6 +866,56 @@ mod tests {
         tree.maybe_compact().expect("compacts everything");
         assert_eq!(tree.table_count(), 1);
         assert_eq!(tree.tables[0].total_bytes(), 0, "all rows were deleted");
+    }
+
+    #[test]
+    fn compact_all_is_a_compaction_of_every_run() {
+        // A policy whose one bucket takes every run: `maybe_compact` then
+        // compacts what `compact_all` does. Runs of different sizes make
+        // the policy's size order differ from run order.
+        let every_run = LsmConfig {
+            compaction: SizeTieredPolicy {
+                min_threshold: 2,
+                bucket_low: 0.0,
+                bucket_high: f64::MAX,
+                ..Default::default()
+            },
+            ..small_config()
+        };
+        let build = || {
+            let mut tree = LsmTree::new(every_run);
+            fill(&mut tree, 0..60, 1);
+            tree.flush();
+            fill(&mut tree, 20..30, 2);
+            for i in 40..50 {
+                tree.put(k(&format!("user{i:06}")), Cell::tombstone(3));
+            }
+            tree.flush();
+            fill(&mut tree, 50..90, 4);
+            tree.flush();
+            tree.scan(b"", 25);
+            tree
+        };
+        let (mut all, mut picked) = (build(), build());
+        let run_order: Vec<TableId> = all.tables.iter().map(SsTable::id).collect();
+        let size_order = every_run.compaction.pick(&picked.sizes).expect("ripe");
+        assert_eq!(size_order.len(), 3);
+        assert_ne!(size_order, run_order);
+        let receipt = all.compact_all().expect("three runs");
+        assert_eq!(receipt.inputs, run_order);
+        assert_eq!(picked.maybe_compact(), Some(receipt));
+        let runs = |tree: &LsmTree| -> Vec<_> {
+            tree.tables
+                .iter()
+                .map(|t| (t.id(), t.total_bytes(), t.block_count()))
+                .collect()
+        };
+        assert_eq!(runs(&all), runs(&picked));
+        assert_eq!(all.sizes, picked.sizes);
+        for start in [&b""[..], b"user000035", b"user000045"] {
+            assert_eq!(all.scan(start, 30), picked.scan(start, 30));
+        }
+        assert_eq!(all.cache_stats(), picked.cache_stats());
     }
 
     #[test]
