@@ -3,14 +3,20 @@
 //!
 //! One `LsmTree` is the storage engine of one replica on one node (a region
 //! in `hstore`, a node's keyspace shard set in `cstore`).
+//!
+//! Every range read is one walk ([`LsmTree::scan`], `scan_page`,
+//! `scan_count`): a merge of the memtable's range and one cursor per
+//! run, which hands over a run's consecutive entries a stretch at a time
+//! and stops at the `limit`-th live row; each cursor then names the
+//! entries it walked, and so the blocks the scan is charged.
 
 use crate::bloom;
 use crate::cache::{BlockCache, CacheStats};
 use crate::compaction::SizeTieredPolicy;
 use crate::io::{IoOp, IoPlan};
 use crate::memtable::{self, Memtable};
-use crate::merge::{Merge, Pulled};
-use crate::rows::{Loc, Rows};
+use crate::merge::{Head, Merge, Place, Source};
+use crate::rows::Rows;
 use crate::segment::{RowArena, Segment};
 use crate::sstable::{RunBuilder, SsTable, TableId};
 use crate::types::{entry_encoded_len, Cell, Key};
@@ -93,8 +99,9 @@ pub struct CompactionReceipt {
 
 /// A merge's position in one SSTable run: entries `from..` are the part of
 /// the run the merge reads (for a scan, at or after its start key), entries
-/// `from..next` what it has pulled so far. Yields each entry with its index
-/// in the run, stepping from one segment to the next.
+/// `from..next` what it has pulled so far. Yields each entry with the rest
+/// of its segment as the most a stretch from it can take, stepping from one
+/// segment to the next.
 struct RunCursor<'a> {
     segments: &'a [Segment],
     /// The segment holding the last entry pulled (the first entry's
@@ -127,34 +134,24 @@ impl<'a> RunCursor<'a> {
         let pending = self.next > self.from && self.segments[self.segment].key(self.at - 1) > end;
         self.from..self.next - usize::from(pending)
     }
-
-    /// Where entry `index` of the run lives; it must have been pulled. The
-    /// merge holds at most one entry pulled beyond those it emitted, so
-    /// this steps back at most one segment.
-    fn locate(&self, index: u32) -> Loc<'a> {
-        let (mut segment, mut base) = (self.segment, self.next - self.at);
-        let index = index as usize;
-        while index < base {
-            segment -= 1;
-            base -= self.segments[segment].len();
-        }
-        Loc::Shared(&self.segments[segment], (index - base) as u32)
-    }
 }
 
-impl<'a> Iterator for RunCursor<'a> {
-    type Item = Pulled<'a>;
-
-    fn next(&mut self) -> Option<Pulled<'a>> {
+impl<'a> Source<'a> for RunCursor<'a> {
+    fn pull(&mut self) -> Option<Head<'a>> {
         let mut rows = self.segments.get(self.segment)?;
         if self.at == rows.len() {
             rows = self.segments.get(self.segment + 1)?;
             (self.segment, self.at) = (self.segment + 1, 0);
         }
-        let pulled = (rows.key(self.at), rows.cell(self.at), self.next as u32);
         self.at += 1;
         self.next += 1;
-        Some(pulled)
+        Some(Head::entry(rows, self.at - 1, rows.len()))
+    }
+
+    fn skip(&mut self, n: usize) {
+        self.at += n;
+        self.next += n;
+        debug_assert!(self.at <= self.segments[self.segment].len());
     }
 }
 
@@ -166,14 +163,18 @@ enum ScanSource<'a> {
     Run(RunCursor<'a>),
 }
 
-impl<'a> Iterator for ScanSource<'a> {
-    type Item = Pulled<'a>;
-
-    fn next(&mut self) -> Option<Pulled<'a>> {
+impl<'a> Source<'a> for ScanSource<'a> {
+    fn pull(&mut self) -> Option<Head<'a>> {
         match self {
-            // A memtable row is never located by index, but by its key.
-            ScanSource::Mem(it) => it.next().map(|(key, cell)| (key.as_ref(), cell, 0)),
-            ScanSource::Run(cur) => cur.next(),
+            ScanSource::Mem(rows) => rows.next().map(Head::row),
+            ScanSource::Run(cur) => cur.pull(),
+        }
+    }
+
+    fn skip(&mut self, n: usize) {
+        match self {
+            ScanSource::Mem(_) => debug_assert_eq!(n, 0, "a memtable row is a stretch of one"),
+            ScanSource::Run(cur) => cur.skip(n),
         }
     }
 }
@@ -181,15 +182,21 @@ impl<'a> Iterator for ScanSource<'a> {
 /// The compaction merge: the runs' winners copied into one new segment,
 /// its arena sized exactly by a first pass that counts them.
 fn merge_tables(tables: &[SsTable], drop_tombstones: bool) -> Segment {
-    let winners = || {
-        let sources = tables.iter().map(|t| RunCursor::new(t, 0)).collect();
-        Merge::new(sources).filter(move |won| !(drop_tombstones && won.cell.is_tombstone()))
+    let winners = |each: &mut dyn FnMut(&[u8], &Cell)| {
+        let mut merge = Merge::new(tables.iter().map(|t| RunCursor::new(t, 0)), usize::MAX);
+        while let Some(won) = merge.next() {
+            for i in 0..won.len() {
+                let cell = won.cell(i);
+                if !(drop_tombstones && cell.is_tombstone()) {
+                    each(won.key(i), cell);
+                }
+            }
+        }
     };
-    let (rows, key_bytes) = winners().fold((0, 0), |(n, b), won| (n + 1, b + won.key.len()));
+    let (mut rows, mut key_bytes) = (0, 0);
+    winners(&mut |key, _| (rows, key_bytes) = (rows + 1, key_bytes + key.len()));
     let mut out = RowArena::with_capacity(rows, key_bytes);
-    for won in winners() {
-        out.push(won.key, won.cell.clone());
-    }
+    winners(&mut |key, cell| out.push(key, cell.clone()));
     Segment::sorted(out)
 }
 
@@ -322,23 +329,20 @@ impl LsmTree {
     /// Range scan: merge memtable and all runs from `start`, return up to
     /// `limit` live rows (tombstoned rows are skipped but still cost I/O).
     ///
-    /// The work is proportional to the rows walked, not to the size of the
-    /// tree: each run's lower bound is found once through its block index
-    /// ([`SsTable::lower_bound`]), and the streaming merge pulls from that
-    /// cursor exactly as far as the `limit`-th live row — however many
-    /// tombstones shadow the range. No row of a run is copied: the result
-    /// holds ranges of the runs' immutable segments ([`Rows`]), one handle
-    /// per stretch of consecutive entries, and clones only memtable rows
-    /// (refcount bumps). The I/O plan charges, per run in age order, every
-    /// block of the window its cursor walked: the blocks holding that run's
-    /// keys in `[start, last merged key]`.
+    /// The work is proportional to the stretches walked, not to the size of
+    /// the tree: each run's lower bound is found once through its block
+    /// index ([`SsTable::lower_bound`]), and the streaming merge pulls from
+    /// that cursor exactly as far as the `limit`-th live row — however many
+    /// tombstones shadow the range — a stretch of consecutive entries of one
+    /// segment at a time. No row of a run is copied: the result holds ranges
+    /// of the runs' immutable segments ([`Rows`]), one handle per stretch
+    /// between tombstones, and clones only memtable rows (refcount bumps).
+    /// The I/O plan charges, per run in age order, every block of the window
+    /// its cursor walked: the blocks holding that run's keys in `[start,
+    /// last merged key]`.
     pub fn scan(&mut self, start: &[u8], limit: usize) -> ScanResult {
-        let mut rows = Rows::with_capacity(self.rows_held().min(limit));
-        let io = self.walk_range(start, limit, |_, cell, loc| {
-            if !cell.is_tombstone() {
-                rows.push(loc);
-            }
-        });
+        let mut rows = Rows::default();
+        let io = self.walk_range(start, limit, |won| rows.push(won, false));
         ScanResult { rows, io }
     }
 
@@ -347,8 +351,8 @@ impl LsmTree {
     /// tombstones walked among them too, so a delete this replica holds
     /// shadows an older version another one returns.
     pub fn scan_page(&mut self, start: &[u8], limit: usize) -> ScanResult {
-        let mut rows = Rows::with_capacity(self.rows_held().min(limit));
-        let io = self.walk_range(start, limit, |_, _, loc| rows.push(loc));
+        let mut rows = Rows::default();
+        let io = self.walk_range(start, limit, |won| rows.push(won, true));
         ScanResult { rows, io }
     }
 
@@ -364,26 +368,21 @@ impl LsmTree {
         end: Option<&[u8]>,
     ) -> (usize, IoPlan) {
         let mut below = 0;
-        let io = self.walk_range(start, limit, |key, _, _| {
-            below += usize::from(end.is_none_or(|end| key < end));
+        let io = self.walk_range(start, limit, |won| {
+            below += end.map_or(won.len(), |end| won.count(|key| key < end));
         });
         (below, io)
     }
 
-    /// Rows held, each version counted: no scan returns more, so none
-    /// reserves room for more, whatever its `limit`.
-    fn rows_held(&self) -> usize {
-        self.memtable.len() + self.tables.iter().map(SsTable::len).sum::<usize>()
-    }
-
     /// The walk behind [`LsmTree::scan`]: hand every row from `start` on,
     /// tombstones included, up to the `limit`-th live one to `emit`, in key
-    /// order with where it lives, and charge the blocks walked.
+    /// order, as the places the merge emits them from, and charge the
+    /// blocks walked.
     fn walk_range(
         &mut self,
         start: &[u8],
         limit: usize,
-        mut emit: impl FnMut(&[u8], &Cell, Loc<'_>),
+        mut emit: impl FnMut(Place<'_>),
     ) -> IoPlan {
         let Self {
             cache,
@@ -391,30 +390,19 @@ impl LsmTree {
             memtable,
             ..
         } = self;
-        let mut sources = Vec::with_capacity(1 + tables.len());
-        sources.push(ScanSource::Mem(memtable.range_from(start)));
-        for t in tables.iter() {
-            sources.push(ScanSource::Run(RunCursor::new(t, t.lower_bound(start))));
-        }
-        let mut merge = Merge::new(sources);
-        let mut live = 0;
+        let runs =
+            (tables.iter()).map(|t| ScanSource::Run(RunCursor::new(t, t.lower_bound(start))));
+        let mem = ScanSource::Mem(memtable.range_from(start));
+        let mut merge = Merge::new(std::iter::once(mem).chain(runs), limit);
         let mut last_key: Option<&[u8]> = None;
-        while live < limit {
-            let Some(won) = merge.next() else {
-                break;
-            };
-            last_key = Some(won.key);
-            live += usize::from(!won.cell.is_tombstone());
-            let loc = match &merge.sources()[won.source as usize] {
-                ScanSource::Mem(_) => Loc::Buffered(memtable, won.key),
-                ScanSource::Run(cur) => cur.locate(won.index),
-            };
-            emit(won.key, won.cell, loc);
+        while let Some(won) = merge.next() {
+            last_key = Some(won.key(won.len() - 1));
+            emit(won);
         }
         let mut io = IoPlan::new();
         if let Some(end) = last_key {
             // Sources are the memtable, then one cursor per run in age order.
-            for (table, source) in tables.iter().zip(merge.sources().iter().skip(1)) {
+            for (table, source) in tables.iter().zip(merge.into_sources().skip(1)) {
                 let ScanSource::Run(cur) = source else {
                     continue;
                 };
@@ -786,11 +774,57 @@ mod tests {
     }
 
     #[test]
-    fn a_scan_limit_past_the_data_reserves_only_the_rows_held() {
+    fn a_scan_limit_past_the_data_returns_the_rows_held() {
         let mut tree = LsmTree::new(small_config());
         tree.put(k("user000001"), Cell::live(k("v"), 1));
         assert_eq!(tree.scan(b"", usize::MAX).rows.len(), 1);
         assert_eq!(tree.scan_page(b"", usize::MAX).rows.len(), 1);
+    }
+
+    #[test]
+    fn a_stretch_cut_at_the_limit_leaves_exactly_one_pending_head() {
+        use crate::segment::tests::from_sorted;
+        use crate::sstable::{RunBuilder, TableId};
+        // One run of two segments, "b" a tombstone: a..d | e..h.
+        let cell = |i: usize| match i {
+            1 => Cell::tombstone(1),
+            _ => Cell::live(k("v"), 1),
+        };
+        let keys = ["a", "b", "c", "d", "e", "f", "g", "h"];
+        let part = |ids: std::ops::Range<usize>| from_sorted(ids.map(|i| (keys[i], cell(i))));
+        let mut run = RunBuilder::new(keys.len(), 64);
+        run.hold(part(0..4));
+        run.hold(part(4..8));
+        let table = run.finish(TableId(1));
+        // (start entry, live rows) -> (stretches as (first key, rows),
+        // entries pulled, walked)
+        let cases = [
+            // Cut inside the first segment: "d" is the pending head.
+            ((0, 2), (vec![("a", 3)], 4, 0..3)),
+            // Cut at the first segment's end: the pending head is the
+            // second segment's first entry.
+            ((1, 2), (vec![("b", 3)], 5, 1..4)),
+            // A stretch stops at its segment's end, the next is cut.
+            ((2, 3), (vec![("c", 2), ("e", 1)], 6, 2..5)),
+            // The run's last entry: nothing is pending.
+            ((5, 9), (vec![("f", 3)], 8, 5..8)),
+        ];
+        for ((from, live), (want, pulled, walked)) in cases {
+            let mut merge = Merge::new([RunCursor::new(&table, from)], live);
+            let got: Vec<_> = std::iter::from_fn(|| merge.next())
+                .map(|won| (std::str::from_utf8(won.key(0)).unwrap(), won.len()))
+                .collect();
+            assert_eq!(got, want, "from {from}, {live} live");
+            let (last, n) = want[want.len() - 1];
+            let end = keys[keys.iter().position(|key| *key == last).unwrap() + n - 1];
+            let cur = merge.into_sources().next().unwrap();
+            assert_eq!(cur.next, pulled, "from {from}, {live} live");
+            assert_eq!(
+                cur.walked(end.as_bytes()),
+                walked,
+                "from {from}, {live} live"
+            );
+        }
     }
 
     #[test]

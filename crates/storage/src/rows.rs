@@ -3,28 +3,18 @@
 //! A run's rows live in immutable [`Segment`]s behind an `Arc`, so a scan
 //! need not copy the rows it returns: [`Rows`] holds *pieces*, each either
 //! a `(segment, from, to)` range of one segment or one owned row (a
-//! memtable row, which no segment holds). A live row from the same segment
-//! right after the previous one extends the last piece, so a scan over one
-//! run costs one `Arc` clone in all, not two refcount increments per row,
-//! and dropping the result one decrement per piece. Segments never change,
-//! so a result is a snapshot: later writes, flushes and compactions cannot
-//! alter it.
+//! memtable row, which no segment holds). A scan takes each stretch the
+//! merge emits as one piece, split only at tombstones, and a stretch that
+//! continues the last piece in the same segment extends it, so a scan over
+//! one run costs one `Arc` clone in all, not two refcount increments per
+//! row, and dropping the result one decrement per piece. The vector is
+//! sized by pieces, which a page has a handful of, not by rows. Segments
+//! never change, so a result is a snapshot: later writes, flushes and
+//! compactions cannot alter it.
 
-use crate::memtable::Memtable;
-use crate::merge::{Merge, Pulled};
+use crate::merge::{gallop, Head, Merge, Place, Source};
 use crate::segment::Segment;
 use crate::types::{entry_encoded_len, Cell, Key};
-
-/// Where one row a merge emitted lives.
-#[derive(Clone, Copy)]
-pub(crate) enum Loc<'a> {
-    /// Entry `at` of a segment.
-    Shared(&'a Segment, u32),
-    /// A row no segment holds: a result keeps a copy of it.
-    Owned(&'a (Key, Cell)),
-    /// The memtable's row of a key, found only when a result keeps it.
-    Buffered(&'a Memtable, &'a [u8]),
-}
 
 /// One stretch of a [`Rows`]: never empty.
 #[derive(Clone)]
@@ -74,13 +64,6 @@ impl Piece {
         }
     }
 
-    fn loc(&self, i: u32) -> Loc<'_> {
-        match self {
-            Piece::Shared { segment, from, .. } => Loc::Shared(segment, from + i),
-            Piece::Owned(row) => Loc::Owned(row),
-        }
-    }
-
     /// Keep the first `n` rows (`0 < n <= len`).
     fn shorten(&mut self, n: usize) {
         if let Piece::Shared { from, to, .. } = self {
@@ -112,30 +95,54 @@ impl Rows {
         }
     }
 
-    /// Add the row at `loc`, which sorts above every row held: one more
-    /// entry of the last piece when both it and the last piece's rows are
-    /// live and it is the segment entry right after that piece, else a new
-    /// piece.
-    pub(crate) fn push(&mut self, loc: Loc<'_>) {
-        match (loc, self.pieces.last_mut()) {
-            (Loc::Shared(held, at), Some(Piece::Shared { segment, to, .. }))
-                if *to == at
-                    && segment.shares_storage_with(held)
-                    && !held.cell(at as usize - 1).is_tombstone()
-                    && !held.cell(at as usize).is_tombstone() =>
-            {
-                *to += 1
+    /// Add the rows at `place`, which sort above every row held; without
+    /// `tombstones`, only the live ones among them. A tombstone is a piece
+    /// of its own. A segment's live rows between tombstones are one piece,
+    /// which the last piece absorbs when it holds live rows that end right
+    /// before them in the same segment.
+    pub(crate) fn push(&mut self, place: Place<'_>, tombstones: bool) {
+        let (segment, mut from, to) = match place {
+            Place::Segment(segment, from, to) => (segment, from, to),
+            Place::Row(row) => {
+                if tombstones || !row.1.is_tombstone() {
+                    self.pieces.push(Piece::Owned(row.clone()));
+                }
+                return;
             }
-            (Loc::Shared(segment, at), _) => self.pieces.push(Piece::Shared {
-                segment: segment.clone(),
-                from: at,
-                to: at + 1,
-            }),
-            (Loc::Owned(row), _) => self.pieces.push(Piece::Owned(row.clone())),
-            (Loc::Buffered(memtable, key), _) => match memtable.row(key) {
-                Some(row) => self.pieces.push(Piece::Owned(row.clone())),
-                None => unreachable!("a scan emits only rows its memtable holds"),
-            },
+        };
+        while from < to {
+            let dead = |at: u32| segment.cell(at as usize).is_tombstone();
+            if dead(from) {
+                if tombstones {
+                    self.pieces.push(Piece::Shared {
+                        segment: segment.clone(),
+                        from,
+                        to: from + 1,
+                    });
+                }
+                from += 1;
+                continue;
+            }
+            let rest = &segment.cells()[from as usize + 1..to as usize];
+            let end = rest
+                .iter()
+                .position(Cell::is_tombstone)
+                .map_or(to, |n| from + 1 + n as u32);
+            match self.pieces.last_mut() {
+                Some(Piece::Shared {
+                    segment: held,
+                    to: held_to,
+                    ..
+                }) if *held_to == from && held.shares_storage_with(segment) && !dead(from - 1) => {
+                    *held_to = end
+                }
+                _ => self.pieces.push(Piece::Shared {
+                    segment: segment.clone(),
+                    from,
+                    to: end,
+                }),
+            }
+            from = end;
         }
     }
 
@@ -199,15 +206,7 @@ impl Rows {
                 return;
             }
             // The piece's rows below `end` are a prefix of it.
-            let (mut lo, mut hi) = (0, n - 1);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if piece.key(mid) < end {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
+            let lo = gallop(0, n - 1, |i| piece.key(i) < end);
             if lo > 0 {
                 piece.shorten(lo);
                 return;
@@ -236,7 +235,10 @@ impl Rows {
     /// of rows that follow in its replica, so the result keeps only the
     /// rows at or below the smallest last key among the full pages; below
     /// it, every replica's page is complete. Each key's newest version by
-    /// [`Cell::newer`] wins, and tombstone winners are dropped. `pages` is
+    /// [`Cell::newer`] wins, and tombstone winners are dropped. Pages that
+    /// hold the same range of one shared segment (replicas of a cstore
+    /// base) hold the same rows, so the merge moves through it for all of
+    /// them at once, a stretch at a time, not one tie per row. `pages` is
     /// left empty, with its capacity, for the next round.
     ///
     /// Returns the live winners and, when they are fewer than `limit` and
@@ -257,15 +259,17 @@ impl Rows {
             .filter_map(|page| page.pieces.last())
             .map(|piece| piece.key(piece.len() - 1))
             .min();
-        let longest = pages.iter().map(Rows::len).max().unwrap_or(0);
-        let mut out = Rows::with_capacity(longest);
-        let mut merge = Merge::new(pages.iter().map(PageCursor::new).collect());
+        // The result has about as many pieces as the most fragmented page.
+        let most = pages.iter().map(|page| page.pieces.len()).max();
+        let mut out = Rows::with_capacity(most.unwrap_or(0));
+        let mut merge = Merge::new(pages.iter().map(PageCursor::new), usize::MAX);
         while let Some(won) = merge.next() {
-            if cut.is_some_and(|cut| won.key > cut) {
-                break;
+            let n = cut.map_or(won.len(), |cut| won.count(|key| key <= cut));
+            if n > 0 {
+                out.push(won.first(n), false);
             }
-            if !won.cell.is_tombstone() {
-                out.push(merge.sources()[won.source as usize].locate(won.index));
+            if n < won.len() {
+                break;
             }
         }
         let resume = cut
@@ -289,16 +293,14 @@ impl std::fmt::Debug for Rows {
     }
 }
 
-/// A merge source over one page of a [`Rows`]: yields each row with its
-/// index in the page, and finds any row pulled so far again as a [`Loc`].
+/// A merge source over one page of a [`Rows`]: yields each row with the
+/// rest of its piece as the most a stretch from it can take.
 struct PageCursor<'a> {
     pieces: &'a [Piece],
     /// The piece holding the last row pulled (the first piece before any),
     /// and the index in it of the next row.
     piece: usize,
     at: usize,
-    /// The page index of the piece's first row.
-    base: u32,
 }
 
 impl<'a> PageCursor<'a> {
@@ -307,34 +309,29 @@ impl<'a> PageCursor<'a> {
             pieces: &rows.pieces,
             piece: 0,
             at: 0,
-            base: 0,
         }
-    }
-
-    /// Where row `index` of the page lives; it must have been pulled.
-    fn locate(&self, index: u32) -> Loc<'a> {
-        let (mut piece, mut base) = (self.piece, self.base);
-        while index < base {
-            piece -= 1;
-            base -= self.pieces[piece].len() as u32;
-        }
-        self.pieces[piece].loc(index - base)
     }
 }
 
-impl<'a> Iterator for PageCursor<'a> {
-    type Item = Pulled<'a>;
-
-    fn next(&mut self) -> Option<Pulled<'a>> {
+impl<'a> Source<'a> for PageCursor<'a> {
+    fn pull(&mut self) -> Option<Head<'a>> {
         let mut piece = self.pieces.get(self.piece)?;
         if self.at == piece.len() {
             piece = self.pieces.get(self.piece + 1)?;
-            self.base += self.pieces[self.piece].len() as u32;
             (self.piece, self.at) = (self.piece + 1, 0);
         }
-        let at = self.at;
         self.at += 1;
-        Some((piece.key(at), piece.cell(at), self.base + at as u32))
+        Some(match piece {
+            Piece::Shared { segment, from, to } => {
+                Head::entry(segment, *from as usize + self.at - 1, *to as usize)
+            }
+            Piece::Owned(row) => Head::row(row),
+        })
+    }
+
+    fn skip(&mut self, n: usize) {
+        self.at += n;
+        debug_assert!(self.at <= self.pieces[self.piece].len());
     }
 }
 
@@ -361,6 +358,16 @@ mod tests {
         (Bytes::copy_from_slice(k.as_bytes()), cell)
     }
 
+    /// Each piece as `(first key, rows, shared)`.
+    fn shape(rows: &Rows) -> Vec<(String, usize, bool)> {
+        (rows.pieces.iter())
+            .map(|p| {
+                let key = String::from_utf8(p.key(0).to_vec()).unwrap();
+                (key, p.len(), matches!(p, Piece::Shared { .. }))
+            })
+            .collect()
+    }
+
     #[test]
     fn contiguous_entries_of_one_segment_share_a_piece() {
         let segment = from_sorted(vec![
@@ -371,22 +378,23 @@ mod tests {
         ]);
         let other = from_sorted(vec![row("e", 1, true)]);
         let mem = row("da", 2, true);
-        let mut rows = Rows::with_capacity(4);
-        rows.push(Loc::Shared(&segment, 0));
-        rows.push(Loc::Shared(&segment, 1));
+        let mut rows = Rows::default();
+        rows.push(Place::Segment(&segment, 0, 1), true);
+        rows.push(Place::Segment(&segment, 1, 2), true);
         // Entry 2 skipped: the next entry starts a new piece.
-        rows.push(Loc::Shared(&segment, 3));
-        rows.push(Loc::Owned(&mem));
-        rows.push(Loc::Shared(&other, 0));
+        rows.push(Place::Segment(&segment, 3, 4), true);
+        rows.push(Place::Row(&mem), true);
+        rows.push(Place::Segment(&other, 0, 1), true);
         assert_eq!(rows.pieces.len(), 4);
         let keys: Vec<_> = rows.iter().map(|(k, _)| k.to_vec()).collect();
         assert_eq!(keys, [&b"a"[..], b"b", b"d", b"da", b"e"]);
         assert_eq!(rows.len(), 5);
         // A tombstone is a piece of its own, a range of its segment, and
-        // the entry after it another.
-        let mut page = Rows::with_capacity(4);
+        // the entry after it another, whether the rows come one by one or
+        // as one stretch.
+        let mut page = Rows::default();
         for at in 0..4 {
-            page.push(Loc::Shared(&segment, at));
+            page.push(Place::Segment(&segment, at, at + 1), true);
         }
         assert_eq!(page.pieces.len(), 3);
         assert!(matches!(
@@ -395,5 +403,48 @@ mod tests {
         ));
         assert_eq!((page.len(), page.tombstones()), (4, 1));
         assert_eq!(page.encoded_len(), 4 * (1 + 8) + 3 * 10 + 9);
+        let mut whole = Rows::default();
+        whole.push(Place::Segment(&segment, 0, 4), true);
+        assert_eq!(shape(&whole), shape(&page));
+        // Without tombstones the stretch is its live rows.
+        let mut live = Rows::default();
+        live.push(Place::Segment(&segment, 0, 4), false);
+        assert_eq!(shape(&live), [("a".into(), 2, true), ("d".into(), 1, true)]);
+    }
+
+    #[test]
+    fn pages_sharing_a_segment_reconcile_with_an_interleaving_page() {
+        // Two replicas return the same range of one shared segment; a third
+        // holds a newer "c", a key of its own and a newer tombstone of "f".
+        let shared = from_sorted(["a", "b", "c", "d", "e", "f", "g", "h"].map(|k| row(k, 1, true)));
+        let extra = [row("c", 2, true), row("e5", 2, true), row("f", 2, false)];
+        let page = || {
+            let mut rows = Rows::default();
+            rows.push(Place::Segment(&shared, 0, 8), true);
+            rows
+        };
+        let mut third = Rows::default();
+        for row in &extra {
+            third.push(Place::Row(row), true);
+        }
+        let mut pages = vec![page(), page(), third];
+        let (got, resume) = Rows::reconcile(&mut pages, 100);
+        assert_eq!(resume, None);
+        let want = [
+            ("a".into(), 2, true),
+            ("c".into(), 1, false),
+            ("d".into(), 2, true),
+            ("e5".into(), 1, false),
+            ("g".into(), 2, true),
+        ];
+        assert_eq!(shape(&got), want);
+        assert_eq!(got.iter().find(|(k, _)| *k == b"c").unwrap().1.ts, 2);
+        // A page full at "d" cuts the result there, inside the shared stretch.
+        let mut full = Rows::default();
+        full.push(Place::Segment(&shared, 0, 4), true);
+        let mut pages = vec![page(), page(), full];
+        let (got, resume) = Rows::reconcile(&mut pages, 4);
+        assert_eq!(shape(&got), [("a".into(), 4, true)]);
+        assert_eq!(resume, None);
     }
 }

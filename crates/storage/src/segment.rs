@@ -78,6 +78,11 @@ impl RowArena {
         &self.cells[i]
     }
 
+    /// Every row's cell, in row order.
+    pub(crate) fn cells(&self) -> &[Cell] {
+        &self.cells
+    }
+
     /// The rows in order.
     pub fn iter(&self) -> impl Iterator<Item = (&[u8], &Cell)> + '_ {
         (0..self.len()).map(|i| (self.key(i), &self.cells[i]))

@@ -275,6 +275,7 @@ impl SsTable {
     }
 
     /// Number of entries.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.core.len
     }

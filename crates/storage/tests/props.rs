@@ -554,6 +554,115 @@ proptest! {
         prop_assert_eq!(tree.cache_stats(), model.cache.stats());
     }
 
+    /// [`scan_rows_and_io_match_model`] over a cstore base's shape: three
+    /// replicas each hold one bulk-loaded run fed segment by segment, with
+    /// tombstones among its rows and every segment shared by all three, as
+    /// a cstore base shares each token range's rows; above it lie flushed
+    /// runs, memtable rows and tombstones that replicas 1 and 2 each miss
+    /// some of. Replica 0's `scan`, `scan_page` and `scan_count` match
+    /// `ScanModel` in rows, I/O and cache counters, and the reconcile of the
+    /// replicas' pages — which share stretches of the base's segments, and
+    /// are clamped to an end key half the time — matches `reconcile_model`,
+    /// which counts a page's tombstones row by row: every tombstone is a
+    /// piece of its own.
+    #[test]
+    fn scans_over_a_loaded_multi_segment_run_match_model(
+        base in prop::collection::vec((arb_prefix_key(), arb_tie_cell()), 1..300),
+        cuts in prop::collection::vec(0usize..300, 0..6),
+        writes in prop::collection::vec(
+            // (key, timestamp, (tombstone in 40%, flush after in 4%), missed by replica 1 / 2)
+            (arb_prefix_key(), 0u64..1_000, (0u32..100, 0u32..100).prop_map(|(d, f)| (d < 40, f < 4)), 0u32..4),
+            0..200,
+        ),
+        scans in prop::collection::vec(
+            // limit: 0, 1, a short page, or more than the tree holds
+            (
+                arb_prefix_key(),
+                (0usize..4, 2usize..30).prop_map(|(pick, n)| [0, 1, n, 10_000][pick]),
+                (prop::bool::ANY, arb_prefix_key()).prop_map(|(some, end)| some.then_some(end)),
+                0usize..6,
+            ),
+            1..12,
+        ),
+    ) {
+        let config = LsmConfig {
+            block_size: 128,
+            memtable_flush_bytes: u64::MAX, // flushes only where the input says
+            cache_bytes: 1024,              // a few blocks: scans evict
+            compaction: SizeTieredPolicy::default(),
+        };
+        let mut trees = [LsmTree::new(config), LsmTree::new(config), LsmTree::new(config)];
+        let base: BTreeMap<_, _> = base.into_iter().collect();
+        let rows: Vec<(Key, Cell)> = base.into_iter().map(|(k, c)| (Bytes::from(k), c)).collect();
+        let bytes = rows.iter().map(|(k, c)| entry_encoded_len(k, c)).sum();
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (rows.len() + 1)).collect();
+        bounds.extend([0, rows.len()]);
+        bounds.sort_unstable();
+        let mut runs: Vec<_> = trees.iter().map(|t| t.load_builder(rows.len(), bytes)).collect();
+        for w in bounds.windows(2) {
+            let mut holders: Vec<&mut _> = runs.iter_mut().collect();
+            Segment::from_queue(queue_of(&rows[w[0]..w[1]]), &mut holders);
+        }
+        for (tree, run) in trees.iter_mut().zip(runs) {
+            let id = tree.reserve_table_id();
+            tree.load(id, run);
+        }
+        let mut model = ScanModel::new(&config);
+        model.runs.push(trees[0].runs()[0].clone());
+        for (k, ts, (dead, flush), missed) in writes {
+            let cell = if dead { Cell::tombstone(ts) } else { Cell::live(key(ts), ts) };
+            for (r, tree) in trees.iter_mut().enumerate() {
+                if r > 0 && missed as usize == r {
+                    continue;
+                }
+                tree.put(Bytes::from(k.clone()), cell.clone());
+                if flush {
+                    tree.flush();
+                }
+            }
+            model.put(Bytes::from(k), cell);
+            if flush {
+                model.flush();
+            }
+        }
+        let ids = |runs: &[SsTable]| runs.iter().map(SsTable::id).collect::<Vec<_>>();
+        prop_assert_eq!(ids(trees[0].runs()), ids(&model.runs));
+        for (start, limit, end, n) in scans {
+            let mut twin = trees[0].clone();
+            let mut paged = trees[0].clone();
+            let got = trees[0].scan(&start, limit);
+            let (walked, io) = model.scan(&start, limit);
+            let below = walked
+                .iter()
+                .filter(|(k, _)| end.as_ref().is_none_or(|end| k.as_ref() < end.as_slice()))
+                .count();
+            prop_assert_eq!(flat(&got.rows), live_of(&walked), "rows from {:?} limit {}", start, limit);
+            prop_assert_eq!(&got.io, &io, "io from {:?} limit {}", start, limit);
+            let page = paged.scan_page(&start, limit);
+            prop_assert_eq!(flat(&page.rows), walked, "page from {:?} limit {}", start, limit);
+            prop_assert_eq!(&page.io, &io);
+            let counted = twin.scan_count(&start, limit, end.as_deref());
+            prop_assert_eq!(counted, (below, io), "count from {:?} limit {} end {:?}", start, limit, end);
+            prop_assert_eq!(twin.cache_stats(), trees[0].cache_stats());
+            prop_assert_eq!(paged.cache_stats(), trees[0].cache_stats());
+
+            let mut pages = vec![page.rows];
+            pages.extend(trees[1..].iter_mut().map(|tree| tree.scan_page(&start, limit).rows));
+            for rows in &mut pages {
+                if let Some(end) = end.as_ref().filter(|_| n % 2 == 0) {
+                    rows.clamp(end);
+                }
+            }
+            pages.truncate(1 + n % 3);
+            let flats: Vec<_> = pages.iter().map(flat).collect();
+            let (merged, resume) = Rows::reconcile(&mut pages, limit);
+            let (want, want_resume) = reconcile_model(&flats, limit);
+            prop_assert_eq!(flat(&merged), want, "reconcile of {} from {:?}", flats.len(), start);
+            prop_assert_eq!(resume, want_resume);
+        }
+        prop_assert_eq!(trees[0].cache_stats(), model.cache.stats());
+    }
+
     /// `LsmTree::load` of one segment's run against the path it replaced: a twin with a tiny flush threshold `put`s the same rows,
     /// flushing as it fills, then flushes and runs a major compaction (a
     /// compaction in between may purge a tombstone that a later row with no
