@@ -1,7 +1,8 @@
 //! What the event queue allocates, counted by a global allocator (alone in
-//! this test binary): nothing while empty, then one buffer that grows by
-//! doubling, so filling it with `n` events allocates O(log n) times and a
-//! hold model at a steady population allocates nothing at all.
+//! this test binary): nothing while empty or while one event is pending,
+//! then one buffer that grows by doubling, so filling it with `n` events
+//! allocates O(log n) times and a hold model at a steady population
+//! allocates nothing at all.
 
 use bytes::counting::{tally, Counting};
 use simkit::{splitmix64, EventQueue};
@@ -21,6 +22,21 @@ fn an_empty_queue_allocates_nothing() {
     let (popped, made) = tally(|| q.pop());
     assert!(popped.is_none());
     assert_eq!(made.allocs, 0, "pop from empty");
+}
+
+#[test]
+fn one_pending_event_pushed_as_the_earliest_allocates_nothing() {
+    let (q, made) = tally(|| {
+        let mut q: EventQueue<Event> = EventQueue::new();
+        q.push(0, [0; 12]);
+        for i in 1..1_000 {
+            let (t, ev) = q.pop().expect("one event is pending");
+            q.push(t + splitmix64(i) % 512, ev);
+        }
+        q
+    });
+    assert_eq!(made.allocs, 0, "1000 pushes of the only pending event");
+    drop(q);
 }
 
 #[test]

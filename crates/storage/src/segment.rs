@@ -1,6 +1,10 @@
 //! Row storage: the one layout of every run's rows, built by flushes,
-//! compactions and bulk loads alike. A row costs its key bytes plus 20
-//! bytes (44 for a 24-byte key) and no allocation of its own.
+//! compactions and bulk loads alike. While every key has one width — as
+//! YCSB's 24-byte keys all do — a row costs its key bytes plus a 16-byte
+//! cell (40 bytes for a 24-byte key): row `i`'s key sits at `i` times the
+//! width. From the first key of another width on, each row also keeps a
+//! `u32` offset where its key ends (44 bytes for a 24-byte key). No row
+//! makes an allocation of its own.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -9,56 +13,75 @@ use crate::bloom;
 use crate::sstable::{key_prefix, KeyPrefix, RunBuilder};
 use crate::types::{entry_encoded_len, Cell};
 
-/// Rows as three arrays: every key's bytes back to back in one arena, a
-/// `u32` offset per row where its key ends there, and a cell per row. What
-/// a [`Segment`] and a [`LoadQueue`] dereference to.
+/// Rows as arrays: every key's bytes back to back in one arena, a cell
+/// per row, and — only once keys of two widths are present — a `u32`
+/// offset per row where its key ends in the arena. What a [`Segment`] and
+/// a [`LoadQueue`] dereference to.
 #[derive(Debug, Clone, Default)]
 pub struct RowArena {
     /// Every row's key bytes, back to back in row order.
     keys: Vec<u8>,
-    /// Where each row's key ends in `keys`; it starts where the key of the
-    /// row before it ends.
+    /// The width of the first row's key: while `ends` is empty, the width
+    /// of every key, and row `i`'s key is `keys[i * width..][..width]`.
+    width: usize,
+    /// Where each row's key ends in `keys`, built at the first key of
+    /// another width and empty until then; a key starts where the key of
+    /// the row before it ends.
     ends: Vec<u32>,
     cells: Vec<Cell>,
 }
 
 impl RowArena {
     /// Room for exactly `rows` rows whose keys total `key_bytes` bytes.
+    /// The offsets, if keys of two widths come, are sized to `rows` then.
     pub(crate) fn with_capacity(rows: usize, key_bytes: usize) -> Self {
         Self {
             keys: Vec::with_capacity(key_bytes),
-            ends: Vec::with_capacity(rows),
             cells: Vec::with_capacity(rows),
+            ..Self::default()
         }
     }
 
-    /// Append the key of the next row, whose cell follows in `cells`.
-    /// Panics past `u32::MAX` key bytes, which the offsets cannot address.
-    fn push_key(&mut self, key: &[u8]) {
-        self.keys.extend_from_slice(key);
-        let Ok(end) = u32::try_from(self.keys.len()) else {
-            panic!("a segment's keys exceed {} bytes", u32::MAX);
-        };
-        self.ends.push(end);
+    /// Append a row.
+    ///
+    /// # Panics
+    /// When rows have keys of two widths and their key bytes pass
+    /// `u32::MAX`, which the offsets cannot address.
+    pub(crate) fn push(&mut self, key: &[u8], cell: Cell) {
+        self.push_key(self.cells.len(), key);
+        self.cells.push(cell);
     }
 
-    /// Append a row.
-    pub(crate) fn push(&mut self, key: &[u8], cell: Cell) {
-        self.push_key(key);
-        self.cells.push(cell);
+    /// Append the key of row `row`, the next one, whose cell follows in
+    /// `cells`; panics as [`RowArena::push`] does.
+    fn push_key(&mut self, row: usize, key: &[u8]) {
+        if row == 0 {
+            self.width = key.len();
+        } else if self.ends.is_empty() && key.len() != self.width {
+            // The first key of another width: every earlier row gets its
+            // end, in a buffer as large as the cells'.
+            let mut ends = Vec::with_capacity(self.cells.capacity());
+            ends.extend((1..=row).map(|i| end_offset(i * self.width)));
+            self.ends = ends;
+        }
+        self.keys.extend_from_slice(key);
+        if !self.ends.is_empty() {
+            self.ends.push(end_offset(self.keys.len()));
+        }
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.ends.len()
+        self.cells.len()
     }
 
     /// True when there are no rows.
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.cells.is_empty()
     }
 
-    /// Where the key of row `i` starts: where row `i - 1`'s ends.
+    /// Where the key of row `i` starts, in an arena with offsets: where
+    /// row `i - 1`'s ends.
     #[inline]
     fn start(&self, i: usize) -> usize {
         self.ends
@@ -69,6 +92,11 @@ impl RowArena {
     /// The key of row `i`.
     #[inline]
     pub fn key(&self, i: usize) -> &[u8] {
+        debug_assert!(i < self.len(), "row {i} of {}", self.len());
+        if self.ends.is_empty() {
+            let start = i * self.width;
+            return &self.keys[start..start + self.width];
+        }
         &self.keys[self.start(i)..self.ends[i] as usize]
     }
 
@@ -94,8 +122,19 @@ impl RowArena {
         if from == to {
             return 0;
         }
+        if self.ends.is_empty() {
+            return ((to - from) * self.width) as u64;
+        }
         (self.ends[to - 1] as usize - self.start(from)) as u64
     }
+}
+
+/// `end` as a key's end offset in an arena.
+fn end_offset(end: usize) -> u32 {
+    let Ok(end) = u32::try_from(end) else {
+        panic!("a segment's keys exceed {} bytes", u32::MAX);
+    };
+    end
 }
 
 /// One queued row in the sort of [`Segment::from_queue`]: its key's prefix,
@@ -173,7 +212,11 @@ impl Segment {
             order.push(SortRecord::new(key_prefix(key), len, i));
         }
         let key = |r: &SortRecord| queued.key(r.index as usize);
-        order.sort_unstable_by(|a, b| a.prefix().cmp(&b.prefix()).then_with(|| key(a).cmp(key(b))));
+        order.sort_unstable_by(|a, b| {
+            a.prefix()
+                .cmp(&b.prefix())
+                .then_with(|| cmp_tied(&queued, a, b))
+        });
         // One record per key, holding its newest version.
         let mut dropped = 0;
         order.dedup_by(|later, kept| {
@@ -191,11 +234,11 @@ impl Segment {
             same
         });
         let mut rows = RowArena::with_capacity(order.len(), queued.keys.len() - dropped);
-        for r in &order {
+        for (row, r) in order.iter().enumerate() {
             for run in holders.iter_mut() {
                 run.row(r.prefix(), r.len as u64);
             }
-            rows.push_key(key(r));
+            rows.push_key(row, key(r));
         }
         drop((queued.keys, queued.ends));
         let mut cells = queued.cells;
@@ -215,6 +258,15 @@ impl Segment {
     pub fn shares_storage_with(&self, other: &Segment) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
     }
+}
+
+/// The order of two queued rows whose key prefixes tie: their full keys.
+/// Out of line, so that the sort's comparator stays small.
+#[inline(never)]
+fn cmp_tied(queued: &RowArena, a: &SortRecord, b: &SortRecord) -> std::cmp::Ordering {
+    queued
+        .key(a.index as usize)
+        .cmp(queued.key(b.index as usize))
 }
 
 impl Deref for Segment {
@@ -264,6 +316,7 @@ impl Deref for LoadQueue {
 pub(crate) mod tests {
     use super::*;
     use bytes::Bytes;
+    use proptest::prelude::*;
 
     /// A segment of `rows`, given strictly sorted by key.
     pub(crate) fn from_sorted<K: AsRef<[u8]>>(
@@ -315,5 +368,42 @@ pub(crate) mod tests {
             (5, 2, 0)
         );
         assert!(from_sorted(Vec::<(&[u8], Cell)>::new()).is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Rows whose keys share one width but for one row that sits
+        /// first, in the middle, last or nowhere, against the vector of
+        /// their keys: `len`, every `key`, and `key_bytes` over every
+        /// range, in the arena that offsets only the mixed case.
+        #[test]
+        fn key_bytes_match_a_vec_model_with_one_odd_width_key(
+            width in 0usize..30,
+            rows in 1usize..40,
+            at in 0usize..4,
+            odd in 0usize..40,
+        ) {
+            let mut keys: Vec<Vec<u8>> = (0..rows).map(|i| vec![i as u8; width]).collect();
+            let row = [None, Some(0), Some(rows / 2), Some(rows - 1)][at];
+            if let Some(row) = row.filter(|_| odd != width) {
+                keys[row] = vec![0xff; odd];
+            }
+            let mut arena = RowArena::default();
+            for (i, key) in keys.iter().enumerate() {
+                arena.push(key, Cell::tombstone(i as u64));
+            }
+            prop_assert_eq!(arena.ends.is_empty(), keys.iter().all(|k| k.len() == keys[0].len()));
+            prop_assert_eq!(arena.len(), rows);
+            for (i, key) in keys.iter().enumerate() {
+                prop_assert_eq!(arena.key(i), key.as_slice());
+            }
+            for from in 0..=rows {
+                for to in from..=rows {
+                    let want: usize = keys[from..to].iter().map(Vec::len).sum();
+                    prop_assert_eq!(arena.key_bytes(from, to), want as u64, "{}..{}", from, to);
+                }
+            }
+        }
     }
 }

@@ -1244,3 +1244,136 @@ proptest! {
         }
     }
 }
+
+/// A YCSB-shaped key: `user` and 20 digits of `id`, 24 bytes. Ids below
+/// 10^8 tie on the 16-byte prefix.
+fn wide_key(id: u64) -> Key {
+    Bytes::from(format!("user{id:020}").into_bytes())
+}
+
+/// Ids that tie on the 16-byte prefix half the time.
+fn arb_wide_id() -> impl Strategy<Value = u64> {
+    (0u64..5_000, any::<u64>(), prop::bool::ANY)
+        .prop_map(|(near, far, tie)| if tie { near } else { far })
+}
+
+/// A key of another width than [`wide_key`]'s that sorts at `at` among
+/// the sorted `keys`: 1 first, 2 in the middle (right after the middle
+/// key), 3 last; none for 0.
+fn odd_key(keys: &[Key], at: usize) -> Option<Key> {
+    let key = match at {
+        1 => b"user".to_vec(),
+        2 => [keys[keys.len() / 2].as_ref(), b"!"].concat(),
+        3 => b"userz".to_vec(),
+        _ => return None,
+    };
+    Some(Bytes::from(key))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Rows whose keys are all 24 bytes wide but for one key of another
+    /// width that sorts first, in the middle, last or nowhere, against a
+    /// `Vec` model: the load queue, the segment it sorts into and the
+    /// segment a memtable drains into agree on `len`, `key` and `iter`; the
+    /// loaded run's point gets and `lower_bound`, and the tree's `scan`,
+    /// `scan_page` (with its `Rows::encoded_len`) and `scan_count`, agree at
+    /// present keys, 24-byte probes and odd-width probes. A major
+    /// compaction of that run with a run of keys of many widths and a run
+    /// of 24-byte keys only reads like the merged model.
+    #[test]
+    fn segments_with_one_odd_width_key_match_a_vec_model(
+        ids in prop::collection::btree_set(arb_wide_id(), 2..300),
+        at in 0usize..4,
+        cells in prop::collection::vec(arb_tie_cell(), 301..302),
+        probes in prop::collection::vec(
+            // (24-byte key id, an odd-width variant of it in a quarter, scan limit)
+            (arb_wide_id(), (0u32..4).prop_map(|p| p == 0), (0usize..4, 2usize..30).prop_map(|(pick, n)| [0, 1, n, 10_000][pick])),
+            1..20,
+        ),
+        mixed in prop::collection::vec((arb_prefix_key(), arb_tie_cell()), 0..60),
+        later in prop::collection::vec((arb_wide_id(), arb_tie_cell()), 0..60),
+    ) {
+        let config = LsmConfig {
+            block_size: 128,
+            memtable_flush_bytes: u64::MAX,
+            cache_bytes: 1024,
+            compaction: SizeTieredPolicy::default(),
+        };
+        let mut keys: Vec<Key> = ids.iter().map(|&id| wide_key(id)).collect();
+        keys.extend(odd_key(&keys, at));
+        keys.sort();
+        let rows: Vec<(Key, Cell)> = keys.into_iter().zip(cells).collect();
+        let model: BTreeMap<Key, Cell> = rows.iter().cloned().collect();
+
+        let queue = queue_of(&rows);
+        prop_assert_eq!(queue.len(), rows.len());
+        prop_assert_eq!(owned(queue.iter()), rows.clone());
+        let bytes = rows.iter().map(|(k, c)| entry_encoded_len(k, c)).sum();
+        prop_assert_eq!(queue.bytes(), bytes);
+        let mut memtable = Memtable::new();
+        for (k, cell) in &rows {
+            memtable.insert(k.clone(), cell.clone());
+        }
+        let mut tree = LsmTree::new(config);
+        let mut run = tree.load_builder(queue.len(), queue.bytes());
+        let sorted = Segment::from_queue(queue, &mut [&mut run]);
+        for segment in [sorted, memtable.drain()] {
+            prop_assert_eq!(segment.len(), rows.len());
+            prop_assert!(!segment.is_empty());
+            for (i, (k, _)) in rows.iter().enumerate() {
+                prop_assert_eq!(segment.key(i), k.as_ref(), "key {}", i);
+            }
+            prop_assert_eq!(owned(segment.iter()), rows.clone());
+        }
+        let id = tree.reserve_table_id();
+        tree.load(id, run);
+
+        let present = rows.iter().map(|(k, _)| (k.clone(), 3));
+        let probed = probes.iter().map(|&(id, odd, limit)| {
+            let k = wide_key(id);
+            (if odd { Bytes::from([k.as_ref(), b"!"].concat()) } else { k }, limit)
+        });
+        let probes: Vec<(Key, usize)> = probed.chain(present).collect();
+        let table = tree.runs()[0].clone();
+        for (probe, limit) in &probes {
+            prop_assert_eq!(table.get(probe), model.get(probe), "run get {:?}", probe);
+            prop_assert_eq!(tree.get(probe).cell.as_ref(), model.get(probe), "get {:?}", probe);
+            let want = rows.partition_point(|(k, _)| k < probe);
+            prop_assert_eq!(table.lower_bound(probe), want, "lower_bound {:?}", probe);
+            let walked = model_scan(&model, probe, *limit);
+            let mut twin = tree.clone();
+            let got = tree.scan(probe, *limit);
+            prop_assert_eq!(flat(&got.rows), live_of(&walked), "scan {:?} limit {}", probe, limit);
+            let page = tree.scan_page(probe, *limit);
+            prop_assert_eq!(flat(&page.rows), walked.clone(), "page {:?} limit {}", probe, limit);
+            let encoded: u64 = walked.iter().map(|(k, c)| entry_encoded_len(k, c)).sum();
+            prop_assert_eq!(page.rows.encoded_len(), encoded);
+            let counted = twin.scan_count(probe, *limit, None);
+            prop_assert_eq!(counted, (walked.len(), got.io), "count {:?} limit {}", probe, limit);
+        }
+
+        // A compaction over the equal-width run, a run of many widths and
+        // a run of 24-byte keys only.
+        let mut merged = model;
+        for (k, cell) in mixed {
+            tree.put(Bytes::from(k.clone()), cell.clone());
+            reconcile_into(&mut merged, Bytes::from(k), cell);
+        }
+        tree.flush();
+        for (id, cell) in later {
+            tree.put(wide_key(id), cell.clone());
+            reconcile_into(&mut merged, wide_key(id), cell);
+        }
+        tree.flush();
+        tree.compact_all();
+        let live: Vec<(Key, Cell)> = merged.iter().filter(|(_, c)| !c.is_tombstone()).map(|(k, c)| (k.clone(), c.clone())).collect();
+        prop_assert_eq!(flat(&tree.scan(&[], 10_000).rows), live);
+        let (_, tail) = rows.split_at(rows.len() / 2);
+        for (k, _) in tail {
+            let got = tree.get(k).cell.filter(|c| !c.is_tombstone());
+            prop_assert_eq!(got.as_ref(), merged.get(k).filter(|c| !c.is_tombstone()), "get {:?} after compaction", k);
+        }
+    }
+}

@@ -1,8 +1,9 @@
 //! What building a segment allocates, counted by a global allocator (alone
 //! in this test binary). A bulk load's queue and a flushed memtable each
-//! become a segment in the same few allocations whatever their row count,
-//! and a segment of 24-byte keys holds at most 44 bytes of heap a row —
-//! the key bytes, a `u32` offset and a 16-byte cell — plus a constant.
+//! become a segment in the same few allocations whatever their row count.
+//! A segment whose keys are all 24 bytes wide holds at most 40 bytes of
+//! heap a row — the key bytes and a 16-byte cell — plus a constant; with
+//! keys of two widths, each row also holds a `u32` offset: 44 bytes.
 
 use bytes::counting::{tally, Counting, Tally};
 use bytes::Bytes;
@@ -14,21 +15,26 @@ static ALLOCATOR: Counting = Counting;
 const ROWS: [usize; 2] = [10_000, 100_000];
 
 /// Heap bytes a segment of 24-byte keys may hold per row.
-const PER_ROW: usize = 24 + 4 + 16;
+const PER_ROW: usize = 24 + 16;
+
+/// Heap bytes a segment of keys of two widths, at most 24 bytes, may hold
+/// per row.
+const PER_ROW_MIXED: usize = 24 + 4 + 16;
 
 /// Heap bytes a segment may hold beyond its rows: its shared header.
 const HEADER: usize = 128;
 
-/// Key `i`: 24 bytes, "user" and 20 digits of a scrambled `i`, built on
-/// the stack so that making it allocates nothing.
-fn key(i: usize) -> [u8; 24] {
+/// Key `i` and its width: "user" and 20 digits of a scrambled `i`, built
+/// on the stack so that making it allocates nothing. With `mixed`, every
+/// seventh key drops its last digit.
+fn key(i: usize, mixed: bool) -> ([u8; 24], usize) {
     let mut key = *b"user00000000000000000000";
     let mut v = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     for digit in key[4..].iter_mut().rev() {
         *digit = b'0' + (v % 10) as u8;
         v /= 10;
     }
-    key
+    (key, if mixed && i % 7 == 3 { 23 } else { 24 })
 }
 
 /// Bytes allocated less bytes freed while `t` was counted: negative when
@@ -37,19 +43,23 @@ fn held(t: &Tally) -> isize {
     t.alloc_bytes as isize - t.dealloc_bytes as isize
 }
 
-#[test]
-fn a_load_queue_becomes_a_segment_in_a_fixed_number_of_allocations() {
+/// Queue `n` rows of one-byte values at every count in [`ROWS`] and build
+/// their segments: the queue allocates no more than three buffers that
+/// grow by doubling would, the segment holds at most `per_row` bytes a row,
+/// and the build takes as many allocations at every count.
+fn load_queue_builds(mixed: bool, per_row: usize) {
     let value = Bytes::from_static(b"v");
     let mut builds = Vec::new();
     for n in ROWS {
         let (queue, queued) = tally(|| {
             let mut queue = LoadQueue::default();
             for i in 0..n {
-                queue.push(&key(i), Cell::live(value.clone(), 1));
+                let (key, width) = key(i, mixed);
+                queue.push(&key[..width], Cell::live(value.clone(), 1));
             }
             queue
         });
-        // Three buffers, each grown by doubling: no allocation per row.
+        // Each buffer grown by doubling: no allocation per row.
         let doublings = (usize::BITS - (n * 24).leading_zeros()) as usize;
         assert!(queued.allocs <= 3 * doublings, "{n} rows: {queued:?}");
         let (segment, built) = tally(|| Segment::from_queue(queue, &mut []));
@@ -58,7 +68,7 @@ fn a_load_queue_becomes_a_segment_in_a_fixed_number_of_allocations() {
         // freed by now.
         let heap = held(&queued) + held(&built);
         assert!(
-            heap <= (PER_ROW * n + HEADER) as isize,
+            heap <= (per_row * n + HEADER) as isize,
             "{n} rows hold {heap} bytes"
         );
         builds.push(built.allocs);
@@ -66,8 +76,10 @@ fn a_load_queue_becomes_a_segment_in_a_fixed_number_of_allocations() {
     assert_eq!(builds[0], builds[1], "allocations to build {ROWS:?} rows");
 }
 
-#[test]
-fn a_flush_builds_its_segment_in_a_fixed_number_of_allocations() {
+/// Fill a memtable and a tree with `n` rows at every count in [`ROWS`]:
+/// the drained segment holds at most `per_row` bytes a row, and the drain
+/// and the tree's whole flush take as many allocations at every count.
+fn flush_builds(mixed: bool, per_row: usize) {
     let value = Bytes::from_static(b"v");
     let (mut drains, mut flushes) = (Vec::new(), Vec::new());
     for n in ROWS {
@@ -77,14 +89,15 @@ fn a_flush_builds_its_segment_in_a_fixed_number_of_allocations() {
             ..LsmConfig::default()
         });
         for i in 0..n {
-            let key = Bytes::copy_from_slice(&key(i));
+            let (key, width) = key(i, mixed);
+            let key = Bytes::copy_from_slice(&key[..width]);
             memtable.insert(key.clone(), Cell::live(value.clone(), 1));
             tree.put(key, Cell::live(value.clone(), 1));
         }
         let (segment, drained) = tally(|| memtable.drain());
         assert_eq!(segment.len(), n);
         let heap = drained.alloc_bytes;
-        assert!(heap <= PER_ROW * n + HEADER, "{n} rows hold {heap} bytes");
+        assert!(heap <= per_row * n + HEADER, "{n} rows hold {heap} bytes");
         drains.push(drained.allocs);
         // The whole flush: the segment, the run's filter and block index.
         let (flushed, made) = tally(|| tree.flush());
@@ -93,4 +106,24 @@ fn a_flush_builds_its_segment_in_a_fixed_number_of_allocations() {
     }
     assert_eq!(drains[0], drains[1], "allocations to drain {ROWS:?} rows");
     assert_eq!(flushes[0], flushes[1], "allocations to flush {ROWS:?} rows");
+}
+
+#[test]
+fn a_load_queue_becomes_a_segment_in_a_fixed_number_of_allocations() {
+    load_queue_builds(false, PER_ROW);
+}
+
+#[test]
+fn a_flush_builds_its_segment_in_a_fixed_number_of_allocations() {
+    flush_builds(false, PER_ROW);
+}
+
+#[test]
+fn a_load_queue_of_two_key_widths_keeps_offsets_within_44_bytes_a_row() {
+    load_queue_builds(true, PER_ROW_MIXED);
+}
+
+#[test]
+fn a_flush_of_two_key_widths_keeps_offsets_within_44_bytes_a_row() {
+    flush_builds(true, PER_ROW_MIXED);
 }
