@@ -26,10 +26,12 @@
 //! * [`bench_core`] — the paper's benchmark methodology (micro/stress/
 //!   consistency experiments, sweeps, report rendering).
 //!
-//! The package's one binary, `fig <name> [--quick]`, regenerates one
-//! evaluation artifact: it prints the figure's tables and writes its CSVs
-//! under `results/` (`RESULTS_DIR` overrides). `<name>` is a key of
-//! [`bench_core::FIGURES`]. The repo's benchmark, which times
+//! The package's one binary, `fig [<name>] [--quick]`, regenerates the
+//! evaluation artifacts: it prints each figure's tables and writes its
+//! CSVs under `results/` (`RESULTS_DIR` overrides). `<name>` is a key of
+//! [`bench_core::FIGURES`]; with no name `fig` runs every entry in
+//! registry order, and at full scale that one run writes all of
+//! `results/`. The repo's benchmark, which times
 //! every layer from the event queue up, is the standalone `benchmark/`
 //! package.
 //!
