@@ -5,7 +5,7 @@
 //! heap a row — the key bytes and a 16-byte cell — plus a constant; with
 //! keys of two widths, each row also holds a `u32` offset: 44 bytes.
 
-use bytes::counting::{tally, Counting, Tally};
+use bytes::counting::{tally, Counting};
 use bytes::Bytes;
 use storage::{Cell, LoadQueue, LsmConfig, LsmTree, Memtable, Segment};
 
@@ -37,12 +37,6 @@ fn key(i: usize, mixed: bool) -> ([u8; 24], usize) {
     (key, if mixed && i % 7 == 3 { 23 } else { 24 })
 }
 
-/// Bytes allocated less bytes freed while `t` was counted: negative when
-/// more was freed.
-fn held(t: &Tally) -> isize {
-    t.alloc_bytes as isize - t.dealloc_bytes as isize
-}
-
 /// Queue `n` rows of one-byte values at every count in [`ROWS`] and build
 /// their segments: the queue allocates no more than three buffers that
 /// grow by doubling would, the segment holds at most `per_row` bytes a row,
@@ -66,7 +60,7 @@ fn load_queue_builds(mixed: bool, per_row: usize) {
         assert_eq!(segment.len(), n);
         // The queue, and everything the build made but the segment, is
         // freed by now.
-        let heap = held(&queued) + held(&built);
+        let heap = queued.live_bytes + built.live_bytes;
         assert!(
             heap <= (per_row * n + HEADER) as isize,
             "{n} rows hold {heap} bytes"

@@ -24,6 +24,12 @@ pub struct Tally {
     pub alloc_bytes: usize,
     /// Bytes the frees gave back.
     pub dealloc_bytes: usize,
+    /// Bytes allocated less bytes freed: what the counted code still holds,
+    /// negative when it freed more than it allocated.
+    pub live_bytes: isize,
+    /// The highest `live_bytes` reached (0 when it never rose above the
+    /// start): the heap's high-water mark over the counted code.
+    pub peak_bytes: usize,
     /// The layout of the last allocation.
     pub alloc_layout: Option<Layout>,
     /// The layout of the last free.
@@ -36,6 +42,8 @@ const IDLE: Tally = Tally {
     deallocs: 0,
     alloc_bytes: 0,
     dealloc_bytes: 0,
+    live_bytes: 0,
+    peak_bytes: 0,
     alloc_layout: None,
     dealloc_layout: None,
 };
@@ -77,6 +85,8 @@ unsafe impl GlobalAlloc for Counting {
         record(|t| {
             t.allocs += 1;
             t.alloc_bytes += layout.size();
+            t.live_bytes += layout.size() as isize;
+            t.peak_bytes = t.peak_bytes.max(t.live_bytes.max(0) as usize);
             t.alloc_layout = Some(layout);
         });
         // SAFETY: the caller's `layout` obligations pass through unchanged.
@@ -87,6 +97,7 @@ unsafe impl GlobalAlloc for Counting {
         record(|t| {
             t.deallocs += 1;
             t.dealloc_bytes += layout.size();
+            t.live_bytes -= layout.size() as isize;
             t.dealloc_layout = Some(layout);
         });
         // SAFETY: the caller guarantees `ptr` came from `System` with `layout`.

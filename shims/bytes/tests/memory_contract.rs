@@ -135,3 +135,19 @@ fn every_constructor_of_equal_bytes_compares_equal() {
     assert_eq!(Bytes::new(), Bytes::from(Vec::new()));
     assert!(Bytes::default().is_empty());
 }
+
+#[test]
+fn the_tally_follows_the_bytes_held_and_their_high_water_mark() {
+    let held = vec![0u8; 10];
+    let ((), t) = tally(|| {
+        let a: Vec<u8> = black_box(Vec::with_capacity(100));
+        let b: Vec<u8> = black_box(Vec::with_capacity(50));
+        drop(a);
+        let c: Vec<u8> = black_box(Vec::with_capacity(30));
+        drop((b, c));
+        drop(held);
+    });
+    assert_eq!((t.alloc_bytes, t.dealloc_bytes), (180, 190));
+    assert_eq!(t.live_bytes, -10, "freed the 10 bytes allocated before");
+    assert_eq!(t.peak_bytes, 150);
+}
