@@ -15,7 +15,8 @@ use obs::Stage;
 use simkit::{NodeHw, NodeId, OpKey, OpTag, Sim, SimTime};
 use storage::types::entry_encoded_len;
 use storage::{
-    Cell, Completion, Key, LoadQueue, OpError, OpResult, Rows, RunBuilder, Segment, StoreOp, Value,
+    Cell, Completion, Key, LoadQueue, OpError, OpResult, Reconciler, Rows, RunBuilder, Segment,
+    StoreOp, Value,
 };
 
 use crate::config::{CStoreConfig, CommitlogSync, Consistency};
@@ -98,6 +99,8 @@ pub struct Cluster {
     read_answers: BufferPool<(NodeId, Option<Cell>)>,
     /// Recycled `ScanState::partials` buffers.
     scan_partials: BufferPool<Rows>,
+    /// The slot vector of every scan round's reconcile.
+    reconciler: Reconciler,
     /// Rows bulk-loaded since the last `flush_all`, once each, by ring
     /// segment.
     loaded: Vec<SegmentLoad>,
@@ -127,6 +130,7 @@ impl Cluster {
             scratch: FanOut::default(),
             read_answers: BufferPool::new(),
             scan_partials: BufferPool::new(),
+            reconciler: Reconciler::default(),
             loaded: Vec::new(),
         }
     }
@@ -734,7 +738,8 @@ impl Cluster {
         let Some(PendingState::Scan(s)) = self.rt.get_mut(op).map(|p| &mut p.state) else {
             return;
         };
-        let (next, round_started) = (s.page(rows, &self.ring), s.round_started);
+        let next = s.page(rows, &self.ring, &mut self.reconciler);
+        let round_started = s.round_started;
         if let Page::Wait = next {
             return;
         }
@@ -1084,6 +1089,13 @@ mod tests {
     use proptest::prelude::*;
 
     type Ev = DriverEvent<Event>;
+
+    #[test]
+    fn an_in_flight_op_state_is_88_bytes() {
+        // Every in-flight op holds one, a scan's with its collected rows; a
+        // wider one costs bytes on every op's slot, scan or not.
+        assert_eq!(std::mem::size_of::<PendingState>(), 88);
+    }
 
     fn k(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())

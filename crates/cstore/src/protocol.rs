@@ -5,7 +5,7 @@
 //! below try every answer order.
 
 use simkit::{NodeId, SimTime};
-use storage::{Cell, Key, Rows};
+use storage::{Cell, Key, Reconciler, Rows};
 
 use crate::config::Consistency;
 use crate::ring::Ring;
@@ -313,7 +313,9 @@ pub(crate) struct ScanState {
     /// This round's pages; an emptied buffer once the scan ends.
     pub(crate) partials: Vec<Rows>,
     collected: Rows,
-    current_primary: usize,
+    /// A ring position, as `u32`: with the rows collected a piece wide, it
+    /// keeps the state, and so every in-flight op's slot, at 88 bytes.
+    current_primary: u32,
     rounds: u32,
     /// When the current round's fan-out left the coordinator.
     pub(crate) round_started: SimTime,
@@ -338,7 +340,7 @@ impl ScanState {
         Self {
             limit,
             partials,
-            current_primary,
+            current_primary: current_primary as u32,
             ..Self::default()
         }
     }
@@ -351,8 +353,9 @@ impl ScanState {
         self.round_started = at;
     }
 
-    /// Take one replica's page of the current range.
-    pub(crate) fn page(&mut self, rows: Rows, ring: &Ring) -> Page {
+    /// Take one replica's page of the current range; the round's last one
+    /// reconciles them with `reconciler`.
+    pub(crate) fn page(&mut self, rows: Rows, ring: &Ring, reconciler: &mut Reconciler) -> Page {
         self.partials.push(rows);
         self.received_this_round += 1;
         if self.received_this_round < self.needed_this_round {
@@ -360,10 +363,11 @@ impl ScanState {
         }
         // Round complete: reconcile this range across its replicas.
         let remaining = self.limit - self.collected.len();
-        let (mut merged, resume) = Rows::reconcile(&mut self.partials, remaining);
+        let (mut merged, resume) = reconciler.reconcile(&mut self.partials, remaining);
         merged.truncate(remaining);
         self.collected.append(merged);
         let left = self.limit - self.collected.len();
+        let mut primary = self.current_primary as usize;
         let start = if left == 0 {
             None
         } else if resume.is_some() {
@@ -371,19 +375,18 @@ impl ScanState {
             // the range, and tombstones ate into the rows it returned, so
             // the range is read again past what every replica covered.
             resume
-        } else if self.rounds + 1 < ring.len() as u32
-            && ring.range_end(self.current_primary).is_some()
-        {
+        } else if self.rounds + 1 < ring.len() as u32 && ring.range_end(primary).is_some() {
             // On to the next range unless the ring ends (a range with no
             // start is the end of the ring too).
-            self.current_primary = ring.successor(self.current_primary);
+            primary = ring.successor(primary);
+            self.current_primary = primary as u32;
             self.rounds += 1;
-            ring.range_start(self.current_primary).cloned()
+            ring.range_start(primary).cloned()
         } else {
             None
         };
         match start {
-            Some(start) => Page::Round(self.current_primary, start, left),
+            Some(start) => Page::Round(primary, start, left),
             None => Page::Done(std::mem::take(&mut self.collected)),
         }
     }
@@ -650,12 +653,14 @@ mod tests {
     /// same way. Returns that ending.
     fn settle(limit: usize, primary: usize, pages: &[Rows]) -> String {
         let ring = ring();
+        // One reconciler for every order, as a coordinator keeps one.
+        let mut reconciler = Reconciler::default();
         let mut endings = permutations(pages.len()).into_iter().map(|order| {
             let mut s = ScanState::new(limit, primary, Vec::new());
             s.round(pages.len() as u32, 0);
             let mut last = Page::Wait;
             for (i, &p) in order.iter().enumerate() {
-                last = s.page(pages[p].clone(), &ring);
+                last = s.page(pages[p].clone(), &ring, &mut reconciler);
                 assert_eq!(matches!(last, Page::Wait), i + 1 < pages.len());
             }
             format!("{last:?}")

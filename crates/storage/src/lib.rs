@@ -14,7 +14,8 @@
 //! * [`sstable`] — immutable sorted runs with block structure and an index.
 //! * [`cache`] — an O(1) LRU block cache with hit/miss accounting.
 //! * [`merge`] — k-way merge with last-write-wins reconciliation.
-//! * [`Rows`] — scan results as handles into the segments holding them.
+//! * [`Rows`] — scan results as handles into the segments holding them;
+//!   [`Reconciler`], the coordinator's merge of replica pages.
 //! * [`compaction`] — size-tiered compaction policy.
 //! * [`lsm`] — the assembled LSM tree.
 //!
@@ -50,7 +51,7 @@ pub use cache::BlockCache;
 pub use io::{IoOp, IoPlan};
 pub use lsm::{LsmConfig, LsmTree};
 pub use memtable::Memtable;
-pub use rows::Rows;
+pub use rows::{Reconciler, Rows};
 pub use segment::{LoadQueue, RowArena, Segment};
 pub use sstable::{RunBuilder, SsTable, TableId};
 pub use types::{Cell, Key, Timestamp, Value};

@@ -15,7 +15,7 @@ use crate::cache::{BlockCache, CacheStats};
 use crate::compaction::SizeTieredPolicy;
 use crate::io::{IoOp, IoPlan};
 use crate::memtable::{self, Memtable};
-use crate::merge::{Head, Merge, Place, Source};
+use crate::merge::{Head, Merge, Place, Slot, Source, Spare};
 use crate::rows::Rows;
 use crate::segment::{RowArena, Segment};
 use crate::sstable::{RunBuilder, SsTable, TableId};
@@ -156,8 +156,8 @@ impl<'a> Source<'a> for RunCursor<'a> {
 }
 
 /// One merge source of a range scan: the memtable's range or a cursor over
-/// an SSTable run, unified so the streaming merge can hold all sources in
-/// one unboxed `Vec`.
+/// an SSTable run, unified so the streaming merge holds all sources in one
+/// unboxed `Vec`, the one its tree keeps between scans.
 enum ScanSource<'a> {
     Mem(memtable::Range<'a>),
     Run(RunCursor<'a>),
@@ -214,6 +214,8 @@ pub struct LsmTree {
     sizes: Vec<(TableId, u64)>,
     cache: BlockCache,
     next_table_id: u64,
+    /// The scan merge's slot vector, emptied between scans.
+    scan_slots: Spare<Slot<'static, ScanSource<'static>>>,
 }
 
 impl LsmTree {
@@ -227,6 +229,7 @@ impl LsmTree {
             sizes: Vec::new(),
             cache: BlockCache::new(config.cache_bytes),
             next_table_id: 1,
+            scan_slots: Spare::default(),
         }
     }
 
@@ -377,7 +380,8 @@ impl LsmTree {
     /// The walk behind [`LsmTree::scan`]: hand every row from `start` on,
     /// tombstones included, up to the `limit`-th live one to `emit`, in key
     /// order, as the places the merge emits them from, and charge the
-    /// blocks walked.
+    /// blocks walked. The merge fills the tree's slot vector, so once the
+    /// tree has scanned, a walk allocates nothing.
     fn walk_range(
         &mut self,
         start: &[u8],
@@ -388,36 +392,40 @@ impl LsmTree {
             cache,
             tables,
             memtable,
+            scan_slots,
             ..
         } = self;
         let runs =
             (tables.iter()).map(|t| ScanSource::Run(RunCursor::new(t, t.lower_bound(start))));
         let mem = ScanSource::Mem(memtable.range_from(start));
-        let mut merge = Merge::new(std::iter::once(mem).chain(runs), limit);
+        let sources = std::iter::once(mem).chain(runs);
+        let mut merge = Merge::reusing(std::mem::take(&mut scan_slots.0), sources, limit);
         let mut last_key: Option<&[u8]> = None;
         while let Some(won) = merge.next() {
             last_key = Some(won.key(won.len() - 1));
             emit(won);
         }
         let mut io = IoPlan::new();
-        if let Some(end) = last_key {
-            // Sources are the memtable, then one cursor per run in age order.
-            for (table, source) in tables.iter().zip(merge.into_sources().skip(1)) {
-                let ScanSource::Run(cur) = source else {
-                    continue;
-                };
-                let walked = cur.walked(end);
-                if !walked.is_empty() {
-                    Self::charge_scan_blocks(
-                        cache,
-                        table,
-                        table.block_of_entry(walked.start),
-                        table.block_of_entry(walked.end - 1),
-                        &mut io,
-                    );
-                }
+        // Sources are the memtable, then one cursor per run in age order.
+        let mut tables = tables.iter();
+        scan_slots.0 = merge.finish(|source| {
+            let ScanSource::Run(cur) = source else {
+                return;
+            };
+            let (Some(table), Some(end)) = (tables.next(), last_key) else {
+                return;
+            };
+            let walked = cur.walked(end);
+            if !walked.is_empty() {
+                Self::charge_scan_blocks(
+                    cache,
+                    table,
+                    table.block_of_entry(walked.start),
+                    table.block_of_entry(walked.end - 1),
+                    &mut io,
+                );
             }
-        }
+        });
         io
     }
 
@@ -817,10 +825,11 @@ mod tests {
             assert_eq!(got, want, "from {from}, {live} live");
             let (last, n) = want[want.len() - 1];
             let end = keys[keys.iter().position(|key| *key == last).unwrap() + n - 1];
-            let cur = merge.into_sources().next().unwrap();
-            assert_eq!(cur.next, pulled, "from {from}, {live} live");
+            let mut cursors = Vec::new();
+            let _: Vec<Slot<'_, RunCursor<'_>>> = merge.finish(|cur| cursors.push(cur));
+            assert_eq!(cursors[0].next, pulled, "from {from}, {live} live");
             assert_eq!(
-                cur.walked(end.as_bytes()),
+                cursors[0].walked(end.as_bytes()),
                 walked,
                 "from {from}, {live} live"
             );

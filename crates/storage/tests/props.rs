@@ -11,8 +11,8 @@ use storage::compaction::SizeTieredPolicy;
 use storage::merge::merge_runs;
 use storage::types::entry_encoded_len;
 use storage::{
-    BlockCache, Cell, IoOp, IoPlan, Key, LoadQueue, LsmConfig, LsmTree, Memtable, Rows, Segment,
-    SsTable, TableId,
+    BlockCache, Cell, IoOp, IoPlan, Key, LoadQueue, LsmConfig, LsmTree, Memtable, Reconciler, Rows,
+    Segment, SsTable, TableId,
 };
 
 fn key(id: u64) -> Bytes {
@@ -655,7 +655,7 @@ proptest! {
             }
             pages.truncate(1 + n % 3);
             let flats: Vec<_> = pages.iter().map(flat).collect();
-            let (merged, resume) = Rows::reconcile(&mut pages, limit);
+            let (merged, resume) = Reconciler::default().reconcile(&mut pages, limit);
             let (want, want_resume) = reconcile_model(&flats, limit);
             prop_assert_eq!(flat(&merged), want, "reconcile of {} from {:?}", flats.len(), start);
             prop_assert_eq!(resume, want_resume);
@@ -992,7 +992,7 @@ fn model_scan(model: &BTreeMap<Key, Cell>, start: &[u8], limit: usize) -> Vec<(K
     walked
 }
 
-/// [`Rows::reconcile`] on the vectors the pages flatten to: merge, keep
+/// [`Reconciler::reconcile`] on the vectors the pages flatten to: merge, keep
 /// the winners at or below the smallest last key of a page with `limit`
 /// live rows, drop tombstones; resume past that key when the result is
 /// short.
@@ -1064,6 +1064,8 @@ proptest! {
             }
         }
         let mut held = Vec::new();
+        // One reconciler for every round, as a coordinator keeps one.
+        let mut reconciler = Reconciler::default();
         for (start, limit, end, n) in scans {
             let got = trees[0].scan(&start, limit);
             let page = trees[0].scan_page(&start, limit);
@@ -1108,7 +1110,7 @@ proptest! {
             }
             let replicas = 1 + n % 3;
             pages.truncate(replicas);
-            let (merged, resume) = Rows::reconcile(&mut pages, limit);
+            let (merged, resume) = reconciler.reconcile(&mut pages, limit);
             prop_assert!(pages.is_empty());
             let (want, want_resume) = reconcile_model(&flats[..replicas], limit);
             prop_assert_eq!(flat(&merged), want, "reconcile of {} from {:?}", replicas, start);
