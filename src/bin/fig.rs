@@ -4,11 +4,14 @@
 //! registry order, in one process; at full scale that run writes all of
 //! `results/`. A `<name>` (`table1`, `fig1`…`fig8`, `fig10`, `ablations`)
 //! runs that figure alone. Each figure's tables go to stdout, its
-//! CSV/JSONL files under `RESULTS_DIR` (default `results/`), its timing,
-//! peak RSS and sweep telemetry to stderr. `--quick` runs the smoke-scale
-//! configurations; `SWEEP_THREADS=n` sets the worker count (never the
-//! bytes).
+//! CSV/JSONL files under `RESULTS_DIR`, its timing, peak RSS and sweep
+//! telemetry to stderr. `--quick` runs the smoke-scale configurations;
+//! `results/` holds only full-scale files, so a quick run needs
+//! `RESULTS_DIR` and is refused without it, while a full-scale run writes
+//! to `results/` by default. `SWEEP_THREADS=n` sets the worker count
+//! (never the bytes).
 
+use std::ffi::OsString;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -20,6 +23,8 @@ enum UsageError {
     UnknownFigure(String),
     /// A flag other than `--quick`, or a second figure name.
     UnexpectedArg(String),
+    /// `--quick` without `RESULTS_DIR`: it would overwrite `results/`.
+    QuickNeedsResultsDir,
     Threads(BadSweepThreads),
 }
 
@@ -28,12 +33,16 @@ impl std::fmt::Display for UsageError {
         match self {
             UsageError::UnknownFigure(name) => write!(f, "unknown figure {name:?}")?,
             UsageError::UnexpectedArg(arg) => write!(f, "unexpected argument {arg:?}")?,
+            UsageError::QuickNeedsResultsDir => write!(
+                f,
+                "--quick needs RESULTS_DIR: results/ holds the full-scale files"
+            )?,
             UsageError::Threads(e) => return write!(f, "{e}"),
         }
         let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
         write!(
             f,
-            "\nusage: fig [<name>] [--quick]; names: {}",
+            "\nusage: [RESULTS_DIR=<dir>] fig [<name>] [--quick]; names: {}",
             names.join(", ")
         )
     }
@@ -42,9 +51,17 @@ impl std::fmt::Display for UsageError {
 /// A run of [`FIGURES`] entries: one of them, or all.
 type Entries = &'static [(&'static str, Figure)];
 
-/// The figures to run (the named one, or the whole registry), whether at
-/// smoke scale, and on which sweep.
-fn parse(args: &[String]) -> Result<(Entries, bool, Sweep), UsageError> {
+/// What to run: the figures (the named one, or the whole registry), whether
+/// at smoke scale, where their files go, and on which sweep.
+struct Run {
+    figures: Entries,
+    quick: bool,
+    dir: PathBuf,
+    sweep: Sweep,
+}
+
+/// The run that the arguments and the `RESULTS_DIR` value ask for.
+fn parse(args: &[String], results_dir: Option<OsString>) -> Result<Run, UsageError> {
     let mut name = None;
     let mut quick = false;
     for arg in args {
@@ -66,8 +83,18 @@ fn parse(args: &[String]) -> Result<(Entries, bool, Sweep), UsageError> {
             &FIGURES[i..=i]
         }
     };
+    let dir = match results_dir {
+        Some(dir) => PathBuf::from(dir),
+        None if quick => return Err(UsageError::QuickNeedsResultsDir),
+        None => PathBuf::from("results"),
+    };
     let sweep = Sweep::from_env().map_err(UsageError::Threads)?;
-    Ok((figures, quick, sweep))
+    Ok(Run {
+        figures,
+        quick,
+        dir,
+        sweep,
+    })
 }
 
 /// The peak resident set size in MB that a `/proc/<pid>/status` text
@@ -80,14 +107,18 @@ fn peak_rss_mb(status: &str) -> Option<f64> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (figures, quick, sweep) = match parse(&args) {
-        Ok(parsed) => parsed,
+    let Run {
+        figures,
+        quick,
+        dir,
+        sweep,
+    } = match parse(&args, std::env::var_os("RESULTS_DIR")) {
+        Ok(run) => run,
         Err(e) => {
             eprintln!("fig: {e}");
             return ExitCode::from(2);
         }
     };
-    let dir = PathBuf::from(std::env::var_os("RESULTS_DIR").unwrap_or_else(|| "results".into()));
     for (name, figure) in figures {
         let started = std::time::Instant::now();
         let report = figure(quick, &sweep);
@@ -120,10 +151,15 @@ mod tests {
         assert_eq!(peak_rss_mb(""), None);
     }
 
-    /// The names of the figures the arguments select, and `--quick`.
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    /// The names of the figures the arguments select, and `--quick`, with
+    /// `RESULTS_DIR` set.
     fn parse_args(args: &[&str]) -> Result<(Vec<&'static str>, bool), UsageError> {
-        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        parse(&args).map(|(figures, quick, _)| (figures.iter().map(|(n, _)| *n).collect(), quick))
+        parse(&strings(args), Some("out".into()))
+            .map(|run| (run.figures.iter().map(|(n, _)| *n).collect(), run.quick))
     }
 
     fn unexpected(args: &[&str]) -> Option<String> {
@@ -167,5 +203,37 @@ mod tests {
         assert!(
             matches!(parse_args(&["fig9"]), Err(UsageError::UnknownFigure(name)) if name == "fig9")
         );
+    }
+
+    #[test]
+    fn a_quick_run_needs_a_results_dir_and_a_full_one_defaults_to_results() {
+        for args in [&["--quick"][..], &["fig4", "--quick"], &["--quick", "fig1"]] {
+            let refused = parse(&strings(args), None).err();
+            assert!(
+                matches!(refused, Some(UsageError::QuickNeedsResultsDir)),
+                "{args:?}"
+            );
+        }
+        let message = UsageError::QuickNeedsResultsDir.to_string();
+        assert!(
+            message.starts_with("--quick needs RESULTS_DIR"),
+            "{message}"
+        );
+        assert!(
+            message.contains("usage: [RESULTS_DIR=<dir>] fig"),
+            "{message}"
+        );
+        let dir = |args: &[&str], set: Option<&str>| {
+            parse(&strings(args), set.map(OsString::from))
+                .ok()
+                .map(|run| run.dir)
+        };
+        assert_eq!(dir(&[], None), Some(PathBuf::from("results")));
+        assert_eq!(dir(&["fig4"], None), Some(PathBuf::from("results")));
+        assert_eq!(
+            dir(&["--quick"], Some("/tmp/q")),
+            Some(PathBuf::from("/tmp/q"))
+        );
+        assert_eq!(dir(&["fig4"], Some("out")), Some(PathBuf::from("out")));
     }
 }
