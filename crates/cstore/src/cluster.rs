@@ -864,7 +864,6 @@ impl SimStore for Cluster {
             Event::Timeout { op } => self.on_timeout(sim, op),
             Event::HintReplay { node } => self.on_hint_replay(sim, node),
             Event::BgIo { node } => self.rt.on_bg_io(sim, node),
-            Event::GcPause { node } => self.rt.on_gc_pause(sim, node),
         }
     }
 
@@ -980,7 +979,7 @@ impl SimStore for Cluster {
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
-        self.metrics.counters(self.rt.gc_pauses(), self.rt.shed())
+        self.metrics.counters(self.rt.shed())
     }
 
     fn tracer_mut(&mut self) -> &mut obs::Tracer {
@@ -1590,15 +1589,13 @@ mod tests {
     }
 
     #[test]
-    fn gc_pause_delays_all_writes_but_not_one() {
-        // Inject a pause on one replica, then measure a CL=ALL write vs a
-        // CL=ONE write issued during the pause window.
+    fn a_stalled_replica_delays_all_writes_but_not_one() {
+        // Stall every core of one replica (a stop-the-world pause), then
+        // measure a CL=ALL write vs a CL=ONE write issued during the stall.
         let mut lat = Vec::new();
         for cl in [Consistency::One, Consistency::All] {
             let mut cfg = ordered_config(3, 5, 1000);
             cfg.write_cl = cl;
-            cfg.node.pause_interval_us = 0; // no random pauses; we inject one
-            cfg.node.pause_duration_us = 0;
             let mut h = Harness::new(cfg);
             // Warm the path so coordinator rotation is identical.
             h.run_one(StoreOp::Insert {
@@ -1606,7 +1603,7 @@ mod tests {
                 value: k("x"),
             });
             let reps = h.cluster.replicas(&key(0));
-            // Manually pause the third replica for 50ms.
+            // Stall the third replica for 50ms.
             let now = h.sim.now();
             let hw = h.cluster.hw_mut(reps[2]);
             for _ in 0..hw.cpu.servers() {

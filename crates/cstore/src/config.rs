@@ -90,8 +90,7 @@ pub struct CStoreConfig {
     /// Store hints for dead replicas and replay them on recovery.
     pub hinted_handoff: bool,
     /// Node hardware, topology (whose length is the node count; the paper:
-    /// 15), RPC timeout, admission control, GC pauses and service-time
-    /// jitter.
+    /// 15), RPC timeout, admission control and service-time jitter.
     pub node: NodeConfig,
     /// Per-node storage-engine tuning.
     pub lsm: LsmConfig,

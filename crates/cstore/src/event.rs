@@ -128,11 +128,6 @@ pub enum Event {
         /// The node draining its backlog.
         node: NodeId,
     },
-    /// A stop-the-world pause (JVM GC) begins on a node.
-    GcPause {
-        /// The pausing node.
-        node: NodeId,
-    },
 }
 
 impl ::node::NodeEvent for Event {
@@ -150,10 +145,6 @@ impl ::node::NodeEvent for Event {
 
     fn bg_io(node: NodeId) -> Self {
         Event::BgIo { node }
-    }
-
-    fn gc_pause(node: NodeId) -> Self {
-        Event::GcPause { node }
     }
 }
 

@@ -1,7 +1,7 @@
 //! Cluster-level behaviour counters, used by experiments and assertions.
 
-/// Counters accumulated by a [`crate::Cluster`] during a run. (GC pauses
-/// and admission sheds are counted by the node runtime.)
+/// Counters accumulated by a [`crate::Cluster`] during a run. (Admission
+/// sheds are counted by the node runtime.)
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Point reads coordinated.
@@ -37,9 +37,9 @@ impl Metrics {
     }
 
     /// Every counter as `(label, value)` in report order, with the
-    /// runtime's `gc_pauses` and `shed` in their places. The destructuring
-    /// makes a field without a label a compile error.
-    pub(crate) fn counters(&self, gc_pauses: u64, shed: u64) -> Vec<(&'static str, u64)> {
+    /// runtime's `shed` in its place. The destructuring makes a field
+    /// without a label a compile error.
+    pub(crate) fn counters(&self, shed: u64) -> Vec<(&'static str, u64)> {
         let Metrics {
             reads,
             writes,
@@ -67,7 +67,6 @@ impl Metrics {
             ("hints_replayed", hints_replayed),
             ("flushes", flushes),
             ("compactions", compactions),
-            ("gc_pauses", gc_pauses),
             ("shed", shed),
         ]
     }

@@ -743,7 +743,6 @@ impl SimStore for Cluster {
             }
             Event::Timeout { op } => self.on_timeout(sim, op),
             Event::BgIo { server } => self.rt.on_bg_io(sim, server),
-            Event::GcPause { server } => self.rt.on_gc_pause(sim, server),
             Event::FailOver { server } => self.on_fail_over(server),
             Event::WalShip { commit_ts } => self.on_wal_ship(sim.now(), commit_ts),
         }
@@ -811,7 +810,7 @@ impl SimStore for Cluster {
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
-        self.metrics.counters(self.rt.gc_pauses(), self.rt.shed())
+        self.metrics.counters(self.rt.shed())
     }
 
     fn tracer_mut(&mut self) -> &mut obs::Tracer {

@@ -17,8 +17,7 @@ pub struct HStoreConfig {
     pub lsm: LsmConfig,
     /// Node hardware, topology (whose length is the region-server count;
     /// the paper: 15, the master sharing the client machine off the serving
-    /// path), RPC timeout, admission control, GC pauses and service-time
-    /// jitter.
+    /// path), RPC timeout, admission control and service-time jitter.
     pub node: NodeConfig,
     /// Crash-detection delay, microseconds: how long after a server crash
     /// the master notices (ZooKeeper session expiry) and starts region

@@ -52,11 +52,6 @@ pub enum Event {
         /// The server draining its backlog.
         server: NodeId,
     },
-    /// A stop-the-world pause (JVM GC) begins on a server.
-    GcPause {
-        /// The pausing server.
-        server: NodeId,
-    },
     /// The master detects a crashed server (ZooKeeper session expiry) and
     /// starts region failover. Scheduled by deferred crash injection; a
     /// no-op if the server already recovered.
@@ -89,10 +84,6 @@ impl node::NodeEvent for Event {
 
     fn bg_io(server: NodeId) -> Self {
         Event::BgIo { server }
-    }
-
-    fn gc_pause(server: NodeId) -> Self {
-        Event::GcPause { server }
     }
 }
 

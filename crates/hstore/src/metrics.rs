@@ -1,7 +1,7 @@
 //! Cluster behaviour counters.
 
-/// Counters accumulated by a [`crate::Cluster`] during a run. (GC pauses
-/// and admission sheds are counted by the node runtime.)
+/// Counters accumulated by a [`crate::Cluster`] during a run. (Admission
+/// sheds are counted by the node runtime.)
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Metrics {
     /// Point reads served.
@@ -36,9 +36,9 @@ impl Metrics {
     }
 
     /// Every counter as `(label, value)` in report order, with the
-    /// runtime's `gc_pauses` and `shed` in their places. The destructuring
-    /// makes a field without a label a compile error.
-    pub(crate) fn counters(&self, gc_pauses: u64, shed: u64) -> Vec<(&'static str, u64)> {
+    /// runtime's `shed` in its place. The destructuring makes a field
+    /// without a label a compile error.
+    pub(crate) fn counters(&self, shed: u64) -> Vec<(&'static str, u64)> {
         let Metrics {
             reads,
             writes,
@@ -63,7 +63,6 @@ impl Metrics {
             ("flushes", flushes),
             ("compactions", compactions),
             ("regions_moved", regions_moved),
-            ("gc_pauses", gc_pauses),
             ("wal_ships", wal_ships),
             ("shed", shed),
         ]

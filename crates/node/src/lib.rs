@@ -4,10 +4,9 @@
 //! Everything around the protocol is this crate's [`Runtime`], written once:
 //!
 //! * per-node hardware ([`NodeHw`]): up/down state, disk and NIC
-//!   degradation, the background-I/O backlog and its throttled drain, and
-//!   the GC-pause schedule;
-//! * the front door ([`Runtime::submit`]): admission shed, pause start,
-//!   request receive, the `Arrive` event and the op's RPC timer;
+//!   degradation, and the background-I/O backlog and its throttled drain;
+//! * the front door ([`Runtime::submit`]): admission shed, request
+//!   receive, the `Arrive` event and the op's RPC timer;
 //! * the in-flight table (a [`Slab`] of [`InFlight`]), response sizing and
 //!   delivery, completions, and the span [`Tracer`].
 //!
@@ -64,17 +63,11 @@ pub struct NodeConfig {
     /// shedding. Disabled by default ([`AdmissionConfig::off`]) — off runs
     /// add zero events and zero RNG draws.
     pub admission: AdmissionConfig,
-    /// Mean interval between stop-the-world pauses per node (JVM garbage
-    /// collection). 0 disables — the default: the straggler effect is
-    /// carried by service-time jitter.
-    pub pause_interval_us: u64,
-    /// Duration of each pause. With 50 ms every ~1 s a node is unresponsive
-    /// ~5% of the time — a CMS-era heap under write churn.
-    pub pause_duration_us: u64,
     /// Service-time variability: 0 = deterministic service times, 1 =
     /// exponentially distributed with the configured means (JVM-era RPC
-    /// handling is heavy-tailed; this is what makes waiting for *all*
-    /// replicas expensive relative to waiting for the fastest).
+    /// handling is heavy-tailed, GC stragglers included; this is what makes
+    /// waiting for *all* replicas expensive relative to waiting for the
+    /// fastest).
     pub jitter: f64,
 }
 
@@ -88,8 +81,6 @@ impl NodeConfig {
             topology: Topology::single_rack(nodes, profile.nic.prop_us),
             rpc_timeout_us: 2_000_000,
             admission: AdmissionConfig::off(),
-            pause_interval_us: 0,
-            pause_duration_us: 50_000,
             jitter: 1.0,
         }
     }
@@ -106,8 +97,6 @@ pub trait NodeEvent {
     fn deliver(token: u64, op: OpKey, result: OpResult) -> Self;
     /// One chunk of `node`'s background-I/O backlog is due.
     fn bg_io(node: NodeId) -> Self;
-    /// A stop-the-world pause begins on `node`.
-    fn gc_pause(node: NodeId) -> Self;
 }
 
 /// One in-flight op.
@@ -141,9 +130,7 @@ pub struct Runtime<S, E> {
     nodes: Vec<Node>,
     pending: Slab<InFlight<S>>,
     completed: Vec<Completion>,
-    pauses_started: bool,
     shed: u64,
-    gc_pauses: u64,
     /// The span tracer (disabled by default; the driver enables it and
     /// registers which tokens to record).
     pub tracer: Tracer,
@@ -163,9 +150,7 @@ impl<S, E: NodeEvent> Runtime<S, E> {
             config,
             pending: Slab::new(),
             completed: Vec::new(),
-            pauses_started: false,
             shed: 0,
-            gc_pauses: 0,
             tracer: Tracer::new(),
             _event: PhantomData,
         }
@@ -216,11 +201,6 @@ impl<S, E: NodeEvent> Runtime<S, E> {
         self.shed
     }
 
-    /// Stop-the-world pauses taken across the cluster.
-    pub fn gc_pauses(&self) -> u64 {
-        self.gc_pauses
-    }
-
     /// Hand a finished op to the driver (with its next drain).
     pub fn complete(&mut self, token: u64, result: OpResult) {
         self.completed.push(Completion { token, result });
@@ -239,9 +219,9 @@ impl<S, E: NodeEvent> Runtime<S, E> {
 
     /// The front door. When admission control sheds the op the completion
     /// is an immediate [`OpError::Overloaded`]: no event is scheduled and no
-    /// RNG is drawn. Otherwise the first submit starts the pause schedule
-    /// and `route` picks the serving node and builds the op's state, or
-    /// returns the store's fast-fail verdict as an immediate completion. A
+    /// RNG is drawn. Otherwise `route` picks the serving node and builds the
+    /// op's state, or returns the store's fast-fail verdict as an immediate
+    /// completion. A
     /// routed request of `req_bytes` is received at its node, its `Arrive`
     /// is scheduled, and its RPC timer armed, in that order.
     pub fn submit<W: From<E>>(
@@ -259,16 +239,6 @@ impl<S, E: NodeEvent> Runtime<S, E> {
                 .record(token, Stage::AdmissionQueue, 0, now, now);
             self.complete(token, OpResult::Error(OpError::Overloaded));
             return;
-        }
-        if !self.pauses_started {
-            self.pauses_started = true;
-            if self.config.pause_interval_us > 0 {
-                for i in 0..self.nodes.len() {
-                    // Stagger first pauses uniformly over one interval.
-                    let delay = sim.rng().below(self.config.pause_interval_us);
-                    sim.schedule_in(delay, W::from(E::gc_pause(NodeId(i as u32))));
-                }
-            }
         }
         let (node, state) = match route(self) {
             Ok(routed) => routed,
@@ -439,35 +409,6 @@ impl<S, E: NodeEvent> Runtime<S, E> {
             n.draining = false;
         }
     }
-
-    /// A stop-the-world pause: every core on `node` is blocked for
-    /// `pause_duration_us`, then the next pause is scheduled one interval
-    /// later with ±50% jitter. Pauses model allocation-pressure GC, so they
-    /// run only while ops are in flight: going quiet stops the schedule
-    /// (letting the simulation quiesce) and the next submit restarts it.
-    pub fn on_gc_pause<W: From<E>>(&mut self, sim: &mut Sim<W>, node: NodeId) {
-        let dur = self.config.pause_duration_us;
-        let interval = self.config.pause_interval_us;
-        if dur == 0 || interval == 0 {
-            return;
-        }
-        if self.pending.is_empty() {
-            self.pauses_started = false;
-            return;
-        }
-        let hw = &mut self.nodes[node.index()].hw;
-        if hw.is_up() {
-            self.gc_pauses += 1;
-            let now = sim.now();
-            self.tracer
-                .record_bg(Stage::GcPause, node.0, now, now + dur);
-            for _ in 0..hw.cpu.servers() {
-                hw.cpu.acquire(now, dur);
-            }
-        }
-        let jitter = interval / 2 + sim.rng().below(interval);
-        sim.schedule_in(dur + jitter, W::from(E::gc_pause(node)));
-    }
 }
 
 #[cfg(test)]
@@ -481,7 +422,6 @@ mod tests {
         Timeout(OpKey),
         Deliver(u64, OpResult),
         BgIo(NodeId),
-        GcPause(NodeId),
     }
 
     impl NodeEvent for Ev {
@@ -496,9 +436,6 @@ mod tests {
         }
         fn bg_io(node: NodeId) -> Self {
             Ev::BgIo(node)
-        }
-        fn gc_pause(node: NodeId) -> Self {
-            Ev::GcPause(node)
         }
     }
 
@@ -517,70 +454,10 @@ mod tests {
     }
 
     #[test]
-    fn gc_pauses_stagger_from_the_sim_rng_block_every_core_and_stop_when_idle() {
-        const INTERVAL: u64 = 10_000;
-        const DUR: u64 = 1_000;
-        let run = || {
-            let mut rt = runtime(2, |c| {
-                c.pause_interval_us = INTERVAL;
-                c.pause_duration_us = DUR;
-            });
-            let mut sim: Sim<Ev> = Sim::new(7);
-            let mut pauses = Vec::new();
-            for round in 0..2 {
-                // The first submit after a quiet spell restarts the
-                // schedule, staggered by two draws from the sim RNG.
-                let submitted_at = sim.now();
-                let mut expect = sim.rng().clone();
-                let stagger: Vec<_> = (0..2).map(|_| expect.below(INTERVAL)).collect();
-                submit(&mut rt, &mut sim, round, OpTag::default());
-                let mut op = None;
-                let mut taken = Vec::new();
-                while let Some(ev) = sim.next() {
-                    match ev {
-                        Ev::Arrive(k) => op = Some(k),
-                        Ev::GcPause(n) => {
-                            let counted = rt.gc_pauses();
-                            rt.on_gc_pause(&mut sim, n);
-                            if rt.gc_pauses() == counted {
-                                continue;
-                            }
-                            let now = sim.now();
-                            // Even the earliest free core waits out the pause.
-                            assert_eq!(rt.hw_mut(n).cpu.acquire(now, 0), now + DUR);
-                            taken.push((now - submitted_at, n));
-                            if taken.len() == 4 {
-                                // The slab empties: pauses stop.
-                                let op = op.expect("arrived before the 4th pause");
-                                assert!(rt.retire(&mut sim, op).is_some());
-                            }
-                        }
-                        Ev::Timeout(_) => {}
-                        other => panic!("unexpected {other:?}"),
-                    }
-                }
-                assert_eq!(taken.len(), 4, "no pause while idle");
-                let mut first: Vec<_> = taken[..2].to_vec();
-                first.sort_by_key(|&(_, n)| n);
-                assert_eq!(
-                    first,
-                    vec![(stagger[0], NodeId(0)), (stagger[1], NodeId(1))]
-                );
-                pauses.extend(taken);
-            }
-            assert_eq!(rt.gc_pauses(), 8);
-            (pauses, sim.now(), sim.dispatched())
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
     fn an_admission_shed_is_an_immediate_overloaded_completion() {
         // Strict priority halves the bound per priority level, so with a
-        // bound of 1 a priority-1 op is shed even into an empty cluster —
-        // before the pause schedule (which would draw the RNG) starts.
+        // bound of 1 a priority-1 op is shed even into an empty cluster.
         let mut rt = runtime(2, |c| {
-            c.pause_interval_us = 10_000;
             c.admission = AdmissionConfig { max_in_flight: 1 };
         });
         let mut sim: Sim<Ev> = Sim::new(3);

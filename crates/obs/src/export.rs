@@ -41,7 +41,8 @@ impl OpTrace {
 pub struct RunTrace {
     /// Sampled ops, ascending by logical id.
     pub ops: Vec<OpTrace>,
-    /// Background spans (GC pauses, fire-and-forget repair writes).
+    /// Background spans (cross-region WAL shipments, fire-and-forget repair
+    /// writes).
     pub background: Vec<StageSpan>,
 }
 
@@ -128,7 +129,7 @@ mod tests {
             }],
             background: vec![StageSpan {
                 op: 0,
-                stage: Stage::GcPause,
+                stage: Stage::WanHop,
                 node: 1,
                 start: 0,
                 end: 40,
@@ -148,7 +149,7 @@ mod tests {
             lines[0].contains("{\"stage\":\"quorum_wait\",\"node\":3,\"start\":115,\"end\":150}")
         );
         assert!(lines[1].starts_with("{\"background\":["));
-        assert!(lines[1].contains("gc_pause"));
+        assert!(lines[1].contains("wan_hop"));
         // Deterministic: same value renders identically.
         assert_eq!(jsonl, sample().to_jsonl());
     }

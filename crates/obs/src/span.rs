@@ -6,7 +6,7 @@ use simkit::SimTime;
 /// Node id used for client-side spans (the driver is not a cluster node).
 pub const CLIENT_NODE: u32 = u32::MAX;
 
-/// Op id used for background spans (GC pauses, repair writes) that belong
+/// Op id used for background spans (WAL shipments, repair writes) that belong
 /// to no client operation. Store-internal ops already use token `0` for
 /// fire-and-forget work, so the tracer routes it to the background lane.
 pub const BG_OP: u64 = 0;

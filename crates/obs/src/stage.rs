@@ -41,9 +41,6 @@ pub enum Stage {
     RespSend,
     /// Client-side retry backoff between attempts.
     RetryBackoff,
-    /// A stop-the-world GC pause (background span; shows up on the critical
-    /// path only indirectly, via inflated CPU waits).
-    GcPause,
     /// A cross-region (WAN) network hop: replica RPC or WAL shipment whose
     /// endpoints sit in different datacenters.
     WanHop,
@@ -57,7 +54,7 @@ pub enum Stage {
 
 impl Stage {
     /// All stages, in discriminant (= export column) order.
-    pub const ALL: [Stage; 19] = [
+    pub const ALL: [Stage; 18] = [
         Stage::ClientSend,
         Stage::ServerCpu,
         Stage::ReplicaRpc,
@@ -73,7 +70,6 @@ impl Stage {
         Stage::ScanRows,
         Stage::RespSend,
         Stage::RetryBackoff,
-        Stage::GcPause,
         Stage::WanHop,
         Stage::AdmissionQueue,
         Stage::Wait,
@@ -97,7 +93,6 @@ impl Stage {
             Stage::ScanRows => "scan_rows",
             Stage::RespSend => "resp_send",
             Stage::RetryBackoff => "retry_backoff",
-            Stage::GcPause => "gc_pause",
             Stage::WanHop => "wan_hop",
             Stage::AdmissionQueue => "admission_queue",
             Stage::Wait => "wait",

@@ -71,8 +71,9 @@ impl Tracer {
         });
     }
 
-    /// Record a background span (GC pause, fire-and-forget repair write)
-    /// that belongs to no client op. Gated only on the enable bit.
+    /// Record a background span (cross-region WAL shipment, fire-and-forget
+    /// repair write) that belongs to no client op. Gated only on the enable
+    /// bit.
     #[inline]
     pub fn record_bg(&mut self, stage: Stage, node: u32, start: SimTime, end: SimTime) {
         if !self.enabled || end <= start {
@@ -153,7 +154,7 @@ mod tests {
         let mut t = Tracer::new();
         t.watch(7);
         t.record(7, Stage::ServerCpu, 0, 10, 20);
-        t.record_bg(Stage::GcPause, 1, 0, 100);
+        t.record_bg(Stage::WanHop, 1, 0, 100);
         assert!(t.spans.is_empty());
         assert!(!t.watching(7));
     }
@@ -167,7 +168,7 @@ mod tests {
         t.record(8, Stage::ServerCpu, 0, 10, 20); // unwatched
         t.record(7, Stage::ServerCpu, 0, 20, 20); // empty
         t.record(7, Stage::ServerCpu, 0, 20, 10); // inverted
-        t.record_bg(Stage::GcPause, 1, 0, 100); // background, unconditional
+        t.record_bg(Stage::WanHop, 1, 0, 100); // background, unconditional
         assert!(t.watching(7));
         assert!(!t.watching(8));
         let spans = t.take_spans();

@@ -28,9 +28,10 @@
 //!   testbed.
 //! * `topology` — cluster/rack layout, regions and their WAN delays, and
 //!   inter-node latency.
-//! * `rng` — a seedable, platform-stable xoshiro256** RNG implementing
-//!   `rand::RngCore`, so every experiment is reproducible bit-for-bit, and
-//!   the one [`splitmix64`] mixer every seeded derivation uses.
+//! * `rng` — a seedable, platform-stable xoshiro256** RNG with the
+//!   uniform, unit-interval and Bernoulli draws the workspace uses, so
+//!   every experiment is reproducible bit-for-bit, and the one
+//!   [`splitmix64`] mixer every seeded derivation uses.
 //! * `hash` — a seeded deterministic FxHash-style hasher
 //!   ([`FastHashMap`]) replacing SipHash on hot lookup maps (block cache,
 //!   staleness watermarks, file indexes) where iteration order is

@@ -3,10 +3,9 @@
 //! Experiments must reproduce bit-for-bit from a seed, so we avoid RNGs whose
 //! output is allowed to change between library versions and implement
 //! xoshiro256** seeded through splitmix64 (the reference seeding procedure).
-//! The generator implements [`rand::RngCore`], so all `rand` distributions
-//! work on top of it.
-
-use rand::{Error, RngCore, SeedableRng};
+//! Every draw of the workspace goes through [`SimRng::next_u64`]: the
+//! uniform integer ([`SimRng::below`]), unit-interval ([`SimRng::unit`]) and
+//! Bernoulli ([`SimRng::chance`]) draws are built on it.
 
 /// The splitmix64 mixer: adds the golden-ratio increment to `x`, then
 /// applies the finalizer. Called with `seed`, `seed + γ`, `seed + 2γ`, …
@@ -44,6 +43,21 @@ impl SimRng {
         Self { s }
     }
 
+    /// Next 64 uniformly random bits.
+    #[inline]
+    pub fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
+    }
+
     /// Next value in `[0, bound)`. Uses Lemire's multiply-shift reduction;
     /// the tiny modulo bias is irrelevant for simulation purposes.
     #[inline]
@@ -63,47 +77,6 @@ impl SimRng {
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.unit() < p
-    }
-}
-
-impl RngCore for SimRng {
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        let s = &mut self.s;
-        let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-        let t = s[1] << 17;
-        s[2] ^= s[0];
-        s[3] ^= s[1];
-        s[1] ^= s[2];
-        s[0] ^= s[3];
-        s[2] ^= t;
-        s[3] = s[3].rotate_left(45);
-        result
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let v = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
-impl SeedableRng for SimRng {
-    type Seed = [u8; 8];
-
-    fn from_seed(seed: Self::Seed) -> Self {
-        Self::new(u64::from_le_bytes(seed))
     }
 }
 
@@ -142,11 +115,15 @@ mod tests {
         // values were produced by this implementation and must never change.
         let mut r = SimRng::new(0);
         let got: Vec<u64> = (0..4).map(|_| r.next_u64()).collect();
-        let again: Vec<u64> = {
-            let mut r2 = SimRng::new(0);
-            (0..4).map(|_| r2.next_u64()).collect()
-        };
-        assert_eq!(got, again);
+        assert_eq!(
+            got,
+            [
+                0x99ec_5f36_cb75_f2b4,
+                0xbf6e_1f78_4956_452a,
+                0x1a5f_849d_4933_e6e0,
+                0x6aa5_94f1_262d_2d2c,
+            ]
+        );
     }
 
     #[test]
@@ -182,22 +159,5 @@ mod tests {
         let hits = (0..n).filter(|_| r.chance(0.1)).count();
         let rate = hits as f64 / n as f64;
         assert!((rate - 0.1).abs() < 0.01, "rate={rate}");
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut r = SimRng::new(3);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        // Overwhelmingly unlikely to remain zero.
-        assert!(buf.iter().any(|&b| b != 0));
-    }
-
-    #[test]
-    fn works_with_rand_distributions() {
-        use rand::Rng;
-        let mut r = SimRng::new(17);
-        let x: f64 = r.gen_range(0.0..10.0);
-        assert!((0.0..10.0).contains(&x));
     }
 }

@@ -230,7 +230,6 @@ mod tests {
     fn rng_is_seed_deterministic() {
         let mut a: Sim<()> = Sim::new(99);
         let mut b: Sim<()> = Sim::new(99);
-        use rand::RngCore;
         assert_eq!(a.rng().next_u64(), b.rng().next_u64());
     }
 

@@ -77,7 +77,6 @@ proptest! {
     /// The RNG is reproducible and its unit draws stay in [0, 1).
     #[test]
     fn rng_reproducible_and_bounded(seed in any::<u64>()) {
-        use rand::RngCore;
         let mut a = SimRng::new(seed);
         let mut b = SimRng::new(seed);
         for _ in 0..64 {

@@ -17,16 +17,15 @@
 //!
 //! Everything here is deterministic given an RNG: interarrivals are inverse
 //! -CDF draws, tenant selection is a single uniform draw against cumulative
-//! weights. The module is simulation-agnostic (plain `u64` microsecond
-//! times, any `rand::Rng`), like the rest of the crate.
+//! weights. Like the rest of the crate, the module draws from a
+//! [`SimRng`] and is otherwise simulation-agnostic (plain `u64`
+//! microsecond times).
 //!
 //! The arrival process feeds every open-loop run's event stream, so unwraps
 //! are banned (crate-wide, outside tests).
 
-use rand::Rng;
-
-/// Microseconds per second (local copy; the crate is simkit-agnostic).
-const MICROS_PER_SEC: f64 = 1_000_000.0;
+use simkit::time::MICROS_PER_SEC;
+use simkit::SimRng;
 
 /// One tenant in a multi-tenant open-loop mix.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,9 +72,9 @@ impl OpenLoop {
     /// Draw the next interarrival gap, µs: exponential with the offered
     /// rate (floored at 1e-9 arrivals/s, so a zero rate still gives finite
     /// gaps), floored at 1 µs so the event queue always advances.
-    pub fn next_interarrival_us<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        let lambda_per_us = self.ops_per_sec.max(1e-9) / MICROS_PER_SEC;
-        let u: f64 = rng.gen();
+    pub fn next_interarrival_us(&self, rng: &mut SimRng) -> u64 {
+        let lambda_per_us = self.ops_per_sec.max(1e-9) / MICROS_PER_SEC as f64;
+        let u = rng.unit();
         // Inverse CDF of Exp(λ); `1 - u` keeps the argument in (0, 1].
         let gap = -(1.0 - u).ln() / lambda_per_us;
         (gap as u64).max(1)
@@ -83,12 +82,12 @@ impl OpenLoop {
 
     /// Pick the issuing tenant for one arrival: a single uniform draw
     /// against cumulative weights. Returns the tenant index.
-    pub fn pick_tenant<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub fn pick_tenant(&self, rng: &mut SimRng) -> usize {
         if self.tenants.len() <= 1 {
             return 0;
         }
         let total: f64 = self.tenants.iter().map(|t| t.weight).sum();
-        let mut u: f64 = rng.gen::<f64>() * total;
+        let mut u = rng.unit() * total;
         for (i, t) in self.tenants.iter().enumerate() {
             u -= t.weight;
             if u <= 0.0 {
@@ -102,7 +101,6 @@ impl OpenLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::SimRng;
 
     fn rng(seed: u64) -> SimRng {
         SimRng::new(seed)

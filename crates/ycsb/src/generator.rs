@@ -5,8 +5,7 @@
 //! synthetic databases"* (the algorithm YCSB uses), with `theta = 0.99` and
 //! incremental zeta extension so the item count can grow during a run.
 
-use rand::Rng;
-use simkit::fnv1a;
+use simkit::{fnv1a, SimRng};
 
 /// YCSB's zipfian skew constant.
 pub(crate) const ZIPFIAN_CONSTANT: f64 = 0.99;
@@ -78,8 +77,8 @@ impl Zipfian {
     }
 
     /// Draw an item index in `[0, items)`.
-    pub fn next<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        let u: f64 = rng.gen();
+    pub fn next(&self, rng: &mut SimRng) -> u64 {
+        let u = rng.unit();
         let uz = u * self.zetan;
         if uz < 1.0 {
             return 0;
@@ -110,9 +109,9 @@ pub enum RequestDistribution {
 
 impl RequestDistribution {
     /// Draw an item index in `[0, items)`.
-    pub fn next<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    pub fn next(&self, rng: &mut SimRng) -> u64 {
         match self {
-            Self::Uniform { items } => rng.gen_range(0..*items),
+            Self::Uniform { items } => rng.below(*items),
             // FNV-1a over the 8 little-endian bytes, YCSB's scrambling
             // hash.
             Self::ScrambledZipfian(z) => fnv1a(&z.next(rng).to_le_bytes(), 0) % z.items(),
@@ -135,7 +134,6 @@ impl RequestDistribution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::SimRng;
 
     fn draws(dist: &RequestDistribution, n: usize) -> Vec<u64> {
         let mut rng = SimRng::new(42);

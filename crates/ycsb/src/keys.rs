@@ -13,8 +13,7 @@
 //! 10^5–10^6-record scale the experiments run at.
 
 use bytes::Bytes;
-use rand::Rng;
-use simkit::{fnv1a, fnv_avalanche};
+use simkit::{fnv1a, fnv_avalanche, SimRng};
 
 /// Width of the zero-padded numeric portion of a key (fits any `u64`).
 pub(crate) const KEY_DIGITS: usize = 20;
@@ -173,8 +172,8 @@ impl ValuePool {
     }
 
     /// Draw a value (refcounted clone of a pooled buffer).
-    pub fn next<R: Rng + ?Sized>(&self, rng: &mut R) -> Bytes {
-        let i = rng.gen_range(0..self.buffers.len());
+    pub fn next(&self, rng: &mut SimRng) -> Bytes {
+        let i = rng.below(self.buffers.len() as u64) as usize;
         self.buffers[i].clone()
     }
 }
@@ -182,7 +181,6 @@ impl ValuePool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::SimRng;
 
     #[test]
     fn keys_are_ordered_by_raw_position() {
@@ -280,7 +278,7 @@ mod tests {
         }
         let mut rng = SimRng::new(42);
         for _ in 0..100_000 {
-            check(rng.gen());
+            check(rng.next_u64());
         }
     }
 

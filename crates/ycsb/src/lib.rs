@@ -21,8 +21,9 @@
 //! * `validate` — stale-read detection, used to *measure* consistency
 //!   rather than assume it.
 //!
-//! The crate is simulation-agnostic: generators take any `rand::Rng`, and
-//! time is plain `u64` microseconds supplied by the caller.
+//! Generators draw from simkit's `SimRng`; otherwise the crate is
+//! simulation-agnostic: time is plain `u64` microseconds supplied by the
+//! caller.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -5,7 +5,7 @@
 //! runs rounds of a single atomic operation each. The YCSB core workloads
 //! A–F are included as well (the paper's five are adaptations of them).
 
-use rand::Rng;
+use simkit::SimRng;
 
 use crate::generator::{RequestDistribution, Zipfian};
 use storage::OpKind;
@@ -48,8 +48,8 @@ impl OpMix {
     }
 
     /// Draw an operation kind.
-    pub fn choose<R: Rng + ?Sized>(&self, rng: &mut R) -> OpKind {
-        let mut u: f64 = rng.gen();
+    pub fn choose(&self, rng: &mut SimRng) -> OpKind {
+        let mut u = rng.unit();
         for (frac, kind) in [
             (self.read, OpKind::Read),
             (self.update, OpKind::Update),
@@ -111,8 +111,8 @@ impl WorkloadSpec {
     }
 
     /// Draw a scan length.
-    pub fn scan_len<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        rng.gen_range(1..=self.max_scan_len.max(1))
+    pub fn scan_len(&self, rng: &mut SimRng) -> usize {
+        1 + rng.below(self.max_scan_len.max(1) as u64) as usize
     }
 
     // ----- the paper's Table 1 -----
@@ -277,7 +277,6 @@ impl WorkloadSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::SimRng;
 
     #[test]
     fn paper_mixes_are_valid_and_match_table1() {

@@ -4,8 +4,10 @@
 //! registry order, in one process; at full scale that run writes all of
 //! `results/`. A `<name>` (`table1`, `fig1`…`fig8`, `fig10`, `ablations`)
 //! runs that figure alone. Each figure's tables go to stdout, its
-//! CSV/JSONL files under `RESULTS_DIR`, its timing, peak RSS and sweep
-//! telemetry to stderr. `--quick` runs the smoke-scale configurations;
+//! CSV/JSONL files under `RESULTS_DIR`, its wall time and sweep telemetry
+//! to stderr. The process's peak RSS closes stderr: on the figure's own
+//! line for a named run, on an `all: done in …` line for the whole
+//! registry. `--quick` runs the smoke-scale configurations;
 //! `results/` holds only full-scale files, so a quick run needs
 //! `RESULTS_DIR` and is refused without it, while a full-scale run writes
 //! to `results/` by default. `SWEEP_THREADS=n` sets the worker count
@@ -105,6 +107,20 @@ fn peak_rss_mb(status: &str) -> Option<f64> {
     Some(kb / 1024.0)
 }
 
+/// The stderr line that ends the run of `name`: its wall time, and the
+/// peak RSS when `peak_mb` is given.
+fn done_line(name: &str, secs: f64, peak_mb: Option<f64>) -> String {
+    match peak_mb {
+        Some(mb) => format!("{name}: done in {secs:.1}s, peak RSS {mb:.0} MB"),
+        None => format!("{name}: done in {secs:.1}s"),
+    }
+}
+
+/// The process's peak RSS so far, in MB; `None` where `/proc` is missing.
+fn own_peak_rss_mb() -> Option<f64> {
+    peak_rss_mb(&std::fs::read_to_string("/proc/self/status").unwrap_or_default())
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Run {
@@ -119,15 +135,16 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    // `VmHWM` only grows, so a per-figure reading of a whole-registry run
+    // would repeat the largest figure's so far: report it once, at the end.
+    let named = figures.len() == 1;
+    let started = std::time::Instant::now();
     for (name, figure) in figures {
-        let started = std::time::Instant::now();
+        let figure_started = std::time::Instant::now();
         let report = figure(quick, &sweep);
-        let secs = started.elapsed().as_secs_f64();
-        let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-        match peak_rss_mb(&status) {
-            Some(mb) => eprintln!("{name}: done in {secs:.1}s, peak RSS {mb:.0} MB"),
-            None => eprintln!("{name}: done in {secs:.1}s"),
-        }
+        let secs = figure_started.elapsed().as_secs_f64();
+        let peak = if named { own_peak_rss_mb() } else { None };
+        eprintln!("{}", done_line(name, secs, peak));
         if let Some(telemetry) = &report.telemetry {
             eprintln!("{name}: {}", telemetry.summary());
         }
@@ -135,6 +152,10 @@ fn main() -> ExitCode {
             eprintln!("{name}: cannot write under {}: {e}", dir.display());
             return ExitCode::FAILURE;
         }
+    }
+    if !named {
+        let secs = started.elapsed().as_secs_f64();
+        eprintln!("{}", done_line("all", secs, own_peak_rss_mb()));
     }
     ExitCode::SUCCESS
 }
@@ -149,6 +170,16 @@ mod tests {
         assert_eq!(peak_rss_mb(status), Some(433.0));
         assert_eq!(peak_rss_mb("Name:\tfig\n"), None);
         assert_eq!(peak_rss_mb(""), None);
+    }
+
+    #[test]
+    fn a_done_line_carries_peak_rss_only_when_given() {
+        assert_eq!(done_line("fig1", 3.44, None), "fig1: done in 3.4s");
+        // CI reads the peak from the `, peak RSS <n> MB` line end.
+        assert_eq!(
+            done_line("all", 19.04, Some(227.6)),
+            "all: done in 19.0s, peak RSS 228 MB"
+        );
     }
 
     fn strings(args: &[&str]) -> Vec<String> {

@@ -136,7 +136,6 @@ fn hstore_plain_run_is_pinned() {
                 ("flushes", 0),
                 ("compactions", 0),
                 ("regions_moved", 0),
-                ("gc_pauses", 0),
                 ("wal_ships", 0),
                 ("shed", 0),
             ],
@@ -170,7 +169,6 @@ fn cstore_plain_run_is_pinned() {
                 ("hints_replayed", 0),
                 ("flushes", 0),
                 ("compactions", 0),
-                ("gc_pauses", 0),
                 ("shed", 0),
             ],
         },
@@ -205,7 +203,6 @@ fn hstore_run_with_firing_timeouts_is_pinned() {
                 ("flushes", 0),
                 ("compactions", 0),
                 ("regions_moved", 1),
-                ("gc_pauses", 0),
                 ("wal_ships", 0),
                 ("shed", 0),
             ],
@@ -240,7 +237,6 @@ fn cstore_run_with_firing_timeouts_is_pinned() {
                 ("hints_replayed", 398),
                 ("flushes", 0),
                 ("compactions", 0),
-                ("gc_pauses", 0),
                 ("shed", 0),
             ],
         },

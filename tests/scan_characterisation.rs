@@ -90,7 +90,6 @@ fn cstore_counters(
         ("hints_replayed", 0),
         ("flushes", flushes),
         ("compactions", compactions),
-        ("gc_pauses", 0),
         ("shed", 0),
     ]
 }
@@ -148,7 +147,6 @@ fn hstore_scan_run_is_pinned() {
                 ("flushes", 9),
                 ("compactions", 0),
                 ("regions_moved", 0),
-                ("gc_pauses", 0),
                 ("wal_ships", 0),
                 ("shed", 0),
             ],

@@ -4,18 +4,23 @@
 #
 #   tools/ab.sh <parent-rev> <workload> <pairs> [seed]
 #
-# Builds `benchmark/` (release, offline) once from a `git worktree` of
-# <parent-rev> under ${TMPDIR:-/tmp} and once from this checkout, both into
-# target directories there. Then runs <pairs> pairs of untraced
-# (`--trace 0`) runs of <workload> at <seed> (default 42), the parent first
-# in odd pairs and the change first in even ones, so that drift in the
-# box's speed falls on both sides alike. For every end-to-end metric of
-# BENCHMARK.json it prints both medians with their quartiles, the change
-# of the median in %, and in how many pairs the change was the better
-# side; then whether every run gave the same model fingerprint per side.
+# Builds `benchmark/` (release, offline) twice in one `git worktree` under
+# ${TMPDIR:-/tmp}, into one target directory: first at <parent-rev>, then
+# at this checkout's working tree (tracked and untracked files, less those
+# git ignores). Both sides build from the same path because the source
+# path reaches the binary (path package ids enter the symbol hashes), and
+# two builds of one source at two paths can differ by a few percent in
+# speed. It prints whether the two binaries are identical. Then it runs
+# <pairs> pairs of untraced (`--trace 0`) runs of <workload> at <seed>
+# (default 42), the parent first in odd pairs and the change first in
+# even ones, so that drift in the box's speed falls on both sides alike.
+# For every end-to-end metric of BENCHMARK.json it prints both medians
+# with their quartiles, the change of the median in %, and in how many
+# pairs the change was the better side; then whether every run gave the
+# same model fingerprint per side.
 #
-# On exit it removes the worktree and its builds and restores
-# benchmark/Cargo.lock, which a build rewrites. It edits nothing else.
+# On exit it removes the worktree and its builds. It edits nothing in this
+# checkout.
 set -eu
 
 usage() {
@@ -36,33 +41,46 @@ git -C "$root" rev-parse --verify --quiet "$rev^{commit}" > /dev/null || {
     exit 2
 }
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/ab.XXXXXX")
-lock=$root/benchmark/Cargo.lock
-cp "$lock" "$tmp/Cargo.lock"
 
 cleanup() {
-    git -C "$root" worktree remove --force "$tmp/parent" 2> /dev/null || true
+    git -C "$root" worktree remove --force "$tmp/src" 2> /dev/null || true
     git -C "$root" worktree prune
-    cp "$tmp/Cargo.lock" "$lock"
     rm -rf "$tmp"
 }
 trap cleanup EXIT
 trap 'exit 130' INT TERM
 
-git -C "$root" worktree add --detach --quiet "$tmp/parent" "$rev"
+# The working tree as a commit, through an index of its own: the real
+# index and the working tree stay as they are.
+cp "$(git -C "$root" rev-parse --path-format=absolute --git-path index)" "$tmp/index"
+GIT_INDEX_FILE=$tmp/index git -C "$root" add -A
+tree=$(GIT_INDEX_FILE=$tmp/index git -C "$root" write-tree)
+change=$(GIT_AUTHOR_NAME=ab GIT_AUTHOR_EMAIL=ab GIT_COMMITTER_NAME=ab \
+    GIT_COMMITTER_EMAIL=ab git -C "$root" commit-tree -m "working tree" "$tree")
 
-# build <checkout> <side>: the side's benchmark binary.
+git -C "$root" worktree add --detach --quiet "$tmp/src" "$rev"
+
+# build <commit> <side>: check <commit> out in the worktree and build the
+# side's benchmark binary there, then keep it as <side>.bin.
 build() {
     echo "building $2 ($1)" >&2
-    CARGO_TARGET_DIR=$tmp/$2-target cargo build --release --quiet --offline \
-        --manifest-path "$1/benchmark/Cargo.toml"
+    git -C "$tmp/src" checkout --quiet --force --detach "$1"
+    CARGO_TARGET_DIR=$tmp/target cargo build --release --quiet --offline \
+        --manifest-path "$tmp/src/benchmark/Cargo.toml"
+    cp "$tmp/target/release/layered-benchmark" "$tmp/$2.bin"
 }
-build "$tmp/parent" parent
-build "$root" change
+build "$rev" parent
+build "$change" change
+if cmp -s "$tmp/parent.bin" "$tmp/change.bin"; then
+    binaries=identical
+else
+    binaries=different
+fi
 
 # run <side> <pair>: one run; its stdout goes to <side>.<pair>.
 run() {
     echo "pair $2/$pairs: $1" >&2
-    "$tmp/$1-target/release/layered-benchmark" --workload "$workload" \
+    "$tmp/$1.bin" --workload "$workload" \
         --seed "$seed" --trace 0 > "$tmp/$1.$2"
 }
 i=1
@@ -94,6 +112,7 @@ for side in parent change; do
 done > "$tmp/values"
 
 echo "$workload, seed $seed, $pairs pairs: parent $(git -C "$root" rev-parse --short "$rev"), change = working tree"
+echo "benchmark binaries: $binaries"
 awk -v pairs="$pairs" '
     # Quantile p of the sorted values v[1..n], interpolated between ranks.
     function quantile(v, n, p,    pos, lo) {

@@ -6,8 +6,10 @@
 # `pub fn|struct|enum|trait|type|const|mod|use` lines among them) and public
 # fields (the `pub <name>:` lines among them: the settable values). Then a
 # `total` line over all crates, the crate count, an `examples` line (every
-# line of examples/*.rs), and the store layer: cstore + hstore + node +
-# core/src/store.rs, without hstore's filesystem module (src/dfs.rs).
+# line of examples/*.rs), a `shims` line (the non-test lines of the offline
+# dependency shims under shims/, in total and per shim), and the store
+# layer: cstore + hstore + node + core/src/store.rs, without hstore's
+# filesystem module (src/dfs.rs).
 #
 # Usage: tools/loc.sh   (from any directory)
 set -eu
@@ -42,6 +44,15 @@ printf '%-10s %9s\n' crates "$#"
 # shellcheck disable=SC2046
 set -- $(cat $(find examples -name '*.rs' | sort) | wc -l)
 printf '%-10s %9s\n' examples "$1"
+each=
+for dir in shims/*/; do
+    # shellcheck disable=SC2046
+    set -- $(count $(find "$dir/src" -name '*.rs' | sort))
+    each="$each${each:+, }$(basename "$dir") $1"
+done
+# shellcheck disable=SC2046
+set -- $(count $(find shims/*/src -name '*.rs' | sort))
+printf '%-10s %9s  (%s)\n' shims "$1" "$each"
 # shellcheck disable=SC2046
 set -- $(count $(find crates/cstore/src crates/hstore/src crates/node/src -name '*.rs' \
     -not -path crates/hstore/src/dfs.rs | sort) crates/core/src/store.rs)
