@@ -72,6 +72,10 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     /// Sequence number the next pushed event gets.
     seq: u64,
+    /// Debug builds: `(time, seq)` of the last popped event, which every
+    /// later push must sort after.
+    #[cfg(debug_assertions)]
+    popped: Option<(SimTime, u64)>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -88,10 +92,13 @@ impl<E> EventQueue<E> {
             first: None,
             heap: BinaryHeap::new(),
             seq: 0,
+            #[cfg(debug_assertions)]
+            popped: None,
         }
     }
 
-    /// Schedule `event` to fire at absolute time `time`.
+    /// Schedule `event` to fire at absolute time `time`, which must not
+    /// precede the last popped event's.
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.reserve_seq();
         self.push_seq(time, seq, event);
@@ -113,6 +120,15 @@ impl<E> EventQueue<E> {
     /// order, each once, and `(time, seq)` must sort after the last popped
     /// event: the pop order stays the total `(time, seq)` order.
     pub fn push_seq(&mut self, time: SimTime, seq: u64, event: E) {
+        #[cfg(debug_assertions)]
+        if let Some(popped) = self.popped {
+            debug_assert!(
+                (time, seq) > popped,
+                "event ({time}, {seq}) pushed behind the popped ({}, {})",
+                popped.0,
+                popped.1
+            );
+        }
         let entry = Entry { time, seq, event };
         let earliest = match &self.first {
             Some(first) => entry.before(first),
@@ -135,6 +151,10 @@ impl<E> EventQueue<E> {
     pub(crate) fn pop_seq(&mut self) -> Option<(SimTime, u64, E)> {
         self.debug_check();
         let e = self.first.take().or_else(|| self.heap.pop())?;
+        #[cfg(debug_assertions)]
+        {
+            self.popped = Some((e.time, e.seq));
+        }
         Some((e.time, e.seq, e.event))
     }
 
@@ -208,9 +228,9 @@ mod tests {
         q.push(10, 10);
         q.push(5, 5);
         assert_eq!(q.pop(), Some((5, 5)));
-        q.push(1, 1);
+        q.push(7, 7);
         q.push(20, 20);
-        assert_eq!(q.pop(), Some((1, 1)));
+        assert_eq!(q.pop(), Some((7, 7)));
         assert_eq!(q.pop(), Some((10, 10)));
         assert_eq!(q.pop(), Some((20, 20)));
     }
@@ -306,6 +326,18 @@ mod tests {
         assert_eq!(q.pop_seq(), Some((10, reserved, 2)));
         assert_eq!(q.pop_seq(), Some((10, 1, 1)));
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "pushed behind the popped (10, 1)")]
+    fn a_push_behind_the_popped_event_panics_in_debug_builds() {
+        let mut q = EventQueue::new();
+        let reserved = q.reserve_seq();
+        q.push(10, 1);
+        assert_eq!(q.pop(), Some((10, 1)));
+        // Same instant, but reserved before the popped event's number.
+        q.push_seq(10, reserved, 2);
     }
 
     #[test]

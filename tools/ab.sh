@@ -77,11 +77,18 @@ else
     binaries=different
 fi
 
-# run <side> <pair>: one run; its stdout goes to <side>.<pair>.
+# run <side> <pair>: one run; its stdout goes to <side>.<pair>. A run that
+# fails the benchmark's own checks exits non-zero: say which, and why (its
+# `wrong` and `ops_failed` lines), before the cleanup removes its stdout.
 run() {
     echo "pair $2/$pairs: $1" >&2
     "$tmp/$1.bin" --workload "$workload" \
-        --seed "$seed" --trace 0 > "$tmp/$1.$2"
+        --seed "$seed" --trace 0 > "$tmp/$1.$2" || {
+        status=$?
+        echo "tools/ab.sh: the $1 run of pair $2/$pairs exited $status:" >&2
+        grep -E '^(wrong |info [^ ]+ ops_failed )' "$tmp/$1.$2" >&2 || true
+        exit 1
+    }
 }
 i=1
 while [ "$i" -le "$pairs" ]; do
