@@ -1,8 +1,10 @@
 //! The operation-history model: what the driver records, what the
 //! checkers replay.
 
+use std::cmp::Reverse;
+
 use simkit::SimTime;
-use storage::{Key, OpKind};
+use storage::OpKind;
 
 /// Driver-side recording configuration: off, or every settled operation.
 ///
@@ -59,14 +61,18 @@ pub enum Fate {
 
 /// One settled logical operation: an invocation/response interval in
 /// virtual time plus what came back.
+///
+/// The record names its target by YCSB record id, not by key: the key is
+/// `ycsb::encode_key(id)`, one per id, so a history holds no key bytes and
+/// keeps none of the driver's key buffers alive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpRecord {
     /// The issuing client (closed loop: client thread; open loop: tenant).
     pub client: u32,
     /// Operation kind as issued.
     pub kind: OpKind,
-    /// The key (a scan's start key).
-    pub key: Key,
+    /// The record id whose key the op targets (a scan: its start key's).
+    pub id: u64,
     /// Invocation: virtual time the client issued the op.
     pub issued: SimTime,
     /// Response: virtual time the op settled (success or give-up).
@@ -190,20 +196,21 @@ impl History {
         c
     }
 
-    /// Distinct point-op keys ordered by activity (record count,
-    /// descending; ties by key bytes) — the designated-key selector for
-    /// the linearizability checker. Scans are excluded.
-    pub fn keys_by_activity(&self) -> Vec<Key> {
-        let mut count: simkit::FastHashMap<Key, u64> = simkit::FastHashMap::default();
+    /// The record ids of distinct point-op keys, ordered by activity
+    /// (record count, descending; ties by key bytes, `encode_key(id)`, not
+    /// by id) — the designated-key selector for the linearizability
+    /// checker. Scans are excluded.
+    pub fn keys_by_activity(&self) -> Vec<u64> {
+        let mut count: simkit::FastHashMap<u64, u64> = simkit::FastHashMap::default();
         for r in &self.records {
             if matches!(r.kind, OpKind::Scan) {
                 continue;
             }
-            *count.entry(r.key.clone()).or_insert(0) += 1;
+            *count.entry(r.id).or_insert(0) += 1;
         }
-        let mut keys: Vec<(Key, u64)> = count.into_iter().collect();
-        keys.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        keys.into_iter().map(|(k, _)| k).collect()
+        let mut ids: Vec<(u64, u64)> = count.into_iter().collect();
+        ids.sort_by_cached_key(|&(id, n)| (Reverse(n), ycsb::encode_key(id)));
+        ids.into_iter().map(|(id, _)| id).collect()
     }
 }
 
@@ -219,17 +226,15 @@ impl History {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
 
-    fn k(s: &str) -> Key {
-        Bytes::copy_from_slice(s.as_bytes())
-    }
+    const A: u64 = 1;
+    const B: u64 = 2;
 
-    fn read(client: u32, key: &str, expected: u64, observed: Option<u64>) -> OpRecord {
+    fn read(client: u32, id: u64, expected: u64, observed: Option<u64>) -> OpRecord {
         OpRecord {
             client,
             kind: OpKind::Read,
-            key: k(key),
+            id,
             issued: 0,
             settled: 1,
             measured: true,
@@ -243,7 +248,7 @@ mod tests {
     #[test]
     fn disabled_recorder_records_nothing() {
         let mut r = Recorder::new(AuditConfig::off());
-        r.push(read(0, "a", 0, Some(1)));
+        r.push(read(0, A, 0, Some(1)));
         assert!(r.records.is_empty());
         assert!(r.finish().is_empty());
     }
@@ -251,13 +256,13 @@ mod tests {
     #[test]
     fn stale_counts_mirror_tracker_semantics() {
         let h = History::from_records(vec![
-            read(0, "a", 100, Some(100)), // fresh
-            read(0, "a", 100, Some(50)),  // stale
-            read(0, "a", 100, None),      // stale and missing
-            read(0, "b", 0, None),        // never written: clean
+            read(0, A, 100, Some(100)), // fresh
+            read(0, A, 100, Some(50)),  // stale
+            read(0, A, 100, None),      // stale and missing
+            read(0, B, 0, None),        // never written: clean
             OpRecord {
                 measured: false,
-                ..read(0, "a", 100, Some(50))
+                ..read(0, A, 100, Some(50))
             }, // warm-up: not judged
         ]);
         assert_eq!(
@@ -272,17 +277,30 @@ mod tests {
 
     #[test]
     fn keys_by_activity_orders_hot_first() {
+        let (cold, hot, scan_start) = (10, 11, 12);
         let h = History::from_records(vec![
-            read(0, "cold", 0, None),
-            read(0, "hot", 0, None),
-            read(1, "hot", 0, None),
+            read(0, cold, 0, None),
+            read(0, hot, 0, None),
+            read(1, hot, 0, None),
             OpRecord {
                 kind: OpKind::Scan,
                 fate: Fate::Scanned,
-                ..read(0, "scan-start", 0, None)
+                ..read(0, scan_start, 0, None)
             },
         ]);
-        let keys = h.keys_by_activity();
-        assert_eq!(keys, vec![k("hot"), k("cold")]);
+        assert_eq!(h.keys_by_activity(), vec![hot, cold]);
+    }
+
+    #[test]
+    fn keys_by_activity_breaks_ties_by_key_bytes_not_by_id() {
+        // Ids 1 < 42, but their keys sort the other way round.
+        assert!(ycsb::encode_key(42) < ycsb::encode_key(1));
+        let h = History::from_records(vec![
+            read(0, 1, 0, None),
+            read(0, 42, 0, None),
+            read(0, 7, 0, None),
+            read(1, 7, 0, None),
+        ]);
+        assert_eq!(h.keys_by_activity(), vec![7, 42, 1]);
     }
 }

@@ -1,11 +1,14 @@
 //! Client-centric consistency auditing over recorded operation histories.
 //!
-//! The driver asserts *server-side* consistency (quorum overlap, per-key
+//! The driver asserts *server-side* consistency (quorum overlap, per-record
 //! watermarks via `ycsb::StalenessTracker`); this crate answers the
 //! client's-eye question — "how stale is ONE, really?" — by recording every
 //! settled operation as an invocation/response interval
-//! ([`OpRecord`]: client, key, kind, issued, settled, value timestamp,
-//! outcome) and replaying the history through pure checkers:
+//! ([`OpRecord`]: client, record id, kind, issued, settled, value
+//! timestamp, outcome) and replaying the history through pure checkers.
+//! A record names its key by YCSB record id (the key is
+//! `ycsb::encode_key(id)`), so a history holds no key bytes; the checkers
+//! key their maps on `(client, id)` and `(id, ts)`:
 //!
 //! * [`check_sessions`] — read-your-writes, monotonic-reads,
 //!   monotonic-writes, and writes-follow-reads violation counts per

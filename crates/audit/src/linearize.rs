@@ -33,7 +33,7 @@
 //! none).
 
 use simkit::{FastHashMap, FastHashSet, SimTime};
-use storage::{Key, OpKind};
+use storage::OpKind;
 
 use crate::history::{Fate, History};
 
@@ -93,14 +93,15 @@ pub struct KeyOp {
     pub action: Action,
 }
 
-/// Extract one key's register history from a recorded run. Returns `None`
-/// when the key saw operations the register model cannot express
-/// (deletes — a tombstone's timestamp is invisible to reads), in which
-/// case the caller should report [`Verdict::Inconclusive`].
-pub fn key_ops(history: &History, key: &Key) -> Option<Vec<KeyOp>> {
+/// Extract the register history of record `id`'s key from a recorded
+/// run. Returns `None` when the key saw operations the register model
+/// cannot express (deletes — a tombstone's timestamp is invisible to
+/// reads), in which case the caller should report
+/// [`Verdict::Inconclusive`].
+pub fn key_ops(history: &History, id: &u64) -> Option<Vec<KeyOp>> {
     let mut ops = Vec::new();
     for r in history.records() {
-        if r.key != *key || matches!(r.kind, OpKind::Scan) {
+        if r.id != *id || matches!(r.kind, OpKind::Scan) {
             continue;
         }
         if matches!(r.kind, OpKind::Delete) {

@@ -10,7 +10,6 @@
 //! same convention the staleness tracker uses for foreign writes).
 
 use simkit::{FastHashMap, SimTime};
-use storage::Key;
 
 use crate::history::{Fate, History};
 
@@ -99,26 +98,26 @@ fn rate(num: u64, den: u64) -> f64 {
     }
 }
 
-/// Per-(client, key) tape of settled events as `(settled, prefix-max)`
+/// Per-(client, record id) tape of settled events as `(settled, prefix-max)`
 /// pairs, append-only in settle order, queried by "max value among
 /// entries settled at or before t". The prefix-max makes the query a
 /// binary search; settle order keeps the vector sorted by construction.
 #[derive(Debug, Default)]
 struct Tape {
-    entries: FastHashMap<(u32, Key), Vec<(SimTime, u64)>>,
+    entries: FastHashMap<(u32, u64), Vec<(SimTime, u64)>>,
 }
 
 impl Tape {
-    fn push(&mut self, client: u32, key: &Key, settled: SimTime, value: u64) {
-        let v = self.entries.entry((client, key.clone())).or_default();
+    fn push(&mut self, client: u32, id: u64, settled: SimTime, value: u64) {
+        let v = self.entries.entry((client, id)).or_default();
         let running = v.last().map_or(0, |&(_, m)| m).max(value);
         v.push((settled, running));
     }
 
     /// Max recorded value among entries settled at or before `at`;
-    /// `None` when the client has no such entry for the key.
-    fn max_through(&self, client: u32, key: &Key, at: SimTime) -> Option<u64> {
-        let v = self.entries.get(&(client, key.clone()))?;
+    /// `None` when the client has no such entry for the record.
+    fn max_through(&self, client: u32, id: u64, at: SimTime) -> Option<u64> {
+        let v = self.entries.get(&(client, id))?;
         let idx = v.partition_point(|&(t, _)| t <= at);
         if idx == 0 {
             None
@@ -137,7 +136,7 @@ impl Tape {
 pub fn check_sessions(history: &History, windows: &[PhaseWindow]) -> Vec<SessionCounts> {
     let mut out = vec![SessionCounts::default(); windows.len()];
     // Own acked writes (value = assigned ts) and own reads (value =
-    // observed ts, not-found as 0) per (client, key).
+    // observed ts, not-found as 0) per (client, record id).
     let mut writes = Tape::default();
     let mut reads = Tape::default();
     for r in history.records() {
@@ -151,8 +150,8 @@ pub fn check_sessions(history: &History, windows: &[PhaseWindow]) -> Vec<Session
                 observed_ts,
             } => {
                 let observed = observed_ts.unwrap_or(0);
-                let own_write = writes.max_through(r.client, &r.key, r.issued);
-                let own_read = reads.max_through(r.client, &r.key, r.issued);
+                let own_write = writes.max_through(r.client, r.id, r.issued);
+                let own_read = reads.max_through(r.client, r.id, r.issued);
                 if let Some(c) = slot {
                     c.reads += 1;
                     if observed < expected_ts {
@@ -174,11 +173,11 @@ pub fn check_sessions(history: &History, windows: &[PhaseWindow]) -> Vec<Session
                         }
                     }
                 }
-                reads.push(r.client, &r.key, r.settled, observed);
+                reads.push(r.client, r.id, r.settled, observed);
             }
             Fate::Write { ts } => {
-                let own_write = writes.max_through(r.client, &r.key, r.issued);
-                let own_read = reads.max_through(r.client, &r.key, r.issued);
+                let own_write = writes.max_through(r.client, r.id, r.issued);
+                let own_read = reads.max_through(r.client, r.id, r.issued);
                 if let Some(c) = slot {
                     c.writes += 1;
                     if let Some(w) = own_write {
@@ -194,7 +193,7 @@ pub fn check_sessions(history: &History, windows: &[PhaseWindow]) -> Vec<Session
                         }
                     }
                 }
-                writes.push(r.client, &r.key, r.settled, ts);
+                writes.push(r.client, r.id, r.settled, ts);
             }
             Fate::Scanned | Fate::Failed => {}
         }
@@ -207,24 +206,16 @@ pub fn check_sessions(history: &History, windows: &[PhaseWindow]) -> Vec<Session
 mod tests {
     use super::*;
     use crate::history::OpRecord;
-    use bytes::Bytes;
     use storage::OpKind;
 
-    fn k(s: &str) -> Key {
-        Bytes::copy_from_slice(s.as_bytes())
-    }
+    const A: u64 = 1;
+    const B: u64 = 2;
 
-    fn read(
-        client: u32,
-        key: &str,
-        issued: SimTime,
-        settled: SimTime,
-        obs: Option<u64>,
-    ) -> OpRecord {
+    fn read(client: u32, id: u64, issued: SimTime, settled: SimTime, obs: Option<u64>) -> OpRecord {
         OpRecord {
             client,
             kind: OpKind::Read,
-            key: k(key),
+            id,
             issued,
             settled,
             measured: true,
@@ -235,11 +226,11 @@ mod tests {
         }
     }
 
-    fn write(client: u32, key: &str, issued: SimTime, settled: SimTime, ts: u64) -> OpRecord {
+    fn write(client: u32, id: u64, issued: SimTime, settled: SimTime, ts: u64) -> OpRecord {
         OpRecord {
             client,
             kind: OpKind::Update,
-            key: k(key),
+            id,
             issued,
             settled,
             measured: true,
@@ -258,10 +249,10 @@ mod tests {
     #[test]
     fn clean_session_has_no_violations() {
         let h = History::from_records(vec![
-            write(0, "a", 0, 10, 100),
-            read(0, "a", 20, 30, Some(100)),
-            read(0, "a", 40, 50, Some(100)),
-            write(0, "a", 60, 70, 200),
+            write(0, A, 0, 10, 100),
+            read(0, A, 20, 30, Some(100)),
+            read(0, A, 40, 50, Some(100)),
+            write(0, A, 60, 70, 200),
         ]);
         let c = check_sessions(&h, &whole_run())[0];
         assert_eq!(c.reads, 2);
@@ -276,9 +267,9 @@ mod tests {
     #[test]
     fn ryw_violation_when_own_write_is_missed() {
         let h = History::from_records(vec![
-            write(0, "a", 0, 10, 100),
-            read(0, "a", 20, 30, Some(50)), // older than own write
-            read(0, "a", 40, 50, None),     // not-found after own write
+            write(0, A, 0, 10, 100),
+            read(0, A, 20, 30, Some(50)), // older than own write
+            read(0, A, 40, 50, None),     // not-found after own write
         ]);
         let c = check_sessions(&h, &whole_run())[0];
         assert_eq!((c.ryw_checked, c.ryw_violations), (2, 2));
@@ -287,9 +278,9 @@ mod tests {
     #[test]
     fn mr_violation_when_read_goes_backwards() {
         let h = History::from_records(vec![
-            read(0, "a", 0, 10, Some(200)),
-            read(0, "a", 20, 30, Some(100)), // backwards
-            read(0, "a", 40, 50, Some(200)),
+            read(0, A, 0, 10, Some(200)),
+            read(0, A, 20, 30, Some(100)), // backwards
+            read(0, A, 40, 50, Some(200)),
         ]);
         let c = check_sessions(&h, &whole_run())[0];
         assert_eq!((c.mr_checked, c.mr_violations), (2, 1));
@@ -299,9 +290,9 @@ mod tests {
     #[test]
     fn sessions_are_per_client_and_per_key() {
         let h = History::from_records(vec![
-            write(0, "a", 0, 10, 100),
-            read(1, "a", 20, 30, Some(50)), // other client: no RYW check
-            read(0, "b", 20, 30, None),     // other key: no RYW check
+            write(0, A, 0, 10, 100),
+            read(1, A, 20, 30, Some(50)), // other client: no RYW check
+            read(0, B, 20, 30, None),     // other key: no RYW check
         ]);
         let c = check_sessions(&h, &whole_run())[0];
         assert_eq!(c.ryw_checked, 0);
@@ -312,7 +303,7 @@ mod tests {
     fn concurrent_own_ops_impose_no_order() {
         // The write settles while the read is in flight (issued before the
         // write settled): concurrent, so no RYW obligation.
-        let h = History::from_records(vec![write(0, "a", 0, 25, 100), read(0, "a", 20, 30, None)]);
+        let h = History::from_records(vec![write(0, A, 0, 25, 100), read(0, A, 20, 30, None)]);
         let c = check_sessions(&h, &whole_run())[0];
         assert_eq!(c.ryw_checked, 0);
     }
@@ -320,10 +311,10 @@ mod tests {
     #[test]
     fn mw_and_wfr_catch_version_order_inversions() {
         let h = History::from_records(vec![
-            write(0, "a", 0, 10, 200),
-            write(0, "a", 20, 30, 100), // serialized before the prior write
-            read(1, "b", 0, 10, Some(500)),
-            write(1, "b", 20, 30, 400), // serialized before what it read
+            write(0, A, 0, 10, 200),
+            write(0, A, 20, 30, 100), // serialized before the prior write
+            read(1, B, 0, 10, Some(500)),
+            write(1, B, 20, 30, 400), // serialized before what it read
         ]);
         let c = check_sessions(&h, &whole_run())[0];
         assert_eq!((c.mw_checked, c.mw_violations), (1, 1));
@@ -345,8 +336,8 @@ mod tests {
             },
         ];
         let h = History::from_records(vec![
-            write(0, "a", 0, 10, 100),        // early
-            read(0, "a", 150, 160, Some(50)), // late; RYW state from early
+            write(0, A, 0, 10, 100),        // early
+            read(0, A, 150, 160, Some(50)), // late; RYW state from early
         ]);
         let out = check_sessions(&h, &windows);
         assert_eq!(out[0].writes, 1);

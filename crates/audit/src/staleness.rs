@@ -17,7 +17,6 @@
 //! fresh fraction and `p(∞) = 1`.
 
 use simkit::{FastHashMap, SimTime};
-use storage::Key;
 
 use crate::history::{Fate, History};
 use crate::session::PhaseWindow;
@@ -30,11 +29,11 @@ use crate::session::PhaseWindow;
 /// (acknowledgement) time of the write that produced it, which is why
 /// the recorder always keeps writes from every client.
 pub fn margins(history: &History, windows: &[PhaseWindow]) -> Vec<Vec<u64>> {
-    // (key, assigned ts) -> earliest acknowledgement time.
-    let mut acked: FastHashMap<(Key, u64), SimTime> = FastHashMap::default();
+    // (record id, assigned ts) -> earliest acknowledgement time.
+    let mut acked: FastHashMap<(u64, u64), SimTime> = FastHashMap::default();
     for r in history.records() {
         if let Fate::Write { ts } = r.fate {
-            let slot = acked.entry((r.key.clone(), ts)).or_insert(r.settled);
+            let slot = acked.entry((r.id, ts)).or_insert(r.settled);
             *slot = (*slot).min(r.settled);
         }
     }
@@ -54,7 +53,7 @@ pub fn margins(history: &History, windows: &[PhaseWindow]) -> Vec<Vec<u64>> {
         let margin = if fresh {
             0
         } else {
-            match acked.get(&(r.key.clone(), expected_ts)) {
+            match acked.get(&(r.id, expected_ts)) {
                 Some(&ack) => r.issued.saturating_sub(ack),
                 // The expectation's write was not recorded (partial replay):
                 // the read was at least "just" stale.
@@ -101,12 +100,10 @@ pub fn quantile(margins: &[u64], q: f64) -> u64 {
 mod tests {
     use super::*;
     use crate::history::OpRecord;
-    use bytes::Bytes;
     use storage::OpKind;
 
-    fn k(s: &str) -> Key {
-        Bytes::copy_from_slice(s.as_bytes())
-    }
+    const A: u64 = 1;
+    const B: u64 = 2;
 
     fn whole_run() -> Vec<PhaseWindow> {
         vec![PhaseWindow {
@@ -116,11 +113,11 @@ mod tests {
         }]
     }
 
-    fn write(key: &str, settled: SimTime, ts: u64) -> OpRecord {
+    fn write(id: u64, settled: SimTime, ts: u64) -> OpRecord {
         OpRecord {
             client: 0,
             kind: OpKind::Update,
-            key: k(key),
+            id,
             issued: settled.saturating_sub(5),
             settled,
             measured: true,
@@ -128,11 +125,11 @@ mod tests {
         }
     }
 
-    fn read(key: &str, issued: SimTime, expected: u64, observed: Option<u64>) -> OpRecord {
+    fn read(id: u64, issued: SimTime, expected: u64, observed: Option<u64>) -> OpRecord {
         OpRecord {
             client: 0,
             kind: OpKind::Read,
-            key: k(key),
+            id,
             issued,
             settled: issued + 5,
             measured: true,
@@ -146,10 +143,10 @@ mod tests {
     #[test]
     fn fresh_reads_have_zero_margin_and_stale_reads_age() {
         let h = History::from_records(vec![
-            write("a", 100, 7),         // acked at t=100
-            read("a", 150, 7, Some(7)), // fresh
-            read("a", 400, 7, Some(3)), // stale: expectation acked 300µs ago
-            read("a", 600, 7, None),    // missing: expectation acked 500µs ago
+            write(A, 100, 7),         // acked at t=100
+            read(A, 150, 7, Some(7)), // fresh
+            read(A, 400, 7, Some(3)), // stale: expectation acked 300µs ago
+            read(A, 600, 7, None),    // missing: expectation acked 500µs ago
         ]);
         let m = margins(&h, &whole_run());
         assert_eq!(m[0], vec![0, 300, 500]);
@@ -191,9 +188,9 @@ mod tests {
             },
         ];
         let h = History::from_records(vec![
-            write("a", 100, 7),
-            read("b", 10, 0, None),     // early; never written: margin 0
-            read("a", 300, 7, Some(1)), // late; stale by 200µs
+            write(A, 100, 7),
+            read(B, 10, 0, None),     // early; never written: margin 0
+            read(A, 300, 7, Some(1)), // late; stale by 200µs
         ]);
         let m = margins(&h, &windows);
         assert_eq!(m[0], vec![0]);

@@ -20,7 +20,7 @@
 
 use faults::{FaultInjector, FaultPlan, FaultTarget};
 use simkit::{OpKey, OpTag, Sim, SimTime, Slab};
-use storage::{Key, OpError, OpKind, OpResult, StoreOp};
+use storage::{OpError, OpKind, OpResult, StoreOp};
 use ycsb::{
     encode_key, KeyInterner, KeySpace, OpenLoop, RunMetrics, StalenessTracker, Throttle, ValuePool,
     WorkloadSpec,
@@ -119,6 +119,14 @@ impl DriverConfig {
     }
 }
 
+/// Slots of the driver's key interner (fewer when the run has fewer
+/// records). A miss whose victim nothing else holds costs no allocation,
+/// but each slot's first key does, once per run. Measured over 2^10 to
+/// 2^14 slots, 2^11 allocated least per op on three of the benchmark's
+/// five workloads; 2^10 did on `cstore-scan-e` and 2^12 on
+/// `cstore-crash-recorded` (DESIGN.md, "Key interning").
+const KEY_SLOTS: usize = 1 << 11;
+
 /// What one benchmark run produced.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
@@ -186,7 +194,10 @@ struct OpCtx {
     deadline: SimTime,
     /// The submitted operation, kept for re-submission by retries/hedges.
     op: StoreOp,
-    key: Key,
+    /// The record the op targets. The tracker and the audit history name
+    /// records by id, so only `op` holds the key, and once the op settles
+    /// the interner can rewrite the key's buffer for another record.
+    id: u64,
     expected_ts: u64,
     rmw_read_phase: bool,
     /// True once any retry or winning hedge helped this op: its eventual
@@ -268,9 +279,9 @@ where
     let mut dist = cfg.workload.request_distribution(cfg.records);
     let mut keyspace = KeySpace::new(cfg.records);
     // Skewed request distributions hammer a small hot set; intern their
-    // encoded keys so repeats are a slot probe + refcount bump. Bounded at
-    // 64Ki slots (or the record count when smaller).
-    let mut interner = KeyInterner::new((cfg.records as usize).min(1 << 16));
+    // encoded keys so repeats are a slot probe + refcount bump, and a miss
+    // rewrites the evicted key's buffer unless something still holds it.
+    let mut interner = KeyInterner::new((cfg.records as usize).min(KEY_SLOTS));
     let pool = ValuePool::new(cfg.value_len, 4);
     let mut throttles: Vec<Throttle> = (0..cfg.threads)
         .map(|_| Throttle::for_target(cfg.target_ops_per_sec, cfg.threads))
@@ -360,52 +371,34 @@ where
                         (tenant, priority, kind)
                     }
                 };
-                // An insert takes the next fresh key; every other kind draws
-                // one from the request distribution before any value or
-                // scan length.
-                let key = if kind == OpKind::Insert {
-                    let (_, key) = keyspace.next_insert();
+                // An insert takes the next fresh record; every other kind
+                // draws one from the request distribution before any value
+                // or scan length.
+                let (id, key) = if kind == OpKind::Insert {
+                    let fresh = keyspace.next_insert();
                     dist.set_items(keyspace.count());
-                    key
+                    fresh
                 } else {
-                    interner.key(dist.next(sim.rng()))
+                    let id = dist.next(sim.rng());
+                    (id, interner.key(id))
                 };
                 let (op, expected_ts) = match kind {
                     OpKind::Read | OpKind::ReadModifyWrite => {
-                        let expected = tracker.expected(&key);
-                        (StoreOp::Read { key: key.clone() }, expected)
+                        (StoreOp::Read { key }, tracker.expected(id))
                     }
                     OpKind::Update => {
                         let value = pool.next(sim.rng());
-                        (
-                            StoreOp::Update {
-                                key: key.clone(),
-                                value,
-                            },
-                            0,
-                        )
+                        (StoreOp::Update { key, value }, 0)
                     }
                     OpKind::Insert => {
                         let value = pool.next(sim.rng());
-                        (
-                            StoreOp::Insert {
-                                key: key.clone(),
-                                value,
-                            },
-                            0,
-                        )
+                        (StoreOp::Insert { key, value }, 0)
                     }
                     OpKind::Scan => {
                         let limit = cfg.workload.scan_len(sim.rng());
-                        (
-                            StoreOp::Scan {
-                                start: key.clone(),
-                                limit,
-                            },
-                            0,
-                        )
+                        (StoreOp::Scan { start: key, limit }, 0)
                     }
-                    OpKind::Delete => (StoreOp::Delete { key: key.clone() }, 0),
+                    OpKind::Delete => (StoreOp::Delete { key }, 0),
                 };
                 // Deterministic sampling by 0-based issue index: the same
                 // seed and sampling config always trace the same ops, each
@@ -421,7 +414,7 @@ where
                     issued: now,
                     deadline,
                     op: op.clone(),
-                    key,
+                    id,
                     expected_ts,
                     rmw_read_phase: kind == OpKind::ReadModifyWrite,
                     recovered: false,
@@ -551,7 +544,7 @@ where
                         continue; // unreachable: get_mut above proved it live
                     };
                     let op = StoreOp::Update {
-                        key: ctx.key.clone(),
+                        key: ctx.op.key().clone(),
                         value: pool.next(sim.rng()),
                     };
                     ctx.rmw_read_phase = false;
@@ -568,7 +561,7 @@ where
                 }
                 match &c.result {
                     OpResult::Written { ts } => {
-                        tracker.write_acked(&ctx.key, *ts);
+                        tracker.write_acked(ctx.id, *ts);
                     }
                     OpResult::Value(cell) => {
                         let check =
@@ -603,7 +596,7 @@ where
                 recorder.push(audit::OpRecord {
                     client: ctx.thread as u32,
                     kind: ctx.kind,
-                    key: ctx.key.clone(),
+                    id: ctx.id,
                     issued: ctx.issued,
                     settled: now,
                     measured: in_window,

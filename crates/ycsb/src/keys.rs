@@ -37,15 +37,19 @@ const DIGIT_PAIRS: [u8; 200] = {
     table
 };
 
-/// Encode a raw 64-bit key-space position as an ordered key.
+/// Bytes in every encoded key: `"user"`, then the zero-padded digits.
+const KEY_LEN: usize = 4 + KEY_DIGITS;
+
+/// Write the key of raw 64-bit key-space position `raw` into `buf`, which
+/// holds [`KEY_LEN`] bytes.
 ///
-/// Digits are written directly into a stack buffer, two per division from
-/// a table of digit pairs — this sits on the driver's per-op issue path
-/// (every key-interner miss) and on every loaded record, where a `format!`
+/// Digits are written directly, two per division from a table of digit
+/// pairs — this sits on the driver's per-op issue path (every
+/// key-interner miss) and on every loaded record, where a `format!`
 /// round trip (its formatting machinery plus an intermediate `String`) or
 /// one division per digit is measurable.
-pub fn encode_point(raw: u64) -> Bytes {
-    let mut buf = [0u8; 4 + KEY_DIGITS];
+fn write_point(buf: &mut [u8], raw: u64) {
+    debug_assert_eq!(buf.len(), KEY_LEN);
     buf[..4].copy_from_slice(b"user");
     let mut v = raw;
     for pair in buf[4..].rchunks_exact_mut(2) {
@@ -53,6 +57,12 @@ pub fn encode_point(raw: u64) -> Bytes {
         pair.copy_from_slice(&DIGIT_PAIRS[at..at + 2]);
         v /= 100;
     }
+}
+
+/// Encode a raw 64-bit key-space position as an ordered key.
+pub fn encode_point(raw: u64) -> Bytes {
+    let mut buf = [0u8; KEY_LEN];
+    write_point(&mut buf, raw);
     Bytes::copy_from_slice(&buf)
 }
 
@@ -102,9 +112,13 @@ impl KeySpace {
 /// The skewed request distributions the experiments run (zipfian,
 /// latest) touch a small set of hot ids over and over; interning turns
 /// every repeat encoding into a slot probe plus a `Bytes` refcount bump.
-/// The cache is bounded (direct-mapped, power-of-two slots), so a
-/// uniform distribution degrades to plain encoding plus one array write —
-/// never to unbounded memory growth.
+/// A miss evicts the slot's key. When nothing else holds that key any
+/// more (the op that used it has settled and no store kept it), its
+/// buffer is rewritten in place with the new key; only a victim still
+/// held elsewhere costs a fresh allocation. The cache is bounded
+/// (direct-mapped, power-of-two slots), so a uniform distribution
+/// degrades to plain encoding into a reused buffer — never to unbounded
+/// memory growth.
 #[derive(Debug, Clone)]
 pub struct KeyInterner {
     slots: Vec<Option<(u64, Bytes)>>,
@@ -128,16 +142,23 @@ impl KeyInterner {
 
     /// The (hashed, scattered) key of record `id`, cached.
     pub fn key(&mut self, id: u64) -> Bytes {
-        let slot = (id as usize) & self.mask;
-        if let Some((cached, key)) = &self.slots[slot] {
+        let slot = &mut self.slots[(id as usize) & self.mask];
+        if let Some((cached, key)) = slot {
             if *cached == id {
                 self.hits += 1;
                 return key.clone();
             }
         }
         self.misses += 1;
+        if let Some((cached, key)) = slot {
+            if let Some(buf) = key.get_mut() {
+                write_point(buf, fnv_scramble(id));
+                *cached = id;
+                return key.clone();
+            }
+        }
         let key = encode_key(id);
-        self.slots[slot] = Some((id, key.clone()));
+        *slot = Some((id, key.clone()));
         key
     }
 
@@ -188,7 +209,7 @@ mod tests {
         let b = encode_point(50);
         let c = encode_point(u64::MAX);
         assert!(a < b && b < c);
-        assert_eq!(a.len(), 4 + KEY_DIGITS);
+        assert_eq!(a.len(), KEY_LEN);
     }
 
     #[test]

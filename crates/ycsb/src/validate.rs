@@ -8,8 +8,6 @@
 
 use simkit::FastHashMap;
 
-use bytes::Bytes;
-
 /// The verdict for one completed read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadCheck {
@@ -23,10 +21,14 @@ pub struct ReadCheck {
     pub missing: bool,
 }
 
-/// Per-key acknowledged-write watermarks plus staleness counters.
+/// Per-record acknowledged-write watermarks plus staleness counters.
+///
+/// Records are named by their YCSB record id, the driver's handle on an op:
+/// a record's key is `encode_key(id)`, one key per id, so a watermark per
+/// id is one per key without hashing or holding key bytes.
 #[derive(Debug, Clone, Default)]
 pub struct StalenessTracker {
-    acked: FastHashMap<Bytes, u64>,
+    acked: FastHashMap<u64, u64>,
     stale: u64,
     missing: u64,
     checked: u64,
@@ -38,21 +40,17 @@ impl StalenessTracker {
         Self::default()
     }
 
-    /// Record that a write of `key` with version timestamp `ts` has been
-    /// acknowledged to the client.
-    pub fn write_acked(&mut self, key: &Bytes, ts: u64) {
-        match self.acked.get_mut(key.as_ref()) {
-            Some(slot) => *slot = (*slot).max(ts),
-            None => {
-                self.acked.insert(key.clone(), ts);
-            }
-        }
+    /// Record that a write of record `id` with version timestamp `ts` has
+    /// been acknowledged to the client.
+    pub fn write_acked(&mut self, id: u64, ts: u64) {
+        let slot = self.acked.entry(id).or_insert(ts);
+        *slot = (*slot).max(ts);
     }
 
     /// Snapshot the expectation for a read being issued now: the newest
-    /// acknowledged version of `key` (0 when never written).
-    pub fn expected(&self, key: &[u8]) -> u64 {
-        self.acked.get(key).copied().unwrap_or(0)
+    /// acknowledged version of record `id` (0 when never written).
+    pub fn expected(&self, id: u64) -> u64 {
+        self.acked.get(&id).copied().unwrap_or(0)
     }
 
     /// Judge a completed read: `expected` is the snapshot taken at issue
@@ -101,15 +99,13 @@ impl StalenessTracker {
 mod tests {
     use super::*;
 
-    fn k(s: &str) -> Bytes {
-        Bytes::copy_from_slice(s.as_bytes())
-    }
+    const A: u64 = 7;
 
     #[test]
     fn fresh_read_is_not_stale() {
         let mut t = StalenessTracker::new();
-        t.write_acked(&k("a"), 100);
-        let exp = t.expected(b"a");
+        t.write_acked(A, 100);
+        let exp = t.expected(A);
         assert!(!t.check_read(exp, Some(100)).stale);
         assert!(
             !t.check_read(exp, Some(150)).stale,
@@ -121,10 +117,10 @@ mod tests {
     #[test]
     fn old_version_is_stale() {
         let mut t = StalenessTracker::new();
-        t.write_acked(&k("a"), 100);
-        assert!(t.check_read(t.expected(b"a"), Some(50)).stale);
+        t.write_acked(A, 100);
+        assert!(t.check_read(t.expected(A), Some(50)).stale);
         assert!(
-            t.check_read(t.expected(b"a"), None).stale,
+            t.check_read(t.expected(A), None).stale,
             "not-found after an ack is stale"
         );
         assert_eq!(t.counts(), (2, 2));
@@ -134,10 +130,10 @@ mod tests {
     #[test]
     fn missing_splits_not_found_out_of_stale() {
         let mut t = StalenessTracker::new();
-        t.write_acked(&k("a"), 100);
+        t.write_acked(A, 100);
         // An old version is stale but not missing.
         assert_eq!(
-            t.check_read(t.expected(b"a"), Some(50)),
+            t.check_read(t.expected(A), Some(50)),
             ReadCheck {
                 stale: true,
                 missing: false
@@ -145,7 +141,7 @@ mod tests {
         );
         // Not-found after an ack is both: missing ⊂ stale.
         assert_eq!(
-            t.check_read(t.expected(b"a"), None),
+            t.check_read(t.expected(A), None),
             ReadCheck {
                 stale: true,
                 missing: true
@@ -160,16 +156,16 @@ mod tests {
     #[test]
     fn unwritten_keys_never_stale() {
         let mut t = StalenessTracker::new();
-        assert_eq!(t.expected(b"ghost"), 0);
+        assert_eq!(t.expected(42), 0);
         assert!(!t.check_read(0, None).stale);
     }
 
     #[test]
     fn concurrent_write_does_not_count() {
         let mut t = StalenessTracker::new();
-        t.write_acked(&k("a"), 100);
-        let snapshot = t.expected(b"a"); // read issued here
-        t.write_acked(&k("a"), 200); // concurrent write acks later
+        t.write_acked(A, 100);
+        let snapshot = t.expected(A); // read issued here
+        t.write_acked(A, 200); // concurrent write acks later
         assert!(
             !t.check_read(snapshot, Some(100)).stale,
             "expected only ts>=100"
@@ -179,9 +175,9 @@ mod tests {
     #[test]
     fn watermark_is_monotone() {
         let mut t = StalenessTracker::new();
-        t.write_acked(&k("a"), 100);
-        t.write_acked(&k("a"), 50); // late ack of an older write
-        assert_eq!(t.expected(b"a"), 100);
+        t.write_acked(A, 100);
+        t.write_acked(A, 50); // late ack of an older write
+        assert_eq!(t.expected(A), 100);
         assert_eq!(t.acked.len(), 1);
     }
 }

@@ -1,12 +1,76 @@
 //! Property-based tests for generators, histograms, and pacing.
 
+use std::collections::BTreeMap;
+
+use bytes::Bytes;
 use proptest::prelude::*;
 use simkit::SimRng;
 use ycsb::generator::{RequestDistribution, Zipfian};
-use ycsb::{encode_key, Histogram, OpMix, Throttle};
+use ycsb::{encode_key, Histogram, KeyInterner, OpMix, ReadCheck, StalenessTracker, Throttle};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Through a small interner, every returned key is its id's key, and a
+    /// key someone still holds never changes: a miss rewrites the evicted
+    /// buffer in place only when nothing else holds it. Each step keeps
+    /// its key (`1`), keeps it and drops the oldest kept one (`2`), or
+    /// drops it at once (`0`).
+    #[test]
+    fn interned_keys_are_right_and_held_keys_never_change(
+        steps in prop::collection::vec((0u64..40, 0u8..3), 1..400),
+    ) {
+        let mut it = KeyInterner::new(8);
+        let mut held: Vec<(u64, Bytes)> = Vec::new();
+        for (id, action) in steps {
+            let key = it.key(id);
+            prop_assert_eq!(&key, &encode_key(id));
+            if action > 0 {
+                held.push((id, key));
+            }
+            if action == 2 {
+                held.remove(0);
+            }
+            for (id, key) in &held {
+                prop_assert_eq!(key, &encode_key(*id));
+            }
+        }
+    }
+
+    /// The tracker agrees with a map of per-id maxima: a watermark never
+    /// falls, an id never written expects 0, and every read gets the
+    /// model's verdict. A step is a write (`true`) of `id` at `ts`, or a
+    /// read of `id` observing `ts` (or nothing, when `found` is false).
+    #[test]
+    fn staleness_tracker_matches_a_max_map(
+        steps in prop::collection::vec((any::<bool>(), 0u64..16, 0u64..1_000, any::<bool>()), 1..300),
+    ) {
+        let mut tracker = StalenessTracker::new();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        for (write, id, ts, found) in steps {
+            let before = tracker.expected(id);
+            if write {
+                tracker.write_acked(id, ts);
+                let max = model.entry(id).or_insert(ts);
+                *max = (*max).max(ts);
+                prop_assert!(tracker.expected(id) >= before, "watermark fell");
+            } else {
+                let expected = model.get(&id).copied().unwrap_or(0);
+                prop_assert_eq!(before, expected);
+                let observed = found.then_some(ts);
+                prop_assert_eq!(
+                    tracker.check_read(before, observed),
+                    ReadCheck {
+                        stale: observed.unwrap_or(0) < expected,
+                        missing: observed.is_none() && expected > 0,
+                    }
+                );
+            }
+            for unwritten in 16..20 {
+                prop_assert_eq!(tracker.expected(unwritten), 0);
+            }
+        }
+    }
 
     /// Every distribution stays within [0, items) for any seed and size.
     #[test]

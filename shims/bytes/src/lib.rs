@@ -5,7 +5,8 @@
 //! the same name. Semantics match `bytes::Bytes` where the surfaces
 //! overlap: an immutable, cheaply cloneable byte buffer backed by a shared
 //! allocation, ordered and hashed like `[u8]` so it can key ordered maps via
-//! `Borrow<[u8]>`.
+//! `Borrow<[u8]>`. One addition, `Bytes::get_mut`, follows `Arc::get_mut`:
+//! the only handle to a buffer may rewrite its bytes in place.
 //!
 //! A `Bytes` is one pointer wide. It points at a single allocation laid out
 //! as `[count | len | bytes]`: the same size and alignment an `Arc<[u8]>`
@@ -55,8 +56,9 @@ fn layout(len: usize) -> Layout {
 /// the same bound.
 const MAX_COUNT: usize = isize::MAX as usize;
 
-/// An immutable, reference-counted byte buffer. `Clone` is O(1) — the
-/// allocation is shared, never copied.
+/// A reference-counted byte buffer, immutable while shared. `Clone` is
+/// O(1) — the allocation is shared, never copied — and the only handle
+/// can rewrite its bytes in place ([`Bytes::get_mut`]).
 pub struct Bytes {
     /// Always points at a live allocation made by `copy_from_slice` with
     /// `layout(len)`, whose header and data are initialised; this handle
@@ -65,10 +67,12 @@ pub struct Bytes {
 }
 
 // SAFETY: `Bytes` shares immutable bytes and an atomic count, as `Arc<[u8]>`
-// does, which is `Send` and `Sync`. `len` and the data are written only
-// before the first handle exists; the count changes only atomically, and
-// `drop` frees only after an `Acquire` fence that orders every other
-// handle's uses (each ended by a `Release` decrement) before the free.
+// does, which is `Send` and `Sync`. `len` is written only before the first
+// handle exists; the data then, and later only through `get_mut`, which
+// needs the only handle, as `Arc::get_mut` does. The count changes only
+// atomically, and `drop` frees only after an `Acquire` fence that orders
+// every other handle's uses (each ended by a `Release` decrement) before
+// the free.
 unsafe impl Send for Bytes {}
 // SAFETY: as for `Send`: `&Bytes` allows only reads and atomic count updates.
 unsafe impl Sync for Bytes {}
@@ -120,8 +124,24 @@ impl Bytes {
     /// The bytes as a slice.
     pub fn as_slice(&self) -> &[u8] {
         // SAFETY: the allocation outlives `&self`, and `len` initialised
-        // bytes follow its header; nothing writes them after construction.
+        // bytes follow its header; only `get_mut` writes them, through the
+        // one handle, while it is borrowed mutably.
         unsafe { std::slice::from_raw_parts(Self::data(self.ptr), self.header().len) }
+    }
+
+    /// The bytes, writable, when this is the buffer's only handle; `None`
+    /// while any clone is alive. The contract of `Arc::get_mut`: the
+    /// `Acquire` load of a count of 1 pairs with the `Release` decrement
+    /// of every dropped clone, so their reads happen before these writes.
+    pub fn get_mut(&mut self) -> Option<&mut [u8]> {
+        if self.header().count.load(Ordering::Acquire) != 1 {
+            return None;
+        }
+        // SAFETY: a count of 1 is this handle, and `&mut self` stops it
+        // being cloned while the slice lives, so no other reference to the
+        // bytes exists until the borrow ends; the allocation holds `len`
+        // initialised bytes after its header.
+        Some(unsafe { std::slice::from_raw_parts_mut(Self::data(self.ptr), self.header().len) })
     }
 }
 
@@ -283,5 +303,59 @@ mod tests {
     fn debug_escapes_non_printable() {
         let b = Bytes::from(vec![b'a', 0x00]);
         assert_eq!(format!("{b:?}"), "b\"a\\x00\"");
+    }
+
+    #[test]
+    fn get_mut_needs_the_only_handle() {
+        let mut a = Bytes::copy_from_slice(b"abc");
+        assert_eq!(a.get_mut().map(|b| &*b), Some(&b"abc"[..]));
+        let b = a.clone();
+        assert!(a.get_mut().is_none());
+        drop(b);
+        assert!(a.get_mut().is_some());
+    }
+
+    #[test]
+    fn get_mut_returns_once_a_clone_on_another_thread_is_dropped() {
+        use std::sync::mpsc::channel;
+        let mut a = Bytes::copy_from_slice(b"shared");
+        let b = a.clone();
+        let (holding, held) = channel();
+        let (release, released) = channel();
+        std::thread::scope(|s| {
+            // Owned here, so a failed assert drops it and frees the thread.
+            let release = release;
+            s.spawn(move || {
+                holding.send(()).expect("the test thread waits");
+                released.recv().expect("the test thread releases");
+                assert_eq!(b, b"shared"[..]);
+            });
+            held.recv().expect("the clone's thread started");
+            assert!(a.get_mut().is_none(), "the other thread holds a clone");
+            release.send(()).expect("the clone's thread waits");
+        });
+        // The scope joined the thread, which dropped its clone.
+        assert!(a.get_mut().is_some());
+    }
+
+    #[test]
+    fn a_write_through_get_mut_is_seen_by_a_later_clone() {
+        let mut a = Bytes::copy_from_slice(b"user0");
+        if let Some(bytes) = a.get_mut() {
+            bytes[4] = b'7';
+        }
+        let b = a.clone();
+        assert_eq!(b, b"user7"[..]);
+        assert!(std::ptr::eq(a.as_slice(), b.as_slice()));
+    }
+
+    #[test]
+    fn get_mut_on_an_empty_buffer_is_an_empty_slice() {
+        let mut a = Bytes::new();
+        assert_eq!(a.get_mut().map(|b| b.len()), Some(0));
+        let b = a.clone();
+        assert!(a.get_mut().is_none());
+        drop(b);
+        assert_eq!(a.get_mut().map(|b| b.len()), Some(0));
     }
 }
