@@ -107,12 +107,16 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    /// A recorder for one run. No-ops until the config enables it.
-    pub fn new(cfg: AuditConfig) -> Self {
-        Self {
-            cfg,
-            records: Vec::new(),
-        }
+    /// A recorder for one run of `ops` logical ops. No-ops unless the config
+    /// enables it; enabled, it holds room for one record per op from the
+    /// start, so recording never regrows the history.
+    pub fn new(cfg: AuditConfig, ops: usize) -> Self {
+        let records = if cfg.enabled() {
+            Vec::with_capacity(ops)
+        } else {
+            Vec::new()
+        };
+        Self { cfg, records }
     }
 
     /// Record one settled operation. No-op when disabled.
@@ -247,10 +251,25 @@ mod tests {
 
     #[test]
     fn disabled_recorder_records_nothing() {
-        let mut r = Recorder::new(AuditConfig::off());
+        let mut r = Recorder::new(AuditConfig::off(), 4);
         r.push(read(0, A, 0, Some(1)));
         assert!(r.records.is_empty());
+        assert_eq!(
+            r.records.capacity(),
+            0,
+            "a disabled recorder allocates nothing"
+        );
         assert!(r.finish().is_empty());
+    }
+
+    #[test]
+    fn an_enabled_recorder_is_sized_once_for_the_run() {
+        let mut r = Recorder::new(AuditConfig::all(), 3);
+        for _ in 0..3 {
+            r.push(read(0, A, 0, Some(1)));
+        }
+        assert_eq!(r.records.capacity(), 3);
+        assert_eq!(r.finish().len(), 3);
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //! could push issuance late — so open-loop latency percentiles are free of
 //! coordinated omission by construction.
 
+use std::num::NonZeroU64;
+
 use faults::{FaultInjector, FaultPlan, FaultTarget};
 use simkit::{OpKey, OpTag, Sim, SimTime, Slab};
 use storage::{OpError, OpKind, OpResult, StoreOp};
@@ -212,33 +214,48 @@ struct OpCtx {
     hedged: bool,
     /// The hedge attempt's token, to spot a speculative win at drain.
     hedge_token: Option<u64>,
-    /// Logical trace id (the first attempt's token) when this op is being
-    /// traced; `None` for unsampled ops.
-    trace_id: Option<u64>,
+    /// The op's trace handle when it is sampled; `None` for the rest.
+    trace: Option<Traced>,
 }
+
+/// A traced op's handle. `id`, its first attempt's token, names the op in
+/// the export and carries the driver's own spans (retry backoffs); tokens
+/// start at 1, and a non-zero `id` keeps `Option<Traced>` at 16 bytes. `slot`
+/// is the op's rank among the run's traced ops in issue order, so ascending
+/// slots are ascending ids.
+#[derive(Debug, Clone, Copy)]
+struct Traced {
+    id: NonZeroU64,
+    slot: u32,
+}
+
+/// [`Attempts::slot_of`]'s entry for an attempt of an untraced op.
+const UNTRACED: u32 = u32::MAX;
 
 /// Every attempt submitted to the store. Tokens are issued sequentially, so
 /// a `Vec` indexed by token maps each to its op's slab key without a hash
 /// lookup on the completion drain path ([`OpKey::NONE`] marks
 /// consumed/unknown entries). Retries, hedges and the RMW write phase submit
-/// fresh tokens whose spans must fold back into a traced op's logical trace
-/// id, so those attempts map to it too.
+/// fresh tokens whose spans must fold back into a traced op's trace, so
+/// `slot_of`, likewise indexed by token, maps every attempt of a traced op to
+/// the op's slot. It grows only when a traced op submits, so it stays empty
+/// in an untraced run.
 struct Attempts {
     next_token: u64,
     op_of: Vec<OpKey>,
-    trace_of: simkit::FastHashMap<u64, u64>,
+    slot_of: Vec<u32>,
 }
 
 impl Attempts {
     /// Submit `op` as an attempt of the op at `key` under a fresh token,
     /// which is returned. A traced op's token is watched by the store's
-    /// tracer and mapped to `trace_id`.
+    /// tracer and mapped to the op's slot.
     fn submit<S: SimStore>(
         &mut self,
         store: &mut S,
         sim: &mut Sim<DriverEvent<S::Event>>,
         key: OpKey,
-        trace_id: Option<u64>,
+        trace: Option<Traced>,
         op: StoreOp,
         tag: OpTag,
     ) -> u64 {
@@ -249,8 +266,11 @@ impl Attempts {
             self.op_of.resize(i + 1, OpKey::NONE);
         }
         self.op_of[i] = key;
-        if let Some(logical) = trace_id {
-            self.trace_of.insert(token, logical);
+        if let Some(traced) = trace {
+            if self.slot_of.len() <= i {
+                self.slot_of.resize(i + 1, UNTRACED);
+            }
+            self.slot_of[i] = traced.slot;
             store.tracer_mut().watch(token);
         }
         store.submit_tagged(sim, token, op, tag);
@@ -263,6 +283,58 @@ impl Attempts {
             Some(slot) => std::mem::replace(slot, OpKey::NONE),
             None => OpKey::NONE,
         }
+    }
+
+    /// The slot of the traced op that attempt `token` belongs to.
+    fn slot(&self, token: u64) -> Option<usize> {
+        match self.slot_of.get(token as usize) {
+            Some(&slot) if slot != UNTRACED => Some(slot as usize),
+            _ => None,
+        }
+    }
+}
+
+/// Fold the spans a run recorded into its traces: each traced attempt's
+/// spans go to its op's slot in `ops`, renamed to the op's id, and
+/// background spans to the run's background. Spans of an op that never
+/// settled (a `None` slot) are dropped, and so are the slots. Each vector is
+/// counted first and allocated once, at its size; then each is ordered by
+/// [`obs::StageSpan::sort_key`] (stably, so ties keep recording order).
+fn assemble_trace(
+    recorded: Vec<obs::StageSpan>,
+    attempts: &Attempts,
+    mut ops: Vec<Option<obs::OpTrace>>,
+) -> obs::RunTrace {
+    let mut counts = vec![0usize; ops.len()];
+    let mut background_len = 0;
+    for s in &recorded {
+        if s.op == obs::BG_OP {
+            background_len += 1;
+        } else if let Some(slot) = attempts.slot(s.op) {
+            counts[slot] += 1;
+        }
+    }
+    for (op, n) in ops.iter_mut().zip(counts) {
+        if let Some(op) = op {
+            op.spans.reserve_exact(n);
+        }
+    }
+    let mut background = Vec::with_capacity(background_len);
+    for mut s in recorded {
+        if s.op == obs::BG_OP {
+            background.push(s);
+        } else if let Some(op) = attempts.slot(s.op).and_then(|slot| ops[slot].as_mut()) {
+            s.op = op.op;
+            op.spans.push(s);
+        }
+    }
+    background.sort_by_key(|s| s.sort_key());
+    for op in ops.iter_mut().flatten() {
+        op.spans.sort_by_key(|s| s.sort_key());
+    }
+    obs::RunTrace {
+        ops: ops.into_iter().flatten().collect(),
+        background,
     }
 }
 
@@ -295,7 +367,7 @@ where
     let mut attempts = Attempts {
         next_token: 1,
         op_of: Vec::new(),
-        trace_of: simkit::FastHashMap::default(),
+        slot_of: Vec::new(),
     };
     let mut issued: u64 = 0;
     let mut completed: u64 = 0;
@@ -312,9 +384,10 @@ where
     // pure bookkeeping (no events, no RNG), so a disabled run is
     // bit-identical to one without any of this machinery.
     let auditing = cfg.audit.enabled();
-    let mut recorder = audit::Recorder::new(cfg.audit);
-    // Settle metadata of traced ops: (logical id, kind, issued, settled, ok).
-    let mut traced_settled: Vec<(u64, OpKind, SimTime, SimTime, bool)> = Vec::new();
+    let mut recorder = audit::Recorder::new(cfg.audit, total as usize);
+    // Traced ops by slot: `None` until the op settles, then its trace
+    // without spans (the spans are folded in at the end of the run).
+    let mut traced: Vec<Option<obs::OpTrace>> = Vec::new();
     let mut window_start: SimTime = 0;
     let mut window_end: SimTime = 0;
     if cfg.timeline_window_us > 0 {
@@ -403,8 +476,15 @@ where
                 // Deterministic sampling by 0-based issue index: the same
                 // seed and sampling config always trace the same ops, each
                 // under its first attempt's token.
-                let trace_id = (tracing && cfg.trace.samples(issued - 1, cfg.seed))
-                    .then_some(attempts.next_token);
+                let trace = NonZeroU64::new(attempts.next_token)
+                    .filter(|_| tracing && cfg.trace.samples(issued - 1, cfg.seed))
+                    .map(|id| {
+                        traced.push(None);
+                        Traced {
+                            id,
+                            slot: (traced.len() - 1) as u32,
+                        }
+                    });
                 let deadline = cfg.retry.deadline_at(now);
                 let tag = OpTag { priority };
                 let opkey = ctxs.insert(OpCtx {
@@ -423,9 +503,9 @@ where
                     in_flight: 1,
                     hedged: false,
                     hedge_token: None,
-                    trace_id,
+                    trace,
                 });
-                attempts.submit(store, &mut sim, opkey, trace_id, op, tag);
+                attempts.submit(store, &mut sim, opkey, trace, op, tag);
                 // Hedging covers point reads only (including the RMW read
                 // phase); the event is harmless if the op settles first.
                 if cfg.retry.hedges() && matches!(kind, OpKind::Read | OpKind::ReadModifyWrite) {
@@ -439,7 +519,7 @@ where
                     ctx.attempts_total += 1;
                     ctx.in_flight += 1;
                     let resubmit = ctx.op.clone();
-                    attempts.submit(store, &mut sim, op, ctx.trace_id, resubmit, ctx.tag);
+                    attempts.submit(store, &mut sim, op, ctx.trace, resubmit, ctx.tag);
                 }
             }
             DriverEvent::Hedge { op } => {
@@ -458,7 +538,7 @@ where
                         metrics.resilience_mut().hedges += 1;
                         let resubmit = ctx.op.clone();
                         let token =
-                            attempts.submit(store, &mut sim, op, ctx.trace_id, resubmit, ctx.tag);
+                            attempts.submit(store, &mut sim, op, ctx.trace, resubmit, ctx.tag);
                         ctx.hedge_token = Some(token);
                     }
                 }
@@ -501,9 +581,9 @@ where
                         ctx.recovered = true;
                         metrics.resilience_mut().retries += 1;
                         if tracing {
-                            if let Some(logical) = ctx.trace_id {
+                            if let Some(traced) = ctx.trace {
                                 store.tracer_mut().record(
-                                    logical,
+                                    traced.id.get(),
                                     obs::Stage::RetryBackoff,
                                     obs::CLIENT_NODE,
                                     now,
@@ -554,9 +634,9 @@ where
                     ctx.hedge_token = None;
                     ctx.attempts_total += 1;
                     ctx.in_flight = 1;
-                    let (trace_id, tag) = (ctx.trace_id, ctx.tag);
+                    let (trace, tag) = (ctx.trace, ctx.tag);
                     let newkey = ctxs.insert(ctx);
-                    attempts.submit(store, &mut sim, newkey, trace_id, op, tag);
+                    attempts.submit(store, &mut sim, newkey, trace, op, tag);
                     continue;
                 }
                 match &c.result {
@@ -612,9 +692,15 @@ where
                 });
             }
             if tracing {
-                if let Some(logical) = ctx.trace_id {
-                    let ok = !matches!(c.result, OpResult::Error(_));
-                    traced_settled.push((logical, ctx.kind, ctx.issued, now, ok));
+                if let Some(t) = ctx.trace {
+                    traced[t.slot as usize] = Some(obs::OpTrace {
+                        op: t.id.get(),
+                        kind: ctx.kind,
+                        issued: ctx.issued,
+                        settled: now,
+                        ok: !matches!(c.result, OpResult::Error(_)),
+                        spans: Vec::new(),
+                    });
                 }
             }
             completed += 1;
@@ -636,43 +722,7 @@ where
     if window_end == 0 {
         window_end = sim.now();
     }
-    // Assemble the per-op traces: fold every attempt's spans back onto its
-    // logical op, split off background activity, order deterministically.
-    let trace = if tracing {
-        let mut by_op: std::collections::BTreeMap<u64, Vec<obs::StageSpan>> = Default::default();
-        let mut background: Vec<obs::StageSpan> = Vec::new();
-        for mut s in store.tracer_mut().take_spans() {
-            if s.op == obs::BG_OP {
-                background.push(s);
-                continue;
-            }
-            let Some(&logical) = attempts.trace_of.get(&s.op) else {
-                continue;
-            };
-            s.op = logical;
-            by_op.entry(logical).or_default().push(s);
-        }
-        background.sort_by_key(|s| s.sort_key());
-        traced_settled.sort_by_key(|&(id, ..)| id);
-        let ops = traced_settled
-            .into_iter()
-            .map(|(id, kind, issued_at, settled, ok)| {
-                let mut spans = by_op.remove(&id).unwrap_or_default();
-                spans.sort_by_key(|s| s.sort_key());
-                obs::OpTrace {
-                    op: id,
-                    kind,
-                    issued: issued_at,
-                    settled,
-                    ok,
-                    spans,
-                }
-            })
-            .collect();
-        Some(obs::RunTrace { ops, background })
-    } else {
-        None
-    };
+    let trace = tracing.then(|| assemble_trace(store.tracer_mut().take_spans(), &attempts, traced));
     // Every token issued is one attempt submitted.
     metrics.resilience_mut().attempts = attempts.next_token - 1;
     metrics.set_window(window_start, window_end);

@@ -14,7 +14,7 @@ use storage::OpKind;
 /// The assembled trace of one sampled logical operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpTrace {
-    /// Logical op id (the settled attempt's token).
+    /// Logical op id (its first attempt's token).
     pub op: u64,
     /// Operation kind.
     pub kind: OpKind,

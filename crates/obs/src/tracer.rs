@@ -4,11 +4,15 @@
 use crate::span::{StageSpan, BG_OP};
 use crate::stage::Stage;
 use simkit::{splitmix64, SimTime};
-use std::collections::HashSet;
 
 /// Per-run span sink. Owned by each cluster; the driver enables it,
 /// registers the attempt tokens it wants traced, and collects the spans at
 /// the end of the run.
+///
+/// The watch set is a bitset over attempt tokens, one bit per token from 0
+/// up to the largest watched one. The driver issues tokens densely from 1,
+/// so it stays one bit per attempt of the run (8 KB for 64k attempts), and
+/// asking whether a token is watched is one bit test, not a hash probe.
 ///
 /// Determinism contract: every method is pure bookkeeping. No randomness,
 /// no event scheduling, no simulated-resource access — so a run with
@@ -17,7 +21,8 @@ use std::collections::HashSet;
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
     enabled: bool,
-    watched: HashSet<u64>,
+    /// Bit `token % 64` of word `token / 64` is set when `token` is watched.
+    watched: Vec<u64>,
     spans: Vec<StageSpan>,
 }
 
@@ -41,25 +46,41 @@ impl Tracer {
     }
 
     /// Register an attempt token as traced. Spans for unwatched tokens are
-    /// dropped at the recording site.
+    /// dropped at the recording site. The bitset grows to cover `token`, so
+    /// tokens are meant to be issued densely from 1, as the driver does.
     pub fn watch(&mut self, token: u64) {
-        if token != BG_OP {
-            self.watched.insert(token);
+        if token == BG_OP {
+            return;
         }
+        let word = (token / 64) as usize;
+        if self.watched.len() <= word {
+            self.watched.resize(word + 1, 0);
+        }
+        self.watched[word] |= 1 << (token % 64);
+    }
+
+    /// True when `token`'s bit is set in the watch set.
+    #[inline]
+    fn watches(&self, token: u64) -> bool {
+        self.watched
+            .get((token / 64) as usize)
+            .is_some_and(|bits| bits >> (token % 64) & 1 == 1)
     }
 
     /// True when `token` is registered for tracing (and tracing is on).
     #[inline]
     pub fn watching(&self, token: u64) -> bool {
-        self.enabled && self.watched.contains(&token)
+        self.enabled && self.watches(token)
     }
 
     /// Record that `op` spent `[start, end)` in `stage` on `node`.
     /// No-op unless the tracer is enabled, the token is watched, and the
-    /// interval is non-empty — so the common (disabled) case is one branch.
+    /// interval is non-empty. Cost: with tracing off, one branch; with
+    /// tracing on, one bit test per call site, plus one push when `op` is
+    /// watched.
     #[inline]
     pub fn record(&mut self, op: u64, stage: Stage, node: u32, start: SimTime, end: SimTime) {
-        if !self.enabled || end <= start || !self.watched.contains(&op) {
+        if !self.enabled || end <= start || !self.watches(op) {
             return;
         }
         self.spans.push(StageSpan {
@@ -183,8 +204,42 @@ mod tests {
         let mut t = Tracer::new();
         t.enable();
         t.watch(BG_OP);
+        assert!(t.watched.is_empty(), "watching BG_OP sets no bit");
+        t.watch(2);
+        t.watch(BG_OP);
+        assert_eq!(t.watched, [0b100]);
+        assert!(!t.watching(BG_OP));
         t.record(BG_OP, Stage::ServerCpu, 0, 0, 5);
         assert!(t.spans.is_empty());
+    }
+
+    #[test]
+    fn the_watch_set_holds_exactly_the_watched_tokens() {
+        // Word edges (63 | 64), a second word grown by 65, one token just
+        // past it (128, a third word), and one that skips words.
+        let watched = [1, 63, 64, 65, 128, 1_000];
+        let mut t = Tracer::new();
+        for &token in &watched {
+            t.watch(token);
+        }
+        let all = 0..=1_100u64;
+        assert!(
+            all.clone().all(|token| !t.watching(token)),
+            "off until enabled"
+        );
+        for token in all.clone() {
+            t.record(token, Stage::ServerCpu, 0, 10, 20);
+        }
+        assert!(t.spans.is_empty(), "a disabled tracer drops every span");
+        t.enable();
+        for token in all.clone() {
+            assert_eq!(t.watching(token), watched.contains(&token), "token {token}");
+            t.record(token, Stage::ServerCpu, 0, 10, 20);
+        }
+        assert!(!t.watching(u64::MAX));
+        t.record(u64::MAX, Stage::ServerCpu, 0, 10, 20);
+        let kept: Vec<u64> = t.take_spans().iter().map(|s| s.op).collect();
+        assert_eq!(kept, watched);
     }
 
     #[test]

@@ -7,13 +7,14 @@
 //! 2. **Determinism** — the same seed and sampling config always produce
 //!    byte-identical trace exports.
 
+use cloudserve::audit::{AuditConfig, Fate, History};
 use cloudserve::bench_core::driver::{self, DriverConfig, RunOutcome};
 use cloudserve::bench_core::resilience::RetryPolicy;
 use cloudserve::bench_core::setup::{build_cstore, build_hstore, Scale};
 use cloudserve::cstore::Consistency;
 use cloudserve::faults::FaultPlan;
-use cloudserve::obs::TraceConfig;
-use cloudserve::simkit::NodeId;
+use cloudserve::obs::{Stage, TraceConfig};
+use cloudserve::simkit::{fnv1a, NodeId};
 use cloudserve::ycsb::WorkloadSpec;
 
 fn cfg(scale: &Scale, trace: TraceConfig) -> DriverConfig {
@@ -131,10 +132,86 @@ fn tracing_composes_with_faults_and_retries_without_perturbation() {
     let trace = on.trace.expect("trace");
     // Retried ops fold every attempt's spans into one logical trace; the
     // run above forces retries, so at least one backoff span must appear.
-    let has_backoff = trace.ops.iter().any(|op| {
-        op.spans
-            .iter()
-            .any(|s| s.stage == cloudserve::obs::Stage::RetryBackoff)
-    });
+    let has_backoff = trace
+        .ops
+        .iter()
+        .any(|op| op.spans.iter().any(|s| s.stage == Stage::RetryBackoff));
     assert!(has_backoff, "no retry backoff span found in a faulted run");
+}
+
+/// The benchmark's `cstore-crash-recorded` shape at its smoke size: cstore
+/// ONE/ONE YCSB-A, node 0 down from 10 ms to 25 ms, a retrying and hedging
+/// client, one op in 16 traced and every op audited.
+fn run_crash_recorded() -> RunOutcome {
+    let scale = Scale::tiny();
+    let mut s = build_cstore(&scale, 3, Consistency::One, Consistency::One);
+    driver::load(&mut s, scale.records, scale.value_len, 42);
+    let cfg = DriverConfig {
+        threads: 32,
+        warmup_ops: 100,
+        measure_ops: 1_900,
+        value_len: scale.value_len,
+        seed: 42,
+        faults: FaultPlan::new().crash_window(NodeId(0), 10_000, 25_000),
+        retry: RetryPolicy::retrying(8, 50_000, 5_000_000).with_hedge(2_500),
+        trace: TraceConfig::every(16),
+        audit: AuditConfig::all(),
+        ..DriverConfig::new(WorkloadSpec::ycsb_a(), scale.records)
+    };
+    driver::run(&mut s, &cfg)
+}
+
+/// FNV-1a of every field of every audit record, in settle order.
+fn history_hash(history: &History) -> u64 {
+    let mut bytes = Vec::new();
+    for r in history.records() {
+        bytes.extend_from_slice(&r.client.to_le_bytes());
+        bytes.extend_from_slice(r.kind.label().as_bytes());
+        for v in [r.id, r.issued, r.settled, u64::from(r.measured)] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        let fate = match r.fate {
+            Fate::Read {
+                expected_ts,
+                observed_ts,
+            } => [1, expected_ts, observed_ts.map_or(0, |ts| ts + 1)],
+            Fate::Write { ts } => [2, ts, 0],
+            Fate::Scanned => [3, 0, 0],
+            Fate::Failed => [4, 0, 0],
+        };
+        for v in fate {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    fnv1a(&bytes, 0)
+}
+
+/// Pins the traced export and the audit history of a run whose traced ops
+/// retry and hedge, so spans of several attempts fold onto one op: any
+/// change to how spans are kept, mapped to their op, ordered or dropped, or
+/// to what the history records, moves one of these hashes.
+#[test]
+fn crash_shape_trace_and_history_are_pinned() {
+    let out = run_crash_recorded();
+    let trace = out.trace.as_ref().expect("trace");
+    let history = out.audit.as_ref().expect("history");
+    assert!(
+        out.metrics.resilience().retries > 0,
+        "the crash forces retries"
+    );
+    assert!(
+        out.metrics.resilience().hedges > 0,
+        "the crash forces hedges"
+    );
+    assert_eq!(history.len(), 2_000, "one record per settled op");
+    // A hedged op's trace holds both attempts' client sends.
+    let folded = trace.ops.iter().any(|op| {
+        let sends = op.spans.iter().filter(|s| s.stage == Stage::ClientSend);
+        sends.count() > 1
+    });
+    assert!(folded, "no traced op carries a second attempt's spans");
+    let jsonl = trace.to_jsonl();
+    assert_eq!((trace.ops.len(), jsonl.len()), (125, 97_600));
+    assert_eq!(fnv1a(jsonl.as_bytes(), 0), 0xfebe_58d7_9167_7d1a);
+    assert_eq!(history_hash(history), 0x497a_254b_0679_2c54);
 }
