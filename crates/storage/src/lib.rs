@@ -12,6 +12,8 @@
 //! * `bloom` — a bloom filter to skip sorted runs on reads.
 //! * [`Segment`] — the rows of runs: one key arena, offsets and cells.
 //! * [`sstable`] — immutable sorted runs with block structure and an index.
+//! * `block_hash` — the per-block hash tables point reads use in large
+//!   blocks.
 //! * [`cache`] — an O(1) LRU block cache with hit/miss accounting.
 //! * [`merge`] — k-way merge with last-write-wins reconciliation.
 //! * [`Rows`] — scan results as handles into the segments holding them;
@@ -34,6 +36,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod api;
+mod block_hash;
 mod bloom;
 pub mod cache;
 pub mod compaction;

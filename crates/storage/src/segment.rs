@@ -9,6 +9,7 @@
 use std::ops::Deref;
 use std::sync::Arc;
 
+use crate::block_hash::slot_hash;
 use crate::bloom;
 use crate::sstable::{key_prefix, KeyPrefix, RunBuilder};
 use crate::types::{entry_encoded_len, Cell};
@@ -195,8 +196,9 @@ impl Segment {
     /// One pass in arrival order hashes each key into every holder's filter
     /// and takes its prefix and encoded length. What is sorted is that
     /// `(prefix, length, index)` array, never the rows; the holders' block
-    /// indexes come from it in key order, and the winners' keys, then their
-    /// cells, move into an exactly sized segment.
+    /// indexes and block hash tables come from it in key order, each
+    /// winner's key slot-hashed once for all holders as it moves into an
+    /// exactly sized segment, and then their cells move.
     ///
     /// A holder must receive its segments in key order, each sorting wholly
     /// above the one before.
@@ -235,10 +237,14 @@ impl Segment {
         });
         let mut rows = RowArena::with_capacity(order.len(), queued.keys.len() - dropped);
         for (row, r) in order.iter().enumerate() {
-            for run in holders.iter_mut() {
-                run.row(r.prefix(), r.len as u64);
+            let key = key(r);
+            if !holders.is_empty() {
+                let hash = slot_hash(key);
+                for run in holders.iter_mut() {
+                    run.row(r.prefix(), r.len as u64, hash);
+                }
             }
-            rows.push_key(row, key(r));
+            rows.push_key(row, key);
         }
         drop((queued.keys, queued.ends));
         let mut cells = queued.cells;

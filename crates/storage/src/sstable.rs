@@ -1,10 +1,12 @@
 //! Immutable sorted runs (HBase HFiles / Cassandra SSTables).
 //!
 //! A run stores its entries in key order, grouped into fixed-size blocks.
-//! A point read searches the block index and then the one block it names,
-//! and consults the bloom filter only when that search misses (a present key
-//! always passes the filter; see `LsmTree::get`); scans read consecutive
-//! blocks. The block is the unit of disk I/O and of block-cache residency.
+//! A point read searches the block index and then the one block it names —
+//! through the block's hash table when it has one (see `block_hash`), by
+//! binary search otherwise — and consults the bloom filter only when that
+//! lookup misses (a present key always passes the filter; see
+//! `LsmTree::get`); scans read consecutive blocks. The block is the unit of
+//! disk I/O and of block-cache residency.
 //!
 //! A run's rows live in one or more [`Segment`]s, which runs may share: the
 //! block structure, index and bloom filter belong to the run, the rows to
@@ -13,6 +15,7 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
+use crate::block_hash::{self, BlockTables, TableBuilder};
 use crate::bloom::{self, BloomFilter};
 use crate::segment::{LoadQueue, Segment};
 use crate::types::{entry_encoded_len, Cell, Key};
@@ -96,19 +99,24 @@ struct SsTableCore {
     chunk_prefixes: Vec<KeyPrefix>,
     /// Encoded bytes per block.
     block_bytes: Vec<u64>,
+    /// The hash tables of the blocks of 16 to 254 rows; `None` when the
+    /// run has no such block.
+    tables: Option<Box<BlockTables>>,
     bloom: BloomFilter,
     total_bytes: u64,
 }
 
-/// Builds one run's block index and bloom filter from one record per row:
-/// the key's bloom hash pair for the filter, and its prefix and encoded
-/// length for the block index. Every run is built through one, whether a
-/// flush, a compaction or a bulk load makes it.
+/// Builds one run's block index, block hash tables and bloom filter from one
+/// record per row: the key's bloom hash pair for the filter, and its
+/// prefix, encoded length and slot hash for the block index and tables.
+/// Every run is built through one, whether a flush, a compaction or a bulk
+/// load makes it.
 ///
 /// The filter takes hash pairs in any order, the index takes records in key
 /// order. [`RunBuilder::hold`] reads both from a sorted segment in one pass;
-/// a bulk load instead hashes each key where [`Segment::from_queue`] reads
-/// it, in arrival order, and feeds every run that holds the segment at once.
+/// a bulk load instead hashes each key for the filter where
+/// [`Segment::from_queue`] reads it, in arrival order, and for the tables
+/// in its sorted loop, and feeds every run that holds the segment at once.
 #[derive(Debug)]
 pub struct RunBuilder {
     /// The segments the run holds, in key order.
@@ -123,11 +131,14 @@ pub struct RunBuilder {
     block_prefixes: Vec<KeyPrefix>,
     chunk_prefixes: Vec<KeyPrefix>,
     block_bytes: Vec<u64>,
+    tables: TableBuilder,
     pub(crate) bloom: BloomFilter,
     total_bytes: u64,
     /// Bytes of the block being filled; 0 between blocks (an entry always
     /// encodes to more than zero bytes).
     cur_bytes: u64,
+    /// Rows of the block being filled.
+    cur_rows: usize,
 }
 
 impl RunBuilder {
@@ -144,9 +155,11 @@ impl RunBuilder {
             block_prefixes: Vec::new(),
             chunk_prefixes: Vec::new(),
             block_bytes: Vec::new(),
+            tables: TableBuilder::default(),
             bloom: BloomFilter::with_capacity(rows, 10),
             total_bytes: 0,
             cur_bytes: 0,
+            cur_rows: 0,
         }
     }
 
@@ -167,10 +180,11 @@ impl RunBuilder {
         self.len == 0
     }
 
-    /// Add the next row in key order to the block index: its key's prefix
-    /// and its encoded length.
+    /// Add the next row in key order to the block index and the tables: its
+    /// key's prefix, its encoded length and its key's
+    /// [`block_hash::slot_hash`].
     #[inline]
-    pub(crate) fn row(&mut self, prefix: KeyPrefix, len: u64) {
+    pub(crate) fn row(&mut self, prefix: KeyPrefix, len: u64, hash: u32) {
         if self.cur_bytes == 0 {
             if self.block_starts.len() % CHUNK == 0 {
                 self.chunk_prefixes.push(prefix);
@@ -178,13 +192,28 @@ impl RunBuilder {
             self.block_starts.push(self.len as u32);
             self.block_prefixes.push(prefix);
         }
+        self.tables.row(self.cur_rows, hash);
+        self.cur_rows += 1;
         self.cur_bytes += len;
         self.total_bytes += len;
-        if self.cur_bytes >= self.block_size {
-            self.block_bytes.push(self.cur_bytes);
-            self.cur_bytes = 0;
-        }
         self.len += 1;
+        if self.cur_bytes >= self.block_size {
+            self.close_block();
+        }
+    }
+
+    /// Close the block being filled: its byte count, and its table.
+    fn close_block(&mut self) {
+        self.block_bytes.push(self.cur_bytes);
+        let rows_left = self.sized_for.saturating_sub(self.len - self.cur_rows);
+        self.tables.close(
+            self.block_bytes.len() - 1,
+            self.cur_rows,
+            self.block_starts.capacity(),
+            rows_left,
+        );
+        self.cur_bytes = 0;
+        self.cur_rows = 0;
     }
 
     /// Hold `segment` as the run's next stretch of rows, reading every row
@@ -199,7 +228,8 @@ impl RunBuilder {
         }
         for (key, cell) in segment.iter() {
             self.bloom.insert_hashed(bloom::hash_pair(key));
-            self.row(key_prefix(key), entry_encoded_len(key, cell));
+            let len = entry_encoded_len(key, cell);
+            self.row(key_prefix(key), len, block_hash::slot_hash(key));
         }
         self.segments.push(segment);
     }
@@ -219,9 +249,9 @@ impl RunBuilder {
             }
         }
         if self.cur_bytes > 0 {
-            self.block_bytes.push(self.cur_bytes);
+            self.close_block();
         }
-        SsTable {
+        let table = SsTable {
             id,
             core: Arc::new(SsTableCore {
                 segments: self.segments,
@@ -230,10 +260,16 @@ impl RunBuilder {
                 block_prefixes: self.block_prefixes,
                 chunk_prefixes: self.chunk_prefixes,
                 block_bytes: self.block_bytes,
+                tables: self.tables.finish(),
                 bloom: self.bloom,
                 total_bytes: self.total_bytes,
             }),
-        }
+        };
+        debug_assert!(
+            table.tables_find_every_row(),
+            "a hashed block's table must find each of its rows by its key"
+        );
+        table
     }
 }
 
@@ -430,11 +466,65 @@ impl SsTable {
         (start, end)
     }
 
+    /// The hash table of block `block`, which holds `rows` rows, if it has
+    /// one.
+    #[inline]
+    fn table(&self, block: usize, rows: usize) -> Option<&[u8]> {
+        self.core.tables.as_deref()?.table(block, rows)
+    }
+
     /// Point lookup confined to one block (the caller already paid for
-    /// reading that block): a binary search of the block's keys.
+    /// reading that block). A block of 16 to 254 rows is looked up through
+    /// its hash table: the key's slot hash picks a slot, and the probe
+    /// compares the full key of each row it meets until the key's row or an
+    /// empty slot, about 2.4 rows for a present key. Every other block is
+    /// binary-searched. Both give the same answer: the key's cell, or
+    /// `None` when the block does not hold the key.
     pub(crate) fn get_in_block(&self, block: usize, key: &[u8]) -> Option<&Cell> {
         let (start, end) = self.block_range(block);
-        self.search(start, end, key).1
+        match self.table(block, end - start) {
+            Some(table) => self.find_in_table(table, start, key),
+            None => self.search(start, end, key).1,
+        }
+    }
+
+    /// The cell of `key` through `table`, the hash table of the block whose
+    /// first entry is entry `start`.
+    #[inline]
+    fn find_in_table(&self, table: &[u8], start: usize, key: &[u8]) -> Option<&Cell> {
+        let (segment, from) = self.locate(start);
+        let rows = &self.core.segments[segment];
+        for row in block_hash::probe(table, block_hash::slot_hash(key)) {
+            let at = from + row;
+            // A block may run on past its first segment's end.
+            let (rows, at) = if at < rows.len() {
+                (rows, at)
+            } else {
+                let (segment, at) = self.locate(start + row);
+                (&self.core.segments[segment], at)
+            };
+            if rows.key(at) == key {
+                return Some(rows.cell(at));
+            }
+        }
+        None
+    }
+
+    /// True when every row of every block with a hash table is found
+    /// through that table by its own key: what a build must leave.
+    fn tables_find_every_row(&self) -> bool {
+        (0..self.block_count()).all(|block| {
+            let (start, end) = self.block_range(block);
+            let Some(table) = self.table(block, end - start) else {
+                return true;
+            };
+            (start..end).all(|i| {
+                let (segment, at) = self.locate(i);
+                let rows = &self.core.segments[segment];
+                self.find_in_table(table, start, rows.key(at))
+                    .is_some_and(|cell| std::ptr::eq(cell, rows.cell(at)))
+            })
+        })
     }
 
     /// Full point lookup (bloom + index + block search); for tests and
@@ -607,6 +697,7 @@ mod tests {
         Vec<KeyPrefix>,
         Vec<KeyPrefix>,
         Vec<u64>,
+        Option<(Vec<u32>, Vec<u8>)>,
         Vec<u64>,
         u64,
     );
@@ -620,6 +711,10 @@ mod tests {
             c.block_prefixes.clone(),
             c.chunk_prefixes.clone(),
             c.block_bytes.clone(),
+            c.tables.as_ref().map(|t| {
+                let (starts, slots) = t.parts();
+                (starts.to_vec(), slots.to_vec())
+            }),
             c.bloom.words().to_vec(),
             c.total_bytes,
         )
@@ -667,6 +762,41 @@ mod tests {
             assert!(got.segments()[0].shares_storage_with(&segment));
             // The reservation held every block: the index never grew.
             assert_eq!(got.core.block_starts.capacity(), (bytes / 128) as usize + 1);
+        }
+    }
+
+    #[test]
+    fn blocks_of_16_to_254_rows_get_tables() {
+        for (rows, hashed) in [
+            (8, false),
+            (15, false),
+            (16, true),
+            (196, true),
+            (254, true),
+            (255, false),
+        ] {
+            // 28-byte entries, so blocks of `rows * 28` bytes hold `rows`
+            // rows; the last block holds 5 and gets no table.
+            let n = 3 * rows + 5;
+            let entries = (0..n)
+                .map(|i| (k(&format!("user{i:06}")), Cell::live(k("v"), 1)))
+                .collect();
+            let t = SsTable::build(TableId(1), entries, 28 * rows as u64);
+            assert_eq!(t.block_count(), 4);
+            assert_eq!(t.core.tables.is_some(), hashed, "{rows} rows");
+            for block in 0..4 {
+                let (start, end) = t.block_range(block);
+                let want = hashed && block < 3;
+                assert_eq!(
+                    t.table(block, end - start).is_some(),
+                    want,
+                    "{rows} rows, block {block}"
+                );
+            }
+            for i in 0..n {
+                assert!(t.get(format!("user{i:06}").as_bytes()).is_some());
+            }
+            assert_eq!(t.get(b"user0000001"), None);
         }
     }
 

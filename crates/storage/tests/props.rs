@@ -1379,3 +1379,149 @@ proptest! {
         }
     }
 }
+
+/// Encoded bytes of every row of [`block_table_rows`]'s live rows.
+const ROW_BYTES: usize = 40;
+
+/// Rows for the block-table test: `drawn` keys (prefix-tied, at most 19
+/// bytes) and `fillers` keys of 5 and 6 bytes, each live row padded with
+/// its value to [`ROW_BYTES`] encoded bytes, so blocks of `n * ROW_BYTES`
+/// bytes hold `n` rows; with `tombstones`, every fifth row is a tombstone
+/// and shorter, so its blocks hold more.
+fn block_table_rows(
+    drawn: &std::collections::BTreeSet<Vec<u8>>,
+    fillers: usize,
+    tombstones: bool,
+) -> Vec<(Key, Cell)> {
+    let fillers = (0..fillers).map(|i| {
+        let suffix = if i % 2 == 0 { "" } else { "x" };
+        format!("m{i:04}{suffix}").into_bytes()
+    });
+    let keys: std::collections::BTreeSet<Vec<u8>> = drawn.iter().cloned().chain(fillers).collect();
+    keys.into_iter()
+        .enumerate()
+        .map(|(i, k)| {
+            let ts = i as u64 + 1;
+            let cell = if tombstones && i % 5 == 2 {
+                Cell::tombstone(ts)
+            } else {
+                let value = vec![b'v'; ROW_BYTES - 17 - k.len()];
+                Cell::live(Bytes::from(value), ts)
+            };
+            (Bytes::from(k), cell)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Point lookups in runs whose blocks hold 15, 16, 254 or 255 rows —
+    /// the middle two looked up through their hash tables, the outer two
+    /// binary-searched — agree with the binary search and with a
+    /// `BTreeMap` model, over prefix-tied keys, keys of mixed widths,
+    /// tombstones, and absent probes before, between and after the rows.
+    /// The run is loaded in segments cut anywhere, so blocks span segment
+    /// ends, and fed to a co-holder too; a second run of the same rows is
+    /// built from one segment. At every probe: `lower_bound` is the
+    /// partition point, the row it lands on holds the model's cell exactly
+    /// when the model has the key, both runs' `SsTable::get` return that
+    /// cell, and `LsmTree::get` returns it with the I/O of a block index
+    /// search: a present key's block is fetched through a reference block
+    /// cache, an absent key is skipped or (a bloom false positive) its
+    /// block fetched, and a key before the run is skipped.
+    #[test]
+    fn point_lookups_through_block_tables_match_binary_search_and_model(
+        drawn in prop::collection::btree_set(arb_prefix_key(), 0..120),
+        fillers in (0usize..3, 0usize..700).prop_map(|(pick, n)| [0, 300, n][pick]),
+        rows_per_block in (0usize..4).prop_map(|i| [15, 16, 254, 255][i]),
+        tombstones in (0u32..4).prop_map(|p| p == 0),
+        cuts in prop::collection::vec(0usize..900, 0..5),
+        probes in prop::collection::vec(arb_prefix_key(), 1..30),
+    ) {
+        let rows = block_table_rows(&drawn, fillers, tombstones);
+        prop_assume!(!rows.is_empty());
+        let model: BTreeMap<Key, Cell> = rows.iter().cloned().collect();
+        let block_size = (rows_per_block * ROW_BYTES) as u64;
+        let config = LsmConfig {
+            block_size,
+            memtable_flush_bytes: u64::MAX,
+            cache_bytes: 3 * block_size, // a few blocks: gets evict
+            compaction: SizeTieredPolicy::default(),
+        };
+        let bytes = rows.iter().map(|(k, c)| entry_encoded_len(k, c)).sum();
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (rows.len() + 1)).collect();
+        bounds.extend([0, rows.len()]);
+        bounds.sort_unstable();
+        let mut tree = LsmTree::new(config);
+        let mut other = LsmTree::new(config);
+        let (mut run, mut co_run) = (tree.load_builder(rows.len(), bytes), other.load_builder(rows.len(), bytes));
+        for w in bounds.windows(2) {
+            Segment::from_queue(queue_of(&rows[w[0]..w[1]]), &mut [&mut run, &mut co_run]);
+        }
+        let id = tree.reserve_table_id();
+        tree.load(id, run);
+        let id = other.reserve_table_id();
+        other.load(id, co_run);
+        let loaded = tree.runs()[0].clone();
+        let built = SsTable::build(TableId(9), rows.clone(), block_size);
+        prop_assert_eq!(table_rows(&loaded), rows.clone());
+        if !tombstones {
+            // Every block but the last holds exactly `rows_per_block` rows.
+            let mut per_block = vec![0; loaded.block_count()];
+            for i in 0..rows.len() {
+                per_block[loaded.block_of_entry(i)] += 1;
+            }
+            let (_, full) = per_block.split_last().expect("a block");
+            prop_assert!(full.iter().all(|&n| n == rows_per_block), "{:?}", per_block);
+        }
+
+        let between = rows.iter().map(|(k, _)| [k.as_ref(), &[0]].concat());
+        let outside = [Vec::new(), vec![0xff; 20]];
+        let probes: Vec<Vec<u8>> = probes
+            .into_iter()
+            .chain(rows.iter().map(|(k, _)| k.to_vec()))
+            .chain(between)
+            .chain(outside)
+            .collect();
+        let skip = {
+            let mut io = IoPlan::new();
+            io.push(IoOp::BloomSkip);
+            io
+        };
+        let mut cache = BlockCache::new(config.cache_bytes);
+        for probe in &probes {
+            let want = model.get(probe.as_slice());
+            let at = loaded.lower_bound(probe);
+            prop_assert_eq!(at, rows.partition_point(|(k, _)| k.as_ref() < probe.as_slice()), "lower_bound {:?}", probe);
+            let searched = rows.get(at).filter(|(k, _)| k.as_ref() == probe.as_slice()).map(|(_, c)| c);
+            prop_assert_eq!(searched, want, "binary search {:?}", probe);
+            prop_assert_eq!(loaded.get(probe), want, "loaded run get {:?}", probe);
+            prop_assert_eq!(built.get(probe), want, "built run get {:?}", probe);
+            prop_assert_eq!(other.runs()[0].get(probe), want, "co-held run get {:?}", probe);
+
+            let got = tree.get(probe);
+            prop_assert_eq!(got.cell.as_ref(), want, "tree get {:?}", probe);
+            let fetched = |cache: &mut BlockCache, block: usize| {
+                let key = BlockKey { table: loaded.id(), block: block as u32 };
+                let bytes = loaded.block_len(block);
+                let mut io = IoPlan::new();
+                if cache.get(key).is_some() {
+                    io.push(IoOp::CacheHit { bytes });
+                } else {
+                    cache.insert(key, bytes);
+                    io.push(IoOp::DiskRead { bytes });
+                }
+                io
+            };
+            match loaded.block_for(probe) {
+                None => prop_assert_eq!(&got.io, &skip, "io before the run {:?}", probe),
+                Some(block) if want.is_some() || got.io != skip => {
+                    prop_assert_eq!(&got.io, &fetched(&mut cache, block), "io {:?}", probe);
+                }
+                Some(_) => {}
+            }
+        }
+        prop_assert_eq!(tree.cache_stats(), cache.stats());
+    }
+}

@@ -10,7 +10,7 @@
 use cloudserve::audit::{AuditConfig, Fate, History};
 use cloudserve::bench_core::driver::{self, DriverConfig, RunOutcome};
 use cloudserve::bench_core::resilience::RetryPolicy;
-use cloudserve::bench_core::setup::{build_cstore, build_hstore, Scale};
+use cloudserve::bench_core::setup::{build_cstore, build_cstore_with, build_hstore, Scale};
 use cloudserve::cstore::Consistency;
 use cloudserve::faults::FaultPlan;
 use cloudserve::obs::{Stage, TraceConfig};
@@ -214,4 +214,62 @@ fn crash_shape_trace_and_history_are_pinned() {
     assert_eq!((trace.ops.len(), jsonl.len()), (125, 97_600));
     assert_eq!(fnv1a(jsonl.as_bytes(), 0), 0xfebe_58d7_9167_7d1a);
     assert_eq!(history_hash(history), 0x497a_254b_0679_2c54);
+}
+
+/// The crash shape with a 5 ms RPC timeout and a retrying client that backs
+/// off 2 ms at first: node 0 is down from 10 ms to 40 ms, so an op it
+/// coordinates times out and retries, often more than once, before the
+/// node returns. Every op is traced and none hedged, so each attempt of an
+/// op is one of its client sends.
+fn run_crash_short_timeout() -> RunOutcome {
+    let scale = Scale::tiny();
+    let mut s = build_cstore_with(&scale, 3, Consistency::One, Consistency::One, |c| {
+        c.node.rpc_timeout_us = 5_000;
+    });
+    driver::load(&mut s, scale.records, scale.value_len, 42);
+    let cfg = DriverConfig {
+        threads: 32,
+        warmup_ops: 100,
+        measure_ops: 1_900,
+        value_len: scale.value_len,
+        seed: 42,
+        faults: FaultPlan::new().crash_window(NodeId(0), 10_000, 40_000),
+        retry: RetryPolicy::retrying(8, 2_000, 5_000_000),
+        trace: TraceConfig::all(),
+        ..DriverConfig::new(WorkloadSpec::ycsb_a(), scale.records)
+    };
+    driver::run(&mut s, &cfg)
+}
+
+/// Ops that retry more than once keep one client send per attempt and one
+/// retry backoff per retry: per op, sends = 1 + backoffs, and over the run
+/// the sends are the driver's attempts and the backoffs its retries. The
+/// export is pinned byte for byte.
+#[test]
+fn ops_retried_twice_keep_a_send_per_attempt_and_a_backoff_per_retry() {
+    let out = run_crash_short_timeout();
+    let trace = out.trace.as_ref().expect("trace");
+    let count = |op: &cloudserve::obs::OpTrace, stage: Stage| {
+        op.spans.iter().filter(|s| s.stage == stage).count() as u64
+    };
+    let mut sends = 0;
+    let mut backoffs = 0;
+    let mut retried_twice = 0;
+    for op in &trace.ops {
+        let (op_sends, op_backoffs) =
+            (count(op, Stage::ClientSend), count(op, Stage::RetryBackoff));
+        assert_eq!(op_sends, 1 + op_backoffs, "op {}", op.op);
+        retried_twice += u64::from(op_backoffs >= 2);
+        sends += op_sends;
+        backoffs += op_backoffs;
+    }
+    assert!(
+        retried_twice >= 3,
+        "{retried_twice} ops retried at least twice"
+    );
+    let resilience = out.metrics.resilience();
+    assert_eq!((sends, backoffs), (resilience.attempts, resilience.retries));
+    let jsonl = trace.to_jsonl();
+    assert_eq!((trace.ops.len(), jsonl.len()), (2_000, 1_489_808));
+    assert_eq!(fnv1a(jsonl.as_bytes(), 0), 0xf47d_001a_e144_1179);
 }
