@@ -10,10 +10,12 @@
 //! * `memtable` — the in-memory sorted write buffer, which also keeps its
 //!   rows as of the last commit-log sync for a crash to roll back to.
 //! * `bloom` — a bloom filter to skip sorted runs on reads.
-//! * [`Segment`] — the rows of runs: one key arena, offsets and cells.
+//! * [`Segment`] — the rows of runs: one key arena, offsets and cells, and
+//!   the hash tables of a segment whose runs' blocks are large.
 //! * [`sstable`] — immutable sorted runs with block structure and an index.
-//! * `block_hash` — the per-block hash tables point reads use in large
-//!   blocks.
+//! * `block_hash` — the segment hash tables point reads use in blocks of
+//!   16 rows or more: tagged 16-bit slots over fixed chunks of rows, filled
+//!   once for every run that holds the segment.
 //! * [`cache`] — an O(1) LRU block cache with hit/miss accounting.
 //! * [`merge`] — k-way merge with last-write-wins reconciliation.
 //! * [`Rows`] — scan results as handles into the segments holding them;

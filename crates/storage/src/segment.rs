@@ -4,12 +4,14 @@
 //! cell (40 bytes for a 24-byte key): row `i`'s key sits at `i` times the
 //! width. From the first key of another width on, each row also keeps a
 //! `u32` offset where its key ends (44 bytes for a 24-byte key). No row
-//! makes an allocation of its own.
+//! makes an allocation of its own. A segment whose runs' blocks hold 16 or
+//! more rows also keeps the hash tables point reads find its rows through
+//! (see `block_hash`), built once for every run that holds it.
 
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use crate::block_hash::slot_hash;
+use crate::block_hash::{slot_hash, TableFill, Tables};
 use crate::bloom;
 use crate::sstable::{key_prefix, KeyPrefix, RunBuilder};
 use crate::types::{entry_encoded_len, Cell};
@@ -171,9 +173,18 @@ impl SortRecord {
 /// Cloning is O(1): the rows live behind an [`Arc`], so several runs can
 /// hold one segment. A cstore base sorts each token range's loaded rows
 /// into one segment once, and the run of every replica of that range holds
-/// it, so the base stores each row once instead of once per replica.
+/// it, so the base stores each row once instead of once per replica, and
+/// fills its hash tables once.
 #[derive(Debug, Clone)]
-pub struct Segment(Arc<RowArena>);
+pub struct Segment(Arc<SegmentCore>);
+
+/// What the clones of a segment share: its rows, and the hash tables of
+/// the segments that get them, set once by the first build that asks.
+#[derive(Debug)]
+struct SegmentCore {
+    rows: RowArena,
+    tables: OnceLock<Tables>,
+}
 
 impl Segment {
     /// A segment of `rows`, which are strictly sorted by key.
@@ -185,7 +196,48 @@ impl Segment {
             (1..rows.len()).all(|i| rows.key(i - 1) < rows.key(i)),
             "rows must be strictly sorted by key"
         );
-        Self(Arc::new(rows))
+        Self(Arc::new(SegmentCore {
+            rows,
+            tables: OnceLock::new(),
+        }))
+    }
+
+    /// The segment's hash tables, if it has them.
+    #[inline]
+    pub(crate) fn tables(&self) -> Option<&Tables> {
+        self.0.tables.get()
+    }
+
+    /// Give the segment its hash tables, unless it has them already: its
+    /// rows slot-hashed in order, once for every run that holds it.
+    pub(crate) fn fill_tables(&self) {
+        self.set_tables(|| {
+            let mut fill = TableFill::new(self.len());
+            for (key, _) in self.iter() {
+                fill.push(slot_hash(key));
+            }
+            fill.finish()
+        });
+    }
+
+    /// Set the segment's hash tables to what `build` returns, unless it has
+    /// them already.
+    ///
+    /// # Panics
+    /// In debug builds, panics unless the tables find every row by its own
+    /// key.
+    fn set_tables(&self, build: impl FnOnce() -> Tables) {
+        self.0.tables.get_or_init(|| {
+            let tables = build();
+            debug_assert!(
+                self.iter().enumerate().all(|(i, (key, cell))| {
+                    (tables.find(self, i..i + 1, key))
+                        .is_some_and(|found| std::ptr::eq(found, cell))
+                }),
+                "a segment's tables must find each of its rows by its key"
+            );
+            tables
+        });
     }
 
     /// A segment of the rows of `queue`, and their records fed to every run
@@ -196,9 +248,11 @@ impl Segment {
     /// One pass in arrival order hashes each key into every holder's filter
     /// and takes its prefix and encoded length. What is sorted is that
     /// `(prefix, length, index)` array, never the rows; the holders' block
-    /// indexes and block hash tables come from it in key order, each
-    /// winner's key slot-hashed once for all holders as it moves into an
-    /// exactly sized segment, and then their cells move.
+    /// indexes come from it in key order as each winner's key moves into an
+    /// exactly sized segment, and then their cells move. When a holder's
+    /// blocks hold 16 or more of the segment's rows, the same loop
+    /// slot-hashes each winner's key once into the segment's hash tables,
+    /// which every holder shares.
     ///
     /// A holder must receive its segments in key order, each sorting wholly
     /// above the one before.
@@ -235,14 +289,18 @@ impl Segment {
             }
             same
         });
+        let bytes = order.iter().map(|r| r.len as u64).sum();
+        let mut tables = (holders.iter())
+            .any(|run| run.wants_tables(order.len(), bytes))
+            .then(|| TableFill::new(order.len()));
         let mut rows = RowArena::with_capacity(order.len(), queued.keys.len() - dropped);
         for (row, r) in order.iter().enumerate() {
             let key = key(r);
-            if !holders.is_empty() {
-                let hash = slot_hash(key);
-                for run in holders.iter_mut() {
-                    run.row(r.prefix(), r.len as u64, hash);
-                }
+            for run in holders.iter_mut() {
+                run.row(r.prefix(), r.len as u64);
+            }
+            if let Some(tables) = &mut tables {
+                tables.push(slot_hash(key));
             }
             rows.push_key(row, key);
         }
@@ -252,6 +310,9 @@ impl Segment {
             |r: &SortRecord| std::mem::replace(&mut cells[r.index as usize], Cell::tombstone(0));
         rows.cells.extend(order.iter().map(moved));
         let segment = Self::sorted(rows);
+        if let Some(tables) = tables {
+            segment.set_tables(|| tables.finish());
+        }
         if !segment.is_empty() {
             for run in holders.iter_mut() {
                 run.segments.push(segment.clone());
@@ -279,7 +340,7 @@ impl Deref for Segment {
     type Target = RowArena;
 
     fn deref(&self) -> &RowArena {
-        &self.0
+        &self.0.rows
     }
 }
 
@@ -356,7 +417,7 @@ pub(crate) mod tests {
             ]
         );
         // The arena holds the winners' key bytes exactly.
-        assert_eq!(s.0.keys.capacity(), 2);
+        assert_eq!(s.0.rows.keys.capacity(), 2);
         assert_eq!(s.key_bytes(0, 2), 2);
     }
 

@@ -2,20 +2,21 @@
 //!
 //! A run stores its entries in key order, grouped into fixed-size blocks.
 //! A point read searches the block index and then the one block it names —
-//! through the block's hash table when it has one (see `block_hash`), by
-//! binary search otherwise — and consults the bloom filter only when that
-//! lookup misses (a present key always passes the filter; see
-//! `LsmTree::get`); scans read consecutive blocks. The block is the unit of
-//! disk I/O and of block-cache residency.
+//! through its segment's hash tables when the block holds 16 or more rows
+//! of one segment that has them (see `block_hash`), by binary search
+//! otherwise — and consults the bloom filter only when that lookup misses
+//! (a present key always passes the filter; see `LsmTree::get`); scans read
+//! consecutive blocks. The block is the unit of disk I/O and of block-cache
+//! residency.
 //!
 //! A run's rows live in one or more [`Segment`]s, which runs may share: the
-//! block structure, index and bloom filter belong to the run, the rows to
-//! the segments.
+//! block structure, index and bloom filter belong to the run, the rows and
+//! their hash tables to the segments.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use crate::block_hash::{self, BlockTables, TableBuilder};
+use crate::block_hash;
 use crate::bloom::{self, BloomFilter};
 use crate::segment::{LoadQueue, Segment};
 use crate::types::{entry_encoded_len, Cell, Key};
@@ -99,24 +100,21 @@ struct SsTableCore {
     chunk_prefixes: Vec<KeyPrefix>,
     /// Encoded bytes per block.
     block_bytes: Vec<u64>,
-    /// The hash tables of the blocks of 16 to 254 rows; `None` when the
-    /// run has no such block.
-    tables: Option<Box<BlockTables>>,
     bloom: BloomFilter,
     total_bytes: u64,
 }
 
-/// Builds one run's block index, block hash tables and bloom filter from one
-/// record per row: the key's bloom hash pair for the filter, and its
-/// prefix, encoded length and slot hash for the block index and tables.
-/// Every run is built through one, whether a flush, a compaction or a bulk
-/// load makes it.
+/// Builds one run's block index and bloom filter from one record per row:
+/// the key's bloom hash pair for the filter, and its prefix and encoded
+/// length for the block index. Every run is built through one, whether a
+/// flush, a compaction or a bulk load makes it; it also decides whether the
+/// segments it holds get hash tables.
 ///
 /// The filter takes hash pairs in any order, the index takes records in key
 /// order. [`RunBuilder::hold`] reads both from a sorted segment in one pass;
 /// a bulk load instead hashes each key for the filter where
-/// [`Segment::from_queue`] reads it, in arrival order, and for the tables
-/// in its sorted loop, and feeds every run that holds the segment at once.
+/// [`Segment::from_queue`] reads it, in arrival order, and feeds every run
+/// that holds the segment at once.
 #[derive(Debug)]
 pub struct RunBuilder {
     /// The segments the run holds, in key order.
@@ -131,14 +129,11 @@ pub struct RunBuilder {
     block_prefixes: Vec<KeyPrefix>,
     chunk_prefixes: Vec<KeyPrefix>,
     block_bytes: Vec<u64>,
-    tables: TableBuilder,
     pub(crate) bloom: BloomFilter,
     total_bytes: u64,
     /// Bytes of the block being filled; 0 between blocks (an entry always
     /// encodes to more than zero bytes).
     cur_bytes: u64,
-    /// Rows of the block being filled.
-    cur_rows: usize,
 }
 
 impl RunBuilder {
@@ -155,11 +150,9 @@ impl RunBuilder {
             block_prefixes: Vec::new(),
             chunk_prefixes: Vec::new(),
             block_bytes: Vec::new(),
-            tables: TableBuilder::default(),
             bloom: BloomFilter::with_capacity(rows, 10),
             total_bytes: 0,
             cur_bytes: 0,
-            cur_rows: 0,
         }
     }
 
@@ -180,11 +173,10 @@ impl RunBuilder {
         self.len == 0
     }
 
-    /// Add the next row in key order to the block index and the tables: its
-    /// key's prefix, its encoded length and its key's
-    /// [`block_hash::slot_hash`].
+    /// Add the next row in key order to the block index: its key's prefix
+    /// and its encoded length.
     #[inline]
-    pub(crate) fn row(&mut self, prefix: KeyPrefix, len: u64, hash: u32) {
+    pub(crate) fn row(&mut self, prefix: KeyPrefix, len: u64) {
         if self.cur_bytes == 0 {
             if self.block_starts.len() % CHUNK == 0 {
                 self.chunk_prefixes.push(prefix);
@@ -192,32 +184,26 @@ impl RunBuilder {
             self.block_starts.push(self.len as u32);
             self.block_prefixes.push(prefix);
         }
-        self.tables.row(self.cur_rows, hash);
-        self.cur_rows += 1;
         self.cur_bytes += len;
         self.total_bytes += len;
         self.len += 1;
         if self.cur_bytes >= self.block_size {
-            self.close_block();
+            self.block_bytes.push(self.cur_bytes);
+            self.cur_bytes = 0;
         }
     }
 
-    /// Close the block being filled: its byte count, and its table.
-    fn close_block(&mut self) {
-        self.block_bytes.push(self.cur_bytes);
-        let rows_left = self.sized_for.saturating_sub(self.len - self.cur_rows);
-        self.tables.close(
-            self.block_bytes.len() - 1,
-            self.cur_rows,
-            self.block_starts.capacity(),
-            rows_left,
-        );
-        self.cur_bytes = 0;
-        self.cur_rows = 0;
+    /// True when a segment of `rows` rows that encode to `bytes` bytes,
+    /// held by this run, gets hash tables: when its rows average a
+    /// sixteenth of the run's block size or less.
+    pub(crate) fn wants_tables(&self, rows: usize, bytes: u64) -> bool {
+        block_hash::wanted(rows, bytes, self.block_size)
     }
 
     /// Hold `segment` as the run's next stretch of rows, reading every row
-    /// of it for the filter and the index. An empty segment is dropped.
+    /// of it for the filter and the index, and then giving it hash tables
+    /// if the run wants them and it has none yet. An empty segment is
+    /// dropped.
     ///
     /// # Panics
     /// In debug builds, panics unless `segment` sorts wholly above the
@@ -226,10 +212,13 @@ impl RunBuilder {
         if segment.is_empty() {
             return;
         }
+        let before = self.total_bytes;
         for (key, cell) in segment.iter() {
             self.bloom.insert_hashed(bloom::hash_pair(key));
-            let len = entry_encoded_len(key, cell);
-            self.row(key_prefix(key), len, block_hash::slot_hash(key));
+            self.row(key_prefix(key), entry_encoded_len(key, cell));
+        }
+        if self.wants_tables(segment.len(), self.total_bytes - before) {
+            segment.fill_tables();
         }
         self.segments.push(segment);
     }
@@ -249,9 +238,9 @@ impl RunBuilder {
             }
         }
         if self.cur_bytes > 0 {
-            self.close_block();
+            self.block_bytes.push(self.cur_bytes);
         }
-        let table = SsTable {
+        SsTable {
             id,
             core: Arc::new(SsTableCore {
                 segments: self.segments,
@@ -260,16 +249,10 @@ impl RunBuilder {
                 block_prefixes: self.block_prefixes,
                 chunk_prefixes: self.chunk_prefixes,
                 block_bytes: self.block_bytes,
-                tables: self.tables.finish(),
                 bloom: self.bloom,
                 total_bytes: self.total_bytes,
             }),
-        };
-        debug_assert!(
-            table.tables_find_every_row(),
-            "a hashed block's table must find each of its rows by its key"
-        );
-        table
+        }
     }
 }
 
@@ -466,69 +449,30 @@ impl SsTable {
         (start, end)
     }
 
-    /// The hash table of block `block`, which holds `rows` rows, if it has
-    /// one.
-    #[inline]
-    fn table(&self, block: usize, rows: usize) -> Option<&[u8]> {
-        self.core.tables.as_deref()?.table(block, rows)
-    }
-
     /// Point lookup confined to one block (the caller already paid for
-    /// reading that block). A block of 16 to 254 rows is looked up through
-    /// its hash table: the key's slot hash picks a slot, and the probe
-    /// compares the full key of each row it meets until the key's row or an
-    /// empty slot, about 2.4 rows for a present key. Every other block is
-    /// binary-searched. Both give the same answer: the key's cell, or
-    /// `None` when the block does not hold the key.
+    /// reading that block). A block of 16 or more rows that lies inside one
+    /// segment with hash tables is looked up through them: the key's slot
+    /// hash picks a slot in the table of each chunk the block reaches, and
+    /// the probe compares the full key only of the rows whose slot carries
+    /// the key's tag, until the key's row or an empty slot. Every other
+    /// block is binary-searched. Both give the same answer: the key's cell,
+    /// or `None` when the block does not hold the key.
     pub(crate) fn get_in_block(&self, block: usize, key: &[u8]) -> Option<&Cell> {
         let (start, end) = self.block_range(block);
-        match self.table(block, end - start) {
-            Some(table) => self.find_in_table(table, start, key),
-            None => self.search(start, end, key).1,
-        }
-    }
-
-    /// The cell of `key` through `table`, the hash table of the block whose
-    /// first entry is entry `start`.
-    #[inline]
-    fn find_in_table(&self, table: &[u8], start: usize, key: &[u8]) -> Option<&Cell> {
-        let (segment, from) = self.locate(start);
-        let rows = &self.core.segments[segment];
-        for row in block_hash::probe(table, block_hash::slot_hash(key)) {
-            let at = from + row;
-            // A block may run on past its first segment's end.
-            let (rows, at) = if at < rows.len() {
-                (rows, at)
-            } else {
-                let (segment, at) = self.locate(start + row);
-                (&self.core.segments[segment], at)
-            };
-            if rows.key(at) == key {
-                return Some(rows.cell(at));
+        if end - start >= block_hash::MIN_ROWS {
+            let (segment, from) = self.locate(start);
+            let rows = &self.core.segments[segment];
+            let to = from + (end - start);
+            if let Some(tables) = rows.tables().filter(|_| to <= rows.len()) {
+                return tables.find(rows, from..to, key);
             }
         }
-        None
+        self.search(start, end, key).1
     }
 
-    /// True when every row of every block with a hash table is found
-    /// through that table by its own key: what a build must leave.
-    fn tables_find_every_row(&self) -> bool {
-        (0..self.block_count()).all(|block| {
-            let (start, end) = self.block_range(block);
-            let Some(table) = self.table(block, end - start) else {
-                return true;
-            };
-            (start..end).all(|i| {
-                let (segment, at) = self.locate(i);
-                let rows = &self.core.segments[segment];
-                self.find_in_table(table, start, rows.key(at))
-                    .is_some_and(|cell| std::ptr::eq(cell, rows.cell(at)))
-            })
-        })
-    }
-
-    /// Full point lookup (bloom + index + block search); for tests and
-    /// compaction, where I/O accounting is handled elsewhere.
+    /// Full point lookup (bloom + index + block search): the lookup
+    /// `LsmTree::get` makes in each run, without its bloom-last order and
+    /// its I/O accounting. Tests read runs through it.
     pub fn get(&self, key: &[u8]) -> Option<&Cell> {
         if !self.may_contain(key) {
             return None;
@@ -697,7 +641,7 @@ mod tests {
         Vec<KeyPrefix>,
         Vec<KeyPrefix>,
         Vec<u64>,
-        Option<(Vec<u32>, Vec<u8>)>,
+        Vec<Option<Vec<u16>>>,
         Vec<u64>,
         u64,
     );
@@ -711,10 +655,9 @@ mod tests {
             c.block_prefixes.clone(),
             c.chunk_prefixes.clone(),
             c.block_bytes.clone(),
-            c.tables.as_ref().map(|t| {
-                let (starts, slots) = t.parts();
-                (starts.to_vec(), slots.to_vec())
-            }),
+            (c.segments.iter())
+                .map(|s| s.tables().map(|t| t.slots().to_vec()))
+                .collect(),
             c.bloom.words().to_vec(),
             c.total_bytes,
         )
@@ -766,38 +709,55 @@ mod tests {
     }
 
     #[test]
-    fn blocks_of_16_to_254_rows_get_tables() {
+    fn segments_in_blocks_of_16_rows_or_more_get_tables() {
         for (rows, hashed) in [
             (8, false),
             (15, false),
             (16, true),
             (196, true),
-            (254, true),
-            (255, false),
+            (1500, true),
         ] {
             // 28-byte entries, so blocks of `rows * 28` bytes hold `rows`
-            // rows; the last block holds 5 and gets no table.
+            // rows; the last block holds 5 and is binary-searched.
             let n = 3 * rows + 5;
             let entries = (0..n)
                 .map(|i| (k(&format!("user{i:06}")), Cell::live(k("v"), 1)))
                 .collect();
             let t = SsTable::build(TableId(1), entries, 28 * rows as u64);
             assert_eq!(t.block_count(), 4);
-            assert_eq!(t.core.tables.is_some(), hashed, "{rows} rows");
-            for block in 0..4 {
-                let (start, end) = t.block_range(block);
-                let want = hashed && block < 3;
-                assert_eq!(
-                    t.table(block, end - start).is_some(),
-                    want,
-                    "{rows} rows, block {block}"
-                );
-            }
+            assert_eq!(t.segments()[0].tables().is_some(), hashed, "{rows} rows");
             for i in 0..n {
-                assert!(t.get(format!("user{i:06}").as_bytes()).is_some());
+                let key = format!("user{i:06}");
+                let block = t.block_for(key.as_bytes()).expect("a block");
+                assert!(t.get_in_block(block, key.as_bytes()).is_some());
+                // Another block does not hold the key.
+                let other = (block + 1) % 4;
+                assert_eq!(t.get_in_block(other, key.as_bytes()), None);
             }
             assert_eq!(t.get(b"user0000001"), None);
         }
+    }
+
+    #[test]
+    fn runs_holding_one_segment_share_its_tables() {
+        let segment =
+            from_sorted((0..3000).map(|i| (k(&format!("user{i:06}")), Cell::live(k("v"), 1))));
+        // A run of 8-row blocks wants no tables; one of 64-row blocks
+        // fills them, and a second one reuses them.
+        let mut small = RunBuilder::new(3000, 8 * 28);
+        small.hold(segment.clone());
+        assert!(segment.tables().is_none());
+        let [a, b] = [0, 1].map(|_| {
+            let mut run = RunBuilder::new(3000, 64 * 28);
+            run.hold(segment.clone());
+            run.finish(TableId(2))
+        });
+        let tables = segment.tables().expect("tables");
+        for run in [&a, &b] {
+            let held = run.segments()[0].tables().expect("tables");
+            assert!(std::ptr::eq(held, tables));
+        }
+        assert_eq!(layout(&a), layout(&b));
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! What a run's block hash tables allocate, counted by a global allocator
+//! What a segment's hash tables allocate, counted by a global allocator
 //! (alone in this test binary). The same 100k rows of 24-byte keys and
-//! one-byte values (42 encoded bytes a row) are loaded as one run in 8 KB
-//! blocks of 196 rows, which get tables, and in blocks of 13 and of 391
-//! rows, which get none. The loads differ only in their block count and
-//! their tables, so what the tables hold is the difference of the live
-//! bytes less the difference of the per-block buffers.
+//! one-byte values (42 encoded bytes a row) are sorted into one segment
+//! fed to its runs: one run or three in 8 KB blocks of 196 rows, which get
+//! tables, or one run in blocks of 13 rows, which gets none. Each run's
+//! block index and filter are allocated before the sort, so what the sort
+//! allocates beyond the unhashed load is the tables alone.
 
 use bytes::counting::{tally, Counting, Tally};
 use bytes::Bytes;
@@ -15,65 +15,75 @@ static ALLOCATOR: Counting = Counting;
 
 const ROWS: usize = 100_000;
 
-/// Load [`ROWS`] rows as one run in blocks of `block_size` bytes: what the
-/// load allocated, and the run's block count.
-fn load(block_size: u64) -> (Tally, usize) {
+/// Sort [`ROWS`] rows into one segment held by `holders` runs in blocks of
+/// `block_size` bytes: what the sort allocated, with every run's block
+/// count.
+fn load(holders: usize, block_size: u64) -> (Tally, Vec<usize>) {
     let value = Bytes::from_static(b"v");
     let mut queue = LoadQueue::default();
     for i in 0..ROWS {
         let key = format!("user{:020}", (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
         queue.push(key.as_bytes(), Cell::live(value.clone(), 1));
     }
-    let mut tree = LsmTree::new(LsmConfig {
-        block_size,
-        ..LsmConfig::default()
-    });
     let bytes = queue.bytes();
     assert_eq!(bytes, 42 * ROWS as u64);
-    let ((), made) = tally(|| {
-        let mut run = tree.load_builder(ROWS, bytes);
-        Segment::from_queue(queue, &mut [&mut run]);
-        let id = tree.reserve_table_id();
-        tree.load(id, run);
-    });
-    (made, tree.runs()[0].block_count())
-}
-
-/// Heap bytes of a run's per-block buffers in blocks of `block_size`
-/// bytes, `blocks` of them: the block index, reserved for every block the
-/// run's bytes could fill (a start, a 16-byte prefix and a byte count per
-/// block, and a prefix per 64 blocks), and the block cache's slot per
-/// block.
-fn per_block_bytes(block_size: u64, blocks: usize) -> isize {
-    let reserved = (42 * ROWS as u64 / block_size) as usize + 1;
-    (reserved * (4 + 16 + 8) + (reserved / 64 + 1) * 16 + blocks * 4) as isize
+    let mut trees: Vec<LsmTree> = (0..holders)
+        .map(|_| {
+            LsmTree::new(LsmConfig {
+                block_size,
+                ..LsmConfig::default()
+            })
+        })
+        .collect();
+    let mut runs: Vec<_> = trees.iter().map(|t| t.load_builder(ROWS, bytes)).collect();
+    let mut holders: Vec<_> = runs.iter_mut().collect();
+    let (segment, made) = tally(|| Segment::from_queue(queue, &mut holders));
+    let blocks = trees
+        .iter_mut()
+        .zip(runs)
+        .map(|(tree, run)| {
+            let id = tree.reserve_table_id();
+            tree.load(id, run);
+            assert!(tree.runs()[0].segments()[0].shares_storage_with(&segment));
+            tree.runs()[0].block_count()
+        })
+        .collect();
+    (made, blocks)
 }
 
 #[test]
-fn tables_take_at_most_one_and_a_half_bytes_a_row_in_196_row_blocks() {
-    let (hashed, blocks) = load(8 * 1024);
-    let (plain, plain_blocks) = load(16 * 1024);
-    assert_eq!(blocks, ROWS.div_ceil(196));
-    assert_eq!(plain_blocks, ROWS.div_ceil(391));
-    // A box, the table starts and the slots.
-    assert_eq!(hashed.allocs, plain.allocs + 3);
-    let tables = hashed.live_bytes
-        - plain.live_bytes
-        - (per_block_bytes(8 * 1024, blocks) - per_block_bytes(16 * 1024, plain_blocks));
+fn a_segment_fills_its_tables_once_for_all_its_runs_at_under_2_7_bytes_a_row() {
+    let (one, blocks) = load(1, 8 * 1024);
+    let (three, three_blocks) = load(3, 8 * 1024);
+    let (plain, plain_blocks) = load(1, 512);
+    assert_eq!(blocks, [ROWS.div_ceil(196)]);
+    assert_eq!(three_blocks, [ROWS.div_ceil(196); 3]);
+    assert_eq!(plain_blocks, [ROWS.div_ceil(13)]);
+    // One buffer of slots, however many runs hold the segment.
+    assert_eq!(one.allocs, plain.allocs + 1);
+    assert_eq!(
+        (three.allocs, three.alloc_bytes),
+        (one.allocs, one.alloc_bytes)
+    );
+    let tables = one.live_bytes - plain.live_bytes;
+    assert_eq!(tables, three.live_bytes - plain.live_bytes);
     assert!(
-        tables as usize > ROWS && 2 * tables as usize <= 3 * ROWS,
+        tables as usize > 2 * ROWS && 10 * tables as usize <= 27 * ROWS,
         "{tables} bytes of tables for {ROWS} rows"
     );
 }
 
 #[test]
-fn a_run_of_blocks_under_16_rows_allocates_nothing_for_tables() {
-    let (small, blocks) = load(512);
-    let (plain, plain_blocks) = load(16 * 1024);
-    assert_eq!(blocks, ROWS.div_ceil(13));
-    assert_eq!(small.allocs, plain.allocs);
-    assert_eq!(
-        small.live_bytes - plain.live_bytes,
-        per_block_bytes(512, blocks) - per_block_bytes(16 * 1024, plain_blocks)
-    );
+fn a_segment_in_blocks_under_16_rows_allocates_nothing_for_tables() {
+    let (small, blocks) = load(1, 512);
+    let (three, _) = load(3, 512);
+    let (tiny, tiny_blocks) = load(1, 128);
+    assert_eq!(blocks, [ROWS.div_ceil(13)]);
+    assert_eq!(tiny_blocks, [ROWS.div_ceil(4)]);
+    for other in [three, tiny] {
+        assert_eq!(
+            (other.allocs, other.alloc_bytes, other.live_bytes),
+            (small.allocs, small.alloc_bytes, small.live_bytes)
+        );
+    }
 }

@@ -1413,48 +1413,59 @@ fn block_table_rows(
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// A tree of blocks of `rows_per_block` rows of [`ROW_BYTES`] bytes, whose
+/// cache holds a few blocks.
+fn block_table_config(rows_per_block: usize) -> LsmConfig {
+    let block_size = (rows_per_block * ROW_BYTES) as u64;
+    LsmConfig {
+        block_size,
+        memtable_flush_bytes: u64::MAX,
+        cache_bytes: 3 * block_size, // a few blocks: gets evict
+        compaction: SizeTieredPolicy::default(),
+    }
+}
 
-    /// Point lookups in runs whose blocks hold 15, 16, 254 or 255 rows —
-    /// the middle two looked up through their hash tables, the outer two
-    /// binary-searched — agree with the binary search and with a
-    /// `BTreeMap` model, over prefix-tied keys, keys of mixed widths,
-    /// tombstones, and absent probes before, between and after the rows.
-    /// The run is loaded in segments cut anywhere, so blocks span segment
-    /// ends, and fed to a co-holder too; a second run of the same rows is
-    /// built from one segment. At every probe: `lower_bound` is the
-    /// partition point, the row it lands on holds the model's cell exactly
-    /// when the model has the key, both runs' `SsTable::get` return that
-    /// cell, and `LsmTree::get` returns it with the I/O of a block index
-    /// search: a present key's block is fetched through a reference block
-    /// cache, an absent key is skipped or (a bloom false positive) its
-    /// block fetched, and a key before the run is skipped.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Point lookups in runs that hold one to three segments, shared with a
+    /// second run of blocks of another size, agree with the binary search
+    /// and with a `BTreeMap` model. Blocks hold 8 to 400 rows, so most
+    /// blocks of 16 rows or more are looked up through their segment's
+    /// hash tables, while blocks of fewer rows and blocks that span a
+    /// segment end are binary-searched. Segments run past rows 1,022 and
+    /// 2,044, so blocks cross the tables' chunk boundaries. Keys tie on
+    /// their 16-byte prefix and have mixed widths; rows include
+    /// tombstones; probes include absent keys before, between and after the
+    /// rows. A third run of the same rows is built from one segment. At
+    /// every probe: `lower_bound` is the partition point, the row it lands
+    /// on holds the model's cell exactly when the model has the key, every
+    /// run's `SsTable::get` returns that cell, and `LsmTree::get` returns
+    /// it with the I/O of a block index search: a present key's block is
+    /// fetched through a reference block cache, an absent key is skipped
+    /// or (a bloom false positive) its block fetched, and a key before the
+    /// run is skipped.
     #[test]
-    fn point_lookups_through_block_tables_match_binary_search_and_model(
+    fn point_lookups_through_segment_tables_match_binary_search_and_model(
         drawn in prop::collection::btree_set(arb_prefix_key(), 0..120),
-        fillers in (0usize..3, 0usize..700).prop_map(|(pick, n)| [0, 300, n][pick]),
-        rows_per_block in (0usize..4).prop_map(|i| [15, 16, 254, 255][i]),
+        fillers in (0usize..3, 0usize..2600).prop_map(|(pick, n)| [300, 2100, n][pick]),
+        rows_per_block in (0usize..4, 8usize..401).prop_map(|(pick, n)| [8, 16, 400, n][pick]),
+        co_rows_per_block in (0usize..3, 8usize..401).prop_map(|(pick, n)| [8, 15, n][pick]),
         tombstones in (0u32..4).prop_map(|p| p == 0),
-        cuts in prop::collection::vec(0usize..900, 0..5),
+        cuts in prop::collection::vec(0usize..2800, 0..3),
         probes in prop::collection::vec(arb_prefix_key(), 1..30),
     ) {
         let rows = block_table_rows(&drawn, fillers, tombstones);
         prop_assume!(!rows.is_empty());
         let model: BTreeMap<Key, Cell> = rows.iter().cloned().collect();
-        let block_size = (rows_per_block * ROW_BYTES) as u64;
-        let config = LsmConfig {
-            block_size,
-            memtable_flush_bytes: u64::MAX,
-            cache_bytes: 3 * block_size, // a few blocks: gets evict
-            compaction: SizeTieredPolicy::default(),
-        };
+        let config = block_table_config(rows_per_block);
+        let co_config = block_table_config(co_rows_per_block);
         let bytes = rows.iter().map(|(k, c)| entry_encoded_len(k, c)).sum();
         let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (rows.len() + 1)).collect();
         bounds.extend([0, rows.len()]);
         bounds.sort_unstable();
         let mut tree = LsmTree::new(config);
-        let mut other = LsmTree::new(config);
+        let mut other = LsmTree::new(co_config);
         let (mut run, mut co_run) = (tree.load_builder(rows.len(), bytes), other.load_builder(rows.len(), bytes));
         for w in bounds.windows(2) {
             Segment::from_queue(queue_of(&rows[w[0]..w[1]]), &mut [&mut run, &mut co_run]);
@@ -1464,7 +1475,12 @@ proptest! {
         let id = other.reserve_table_id();
         other.load(id, co_run);
         let loaded = tree.runs()[0].clone();
-        let built = SsTable::build(TableId(9), rows.clone(), block_size);
+        let co_held = other.runs()[0].clone();
+        prop_assert!((1..=3).contains(&loaded.segments().len()));
+        for (a, b) in loaded.segments().iter().zip(co_held.segments()) {
+            prop_assert!(a.shares_storage_with(b));
+        }
+        let built = SsTable::build(TableId(9), rows.clone(), config.block_size);
         prop_assert_eq!(table_rows(&loaded), rows.clone());
         if !tombstones {
             // Every block but the last holds exactly `rows_per_block` rows.
@@ -1498,7 +1514,7 @@ proptest! {
             prop_assert_eq!(searched, want, "binary search {:?}", probe);
             prop_assert_eq!(loaded.get(probe), want, "loaded run get {:?}", probe);
             prop_assert_eq!(built.get(probe), want, "built run get {:?}", probe);
-            prop_assert_eq!(other.runs()[0].get(probe), want, "co-held run get {:?}", probe);
+            prop_assert_eq!(co_held.get(probe), want, "co-held run get {:?}", probe);
 
             let got = tree.get(probe);
             prop_assert_eq!(got.cell.as_ref(), want, "tree get {:?}", probe);

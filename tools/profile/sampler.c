@@ -9,8 +9,11 @@
  * process's memory map to $PROFILE_OUT.maps, which `symbolize.py` reads.
  *
  * The walk is only as complete as the frame pointers: build the program
- * with `-C force-frame-pointers=yes`. Frames without one (libc leaves such
- * as memcmp) drop their direct caller, never the rest of the stack.
+ * with `-C force-frame-pointers=yes`. A library leaf such as memcmp or
+ * memcpy pushes no frame pointer, so the chain skips its direct caller;
+ * when the sample lands outside the executable, the word at the stack
+ * pointer is taken as that caller if it is a return address into the
+ * executable's text (the range is read once, at start).
  *
  * Environment: PROFILE_OUT (default "profile.out"), PROFILE_HZ (default
  * 997), PROFILE_MAX_SAMPLES (default 200000).
@@ -18,6 +21,7 @@
 #define _GNU_SOURCE
 #include <errno.h>
 #include <fcntl.h>
+#include <link.h>
 #include <pthread.h>
 #include <signal.h>
 #include <stdint.h>
@@ -41,6 +45,7 @@ static size_t max_samples;
 static volatile size_t taken;
 static volatile size_t dropped;
 static uintptr_t stack_lo, stack_hi;  /* the main thread's stack */
+static uintptr_t text_lo, text_hi;    /* the executable's text */
 static timer_t timer;
 static int armed;
 
@@ -54,9 +59,24 @@ static void on_sample(int sig, siginfo_t *info, void *uctx) {
     uintptr_t *row = samples + taken * DEPTH;
     const mcontext_t *mc = &((const ucontext_t *)uctx)->uc_mcontext;
     size_t n = 0;
-    row[n++] = (uintptr_t)mc->gregs[REG_RIP];
+    uintptr_t ip = (uintptr_t)mc->gregs[REG_RIP];
     uintptr_t fp = (uintptr_t)mc->gregs[REG_RBP];
     uintptr_t sp = (uintptr_t)mc->gregs[REG_RSP];
+    row[n++] = ip;
+    /* A leaf outside the executable (a libc memcmp) that pushed no frame
+     * still has its return address on top of the stack: keep that caller,
+     * unless the frame chain names it next anyway. */
+    uintptr_t leaf_caller = 0;
+    if ((ip < text_lo || ip >= text_hi) && sp >= stack_lo && sp + 8 <= stack_hi && sp % 8 == 0) {
+        uintptr_t top = *(const uintptr_t *)sp;
+        if (top >= text_lo && top < text_hi) {
+            leaf_caller = top;
+        }
+    }
+    if (leaf_caller != 0 && !(fp >= sp && fp + 16 <= stack_hi && fp % 8 == 0 &&
+                               ((const uintptr_t *)fp)[1] == leaf_caller)) {
+        row[n++] = leaf_caller;
+    }
     /* Each frame is [saved fp, return address]; frames only move up the
      * stack, so anything else ends the walk instead of faulting. */
     while (n < DEPTH - 1 && fp >= sp && fp >= stack_lo && fp + 16 <= stack_hi && fp % 8 == 0) {
@@ -73,6 +93,26 @@ static void on_sample(int sig, siginfo_t *info, void *uctx) {
     }
     row[n] = 0;
     taken++;
+}
+
+/* Take the executable's text range: the first object dl_iterate_phdr
+ * reports is the program itself. */
+static int find_text(struct dl_phdr_info *info, size_t size, void *data) {
+    (void)size;
+    (void)data;
+    for (int i = 0; i < info->dlpi_phnum; i++) {
+        const ElfW(Phdr) *ph = &info->dlpi_phdr[i];
+        if (ph->p_type == PT_LOAD && (ph->p_flags & PF_X)) {
+            uintptr_t lo = info->dlpi_addr + ph->p_vaddr;
+            if (text_hi == 0 || lo < text_lo) {
+                text_lo = lo;
+            }
+            if (lo + ph->p_memsz > text_hi) {
+                text_hi = lo + ph->p_memsz;
+            }
+        }
+    }
+    return 1;
 }
 
 static long env_long(const char *name, long fallback) {
@@ -106,6 +146,7 @@ __attribute__((constructor)) static void start(void) {
     pthread_attr_destroy(&attr);
     stack_lo = (uintptr_t)addr;
     stack_hi = stack_lo + size;
+    dl_iterate_phdr(find_text, NULL);
 
     max_samples = (size_t)env_long("PROFILE_MAX_SAMPLES", 200000);
     samples = mmap(NULL, max_samples * DEPTH * sizeof *samples, PROT_READ | PROT_WRITE,

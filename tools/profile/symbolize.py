@@ -14,7 +14,10 @@ runtime). With --focus, only samples with a frame matching REGEX count,
 and shares are of those samples; with --exclude, samples with a frame
 matching REGEX are dropped (after --focus). With --callers, the samples with a frame
 matching REGEX are also split by the nearest repository frame above (outside)
-its innermost match: which code calls, say, `Arc::clone`. With --baseline,
+its innermost match: which code calls, say, `Arc::clone`. A frame outside
+BINARY (`[libc.so.6]`) matches only in the stretch of such frames at the
+innermost end of a stack, where a sample ran library code, not in the
+`__libc_start_main` that ends every stack. With --baseline,
 each function's self share in OTHER.out (another build's profile, through the
 same --focus and --exclude) is printed next to its share in PROFILE, with the
 difference, largest first: OTHER.out's binary is the executable its .maps file
@@ -178,7 +181,10 @@ def main():
         callee = re.compile(args.callers)
         callers = collections.Counter()
         for s in stacks:
-            hit = next((i for i, f in enumerate(s) if callee.search(f)), None)
+            # How many frames at the innermost end lie outside BINARY.
+            library = next((i for i, f in enumerate(s) if not f.startswith("[")), len(s))
+            hit = next((i for i, f in enumerate(s)
+                        if callee.search(f) and (i < library or not f.startswith("["))), None)
             if hit is not None:
                 callers[next((f for f in s[hit + 1:] if crate_of(f) in REPO_CRATES),
                              "(no repository caller)")] += 1
