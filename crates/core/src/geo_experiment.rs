@@ -49,15 +49,12 @@ const NODES_PER_REGION: usize = 5;
 const RF_PER_DC: u32 = 3;
 /// Region counts swept (the x-axis; 1 = the paper's single-DC testbed).
 const REGION_COUNTS: [u32; 3] = [1, 2, 3];
-/// Relative WAN jitter applied per region pair at matrix build time
-/// (asymmetric links; still deterministic).
-const WAN_JITTER: f64 = 0.2;
 
 /// Configuration of the Fig. 7 experiment: the read & update mix
 /// ([`WorkloadSpec::read_update`]) over [`REGION_COUNTS`] ×
 /// [`GEO_LEVELS`], with `simkit`'s default one-way inter-region delay
-/// ([`simkit::DEFAULT_INTER_REGION_US`]) and `hstore`'s default shipping
-/// lag.
+/// ([`simkit::DEFAULT_INTER_REGION_US`]) and `hstore`'s shipping lag
+/// ([`hstore::SHIP_LAG_US`]).
 #[derive(Debug, Clone)]
 pub(crate) struct GeoExperimentConfig {
     /// Scale, run length and seed (`run.scale.nodes` is ignored: the
@@ -108,15 +105,12 @@ pub(crate) struct GeoCell {
 }
 
 impl GeoExperimentConfig {
-    /// The per-region-pair jitter seed is tied to the experiment seed so two
-    /// runs of the same config see the same asymmetric WAN matrix.
-    fn geo_config(&self, regions: u32) -> simkit::GeoConfig {
-        simkit::GeoConfig {
-            regions,
-            inter_region_us: simkit::DEFAULT_INTER_REGION_US,
-            wan_jitter: WAN_JITTER,
-            jitter_seed: self.run.seed,
-        }
+    /// `regions` regions of [`NODES_PER_REGION`] nodes `prop_us` apart,
+    /// over [`simkit::Topology::jittered_geo`]'s asymmetric WAN. The
+    /// jitter seed is the experiment seed, so two runs of the same config
+    /// see the same matrix.
+    fn topology(&self, regions: u32, prop_us: u64) -> simkit::Topology {
+        simkit::Topology::jittered_geo(regions, NODES_PER_REGION, prop_us, self.run.seed)
     }
 
     /// The Cassandra-analog geo cluster: [`NODES_PER_REGION`] nodes and
@@ -127,9 +121,7 @@ impl GeoExperimentConfig {
             RF_PER_DC * regions,
             Partitioner::order_preserving(balanced_tokens(nodes)),
         );
-        c.node.topology = self
-            .geo_config(regions)
-            .topology(NODES_PER_REGION, c.node.profile.nic.prop_us);
+        c.node.topology = self.topology(regions, c.node.profile.nic.prop_us);
         c.strategy = cstore::Strategy::network_topology(regions, RF_PER_DC);
         c.lsm = self.run.scale.lsm();
         c.read_cl = level.read;
@@ -327,8 +319,7 @@ mod tests {
         // window of at least ship lag + WAN delay.
         let h = res.cell(&(3, StoreKind::HStore, ASYNC_SHIP)).expect("cell");
         assert!(h.mean_us < each.mean_us);
-        let ship_lag_us = res.exp.build_hstore(3).config().ship_lag_us;
-        assert!(h.repl_window_us >= (ship_lag_us + wan_us) as f64);
+        assert!(h.repl_window_us >= (hstore::SHIP_LAG_US + wan_us) as f64);
     }
 
     #[test]
@@ -350,9 +341,7 @@ mod tests {
                     3,
                     Partitioner::order_preserving(balanced_tokens(NODES_PER_REGION)),
                 );
-                base.node.topology = cfg
-                    .geo_config(1)
-                    .topology(NODES_PER_REGION, base.node.profile.nic.prop_us);
+                base.node.topology = cfg.topology(1, base.node.profile.nic.prop_us);
                 base.lsm = cfg.run.scale.lsm();
                 base.read_cl = level.read;
                 base.write_cl = level.write;

@@ -11,7 +11,6 @@
 
 use cstore::{CStoreConfig, Consistency, Partitioner};
 use hstore::HStoreConfig;
-use storage::compaction::SizeTieredPolicy;
 use storage::{Key, LsmConfig};
 use ycsb::balanced_tokens;
 
@@ -120,7 +119,6 @@ impl Scale {
             block_size: self.block_size,
             memtable_flush_bytes: self.memtable_flush_bytes,
             cache_bytes: self.node_cache_bytes,
-            compaction: SizeTieredPolicy::default(),
         }
     }
 

@@ -378,15 +378,13 @@ impl Cluster {
         let Some((mut f, quota)) = self.plan(sim, op, token, coord, primary, cl, t1) else {
             return;
         };
-        if self.config.hinted_handoff {
-            for &target in f.replicas.iter().filter(|&&r| !self.rt.is_up(r)) {
-                self.metrics.hints_stored += 1;
-                self.nodes[coord.index()].hints.push(Hint {
-                    target,
-                    key: key.clone(),
-                    cell: cell.clone(),
-                });
-            }
+        for &target in f.replicas.iter().filter(|&&r| !self.rt.is_up(r)) {
+            self.metrics.hints_stored += 1;
+            self.nodes[coord.index()].hints.push(Hint {
+                target,
+                key: key.clone(),
+                cell: cell.clone(),
+            });
         }
         // Every live replica gets the write; the quota only gates the ack.
         f.replicas.retain(|&r| self.rt.is_up(r));
@@ -1006,8 +1004,8 @@ impl Cluster {
     /// True when a bulk load leaves `self` and `other` holding the same
     /// data. The load reads the replication factor, the partitioner, the
     /// placement strategy, the topology and the storage tuning; consistency
-    /// levels, read repair, the commit-log mode, hinted handoff, admission
-    /// and timeouts are read only by running ops.
+    /// levels, read repair, the commit-log mode, admission and timeouts are
+    /// read only by running ops.
     pub fn loads_like(&self, other: &Self) -> bool {
         let (a, b) = (&self.config, &other.config);
         a.replication_factor == b.replication_factor
@@ -1329,15 +1327,15 @@ mod tests {
     }
 
     /// RF 3 on 5 nodes at QUORUM/QUORUM with neither read repair nor
-    /// hints, so a replica down during a delete stays stale: keys 0..10
-    /// inserted, then each of `deletes` — `(key, replica index)` — deleted
-    /// while that replica of range 0 is down, and the replica recovered.
+    /// hint replay, so a replica down during a delete stays stale: keys
+    /// 0..10 inserted, then each of `deletes` — `(key, replica index)` —
+    /// deleted while that replica of range 0 is down, and the replica's
+    /// hardware restarted (the coordinator keeps its hint).
     fn harness_with_missed_deletes(deletes: &[(u64, usize)]) -> Harness {
         let mut cfg = ordered_config(3, 5, 1000);
         cfg.read_cl = Consistency::Quorum;
         cfg.write_cl = Consistency::Quorum;
         cfg.read_repair_chance = 0.0;
-        cfg.hinted_handoff = false;
         let mut h = Harness::new(cfg);
         for i in 0..10u64 {
             h.run_one(StoreOp::Insert {
@@ -1350,7 +1348,7 @@ mod tests {
             h.cluster.apply_crash(&mut h.sim, reps[victim]);
             let w = h.run_one(StoreOp::Delete { key: key(id) });
             assert!(matches!(w.result, OpResult::Written { .. }));
-            h.cluster.apply_recover(&mut h.sim, reps[victim]);
+            h.cluster.hw_mut(reps[victim]).recover();
         }
         h
     }
@@ -1469,7 +1467,8 @@ mod tests {
     }
 
     /// Make one replica of `key(0)` stale for real: fail it, overwrite at
-    /// CL=ONE with hinted handoff off, recover it. Returns the stale node.
+    /// CL=ONE, restart its hardware (no hint replay is scheduled, so the
+    /// coordinator keeps its hint). Returns the stale node.
     fn make_stale_replica(h: &mut Harness, stale_idx: usize, val: &str) -> NodeId {
         let reps = h.cluster.replicas(&key(0));
         let victim = reps[stale_idx];
@@ -1486,7 +1485,6 @@ mod tests {
     fn read_repair_fanout_fixes_stale_replica() {
         let mut cfg = ordered_config(3, 5, 1000);
         cfg.read_repair_chance = 1.0; // always fan out
-        cfg.hinted_handoff = false;
         let mut h = Harness::new(cfg);
         h.run_one(StoreOp::Insert {
             key: key(0),
@@ -1517,7 +1515,6 @@ mod tests {
     fn no_repair_without_fanout_at_cl_one() {
         let mut cfg = ordered_config(3, 5, 1000);
         cfg.read_repair_chance = 0.0;
-        cfg.hinted_handoff = false;
         let mut h = Harness::new(cfg);
         h.run_one(StoreOp::Insert {
             key: key(0),
@@ -1537,7 +1534,6 @@ mod tests {
         let mut cfg = ordered_config(3, 5, 1000);
         cfg.read_cl = Consistency::Quorum;
         cfg.read_repair_chance = 0.0;
-        cfg.hinted_handoff = false;
         let mut h = Harness::new(cfg);
         h.run_one(StoreOp::Insert {
             key: key(0),
@@ -1880,19 +1876,14 @@ mod tests {
             second in arb_loaded_rows(),
         ) {
             let nodes = regions as usize * per_region;
-            let geo = simkit::GeoConfig {
-                regions,
-                inter_region_us: WAN_US,
-                wan_jitter: 0.0,
-                jitter_seed: 0,
-            };
             let partitioner = if ordered {
                 Partitioner::order_preserving((0..nodes as u64).map(|i| key(i * 300 / nodes as u64)).collect())
             } else {
                 Partitioner::murmur()
             };
             let mut c = CStoreConfig::paper_testbed(rf, partitioner);
-            c.node.topology = geo.topology(per_region, c.node.profile.nic.prop_us);
+            let prop_us = c.node.profile.nic.prop_us;
+            c.node.topology = simkit::Topology::geo(regions, per_region, prop_us, uniform_wan(regions));
             if nts {
                 let mut per_dc = quotas[..regions as usize].to_vec();
                 if per_dc.iter().all(|&q| q == 0) {
@@ -1964,21 +1955,25 @@ mod tests {
 
     const WAN_US: u64 = 25_000;
 
+    /// The `regions × regions` WAN matrix of a uniform `WAN_US` one-way
+    /// inter-region delay.
+    fn uniform_wan(regions: u32) -> Vec<u64> {
+        let r = regions as usize;
+        (0..r * r)
+            .map(|i| if i / r == i % r { 0 } else { WAN_US })
+            .collect()
+    }
+
     /// A multi-region cluster: `regions × nodes_per_region`, NTS placing
     /// `rf_per_dc` replicas in each DC, a uniform `WAN_US` one-way
-    /// inter-region delay, deterministic service times, no read repair.
+    /// inter-region delay, no read repair.
     fn geo_cluster_config(regions: u32, nodes_per_region: usize, rf_per_dc: u32) -> CStoreConfig {
-        let geo_cfg = simkit::GeoConfig {
-            regions,
-            inter_region_us: WAN_US,
-            wan_jitter: 0.0,
-            jitter_seed: 0,
-        };
         let mut c = CStoreConfig::paper_testbed(regions * rf_per_dc, Partitioner::murmur());
-        c.node.topology = geo_cfg.topology(nodes_per_region, c.node.profile.nic.prop_us);
+        let prop_us = c.node.profile.nic.prop_us;
+        c.node.topology =
+            simkit::Topology::geo(regions, nodes_per_region, prop_us, uniform_wan(regions));
         c.strategy = crate::Strategy::network_topology(regions, rf_per_dc);
         c.read_repair_chance = 0.0;
-        c.node.jitter = 0.0;
         c
     }
 
@@ -2022,11 +2017,14 @@ mod tests {
     fn each_quorum_write_waits_on_the_slowest_dc() {
         // EACH_QUORUM needs a remote-DC quorum: at least one full WAN round
         // trip (request out + ack back) sits on the settle path.
-        let each = timed_write(geo_cluster_config(2, 3, 3), Consistency::EachQuorum);
+        let cfg = geo_cluster_config(2, 3, 3);
+        let topology = &cfg.node.topology;
+        let round_trip =
+            topology.prop_us(NodeId(0), NodeId(3)) + topology.prop_us(NodeId(3), NodeId(0));
+        let each = timed_write(cfg, Consistency::EachQuorum);
         assert!(
-            each >= 2 * WAN_US,
-            "EACH_QUORUM must pay a WAN round trip: {each}us < {}us",
-            2 * WAN_US
+            each >= round_trip,
+            "EACH_QUORUM must pay a WAN round trip: {each}us < {round_trip}us"
         );
         let local = timed_write(geo_cluster_config(2, 3, 3), Consistency::LocalQuorum);
         assert!(
@@ -2287,7 +2285,6 @@ mod tests {
         );
         c.strategy = crate::Strategy::NetworkTopology { per_dc };
         c.read_repair_chance = 0.0;
-        c.node.jitter = 0.0;
         c.read_cl = cl;
         c.write_cl = cl;
         c

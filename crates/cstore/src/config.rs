@@ -87,10 +87,8 @@ pub struct CStoreConfig {
     pub read_repair_chance: f64,
     /// Commit-log durability mode.
     pub commitlog_sync: CommitlogSync,
-    /// Store hints for dead replicas and replay them on recovery.
-    pub hinted_handoff: bool,
     /// Node hardware, topology (whose length is the node count; the paper:
-    /// 15), RPC timeout, admission control and service-time jitter.
+    /// 15), RPC timeout and admission control.
     pub node: NodeConfig,
     /// Per-node storage-engine tuning.
     pub lsm: LsmConfig,
@@ -114,7 +112,6 @@ impl CStoreConfig {
             write_cl: Consistency::One,
             read_repair_chance: 0.1,
             commitlog_sync: CommitlogSync::Periodic,
-            hinted_handoff: true,
             node: NodeConfig::paper_testbed(15),
             lsm: LsmConfig::default(),
             partitioner,

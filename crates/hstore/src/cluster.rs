@@ -20,7 +20,7 @@ use storage::{
     Value,
 };
 
-use crate::config::HStoreConfig;
+use crate::config::{HStoreConfig, SHIP_LAG_US};
 use crate::dfs::Dfs;
 use crate::event::Event;
 use crate::group_commit::GroupCommit;
@@ -99,7 +99,7 @@ pub struct Cluster {
     regions: RegionMap,
     wals: Vec<WalState>,
     fs: Dfs,
-    rt: Runtime<PendingState, Event>,
+    rt: Rt,
     metrics: Metrics,
     /// Drives HDFS replica placement.
     rng: SimRng,
@@ -112,6 +112,9 @@ pub struct Cluster {
     /// `flush_all` takes the whole `Vec`, so snapshots clone nothing.
     loading: Vec<RegionLoad>,
 }
+
+/// The runtime of an hstore cluster.
+type Rt = Runtime<PendingState, Event>;
 
 impl Cluster {
     /// Build a cluster. `seed` drives HDFS replica placement.
@@ -260,33 +263,51 @@ impl Cluster {
         start: SimTime,
         mut hops_out: Option<&mut Vec<(u32, SimTime, SimTime)>>,
     ) -> SimTime {
+        let (t, hops) = self.walk_pipeline(pipeline, bytes, start, |rt, n, sent, t| {
+            let hw = rt.hw_mut(n);
+            let t = hw.cpu.acquire(t, WAL_HOP_US);
+            // Log bytes reach this replica's disk asynchronously.
+            hw.disk.seq_write(t, bytes);
+            if let (Some(sent), Some(out)) = (sent, hops_out.as_deref_mut()) {
+                out.push((n.0, sent, t));
+            }
+            t
+        });
+        // Acks ripple back through the chain.
+        t + hops * self.config.node.profile.nic.prop_us
+    }
+
+    /// Walk `bytes` down a replication pipeline from `start`. Dead members
+    /// are skipped (HDFS drops them from the pipeline); each live member
+    /// after the first receives the bytes from the one before it (NIC
+    /// transmit there, receive here). Then `step(rt, member, sent,
+    /// arrived)` charges the member and returns when it is done, where
+    /// `sent` is when the hop to it began (`None` at the head). Returns the
+    /// last member's done time and the number of hops.
+    fn walk_pipeline(
+        &mut self,
+        pipeline: &[NodeId],
+        bytes: u64,
+        start: SimTime,
+        mut step: impl FnMut(&mut Rt, NodeId, Option<SimTime>, SimTime) -> SimTime,
+    ) -> (SimTime, u64) {
         let prop = self.config.node.profile.nic.prop_us;
-        let mut t = start;
-        let mut prev: Option<NodeId> = None;
-        let mut hops = 0u64;
+        let (mut t, mut prev, mut hops) = (start, None, 0);
         for &n in pipeline {
             if !self.rt.is_up(n) {
-                continue; // HDFS drops dead pipeline members
+                continue;
             }
-            let hop_start = t;
+            let mut sent = None;
             if let Some(p) = prev {
+                sent = Some(t);
                 let tx = self.rt.hw_mut(p).nic.tx(t, bytes);
                 t = self.rt.hw_mut(n).nic.rx(tx + prop, bytes);
                 hops += 1;
             }
-            let hw = self.rt.hw_mut(n);
-            t = hw.cpu.acquire(t, WAL_HOP_US);
-            // Log bytes reach this replica's disk asynchronously.
-            hw.disk.seq_write(t, bytes);
-            if prev.is_some() {
-                if let Some(out) = hops_out.as_deref_mut() {
-                    out.push((n.0, hop_start, t));
-                }
-            }
+            t = step(&mut self.rt, n, sent, t);
             prev = Some(n);
         }
-        // Acks ripple back through the chain.
-        t + hops * prop
+        (t, hops)
     }
 
     fn on_arrive<W: From<Event>>(&mut self, sim: &mut Sim<W>, op: OpKey) {
@@ -452,7 +473,7 @@ impl Cluster {
         // WAN to every follower region. The primary's NIC transmit is
         // charged, so shipping competes with foreground traffic; the
         // follower side is a sink (no backpressure to the write path).
-        let mut t = done + self.config.ship_lag_us;
+        let mut t = done + SHIP_LAG_US;
         for _ in 0..self.config.follower_regions {
             t = self.rt.hw_mut(server).nic.tx(t, bytes);
             let arrive = t + simkit::DEFAULT_INTER_REGION_US;
@@ -536,20 +557,10 @@ impl Cluster {
     /// background-I/O backlog (throttled onto its disk), moving over the
     /// network between consecutive members.
     fn charge_replication(&mut self, pipeline: &[NodeId], bytes: u64, now: SimTime) {
-        let prop = self.config.node.profile.nic.prop_us;
-        let mut t = now;
-        let mut prev: Option<NodeId> = None;
-        for &n in pipeline {
-            if !self.rt.is_up(n) {
-                continue;
-            }
-            if let Some(p) = prev {
-                let tx = self.rt.hw_mut(p).nic.tx(t, bytes);
-                t = self.rt.hw_mut(n).nic.rx(tx + prop, bytes);
-            }
-            self.rt.add_backlog(n, bytes);
-            prev = Some(n);
-        }
+        self.walk_pipeline(pipeline, bytes, now, |rt, n, _, t| {
+            rt.add_backlog(n, bytes);
+            t
+        });
     }
 
     fn on_scan_exec<W: From<Event>>(
@@ -651,34 +662,14 @@ impl Cluster {
 
     // ----- failure handling -----
 
-    /// Crash a region server: its regions fail over to the survivors
-    /// immediately (no detection delay), each paying WAL-replay time and
-    /// restarting with a cold cache; its HDFS blocks re-replicate in the
-    /// background. Equivalent to [`Cluster::crash_server`] followed by the
-    /// master's failover.
-    pub(crate) fn fail_server(&mut self, node: NodeId) {
-        self.crash_server(node);
-        self.fail_over_from(node);
-    }
-
-    /// Crash a region server *without* failover: requests to its regions
-    /// fail until the master notices (an `Event::FailOver`) or the server
-    /// recovers. Used by deferred crash injection.
-    pub(crate) fn crash_server(&mut self, node: NodeId) {
-        self.rt.hw_mut(node).fail();
-    }
-
-    /// The master detects the crash: a no-op when the server is back up.
-    fn on_fail_over(&mut self, server: NodeId) {
-        if self.rt.is_up(server) {
+    /// The master detects a crash (an `Event::FailOver`): the dead
+    /// server's regions move to the survivors, each paying WAL-replay time
+    /// and restarting with a cold cache, and its HDFS blocks re-replicate
+    /// in the background. A no-op when the server is back up.
+    fn on_fail_over(&mut self, node: NodeId) {
+        if self.rt.is_up(node) {
             return;
         }
-        self.fail_over_from(server);
-    }
-
-    /// Move the dead server's regions to the survivors and start HDFS
-    /// re-replication.
-    fn fail_over_from(&mut self, node: NodeId) {
         self.fs.fail_node(node);
         let live: Vec<NodeId> = (0..self.rt.nodes() as u32)
             .map(NodeId)
@@ -855,10 +846,11 @@ impl Cluster {
     }
 }
 
-/// The uniform fault surface. A crash honours `failover_delay_us`: with a
-/// nonzero delay the server drops dead now and the master's failover runs
-/// as a scheduled `Event::FailOver` — requests to its regions fail until
-/// then, which is the availability gap fig4 measures. A recovered server
+/// The uniform fault surface. A crashed server drops dead now, and the
+/// master's failover runs as an `Event::FailOver` `failover_delay_us`
+/// later (at the crash instant when the delay is 0): requests to its
+/// regions fail until then, which is the availability gap fig4 measures.
+/// A recovered server
 /// rejoins empty: regions stay where they are, as HBase does not
 /// auto-rebalance immediately.
 impl faults::FaultTarget for Cluster {
@@ -873,15 +865,11 @@ impl faults::FaultTarget for Cluster {
     }
 
     fn apply_crash<W: From<Event>>(&mut self, sim: &mut Sim<W>, node: NodeId) {
-        if self.config.failover_delay_us == 0 {
-            self.fail_server(node);
-        } else {
-            self.crash_server(node);
-            sim.schedule_in(
-                self.config.failover_delay_us,
-                W::from(Event::FailOver { server: node }),
-            );
-        }
+        self.rt.hw_mut(node).fail();
+        sim.schedule_in(
+            self.config.failover_delay_us,
+            W::from(Event::FailOver { server: node }),
+        );
     }
 
     fn apply_recover<W: From<Event>>(&mut self, _sim: &mut Sim<W>, node: NodeId) {
@@ -1207,13 +1195,16 @@ mod tests {
 
     #[test]
     fn server_down_errors_without_failover() {
-        let mut h = Harness::new(config(2, 4, 100));
+        // The master notices the crash long after the read settles.
+        let mut cfg = config(2, 4, 100);
+        cfg.failover_delay_us = 10_000_000;
+        let mut h = Harness::new(cfg);
         h.run_one(StoreOp::Insert {
             key: key(10),
             value: k("v"),
         });
         let server = h.cluster.regions().get(0).server;
-        h.cluster.crash_server(server);
+        faults::FaultTarget::apply_crash(&mut h.cluster, &mut h.sim, server);
         let r = h.run_one(StoreOp::Read { key: key(10) });
         assert_eq!(r.result, OpResult::Error(OpError::ServerDown));
         assert!(h.cluster.metrics.server_down >= 1);
@@ -1228,6 +1219,7 @@ mod tests {
         // (server accepted, then went silent), not a `ServerDown` verdict.
         let mut cfg = config(1, 2, 100);
         cfg.node.rpc_timeout_us = 50_000;
+        cfg.failover_delay_us = 1_000_000;
         let mut h = Harness::new(cfg);
         let server = h.cluster.regions().get(0).server;
         let t1 = h.submit(StoreOp::Insert {
@@ -1247,7 +1239,7 @@ mod tests {
             if was_arrive {
                 arrivals += 1;
                 if arrivals == 2 {
-                    h.cluster.crash_server(server);
+                    faults::FaultTarget::apply_crash(&mut h.cluster, &mut h.sim, server);
                 }
             }
         }
@@ -1270,7 +1262,8 @@ mod tests {
         }
         h.cluster.flush_all();
         let victim = h.cluster.regions().get(0).server;
-        h.cluster.fail_server(victim);
+        faults::FaultTarget::apply_crash(&mut h.cluster, &mut h.sim, victim);
+        h.run();
         assert!(h.cluster.metrics.regions_moved > 0);
         assert!(h.cluster.regions().on_server(victim).is_empty());
         // A key from the moved region is still readable (remote blocks).
@@ -1288,11 +1281,46 @@ mod tests {
         }
         h.cluster.flush_all();
         let victim = h.cluster.regions().get(0).server;
-        h.cluster.fail_server(victim);
+        faults::FaultTarget::apply_crash(&mut h.cluster, &mut h.sim, victim);
+        h.run();
         assert!(
             h.cluster.fs.under_replicated().is_empty(),
             "re-replication should have healed all blocks"
         );
+    }
+
+    #[test]
+    fn failover_at_zero_delay_runs_at_the_crash_instant_through_its_event() {
+        // A crash schedules one `FailOver` event `failover_delay_us` after
+        // it, at 0 and at 2 s alike: the victim's regions stay put until
+        // the event runs, then move once, at the crash instant plus the
+        // delay.
+        for delay in [0, 2_000_000] {
+            let mut cfg = config(3, 4, 400);
+            cfg.failover_delay_us = delay;
+            let mut h = Harness::new(cfg);
+            for i in 0..400u64 {
+                h.cluster.load_direct(key(i), k("v"), 1);
+            }
+            h.cluster.flush_all();
+            let victim = h.cluster.regions().get(0).server;
+            let held = h.cluster.regions().on_server(victim).len() as u64;
+            assert!(held > 0);
+            let crashed_at = h.sim.now();
+            faults::FaultTarget::apply_crash(&mut h.cluster, &mut h.sim, victim);
+            assert_eq!(h.cluster.metrics.regions_moved, 0, "delay {delay}");
+            assert_eq!(h.sim.pending(), 1, "delay {delay}");
+            let Some(Ev::Store(ev)) = h.sim.next() else {
+                panic!("no event");
+            };
+            assert!(matches!(ev, Event::FailOver { server } if server == victim));
+            assert_eq!(h.sim.now(), crashed_at + delay);
+            h.cluster.handle(&mut h.sim, ev);
+            assert_eq!(h.cluster.metrics.regions_moved, held, "delay {delay}");
+            assert!(h.cluster.regions().on_server(victim).is_empty());
+            h.run();
+            assert_eq!(h.cluster.metrics.regions_moved, held, "counted once");
+        }
     }
 
     #[test]
@@ -1312,10 +1340,9 @@ mod tests {
     }
 
     #[test]
-    fn wal_ships_reach_every_follower_with_the_configured_lag() {
+    fn wal_ships_reach_every_follower_after_the_ship_lag() {
         let mut cfg = config(3, 5, 1000);
         cfg.follower_regions = 2;
-        cfg.ship_lag_us = 10_000;
         let mut h = Harness::new(cfg);
         for i in 0..20u64 {
             h.submit(StoreOp::Insert {
@@ -1331,31 +1358,11 @@ mod tests {
             "every committed group ships to both followers"
         );
         // The window is at least lag + WAN one-way; NIC transmit adds more.
+        let floor = SHIP_LAG_US + simkit::DEFAULT_INTER_REGION_US;
         let window = h.cluster.mean_replication_window_us();
-        assert!(window >= 35_000.0, "window {window} below lag+WAN floor");
-    }
-
-    #[test]
-    fn replication_window_tracks_ship_lag() {
-        let run = |lag: u64| {
-            let mut cfg = config(3, 5, 1000);
-            cfg.follower_regions = 1;
-            cfg.ship_lag_us = lag;
-            let mut h = Harness::new(cfg);
-            for i in 0..20u64 {
-                h.submit(StoreOp::Insert {
-                    key: key(i),
-                    value: k("v"),
-                });
-            }
-            h.run();
-            h.cluster.mean_replication_window_us()
-        };
-        let short = run(10_000);
-        let long = run(200_000);
         assert!(
-            (long - short - 190_000.0).abs() < 1.0,
-            "window grows exactly with the ship lag: {short} vs {long}"
+            window >= floor as f64,
+            "window {window} below lag+WAN floor"
         );
     }
 
@@ -1527,9 +1534,10 @@ mod tests {
 
     /// Load `loads` in turn into one cluster through `load_direct` and
     /// `flush_all`, and into a twin row by row. With `exact`, the two must
-    /// leave the same [`Loaded`] state and then, after a crash with
-    /// synchronous failover, serve the same reads and writes at the same
-    /// times; otherwise they must hold the same rows.
+    /// leave the same [`Loaded`] state and then, after a crash whose
+    /// `FailOver` event has run (at delay 0, at the crash instant), serve
+    /// the same reads and writes at the same times from the moved regions;
+    /// otherwise they must hold the same rows.
     fn check_replay(cfg: HStoreConfig, loads: &[Vec<(Key, Value, u64)>], exact: bool) {
         let mut bulk = Harness::new(cfg.clone());
         let mut per_row = Harness::new(cfg);
@@ -1550,7 +1558,13 @@ mod tests {
         assert_eq!(a, b);
         let serve = |h: &mut Harness| {
             let victim = h.cluster.regions().get(0).server;
+            let crashed_at = h.sim.now();
             faults::FaultTarget::apply_crash(&mut h.cluster, &mut h.sim, victim);
+            // Only the `FailOver` event is pending: run it before any op, so
+            // the victim's keys are served after log replay, not refused.
+            assert!(h.run().is_empty());
+            assert_eq!(h.sim.now(), crashed_at);
+            assert!(h.cluster.regions().on_server(victim).is_empty());
             for i in 0..300u64 {
                 h.submit(StoreOp::Read {
                     key: key(i * 7 % 1000),
@@ -1560,7 +1574,10 @@ mod tests {
                     value: Bytes::from(vec![b'w'; 40]),
                 });
             }
-            (h.run(), h.sim.now(), loaded(&h.cluster))
+            let done = h.run();
+            assert_eq!(done.len(), 600);
+            assert!(done.iter().all(|c| !matches!(c.result, OpResult::Error(_))));
+            (done, h.sim.now(), loaded(&h.cluster))
         };
         assert_eq!(serve(&mut bulk), serve(&mut per_row));
     }

@@ -17,13 +17,13 @@ pub struct HStoreConfig {
     pub lsm: LsmConfig,
     /// Node hardware, topology (whose length is the region-server count;
     /// the paper: 15, the master sharing the client machine off the serving
-    /// path), RPC timeout, admission control and service-time jitter.
+    /// path), RPC timeout and admission control.
     pub node: NodeConfig,
     /// Crash-detection delay, microseconds: how long after a server crash
     /// the master notices (ZooKeeper session expiry) and starts region
-    /// failover. During this window requests to the dead server's regions
-    /// fail immediately. `0` makes failover synchronous with the crash —
-    /// the pre-existing `fail_server` behaviour.
+    /// failover, as an `Event::FailOver`. During this window requests to
+    /// the dead server's regions fail immediately. `0` (the default) runs
+    /// the failover at the crash instant, through the same event.
     pub failover_delay_us: u64,
     /// Async cluster-replication (geo) mode: the number of follower
     /// regions (remote datacenters) this primary ships committed WAL
@@ -33,10 +33,12 @@ pub struct HStoreConfig {
     /// `0` (the default) disables shipping entirely — no events, no cost,
     /// bit-identical to the pre-geo behaviour.
     pub follower_regions: u32,
-    /// Extra shipping lag before a committed group leaves the primary (the
-    /// replication source tails the WAL asynchronously and batches).
-    pub ship_lag_us: u64,
 }
+
+/// Shipping lag, microseconds, before a committed WAL group leaves the
+/// primary for its follower regions (the replication source tails the WAL
+/// asynchronously and batches).
+pub const SHIP_LAG_US: u64 = 10_000;
 
 impl HStoreConfig {
     /// The paper's testbed shape: 15 region servers, one rack, defaults
@@ -49,7 +51,6 @@ impl HStoreConfig {
             node: NodeConfig::paper_testbed(15),
             failover_delay_us: 0,
             follower_regions: 0,
-            ship_lag_us: 10_000,
         }
     }
 }
@@ -66,12 +67,14 @@ mod tests {
         assert_eq!(c.region_splits.len(), 1);
         assert_eq!(c.node.topology.len(), 15);
         assert_eq!(c.node.rpc_timeout_us, 2_000_000);
-        assert_eq!(c.failover_delay_us, 0, "failover is synchronous by default");
+        assert_eq!(
+            c.failover_delay_us, 0,
+            "failover at the crash instant by default"
+        );
         assert_eq!(c.follower_regions, 0, "async replication is off by default");
-        // A shipped group's replication window starts at this lag plus the
-        // one-way WAN delay, `simkit`'s inter-region constant: Fig. 7's
-        // 35 ms floor.
-        assert_eq!(c.ship_lag_us, 10_000);
-        assert_eq!(c.ship_lag_us + simkit::DEFAULT_INTER_REGION_US, 35_000);
+        // A shipped group's replication window starts at the shipping lag
+        // plus the one-way WAN delay, `simkit`'s inter-region constant:
+        // Fig. 7's 35 ms floor.
+        assert_eq!(SHIP_LAG_US + simkit::DEFAULT_INTER_REGION_US, 35_000);
     }
 }

@@ -53,8 +53,9 @@ pub enum Event {
         server: NodeId,
     },
     /// The master detects a crashed server (ZooKeeper session expiry) and
-    /// starts region failover. Scheduled by deferred crash injection; a
-    /// no-op if the server already recovered.
+    /// starts region failover. Every crash schedules one,
+    /// `failover_delay_us` after it; a no-op if the server already
+    /// recovered.
     FailOver {
         /// The server whose crash was detected.
         server: NodeId,

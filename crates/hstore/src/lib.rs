@@ -37,5 +37,5 @@ mod metrics;
 mod region;
 
 pub use cluster::Cluster;
-pub use config::HStoreConfig;
+pub use config::{HStoreConfig, SHIP_LAG_US};
 pub use region::{Region, RegionMap};

@@ -63,12 +63,6 @@ pub struct NodeConfig {
     /// shedding. Disabled by default ([`AdmissionConfig::off`]) — off runs
     /// add zero events and zero RNG draws.
     pub admission: AdmissionConfig,
-    /// Service-time variability: 0 = deterministic service times, 1 =
-    /// exponentially distributed with the configured means (JVM-era RPC
-    /// handling is heavy-tailed, GC stragglers included; this is what makes
-    /// waiting for *all* replicas expensive relative to waiting for the
-    /// fastest).
-    pub jitter: f64,
 }
 
 impl NodeConfig {
@@ -81,7 +75,6 @@ impl NodeConfig {
             topology: Topology::single_rack(nodes, profile.nic.prop_us),
             rpc_timeout_us: 2_000_000,
             admission: AdmissionConfig::off(),
-            jitter: 1.0,
         }
     }
 }
@@ -271,17 +264,16 @@ impl<S, E: NodeEvent> Runtime<S, E> {
         Some(p)
     }
 
-    /// Sample a service time with mean `mean_us`: exponential when `jitter`
-    /// is 1 (heavy-tailed JVM-era handling), deterministic at 0, linear
-    /// blend in between.
+    /// Sample a service time with mean `mean_us`: exponentially
+    /// distributed (JVM-era RPC handling is heavy-tailed, GC stragglers
+    /// included; this is what makes waiting for *all* replicas expensive
+    /// relative to waiting for the fastest). A zero mean draws nothing.
     pub fn service<W>(&self, sim: &mut Sim<W>, mean_us: u64) -> u64 {
-        let j = self.config.jitter;
-        if j <= 0.0 || mean_us == 0 {
-            return mean_us;
+        if mean_us == 0 {
+            return 0;
         }
         let u = sim.rng().unit().max(1e-12);
-        let exp = -u.ln() * mean_us as f64;
-        (mean_us as f64 * (1.0 - j) + exp * j).round() as u64
+        (-u.ln() * mean_us as f64).round() as u64
     }
 
     /// Move `bytes` from `from` to `to` starting at `start`; returns full
@@ -443,7 +435,6 @@ mod tests {
 
     fn runtime(nodes: usize, tweak: impl FnOnce(&mut NodeConfig)) -> Rt {
         let mut config = NodeConfig::paper_testbed(nodes);
-        config.jitter = 0.0;
         tweak(&mut config);
         Runtime::new(config)
     }

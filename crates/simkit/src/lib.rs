@@ -69,4 +69,4 @@ pub use rng::{splitmix64, SimRng};
 pub use sim::{Sim, TimerId};
 pub use slab::{OpKey, Slab};
 pub use time::{SimTime, MICROS_PER_SEC};
-pub use topology::{GeoConfig, NodeId, Topology, DEFAULT_INTER_REGION_US};
+pub use topology::{NodeId, Topology, DEFAULT_INTER_REGION_US};

@@ -13,6 +13,10 @@ use crate::time::SimTime;
 /// experiment and of hstore's cross-region log shipping.
 pub const DEFAULT_INTER_REGION_US: u64 = 25_000;
 
+/// Per-direction WAN jitter of [`Topology::jittered_geo`], as a fraction of
+/// [`DEFAULT_INTER_REGION_US`].
+const WAN_JITTER: f64 = 0.2;
+
 /// Identity of a server node within a cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
@@ -78,6 +82,35 @@ impl Topology {
         }
     }
 
+    /// The geo experiment's layout: [`Topology::geo`] over a WAN matrix in
+    /// which each ordered region pair's one-way delay is drawn uniformly
+    /// from `DEFAULT_INTER_REGION_US × [0.8, 1.2]`, so from->to and to->from
+    /// differ. The matrix is a pure function of `(regions, jitter_seed)`:
+    /// one seeded [`splitmix64`] draw per ordered pair.
+    pub fn jittered_geo(
+        regions: u32,
+        nodes_per_region: usize,
+        prop_us: u64,
+        jitter_seed: u64,
+    ) -> Self {
+        let r = regions as usize;
+        let mut wan_us = vec![0u64; r * r];
+        for i in 0..r {
+            for j in 0..r {
+                if i == j {
+                    continue;
+                }
+                let h =
+                    splitmix64(jitter_seed ^ ((i as u64) << 32 | j as u64).wrapping_mul(0x9E37));
+                let unit = (h >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
+                let base = DEFAULT_INTER_REGION_US as f64;
+                let us = base * (1.0 - WAN_JITTER + 2.0 * WAN_JITTER * unit);
+                wan_us[i * r + j] = us.round() as u64;
+            }
+        }
+        Self::geo(regions, nodes_per_region, prop_us, wan_us)
+    }
+
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.region_of.len()
@@ -124,64 +157,6 @@ impl Topology {
             .enumerate()
             .filter(move |&(_, &r)| r == region)
             .map(|(i, _)| NodeId(i as u32))
-    }
-}
-
-/// A multi-region layout: the region count plus the WAN delay model that
-/// [`GeoConfig::topology`] turns into a [`Topology::geo`].
-#[derive(Debug, Clone)]
-pub struct GeoConfig {
-    /// Number of regions (datacenters).
-    pub regions: u32,
-    /// Base one-way inter-region delay in µs (applied to every region pair
-    /// before jitter).
-    pub inter_region_us: u64,
-    /// Per-direction WAN jitter as a fraction of `inter_region_us`:
-    /// each ordered region pair's delay is drawn uniformly from
-    /// `base * [1 - jitter, 1 + jitter]`, making the matrix asymmetric.
-    /// Zero keeps the matrix uniform.
-    pub wan_jitter: f64,
-    /// Seed for the jitter draw; the matrix is a pure function of
-    /// `(seed, regions, inter_region_us, wan_jitter)`.
-    pub jitter_seed: u64,
-}
-
-impl GeoConfig {
-    /// The flattened `regions × regions` one-way WAN delay matrix
-    /// (row-major, diagonal zero). Deterministic in the config: jitter is
-    /// drawn once per ordered pair from a seeded [`splitmix64`].
-    fn wan_matrix(&self) -> Vec<SimTime> {
-        let r = self.regions as usize;
-        let mut m = vec![0u64; r * r];
-        for i in 0..r {
-            for j in 0..r {
-                if i == j {
-                    continue;
-                }
-                let base = self.inter_region_us as f64;
-                let us = if self.wan_jitter > 0.0 {
-                    // Uniform in base * [1 - jitter, 1 + jitter], one draw
-                    // per ordered pair so from->to and to->from differ.
-                    let h = splitmix64(
-                        self.jitter_seed ^ ((i as u64) << 32 | j as u64).wrapping_mul(0x9E37),
-                    );
-                    let unit = (h >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
-                    base * (1.0 - self.wan_jitter + 2.0 * self.wan_jitter * unit)
-                } else {
-                    base
-                };
-                m[i * r + j] = us.round() as u64;
-            }
-        }
-        m
-    }
-
-    /// The full [`Topology`]: `regions` regions of `nodes_per_region`
-    /// nodes each, `prop_us` apart within a region, WAN from the config's
-    /// delay matrix. A single-region config degenerates to the classic
-    /// layout and never consults the WAN matrix.
-    pub fn topology(&self, nodes_per_region: usize, prop_us: u64) -> Topology {
-        Topology::geo(self.regions, nodes_per_region, prop_us, self.wan_matrix())
     }
 }
 
@@ -247,32 +222,43 @@ mod tests {
         assert_eq!(t.prop_us(NodeId(5), NodeId(3)), 30_000);
     }
 
-    fn with_regions(regions: u32) -> GeoConfig {
-        GeoConfig {
-            regions,
-            inter_region_us: DEFAULT_INTER_REGION_US,
-            wan_jitter: 0.0,
-            jitter_seed: 0x6E0,
+    /// The one-way delays of a topology of one node per region,
+    /// row-major.
+    fn matrix(t: &Topology) -> Vec<u64> {
+        let r = t.num_regions();
+        (0..r * r)
+            .map(|i| t.prop_us(NodeId(i / r), NodeId(i % r)))
+            .collect()
+    }
+
+    #[test]
+    fn the_jittered_matrix_is_pinned() {
+        // The geo experiment's WAN matrices at seeds 42 (its own) and 7:
+        // any change to the draw, the band or the rounding moves them.
+        let pins: [(u64, u32, &[u64]); 4] = [
+            (42, 2, &[0, 21_121, 21_723, 0]),
+            (
+                42,
+                3,
+                &[0, 21_121, 29_479, 21_723, 0, 21_052, 24_055, 27_815, 0],
+            ),
+            (7, 2, &[0, 23_497, 25_603, 0]),
+            (
+                7,
+                3,
+                &[0, 23_497, 28_906, 25_603, 0, 29_165, 23_663, 22_068, 0],
+            ),
+        ];
+        for (seed, regions, want) in pins {
+            let t = Topology::jittered_geo(regions, 1, 50, seed);
+            assert_eq!(matrix(&t), want, "seed {seed}, {regions} regions");
         }
     }
 
     #[test]
-    fn an_unjittered_matrix_is_uniform() {
-        let m = with_regions(3).wan_matrix();
-        assert_eq!(m.len(), 9);
-        assert_eq!(m[0], 0);
-        assert_eq!(m[1], 25_000);
-        assert_eq!(m[5], 25_000);
-    }
-
-    #[test]
-    fn jittered_matrix_is_asymmetric_and_deterministic() {
-        let cfg = GeoConfig {
-            wan_jitter: 0.2,
-            ..with_regions(3)
-        };
-        let (a, b) = (cfg.wan_matrix(), cfg.wan_matrix());
-        assert_eq!(a, b, "same config must build the same matrix");
+    fn the_jittered_matrix_is_asymmetric_and_within_its_band() {
+        let a = matrix(&Topology::jittered_geo(3, 1, 50, 0x6E0));
+        assert_eq!(a, matrix(&Topology::jittered_geo(3, 1, 50, 0x6E0)));
         let r = 3usize;
         assert_ne!(a[1], a[r], "0->1 and 1->0 should differ under jitter");
         for i in 0..r {
@@ -288,13 +274,13 @@ mod tests {
     }
 
     #[test]
-    fn topology_from_config() {
-        let t = with_regions(2).topology(3, 50);
+    fn a_jittered_topology_places_regions_in_blocks() {
+        let t = Topology::jittered_geo(2, 3, 50, 42);
         assert_eq!(t.len(), 6);
         assert_eq!(t.num_regions(), 2);
         assert_eq!(t.region(NodeId(2)), 0);
         assert_eq!(t.region(NodeId(3)), 1);
-        assert_eq!(t.prop_us(NodeId(0), NodeId(3)), 25_000);
+        assert_eq!(t.prop_us(NodeId(0), NodeId(3)), 21_121);
         assert_eq!(t.prop_us(NodeId(0), NodeId(1)), 50);
     }
 }

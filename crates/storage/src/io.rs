@@ -35,7 +35,7 @@ pub enum IoOp {
 
 /// Ops recorded inline before spilling to the heap. A point read touches at
 /// most one op per run plus the memtable, and steady-state run counts sit
-/// below the size-tiered `min_threshold` bucket width, so plans of hot
+/// below the size-tiered policy's minimum bucket width, so plans of hot
 /// operations never allocate.
 const INLINE_OPS: usize = 12;
 

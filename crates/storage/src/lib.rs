@@ -20,7 +20,8 @@
 //! * [`merge`] — k-way merge with last-write-wins reconciliation.
 //! * [`Rows`] — scan results as handles into the segments holding them;
 //!   [`Reconciler`], the coordinator's merge of replica pages.
-//! * [`compaction`] — size-tiered compaction policy.
+//! * `compaction` — the size-tiered compaction policy, at Cassandra's
+//!   default thresholds.
 //! * [`lsm`] — the assembled LSM tree.
 //!
 //! ## The I/O-plan contract
@@ -41,7 +42,7 @@ mod api;
 mod block_hash;
 mod bloom;
 pub mod cache;
-pub mod compaction;
+mod compaction;
 mod io;
 pub mod lsm;
 mod memtable;

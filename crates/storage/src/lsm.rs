@@ -12,7 +12,7 @@
 
 use crate::bloom;
 use crate::cache::{BlockCache, CacheStats};
-use crate::compaction::SizeTieredPolicy;
+use crate::compaction;
 use crate::io::{IoOp, IoPlan};
 use crate::memtable::{self, Memtable};
 use crate::merge::{Head, Merge, Place, Slot, Source, Spare};
@@ -30,8 +30,6 @@ pub struct LsmConfig {
     pub memtable_flush_bytes: u64,
     /// Block-cache capacity in bytes.
     pub cache_bytes: u64,
-    /// Compaction policy.
-    pub compaction: SizeTieredPolicy,
 }
 
 impl Default for LsmConfig {
@@ -40,7 +38,6 @@ impl Default for LsmConfig {
             block_size: 8 * 1024,
             memtable_flush_bytes: 2 * 1024 * 1024,
             cache_bytes: 8 * 1024 * 1024,
-            compaction: SizeTieredPolicy::default(),
         }
     }
 }
@@ -463,7 +460,7 @@ impl LsmTree {
         let segment = self.memtable.drain();
         let table = self.build_run(segment, bytes);
         let (id, bytes) = self.push_run(table);
-        let compaction_due = self.config.compaction.pick(&self.sizes).is_some();
+        let compaction_due = compaction::pick(&self.sizes).is_some();
         Some(FlushReceipt {
             table: id,
             bytes,
@@ -532,7 +529,7 @@ impl LsmTree {
 
     /// Run one compaction if the policy finds a ripe bucket.
     pub fn maybe_compact(&mut self) -> Option<CompactionReceipt> {
-        let inputs = self.config.compaction.pick(&self.sizes)?;
+        let inputs = compaction::pick(&self.sizes)?;
         Some(self.compact(inputs))
     }
 
@@ -665,10 +662,6 @@ mod tests {
             block_size: 256,
             memtable_flush_bytes: 4 * 1024,
             cache_bytes: 8 * 1024,
-            compaction: SizeTieredPolicy {
-                min_threshold: 3,
-                ..Default::default()
-            },
         }
     }
 
@@ -891,60 +884,50 @@ mod tests {
 
     #[test]
     fn major_compaction_purges_tombstones() {
-        let mut tree = LsmTree::new(LsmConfig {
-            compaction: SizeTieredPolicy {
-                min_threshold: 2,
-                bucket_low: 0.0,
-                bucket_high: f64::MAX,
-                ..Default::default()
-            },
-            ..small_config()
-        });
-        fill(&mut tree, 0..20, 1);
-        tree.flush();
+        // Three live runs and one of tombstones, all of one size bucket:
+        // the policy picks every run, so the compaction is major.
+        let mut tree = LsmTree::new(small_config());
+        for ts in 1..=3 {
+            fill(&mut tree, 0..20, ts);
+            tree.flush();
+        }
         for i in 0..20 {
-            tree.put(k(&format!("user{i:06}")), Cell::tombstone(2));
+            tree.put(k(&format!("user{i:06}")), Cell::tombstone(4));
         }
         tree.flush();
-        tree.maybe_compact().expect("compacts everything");
+        let receipt = tree.maybe_compact().expect("compacts everything");
+        assert_eq!(receipt.inputs.len(), 4);
         assert_eq!(tree.table_count(), 1);
         assert_eq!(tree.tables[0].total_bytes(), 0, "all rows were deleted");
     }
 
     #[test]
     fn compact_all_is_a_compaction_of_every_run() {
-        // A policy whose one bucket takes every run: `maybe_compact` then
-        // compacts what `compact_all` does. Runs of different sizes make
-        // the policy's size order differ from run order.
-        let every_run = LsmConfig {
-            compaction: SizeTieredPolicy {
-                min_threshold: 2,
-                bucket_low: 0.0,
-                bucket_high: f64::MAX,
-                ..Default::default()
-            },
-            ..small_config()
-        };
+        // Four runs in one size bucket: `maybe_compact` then compacts what
+        // `compact_all` does. Runs of different sizes make the policy's
+        // size order differ from run order.
         let build = || {
-            let mut tree = LsmTree::new(every_run);
+            let mut tree = LsmTree::new(small_config());
             fill(&mut tree, 0..60, 1);
             tree.flush();
-            fill(&mut tree, 20..30, 2);
-            for i in 40..50 {
+            fill(&mut tree, 20..40, 2);
+            for i in 40..70 {
                 tree.put(k(&format!("user{i:06}")), Cell::tombstone(3));
             }
             tree.flush();
-            fill(&mut tree, 50..90, 4);
+            fill(&mut tree, 50..100, 4);
+            tree.flush();
+            fill(&mut tree, 100..155, 5);
             tree.flush();
             tree.scan(b"", 25);
             tree
         };
         let (mut all, mut picked) = (build(), build());
         let run_order: Vec<TableId> = all.tables.iter().map(SsTable::id).collect();
-        let size_order = every_run.compaction.pick(&picked.sizes).expect("ripe");
-        assert_eq!(size_order.len(), 3);
+        let size_order = compaction::pick(&picked.sizes).expect("ripe");
+        assert_eq!(size_order.len(), 4);
         assert_ne!(size_order, run_order);
-        let receipt = all.compact_all().expect("three runs");
+        let receipt = all.compact_all().expect("four runs");
         assert_eq!(receipt.inputs, run_order);
         assert_eq!(picked.maybe_compact(), Some(receipt));
         let runs = |tree: &LsmTree| -> Vec<_> {

@@ -7,7 +7,6 @@ use bytes::Bytes;
 use proptest::prelude::*;
 
 use storage::cache::{BlockKey, CacheStats};
-use storage::compaction::SizeTieredPolicy;
 use storage::merge::merge_runs;
 use storage::types::entry_encoded_len;
 use storage::{
@@ -517,7 +516,6 @@ proptest! {
             block_size: 128,
             memtable_flush_bytes: u64::MAX, // flushes only where the input says
             cache_bytes: 1024,              // a few blocks: scans evict
-            compaction: SizeTieredPolicy::default(),
         };
         let mut tree = LsmTree::new(config);
         let mut model = ScanModel::new(&config);
@@ -589,7 +587,6 @@ proptest! {
             block_size: 128,
             memtable_flush_bytes: u64::MAX, // flushes only where the input says
             cache_bytes: 1024,              // a few blocks: scans evict
-            compaction: SizeTieredPolicy::default(),
         };
         let mut trees = [LsmTree::new(config), LsmTree::new(config), LsmTree::new(config)];
         let base: BTreeMap<_, _> = base.into_iter().collect();
@@ -686,7 +683,6 @@ proptest! {
             block_size: 64,
             memtable_flush_bytes: u64::MAX, // flushes only where `held` says
             cache_bytes: 1024,
-            compaction: SizeTieredPolicy::default(),
         };
         let mut tree = LsmTree::new(config);
         let mut twin = LsmTree::new(LsmConfig { memtable_flush_bytes: 256, ..config });
@@ -760,7 +756,6 @@ proptest! {
             block_size: 64,
             memtable_flush_bytes: u64::MAX,
             cache_bytes: 512, // a few blocks: gets and scans evict
-            compaction: SizeTieredPolicy::default(),
         };
         let rows: Vec<(Key, Cell)> = keys
             .iter()
@@ -834,7 +829,6 @@ proptest! {
             block_size: 128,
             memtable_flush_bytes: 512,
             cache_bytes: 1024,
-            compaction: SizeTieredPolicy { min_threshold: 2, ..Default::default() },
         });
         let mut oracle: std::collections::HashMap<u64, Cell> = Default::default();
         for (id, ts, flush) in ops {
@@ -898,7 +892,6 @@ proptest! {
             block_size: 128,
             memtable_flush_bytes: u64::MAX,
             cache_bytes: 1024,
-            compaction: SizeTieredPolicy::default(),
         };
         let mut tree = LsmTree::new(config);
         // Every write that is still readable: (key, cell, durable, a flush
@@ -1020,7 +1013,6 @@ fn rows_tree() -> LsmTree {
         block_size: 64,
         memtable_flush_bytes: u64::MAX,
         cache_bytes: 1024,
-        compaction: SizeTieredPolicy::default(),
     })
 }
 
@@ -1301,7 +1293,6 @@ proptest! {
             block_size: 128,
             memtable_flush_bytes: u64::MAX,
             cache_bytes: 1024,
-            compaction: SizeTieredPolicy::default(),
         };
         let mut keys: Vec<Key> = ids.iter().map(|&id| wide_key(id)).collect();
         keys.extend(odd_key(&keys, at));
@@ -1421,7 +1412,6 @@ fn block_table_config(rows_per_block: usize) -> LsmConfig {
         block_size,
         memtable_flush_bytes: u64::MAX,
         cache_bytes: 3 * block_size, // a few blocks: gets evict
-        compaction: SizeTieredPolicy::default(),
     }
 }
 

@@ -164,15 +164,14 @@ fn read_repair_converges_all_replicas_under_full_fanout() {
         3,
         Consistency::One,
         Consistency::One,
-        |c| {
-            c.read_repair_chance = 1.0;
-            c.hinted_handoff = false;
-        },
+        |c| c.read_repair_chance = 1.0,
     ));
     let reps = h.c.replicas(&encode_key(3));
     h.write(3, "old");
     h.c.apply_crash(&mut h.sim, reps[2]);
     h.write(3, "new");
+    // Restarting the hardware schedules no hint replay: only the read's
+    // repair can bring the replica up to date.
     h.c.hw_mut(reps[2]).recover();
     // One read with guaranteed fan-out repairs the lagging replica.
     let _ = h.read(3);

@@ -196,7 +196,6 @@ fn read_repair_chance_zero_leaves_failures_unrepaired() {
     let scale = Scale::tiny();
     let mut c = build_cstore_with(&scale, 3, Consistency::One, Consistency::One, |cfg| {
         cfg.read_repair_chance = 0.0;
-        cfg.hinted_handoff = false;
     });
     driver::load(&mut c, scale.records, scale.value_len, 5);
     let out = driver::run(&mut c, &quick(WorkloadSpec::read_mostly(), &scale));

@@ -187,11 +187,10 @@ fn settings_the_load_does_not_read_leave_runs_unchanged() {
             settings.push((read, write, |_| {}));
         }
     }
-    let others: [(Consistency, Tweak); 6] = [
+    let others: [(Consistency, Tweak); 5] = [
         (One, |c| c.read_repair_chance = 0.0),
         (One, |c| c.read_repair_chance = 1.0),
         (One, |c| c.commitlog_sync = CommitlogSync::PerWrite),
-        (One, |c| c.hinted_handoff = false),
         (One, |c| {
             c.node.admission = AdmissionConfig { max_in_flight: 6 }
         }),
