@@ -1,38 +1,31 @@
-//! Hash tables over a segment's rows: how a point read finds its row in a
-//! large block.
+//! Hash tables over a segment's rows: how a point read finds its row.
 //!
-//! A segment whose runs put 16 or more of its rows in a block gets tables,
-//! built once where the segment is built and shared by every run that holds
-//! it. The segment's rows are cut into fixed chunks of [`CHUNK_ROWS`] rows,
-//! and each chunk has one table of 16-bit slots, a third more than its rows
-//! (at most 3/4 full, so a probe always meets an empty slot). A slot holds
-//! the row's index in its chunk plus 1 in its low 10 bits (0 is empty) and
-//! a 6-bit tag, the low bits of the key's [`slot_hash`], above them; the
-//! high bits of the same hash pick the slot a probe starts at. The tables
-//! lie back to back, chunk `c`'s starting at slot `c` × [`CHUNK_SLOTS`], so
-//! no start array is needed: 2.67 bytes per stored row.
+//! Every non-empty segment gets tables where it is built, and every run
+//! that holds the segment shares them. The segment's rows are cut into
+//! fixed chunks of [`CHUNK_ROWS`] rows, and each chunk has one table of
+//! 16-bit slots, a third more than its rows (at most 3/4 full, so a probe
+//! always meets an empty slot). A slot holds the row's index in its chunk
+//! plus 1 in its low 10 bits (0 is empty) and a 6-bit tag, the low bits of
+//! the key's [`slot_hash`], above them; the high bits of the same hash pick
+//! the slot a probe starts at. One allocation holds it all: first the
+//! [`KeyPrefix`] of each chunk's first key, as [`PREFIX_WORDS`] slots, then
+//! the chunks' tables back to back, chunk `c`'s starting [`CHUNK_SLOTS`] ×
+//! `c` slots past the prefixes: 2.68 bytes per stored row.
 //!
-//! A lookup in a block of 16 or more rows that lies inside one segment with
-//! tables hashes the full key once, probes the table of the chunk holding
-//! the block's first row (and of each later chunk the block reaches) by
-//! linear probing, and compares a full key only where a slot's tag matches:
-//! a present key costs about one key compare, where a binary search of a
-//! 196-row block compares eight keys spread over the whole block. Every
-//! other block, and `lower_bound` and every scan, keep the binary search.
-//!
-//! Blocks under 16 rows get none: their binary search takes at most four
-//! compares, about what a probe sequence meets, so a segment whose blocks
-//! are that small (the stress scale's 8-row blocks) allocates nothing for
-//! tables. The layout is RocksDB's data-block hash index, with the tag bits
+//! A lookup picks the chunk that can hold the key by a binary search of the
+//! chunk prefixes, reading a row's key from the arena only on a prefix tie,
+//! then hashes the key once and probes that chunk's table by linear
+//! probing, comparing a full key only where a slot's tag matches: a present
+//! key costs about one key compare, where a binary search of a 196-row
+//! block compares eight keys spread over the whole block. The row it finds
+//! names the block to charge; `lower_bound` and every scan keep the block
+//! index. The layout is RocksDB's data-block hash index, with the tag bits
 //! of a SwissTable slot (Abseil's `flat_hash_map`).
 
-use std::ops::Range;
+use std::cmp::Ordering;
 
 use crate::segment::RowArena;
-use crate::types::Cell;
-
-/// The fewest rows in a block that a lookup finds through tables.
-pub(crate) const MIN_ROWS: usize = 16;
+use crate::sstable::{key_prefix, KeyPrefix};
 
 /// Rows per chunk: the most a slot's 10-bit row field indexes, 1,023,
 /// less one so that a chunk's slot count stays a whole third over.
@@ -40,6 +33,9 @@ const CHUNK_ROWS: usize = 1022;
 
 /// Slots of a full chunk's table.
 const CHUNK_SLOTS: usize = chunk_len(CHUNK_ROWS);
+
+/// Slots a chunk's first-key prefix takes, most significant word first.
+const PREFIX_WORDS: usize = KeyPrefix::BITS as usize / 16;
 
 /// Bits of a slot that hold its row's index in the chunk plus 1.
 const ROW_BITS: u32 = 10;
@@ -55,23 +51,25 @@ const fn chunk_len(rows: usize) -> usize {
     rows + rows.div_ceil(3)
 }
 
-/// Slots in the tables of a segment of `rows` rows.
+/// Slots of a segment of `rows` rows: its chunks' prefixes and tables.
 fn tables_len(rows: usize) -> usize {
-    rows / CHUNK_ROWS * CHUNK_SLOTS + chunk_len(rows % CHUNK_ROWS)
+    let tables = rows / CHUNK_ROWS * CHUNK_SLOTS + chunk_len(rows % CHUNK_ROWS);
+    rows.div_ceil(CHUNK_ROWS) * PREFIX_WORDS + tables
 }
 
-/// True when a segment of `rows` rows that encode to `bytes` bytes gets
-/// tables in runs of blocks of `block_size` bytes: when its rows average at
-/// most a sixteenth of a block, so that its blocks hold 16 rows or more.
-pub(crate) fn wanted(rows: usize, bytes: u64, block_size: u64) -> bool {
-    rows > 0 && MIN_ROWS as u128 * bytes as u128 <= rows as u128 * block_size as u128
+/// The chunks of tables of `len` slots. Each chunk but the last takes
+/// `CHUNK_SLOTS + PREFIX_WORDS` slots and the last from 10 up to as many,
+/// so the count is the slots over that, rounded up.
+#[inline]
+fn chunks(len: usize) -> usize {
+    len.div_ceil(CHUNK_SLOTS + PREFIX_WORDS)
 }
 
 /// A multiply-mix hash of the full key, 8 bytes a step: cheap enough to
-/// run on every point read that reaches a hashed block. The key's length
-/// seeds it, so keys that differ only by trailing zero bytes hash apart.
+/// run on every point read. The key's length seeds it, so keys that differ
+/// only by trailing zero bytes hash apart.
 #[inline]
-pub(crate) fn slot_hash(key: &[u8]) -> u32 {
+fn slot_hash(key: &[u8]) -> u32 {
     const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
     let step = |h: u64, word: u64| {
         let h = (h ^ word).wrapping_mul(MIX);
@@ -105,67 +103,93 @@ fn first_slot(hash: u32, len: usize) -> usize {
     ((hash as u64 * len as u64) >> 32) as usize
 }
 
-/// The tables of one segment, back to back.
+/// The tables of one segment: its chunks' first-key prefixes, then their
+/// tables back to back, in one allocation (none for an empty segment).
 #[derive(Debug)]
 pub(crate) struct Tables(Box<[u16]>);
 
 impl Tables {
+    /// The prefix of chunk `chunk`'s first key.
+    #[inline]
+    fn prefix(&self, chunk: usize) -> KeyPrefix {
+        let words = &self.0[chunk * PREFIX_WORDS..][..PREFIX_WORDS];
+        (words.iter()).fold(0, |prefix, &word| prefix << 16 | word as KeyPrefix)
+    }
+
     /// The table of chunk `chunk`: a full chunk's slots, or fewer for the
     /// segment's last chunk.
     #[inline]
-    fn chunk(&self, chunk: usize) -> &[u16] {
-        let at = chunk * CHUNK_SLOTS;
+    fn table(&self, chunk: usize) -> &[u16] {
+        let at = chunks(self.0.len()) * PREFIX_WORDS + chunk * CHUNK_SLOTS;
         &self.0[at..(at + CHUNK_SLOTS).min(self.0.len())]
     }
 
-    /// The cell of `key` among the rows `block` of `rows`, the segment these
-    /// tables index, or `None` when those rows do not hold it. The probe
-    /// walks each chunk `block` reaches, from the slot the key's hash picks
-    /// up to an empty slot, and compares a key only where the tag matches.
+    /// The chunk of `rows`, the segment these tables index, that can hold
+    /// `key`, whose prefix is `prefix`: the last whose first key is at or
+    /// below it, or `None` when `key` sorts before the first row. A binary
+    /// search of the chunk prefixes, reading a first key only on a prefix
+    /// tie; a key before the first row (one a run's earlier segment holds)
+    /// costs one compare.
     #[inline]
-    pub(crate) fn find<'r>(
-        &self,
-        rows: &'r RowArena,
-        block: Range<usize>,
-        key: &[u8],
-    ) -> Option<&'r Cell> {
+    pub(crate) fn chunk_of(&self, rows: &RowArena, prefix: KeyPrefix, key: &[u8]) -> Option<usize> {
+        let at_or_below = |chunk: usize| match self.prefix(chunk).cmp(&prefix) {
+            Ordering::Less => true,
+            Ordering::Greater => false,
+            Ordering::Equal => rows.key(chunk * CHUNK_ROWS) <= key,
+        };
+        let chunks = chunks(self.0.len());
+        if chunks == 0 || !at_or_below(0) {
+            return None;
+        }
+        let (mut lo, mut hi) = (1, chunks);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if at_or_below(mid) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        Some(lo - 1)
+    }
+
+    /// The row of `key` among the rows of chunk `chunk` of `rows`, or
+    /// `None` when they do not hold it. The probe walks the chunk's table
+    /// from the slot the key's hash picks up to an empty slot, and compares
+    /// a key only where the tag matches.
+    #[inline]
+    pub(crate) fn probe(&self, rows: &RowArena, chunk: usize, key: &[u8]) -> Option<usize> {
         let hash = slot_hash(key);
         let tag = tag(hash);
-        for chunk in block.start / CHUNK_ROWS..=(block.end - 1) / CHUNK_ROWS {
-            let table = self.chunk(chunk);
-            let (before, from) = table.split_at(first_slot(hash, table.len()));
-            for &slot in from.iter().chain(before) {
-                if slot & ROW_MASK == 0 {
-                    break;
-                }
-                if slot & !ROW_MASK != tag {
-                    continue;
-                }
-                let at = chunk * CHUNK_ROWS + (slot & ROW_MASK) as usize - 1;
-                if block.contains(&at) && rows.key(at) == key {
-                    return Some(rows.cell(at));
-                }
+        let table = self.table(chunk);
+        let (before, from) = table.split_at(first_slot(hash, table.len()));
+        for &slot in from.iter().chain(before) {
+            if slot & ROW_MASK == 0 {
+                break;
+            }
+            if slot & !ROW_MASK != tag {
+                continue;
+            }
+            let at = chunk * CHUNK_ROWS + (slot & ROW_MASK) as usize - 1;
+            if rows.key(at) == key {
+                return Some(at);
             }
         }
         None
     }
-
-    /// The slots, every chunk's table back to back.
-    #[cfg(test)]
-    pub(crate) fn slots(&self) -> &[u16] {
-        &self.0
-    }
 }
 
-/// Fills a segment's tables as its rows arrive in order, one slot hash at a
+/// Fills a segment's tables as its rows arrive in order, one key at a
 /// time: each row goes in the first free slot of its chunk's table at or
-/// after the slot its hash picks, wrapping at the table's end. A bitmap of
-/// the open chunk's taken slots finds that slot with one bit scan of a
-/// 64-slot word, not a probe loop, whose trip count a branch predictor
-/// cannot guess.
+/// after the slot its hash picks, wrapping at the table's end, and a
+/// chunk's first row also writes the chunk's prefix. A bitmap of the open
+/// chunk's taken slots finds that slot with one bit scan of a 64-slot word,
+/// not a probe loop, whose trip count a branch predictor cannot guess.
 #[derive(Debug)]
 pub(crate) struct TableFill {
     slots: Box<[u16]>,
+    /// Where the first chunk's table starts: past every chunk's prefix.
+    tables_at: usize,
     /// Rows filled in so far.
     rows: usize,
     taken: [u64; CHUNK_SLOTS.div_ceil(64)],
@@ -176,18 +200,25 @@ impl TableFill {
     pub(crate) fn new(rows: usize) -> Self {
         Self {
             slots: vec![0; tables_len(rows)].into_boxed_slice(),
+            tables_at: rows.div_ceil(CHUNK_ROWS) * PREFIX_WORDS,
             rows: 0,
             taken: [0; CHUNK_SLOTS.div_ceil(64)],
         }
     }
 
-    /// Put in the next row, whose key's [`slot_hash`] is `hash`.
+    /// Put in the next row, whose key is `key`.
     #[inline]
-    pub(crate) fn push(&mut self, hash: u32) {
+    pub(crate) fn push(&mut self, key: &[u8]) {
+        let hash = slot_hash(key);
         let (chunk, row) = (self.rows / CHUNK_ROWS, self.rows % CHUNK_ROWS);
-        let at = chunk * CHUNK_SLOTS;
+        let at = self.tables_at + chunk * CHUNK_SLOTS;
         let len = CHUNK_SLOTS.min(self.slots.len() - at);
         if row == 0 {
+            let prefix = key_prefix(key);
+            let words = &mut self.slots[chunk * PREFIX_WORDS..][..PREFIX_WORDS];
+            for (i, word) in words.iter_mut().enumerate() {
+                *word = (prefix >> (16 * (PREFIX_WORDS - 1 - i))) as u16;
+            }
             self.taken = [0; CHUNK_SLOTS.div_ceil(64)];
             // The bits past the table's end count as taken, so no search
             // stops there.
@@ -220,14 +251,23 @@ impl TableFill {
 }
 
 #[cfg(test)]
+impl Tables {
+    /// The slots: the chunk prefixes, then every chunk's table.
+    pub(crate) fn slots(&self) -> &[u16] {
+        &self.0
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Cell;
 
-    /// Tables of `rows`, filled with their keys' slot hashes.
+    /// Tables of `rows`, filled with their keys.
     fn tables_of(rows: &RowArena) -> Tables {
         let mut fill = TableFill::new(rows.len());
         for (key, _) in rows.iter() {
-            fill.push(slot_hash(key));
+            fill.push(key);
         }
         fill.finish()
     }
@@ -241,30 +281,27 @@ mod tests {
         arena
     }
 
+    /// The row of `key` in `rows` through `tables`.
+    fn find(tables: &Tables, rows: &RowArena, key: &[u8]) -> Option<usize> {
+        let chunk = tables.chunk_of(rows, key_prefix(key), key)?;
+        tables.probe(rows, chunk, key)
+    }
+
     #[test]
     fn chunks_are_at_most_three_quarters_full_at_under_2_7_bytes_a_row() {
         assert_eq!(CHUNK_SLOTS, 1363);
         assert_eq!(tables_len(0), 0);
-        assert_eq!(tables_len(16), 22);
-        assert_eq!(tables_len(1022), 1363);
-        assert_eq!(tables_len(1023), 1365);
-        assert_eq!(tables_len(3 * 1022 + 100), 3 * 1363 + 134);
+        assert_eq!(tables_len(1), 8 + 2);
+        assert_eq!(tables_len(16), 8 + 22);
+        assert_eq!(tables_len(1022), 8 + 1363);
+        assert_eq!(tables_len(1023), 16 + 1365);
+        assert_eq!(tables_len(3 * 1022 + 100), 32 + 3 * 1363 + 134);
         for rows in 1..=3 * CHUNK_ROWS {
             let last = rows - (rows - 1) / CHUNK_ROWS * CHUNK_ROWS;
             assert!(4 * last <= 3 * chunk_len(last), "{rows} rows");
+            assert_eq!(chunks(tables_len(rows)), rows.div_ceil(CHUNK_ROWS));
         }
         assert!(2 * tables_len(100_000) <= 27 * 100_000 / 10);
-    }
-
-    #[test]
-    fn segments_of_16_rows_a_block_or_more_want_tables() {
-        // 42-byte rows: 8 KB blocks hold 196, 512-byte blocks 13.
-        assert!(wanted(1000, 42_000, 8192));
-        assert!(wanted(1000, 42_000, 16 * 42));
-        assert!(!wanted(1000, 42_000, 16 * 42 - 1));
-        assert!(!wanted(1000, 42_000, 512));
-        assert!(!wanted(0, 0, 8192));
-        assert!(wanted(1, 1, u64::MAX));
     }
 
     #[test]
@@ -275,43 +312,72 @@ mod tests {
     }
 
     #[test]
-    fn every_row_is_found_by_its_key_in_any_block_that_holds_it() {
-        for rows in [16, 1021, 1022, 1023, 2500] {
+    fn every_row_is_found_by_its_key_and_no_other_key_is() {
+        for rows in [1, 16, 1021, 1022, 1023, 2500] {
             let arena = arena(rows);
             let tables = tables_of(&arena);
-            assert_eq!(tables.slots().len(), tables_len(rows));
-            assert_eq!(tables.slots().iter().filter(|&&s| s != 0).count(), rows);
-            for (i, (key, cell)) in arena.iter().enumerate() {
-                let found = tables.find(&arena, i..i + 1, key);
-                assert!(
-                    found.is_some_and(|c| std::ptr::eq(c, cell)),
-                    "row {i} of {rows}"
+            assert_eq!(tables.0.len(), tables_len(rows));
+            let used = tables.0[chunks(tables.0.len()) * PREFIX_WORDS..].iter();
+            assert_eq!(used.filter(|&&s| s != 0).count(), rows);
+            for (i, (key, _)) in arena.iter().enumerate() {
+                assert_eq!(find(&tables, &arena, key), Some(i), "row {i} of {rows}");
+                assert_eq!(
+                    tables.prefix(i / CHUNK_ROWS),
+                    key_prefix(arena.key(i / CHUNK_ROWS * CHUNK_ROWS))
                 );
-                let all = tables.find(&arena, 0..rows, key);
-                assert!(
-                    all.is_some_and(|c| std::ptr::eq(c, cell)),
-                    "row {i} of {rows}"
-                );
-                // A block that does not hold the row does not find it.
-                let other = if i == 0 { 1..rows } else { 0..i };
-                assert_eq!(tables.find(&arena, other, key), None, "row {i} of {rows}");
+                // A key just above the row's sorts into its chunk, and
+                // is not found.
+                let above = [key, b"0"].concat();
+                let chunk = tables.chunk_of(&arena, key_prefix(&above), &above);
+                assert_eq!(chunk, Some(i / CHUNK_ROWS), "row {i} of {rows}");
+                assert_eq!(find(&tables, &arena, &above), None, "row {i} of {rows}");
             }
-            assert_eq!(tables.find(&arena, 0..rows, b"user"), None);
+            assert_eq!(tables.chunk_of(&arena, key_prefix(b"user"), b"user"), None);
+            assert_eq!(find(&tables, &arena, b"zebra"), None);
         }
     }
 
     #[test]
+    fn chunks_whose_first_keys_tie_on_the_prefix_are_told_apart_by_the_key() {
+        // Every key shares its first 16 bytes, so every chunk's prefix is
+        // the same and only the arena orders them.
+        let mut arena = RowArena::default();
+        for i in 0..3000 {
+            let key = format!("user0000000000000{i:06}");
+            arena.push(key.as_bytes(), Cell::tombstone(i as u64));
+        }
+        let tables = tables_of(&arena);
+        for (i, (key, _)) in arena.iter().enumerate() {
+            let chunk = tables.chunk_of(&arena, key_prefix(key), key);
+            assert_eq!(chunk, Some(i / CHUNK_ROWS), "row {i}");
+            assert_eq!(find(&tables, &arena, key), Some(i), "row {i}");
+        }
+    }
+
+    #[test]
+    fn an_empty_segment_holds_no_tables() {
+        let tables = tables_of(&RowArena::default());
+        assert!(tables.slots().is_empty());
+        assert_eq!(tables.chunk_of(&RowArena::default(), 0, b""), None);
+    }
+
+    #[test]
     fn probes_wrap_past_the_end_of_a_chunk_table() {
-        // Every row's first slot is the last one, so all but the first run
-        // on from the table's start, in row order, each with the tag.
+        // Every row has a key whose first slot is the table's last one, so
+        // all but the first run on from the table's start, in row order,
+        // each with the key's tag.
         for rows in [16, 64, 1022] {
             let len = chunk_len(rows);
+            let key = (0u32..)
+                .map(|i| i.to_le_bytes())
+                .find(|key| first_slot(slot_hash(key), len) == len - 1)
+                .expect("a key");
             let mut fill = TableFill::new(rows);
             for _ in 0..rows {
-                fill.push(u32::MAX);
+                fill.push(&key);
             }
-            let slots = fill.finish().0;
-            let tag = tag(u32::MAX);
+            let slots = &fill.finish().0[PREFIX_WORDS..];
+            let tag = tag(slot_hash(&key));
             assert_eq!(slots[len - 1], tag | 1);
             let want: Vec<u16> = (2..=rows as u16).map(|r| tag | r).collect();
             assert_eq!(&slots[..rows - 1], want);

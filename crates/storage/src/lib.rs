@@ -11,11 +11,12 @@
 //!   rows as of the last commit-log sync for a crash to roll back to.
 //! * `bloom` — a bloom filter to skip sorted runs on reads.
 //! * [`Segment`] — the rows of runs: one key arena, offsets and cells, and
-//!   the hash tables of a segment whose runs' blocks are large.
+//!   the hash tables point reads find a row by.
 //! * [`sstable`] — immutable sorted runs with block structure and an index.
-//! * `block_hash` — the segment hash tables point reads use in blocks of
-//!   16 rows or more: tagged 16-bit slots over fixed chunks of rows, filled
-//!   once for every run that holds the segment.
+//! * `block_hash` — the hash tables every segment gets, which point reads
+//!   find their row through: tagged 16-bit slots over fixed chunks of rows
+//!   and each chunk's first-key prefix, in one allocation, filled once for
+//!   every run that holds the segment.
 //! * [`cache`] — an O(1) LRU block cache with hit/miss accounting.
 //! * [`merge`] — k-way merge with last-write-wins reconciliation.
 //! * [`Rows`] — scan results as handles into the segments holding them;

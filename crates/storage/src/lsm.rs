@@ -295,26 +295,29 @@ impl LsmTree {
         hashes: &mut Option<(u64, u64)>,
         io: &mut IoPlan,
     ) -> Option<&'t Cell> {
-        // Search first, bloom only on a miss. A present key always passes
-        // the bloom filter, so probing it up front spends k scattered bit
-        // reads to learn nothing on the common read-mostly path; the index
-        // search runs over the table's flat prefix arrays. The
-        // observable effects — io plan, cache state, returned cell — are
-        // identical to bloom-first order: the simulated block read happens
-        // exactly when the bloom filter would have admitted the key.
-        let Some(block) = table.block_for(key) else {
-            // Key sorts before the table: bloom-first order also ends in a
-            // skip here, whatever the filter says.
+        // Find the row first, bloom only on a miss. A present key always
+        // passes the bloom filter, so probing it up front spends k
+        // scattered bit reads to learn nothing on the common read-mostly
+        // path. The observable effects — io plan, cache state, returned
+        // cell — are identical to bloom-first order: the simulated block
+        // read happens exactly when the bloom filter would have admitted
+        // the key, and it is the block the block index names for the key.
+        let found = table.find(key);
+        let block = match found {
+            Some((entry, _)) => Some(table.block_of_entry(entry)),
+            // An absent key the filter admits (a false positive) charges
+            // the block the index names; one before the table's first block
+            // is skipped, as bloom-first order also skips it.
+            None => {
+                let hashes = *hashes.get_or_insert_with(|| bloom::hash_pair(key));
+                let admitted = table.may_contain_hashed(hashes);
+                admitted.then(|| table.block_for(key)).flatten()
+            }
+        };
+        let Some(block) = block else {
             io.push(IoOp::BloomSkip);
             return None;
         };
-        let hit = table.get_in_block(block, key);
-        if hit.is_none()
-            && !table.may_contain_hashed(*hashes.get_or_insert_with(|| bloom::hash_pair(key)))
-        {
-            io.push(IoOp::BloomSkip);
-            return None;
-        }
         // Present key, or an absent one the filter false-positives on:
         // either way the block is (simulated-)read and charged.
         let bytes = table.block_len(block);
@@ -323,7 +326,7 @@ impl LsmTree {
         } else {
             io.push(IoOp::DiskRead { bytes });
         }
-        hit
+        found.map(|(_, cell)| cell)
     }
 
     /// Range scan: merge memtable and all runs from `start`, return up to

@@ -4,14 +4,14 @@
 //! cell (40 bytes for a 24-byte key): row `i`'s key sits at `i` times the
 //! width. From the first key of another width on, each row also keeps a
 //! `u32` offset where its key ends (44 bytes for a 24-byte key). No row
-//! makes an allocation of its own. A segment whose runs' blocks hold 16 or
-//! more rows also keeps the hash tables point reads find its rows through
-//! (see `block_hash`), built once for every run that holds it.
+//! makes an allocation of its own. Every segment also keeps the hash tables
+//! point reads find its rows through (see `block_hash`), built with its
+//! rows and shared by every run that holds it.
 
 use std::ops::Deref;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use crate::block_hash::{slot_hash, TableFill, Tables};
+use crate::block_hash::{TableFill, Tables};
 use crate::bloom;
 use crate::sstable::{key_prefix, KeyPrefix, RunBuilder};
 use crate::types::{entry_encoded_len, Cell};
@@ -178,66 +178,51 @@ impl SortRecord {
 #[derive(Debug, Clone)]
 pub struct Segment(Arc<SegmentCore>);
 
-/// What the clones of a segment share: its rows, and the hash tables of
-/// the segments that get them, set once by the first build that asks.
+/// What the clones of a segment share: its rows and their hash tables.
 #[derive(Debug)]
 struct SegmentCore {
     rows: RowArena,
-    tables: OnceLock<Tables>,
+    tables: Tables,
 }
 
 impl Segment {
-    /// A segment of `rows`, which are strictly sorted by key.
+    /// A segment of `rows`, which are strictly sorted by key, with its hash
+    /// tables filled from them.
     ///
     /// # Panics
     /// In debug builds, panics if the rows are not strictly sorted.
     pub(crate) fn sorted(rows: RowArena) -> Self {
+        let mut tables = TableFill::new(rows.len());
+        for (key, _) in rows.iter() {
+            tables.push(key);
+        }
+        Self::with_tables(rows, tables.finish())
+    }
+
+    /// A segment of `rows`, strictly sorted by key, and `tables`, theirs.
+    ///
+    /// # Panics
+    /// In debug builds, panics if the rows are not strictly sorted, or
+    /// unless the tables find every row by its own key.
+    fn with_tables(rows: RowArena, tables: Tables) -> Self {
         debug_assert!(
             (1..rows.len()).all(|i| rows.key(i - 1) < rows.key(i)),
             "rows must be strictly sorted by key"
         );
-        Self(Arc::new(SegmentCore {
-            rows,
-            tables: OnceLock::new(),
-        }))
+        debug_assert!(
+            rows.iter().enumerate().all(|(i, (key, _))| {
+                let chunk = tables.chunk_of(&rows, key_prefix(key), key);
+                chunk.and_then(|chunk| tables.probe(&rows, chunk, key)) == Some(i)
+            }),
+            "a segment's tables must find each of its rows by its key"
+        );
+        Self(Arc::new(SegmentCore { rows, tables }))
     }
 
-    /// The segment's hash tables, if it has them.
+    /// The segment's hash tables.
     #[inline]
-    pub(crate) fn tables(&self) -> Option<&Tables> {
-        self.0.tables.get()
-    }
-
-    /// Give the segment its hash tables, unless it has them already: its
-    /// rows slot-hashed in order, once for every run that holds it.
-    pub(crate) fn fill_tables(&self) {
-        self.set_tables(|| {
-            let mut fill = TableFill::new(self.len());
-            for (key, _) in self.iter() {
-                fill.push(slot_hash(key));
-            }
-            fill.finish()
-        });
-    }
-
-    /// Set the segment's hash tables to what `build` returns, unless it has
-    /// them already.
-    ///
-    /// # Panics
-    /// In debug builds, panics unless the tables find every row by its own
-    /// key.
-    fn set_tables(&self, build: impl FnOnce() -> Tables) {
-        self.0.tables.get_or_init(|| {
-            let tables = build();
-            debug_assert!(
-                self.iter().enumerate().all(|(i, (key, cell))| {
-                    (tables.find(self, i..i + 1, key))
-                        .is_some_and(|found| std::ptr::eq(found, cell))
-                }),
-                "a segment's tables must find each of its rows by its key"
-            );
-            tables
-        });
+    pub(crate) fn tables(&self) -> &Tables {
+        &self.0.tables
     }
 
     /// A segment of the rows of `queue`, and their records fed to every run
@@ -249,10 +234,9 @@ impl Segment {
     /// and takes its prefix and encoded length. What is sorted is that
     /// `(prefix, length, index)` array, never the rows; the holders' block
     /// indexes come from it in key order as each winner's key moves into an
-    /// exactly sized segment, and then their cells move. When a holder's
-    /// blocks hold 16 or more of the segment's rows, the same loop
-    /// slot-hashes each winner's key once into the segment's hash tables,
-    /// which every holder shares.
+    /// exactly sized segment, and then their cells move. The same loop
+    /// hashes each winner's key once into the segment's hash tables, which
+    /// every holder shares.
     ///
     /// A holder must receive its segments in key order, each sorting wholly
     /// above the one before.
@@ -289,19 +273,14 @@ impl Segment {
             }
             same
         });
-        let bytes = order.iter().map(|r| r.len as u64).sum();
-        let mut tables = (holders.iter())
-            .any(|run| run.wants_tables(order.len(), bytes))
-            .then(|| TableFill::new(order.len()));
+        let mut tables = TableFill::new(order.len());
         let mut rows = RowArena::with_capacity(order.len(), queued.keys.len() - dropped);
         for (row, r) in order.iter().enumerate() {
             let key = key(r);
             for run in holders.iter_mut() {
                 run.row(r.prefix(), r.len as u64);
             }
-            if let Some(tables) = &mut tables {
-                tables.push(slot_hash(key));
-            }
+            tables.push(key);
             rows.push_key(row, key);
         }
         drop((queued.keys, queued.ends));
@@ -309,10 +288,7 @@ impl Segment {
         let moved =
             |r: &SortRecord| std::mem::replace(&mut cells[r.index as usize], Cell::tombstone(0));
         rows.cells.extend(order.iter().map(moved));
-        let segment = Self::sorted(rows);
-        if let Some(tables) = tables {
-            segment.set_tables(|| tables.finish());
-        }
+        let segment = Self::with_tables(rows, tables.finish());
         if !segment.is_empty() {
             for run in holders.iter_mut() {
                 run.segments.push(segment.clone());

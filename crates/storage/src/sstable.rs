@@ -1,11 +1,12 @@
 //! Immutable sorted runs (HBase HFiles / Cassandra SSTables).
 //!
 //! A run stores its entries in key order, grouped into fixed-size blocks.
-//! A point read searches the block index and then the one block it names —
-//! through its segment's hash tables when the block holds 16 or more rows
-//! of one segment that has them (see `block_hash`), by binary search
-//! otherwise — and consults the bloom filter only when that lookup misses
-//! (a present key always passes the filter; see `LsmTree::get`); scans read
+//! A point read finds its row by key — in the one segment that can hold it,
+//! through that segment's hash tables (see `block_hash`) — and the row
+//! names the block it charges; it consults the bloom filter only when that
+//! lookup misses (a present key always passes the filter; see
+//! `LsmTree::get`), and the block index only when the filter admits the
+//! missing key. Range scans start through the block index and read
 //! consecutive blocks. The block is the unit of disk I/O and of block-cache
 //! residency.
 //!
@@ -16,7 +17,6 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use crate::block_hash;
 use crate::bloom::{self, BloomFilter};
 use crate::segment::{LoadQueue, Segment};
 use crate::types::{entry_encoded_len, Cell, Key};
@@ -107,8 +107,7 @@ struct SsTableCore {
 /// Builds one run's block index and bloom filter from one record per row:
 /// the key's bloom hash pair for the filter, and its prefix and encoded
 /// length for the block index. Every run is built through one, whether a
-/// flush, a compaction or a bulk load makes it; it also decides whether the
-/// segments it holds get hash tables.
+/// flush, a compaction or a bulk load makes it.
 ///
 /// The filter takes hash pairs in any order, the index takes records in key
 /// order. [`RunBuilder::hold`] reads both from a sorted segment in one pass;
@@ -193,17 +192,8 @@ impl RunBuilder {
         }
     }
 
-    /// True when a segment of `rows` rows that encode to `bytes` bytes,
-    /// held by this run, gets hash tables: when its rows average a
-    /// sixteenth of the run's block size or less.
-    pub(crate) fn wants_tables(&self, rows: usize, bytes: u64) -> bool {
-        block_hash::wanted(rows, bytes, self.block_size)
-    }
-
     /// Hold `segment` as the run's next stretch of rows, reading every row
-    /// of it for the filter and the index, and then giving it hash tables
-    /// if the run wants them and it has none yet. An empty segment is
-    /// dropped.
+    /// of it for the filter and the index. An empty segment is dropped.
     ///
     /// # Panics
     /// In debug builds, panics unless `segment` sorts wholly above the
@@ -212,13 +202,9 @@ impl RunBuilder {
         if segment.is_empty() {
             return;
         }
-        let before = self.total_bytes;
         for (key, cell) in segment.iter() {
             self.bloom.insert_hashed(bloom::hash_pair(key));
             self.row(key_prefix(key), entry_encoded_len(key, cell));
-        }
-        if self.wants_tables(segment.len(), self.total_bytes - before) {
-            segment.fill_tables();
         }
         self.segments.push(segment);
     }
@@ -293,18 +279,6 @@ impl SsTable {
         self.id
     }
 
-    /// Number of entries.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.core.len
-    }
-
-    /// True when the table holds no entries.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.core.len == 0
-    }
-
     /// The run's rows: its non-empty segments in key order.
     pub fn segments(&self) -> &[Segment] {
         &self.core.segments
@@ -331,10 +305,10 @@ impl SsTable {
     }
 
     /// Binary search of entries `lo..hi` (`lo < hi`) for `key`: the index of
-    /// the first one at or above it, and that entry's cell when it holds
-    /// `key`. Each segment the range touches is searched over its key
-    /// arena, contiguous memory, a probe comparing padded prefixes first.
-    fn search(&self, lo: usize, hi: usize, key: &[u8]) -> (usize, Option<&Cell>) {
+    /// the first one at or above it. Each segment the range touches is
+    /// searched over its key arena, contiguous memory, a probe comparing
+    /// padded prefixes first.
+    fn search(&self, lo: usize, hi: usize, key: &[u8]) -> usize {
         let target = key_prefix(key);
         let (mut segment, mut from) = self.locate(lo);
         let mut base = lo - from;
@@ -348,13 +322,13 @@ impl SsTable {
                 match cmp_via_prefix(key_prefix(probe), probe, target, key) {
                     Ordering::Less => below = mid + 1,
                     Ordering::Greater => end = mid,
-                    Ordering::Equal => return (base + mid, Some(rows.cell(mid))),
+                    Ordering::Equal => return base + mid,
                 }
             }
             // Stop unless `key` sorts above all of this segment's part and
             // the range goes on into the next segment.
             if below < to || base + to == hi {
-                return (base + below, None);
+                return base + below;
             }
             base += rows.len();
             segment += 1;
@@ -378,7 +352,7 @@ impl SsTable {
     }
 
     /// Bloom-filter check: false means the key is definitely absent.
-    pub(crate) fn may_contain(&self, key: &[u8]) -> bool {
+    pub fn may_contain(&self, key: &[u8]) -> bool {
         self.core.bloom.may_contain(key)
     }
 
@@ -449,44 +423,31 @@ impl SsTable {
         (start, end)
     }
 
-    /// Point lookup confined to one block (the caller already paid for
-    /// reading that block). A block of 16 or more rows that lies inside one
-    /// segment with hash tables is looked up through them: the key's slot
-    /// hash picks a slot in the table of each chunk the block reaches, and
-    /// the probe compares the full key only of the rows whose slot carries
-    /// the key's tag, until the key's row or an empty slot. Every other
-    /// block is binary-searched. Both give the same answer: the key's cell,
-    /// or `None` when the block does not hold the key.
-    pub(crate) fn get_in_block(&self, block: usize, key: &[u8]) -> Option<&Cell> {
-        let (start, end) = self.block_range(block);
-        if end - start >= block_hash::MIN_ROWS {
-            let (segment, from) = self.locate(start);
-            let rows = &self.core.segments[segment];
-            let to = from + (end - start);
-            if let Some(tables) = rows.tables().filter(|_| to <= rows.len()) {
-                return tables.find(rows, from..to, key);
+    /// The entry holding `key`, as its index in the run and its cell, or
+    /// `None` when the run does not hold `key`. The run's segments are
+    /// disjoint and in key order, so only the last one whose first key is
+    /// at or below `key` can hold it; that segment's hash tables pick the
+    /// chunk of rows by its first keys' prefixes and probe its table (see
+    /// `block_hash`).
+    #[inline]
+    pub fn find(&self, key: &[u8]) -> Option<(usize, &Cell)> {
+        let prefix = key_prefix(key);
+        let mut base = self.core.len;
+        for rows in self.core.segments.iter().rev() {
+            base -= rows.len();
+            if let Some(chunk) = rows.tables().chunk_of(rows, prefix, key) {
+                let row = rows.tables().probe(rows, chunk, key)?;
+                return Some((base + row, rows.cell(row)));
             }
         }
-        self.search(start, end, key).1
-    }
-
-    /// Full point lookup (bloom + index + block search): the lookup
-    /// `LsmTree::get` makes in each run, without its bloom-last order and
-    /// its I/O accounting. Tests read runs through it.
-    pub fn get(&self, key: &[u8]) -> Option<&Cell> {
-        if !self.may_contain(key) {
-            return None;
-        }
-        let block = self.block_for(key)?;
-        self.get_in_block(block, key)
+        None
     }
 
     /// Index of the first entry with key >= `start` (`len()` when every key
     /// sorts below it): where a range scan's cursor over this run begins.
     ///
-    /// Like a point read it goes through the two-level block index to the
-    /// one block that can hold the boundary, then searches that block's
-    /// keys only.
+    /// It goes through the two-level block index to the one block that can
+    /// hold the boundary, then searches that block's keys only.
     pub fn lower_bound(&self, start: &[u8]) -> usize {
         // Every block before the last one whose first key is <= `start`
         // lies wholly below `start`; with no such block, nothing does.
@@ -494,16 +455,45 @@ impl SsTable {
             return 0;
         };
         let (lo, hi) = self.block_range(block);
-        self.search(lo, hi, start).0
+        self.search(lo, hi, start)
     }
 
-    /// The block containing entry index `idx`.
+    /// The block containing entry index `idx`: the last block starting at
+    /// or below it. Blocks hold nearly equal row counts, so the search
+    /// starts at the block `idx` would be in if they held exactly equal
+    /// ones, and gallops outward from it until a stretch of blocks brackets
+    /// `idx`, then binary-searches that stretch: a compare or two when the
+    /// guess is right, O(log distance) for any layout.
     pub fn block_of_entry(&self, idx: usize) -> usize {
+        let starts = &self.core.block_starts;
         debug_assert!(idx < self.core.len);
-        match self.core.block_starts.binary_search(&(idx as u32)) {
-            Ok(b) => b,
-            Err(b) => b - 1,
+        let at = idx as u32;
+        let guess = (idx as u64 * starts.len() as u64 / self.core.len as u64) as usize;
+        // Gallop to blocks `lo..hi` that bracket `idx` (`lo` starts at or
+        // below it, `hi` or the run's end above it): down while `lo` starts
+        // above it (block 0 starts at entry 0, so that walk ends), or else
+        // up while `hi` starts at or below it.
+        let (mut lo, mut hi, mut step) = (guess, guess + 1, 1);
+        while starts[lo] > at {
+            (hi, lo, step) = (lo, lo.saturating_sub(step), step * 2);
         }
+        while hi < starts.len() && starts[hi] <= at {
+            (lo, hi, step) = (hi, (hi + step).min(starts.len()), step * 2);
+        }
+        lo + starts[lo..hi].partition_point(|&start| start <= at) - 1
+    }
+}
+
+#[cfg(test)]
+impl SsTable {
+    /// Number of entries.
+    pub(crate) fn len(&self) -> usize {
+        self.core.len
+    }
+
+    /// True when the table holds no entries.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.core.len == 0
     }
 }
 
@@ -533,7 +523,7 @@ mod tests {
     fn point_lookup_finds_every_key() {
         let t = table(500, 256);
         for i in 0..500 {
-            let got = t.get(format!("user{i:06}").as_bytes()).expect("present");
+            let (_, got) = t.find(format!("user{i:06}").as_bytes()).expect("present");
             assert_eq!(got.value.as_deref(), Some(format!("v{i}").as_bytes()));
         }
     }
@@ -541,8 +531,8 @@ mod tests {
     #[test]
     fn absent_keys_return_none() {
         let t = table(100, 256);
-        assert_eq!(t.get(b"user999999"), None);
-        assert_eq!(t.get(b"aaaa"), None);
+        assert_eq!(t.find(b"user999999"), None);
+        assert_eq!(t.find(b"aaaa"), None);
     }
 
     #[test]
@@ -562,7 +552,8 @@ mod tests {
         for i in 0..100 {
             let key = format!("user{i:06}");
             let b = t.block_for(key.as_bytes()).expect("block");
-            assert!(t.get_in_block(b, key.as_bytes()).is_some());
+            let (entry, _) = t.find(key.as_bytes()).expect("present");
+            assert_eq!(t.block_of_entry(entry), b);
         }
     }
 
@@ -626,10 +617,7 @@ mod tests {
             let p = probe.as_bytes();
             assert_eq!(split.block_for(p), whole.block_for(p), "{probe}");
             assert_eq!(split.lower_bound(p), whole.lower_bound(p), "{probe}");
-            assert_eq!(split.get(p), whole.get(p), "{probe}");
-            if let Some(b) = whole.block_for(p) {
-                assert_eq!(split.get_in_block(b, p), whole.get_in_block(b, p));
-            }
+            assert_eq!(split.find(p), whole.find(p), "{probe}");
         }
     }
 
@@ -641,7 +629,7 @@ mod tests {
         Vec<KeyPrefix>,
         Vec<KeyPrefix>,
         Vec<u64>,
-        Vec<Option<Vec<u16>>>,
+        Vec<Vec<u16>>,
         Vec<u64>,
         u64,
     );
@@ -656,7 +644,7 @@ mod tests {
             c.chunk_prefixes.clone(),
             c.block_bytes.clone(),
             (c.segments.iter())
-                .map(|s| s.tables().map(|t| t.slots().to_vec()))
+                .map(|s| s.tables().slots().to_vec())
                 .collect(),
             c.bloom.words().to_vec(),
             c.total_bytes,
@@ -709,55 +697,79 @@ mod tests {
     }
 
     #[test]
-    fn segments_in_blocks_of_16_rows_or_more_get_tables() {
-        for (rows, hashed) in [
-            (8, false),
-            (15, false),
-            (16, true),
-            (196, true),
-            (1500, true),
-        ] {
+    fn point_reads_find_every_key_in_its_block_in_blocks_of_any_size() {
+        for rows in [1, 8, 15, 16, 196, 1500] {
             // 28-byte entries, so blocks of `rows * 28` bytes hold `rows`
-            // rows; the last block holds 5 and is binary-searched.
+            // rows, and a last block 5.
             let n = 3 * rows + 5;
             let entries = (0..n)
                 .map(|i| (k(&format!("user{i:06}")), Cell::live(k("v"), 1)))
                 .collect();
             let t = SsTable::build(TableId(1), entries, 28 * rows as u64);
-            assert_eq!(t.block_count(), 4);
-            assert_eq!(t.segments()[0].tables().is_some(), hashed, "{rows} rows");
+            assert_eq!(t.block_count(), 3 + 5usize.div_ceil(rows));
+            assert!(!t.segments()[0].tables().slots().is_empty());
             for i in 0..n {
                 let key = format!("user{i:06}");
+                let (entry, cell) = t.find(key.as_bytes()).expect("present");
+                assert_eq!((entry, cell), (i, t.segments()[0].cell(i)));
                 let block = t.block_for(key.as_bytes()).expect("a block");
-                assert!(t.get_in_block(block, key.as_bytes()).is_some());
-                // Another block does not hold the key.
-                let other = (block + 1) % 4;
-                assert_eq!(t.get_in_block(other, key.as_bytes()), None);
+                assert_eq!(t.block_of_entry(entry), block, "{rows} rows, key {i}");
             }
-            assert_eq!(t.get(b"user0000001"), None);
+            assert_eq!(t.find(b"user0000001"), None);
+            assert_eq!(t.find(b"a"), None);
+            assert_eq!(t.find(b"zebra"), None);
         }
     }
 
     #[test]
-    fn runs_holding_one_segment_share_its_tables() {
+    fn runs_of_any_block_size_share_their_segments_tables() {
         let segment =
             from_sorted((0..3000).map(|i| (k(&format!("user{i:06}")), Cell::live(k("v"), 1))));
-        // A run of 8-row blocks wants no tables; one of 64-row blocks
-        // fills them, and a second one reuses them.
-        let mut small = RunBuilder::new(3000, 8 * 28);
-        small.hold(segment.clone());
-        assert!(segment.tables().is_none());
-        let [a, b] = [0, 1].map(|_| {
-            let mut run = RunBuilder::new(3000, 64 * 28);
+        let [a, b, small] = [64, 64, 8].map(|rows| {
+            let mut run = RunBuilder::new(3000, rows * 28);
             run.hold(segment.clone());
             run.finish(TableId(2))
         });
-        let tables = segment.tables().expect("tables");
-        for run in [&a, &b] {
-            let held = run.segments()[0].tables().expect("tables");
-            assert!(std::ptr::eq(held, tables));
+        for run in [&a, &b, &small] {
+            assert!(std::ptr::eq(run.segments()[0].tables(), segment.tables()));
         }
         assert_eq!(layout(&a), layout(&b));
+    }
+
+    /// `block_of_entry` against a binary search of the block starts, for
+    /// every entry of runs whose blocks hold from 1 to about 60 rows, with
+    /// values of lengths from 0 to 199 bytes drawn by a fixed LCG, so the
+    /// guess it starts from is off by up to several blocks either way.
+    #[test]
+    fn block_of_entry_matches_a_binary_search_in_irregular_runs() {
+        let mut draw = 0x2545_f491_4f6c_dd1du64;
+        for (n, block_size, spread) in [
+            (1, 64, 200),
+            (700, 64, 200),
+            (3000, 512, 200),
+            (3000, 4096, 40),
+            (5000, 1024, 8),
+        ] {
+            let entries = (0..n)
+                .map(|i| {
+                    draw = draw.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    let len = (draw >> 33) as usize % spread;
+                    (
+                        k(&format!("user{i:06}")),
+                        Cell::live(Bytes::from(vec![b'v'; len]), 1),
+                    )
+                })
+                .collect();
+            let t = SsTable::build(TableId(1), entries, block_size);
+            let starts = &t.core.block_starts;
+            for entry in 0..n {
+                let want = match starts.binary_search(&(entry as u32)) {
+                    Ok(b) => b,
+                    Err(b) => b - 1,
+                };
+                assert_eq!(t.block_of_entry(entry), want, "entry {entry} of {n}");
+            }
+        }
     }
 
     #[test]
@@ -765,7 +777,7 @@ mod tests {
         let t = SsTable::build(TableId(0), Vec::new(), 1024);
         assert!(t.is_empty());
         assert_eq!(t.block_count(), 0);
-        assert_eq!(t.get(b"x"), None);
+        assert_eq!(t.find(b"x"), None);
         assert_eq!(t.block_for(b"x"), None);
     }
 
@@ -778,7 +790,7 @@ mod tests {
         let rebuilt = table(500, 256);
         assert!(!t.shares_storage_with(&rebuilt));
         // Shared data reads identically through either handle.
-        assert_eq!(t.get(b"user000123"), c.get(b"user000123"));
+        assert_eq!(t.find(b"user000123"), c.find(b"user000123"));
     }
 
     #[test]

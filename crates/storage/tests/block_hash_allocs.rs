@@ -1,10 +1,10 @@
 //! What a segment's hash tables allocate, counted by a global allocator
 //! (alone in this test binary). The same 100k rows of 24-byte keys and
 //! one-byte values (42 encoded bytes a row) are sorted into one segment
-//! fed to its runs: one run or three in 8 KB blocks of 196 rows, which get
-//! tables, or one run in blocks of 13 rows, which gets none. Each run's
+//! fed to its runs: one run or three, in blocks of 8 KB (196 rows), 512
+//! bytes (13 rows), 128 bytes (4 rows) or 1 byte (one row). Each run's
 //! block index and filter are allocated before the sort, so what the sort
-//! allocates beyond the unhashed load is the tables alone.
+//! allocates is the segment and its tables, whatever the block size.
 
 use bytes::counting::{tally, Counting, Tally};
 use bytes::Bytes;
@@ -16,9 +16,9 @@ static ALLOCATOR: Counting = Counting;
 const ROWS: usize = 100_000;
 
 /// Sort [`ROWS`] rows into one segment held by `holders` runs in blocks of
-/// `block_size` bytes: what the sort allocated, with every run's block
-/// count.
-fn load(holders: usize, block_size: u64) -> (Tally, Vec<usize>) {
+/// `block_size` bytes: what the sort allocated, every run's block count,
+/// and what dropping the segment freed once the runs are gone.
+fn load(holders: usize, block_size: u64) -> (Tally, Vec<usize>, Tally) {
     let value = Bytes::from_static(b"v");
     let mut queue = LoadQueue::default();
     for i in 0..ROWS {
@@ -48,42 +48,43 @@ fn load(holders: usize, block_size: u64) -> (Tally, Vec<usize>) {
             tree.runs()[0].block_count()
         })
         .collect();
-    (made, blocks)
+    drop(trees);
+    let ((), freed) = tally(|| drop(segment));
+    (made, blocks, freed)
 }
 
 #[test]
-fn a_segment_fills_its_tables_once_for_all_its_runs_at_under_2_7_bytes_a_row() {
-    let (one, blocks) = load(1, 8 * 1024);
-    let (three, three_blocks) = load(3, 8 * 1024);
-    let (plain, plain_blocks) = load(1, 512);
+fn a_segment_in_any_block_size_takes_one_allocation_for_its_tables_at_under_2_7_bytes_a_row() {
+    let (one, blocks, freed) = load(1, 8 * 1024);
     assert_eq!(blocks, [ROWS.div_ceil(196)]);
-    assert_eq!(three_blocks, [ROWS.div_ceil(196); 3]);
-    assert_eq!(plain_blocks, [ROWS.div_ceil(13)]);
-    // One buffer of slots, however many runs hold the segment.
-    assert_eq!(one.allocs, plain.allocs + 1);
-    assert_eq!(
-        (three.allocs, three.alloc_bytes),
-        (one.allocs, one.alloc_bytes)
-    );
-    let tables = one.live_bytes - plain.live_bytes;
-    assert_eq!(tables, three.live_bytes - plain.live_bytes);
+    for (holders, block_size, rows_per_block) in [
+        (3, 8 * 1024, 196),
+        (1, 512, 13),
+        (3, 512, 13),
+        (1, 128, 4),
+        (1, 1, 1),
+    ] {
+        let (made, blocks, other) = load(holders, block_size);
+        assert_eq!(blocks, vec![ROWS.div_ceil(rows_per_block); holders]);
+        // The sort allocates alike whatever its runs' blocks, and the
+        // segment holds as much.
+        assert_eq!(
+            (made.allocs, made.alloc_bytes, made.live_bytes),
+            (one.allocs, one.alloc_bytes, one.live_bytes),
+            "{holders} runs of {block_size}-byte blocks"
+        );
+        assert_eq!(other, freed, "{holders} runs of {block_size}-byte blocks");
+    }
+    // The segment holds four buffers: its key bytes, its cells, its tables
+    // (every chunk's first-key prefix and slots) and, freed last, the
+    // shared header. The header holds two counts, the arena and a 16-byte
+    // handle on the tables.
+    assert_eq!(freed.deallocs, 4);
+    let header = freed.dealloc_layout.expect("a free").size();
+    assert!(header <= 16 + 80 + 16, "a {header}-byte header");
+    let tables = freed.dealloc_bytes - (24 + 16) * ROWS - header;
     assert!(
-        tables as usize > 2 * ROWS && 10 * tables as usize <= 27 * ROWS,
+        tables > 2 * ROWS && 10 * tables <= 27 * ROWS,
         "{tables} bytes of tables for {ROWS} rows"
     );
-}
-
-#[test]
-fn a_segment_in_blocks_under_16_rows_allocates_nothing_for_tables() {
-    let (small, blocks) = load(1, 512);
-    let (three, _) = load(3, 512);
-    let (tiny, tiny_blocks) = load(1, 128);
-    assert_eq!(blocks, [ROWS.div_ceil(13)]);
-    assert_eq!(tiny_blocks, [ROWS.div_ceil(4)]);
-    for other in [three, tiny] {
-        assert_eq!(
-            (other.allocs, other.alloc_bytes, other.live_bytes),
-            (small.allocs, small.alloc_bytes, small.live_bytes)
-        );
-    }
 }

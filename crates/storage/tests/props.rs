@@ -808,12 +808,12 @@ proptest! {
             .collect();
         let table = SsTable::build(TableId(1), entries, 256);
         for &i in &ids {
-            let got = table.get(&key(i));
+            let got = table.find(&key(i));
             prop_assert!(got.is_some(), "lost key {i}");
-            prop_assert_eq!(got.unwrap().ts, i);
+            prop_assert_eq!(got.unwrap().1.ts, i);
         }
         // A definitely-absent key (outside the id space).
-        prop_assert!(table.get(b"zzzz").is_none());
+        prop_assert!(table.find(b"zzzz").is_none());
         // Block structure partitions the byte count.
         let total: u64 = (0..table.block_count()).map(|b| table.block_len(b)).sum();
         prop_assert_eq!(total, table.total_bytes());
@@ -1331,7 +1331,8 @@ proptest! {
         let probes: Vec<(Key, usize)> = probed.chain(present).collect();
         let table = tree.runs()[0].clone();
         for (probe, limit) in &probes {
-            prop_assert_eq!(table.get(probe), model.get(probe), "run get {:?}", probe);
+            let found = table.find(probe).map(|(_, cell)| cell);
+            prop_assert_eq!(found, model.get(probe), "run find {:?}", probe);
             prop_assert_eq!(tree.get(probe).cell.as_ref(), model.get(probe), "get {:?}", probe);
             let want = rows.partition_point(|(k, _)| k < probe);
             prop_assert_eq!(table.lower_bound(probe), want, "lower_bound {:?}", probe);
@@ -1371,18 +1372,22 @@ proptest! {
     }
 }
 
-/// Encoded bytes of every row of [`block_table_rows`]'s live rows.
+/// Encoded bytes of every row of [`block_table_rows`]'s live rows, unless
+/// their lengths are mixed.
 const ROW_BYTES: usize = 40;
 
-/// Rows for the block-table test: `drawn` keys (prefix-tied, at most 19
+/// Rows for the point-read test: `drawn` keys (prefix-tied, at most 19
 /// bytes) and `fillers` keys of 5 and 6 bytes, each live row padded with
 /// its value to [`ROW_BYTES`] encoded bytes, so blocks of `n * ROW_BYTES`
 /// bytes hold `n` rows; with `tombstones`, every fifth row is a tombstone
-/// and shorter, so its blocks hold more.
+/// and shorter, so its blocks hold more; with `mixed`, live rows encode to
+/// from 17 bytes plus the key up to three times [`ROW_BYTES`], so rows per
+/// block vary along the run.
 fn block_table_rows(
     drawn: &std::collections::BTreeSet<Vec<u8>>,
     fillers: usize,
     tombstones: bool,
+    mixed: bool,
 ) -> Vec<(Key, Cell)> {
     let fillers = (0..fillers).map(|i| {
         let suffix = if i % 2 == 0 { "" } else { "x" };
@@ -1396,8 +1401,13 @@ fn block_table_rows(
             let cell = if tombstones && i % 5 == 2 {
                 Cell::tombstone(ts)
             } else {
-                let value = vec![b'v'; ROW_BYTES - 17 - k.len()];
-                Cell::live(Bytes::from(value), ts)
+                let pad = ROW_BYTES - 17 - k.len();
+                let len = if mixed {
+                    (pad + 2 * ROW_BYTES) * (i * 7919 % 13) / 12
+                } else {
+                    pad
+                };
+                Cell::live(Bytes::from(vec![b'v'; len]), ts)
             };
             (Bytes::from(k), cell)
         })
@@ -1415,37 +1425,93 @@ fn block_table_config(rows_per_block: usize) -> LsmConfig {
     }
 }
 
+/// The point read of one run as the block index made it before rows were
+/// found by key, kept as the oracle: the block `block_for` names, a binary
+/// search of that block's rows, the bloom filter on a miss, and the block
+/// fetched through a reference cache unless the filter rules the key out
+/// or it sorts before the run. `rows` are the run's rows and `starts`
+/// where each block starts in them, then their count.
+fn block_index_get(
+    table: &SsTable,
+    rows: &[(Key, Cell)],
+    starts: &[usize],
+    cache: &mut BlockCache,
+    probe: &[u8],
+) -> (Option<Cell>, IoPlan) {
+    let mut io = IoPlan::new();
+    let Some(block) = table.block_for(probe) else {
+        io.push(IoOp::BloomSkip);
+        return (None, io);
+    };
+    let in_block = &rows[starts[block]..starts[block + 1]];
+    let hit = in_block
+        .binary_search_by(|(k, _)| k.as_ref().cmp(probe))
+        .ok()
+        .map(|i| in_block[i].1.clone());
+    if hit.is_none() && !table.may_contain(probe) {
+        io.push(IoOp::BloomSkip);
+        return (None, io);
+    }
+    let key = BlockKey {
+        table: table.id(),
+        block: block as u32,
+    };
+    let bytes = table.block_len(block);
+    if cache.get(key).is_some() {
+        io.push(IoOp::CacheHit { bytes });
+    } else {
+        cache.insert(key, bytes);
+        io.push(IoOp::DiskRead { bytes });
+    }
+    (hit, io)
+}
+
+/// Where each block of `table`, whose rows are `rows`, starts in them, then
+/// their count: the rows' encoded lengths summed up to each block's.
+fn block_starts(table: &SsTable, rows: &[(Key, Cell)]) -> Vec<usize> {
+    let mut starts = vec![0];
+    let mut bytes = 0;
+    for (i, (k, c)) in rows.iter().enumerate() {
+        bytes += entry_encoded_len(k, c);
+        if bytes == table.block_len(starts.len() - 1) {
+            starts.push(i + 1);
+            bytes = 0;
+        }
+    }
+    assert_eq!(starts.len(), table.block_count() + 1);
+    starts
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Point lookups in runs that hold one to three segments, shared with a
-    /// second run of blocks of another size, agree with the binary search
-    /// and with a `BTreeMap` model. Blocks hold 8 to 400 rows, so most
-    /// blocks of 16 rows or more are looked up through their segment's
-    /// hash tables, while blocks of fewer rows and blocks that span a
-    /// segment end are binary-searched. Segments run past rows 1,022 and
-    /// 2,044, so blocks cross the tables' chunk boundaries. Keys tie on
-    /// their 16-byte prefix and have mixed widths; rows include
-    /// tombstones; probes include absent keys before, between and after the
-    /// rows. A third run of the same rows is built from one segment. At
-    /// every probe: `lower_bound` is the partition point, the row it lands
-    /// on holds the model's cell exactly when the model has the key, every
-    /// run's `SsTable::get` returns that cell, and `LsmTree::get` returns
-    /// it with the I/O of a block index search: a present key's block is
-    /// fetched through a reference block cache, an absent key is skipped
-    /// or (a bloom false positive) its block fetched, and a key before the
-    /// run is skipped.
+    /// Point reads that find their row by key give exactly what the block
+    /// index gave: in runs that hold one to three segments, shared with a
+    /// second run of blocks of another size, every `LsmTree::get` of either
+    /// tree returns the cell and the I/O plan of [`block_index_get`] and
+    /// leaves the same cache counters, and the cell of a `BTreeMap` model.
+    /// Blocks hold 1 to 400 rows; with mixed row lengths the row count
+    /// varies from block to block, so `block_of_entry`'s guess is off and
+    /// it has to search. Segments run past rows 1,022 and 2,044, so they
+    /// hold several chunks of hash tables. Keys tie on their 16-byte prefix
+    /// and have mixed widths; rows include tombstones; probes include keys
+    /// before, between and after the rows, and absent keys the bloom
+    /// filter admits. A third run of the same rows is built from one
+    /// segment. Every entry's `block_of_entry` is the block whose rows
+    /// hold it; at every probe `lower_bound` is the partition point, and
+    /// every run's `SsTable::find` returns the model's cell.
     #[test]
-    fn point_lookups_through_segment_tables_match_binary_search_and_model(
+    fn point_reads_by_key_match_the_block_index_and_model(
         drawn in prop::collection::btree_set(arb_prefix_key(), 0..120),
         fillers in (0usize..3, 0usize..2600).prop_map(|(pick, n)| [300, 2100, n][pick]),
-        rows_per_block in (0usize..4, 8usize..401).prop_map(|(pick, n)| [8, 16, 400, n][pick]),
-        co_rows_per_block in (0usize..3, 8usize..401).prop_map(|(pick, n)| [8, 15, n][pick]),
+        rows_per_block in (0usize..4, 1usize..401).prop_map(|(pick, n)| [1, 8, 400, n][pick]),
+        co_rows_per_block in (0usize..3, 1usize..401).prop_map(|(pick, n)| [1, 16, n][pick]),
         tombstones in (0u32..4).prop_map(|p| p == 0),
+        mixed in prop::bool::ANY,
         cuts in prop::collection::vec(0usize..2800, 0..3),
         probes in prop::collection::vec(arb_prefix_key(), 1..30),
     ) {
-        let rows = block_table_rows(&drawn, fillers, tombstones);
+        let rows = block_table_rows(&drawn, fillers, tombstones, mixed);
         prop_assume!(!rows.is_empty());
         let model: BTreeMap<Key, Cell> = rows.iter().cloned().collect();
         let config = block_table_config(rows_per_block);
@@ -1472,62 +1538,58 @@ proptest! {
         }
         let built = SsTable::build(TableId(9), rows.clone(), config.block_size);
         prop_assert_eq!(table_rows(&loaded), rows.clone());
-        if !tombstones {
-            // Every block but the last holds exactly `rows_per_block` rows.
-            let mut per_block = vec![0; loaded.block_count()];
+        let starts = block_starts(&loaded, &rows);
+        let co_starts = block_starts(&co_held, &rows);
+        for (table, starts) in [(&loaded, &starts), (&co_held, &co_starts)] {
             for i in 0..rows.len() {
-                per_block[loaded.block_of_entry(i)] += 1;
+                let want = starts.partition_point(|&start| start <= i) - 1;
+                prop_assert_eq!(table.block_of_entry(i), want, "block of entry {}", i);
             }
-            let (_, full) = per_block.split_last().expect("a block");
-            prop_assert!(full.iter().all(|&n| n == rows_per_block), "{:?}", per_block);
+        }
+        if !tombstones && !mixed {
+            // Every block but the last holds exactly `rows_per_block` rows.
+            let (_, full) = starts.split_last().expect("a start");
+            prop_assert!(full.windows(2).all(|w| w[1] - w[0] == rows_per_block), "{:?}", starts);
         }
 
         let between = rows.iter().map(|(k, _)| [k.as_ref(), &[0]].concat());
         let outside = [Vec::new(), vec![0xff; 20]];
+        // Absent keys the filter admits: no drawn or filler key holds a 2.
+        let false_positives: Vec<Vec<u8>> = (0..4000usize)
+            .map(|j| [rows[j % rows.len()].0.as_ref(), &[2, j as u8, (j >> 8) as u8]].concat())
+            .filter(|k| loaded.may_contain(k) || co_held.may_contain(k))
+            .take(8)
+            .collect();
+        prop_assert!(!false_positives.is_empty());
         let probes: Vec<Vec<u8>> = probes
             .into_iter()
             .chain(rows.iter().map(|(k, _)| k.to_vec()))
             .chain(between)
             .chain(outside)
+            .chain(false_positives)
             .collect();
-        let skip = {
-            let mut io = IoPlan::new();
-            io.push(IoOp::BloomSkip);
-            io
-        };
         let mut cache = BlockCache::new(config.cache_bytes);
+        let mut co_cache = BlockCache::new(co_config.cache_bytes);
         for probe in &probes {
             let want = model.get(probe.as_slice());
             let at = loaded.lower_bound(probe);
             prop_assert_eq!(at, rows.partition_point(|(k, _)| k.as_ref() < probe.as_slice()), "lower_bound {:?}", probe);
-            let searched = rows.get(at).filter(|(k, _)| k.as_ref() == probe.as_slice()).map(|(_, c)| c);
-            prop_assert_eq!(searched, want, "binary search {:?}", probe);
-            prop_assert_eq!(loaded.get(probe), want, "loaded run get {:?}", probe);
-            prop_assert_eq!(built.get(probe), want, "built run get {:?}", probe);
-            prop_assert_eq!(co_held.get(probe), want, "co-held run get {:?}", probe);
-
-            let got = tree.get(probe);
-            prop_assert_eq!(got.cell.as_ref(), want, "tree get {:?}", probe);
-            let fetched = |cache: &mut BlockCache, block: usize| {
-                let key = BlockKey { table: loaded.id(), block: block as u32 };
-                let bytes = loaded.block_len(block);
-                let mut io = IoPlan::new();
-                if cache.get(key).is_some() {
-                    io.push(IoOp::CacheHit { bytes });
-                } else {
-                    cache.insert(key, bytes);
-                    io.push(IoOp::DiskRead { bytes });
-                }
-                io
-            };
-            match loaded.block_for(probe) {
-                None => prop_assert_eq!(&got.io, &skip, "io before the run {:?}", probe),
-                Some(block) if want.is_some() || got.io != skip => {
-                    prop_assert_eq!(&got.io, &fetched(&mut cache, block), "io {:?}", probe);
-                }
-                Some(_) => {}
+            for (run, table) in [("loaded", &loaded), ("built", &built), ("co-held", &co_held)] {
+                let found = table.find(probe).map(|(_, cell)| cell);
+                prop_assert_eq!(found, want, "{} run find {:?}", run, probe);
+            }
+            for (tree, table, starts, cache) in [
+                (&mut tree, &loaded, &starts, &mut cache),
+                (&mut other, &co_held, &co_starts, &mut co_cache),
+            ] {
+                let got = tree.get(probe);
+                let (cell, io) = block_index_get(table, &rows, starts, cache, probe);
+                prop_assert_eq!(got.cell.as_ref(), want, "tree get {:?}", probe);
+                prop_assert_eq!(got.cell, cell, "oracle get {:?}", probe);
+                prop_assert_eq!(&got.io, &io, "io {:?}", probe);
             }
         }
         prop_assert_eq!(tree.cache_stats(), cache.stats());
+        prop_assert_eq!(other.cache_stats(), co_cache.stats());
     }
 }

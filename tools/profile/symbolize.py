@@ -22,6 +22,10 @@ each function's self share in OTHER.out (another build's profile, through the
 same --focus and --exclude) is printed next to its share in PROFILE, with the
 difference, largest first: OTHER.out's binary is the executable its .maps file
 names with BINARY's file name.
+
+A binary rebuilt since it was profiled would symbolize silently wrong, so
+when BINARY (or OTHER.out's binary) is not the file the profile's .maps
+recorded for its path, by inode, it exits 2 and says so.
 """
 import argparse
 import collections
@@ -29,6 +33,7 @@ import os
 import re
 import struct
 import subprocess
+import sys
 
 REPO_CRATES = {
     "audit", "bench_core", "cstore", "faults", "fig", "hstore",
@@ -56,12 +61,18 @@ def load(profile, binary):
     """The samples as address lists, and a function mapping an address to
     (module, address inside BINARY or None)."""
     maps = []
+    real = os.path.realpath(binary)
+    inode = os.stat(real).st_ino
     for line in open(profile + ".maps"):
         f = line.split()
         if len(f) >= 6 and "x" in f[1]:
             lo, hi = (int(x, 16) for x in f[0].split("-"))
             maps.append((lo, hi, int(f[2], 16), f[5]))
-    real = os.path.realpath(binary)
+            if os.path.realpath(f[5]) == real and int(f[4]) != inode:
+                print(f"symbolize.py: {binary} is not the file {profile} sampled: its inode is "
+                      f"{inode}, the profile's .maps recorded {f[4]} (rebuilt since?)",
+                      file=sys.stderr)
+                sys.exit(2)
     segs = exec_segments(binary)
 
     def place(addr):
@@ -155,6 +166,11 @@ def main():
     total = len(stacks)
     if not total:
         raise SystemExit("no samples")
+    if args.baseline:
+        other = binary_of(args.baseline, os.path.basename(args.binary))
+        base = stacks_of(other, args.baseline, args.focus, args.exclude)
+        if not base:
+            raise SystemExit(f"no samples in {args.baseline}")
 
     layer, handler, leaf, inclusive = (collections.Counter() for _ in range(4))
     for s in stacks:
@@ -196,10 +212,6 @@ def main():
             print(f"\nno sample has a frame matching {args.callers!r}")
 
     if args.baseline:
-        other = binary_of(args.baseline, os.path.basename(args.binary))
-        base = stacks_of(other, args.baseline, args.focus, args.exclude)
-        if not base:
-            raise SystemExit(f"no samples in {args.baseline}")
         base_leaf = collections.Counter(s[0] for s in base)
         share = {f: (100 * leaf[f] / total, 100 * base_leaf[f] / len(base))
                  for f in leaf.keys() | base_leaf.keys()}
