@@ -19,7 +19,7 @@
 //! used".
 
 use simkit::{fnv1a, fnv_avalanche, NodeId, Topology};
-use storage::sstable::{cmp_via_prefix, key_prefix, KeyPrefix};
+use storage::types::{cmp_via_prefix, key_prefix, KeyPrefix};
 use storage::Key;
 
 /// How keys map to ring positions.

@@ -4,7 +4,7 @@ use simkit::FastHashMap;
 
 use crate::dfs::BlockId;
 use simkit::NodeId;
-use storage::sstable::{cmp_via_prefix, key_prefix, KeyPrefix};
+use storage::types::{cmp_via_prefix, key_prefix, KeyPrefix};
 use storage::{Key, LsmConfig, LsmTree, TableId};
 
 /// One region: a key range `[start, end)` served by a single region server.

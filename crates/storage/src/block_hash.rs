@@ -18,14 +18,16 @@
 //! probing, comparing a full key only where a slot's tag matches: a present
 //! key costs about one key compare, where a binary search of a 196-row
 //! block compares eight keys spread over the whole block. The row it finds
-//! names the block to charge; `lower_bound` and every scan keep the block
-//! index. The layout is RocksDB's data-block hash index, with the tag bits
-//! of a SwissTable slot (Abseil's `flat_hash_map`).
+//! names the block to charge. The chunk prefixes are a run's only index:
+//! a scan's first row, and the block a bloom filter's false positive
+//! charges, come from a binary search of the one chunk they pick. The
+//! layout is RocksDB's data-block hash index, with the tag bits of a
+//! SwissTable slot (Abseil's `flat_hash_map`).
 
 use std::cmp::Ordering;
 
 use crate::segment::RowArena;
-use crate::sstable::{key_prefix, KeyPrefix};
+use crate::types::{key_prefix, KeyPrefix};
 
 /// Rows per chunk: the most a slot's 10-bit row field indexes, 1,023,
 /// less one so that a chunk's slot count stays a whole third over.
@@ -45,6 +47,12 @@ const ROW_MASK: u16 = (1 << ROW_BITS) - 1;
 
 // A chunk's row indexes plus 1 fit the row field.
 const _: () = assert!(CHUNK_ROWS < 1 << ROW_BITS);
+
+/// The rows `from..to` of chunk `chunk` of a segment of `rows` rows.
+pub(crate) fn chunk_rows(chunk: usize, rows: usize) -> (usize, usize) {
+    let from = chunk * CHUNK_ROWS;
+    (from, (from + CHUNK_ROWS).min(rows))
+}
 
 /// Slots in the table of a chunk of `rows` rows: a third more, rounded up.
 const fn chunk_len(rows: usize) -> usize {

@@ -12,11 +12,13 @@
 //! * `bloom` — a bloom filter to skip sorted runs on reads.
 //! * [`Segment`] — the rows of runs: one key arena, offsets and cells, and
 //!   the hash tables point reads find a row by.
-//! * [`sstable`] — immutable sorted runs with block structure and an index.
+//! * [`sstable`] — immutable sorted runs with block structure and a bloom
+//!   filter.
 //! * `block_hash` — the hash tables every segment gets, which point reads
 //!   find their row through: tagged 16-bit slots over fixed chunks of rows
 //!   and each chunk's first-key prefix, in one allocation, filled once for
-//!   every run that holds the segment.
+//!   every run that holds the segment. The chunk prefixes are a run's only
+//!   index: scans seek their first row through them too.
 //! * [`cache`] — an O(1) LRU block cache with hit/miss accounting.
 //! * [`merge`] — k-way merge with last-write-wins reconciliation.
 //! * [`Rows`] — scan results as handles into the segments holding them;

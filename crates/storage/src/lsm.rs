@@ -301,13 +301,13 @@ impl LsmTree {
         // path. The observable effects — io plan, cache state, returned
         // cell — are identical to bloom-first order: the simulated block
         // read happens exactly when the bloom filter would have admitted
-        // the key, and it is the block the block index names for the key.
+        // the key, and it is the block of the last row at or below it.
         let found = table.find(key);
         let block = match found {
             Some((entry, _)) => Some(table.block_of_entry(entry)),
             // An absent key the filter admits (a false positive) charges
-            // the block the index names; one before the table's first block
-            // is skipped, as bloom-first order also skips it.
+            // the block of the last row below it; one before the table's
+            // first row is skipped, as bloom-first order also skips it.
             None => {
                 let hashes = *hashes.get_or_insert_with(|| bloom::hash_pair(key));
                 let admitted = table.may_contain_hashed(hashes);
@@ -333,11 +333,11 @@ impl LsmTree {
     /// `limit` live rows (tombstoned rows are skipped but still cost I/O).
     ///
     /// The work is proportional to the stretches walked, not to the size of
-    /// the tree: each run's lower bound is found once through its block
-    /// index ([`SsTable::lower_bound`]), and the streaming merge pulls from
-    /// that cursor exactly as far as the `limit`-th live row — however many
-    /// tombstones shadow the range — a stretch of consecutive entries of one
-    /// segment at a time. No row of a run is copied: the result holds ranges
+    /// the tree: each run's lower bound is found once, by a search of the
+    /// one chunk of rows that can hold it ([`SsTable::lower_bound`]), and
+    /// the streaming merge pulls from that cursor exactly as far as the
+    /// `limit`-th live row — however many tombstones shadow the range — a
+    /// stretch of consecutive entries of one segment at a time. No row of a run is copied: the result holds ranges
     /// of the runs' immutable segments ([`Rows`]), one handle per stretch
     /// between tombstones, and clones only memtable rows (refcount bumps).
     /// The I/O plan charges, per run in age order, every block of the window
@@ -453,7 +453,7 @@ impl LsmTree {
 
     /// Flush the memtable into a new SSTable. Returns `None` when there is
     /// nothing to flush. The memtable drains straight into the new run's
-    /// segment, and its block index is reserved for the memtable's bytes,
+    /// segment, and its block layout is reserved for the memtable's bytes,
     /// so a flush allocates the same few buffers whatever its size.
     pub fn flush(&mut self) -> Option<FlushReceipt> {
         if self.memtable.is_empty() {
@@ -473,7 +473,7 @@ impl LsmTree {
 
     /// A builder for a bulk-loaded run of `rows` queued rows that encode to
     /// `bytes` bytes in all: its filter sized for `rows`, and its block
-    /// index reserved exactly for `bytes`. A load's builders grow side by
+    /// layout reserved exactly for `bytes`. A load's builders grow side by
     /// side, and vectors grown by doubling would leave their spare capacity
     /// in the base.
     pub fn load_builder(&self, rows: usize, bytes: u64) -> RunBuilder {

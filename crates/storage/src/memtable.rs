@@ -10,8 +10,7 @@
 use std::collections::btree_map::{self, BTreeMap, Entry};
 
 use crate::segment::{RowArena, Segment};
-use crate::sstable::{key_prefix, KeyPrefix};
-use crate::types::{entry_encoded_len, Cell, Key};
+use crate::types::{entry_encoded_len, key_prefix, Cell, Key, KeyPrefix};
 
 /// How many commit-log syncs the memtable has seen since it was last
 /// emptied.
@@ -69,7 +68,7 @@ impl Slot {
 /// it with integer compares and reads a full key only to confirm the hit,
 /// and the few keys that share a prefix sit in one slot sorted by full key.
 /// Prefix order, then full-key order within a prefix, is exactly key order
-/// (see [`crate::sstable::cmp_via_prefix`]).
+/// (see [`crate::types::cmp_via_prefix`]).
 #[derive(Debug, Clone, Default)]
 pub struct Memtable {
     slots: BTreeMap<KeyPrefix, Slot>,

@@ -33,14 +33,13 @@
 //! warm.
 //!
 //! A key compare is one integer compare of the keys' first 16 bytes (a
-//! [`crate::sstable::KeyPrefix`]) unless those tie, and a segment's keys lie
+//! [`crate::types::KeyPrefix`]) unless those tie, and a segment's keys lie
 //! back to back in its arena, so a search reads contiguous memory.
 
 use std::cmp::Ordering;
 
 use crate::segment::Segment;
-use crate::sstable::{cmp_via_prefix, key_prefix};
-use crate::types::{Cell, Key};
+use crate::types::{cmp_via_prefix, key_prefix, Cell, Key};
 
 /// Where rows a merge handles live.
 #[derive(Clone, Copy)]

@@ -13,8 +13,8 @@ use std::sync::Arc;
 
 use crate::block_hash::{TableFill, Tables};
 use crate::bloom;
-use crate::sstable::{key_prefix, KeyPrefix, RunBuilder};
-use crate::types::{entry_encoded_len, Cell};
+use crate::sstable::RunBuilder;
+use crate::types::{entry_encoded_len, key_prefix, Cell, KeyPrefix};
 
 /// Rows as arrays: every key's bytes back to back in one arena, a cell
 /// per row, and — only once keys of two widths are present — a `u32`
@@ -233,7 +233,7 @@ impl Segment {
     /// One pass in arrival order hashes each key into every holder's filter
     /// and takes its prefix and encoded length. What is sorted is that
     /// `(prefix, length, index)` array, never the rows; the holders' block
-    /// indexes come from it in key order as each winner's key moves into an
+    /// layouts come from it in key order as each winner's key moves into an
     /// exactly sized segment, and then their cells move. The same loop
     /// hashes each winner's key once into the segment's hash tables, which
     /// every holder shares.
@@ -278,7 +278,7 @@ impl Segment {
         for (row, r) in order.iter().enumerate() {
             let key = key(r);
             for run in holders.iter_mut() {
-                run.row(r.prefix(), r.len as u64);
+                run.row(r.len as u64);
             }
             tables.push(key);
             rows.push_key(row, key);
@@ -340,7 +340,7 @@ impl LoadQueue {
         len
     }
 
-    /// The encoded bytes of all queued rows, which bound the block index of
+    /// The encoded bytes of all queued rows, which bound the block layout of
     /// every run that holds them.
     pub fn bytes(&self) -> u64 {
         self.bytes

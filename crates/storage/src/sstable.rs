@@ -1,25 +1,26 @@
 //! Immutable sorted runs (HBase HFiles / Cassandra SSTables).
 //!
 //! A run stores its entries in key order, grouped into fixed-size blocks.
-//! A point read finds its row by key — in the one segment that can hold it,
-//! through that segment's hash tables (see `block_hash`) — and the row
-//! names the block it charges; it consults the bloom filter only when that
-//! lookup misses (a present key always passes the filter; see
-//! `LsmTree::get`), and the block index only when the filter admits the
-//! missing key. Range scans start through the block index and read
-//! consecutive blocks. The block is the unit of disk I/O and of block-cache
-//! residency.
+//! The block is the unit of disk I/O and of block-cache residency.
 //!
 //! A run's rows live in one or more [`Segment`]s, which runs may share: the
-//! block structure, index and bloom filter belong to the run, the rows and
-//! their hash tables to the segments.
+//! block layout and bloom filter belong to the run, the rows and their hash
+//! tables to the segments. A run has no index of its own: every lookup
+//! seeks its place through the segments' chunk prefixes (see
+//! `block_hash`). A point read probes the chunk's hash table, and the row
+//! it finds names the block it charges; it consults the bloom filter only
+//! when that lookup misses (a present key always passes the filter; see
+//! `LsmTree::get`), and only a false positive of the filter searches the
+//! chunk for the block to charge. A range scan searches the chunk for its
+//! first row and reads consecutive blocks from there.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
 
+use crate::block_hash::chunk_rows;
 use crate::bloom::{self, BloomFilter};
 use crate::segment::{LoadQueue, Segment};
-use crate::types::{entry_encoded_len, Cell, Key};
+use crate::types::{cmp_via_prefix, entry_encoded_len, key_prefix, Cell, Key, KeyPrefix};
 
 /// Identity of an SSTable within one node's store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -31,49 +32,8 @@ impl std::fmt::Display for TableId {
     }
 }
 
-/// First 16 bytes of a key, zero-padded, read as a big-endian integer, so
-/// one integer compare orders two prefixes exactly as their bytes would.
-/// The block index keeps one per block in flat arrays, so its binary
-/// searches compare integers in contiguous memory.
-pub type KeyPrefix = u128;
-
-/// Blocks per top-level index chunk. 64 keeps the top level of a large
-/// run's index at a few cache lines per thousand blocks while the
-/// second-level window spans a single kilobyte of prefixes.
-const CHUNK: usize = 64;
-
-/// The padded prefix of `key`.
-#[inline]
-pub fn key_prefix(key: &[u8]) -> KeyPrefix {
-    if let Some(head) = key.first_chunk::<16>() {
-        return u128::from_be_bytes(*head);
-    }
-    let mut p = [0u8; 16];
-    let n = key.len().min(16);
-    p[..n].copy_from_slice(&key[..n]);
-    u128::from_be_bytes(p)
-}
-
-/// Compare two keys through their padded prefixes: when the prefixes
-/// differ, their order equals the full lexicographic order (zero padding
-/// preserves "shorter is smaller" because the pad byte sorts below any byte
-/// the longer key continues with, and equal pads defer); only a prefix tie
-/// needs the full keys.
-#[inline]
-pub fn cmp_via_prefix(
-    prefix: KeyPrefix,
-    full: &[u8],
-    target_prefix: KeyPrefix,
-    target: &[u8],
-) -> Ordering {
-    match prefix.cmp(&target_prefix) {
-        Ordering::Equal => full.cmp(target),
-        ord => ord,
-    }
-}
-
-/// The immutable payload of a run: its segments, block structure, index
-/// and bloom filter. Built once, never mutated, shared between clones of
+/// The immutable payload of a run: its segments, block layout and bloom
+/// filter. Built once, never mutated, shared between clones of
 /// the owning table.
 ///
 /// An entry's index is its position in the run: the segments in order, as
@@ -89,27 +49,18 @@ struct SsTableCore {
     len: usize,
     /// Run index where each block begins; always starts with 0.
     block_starts: Vec<u32>,
-    /// Padded prefix of every block's first key, parallel to
-    /// `block_starts` — the block index search runs over this; the full
-    /// key of block `i` (needed only on a prefix tie) is entry
-    /// `block_starts[i]`.
-    block_prefixes: Vec<KeyPrefix>,
-    /// Prefix of every `CHUNK`-th block's first key: the top level of the
-    /// block index. Small enough to stay cache-hot, it narrows the search
-    /// to one `CHUNK`-block window before `block_prefixes` is touched.
-    chunk_prefixes: Vec<KeyPrefix>,
     /// Encoded bytes per block.
     block_bytes: Vec<u64>,
     bloom: BloomFilter,
     total_bytes: u64,
 }
 
-/// Builds one run's block index and bloom filter from one record per row:
-/// the key's bloom hash pair for the filter, and its prefix and encoded
-/// length for the block index. Every run is built through one, whether a
-/// flush, a compaction or a bulk load makes it.
+/// Builds one run's block layout and bloom filter from one record per row:
+/// the key's bloom hash pair for the filter, and its encoded length for the
+/// blocks. Every run is built through one, whether a flush, a compaction or
+/// a bulk load makes it.
 ///
-/// The filter takes hash pairs in any order, the index takes records in key
+/// The filter takes hash pairs in any order, the blocks take lengths in key
 /// order. [`RunBuilder::hold`] reads both from a sorted segment in one pass;
 /// a bulk load instead hashes each key for the filter where
 /// [`Segment::from_queue`] reads it, in arrival order, and feeds every run
@@ -121,12 +72,10 @@ pub struct RunBuilder {
     /// The row count the filter is sized for. A bulk load sizes it from
     /// the queued rows, before a sort drops duplicate keys.
     sized_for: usize,
-    /// Rows in the block index so far.
+    /// Rows laid out in blocks so far.
     len: usize,
     block_size: u64,
     block_starts: Vec<u32>,
-    block_prefixes: Vec<KeyPrefix>,
-    chunk_prefixes: Vec<KeyPrefix>,
     block_bytes: Vec<u64>,
     pub(crate) bloom: BloomFilter,
     total_bytes: u64,
@@ -146,8 +95,6 @@ impl RunBuilder {
             len: 0,
             block_size,
             block_starts: Vec::new(),
-            block_prefixes: Vec::new(),
-            chunk_prefixes: Vec::new(),
             block_bytes: Vec::new(),
             bloom: BloomFilter::with_capacity(rows, 10),
             total_bytes: 0,
@@ -155,33 +102,26 @@ impl RunBuilder {
         }
     }
 
-    /// Reserve the block index of a run whose rows encode to at most
+    /// Reserve the block layout of a run whose rows encode to at most
     /// `bytes` bytes in all, exactly: every block but the last closes at
     /// `block_size` bytes or more, so there are at most `bytes /
     /// block_size + 1` blocks.
     pub(crate) fn reserve(&mut self, bytes: u64) {
         let blocks = (bytes / self.block_size) as usize + 1;
         self.block_starts.reserve_exact(blocks);
-        self.block_prefixes.reserve_exact(blocks);
         self.block_bytes.reserve_exact(blocks);
-        self.chunk_prefixes.reserve_exact(blocks / CHUNK + 1);
     }
 
-    /// True when no row has reached the block index.
+    /// True when no row has been laid out in a block.
     pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// Add the next row in key order to the block index: its key's prefix
-    /// and its encoded length.
+    /// Lay out the next row in key order, whose encoded length is `len`.
     #[inline]
-    pub(crate) fn row(&mut self, prefix: KeyPrefix, len: u64) {
+    pub(crate) fn row(&mut self, len: u64) {
         if self.cur_bytes == 0 {
-            if self.block_starts.len() % CHUNK == 0 {
-                self.chunk_prefixes.push(prefix);
-            }
             self.block_starts.push(self.len as u32);
-            self.block_prefixes.push(prefix);
         }
         self.cur_bytes += len;
         self.total_bytes += len;
@@ -193,7 +133,7 @@ impl RunBuilder {
     }
 
     /// Hold `segment` as the run's next stretch of rows, reading every row
-    /// of it for the filter and the index. An empty segment is dropped.
+    /// of it for the filter and the blocks. An empty segment is dropped.
     ///
     /// # Panics
     /// In debug builds, panics unless `segment` sorts wholly above the
@@ -204,7 +144,7 @@ impl RunBuilder {
         }
         for (key, cell) in segment.iter() {
             self.bloom.insert_hashed(bloom::hash_pair(key));
-            self.row(key_prefix(key), entry_encoded_len(key, cell));
+            self.row(entry_encoded_len(key, cell));
         }
         self.segments.push(segment);
     }
@@ -232,8 +172,6 @@ impl RunBuilder {
                 segments: self.segments,
                 len: self.len,
                 block_starts: self.block_starts,
-                block_prefixes: self.block_prefixes,
-                chunk_prefixes: self.chunk_prefixes,
                 block_bytes: self.block_bytes,
                 bloom: self.bloom,
                 total_bytes: self.total_bytes,
@@ -242,7 +180,7 @@ impl RunBuilder {
     }
 }
 
-/// An immutable sorted run with block structure, index, and bloom filter.
+/// An immutable sorted run with block layout and bloom filter.
 ///
 /// Cloning is O(1): the run's data lives behind an [`Arc`], so clones of a
 /// loaded store (snapshots for parallel experiment cells) share every run
@@ -298,42 +236,44 @@ impl SsTable {
         (0, at)
     }
 
-    /// The key of entry `i` of the run.
-    fn key(&self, i: usize) -> &[u8] {
-        let (segment, at) = self.locate(i);
-        self.core.segments[segment].key(at)
+    /// The place of `key`, whose prefix is `prefix`, in the run: the first
+    /// entry of the last segment whose first key is at or below `key`, that
+    /// segment, and its chunk of rows that can hold `key` (see
+    /// `block_hash`); `None` when `key` sorts before the run's first row.
+    /// The segments are disjoint and in key order, so no other chunk can
+    /// hold `key`, and a segment the key sorts before costs one prefix
+    /// compare.
+    #[inline]
+    fn seek(&self, prefix: KeyPrefix, key: &[u8]) -> Option<(usize, &Segment, usize)> {
+        let mut base = self.core.len;
+        for rows in self.core.segments.iter().rev() {
+            base -= rows.len();
+            if let Some(chunk) = rows.tables().chunk_of(rows, prefix, key) {
+                return Some((base, rows, chunk));
+            }
+        }
+        None
     }
 
-    /// Binary search of entries `lo..hi` (`lo < hi`) for `key`: the index of
-    /// the first one at or above it. Each segment the range touches is
-    /// searched over its key arena, contiguous memory, a probe comparing
-    /// padded prefixes first.
-    fn search(&self, lo: usize, hi: usize, key: &[u8]) -> usize {
-        let target = key_prefix(key);
-        let (mut segment, mut from) = self.locate(lo);
-        let mut base = lo - from;
-        loop {
-            let rows = &self.core.segments[segment];
-            let to = (hi - base).min(rows.len());
-            let (mut below, mut end) = (from, to);
-            while below < end {
-                let mid = below + (end - below) / 2;
-                let probe = rows.key(mid);
-                match cmp_via_prefix(key_prefix(probe), probe, target, key) {
-                    Ordering::Less => below = mid + 1,
-                    Ordering::Greater => end = mid,
-                    Ordering::Equal => return base + mid,
-                }
+    /// Binary search for `key` in the one chunk that can hold it: `Ok` of
+    /// the index in the run of the entry holding it, `Err` of the index of
+    /// the first entry above it (past the chunk when none in it is), or
+    /// `None` when `key` sorts before the run. A step compares padded
+    /// prefixes, and the full keys only on a tie.
+    fn search(&self, key: &[u8]) -> Option<Result<usize, usize>> {
+        let prefix = key_prefix(key);
+        let (base, rows, chunk) = self.seek(prefix, key)?;
+        let (mut lo, mut hi) = chunk_rows(chunk, rows.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let probe = rows.key(mid);
+            match cmp_via_prefix(key_prefix(probe), probe, prefix, key) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Some(Ok(base + mid)),
             }
-            // Stop unless `key` sorts above all of this segment's part and
-            // the range goes on into the next segment.
-            if below < to || base + to == hi {
-                return base + below;
-            }
-            base += rows.len();
-            segment += 1;
-            from = 0;
         }
+        Some(Err(base + lo))
     }
 
     /// Total encoded bytes.
@@ -363,99 +303,37 @@ impl SsTable {
         self.core.bloom.may_contain_hashed(hashes)
     }
 
-    /// Which block could contain `key`, or `None` when the key sorts before
-    /// the first block or the table is empty.
-    ///
-    /// Both levels search flat prefix arrays — the top level
-    /// `chunk_prefixes`, then one `CHUNK`-block window of `block_prefixes`
-    /// — with one integer compare per probe; a block's full first key
-    /// (entry `block_starts[block]`, in its segment's arena) is read only
-    /// when its prefix ties with the key's.
+    /// Which block could contain `key`: the block of the last entry at or
+    /// below it, or `None` when the key sorts before the first entry or the
+    /// table is empty.
     pub fn block_for(&self, key: &[u8]) -> Option<usize> {
-        let core = &*self.core;
-        let target = key_prefix(key);
-        // Does block `block`, whose first key has prefix `prefix`, start at
-        // or below `key`?
-        let starts_le = |block: usize, prefix: KeyPrefix| match prefix.cmp(&target) {
-            Ordering::Less => true,
-            Ordering::Greater => false,
-            Ordering::Equal => self.key(core.block_starts[block] as usize) <= key,
+        let last = match self.search(key)? {
+            Ok(entry) => entry,
+            // A miss's chunk starts below `key`, so `above` is past its
+            // first entry.
+            Err(above) => above - 1,
         };
-        // Top level: how many chunks start at or below `key`.
-        let chunks = &core.chunk_prefixes;
-        let (mut lo, mut hi) = (0, chunks.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if starts_le(mid * CHUNK, chunks[mid]) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo == 0 {
-            return None; // key sorts before the first block
-        }
-        // Second level: the rightmost block at or below `key` inside that
-        // chunk's window. The window's first block is one, so the search
-        // starts past it.
-        let base = (lo - 1) * CHUNK;
-        let window = &core.block_prefixes[base..(lo * CHUNK).min(core.block_prefixes.len())];
-        let (mut lo, mut hi) = (1, window.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if starts_le(base + mid, window[mid]) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        Some(base + lo - 1)
-    }
-
-    /// Entry range `[start, end)` of a block within the table.
-    fn block_range(&self, block: usize) -> (usize, usize) {
-        let start = self.core.block_starts[block] as usize;
-        let end = self
-            .core
-            .block_starts
-            .get(block + 1)
-            .map_or(self.core.len, |&s| s as usize);
-        (start, end)
+        Some(self.block_of_entry(last))
     }
 
     /// The entry holding `key`, as its index in the run and its cell, or
-    /// `None` when the run does not hold `key`. The run's segments are
-    /// disjoint and in key order, so only the last one whose first key is
-    /// at or below `key` can hold it; that segment's hash tables pick the
-    /// chunk of rows by its first keys' prefixes and probe its table (see
-    /// `block_hash`).
+    /// `None` when the run does not hold `key`: the chunk of the key's
+    /// place, probed through its hash table.
     #[inline]
     pub fn find(&self, key: &[u8]) -> Option<(usize, &Cell)> {
-        let prefix = key_prefix(key);
-        let mut base = self.core.len;
-        for rows in self.core.segments.iter().rev() {
-            base -= rows.len();
-            if let Some(chunk) = rows.tables().chunk_of(rows, prefix, key) {
-                let row = rows.tables().probe(rows, chunk, key)?;
-                return Some((base + row, rows.cell(row)));
-            }
-        }
-        None
+        let (base, rows, chunk) = self.seek(key_prefix(key), key)?;
+        let row = rows.tables().probe(rows, chunk, key)?;
+        Some((base + row, rows.cell(row)))
     }
 
     /// Index of the first entry with key >= `start` (`len()` when every key
     /// sorts below it): where a range scan's cursor over this run begins.
-    ///
-    /// It goes through the two-level block index to the one block that can
-    /// hold the boundary, then searches that block's keys only.
+    /// A binary search of the one chunk of rows that can hold the boundary.
     pub fn lower_bound(&self, start: &[u8]) -> usize {
-        // Every block before the last one whose first key is <= `start`
-        // lies wholly below `start`; with no such block, nothing does.
-        let Some(block) = self.block_for(start) else {
-            return 0;
-        };
-        let (lo, hi) = self.block_range(block);
-        self.search(lo, hi, start)
+        match self.search(start) {
+            Some(Ok(at) | Err(at)) => at,
+            None => 0,
+        }
     }
 
     /// The block containing entry index `idx`: the last block starting at
@@ -559,7 +437,7 @@ mod tests {
 
     #[test]
     fn lower_bound_lands_on_first_key_at_or_after_start() {
-        // Several blocks, so the boundary search crosses the block index.
+        // Several blocks, so the boundary lies past the first.
         let t = table(10, 64);
         assert!(t.block_count() > 1);
         assert_eq!(t.lower_bound(b"user000007"), 7);
@@ -626,8 +504,6 @@ mod tests {
         TableId,
         usize,
         Vec<u32>,
-        Vec<KeyPrefix>,
-        Vec<KeyPrefix>,
         Vec<u64>,
         Vec<Vec<u16>>,
         Vec<u64>,
@@ -640,8 +516,6 @@ mod tests {
             t.id,
             c.len,
             c.block_starts.clone(),
-            c.block_prefixes.clone(),
-            c.chunk_prefixes.clone(),
             c.block_bytes.clone(),
             (c.segments.iter())
                 .map(|s| s.tables().slots().to_vec())
@@ -691,7 +565,7 @@ mod tests {
             let got = run.finish(TableId(3));
             assert_eq!(layout(&got), layout(&want));
             assert!(got.segments()[0].shares_storage_with(&segment));
-            // The reservation held every block: the index never grew.
+            // The reservation held every block: the layout never grew.
             assert_eq!(got.core.block_starts.capacity(), (bytes / 128) as usize + 1);
         }
     }
@@ -779,6 +653,7 @@ mod tests {
         assert_eq!(t.block_count(), 0);
         assert_eq!(t.find(b"x"), None);
         assert_eq!(t.block_for(b"x"), None);
+        assert_eq!(t.lower_bound(b"x"), 0);
     }
 
     #[test]

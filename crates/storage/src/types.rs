@@ -1,5 +1,7 @@
 //! Core data types shared by every storage component.
 
+use std::cmp::Ordering;
+
 use bytes::Bytes;
 
 /// A row key. Lexicographic byte order is the storage order everywhere,
@@ -57,9 +59,9 @@ impl Cell {
     /// winner, so losers never cost a refcount touch.
     pub fn newer<'c>(a: &'c Cell, b: &'c Cell) -> &'c Cell {
         match a.ts.cmp(&b.ts) {
-            std::cmp::Ordering::Greater => a,
-            std::cmp::Ordering::Less => b,
-            std::cmp::Ordering::Equal => {
+            Ordering::Greater => a,
+            Ordering::Less => b,
+            Ordering::Equal => {
                 // Deterministic tie-break: tombstone beats value; otherwise
                 // the larger value wins.
                 match (&a.value, &b.value) {
@@ -85,6 +87,43 @@ impl Cell {
         } else {
             b
         }
+    }
+}
+
+/// First 16 bytes of a key, zero-padded, read as a big-endian integer, so
+/// one integer compare orders two prefixes exactly as their bytes would.
+/// The memtable keys its slots by it, a load sorts its rows by it, and each
+/// chunk of a segment's hash tables keeps its first key's, so their
+/// searches compare integers and read a full key only on a tie.
+pub type KeyPrefix = u128;
+
+/// The padded prefix of `key`.
+#[inline]
+pub fn key_prefix(key: &[u8]) -> KeyPrefix {
+    if let Some(head) = key.first_chunk::<16>() {
+        return u128::from_be_bytes(*head);
+    }
+    let mut p = [0u8; 16];
+    let n = key.len().min(16);
+    p[..n].copy_from_slice(&key[..n]);
+    u128::from_be_bytes(p)
+}
+
+/// Compare two keys through their padded prefixes: when the prefixes
+/// differ, their order equals the full lexicographic order (zero padding
+/// preserves "shorter is smaller" because the pad byte sorts below any byte
+/// the longer key continues with, and equal pads defer); only a prefix tie
+/// needs the full keys.
+#[inline]
+pub fn cmp_via_prefix(
+    prefix: KeyPrefix,
+    full: &[u8],
+    target_prefix: KeyPrefix,
+    target: &[u8],
+) -> Ordering {
+    match prefix.cmp(&target_prefix) {
+        Ordering::Equal => full.cmp(target),
+        ord => ord,
     }
 }
 

@@ -426,64 +426,52 @@ proptest! {
         prop_assert_eq!(&streamed, &legacy);
     }
 
-    /// `SsTable::lower_bound` — block index, then the block's keys —
-    /// agrees with a plain partition point over the full keys, for keys
-    /// shorter than the 16-byte prefix, keys tied on it, probes outside the
-    /// table on either side, and the empty table.
+    /// `SsTable::lower_bound` — the segment and chunk of rows the start
+    /// key seeks, then a binary search of that chunk — agrees with a plain
+    /// partition point over the full keys, in runs of more than two chunks
+    /// of rows cut into one to three segments, for keys shorter than the
+    /// 16-byte prefix, keys tied on it, keys just above every row, and
+    /// probes outside the run on either side.
     #[test]
     fn sstable_lower_bound_matches_partition_point(
         keys in prop::collection::btree_set(arb_prefix_key(), 0..200),
+        fillers in 2045usize..2600,
+        cuts in prop::collection::vec(0usize..2800, 0..3),
         probes in prop::collection::vec(arb_prefix_key(), 1..40),
         block_size in (0usize..3).prop_map(|i| [1u64, 64, 4096][i]),
     ) {
-        let entries: Vec<(Key, Cell)> = keys
-            .iter()
-            .map(|k| (Bytes::from(k.clone()), Cell::live(Bytes::new(), 1)))
-            .collect();
-        // `block_size` 1 gives one block per entry: past 64 entries the
-        // search crosses both levels of the block index.
-        let table = SsTable::build(TableId(1), entries, block_size);
-        let present = keys.iter().cloned();
-        let outside = [Vec::new(), vec![0xff; 20]];
-        for probe in probes.into_iter().chain(present).chain(outside) {
-            let want = table_rows(&table).partition_point(|(k, _)| k.as_ref() < probe.as_slice());
+        let rows = seek_rows(keys, fillers);
+        let table = segmented_run(&rows, &cuts, block_size);
+        prop_assert!((1..=3).contains(&table.segments().len()));
+        for probe in seek_probes(&rows, probes) {
+            let want = rows.partition_point(|(k, _)| k.as_ref() < probe.as_slice());
             prop_assert_eq!(table.lower_bound(&probe), want, "probe {:?}", probe);
         }
     }
 
-    /// `SsTable::block_for` — chunk prefixes, then one window of block
-    /// prefixes, full keys only on a prefix tie — agrees with a linear scan
-    /// for the block holding the last entry at or below the probe, on tables
-    /// of more than `2 × CHUNK` blocks (so the top level has several
-    /// chunks), for present keys, prefix-tied keys, and probes before the
-    /// first block and after the last.
+    /// `SsTable::block_for` — the same seek and search, then the block of
+    /// the last entry at or below the probe — agrees with the block whose
+    /// rows hold that entry, counted from the rows' encoded lengths, in
+    /// runs of more than two chunks of rows cut into one to three
+    /// segments, for present keys, prefix-tied keys, keys just above every
+    /// row, and probes before the first row and after the last.
     #[test]
     fn sstable_block_for_matches_linear_scan(
-        keys in prop::collection::btree_set(arb_prefix_key(), 1..120),
+        keys in prop::collection::btree_set(arb_prefix_key(), 0..120),
+        fillers in 2045usize..2600,
+        cuts in prop::collection::vec(0usize..2800, 0..3),
         probes in prop::collection::vec(arb_prefix_key(), 1..40),
         block_size in (0usize..2).prop_map(|i| [1u64, 48][i]),
     ) {
-        // 400 filler keys guarantee the block count whatever was drawn;
-        // they sort among the drawn ones (between the 'a…' and 's…' keys).
-        let fillers = (0..400).map(|i| format!("m{i:04}").into_bytes());
-        let keys: std::collections::BTreeSet<Vec<u8>> = keys
-            .into_iter()
-            .filter(|k| !k.is_empty()) // the empty probe sorts before them all
-            .chain(fillers)
-            .collect();
-        let entries: Vec<(Key, Cell)> = keys
-            .iter()
-            .map(|k| (Bytes::from(k.clone()), Cell::live(Bytes::new(), 1)))
-            .collect();
-        let table = SsTable::build(TableId(1), entries, block_size);
-        prop_assert!(table.block_count() > 2 * 64, "{} blocks", table.block_count());
-        let outside = [Vec::new(), vec![0xff; 20]];
-        for probe in probes.iter().chain(&keys).chain(&outside) {
-            let want = table_rows(&table)
-                .iter()
-                .rposition(|(k, _)| k.as_ref() <= probe.as_slice())
-                .map(|last| table.block_of_entry(last));
-            prop_assert_eq!(table.block_for(probe), want, "probe {:?}", probe);
+        let rows = seek_rows(keys, fillers);
+        let table = segmented_run(&rows, &cuts, block_size);
+        prop_assert!((1..=3).contains(&table.segments().len()));
+        let starts = block_starts(&table, &rows);
+        for probe in seek_probes(&rows, probes) {
+            let at_or_below = rows.partition_point(|(k, _)| k.as_ref() <= probe.as_slice());
+            let want = (at_or_below > 0)
+                .then(|| starts.partition_point(|&start| start < at_or_below) - 1);
+            prop_assert_eq!(table.block_for(&probe), want, "probe {:?}", probe);
         }
     }
 
@@ -592,11 +580,8 @@ proptest! {
         let base: BTreeMap<_, _> = base.into_iter().collect();
         let rows: Vec<(Key, Cell)> = base.into_iter().map(|(k, c)| (Bytes::from(k), c)).collect();
         let bytes = rows.iter().map(|(k, c)| entry_encoded_len(k, c)).sum();
-        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (rows.len() + 1)).collect();
-        bounds.extend([0, rows.len()]);
-        bounds.sort_unstable();
         let mut runs: Vec<_> = trees.iter().map(|t| t.load_builder(rows.len(), bytes)).collect();
-        for w in bounds.windows(2) {
+        for w in segment_bounds(&cuts, rows.len()).windows(2) {
             let mut holders: Vec<&mut _> = runs.iter_mut().collect();
             Segment::from_queue(queue_of(&rows[w[0]..w[1]]), &mut holders);
         }
@@ -763,13 +748,10 @@ proptest! {
             .map(|(i, k)| (Bytes::from(k.clone()), Cell::live(key(i as u64), 1)))
             .collect();
         let bytes = rows.iter().map(|(k, c)| entry_encoded_len(k, c)).sum();
-        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (rows.len() + 1)).collect();
-        bounds.extend([0, rows.len()]);
-        bounds.sort_unstable();
         let mut tree = LsmTree::new(config);
         let mut other = LsmTree::new(config);
         let (mut run, mut co_run) = (tree.load_builder(rows.len(), bytes), other.load_builder(rows.len(), bytes));
-        let segments: Vec<Segment> = bounds
+        let segments: Vec<Segment> = segment_bounds(&cuts, rows.len())
             .windows(2)
             .map(|w| Segment::from_queue(queue_of(&rows[w[0]..w[1]]), &mut [&mut run, &mut co_run]))
             .collect();
@@ -1372,6 +1354,62 @@ proptest! {
     }
 }
 
+/// Rows for the seek tests: the drawn `keys` and `fillers` filler keys,
+/// every other one starting with the 16 bytes the drawn long keys share,
+/// so the more than two chunks of rows (1,022 each) hold prefix-tied keys
+/// as well as short ones.
+fn seek_rows(keys: std::collections::BTreeSet<Vec<u8>>, fillers: usize) -> Vec<(Key, Cell)> {
+    let fillers = (0..fillers).map(|i| {
+        let tie = if i % 2 == 0 { "" } else { "sixteen-byte-pfx" };
+        format!("{tie}m{i:04}").into_bytes()
+    });
+    let keys: std::collections::BTreeSet<Vec<u8>> = keys.into_iter().chain(fillers).collect();
+    keys.into_iter()
+        .map(|k| (Bytes::from(k), Cell::live(Bytes::new(), 1)))
+        .collect()
+}
+
+/// Probes for the seek tests: `drawn`, every row's key and the key just
+/// above it, the empty key and one above every row.
+fn seek_probes(rows: &[(Key, Cell)], drawn: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
+    let present = rows.iter().map(|(k, _)| k.to_vec());
+    let above = rows.iter().map(|(k, _)| [k.as_ref(), &[0]].concat());
+    let outside = [Vec::new(), vec![0xff; 20]];
+    drawn
+        .into_iter()
+        .chain(present)
+        .chain(above)
+        .chain(outside)
+        .collect()
+}
+
+/// Where `cuts`, each taken modulo one more than `rows`, cut `rows` rows,
+/// with 0 and `rows` added, in order.
+fn segment_bounds(cuts: &[usize], rows: usize) -> Vec<usize> {
+    let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (rows + 1)).collect();
+    bounds.extend([0, rows]);
+    bounds.sort_unstable();
+    bounds
+}
+
+/// The run a tree loads from `rows`, strictly sorted, fed as one segment
+/// per stretch between [`segment_bounds`], in blocks of `block_size` bytes.
+fn segmented_run(rows: &[(Key, Cell)], cuts: &[usize], block_size: u64) -> SsTable {
+    let mut tree = LsmTree::new(LsmConfig {
+        block_size,
+        memtable_flush_bytes: u64::MAX,
+        cache_bytes: 0,
+    });
+    let bytes = rows.iter().map(|(k, c)| entry_encoded_len(k, c)).sum();
+    let mut run = tree.load_builder(rows.len(), bytes);
+    for w in segment_bounds(cuts, rows.len()).windows(2) {
+        Segment::from_queue(queue_of(&rows[w[0]..w[1]]), &mut [&mut run]);
+    }
+    let id = tree.reserve_table_id();
+    tree.load(id, run);
+    tree.runs()[0].clone()
+}
+
 /// Encoded bytes of every row of [`block_table_rows`]'s live rows, unless
 /// their lengths are mixed.
 const ROW_BYTES: usize = 40;
@@ -1382,19 +1420,24 @@ const ROW_BYTES: usize = 40;
 /// bytes hold `n` rows; with `tombstones`, every fifth row is a tombstone
 /// and shorter, so its blocks hold more; with `mixed`, live rows encode to
 /// from 17 bytes plus the key up to three times [`ROW_BYTES`], so rows per
-/// block vary along the run.
+/// block vary along the run. With `full_last`, every row is then live and
+/// fills a block of `rows_per_block` rows alone, but for the last ones,
+/// tombstones, as many as one such block holds: the last block holds the
+/// most rows, at least two, and every other block one.
 fn block_table_rows(
     drawn: &std::collections::BTreeSet<Vec<u8>>,
     fillers: usize,
     tombstones: bool,
     mixed: bool,
+    full_last: Option<usize>,
 ) -> Vec<(Key, Cell)> {
     let fillers = (0..fillers).map(|i| {
         let suffix = if i % 2 == 0 { "" } else { "x" };
         format!("m{i:04}{suffix}").into_bytes()
     });
     let keys: std::collections::BTreeSet<Vec<u8>> = drawn.iter().cloned().chain(fillers).collect();
-    keys.into_iter()
+    let mut rows: Vec<(Key, Cell)> = keys
+        .into_iter()
         .enumerate()
         .map(|(i, k)| {
             let ts = i as u64 + 1;
@@ -1411,7 +1454,28 @@ fn block_table_rows(
             };
             (Bytes::from(k), cell)
         })
-        .collect()
+        .collect();
+    if let Some(rows_per_block) = full_last {
+        static VALUE: [u8; 400 * ROW_BYTES] = [b'v'; 400 * ROW_BYTES];
+        let block = rows_per_block * ROW_BYTES;
+        let tombstone = |k: &Key| entry_encoded_len(k, &Cell::tombstone(0)) as usize;
+        // The last block's first row: the earliest one whose tombstone and
+        // those after it, but the last row's, encode below a block.
+        let (mut first, mut bytes) = (rows.len().saturating_sub(1), 0);
+        while first > 0 && bytes + tombstone(&rows[first - 1].0) < block {
+            first -= 1;
+            bytes += tombstone(&rows[first].0);
+        }
+        for (i, (k, cell)) in rows.iter_mut().enumerate() {
+            *cell = if i < first {
+                let len = block - tombstone(k);
+                Cell::live(Bytes::from_static(&VALUE[..len]), cell.ts)
+            } else {
+                Cell::tombstone(cell.ts)
+            };
+        }
+    }
+    rows
 }
 
 /// A tree of blocks of `rows_per_block` rows of [`ROW_BYTES`] bytes, whose
@@ -1425,12 +1489,13 @@ fn block_table_config(rows_per_block: usize) -> LsmConfig {
     }
 }
 
-/// The point read of one run as the block index made it before rows were
-/// found by key, kept as the oracle: the block `block_for` names, a binary
-/// search of that block's rows, the bloom filter on a miss, and the block
-/// fetched through a reference cache unless the filter rules the key out
-/// or it sorts before the run. `rows` are the run's rows and `starts`
-/// where each block starts in them, then their count.
+/// The point read of one run as a block index made it before rows were
+/// found by key, kept as the oracle: the block of the last row at or below
+/// the probe, a binary search of that block's rows, the bloom filter on a
+/// miss, and the block fetched through a reference cache unless the filter
+/// rules the key out or it sorts before the run. `rows` are the run's rows
+/// and `starts` where each block starts in them, then their count; the
+/// run's own lookups are not asked.
 fn block_index_get(
     table: &SsTable,
     rows: &[(Key, Cell)],
@@ -1439,10 +1504,12 @@ fn block_index_get(
     probe: &[u8],
 ) -> (Option<Cell>, IoPlan) {
     let mut io = IoPlan::new();
-    let Some(block) = table.block_for(probe) else {
+    let at_or_below = rows.partition_point(|(k, _)| k.as_ref() <= probe);
+    if at_or_below == 0 {
         io.push(IoOp::BloomSkip);
         return (None, io);
-    };
+    }
+    let block = starts.partition_point(|&start| start < at_or_below) - 1;
     let in_block = &rows[starts[block]..starts[block + 1]];
     let hit = in_block
         .binary_search_by(|(k, _)| k.as_ref().cmp(probe))
@@ -1485,18 +1552,19 @@ fn block_starts(table: &SsTable, rows: &[(Key, Cell)]) -> Vec<usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Point reads that find their row by key give exactly what the block
+    /// Point reads that find their row by key give exactly what a block
     /// index gave: in runs that hold one to three segments, shared with a
     /// second run of blocks of another size, every `LsmTree::get` of either
     /// tree returns the cell and the I/O plan of [`block_index_get`] and
     /// leaves the same cache counters, and the cell of a `BTreeMap` model.
     /// Blocks hold 1 to 400 rows; with mixed row lengths the row count
     /// varies from block to block, so `block_of_entry`'s guess is off and
-    /// it has to search. Segments run past rows 1,022 and 2,044, so they
-    /// hold several chunks of hash tables. Keys tie on their 16-byte prefix
-    /// and have mixed widths; rows include tombstones; probes include keys
-    /// before, between and after the rows, and absent keys the bloom
-    /// filter admits. A third run of the same rows is built from one
+    /// it has to search; in a quarter of the runs every block but the last
+    /// holds one row, so its guess for the last block's rows falls short.
+    /// Segments run past rows 1,022 and 2,044, so they hold several chunks
+    /// of hash tables. Keys tie on their 16-byte prefix and have mixed
+    /// widths; rows include tombstones; probes include keys before, between
+    /// and after the rows, and absent keys the bloom filter admits. A third run of the same rows is built from one
     /// segment. Every entry's `block_of_entry` is the block whose rows
     /// hold it; at every probe `lower_bound` is the partition point, and
     /// every run's `SsTable::find` returns the model's cell.
@@ -1508,22 +1576,21 @@ proptest! {
         co_rows_per_block in (0usize..3, 1usize..401).prop_map(|(pick, n)| [1, 16, n][pick]),
         tombstones in (0u32..4).prop_map(|p| p == 0),
         mixed in prop::bool::ANY,
+        full_last in (0u32..4).prop_map(|p| p == 0),
         cuts in prop::collection::vec(0usize..2800, 0..3),
         probes in prop::collection::vec(arb_prefix_key(), 1..30),
     ) {
-        let rows = block_table_rows(&drawn, fillers, tombstones, mixed);
+        let full_last = full_last.then_some(rows_per_block);
+        let rows = block_table_rows(&drawn, fillers, tombstones, mixed, full_last);
         prop_assume!(!rows.is_empty());
         let model: BTreeMap<Key, Cell> = rows.iter().cloned().collect();
         let config = block_table_config(rows_per_block);
         let co_config = block_table_config(co_rows_per_block);
         let bytes = rows.iter().map(|(k, c)| entry_encoded_len(k, c)).sum();
-        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (rows.len() + 1)).collect();
-        bounds.extend([0, rows.len()]);
-        bounds.sort_unstable();
         let mut tree = LsmTree::new(config);
         let mut other = LsmTree::new(co_config);
         let (mut run, mut co_run) = (tree.load_builder(rows.len(), bytes), other.load_builder(rows.len(), bytes));
-        for w in bounds.windows(2) {
+        for w in segment_bounds(&cuts, rows.len()).windows(2) {
             Segment::from_queue(queue_of(&rows[w[0]..w[1]]), &mut [&mut run, &mut co_run]);
         }
         let id = tree.reserve_table_id();
@@ -1546,7 +1613,12 @@ proptest! {
                 prop_assert_eq!(table.block_of_entry(i), want, "block of entry {}", i);
             }
         }
-        if !tombstones && !mixed {
+        if full_last.is_some() {
+            // Every block but the last holds one row, the last the most.
+            let (ones, last) = starts.split_last_chunk::<2>().expect("a block");
+            prop_assert!(last[1] - last[0] >= 2.min(rows.len()), "{:?}", last);
+            prop_assert!(ones.iter().enumerate().all(|(i, &start)| start == i), "{:?}", starts);
+        } else if !tombstones && !mixed {
             // Every block but the last holds exactly `rows_per_block` rows.
             let (_, full) = starts.split_last().expect("a start");
             prop_assert!(full.windows(2).all(|w| w[1] - w[0] == rows_per_block), "{:?}", starts);

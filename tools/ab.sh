@@ -17,8 +17,10 @@
 # and the change first in even ones, so that drift in the box's speed falls
 # on both sides alike. Per workload it prints a table: for every end-to-end
 # metric of BENCHMARK.json both medians with their quartiles, the change of
-# the median in %, and in how many pairs the change was the better side;
-# then whether every run gave the same model fingerprint per side; then one
+# the median in %, in how many pairs the change was the better side, and
+# the verdict of the metric's `bound` on the medians: `better`, `within
+# bound` (equal, or worse by no more than the bound, a fraction of the
+# parent's median) or `WORSE beyond bound`; then whether every run gave the same model fingerprint per side; then one
 # `summary` line with `sim_ops_per_calibrated_s`'s median change, wins and
 # both quartile ranges. With `all`, the five summary lines are repeated
 # together at the end.
@@ -92,8 +94,9 @@ else
     binaries=different
 fi
 
-# The end-to-end metrics (those with a bound) and which way is better.
-sed -n 's/.*"name": "\([^"]*\)".*"better": "\([a-z]*\)", "bound".*/\1 \2/p' \
+# The end-to-end metrics (those with a bound), which way is better, and
+# the bound.
+sed -n 's/.*"name": "\([^"]*\)".*"better": "\([a-z]*\)", "bound": \([0-9.]*\).*/\1 \2 \3/p' \
     "$root/BENCHMARK.json" > "$tmp/metrics"
 
 # run <workload> <side> <pair>: one run; its stdout goes to <side>.<pair>. A
@@ -155,12 +158,12 @@ compare() {
                     t = out[j]; out[j] = out[j - 1]; out[j - 1] = t
                 }
         }
-        FILENAME == ARGV[1] { better[++n] = $2; name[n] = $1; next }
+        FILENAME == ARGV[1] { better[++n] = $2; name[n] = $1; bound[n] = $3; next }
         $3 == "fingerprint" { prints[$1, $4] = 1; next }
         { val[$1, $3, $2] = $4 }
         END {
-            printf "| metric | better | parent median [q1, q3] | change median [q1, q3] | change | wins |\n"
-            printf "|---|---|---|---|---|---|\n"
+            printf "| metric | better | parent median [q1, q3] | change median [q1, q3] | change | wins | bound |\n"
+            printf "|---|---|---|---|---|---|---|\n"
             for (k = 1; k <= n; k++) {
                 m = name[k]
                 sorted("parent", m, a); sorted("change", m, b)
@@ -171,9 +174,11 @@ compare() {
                     if ((better[k] == "higher" && d > 0) || (better[k] == "lower" && d < 0)) wins++
                 }
                 pct = pm == 0 ? 0 : 100 * (cm - pm) / pm
-                printf "| %s | %s | %.6g [%.6g, %.6g] | %.6g [%.6g, %.6g] | %+.2f%% | %d/%d |\n", \
+                worse = better[k] == "higher" ? -pct : pct
+                verdict = worse < 0 ? "better" : worse <= 100 * bound[k] ? "within bound" : "WORSE beyond bound"
+                printf "| %s | %s | %.6g [%.6g, %.6g] | %.6g [%.6g, %.6g] | %+.2f%% | %d/%d | %s |\n", \
                     m, better[k], pm, quantile(a, pairs, 0.25), quantile(a, pairs, 0.75), \
-                    cm, quantile(b, pairs, 0.25), quantile(b, pairs, 0.75), pct, wins, pairs
+                    cm, quantile(b, pairs, 0.25), quantile(b, pairs, 0.75), pct, wins, pairs, verdict
                 if (m == "sim_ops_per_calibrated_s")
                     summary = sprintf("summary %s seed %d: sim_ops_per_calibrated_s %+.2f%%, wins %d/%d, parent %.6g [%.6g, %.6g], change %.6g [%.6g, %.6g]", \
                         workload, seed, pct, wins, pairs, pm, quantile(a, pairs, 0.25), \
