@@ -944,19 +944,18 @@ impl SimStore for Cluster {
                         rows.push(key, cell.clone());
                     }
                 }
-                Segment::from_queue(rows, &mut [run]);
+                RunBuilder::hold(&mut [run], Segment::from_queue(rows));
             }
         }
         for s in order {
             self.place(self.ring.segment_primary(s), &mut replicas);
-            let mut holders: Vec<&mut RunBuilder> = runs
-                .iter_mut()
-                .enumerate()
+            let mut holders: Vec<&mut RunBuilder> = (runs.iter_mut().enumerate())
                 .filter(|&(node, _)| !interleaved[node] && replicas.contains(&NodeId(node as u32)))
                 .map(|(_, run)| run)
                 .collect();
             if !holders.is_empty() {
-                Segment::from_queue(std::mem::take(&mut loads[s].rows), &mut holders);
+                let rows = std::mem::take(&mut loads[s].rows);
+                RunBuilder::hold(&mut holders, Segment::from_queue(rows));
             }
         }
         for ((node, run), segments) in self.nodes.iter_mut().zip(runs).zip(&held) {
@@ -1778,7 +1777,7 @@ mod tests {
             if load.rows.is_empty() {
                 continue;
             }
-            let shared = Segment::from_queue(load.rows, &mut []);
+            let shared = Segment::from_queue(load.rows);
             c.place(c.ring.segment_primary(segment), &mut replicas);
             for r in &replicas {
                 held[r.index()].push(shared.clone());
@@ -1797,12 +1796,12 @@ mod tests {
                     for (key, cell) in segments.iter().flat_map(|s| s.iter()) {
                         rows.push(key, cell.clone());
                     }
-                    segments = vec![Segment::from_queue(rows, &mut [])];
+                    segments = vec![Segment::from_queue(rows)];
                 }
                 let rows = segments.iter().map(|s| s.len()).sum();
                 let mut run = RunBuilder::new(rows, node.lsm.config().block_size);
                 for segment in segments {
-                    run.hold(segment);
+                    RunBuilder::hold(&mut [&mut run], segment);
                 }
                 let id = node.lsm.reserve_table_id();
                 node.lsm.load(id, run);

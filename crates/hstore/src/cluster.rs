@@ -16,8 +16,8 @@ use simkit::{NodeId, OpKey, OpTag, Sim, SimRng, SimTime};
 use storage::lsm::CompactionReceipt;
 use storage::types::entry_encoded_len;
 use storage::{
-    Cell, Completion, IoOp, Key, LoadQueue, OpError, OpResult, Rows, Segment, StoreOp, TableId,
-    Value,
+    Cell, Completion, IoOp, Key, LoadQueue, OpError, OpResult, Rows, RunBuilder, Segment, StoreOp,
+    TableId, Value,
 };
 
 use crate::config::{HStoreConfig, SHIP_LAG_US};
@@ -787,7 +787,7 @@ impl SimStore for Cluster {
             if let Some((id, _)) = hfile {
                 let lsm = &mut self.regions.get_mut(idx).lsm;
                 let mut run = lsm.load_builder(load.rows.len(), load.rows.bytes());
-                Segment::from_queue(load.rows, &mut [&mut run]);
+                RunBuilder::hold(&mut [&mut run], Segment::from_queue(load.rows));
                 lsm.load(id, run);
             }
             self.flush_region_functional(idx);
@@ -1595,9 +1595,9 @@ mod tests {
             }
             if let Some((id, _)) = hfile {
                 let lsm = &mut c.regions.get_mut(idx).lsm;
-                let segment = Segment::from_queue(load.rows, &mut []);
-                let mut run = storage::RunBuilder::new(segment.len(), lsm.config().block_size);
-                run.hold(segment);
+                let segment = Segment::from_queue(load.rows);
+                let mut run = RunBuilder::new(segment.len(), lsm.config().block_size);
+                RunBuilder::hold(&mut [&mut run], segment);
                 lsm.load(id, run);
             }
             c.flush_region_functional(idx);

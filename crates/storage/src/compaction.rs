@@ -5,7 +5,7 @@
 //! [`MIN_THRESHOLD`] tables they are merged into one. This bounds the number
 //! of runs a point read must consult.
 
-use crate::sstable::TableId;
+use crate::sstable::{SsTable, TableId};
 
 /// Minimum tables in a bucket before compacting it (Cassandra: 4).
 const MIN_THRESHOLD: usize = 4;
@@ -17,14 +17,15 @@ const BUCKET_LOW: f64 = 0.5;
 /// See [`BUCKET_LOW`].
 const BUCKET_HIGH: f64 = 1.5;
 
-/// Choose tables to merge, or `None` if no bucket is ripe. Input is
-/// `(table, bytes)` for every live table; output lists the chosen ids.
-pub(crate) fn pick(tables: &[(TableId, u64)]) -> Option<Vec<TableId>> {
-    if tables.len() < MIN_THRESHOLD {
+/// Choose runs to merge among `runs`, every live one, oldest first, by
+/// their `(id, total_bytes)`, or `None` if no bucket is ripe; lists the
+/// chosen ids.
+pub(crate) fn pick(runs: &[SsTable]) -> Option<Vec<TableId>> {
+    if runs.len() < MIN_THRESHOLD {
         return None;
     }
     // Sort by size, then greedily bucket neighbours of similar size.
-    let mut sorted: Vec<_> = tables.to_vec();
+    let mut sorted: Vec<_> = runs.iter().map(|r| (r.id(), r.total_bytes())).collect();
     sorted.sort_by_key(|&(_, bytes)| bytes);
     let mut buckets: Vec<(f64, Vec<TableId>)> = Vec::new(); // (avg, members)
     for (id, bytes) in sorted {
@@ -54,9 +55,19 @@ pub(crate) fn pick(tables: &[(TableId, u64)]) -> Option<Vec<TableId>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Cell;
+    use bytes::Bytes;
 
-    fn t(id: u64, bytes: u64) -> (TableId, u64) {
-        (TableId(id), bytes)
+    /// A run of `bytes` encoded bytes: no row, or one row of a one-byte
+    /// key (18 bytes besides its value).
+    fn t(id: u64, bytes: u64) -> SsTable {
+        let row = (bytes > 0).then(|| {
+            let value = Bytes::from(vec![b'v'; bytes as usize - 18]);
+            (Bytes::from_static(b"k"), Cell::live(value, 1))
+        });
+        let run = SsTable::build(TableId(id), row.into_iter().collect(), 4096);
+        assert_eq!(run.total_bytes(), bytes);
+        run
     }
 
     #[test]

@@ -11,16 +11,17 @@
 //!   rows as of the last commit-log sync for a crash to roll back to.
 //! * `bloom` — a bloom filter to skip sorted runs on reads.
 //! * [`Segment`] — the rows of runs: one key arena, offsets and cells, and
-//!   the hash tables point reads find a row by.
+//!   the hash tables point reads find a row by. A segment knows no runs.
 //! * [`sstable`] — immutable sorted runs with block structure and a bloom
-//!   filter.
+//!   filter, laid out by `RunBuilder::hold` for all runs of a segment.
 //! * `block_hash` — the hash tables every segment gets, which point reads
 //!   find their row through: tagged 16-bit slots over fixed chunks of rows
 //!   and each chunk's first-key prefix, in one allocation, filled once for
 //!   every run that holds the segment. The chunk prefixes are a run's only
 //!   index: scans seek their first row through them too.
 //! * [`cache`] — an O(1) LRU block cache with hit/miss accounting.
-//! * [`merge`] — k-way merge with last-write-wins reconciliation.
+//! * [`merge`] — k-way merge with last-write-wins reconciliation, fed by
+//!   one cursor over runs' segments, pages' pieces or rows.
 //! * [`Rows`] — scan results as handles into the segments holding them;
 //!   [`Reconciler`], the coordinator's merge of replica pages.
 //! * `compaction` — the size-tiered compaction policy, at Cassandra's

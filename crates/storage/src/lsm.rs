@@ -6,16 +6,18 @@
 //!
 //! Every range read is one walk ([`LsmTree::scan`], `scan_page`,
 //! `scan_count`): a merge of the memtable's range and one cursor per
-//! run, which hands over a run's consecutive entries a stretch at a time
-//! and stops at the `limit`-th live row; each cursor then names the
-//! entries it walked, and so the blocks the scan is charged.
+//! run, which starts at the segment and row the run's seek lands on
+//! ([`SsTable::lower_bound`]), hands over a run's consecutive entries a
+//! stretch at a time and stops at the `limit`-th live row; each cursor
+//! then names the entries it walked, and so the blocks the scan is
+//! charged.
 
 use crate::bloom;
 use crate::cache::{BlockCache, CacheStats};
 use crate::compaction;
 use crate::io::{IoOp, IoPlan};
 use crate::memtable::{self, Memtable};
-use crate::merge::{Head, Merge, Place, Slot, Source, Spare};
+use crate::merge::{Cursor, Head, Merge, Place, Slot, Source, Spare};
 use crate::rows::Rows;
 use crate::segment::{RowArena, Segment};
 use crate::sstable::{RunBuilder, SsTable, TableId};
@@ -94,84 +96,27 @@ pub struct CompactionReceipt {
     pub write_bytes: u64,
 }
 
-/// A merge's position in one SSTable run: entries `from..` are the part of
-/// the run the merge reads (for a scan, at or after its start key), entries
-/// `from..next` what it has pulled so far. Yields each entry with the rest
-/// of its segment as the most a stretch from it can take, stepping from one
-/// segment to the next.
-struct RunCursor<'a> {
-    segments: &'a [Segment],
-    /// The segment holding the last entry pulled (the first entry's
-    /// segment before any), and the index in it of the next entry.
-    segment: usize,
-    at: usize,
-    from: usize,
-    next: usize,
-}
-
-impl<'a> RunCursor<'a> {
-    /// A cursor over `table` from entry `from` on.
-    fn new(table: &'a SsTable, from: usize) -> Self {
-        let (segment, at) = table.locate(from);
-        Self {
-            segments: table.segments(),
-            segment,
-            at,
-            from,
-            next: from,
-        }
-    }
-
-    /// The entries the merge emitted from this run, given the last key it
-    /// emitted: everything it pulled except, from a run it did not exhaust,
-    /// one pending head beyond `end`. The last entry pulled is the one
-    /// before `at`: segments are never empty, so the cursor steps into one
-    /// only to pull from it.
-    fn walked(&self, end: &[u8]) -> std::ops::Range<usize> {
-        let pending = self.next > self.from && self.segments[self.segment].key(self.at - 1) > end;
-        self.from..self.next - usize::from(pending)
-    }
-}
-
-impl<'a> Source<'a> for RunCursor<'a> {
-    fn pull(&mut self) -> Option<Head<'a>> {
-        let mut rows = self.segments.get(self.segment)?;
-        if self.at == rows.len() {
-            rows = self.segments.get(self.segment + 1)?;
-            (self.segment, self.at) = (self.segment + 1, 0);
-        }
-        self.at += 1;
-        self.next += 1;
-        Some(Head::entry(rows, self.at - 1, rows.len()))
-    }
-
-    fn skip(&mut self, n: usize) {
-        self.at += n;
-        self.next += n;
-        debug_assert!(self.at <= self.segments[self.segment].len());
-    }
-}
-
-/// One merge source of a range scan: the memtable's range or a cursor over
-/// an SSTable run, unified so the streaming merge holds all sources in one
+/// One merge source of a range scan: the memtable's range, or a cursor
+/// over an SSTable run's segments with the index in the run of the entry it
+/// starts at, unified so the streaming merge holds all sources in one
 /// unboxed `Vec`, the one its tree keeps between scans.
 enum ScanSource<'a> {
     Mem(memtable::Range<'a>),
-    Run(RunCursor<'a>),
+    Run(Cursor<'a, Segment>, usize),
 }
 
 impl<'a> Source<'a> for ScanSource<'a> {
     fn pull(&mut self) -> Option<Head<'a>> {
         match self {
-            ScanSource::Mem(rows) => rows.next().map(Head::row),
-            ScanSource::Run(cur) => cur.pull(),
+            ScanSource::Mem(rows) => rows.next().map(|row| Head::at(Place::Row(row), 0)),
+            ScanSource::Run(cur, _) => cur.pull(),
         }
     }
 
     fn skip(&mut self, n: usize) {
         match self {
             ScanSource::Mem(_) => debug_assert_eq!(n, 0, "a memtable row is a stretch of one"),
-            ScanSource::Run(cur) => cur.skip(n),
+            ScanSource::Run(cur, _) => cur.skip(n),
         }
     }
 }
@@ -180,7 +125,7 @@ impl<'a> Source<'a> for ScanSource<'a> {
 /// its arena sized exactly by a first pass that counts them.
 fn merge_tables(tables: &[SsTable], drop_tombstones: bool) -> Segment {
     let winners = |each: &mut dyn FnMut(&[u8], &Cell)| {
-        let mut merge = Merge::new(tables.iter().map(|t| RunCursor::new(t, 0)), usize::MAX);
+        let mut merge = Merge::new(tables.iter().map(|t| Cursor::new(t.segments())), usize::MAX);
         while let Some(won) = merge.next() {
             for i in 0..won.len() {
                 let cell = won.cell(i);
@@ -206,9 +151,6 @@ pub struct LsmTree {
     memtable: Memtable,
     /// Oldest first; reads reconcile across all runs.
     tables: Vec<SsTable>,
-    /// `(id, total_bytes)` mirror of `tables`, maintained on flush and
-    /// compaction so policy checks don't rebuild a `Vec` per call.
-    sizes: Vec<(TableId, u64)>,
     cache: BlockCache,
     next_table_id: u64,
     /// The scan merge's slot vector, emptied between scans.
@@ -223,7 +165,6 @@ impl LsmTree {
             wal_unsynced_bytes: 0,
             memtable: Memtable::new(),
             tables: Vec::new(),
-            sizes: Vec::new(),
             cache: BlockCache::new(config.cache_bytes),
             next_table_id: 1,
             scan_slots: Spare::default(),
@@ -333,13 +274,15 @@ impl LsmTree {
     /// `limit` live rows (tombstoned rows are skipped but still cost I/O).
     ///
     /// The work is proportional to the stretches walked, not to the size of
-    /// the tree: each run's lower bound is found once, by a search of the
-    /// one chunk of rows that can hold it ([`SsTable::lower_bound`]), and
-    /// the streaming merge pulls from that cursor exactly as far as the
-    /// `limit`-th live row — however many tombstones shadow the range — a
-    /// stretch of consecutive entries of one segment at a time. No row of a run is copied: the result holds ranges
-    /// of the runs' immutable segments ([`Rows`]), one handle per stretch
-    /// between tombstones, and clones only memtable rows (refcount bumps).
+    /// the tree: each run's cursor starts where the seek of its lower bound
+    /// lands, the segment and row a search of the one chunk of rows that can
+    /// hold it names ([`SsTable::lower_bound`]), and the streaming merge
+    /// pulls from that cursor exactly as far as the `limit`-th live row —
+    /// however many tombstones shadow the range — a stretch of consecutive
+    /// entries of one segment at a time. No row of a run is copied: the
+    /// result holds ranges of the runs' immutable segments ([`Rows`]), one
+    /// handle per stretch between tombstones, and clones only memtable rows
+    /// (refcount bumps).
     /// The I/O plan charges, per run in age order, every block of the window
     /// its cursor walked: the blocks holding that run's keys in `[start,
     /// last merged key]`.
@@ -395,8 +338,10 @@ impl LsmTree {
             scan_slots,
             ..
         } = self;
-        let runs =
-            (tables.iter()).map(|t| ScanSource::Run(RunCursor::new(t, t.lower_bound(start))));
+        let runs = tables.iter().map(|t| {
+            let (segment, row, entry) = t.lower_bound(start);
+            ScanSource::Run(Cursor::at(t.segments(), segment, row), entry)
+        });
         let mem = ScanSource::Mem(memtable.range_from(start));
         let sources = std::iter::once(mem).chain(runs);
         let mut merge = Merge::reusing(std::mem::take(&mut scan_slots.0), sources, limit);
@@ -409,13 +354,13 @@ impl LsmTree {
         // Sources are the memtable, then one cursor per run in age order.
         let mut tables = tables.iter();
         scan_slots.0 = merge.finish(|source| {
-            let ScanSource::Run(cur) = source else {
+            let ScanSource::Run(cur, from) = source else {
                 return;
             };
             let (Some(table), Some(end)) = (tables.next(), last_key) else {
                 return;
             };
-            let walked = cur.walked(end);
+            let walked = cur.walked(from, end);
             if !walked.is_empty() {
                 Self::charge_scan_blocks(
                     cache,
@@ -463,7 +408,7 @@ impl LsmTree {
         let segment = self.memtable.drain();
         let table = self.build_run(segment, bytes);
         let (id, bytes) = self.push_run(table);
-        let compaction_due = compaction::pick(&self.sizes).is_some();
+        let compaction_due = compaction::pick(&self.tables).is_some();
         Some(FlushReceipt {
             table: id,
             bytes,
@@ -504,7 +449,6 @@ impl LsmTree {
         let (id, bytes) = (table.id(), table.total_bytes());
         self.cache.add_run(id, table.block_count());
         self.tables.push(table);
-        self.sizes.push((id, bytes));
         (id, bytes)
     }
 
@@ -512,7 +456,7 @@ impl LsmTree {
     /// bytes, under the next table id.
     fn build_run(&mut self, segment: Segment, bytes: u64) -> SsTable {
         let mut run = self.load_builder(segment.len(), bytes);
-        run.hold(segment);
+        RunBuilder::hold(&mut [&mut run], segment);
         run.finish(self.reserve_table_id())
     }
 
@@ -524,15 +468,9 @@ impl LsmTree {
         TableId(self.next_table_id - 1)
     }
 
-    fn rebuild_sizes(&mut self) {
-        self.sizes.clear();
-        self.sizes
-            .extend(self.tables.iter().map(|t| (t.id(), t.total_bytes())));
-    }
-
     /// Run one compaction if the policy finds a ripe bucket.
     pub fn maybe_compact(&mut self) -> Option<CompactionReceipt> {
-        let inputs = compaction::pick(&self.sizes)?;
+        let inputs = compaction::pick(&self.tables)?;
         Some(self.compact(inputs))
     }
 
@@ -565,7 +503,6 @@ impl LsmTree {
             inputs.push(t.id());
         }
         self.tables = kept;
-        self.rebuild_sizes();
         let (id, write_bytes) = self.push_run(output);
         CompactionReceipt {
             inputs,
@@ -797,37 +734,42 @@ mod tests {
         let keys = ["a", "b", "c", "d", "e", "f", "g", "h"];
         let part = |ids: std::ops::Range<usize>| from_sorted(ids.map(|i| (keys[i], cell(i))));
         let mut run = RunBuilder::new(keys.len(), 64);
-        run.hold(part(0..4));
-        run.hold(part(4..8));
+        RunBuilder::hold(&mut [&mut run], part(0..4));
+        RunBuilder::hold(&mut [&mut run], part(4..8));
         let table = run.finish(TableId(1));
-        // (start entry, live rows) -> (stretches as (first key, rows),
-        // entries pulled, walked)
+        // (start key, live rows) -> (stretches as (first key, rows), rows
+        // pulled, entries walked)
         let cases = [
             // Cut inside the first segment: "d" is the pending head.
-            ((0, 2), (vec![("a", 3)], 4, 0..3)),
+            (("a", 2), (vec![("a", 3)], 4, 0..3)),
             // Cut at the first segment's end: the pending head is the
             // second segment's first entry.
-            ((1, 2), (vec![("b", 3)], 5, 1..4)),
+            (("b", 2), (vec![("b", 3)], 4, 1..4)),
             // A stretch stops at its segment's end, the next is cut.
-            ((2, 3), (vec![("c", 2), ("e", 1)], 6, 2..5)),
+            (("c", 3), (vec![("c", 2), ("e", 1)], 4, 2..5)),
+            // Between the segments the seek lands on the first one's end,
+            // and the cursor steps into the second.
+            (("d0", 2), (vec![("e", 2)], 3, 4..6)),
             // The run's last entry: nothing is pending.
-            ((5, 9), (vec![("f", 3)], 8, 5..8)),
+            (("f", 9), (vec![("f", 3)], 3, 5..8)),
         ];
-        for ((from, live), (want, pulled, walked)) in cases {
-            let mut merge = Merge::new([RunCursor::new(&table, from)], live);
+        for ((start, live), (want, pulled, walked)) in cases {
+            let (segment, row, from) = table.lower_bound(start.as_bytes());
+            let cursor = Cursor::at(table.segments(), segment, row);
+            let mut merge = Merge::new([cursor], live);
             let got: Vec<_> = std::iter::from_fn(|| merge.next())
                 .map(|won| (std::str::from_utf8(won.key(0)).unwrap(), won.len()))
                 .collect();
-            assert_eq!(got, want, "from {from}, {live} live");
+            assert_eq!(got, want, "from {start}, {live} live");
             let (last, n) = want[want.len() - 1];
             let end = keys[keys.iter().position(|key| *key == last).unwrap() + n - 1];
             let mut cursors = Vec::new();
-            let _: Vec<Slot<'_, RunCursor<'_>>> = merge.finish(|cur| cursors.push(cur));
-            assert_eq!(cursors[0].next, pulled, "from {from}, {live} live");
+            let _: Vec<Slot<'_, Cursor<'_, Segment>>> = merge.finish(|cur| cursors.push(cur));
+            assert_eq!(cursors[0].pulled, pulled, "from {start}, {live} live");
             assert_eq!(
-                cursors[0].walked(end.as_bytes()),
+                cursors[0].walked(from, end.as_bytes()),
                 walked,
-                "from {from}, {live} live"
+                "from {start}, {live} live"
             );
         }
     }
@@ -927,7 +869,7 @@ mod tests {
         };
         let (mut all, mut picked) = (build(), build());
         let run_order: Vec<TableId> = all.tables.iter().map(SsTable::id).collect();
-        let size_order = compaction::pick(&picked.sizes).expect("ripe");
+        let size_order = compaction::pick(&picked.tables).expect("ripe");
         assert_eq!(size_order.len(), 4);
         assert_ne!(size_order, run_order);
         let receipt = all.compact_all().expect("four runs");
@@ -940,7 +882,6 @@ mod tests {
                 .collect()
         };
         assert_eq!(runs(&all), runs(&picked));
-        assert_eq!(all.sizes, picked.sizes);
         for start in [&b""[..], b"user000035", b"user000045"] {
             assert_eq!(all.scan(start, 30), picked.scan(start, 30));
         }
@@ -954,7 +895,7 @@ mod tests {
         let mut tree = LsmTree::new(small_config());
         let id = tree.reserve_table_id();
         let mut run = tree.load_builder(0, 0);
-        Segment::from_queue(Default::default(), &mut [&mut run]);
+        RunBuilder::hold(&mut [&mut run], Segment::from_queue(Default::default()));
         tree.load(id, run);
         assert_eq!(tree.table_count(), 0);
         assert_eq!(tree.get(b"a").io.bloom_skips(), 0);

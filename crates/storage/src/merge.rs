@@ -10,7 +10,8 @@
 //! range of an immutable segment ([`crate::Segment`]) or one row no segment
 //! holds, so a scan hands out ranges of the segments that hold its rows
 //! ([`crate::Rows`]) instead of copies, and a compaction copies each
-//! winner's key into its output's arena.
+//! winner's key into its output's arena. Every source but a memtable's is
+//! one `Cursor`, over a run's segments, a page's pieces or a slice of rows.
 //!
 //! The merge advances by **stretches**. It keeps one head per source — the
 //! smallest entry pulled from it but not yet emitted — in a small vector
@@ -102,22 +103,17 @@ pub(crate) struct Head<'a> {
 }
 
 impl<'a> Head<'a> {
-    /// The head of row `at` of `segment`, whose source yields its entries
-    /// up to `end` next.
-    pub(crate) fn entry(segment: &'a Segment, at: usize, end: usize) -> Self {
+    /// The head of row `i` of `place`, whose source yields the rest of
+    /// `place` next.
+    pub(crate) fn at(place: Place<'a>, i: usize) -> Self {
+        let place = match place {
+            Place::Segment(segment, from, to) => Place::Segment(segment, from + i as u32, to),
+            row => row,
+        };
         Self {
-            key: segment.key(at),
-            cell: segment.cell(at),
-            place: Place::Segment(segment, at as u32, end as u32),
-        }
-    }
-
-    /// The head of a row no segment holds.
-    pub(crate) fn row(row: &'a (Key, Cell)) -> Self {
-        Self {
-            key: &row.0,
-            cell: &row.1,
-            place: Place::Row(row),
+            key: place.key(0),
+            cell: place.cell(0),
+            place,
         }
     }
 }
@@ -132,14 +128,84 @@ pub(crate) trait Source<'a> {
     fn skip(&mut self, n: usize);
 }
 
-/// A slice of rows (of [`merge_runs`]) as a merge source.
-impl<'a> Source<'a> for std::slice::Iter<'a, (Key, Cell)> {
+/// Rows a [`Cursor`] hands over as one stretch at most: a segment, a piece
+/// of a scan result, or one row.
+pub(crate) trait Stretch {
+    /// Where the rows live; never empty.
+    fn place(&self) -> Place<'_>;
+}
+
+impl Stretch for Segment {
+    fn place(&self) -> Place<'_> {
+        Place::Segment(self, 0, self.len() as u32)
+    }
+}
+
+impl Stretch for (Key, Cell) {
+    fn place(&self) -> Place<'_> {
+        Place::Row(self)
+    }
+}
+
+/// A merge source over stretches in key order — a run's segments, a page's
+/// pieces, a slice of rows —, each sorting wholly above the one before:
+/// yields each row with the rest of its stretch as the most a stretch from
+/// it can take, stepping from one stretch to the next.
+pub(crate) struct Cursor<'a, T> {
+    stretches: &'a [T],
+    /// The stretch holding the last row pulled (the first row's before
+    /// any), and the index in it of the next row.
+    stretch: usize,
+    row: usize,
+    /// Rows pulled so far.
+    pub(crate) pulled: usize,
+}
+
+impl<'a, T: Stretch> Cursor<'a, T> {
+    /// A cursor over `stretches` from their first row on.
+    pub(crate) fn new(stretches: &'a [T]) -> Self {
+        Self::at(stretches, 0, 0)
+    }
+
+    /// A cursor over `stretches` from row `row` of stretch `stretch` on;
+    /// `row` may be that stretch's end, where the next stretch starts.
+    pub(crate) fn at(stretches: &'a [T], stretch: usize, row: usize) -> Self {
+        Self {
+            stretches,
+            stretch,
+            row,
+            pulled: 0,
+        }
+    }
+
+    /// The entries a merge emitted from a cursor that started at entry
+    /// `from`, given the last key it emitted: every row pulled except, from
+    /// a cursor not exhausted, one pending head beyond `end`. The last row
+    /// pulled is the one before `row`: stretches are never empty, so the
+    /// cursor steps into one only to pull from it.
+    pub(crate) fn walked(&self, from: usize, end: &[u8]) -> std::ops::Range<usize> {
+        let pending =
+            self.pulled > 0 && self.stretches[self.stretch].place().key(self.row - 1) > end;
+        from..from + self.pulled - usize::from(pending)
+    }
+}
+
+impl<'a, T: Stretch> Source<'a> for Cursor<'a, T> {
     fn pull(&mut self) -> Option<Head<'a>> {
-        self.next().map(Head::row)
+        let mut place = self.stretches.get(self.stretch)?.place();
+        if self.row == place.len() {
+            place = self.stretches.get(self.stretch + 1)?.place();
+            (self.stretch, self.row) = (self.stretch + 1, 0);
+        }
+        self.row += 1;
+        self.pulled += 1;
+        Some(Head::at(place, self.row - 1))
     }
 
     fn skip(&mut self, n: usize) {
-        debug_assert_eq!(n, 0, "a row of a slice is a stretch of one");
+        self.row += n;
+        self.pulled += n;
+        debug_assert!(self.row <= self.stretches[self.stretch].place().len());
     }
 }
 
@@ -393,7 +459,7 @@ pub(crate) fn gallop(mut lo: usize, mut hi: usize, below: impl Fn(usize) -> bool
 /// data survives).
 pub fn merge_runs(runs: &[&[(Key, Cell)]], drop_tombstones: bool) -> Vec<(Key, Cell)> {
     let total = runs.iter().map(|r| r.len()).sum();
-    let mut merge = Merge::new(runs.iter().map(|r| r.iter()), usize::MAX);
+    let mut merge = Merge::new(runs.iter().map(|r| Cursor::new(r)), usize::MAX);
     let mut out = Vec::with_capacity(total);
     while let Some(won) = merge.next() {
         let Place::Row(row) = won else {
@@ -423,39 +489,6 @@ mod tests {
     fn merge(sources: &[Vec<(Key, Cell)>], drop_tombstones: bool) -> Vec<(Key, Cell)> {
         let views: Vec<&[(Key, Cell)]> = sources.iter().map(Vec::as_slice).collect();
         merge_runs(&views, drop_tombstones)
-    }
-
-    /// A merge source over whole segments, one after another.
-    struct Segments<'a> {
-        segments: &'a [Segment],
-        segment: usize,
-        at: usize,
-    }
-
-    impl<'a> Segments<'a> {
-        fn new(segments: &'a [Segment]) -> Self {
-            Self {
-                segments,
-                segment: 0,
-                at: 0,
-            }
-        }
-    }
-
-    impl<'a> Source<'a> for Segments<'a> {
-        fn pull(&mut self) -> Option<Head<'a>> {
-            let mut rows = self.segments.get(self.segment)?;
-            if self.at == rows.len() {
-                rows = self.segments.get(self.segment + 1)?;
-                (self.segment, self.at) = (self.segment + 1, 0);
-            }
-            self.at += 1;
-            Some(Head::entry(rows, self.at - 1, rows.len()))
-        }
-
-        fn skip(&mut self, n: usize) {
-            self.at += n;
-        }
     }
 
     /// Every step of a merge: a segment range as its segment's position in
@@ -558,7 +591,7 @@ mod tests {
     fn a_stretch_runs_to_the_runner_up_and_a_tie_goes_alone() {
         let (a, b) = (seg(&["a", "b", "c", "e", "f"], 1), seg(&["d", "e", "g"], 2));
         let merge = Merge::new(
-            [&a, &b].map(|s| Segments::new(std::slice::from_ref(s))),
+            [&a, &b].map(|s| Cursor::new(std::slice::from_ref(s))),
             usize::MAX,
         );
         // a..c below d; d below e; e ties (b's is newer); f below g; g.
@@ -579,7 +612,7 @@ mod tests {
             seg(&["d", "e", "m", "p", "q"], 2),
         ];
         let merge = Merge::new(
-            s.iter().map(|s| Segments::new(std::slice::from_ref(s))),
+            s.iter().map(|s| Cursor::new(std::slice::from_ref(s))),
             usize::MAX,
         );
         assert_eq!(
@@ -604,8 +637,8 @@ mod tests {
         let other = seg(&["z"], 1);
         let merge = Merge::new(
             [
-                Segments::new(&parts),
-                Segments::new(std::slice::from_ref(&other)),
+                Cursor::new(&parts),
+                Cursor::new(std::slice::from_ref(&other)),
             ],
             usize::MAX,
         );
@@ -624,7 +657,7 @@ mod tests {
             ("d", Cell::tombstone(1)),
             ("e", Cell::live(k("v"), 1)),
         ]);
-        let merge = Merge::new([Segments::new(std::slice::from_ref(&rows))], 2);
+        let merge = Merge::new([Cursor::new(std::slice::from_ref(&rows))], 2);
         assert_eq!(steps(merge, &[&rows]), [(0, 0, 3)]);
     }
 
@@ -636,7 +669,7 @@ mod tests {
         let other = seg(&["c"], 2);
         let parts = [shared.clone(), shared.clone(), other.clone()];
         let merge = Merge::new(
-            parts.iter().map(|s| Segments::new(std::slice::from_ref(s))),
+            parts.iter().map(|s| Cursor::new(std::slice::from_ref(s))),
             usize::MAX,
         );
         assert_eq!(

@@ -14,10 +14,10 @@
 //! alter it.
 //!
 //! A coordinator reconciles the pages several replicas returned for one
-//! range with a [`Reconciler`], which keeps its merge's slot vector from
-//! one round to the next.
+//! range with a [`Reconciler`]: one merge cursor per page, a piece a
+//! stretch, in a slot vector it keeps from one round to the next.
 
-use crate::merge::{gallop, Head, Merge, Place, Slot, Source, Spare};
+use crate::merge::{gallop, Cursor, Merge, Place, Slot, Spare, Stretch};
 use crate::segment::Segment;
 use crate::types::{entry_encoded_len, Cell, Key};
 
@@ -34,28 +34,16 @@ enum Piece {
     Owned((Key, Cell)),
 }
 
+impl Stretch for Piece {
+    fn place(&self) -> Place<'_> {
+        match self {
+            Piece::Shared { segment, from, to } => Place::Segment(segment, *from, *to),
+            Piece::Owned(row) => Place::Row(row),
+        }
+    }
+}
+
 impl Piece {
-    fn len(&self) -> usize {
-        match self {
-            Piece::Shared { from, to, .. } => (to - from) as usize,
-            Piece::Owned(_) => 1,
-        }
-    }
-
-    fn key(&self, i: usize) -> &[u8] {
-        match self {
-            Piece::Shared { segment, from, .. } => segment.key(*from as usize + i),
-            Piece::Owned((key, _)) => key,
-        }
-    }
-
-    fn cell(&self, i: usize) -> &Cell {
-        match self {
-            Piece::Shared { segment, from, .. } => segment.cell(*from as usize + i),
-            Piece::Owned((_, cell)) => cell,
-        }
-    }
-
     /// The encoded size of the piece's rows: for a range of a segment, its
     /// key bytes in one subtraction plus each cell's size.
     fn encoded_len(&self) -> u64 {
@@ -202,7 +190,7 @@ impl Rows {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.pieces().iter().map(Piece::len).sum()
+        self.pieces().iter().map(|piece| piece.place().len()).sum()
     }
 
     /// True when there are no rows.
@@ -214,13 +202,16 @@ impl Rows {
     fn tombstones(&self) -> usize {
         self.pieces()
             .iter()
-            .filter(|piece| piece.len() == 1 && piece.cell(0).is_tombstone())
+            .map(Piece::place)
+            .filter(|place| place.len() == 1 && place.cell(0).is_tombstone())
             .count()
     }
 
     /// The rows in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&[u8], &Cell)> + '_ {
-        (self.pieces().iter()).flat_map(|p| (0..p.len()).map(move |i| (p.key(i), p.cell(i))))
+        (self.pieces().iter())
+            .map(Piece::place)
+            .flat_map(|p| (0..p.len()).map(move |i| (p.key(i), p.cell(i))))
     }
 
     /// The encoded size of all rows ([`entry_encoded_len`] summed): what
@@ -240,7 +231,7 @@ impl Rows {
             let Some(piece) = pieces.get_mut(keep) else {
                 return;
             };
-            let len = piece.len();
+            let len = piece.place().len();
             if left < len {
                 piece.shorten(left);
                 left = 0;
@@ -256,12 +247,13 @@ impl Rows {
     /// only the last one is compared.
     pub fn clamp(&mut self, end: &[u8]) {
         while let Some(piece) = self.pieces_mut().last_mut() {
-            let n = piece.len();
-            if piece.key(n - 1) < end {
+            let place = piece.place();
+            let n = place.len();
+            if place.key(n - 1) < end {
                 return;
             }
             // The piece's rows below `end` are a prefix of it.
-            let lo = gallop(0, n - 1, |i| piece.key(i) < end);
+            let lo = gallop(0, n - 1, |i| place.key(i) < end);
             if lo > 0 {
                 piece.shorten(lo);
                 return;
@@ -299,7 +291,7 @@ impl Rows {
 /// slots. A clone is empty.
 #[derive(Clone, Debug, Default)]
 pub struct Reconciler {
-    slots: Spare<Slot<'static, PageCursor<'static>>>,
+    slots: Spare<Slot<'static, Cursor<'static, Piece>>>,
 }
 
 impl Reconciler {
@@ -334,10 +326,11 @@ impl Reconciler {
             .iter()
             .filter(|page| page.len() - page.tombstones() == limit)
             .filter_map(|page| page.pieces().last())
-            .map(|piece| piece.key(piece.len() - 1))
+            .map(Piece::place)
+            .map(|place| place.key(place.len() - 1))
             .min();
         let mut out = Rows::default();
-        let cursors = pages.iter().map(PageCursor::new);
+        let cursors = pages.iter().map(|page| Cursor::new(page.pieces()));
         let spare = std::mem::take(&mut self.slots.0);
         let mut merge = Merge::reusing(spare, cursors, usize::MAX);
         while let Some(won) = merge.next() {
@@ -367,48 +360,6 @@ impl PartialEq for Rows {
 impl std::fmt::Debug for Rows {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-/// A merge source over one page of a [`Rows`]: yields each row with the
-/// rest of its piece as the most a stretch from it can take.
-struct PageCursor<'a> {
-    pieces: &'a [Piece],
-    /// The piece holding the last row pulled (the first piece before any),
-    /// and the index in it of the next row.
-    piece: usize,
-    at: usize,
-}
-
-impl<'a> PageCursor<'a> {
-    fn new(rows: &'a Rows) -> Self {
-        Self {
-            pieces: rows.pieces(),
-            piece: 0,
-            at: 0,
-        }
-    }
-}
-
-impl<'a> Source<'a> for PageCursor<'a> {
-    fn pull(&mut self) -> Option<Head<'a>> {
-        let mut piece = self.pieces.get(self.piece)?;
-        if self.at == piece.len() {
-            piece = self.pieces.get(self.piece + 1)?;
-            (self.piece, self.at) = (self.piece + 1, 0);
-        }
-        self.at += 1;
-        Some(match piece {
-            Piece::Shared { segment, from, to } => {
-                Head::entry(segment, *from as usize + self.at - 1, *to as usize)
-            }
-            Piece::Owned(row) => Head::row(row),
-        })
-    }
-
-    fn skip(&mut self, n: usize) {
-        self.at += n;
-        debug_assert!(self.at <= self.pieces[self.piece].len());
     }
 }
 
@@ -442,8 +393,8 @@ mod tests {
     fn shape(rows: &Rows) -> Vec<(String, usize, bool)> {
         (rows.pieces().iter())
             .map(|p| {
-                let key = String::from_utf8(p.key(0).to_vec()).unwrap();
-                (key, p.len(), matches!(p, Piece::Shared { .. }))
+                let key = String::from_utf8(p.place().key(0).to_vec()).unwrap();
+                (key, p.place().len(), matches!(p, Piece::Shared { .. }))
             })
             .collect()
     }

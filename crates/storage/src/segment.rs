@@ -6,14 +6,13 @@
 //! `u32` offset where its key ends (44 bytes for a 24-byte key). No row
 //! makes an allocation of its own. Every segment also keeps the hash tables
 //! point reads find its rows through (see `block_hash`), built with its
-//! rows and shared by every run that holds it.
+//! rows and shared by every run that holds it. A segment knows no runs:
+//! each run lays its own blocks and filter over the segments it holds.
 
 use std::ops::Deref;
 use std::sync::Arc;
 
 use crate::block_hash::{TableFill, Tables};
-use crate::bloom;
-use crate::sstable::RunBuilder;
 use crate::types::{entry_encoded_len, key_prefix, Cell, KeyPrefix};
 
 /// Rows as arrays: every key's bytes back to back in one arena, a cell
@@ -140,23 +139,21 @@ fn end_offset(end: usize) -> u32 {
     end
 }
 
-/// One queued row in the sort of [`Segment::from_queue`]: its key's prefix,
-/// its encoded length and its index in the queue. The prefix is kept as two
-/// halves: without a `u128` to align, a record packs into 24 bytes, not 32.
+/// One queued row in the sort of [`Segment::from_queue`]: its key's prefix
+/// and its index in the queue. The prefix is kept as two halves: without a
+/// `u128` to align, a record packs into 24 bytes, not 32.
 #[derive(Debug, Clone, Copy)]
 struct SortRecord {
     high: u64,
     low: u64,
-    len: u32,
     index: u32,
 }
 
 impl SortRecord {
-    fn new(prefix: KeyPrefix, len: u64, index: usize) -> Self {
+    fn new(prefix: KeyPrefix, index: usize) -> Self {
         Self {
             high: (prefix >> 64) as u64,
             low: prefix as u64,
-            len: len as u32,
             index: index as u32,
         }
     }
@@ -187,24 +184,18 @@ struct SegmentCore {
 
 impl Segment {
     /// A segment of `rows`, which are strictly sorted by key, with its hash
-    /// tables filled from them.
-    ///
-    /// # Panics
-    /// In debug builds, panics if the rows are not strictly sorted.
-    pub(crate) fn sorted(rows: RowArena) -> Self {
-        let mut tables = TableFill::new(rows.len());
-        for (key, _) in rows.iter() {
-            tables.push(key);
-        }
-        Self::with_tables(rows, tables.finish())
-    }
-
-    /// A segment of `rows`, strictly sorted by key, and `tables`, theirs.
+    /// tables filled from them: the one place a segment's tables are built,
+    /// whether a flush, a compaction or a bulk load sorted its rows.
     ///
     /// # Panics
     /// In debug builds, panics if the rows are not strictly sorted, or
     /// unless the tables find every row by its own key.
-    fn with_tables(rows: RowArena, tables: Tables) -> Self {
+    pub(crate) fn sorted(rows: RowArena) -> Self {
+        let mut fill = TableFill::new(rows.len());
+        for (key, _) in rows.iter() {
+            fill.push(key);
+        }
+        let tables = fill.finish();
         debug_assert!(
             (1..rows.len()).all(|i| rows.key(i - 1) < rows.key(i)),
             "rows must be strictly sorted by key"
@@ -225,31 +216,18 @@ impl Segment {
         &self.0.tables
     }
 
-    /// A segment of the rows of `queue`, and their records fed to every run
-    /// in `holders`, which each go on to hold the segment. A key queued
-    /// more than once keeps its newest version by [`Cell::newer`], as a
-    /// memtable would.
+    /// A segment of the rows of `queue`, sorted by key. A key queued more
+    /// than once keeps its newest version by [`Cell::newer`], as a memtable
+    /// would.
     ///
-    /// One pass in arrival order hashes each key into every holder's filter
-    /// and takes its prefix and encoded length. What is sorted is that
-    /// `(prefix, length, index)` array, never the rows; the holders' block
-    /// layouts come from it in key order as each winner's key moves into an
-    /// exactly sized segment, and then their cells move. The same loop
-    /// hashes each winner's key once into the segment's hash tables, which
-    /// every holder shares.
-    ///
-    /// A holder must receive its segments in key order, each sorting wholly
-    /// above the one before.
-    pub fn from_queue(queue: LoadQueue, holders: &mut [&mut RunBuilder]) -> Self {
+    /// What is sorted is an array of `(prefix, index)` records taken in one
+    /// pass in arrival order, never the rows; each winner's key then moves
+    /// into an exactly sized arena, and then the cells move.
+    pub fn from_queue(queue: LoadQueue) -> Self {
         let queued = queue.rows;
         let mut order = Vec::with_capacity(queued.len());
-        for (i, (key, cell)) in queued.iter().enumerate() {
-            let hashes = bloom::hash_pair(key);
-            for run in holders.iter_mut() {
-                run.bloom.insert_hashed(hashes);
-            }
-            let len = entry_encoded_len(key, cell);
-            order.push(SortRecord::new(key_prefix(key), len, i));
+        for i in 0..queued.len() {
+            order.push(SortRecord::new(key_prefix(queued.key(i)), i));
         }
         let key = |r: &SortRecord| queued.key(r.index as usize);
         order.sort_unstable_by(|a, b| {
@@ -273,28 +251,16 @@ impl Segment {
             }
             same
         });
-        let mut tables = TableFill::new(order.len());
         let mut rows = RowArena::with_capacity(order.len(), queued.keys.len() - dropped);
         for (row, r) in order.iter().enumerate() {
-            let key = key(r);
-            for run in holders.iter_mut() {
-                run.row(r.len as u64);
-            }
-            tables.push(key);
-            rows.push_key(row, key);
+            rows.push_key(row, key(r));
         }
         drop((queued.keys, queued.ends));
         let mut cells = queued.cells;
         let moved =
             |r: &SortRecord| std::mem::replace(&mut cells[r.index as usize], Cell::tombstone(0));
         rows.cells.extend(order.iter().map(moved));
-        let segment = Self::with_tables(rows, tables.finish());
-        if !segment.is_empty() {
-            for run in holders.iter_mut() {
-                run.segments.push(segment.clone());
-            }
-        }
-        segment
+        Self::sorted(rows)
     }
 
     /// True when `self` and `other` are one segment: clones of one build.
@@ -383,7 +349,7 @@ pub(crate) mod tests {
         queue.push(b"a", Cell::live(k("x"), 1));
         queue.push(b"b", Cell::live(k("new"), 2));
         assert_eq!(queue.bytes(), 3 * (1 + 9 + 8) + 3 + 1 + 3);
-        let s = Segment::from_queue(queue, &mut []);
+        let s = Segment::from_queue(queue);
         let rows: Vec<_> = s.iter().map(|(key, c)| (key.to_vec(), c.clone())).collect();
         assert_eq!(
             rows,

@@ -5,14 +5,16 @@
 //!
 //! A run's rows live in one or more [`Segment`]s, which runs may share: the
 //! block layout and bloom filter belong to the run, the rows and their hash
-//! tables to the segments. A run has no index of its own: every lookup
-//! seeks its place through the segments' chunk prefixes (see
-//! `block_hash`). A point read probes the chunk's hash table, and the row
-//! it finds names the block it charges; it consults the bloom filter only
-//! when that lookup misses (a present key always passes the filter; see
-//! `LsmTree::get`), and only a false positive of the filter searches the
-//! chunk for the block to charge. A range scan searches the chunk for its
-//! first row and reads consecutive blocks from there.
+//! tables to the segments. [`RunBuilder::hold`] is where runs read a
+//! segment's rows for their blocks and filters, once for all of them. A
+//! run has no index of its own: every lookup seeks its place through the
+//! segments' chunk prefixes (see `block_hash`). A point read probes the
+//! chunk's hash table, and the row it finds names the block it charges; it
+//! consults the bloom filter only when that lookup misses (a present key
+//! always passes the filter; see `LsmTree::get`), and only a false
+//! positive of the filter searches the chunk for the block to charge. A
+//! range scan searches the chunk for its first row, whose segment and row
+//! its cursor starts at, and reads consecutive blocks from there.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -55,20 +57,15 @@ struct SsTableCore {
     total_bytes: u64,
 }
 
-/// Builds one run's block layout and bloom filter from one record per row:
-/// the key's bloom hash pair for the filter, and its encoded length for the
-/// blocks. Every run is built through one, whether a flush, a compaction or
-/// a bulk load makes it.
-///
-/// The filter takes hash pairs in any order, the blocks take lengths in key
-/// order. [`RunBuilder::hold`] reads both from a sorted segment in one pass;
-/// a bulk load instead hashes each key for the filter where
-/// [`Segment::from_queue`] reads it, in arrival order, and feeds every run
-/// that holds the segment at once.
+/// Builds one run's block layout and bloom filter from its segments' rows:
+/// each key's bloom hash pair for the filter, and each row's encoded length
+/// for the blocks, in key order. Every run is built through one, whether a
+/// flush, a compaction or a bulk load makes it, and [`RunBuilder::hold`]
+/// is the one place a run reads its rows.
 #[derive(Debug)]
 pub struct RunBuilder {
     /// The segments the run holds, in key order.
-    pub(crate) segments: Vec<Segment>,
+    segments: Vec<Segment>,
     /// The row count the filter is sized for. A bulk load sizes it from
     /// the queued rows, before a sort drops duplicate keys.
     sized_for: usize,
@@ -77,7 +74,7 @@ pub struct RunBuilder {
     block_size: u64,
     block_starts: Vec<u32>,
     block_bytes: Vec<u64>,
-    pub(crate) bloom: BloomFilter,
+    bloom: BloomFilter,
     total_bytes: u64,
     /// Bytes of the block being filled; 0 between blocks (an entry always
     /// encodes to more than zero bytes).
@@ -119,7 +116,7 @@ impl RunBuilder {
 
     /// Lay out the next row in key order, whose encoded length is `len`.
     #[inline]
-    pub(crate) fn row(&mut self, len: u64) {
+    fn row(&mut self, len: u64) {
         if self.cur_bytes == 0 {
             self.block_starts.push(self.len as u32);
         }
@@ -132,21 +129,27 @@ impl RunBuilder {
         }
     }
 
-    /// Hold `segment` as the run's next stretch of rows, reading every row
-    /// of it for the filter and the blocks. An empty segment is dropped.
-    ///
-    /// # Panics
-    /// In debug builds, panics unless `segment` sorts wholly above the
-    /// segments held before it.
-    pub fn hold(&mut self, segment: Segment) {
+    /// Have every run of `runs` hold `segment` as its next stretch of rows:
+    /// one pass over the rows, in key order, hashes each key once and takes
+    /// each row's encoded length once, for every run's filter and blocks
+    /// alike, so a segment that replicas share costs one read and one hash
+    /// a row whatever their number. An empty segment is dropped. A run
+    /// must be given its segments in key order, each sorting wholly above
+    /// the one before; a debug build checks it as the run is finished.
+    pub fn hold(runs: &mut [&mut RunBuilder], segment: Segment) {
         if segment.is_empty() {
             return;
         }
         for (key, cell) in segment.iter() {
-            self.bloom.insert_hashed(bloom::hash_pair(key));
-            self.row(entry_encoded_len(key, cell));
+            let (hashes, len) = (bloom::hash_pair(key), entry_encoded_len(key, cell));
+            for run in runs.iter_mut() {
+                run.bloom.insert_hashed(hashes);
+                run.row(len);
+            }
         }
-        self.segments.push(segment);
+        for run in runs {
+            run.segments.push(segment.clone());
+        }
     }
 
     /// The run, under id `id`. A filter sized for more rows than the run
@@ -201,7 +204,7 @@ impl SsTable {
             rows.push(&key, cell);
         }
         let mut run = RunBuilder::new(rows.len(), block_size);
-        run.hold(Segment::from_queue(rows, &mut []));
+        RunBuilder::hold(&mut [&mut run], Segment::from_queue(rows));
         run.finish(id)
     }
 
@@ -222,47 +225,35 @@ impl SsTable {
         &self.core.segments
     }
 
-    /// The segment holding entry `i`, and `i`'s index in it. For `i ==
-    /// len()`, the end of the last segment. A walk over the segments: a run
-    /// has a handful.
-    pub(crate) fn locate(&self, i: usize) -> (usize, usize) {
-        let mut at = i;
-        for (segment, rows) in self.core.segments.iter().enumerate() {
-            if at < rows.len() || segment + 1 == self.core.segments.len() {
-                return (segment, at);
-            }
-            at -= rows.len();
-        }
-        (0, at)
-    }
-
-    /// The place of `key`, whose prefix is `prefix`, in the run: the first
-    /// entry of the last segment whose first key is at or below `key`, that
-    /// segment, and its chunk of rows that can hold `key` (see
-    /// `block_hash`); `None` when `key` sorts before the run's first row.
-    /// The segments are disjoint and in key order, so no other chunk can
-    /// hold `key`, and a segment the key sorts before costs one prefix
-    /// compare.
+    /// The place of `key`, whose prefix is `prefix`, in the run: the last
+    /// segment whose first key is at or below `key`, as its index and the
+    /// index in the run of its first entry, and its chunk of rows that can
+    /// hold `key` (see `block_hash`); `None` when `key` sorts before the
+    /// run's first row. The segments are disjoint and in key order, so no
+    /// other chunk can hold `key`, and a segment the key sorts before costs
+    /// one prefix compare.
     #[inline]
-    fn seek(&self, prefix: KeyPrefix, key: &[u8]) -> Option<(usize, &Segment, usize)> {
+    fn seek(&self, prefix: KeyPrefix, key: &[u8]) -> Option<(usize, usize, usize)> {
         let mut base = self.core.len;
-        for rows in self.core.segments.iter().rev() {
+        for (segment, rows) in self.core.segments.iter().enumerate().rev() {
             base -= rows.len();
             if let Some(chunk) = rows.tables().chunk_of(rows, prefix, key) {
-                return Some((base, rows, chunk));
+                return Some((segment, base, chunk));
             }
         }
         None
     }
 
-    /// Binary search for `key` in the one chunk that can hold it: `Ok` of
-    /// the index in the run of the entry holding it, `Err` of the index of
-    /// the first entry above it (past the chunk when none in it is), or
-    /// `None` when `key` sorts before the run. A step compares padded
-    /// prefixes, and the full keys only on a tie.
-    fn search(&self, key: &[u8]) -> Option<Result<usize, usize>> {
+    /// Binary search for `key` in the one chunk that can hold it: the
+    /// segment [`SsTable::seek`] picks and its first entry's index in the
+    /// run, with `Ok` of the row holding `key` in it or `Err` of the first
+    /// row above it (past the chunk when none in it is); `None` when `key`
+    /// sorts before the run. A step compares padded prefixes, and the full
+    /// keys only on a tie.
+    fn search(&self, key: &[u8]) -> Option<(usize, usize, Result<usize, usize>)> {
         let prefix = key_prefix(key);
-        let (base, rows, chunk) = self.seek(prefix, key)?;
+        let (segment, base, chunk) = self.seek(prefix, key)?;
+        let rows = &self.core.segments[segment];
         let (mut lo, mut hi) = chunk_rows(chunk, rows.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
@@ -270,10 +261,10 @@ impl SsTable {
             match cmp_via_prefix(key_prefix(probe), probe, prefix, key) {
                 Ordering::Less => lo = mid + 1,
                 Ordering::Greater => hi = mid,
-                Ordering::Equal => return Some(Ok(base + mid)),
+                Ordering::Equal => return Some((segment, base, Ok(mid))),
             }
         }
-        Some(Err(base + lo))
+        Some((segment, base, Err(lo)))
     }
 
     /// Total encoded bytes.
@@ -308,10 +299,10 @@ impl SsTable {
     /// table is empty.
     pub fn block_for(&self, key: &[u8]) -> Option<usize> {
         let last = match self.search(key)? {
-            Ok(entry) => entry,
+            (_, base, Ok(row)) => base + row,
             // A miss's chunk starts below `key`, so `above` is past its
-            // first entry.
-            Err(above) => above - 1,
+            // first row.
+            (_, base, Err(above)) => base + above - 1,
         };
         Some(self.block_of_entry(last))
     }
@@ -321,18 +312,23 @@ impl SsTable {
     /// place, probed through its hash table.
     #[inline]
     pub fn find(&self, key: &[u8]) -> Option<(usize, &Cell)> {
-        let (base, rows, chunk) = self.seek(key_prefix(key), key)?;
+        let (segment, base, chunk) = self.seek(key_prefix(key), key)?;
+        let rows = &self.core.segments[segment];
         let row = rows.tables().probe(rows, chunk, key)?;
         Some((base + row, rows.cell(row)))
     }
 
-    /// Index of the first entry with key >= `start` (`len()` when every key
-    /// sorts below it): where a range scan's cursor over this run begins.
-    /// A binary search of the one chunk of rows that can hold the boundary.
-    pub fn lower_bound(&self, start: &[u8]) -> usize {
+    /// Where a range scan's cursor over this run begins: the first entry
+    /// with key >= `start`, as its segment, its row in that segment and its
+    /// index in the run. A binary search of the one chunk of rows that can
+    /// hold the boundary, so the place comes straight from the seek: a key
+    /// above the segment's rows gives that segment's end (the next
+    /// segment's first row, or the run's end), a key before the run `(0,
+    /// 0, 0)`.
+    pub fn lower_bound(&self, start: &[u8]) -> (usize, usize, usize) {
         match self.search(start) {
-            Some(Ok(at) | Err(at)) => at,
-            None => 0,
+            Some((segment, base, Ok(row) | Err(row))) => (segment, row, base + row),
+            None => (0, 0, 0),
         }
     }
 
@@ -440,12 +436,12 @@ mod tests {
         // Several blocks, so the boundary lies past the first.
         let t = table(10, 64);
         assert!(t.block_count() > 1);
-        assert_eq!(t.lower_bound(b"user000007"), 7);
+        assert_eq!(t.lower_bound(b"user000007"), (0, 7, 7));
         // A start between keys lands on the next one.
-        assert_eq!(t.lower_bound(b"user0000071"), 8);
+        assert_eq!(t.lower_bound(b"user0000071"), (0, 8, 8));
         // Before the first key and after the last.
-        assert_eq!(t.lower_bound(b"a"), 0);
-        assert_eq!(t.lower_bound(b"zebra"), 10);
+        assert_eq!(t.lower_bound(b"a"), (0, 0, 0));
+        assert_eq!(t.lower_bound(b"zebra"), (0, 10, 10));
     }
 
     #[test]
@@ -478,7 +474,7 @@ mod tests {
             .into_iter()
             .chain(parts[1..].iter().cloned())
         {
-            split.hold(segment);
+            RunBuilder::hold(&mut [&mut split], segment);
         }
         let split = split.finish(TableId(1));
         assert_eq!(split.segments().len(), 3, "empty segments are dropped");
@@ -494,7 +490,7 @@ mod tests {
         for probe in probes {
             let p = probe.as_bytes();
             assert_eq!(split.block_for(p), whole.block_for(p), "{probe}");
-            assert_eq!(split.lower_bound(p), whole.lower_bound(p), "{probe}");
+            assert_eq!(split.lower_bound(p).2, whole.lower_bound(p).2, "{probe}");
             assert_eq!(split.find(p), whole.find(p), "{probe}");
         }
     }
@@ -544,7 +540,7 @@ mod tests {
             }
             queue
         };
-        let unique = Segment::from_queue(queue(), &mut []);
+        let unique = Segment::from_queue(queue());
         assert_eq!(unique.len(), 300);
         let owned = |s: &Segment| -> Vec<(Key, Cell)> {
             s.iter()
@@ -559,7 +555,8 @@ mod tests {
             run
         });
         let [a, b] = &mut runs;
-        let segment = Segment::from_queue(queue(), &mut [a, b]);
+        let segment = Segment::from_queue(queue());
+        RunBuilder::hold(&mut [a, b], segment.clone());
         assert_eq!(owned(&segment), owned(&unique));
         for run in runs {
             let got = run.finish(TableId(3));
@@ -567,6 +564,14 @@ mod tests {
             assert!(got.segments()[0].shares_storage_with(&segment));
             // The reservation held every block: the layout never grew.
             assert_eq!(got.core.block_starts.capacity(), (bytes / 128) as usize + 1);
+        }
+        // Runs sized for the sorted rows keep the filter one hold fills
+        // for both of them.
+        let mut exact = [0, 1].map(|_| RunBuilder::new(unique.len(), 128));
+        let [a, b] = &mut exact;
+        RunBuilder::hold(&mut [a, b], unique);
+        for run in exact {
+            assert_eq!(layout(&run.finish(TableId(3))), layout(&want));
         }
     }
 
@@ -601,7 +606,7 @@ mod tests {
             from_sorted((0..3000).map(|i| (k(&format!("user{i:06}")), Cell::live(k("v"), 1))));
         let [a, b, small] = [64, 64, 8].map(|rows| {
             let mut run = RunBuilder::new(3000, rows * 28);
-            run.hold(segment.clone());
+            RunBuilder::hold(&mut [&mut run], segment.clone());
             run.finish(TableId(2))
         });
         for run in [&a, &b, &small] {
@@ -653,7 +658,7 @@ mod tests {
         assert_eq!(t.block_count(), 0);
         assert_eq!(t.find(b"x"), None);
         assert_eq!(t.block_for(b"x"), None);
-        assert_eq!(t.lower_bound(b"x"), 0);
+        assert_eq!(t.lower_bound(b"x"), (0, 0, 0));
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! What a segment's hash tables allocate, counted by a global allocator
 //! (alone in this test binary). The same 100k rows of 24-byte keys and
 //! one-byte values (42 encoded bytes a row) are sorted into one segment
-//! fed to its runs: one run or three, in blocks of 8 KB (196 rows), 512
+//! that its runs hold: one run or three, in blocks of 8 KB (196 rows), 512
 //! bytes (13 rows), 128 bytes (4 rows) or 1 byte (one row). Each run's
 //! block index and filter are allocated before the sort, so what the sort
-//! allocates is the segment and its tables, whatever the block size.
+//! and the hold allocate is the segment and its tables, whatever the block
+//! size.
 
 use bytes::counting::{tally, Counting, Tally};
 use bytes::Bytes;
-use storage::{Cell, LoadQueue, LsmConfig, LsmTree, Segment};
+use storage::{Cell, LoadQueue, LsmConfig, LsmTree, RunBuilder, Segment};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
@@ -37,7 +38,11 @@ fn load(holders: usize, block_size: u64) -> (Tally, Vec<usize>, Tally) {
         .collect();
     let mut runs: Vec<_> = trees.iter().map(|t| t.load_builder(ROWS, bytes)).collect();
     let mut holders: Vec<_> = runs.iter_mut().collect();
-    let (segment, made) = tally(|| Segment::from_queue(queue, &mut holders));
+    let (segment, made) = tally(|| {
+        let segment = Segment::from_queue(queue);
+        RunBuilder::hold(&mut holders, segment.clone());
+        segment
+    });
     let blocks = trees
         .iter_mut()
         .zip(runs)

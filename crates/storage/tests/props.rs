@@ -11,7 +11,7 @@ use storage::merge::merge_runs;
 use storage::types::entry_encoded_len;
 use storage::{
     BlockCache, Cell, IoOp, IoPlan, Key, LoadQueue, LsmConfig, LsmTree, Memtable, Reconciler, Rows,
-    Segment, SsTable, TableId,
+    RunBuilder, Segment, SsTable, TableId,
 };
 
 fn key(id: u64) -> Bytes {
@@ -36,6 +36,13 @@ fn queue_of(rows: &[(Key, Cell)]) -> LoadQueue {
         queue.push(k, cell.clone());
     }
     queue
+}
+
+/// `rows`, sorted into one segment that every run of `runs` holds.
+fn hold(runs: &mut [&mut RunBuilder], rows: &[(Key, Cell)]) -> Segment {
+    let segment = Segment::from_queue(queue_of(rows));
+    RunBuilder::hold(runs, segment.clone());
+    segment
 }
 
 /// The live rows among `rows`.
@@ -431,7 +438,9 @@ proptest! {
     /// partition point over the full keys, in runs of more than two chunks
     /// of rows cut into one to three segments, for keys shorter than the
     /// 16-byte prefix, keys tied on it, keys just above every row, and
-    /// probes outside the run on either side.
+    /// probes outside the run on either side. The segment and row it
+    /// names hold that entry, or end where the next segment's first row is
+    /// that entry (or where the run ends).
     #[test]
     fn sstable_lower_bound_matches_partition_point(
         keys in prop::collection::btree_set(arb_prefix_key(), 0..200),
@@ -445,7 +454,17 @@ proptest! {
         prop_assert!((1..=3).contains(&table.segments().len()));
         for probe in seek_probes(&rows, probes) {
             let want = rows.partition_point(|(k, _)| k.as_ref() < probe.as_slice());
-            prop_assert_eq!(table.lower_bound(&probe), want, "probe {:?}", probe);
+            let (segment, row, entry) = table.lower_bound(&probe);
+            prop_assert_eq!(entry, want, "probe {:?}", probe);
+            let at = &table.segments()[segment];
+            prop_assert!(row <= at.len(), "row {} of {}", row, at.len());
+            let named = if row < at.len() {
+                Some(at.key(row))
+            } else {
+                table.segments().get(segment + 1).map(|next| next.key(0))
+            };
+            let key = rows.get(want).map(|(k, _)| k.as_ref());
+            prop_assert_eq!(named, key, "probe {:?} at {:?}", probe, (segment, row));
         }
     }
 
@@ -583,7 +602,7 @@ proptest! {
         let mut runs: Vec<_> = trees.iter().map(|t| t.load_builder(rows.len(), bytes)).collect();
         for w in segment_bounds(&cuts, rows.len()).windows(2) {
             let mut holders: Vec<&mut _> = runs.iter_mut().collect();
-            Segment::from_queue(queue_of(&rows[w[0]..w[1]]), &mut holders);
+            hold(&mut holders, &rows[w[0]..w[1]]);
         }
         for (tree, run) in trees.iter_mut().zip(runs) {
             let id = tree.reserve_table_id();
@@ -704,7 +723,7 @@ proptest! {
         let id = tree.reserve_table_id();
         let queue = queue_of(&rows);
         let mut run = tree.load_builder(queue.len(), queue.bytes());
-        Segment::from_queue(queue, &mut [&mut run]);
+        hold(&mut [&mut run], &rows);
         tree.load(id, run);
         tree.compact_all();
 
@@ -726,7 +745,7 @@ proptest! {
     }
 
     /// A loaded run fed the rows cut at key boundaries into segments, one
-    /// [`Segment::from_queue`] call each in key order with a second run as
+    /// [`Segment::from_queue`] call each, held in key order with a second run as
     /// a co-holder, is the run that loading them as one segment builds: the
     /// same rows, blocks and bloom filter, so every get and scan returns the
     /// same rows and charges the same I/O, over keys that tie on their
@@ -753,7 +772,7 @@ proptest! {
         let (mut run, mut co_run) = (tree.load_builder(rows.len(), bytes), other.load_builder(rows.len(), bytes));
         let segments: Vec<Segment> = segment_bounds(&cuts, rows.len())
             .windows(2)
-            .map(|w| Segment::from_queue(queue_of(&rows[w[0]..w[1]]), &mut [&mut run, &mut co_run]))
+            .map(|w| hold(&mut [&mut run, &mut co_run], &rows[w[0]..w[1]]))
             .collect();
         let id = tree.reserve_table_id();
         tree.load(id, run);
@@ -761,7 +780,7 @@ proptest! {
         other.load(id, co_run);
         let mut twin = LsmTree::new(config);
         let mut one = twin.load_builder(rows.len(), bytes);
-        Segment::from_queue(queue_of(&rows), &mut [&mut one]);
+        hold(&mut [&mut one], &rows);
         let id = twin.reserve_table_id();
         twin.load(id, one);
         let (a, b) = (&tree.runs()[0], &twin.runs()[0]);
@@ -1293,7 +1312,8 @@ proptest! {
         }
         let mut tree = LsmTree::new(config);
         let mut run = tree.load_builder(queue.len(), queue.bytes());
-        let sorted = Segment::from_queue(queue, &mut [&mut run]);
+        let sorted = Segment::from_queue(queue);
+        RunBuilder::hold(&mut [&mut run], sorted.clone());
         for segment in [sorted, memtable.drain()] {
             prop_assert_eq!(segment.len(), rows.len());
             prop_assert!(!segment.is_empty());
@@ -1317,7 +1337,7 @@ proptest! {
             prop_assert_eq!(found, model.get(probe), "run find {:?}", probe);
             prop_assert_eq!(tree.get(probe).cell.as_ref(), model.get(probe), "get {:?}", probe);
             let want = rows.partition_point(|(k, _)| k < probe);
-            prop_assert_eq!(table.lower_bound(probe), want, "lower_bound {:?}", probe);
+            prop_assert_eq!(table.lower_bound(probe).2, want, "lower_bound {:?}", probe);
             let walked = model_scan(&model, probe, *limit);
             let mut twin = tree.clone();
             let got = tree.scan(probe, *limit);
@@ -1403,7 +1423,7 @@ fn segmented_run(rows: &[(Key, Cell)], cuts: &[usize], block_size: u64) -> SsTab
     let bytes = rows.iter().map(|(k, c)| entry_encoded_len(k, c)).sum();
     let mut run = tree.load_builder(rows.len(), bytes);
     for w in segment_bounds(cuts, rows.len()).windows(2) {
-        Segment::from_queue(queue_of(&rows[w[0]..w[1]]), &mut [&mut run]);
+        hold(&mut [&mut run], &rows[w[0]..w[1]]);
     }
     let id = tree.reserve_table_id();
     tree.load(id, run);
@@ -1591,7 +1611,7 @@ proptest! {
         let mut other = LsmTree::new(co_config);
         let (mut run, mut co_run) = (tree.load_builder(rows.len(), bytes), other.load_builder(rows.len(), bytes));
         for w in segment_bounds(&cuts, rows.len()).windows(2) {
-            Segment::from_queue(queue_of(&rows[w[0]..w[1]]), &mut [&mut run, &mut co_run]);
+            hold(&mut [&mut run, &mut co_run], &rows[w[0]..w[1]]);
         }
         let id = tree.reserve_table_id();
         tree.load(id, run);
@@ -1644,7 +1664,7 @@ proptest! {
         let mut co_cache = BlockCache::new(co_config.cache_bytes);
         for probe in &probes {
             let want = model.get(probe.as_slice());
-            let at = loaded.lower_bound(probe);
+            let (_, _, at) = loaded.lower_bound(probe);
             prop_assert_eq!(at, rows.partition_point(|(k, _)| k.as_ref() < probe.as_slice()), "lower_bound {:?}", probe);
             for (run, table) in [("loaded", &loaded), ("built", &built), ("co-held", &co_held)] {
                 let found = table.find(probe).map(|(_, cell)| cell);

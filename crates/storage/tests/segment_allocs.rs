@@ -64,7 +64,7 @@ fn load_queue_builds(mixed: bool, per_row: usize) {
         // Each buffer grown by doubling: no allocation per row.
         let doublings = (usize::BITS - (n * 24).leading_zeros()) as usize;
         assert!(queued.allocs <= 3 * doublings, "{n} rows: {queued:?}");
-        let (segment, built) = tally(|| Segment::from_queue(queue, &mut []));
+        let (segment, built) = tally(|| Segment::from_queue(queue));
         assert_eq!(segment.len(), n);
         // The queue, and everything the build made but the segment, is
         // freed by now.

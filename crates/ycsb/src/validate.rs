@@ -21,7 +21,8 @@ pub struct ReadCheck {
     pub missing: bool,
 }
 
-/// Per-record acknowledged-write watermarks plus staleness counters.
+/// Per-record acknowledged-write watermarks, which judge each read; the
+/// driver counts the verdicts.
 ///
 /// Records are named by their YCSB record id, the driver's handle on an op:
 /// a record's key is `encode_key(id)`, one key per id, so a watermark per
@@ -29,9 +30,6 @@ pub struct ReadCheck {
 #[derive(Debug, Clone, Default)]
 pub struct StalenessTracker {
     acked: FastHashMap<u64, u64>,
-    stale: u64,
-    missing: u64,
-    checked: u64,
 }
 
 impl StalenessTracker {
@@ -58,39 +56,10 @@ impl StalenessTracker {
     /// not-found). The verdict splits "found no value after an acked write"
     /// (`missing`) out of the plain stale count, so lost writes are
     /// distinguishable from stale reads.
-    pub fn check_read(&mut self, expected: u64, observed: Option<u64>) -> ReadCheck {
-        self.checked += 1;
-        let stale = observed.unwrap_or(0) < expected;
-        let missing = observed.is_none() && expected > 0;
-        if stale {
-            self.stale += 1;
-        }
-        if missing {
-            self.missing += 1;
-        }
-        ReadCheck { stale, missing }
-    }
-
-    /// `(stale, checked)` counts so far.
-    #[cfg(test)]
-    pub(crate) fn counts(&self) -> (u64, u64) {
-        (self.stale, self.checked)
-    }
-
-    /// Reads that found no value after an acknowledged write (a subset of
-    /// the stale count).
-    #[cfg(test)]
-    pub(crate) fn missing(&self) -> u64 {
-        self.missing
-    }
-
-    /// Stale fraction (0 when nothing checked).
-    #[cfg(test)]
-    pub(crate) fn stale_fraction(&self) -> f64 {
-        if self.checked == 0 {
-            0.0
-        } else {
-            self.stale as f64 / self.checked as f64
+    pub fn check_read(&self, expected: u64, observed: Option<u64>) -> ReadCheck {
+        ReadCheck {
+            stale: observed.unwrap_or(0) < expected,
+            missing: observed.is_none() && expected > 0,
         }
     }
 }
@@ -107,11 +76,11 @@ mod tests {
         t.write_acked(A, 100);
         let exp = t.expected(A);
         assert!(!t.check_read(exp, Some(100)).stale);
-        assert!(
-            !t.check_read(exp, Some(150)).stale,
+        assert_eq!(
+            t.check_read(exp, Some(150)),
+            ReadCheck::default(),
             "newer than expected is fine"
         );
-        assert_eq!(t.counts(), (0, 2));
     }
 
     #[test]
@@ -123,8 +92,6 @@ mod tests {
             t.check_read(t.expected(A), None).stale,
             "not-found after an ack is stale"
         );
-        assert_eq!(t.counts(), (2, 2));
-        assert!((t.stale_fraction() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -149,15 +116,13 @@ mod tests {
         );
         // Not-found on a never-written key is neither.
         assert_eq!(t.check_read(0, None), ReadCheck::default());
-        assert_eq!(t.counts(), (2, 3));
-        assert_eq!(t.missing(), 1);
     }
 
     #[test]
     fn unwritten_keys_never_stale() {
-        let mut t = StalenessTracker::new();
+        let t = StalenessTracker::new();
         assert_eq!(t.expected(42), 0);
-        assert!(!t.check_read(0, None).stale);
+        assert_eq!(t.check_read(0, None), ReadCheck::default());
     }
 
     #[test]
